@@ -100,12 +100,13 @@ impl LibOs for Catmem {
             return Err(DemiError::Closed);
         }
         self.runtime.metrics().count_push();
-        let sga = sga.clone(); // Handle clone: zero-copy.
-        Ok(self.runtime.spawn_op("catmem::push", async move {
-            queue.items.push(sga);
-            queue.events.notify_waiters();
-            OperationResult::Push
-        }))
+        // Handle clone: zero-copy. Nothing below the queue can refuse or
+        // delay the element, so the push is complete as the call returns.
+        queue.items.push(sga.clone());
+        queue.events.notify_waiters();
+        Ok(self
+            .runtime
+            .complete_op("catmem::push", OperationResult::Push))
     }
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {

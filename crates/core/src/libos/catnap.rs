@@ -284,7 +284,7 @@ impl LibOs for Catnap {
                 sockets.write(fd, &flat).map_err(sock_err)?;
                 Ok(self
                     .runtime
-                    .spawn_op("catnap::push", async { OperationResult::Push }))
+                    .complete_op("catnap::push", OperationResult::Push))
             }
             Some(_) => Err(DemiError::InvalidState),
             None => Err(DemiError::BadQDesc),
@@ -305,7 +305,7 @@ impl LibOs for Catnap {
                     .map_err(sock_err)?;
                 Ok(self
                     .runtime
-                    .spawn_op("catnap::pushto", async { OperationResult::Push }))
+                    .complete_op("catnap::pushto", OperationResult::Push))
             }
             Some(_) => Err(DemiError::InvalidState),
             None => Err(DemiError::BadQDesc),

@@ -273,7 +273,7 @@ impl Catnip {
                 }
                 Ok(self
                     .runtime
-                    .spawn_op("catnip::tcp_push_unframed", async { OperationResult::Push }))
+                    .complete_op("catnip::tcp_push_unframed", OperationResult::Push))
             }
             Some(_) => Err(DemiError::InvalidState),
             None => Err(DemiError::BadQDesc),
@@ -429,14 +429,14 @@ impl LibOs for Catnip {
                 drop(inner);
                 Ok(self
                     .runtime
-                    .spawn_op("catnip::udp_connect", async { OperationResult::Connect }))
+                    .complete_op("catnip::udp_connect", OperationResult::Connect))
             }
             Some(CatnipQueue::Udp { remote: r, .. }) => {
                 *r = Some(remote);
                 drop(inner);
                 Ok(self
                     .runtime
-                    .spawn_op("catnip::udp_connect", async { OperationResult::Connect }))
+                    .complete_op("catnip::udp_connect", OperationResult::Connect))
             }
             // TCP connect: initiate and watch the handshake.
             Some(CatnipQueue::TcpUnbound { .. }) => {
@@ -506,7 +506,7 @@ impl LibOs for Catnip {
                 self.stack.udp_sendto(port, remote, payload)?;
                 Ok(self
                     .runtime
-                    .spawn_op("catnip::udp_push", async { OperationResult::Push }))
+                    .complete_op("catnip::udp_push", OperationResult::Push))
             }
             Some(CatnipQueue::TcpConn { conn, .. }) => {
                 let conn = *conn;
@@ -520,7 +520,7 @@ impl LibOs for Catnip {
                 }
                 Ok(self
                     .runtime
-                    .spawn_op("catnip::tcp_push", async { OperationResult::Push }))
+                    .complete_op("catnip::tcp_push", OperationResult::Push))
             }
             Some(_) => Err(DemiError::InvalidState),
             None => Err(DemiError::BadQDesc),
@@ -537,7 +537,7 @@ impl LibOs for Catnip {
                 self.stack.udp_sendto(port, to, payload)?;
                 Ok(self
                     .runtime
-                    .spawn_op("catnip::udp_pushto", async { OperationResult::Push }))
+                    .complete_op("catnip::udp_pushto", OperationResult::Push))
             }
             Some(_) => Err(DemiError::InvalidState),
             None => Err(DemiError::BadQDesc),

@@ -73,6 +73,15 @@ pub enum SocketKind {
 /// Control-path calls mirror POSIX but return queue descriptors; the data
 /// path is `push`/`pop` returning qtokens resolved by `wait_*`. Calls a
 /// libOS cannot express return [`DemiError::NotSupported`].
+///
+/// **Every qtoken must be waited** (`wait`, `wait_any`, `wait_all`, or
+/// [`Runtime::await_op`] inside a coroutine). A token holds one slot of the
+/// runtime's op slab — and the operation's result, buffers included — until
+/// a wait consumes it; a token that is dropped instead keeps that slot for
+/// the life of the runtime, and [`Runtime::outstanding`] counts it. An
+/// operation may already be complete when its call returns (a push the
+/// stack accepted): the token is waited the same way and the wait returns
+/// without blocking.
 pub trait LibOs {
     /// The shared runtime this libOS runs on.
     fn runtime(&self) -> &Runtime;

@@ -416,7 +416,7 @@ impl LibOs for Demikernel {
                     Ok(self
                         .inner
                         .runtime
-                        .spawn_op("ops::filter_drop", async { OperationResult::Push }))
+                        .complete_op("ops::filter_drop", OperationResult::Push))
                 }
             }
             VirtualQueue::Sort { target, .. } => self.push(*target, sga),

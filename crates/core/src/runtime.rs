@@ -1,9 +1,12 @@
 //! The shared coroutine runtime behind qtokens and `wait_*`.
 //!
-//! Every queue operation a libOS starts becomes a coroutine in this
-//! runtime; the returned [`QToken`] names the task, and
+//! Every queue operation a libOS starts takes one slot in this runtime's
+//! generational op slab; the returned [`QToken`] names the slot, and
 //! [`Runtime::wait`] / [`Runtime::wait_any`] / [`Runtime::wait_all`]
-//! drive the world until the named operations complete (paper §4.4).
+//! drive the world until the named operations complete (paper §4.4). An
+//! operation whose result is known when the libOS call returns records a
+//! completed slot and nothing else; only one that must block becomes a
+//! coroutine, which writes its result straight into its slot.
 //!
 //! One `Runtime` is shared by every libOS instance in a simulation:
 //! client and server co-run as coroutines on one virtual CPU, and when
@@ -29,11 +32,14 @@
 //! deadlocked.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
-use std::rc::Rc;
+use std::pin::Pin;
+use std::rc::{Rc, Weak};
+use std::task::{Context, Poll, Waker};
 
-use demi_sched::{Notify, PollPolicy, Scheduler, TaskHandle, TimerService};
+use demi_sched::{Notify, PollPolicy, Scheduler, TimerService};
+use demi_telemetry::span::SpanPoint;
 use sim_fabric::{Fabric, SimClock, SimTime};
 
 use crate::metrics::Metrics;
@@ -63,36 +69,111 @@ impl PumpReport {
     }
 }
 
-/// Completion delivery for `wait_any`/`wait_all`: operations push their
-/// token here as their coroutine's last act, so waiters learn of
-/// completions in arrival order instead of rescanning every waited token
-/// each pump pass.
-///
-/// `ready` is the record of truth — the set of completed-but-unconsumed
-/// tokens. `arrivals` is only a conduit: a waiter pops it, skips entries
-/// already consumed elsewhere (`wait`/`await_op`), and leaves tokens it is
-/// not waiting on in `ready` for their own waiter's entry scan.
-#[derive(Default)]
-struct CompletionRing {
-    arrivals: VecDeque<QToken>,
-    ready: HashSet<QToken>,
+/// One slot's place in the op lifecycle: free → pending | complete →
+/// consumed (free again, generation bumped).
+enum OpState {
+    Free,
+    /// A coroutine will write the result.
+    Pending,
+    /// The result, waiting to be consumed exactly once.
+    Complete(OperationResult),
 }
 
-/// Per-qtoken bookkeeping: the task handle plus the submission instant
-/// (the telemetry anchor for end-to-end op latency).
-struct OpEntry {
-    handle: TaskHandle<OperationResult>,
+/// Everything the runtime knows about one queue operation.
+struct OpSlot {
+    /// Bumped when the slot is consumed, so the token of a consumed
+    /// operation stays dead after the slot is reissued. Starts at 1: no
+    /// small integer is ever a live token.
+    gen: u32,
+    state: OpState,
+    /// The submission instant (the telemetry anchor for op latency).
     started: SimTime,
+    /// The coroutine parked in [`Runtime::await_op`] on this operation.
+    waker: Option<Waker>,
+    /// Set by the `wait_any`/`wait_all` call watching this token: that
+    /// call's epoch (0 = never watched) and the token's index in its slice.
+    wait_epoch: u64,
+    wait_index: usize,
 }
 
-/// What one `drive_wait` step did with the arrivals it consumed.
-enum WaitStep<T> {
-    /// The wait is satisfied; return this value.
-    Done(T),
-    /// Arrivals were consumed but the wait wants more.
-    Progress,
-    /// Nothing relevant arrived this pass.
-    Idle,
+/// The generational op slab. A [`QToken`] packs `generation << 32 | slot`
+/// (the `ConnId` idiom of the TCP control-block slab).
+#[derive(Default)]
+struct OpSlab {
+    slots: Vec<OpSlot>,
+    free: Vec<u32>,
+    /// The latest `wait_any`/`wait_all` call. A slot tagged with it reports
+    /// its completion through `arrivals`, so that call learns of
+    /// completions in arrival order, O(1) each, instead of rescanning its
+    /// tokens every pump pass.
+    epoch: u64,
+    /// `(index in the watching call's slice, token)`. Only a conduit:
+    /// entries whose token was meanwhile consumed through `wait`/`await_op`
+    /// are skipped, and each multi-wait starts it empty.
+    arrivals: VecDeque<(usize, QToken)>,
+}
+
+impl OpSlab {
+    fn alloc(&mut self, state: OpState, started: SimTime) -> QToken {
+        let index = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(OpSlot {
+                gen: 1,
+                state: OpState::Free,
+                started,
+                waker: None,
+                wait_epoch: 0,
+                wait_index: 0,
+            });
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 operations in flight")
+        });
+        let slot = &mut self.slots[index as usize];
+        (slot.state, slot.started, slot.wait_epoch) = (state, started, 0);
+        QToken(u64::from(slot.gen) << 32 | u64::from(index))
+    }
+
+    /// The live slot `qt` names, if its generation is still current.
+    fn slot(&mut self, qt: QToken) -> Option<&mut OpSlot> {
+        let slot = self.slots.get_mut(qt.0 as u32 as usize)?;
+        let live = slot.gen == (qt.0 >> 32) as u32 && !matches!(slot.state, OpState::Free);
+        live.then_some(slot)
+    }
+
+    /// Consumes `qt` if complete, yielding its result and submission
+    /// instant; while it is pending, parks `waker` (if given) on it.
+    fn take(
+        &mut self,
+        qt: QToken,
+        waker: Option<&Waker>,
+    ) -> Result<Option<(OperationResult, SimTime)>, DemiError> {
+        let slot = self.slot(qt).ok_or(DemiError::BadQToken)?;
+        if matches!(slot.state, OpState::Pending) {
+            if let Some(waker) = waker {
+                slot.waker = Some(waker.clone());
+            }
+            return Ok(None);
+        }
+        slot.gen = slot.gen.wrapping_add(1);
+        let OpState::Complete(result) = std::mem::replace(&mut slot.state, OpState::Free) else {
+            unreachable!("a live slot is pending or complete");
+        };
+        let started = slot.started;
+        self.free.push(qt.0 as u32);
+        Ok(Some((result, started)))
+    }
+
+    /// Records the result of `qt`'s coroutine and tells the wait watching
+    /// it, if any; returns the parked awaiter to wake.
+    fn complete(&mut self, qt: QToken, result: OperationResult) -> Option<Waker> {
+        let epoch = self.epoch;
+        let slot = self.slot(qt)?;
+        slot.state = OpState::Complete(result);
+        let waker = slot.waker.take();
+        if slot.wait_epoch == epoch && epoch > 0 {
+            let arrival = (slot.wait_index, qt);
+            self.arrivals.push_back(arrival);
+        }
+        waker
+    }
 }
 
 struct Inner {
@@ -102,9 +183,10 @@ struct Inner {
     fabric: Option<Fabric>,
     pollers: RefCell<Vec<Poller>>,
     deadline_sources: RefCell<Vec<DeadlineSource>>,
-    qts: RefCell<HashMap<QToken, OpEntry>>,
-    completions: RefCell<CompletionRing>,
-    next_qt: Cell<u64>,
+    ops: RefCell<OpSlab>,
+    /// An operation completed at submission since the pollers last ran:
+    /// what it enqueued (a frame on a TX ring) may still be sitting there.
+    unflushed: Cell<bool>,
     metrics: Metrics,
     /// The activity gate: notified whenever external progress happens, so
     /// libOS coroutines waiting for "the world to move" (new frames, device
@@ -157,9 +239,8 @@ impl Runtime {
                 fabric,
                 pollers: RefCell::new(Vec::new()),
                 deadline_sources: RefCell::new(Vec::new()),
-                qts: RefCell::new(HashMap::new()),
-                completions: RefCell::new(CompletionRing::default()),
-                next_qt: Cell::new(1),
+                ops: RefCell::default(),
+                unflushed: Cell::new(false),
                 metrics: Metrics::new(),
                 activity: Notify::new(),
             }),
@@ -241,50 +322,49 @@ impl Runtime {
             .push(Box::new(source));
     }
 
+    /// Opens the slot (and the telemetry span) of one operation.
+    fn begin_op(&self, name: &'static str, state: OpState) -> QToken {
+        let started = self.inner.clock.now();
+        let qt = self.inner.ops.borrow_mut().alloc(state, started);
+        if demi_telemetry::span::enabled() {
+            demi_telemetry::span::begin(qt.0, name, started.as_nanos());
+        }
+        qt
+    }
+
     /// Spawns a queue-operation coroutine and returns its qtoken.
     ///
-    /// The coroutine's last act is pushing its token onto the completion
-    /// ring, which is how `wait_any`/`wait_all` learn of completions in
-    /// O(1) instead of rescanning every waited token each pump pass. The
-    /// wrapper holds the runtime weakly — a strong `Runtime` inside a
-    /// spawned task would close an Rc cycle and leak the world (the same
-    /// ownership rule as [`OpFuture`]).
+    /// The coroutine's last act is writing its result into the token's
+    /// slot, which wakes a coroutine parked in [`Runtime::await_op`] and
+    /// tells a watching `wait_any`/`wait_all` in O(1). The task holds the
+    /// runtime weakly — a strong `Runtime` inside a spawned task would
+    /// close an Rc cycle and leak the world (the same ownership rule as
+    /// [`OpFuture`]).
     pub fn spawn_op<F>(&self, name: &'static str, op: F) -> QToken
     where
         F: Future<Output = OperationResult> + 'static,
     {
-        let qt = QToken(self.inner.next_qt.get());
-        self.inner.next_qt.set(qt.0 + 1);
-        let started = self.inner.clock.now();
+        let qt = self.begin_op(name, OpState::Pending);
+        self.inner.scheduler.spawn_detached(
+            name,
+            OpTask {
+                qt,
+                runtime: Rc::downgrade(&self.inner),
+                op,
+            },
+        );
+        qt
+    }
+
+    /// The qtoken of an operation whose result is known as the libOS call
+    /// returns (a push the stack accepted): a completed slot, no coroutine.
+    /// `wait` and `await_op` resolve it without a scheduler pass.
+    pub(crate) fn complete_op(&self, name: &'static str, result: OperationResult) -> QToken {
+        let qt = self.begin_op(name, OpState::Complete(result));
         if demi_telemetry::span::enabled() {
-            demi_telemetry::span::begin(qt.0, name, started.as_nanos());
+            demi_telemetry::span::note(qt.0, SpanPoint::Completed, demi_telemetry::now_ns());
         }
-        let op = Instrumented {
-            qt: qt.0,
-            first_polled: false,
-            inner: op,
-        };
-        let ring = Rc::downgrade(&self.inner);
-        let handle = self.inner.scheduler.spawn(name, async move {
-            let result = op.await;
-            if demi_telemetry::span::enabled() {
-                demi_telemetry::span::note(
-                    qt.0,
-                    demi_telemetry::span::SpanPoint::Completed,
-                    demi_telemetry::now_ns(),
-                );
-            }
-            if let Some(inner) = ring.upgrade() {
-                let mut completions = inner.completions.borrow_mut();
-                completions.arrivals.push_back(qt);
-                completions.ready.insert(qt);
-            }
-            result
-        });
-        self.inner
-            .qts
-            .borrow_mut()
-            .insert(qt, OpEntry { handle, started });
+        self.inner.unflushed.set(true);
         qt
     }
 
@@ -293,7 +373,7 @@ impl Runtime {
     where
         F: Future<Output = ()> + 'static,
     {
-        let _ = self.inner.scheduler.spawn(name, task);
+        self.inner.scheduler.spawn_detached(name, task);
     }
 
     /// One cooperative pass: deliver due frames, run device pollers, fire
@@ -324,6 +404,12 @@ impl Runtime {
         }
     }
 
+    /// Runs every device poller once; returns the work items they report.
+    fn run_pollers(&self) -> usize {
+        self.inner.unflushed.set(false);
+        self.inner.pollers.borrow().iter().map(|poll| poll()).sum()
+    }
+
     fn pump_report(&self) -> PumpReport {
         let mut external = 0usize;
         if let Some(fabric) = &self.inner.fabric {
@@ -331,9 +417,7 @@ impl Runtime {
             fabric.deliver_due();
             external += (fabric.stats().frames_delivered - before) as usize;
         }
-        for poller in self.inner.pollers.borrow().iter() {
-            external += poller();
-        }
+        external += self.run_pollers();
         external += self.inner.timers.fire_due();
         if external > 0 {
             // Something moved in the outside world: wake every coroutine
@@ -369,38 +453,24 @@ impl Runtime {
                 return true;
             }
         }
-        let mut earliest: Option<SimTime> = None;
-        let mut consider = |t: Option<SimTime>| {
-            if let Some(t) = t {
-                if t > now {
-                    earliest = Some(match earliest {
-                        Some(e) => e.min(t),
-                        None => t,
-                    });
-                }
-            }
-        };
-        if let Some(fabric) = &self.inner.fabric {
-            consider(fabric.next_event_time());
-        }
-        consider(self.inner.timers.earliest_deadline());
-        for source in self.inner.deadline_sources.borrow().iter() {
-            consider(source());
-        }
-        let mut target = match (earliest, limit) {
-            (Some(t), _) => t,
+        let fabric_next = self.inner.fabric.as_ref().and_then(Fabric::next_event_time);
+        let sources = self.inner.deadline_sources.borrow();
+        let earliest = [fabric_next, self.inner.timers.earliest_deadline()]
+            .into_iter()
+            .chain(sources.iter().map(|source| source()))
+            .flatten()
+            .filter(|&t| t > now)
+            .min();
+        let target = match (earliest, limit) {
+            // A wait deadline that comes first is advanced to exactly, so
+            // the timeout fires without skipping events.
+            (Some(t), Some(limit)) => t.min(limit),
+            (Some(t), None) => t,
             // Nothing else pending, but the caller has a wait deadline:
             // advance straight to it so the timeout can fire.
             (None, Some(limit)) if limit > now => limit,
             _ => return false,
         };
-        if let Some(limit) = limit {
-            if limit < target {
-                // The wait deadline comes first; advance exactly to it so
-                // the timeout fires without skipping events.
-                target = limit;
-            }
-        }
         self.inner.clock.advance_to(target);
         if let Some(fabric) = &self.inner.fabric {
             fabric.deliver_due();
@@ -420,119 +490,103 @@ impl Runtime {
         report.completed > 0 || self.inner.scheduler.has_runnable()
     }
 
-    /// Consumes `qt` if its operation has completed. The ready set is the
-    /// only source of truth: a token appears there the instant its
-    /// coroutine finishes (the `spawn_op` wrapper), so this is a set probe,
-    /// not a handle poll.
-    fn take_if_complete(&self, qt: QToken) -> Option<(OperationResult, SimTime)> {
-        {
-            let mut completions = self.inner.completions.borrow_mut();
-            if !completions.ready.remove(&qt) {
-                return None;
-            }
-        }
-        let entry = self
-            .inner
-            .qts
-            .borrow_mut()
-            .remove(&qt)
-            .expect("ready token is spawned");
-        let result = entry.handle.take_result().expect("ready token is complete");
-        Some((result, entry.started))
-    }
-
-    /// Consumes a token known to be ready, records the wakeup, and stamps
-    /// the wait-delivery telemetry (end-to-end op latency + span close).
-    fn finish(&self, qt: QToken) -> OperationResult {
-        let (result, started) = self
-            .take_if_complete(qt)
-            .expect("caller checked the ready set");
+    /// Consumes `qt` if its operation has completed (`Ok(None)` while it
+    /// is pending) — one slot probe — and, as the wait delivering it,
+    /// records the wakeup and stamps the wait-delivery telemetry
+    /// (end-to-end op latency + span close).
+    fn take(&self, qt: QToken) -> Result<Option<OperationResult>, DemiError> {
+        self.inner.metrics.count_completion_checks(1);
+        let taken = self.inner.ops.borrow_mut().take(qt, None)?;
+        let Some((result, started)) = taken else {
+            return Ok(None);
+        };
         if demi_telemetry::enabled() || demi_telemetry::span::enabled() {
             let now = self.inner.clock.now();
             demi_telemetry::stage::record(
                 demi_telemetry::stage::Stage::OpLatency,
                 now.saturating_since(started).as_nanos(),
             );
-            demi_telemetry::span::note(
-                qt.0,
-                demi_telemetry::span::SpanPoint::Delivered,
-                now.as_nanos(),
-            );
+            demi_telemetry::span::note(qt.0, SpanPoint::Delivered, now.as_nanos());
             demi_telemetry::span::finish(qt.0);
         }
         self.inner
             .metrics
             .count_wakeup(matches!(result, OperationResult::Pop { .. }));
-        result
+        // The liveness rule of completion at submission: a wait that
+        // consumes a token without pumping still hands what the operation
+        // enqueued to the device — a sender that only ever does `pushto;
+        // wait` must transmit. Fabric delivery, timers and the run queue
+        // are left to the next wait that blocks.
+        if self.inner.unflushed.get() && self.run_pollers() > 0 {
+            self.inner.activity.notify_waiters();
+        }
+        Ok(Some(result))
     }
 
-    /// Entry scan: which of `wanted` completed before the wait began?
-    /// O(tokens), run exactly once per `wait_*` call — the steady-state
-    /// loop reads only the arrival conduit.
-    fn scan_ready(&self, wanted: &HashMap<QToken, usize>) -> Vec<(usize, QToken)> {
-        self.inner
-            .metrics
-            .count_completion_checks(wanted.len() as u64);
-        let completions = self.inner.completions.borrow();
-        wanted
-            .iter()
-            .filter(|(qt, _)| completions.ready.contains(qt))
-            .map(|(&qt, &i)| (i, qt))
-            .collect()
-    }
-
-    /// Pops arrivals off the conduit until one of `wanted` turns up (or the
-    /// conduit drains). Stale entries — tokens already consumed through
-    /// `wait`/`await_op` — are discarded; tokens some *other* waiter wants
-    /// come off the conduit too but stay in the ready set, where that
-    /// waiter's entry scan finds them. Cost is O(arrivals since the last
-    /// call), independent of how many tokens this wait covers.
-    fn next_arrival(&self, wanted: &HashMap<QToken, usize>) -> Option<(usize, QToken)> {
-        let mut completions = self.inner.completions.borrow_mut();
-        let mut checks = 0u64;
-        let mut hit = None;
-        while let Some(qt) = completions.arrivals.pop_front() {
-            if !completions.ready.contains(&qt) {
+    /// Entry of `wait_any`/`wait_all`: validates every token and tags its
+    /// slot with a fresh epoch and its index in `qts`, so its completion
+    /// arrives through the slab's conduit — at once, in index order, for
+    /// tokens already complete (lowest caller index wins). O(tokens), once
+    /// per call. A token named twice keeps its first index, or fails the
+    /// call when `reject_duplicates`.
+    fn watch(&self, qts: &[QToken], reject_duplicates: bool) -> Result<(), DemiError> {
+        self.inner.metrics.count_completion_checks(qts.len() as u64);
+        let mut ops = self.inner.ops.borrow_mut();
+        ops.epoch += 1;
+        ops.arrivals.clear();
+        let epoch = ops.epoch;
+        for (i, &qt) in qts.iter().enumerate() {
+            let slot = ops.slot(qt).ok_or(DemiError::BadQToken)?;
+            if slot.wait_epoch == epoch {
+                if reject_duplicates {
+                    return Err(DemiError::BadQToken);
+                }
                 continue;
             }
-            checks += 1;
-            if let Some(&i) = wanted.get(&qt) {
-                hit = Some((i, qt));
-                break;
+            (slot.wait_epoch, slot.wait_index) = (epoch, i);
+            if matches!(slot.state, OpState::Complete(_)) {
+                ops.arrivals.push_back((i, qt));
             }
         }
-        drop(completions);
-        if checks > 0 {
-            self.inner.metrics.count_completion_checks(checks);
+        Ok(())
+    }
+
+    /// Consumes the next completion among the watched tokens; yields its
+    /// caller index and result. Cost is O(arrivals since the last call),
+    /// independent of how many tokens the wait covers.
+    fn next_arrival(&self) -> Option<(usize, OperationResult)> {
+        loop {
+            let (i, qt) = self.inner.ops.borrow_mut().arrivals.pop_front()?;
+            // An error: consumed meanwhile through `wait`/`await_op`, so
+            // not this wait's any more.
+            if let Ok(Some(result)) = self.take(qt) {
+                return Some((i, result));
+            }
         }
-        hit
     }
 
-    fn known(&self, qt: QToken) -> bool {
-        self.inner.qts.borrow().contains_key(&qt)
-    }
-
-    /// The shared blocking loop under `wait_any`/`wait_all`: pump the
-    /// world, let the caller consume arrivals, and otherwise advance
-    /// virtual time — declaring deadlock only when a quiescent pass
-    /// survives a rescue sweep.
+    /// The shared loop under every wait: let the caller consume what has
+    /// completed — first before anything is pumped, so a satisfied wait
+    /// costs no pass — then pump the world and otherwise advance virtual
+    /// time, declaring deadlock only when a quiescent pass survives a
+    /// rescue sweep.
     fn drive_wait<T>(
         &self,
-        deadline: Option<SimTime>,
-        mut step: impl FnMut() -> WaitStep<T>,
+        timeout: Option<SimTime>,
+        mut step: impl FnMut() -> Result<Option<T>, DemiError>,
     ) -> Result<T, DemiError> {
+        if let Some(value) = step()? {
+            return Ok(value);
+        }
+        let deadline = timeout.map(|d| self.now().saturating_add(d));
         loop {
             let report = self.pump_report();
             self.inner.metrics.count_wait_pass(report.polled as u64);
-            let consumed = match step() {
-                WaitStep::Done(value) => return Ok(value),
-                WaitStep::Progress => true,
-                WaitStep::Idle => false,
-            };
-            if let Some(deadline) = deadline {
-                if self.now() >= deadline {
-                    return Err(DemiError::Timeout);
-                }
+            if let Some(value) = step()? {
+                return Ok(value);
+            }
+            if deadline.is_some_and(|deadline| self.now() >= deadline) {
+                return Err(DemiError::Timeout);
             }
             // A pump pass runs pollers *before* the scheduler, so a
             // coroutine polled this pass may have enqueued frames on a TX
@@ -543,36 +597,17 @@ impl Runtime {
             // Run the pollers once more after any task polls so every
             // pending frame reaches the fabric; if that surfaces real
             // work, reprocess it before the clock is allowed to move.
-            let advanced = if report.completed == 0 {
-                let late_flush = if report.polled > 0 {
-                    let mut n = 0usize;
-                    for poller in self.inner.pollers.borrow().iter() {
-                        n += poller();
-                    }
-                    n
-                } else {
-                    0
-                };
-                if late_flush > 0 {
-                    self.inner.activity.notify_waiters();
-                    false
-                } else {
-                    self.advance(deadline)
-                }
-            } else {
+            let advanced = if report.completed > 0 {
                 false
+            } else if report.polled > 0 && self.run_pollers() > 0 {
+                self.inner.activity.notify_waiters();
+                false
+            } else {
+                self.advance(deadline)
             };
-            if consumed
-                || report.completed > 0
-                || report.polled > 0
-                || report.external > 0
-                || advanced
-            {
-                continue;
-            }
-            // Quiescent: no woken tasks, no external work, no time to
-            // advance. One rescue sweep, then give up.
-            if self.rescue_sweep() {
+            // Quiescent — no woken tasks, no external work, no time to
+            // advance: one rescue sweep, then give up.
+            if advanced || report.has_work() || self.rescue_sweep() {
                 continue;
             }
             if std::env::var("DEMI_DEBUG_DEADLOCK").is_ok() {
@@ -591,23 +626,22 @@ impl Runtime {
     ///
     /// Returns the operation's result *with its data* — no follow-up call
     /// is needed. `timeout` of `None` waits forever (bounded by deadlock
-    /// detection).
+    /// detection). A token already complete costs one slot probe (plus the
+    /// device kick of the liveness rule); nothing is allocated either way.
     pub fn wait(&self, qt: QToken, timeout: Option<SimTime>) -> Result<OperationResult, DemiError> {
-        match self.wait_any(&[qt], timeout) {
-            Ok((0, result)) => Ok(result),
-            Ok(_) => unreachable!("single-token wait resolves index 0"),
-            Err(e) => Err(e),
-        }
+        self.drive_wait(timeout, || self.take(qt))
     }
 
     /// Waits for the first of `qts` to complete; returns its index and
     /// result (the paper's improved epoll, §4.4). Completed tokens are
-    /// consumed; the rest stay valid.
+    /// consumed; the rest stay valid. An empty `qts` names nothing that
+    /// could complete: [`DemiError::BadQToken`].
     ///
-    /// Completion delivery is O(1) per pump pass: one entry scan over the
-    /// tokens up front, then the loop only pops the completion-ring
-    /// conduit — the per-pass cost no longer multiplies by how many tokens
-    /// the call watches (E13).
+    /// Completion delivery is O(1) per pump pass: one entry scan tags the
+    /// tokens' slots, then the loop only pops the slab's arrival conduit —
+    /// the per-pass cost does not multiply by how many tokens the call
+    /// watches (E13). Among tokens complete on entry the lowest caller
+    /// index wins; after that, the first to arrive.
     ///
     /// The wait loop is event-driven, not spin-bounded: every iteration
     /// either ran woken tasks, absorbed external work, or advanced virtual
@@ -619,88 +653,55 @@ impl Runtime {
         qts: &[QToken],
         timeout: Option<SimTime>,
     ) -> Result<(usize, OperationResult), DemiError> {
-        let mut wanted: HashMap<QToken, usize> = HashMap::with_capacity(qts.len());
-        for (i, &qt) in qts.iter().enumerate() {
-            if !self.known(qt) {
-                return Err(DemiError::BadQToken);
-            }
-            // A duplicated token resolves at its first occurrence, like
-            // the historical linear scan did.
-            wanted.entry(qt).or_insert(i);
+        if qts.is_empty() {
+            return Err(DemiError::BadQToken);
         }
-        // A token may have completed before this wait began (e.g., consumed
-        // pumps from an earlier wait). Lowest caller index wins, as the
-        // linear scan's iteration order used to guarantee.
-        if let Some((i, qt)) = self.scan_ready(&wanted).into_iter().min_by_key(|&(i, _)| i) {
-            return Ok((i, self.finish(qt)));
-        }
-        let deadline = timeout.map(|d| self.now().saturating_add(d));
-        self.drive_wait(deadline, || match self.next_arrival(&wanted) {
-            Some((i, qt)) => WaitStep::Done((i, self.finish(qt))),
-            None => WaitStep::Idle,
-        })
+        self.watch(qts, false)?;
+        self.drive_wait(timeout, || Ok(self.next_arrival()))
     }
 
     /// Waits until *all* of `qts` complete (or the timeout expires).
-    /// Results are returned in token order.
+    /// Results are returned in token order; a token named twice can only
+    /// resolve once, so it fails the call like an already-consumed one.
     ///
     /// Drives one wait loop consuming completions as they arrive — not a
-    /// `wait_any` per token, which rebuilt the token slice and rescanned
-    /// the survivors after every completion (O(n²) over the batch).
+    /// `wait_any` per token, which rescanned the survivors after every
+    /// completion (O(n²) over the batch).
     pub fn wait_all(
         &self,
         qts: &[QToken],
         timeout: Option<SimTime>,
     ) -> Result<Vec<OperationResult>, DemiError> {
-        let mut wanted: HashMap<QToken, usize> = HashMap::with_capacity(qts.len());
-        for (i, &qt) in qts.iter().enumerate() {
-            if !self.known(qt) || wanted.insert(qt, i).is_some() {
-                // A duplicate can only resolve once; reject it like an
-                // already-consumed token rather than hanging.
-                return Err(DemiError::BadQToken);
-            }
-        }
-        let mut results: Vec<Option<OperationResult>> = Vec::with_capacity(qts.len());
-        results.resize_with(qts.len(), || None);
+        self.watch(qts, true)?;
+        let mut results: Vec<Option<OperationResult>> = qts.iter().map(|_| None).collect();
         let mut missing = qts.len();
-        for (i, qt) in self.scan_ready(&wanted) {
-            results[i] = Some(self.finish(qt));
-            missing -= 1;
-        }
-        if missing > 0 {
-            let deadline = timeout.map(|d| self.now().saturating_add(d));
-            self.drive_wait(deadline, || {
-                let mut consumed = false;
-                while let Some((i, qt)) = self.next_arrival(&wanted) {
-                    results[i] = Some(self.finish(qt));
-                    missing -= 1;
-                    consumed = true;
-                }
-                if missing == 0 {
-                    WaitStep::Done(())
-                } else if consumed {
-                    WaitStep::Progress
-                } else {
-                    WaitStep::Idle
-                }
-            })?;
-        }
+        self.drive_wait(timeout, || {
+            while let Some((i, result)) = self.next_arrival() {
+                results[i] = Some(result);
+                missing -= 1;
+            }
+            Ok((missing == 0).then_some(()))
+        })?;
         Ok(results
             .into_iter()
             .map(|r| r.expect("all slots filled"))
             .collect())
     }
 
-    /// Number of unresolved qtokens (diagnostics).
+    /// Number of unresolved qtokens (diagnostics). A token never waited on
+    /// keeps its slot, and counts here, for the life of the runtime.
     pub fn outstanding(&self) -> usize {
-        self.inner.qts.borrow().len()
+        let ops = self.inner.ops.borrow();
+        ops.slots.len() - ops.free.len()
     }
 
     /// A future resolving when the operation named by `qt` completes —
     /// the coroutine-level counterpart of [`Runtime::wait`], used by queue
     /// transformations to compose operations inside the scheduler. The
-    /// awaiting coroutine parks on the operation's completion waker; it is
-    /// woken exactly once, when the operation finishes.
+    /// awaiting coroutine parks on the operation's slot (one awaiter per
+    /// token: a later one replaces an earlier one's registration) and is
+    /// woken exactly once, when the operation finishes; an operation
+    /// completed at submission resolves on the first poll.
     ///
     /// Resolves to `Failed(BadQToken)` for unknown/consumed tokens.
     pub fn await_op(&self, qt: QToken) -> OpFuture {
@@ -711,44 +712,51 @@ impl Runtime {
     }
 }
 
-/// Wraps every op coroutine to observe its lifecycle: stamps the span's
-/// first-poll point and brackets each poll with the span module's
-/// current-op marker so deeper layers (the device sim's `tx_burst`) can
-/// attribute events to the op being executed. When span capture is off
-/// this is one thread-local bool read per poll.
-struct Instrumented<F> {
-    qt: u64,
-    first_polled: bool,
-    inner: F,
+/// The coroutine behind a deferred operation: runs `op`, then writes its
+/// result into the token's slot. Along the way it observes the lifecycle:
+/// stamps the span's first-poll and completion points and brackets each
+/// poll with the span module's current-op marker so deeper layers (the
+/// device sim's `tx_burst`) can attribute events to the op being
+/// executed. When span capture is off that is one thread-local bool read
+/// per poll.
+struct OpTask<F> {
+    qt: QToken,
+    runtime: Weak<Inner>,
+    op: F,
 }
 
-impl<F: Future> Future for Instrumented<F> {
-    type Output = F::Output;
+impl<F: Future<Output = OperationResult>> Future for OpTask<F> {
+    type Output = ();
 
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<F::Output> {
-        // SAFETY: `inner` is never moved out of the pinned wrapper; the
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // SAFETY: `op` is never moved out of the pinned wrapper; the
         // re-pin below covers the only access.
         let this = unsafe { self.get_unchecked_mut() };
         let tracing = demi_telemetry::span::enabled();
         if tracing {
-            if !this.first_polled {
-                this.first_polled = true;
-                demi_telemetry::span::note(
-                    this.qt,
-                    demi_telemetry::span::SpanPoint::FirstPoll,
-                    demi_telemetry::now_ns(),
-                );
-            }
-            demi_telemetry::span::set_current(Some(this.qt));
+            // Stamps are set-once: only the first poll's sticks.
+            demi_telemetry::span::note(this.qt.0, SpanPoint::FirstPoll, demi_telemetry::now_ns());
+            demi_telemetry::span::set_current(Some(this.qt.0));
         }
-        let result = unsafe { std::pin::Pin::new_unchecked(&mut this.inner) }.poll(cx);
+        // SAFETY: see above — `this.op` stays where the outer pin put it.
+        let polled = unsafe { Pin::new_unchecked(&mut this.op) }.poll(cx);
         if tracing {
             demi_telemetry::span::set_current(None);
         }
-        result
+        let Poll::Ready(result) = polled else {
+            return Poll::Pending;
+        };
+        if tracing {
+            demi_telemetry::span::note(this.qt.0, SpanPoint::Completed, demi_telemetry::now_ns());
+        }
+        // A runtime being torn down has nobody left to deliver to.
+        if let Some(inner) = this.runtime.upgrade() {
+            let parked = inner.ops.borrow_mut().complete(this.qt, result);
+            if let Some(waker) = parked {
+                waker.wake();
+            }
+        }
+        Poll::Ready(())
     }
 }
 
@@ -758,39 +766,27 @@ impl<F: Future> Future for Instrumented<F> {
 /// which the scheduler (owned by the runtime) owns in turn — a strong
 /// `Runtime` here would close an Rc cycle and leak the world.
 pub struct OpFuture {
-    runtime: std::rc::Weak<Inner>,
+    runtime: Weak<Inner>,
     qt: QToken,
 }
 
 impl Future for OpFuture {
     type Output = OperationResult;
 
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<OperationResult> {
-        let Some(inner) = self.runtime.upgrade() else {
-            // The runtime is being torn down; nothing to wait for.
-            return std::task::Poll::Ready(OperationResult::Failed(DemiError::BadQToken));
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<OperationResult> {
+        // A runtime being torn down has nothing left to wait for.
+        let taken = match self.runtime.upgrade() {
+            Some(inner) => inner.ops.borrow_mut().take(self.qt, Some(cx.waker())),
+            None => Err(DemiError::BadQToken),
         };
-        let runtime = Runtime { inner };
-        if !runtime.known(self.qt) {
-            return std::task::Poll::Ready(OperationResult::Failed(DemiError::BadQToken));
-        }
-        match runtime.take_if_complete(self.qt) {
-            Some((result, _started)) => {
+        match taken {
+            Err(e) => Poll::Ready(OperationResult::Failed(e)),
+            Ok(None) => Poll::Pending,
+            Ok(Some((result, _started))) => {
                 // Consumed inside a composing coroutine, not by `wait`:
                 // close the span without a wait-delivery stamp.
                 demi_telemetry::span::finish(self.qt.0);
-                std::task::Poll::Ready(result)
-            }
-            None => {
-                // Park until the operation's task completes.
-                let qts = runtime.inner.qts.borrow();
-                if let Some(entry) = qts.get(&self.qt) {
-                    entry.handle.register_completion_waker(cx.waker());
-                }
-                std::task::Poll::Pending
+                Poll::Ready(result)
             }
         }
     }

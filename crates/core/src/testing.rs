@@ -1,9 +1,12 @@
-//! World builders shared by integration tests, examples, and benches.
+//! World builders and the allocation meter shared by integration tests,
+//! examples, and benches.
 //!
 //! Every world follows one convention: hosts are numbered by last octet —
 //! host *n* is `10.0.0.n` at MAC `02:00:00:00:00:0n` — and client/server
 //! co-run as coroutines on one shared [`Runtime`].
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::net::Ipv4Addr;
 
 use dpdk_sim::PortConfig;
@@ -17,6 +20,65 @@ use crate::libos::catmem::Catmem;
 use crate::libos::catnap::Catnap;
 use crate::libos::catnip::Catnip;
 use crate::runtime::Runtime;
+
+thread_local! {
+    /// This thread's allocation count while an [`AllocMeter`] is armed,
+    /// `None` otherwise. Const-initialised and destructor-free, so the
+    /// allocator can read it at any point of a thread's life without
+    /// allocating or touching torn-down state.
+    static METERED: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+/// A global allocator that counts allocations **per thread, and only
+/// inside an [`AllocMeter`] window**: "zero allocations here" then means
+/// *this* thread's window, however many sibling tests `cargo test` runs
+/// in parallel. A test binary opts in with
+/// `#[global_allocator] static A: CountingAlloc = CountingAlloc;`.
+pub struct CountingAlloc;
+
+// SAFETY: every request is forwarded unchanged to `System`; the only
+// addition is a thread-local counter bump that cannot allocate or unwind.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: a thread's last frees/allocations may run after its
+        // thread-locals are gone; those are never inside a window.
+        let _ = METERED.try_with(|m| m.set(m.get().map(|n| n + 1)));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// Arms the calling thread's allocation counter until dropped (the RAII
+/// guard idiom: a panicking test cannot leave the meter armed for the next
+/// test that reuses its thread). Counts stay 0 unless the test binary
+/// installed [`CountingAlloc`].
+pub struct AllocMeter(());
+
+impl AllocMeter {
+    /// Starts a window at zero. Windows do not nest.
+    pub fn arm() -> AllocMeter {
+        let previous = METERED.replace(Some(0));
+        assert!(previous.is_none(), "allocation windows do not nest");
+        AllocMeter(())
+    }
+
+    /// Allocations (including reallocations) this thread made so far in
+    /// the window.
+    pub fn count(&self) -> u64 {
+        METERED.get().unwrap_or(0)
+    }
+}
+
+impl Drop for AllocMeter {
+    fn drop(&mut self) {
+        METERED.set(None);
+    }
+}
 
 /// Host *n*'s IPv4 address.
 pub fn host_ip(n: u8) -> Ipv4Addr {

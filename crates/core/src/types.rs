@@ -14,6 +14,9 @@ pub struct QDesc(pub u32);
 ///
 /// "Because queues have granularity, each qtoken is unique to a single
 /// queue operation" — a qtoken resolves exactly once, through `wait`.
+/// The value is an opaque handle into the runtime's op slab (slot and
+/// generation): once consumed it is `BadQToken` forever, even after its
+/// slot serves another operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QToken(pub u64);
 

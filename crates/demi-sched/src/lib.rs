@@ -13,8 +13,9 @@
 //!   pass drains only woken tasks, so thousands of parked connections cost
 //!   nothing per completion. The legacy poll-everything discipline is kept
 //!   as the opt-in [`PollPolicy::Sweep`] for before/after benchmarking.
-//! * [`TaskHandle`] — typed access to a task's eventual result, including
-//!   completion-waker registration so waiters park instead of re-polling.
+//! * [`TaskHandle`] — typed access to a task's eventual result. Tasks that
+//!   deliver their own result (the runtime's queue operations write into
+//!   their qtoken's slot) spawn detached, with no handle at all.
 //! * [`TimerService`] — virtual-time sleeps on a deadline heap; the runtime
 //!   advances the clock to [`TimerService::earliest_deadline`] and
 //!   [`fire_due`](TimerService::fire_due) wakes exactly the expired

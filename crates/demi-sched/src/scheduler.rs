@@ -14,7 +14,7 @@ use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
@@ -76,12 +76,16 @@ pub struct PassReport {
 ///
 /// The queue is `Mutex`-protected and the dedup flag is atomic so that a
 /// `Waker` smuggled onto another thread stays sound; in the single-threaded
-/// simulation both are always uncontended.
+/// simulation both are always uncontended. A wake locks once, a pass locks
+/// once (it swaps the whole batch out), and "anything runnable?" reads `len`.
 struct RunQueue {
     /// `(slot index, slot generation, telemetry enqueue stamp)`. The stamp
     /// is virtual-time ns at wake when latency telemetry is enabled, else 0
     /// — the schedule→poll lag histogram only sees real stamps.
     queue: Mutex<VecDeque<(usize, u64, u64)>>,
+    /// Entries in `queue`. Written under the lock; `Relaxed` because it
+    /// publishes no data — a reader that acts on it takes the lock.
+    len: AtomicUsize,
     wakeups: AtomicU64,
 }
 
@@ -89,6 +93,7 @@ impl RunQueue {
     fn new() -> Arc<Self> {
         Arc::new(RunQueue {
             queue: Mutex::new(VecDeque::new()),
+            len: AtomicUsize::new(0),
             wakeups: AtomicU64::new(0),
         })
     }
@@ -101,22 +106,27 @@ impl RunQueue {
         } else {
             0
         };
-        self.queue
-            .lock()
-            .unwrap()
-            .push_back((index, gen, enqueued_ns));
+        let mut queue = self.queue.lock().unwrap();
+        queue.push_back((index, gen, enqueued_ns));
+        self.len.store(queue.len(), Ordering::Relaxed);
     }
 
-    fn pop(&self) -> Option<(usize, u64, u64)> {
-        self.queue.lock().unwrap().pop_front()
-    }
-
-    fn len(&self) -> usize {
-        self.queue.lock().unwrap().len()
+    /// Moves every queued entry into `batch` (which must be empty): the
+    /// entries present when a pass begins, in wake order.
+    fn take_batch(&self, batch: &mut VecDeque<(usize, u64, u64)>) {
+        let mut queue = self.queue.lock().unwrap();
+        std::mem::swap(&mut *queue, batch);
+        self.len.store(0, Ordering::Relaxed);
     }
 
     fn clear(&self) {
-        self.queue.lock().unwrap().clear();
+        let mut queue = self.queue.lock().unwrap();
+        queue.clear();
+        self.len.store(0, Ordering::Relaxed);
+    }
+
+    fn len(&self) -> usize {
+        self.len.load(Ordering::Relaxed)
     }
 }
 
@@ -150,7 +160,10 @@ struct TaskSlot {
     id: TaskId,
     name: &'static str,
     gen: u64,
-    waker: Arc<SlotWaker>,
+    /// The wake-side state, and the one `Waker` built over it at spawn:
+    /// every poll borrows `waker` instead of cloning the `Arc` again.
+    state: Arc<SlotWaker>,
+    waker: Waker,
     future: Pin<Box<dyn Future<Output = ()>>>,
 }
 
@@ -158,6 +171,13 @@ struct TaskSlot {
 struct Inner {
     tasks: Vec<Option<TaskSlot>>,
     free: Vec<usize>,
+    /// Waker states of finished tasks that nothing else still references,
+    /// kept for the next spawn: a steady-state spawn allocates only the
+    /// task's own future.
+    spare_wakers: Vec<Arc<SlotWaker>>,
+    /// The pass's working batch, kept so its buffer and the run queue's
+    /// trade places every pass instead of being reallocated.
+    batch: VecDeque<(usize, u64, u64)>,
     next_id: u64,
     next_gen: u64,
     live: usize,
@@ -165,11 +185,18 @@ struct Inner {
     policy: PollPolicy,
 }
 
+/// What a [`TaskHandle`] and its task share. `done` outlives the result:
+/// it stays set after the result is taken.
+struct Shared<T> {
+    result: RefCell<Option<T>>,
+    done: Cell<bool>,
+}
+
 /// A single-threaded cooperative scheduler.
 ///
 /// Tasks are `'static` futures with no output; typed results travel through
-/// the [`TaskHandle`] returned by [`Scheduler::spawn`]. All handles are
-/// cheap clones of one shared scheduler.
+/// the [`TaskHandle`] returned by [`Scheduler::spawn`]. A `Scheduler` is a
+/// cheap clone of one shared scheduler.
 ///
 /// # Examples
 ///
@@ -226,23 +253,25 @@ impl Scheduler {
         T: 'static,
         F: Future<Output = T> + 'static,
     {
-        let result: Rc<RefCell<Option<T>>> = Rc::new(RefCell::new(None));
-        let done = Rc::new(Cell::new(false));
-        let done_wakers: Rc<RefCell<Vec<Waker>>> = Rc::new(RefCell::new(Vec::new()));
-        let wrapped = {
-            let result = result.clone();
-            let done = done.clone();
-            let done_wakers = done_wakers.clone();
-            async move {
-                let value = future.await;
-                *result.borrow_mut() = Some(value);
-                done.set(true);
-                for w in done_wakers.borrow_mut().drain(..) {
-                    w.wake();
-                }
-            }
-        };
+        let shared = Rc::new(Shared {
+            result: RefCell::new(None),
+            done: Cell::new(false),
+        });
+        let task = shared.clone();
+        let id = self.spawn_detached(name, async move {
+            *task.result.borrow_mut() = Some(future.await);
+            task.done.set(true);
+        });
+        TaskHandle { id, name, shared }
+    }
 
+    /// Spawns a coroutine that delivers its own result (service loops, and
+    /// the runtime's queue operations, which write into their qtoken's
+    /// slot): no handle, so the task's future is the only allocation.
+    pub fn spawn_detached<F>(&self, name: &'static str, future: F) -> TaskId
+    where
+        F: Future<Output = ()> + 'static,
+    {
         let mut inner = self.inner.borrow_mut();
         inner.stats.spawned += 1;
         inner.live += 1;
@@ -251,20 +280,29 @@ impl Scheduler {
         let gen = inner.next_gen;
         inner.next_gen += 1;
         let index = inner.free.pop().unwrap_or(inner.tasks.len());
-        let waker = Arc::new(SlotWaker {
-            index,
-            gen,
-            // Born scheduled: the slot is enqueued below, so wakes racing
-            // with the first poll must dedup against that entry.
-            scheduled: AtomicBool::new(true),
-            rq: self.rq.clone(),
-        });
+        // Born scheduled: the slot is enqueued below, so wakes racing with
+        // the first poll must dedup against that entry. (A recycled state
+        // is already `scheduled` — its last task left it set.)
+        let state = match inner.spare_wakers.pop() {
+            Some(mut spare) => {
+                let waker = Arc::get_mut(&mut spare).expect("spares are unreferenced");
+                (waker.index, waker.gen) = (index, gen);
+                spare
+            }
+            None => Arc::new(SlotWaker {
+                index,
+                gen,
+                scheduled: AtomicBool::new(true),
+                rq: self.rq.clone(),
+            }),
+        };
         let slot = TaskSlot {
             id,
             name,
             gen,
-            waker,
-            future: Box::pin(wrapped),
+            waker: Waker::from(state.clone()),
+            state,
+            future: Box::pin(future),
         };
         if index == inner.tasks.len() {
             inner.tasks.push(Some(slot));
@@ -273,14 +311,7 @@ impl Scheduler {
         }
         drop(inner);
         self.rq.push(index, gen);
-        TaskHandle {
-            scheduler: self.clone(),
-            id,
-            name,
-            result,
-            done,
-            done_wakers,
-        }
+        id
     }
 
     /// Runs one scheduler pass under the configured policy; returns how many
@@ -308,14 +339,15 @@ impl Scheduler {
     /// pass, which keeps each pass bounded and preserves round-robin
     /// fairness among runnable tasks.
     fn wake_pass(&self) -> PassReport {
-        self.inner.borrow_mut().stats.passes += 1;
-        let budget = self.rq.len();
+        let mut batch = {
+            let mut inner = self.inner.borrow_mut();
+            inner.stats.passes += 1;
+            std::mem::take(&mut inner.batch)
+        };
+        self.rq.take_batch(&mut batch);
         let mut report = PassReport::default();
 
-        for _ in 0..budget {
-            let Some((index, gen, enqueued_ns)) = self.rq.pop() else {
-                break;
-            };
+        for (index, gen, enqueued_ns) in batch.drain(..) {
             if enqueued_ns != 0 {
                 demi_telemetry::stage::record(
                     demi_telemetry::stage::Stage::SchedPollLag,
@@ -342,6 +374,7 @@ impl Scheduler {
             report.woken += 1;
             report.completed += self.poll_slot(index, slot);
         }
+        self.inner.borrow_mut().batch = batch;
         report
     }
 
@@ -372,7 +405,7 @@ impl Scheduler {
                 };
                 inner.stats.polls += 1;
                 // Consume the wake (if any) exactly as wake_pass would.
-                let was_woken = slot.waker.scheduled.swap(false, Ordering::AcqRel);
+                let was_woken = slot.state.scheduled.swap(false, Ordering::AcqRel);
                 (slot, was_woken)
             };
             report.polled += 1;
@@ -391,15 +424,21 @@ impl Scheduler {
     fn poll_slot(&self, index: usize, mut slot: TaskSlot) -> usize {
         // Clear the dedup flag *before* polling: a wake delivered while the
         // task runs must re-enqueue it (exactly once).
-        slot.waker.scheduled.store(false, Ordering::Release);
-        let waker = Waker::from(slot.waker.clone());
-        let mut cx = Context::from_waker(&waker);
+        slot.state.scheduled.store(false, Ordering::Release);
+        let mut cx = Context::from_waker(&slot.waker);
         match slot.future.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
                 // Leave `scheduled` set forever: any straggler wake of this
                 // (now dead) generation becomes an O(1) no-op.
-                slot.waker.scheduled.store(true, Ordering::Release);
+                slot.state.scheduled.store(true, Ordering::Release);
+                // The task's own references go first (its future may hold
+                // clones of its waker); a state nobody else references
+                // cannot be woken again and serves the next spawn.
+                drop((slot.future, slot.waker));
                 let mut inner = self.inner.borrow_mut();
+                if Arc::get_mut(&mut slot.state).is_some() {
+                    inner.spare_wakers.push(slot.state);
+                }
                 inner.stats.completed += 1;
                 inner.live -= 1;
                 inner.free.push(index);
@@ -459,12 +498,9 @@ impl fmt::Debug for Scheduler {
 
 /// Typed handle to a spawned task's eventual result.
 pub struct TaskHandle<T> {
-    scheduler: Scheduler,
     id: TaskId,
     name: &'static str,
-    result: Rc<RefCell<Option<T>>>,
-    done: Rc<Cell<bool>>,
-    done_wakers: Rc<RefCell<Vec<Waker>>>,
+    shared: Rc<Shared<T>>,
 }
 
 impl<T> TaskHandle<T> {
@@ -481,45 +517,13 @@ impl<T> TaskHandle<T> {
     /// Whether the task has run to completion (its result may already have
     /// been taken).
     pub fn is_complete(&self) -> bool {
-        self.done.get()
+        self.shared.done.get()
     }
 
     /// Takes the result if the task has completed; `None` otherwise or if
     /// already taken.
     pub fn take_result(&self) -> Option<T> {
-        self.result.borrow_mut().take()
-    }
-
-    /// Registers a waker to fire when the task completes; a duplicate of an
-    /// already-registered waker is skipped. No-op (the caller should check
-    /// [`TaskHandle::is_complete`] first) if the task already finished.
-    pub fn register_completion_waker(&self, waker: &Waker) {
-        if self.done.get() {
-            waker.wake_by_ref();
-            return;
-        }
-        let mut wakers = self.done_wakers.borrow_mut();
-        if !wakers.iter().any(|w| w.will_wake(waker)) {
-            wakers.push(waker.clone());
-        }
-    }
-
-    /// The scheduler this task runs on.
-    pub fn scheduler(&self) -> &Scheduler {
-        &self.scheduler
-    }
-}
-
-impl<T> Clone for TaskHandle<T> {
-    fn clone(&self) -> Self {
-        TaskHandle {
-            scheduler: self.scheduler.clone(),
-            id: self.id,
-            name: self.name,
-            result: self.result.clone(),
-            done: self.done.clone(),
-            done_wakers: self.done_wakers.clone(),
-        }
+        self.shared.result.borrow_mut().take()
     }
 }
 
@@ -710,34 +714,6 @@ mod tests {
         // Nothing runnable: an empty pass.
         let report = sched.run_pass();
         assert_eq!(report, PassReport::default());
-    }
-
-    #[test]
-    fn completion_waker_fires_on_task_exit() {
-        let sched = Scheduler::new();
-        let slow = sched.spawn("slow", async {
-            yield_once().await;
-            9u8
-        });
-        let waiter = sched.spawn("waiter", {
-            let slow = slow.clone();
-            async move {
-                std::future::poll_fn(|cx| {
-                    if slow.is_complete() {
-                        Poll::Ready(())
-                    } else {
-                        slow.register_completion_waker(cx.waker());
-                        Poll::Pending
-                    }
-                })
-                .await;
-                slow.take_result()
-            }
-        });
-        for _ in 0..5 {
-            sched.poll_once();
-        }
-        assert_eq!(waiter.take_result(), Some(Some(9)));
     }
 
     #[test]

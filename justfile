@@ -62,6 +62,30 @@ verify-all:
     cargo fmt --check
     cargo clippy --workspace --all-targets -- -D warnings
 
+# Tier-1 at every test-thread count CI uses: the suite must not depend on
+# how many sibling tests share the process (the allocation meter counts
+# per thread for exactly this reason).
+test-threads:
+    cargo test -q -- --test-threads=1
+    cargo test -q -- --test-threads=2
+    cargo test -q
+
+# The perf ledger (benchmark/README.md): all four workloads untraced and
+# traced plus the layer rigs, ~3 min; writes
+# benchmark/results/BENCH_<seed>.json and the four Chrome traces.
+bench-ledger seed="11":
+    cargo run --release --manifest-path benchmark/Cargo.toml -- run --seed {{seed}}
+
+# Compare two ledger entries against the bounds in BENCHMARK.json; exits
+# non-zero on any regression.
+bench-diff old new:
+    cargo run --release --manifest-path benchmark/Cargo.toml -- diff {{old}} {{new}}
+
+# The ledger's own self-test: every workload and metric emitted once,
+# counts and virtual time exactly repeatable for a seed.
+bench-smoke:
+    cargo test --manifest-path benchmark/Cargo.toml
+
 # Regenerate every experiment table (E1–E20).
 experiments:
     cargo bench -p demi-bench

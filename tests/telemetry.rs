@@ -4,33 +4,16 @@
 //! bounded, quantiles stay within one log-bucket of exact, and the
 //! scaled-down tail-latency claims hold in debug builds.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use demi_bench::loadgen::{closed_loop, open_loop};
 use demi_telemetry::hist::{bucket_index, Histogram};
 use demi_telemetry::span::{self, SpanPoint};
 use demi_telemetry::stage::{self, Stage};
-use demikernel::testing::{catnap_pair, catnip_pair};
+use demikernel::testing::{catnap_pair, catnip_pair, AllocMeter, CountingAlloc};
 use proptest::prelude::*;
 
-/// Counts heap allocations so the zero-alloc claim is measured here too,
-/// not only in the release bench.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
+/// Counts this thread's heap allocations inside an [`AllocMeter`] window,
+/// so the zero-alloc claim is measured here too, not only in the release
+/// bench — and holds whatever sibling tests allocate concurrently.
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
@@ -137,12 +120,13 @@ fn recording_a_sample_never_allocates() {
     let mut h = Box::new(Histogram::new());
     h.record(1);
     stage::record(Stage::SchedPollLag, 1);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let meter = AllocMeter::arm();
     for i in 1..=50_000u64 {
         h.record(i * 37);
         stage::record(Stage::SchedPollLag, i);
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = meter.count();
+    drop(meter);
     demi_telemetry::set_enabled(false);
     stage::reset();
     assert_eq!(allocs, 0, "sample path allocated {allocs} times");

@@ -26,34 +26,16 @@
 //! The measured curve is written to `target/e15_tail_latency.json` as a
 //! plottable artifact.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use demi_bench::loadgen::{closed_loop, open_loop};
 use demi_bench::Table;
 use demi_telemetry::hist::Histogram;
 use demi_telemetry::loadgen::{Curve, CurvePoint};
 use demi_telemetry::stage::{self, Stage};
-use demikernel::testing::{catnap_pair, catnip_pair};
+use demikernel::testing::{catnap_pair, catnip_pair, AllocMeter, CountingAlloc};
 
-/// Counts every heap allocation so the hot-path claim is measured, not
-/// assumed.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
+/// Counts this thread's heap allocations inside an `AllocMeter` window,
+/// so the hot-path claim is measured, not assumed.
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
@@ -71,12 +53,13 @@ fn assert_zero_alloc_recording() {
     // per-sample cost.
     h.record(1);
     stage::record(Stage::OpLatency, 1);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let meter = AllocMeter::arm();
     for i in 1..=100_000u64 {
         h.record(i);
         stage::record(Stage::OpLatency, i);
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = meter.count();
+    drop(meter);
     demi_telemetry::set_enabled(false);
     stage::reset();
     assert_eq!(

@@ -55,7 +55,7 @@ struct WorldOut {
 /// worlds share the main thread's histograms there, so each world must
 /// start from a clean slate.
 fn instrumented(spec: ShardSpec, work: impl FnOnce(&ShardWorld) -> u64) -> WorldOut {
-    let world = catnip_shard_world(spec, 0xE16, |c| c);
+    let world = catnip_shard_world(spec, 0xE16);
     stage::reset();
     demi_telemetry::set_enabled(true);
     let ops = work(&world);

@@ -23,10 +23,8 @@
 //! The device-served echo RTT by payload size is written to
 //! `target/bench_e17.json` as a plottable artifact.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use demi_bench::Table;
@@ -36,7 +34,9 @@ use demi_telemetry::loadgen::{Curve, CurvePoint};
 use demikernel::libos::catnip::Catnip;
 use demikernel::libos::{LibOs, SocketKind};
 use demikernel::runtime::Runtime;
-use demikernel::testing::{catfs_world, catnip_pair, catnip_pair_offload, host_ip};
+use demikernel::testing::{
+    catfs_world, catnip_pair, catnip_pair_offload, host_ip, AllocMeter, CountingAlloc,
+};
 use demikernel::types::{OperationResult, QDesc, Sga};
 use dpdk_sim::{NicProgram, SmartNic};
 use net_stack::types::SocketAddr;
@@ -44,23 +44,8 @@ use sim_fabric::SimTime;
 use spdk_sim::nvme::BLOCK_SIZE;
 use spdk_sim::ChainSpec;
 
-/// Counts every heap allocation so the in-place-rewrite claim is
-/// measured, not assumed.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
+/// Counts this thread's heap allocations inside an `AllocMeter` window,
+/// so the in-place-rewrite claim is measured, not assumed.
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
@@ -290,11 +275,12 @@ fn assert_map_device_path_zero_alloc() {
     let mut frames: Vec<DemiBuffer> = (0..256)
         .map(|i| DemiBuffer::from_slice(&[i as u8; 64]))
         .collect();
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let meter = AllocMeter::arm();
     for f in frames.iter_mut() {
         nic.process_rx(f, SimTime::ZERO);
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = meter.count();
+    drop(meter);
     assert_eq!(allocs, 0, "Map must rewrite frames in place, not allocate");
     assert_eq!(
         nic.slot_stats()[0].copy_fallbacks,

@@ -25,39 +25,23 @@
 //! Results are written to `target/e18_conn_scale.json` as a plottable
 //! artifact.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use demi_bench::Table;
 use demi_memory::DemiBuffer;
 use demi_telemetry::hist::Histogram;
+use demikernel::testing::{AllocMeter, CountingAlloc};
 use net_stack::counters as nsc;
 use net_stack::tcp::header::{TcpFlags, TcpHeader};
 use net_stack::tcp::{ConnId, ListenerId, SeqNum, State, TcpConfig, TcpPeer, TcpSegmentOut};
 use net_stack::types::SocketAddr;
 use sim_fabric::SimTime;
 
-/// Counts every heap allocation so the zero-alloc claim is measured, not
-/// assumed.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
+/// Counts this thread's heap allocations inside an `AllocMeter` window,
+/// so the zero-alloc claim is measured, not assumed.
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
@@ -385,12 +369,13 @@ fn experiment() {
     // The sample connections are warm: queue boxes exist, scratch and
     // wheel slots are at capacity, payload handles are cloned not copied.
     let conn_before = nsc::conn_snapshot();
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let meter = AllocMeter::arm();
     for op in 0..ZERO_ALLOC_OPS {
         let (i, c, s) = sample[op % sample.len()];
         world.echo_op(i, c, s, &payload);
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = meter.count();
+    drop(meter);
     let conn_delta = nsc::conn_snapshot().delta(&conn_before);
     assert_eq!(
         allocs, 0,

@@ -25,10 +25,8 @@
 //! virtual time so coordinated omission cannot hide) produces the
 //! throughput–latency curve written to `target/e19_kv_server.json`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -43,30 +41,17 @@ use demi_telemetry::loadgen::{poisson_schedule, Curve, CurvePoint};
 use demikernel::libos::catfs::Catfs;
 use demikernel::libos::LibOs;
 use demikernel::runtime::Runtime;
+use demikernel::testing::{AllocMeter, CountingAlloc};
 use demikernel::types::Sga;
 use net_stack::tcp::{ConnId, ListenerId, State, TcpConfig, TcpPeer, TcpSegmentOut};
 use net_stack::types::SocketAddr;
 use sim_fabric::SimTime;
 use spdk_sim::nvme::{NvmeConfig, NvmeDevice};
 
-/// Counts every heap allocation so "zero payload copies" is reported
-/// alongside the allocator traffic that remains (burst building, reply
-/// vectors) rather than conflated with it.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
+/// Counts this thread's heap allocations inside an `AllocMeter` window,
+/// so "zero payload copies" is reported alongside the allocator traffic
+/// that remains (burst building, reply vectors) rather than conflated
+/// with it.
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
@@ -557,14 +542,15 @@ fn experiment() {
         .map(|&(_, _, s)| world.conns[&s].parser_stats().reassembled_args)
         .sum();
     let mem_before = mem_counters::snapshot();
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let meter = AllocMeter::arm();
     let mut cursor = 0usize;
     for op in 0..ZC_BURSTS {
         let (i, c, s) = sample[op % sample.len()];
         let (b, e) = get_burst(DEPTH, &mut cursor);
         world.kv_op(i, c, s, b, e);
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let allocs = meter.count();
+    drop(meter);
     let mem_delta = mem_counters::snapshot().delta(&mem_before);
     let reasm_after: u64 = sample
         .iter()

@@ -83,9 +83,7 @@ impl Catnip {
         Self::with_stack_config(runtime, fabric, port_config, StackConfig::new(ip))
     }
 
-    /// Creates a catnip instance with explicit stack tunables — the
-    /// batching experiments (E13) build unbatched baselines by turning
-    /// `tx_coalesce`/`delayed_acks` off.
+    /// Creates a catnip instance with explicit stack tunables.
     pub fn with_stack_config(
         runtime: &Runtime,
         fabric: &Fabric,

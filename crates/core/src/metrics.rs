@@ -48,8 +48,7 @@ pub struct MetricsSnapshot {
     pub wait_passes: u64,
     /// Task polls performed across those passes. With the waker-driven
     /// scheduler this tracks *ready* work, independent of how many
-    /// operations are parked; under the legacy sweep policy it grows with
-    /// the number of outstanding operations (E11).
+    /// operations are parked.
     pub wait_polls: u64,
     /// `DemiBuffer` allocations since the last reset, from the demi-memory
     /// datapath counters (E12). Thread-wide: in a two-host simulation this

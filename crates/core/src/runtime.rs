@@ -38,7 +38,7 @@ use std::pin::Pin;
 use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
 
-use demi_sched::{Notify, PollPolicy, Scheduler, TimerService};
+use demi_sched::{Notify, Scheduler, TimerService};
 use demi_telemetry::span::SpanPoint;
 use sim_fabric::{Fabric, SimClock, SimTime};
 
@@ -203,37 +203,25 @@ pub struct Runtime {
 impl Runtime {
     /// A runtime with its own fresh clock (catmem/catfs worlds).
     pub fn new() -> Self {
-        Self::build(SimClock::new(), None, PollPolicy::default())
-    }
-
-    /// A runtime with its own clock and an explicit scheduler policy
-    /// (benchmarks compare [`PollPolicy::Wake`] against the legacy
-    /// [`PollPolicy::Sweep`]).
-    pub fn new_with_policy(policy: PollPolicy) -> Self {
-        Self::build(SimClock::new(), None, policy)
+        Self::build(SimClock::new(), None)
     }
 
     /// A runtime sharing a fabric's clock; blocked waits advance the
     /// fabric's event queue.
     pub fn with_fabric(fabric: Fabric) -> Self {
-        Self::build(fabric.clock(), Some(fabric), PollPolicy::default())
-    }
-
-    /// A fabric-sharing runtime with an explicit scheduler policy.
-    pub fn with_fabric_and_policy(fabric: Fabric, policy: PollPolicy) -> Self {
-        Self::build(fabric.clock(), Some(fabric), policy)
+        Self::build(fabric.clock(), Some(fabric))
     }
 
     /// A runtime on an existing clock (e.g., rebuilding a libOS over a
     /// device that outlives its first runtime).
     pub fn with_clock(clock: SimClock) -> Self {
-        Self::build(clock, None, PollPolicy::default())
+        Self::build(clock, None)
     }
 
-    fn build(clock: SimClock, fabric: Option<Fabric>, policy: PollPolicy) -> Self {
+    fn build(clock: SimClock, fabric: Option<Fabric>) -> Self {
         Runtime {
             inner: Rc::new(Inner {
-                scheduler: Scheduler::with_policy(policy),
+                scheduler: Scheduler::new(),
                 timers: TimerService::new(clock.clone()),
                 clock,
                 fabric,
@@ -424,11 +412,8 @@ impl Runtime {
             // parked on the gate so it can re-check its predicate.
             self.inner.activity.notify_waiters();
         }
-        // Run a scheduler pass only when there is woken work to run (the
-        // legacy Sweep policy polls everyone, so it always "has work").
-        let pass = if self.inner.scheduler.has_runnable()
-            || self.inner.scheduler.policy() == PollPolicy::Sweep
-        {
+        // Run a scheduler pass only when there is woken work to run.
+        let pass = if self.inner.scheduler.has_runnable() {
             self.inner.scheduler.run_pass()
         } else {
             Default::default()

@@ -115,51 +115,6 @@ pub fn catnip_pair_offload(seed: u64, slots: usize) -> (Runtime, Fabric, Catnip,
     (rt, fabric, client, server)
 }
 
-/// Two catnip hosts with caller-tuned stack tunables (the closure edits
-/// each host's default config — the E13 A/B turns batching knobs off).
-pub fn catnip_pair_with(
-    seed: u64,
-    tune: impl Fn(StackConfig) -> StackConfig,
-) -> (Runtime, Fabric, Catnip, Catnip) {
-    let fabric = Fabric::new(seed);
-    let rt = Runtime::with_fabric(fabric.clone());
-    let client = Catnip::with_stack_config(
-        &rt,
-        &fabric,
-        PortConfig::basic(host_mac(1)),
-        tune(StackConfig::new(host_ip(1))),
-    );
-    let server = Catnip::with_stack_config(
-        &rt,
-        &fabric,
-        PortConfig::basic(host_mac(2)),
-        tune(StackConfig::new(host_ip(2))),
-    );
-    (rt, fabric, client, server)
-}
-
-/// Two catnip hosts on multi-queue devices: `queues` RX queues per port,
-/// one stack shard per queue (the E14 sharded configuration). The closure
-/// tunes each host's stack config — set `sharded: false` for the
-/// single-shard baseline over the same multi-queue device.
-pub fn catnip_pair_sharded(
-    seed: u64,
-    queues: u16,
-    tune: impl Fn(StackConfig) -> StackConfig,
-) -> (Runtime, Fabric, Catnip, Catnip) {
-    let fabric = Fabric::new(seed);
-    let rt = Runtime::with_fabric(fabric.clone());
-    let port = |n: u8| PortConfig {
-        num_rx_queues: queues,
-        ..PortConfig::basic(host_mac(n))
-    };
-    let client =
-        Catnip::with_stack_config(&rt, &fabric, port(1), tune(StackConfig::new(host_ip(1))));
-    let server =
-        Catnip::with_stack_config(&rt, &fabric, port(2), tune(StackConfig::new(host_ip(2))));
-    (rt, fabric, client, server)
-}
-
 /// One fully-built shard world: a client and a server catnip host that
 /// are each one shard of their logical host, wired to the other worlds
 /// through the links in the [`crate::exec::ShardSpec`] they were built
@@ -192,11 +147,7 @@ pub struct ShardWorld {
 /// `seed` the same way in both exec modes, keeping per-world traffic
 /// byte-identical between [`crate::exec::ExecMode::SingleThread`] and
 /// [`crate::exec::ExecMode::ThreadPerShard`].
-pub fn catnip_shard_world(
-    spec: crate::exec::ShardSpec,
-    seed: u64,
-    tune: impl Fn(StackConfig) -> StackConfig,
-) -> ShardWorld {
+pub fn catnip_shard_world(spec: crate::exec::ShardSpec, seed: u64) -> ShardWorld {
     assert!(
         spec.hosts.len() >= 2,
         "shard world needs client + server host links (run_shards hosts >= 2)"
@@ -210,7 +161,7 @@ pub fn catnip_shard_world(
         &rt,
         &fabric,
         PortConfig::basic(host_mac(1)),
-        tune(StackConfig::new(host_ip(1))),
+        StackConfig::new(host_ip(1)),
         client_links.ports,
     );
     client.stack().attach_external(client_links.rings);
@@ -218,7 +169,7 @@ pub fn catnip_shard_world(
         &rt,
         &fabric,
         PortConfig::basic(host_mac(2)),
-        tune(StackConfig::new(host_ip(2))),
+        StackConfig::new(host_ip(2)),
         server_links.ports,
     );
     server.stack().attach_external(server_links.rings);

@@ -11,8 +11,7 @@
 //! * [`Scheduler`] — a slab of `Pin<Box<dyn Future>>` tasks, each with a
 //!   real [`std::task::Waker`] backed by a shared run queue. A scheduler
 //!   pass drains only woken tasks, so thousands of parked connections cost
-//!   nothing per completion. The legacy poll-everything discipline is kept
-//!   as the opt-in [`PollPolicy::Sweep`] for before/after benchmarking.
+//!   nothing per completion.
 //! * [`TaskHandle`] — typed access to a task's eventual result. Tasks that
 //!   deliver their own result (the runtime's queue operations write into
 //!   their qtoken's slot) spawn detached, with no handle at all.
@@ -46,6 +45,6 @@ pub mod yield_;
 pub use condition::Condition;
 pub use notify::{Notified, Notify};
 pub use queue::AsyncQueue;
-pub use scheduler::{PassReport, PollPolicy, Scheduler, SchedulerStats, TaskHandle, TaskId};
+pub use scheduler::{PassReport, Scheduler, SchedulerStats, TaskHandle, TaskId};
 pub use timer::TimerService;
 pub use yield_::{yield_once, YieldFuture};

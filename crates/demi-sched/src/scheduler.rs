@@ -4,9 +4,7 @@
 //! Waking a task enqueues its slot index (deduplicated by a per-slot
 //! `scheduled` flag, so a task sits in the queue at most once); a scheduler
 //! pass drains only the entries that were present when the pass began, so
-//! per-pass work is O(ready tasks) rather than O(live tasks). The legacy
-//! poll-everything behavior survives as the opt-in [`PollPolicy::Sweep`] so
-//! the two disciplines can be benchmarked against each other in-tree.
+//! per-pass work is O(ready tasks) rather than O(live tasks).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -21,19 +19,6 @@ use std::task::{Context, Poll, Wake, Waker};
 /// Identifies a spawned task. In the Demikernel layer, qtokens wrap task ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u64);
-
-/// How the scheduler selects tasks to poll.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollPolicy {
-    /// Waker-driven: a pass drains the run queue, polling only tasks whose
-    /// wakers fired. Idle tasks cost nothing.
-    #[default]
-    Wake,
-    /// Legacy round-robin: a pass polls every live task regardless of
-    /// readiness. Kept for before/after benchmarking (e11) and as the
-    /// mechanism behind rescue sweeps.
-    Sweep,
-}
 
 /// Counters describing scheduler activity, used by the experiments to count
 /// wake-ups and polls precisely.
@@ -53,9 +38,8 @@ pub struct SchedulerStats {
     /// per completion" claim is about.
     pub wakeups: u64,
     /// Polls of tasks that had *not* been woken and returned `Pending`: pure
-    /// overhead. Zero by construction under [`PollPolicy::Wake`] (only
-    /// rescue sweeps add to it); grows O(live × passes) under
-    /// [`PollPolicy::Sweep`].
+    /// overhead. Zero by construction in [`Scheduler::run_pass`]; only
+    /// rescue sweeps ([`Scheduler::sweep_pass`]) add to it.
     pub spurious_polls: u64,
 }
 
@@ -182,7 +166,6 @@ struct Inner {
     next_gen: u64,
     live: usize,
     stats: SchedulerStats,
-    policy: PollPolicy,
 }
 
 /// What a [`TaskHandle`] and its task share. `done` outlives the result:
@@ -229,18 +212,6 @@ impl Scheduler {
     /// Creates an empty waker-driven scheduler.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty scheduler with an explicit [`PollPolicy`].
-    pub fn with_policy(policy: PollPolicy) -> Self {
-        let sched = Self::default();
-        sched.inner.borrow_mut().policy = policy;
-        sched
-    }
-
-    /// The active polling policy.
-    pub fn policy(&self) -> PollPolicy {
-        self.inner.borrow().policy
     }
 
     /// Spawns a coroutine and returns a typed handle to its result.
@@ -314,18 +285,10 @@ impl Scheduler {
         id
     }
 
-    /// Runs one scheduler pass under the configured policy; returns how many
-    /// tasks completed. Compatibility alias for [`Scheduler::run_pass`].
+    /// Runs one scheduler pass; returns how many tasks completed.
+    /// Compatibility alias for [`Scheduler::run_pass`].
     pub fn poll_once(&self) -> usize {
         self.run_pass().completed
-    }
-
-    /// Runs one scheduler pass under the configured policy.
-    pub fn run_pass(&self) -> PassReport {
-        match self.policy() {
-            PollPolicy::Wake => self.wake_pass(),
-            PollPolicy::Sweep => self.sweep_pass(),
-        }
     }
 
     /// Whether any task is currently queued to run.
@@ -333,12 +296,12 @@ impl Scheduler {
         self.rq.len() > 0
     }
 
-    /// Drains the run-queue entries present at entry, polling only woken
-    /// tasks. Entries enqueued *during* the pass (including self-wakes from
-    /// `yield_once` and tasks spawned by other tasks) wait for the next
-    /// pass, which keeps each pass bounded and preserves round-robin
-    /// fairness among runnable tasks.
-    fn wake_pass(&self) -> PassReport {
+    /// One scheduler pass: drains the run-queue entries present at entry,
+    /// polling only woken tasks. Entries enqueued *during* the pass
+    /// (including self-wakes from `yield_once` and tasks spawned by other
+    /// tasks) wait for the next pass, which keeps each pass bounded and
+    /// preserves round-robin fairness among runnable tasks.
+    pub fn run_pass(&self) -> PassReport {
         let mut batch = {
             let mut inner = self.inner.borrow_mut();
             inner.stats.passes += 1;
@@ -378,10 +341,9 @@ impl Scheduler {
         report
     }
 
-    /// Polls **every** live task once, regardless of readiness: the legacy
-    /// discipline, used as [`PollPolicy::Sweep`]'s pass and as the runtime's
-    /// rescue sweep before declaring deadlock. Polls of unwoken tasks that
-    /// stay `Pending` are tallied as `spurious_polls`.
+    /// Polls **every** live task once, regardless of readiness: the
+    /// runtime's rescue sweep before declaring deadlock. Polls of unwoken
+    /// tasks that stay `Pending` are tallied as `spurious_polls`.
     pub fn sweep_pass(&self) -> PassReport {
         let upper = {
             let mut inner = self.inner.borrow_mut();
@@ -404,7 +366,7 @@ impl Scheduler {
                     continue;
                 };
                 inner.stats.polls += 1;
-                // Consume the wake (if any) exactly as wake_pass would.
+                // Consume the wake (if any) exactly as run_pass would.
                 let was_woken = slot.state.scheduled.swap(false, Ordering::AcqRel);
                 (slot, was_woken)
             };
@@ -673,7 +635,7 @@ mod tests {
     fn parked_tasks_are_not_repolled() {
         let sched = Scheduler::new();
         // A task that parks forever: polled exactly once (its spawn wake),
-        // then never again under the Wake policy.
+        // then never again.
         sched.spawn("parked", std::future::pending::<()>());
         sched.poll_once();
         let after_first = sched.stats().polls;
@@ -687,11 +649,11 @@ mod tests {
 
     #[test]
     fn sweep_policy_repolls_everything_and_counts_spurious() {
-        let sched = Scheduler::with_policy(PollPolicy::Sweep);
+        let sched = Scheduler::new();
         sched.spawn("parked", std::future::pending::<()>());
-        sched.poll_once();
-        sched.poll_once();
-        sched.poll_once();
+        sched.sweep_pass();
+        sched.sweep_pass();
+        sched.sweep_pass();
         let stats = sched.stats();
         assert_eq!(stats.polls, 3);
         // First poll consumed the spawn wake; the next two were spurious.

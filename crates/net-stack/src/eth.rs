@@ -92,21 +92,17 @@ impl EthHeader {
     }
 }
 
-/// Builds a complete frame: header + payload.
-///
-/// Legacy copying builder, kept for the E12 A/B benchmark and tests; the
-/// stack's TX path uses [`EthHeader::prepend_onto`].
-#[cfg(any(test, feature = "legacy_copy_path"))]
-pub fn build_frame(header: &EthHeader, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(ETH_HEADER_LEN + payload.len());
-    frame.extend_from_slice(&header.serialize());
-    frame.extend_from_slice(payload);
-    frame
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference builder: header + payload copied into a fresh vector.
+    fn build_frame(header: &EthHeader, payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::with_capacity(ETH_HEADER_LEN + payload.len());
+        frame.extend_from_slice(&header.serialize());
+        frame.extend_from_slice(payload);
+        frame
+    }
 
     #[test]
     fn serialize_parse_round_trip() {

@@ -120,22 +120,18 @@ impl Ipv4Header {
     }
 }
 
-/// Builds header + payload into one buffer.
-///
-/// Legacy copying builder, kept for the E12 A/B benchmark and tests; the
-/// stack's TX path uses [`Ipv4Header::prepend_onto`].
-#[cfg(any(test, feature = "legacy_copy_path"))]
-pub fn build_packet(header: &Ipv4Header, payload: &[u8]) -> Vec<u8> {
-    debug_assert_eq!(header.payload_len, payload.len());
-    let mut packet = Vec::with_capacity(IPV4_HEADER_LEN + payload.len());
-    packet.extend_from_slice(&header.serialize());
-    packet.extend_from_slice(payload);
-    packet
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference builder: header + payload copied into a fresh vector.
+    fn build_packet(header: &Ipv4Header, payload: &[u8]) -> Vec<u8> {
+        debug_assert_eq!(header.payload_len, payload.len());
+        let mut packet = Vec::with_capacity(IPV4_HEADER_LEN + payload.len());
+        packet.extend_from_slice(&header.serialize());
+        packet.extend_from_slice(payload);
+        packet
+    }
 
     fn header(payload_len: usize) -> Ipv4Header {
         Ipv4Header {

@@ -1,0 +1,632 @@
+//! The shard core: one complete protocol instance on one RX queue. A
+//! poll pass reads top to bottom — `rx_pass` → ownership check
+//! (`handle_frame`) → demux (`dispatch_frame`) → `flush_tcp` → TX ring →
+//! one `tx_burst` (`flush_tx`). Tenancy and device offload hang off the
+//! two `Option` fields at the bottom of [`Shard`], behind hook methods.
+
+use std::collections::VecDeque;
+use std::net::Ipv4Addr;
+use std::sync::Arc;
+
+use demi_memory::DemiBuffer;
+use dpdk_sim::{rss, DpdkPort, Mbuf};
+use sim_fabric::{MacAddress, SimClock, SimTime};
+
+use super::offload::ShardOffload;
+use super::tenancy::ShardTenancy;
+use super::{ShardStats, StackConfig, StackStats, MAX_HEADER_LEN, PONG_QUEUE_CAP};
+use crate::arp::{ArpAction, ArpCache, ArpOp, ArpPacket, ARP_LEN};
+use crate::eth::{EthHeader, EtherType, ETH_HEADER_LEN};
+use crate::icmp::IcmpEcho;
+use crate::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
+use crate::ports::PortAllocator;
+use crate::rings::ShardMsg;
+use crate::tcp::{ConnId, TcpPeer, TcpSegmentOut, TCP_MAX_HEADER_LEN};
+use crate::types::SocketAddr;
+use crate::udp::{UdpHeader, UdpPeer, UDP_HEADER_LEN};
+
+/// Frames pulled from the device per `rx_burst` call (ring-drain chunk;
+/// the per-poll cap is [`StackConfig::rx_budget`]).
+const RX_BURST: usize = 64;
+
+/// One shard: a complete protocol instance bound to exactly one of the
+/// device's RX queues.
+pub(super) struct Shard {
+    /// The RX queue this shard drains — also its index among the shards.
+    queue: u16,
+    num_shards: usize,
+    pub(super) port: DpdkPort,
+    pub(super) clock: SimClock,
+    config: StackConfig,
+    arp: ArpCache,
+    pub(super) udp: UdpPeer,
+    pub(super) tcp: TcpPeer,
+    /// Echo replies awaiting `recv_pong`, bounded at [`PONG_QUEUE_CAP`].
+    pub(super) pongs: VecDeque<(Ipv4Addr, u16, u16)>,
+    /// TX coalescing ring: fully framed mbufs accumulate here in enqueue
+    /// order and leave in a single `tx_burst` at the end of each poll pass.
+    tx_ring: Vec<Mbuf>,
+    /// Telemetry enqueue stamps, parallel to `tx_ring` (virtual-time ns
+    /// when latency telemetry is on; empty otherwise). `flush_tx` turns
+    /// them into TX enqueue→burst samples.
+    tx_stamps: Vec<u64>,
+    /// Frames other shards received but this shard owns (RSS overridden by
+    /// a steering program). Drained before the device queue each pass.
+    /// Bounded at [`StackConfig::handoff_capacity`]: overflow drops the
+    /// frame (counted) rather than growing.
+    handoff: VecDeque<Mbuf>,
+    /// Frames this shard received but another owns, staged for the facade
+    /// to send over the rings after this shard's pass: `(owning shard,
+    /// frame)`.
+    pub(super) forwards: Vec<(usize, Mbuf)>,
+    /// Frames owned by another shard *world* (cross-thread), staged for
+    /// the external rings: `(owning world, serialized frame)`. Owned
+    /// bytes, not a buffer handle — `Rc` never crosses a shard boundary.
+    pub(super) ext_forwards: Vec<(usize, Vec<u8>)>,
+    /// ARP bindings learned this pass, staged for the facade to teach the
+    /// other shards (resolution benefits the whole host).
+    pub(super) learned: Vec<(Ipv4Addr, MacAddress)>,
+    /// `(global shard index, global shard count)` when this stack is one
+    /// world of a thread-per-shard host; `None` in a self-contained stack.
+    pub(super) global: Option<(u16, u16)>,
+    /// The host-wide port namespace, for returning recycled ephemeral
+    /// ports (expired TIME_WAIT records release them shard-locally first).
+    ports: Arc<PortAllocator>,
+    /// Reusable TCP flush scratch: `flush_tcp` drains the peer's outbox
+    /// into this instead of allocating a fresh vector every poll pass.
+    tcp_out: Vec<(Ipv4Addr, TcpSegmentOut)>,
+    pub(super) stats: StackStats,
+    pub(super) shard_stats: ShardStats,
+    /// This shard's view of the installed device offload, if any.
+    pub(super) offload: Option<ShardOffload>,
+    /// Multi-tenant TX lanes and RX slices; `None` on a single-tenant
+    /// stack (the unconditional fast path).
+    pub(super) tenancy: Option<ShardTenancy>,
+}
+
+impl Shard {
+    /// Shard `index` of `num_shards` on `port`, polling RX queue `index`.
+    pub(super) fn new(
+        index: usize,
+        num_shards: usize,
+        port: &DpdkPort,
+        clock: &SimClock,
+        config: &StackConfig,
+        ports: &Arc<PortAllocator>,
+    ) -> Self {
+        let mut tcp =
+            TcpPeer::with_id_space(config.ip, config.tcp, index as u32, num_shards as u32);
+        if let Some(tcfg) = &config.tenancy {
+            tcfg.apply_tw_quotas(&mut tcp);
+        }
+        Shard {
+            queue: index as u16,
+            num_shards,
+            arp: ArpCache::new(config.arp_ttl, config.arp_retry, config.arp_tries),
+            udp: UdpPeer::new(config.udp_queue_depth),
+            tcp,
+            pongs: VecDeque::new(),
+            tx_ring: Vec::new(),
+            tx_stamps: Vec::new(),
+            handoff: VecDeque::new(),
+            forwards: Vec::new(),
+            ext_forwards: Vec::new(),
+            learned: Vec::new(),
+            global: None,
+            ports: Arc::clone(ports),
+            tcp_out: Vec::new(),
+            port: port.clone(),
+            clock: clock.clone(),
+            stats: StackStats::default(),
+            shard_stats: ShardStats::default(),
+            offload: None,
+            tenancy: config
+                .tenancy
+                .as_ref()
+                .map(|t| ShardTenancy::new(t, config.rx_budget)),
+            config: config.clone(),
+        }
+    }
+
+    /// One full pass: RX (handoffs, then own queue), timers, TCP flush,
+    /// TX flush. Returns the work-item count for the scheduler's activity
+    /// gate; handed-off frames count here (their arrival moved no stack
+    /// counter, but a caller parked on the delivered data must wake).
+    pub(super) fn poll_pass(&mut self) -> usize {
+        let before = self.stats.rx_frames + self.stats.tx_frames + self.stats.unreachable_drops;
+        let handoffs_before = self.shard_stats.handoffs_in;
+        let offload_before = self.shard_stats.offload_events_applied;
+        // Sync events queued by the device since the last pass must reach
+        // the control blocks before any frame (handed off or fresh) is
+        // dispatched — delivered fallback frames assume the host already
+        // absorbed the flushed bytes that precede them.
+        let now = self.clock.now();
+        self.drain_offload_events(now);
+        let backlog = self.rx_pass();
+        let timer_events = self.timer_pass();
+        self.shard_stats.timer_events += timer_events as u64;
+        self.flush_tcp();
+        // Flows that completed host-side work this pass (reply ACKed,
+        // queues drained) are quiescent now: hand them to the device.
+        self.rearm_offload();
+        // The flush runs before the work snapshot: DRR-admitted tenant
+        // frames count `tx_frames` at admission, inside `flush_tx`.
+        let tx_backlog = self.flush_tx();
+        let after = self.stats.rx_frames + self.stats.tx_frames + self.stats.unreachable_drops;
+        let handoffs = (self.shard_stats.handoffs_in - handoffs_before) as usize;
+        let offload_events = (self.shard_stats.offload_events_applied - offload_before) as usize;
+        (after - before) as usize + handoffs + timer_events + backlog + offload_events + tx_backlog
+    }
+
+    /// Drains up to `rx_budget` frames — handoffs from other shards first,
+    /// then this shard's device queue. Returns the backlog still pending
+    /// afterwards — remaining work the caller reports so the scheduler's
+    /// activity gate keeps seeing progress under a flood without this
+    /// pass starving timers or the other pollers.
+    fn rx_pass(&mut self) -> usize {
+        let budget = self.config.rx_budget;
+        if let Some(ten) = &mut self.tenancy {
+            ten.rx_open();
+        }
+        // One clock read per pass, not per frame: every per-frame handler
+        // below receives the hoisted timestamp.
+        let now = self.clock.now();
+        let mut processed = 0;
+        while processed < budget {
+            let Some(mbuf) = self.handoff.pop_front() else {
+                break;
+            };
+            processed += 1;
+            self.shard_stats.handoffs_in += 1;
+            // Already steered here by the owning check — dispatch directly.
+            self.dispatch_frame(mbuf, now);
+        }
+        while processed < budget {
+            let burst = self
+                .port
+                .rx_burst(self.queue, (budget - processed).min(RX_BURST));
+            // Pulling from the device pumps its RX pipeline, which may
+            // have absorbed or served frames on the NIC: apply the sync
+            // events *before* dispatching the frames it did deliver.
+            self.drain_offload_events(now);
+            if burst.is_empty() {
+                break;
+            }
+            processed += burst.len();
+            for mbuf in burst {
+                self.stats.rx_frames += 1;
+                self.shard_stats.rx_frames += 1;
+                self.handle_frame(mbuf, now);
+            }
+        }
+        let backlog = self.handoff.len() + self.port.rx_pending(self.queue);
+        if processed >= budget && backlog > 0 {
+            crate::counters::note_rx_budget_exhausted();
+        }
+        backlog
+    }
+
+    /// Routes one message drained from a ring (in-world or cross-thread).
+    /// Frames were already steered here by the sender's ownership check,
+    /// so they join the handoff queue for direct dispatch; ARP bindings
+    /// are learned (never re-broadcast — the origin shard did that).
+    pub(super) fn on_shard_msg(&mut self, msg: ShardMsg) {
+        match msg {
+            ShardMsg::Frame(bytes) => {
+                self.push_handoff(Mbuf::from_data(DemiBuffer::from_slice(&bytes)));
+            }
+            ShardMsg::ArpLearn(ip, mac) => {
+                self.arp_learn(ip, mac);
+            }
+        }
+    }
+
+    /// Enqueues a handed-off frame, dropping (counted) at capacity: the
+    /// handoff queue is the bounded landing zone for the exception path,
+    /// not an elastic buffer.
+    fn push_handoff(&mut self, mbuf: Mbuf) {
+        if self.handoff.len() >= self.config.handoff_capacity {
+            self.shard_stats.handoff_backpressure += 1;
+            self.shard_stats.handoff_dropped += 1;
+            crate::counters::note_handoff_backpressure();
+            crate::counters::note_handoff_dropped();
+            return;
+        }
+        self.handoff.push_back(mbuf);
+    }
+
+    /// First touch of a frame pulled from this shard's own queue: check it
+    /// actually belongs here (a SmartNIC steering program can override the
+    /// RSS hash), forwarding strays to their owner — another in-world
+    /// shard, or another shard world entirely when running
+    /// thread-per-shard.
+    fn handle_frame(&mut self, mbuf: Mbuf, now: SimTime) {
+        if let Some((gidx, gtotal)) = self.global {
+            // Only flows have a global owner; flowless frames (ARP) are
+            // broadcast-scope — every world answers its own copy locally
+            // and shares what it learned over the rings instead.
+            if let Some(world) = rss::flow_queue_for_frame(mbuf.as_slice(), gtotal) {
+                if world as usize != gidx as usize {
+                    self.shard_stats.steering_mismatches += 1;
+                    crate::counters::note_steering_mismatch();
+                    self.ext_forwards
+                        .push((world as usize, mbuf.as_slice().to_vec()));
+                    return;
+                }
+            }
+        }
+        if self.num_shards > 1 {
+            let owner = rss::queue_for_frame(mbuf.as_slice(), self.num_shards as u16) as usize;
+            if owner != self.queue as usize {
+                self.shard_stats.steering_mismatches += 1;
+                crate::counters::note_steering_mismatch();
+                self.forwards.push((owner, mbuf));
+                return;
+            }
+        }
+        self.dispatch_frame(mbuf, now);
+    }
+
+    fn dispatch_frame(&mut self, mbuf: Mbuf, now: SimTime) {
+        let ethertype = match EthHeader::parse(mbuf.as_slice()) {
+            Ok((eth, _)) => eth.ethertype,
+            Err(_) => {
+                self.stats.malformed += 1;
+                return;
+            }
+        };
+        match ethertype {
+            EtherType::Arp => self.handle_arp(&mbuf.as_slice()[ETH_HEADER_LEN..], now),
+            EtherType::Ipv4 => self.handle_ipv4(mbuf, now),
+            EtherType::Other(_) => self.stats.not_for_us += 1,
+        }
+    }
+
+    fn handle_arp(&mut self, payload: &[u8], now: SimTime) {
+        let Ok(pkt) = ArpPacket::parse(payload) else {
+            self.stats.malformed += 1;
+            return;
+        };
+        // Opportunistically learn the sender's binding either way.
+        let actions = self.arp.insert(pkt.sender_ip, pkt.sender_mac, now);
+        self.run_arp_actions(actions);
+        if self.num_shards > 1 || self.global.is_some() {
+            // An ARP reply is RSS-steered by source MAC, not by the flow
+            // that asked — the shard (or shard world) waiting on it may be
+            // another one.
+            self.learned.push((pkt.sender_ip, pkt.sender_mac));
+        }
+        if pkt.op == ArpOp::Request && pkt.target_ip == self.config.ip {
+            let reply = ArpPacket {
+                op: ArpOp::Reply,
+                sender_mac: self.port.mac(),
+                sender_ip: self.config.ip,
+                target_mac: pkt.sender_mac,
+                target_ip: pkt.sender_ip,
+            };
+            self.stats.arp_replies += 1;
+            let buf = self.control_buffer(&reply.serialize());
+            self.tx_frame(pkt.sender_mac, EtherType::Arp, buf);
+        }
+    }
+
+    /// Learns an ARP binding discovered by another shard; flushes anything
+    /// this shard had queued on that resolution. Returns the work done
+    /// (frames sent plus unreachable drops), for the activity gate.
+    fn arp_learn(&mut self, ip: Ipv4Addr, mac: MacAddress) -> usize {
+        let now = self.clock.now();
+        let before = self.stats.tx_frames + self.stats.unreachable_drops;
+        let actions = self.arp.insert(ip, mac, now);
+        self.run_arp_actions(actions);
+        self.flush_tx();
+        (self.stats.tx_frames + self.stats.unreachable_drops - before) as usize
+    }
+
+    fn handle_ipv4(&mut self, mbuf: Mbuf, now: SimTime) {
+        // Scalars first, so the borrow of the frame ends before we carve
+        // zero-copy views out of (and possibly drop) the mbuf.
+        let (src, protocol, ip_payload_off, ip_payload_len) = {
+            let frame = mbuf.as_slice();
+            let ip_bytes = &frame[ETH_HEADER_LEN..];
+            let Ok((ip, payload)) = Ipv4Header::parse(ip_bytes) else {
+                self.stats.malformed += 1;
+                return;
+            };
+            if ip.dst != self.config.ip {
+                self.stats.not_for_us += 1;
+                return;
+            }
+            let ihl = ((ip_bytes[0] & 0x0F) as usize) * 4;
+            (ip.src, ip.protocol, ETH_HEADER_LEN + ihl, payload.len())
+        };
+        // RX budget policing happens here — after demux scalars are known
+        // (the destination port names the owning tenant) but before any
+        // protocol work is spent on the frame. Both arrival paths (own
+        // queue and handoff) funnel through this point exactly once.
+        if let Some(ten) = &mut self.tenancy {
+            if !ten.rx_admit(protocol, &mbuf.as_slice()[ip_payload_off..]) {
+                return;
+            }
+        }
+        match protocol {
+            IpProtocol::Icmp => {
+                let view = mbuf
+                    .data
+                    .slice(ip_payload_off, ip_payload_off + ip_payload_len);
+                // Drop the full-frame handle: an echo reply can then rewrite
+                // the received buffer's headers in place and send it back.
+                drop(mbuf);
+                self.handle_icmp(src, view);
+            }
+            IpProtocol::Udp => {
+                let payload = &mbuf.as_slice()[ip_payload_off..][..ip_payload_len];
+                let Ok((udp, payload_len)) = UdpHeader::parse(src, self.config.ip, payload) else {
+                    self.stats.malformed += 1;
+                    return;
+                };
+                let start = ip_payload_off + UDP_HEADER_LEN;
+                let view = mbuf.data.slice(start, start + payload_len);
+                let from = SocketAddr::new(src, udp.src_port);
+                self.udp.deliver(from, udp.dst_port, view);
+            }
+            IpProtocol::Tcp => {
+                let payload = &mbuf.as_slice()[ip_payload_off..][..ip_payload_len];
+                let Ok((tcp, data_off)) =
+                    crate::tcp::TcpHeader::parse(src, self.config.ip, payload)
+                else {
+                    self.stats.malformed += 1;
+                    return;
+                };
+                let start = ip_payload_off + data_off;
+                let end = ip_payload_off + ip_payload_len;
+                let view = mbuf.data.slice(start, end);
+                self.tcp.on_segment(src, &tcp, view, now);
+            }
+            IpProtocol::Other(_) => self.stats.not_for_us += 1,
+        }
+    }
+
+    fn handle_icmp(&mut self, src: Ipv4Addr, packet: DemiBuffer) {
+        let Ok(echo) = IcmpEcho::parse(&packet) else {
+            self.stats.malformed += 1;
+            return;
+        };
+        if echo.is_request {
+            self.stats.icmp_replies += 1;
+            // Release our view of the request packet; `echo.payload` is the
+            // only surviving handle, so `into_packet` can reuse the RX
+            // buffer for the reply (its trimmed headers are exactly the
+            // headroom the reply needs).
+            drop(packet);
+            let reply = echo.reply().into_packet(IPV4_HEADER_LEN + ETH_HEADER_LEN);
+            self.send_ip(src, IpProtocol::Icmp, reply);
+        } else if self.pongs.len() >= PONG_QUEUE_CAP {
+            self.stats.pongs_dropped += 1;
+        } else {
+            self.pongs.push_back((src, echo.ident, echo.seq));
+        }
+    }
+
+    fn timer_pass(&mut self) -> usize {
+        let now = self.clock.now();
+        let actions = self.arp.poll(now);
+        self.run_arp_actions(actions);
+        self.tcp.on_tick(now)
+    }
+
+    /// Earliest timer deadline: ARP retry, TCP, a paced tenant lane.
+    pub(super) fn next_deadline(&mut self) -> Option<SimTime> {
+        let paced = self
+            .tenancy
+            .as_ref()
+            .and_then(|ten| ten.next_deadline(&self.clock));
+        [self.arp.next_deadline(), self.tcp.next_deadline(), paced]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// Offload hook: applies the device's queued sync events.
+    pub(super) fn drain_offload_events(&mut self, now: SimTime) {
+        if let Some(off) = &mut self.offload {
+            self.shard_stats.offload_events_applied += off.drain_events(&mut self.tcp, now) as u64;
+        }
+    }
+
+    /// Offload hook: takes `conn` back from the device before a host-side
+    /// mutation (send, close, abort).
+    pub(super) fn offload_release_conn(&mut self, conn: ConnId) {
+        if let Some(off) = &mut self.offload {
+            let now = self.clock.now();
+            self.shard_stats.offload_events_applied +=
+                off.release_conn(&mut self.tcp, conn, now) as u64;
+        }
+    }
+
+    /// Offload hook: hands quiescent connections to the device.
+    pub(super) fn rearm_offload(&mut self) {
+        if let Some(off) = &mut self.offload {
+            self.shard_stats.offload_rearms += off.rearm(&self.tcp) as u64;
+        }
+    }
+
+    pub(super) fn flush_tcp(&mut self) {
+        let mut out = std::mem::take(&mut self.tcp_out);
+        self.tcp.drain_segments(&mut out);
+        for (dst_ip, seg) in out.drain(..) {
+            // The retransmission queue keeps clones *at the same offset*, so
+            // prepending below them is legal; a previous transmission of
+            // this very segment still in flight holds a view *below* and
+            // forces a (counted) copy instead of corrupting it.
+            let mut segment = if seg
+                .payload
+                .can_prepend(TCP_MAX_HEADER_LEN + IPV4_HEADER_LEN + ETH_HEADER_LEN)
+            {
+                seg.payload
+            } else {
+                seg.payload.copy_with_headroom(MAX_HEADER_LEN)
+            };
+            let src_ip = self.config.ip;
+            seg.header
+                .prepend_onto(src_ip, dst_ip, &mut segment)
+                .expect("headroom ensured above");
+            self.send_ip(dst_ip, IpProtocol::Tcp, segment);
+        }
+        self.tcp_out = out;
+        // Ephemeral ports freed by expired TIME_WAIT records (or aborted
+        // connections) go back to the host-wide namespace here, after the
+        // final segments of those connections are on the wire. Transient
+        // tenant grants (made at connect time) are revoked in the same
+        // breath, so a recycled port arrives unowned.
+        while let Some(p) = self.tcp.pop_released_port() {
+            if let Some(ten) = &self.tenancy {
+                ten.revoke_port(p);
+            }
+            self.ports.release(p);
+        }
+    }
+
+    /// Prepends an IPv4 header onto `packet` in place and resolves the next
+    /// hop, queueing the buffer handle on ARP misses.
+    pub(super) fn send_ip(&mut self, dst: Ipv4Addr, protocol: IpProtocol, packet: DemiBuffer) {
+        debug_assert!(
+            IPV4_HEADER_LEN + packet.len() <= self.config.mtu,
+            "IP packet exceeds MTU"
+        );
+        let header = Ipv4Header {
+            src: self.config.ip,
+            dst,
+            protocol,
+            payload_len: packet.len(),
+        };
+        let mut packet = if packet.can_prepend(IPV4_HEADER_LEN + ETH_HEADER_LEN) {
+            packet
+        } else {
+            packet.copy_with_headroom(IPV4_HEADER_LEN + ETH_HEADER_LEN)
+        };
+        header
+            .prepend_onto(&mut packet)
+            .expect("headroom ensured above");
+        let now = self.clock.now();
+        match self.arp.lookup(dst, now) {
+            Some(mac) => self.tx_frame(mac, EtherType::Ipv4, packet),
+            None => {
+                let actions = self.arp.enqueue_pending(dst, packet, now);
+                self.run_arp_actions(actions);
+            }
+        }
+    }
+
+    fn run_arp_actions(&mut self, actions: Vec<ArpAction>) {
+        for action in actions {
+            match action {
+                ArpAction::SendPending(mac, packet) => {
+                    self.tx_frame(mac, EtherType::Ipv4, packet);
+                }
+                ArpAction::SendRequest(ip) => {
+                    self.stats.arp_requests += 1;
+                    let request = ArpPacket {
+                        op: ArpOp::Request,
+                        sender_mac: self.port.mac(),
+                        sender_ip: self.config.ip,
+                        target_mac: MacAddress::new([0; 6]),
+                        target_ip: ip,
+                    };
+                    let buf = self.control_buffer(&request.serialize());
+                    self.tx_frame(MacAddress::BROADCAST, EtherType::Arp, buf);
+                }
+                ArpAction::FailPending(_) => {
+                    self.stats.unreachable_drops += 1;
+                }
+            }
+        }
+    }
+
+    /// Allocates a pool buffer holding `bytes` with Ethernet headroom, for
+    /// small control packets (ARP) the stack originates itself.
+    fn control_buffer(&self, bytes: &[u8]) -> DemiBuffer {
+        debug_assert_eq!(bytes.len(), ARP_LEN);
+        let mut buf = self
+            .port
+            .mempool()
+            .alloc_buffer_with_headroom(ETH_HEADER_LEN, bytes.len());
+        buf.try_mut()
+            .expect("freshly allocated buffer is exclusive")
+            .copy_from_slice(bytes);
+        buf
+    }
+
+    /// Prepends the Ethernet header in place and enqueues the same buffer
+    /// on the TX coalescing ring — the zero-copy tail of every TX path.
+    fn tx_frame(&mut self, dst: MacAddress, ethertype: EtherType, payload: DemiBuffer) {
+        let eth = EthHeader {
+            dst,
+            src: self.port.mac(),
+            ethertype,
+        };
+        let mut frame = if payload.can_prepend(ETH_HEADER_LEN) {
+            payload
+        } else {
+            payload.copy_with_headroom(ETH_HEADER_LEN)
+        };
+        eth.prepend_onto(&mut frame)
+            .expect("headroom ensured above");
+        // Under tenancy a tenant's frame parks in that tenant's own
+        // bounded staging lane until `flush_tx` admits it; HOST frames
+        // (and every frame of a single-tenant stack) go straight to the
+        // shared ring.
+        if let Some(ten) = &mut self.tenancy {
+            let Some(host_frame) = ten.stage(frame) else {
+                return;
+            };
+            frame = host_frame;
+        }
+        self.stats.tx_frames += 1;
+        self.tx_ring.push(Mbuf::from_data(frame));
+        if demi_telemetry::enabled() {
+            self.tx_stamps.push(demi_telemetry::now_ns());
+        }
+    }
+
+    /// Hands the whole TX ring to the device in one burst, preserving
+    /// enqueue order. Runs at the end of every poll pass — and every
+    /// blocking wait pumps the pollers before advancing virtual time, so
+    /// coalescing never holds a frame across a wait: latency is not traded
+    /// for throughput. Tenant staging lanes are admitted onto the ring
+    /// first; the returned count is their budget-capped leftover (poll
+    /// backlog), zero without tenancy.
+    fn flush_tx(&mut self) -> usize {
+        let leftover = match &mut self.tenancy {
+            Some(ten) => {
+                let telemetry = demi_telemetry::enabled();
+                ten.drr_fill(&self.clock, self.config.mtu, |mbuf| {
+                    self.stats.tx_frames += 1;
+                    self.tx_ring.push(mbuf);
+                    if telemetry {
+                        self.tx_stamps.push(demi_telemetry::now_ns());
+                    }
+                })
+            }
+            None => 0,
+        };
+        if self.tx_ring.is_empty() {
+            self.tx_stamps.clear();
+            return leftover;
+        }
+        self.port.tx_burst(&self.tx_ring);
+        // One sample per stamped frame. Telemetry toggled mid-ring leaves
+        // fewer stamps than frames; those samples are simply dropped.
+        if !self.tx_stamps.is_empty() && self.tx_stamps.len() == self.tx_ring.len() {
+            let now = demi_telemetry::now_ns();
+            for &enqueued_ns in &self.tx_stamps {
+                demi_telemetry::stage::record(
+                    demi_telemetry::stage::Stage::TxFlush,
+                    now.saturating_sub(enqueued_ns),
+                );
+            }
+        }
+        self.tx_stamps.clear();
+        self.tx_ring.clear();
+        leftover
+    }
+}

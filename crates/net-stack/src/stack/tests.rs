@@ -217,6 +217,60 @@ fn zero_copy_payloads_share_device_storage() {
     );
 }
 
+/// One shard per RX queue, always: a 4-queue port yields 4 shards, and a
+/// shard's poll pass drains its own queue and no other.
+#[test]
+fn four_queue_port_yields_four_shards_each_polling_only_its_own_queue() {
+    let fabric = Fabric::new(99);
+    let host = |last: u8| {
+        let port = DpdkPort::new(
+            &fabric,
+            PortConfig {
+                num_rx_queues: 4,
+                ..PortConfig::basic(MacAddress::from_last_octet(last))
+            },
+        );
+        let stack = NetworkStack::new(port.clone(), fabric.clock(), StackConfig::new(ip(last)));
+        (stack, port)
+    };
+    let (a, _) = host(1);
+    let (b, b_port) = host(2);
+    assert_eq!(b.num_shards(), 4);
+
+    // Warm ARP, then park 32 flows' datagrams in b's rings unpolled.
+    b.udp_bind(7).unwrap();
+    let dst = SocketAddr::new(ip(2), 7);
+    for i in 0..32u16 {
+        a.udp_bind(20_000 + i).unwrap();
+    }
+    a.udp_sendto(20_000, dst, b"warm").unwrap();
+    settle(&fabric, &[&a, &b], || b.udp_pending(7) == 1);
+    settle(&fabric, &[&a, &b], || false);
+    for i in 0..32u16 {
+        a.udp_sendto(20_000 + i, dst, b"x").unwrap();
+    }
+    settle(&fabric, &[&a], || false);
+    let depths =
+        |port: &DpdkPort| -> Vec<usize> { port.queue_stats().iter().map(|q| q.depth).collect() };
+    let parked = depths(&b_port);
+    assert_eq!(parked.iter().sum::<usize>(), 32);
+    assert!(parked.iter().all(|&d| d > 0), "RSS reached every queue");
+
+    for i in 0..4 {
+        let before = b.shard_stats(i).rx_frames;
+        b.poll_shard(i);
+        assert_eq!(
+            b.shard_stats(i).rx_frames - before,
+            parked[i] as u64,
+            "shard {i} drained exactly its own queue"
+        );
+        let now = depths(&b_port);
+        assert_eq!(now[i], 0);
+        assert_eq!(now[i + 1..], parked[i + 1..], "later queues untouched");
+    }
+    assert_eq!(b.udp_pending(7), 33);
+}
+
 // ----------------------------------------------------------------------
 // Device offload programs (E17): the stack as offload planner.
 // ----------------------------------------------------------------------

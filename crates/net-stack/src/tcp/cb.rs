@@ -1056,10 +1056,6 @@ impl ControlBlock {
     /// between absorbs the pending acknowledgment for free (see
     /// [`ControlBlock::emit`]).
     fn schedule_ack(&mut self, now: SimTime) {
-        if !self.config.delayed_acks {
-            self.send_ack();
-            return;
-        }
         if self.delayed_ack_pending {
             // Second unacknowledged segment: one pure ACK covers both.
             self.send_ack();

@@ -154,36 +154,6 @@ impl TcpHeader {
         Ok(())
     }
 
-    /// Serializes the header (with MSS option if set) plus `payload` into a
-    /// complete segment with checksum.
-    ///
-    /// Legacy copying builder, kept for the E12 A/B benchmark and tests;
-    /// the stack's TX path uses [`TcpHeader::prepend_onto`].
-    #[cfg(any(test, feature = "legacy_copy_path"))]
-    pub fn build_segment(&self, src_ip: Ipv4Addr, dst_ip: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
-        let options_len = if self.mss.is_some() { 4 } else { 0 };
-        let header_len = TCP_HEADER_LEN + options_len;
-        let mut out = Vec::with_capacity(header_len + payload.len());
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.seq.0.to_be_bytes());
-        out.extend_from_slice(&self.ack.0.to_be_bytes());
-        out.push(((header_len / 4) as u8) << 4);
-        out.push(self.flags.to_byte());
-        out.extend_from_slice(&self.window.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // Checksum placeholder.
-        out.extend_from_slice(&[0, 0]); // Urgent pointer.
-        if let Some(mss) = self.mss {
-            out.push(2); // Kind: MSS.
-            out.push(4); // Length.
-            out.extend_from_slice(&mss.to_be_bytes());
-        }
-        out.extend_from_slice(payload);
-        let ck = tcp_checksum(src_ip, dst_ip, &out);
-        out[16..18].copy_from_slice(&ck.to_be_bytes());
-        out
-    }
-
     /// Parses and validates a segment; returns the header and the payload
     /// offset within `segment`.
     pub fn parse(
@@ -262,6 +232,34 @@ fn tcp_checksum(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TcpHeader {
+        /// Reference builder: the header (with MSS option if set) plus
+        /// `payload` as a complete checksummed segment in a fresh vector.
+        fn build_segment(&self, src_ip: Ipv4Addr, dst_ip: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
+            let options_len = if self.mss.is_some() { 4 } else { 0 };
+            let header_len = TCP_HEADER_LEN + options_len;
+            let mut out = Vec::with_capacity(header_len + payload.len());
+            out.extend_from_slice(&self.src_port.to_be_bytes());
+            out.extend_from_slice(&self.dst_port.to_be_bytes());
+            out.extend_from_slice(&self.seq.0.to_be_bytes());
+            out.extend_from_slice(&self.ack.0.to_be_bytes());
+            out.push(((header_len / 4) as u8) << 4);
+            out.push(self.flags.to_byte());
+            out.extend_from_slice(&self.window.to_be_bytes());
+            out.extend_from_slice(&[0, 0]); // Checksum placeholder.
+            out.extend_from_slice(&[0, 0]); // Urgent pointer.
+            if let Some(mss) = self.mss {
+                out.push(2); // Kind: MSS.
+                out.push(4); // Length.
+                out.extend_from_slice(&mss.to_be_bytes());
+            }
+            out.extend_from_slice(payload);
+            let ck = tcp_checksum(src_ip, dst_ip, &out);
+            out[16..18].copy_from_slice(&ck.to_be_bytes());
+            out
+        }
+    }
 
     fn ip(last: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, last)

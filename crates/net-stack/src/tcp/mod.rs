@@ -60,14 +60,11 @@ pub struct TcpConfig {
     pub syn_retries: u32,
     /// Listener accept-backlog bound.
     pub backlog: usize,
-    /// Coalesce acknowledgments RFC 1122-style (§4.2.3.2): in-order data
-    /// is acked every second segment, or after [`TcpConfig::ack_delay`] if
-    /// the second segment never arrives; outgoing data piggybacks any
-    /// pending ACK. `false` acks every segment immediately — the unbatched
-    /// baseline the E13 A/B measures against.
-    pub delayed_acks: bool,
-    /// Delayed-ACK timer. Must stay well below `rto_min`, or coalescing
-    /// would masquerade as loss and trigger spurious retransmissions.
+    /// Delayed-ACK timer (RFC 1122 §4.2.3.2): in-order data is acked
+    /// every second segment, or this long after a lone segment if the
+    /// second never arrives; outgoing data piggybacks any pending ACK.
+    /// Must stay well below `rto_min`, or coalescing would masquerade as
+    /// loss and trigger spurious retransmissions.
     pub ack_delay: SimTime,
     /// How long a connection must stay quiet (no segments, sends, or fired
     /// timers) before the peer releases its drained queue box back to the
@@ -77,8 +74,10 @@ pub struct TcpConfig {
     pub compact_delay: SimTime,
     /// Demote a fully-drained `TIME_WAIT` control block to a ~32-byte
     /// record (identical wire behavior, 2·MSL expiry on the same wheel).
-    /// `false` keeps the full control block resident until expiry — the
-    /// A/B baseline the differential TIME_WAIT proptest compares against.
+    /// `false` keeps the full control block resident until expiry. The one
+    /// A/B switch the stack keeps: `tests/timewait.rs`
+    /// (`demoted_record_is_wire_identical_to_full_tcb`) uses the off side
+    /// as the reference model the compact record is proven against.
     pub timewait_demote: bool,
 }
 
@@ -94,7 +93,6 @@ impl Default for TcpConfig {
             persist_interval: SimTime::from_millis(1),
             syn_retries: 5,
             backlog: 128,
-            delayed_acks: true,
             ack_delay: SimTime::from_micros(50),
             compact_delay: SimTime::from_millis(5),
             timewait_demote: true,

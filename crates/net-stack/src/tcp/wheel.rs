@@ -6,7 +6,7 @@
 //! paper says a bypass-era stack cannot afford. The wheel makes timer work
 //! proportional to *firing* timers: schedule, cancel, and reschedule are
 //! O(1), advancing is O(slots crossed + entries fired), and ten thousand
-//! idle connections cost nothing per poll (E14 asserts this).
+//! idle connections cost nothing per poll (`tests/sharding.rs` asserts it).
 //!
 //! Shape: [`LEVELS`] levels of [`SLOTS`] slots. Level *k* slots span
 //! `64^k` nanosecond ticks, so level 0 resolves single nanoseconds and the

@@ -54,24 +54,6 @@ pub fn udp_checksum(src: Ipv4Addr, dst: Ipv4Addr, datagram: &[u8]) -> u16 {
 }
 
 impl UdpHeader {
-    /// Builds a complete datagram (header + payload) with checksum.
-    ///
-    /// Legacy copying builder, kept for the E12 A/B benchmark and tests;
-    /// the stack's TX path uses [`UdpHeader::prepend_onto`].
-    #[cfg(any(test, feature = "legacy_copy_path"))]
-    pub fn build_datagram(&self, src_ip: Ipv4Addr, dst_ip: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
-        let len = (UDP_HEADER_LEN + payload.len()) as u16;
-        let mut out = Vec::with_capacity(len as usize);
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&len.to_be_bytes());
-        out.extend_from_slice(&[0, 0]);
-        out.extend_from_slice(payload);
-        let ck = udp_checksum(src_ip, dst_ip, &out);
-        out[6..8].copy_from_slice(&ck.to_be_bytes());
-        out
-    }
-
     /// Writes this header into `payload`'s headroom, turning it into a
     /// complete datagram in place. The checksum is a single pass over the
     /// (pseudo-header, header, payload) iovecs — the payload is neither
@@ -275,6 +257,23 @@ impl UdpPeer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl UdpHeader {
+        /// Reference builder: a complete datagram (header + payload) with
+        /// checksum, copied into a fresh vector.
+        fn build_datagram(&self, src_ip: Ipv4Addr, dst_ip: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
+            let len = (UDP_HEADER_LEN + payload.len()) as u16;
+            let mut out = Vec::with_capacity(len as usize);
+            out.extend_from_slice(&self.src_port.to_be_bytes());
+            out.extend_from_slice(&self.dst_port.to_be_bytes());
+            out.extend_from_slice(&len.to_be_bytes());
+            out.extend_from_slice(&[0, 0]);
+            out.extend_from_slice(payload);
+            let ck = udp_checksum(src_ip, dst_ip, &out);
+            out[6..8].copy_from_slice(&ck.to_be_bytes());
+            out
+        }
+    }
 
     fn ip(last: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, last)

@@ -2,12 +2,13 @@
 
 # Build, test, and lint — everything CI would reject. The release-mode
 # zero_copy_memory run asserts the datapath counter invariants (1 alloc,
-# 0 payload copies per packet) under the same optimization level E12 uses;
+# 0 payload copies per packet) at the optimization level the ledger runs;
 # the release-mode batching run asserts the E13 counter invariants the
-# same way (single-doorbell TX bursts, delayed-ACK timing, O(1)
-# completion delivery); the release-mode sharding run asserts the E14
-# invariants (symmetric RSS, wheel-vs-linear timer equivalence, zero
-# cross-shard traffic, silent timers for idle connections); the
+# same way (single-doorbell TX bursts, delayed-ACK timing and ACK
+# halving, O(1) completion delivery); the release-mode sharding run
+# asserts the E14 invariants (symmetric RSS, wheel-vs-linear timer
+# equivalence, zero cross-shard traffic, idle connections that cost
+# neither timers nor virtual-time RTT); the
 # release-mode telemetry run asserts the E15 invariants (causally ordered
 # spans, zero-alloc sample recording, bounded span ring, catnip tail
 # beating the kernel baseline); the release-mode multicore run asserts
@@ -30,6 +31,7 @@
 # property).
 verify:
     cargo build --release
+    sh tools/loc.sh
     cargo test -q
     cargo test --release -q --test zero_copy_memory
     cargo test --release -q --test batching
@@ -47,6 +49,7 @@ verify:
 # Everything `verify` checks, across the whole workspace.
 verify-all:
     cargo build --workspace --release
+    sh tools/loc.sh
     cargo test --workspace -q
     DEMI_EXEC_MODE=threads cargo test -q
     cargo test --release -q --test zero_copy_memory
@@ -86,24 +89,15 @@ bench-diff old new:
 bench-smoke:
     cargo test --manifest-path benchmark/Cargo.toml
 
-# Regenerate every experiment table (E1–E20).
+# The line budget: non-test product lines per crate (everything under
+# crates/ except bench) against the checked-in LOC_BUDGET table; fails if
+# any crate is over.
+loc:
+    sh tools/loc.sh
+
+# Regenerate every experiment table that has a bench (E1–E10, E15–E20).
 experiments:
     cargo bench -p demi-bench
-
-# The zero-copy datapath experiment alone: asserted per-packet
-# alloc/copy counters plus the prepend-vs-legacy-builders criterion A/B.
-bench-datapath:
-    cargo bench -p demi-bench --bench e12_datapath_copies
-
-# The batching experiment alone: the coalesced-vs-per-frame A/B with its
-# asserted handoff-amortization, ACK-coalescing, and latency bounds.
-bench-batching:
-    cargo bench -p demi-bench --bench e13_batching
-
-# The sharding experiment alone: RSS flow affinity, idle-connection
-# timer cost, and the 4-vs-1 shard makespan A/B with asserted bounds.
-bench-sharding:
-    cargo bench -p demi-bench --bench e14_sharding
 
 # The tail-latency experiment alone: open-loop Poisson throughput–latency
 # curves with asserted low-load, saturation, and zero-alloc bounds; the

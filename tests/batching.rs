@@ -1,7 +1,8 @@
-//! End-to-end batching behavior (E13): TX coalescing keeps frame order,
-//! delayed ACKs fire on the virtual-time timer, completion delivery is
-//! O(1) in the number of waited tokens, and batching never changes the
-//! bytes a TCP stream delivers.
+//! End-to-end batching behavior (E13): TX coalescing keeps frame order
+//! at zero virtual-time cost, delayed ACKs fire on the virtual-time timer
+//! and halve the ACK frames of a streamed transfer, completion delivery
+//! is O(1) in the number of waited tokens, and batching never changes
+//! the bytes a TCP stream delivers.
 
 use std::net::Ipv4Addr;
 
@@ -20,17 +21,9 @@ fn ip(last: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 0, last)
 }
 
-fn host_with(
-    fabric: &Fabric,
-    last: u8,
-    tune: impl Fn(StackConfig) -> StackConfig,
-) -> (DpdkPort, NetworkStack) {
+fn host(fabric: &Fabric, last: u8) -> (DpdkPort, NetworkStack) {
     let port = DpdkPort::new(fabric, PortConfig::basic(MacAddress::from_last_octet(last)));
-    let stack = NetworkStack::new(
-        port.clone(),
-        fabric.clock(),
-        tune(StackConfig::new(ip(last))),
-    );
+    let stack = NetworkStack::new(port.clone(), fabric.clock(), StackConfig::new(ip(last)));
     (port, stack)
 }
 
@@ -60,8 +53,8 @@ fn settle(fabric: &Fabric, stacks: &[&NetworkStack], mut until: impl FnMut() -> 
 #[test]
 fn coalesced_frames_leave_in_enqueue_order() {
     let fabric = Fabric::new(7);
-    let (a_port, a) = host_with(&fabric, 1, |c| c);
-    let (_b_port, b) = host_with(&fabric, 2, |c| c);
+    let (a_port, a) = host(&fabric, 1);
+    let (_b_port, b) = host(&fabric, 2);
     a.udp_bind(9000).unwrap();
     b.udp_bind(7).unwrap();
     let lid = b.tcp_listen(80, 16).unwrap();
@@ -109,6 +102,22 @@ fn coalesced_frames_leave_in_enqueue_order() {
         accepted = b.tcp_accept(lid).unwrap();
         accepted.is_some()
     });
+
+    // No latency tax: a 64-byte echo round through the coalescing ring
+    // takes exactly the virtual time the removed per-frame handoff path
+    // took (EXPERIMENTS.md E13, depth 1: 2.042us either way) — the flush
+    // happens in the poll pass that would have carried the frame alone.
+    settle(&fabric, &[&a, &b], || false);
+    let t0 = fabric.clock().now();
+    a.udp_sendto(9000, dst, &[0xA5u8; 64][..]).unwrap();
+    settle(&fabric, &[&a, &b], || b.udp_pending(7) > 0);
+    let (from, data) = b.udp_recv_from(7).unwrap();
+    b.udp_sendto(7, from, data).unwrap();
+    settle(&fabric, &[&a, &b], || a.udp_pending(9000) > 0);
+    assert_eq!(
+        fabric.clock().now().saturating_since(t0),
+        SimTime::from_nanos(2_042)
+    );
 }
 
 /// Delayed ACK: a lone segment's acknowledgment is held until the
@@ -116,8 +125,8 @@ fn coalesced_frames_leave_in_enqueue_order() {
 #[test]
 fn delayed_ack_timer_fires_in_virtual_time() {
     let fabric = Fabric::new(11);
-    let (_ap, a) = host_with(&fabric, 1, |c| c);
-    let (_bp, b) = host_with(&fabric, 2, |c| c);
+    let (_ap, a) = host(&fabric, 1);
+    let (_bp, b) = host(&fabric, 2);
     let ack_delay = StackConfig::new(ip(2)).tcp.ack_delay;
     let lid = b.tcp_listen(80, 16).unwrap();
     let conn = a.tcp_connect(SocketAddr::new(ip(2), 80)).unwrap();
@@ -172,6 +181,36 @@ fn delayed_ack_timer_fires_in_virtual_time() {
         a.next_deadline().is_none_or(|d| d > rto_would_fire),
         "sender's RTO is disarmed (only the queue compactor may remain)"
     );
+
+    // Streamed, the same rule halves the ACK traffic: every second
+    // in-order segment shares one cumulative ACK. 24 sends of 8 segments
+    // each keep the receive window open while the stream is long enough
+    // for every-2nd-segment ACKing to dominate.
+    while b.tcp_recv(sconn).unwrap().is_some() {}
+    let (sent0, rcvd0) = (
+        a.tcp_conn_stats(conn).unwrap(),
+        b.tcp_conn_stats(sconn).unwrap(),
+    );
+    let chunk = vec![0x5Au8; 8 * tcp.mss];
+    for i in 1..=24u64 {
+        a.tcp_send(conn, DemiBuffer::from_slice(&chunk)).unwrap();
+        settle(&fabric, &[&a, &b], || {
+            while let Ok(Some(_)) = b.tcp_recv(sconn) {}
+            b.tcp_conn_stats(sconn).unwrap().in_order_segments - rcvd0.in_order_segments >= 8 * i
+        });
+    }
+    let (sent, rcvd) = (
+        a.tcp_conn_stats(conn).unwrap(),
+        b.tcp_conn_stats(sconn).unwrap(),
+    );
+    let segments =
+        (sent.segments_sent + sent.retransmissions) - (sent0.segments_sent + sent0.retransmissions);
+    let acks = rcvd.acks_sent - rcvd0.acks_sent;
+    assert!(
+        acks as f64 / segments as f64 <= 0.55,
+        "delayed ACKs must emit <= 0.55 ACK frames per segment: {acks} for {segments}"
+    );
+    assert!(rcvd.acks_coalesced > rcvd0.acks_coalesced);
 }
 
 /// Completion delivery is O(1): waiting on 1024 tokens costs one entry
@@ -229,6 +268,14 @@ fn wait_any_does_not_rescan_tokens_every_pass() {
         0,
         "the parked herd was never re-polled"
     );
+    // ...so the wait's scheduling cost tracks the one runnable task, not
+    // the 1024 parked behind it (E11: a sweep paid >= HERD polls/pass).
+    assert!(
+        m.wait_polls <= m.wait_passes,
+        "polls scale with the parked herd: {} polls in {} passes",
+        m.wait_polls,
+        m.wait_passes
+    );
 
     // Shut the world down cleanly.
     tokens.pop();
@@ -242,15 +289,10 @@ fn wait_any_does_not_rescan_tokens_every_pass() {
 
 /// Drives `chunks` through a fresh two-host TCP world and returns the byte
 /// stream the receiver observed.
-fn run_stream(chunks: &[Vec<u8>], seed: u64, batched: bool) -> Vec<u8> {
-    let tune = |mut c: StackConfig| {
-        c.tx_coalesce = batched;
-        c.tcp.delayed_acks = batched;
-        c
-    };
+fn run_stream(chunks: &[Vec<u8>], seed: u64) -> Vec<u8> {
     let fabric = Fabric::new(seed);
-    let (_ap, a) = host_with(&fabric, 1, tune);
-    let (_bp, b) = host_with(&fabric, 2, tune);
+    let (_ap, a) = host(&fabric, 1);
+    let (_bp, b) = host(&fabric, 2);
     let lid = b.tcp_listen(80, 16).unwrap();
     let conn = a.tcp_connect(SocketAddr::new(ip(2), 80)).unwrap();
     settle(&fabric, &[&a, &b], || {
@@ -278,19 +320,17 @@ fn run_stream(chunks: &[Vec<u8>], seed: u64, batched: bool) -> Vec<u8> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Batching is invisible at the byte level: coalesced and per-frame
-    /// stacks deliver the identical stream for any chunking.
+    /// Batching is invisible at the byte level: the coalescing,
+    /// delayed-ACK stack delivers exactly the bytes sent, for any
+    /// chunking and seed.
     #[test]
-    fn batched_and_unbatched_streams_are_byte_identical(
+    fn batched_streams_are_byte_identical_to_what_was_sent(
         chunks in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..1600), 1..10),
         seed in 0u64..1_000,
     ) {
         let sent: Vec<u8> = chunks.concat();
-        let batched = run_stream(&chunks, seed, true);
-        prop_assert_eq!(&batched, &sent);
-        let unbatched = run_stream(&chunks, seed, false);
-        prop_assert_eq!(&unbatched, &sent);
+        prop_assert_eq!(&run_stream(&chunks, seed), &sent);
     }
 }

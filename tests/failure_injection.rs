@@ -1,9 +1,15 @@
 //! Failure injection across the full Demikernel stack: loss, partitions,
-//! refused connections, and timeouts.
+//! refused connections, timeouts, and hostile remote input.
 
+use demi_memory::DemiBuffer;
 use demikernel::libos::{LibOs, SocketKind};
 use demikernel::testing::{catcorn_pair, catnip_pair, host_ip, host_mac};
 use demikernel::types::{DemiError, OperationResult, Sga};
+use dpdk_sim::{DpdkPort, Mbuf, PortConfig};
+use net_stack::eth::{EthHeader, EtherType, ETH_HEADER_LEN};
+use net_stack::icmp::IcmpEcho;
+use net_stack::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
+use net_stack::stack::PONG_QUEUE_CAP;
 use net_stack::types::SocketAddr;
 use sim_fabric::{LinkConfig, SimTime};
 
@@ -181,4 +187,62 @@ fn rdma_rnr_is_invisible_thanks_to_libos_buffering() {
         assert!(matches!(r, OperationResult::Push));
     }
     assert_eq!(server.device().stats().rnr_nacks_sent, 0);
+}
+
+/// Any host on the fabric can send ICMP echo *replies* nobody asked for.
+/// The victim's pong queue must stay bounded (drop-newest, counted), and
+/// a legitimate ping afterwards must still round-trip.
+#[test]
+fn unsolicited_echo_reply_flood_cannot_grow_the_pong_queue() {
+    let (rt, fabric, victim, server) = catnip_pair(407);
+    let attacker = DpdkPort::new(&fabric, PortConfig::basic(host_mac(9)));
+    let stack = victim.stack();
+
+    let flood = 10 * PONG_QUEUE_CAP;
+    for seq in 0..flood {
+        let echo = IcmpEcho {
+            is_request: false,
+            ident: 0xBAD,
+            seq: seq as u16,
+            payload: DemiBuffer::empty(),
+        };
+        let mut frame = echo.into_packet(IPV4_HEADER_LEN + ETH_HEADER_LEN);
+        let ip = Ipv4Header {
+            src: host_ip(9),
+            dst: host_ip(1),
+            protocol: IpProtocol::Icmp,
+            payload_len: frame.len(),
+        };
+        ip.prepend_onto(&mut frame).unwrap();
+        let eth = EthHeader {
+            dst: host_mac(1),
+            src: host_mac(9),
+            ethertype: EtherType::Ipv4,
+        };
+        eth.prepend_onto(&mut frame).unwrap();
+        attacker.tx_burst(&[Mbuf::from_data(frame)]);
+        // Deliver and process each reply before the next, so the device
+        // RX ring never overflows: every drop is the pong queue's.
+        rt.settle(SimTime::from_micros(10));
+    }
+
+    let stats = stack.stats();
+    assert_eq!(
+        stats.rx_frames, flood as u64,
+        "every reply reached the stack"
+    );
+    assert_eq!(stats.pongs_dropped, (flood - PONG_QUEUE_CAP) as u64);
+    let mut queued = 0;
+    while let Some((from, ident, seq)) = stack.recv_pong() {
+        // Drop-newest: the survivors are the first replies that arrived.
+        assert_eq!((from, ident, seq), (host_ip(9), 0xBAD, queued as u16));
+        queued += 1;
+    }
+    assert_eq!(queued, PONG_QUEUE_CAP);
+
+    stack.ping(host_ip(2), 7, 1);
+    rt.settle(SimTime::from_millis(1));
+    assert_eq!(stack.recv_pong(), Some((host_ip(2), 7, 1)));
+    assert_eq!(server.stack().stats().icmp_replies, 1);
+    assert_eq!(stack.stats().pongs_dropped, (flood - PONG_QUEUE_CAP) as u64);
 }

@@ -61,7 +61,7 @@ fn settle(fabric: &Fabric, stacks: &[&NetworkStack], mut until: impl FnMut() -> 
 /// before the first reply is popped). Returns the concatenated request
 /// and reply byte streams.
 fn echo_world(spec: ShardSpec, seed: u64, msgs: &[Vec<u8>]) -> (Vec<u8>, Vec<u8>) {
-    let world = catnip_shard_world(spec, seed, |c| c);
+    let world = catnip_shard_world(spec, seed);
     echo_drive(&world, msgs)
 }
 
@@ -305,7 +305,7 @@ fn shard_thread_metrics_and_telemetry_merge() {
     run_shards(ExecMode::ThreadPerShard, 2, 2, 64, |spec| {
         demi_telemetry::set_enabled(true);
         let msgs: Vec<Vec<u8>> = (0..ops_per_world).map(|i| vec![i as u8; 32]).collect();
-        let world = catnip_shard_world(spec, 0xabcd, |c| c);
+        let world = catnip_shard_world(spec, 0xabcd);
         let (sent, got) = echo_drive(&world, &msgs);
         assert_eq!(sent, got);
         // Absorb on this thread, where the thread-local counters live.

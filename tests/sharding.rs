@@ -6,9 +6,9 @@
 //!   distinct flows across queues (property tests);
 //! * the hierarchical timing wheel fires *identically* to the linear
 //!   earliest-deadline scan it replaced (differential test);
-//! * the stack built on both behaves: a single-shard stack drains every
-//!   RX queue of a multi-queue device (the round-robin bugfix), and a
-//!   sharded stack serves many flows with zero cross-shard traffic.
+//! * the stack built on both behaves: a sharded stack serves many flows
+//!   with zero cross-shard traffic and strands no queue, and parked
+//!   connections cost neither timer work nor virtual-time latency.
 
 use std::net::Ipv4Addr;
 
@@ -189,12 +189,7 @@ fn settle(fabric: &Fabric, stacks: &[&NetworkStack], mut until: impl FnMut() -> 
     panic!("simulation did not settle");
 }
 
-fn multi_queue_host(
-    fabric: &Fabric,
-    last: u8,
-    queues: u16,
-    sharded: bool,
-) -> (NetworkStack, DpdkPort) {
+fn multi_queue_host(fabric: &Fabric, last: u8, queues: u16) -> (NetworkStack, DpdkPort) {
     let port = DpdkPort::new(
         fabric,
         PortConfig {
@@ -202,67 +197,19 @@ fn multi_queue_host(
             ..PortConfig::basic(MacAddress::from_last_octet(last))
         },
     );
-    let stack = NetworkStack::new(
-        port.clone(),
-        fabric.clock(),
-        StackConfig {
-            sharded,
-            ..StackConfig::new(ip(last))
-        },
-    );
+    let stack = NetworkStack::new(port.clone(), fabric.clock(), StackConfig::new(ip(last)));
     (stack, port)
-}
-
-/// The round-robin bugfix: an *unsharded* stack on a 4-queue device must
-/// drain every queue, not just queue 0. RSS steers the 32 distinct flows
-/// below across all four rings; every datagram must still be delivered.
-#[test]
-fn single_shard_drains_all_queues_of_a_multi_queue_device() {
-    let fabric = Fabric::new(42);
-    let (a, _) = multi_queue_host(&fabric, 1, 4, false);
-    let (b, b_port) = multi_queue_host(&fabric, 2, 4, false);
-    assert_eq!(b.num_shards(), 1, "unsharded stack runs one shard");
-
-    b.udp_bind(7).unwrap();
-    let total = 32;
-    for i in 0..total {
-        let src = 20_000 + i;
-        a.udp_bind(src).unwrap();
-        a.udp_sendto(src, SocketAddr::new(ip(2), 7), format!("m{i}").as_bytes())
-            .unwrap();
-    }
-    settle(&fabric, &[&a, &b], || b.udp_pending(7) == total as usize);
-
-    let mut got = 0;
-    while b.udp_recv_from(7).is_some() {
-        got += 1;
-    }
-    assert_eq!(got, total as usize, "every steered datagram was delivered");
-    let queue_stats = b_port.queue_stats();
-    let landed: Vec<usize> = queue_stats
-        .iter()
-        .enumerate()
-        .filter(|(_, q)| q.enqueued > 0)
-        .map(|(i, _)| i)
-        .collect();
-    assert!(
-        landed.len() >= 2,
-        "32 flows must spread past queue 0 (hit: {landed:?})"
-    );
-    assert!(
-        queue_stats.iter().all(|q| q.depth == 0),
-        "no queue left stranded: {queue_stats:?}"
-    );
 }
 
 /// A sharded 4-queue pair serving 16 TCP flows: every connection works,
 /// every frame arrives on the shard that owns its flow (zero steering
-/// mismatches, zero handoffs), and the load reaches multiple shards.
+/// mismatches, zero handoffs), the load reaches multiple shards, and no
+/// device queue is left stranded.
 #[test]
 fn sharded_stacks_serve_flows_with_zero_cross_shard_traffic() {
     let fabric = Fabric::new(7);
-    let (a, _) = multi_queue_host(&fabric, 1, 4, true);
-    let (b, _) = multi_queue_host(&fabric, 2, 4, true);
+    let (a, a_port) = multi_queue_host(&fabric, 1, 4);
+    let (b, b_port) = multi_queue_host(&fabric, 2, 4);
     assert_eq!(a.num_shards(), 4);
 
     let lid = b.tcp_listen(80, 64).unwrap();
@@ -325,17 +272,27 @@ fn sharded_stacks_serve_flows_with_zero_cross_shard_traffic() {
             "16 flows must exercise more than one shard"
         );
     }
+    for port in [&a_port, &b_port] {
+        let queue_stats = port.queue_stats();
+        let landed = queue_stats.iter().filter(|q| q.enqueued > 0).count();
+        assert!(landed >= 2, "16 flows must spread past queue 0");
+        assert!(
+            queue_stats.iter().all(|q| q.depth == 0),
+            "no queue left stranded: {queue_stats:?}"
+        );
+    }
 }
 
 /// Idle connections cost nothing per poll: with 200 established-and-quiet
-/// connections resident, a poll pass fires no timers and the timer-wheel
-/// counters stay still (timer cost scales with *firing* timers — the
-/// structural half of E14's idle-connection claim).
+/// connections resident, a poll pass fires no timers, the timer-wheel
+/// counters stay still (timer cost scales with *firing* timers), and a
+/// hot flow's virtual-time echo RTT is the RTT of a world with none —
+/// E14's idle-connection claim.
 #[test]
 fn idle_connections_do_not_tick_timers() {
     let fabric = Fabric::new(11);
-    let (a, _) = multi_queue_host(&fabric, 1, 4, true);
-    let (b, _) = multi_queue_host(&fabric, 2, 4, true);
+    let (a, _) = multi_queue_host(&fabric, 1, 4);
+    let (b, _) = multi_queue_host(&fabric, 2, 4);
     b.tcp_listen(80, 256).unwrap();
     let conns: Vec<_> = (0..200)
         .map(|_| a.tcp_connect(SocketAddr::new(ip(2), 80)).unwrap())
@@ -356,4 +313,33 @@ fn idle_connections_do_not_tick_timers() {
     let moved = net_stack::counters::shard_snapshot().delta(&before);
     assert_eq!(moved.timers_fired, 0, "idle connections fire nothing");
     assert_eq!(moved.timers_scheduled, 0, "and schedule nothing");
+
+    let empty = Fabric::new(11);
+    let (c, _) = multi_queue_host(&empty, 1, 4);
+    let (d, _) = multi_queue_host(&empty, 2, 4);
+    assert_eq!(
+        echo_rtt(&fabric, &a, &b),
+        echo_rtt(&empty, &c, &d),
+        "parked connections must not move the virtual-time RTT"
+    );
+}
+
+/// Virtual time of one warmed 64-byte UDP echo round from `a` to `b`.
+fn echo_rtt(fabric: &Fabric, a: &NetworkStack, b: &NetworkStack) -> SimTime {
+    a.udp_bind(9000).unwrap();
+    b.udp_bind(7).unwrap();
+    let mut rtt = SimTime::ZERO;
+    // The first round resolves ARP both ways; the second is the sample.
+    for _ in 0..2 {
+        let t0 = fabric.clock().now();
+        a.udp_sendto(9000, SocketAddr::new(ip(2), 7), &[0xA5u8; 64][..])
+            .unwrap();
+        settle(fabric, &[a, b], || b.udp_pending(7) > 0);
+        let (from, data) = b.udp_recv_from(7).unwrap();
+        b.udp_sendto(7, from, data).unwrap();
+        settle(fabric, &[a, b], || a.udp_pending(9000) > 0);
+        a.udp_recv_from(9000).unwrap();
+        rtt = fabric.clock().now().saturating_since(t0);
+    }
+    rtt
 }

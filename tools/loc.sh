@@ -1,0 +1,26 @@
+#!/bin/sh
+# The line budget: non-test product lines per crate against LOC_BUDGET.
+# A file counts up to its first `#[cfg(test)]`; `tests.rs` files and
+# `crates/bench` (the experiment harness) are skipped. Exits non-zero if a
+# crate is over its budget or has none.
+set -eu
+cd "$(dirname "$0")/.."
+status=0
+printf '%-16s %7s %7s\n' crate lines budget
+for dir in crates/*/; do
+    crate=$(basename "$dir")
+    [ "$crate" = bench ] && continue
+    lines=$(find "${dir}src" -name '*.rs' ! -name tests.rs -exec awk '
+        FNR == 1 { in_tests = 0 }
+        /#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests { n++ }
+        END { print n + 0 }' {} +)
+    budget=$(awk -v crate="$crate" '$1 == crate { print $2 }' LOC_BUDGET)
+    printf '%-16s %7d %7s' "$crate" "$lines" "${budget:-none}"
+    if [ -z "$budget" ] || [ "$lines" -gt "$budget" ]; then
+        printf '  OVER BUDGET'
+        status=1
+    fi
+    printf '\n'
+done
+exit $status

@@ -10,14 +10,17 @@
 //! * **bounded idle footprint**: 100k established connections parked past
 //!   the compact delay cost ≤ 2 KiB each (slab slot + demux entry, zero
 //!   queue-box heap) — asserted from [`TcpMemStats`].
-//! * **flat-cost demux**: echo RTT p99 over the same 64 connections is
-//!   flat as the table grows 100 → 100k established (≤ 1.2× with a small
-//!   absolute floor for wall-clock noise) — asserted, best-of-trials.
+//! * **flat-cost demux**: an echo op over the same 64 connections costs
+//!   the same segments, demux lookups and allocations as the table grows
+//!   100 → 100k established — asserted on the counts, which repeat on any
+//!   host; the wall-clock p99 ratio is printed, not asserted.
 //! * **zero steady-state allocations**: a warmed echo op — send, demux,
 //!   receive, echo back, delayed-ACK ticks — performs *zero* heap
 //!   allocations, measured by a counting global allocator (asserted).
 //! * **SYN-flood isolation**: a 10× flood (ten forged SYNs per echo op)
-//!   degrades established-flow p99 ≤ 2×, evicts oldest-first from a
+//!   adds one lookup and one SYN-ACK per forged SYN and nothing to the
+//!   established flows' own work (wall-clock p99 printed), evicts
+//!   oldest-first from a
 //!   fixed table (`syn_table_bytes` constant, no control blocks), and a
 //!   churn epilogue shows TIME_WAIT records expiring at 2·MSL with slab
 //!   slots and ephemeral ports recycled (asserted).
@@ -92,6 +95,8 @@ struct World {
     /// recycled port overwrites its predecessor's (dead) entry.
     accepted: HashMap<(Ipv4Addr, u16), ConnId>,
     now: SimTime,
+    /// Segments any peer has put on the wire.
+    segments: u64,
 }
 
 impl World {
@@ -107,6 +112,7 @@ impl World {
             scratch: Vec::new(),
             accepted: HashMap::new(),
             now: SimTime::from_millis(1),
+            segments: 0,
         }
     }
 
@@ -119,6 +125,7 @@ impl World {
             let mut scratch = std::mem::take(&mut self.scratch);
             for i in 0..CLIENTS {
                 self.clients[i].drain_segments(&mut scratch);
+                self.segments += scratch.len() as u64;
                 for (_, seg) in scratch.drain(..) {
                     quiet = false;
                     self.server
@@ -126,6 +133,7 @@ impl World {
                 }
             }
             self.server.drain_segments(&mut scratch);
+            self.segments += scratch.len() as u64;
             for (dst, seg) in scratch.drain(..) {
                 quiet = false;
                 if let Some(i) = (0..CLIENTS).find(|&i| client_ip(i) == dst) {
@@ -263,23 +271,38 @@ impl World {
     }
 }
 
-/// Best p99 over several trials of echo RTTs on the sample connections.
-/// Taking the minimum across trials rejects scheduler noise — the claim
-/// is about the code path's cost, not the host's jitter.
-fn measure_p99(
+/// What a measured window cost in countable work. The scale claims are
+/// asserted on these — they repeat exactly on any host — and the
+/// wall-clock p99 is printed beside them.
+#[derive(Debug, Clone, Copy)]
+struct Work {
+    /// Segments put on the wire.
+    segments: u64,
+    /// Demux table lookups.
+    demux_lookups: u64,
+    /// Heap allocations.
+    allocs: u64,
+}
+
+/// Echo RTTs on the sample connections: the best p99 over several trials
+/// (the minimum rejects scheduler noise) and the work all trials cost.
+fn measure(
     world: &mut World,
     sample: &[(usize, ConnId, ConnId)],
     payload: &DemiBuffer,
     flood: bool,
-) -> u64 {
+) -> (u64, Work) {
     let mut flood_k = 0u32;
     for op in 0..OPS_WARMUP {
         let (i, c, s) = sample[op % sample.len()];
         world.echo_op(i, c, s, payload);
     }
+    let (segments_before, conn_before) = (world.segments, nsc::conn_snapshot());
+    let mut allocs = 0;
     let mut best = u64::MAX;
     for _ in 0..TRIALS {
         let mut hist = Histogram::new();
+        let meter = AllocMeter::arm();
         for op in 0..OPS_PER_TRIAL {
             let (i, c, s) = sample[op % sample.len()];
             if flood {
@@ -292,9 +315,16 @@ fn measure_p99(
             world.echo_op(i, c, s, payload);
             hist.record(t0.elapsed().as_nanos() as u64);
         }
+        allocs += meter.count();
+        drop(meter);
         best = best.min(hist.p99());
     }
-    best
+    let work = Work {
+        segments: world.segments - segments_before,
+        demux_lookups: nsc::conn_snapshot().delta(&conn_before).demux_lookups,
+        allocs,
+    };
+    (best, work)
 }
 
 fn experiment() {
@@ -314,7 +344,7 @@ fn experiment() {
             (i, c, small_srv[k % small.len()])
         })
         .collect();
-    let p99_small = measure_p99(&mut world, &sample, &payload, false);
+    let (p99_small, work_small) = measure(&mut world, &sample, &payload, false);
     table.row(&[
         "echo p99 (baseline)".into(),
         format!("{SMALL_CONNS}"),
@@ -350,19 +380,34 @@ fn experiment() {
         "<=2048B".into(),
     ]);
 
-    // -- Phase 3: p99 flatness at full scale, same 64 connections. -----
-    let p99_big = measure_p99(&mut world, &sample, &payload, false);
-    let flat_bound = ((p99_small as f64 * 1.2) as u64).max(p99_small + 2_000);
+    // -- Phase 3: flatness at full scale, same 64 connections. ---------
+    let (p99_big, work_big) = measure(&mut world, &sample, &payload, false);
+    assert_eq!(
+        (work_big.segments, work_big.demux_lookups),
+        (work_small.segments, work_small.demux_lookups),
+        "an echo op must cost the same work at {SMALL_CONNS} and {CONNS} conns"
+    );
     assert!(
-        p99_big <= flat_bound,
-        "echo p99 must stay flat {SMALL_CONNS} -> {CONNS} conns: {p99_small}ns -> {p99_big}ns \
-         (bound {flat_bound}ns)"
+        work_big.allocs <= work_small.allocs,
+        "a bigger table must not make the echo path allocate: {work_small:?} -> {work_big:?}"
     );
     table.row(&[
         "echo p99 (full scale)".into(),
         format!("{CONNS}"),
         format!("{p99_big}ns"),
-        format!("<=1.2x = {flat_bound}ns"),
+        format!("{:.2}x wall (reported)", p99_big as f64 / p99_small as f64),
+    ]);
+    let ops = (TRIALS * OPS_PER_TRIAL) as f64;
+    table.row(&[
+        "segments / lookups / allocs per op".into(),
+        format!("{CONNS}"),
+        format!(
+            "{:.2} / {:.2} / {:.2}",
+            work_big.segments as f64 / ops,
+            work_big.demux_lookups as f64 / ops,
+            work_big.allocs as f64 / ops
+        ),
+        format!("= at {SMALL_CONNS} conns"),
     ]);
 
     // -- Phase 4: zero allocations on the warmed echo path. ------------
@@ -404,14 +449,15 @@ fn experiment() {
     let syn_bytes_before = world.server.mem_stats().syn_table_bytes;
     let live_before = world.server.conn_count();
     let flood_before = nsc::conn_snapshot();
-    let p99_flood = measure_p99(&mut world, &sample, &payload, true);
+    let (p99_flood, work_flood) = measure(&mut world, &sample, &payload, true);
     let flood_delta = nsc::conn_snapshot().delta(&flood_before);
-    let flood_bound = ((p99_big as f64 * 2.0) as u64).max(p99_big + 4_000);
-    assert!(
-        p99_flood <= flood_bound,
-        "a 10x SYN flood must degrade established p99 <= 2x: {p99_big}ns -> {p99_flood}ns \
-         (bound {flood_bound}ns)"
+    let forged = (TRIALS * OPS_PER_TRIAL * FLOOD_FACTOR) as u64;
+    assert_eq!(
+        (work_flood.segments, work_flood.demux_lookups),
+        (work_big.segments + forged, work_big.demux_lookups + forged),
+        "a forged SYN costs one lookup and one SYN-ACK; the established flows' work is untouched"
     );
+    assert_eq!(work_flood.allocs, 0, "half-open state never allocates");
     assert_eq!(
         world.server.mem_stats().syn_table_bytes,
         syn_bytes_before,
@@ -430,7 +476,7 @@ fn experiment() {
         "echo p99 under flood".into(),
         format!("{CONNS}"),
         format!("{p99_flood}ns"),
-        format!("<=2x = {flood_bound}ns"),
+        format!("{:.2}x wall (reported)", p99_flood as f64 / p99_big as f64),
     ]);
 
     // -- Phase 6: churn epilogue — TIME_WAIT compaction and recycling. --

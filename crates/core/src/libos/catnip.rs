@@ -10,7 +10,9 @@
 //!
 //! Zero-copy: received payloads are [`demi_memory::DemiBuffer`] views into
 //! the device's mbufs; pushed buffers are handle-cloned into the stack
-//! (free-protection keeps them alive until the device is done).
+//! (free-protection keeps them alive until the device is done). On TCP a
+//! push's buffers are queued together, so small ones are gathered into
+//! shared segments (a counted copy, cheaper than a frame each).
 //!
 //! Offload: on a SmartNIC-configured port,
 //! [`LibOs::try_offload_filter`] compiles an Sga predicate into a
@@ -257,61 +259,58 @@ impl Catnip {
     // ------------------------------------------------------------------
 
     /// Pushes `sga` onto a TCP connection **without** the 8-byte DEMI
-    /// framing header: each segment travels down the stack zero-copy as
-    /// raw stream bytes. For self-delimiting protocols (RESP).
+    /// framing header, as raw stream bytes. For self-delimiting protocols
+    /// (RESP). The SGA is the unit on the wire: its buffers are queued
+    /// together and the output engine runs once, so small ones share a
+    /// segment (gathered into one pool buffer) while a buffer of half a
+    /// segment or more that has header headroom still travels zero-copy.
+    /// Nothing is held back for a later push.
     pub fn push_unframed(&self, qd: QDesc, sga: &Sga) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_push();
-        let inner = self.inner.borrow();
-        match inner.queues.get(&qd) {
-            Some(CatnipQueue::TcpConn { conn, .. }) => {
-                let conn = *conn;
-                drop(inner);
-                for seg in sga.segments() {
-                    self.stack.tcp_send(conn, seg.clone())?;
-                }
-                Ok(self
-                    .runtime
-                    .complete_op("catnip::tcp_push_unframed", OperationResult::Push))
-            }
-            Some(_) => Err(DemiError::InvalidState),
-            None => Err(DemiError::BadQDesc),
-        }
+        let conn = self.tcp_conn(qd)?;
+        self.stack
+            .tcp_send_all(conn, sga.segments().iter().cloned())?;
+        Ok(self
+            .runtime
+            .complete_op("catnip::tcp_push_unframed", OperationResult::Push))
     }
 
-    /// Pops whatever stream bytes have arrived on a TCP connection — one
-    /// zero-copy chunk per completion, no message framing. Blocks until
-    /// at least one byte is available; fails `Closed` at clean EOF.
+    /// Pops whatever stream bytes have arrived on a TCP connection: every
+    /// in-order chunk, as one multi-segment `Sga` of zero-copy views, no
+    /// message framing. Blocks until at least one byte is available;
+    /// fails `Closed` at clean EOF.
     pub fn pop_unframed(&self, qd: QDesc) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_pop();
-        let inner = self.inner.borrow();
-        match inner.queues.get(&qd) {
-            Some(CatnipQueue::TcpConn { conn, .. }) => {
-                let conn = *conn;
-                let stack = self.stack.clone();
-                let activity = self.runtime.activity().clone();
-                drop(inner);
-                Ok(self
-                    .runtime
-                    .spawn_op("catnip::tcp_pop_unframed", async move {
-                        loop {
-                            let wait = activity.notified();
-                            match stack.tcp_recv(conn) {
-                                Ok(Some(chunk)) => {
-                                    return OperationResult::Pop {
-                                        from: None,
-                                        sga: Sga::from_bufs(vec![chunk]),
-                                    };
-                                }
-                                Ok(None) => {}
-                                Err(e) => return OperationResult::Failed(e.into()),
-                            }
-                            if stack.tcp_eof(conn) {
-                                return OperationResult::Failed(DemiError::Closed);
-                            }
-                            wait.await;
-                        }
-                    }))
-            }
+        let conn = self.tcp_conn(qd)?;
+        let stack = self.stack.clone();
+        let activity = self.runtime.activity().clone();
+        Ok(self
+            .runtime
+            .spawn_op("catnip::tcp_pop_unframed", async move {
+                let mut chunks = Vec::new();
+                loop {
+                    let wait = activity.notified();
+                    if let Err(e) = stack.tcp_recv_all(conn, &mut chunks) {
+                        return OperationResult::Failed(e.into());
+                    }
+                    if !chunks.is_empty() {
+                        return OperationResult::Pop {
+                            from: None,
+                            sga: Sga::from_bufs(chunks),
+                        };
+                    }
+                    if stack.tcp_eof(conn) {
+                        return OperationResult::Failed(DemiError::Closed);
+                    }
+                    wait.await;
+                }
+            }))
+    }
+
+    /// The connection behind a TCP data queue.
+    fn tcp_conn(&self, qd: QDesc) -> Result<ConnId, DemiError> {
+        match self.inner.borrow().queues.get(&qd) {
+            Some(CatnipQueue::TcpConn { conn, .. }) => Ok(*conn),
             Some(_) => Err(DemiError::InvalidState),
             None => Err(DemiError::BadQDesc),
         }
@@ -509,13 +508,11 @@ impl LibOs for Catnip {
             Some(CatnipQueue::TcpConn { conn, .. }) => {
                 let conn = *conn;
                 drop(inner);
-                // Framing header, then each segment zero-copy (the stack
+                // Framing header and segments are one push (the stack
                 // holds buffer clones: free-protection in action).
-                let header = self.framing_header(sga.len());
-                self.stack.tcp_send(conn, header)?;
-                for seg in sga.segments() {
-                    self.stack.tcp_send(conn, seg.clone())?;
-                }
+                let header = std::iter::once(self.framing_header(sga.len()));
+                self.stack
+                    .tcp_send_all(conn, header.chain(sga.segments().iter().cloned()))?;
                 Ok(self
                     .runtime
                     .complete_op("catnip::tcp_push", OperationResult::Push))
@@ -571,15 +568,15 @@ impl LibOs for Catnip {
                 let activity = self.runtime.activity().clone();
                 drop(inner);
                 Ok(self.runtime.spawn_op("catnip::tcp_pop", async move {
+                    let mut chunks = Vec::new();
                     loop {
                         let wait = activity.notified();
                         // Drain arrived stream chunks into the framer.
-                        loop {
-                            match stack.tcp_recv(conn) {
-                                Ok(Some(chunk)) => decoder.borrow_mut().push_chunk(chunk),
-                                Ok(None) => break,
-                                Err(e) => return OperationResult::Failed(e.into()),
-                            }
+                        if let Err(e) = stack.tcp_recv_all(conn, &mut chunks) {
+                            return OperationResult::Failed(e.into());
+                        }
+                        for chunk in chunks.drain(..) {
+                            decoder.borrow_mut().push_chunk(chunk);
                         }
                         // Pop a complete atomic unit only (paper §4.2).
                         match decoder.borrow_mut().next_message() {

@@ -18,11 +18,12 @@
 //! (`$-1\r\n`).
 //!
 //! [`ReplyWriter`] is the TX half: GET replies try to [`DemiBuffer::prepend`]
-//! the bulk header into the stored value's own headroom (a zero-copy,
-//! zero-segment-overhead reply when the value is the lowest live view of
-//! its storage); when another live view forbids that, the header joins the
-//! contiguous *control-byte run* instead — small protocol bytes written
-//! once into a pooled buffer, never a payload copy either way.
+//! the bulk header into the stored value's own headroom (possible when the
+//! value is the lowest live view of its storage); when another live view
+//! forbids that, the header joins the contiguous *control-byte run* — small
+//! protocol bytes written once into a pooled buffer, never a payload copy
+//! either way. How many frames the burst costs is TCP's call, not the
+//! writer's: pushed as one SGA, small buffers share segments.
 
 use std::collections::VecDeque;
 
@@ -511,10 +512,10 @@ impl ReplyWriter {
     /// `$<len>\r\n<value>\r\n` bulk reply carrying `value` zero-copy.
     ///
     /// Fast path: the header is prepended into the value buffer's own
-    /// headroom, so header and payload travel as **one** segment. That is
+    /// headroom, so header and payload are **one** buffer. That is
     /// legal only while no other live view of the storage starts below
     /// the value's offset; otherwise the header joins the control run and
-    /// the value rides as its own segment — still zero payload copies.
+    /// the value rides as its own buffer — still zero payload copies here.
     pub fn bulk(&mut self, value: &DemiBuffer) {
         let mut header = [0u8; MAX_LINE];
         let header_len = {

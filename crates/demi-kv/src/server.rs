@@ -10,9 +10,10 @@
 //! 2. [`KvEngine::drain`] parses and executes **every** complete command
 //!    buffered — the pipelining discipline: an N-deep burst is served in
 //!    one pass, its replies coalesced into one TX burst.
-//! 3. Transmit `immediate` replies now. If `batch` is present, make it
-//!    durable with **one** storage submission (catfs `push` of the
-//!    encoded record), then transmit `deferred`.
+//! 3. Transmit `immediate` replies now, as one push (the stream gathers
+//!    them into full segments). If `batch` is present, make it durable
+//!    with **one** storage submission (catfs `push` of the encoded
+//!    record), then transmit `deferred`.
 //!
 //! Group-commit ordering rules: replies produced *before* the first
 //! logged mutation of a pass release immediately; the logged mutation's

@@ -37,15 +37,6 @@ impl IcmpEcho {
         hdr
     }
 
-    /// Serializes with checksum into a fresh vector (tests and diagnostics;
-    /// the TX path uses [`IcmpEcho::into_packet`]).
-    pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ICMP_HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&self.header_bytes());
-        out.extend_from_slice(self.payload.as_slice());
-        out
-    }
-
     /// Turns this message into a complete ICMP packet by prepending the
     /// header into the payload's headroom.
     ///
@@ -107,6 +98,16 @@ impl IcmpEcho {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl IcmpEcho {
+        /// The Vec builder: header then payload in a fresh vector, as test
+        /// input (the TX path is [`IcmpEcho::into_packet`]).
+        fn serialize(&self) -> Vec<u8> {
+            let mut out = self.header_bytes().to_vec();
+            out.extend_from_slice(self.payload.as_slice());
+            out
+        }
+    }
 
     fn echo(is_request: bool, payload: &[u8]) -> IcmpEcho {
         IcmpEcho {

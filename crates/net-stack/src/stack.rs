@@ -786,26 +786,47 @@ impl NetworkStack {
         self.conn_shard(conn).borrow().tcp.error(conn)
     }
 
-    /// Queues stream data (zero-copy) for transmission. If the device is
-    /// currently serving this connection, the flow is disarmed first —
-    /// host-originated data and device-generated replies must never race
-    /// for sequence numbers.
+    /// Queues stream data (zero-copy) for transmission: the one-buffer
+    /// case of [`NetworkStack::tcp_send_all`].
     pub fn tcp_send(&self, conn: ConnId, data: DemiBuffer) -> Result<(), NetError> {
+        self.tcp_send_all(conn, std::iter::once(data))
+    }
+
+    /// Queues every buffer of one push and runs the connection's output
+    /// engine once, so buffers that fit a segment together share a frame
+    /// (`ControlBlock::next_segment` has the rule); all or none are
+    /// queued. If the device is currently serving this connection, the
+    /// flow is disarmed first — host-originated data and device-generated
+    /// replies must never race for sequence numbers.
+    pub fn tcp_send_all(
+        &self,
+        conn: ConnId,
+        bufs: impl IntoIterator<Item = DemiBuffer>,
+    ) -> Result<(), NetError> {
         let mut shard = self.conn_shard(conn).borrow_mut();
         shard.offload_release_conn(conn);
         let now = shard.clock.now();
-        shard.tcp.send(conn, data, now)?;
+        shard.tcp.send_all(conn, bufs, now)?;
         shard.flush_tcp();
         Ok(())
     }
 
-    /// Pops received stream data (ordered chunks).
+    /// Pops one received stream chunk.
     pub fn tcp_recv(&self, conn: ConnId) -> Result<Option<DemiBuffer>, NetError> {
         let mut shard = self.conn_shard(conn).borrow_mut();
         let r = shard.tcp.recv(conn)?;
         // recv may emit a window update.
         shard.flush_tcp();
         Ok(r)
+    }
+
+    /// Pops every in-order chunk that has arrived onto `out`: one shard
+    /// borrow and one flush for the lot.
+    pub fn tcp_recv_all(&self, conn: ConnId, out: &mut Vec<DemiBuffer>) -> Result<(), NetError> {
+        let mut shard = self.conn_shard(conn).borrow_mut();
+        shard.tcp.recv_all(conn, out)?;
+        shard.flush_tcp();
+        Ok(())
     }
 
     /// Whether the connection has data or EOF to read.

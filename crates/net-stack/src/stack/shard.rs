@@ -21,7 +21,7 @@ use crate::icmp::IcmpEcho;
 use crate::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
 use crate::ports::PortAllocator;
 use crate::rings::ShardMsg;
-use crate::tcp::{ConnId, TcpPeer, TcpSegmentOut, TCP_MAX_HEADER_LEN};
+use crate::tcp::{ConnId, TcpPeer, TcpSegmentOut};
 use crate::types::SocketAddr;
 use crate::udp::{UdpHeader, UdpPeer, UDP_HEADER_LEN};
 
@@ -455,13 +455,12 @@ impl Shard {
         self.tcp.drain_segments(&mut out);
         for (dst_ip, seg) in out.drain(..) {
             // The retransmission queue keeps clones *at the same offset*, so
-            // prepending below them is legal; a previous transmission of
-            // this very segment still in flight holds a view *below* and
-            // forces a (counted) copy instead of corrupting it.
-            let mut segment = if seg
-                .payload
-                .can_prepend(TCP_MAX_HEADER_LEN + IPV4_HEADER_LEN + ETH_HEADER_LEN)
-            {
+            // prepending below them is legal (a gathered segment is built
+            // with this headroom). A previous transmission of this very
+            // segment still in flight holds a view *below* and forces a
+            // (counted) copy instead of corrupting it, as does a lone
+            // view of a buffer the application still shares lower down.
+            let mut segment = if seg.payload.can_prepend(MAX_HEADER_LEN) {
                 seg.payload
             } else {
                 seg.payload.copy_with_headroom(MAX_HEADER_LEN)

@@ -19,9 +19,10 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
-use demi_memory::DemiBuffer;
+use demi_memory::{BufferPool, DemiBuffer, TenantId};
 use sim_fabric::SimTime;
 
+use crate::stack::MAX_HEADER_LEN;
 use crate::types::{NetError, SocketAddr};
 
 use super::congestion::NewReno;
@@ -29,6 +30,13 @@ use super::header::{TcpFlags, TcpHeader};
 use super::rto::RttEstimator;
 use super::seq::SeqNum;
 use super::TcpConfig;
+
+thread_local! {
+    /// Where gathered segments are built ([`ControlBlock::next_segment`]).
+    /// Per thread because worlds are: buffers are `Rc`-counted and never
+    /// cross one, and a pool warms once instead of once per connection.
+    static SEGMENT_POOL: BufferPool = BufferPool::unregistered();
+}
 
 /// Connection states (RFC 793 §3.2; LISTEN lives in the peer's listener).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -508,29 +516,40 @@ impl ControlBlock {
     // Application interface.
     // ------------------------------------------------------------------
 
-    /// Queues `data` for transmission.
+    /// Queues `data` for transmission: the one-buffer case of
+    /// [`ControlBlock::send_all`].
     pub fn send(&mut self, data: DemiBuffer, now: SimTime) -> Result<(), NetError> {
-        match self.state {
-            State::Established | State::CloseWait => {
-                if let Some(err) = &self.error {
-                    return Err(err.clone());
-                }
-                self.last_activity = now;
-                self.send_queue_bytes += data.len();
-                self.q().send_queue.push_back(data);
-                self.output(now);
-                Ok(())
-            }
-            State::SynSent | State::SynReceived => {
-                // Queue until established (allowed by RFC 793).
-                self.last_activity = now;
-                self.send_queue_bytes += data.len();
-                self.q().send_queue.push_back(data);
-                Ok(())
-            }
-            State::Closed => Err(self.error.clone().unwrap_or(NetError::NotConnected)),
-            _ => Err(NetError::Closed),
+        self.send_all(std::iter::once(data), now)
+    }
+
+    /// Queues every buffer of one push, then runs the output engine once,
+    /// so buffers that fit a segment together leave in it together. The
+    /// state is checked before anything is queued: a failing push leaves
+    /// none of its buffers on the stream.
+    pub fn send_all(
+        &mut self,
+        bufs: impl IntoIterator<Item = DemiBuffer>,
+        now: SimTime,
+    ) -> Result<(), NetError> {
+        let established = match self.state {
+            State::Established | State::CloseWait => match &self.error {
+                Some(err) => return Err(err.clone()),
+                None => true,
+            },
+            // Queue until established (allowed by RFC 793).
+            State::SynSent | State::SynReceived => false,
+            State::Closed => return Err(self.error.clone().unwrap_or(NetError::NotConnected)),
+            _ => return Err(NetError::Closed),
+        };
+        self.last_activity = now;
+        for data in bufs.into_iter().filter(|b| !b.is_empty()) {
+            self.send_queue_bytes += data.len();
+            self.q().send_queue.push_back(data);
         }
+        if established {
+            self.output(now);
+        }
+        Ok(())
     }
 
     /// Pops received in-order data. `None` means nothing available (check
@@ -951,16 +970,8 @@ impl ControlBlock {
                 }
                 break;
             }
-            let budget = (effective - flight).min(self.mss);
-            let q = self.q();
-            let front = q.send_queue.front_mut().expect("checked non-empty");
-            let take = front.len().min(budget);
-            let chunk = front.slice(0, take);
-            front.advance(take);
-            if front.is_empty() {
-                q.send_queue.pop_front();
-            }
-            self.send_queue_bytes -= take;
+            let chunk = self.next_segment((effective - flight).min(self.mss));
+            self.send_queue_bytes -= chunk.len();
             self.transmit_data(chunk, now);
         }
 
@@ -982,6 +993,60 @@ impl ControlBlock {
                 self.rto_deadline = Some(now.saturating_add(self.rtt.rto()));
             }
         }
+    }
+
+    /// Carves the next segment's payload, at most `budget` bytes, off the
+    /// front of the (non-empty) send queue. A segment that comes from one
+    /// buffer is a zero-copy view of it. Several queued buffers that fit
+    /// are copied into one pool buffer with header headroom — one frame
+    /// instead of one each — except that a buffer of at least half a
+    /// segment which can take the headers in place is never copied: it
+    /// ends the gather and travels alone.
+    fn next_segment(&mut self, budget: usize) -> DemiBuffer {
+        let half = self.mss / 2;
+        let alone = |b: &DemiBuffer| b.len() >= half && b.can_prepend(MAX_HEADER_LEN);
+        let queue = &mut self.q().send_queue;
+        let front = queue.front_mut().expect("checked non-empty");
+        let mut len = front.len().min(budget);
+        let mut parts = 1;
+        if !alone(front) {
+            while let Some(next) = queue.get(parts).filter(|b| len < budget && !alone(b)) {
+                len += next.len().min(budget - len);
+                parts += 1;
+            }
+        }
+        if parts == 1 {
+            return Self::take_front(queue, len);
+        }
+        let mut seg = SEGMENT_POOL.with(|pool| pool.alloc_with_headroom(MAX_HEADER_LEN, len));
+        let dst = seg.try_mut().expect("fresh pool buffer is exclusive");
+        // The copy holds the pusher's bytes, so it carries the pusher's
+        // stamp (the first non-host one: a libOS-made framing header may
+        // lead) and is charged to that tenant's TX lane.
+        let (mut off, mut tenant) = (0, TenantId::HOST);
+        while off < len {
+            let part = Self::take_front(queue, len - off);
+            dst[off..off + part.len()].copy_from_slice(&part);
+            if tenant.is_host() {
+                tenant = part.tenant();
+            }
+            off += part.len();
+        }
+        demi_memory::counters::note_copy(len);
+        seg.retag(tenant);
+        seg
+    }
+
+    /// Takes up to `n` bytes off the front buffer of a non-empty send
+    /// queue: the buffer itself if it fits, else a view of its head.
+    fn take_front(queue: &mut VecDeque<DemiBuffer>, n: usize) -> DemiBuffer {
+        let front = queue.front_mut().expect("send queue is non-empty");
+        if front.len() <= n {
+            return queue.pop_front().expect("just peeked");
+        }
+        let head = front.slice(0, n);
+        front.advance(n);
+        head
     }
 
     fn transmit_data(&mut self, data: DemiBuffer, now: SimTime) {
@@ -1284,13 +1349,7 @@ impl ControlBlock {
             return;
         }
         self.stats.persist_probes += 1;
-        let q = self.q();
-        let front = q.send_queue.front_mut().expect("checked non-empty");
-        let probe = front.slice(0, 1);
-        front.advance(1);
-        if front.is_empty() {
-            q.send_queue.pop_front();
-        }
+        let probe = Self::take_front(&mut self.q().send_queue, 1);
         self.send_queue_bytes -= 1;
         self.transmit_data(probe, now);
         // Re-arm: keep probing until the window opens.

@@ -663,11 +663,23 @@ impl TcpPeer {
         }
     }
 
-    /// Queues data for transmission.
+    /// Queues data for transmission: the one-buffer case of
+    /// [`TcpPeer::send_all`].
     pub fn send(&mut self, conn: ConnId, data: DemiBuffer, now: SimTime) -> Result<(), NetError> {
+        self.send_all(conn, std::iter::once(data), now)
+    }
+
+    /// Queues every buffer of one push and runs the connection's output
+    /// engine once ([`ControlBlock::send_all`]): all or none are queued.
+    pub fn send_all(
+        &mut self,
+        conn: ConnId,
+        bufs: impl IntoIterator<Item = DemiBuffer>,
+        now: SimTime,
+    ) -> Result<(), NetError> {
         match self.lookup(conn) {
             Lookup::Live(slot) => {
-                self.cb_mut(slot).send(data, now)?;
+                self.cb_mut(slot).send_all(bufs, now)?;
                 self.sync_slot(slot);
                 Ok(())
             }
@@ -677,18 +689,33 @@ impl TcpPeer {
         }
     }
 
-    /// Pops received stream data (zero-copy chunks in order).
+    /// Pops one received stream chunk (zero-copy, in order).
     pub fn recv(&mut self, conn: ConnId) -> Result<Option<DemiBuffer>, NetError> {
+        let mut got = None;
+        self.recv_with(conn, |cb| got = cb.recv())?;
+        Ok(got)
+    }
+
+    /// Pops every in-order chunk that has arrived onto `out`.
+    pub fn recv_all(&mut self, conn: ConnId, out: &mut Vec<DemiBuffer>) -> Result<(), NetError> {
+        self.recv_with(conn, |cb| out.extend(std::iter::from_fn(|| cb.recv())))
+    }
+
+    fn recv_with(
+        &mut self,
+        conn: ConnId,
+        pop: impl FnOnce(&mut ControlBlock),
+    ) -> Result<(), NetError> {
         match self.lookup(conn) {
             Lookup::Live(slot) => {
-                let got = self.cb_mut(slot).recv();
+                pop(self.cb_mut(slot));
                 self.sync_slot(slot);
                 // Draining the last buffered data may make a cleanly
                 // closed connection reclaimable.
                 self.reap_slot(slot);
-                Ok(got)
+                Ok(())
             }
-            Lookup::TimeWait | Lookup::Stale => Ok(None),
+            Lookup::TimeWait | Lookup::Stale => Ok(()),
             Lookup::Bad => Err(NetError::BadHandle),
         }
     }

@@ -10,13 +10,17 @@
 //!   views; values live in the store as sub-views of the RX buffers
 //!   that carried them; GET replies share those views into TX.
 //! - **Deep pipelining**: every complete command in a burst executes in
-//!   one pass and the replies coalesce into one TX burst.
+//!   one pass and the replies leave as one push — the SGA is the unit on
+//!   the stream, so small reply buffers share segments (a depth-1 GET
+//!   reply is one frame) and one pop returns everything that arrived.
 //! - **Real cache semantics**: LRU eviction under a byte budget plus
 //!   millisecond TTLs (`SET k v PX 100`, `PEXPIRE`, `PTTL`).
 //! - **Group-committed durability**: all mutations of a burst append to
 //!   a catfs log as ONE record — acknowledgments release only after the
 //!   record is durable, and a recovery scan rebuilds exactly the
-//!   acknowledged state.
+//!   acknowledged state. A burst longer than a segment still commits
+//!   about twice, not once per segment: what arrives while the server
+//!   waits on a commit is picked up by the next pop, whole.
 //!
 //! Run with: `cargo run --example kv_server`
 
@@ -71,8 +75,8 @@ fn main() {
         rt.now(),
     )));
 
-    // The serving loop: pop raw stream bytes (RESP is self-delimiting —
-    // no DEMI framing), drain the WHOLE pipelined burst, release
+    // The serving loop: pop every raw stream chunk that has arrived (RESP
+    // is self-delimiting — no DEMI framing), drain the WHOLE burst, release
     // immediate replies, group-commit the burst's mutations as ONE
     // catfs record, then release the acknowledgments that depended on
     // durability.

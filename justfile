@@ -5,7 +5,11 @@
 # 0 payload copies per packet) at the optimization level the ledger runs;
 # the release-mode batching run asserts the E13 counter invariants the
 # same way (single-doorbell TX bursts, delayed-ACK timing and ACK
-# halving, O(1) completion delivery); the release-mode sharding run
+# halving, O(1) completion delivery) plus the E22 ones (a push's buffers
+# gather into shared segments, a buffer worth a frame is never copied, a
+# gathered segment keeps its tenant's stamp and lane, gathered SGAs
+# deliver their concatenation under loss and small windows); the
+# release-mode sharding run
 # asserts the E14 invariants (symmetric RSS, wheel-vs-linear timer
 # equivalence, zero cross-shard traffic, idle connections that cost
 # neither timers nor virtual-time RTT); the
@@ -23,7 +27,9 @@
 # steady-state echo); the release-mode kv run asserts the E19 invariants
 # (pipelined RESP bursts drained in one engine pass, zero payload copies
 # through the warmed GET path, host/device cache write-through coherence,
-# group-commit replay of exactly the acknowledged state); the release-mode
+# group-commit replay of exactly the acknowledged state, a depth-1 GET in
+# exactly two frames and one pop, a 16-SET durable burst in <= 3 log
+# batches); the release-mode
 # tenant run asserts the E20 invariants (port-ownership gates, bounded
 # per-tenant TX lanes, weighted-fair DRR even under sub-quantum budgets,
 # token-bucket pacing on virtual time, partitioned SYN/TIME_WAIT state,

@@ -1,30 +1,58 @@
 //! End-to-end batching behavior (E13): TX coalescing keeps frame order
 //! at zero virtual-time cost, delayed ACKs fire on the virtual-time timer
 //! and halve the ACK frames of a streamed transfer, completion delivery
-//! is O(1) in the number of waited tokens, and batching never changes
-//! the bytes a TCP stream delivers.
+//! is O(1) in the number of waited tokens, a push's buffers share
+//! segments (SGA-granular streams, E22) without copying a buffer worth
+//! a frame of its own or losing its tenant stamp, and batching never
+//! changes the bytes a TCP stream delivers.
 
 use std::net::Ipv4Addr;
 
-use demi_memory::DemiBuffer;
+use demi_memory::{BufferPool, DemiBuffer, DEFAULT_HEADROOM};
 use demi_sched::Condition;
+use demi_tenant::{TenantRegistry, TenantSpec};
 use demikernel::types::{OperationResult, QToken};
 use demikernel::Runtime;
 use dpdk_sim::{DpdkPort, PortConfig};
-use net_stack::tcp::State;
+use net_stack::stack::MAX_HEADER_LEN;
+use net_stack::tcp::{ConnId, ControlBlock, SeqNum, State, TcpConfig};
 use net_stack::types::SocketAddr;
-use net_stack::{NetworkStack, StackConfig};
+use net_stack::{NetworkStack, StackConfig, TenancyCfg};
 use proptest::prelude::*;
-use sim_fabric::{Fabric, MacAddress, SimTime};
+use sim_fabric::{Fabric, MacAddress, SimRng, SimTime};
 
 fn ip(last: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 0, last)
 }
 
 fn host(fabric: &Fabric, last: u8) -> (DpdkPort, NetworkStack) {
-    let port = DpdkPort::new(fabric, PortConfig::basic(MacAddress::from_last_octet(last)));
-    let stack = NetworkStack::new(port.clone(), fabric.clock(), StackConfig::new(ip(last)));
+    host_with(fabric, StackConfig::new(ip(last)))
+}
+
+fn host_with(fabric: &Fabric, config: StackConfig) -> (DpdkPort, NetworkStack) {
+    let mac = MacAddress::from_last_octet(config.ip.octets()[3]);
+    let port = DpdkPort::new(fabric, PortConfig::basic(mac));
+    let stack = NetworkStack::new(port.clone(), fabric.clock(), config);
     (port, stack)
+}
+
+/// Connects `a` to a fresh listener on `b`; returns both connection ids.
+fn connect(fabric: &Fabric, a: &NetworkStack, b: &NetworkStack) -> (ConnId, ConnId) {
+    let lid = b.tcp_listen(80, 16).unwrap();
+    let conn = a.tcp_connect(SocketAddr::new(b.local_ip(), 80)).unwrap();
+    let mut sconn = None;
+    settle(fabric, &[a, b], || {
+        sconn = sconn.or_else(|| b.tcp_accept(lid).unwrap());
+        sconn.is_some() && a.tcp_state(conn) == Ok(State::Established)
+    });
+    (conn, sconn.unwrap())
+}
+
+/// A fresh pool buffer with header headroom holding `bytes`.
+fn pooled(pool: &BufferPool, bytes: &[u8]) -> DemiBuffer {
+    let mut buf = pool.alloc_with_headroom(DEFAULT_HEADROOM, bytes.len());
+    buf.try_mut().unwrap().copy_from_slice(bytes);
+    buf
 }
 
 /// Runs the world until `until` holds, frames drain, and timers settle.
@@ -128,17 +156,7 @@ fn delayed_ack_timer_fires_in_virtual_time() {
     let (_ap, a) = host(&fabric, 1);
     let (_bp, b) = host(&fabric, 2);
     let ack_delay = StackConfig::new(ip(2)).tcp.ack_delay;
-    let lid = b.tcp_listen(80, 16).unwrap();
-    let conn = a.tcp_connect(SocketAddr::new(ip(2), 80)).unwrap();
-    settle(&fabric, &[&a, &b], || {
-        a.tcp_state(conn) == Ok(State::Established)
-    });
-    let mut sconn = None;
-    settle(&fabric, &[&a, &b], || {
-        sconn = b.tcp_accept(lid).unwrap();
-        sconn.is_some()
-    });
-    let sconn = sconn.unwrap();
+    let (conn, sconn) = connect(&fabric, &a, &b);
 
     // One lone segment; its second never comes.
     a.tcp_send(conn, DemiBuffer::from_slice(b"lone")).unwrap();
@@ -293,20 +311,15 @@ fn run_stream(chunks: &[Vec<u8>], seed: u64) -> Vec<u8> {
     let fabric = Fabric::new(seed);
     let (_ap, a) = host(&fabric, 1);
     let (_bp, b) = host(&fabric, 2);
-    let lid = b.tcp_listen(80, 16).unwrap();
-    let conn = a.tcp_connect(SocketAddr::new(ip(2), 80)).unwrap();
-    settle(&fabric, &[&a, &b], || {
-        a.tcp_state(conn) == Ok(State::Established)
-    });
-    let mut sconn = None;
-    settle(&fabric, &[&a, &b], || {
-        sconn = b.tcp_accept(lid).unwrap();
-        sconn.is_some()
-    });
-    let sconn = sconn.unwrap();
+    let (conn, sconn) = connect(&fabric, &a, &b);
 
-    for chunk in chunks {
-        a.tcp_send(conn, DemiBuffer::from_slice(chunk)).unwrap();
+    // Even seeds push the chunks as one SGA (they gather into shared
+    // segments), odd seeds one push per chunk.
+    let bufs = chunks.iter().map(|c| DemiBuffer::from_slice(c));
+    if seed.is_multiple_of(2) {
+        a.tcp_send_all(conn, bufs).unwrap();
+    } else {
+        bufs.for_each(|buf| a.tcp_send(conn, buf).unwrap());
     }
     let total: usize = chunks.iter().map(|c| c.len()).sum();
     let mut got = Vec::new();
@@ -317,6 +330,167 @@ fn run_stream(chunks: &[Vec<u8>], seed: u64) -> Vec<u8> {
         got.len() >= total
     });
     got
+}
+
+/// A buffer of at least half a segment that can take the headers in place
+/// is never copied into a gather: it ends the one before it, travels
+/// alone, and the peer reads the pusher's own storage.
+#[test]
+fn a_buffer_worth_a_frame_is_never_gathered() {
+    let fabric = Fabric::new(13);
+    let (_ap, a) = host(&fabric, 1);
+    let (_bp, b) = host(&fabric, 2);
+    let (conn, sconn) = connect(&fabric, &a, &b);
+    let pool = BufferPool::unregistered();
+    let big = pooled(&pool, &vec![0xB1; TcpConfig::default().mss / 2]);
+    let sga = [
+        pooled(&pool, b"$730\r\n"),
+        pooled(&pool, b"-"),
+        big.clone(),
+        pooled(&pool, b"\r\n"),
+        pooled(&pool, b"+OK\r\n"),
+    ];
+    let small: usize = sga.iter().map(|buf| buf.len()).sum::<usize>() - big.len();
+
+    let before = demi_memory::counters::snapshot();
+    let segments_before = a.tcp_conn_stats(conn).unwrap().segments_sent;
+    a.tcp_send_all(conn, sga).unwrap();
+    let mut got = Vec::new();
+    settle(&fabric, &[&a, &b], || {
+        b.tcp_recv_all(sconn, &mut got).unwrap();
+        got.iter().map(|chunk| chunk.len()).sum::<usize>() >= small + big.len()
+    });
+    let d = demi_memory::counters::snapshot().delta(&before);
+    assert_eq!(
+        a.tcp_conn_stats(conn).unwrap().segments_sent - segments_before,
+        3,
+        "two small buffers, the big one alone, two small buffers"
+    );
+    assert_eq!(d.copies, 2, "one gather either side of the big buffer");
+    assert_eq!(d.bytes_copied as usize, small, "none of them the big one's");
+    assert_eq!(got.len(), 3);
+    assert!(got[1].same_storage(&big) && got[1] == big);
+    assert!(got[1].headroom() >= MAX_HEADER_LEN, "headers went in place");
+}
+
+/// Under tenancy a gathered segment is the pushing tenant's frame: it
+/// carries that tenant's stamp, so it queues in — and is charged to —
+/// that tenant's TX lane, not the host's.
+#[test]
+fn a_gathered_segment_is_charged_to_the_pushing_tenant() {
+    let fabric = Fabric::new(17);
+    let registry = std::sync::Arc::new(TenantRegistry::new());
+    let tenant = registry.register(TenantSpec::named("pusher", 1));
+    let mut config = StackConfig::new(ip(1));
+    config.tenancy = Some(TenancyCfg::new(registry));
+    let (_ap, a) = host_with(&fabric, config);
+    let (_bp, b) = host(&fabric, 2);
+    let (conn, sconn) = demi_tenant::scope(tenant, || connect(&fabric, &a, &b));
+
+    let pool = BufferPool::for_tenant(tenant, None);
+    let before = a.tenant_stats()[0];
+    demi_tenant::scope(tenant, || {
+        a.tcp_send_all(conn, [pooled(&pool, b"one "), pooled(&pool, b"frame")])
+            .unwrap();
+    });
+    assert_eq!(
+        a.tenant_stats()[0].staged_frames,
+        1,
+        "parked in the tenant's lane until the poll admits it"
+    );
+    let mut got = Vec::new();
+    settle(&fabric, &[&a, &b], || {
+        b.tcp_recv_all(sconn, &mut got).unwrap();
+        !got.is_empty()
+    });
+    assert_eq!(got.len(), 1, "two buffers, one segment");
+    assert_eq!(got[0].as_slice(), b"one frame");
+    assert_eq!(got[0].tenant(), tenant, "the copy kept the pusher's stamp");
+    let after = a.tenant_stats()[0];
+    assert_eq!(after.sent_frames - before.sent_frames, 1);
+    assert_eq!(
+        after.sent_bytes - before.sent_bytes,
+        (b"one frame".len() + MAX_HEADER_LEN - 4) as u64,
+        "the whole frame (payload + Ethernet/IP/20-byte TCP headers)"
+    );
+}
+
+fn cb_addr(last: u8, port: u16) -> SocketAddr {
+    SocketAddr::new(ip(last), port)
+}
+
+/// Pushes `sgas` (one `send_all` each) from one control block to another
+/// over a link that drops data and ACK segments with probability `loss`,
+/// into a receive buffer of `recv_capacity` bytes drained at random.
+/// Checks every data segment against the MSS and the receiver's
+/// advertised window; returns the bytes received.
+fn gathered_transfer(
+    sgas: Vec<Vec<DemiBuffer>>,
+    seed: u64,
+    loss: f64,
+    recv_capacity: usize,
+) -> Vec<u8> {
+    const ISS: SeqNum = SeqNum(7_000);
+    let ccfg = TcpConfig::default();
+    let scfg = TcpConfig {
+        recv_capacity,
+        ..ccfg
+    };
+    let mut now = SimTime::from_millis(1);
+    let mut rng = SimRng::new(seed);
+    let mut c = ControlBlock::connect(cb_addr(1, 40_000), cb_addr(2, 80), ISS, now, ccfg);
+    let syn = c.take_outbox().remove(0);
+    let (s_addr, c_addr) = (cb_addr(2, 80), cb_addr(1, 40_000));
+    let mut s = ControlBlock::accept(s_addr, c_addr, SeqNum(9_000), &syn.header, now, scfg);
+    let total: usize = sgas.iter().flatten().map(|buf| buf.len()).sum();
+    let mut sgas = sgas.into_iter();
+    // Highest sequence offset the receiver has allowed, as the sender
+    // learned it from delivered segments.
+    let mut right_edge = 0u32;
+    let mut received = Vec::new();
+    for _ in 0..200_000 {
+        let mut moved = false;
+        for seg in s.take_outbox() {
+            moved = true;
+            if !seg.header.flags.syn && rng.chance(loss) {
+                continue;
+            }
+            right_edge = right_edge.max(seg.header.ack.since(ISS) + seg.header.window as u32);
+            c.on_segment(&seg.header, seg.payload, now);
+        }
+        if c.state() == State::Established {
+            if let Some(sga) = sgas.next() {
+                c.send_all(sga, now).unwrap();
+            }
+        }
+        for seg in c.take_outbox() {
+            moved = true;
+            let len = seg.payload.len();
+            assert!(len <= ccfg.mss, "{len}-byte segment exceeds the MSS");
+            // (A one-byte zero-window probe may sit just past the edge.)
+            assert!(
+                len <= 1 || seg.header.seq.since(ISS) + len as u32 <= right_edge,
+                "{len}-byte segment overruns the advertised window"
+            );
+            if len == 0 || !rng.chance(loss) {
+                s.on_segment(&seg.header, seg.payload, now);
+            }
+        }
+        if rng.chance(0.5) {
+            while let Some(chunk) = s.recv() {
+                received.extend_from_slice(chunk.as_slice());
+            }
+        }
+        if received.len() == total {
+            return received;
+        }
+        if !moved {
+            now = now.saturating_add(SimTime::from_micros(250));
+            c.on_tick(now);
+            s.on_tick(now);
+        }
+    }
+    panic!("transfer stalled at {}/{total} bytes", received.len());
 }
 
 proptest! {
@@ -332,5 +506,43 @@ proptest! {
     ) {
         let sent: Vec<u8> = chunks.concat();
         prop_assert_eq!(&run_stream(&chunks, seed), &sent);
+    }
+
+    /// Gathering is invisible at the byte level too: for any SGA shapes
+    /// (1-8 buffers of 1 B to 3 MSS; fresh pool buffers, unpooled copies
+    /// and views with a live view below them), any loss forcing gathered
+    /// segments to be retransmitted, and a receive window small enough to
+    /// split gathers, the stream received is the concatenation of the
+    /// buffers pushed.
+    #[test]
+    fn gathered_sgas_deliver_their_concatenation(
+        shapes in prop::collection::vec(
+            prop::collection::vec((1usize..3 * 1460, 0u8..3), 1..9), 1..4),
+        seed in any::<u64>(),
+        loss_pct in 0u32..15,
+        recv_capacity in 700usize..6_000,
+    ) {
+        let pool = BufferPool::unregistered();
+        let (mut sent, mut bases) = (Vec::new(), Vec::new());
+        let sgas: Vec<Vec<DemiBuffer>> = shapes
+            .iter()
+            .map(|shape| shape.iter().map(|&(len, kind)| {
+                let bytes: Vec<u8> = (sent.len()..sent.len() + len).map(|i| (i % 251) as u8).collect();
+                sent.extend_from_slice(&bytes);
+                match kind {
+                    0 => pooled(&pool, &bytes),
+                    1 => DemiBuffer::from_slice(&bytes),
+                    _ => {
+                        // The tail of a buffer whose head someone still holds.
+                        let mut base = pooled(&pool, &[&[0xEE], &bytes[..]].concat());
+                        let view = base.split_off(1);
+                        bases.push(base);
+                        view
+                    }
+                }
+            }).collect())
+            .collect();
+        let got = gathered_transfer(sgas, seed, loss_pct as f64 / 100.0, recv_capacity);
+        prop_assert_eq!(got, sent);
     }
 }

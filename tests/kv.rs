@@ -1,7 +1,9 @@
 //! End-to-end demi-kv integration: RESP over the catnip raw byte
 //! stream, zero-copy accounting on the warmed GET path, write-through
 //! coherence between the host store and the NIC-resident GET cache, and
-//! group-committed durability through catfs.
+//! group-committed durability through catfs, and the SGA-granular stream
+//! (one reply, one segment; one pop, everything that arrived) under the
+//! serving loop of `examples/kv_server.rs`.
 //!
 //! The serving loop here is deliberately lock-step (push → pop → drain →
 //! reply) rather than a background coroutine, so every test can inspect
@@ -18,7 +20,8 @@ use demikernel::libos::catnip::Catnip;
 use demikernel::libos::{LibOs, SocketKind};
 use demikernel::runtime::Runtime;
 use demikernel::testing::{catnip_pair, catnip_pair_offload, host_ip};
-use demikernel::types::{QDesc, Sga};
+use demikernel::types::{OperationResult, QDesc, Sga};
+use net_stack::tcp::ConnId;
 use net_stack::types::SocketAddr;
 use sim_fabric::SimTime;
 use spdk_sim::nvme::{NvmeConfig, NvmeDevice};
@@ -418,4 +421,145 @@ fn group_commit_replay_restores_acknowledged_sets() {
     assert_eq!(dump.len(), 2);
     assert_eq!(dump[0], (b"a".to_vec(), b"1".to_vec()));
     assert_eq!(dump[1], (b"b".to_vec(), b"2".to_vec()));
+}
+
+// ---------------------------------------------------------------------
+// SGA-granular streams under the real serving loop: a reply is one
+// segment and one pop, and a burst that arrives while the server waits
+// on a group commit is committed once.
+// ---------------------------------------------------------------------
+
+/// The serving loop of `examples/kv_server.rs` as a background coroutine
+/// on `server`'s runtime; ends when the client closes the connection.
+fn spawn_kv_server(
+    server: &Catnip,
+    conn_qd: QDesc,
+    engine: std::rc::Rc<std::cell::RefCell<KvEngine>>,
+    log: Option<(Catfs, QDesc)>,
+) {
+    let libos = server.clone();
+    server
+        .runtime()
+        .spawn_background("test::kv_server", async move {
+            let rt = libos.runtime().clone();
+            let mut conn = KvConn::new();
+            loop {
+                let Ok(qt) = libos.pop_unframed(conn_qd) else {
+                    return;
+                };
+                let OperationResult::Pop { sga, .. } = rt.await_op(qt).await else {
+                    return;
+                };
+                for seg in sga.segments() {
+                    conn.feed(seg.clone());
+                }
+                let r = engine.borrow_mut().drain(&mut conn, rt.now());
+                if !r.immediate.is_empty() {
+                    let qt = libos.push_unframed(conn_qd, &Sga::from_bufs(r.immediate));
+                    let _ = rt.await_op(qt.expect("reply push")).await;
+                }
+                if let (Some(batch), Some((fs, log_qd))) = (r.batch, &log) {
+                    let record = Sga::from_bufs(vec![DemiBuffer::from(batch)]);
+                    let _ = rt
+                        .await_op(fs.push(*log_qd, &record).expect("log push"))
+                        .await;
+                    let qt = libos.push_unframed(conn_qd, &Sga::from_bufs(r.deferred));
+                    let _ = rt.await_op(qt.expect("ack push")).await;
+                }
+            }
+        });
+}
+
+/// One closed-loop exchange: push `request`, then pop until `expect`
+/// reply bytes arrived. Returns the reply and how many pops it took.
+fn exchange(client: &Catnip, cqd: QDesc, request: Vec<u8>, expect: usize) -> (Vec<u8>, usize) {
+    let sga = Sga::from_bufs(vec![DemiBuffer::from(request)]);
+    let qt = client.push_unframed(cqd, &sga).unwrap();
+    client.wait(qt, None).unwrap();
+    let (mut got, mut pops) = (Vec::new(), 0);
+    while got.len() < expect {
+        let qt = client.pop_unframed(cqd).unwrap();
+        let (_, sga) = client.wait(qt, None).unwrap().expect_pop();
+        got.extend_from_slice(&sga.to_vec());
+        pops += 1;
+    }
+    (got, pops)
+}
+
+#[test]
+fn depth_one_get_is_two_frames_and_one_pop() {
+    const ROUNDS: u64 = 64;
+    let (rt, fabric, client, server) = catnip_pair(34);
+    let (cqd, sqd) = tcp_pair(&client, &server, 6379);
+    let eng = engine(server.memory().clone(), rt.now(), false);
+    spawn_kv_server(&server, sqd, std::rc::Rc::new(eng.into()), None);
+
+    let value = [0x5Au8; 64];
+    let mut set = Vec::new();
+    encode_command(&mut set, &[b"SET", b"key", &value]);
+    assert_eq!(exchange(&client, cqd, set, 5).0, b"+OK\r\n");
+    let mut get = Vec::new();
+    encode_command(&mut get, &[b"GET", b"key"]);
+    let mut expected = b"$64\r\n".to_vec();
+    expected.extend_from_slice(&value);
+    expected.extend_from_slice(b"\r\n");
+    // Warm: after this the previous reply's ACK rides the next request.
+    for _ in 0..4 {
+        exchange(&client, cqd, get.clone(), expected.len());
+    }
+
+    // Each stack's first connection is slot 0, generation 0.
+    let acks =
+        || [&client, &server].map(|h| h.stack().tcp_conn_stats(ConnId(0)).unwrap().acks_sent);
+    let (frames_before, acks_before) = (fabric.stats().frames_sent, acks());
+    for _ in 0..ROUNDS {
+        let (reply, pops) = exchange(&client, cqd, get.clone(), expected.len());
+        assert_eq!(reply, expected);
+        assert_eq!(pops, 1, "header, value and trailer arrive as one segment");
+    }
+    assert_eq!(
+        fabric.stats().frames_sent - frames_before,
+        2 * ROUNDS,
+        "one request frame and one reply frame per command"
+    );
+    assert_eq!(acks(), acks_before, "every ACK rode a data segment");
+    client.close(cqd).unwrap();
+}
+
+#[test]
+fn durable_set_burst_commits_per_burst_not_per_chunk() {
+    const DEPTH: usize = 16;
+    let (rt, _fabric, client, server) = catnip_pair(35);
+    let (cqd, sqd) = tcp_pair(&client, &server, 6379);
+    let device = NvmeDevice::new(rt.clock().clone(), NvmeConfig::default());
+    let fs = Catfs::new(&rt, device);
+    let log_qd = fs.create("kv-burst.aof").unwrap();
+    let eng = std::rc::Rc::new(std::cell::RefCell::new(engine(
+        server.memory().clone(),
+        rt.now(),
+        true,
+    )));
+    spawn_kv_server(&server, sqd, eng.clone(), Some((fs, log_qd)));
+
+    // 16 SETs of 1 KiB: 16.6 KiB, twelve segments on the wire.
+    let value = [0xC3u8; 1024];
+    for round in 0..4 {
+        let mut burst = Vec::new();
+        for i in 0..DEPTH {
+            encode_command(
+                &mut burst,
+                &[b"SET", format!("key{i:02}").as_bytes(), &value],
+            );
+        }
+        let before = eng.borrow().stats().batches;
+        let (reply, _) = exchange(&client, cqd, burst, DEPTH * 5);
+        assert_eq!(reply, b"+OK\r\n".repeat(DEPTH));
+        let batches = eng.borrow().stats().batches - before;
+        assert!(
+            (1..=3).contains(&batches),
+            "round {round}: the chunks that arrive during a commit are \
+             popped together and committed once, got {batches} batches"
+        );
+    }
+    client.close(cqd).unwrap();
 }

@@ -1,47 +1,32 @@
 //! Datapath allocation/copy accounting.
 //!
-//! The paper's zero-copy claim (§3.2, E2/E12) is only honest if the stack's
-//! *own* allocations and copies are counted, not just the application's.
-//! Every `DemiBuffer` constructor that allocates notes an allocation here,
-//! and every operation that moves payload bytes (`from_slice`, `to_vec`,
-//! the `copy_with_headroom` fallback, device-level `alloc_from` helpers)
+//! The paper's zero-copy claim (§3.2) is only honest if the stack's *own*
+//! allocations and copies are counted, not just the application's. Every
+//! `DemiBuffer` constructor that allocates notes an allocation here, and
+//! every operation that moves payload bytes (`from_slice`, `to_vec`, the
+//! `copy_with_headroom` fallback, device-level `alloc_from` helpers)
 //! notes a copy — so a test can assert "one pool allocation, zero payload
 //! copies per packet" instead of merely printing it.
 //!
-//! Counters follow the shared thread-local snapshot/delta pattern from
-//! `demi_telemetry::counters` (the simulation is single-threaded);
-//! consumers snapshot before and after a window of work and take the
-//! saturating delta.
+//! A buffer has no owning object a reader could ask, so these are a
+//! thread-local family (`demi_telemetry::counter_family!`): each thread —
+//! each shard world, under thread-per-shard execution — counts its own
+//! buffers, totals only grow, and a consumer takes the saturating `delta`
+//! of two `snapshot()`s around its window.
 
-use demi_telemetry::{counter_cell, counters, snapshot_delta};
-
-/// A point-in-time reading of the datapath counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DatapathSnapshot {
-    /// Buffer allocations: pool allocations (warm or cold) plus unpooled
-    /// `DemiBuffer` constructions. Handle clones and slices never count.
-    pub allocs: u64,
-    /// Payload copy operations (a `memcpy` of buffer contents).
-    pub copies: u64,
-    /// Total bytes moved by those copies.
-    pub bytes_copied: u64,
-}
-
-snapshot_delta!(DatapathSnapshot {
-    allocs,
-    copies,
-    bytes_copied
-});
-
-counter_cell!(static COUNTERS: DatapathSnapshot = DatapathSnapshot {
-    allocs: 0,
-    copies: 0,
-    bytes_copied: 0,
-});
-
-/// Records one buffer allocation.
-pub fn note_alloc() {
-    counters::update(&COUNTERS, |s| s.allocs += 1);
+demi_telemetry::counter_family! {
+    /// A point-in-time reading of the datapath counters.
+    pub struct DatapathSnapshot {
+        /// Buffer allocations: pool allocations (warm or cold) plus unpooled
+        /// `DemiBuffer` constructions. Handle clones and slices never count.
+        pub allocs: u64 => note_alloc,
+        /// Payload copy operations (a `memcpy` of buffer contents).
+        pub copies: u64,
+        /// Total bytes moved by those copies.
+        pub bytes_copied: u64,
+    }
+    /// This thread's datapath counter totals.
+    pub fn snapshot();
 }
 
 /// Records one payload copy of `bytes` bytes. Zero-byte copies (empty
@@ -50,18 +35,8 @@ pub fn note_copy(bytes: usize) {
     if bytes == 0 {
         return;
     }
-    counters::update(&COUNTERS, |s| {
+    DatapathSnapshot::update(|s| {
         s.copies += 1;
         s.bytes_copied += bytes as u64;
     });
-}
-
-/// Current counter values.
-pub fn snapshot() -> DatapathSnapshot {
-    counters::read(&COUNTERS)
-}
-
-/// Resets all counters to zero.
-pub fn reset() {
-    counters::zero(&COUNTERS);
 }

@@ -1,159 +1,236 @@
-//! The shared thread-local counter pattern.
+//! Counters, declared once and incremented once.
 //!
-//! Every sim crate exposes cheap hot-path counters the same way: a
-//! `Copy` snapshot struct, a `thread_local!` `Cell` of it, `note_*`
-//! increment helpers, a `snapshot()` read, a `reset()` zero, and a
-//! `delta(&earlier)` that subtracts field-by-field so `Metrics` can fold
-//! per-interval movement out of monotone thread-local totals. This
-//! module is that pattern, written once: the [`counter_cell!`] macro
-//! declares the cell, [`snapshot_delta!`] derives the delta (and the
-//! [`CounterSnapshot`] impl), and [`Baseline`] holds the
-//! fold-since-here state on the `Metrics` side.
+//! The rule every crate follows: an event that belongs to an object (a
+//! port, a shard, a control block, a tenant lane) is counted on that
+//! object's `stats()`; an event with no owner in the reader's reach (a
+//! buffer allocation, a demux lookup, a timer firing, a tenant denial) is
+//! counted in its crate's *thread-local family*. Either way the counter
+//! is one line of one [`counter_family!`](crate::counter_family)
+//! declaration, which generates everything the counter needs from that
+//! single field list:
 //!
-//! Deltas are **saturating**: a crate-level `reset()` zeroes the
-//! thread-local while any `Baseline` captured earlier still holds the
-//! pre-reset totals, and the next fold would otherwise underflow (panic
-//! in debug, garbage in release). Saturation clamps that race to zero —
-//! the interval's data is gone either way, but the snapshot stays sane.
+//! - the `Copy` struct with its docs, `ZERO`, a saturating `delta` and an
+//!   additive `merge` — all a per-object stats struct needs (summing
+//!   shards is a `merge` fold);
+//! - for a thread-local family, additionally the const-initialised
+//!   per-thread cell, the named `note_*` increment functions, and the
+//!   named reader function.
+//!
+//! Totals are monotone: nothing resets one. A measurement window is a
+//! before/after `delta`, or a [`Baseline`] captured at the window's start
+//! (what `Metrics` holds per family). Each thread has its own cell, so a
+//! thread-per-shard world reads its own totals and a cross-thread total
+//! is a `merge` of per-thread readings.
 
-use std::cell::Cell;
-use std::thread::LocalKey;
-
-/// Field-wise saturating subtraction — the primitive [`snapshot_delta!`]
-/// builds snapshot deltas from.
-pub trait FieldDelta {
+/// One field of a counter struct: zero, saturating difference, sum.
+/// Implemented for the integer widths counters use and for arrays of
+/// them (per-bucket or per-slot counters).
+pub trait CounterField: Copy {
+    /// The field's starting value.
+    const ZERO: Self;
     /// `self − earlier`, clamped at zero.
-    fn field_delta(&self, earlier: &Self) -> Self;
+    fn field_delta(self, earlier: Self) -> Self;
+    /// `self + other`.
+    fn field_sum(self, other: Self) -> Self;
 }
 
-impl FieldDelta for u64 {
-    fn field_delta(&self, earlier: &Self) -> Self {
-        self.saturating_sub(*earlier)
-    }
-}
-
-impl FieldDelta for usize {
-    fn field_delta(&self, earlier: &Self) -> Self {
-        self.saturating_sub(*earlier)
-    }
-}
-
-impl<T: FieldDelta + Copy, const N: usize> FieldDelta for [T; N] {
-    fn field_delta(&self, earlier: &Self) -> Self {
-        let mut out = *self;
-        for (o, e) in out.iter_mut().zip(earlier.iter()) {
-            *o = o.field_delta(e);
+macro_rules! int_counter_field {
+    ($($int:ty),+) => {$(
+        impl CounterField for $int {
+            const ZERO: Self = 0;
+            fn field_delta(self, earlier: Self) -> Self {
+                self.saturating_sub(earlier)
+            }
+            fn field_sum(self, other: Self) -> Self {
+                self + other
+            }
         }
-        out
+    )+};
+}
+int_counter_field!(u64, usize);
+
+impl<T: CounterField, const N: usize> CounterField for [T; N] {
+    const ZERO: Self = [T::ZERO; N];
+    fn field_delta(self, earlier: Self) -> Self {
+        std::array::from_fn(|i| self[i].field_delta(earlier[i]))
+    }
+    fn field_sum(self, other: Self) -> Self {
+        std::array::from_fn(|i| self[i].field_sum(other[i]))
     }
 }
 
-/// A monotone counter snapshot: copyable, zero-initializable, and
-/// subtractable. Implemented by [`snapshot_delta!`].
-pub trait CounterSnapshot: Copy + Default {
-    /// Per-field movement since `earlier` (saturating — see module doc).
+/// A thread-local counter family's snapshot type: readable on the
+/// calling thread and subtractable. Implemented by [`counter_family!`](crate::counter_family).
+pub trait CounterSnapshot: Copy {
+    /// The calling thread's running totals.
+    fn current() -> Self;
+    /// Per-field movement since `earlier`, clamped at zero.
     fn delta(&self, earlier: &Self) -> Self;
 }
 
-/// Derive the inherent `delta` method and the [`CounterSnapshot`] impl
-/// for a snapshot struct from its field list:
+/// Declare a counter struct from one field list.
+///
+/// The plain form is a per-object stats struct: it derives `Debug`,
+/// `Clone`, `Copy`, `Default`, `PartialEq` and `Eq` and gains `ZERO`,
+/// `delta` (saturating) and `merge` (additive):
 ///
 /// ```
-/// #[derive(Clone, Copy, Debug, Default)]
-/// pub struct Snap { pub hits: u64, pub misses: u64 }
-/// demi_telemetry::snapshot_delta!(Snap { hits, misses });
-/// let d = Snap { hits: 5, misses: 1 }.delta(&Snap { hits: 2, misses: 3 });
-/// assert_eq!((d.hits, d.misses), (3, 0)); // saturating
+/// demi_telemetry::counter_family! {
+///     /// What one shard counted.
+///     pub struct ShardWork {
+///         /// Frames seen.
+///         pub frames: u64,
+///         /// Frames per queue.
+///         pub per_queue: [u64; 2],
+///     }
+/// }
+/// let mut total = ShardWork::ZERO;
+/// total.merge(&ShardWork { frames: 2, per_queue: [2, 0] });
+/// total.merge(&ShardWork { frames: 3, per_queue: [1, 2] });
+/// assert_eq!(total, ShardWork { frames: 5, per_queue: [3, 2] });
+/// assert_eq!(ShardWork::ZERO.delta(&total), ShardWork::ZERO); // saturating
+/// ```
+///
+/// Following the struct with a reader signature makes it a thread-local
+/// family: the macro adds the per-thread cell, that reader, and one
+/// `note_*` function (adds 1) per field that names one with `=>`. A
+/// field without a note is bumped by hand-written code through the
+/// generated `pub(crate) fn update`:
+///
+/// ```
+/// demi_telemetry::counter_family! {
+///     /// Cache effectiveness.
+///     pub struct CacheSnapshot {
+///         /// Lookups answered from the cache.
+///         pub hits: u64 => note_hit,
+///         /// Bytes those lookups returned.
+///         pub hit_bytes: u64,
+///     }
+///     /// This thread's cache counters.
+///     pub fn cache_snapshot();
+/// }
+/// let before = cache_snapshot();
+/// note_hit();
+/// CacheSnapshot::update(|s| s.hit_bytes += 64);
+/// let moved = cache_snapshot().delta(&before);
+/// assert_eq!((moved.hits, moved.hit_bytes), (1, 64));
 /// ```
 #[macro_export]
-macro_rules! snapshot_delta {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $ty {
-            /// Per-field movement since `earlier` (saturating: a counter
-            /// reset between the two snapshots clamps to zero instead of
-            /// underflowing).
+macro_rules! counter_family {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: $fty:ty),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $fty,)*
+        }
+
+        impl $name {
+            /// Every counter at its starting value.
+            pub const ZERO: Self = Self {
+                $($field: <$fty as $crate::counters::CounterField>::ZERO,)*
+            };
+
+            /// Per-field movement since `earlier`, clamped at zero.
             pub fn delta(&self, earlier: &Self) -> Self {
                 Self {
-                    $($field: $crate::counters::FieldDelta::field_delta(
-                        &self.$field,
-                        &earlier.$field,
-                    ),)+
+                    $($field: $crate::counters::CounterField::field_delta(
+                        self.$field,
+                        earlier.$field,
+                    ),)*
                 }
             }
-        }
-        impl $crate::counters::CounterSnapshot for $ty {
-            fn delta(&self, earlier: &Self) -> Self {
-                <$ty>::delta(self, earlier)
+
+            /// Adds `other` field by field: counts taken on different
+            /// shards or threads sum exactly.
+            pub fn merge(&mut self, other: &Self) {
+                $(self.$field =
+                    $crate::counters::CounterField::field_sum(self.$field, other.$field);)*
             }
         }
     };
-}
-
-/// Declare the thread-local `Cell` holding a snapshot's running totals.
-/// The zero expression must be `const`-evaluable (snapshot structs are
-/// plain integer bags, so a struct literal of zeros always is):
-///
-/// ```
-/// # #[derive(Clone, Copy, Debug, Default)]
-/// # pub struct Snap { pub hits: u64 }
-/// # demi_telemetry::snapshot_delta!(Snap { hits });
-/// demi_telemetry::counter_cell!(static COUNTERS: Snap = Snap { hits: 0 });
-/// demi_telemetry::counters::update(&COUNTERS, |c| c.hits += 1);
-/// assert_eq!(demi_telemetry::counters::read(&COUNTERS).hits, 1);
-/// ```
-#[macro_export]
-macro_rules! counter_cell {
-    ($(#[$attr:meta])* $vis:vis static $name:ident: $ty:ty = $zero:expr) => {
-        ::std::thread_local! {
-            $(#[$attr])*
-            $vis static $name: ::std::cell::Cell<$ty> =
-                const { ::std::cell::Cell::new($zero) };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: $fty:ty $(=> $note:ident)?),* $(,)?
         }
+        $(#[$rmeta:meta])*
+        $rvis:vis fn $reader:ident();
+    ) => {
+        $crate::counter_family! {
+            $(#[$meta])*
+            $vis struct $name {
+                $($(#[$fmeta])* $fvis $field: $fty,)*
+            }
+        }
+
+        impl $name {
+            /// Read-modify-write the calling thread's totals (the body of
+            /// every `note_*`).
+            pub(crate) fn update(f: impl FnOnce(&mut Self)) {
+                Self::with_cell(|cell| {
+                    let mut totals = cell.get();
+                    f(&mut totals);
+                    cell.set(totals);
+                });
+            }
+
+            fn with_cell<R>(f: impl FnOnce(&::std::cell::Cell<Self>) -> R) -> R {
+                ::std::thread_local! {
+                    static CELL: ::std::cell::Cell<$name> =
+                        const { ::std::cell::Cell::new(<$name>::ZERO) };
+                }
+                CELL.with(f)
+            }
+        }
+
+        impl $crate::counters::CounterSnapshot for $name {
+            fn current() -> Self {
+                Self::with_cell(::std::cell::Cell::get)
+            }
+            fn delta(&self, earlier: &Self) -> Self {
+                <$name>::delta(self, earlier)
+            }
+        }
+
+        $(#[$rmeta])*
+        $rvis fn $reader() -> $name {
+            <$name as $crate::counters::CounterSnapshot>::current()
+        }
+
+        $($(
+            #[doc = concat!(
+                "Adds one to this thread's [`", stringify!($name), "::", stringify!($field), "`]."
+            )]
+            pub fn $note() {
+                <$name>::update(|totals| totals.$field += 1);
+            }
+        )?)*
     };
 }
 
-/// Read-modify-write a counter cell (the body of every `note_*` helper).
-pub fn update<S: Copy>(cell: &'static LocalKey<Cell<S>>, f: impl FnOnce(&mut S)) {
-    cell.with(|c| {
-        let mut snap = c.get();
-        f(&mut snap);
-        c.set(snap);
-    });
-}
-
-/// Read a counter cell's running totals (the body of every `snapshot()`).
-pub fn read<S: Copy>(cell: &'static LocalKey<Cell<S>>) -> S {
-    cell.with(|c| c.get())
-}
-
-/// Zero a counter cell (the body of every `reset()`).
-pub fn zero<S: Copy + Default>(cell: &'static LocalKey<Cell<S>>) {
-    cell.with(|c| c.set(S::default()));
-}
-
-/// Fold-since-here state for one snapshot type. `Metrics` holds one per
-/// counter family: captured at construction, moved forward on
-/// [`Baseline::rebase`] (reset), and differenced on every snapshot fold.
-#[derive(Clone, Copy, Debug, Default)]
+/// The start of a measurement window over one thread-local family:
+/// captured on the measuring thread, then asked for the movement since.
+/// `Metrics` holds one per family it folds and re-captures it on reset.
+#[derive(Clone, Copy, Debug)]
 pub struct Baseline<S: CounterSnapshot> {
     base: S,
 }
 
 impl<S: CounterSnapshot> Baseline<S> {
-    /// Start the fold at `current` — movement before this point is
-    /// invisible to this baseline.
-    pub fn new(current: S) -> Self {
-        Self { base: current }
+    /// Start the window at the calling thread's current totals —
+    /// movement before this point is invisible to this baseline.
+    pub fn capture() -> Self {
+        Self { base: S::current() }
     }
 
-    /// Move the fold origin to `current` (what `Metrics::reset` does).
-    pub fn rebase(&mut self, current: S) {
-        self.base = current;
-    }
-
-    /// Movement from the fold origin to `current`.
-    pub fn movement(&self, current: S) -> S {
-        current.delta(&self.base)
+    /// Movement on the calling thread since the capture.
+    pub fn movement(&self) -> S {
+        S::current().delta(&self.base)
     }
 }
 
@@ -161,94 +238,82 @@ impl<S: CounterSnapshot> Baseline<S> {
 mod tests {
     use super::*;
 
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-    struct Snap {
-        ops: u64,
-        buckets: [u64; 3],
+    crate::counter_family! {
+        /// A family with every field shape the macro supports.
+        pub struct Snap {
+            /// Scalar with a generated note.
+            pub ops: u64 => note_op,
+            /// Second scalar with a generated note.
+            pub errs: u64 => note_err,
+            /// Array without one (bumped through `update`).
+            pub buckets: [u64; 3],
+        }
+        /// This thread's totals.
+        pub fn snap();
     }
-    crate::snapshot_delta!(Snap { ops, buckets });
 
-    crate::counter_cell!(static SNAP: Snap = Snap { ops: 0, buckets: [0; 3] });
-
+    /// The whole contract in one place: each generated `note_*` bumps
+    /// exactly its field, `delta` saturates, `merge` adds scalars and
+    /// arrays, a `Baseline` reports movement since its capture, and a
+    /// second thread sees its own zeroed cell.
     #[test]
-    fn delta_is_fieldwise() {
-        let a = Snap {
-            ops: 10,
-            buckets: [4, 5, 6],
-        };
-        let b = Snap {
-            ops: 3,
-            buckets: [1, 5, 2],
-        };
+    fn family_notes_delta_merge_baseline_and_thread_isolation() {
+        let before = snap();
+        let baseline = Baseline::<Snap>::capture();
+        note_op();
+        note_op();
+        let ops_only = snap().delta(&before);
         assert_eq!(
-            a.delta(&b),
-            Snap {
-                ops: 7,
-                buckets: [3, 0, 4]
-            }
+            (ops_only.ops, ops_only.errs, ops_only.buckets),
+            (2, 0, [0; 3])
         );
-    }
-
-    #[test]
-    fn delta_saturates_instead_of_underflowing() {
-        // Simulates a crate-level reset between baseline and fold: the
-        // "current" totals are below the baseline. Plain subtraction
-        // would panic here in debug builds.
-        let after_reset = Snap {
+        note_err();
+        Snap::update(|s| s.buckets[1] += 5);
+        let moved = snap().delta(&before);
+        let expected = Snap {
             ops: 2,
-            buckets: [0, 1, 0],
+            errs: 1,
+            buckets: [0, 5, 0],
         };
-        let stale_base = Snap {
+        assert_eq!(moved, expected);
+        assert_eq!(baseline.movement(), expected);
+        assert_eq!(Baseline::<Snap>::capture().movement(), Snap::ZERO);
+
+        // An "earlier" reading above the current one clamps to zero.
+        let high = Snap {
             ops: 100,
-            buckets: [50, 0, 50],
+            errs: 0,
+            buckets: [9, 0, 9],
         };
         assert_eq!(
-            after_reset.delta(&stale_base),
+            moved.delta(&high),
             Snap {
                 ops: 0,
-                buckets: [0, 1, 0]
+                errs: 1,
+                buckets: [0, 5, 0],
             }
         );
-    }
 
-    #[test]
-    fn cell_update_read_zero_roundtrip() {
-        zero(&SNAP);
-        update(&SNAP, |s| {
-            s.ops += 2;
-            s.buckets[1] += 1;
-        });
+        let mut sum = moved;
+        sum.merge(&high);
         assert_eq!(
-            read(&SNAP),
+            sum,
             Snap {
-                ops: 2,
-                buckets: [0, 1, 0]
+                ops: 102,
+                errs: 1,
+                buckets: [9, 5, 9],
             }
         );
-        zero(&SNAP);
-        assert_eq!(read(&SNAP), Snap::default());
-    }
 
-    #[test]
-    fn baseline_fold_and_rebase() {
-        let mut b = Baseline::new(Snap {
-            ops: 5,
-            buckets: [1, 1, 1],
-        });
-        let now = Snap {
-            ops: 9,
-            buckets: [1, 2, 3],
-        };
-        assert_eq!(
-            b.movement(now),
-            Snap {
-                ops: 4,
-                buckets: [0, 1, 2]
-            }
-        );
-        b.rebase(now);
-        assert_eq!(b.movement(now), Snap::default());
-        // A thread-local reset to zero after the rebase clamps cleanly.
-        assert_eq!(b.movement(Snap::default()), Snap::default());
+        let elsewhere = std::thread::spawn(|| {
+            let fresh = snap();
+            note_err();
+            (fresh, snap())
+        })
+        .join()
+        .expect("counter thread panicked");
+        assert_eq!(elsewhere.0, Snap::ZERO, "a new thread starts from zero");
+        assert_eq!(elsewhere.1.errs, 1);
+        assert_eq!(snap().delta(&before), expected, "and moves only its own");
     }
 }

@@ -13,8 +13,10 @@
 //! histogram or span code, no allocation, no stamp capture.
 //!
 //! Layering:
-//! - [`counters`] — the shared thread-local counter/baseline-delta
-//!   pattern every sim crate's `counters.rs` is built on.
+//! - [`counters`] — [`counter_family!`]: every counter struct in the
+//!   tree (per-object stats and thread-local families alike) is declared
+//!   once through it, with `delta`, `merge`, the per-thread cell and the
+//!   `note_*` functions derived.
 //! - [`hist`] — fixed-size log-bucketed histograms with quantile
 //!   extraction (HDR-style; exact counts, bounded relative error).
 //! - [`stage`] — a small registry of per-stage histograms (end-to-end op

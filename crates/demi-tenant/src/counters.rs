@@ -1,104 +1,33 @@
-//! Isolation-event counters, in the shared thread-local snapshot/delta
-//! pattern from `demi_telemetry::counters`.
+//! Isolation-event counters.
 //!
 //! Each count is one enforcement event: a DRR scheduling round at the
 //! shared doorbell, a frame refused by a tenant's token bucket, a frame
 //! (RX or TX) dropped at a tenant's quota, a denied cross-tenant
 //! buffer/port access, or a private mempool refusing an allocation over
-//! budget. `demikernel::Metrics` folds these with a baseline like every
-//! other counter family, so E20 asserts isolation *events*, not just
-//! end-to-end latency.
+//! budget. The enforcing code sits in three crates (buffers, pools, the
+//! stack's lanes) and a denial has no object to live on, so these are one
+//! thread-local family (`demi_telemetry::counter_family!`), counted on
+//! the thread — the shard world — that enforced. `demikernel::Metrics`
+//! folds them against a baseline like every other family, so the tenant
+//! tests assert isolation *events*, not just end-to-end latency.
 
-use demi_telemetry::{counter_cell, counters, snapshot_delta};
-
-/// A point-in-time reading of the tenant isolation counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantSnapshot {
-    /// Deficit-round-robin rounds executed over tenant TX lanes.
-    pub tx_deficit_rounds: u64,
-    /// Frames held back by a tenant's token-bucket rate limit (they stay
-    /// staged and retry when the bucket refills).
-    pub rate_limited_frames: u64,
-    /// Frames dropped at a tenant quota: TX lane full or RX slice spent.
-    pub quota_drops: u64,
-    /// Cross-tenant accesses denied: foreign buffer views/clones/
-    /// prepends and foreign port binds.
-    pub cross_tenant_denials: u64,
-    /// Allocations refused because a tenant's private pool partition was
-    /// at its byte budget.
-    pub pool_exhaustions: u64,
-}
-
-snapshot_delta!(TenantSnapshot {
-    tx_deficit_rounds,
-    rate_limited_frames,
-    quota_drops,
-    cross_tenant_denials,
-    pool_exhaustions,
-});
-
-counter_cell!(static COUNTERS: TenantSnapshot = TenantSnapshot {
-    tx_deficit_rounds: 0,
-    rate_limited_frames: 0,
-    quota_drops: 0,
-    cross_tenant_denials: 0,
-    pool_exhaustions: 0,
-});
-
-/// Records one DRR round over the tenant TX lanes.
-pub fn note_tx_deficit_round() {
-    counters::update(&COUNTERS, |s| s.tx_deficit_rounds += 1);
-}
-
-/// Records one frame held back by a token-bucket rate limit.
-pub fn note_rate_limited_frame() {
-    counters::update(&COUNTERS, |s| s.rate_limited_frames += 1);
-}
-
-/// Records one frame dropped at a tenant quota.
-pub fn note_quota_drop() {
-    counters::update(&COUNTERS, |s| s.quota_drops += 1);
-}
-
-/// Records one denied cross-tenant access.
-pub fn note_cross_tenant_denial() {
-    counters::update(&COUNTERS, |s| s.cross_tenant_denials += 1);
-}
-
-/// Records one allocation refused by a tenant pool at its budget.
-pub fn note_pool_exhaustion() {
-    counters::update(&COUNTERS, |s| s.pool_exhaustions += 1);
-}
-
-/// Current counter values.
-pub fn snapshot() -> TenantSnapshot {
-    counters::read(&COUNTERS)
-}
-
-/// Resets all counters to zero.
-pub fn reset() {
-    counters::zero(&COUNTERS);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn notes_accumulate_and_delta() {
-        reset();
-        let before = snapshot();
-        note_tx_deficit_round();
-        note_rate_limited_frame();
-        note_rate_limited_frame();
-        note_quota_drop();
-        note_cross_tenant_denial();
-        note_pool_exhaustion();
-        let d = snapshot().delta(&before);
-        assert_eq!(d.tx_deficit_rounds, 1);
-        assert_eq!(d.rate_limited_frames, 2);
-        assert_eq!(d.quota_drops, 1);
-        assert_eq!(d.cross_tenant_denials, 1);
-        assert_eq!(d.pool_exhaustions, 1);
+demi_telemetry::counter_family! {
+    /// A point-in-time reading of the tenant isolation counters.
+    pub struct TenantSnapshot {
+        /// Deficit-round-robin rounds executed over tenant TX lanes.
+        pub tx_deficit_rounds: u64 => note_tx_deficit_round,
+        /// Frames held back by a tenant's token-bucket rate limit (they stay
+        /// staged and retry when the bucket refills).
+        pub rate_limited_frames: u64 => note_rate_limited_frame,
+        /// Frames dropped at a tenant quota: TX lane full or RX slice spent.
+        pub quota_drops: u64 => note_quota_drop,
+        /// Cross-tenant accesses denied: foreign buffer views/clones/
+        /// prepends and foreign port binds.
+        pub cross_tenant_denials: u64 => note_cross_tenant_denial,
+        /// Allocations refused because a tenant's private pool partition was
+        /// at its byte budget.
+        pub pool_exhaustions: u64 => note_pool_exhaustion,
     }
+    /// This thread's tenant isolation counter totals.
+    pub fn snapshot();
 }

@@ -21,7 +21,6 @@
 //!   models the Table-1 right column (FPGA/SoC SmartNICs) and powers the
 //!   offload experiment (E6).
 
-pub mod counters;
 pub mod mbuf;
 pub mod mempool;
 pub mod mtq;

@@ -170,7 +170,6 @@ impl DpdkPort {
     pub fn tx_burst(&self, frames: &[Mbuf]) -> usize {
         let mut inner = self.inner.borrow_mut();
         inner.stats.tx_burst_calls += 1;
-        crate::counters::note_tx_burst(frames.len());
         // Attribute the doorbell to the op whose coroutine is being
         // polled (if any) — the device-handoff point of its span.
         if demi_telemetry::span::enabled() {
@@ -319,13 +318,11 @@ impl PortInner {
             if ring.len() >= self.config.rx_ring_size {
                 self.stats.rx_ring_drops += 1;
                 self.queue_stats[queue as usize].dropped += 1;
-                crate::counters::note_rx_dropped(queue);
                 continue;
             }
             self.stats.rx_frames += 1;
             self.stats.rx_bytes += data.len() as u64;
             self.queue_stats[queue as usize].enqueued += 1;
-            crate::counters::note_rx_enqueued(queue);
             let mut mbuf = Mbuf::from_data(data);
             mbuf.rx_timestamp = frame.delivered_at;
             mbuf.rss_hash = hash;
@@ -365,7 +362,6 @@ impl PortInner {
                 if ring.len() >= self.config.rx_ring_size {
                     self.stats.rx_ring_drops += 1;
                     self.queue_stats[q].dropped += 1;
-                    crate::counters::note_rx_dropped(q as u16);
                     continue;
                 }
                 let hash = crate::rss::hash_frame(&bytes);
@@ -373,7 +369,6 @@ impl PortInner {
                 self.stats.rx_frames += 1;
                 self.stats.rx_bytes += data.len() as u64;
                 self.queue_stats[q].enqueued += 1;
-                crate::counters::note_rx_enqueued(q as u16);
                 let mut mbuf = Mbuf::from_data(data);
                 mbuf.rss_hash = hash;
                 mbuf.queue = q as u16;

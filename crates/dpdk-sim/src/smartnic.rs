@@ -223,11 +223,9 @@ impl SmartNic {
                 } => {
                     self.stats.device_cycles += cycles_per_frame;
                     slot.cycles += cycles_per_frame;
-                    crate::counters::note_slot_exec(i, cycles_per_frame);
                     if !predicate(frame.as_slice()) {
                         self.stats.frames_filtered += 1;
                         slot.drops += 1;
-                        crate::counters::note_slot_drop(i);
                         return RxDecision::Drop;
                     }
                 }
@@ -237,7 +235,6 @@ impl SmartNic {
                 } => {
                     self.stats.device_cycles += cycles_per_frame;
                     slot.cycles += cycles_per_frame;
-                    crate::counters::note_slot_exec(i, cycles_per_frame);
                     if let Some(q) = selector(frame.as_slice()) {
                         queue = Some(q);
                     }
@@ -248,7 +245,6 @@ impl SmartNic {
                 } => {
                     self.stats.device_cycles += cycles_per_frame;
                     slot.cycles += cycles_per_frame;
-                    crate::counters::note_slot_exec(i, cycles_per_frame);
                     match frame.try_mut() {
                         Some(bytes) => transform(bytes),
                         None => {
@@ -267,18 +263,15 @@ impl SmartNic {
                     let outcome = engine.borrow_mut().process(frame.as_slice(), now);
                     self.stats.device_cycles += outcome.cycles;
                     slot.cycles += outcome.cycles;
-                    crate::counters::note_slot_exec(i, outcome.cycles);
                     if outcome.served {
                         self.stats.frames_served += 1;
                         slot.served += 1;
-                        crate::counters::note_slot_served(i);
                     }
                     match outcome.action {
                         OffloadAction::Deliver => {}
                         OffloadAction::Absorb => {
                             self.stats.frames_absorbed += 1;
                             slot.drops += 1;
-                            crate::counters::note_slot_drop(i);
                             self.tx.extend(engine.borrow_mut().take_tx());
                             return RxDecision::Absorb;
                         }

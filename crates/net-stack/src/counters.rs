@@ -1,248 +1,81 @@
-//! Stack-level batching accounting for the E13 experiment.
+//! The stack's thread-local counter families.
 //!
-//! Two of the batching claims live above the device: ACK coalescing (a
-//! streamed transfer should *not* emit one pure-ACK frame per data
-//! segment) and the bounded RX budget (a flood must not let `rx_pass`
-//! monopolize the poll loop). Both are counted here so the experiment
-//! asserts them instead of printing them.
+//! Most of what the stack counts belongs to an object and lives on that
+//! object's `stats()`: frames and drops on the shard ([`crate::StackStats`],
+//! [`crate::ShardStats`]), ring traffic on the ring
+//! ([`crate::RingStats`]), segments, ACKs and coalesced ACKs on the
+//! control block (`tcp_conn_stats`). What is counted *here* are the
+//! events whose owner is out of a test's or `Metrics`' reach — buried in
+//! a peer's demux table, timer wheel, TIME_WAIT map or SYN table — or
+//! that no single object owns (a poll pass running out of RX budget).
 //!
-//! Counters follow the shared thread-local snapshot/delta pattern from
-//! `demi_telemetry::counters` (the simulation is single-threaded);
-//! consumers snapshot before and after a window of work and take the
-//! saturating delta.
+//! Each family is one `demi_telemetry::counter_family!` declaration and
+//! is per thread: under thread-per-shard execution every shard world
+//! counts its own. Totals only grow; a consumer snapshots before and
+//! after a window of work and takes the saturating `delta`.
 
-use demi_telemetry::{counter_cell, counters, snapshot_delta};
-
-/// A point-in-time reading of the stack batching counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchSnapshot {
-    /// Pure-ACK frames avoided by delayed-ACK coalescing: each count is a
-    /// received segment whose acknowledgment rode on another segment
-    /// (outgoing data, a FIN, or a shared every-2nd-segment ACK) instead of
-    /// costing its own frame.
-    pub acks_coalesced: u64,
-    /// Poll passes that hit the RX budget with frames still pending in the
-    /// device ring (the backlog is reported as remaining work, not drained
-    /// in one pass).
-    pub rx_budget_exhausted: u64,
+demi_telemetry::counter_family! {
+    /// A point-in-time reading of the poll-loop batching counters.
+    pub struct BatchSnapshot {
+        /// Poll passes that hit the RX budget with frames still pending in the
+        /// device ring (the backlog is reported as remaining work, not drained
+        /// in one pass).
+        pub rx_budget_exhausted: u64 => note_rx_budget_exhausted,
+    }
+    /// This thread's batching counter totals.
+    pub fn snapshot();
 }
 
-snapshot_delta!(BatchSnapshot {
-    acks_coalesced,
-    rx_budget_exhausted
-});
-
-counter_cell!(static COUNTERS: BatchSnapshot = BatchSnapshot {
-    acks_coalesced: 0,
-    rx_budget_exhausted: 0,
-});
-
-/// Records one coalesced acknowledgment (a pure-ACK frame that never hit
-/// the wire).
-pub fn note_ack_coalesced() {
-    counters::update(&COUNTERS, |s| s.acks_coalesced += 1);
+demi_telemetry::counter_family! {
+    /// A point-in-time reading of the timer-wheel counters.
+    ///
+    /// Timer work scales with *firing* timers, not resident connections:
+    /// `timers_fired` + `timers_stale` bound the per-poll timer cost, and an
+    /// idle connection contributes to neither (`tests/sharding.rs`).
+    pub struct ShardSnapshot {
+        /// Timer entries scheduled on a wheel.
+        pub timers_scheduled: u64 => note_timer_scheduled,
+        /// Wheel entries that fired live (their connection was then ticked).
+        pub timers_fired: u64 => note_timer_fired,
+        /// Wheel entries discarded as lazily-cancelled (superseded generation).
+        pub timers_stale: u64 => note_timer_stale,
+    }
+    /// This thread's timer-wheel counter totals.
+    pub fn shard_snapshot();
 }
 
-/// Records one poll pass that exhausted its RX budget with work left over.
-pub fn note_rx_budget_exhausted() {
-    counters::update(&COUNTERS, |s| s.rx_budget_exhausted += 1);
-}
-
-/// Current counter values.
-pub fn snapshot() -> BatchSnapshot {
-    counters::read(&COUNTERS)
-}
-
-/// Resets all counters to zero.
-pub fn reset() {
-    counters::zero(&COUNTERS);
-    counters::zero(&SHARD);
-    counters::zero(&CONN);
-}
-
-/// A point-in-time reading of the sharding and timer-wheel counters (E14).
-///
-/// The sharded stack's two structural claims are counted here: frames stay
-/// on the shard their flow hashes to (`steering_mismatches` stays zero when
-/// RSS and `shard_for` agree), and timer work scales with *firing* timers,
-/// not resident connections (`timers_fired` + `timers_stale` bound the
-/// per-poll timer cost; idle connections contribute to neither).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardSnapshot {
-    /// Frames that arrived on a queue whose shard does not own their flow
-    /// (SmartNIC steering programs can override RSS); each was handed off
-    /// to the owning shard.
-    pub steering_mismatches: u64,
-    /// Timer entries scheduled on a wheel.
-    pub timers_scheduled: u64,
-    /// Wheel entries that fired live (their connection was then ticked).
-    pub timers_fired: u64,
-    /// Wheel entries discarded as lazily-cancelled (superseded generation).
-    pub timers_stale: u64,
-    /// Cross-shard sends that found the destination ring or handoff queue
-    /// full (the bounded queues pushing back).
-    pub handoff_backpressure: u64,
-    /// Cross-shard messages discarded because the destination stayed full
-    /// (TCP retransmission recovers; the queue never grows unbounded).
-    pub handoff_dropped: u64,
-}
-
-snapshot_delta!(ShardSnapshot {
-    steering_mismatches,
-    timers_scheduled,
-    timers_fired,
-    timers_stale,
-    handoff_backpressure,
-    handoff_dropped,
-});
-
-counter_cell!(static SHARD: ShardSnapshot = ShardSnapshot {
-    steering_mismatches: 0,
-    timers_scheduled: 0,
-    timers_fired: 0,
-    timers_stale: 0,
-    handoff_backpressure: 0,
-    handoff_dropped: 0,
-});
-
-/// Records one frame handed off to the shard owning its flow.
-pub fn note_steering_mismatch() {
-    counters::update(&SHARD, |s| s.steering_mismatches += 1);
-}
-
-/// Records one timer entry scheduled on a wheel.
-pub fn note_timer_scheduled() {
-    counters::update(&SHARD, |s| s.timers_scheduled += 1);
-}
-
-/// Records one wheel entry firing live.
-pub fn note_timer_fired() {
-    counters::update(&SHARD, |s| s.timers_fired += 1);
-}
-
-/// Records one lazily-cancelled wheel entry being discarded.
-pub fn note_timer_stale() {
-    counters::update(&SHARD, |s| s.timers_stale += 1);
-}
-
-/// Records one cross-shard send that found its destination full.
-pub fn note_handoff_backpressure() {
-    counters::update(&SHARD, |s| s.handoff_backpressure += 1);
-}
-
-/// Records one cross-shard message discarded at a full destination.
-pub fn note_handoff_dropped() {
-    counters::update(&SHARD, |s| s.handoff_dropped += 1);
-}
-
-/// Current sharding/timer counter values.
-pub fn shard_snapshot() -> ShardSnapshot {
-    counters::read(&SHARD)
-}
-
-/// A point-in-time reading of the connection-scale counters (E18).
-///
-/// These count the structural claims of the slab/demux/TIME_WAIT/SYN-table
-/// design: demux cache effectiveness (`demux_cache_hits` over
-/// `demux_lookups`), TIME_WAIT demotion actually happening (`tw_demoted` /
-/// `tw_expired`), SYN-table pressure under flood (`syns_evicted`), and the
-/// lazy-queue lifecycle (`tcb_queue_allocs` stays flat in steady state —
-/// the zero-alloc claim's TCP-layer witness; `tcb_queue_releases` counts
-/// parked connections compacted back to zero heap).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ConnSnapshot {
-    /// Demux table lookups (established-flow segment matches attempted).
-    pub demux_lookups: u64,
-    /// Demux lookups answered by the single-entry last-flow cache without
-    /// hashing.
-    pub demux_cache_hits: u64,
-    /// Full control blocks demoted to compact `TimeWaitRecord`s.
-    pub tw_demoted: u64,
-    /// TIME_WAIT records expired at 2·MSL (port recycled).
-    pub tw_expired: u64,
-    /// ACKs re-sent by a TIME_WAIT record for a late FIN.
-    pub tw_reacks: u64,
-    /// SYN-table entries evicted (oldest-first) to admit a newer SYN.
-    pub syns_evicted: u64,
-    /// Lazy queue boxes allocated on first use.
-    pub tcb_queue_allocs: u64,
-    /// Drained queue boxes released by the compactor.
-    pub tcb_queue_releases: u64,
-    /// Times a peer's reusable TX scratch buffer had to grow (steady state
-    /// should hold this at zero once warmed).
-    pub outbox_scratch_grows: u64,
-}
-
-snapshot_delta!(ConnSnapshot {
-    demux_lookups,
-    demux_cache_hits,
-    tw_demoted,
-    tw_expired,
-    tw_reacks,
-    syns_evicted,
-    tcb_queue_allocs,
-    tcb_queue_releases,
-    outbox_scratch_grows,
-});
-
-counter_cell!(static CONN: ConnSnapshot = ConnSnapshot {
-    demux_lookups: 0,
-    demux_cache_hits: 0,
-    tw_demoted: 0,
-    tw_expired: 0,
-    tw_reacks: 0,
-    syns_evicted: 0,
-    tcb_queue_allocs: 0,
-    tcb_queue_releases: 0,
-    outbox_scratch_grows: 0,
-});
-
-/// Records one demux table lookup.
-pub fn note_demux_lookup() {
-    counters::update(&CONN, |s| s.demux_lookups += 1);
-}
-
-/// Records one demux lookup served by the last-flow cache.
-pub fn note_demux_cache_hit() {
-    counters::update(&CONN, |s| s.demux_cache_hits += 1);
-}
-
-/// Records one control block demoted to a compact TIME_WAIT record.
-pub fn note_tw_demoted() {
-    counters::update(&CONN, |s| s.tw_demoted += 1);
-}
-
-/// Records one TIME_WAIT record expiring at 2·MSL.
-pub fn note_tw_expired() {
-    counters::update(&CONN, |s| s.tw_expired += 1);
-}
-
-/// Records one late-FIN re-ACK sent from a TIME_WAIT record.
-pub fn note_tw_reack() {
-    counters::update(&CONN, |s| s.tw_reacks += 1);
-}
-
-/// Records one oldest-first SYN-table eviction.
-pub fn note_syn_evicted() {
-    counters::update(&CONN, |s| s.syns_evicted += 1);
-}
-
-/// Records one lazy queue-box allocation.
-pub fn note_tcb_queues_allocated() {
-    counters::update(&CONN, |s| s.tcb_queue_allocs += 1);
-}
-
-/// Records one drained queue box released by the compactor.
-pub fn note_tcb_queues_released() {
-    counters::update(&CONN, |s| s.tcb_queue_releases += 1);
-}
-
-/// Records one growth of a peer's reusable TX scratch buffer.
-pub fn note_outbox_scratch_grow() {
-    counters::update(&CONN, |s| s.outbox_scratch_grows += 1);
-}
-
-/// Current connection-scale counter values.
-pub fn conn_snapshot() -> ConnSnapshot {
-    counters::read(&CONN)
+demi_telemetry::counter_family! {
+    /// A point-in-time reading of the connection-scale counters.
+    ///
+    /// These count the structural claims of the slab/demux/TIME_WAIT/SYN-table
+    /// design: demux cache effectiveness (`demux_cache_hits` over
+    /// `demux_lookups`), TIME_WAIT demotion actually happening (`tw_demoted` /
+    /// `tw_expired`), SYN-table pressure under flood (`syns_evicted`), and the
+    /// lazy-queue lifecycle (`tcb_queue_allocs` stays flat in steady state —
+    /// the zero-alloc claim's TCP-layer witness; `tcb_queue_releases` counts
+    /// parked connections compacted back to zero heap).
+    pub struct ConnSnapshot {
+        /// Demux table lookups (established-flow segment matches attempted).
+        pub demux_lookups: u64 => note_demux_lookup,
+        /// Demux lookups answered by the single-entry last-flow cache without
+        /// hashing.
+        pub demux_cache_hits: u64 => note_demux_cache_hit,
+        /// Full control blocks demoted to compact `TimeWaitRecord`s.
+        pub tw_demoted: u64 => note_tw_demoted,
+        /// TIME_WAIT records expired at 2·MSL (port recycled).
+        pub tw_expired: u64 => note_tw_expired,
+        /// SYN-table entries evicted (oldest-first) to admit a newer SYN. The
+        /// evicting peer's `TcpStats::syns_evicted` counts the same event per
+        /// peer; this is the thread-wide total `Metrics` folds.
+        pub syns_evicted: u64 => note_syn_evicted,
+        /// Lazy queue boxes allocated on first use.
+        pub tcb_queue_allocs: u64 => note_tcb_queues_allocated,
+        /// Drained queue boxes released by the compactor.
+        pub tcb_queue_releases: u64 => note_tcb_queues_released,
+        /// Times a peer's reusable TX scratch buffer had to grow (steady state
+        /// should hold this at zero once warmed).
+        pub outbox_scratch_grows: u64 => note_outbox_scratch_grow,
+    }
+    /// This thread's connection-scale counter totals.
+    pub fn conn_snapshot();
 }

@@ -13,9 +13,9 @@
 //! A full ring exerts *backpressure by dropping*: frames are the
 //! retransmittable kind of traffic (TCP recovers; a lost ARP learn only
 //! delays the next retry), so a slow shard costs the sender a counted
-//! drop, never an unbounded queue. Both events are counted
-//! (`handoff_backpressure`, `handoff_dropped`) so experiments can assert
-//! the path is idle rather than assume it.
+//! drop, never an unbounded queue. Both events are counted on the sending
+//! endpoint ([`RingStats::backpressure`], [`RingStats::dropped`]) so
+//! experiments can assert the path is idle rather than assume it.
 
 use std::net::Ipv4Addr;
 
@@ -87,8 +87,6 @@ impl ShardRings {
             Err(_) => {
                 self.stats.backpressure += 1;
                 self.stats.dropped += 1;
-                crate::counters::note_handoff_backpressure();
-                crate::counters::note_handoff_dropped();
                 false
             }
         }

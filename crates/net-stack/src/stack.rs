@@ -131,28 +131,29 @@ impl StackConfig {
     }
 }
 
-/// Stack-level counters (summed across shards by [`NetworkStack::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StackStats {
-    /// Frames processed from the device.
-    pub rx_frames: u64,
-    /// Frames handed to the device.
-    pub tx_frames: u64,
-    /// Frames dropped as malformed (bad checksum, short headers, ...).
-    pub malformed: u64,
-    /// Frames addressed to someone else (wrong IP) and dropped.
-    pub not_for_us: u64,
-    /// ARP requests transmitted.
-    pub arp_requests: u64,
-    /// ARP replies transmitted.
-    pub arp_replies: u64,
-    /// ICMP echo replies transmitted.
-    pub icmp_replies: u64,
-    /// Outbound packets dropped because ARP resolution failed.
-    pub unreachable_drops: u64,
-    /// ICMP echo replies dropped at a full pong queue
-    /// ([`PONG_QUEUE_CAP`]).
-    pub pongs_dropped: u64,
+demi_telemetry::counter_family! {
+    /// Stack-level counters (summed across shards by [`NetworkStack::stats`]).
+    pub struct StackStats {
+        /// Frames processed from the device.
+        pub rx_frames: u64,
+        /// Frames handed to the device.
+        pub tx_frames: u64,
+        /// Frames dropped as malformed (bad checksum, short headers, ...).
+        pub malformed: u64,
+        /// Frames addressed to someone else (wrong IP) and dropped.
+        pub not_for_us: u64,
+        /// ARP requests transmitted.
+        pub arp_requests: u64,
+        /// ARP replies transmitted.
+        pub arp_replies: u64,
+        /// ICMP echo replies transmitted.
+        pub icmp_replies: u64,
+        /// Outbound packets dropped because ARP resolution failed.
+        pub unreachable_drops: u64,
+        /// ICMP echo replies dropped at a full pong queue
+        /// ([`PONG_QUEUE_CAP`]).
+        pub pongs_dropped: u64,
+    }
 }
 
 /// Per-shard counters.
@@ -427,18 +428,9 @@ impl NetworkStack {
 
     /// Stack counters, summed across shards.
     pub fn stats(&self) -> StackStats {
-        let mut total = StackStats::default();
+        let mut total = StackStats::ZERO;
         for s in &self.shards {
-            let st = s.borrow().stats;
-            total.rx_frames += st.rx_frames;
-            total.tx_frames += st.tx_frames;
-            total.malformed += st.malformed;
-            total.not_for_us += st.not_for_us;
-            total.arp_requests += st.arp_requests;
-            total.arp_replies += st.arp_replies;
-            total.icmp_replies += st.icmp_replies;
-            total.unreachable_drops += st.unreachable_drops;
-            total.pongs_dropped += st.pongs_dropped;
+            total.merge(&s.borrow().stats);
         }
         total
     }
@@ -451,27 +443,18 @@ impl NetworkStack {
 
     /// UDP layer counters, summed across shards.
     pub fn udp_stats(&self) -> UdpStats {
-        let mut total = UdpStats::default();
+        let mut total = UdpStats::ZERO;
         for s in &self.shards {
-            let st = s.borrow().udp.stats();
-            total.delivered += st.delivered;
-            total.no_listener += st.no_listener;
-            total.queue_drops += st.queue_drops;
+            total.merge(&s.borrow().udp.stats());
         }
         total
     }
 
     /// TCP layer counters, summed across shards.
     pub fn tcp_stats(&self) -> TcpStats {
-        let mut total = TcpStats::default();
+        let mut total = TcpStats::ZERO;
         for s in &self.shards {
-            let st = s.borrow().tcp.stats();
-            total.demuxed += st.demuxed;
-            total.syns_accepted += st.syns_accepted;
-            total.syns_dropped_backlog += st.syns_dropped_backlog;
-            total.syns_evicted += st.syns_evicted;
-            total.resets_sent += st.resets_sent;
-            total.unmatched += st.unmatched;
+            total.merge(&s.borrow().tcp.stats());
         }
         total
     }
@@ -480,16 +463,9 @@ impl NetworkStack {
     /// headline `bytes_per_conn` for E18 is `(slab_bytes + cb_heap_bytes
     /// + demux_bytes) / live_conns`.
     pub fn tcp_mem_stats(&self) -> TcpMemStats {
-        let mut total = TcpMemStats::default();
+        let mut total = TcpMemStats::ZERO;
         for s in &self.shards {
-            let m = s.borrow().tcp.mem_stats();
-            total.slab_bytes += m.slab_bytes;
-            total.cb_heap_bytes += m.cb_heap_bytes;
-            total.demux_bytes += m.demux_bytes;
-            total.timewait_bytes += m.timewait_bytes;
-            total.syn_table_bytes += m.syn_table_bytes;
-            total.live_conns += m.live_conns;
-            total.timewait_records += m.timewait_records;
+            total.merge(&s.borrow().tcp.mem_stats());
         }
         total
     }

@@ -228,8 +228,6 @@ impl Shard {
         if self.handoff.len() >= self.config.handoff_capacity {
             self.shard_stats.handoff_backpressure += 1;
             self.shard_stats.handoff_dropped += 1;
-            crate::counters::note_handoff_backpressure();
-            crate::counters::note_handoff_dropped();
             return;
         }
         self.handoff.push_back(mbuf);
@@ -248,7 +246,6 @@ impl Shard {
             if let Some(world) = rss::flow_queue_for_frame(mbuf.as_slice(), gtotal) {
                 if world as usize != gidx as usize {
                     self.shard_stats.steering_mismatches += 1;
-                    crate::counters::note_steering_mismatch();
                     self.ext_forwards
                         .push((world as usize, mbuf.as_slice().to_vec()));
                     return;
@@ -259,7 +256,6 @@ impl Shard {
             let owner = rss::queue_for_frame(mbuf.as_slice(), self.num_shards as u16) as usize;
             if owner != self.queue as usize {
                 self.shard_stats.steering_mismatches += 1;
-                crate::counters::note_steering_mismatch();
                 self.forwards.push((owner, mbuf));
                 return;
             }

@@ -1145,7 +1145,6 @@ impl ControlBlock {
             self.delayed_ack_pending = false;
             self.delayed_ack_deadline = None;
             self.stats.acks_coalesced += 1;
-            crate::counters::note_ack_coalesced();
         }
         let seg = TcpSegmentOut {
             header: TcpHeader {

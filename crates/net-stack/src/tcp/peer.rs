@@ -55,21 +55,22 @@ pub struct ListenerId(pub u32);
 const SLOT_BITS: u32 = 20;
 const SLOT_MASK: u32 = (1 << SLOT_BITS) - 1;
 
-/// Host-wide TCP counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TcpStats {
-    /// Segments matched to a connection (or a TIME_WAIT record).
-    pub demuxed: u64,
-    /// SYNs admitted to a listener's SYN table (each got a SYN-ACK).
-    pub syns_accepted: u64,
-    /// Completed handshakes refused because the accept queue was full.
-    pub syns_dropped_backlog: u64,
-    /// Half-open entries evicted (oldest-first) from a full SYN table.
-    pub syns_evicted: u64,
-    /// RSTs sent for unmatched segments.
-    pub resets_sent: u64,
-    /// Segments that matched nothing and were not RST-eligible.
-    pub unmatched: u64,
+demi_telemetry::counter_family! {
+    /// Host-wide TCP counters.
+    pub struct TcpStats {
+        /// Segments matched to a connection (or a TIME_WAIT record).
+        pub demuxed: u64,
+        /// SYNs admitted to a listener's SYN table (each got a SYN-ACK).
+        pub syns_accepted: u64,
+        /// Completed handshakes refused because the accept queue was full.
+        pub syns_dropped_backlog: u64,
+        /// Half-open entries evicted (oldest-first) from a full SYN table.
+        pub syns_evicted: u64,
+        /// RSTs sent for unmatched segments.
+        pub resets_sent: u64,
+        /// Segments that matched nothing and were not RST-eligible.
+        pub unmatched: u64,
+    }
 }
 
 /// A half-open connection: everything needed to finish the handshake (or
@@ -170,25 +171,26 @@ struct TimeWaitRecord {
     tenant: u16,
 }
 
-/// Memory accounting for one peer's connection state — the real
-/// `bytes_per_conn` is `(slab + cb_heap + demux) / live`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TcpMemStats {
-    /// Slab backing array (capacity × entry size; control blocks inline).
-    pub slab_bytes: usize,
-    /// Heap owned by control blocks beyond the slab: queue boxes and
-    /// their grown capacities.
-    pub cb_heap_bytes: usize,
-    /// Demux table backing (capacity × entry size).
-    pub demux_bytes: usize,
-    /// TIME_WAIT record maps.
-    pub timewait_bytes: usize,
-    /// All listeners' SYN tables (fixed at listen time).
-    pub syn_table_bytes: usize,
-    /// Live control blocks.
-    pub live_conns: usize,
-    /// Parked TIME_WAIT records.
-    pub timewait_records: usize,
+demi_telemetry::counter_family! {
+    /// Memory accounting for one peer's connection state — the real
+    /// `bytes_per_conn` is `(slab + cb_heap + demux) / live`.
+    pub struct TcpMemStats {
+        /// Slab backing array (capacity × entry size; control blocks inline).
+        pub slab_bytes: usize,
+        /// Heap owned by control blocks beyond the slab: queue boxes and
+        /// their grown capacities.
+        pub cb_heap_bytes: usize,
+        /// Demux table backing (capacity × entry size).
+        pub demux_bytes: usize,
+        /// TIME_WAIT record maps.
+        pub timewait_bytes: usize,
+        /// All listeners' SYN tables (fixed at listen time).
+        pub syn_table_bytes: usize,
+        /// Live control blocks.
+        pub live_conns: usize,
+        /// Parked TIME_WAIT records.
+        pub timewait_records: usize,
+    }
 }
 
 fn decode_id(first: u32, stride: u32, id: u32) -> Option<(u32, u32)> {
@@ -1021,7 +1023,6 @@ impl TcpPeer {
             self.raw_out.push(reply);
             self.wheel.schedule(expiry, timer_key);
             crate::counters::note_timer_scheduled();
-            crate::counters::note_tw_reack();
         }
         // Late data or ACKs: absorbed without response, exactly like the
         // full control block's TIME_WAIT arm.

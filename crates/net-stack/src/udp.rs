@@ -129,15 +129,16 @@ struct UdpSocket {
     capacity: usize,
 }
 
-/// UDP socket-table counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UdpStats {
-    /// Datagrams delivered to a socket queue.
-    pub delivered: u64,
-    /// Datagrams for ports nobody is bound to.
-    pub no_listener: u64,
-    /// Datagrams dropped because a socket queue was full.
-    pub queue_drops: u64,
+demi_telemetry::counter_family! {
+    /// UDP socket-table counters.
+    pub struct UdpStats {
+        /// Datagrams delivered to a socket queue.
+        pub delivered: u64,
+        /// Datagrams for ports nobody is bound to.
+        pub no_listener: u64,
+        /// Datagrams dropped because a socket queue was full.
+        pub queue_drops: u64,
+    }
 }
 
 /// The UDP layer: port table and receive queues.

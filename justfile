@@ -79,6 +79,13 @@ test-threads:
     cargo test -q -- --test-threads=2
     cargo test -q
 
+# The consecutive-runs gate: the tier-1 suite {{n}} times in each of the
+# four modes CI uses (`--test-threads` 1, 2, default, and
+# `DEMI_EXEC_MODE=threads`); stops at the first failure and prints its
+# iteration and mode. ~4n suite runs — nightly in CI, not per push.
+soak n="20":
+    sh tools/soak.sh {{n}}
+
 # The perf ledger (benchmark/README.md): all four workloads untraced and
 # traced plus the layer rigs, ~3 min; writes
 # benchmark/results/BENCH_<seed>.json and the four Chrome traces.

@@ -302,6 +302,7 @@ fn shard_thread_metrics_and_telemetry_merge() {
     demi_telemetry::stage::reset_merged();
     let ops_per_world = 4usize;
     let hub_out: Mutex<Option<Arc<demikernel::metrics::MetricsHub>>> = Mutex::new(None);
+    let world_allocs = AtomicU64::new(0);
     run_shards(ExecMode::ThreadPerShard, 2, 2, 64, |spec| {
         demi_telemetry::set_enabled(true);
         let msgs: Vec<Vec<u8>> = (0..ops_per_world).map(|i| vec![i as u8; 32]).collect();
@@ -310,7 +311,10 @@ fn shard_thread_metrics_and_telemetry_merge() {
         assert_eq!(sent, got);
         // Absorb on this thread, where the thread-local counters live.
         let hub = Arc::clone(&world.hub);
-        hub.absorb(world.rt.metrics().snapshot());
+        let snap = world.rt.metrics().snapshot();
+        assert!(snap.buffer_allocs > 0, "each world allocates its frames");
+        world_allocs.fetch_add(snap.buffer_allocs, Ordering::SeqCst);
+        hub.absorb(snap);
         demi_telemetry::set_enabled(false);
         *hub_out.lock().unwrap() = Some(hub);
     });
@@ -325,6 +329,11 @@ fn shard_thread_metrics_and_telemetry_merge() {
         merged.pops >= 2 * ops_per_world as u64,
         "hub sees both worlds' pops: {}",
         merged.pops
+    );
+    assert_eq!(
+        merged.buffer_allocs,
+        world_allocs.load(Ordering::SeqCst),
+        "a folded thread-local field merges to the sum of the per-world snapshots"
     );
     let op = demi_telemetry::stage::merged_snapshot(demi_telemetry::stage::Stage::OpLatency);
     assert!(

@@ -313,7 +313,7 @@ fn echo_offload_serves_on_device_with_slot_attribution() {
         1,
         "idle established flow must arm"
     );
-    let before = rt.metrics().snapshot();
+    let before = server.port().smartnic_slot_stats();
 
     for i in 0..10u8 {
         let msg = vec![i; 64];
@@ -323,21 +323,27 @@ fn echo_offload_serves_on_device_with_slot_attribution() {
     let stats = server.offload_stats().expect("offload installed");
     assert_eq!(stats.served, 10, "every echo is served on the NIC");
     assert_eq!(stats.fallbacks, 0, "no fallbacks on an in-order stream");
-    let snap = rt.metrics().snapshot();
-    let served: u64 = snap
-        .nic_slot_served
+    // Attribution is per device and per slot: the serving port's slots
+    // carry the work, the client port's device none of it.
+    let after = server.port().smartnic_slot_stats();
+    let served: u64 = after
         .iter()
-        .zip(before.nic_slot_served)
-        .map(|(a, b)| a - b)
+        .zip(&before)
+        .map(|(a, b)| a.served - b.served)
         .sum();
-    let cycles: u64 = snap
-        .nic_slot_cycles
+    let cycles: u64 = after
         .iter()
-        .zip(before.nic_slot_cycles)
-        .map(|(a, b)| a - b)
+        .zip(&before)
+        .map(|(a, b)| a.cycles - b.cycles)
         .sum();
     assert_eq!(served, 10, "slot counters attribute the serves");
     assert!(cycles > 0, "device-served ops must charge device cycles");
+    let client_nic = client.port().smartnic_stats();
+    assert_eq!(
+        (client_nic.frames_served, client_nic.device_cycles),
+        (0, 0),
+        "the client port ran no program: {client_nic:?}"
+    );
 
     server.uninstall_tcp_offload();
     assert!(server.offload_stats().is_none());

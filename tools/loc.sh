@@ -6,6 +6,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 status=0
+total=0
 printf '%-16s %7s %7s\n' crate lines budget
 for dir in crates/*/; do
     crate=$(basename "$dir")
@@ -15,6 +16,7 @@ for dir in crates/*/; do
         /#\[cfg\(test\)\]/ { in_tests = 1 }
         !in_tests { n++ }
         END { print n + 0 }' {} +)
+    total=$((total + lines))
     budget=$(awk -v crate="$crate" '$1 == crate { print $2 }' LOC_BUDGET)
     printf '%-16s %7d %7s' "$crate" "$lines" "${budget:-none}"
     if [ -z "$budget" ] || [ "$lines" -gt "$budget" ]; then
@@ -23,4 +25,5 @@ for dir in crates/*/; do
     fi
     printf '\n'
 done
+printf '%-16s %7d\n' total "$total"
 exit $status

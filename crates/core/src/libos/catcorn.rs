@@ -32,7 +32,7 @@ use rdma_sim::{
 };
 use sim_fabric::{DeviceCaps, Fabric, MacAddress, SimClock};
 
-use crate::libos::{LibOs, LibOsKind, SocketKind};
+use crate::libos::{LibOs, LibOsKind, QueueTable, SocketKind};
 use crate::metrics::Metrics;
 use crate::runtime::Runtime;
 use crate::types::{DemiError, OperationResult, QDesc, QToken, Sga};
@@ -54,9 +54,9 @@ struct Conn {
     /// they contend for send slots.
     next_ticket: u64,
     turn: u64,
-    /// Fires on every per-connection state change a coroutine might be
+    /// Fires on every per-connection state change an operation might be
     /// parked on: a completion dispatched by the pump, the push turn
-    /// advancing, or a send slot being recycled.
+    /// advancing, a send slot being recycled, or the queue closing.
     events: Notify,
 }
 
@@ -67,10 +67,9 @@ enum CatcornQueue {
 }
 
 struct Inner {
-    queues: HashMap<QDesc, CatcornQueue>,
+    queues: QueueTable<CatcornQueue>,
     /// qp → connection routing for completion dispatch.
     conns: HashMap<QpId, Rc<RefCell<Conn>>>,
-    next_qd: u32,
     next_wr: u64,
 }
 
@@ -97,8 +96,6 @@ struct Core {
     inner: Rc<RefCell<Inner>>,
     /// The runtime's metrics block (its own Rc, independent of the runtime).
     metrics: Metrics,
-    /// The runtime's activity gate (likewise cycle-free).
-    activity: Notify,
     clock: SimClock,
 }
 
@@ -128,14 +125,6 @@ impl Core {
             conn.events.notify_waiters();
         }
         work
-    }
-
-    fn alloc_qd(&self, q: CatcornQueue) -> QDesc {
-        let mut inner = self.inner.borrow_mut();
-        let qd = QDesc(inner.next_qd);
-        inner.next_qd += 1;
-        inner.queues.insert(qd, q);
-        qd
     }
 
     fn next_wr(&self) -> u64 {
@@ -190,9 +179,8 @@ impl Catcorn {
             pd,
             cq,
             inner: Rc::new(RefCell::new(Inner {
-                queues: HashMap::new(),
+                queues: QueueTable::new(1),
                 conns: HashMap::new(),
-                next_qd: 1,
                 next_wr: 1,
             })),
         };
@@ -219,17 +207,16 @@ impl Catcorn {
             cq: self.cq,
             inner: self.inner.clone(),
             metrics: self.runtime.metrics().clone(),
-            activity: self.runtime.activity().clone(),
             clock: self.runtime.clock().clone(),
         }
     }
 
-    fn alloc_qd(&self, q: CatcornQueue) -> QDesc {
-        let mut inner = self.inner.borrow_mut();
-        let qd = QDesc(inner.next_qd);
-        inner.next_qd += 1;
-        inner.queues.insert(qd, q);
-        qd
+    /// The connection behind a data queue.
+    fn conn(&self, qd: QDesc) -> Result<Rc<RefCell<Conn>>, DemiError> {
+        match self.inner.borrow().queues.get(qd)? {
+            CatcornQueue::Conn(conn) => Ok(conn.clone()),
+            _ => Err(DemiError::InvalidState),
+        }
     }
 }
 
@@ -256,133 +243,106 @@ impl LibOs for Catcorn {
 
     fn socket(&self, _kind: SocketKind) -> Result<QDesc, DemiError> {
         // RDMA RC is its own transport; both socket kinds map onto it.
-        Ok(self.alloc_qd(CatcornQueue::Unbound { bound: None }))
+        let unbound = CatcornQueue::Unbound { bound: None };
+        Ok(self.inner.borrow_mut().queues.insert(unbound))
     }
 
     fn bind(&self, qd: QDesc, addr: SocketAddr) -> Result<(), DemiError> {
-        let mut inner = self.inner.borrow_mut();
-        match inner.queues.get_mut(&qd) {
-            Some(CatcornQueue::Unbound { bound }) => {
+        match self.inner.borrow_mut().queues.get_mut(qd)? {
+            CatcornQueue::Unbound { bound } => {
                 *bound = Some(addr);
                 Ok(())
             }
-            Some(_) => Err(DemiError::InvalidState),
-            None => Err(DemiError::BadQDesc),
+            _ => Err(DemiError::InvalidState),
         }
     }
 
     fn listen(&self, qd: QDesc, _backlog: usize) -> Result<(), DemiError> {
         let mut inner = self.inner.borrow_mut();
-        match inner.queues.get_mut(&qd) {
-            Some(q @ CatcornQueue::Unbound { .. }) => {
-                let CatcornQueue::Unbound { bound } = q else {
-                    unreachable!("matched above");
-                };
-                let addr = bound.ok_or(DemiError::InvalidState)?;
-                self.device
-                    .listen(addr.port)
-                    .map_err(|_| DemiError::Rdma("listen failed"))?;
-                *q = CatcornQueue::Listener { port: addr.port };
-                Ok(())
-            }
-            Some(_) => Err(DemiError::InvalidState),
-            None => Err(DemiError::BadQDesc),
-        }
+        let queue = inner.queues.get_mut(qd)?;
+        let CatcornQueue::Unbound { bound: Some(addr) } = queue else {
+            return Err(DemiError::InvalidState);
+        };
+        let port = addr.port;
+        self.device
+            .listen(port)
+            .map_err(|_| DemiError::Rdma("listen failed"))?;
+        *queue = CatcornQueue::Listener { port };
+        Ok(())
     }
 
     fn accept(&self, qd: QDesc) -> Result<QToken, DemiError> {
-        let port = {
-            let inner = self.inner.borrow();
-            match inner.queues.get(&qd) {
-                Some(CatcornQueue::Listener { port }) => *port,
-                Some(_) => return Err(DemiError::InvalidState),
-                None => return Err(DemiError::BadQDesc),
-            }
+        let port = match self.inner.borrow().queues.get(qd)? {
+            CatcornQueue::Listener { port } => *port,
+            _ => return Err(DemiError::InvalidState),
         };
         let core = self.core();
-        Ok(self.runtime.spawn_op("catcorn::accept", async move {
-            let qp = core.device.create_qp(core.pd, core.cq, core.cq);
-            loop {
-                // Connection requests arrive with device frames, so park on
-                // the runtime's activity gate between checks.
-                let wait = core.activity.notified();
-                let now = core.clock.now();
-                match core.device.accept(port, qp, now) {
-                    Ok(true) => {
-                        let conn = core.setup_conn(qp);
-                        let qd = core.alloc_qd(CatcornQueue::Conn(conn));
-                        return OperationResult::Accept { qd };
-                    }
-                    Ok(false) => wait.await,
-                    Err(_) => return OperationResult::Failed(DemiError::Rdma("accept failed")),
-                }
+        let qp = self.device.create_qp(self.pd, self.cq, self.cq);
+        // Connection requests arrive with device frames: the activity gate.
+        let check = move || match core.device.accept(port, qp, core.clock.now()) {
+            Ok(true) => {
+                let conn = CatcornQueue::Conn(core.setup_conn(qp));
+                let qd = core.inner.borrow_mut().queues.insert(conn);
+                Some(OperationResult::Accept { qd })
             }
-        }))
+            Ok(false) => core.inner.borrow().queues.closed(qd),
+            Err(_) => Some(OperationResult::Failed(DemiError::Rdma("accept failed"))),
+        };
+        let rt = &self.runtime;
+        Ok(rt.spawn_ready_op("catcorn::accept", rt.activity(), check))
     }
 
     fn connect(&self, qd: QDesc, remote: SocketAddr) -> Result<QToken, DemiError> {
-        {
-            let inner = self.inner.borrow();
-            match inner.queues.get(&qd) {
-                Some(CatcornQueue::Unbound { .. }) => {}
-                Some(_) => return Err(DemiError::InvalidState),
-                None => return Err(DemiError::BadQDesc),
-            }
-        }
+        let CatcornQueue::Unbound { .. } = self.inner.borrow().queues.get(qd)? else {
+            return Err(DemiError::InvalidState);
+        };
         let qp = self.device.create_qp(self.pd, self.cq, self.cq);
         self.device
             .connect(qp, mac_of(remote), remote.port, self.runtime.now())
             .map_err(|_| DemiError::Rdma("connect failed"))?;
         let core = self.core();
-        Ok(self.runtime.spawn_op("catcorn::connect", async move {
-            loop {
-                // The QP reaches RTS when the handshake frames land; park on
-                // the activity gate between checks.
-                let wait = core.activity.notified();
-                match core.device.qp_state(qp) {
-                    Ok(QpState::Rts) => {
-                        let conn = core.setup_conn(qp);
-                        core.inner
-                            .borrow_mut()
-                            .queues
-                            .insert(qd, CatcornQueue::Conn(conn));
-                        return OperationResult::Connect;
-                    }
-                    Ok(QpState::Error) => {
-                        return OperationResult::Failed(DemiError::Rdma("connection refused"));
-                    }
-                    Ok(_) => wait.await,
-                    Err(_) => return OperationResult::Failed(DemiError::Rdma("bad qp")),
-                }
+        // The QP reaches RTS when the handshake frames land: the activity gate.
+        let check = move || {
+            if let Some(closed) = core.inner.borrow().queues.closed(qd) {
+                return Some(closed);
             }
-        }))
+            match core.device.qp_state(qp) {
+                Ok(QpState::Rts) => {
+                    let conn = CatcornQueue::Conn(core.setup_conn(qp));
+                    let mut inner = core.inner.borrow_mut();
+                    *inner.queues.get_mut(qd).expect("open: checked above") = conn;
+                    Some(OperationResult::Connect)
+                }
+                Ok(QpState::Error) => Some(OperationResult::Failed(DemiError::Rdma(
+                    "connection refused",
+                ))),
+                Ok(_) => None,
+                Err(_) => Some(OperationResult::Failed(DemiError::Rdma("bad qp"))),
+            }
+        };
+        let rt = &self.runtime;
+        Ok(rt.spawn_ready_op("catcorn::connect", rt.activity(), check))
     }
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
         let mut inner = self.inner.borrow_mut();
-        match inner.queues.remove(&qd) {
-            Some(CatcornQueue::Conn(conn)) => {
-                let conn_ref = conn.borrow();
-                inner.conns.remove(&conn_ref.qp);
-                self.device.deregister_mr(conn_ref.send_mr);
-                self.device.deregister_mr(conn_ref.recv_mr);
-                Ok(())
-            }
-            Some(_) => Ok(()),
-            None => Err(DemiError::BadQDesc),
+        let queue = inner.queues.remove(qd)?;
+        // Operations parked on the queue re-check and fail `Closed`: an
+        // accept or connect on the activity gate, a pop on `events`.
+        self.runtime.activity().notify_waiters();
+        if let CatcornQueue::Conn(conn) = queue {
+            let conn = conn.borrow();
+            inner.conns.remove(&conn.qp);
+            self.device.deregister_mr(conn.send_mr);
+            self.device.deregister_mr(conn.recv_mr);
+            conn.events.notify_waiters();
         }
+        Ok(())
     }
 
     fn push(&self, qd: QDesc, sga: &Sga) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_push();
-        let conn = {
-            let inner = self.inner.borrow();
-            match inner.queues.get(&qd) {
-                Some(CatcornQueue::Conn(conn)) => conn.clone(),
-                Some(_) => return Err(DemiError::InvalidState),
-                None => return Err(DemiError::BadQDesc),
-            }
-        };
+        let conn = self.conn(qd)?;
         if sga.len() > SLOT_SIZE {
             return Err(DemiError::Rdma("message exceeds slot size"));
         }
@@ -396,26 +356,22 @@ impl LibOs for Catcorn {
             c.next_ticket += 1;
             t
         };
+        // Not a `spawn_ready_op`: a push parks twice, for its turn and a
+        // send slot and then for its completion, posting the send between.
         Ok(self.runtime.spawn_op("catcorn::push", async move {
             // Flow control the device does not provide: wait for our turn
             // and for a free slot, parked on the connection's event channel
             // (earlier pushes advancing the turn or recycling slots fire it).
             let events = conn.borrow().events.clone();
-            let slot = loop {
-                let wait = events.notified();
-                let maybe = {
-                    let mut c = conn.borrow_mut();
-                    if c.turn == ticket {
-                        c.free_send_slots.pop_front()
-                    } else {
-                        None
-                    }
-                };
-                match maybe {
-                    Some(s) => break s,
-                    None => wait.await,
+            let take_slot = || {
+                let mut c = conn.borrow_mut();
+                if c.turn == ticket {
+                    c.free_send_slots.pop_front()
+                } else {
+                    None
                 }
             };
+            let slot = events.until(take_slot).await;
             let (qp, send_mr) = {
                 let c = conn.borrow();
                 (c.qp, c.send_mr)
@@ -450,14 +406,8 @@ impl LibOs for Catcorn {
             }
             // Await the send completion (dispatched by the pump), then
             // recycle the slot and wake any push blocked on slot exhaustion.
-            let status = loop {
-                let wait = events.notified();
-                let done = conn.borrow_mut().send_completions.remove(&wr_id);
-                match done {
-                    Some(c) => break c.status,
-                    None => wait.await,
-                }
-            };
+            let done = || conn.borrow_mut().send_completions.remove(&wr_id);
+            let status = events.until(done).await.status;
             {
                 let mut c = conn.borrow_mut();
                 c.free_send_slots.push_back(slot);
@@ -473,51 +423,39 @@ impl LibOs for Catcorn {
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_pop();
-        let conn = {
-            let inner = self.inner.borrow();
-            match inner.queues.get(&qd) {
-                Some(CatcornQueue::Conn(conn)) => conn.clone(),
-                Some(_) => return Err(DemiError::InvalidState),
-                None => return Err(DemiError::BadQDesc),
-            }
-        };
+        let conn = self.conn(qd)?;
         let core = self.core();
-        Ok(self.runtime.spawn_op("catcorn::pop", async move {
-            // Receive completions are dispatched by the pump; park on the
-            // connection's event channel until one lands.
-            let events = conn.borrow().events.clone();
-            let completion = loop {
-                let wait = events.notified();
-                let ready = conn.borrow_mut().recv_ready.pop_front();
-                match ready {
-                    Some(c) => break c,
-                    None => wait.await,
-                }
+        // Receive completions are dispatched by the pump, which fires the
+        // connection's event channel.
+        let events = conn.borrow().events.clone();
+        let check = move || {
+            let Some(completion) = conn.borrow_mut().recv_ready.pop_front() else {
+                return core.inner.borrow().queues.closed(qd);
             };
             if !completion.status.is_ok() {
-                return OperationResult::Failed(rdma_status_err(completion.status));
+                return Some(OperationResult::Failed(rdma_status_err(completion.status)));
             }
             let slot = (completion.wr_id & !RECV_WR_FLAG) as usize;
             let (qp, recv_mr) = {
                 let c = conn.borrow();
                 (c.qp, c.recv_mr)
             };
-            let payload = match core
+            let Ok(payload) = core
                 .device
                 .mr_read(recv_mr, slot * SLOT_SIZE, completion.byte_len)
-            {
-                Ok(p) => p,
-                Err(_) => return OperationResult::Failed(DemiError::Rdma("mr read")),
+            else {
+                return Some(OperationResult::Failed(DemiError::Rdma("mr read")));
             };
             // Recycle the slot: re-post the receive (buffer management).
             let _ =
                 core.device
                     .post_recv(qp, completion.wr_id, recv_mr, slot * SLOT_SIZE, SLOT_SIZE);
-            OperationResult::Pop {
+            Some(OperationResult::Pop {
                 from: None,
                 sga: Sga::from_slice(&payload),
-            }
-        }))
+            })
+        };
+        Ok(self.runtime.spawn_ready_op("catcorn::pop", &events, check))
     }
 }
 

@@ -26,7 +26,7 @@ use demi_sched::Notify;
 use sim_fabric::{DeviceCaps, SimClock};
 use spdk_sim::nvme::{NvmeCompletion, NvmeDevice, QpairId, BLOCK_SIZE};
 
-use crate::libos::{LibOs, LibOsKind};
+use crate::libos::{LibOs, LibOsKind, QueueTable};
 use crate::runtime::Runtime;
 use crate::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 
@@ -56,7 +56,8 @@ struct LogState {
     len: u64,
     /// Cached tail-block contents (also durable: rewritten per push).
     tail: Vec<u8>,
-    /// Fires whenever `len` grows, waking pops parked at the log tail.
+    /// Fires whenever `len` grows or a queue on this log closes, waking
+    /// pops parked at the log tail.
     appended: Notify,
 }
 
@@ -78,8 +79,7 @@ struct OpenLog {
 
 struct Inner {
     logs: HashMap<String, Rc<RefCell<LogState>>>,
-    queues: HashMap<QDesc, OpenLog>,
-    next_qd: u32,
+    queues: QueueTable<OpenLog>,
     next_lba: u64,
     next_cmd: u64,
     completions: HashMap<u64, NvmeCompletion>,
@@ -127,15 +127,21 @@ impl Core {
     }
 
     async fn wait_cmd(&self, cmd_id: u64) -> NvmeCompletion {
-        loop {
-            // Completions surface through the poller above, which counts as
-            // external progress; park on the activity gate between checks.
-            let wait = self.activity.notified();
-            if let Some(c) = self.inner.borrow_mut().completions.remove(&cmd_id) {
-                return c;
-            }
-            wait.await;
-        }
+        // Completions surface through the poller above, which counts as
+        // external progress; park on the activity gate between checks.
+        let arrived = || self.inner.borrow_mut().completions.remove(&cmd_id);
+        self.activity.until(arrived).await
+    }
+
+    /// Parks at the tail of `qd`'s log until `want` bytes past its cursor
+    /// are durable; yields the cursor, or `None` once `qd` is closed.
+    async fn wait_tail(&self, qd: QDesc, log: &RefCell<LogState>, want: u64) -> Option<u64> {
+        let appended = log.borrow().appended.clone();
+        let ready = || match self.inner.borrow().queues.get(qd) {
+            Ok(open) => (log.borrow().len - open.cursor >= want).then_some(Some(open.cursor)),
+            Err(_) => Some(None),
+        };
+        appended.until(ready).await
     }
 
     /// Submits a block write and waits for durability.
@@ -197,8 +203,7 @@ impl Catfs {
             qpair,
             inner: Rc::new(RefCell::new(Inner {
                 logs: HashMap::new(),
-                queues: HashMap::new(),
-                next_qd: 1,
+                queues: QueueTable::new(1),
                 next_lba: 0,
                 next_cmd: 1,
                 completions: HashMap::new(),
@@ -282,10 +287,7 @@ impl Catfs {
         inner.next_lba = inner.next_lba.max(state.blocks.len() as u64);
         let log = Rc::new(RefCell::new(state));
         inner.logs.insert(path.to_string(), log.clone());
-        let qd = QDesc(inner.next_qd);
-        inner.next_qd += 1;
-        inner.queues.insert(qd, OpenLog { log, cursor: 0 });
-        Ok(qd)
+        Ok(inner.queues.insert(OpenLog { log, cursor: 0 }))
     }
 
     // ------------------------------------------------------------------
@@ -447,10 +449,7 @@ impl LibOs for Catfs {
         }
         let log = Rc::new(RefCell::new(LogState::new()));
         inner.logs.insert(path.to_string(), log.clone());
-        let qd = QDesc(inner.next_qd);
-        inner.next_qd += 1;
-        inner.queues.insert(qd, OpenLog { log, cursor: 0 });
-        Ok(qd)
+        Ok(inner.queues.insert(OpenLog { log, cursor: 0 }))
     }
 
     fn open(&self, path: &str) -> Result<QDesc, DemiError> {
@@ -461,31 +460,19 @@ impl LibOs for Catfs {
             .get(path)
             .cloned()
             .ok_or(DemiError::Storage("no such log"))?;
-        let qd = QDesc(inner.next_qd);
-        inner.next_qd += 1;
-        inner.queues.insert(qd, OpenLog { log, cursor: 0 });
-        Ok(qd)
+        Ok(inner.queues.insert(OpenLog { log, cursor: 0 }))
     }
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
-        self.inner
-            .borrow_mut()
-            .queues
-            .remove(&qd)
-            .map(|_| ())
-            .ok_or(DemiError::BadQDesc)
+        let open = self.inner.borrow_mut().queues.remove(qd)?;
+        // A pop parked at the log tail re-checks and fails `Closed`.
+        open.log.borrow().appended.notify_waiters();
+        Ok(())
     }
 
     fn push(&self, qd: QDesc, sga: &Sga) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_push();
-        let log = {
-            let inner = self.inner.borrow();
-            inner
-                .queues
-                .get(&qd)
-                .map(|o| o.log.clone())
-                .ok_or(DemiError::BadQDesc)?
-        };
+        let log = self.inner.borrow().queues.get(qd)?.log.clone();
         let payload = sga.to_vec();
         let core = self.core();
         Ok(self.runtime.spawn_op("catfs::push", async move {
@@ -548,58 +535,41 @@ impl LibOs for Catfs {
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_pop();
-        {
-            let inner = self.inner.borrow();
-            if !inner.queues.contains_key(&qd) {
-                return Err(DemiError::BadQDesc);
-            }
-        }
+        let log = self.inner.borrow().queues.get(qd)?.log.clone();
         let core = self.core();
+        // Not a `spawn_ready_op`: between its two parks at the log tail a
+        // pop awaits device block reads.
         Ok(self.runtime.spawn_op("catfs::pop", async move {
-            loop {
-                let (log, cursor) = {
-                    let inner = core.inner.borrow();
-                    let Some(open) = inner.queues.get(&qd) else {
-                        return OperationResult::Failed(DemiError::BadQDesc);
-                    };
-                    (open.log.clone(), open.cursor)
-                };
-                let wait = log.borrow().appended.notified();
-                let available = log.borrow().len - cursor;
-                if available < RECORD_HEADER as u64 {
-                    // Tail of the log: park until a push appends more.
-                    wait.await;
-                    continue;
-                }
-                let header = core.read_bytes(&log, cursor, RECORD_HEADER).await;
-                if u16::from_be_bytes([header[0], header[1]]) != RECORD_MAGIC {
-                    return OperationResult::Failed(DemiError::Storage("bad record magic"));
-                }
-                let len = u32::from_be_bytes([header[2], header[3], header[4], header[5]]) as u64;
-                let expect_sum = u32::from_be_bytes([header[6], header[7], header[8], header[9]]);
-                if log.borrow().len - cursor < RECORD_HEADER as u64 + len {
-                    // Header landed but the payload is still being pushed.
-                    wait.await;
-                    continue;
-                }
-                let payload = core
-                    .read_bytes(&log, cursor + RECORD_HEADER as u64, len as usize)
-                    .await;
-                if checksum(&payload) != expect_sum {
-                    core.inner.borrow_mut().stats.checksum_failures += 1;
-                    return OperationResult::Failed(DemiError::Storage("record checksum"));
-                }
-                {
-                    let mut inner = core.inner.borrow_mut();
-                    if let Some(open) = inner.queues.get_mut(&qd) {
-                        open.cursor = cursor + RECORD_HEADER as u64 + len;
-                    }
-                    inner.stats.records_read += 1;
-                }
-                return OperationResult::Pop {
-                    from: None,
-                    sga: Sga::from_slice(&payload),
-                };
+            let closed = OperationResult::Failed(DemiError::Closed);
+            let Some(cursor) = core.wait_tail(qd, &log, RECORD_HEADER as u64).await else {
+                return closed;
+            };
+            let header = core.read_bytes(&log, cursor, RECORD_HEADER).await;
+            if u16::from_be_bytes([header[0], header[1]]) != RECORD_MAGIC {
+                return OperationResult::Failed(DemiError::Storage("bad record magic"));
+            }
+            let len = u32::from_be_bytes([header[2], header[3], header[4], header[5]]) as u64;
+            let expect_sum = u32::from_be_bytes([header[6], header[7], header[8], header[9]]);
+            // The header may land before the rest of its record is pushed.
+            let record = RECORD_HEADER as u64 + len;
+            if core.wait_tail(qd, &log, record).await.is_none() {
+                return closed;
+            }
+            let payload = core
+                .read_bytes(&log, cursor + RECORD_HEADER as u64, len as usize)
+                .await;
+            if checksum(&payload) != expect_sum {
+                core.inner.borrow_mut().stats.checksum_failures += 1;
+                return OperationResult::Failed(DemiError::Storage("record checksum"));
+            }
+            let mut inner = core.inner.borrow_mut();
+            if let Ok(open) = inner.queues.get_mut(qd) {
+                open.cursor = cursor + record;
+            }
+            inner.stats.records_read += 1;
+            OperationResult::Pop {
+                from: None,
+                sga: Sga::from_slice(&payload),
             }
         }))
     }

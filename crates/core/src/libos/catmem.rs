@@ -6,33 +6,28 @@
 //! paper's control-path table, plus `push`/`pop` with atomic elements and
 //! zero-copy handoff (an Sga pushed is the same storage popped).
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
-use demi_sched::{AsyncQueue, Notify};
+use demi_sched::Notify;
 
-use crate::libos::{LibOs, LibOsKind};
+use crate::libos::{LibOs, LibOsKind, QueueTable};
 use crate::runtime::Runtime;
 use crate::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 
+#[derive(Default)]
 struct CatmemQueue {
-    items: AsyncQueue<Sga>,
-    closed: Cell<bool>,
+    items: VecDeque<Sga>,
     /// Fires on push and close, waking pops parked on an empty queue.
     events: Notify,
-}
-
-struct Inner {
-    queues: HashMap<QDesc, Rc<CatmemQueue>>,
-    next_qd: u32,
 }
 
 /// The in-memory libOS.
 #[derive(Clone)]
 pub struct Catmem {
     runtime: Runtime,
-    inner: Rc<RefCell<Inner>>,
+    queues: Rc<RefCell<QueueTable<CatmemQueue>>>,
 }
 
 impl Catmem {
@@ -40,25 +35,13 @@ impl Catmem {
     pub fn new(runtime: &Runtime) -> Self {
         Catmem {
             runtime: runtime.clone(),
-            inner: Rc::new(RefCell::new(Inner {
-                queues: HashMap::new(),
-                next_qd: 1,
-            })),
+            queues: Rc::new(RefCell::new(QueueTable::new(1))),
         }
-    }
-
-    fn get(&self, qd: QDesc) -> Result<Rc<CatmemQueue>, DemiError> {
-        self.inner
-            .borrow()
-            .queues
-            .get(&qd)
-            .cloned()
-            .ok_or(DemiError::BadQDesc)
     }
 
     /// Items currently queued (diagnostics).
     pub fn depth(&self, qd: QDesc) -> Result<usize, DemiError> {
-        Ok(self.get(qd)?.items.len())
+        Ok(self.queues.borrow().get(qd)?.items.len())
     }
 }
 
@@ -72,37 +55,23 @@ impl LibOs for Catmem {
     }
 
     fn queue(&self) -> Result<QDesc, DemiError> {
-        let mut inner = self.inner.borrow_mut();
-        let qd = QDesc(inner.next_qd);
-        inner.next_qd += 1;
-        inner.queues.insert(
-            qd,
-            Rc::new(CatmemQueue {
-                items: AsyncQueue::new(),
-                closed: Cell::new(false),
-                events: Notify::new(),
-            }),
-        );
-        Ok(qd)
+        Ok(self.queues.borrow_mut().insert(CatmemQueue::default()))
     }
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
-        let queue = self.get(qd)?;
-        queue.closed.set(true);
+        let queue = self.queues.borrow_mut().remove(qd)?;
         // Pending pops must observe the close and fail promptly.
         queue.events.notify_waiters();
         Ok(())
     }
 
     fn push(&self, qd: QDesc, sga: &Sga) -> Result<QToken, DemiError> {
-        let queue = self.get(qd)?;
-        if queue.closed.get() {
-            return Err(DemiError::Closed);
-        }
+        let mut queues = self.queues.borrow_mut();
+        let queue = queues.get_mut(qd)?;
         self.runtime.metrics().count_push();
         // Handle clone: zero-copy. Nothing below the queue can refuse or
         // delay the element, so the push is complete as the call returns.
-        queue.items.push(sga.clone());
+        queue.items.push_back(sga.clone());
         queue.events.notify_waiters();
         Ok(self
             .runtime
@@ -110,22 +79,17 @@ impl LibOs for Catmem {
     }
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
-        let queue = self.get(qd)?;
+        let events = self.queues.borrow().get(qd)?.events.clone();
         self.runtime.metrics().count_pop();
-        Ok(self.runtime.spawn_op("catmem::pop", async move {
-            loop {
-                // Snapshot before checking so a push/close landing between
-                // the check and the park is not lost.
-                let wait = queue.events.notified();
-                if let Some(sga) = queue.items.try_pop() {
-                    return OperationResult::Pop { from: None, sga };
-                }
-                if queue.closed.get() {
-                    return OperationResult::Failed(DemiError::Closed);
-                }
-                wait.await;
+        let queues = self.queues.clone();
+        let check = move || match queues.borrow_mut().get_mut(qd) {
+            Ok(queue) => {
+                let sga = queue.items.pop_front()?;
+                Some(OperationResult::Pop { from: None, sga })
             }
-        }))
+            Err(_) => Some(OperationResult::Failed(DemiError::Closed)),
+        };
+        Ok(self.runtime.spawn_ready_op("catmem::pop", &events, check))
     }
 }
 
@@ -209,7 +173,7 @@ mod tests {
         libos.close(qd).unwrap();
         assert_eq!(
             libos.push(qd, &Sga::from_slice(b"x")),
-            Err(DemiError::Closed)
+            Err(DemiError::BadQDesc)
         );
         let result = libos.wait(pop_qt, None).unwrap();
         assert!(matches!(result, OperationResult::Failed(DemiError::Closed)));

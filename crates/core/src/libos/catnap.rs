@@ -11,7 +11,6 @@
 //! (the copies are the point — they are what E2 measures).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -22,7 +21,7 @@ use net_stack::{NetworkStack, StackConfig};
 use posix_sim::{CostModel, Fd, KernelSockets, KernelStats, SimKernel};
 use sim_fabric::{Fabric, MacAddress};
 
-use crate::libos::{LibOs, LibOsKind, SocketKind};
+use crate::libos::{framed_pop, LibOs, LibOsKind, QueueTable, SocketKind};
 use crate::runtime::Runtime;
 use crate::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 
@@ -43,9 +42,13 @@ enum CatnapQueue {
     },
 }
 
-struct Inner {
-    queues: HashMap<QDesc, CatnapQueue>,
-    next_qd: u32,
+impl CatnapQueue {
+    fn tcp_conn(fd: Fd) -> Self {
+        CatnapQueue::TcpConn {
+            fd,
+            decoder: Rc::new(RefCell::new(FrameDecoder::new())),
+        }
+    }
 }
 
 /// The kernel-path baseline libOS.
@@ -54,7 +57,7 @@ pub struct Catnap {
     runtime: Runtime,
     sockets: Rc<RefCell<KernelSockets>>,
     kernel: SimKernel,
-    inner: Rc<RefCell<Inner>>,
+    queues: Rc<RefCell<QueueTable<CatnapQueue>>>,
 }
 
 impl Catnap {
@@ -81,28 +84,17 @@ impl Catnap {
         // kernel servicing the NIC — not charged as a syscall.
         let poll_sockets = sockets.clone();
         runtime.register_poller(move || poll_sockets.borrow_mut().poll());
-        // All four blocking loops below (accept/connect/udp_pop/tcp_pop)
-        // wait on kernel-stack progress, which the poller reports; they
-        // park on the runtime's activity gate between checks.
+        // All four blocking operations below (accept/connect/udp_pop/
+        // tcp_pop) wait on kernel-stack progress, which the poller reports,
+        // so they name the runtime's activity gate.
         let deadline_sockets = sockets.clone();
         runtime.register_deadline_source(move || deadline_sockets.borrow().next_deadline());
         Catnap {
             runtime: runtime.clone(),
             sockets,
             kernel,
-            inner: Rc::new(RefCell::new(Inner {
-                queues: HashMap::new(),
-                next_qd: 1,
-            })),
+            queues: Rc::new(RefCell::new(QueueTable::new(1))),
         }
-    }
-
-    fn alloc_qd(&self, q: CatnapQueue) -> QDesc {
-        let mut inner = self.inner.borrow_mut();
-        let qd = QDesc(inner.next_qd);
-        inner.next_qd += 1;
-        inner.queues.insert(qd, q);
-        qd
     }
 
     /// The metered kernel (exact crossing/copy counts for experiments).
@@ -125,16 +117,15 @@ impl LibOs for Catnap {
     }
 
     fn socket(&self, kind: SocketKind) -> Result<QDesc, DemiError> {
-        Ok(match kind {
-            SocketKind::Udp => self.alloc_qd(CatnapQueue::UdpUnbound),
-            SocketKind::Tcp => self.alloc_qd(CatnapQueue::TcpUnbound { bound: None }),
-        })
+        Ok(self.queues.borrow_mut().insert(match kind {
+            SocketKind::Udp => CatnapQueue::UdpUnbound,
+            SocketKind::Tcp => CatnapQueue::TcpUnbound { bound: None },
+        }))
     }
 
     fn bind(&self, qd: QDesc, addr: SocketAddr) -> Result<(), DemiError> {
-        let mut inner = self.inner.borrow_mut();
-        match inner.queues.get_mut(&qd) {
-            Some(q @ CatnapQueue::UdpUnbound) => {
+        match self.queues.borrow_mut().get_mut(qd)? {
+            q @ CatnapQueue::UdpUnbound => {
                 let fd = self
                     .sockets
                     .borrow_mut()
@@ -143,253 +134,183 @@ impl LibOs for Catnap {
                 *q = CatnapQueue::Udp { fd };
                 Ok(())
             }
-            Some(CatnapQueue::TcpUnbound { bound }) => {
+            CatnapQueue::TcpUnbound { bound } => {
                 *bound = Some(addr);
                 Ok(())
             }
-            Some(_) => Err(DemiError::InvalidState),
-            None => Err(DemiError::BadQDesc),
+            _ => Err(DemiError::InvalidState),
         }
     }
 
     fn listen(&self, qd: QDesc, backlog: usize) -> Result<(), DemiError> {
-        let mut inner = self.inner.borrow_mut();
-        match inner.queues.get_mut(&qd) {
-            Some(q @ CatnapQueue::TcpUnbound { .. }) => {
-                let CatnapQueue::TcpUnbound { bound } = q else {
-                    unreachable!("matched above");
-                };
-                let addr = bound.ok_or(DemiError::InvalidState)?;
-                let mut sockets = self.sockets.borrow_mut();
-                let fd = sockets.tcp_socket();
-                sockets.listen(fd, addr.port, backlog).map_err(sock_err)?;
-                *q = CatnapQueue::TcpListener { fd };
-                Ok(())
-            }
-            Some(_) => Err(DemiError::InvalidState),
-            None => Err(DemiError::BadQDesc),
-        }
+        let mut queues = self.queues.borrow_mut();
+        let queue = queues.get_mut(qd)?;
+        let CatnapQueue::TcpUnbound { bound: Some(addr) } = queue else {
+            return Err(DemiError::InvalidState);
+        };
+        let mut sockets = self.sockets.borrow_mut();
+        let fd = sockets.tcp_socket();
+        sockets.listen(fd, addr.port, backlog).map_err(sock_err)?;
+        *queue = CatnapQueue::TcpListener { fd };
+        Ok(())
     }
 
     fn accept(&self, qd: QDesc) -> Result<QToken, DemiError> {
-        let fd = {
-            let inner = self.inner.borrow();
-            match inner.queues.get(&qd) {
-                Some(CatnapQueue::TcpListener { fd }) => *fd,
-                Some(_) => return Err(DemiError::InvalidState),
-                None => return Err(DemiError::BadQDesc),
-            }
+        let fd = match self.queues.borrow().get(qd)? {
+            CatnapQueue::TcpListener { fd } => *fd,
+            _ => return Err(DemiError::InvalidState),
         };
-        // Capture only cycle-free pieces (`sockets`/`inner` are their own
-        // Rc's; `activity` is independent of the runtime): a coroutine
-        // holding a `Runtime` clone would form an Rc cycle (runtime ->
-        // scheduler -> task future -> runtime) and leak the world.
-        let sockets = self.sockets.clone();
-        let inner = self.inner.clone();
-        let activity = self.runtime.activity().clone();
-        Ok(self.runtime.spawn_op("catnap::accept", async move {
-            loop {
-                let wait = activity.notified();
-                let accepted = sockets.borrow_mut().accept(fd);
-                match accepted {
-                    Ok(Some(conn_fd)) => {
-                        let mut inner = inner.borrow_mut();
-                        let qd = QDesc(inner.next_qd);
-                        inner.next_qd += 1;
-                        inner.queues.insert(
-                            qd,
-                            CatnapQueue::TcpConn {
-                                fd: conn_fd,
-                                decoder: Rc::new(RefCell::new(FrameDecoder::new())),
-                            },
-                        );
-                        return OperationResult::Accept { qd };
-                    }
-                    Ok(None) => wait.await,
-                    Err(e) => return OperationResult::Failed(sock_err(e)),
-                }
+        let (sockets, queues) = (self.sockets.clone(), self.queues.clone());
+        let rt = &self.runtime;
+        let check = move || match sockets.borrow_mut().accept(fd) {
+            Ok(Some(conn_fd)) => {
+                let qd = queues.borrow_mut().insert(CatnapQueue::tcp_conn(conn_fd));
+                Some(OperationResult::Accept { qd })
             }
-        }))
+            Ok(None) => None,
+            Err(e) => Some(closed_or(&queues, qd, e)),
+        };
+        Ok(rt.spawn_ready_op("catnap::accept", rt.activity(), check))
     }
 
     fn connect(&self, qd: QDesc, remote: SocketAddr) -> Result<QToken, DemiError> {
+        let mut queues = self.queues.borrow_mut();
+        let queue = queues.get_mut(qd)?;
+        let CatnapQueue::TcpUnbound { .. } = queue else {
+            return Err(DemiError::InvalidState);
+        };
         let fd = {
-            let mut inner = self.inner.borrow_mut();
-            match inner.queues.get(&qd) {
-                Some(CatnapQueue::TcpUnbound { .. }) => {
-                    let mut sockets = self.sockets.borrow_mut();
-                    let fd = sockets.tcp_socket();
-                    sockets.connect(fd, remote).map_err(sock_err)?;
-                    inner.queues.insert(
-                        qd,
-                        CatnapQueue::TcpConn {
-                            fd,
-                            decoder: Rc::new(RefCell::new(FrameDecoder::new())),
-                        },
-                    );
-                    fd
-                }
-                Some(_) => return Err(DemiError::InvalidState),
-                None => return Err(DemiError::BadQDesc),
+            let mut sockets = self.sockets.borrow_mut();
+            let fd = sockets.tcp_socket();
+            sockets.connect(fd, remote).map_err(sock_err)?;
+            fd
+        };
+        *queue = CatnapQueue::tcp_conn(fd);
+        let (sockets, rt) = (self.sockets.clone(), &self.runtime);
+        let check = move || {
+            let sockets = sockets.borrow();
+            if let Some(err) = sockets.so_error(fd) {
+                return Some(OperationResult::Failed(DemiError::Net(err)));
+            }
+            match sockets.is_connected(fd) {
+                Ok(true) => Some(OperationResult::Connect),
+                Ok(false) => None,
+                Err(e) => Some(OperationResult::Failed(sock_err(e))),
             }
         };
-        let sockets = self.sockets.clone();
-        let activity = self.runtime.activity().clone();
-        Ok(self.runtime.spawn_op("catnap::connect", async move {
-            loop {
-                let wait = activity.notified();
-                // Bind borrow results before matching: a borrow held in a
-                // match scrutinee would live across the await below.
-                let so_error = sockets.borrow().so_error(fd);
-                if let Some(err) = so_error {
-                    return OperationResult::Failed(DemiError::Net(err));
-                }
-                let connected = sockets.borrow().is_connected(fd);
-                match connected {
-                    Ok(true) => return OperationResult::Connect,
-                    Ok(false) => wait.await,
-                    Err(e) => return OperationResult::Failed(sock_err(e)),
-                }
-            }
-        }))
+        Ok(rt.spawn_ready_op("catnap::connect", rt.activity(), check))
     }
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
-        let mut inner = self.inner.borrow_mut();
-        match inner.queues.remove(&qd) {
-            Some(CatnapQueue::Udp { fd })
-            | Some(CatnapQueue::TcpListener { fd })
-            | Some(CatnapQueue::TcpConn { fd, .. }) => {
+        let queue = self.queues.borrow_mut().remove(qd)?;
+        // Operations parked on the queue re-check and fail `Closed`.
+        self.runtime.activity().notify_waiters();
+        match queue {
+            CatnapQueue::Udp { fd }
+            | CatnapQueue::TcpListener { fd }
+            | CatnapQueue::TcpConn { fd, .. } => {
                 self.sockets.borrow_mut().close(fd).map_err(sock_err)
             }
-            Some(_) => Ok(()),
-            None => Err(DemiError::BadQDesc),
+            CatnapQueue::UdpUnbound | CatnapQueue::TcpUnbound { .. } => Ok(()),
         }
     }
 
     fn push(&self, qd: QDesc, sga: &Sga) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_push();
-        let inner = self.inner.borrow();
-        match inner.queues.get(&qd) {
-            Some(CatnapQueue::TcpConn { fd, .. }) => {
-                let fd = *fd;
-                drop(inner);
-                // POSIX write of the framed message: header + flattened
-                // payload, each write copying into the kernel.
-                let mut sockets = self.sockets.borrow_mut();
-                sockets
-                    .write(fd, &encode_header(sga.len()))
-                    .map_err(sock_err)?;
-                let flat = sga.to_vec();
-                sockets.write(fd, &flat).map_err(sock_err)?;
-                Ok(self
-                    .runtime
-                    .complete_op("catnap::push", OperationResult::Push))
-            }
-            Some(_) => Err(DemiError::InvalidState),
-            None => Err(DemiError::BadQDesc),
-        }
+        let fd = match self.queues.borrow().get(qd)? {
+            CatnapQueue::TcpConn { fd, .. } => *fd,
+            _ => return Err(DemiError::InvalidState),
+        };
+        // POSIX write of the framed message: header + flattened payload,
+        // each write copying into the kernel.
+        let mut sockets = self.sockets.borrow_mut();
+        sockets
+            .write(fd, &encode_header(sga.len()))
+            .map_err(sock_err)?;
+        let flat = sga.to_vec();
+        sockets.write(fd, &flat).map_err(sock_err)?;
+        Ok(self
+            .runtime
+            .complete_op("catnap::push", OperationResult::Push))
     }
 
     fn pushto(&self, qd: QDesc, sga: &Sga, to: SocketAddr) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_push();
-        let inner = self.inner.borrow();
-        match inner.queues.get(&qd) {
-            Some(CatnapQueue::Udp { fd }) => {
-                let fd = *fd;
-                drop(inner);
-                let flat = sga.to_vec();
-                self.sockets
-                    .borrow_mut()
-                    .sendto(fd, to, &flat)
-                    .map_err(sock_err)?;
-                Ok(self
-                    .runtime
-                    .complete_op("catnap::pushto", OperationResult::Push))
-            }
-            Some(_) => Err(DemiError::InvalidState),
-            None => Err(DemiError::BadQDesc),
-        }
+        let fd = match self.queues.borrow().get(qd)? {
+            CatnapQueue::Udp { fd } => *fd,
+            _ => return Err(DemiError::InvalidState),
+        };
+        let flat = sga.to_vec();
+        self.sockets
+            .borrow_mut()
+            .sendto(fd, to, &flat)
+            .map_err(sock_err)?;
+        Ok(self
+            .runtime
+            .complete_op("catnap::pushto", OperationResult::Push))
     }
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_pop();
-        let inner = self.inner.borrow();
-        match inner.queues.get(&qd) {
-            Some(CatnapQueue::Udp { fd }) => {
+        let (sockets, queues) = (self.sockets.clone(), self.queues.clone());
+        let rt = &self.runtime;
+        match self.queues.borrow().get(qd)? {
+            CatnapQueue::Udp { fd } => {
                 let fd = *fd;
-                let sockets = self.sockets.clone();
-                let activity = self.runtime.activity().clone();
-                drop(inner);
-                Ok(self.runtime.spawn_op("catnap::udp_pop", async move {
-                    // POSIX forces a user buffer the kernel copies into.
-                    let mut buf = vec![0u8; 65_536];
-                    loop {
-                        let wait = activity.notified();
-                        let got = sockets.borrow_mut().recvfrom(fd, &mut buf);
-                        match got {
-                            Ok(Some((from, n))) => {
-                                return OperationResult::Pop {
-                                    from: Some(from),
-                                    sga: Sga::from_slice(&buf[..n]),
-                                };
-                            }
-                            Ok(None) => wait.await,
-                            Err(e) => return OperationResult::Failed(sock_err(e)),
-                        }
-                    }
-                }))
+                // POSIX forces a user buffer the kernel copies into.
+                let mut buf = vec![0u8; 65_536];
+                let check = move || match sockets.borrow_mut().recvfrom(fd, &mut buf) {
+                    Ok(Some((from, n))) => Some(OperationResult::Pop {
+                        from: Some(from),
+                        sga: Sga::from_slice(&buf[..n]),
+                    }),
+                    Ok(None) => None,
+                    Err(e) => Some(closed_or(&queues, qd, e)),
+                };
+                Ok(rt.spawn_ready_op("catnap::udp_pop", rt.activity(), check))
             }
-            Some(CatnapQueue::TcpConn { fd, decoder }) => {
-                let fd = *fd;
-                let decoder = decoder.clone();
-                let sockets = self.sockets.clone();
-                let activity = self.runtime.activity().clone();
-                drop(inner);
-                Ok(self.runtime.spawn_op("catnap::tcp_pop", async move {
-                    let mut buf = vec![0u8; 16_384];
-                    loop {
-                        let wait = activity.notified();
-                        // Stream read into a user buffer (copy), then
-                        // reassemble the atomic unit from the bytes.
-                        let got = sockets.borrow_mut().read(fd, &mut buf);
-                        let read_bytes = match got {
-                            Ok(Some(0)) => {
-                                return OperationResult::Failed(DemiError::Closed);
-                            }
-                            Ok(Some(n)) => {
-                                decoder
-                                    .borrow_mut()
-                                    .push_chunk(demi_memory::DemiBuffer::from_slice(&buf[..n]));
-                                true
-                            }
-                            Ok(None) => false,
-                            Err(e) => return OperationResult::Failed(sock_err(e)),
-                        };
-                        // Bind before matching: a RefCell borrow in the
-                        // scrutinee would be held across the await below.
-                        let next = decoder.borrow_mut().next_message();
-                        match next {
-                            Ok(Some(msg)) => {
-                                return OperationResult::Pop {
-                                    from: None,
-                                    sga: Sga::from_bufs(vec![msg]),
-                                };
-                            }
-                            // Park only when the read came up empty: a
-                            // productive read means more bytes may already
-                            // be buffered in the kernel socket.
-                            Ok(None) if !read_bytes => wait.await,
-                            Ok(None) => {}
-                            Err(e) => return OperationResult::Failed(e.into()),
+            CatnapQueue::TcpConn { fd, decoder } => {
+                let (fd, decoder) = (*fd, decoder.clone());
+                let mut buf = vec![0u8; 16_384];
+                let check = move || loop {
+                    // Stream read into a user buffer (copy), then
+                    // reassemble the atomic unit from the bytes.
+                    let read_bytes = match sockets.borrow_mut().read(fd, &mut buf) {
+                        Ok(Some(0)) => return Some(OperationResult::Failed(DemiError::Closed)),
+                        Ok(Some(n)) => {
+                            let chunk = demi_memory::DemiBuffer::from_slice(&buf[..n]);
+                            decoder.borrow_mut().push_chunk(chunk);
+                            true
                         }
+                        Ok(None) => false,
+                        Err(e) => return Some(closed_or(&queues, qd, e)),
+                    };
+                    if let Some(result) = framed_pop(&mut decoder.borrow_mut()) {
+                        return Some(result);
                     }
-                }))
+                    // Park only when the read came up empty: a productive
+                    // read means more bytes may already be buffered in the
+                    // kernel socket.
+                    if !read_bytes {
+                        return None;
+                    }
+                };
+                Ok(rt.spawn_ready_op("catnap::tcp_pop", rt.activity(), check))
             }
-            Some(_) => Err(DemiError::InvalidState),
-            None => Err(DemiError::BadQDesc),
+            _ => Err(DemiError::InvalidState),
         }
     }
+}
+
+/// The failure of a parked operation whose socket call failed: `Closed`
+/// once `close` took the queue (and its fd) away, else the kernel's error.
+fn closed_or(
+    queues: &RefCell<QueueTable<CatnapQueue>>,
+    qd: QDesc,
+    e: posix_sim::SockError,
+) -> OperationResult {
+    let closed = queues.borrow().closed(qd);
+    closed.unwrap_or(OperationResult::Failed(sock_err(e)))
 }
 
 fn sock_err(e: posix_sim::SockError) -> DemiError {

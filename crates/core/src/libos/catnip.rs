@@ -19,19 +19,21 @@
 //! device-side frame filter for the queue's UDP port (experiment E6).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use demi_memory::{DemiBuffer, MemoryManager};
 use dpdk_sim::{DpdkPort, NicProgram, PortConfig};
+use net_stack::eth::{EthHeader, EtherType};
 use net_stack::framing::{encode_header, FrameDecoder};
+use net_stack::ipv4::{IpProtocol, Ipv4Header};
 use net_stack::tcp::{ConnId, ListenerId, State};
 use net_stack::types::{NetError, SocketAddr};
+use net_stack::udp::{UdpHeader, UDP_HEADER_LEN};
 use net_stack::{NetworkStack, StackConfig};
 use sim_fabric::{DeviceCaps, Fabric, MacAddress};
 
-use crate::libos::{LibOs, LibOsKind, SocketKind};
+use crate::libos::{framed_pop, LibOs, LibOsKind, QueueTable, SocketKind};
 use crate::runtime::Runtime;
 use crate::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 
@@ -53,9 +55,13 @@ enum CatnipQueue {
     },
 }
 
-struct Inner {
-    queues: HashMap<QDesc, CatnipQueue>,
-    next_qd: u32,
+impl CatnipQueue {
+    fn tcp_conn(conn: ConnId) -> Self {
+        CatnipQueue::TcpConn {
+            conn,
+            decoder: Rc::new(RefCell::new(FrameDecoder::new())),
+        }
+    }
 }
 
 /// The DPDK-class libOS.
@@ -65,7 +71,7 @@ pub struct Catnip {
     stack: Rc<NetworkStack>,
     port: DpdkPort,
     memory: MemoryManager,
-    inner: Rc<RefCell<Inner>>,
+    queues: Rc<RefCell<QueueTable<CatnipQueue>>>,
 }
 
 impl Catnip {
@@ -128,7 +134,7 @@ impl Catnip {
             runtime.register_poller(move || poll_stack.poll_shard(shard));
         }
         // Stack progress (frames in/out) is reported by that poller, so
-        // every blocking loop below parks on the runtime's activity gate
+        // every blocking operation below names the runtime's activity gate
         // rather than re-polling the stack each pass.
         let deadline_stack = stack.clone();
         runtime.register_deadline_source(move || deadline_stack.next_deadline());
@@ -137,10 +143,7 @@ impl Catnip {
             stack,
             port,
             memory: MemoryManager::warmed(),
-            inner: Rc::new(RefCell::new(Inner {
-                queues: HashMap::new(),
-                next_qd: 1,
-            })),
+            queues: Rc::new(RefCell::new(QueueTable::new(1))),
         }
     }
 
@@ -162,14 +165,6 @@ impl Catnip {
     /// The libOS memory manager (registration accounting, E5).
     pub fn memory(&self) -> &MemoryManager {
         &self.memory
-    }
-
-    fn alloc_qd(&self, q: CatnipQueue) -> QDesc {
-        let mut inner = self.inner.borrow_mut();
-        let qd = QDesc(inner.next_qd);
-        inner.next_qd += 1;
-        inner.queues.insert(qd, q);
-        qd
     }
 
     /// Flattens an Sga into one contiguous datagram payload. Single-seg
@@ -282,37 +277,32 @@ impl Catnip {
     pub fn pop_unframed(&self, qd: QDesc) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_pop();
         let conn = self.tcp_conn(qd)?;
-        let stack = self.stack.clone();
-        let activity = self.runtime.activity().clone();
-        Ok(self
-            .runtime
-            .spawn_op("catnip::tcp_pop_unframed", async move {
-                let mut chunks = Vec::new();
-                loop {
-                    let wait = activity.notified();
-                    if let Err(e) = stack.tcp_recv_all(conn, &mut chunks) {
-                        return OperationResult::Failed(e.into());
-                    }
-                    if !chunks.is_empty() {
-                        return OperationResult::Pop {
-                            from: None,
-                            sga: Sga::from_bufs(chunks),
-                        };
-                    }
-                    if stack.tcp_eof(conn) {
-                        return OperationResult::Failed(DemiError::Closed);
-                    }
-                    wait.await;
-                }
-            }))
+        let (stack, queues) = (self.stack.clone(), self.queues.clone());
+        let rt = &self.runtime;
+        let mut chunks = Vec::new();
+        let check = move || {
+            if let Err(e) = stack.tcp_recv_all(conn, &mut chunks) {
+                return Some(OperationResult::Failed(e.into()));
+            }
+            if !chunks.is_empty() {
+                return Some(OperationResult::Pop {
+                    from: None,
+                    sga: Sga::from_bufs(std::mem::take(&mut chunks)),
+                });
+            }
+            if stack.tcp_eof(conn) {
+                return Some(OperationResult::Failed(DemiError::Closed));
+            }
+            queues.borrow().closed(qd)
+        };
+        Ok(rt.spawn_ready_op("catnip::tcp_pop_unframed", rt.activity(), check))
     }
 
     /// The connection behind a TCP data queue.
     fn tcp_conn(&self, qd: QDesc) -> Result<ConnId, DemiError> {
-        match self.inner.borrow().queues.get(&qd) {
-            Some(CatnipQueue::TcpConn { conn, .. }) => Ok(*conn),
-            Some(_) => Err(DemiError::InvalidState),
-            None => Err(DemiError::BadQDesc),
+        match self.queues.borrow().get(qd)? {
+            CatnipQueue::TcpConn { conn, .. } => Ok(*conn),
+            _ => Err(DemiError::InvalidState),
         }
     }
 }
@@ -332,17 +322,16 @@ impl LibOs for Catnip {
 
     fn socket(&self, kind: SocketKind) -> Result<QDesc, DemiError> {
         self.runtime.metrics().count_control_path_syscall();
-        Ok(match kind {
-            SocketKind::Udp => self.alloc_qd(CatnipQueue::UdpUnbound),
-            SocketKind::Tcp => self.alloc_qd(CatnipQueue::TcpUnbound { bound: None }),
-        })
+        Ok(self.queues.borrow_mut().insert(match kind {
+            SocketKind::Udp => CatnipQueue::UdpUnbound,
+            SocketKind::Tcp => CatnipQueue::TcpUnbound { bound: None },
+        }))
     }
 
     fn bind(&self, qd: QDesc, addr: SocketAddr) -> Result<(), DemiError> {
         self.runtime.metrics().count_control_path_syscall();
-        let mut inner = self.inner.borrow_mut();
-        match inner.queues.get_mut(&qd) {
-            Some(q @ CatnipQueue::UdpUnbound) => {
+        match self.queues.borrow_mut().get_mut(qd)? {
+            q @ CatnipQueue::UdpUnbound => {
                 self.stack.udp_bind(addr.port)?;
                 *q = CatnipQueue::Udp {
                     port: addr.port,
@@ -350,164 +339,109 @@ impl LibOs for Catnip {
                 };
                 Ok(())
             }
-            Some(CatnipQueue::TcpUnbound { bound }) => {
+            CatnipQueue::TcpUnbound { bound } => {
                 *bound = Some(addr);
                 Ok(())
             }
-            Some(_) => Err(DemiError::InvalidState),
-            None => Err(DemiError::BadQDesc),
+            _ => Err(DemiError::InvalidState),
         }
     }
 
     fn listen(&self, qd: QDesc, backlog: usize) -> Result<(), DemiError> {
         self.runtime.metrics().count_control_path_syscall();
-        let mut inner = self.inner.borrow_mut();
-        match inner.queues.get_mut(&qd) {
-            Some(q @ CatnipQueue::TcpUnbound { .. }) => {
-                let CatnipQueue::TcpUnbound { bound } = q else {
-                    unreachable!("matched above");
-                };
-                let addr = bound.ok_or(DemiError::InvalidState)?;
-                let listener = self.stack.tcp_listen(addr.port, backlog)?;
-                *q = CatnipQueue::TcpListener { listener };
-                Ok(())
-            }
-            Some(_) => Err(DemiError::InvalidState),
-            None => Err(DemiError::BadQDesc),
-        }
+        let mut queues = self.queues.borrow_mut();
+        let queue = queues.get_mut(qd)?;
+        let CatnipQueue::TcpUnbound { bound: Some(addr) } = queue else {
+            return Err(DemiError::InvalidState);
+        };
+        let listener = self.stack.tcp_listen(addr.port, backlog)?;
+        *queue = CatnipQueue::TcpListener { listener };
+        Ok(())
     }
 
     fn accept(&self, qd: QDesc) -> Result<QToken, DemiError> {
-        let listener = {
-            let inner = self.inner.borrow();
-            match inner.queues.get(&qd) {
-                Some(CatnipQueue::TcpListener { listener }) => *listener,
-                Some(_) => return Err(DemiError::InvalidState),
-                None => return Err(DemiError::BadQDesc),
-            }
+        let listener = match self.queues.borrow().get(qd)? {
+            CatnipQueue::TcpListener { listener } => *listener,
+            _ => return Err(DemiError::InvalidState),
         };
-        let stack = self.stack.clone();
-        let inner = self.inner.clone();
-        let activity = self.runtime.activity().clone();
-        Ok(self.runtime.spawn_op("catnip::accept", async move {
-            loop {
-                let wait = activity.notified();
-                match stack.tcp_accept(listener) {
-                    Ok(Some(conn)) => {
-                        let mut inner = inner.borrow_mut();
-                        let qd = QDesc(inner.next_qd);
-                        inner.next_qd += 1;
-                        inner.queues.insert(
-                            qd,
-                            CatnipQueue::TcpConn {
-                                conn,
-                                decoder: Rc::new(RefCell::new(FrameDecoder::new())),
-                            },
-                        );
-                        return OperationResult::Accept { qd };
-                    }
-                    Ok(None) => wait.await,
-                    Err(e) => return OperationResult::Failed(e.into()),
-                }
+        let (stack, queues) = (self.stack.clone(), self.queues.clone());
+        let rt = &self.runtime;
+        let check = move || match stack.tcp_accept(listener) {
+            Ok(Some(conn)) => {
+                let qd = queues.borrow_mut().insert(CatnipQueue::tcp_conn(conn));
+                Some(OperationResult::Accept { qd })
             }
-        }))
+            Ok(None) => queues.borrow().closed(qd),
+            Err(e) => Some(OperationResult::Failed(e.into())),
+        };
+        Ok(rt.spawn_ready_op("catnip::accept", rt.activity(), check))
     }
 
     fn connect(&self, qd: QDesc, remote: SocketAddr) -> Result<QToken, DemiError> {
-        let mut inner = self.inner.borrow_mut();
-        match inner.queues.get_mut(&qd) {
+        let mut queues = self.queues.borrow_mut();
+        match queues.get_mut(qd)? {
             // UDP connect: record the default destination.
-            Some(q @ CatnipQueue::UdpUnbound) => {
+            q @ CatnipQueue::UdpUnbound => {
                 let port = self.stack.udp_bind_ephemeral()?;
                 *q = CatnipQueue::Udp {
                     port,
                     remote: Some(remote),
                 };
-                drop(inner);
-                Ok(self
-                    .runtime
-                    .complete_op("catnip::udp_connect", OperationResult::Connect))
             }
-            Some(CatnipQueue::Udp { remote: r, .. }) => {
-                *r = Some(remote);
-                drop(inner);
-                Ok(self
-                    .runtime
-                    .complete_op("catnip::udp_connect", OperationResult::Connect))
-            }
+            CatnipQueue::Udp { remote: r, .. } => *r = Some(remote),
             // TCP connect: initiate and watch the handshake.
-            Some(CatnipQueue::TcpUnbound { .. }) => {
+            q @ CatnipQueue::TcpUnbound { .. } => {
                 let conn = self.stack.tcp_connect(remote)?;
-                inner.queues.insert(
-                    qd,
-                    CatnipQueue::TcpConn {
-                        conn,
-                        decoder: Rc::new(RefCell::new(FrameDecoder::new())),
-                    },
-                );
-                drop(inner);
-                let stack = self.stack.clone();
-                let activity = self.runtime.activity().clone();
-                Ok(self.runtime.spawn_op("catnip::tcp_connect", async move {
-                    loop {
-                        let wait = activity.notified();
-                        match stack.tcp_state(conn) {
-                            Ok(State::Established) => return OperationResult::Connect,
-                            Ok(State::Closed) => {
-                                let err = stack
-                                    .tcp_error(conn)
-                                    .map(DemiError::Net)
-                                    .unwrap_or(DemiError::Closed);
-                                return OperationResult::Failed(err);
-                            }
-                            Ok(_) => wait.await,
-                            Err(e) => return OperationResult::Failed(e.into()),
-                        }
+                *q = CatnipQueue::tcp_conn(conn);
+                let (stack, rt) = (self.stack.clone(), &self.runtime);
+                let check = move || match stack.tcp_state(conn) {
+                    Ok(State::Established) => Some(OperationResult::Connect),
+                    Ok(State::Closed) => {
+                        let err = stack.tcp_error(conn).map(DemiError::Net);
+                        Some(OperationResult::Failed(err.unwrap_or(DemiError::Closed)))
                     }
-                }))
+                    Ok(_) => None,
+                    Err(e) => Some(OperationResult::Failed(e.into())),
+                };
+                return Ok(rt.spawn_ready_op("catnip::tcp_connect", rt.activity(), check));
             }
-            Some(_) => Err(DemiError::InvalidState),
-            None => Err(DemiError::BadQDesc),
+            _ => return Err(DemiError::InvalidState),
         }
+        Ok(self
+            .runtime
+            .complete_op("catnip::udp_connect", OperationResult::Connect))
     }
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
         self.runtime.metrics().count_control_path_syscall();
-        let mut inner = self.inner.borrow_mut();
-        match inner.queues.remove(&qd) {
-            Some(CatnipQueue::Udp { port, .. }) => {
-                self.stack.udp_close(port);
-                Ok(())
-            }
-            Some(CatnipQueue::TcpConn { conn, .. }) => {
-                self.stack.tcp_close(conn)?;
-                Ok(())
-            }
-            Some(CatnipQueue::TcpListener { listener }) => {
-                self.stack.tcp_close_listener(listener);
-                Ok(())
-            }
-            Some(_) => Ok(()),
-            None => Err(DemiError::BadQDesc),
+        let queue = self.queues.borrow_mut().remove(qd)?;
+        // Operations parked on the queue re-check and fail `Closed`.
+        self.runtime.activity().notify_waiters();
+        match queue {
+            CatnipQueue::Udp { port, .. } => self.stack.udp_close(port),
+            CatnipQueue::TcpConn { conn, .. } => self.stack.tcp_close(conn)?,
+            CatnipQueue::TcpListener { listener } => self.stack.tcp_close_listener(listener),
+            CatnipQueue::UdpUnbound | CatnipQueue::TcpUnbound { .. } => {}
         }
+        Ok(())
     }
 
     fn push(&self, qd: QDesc, sga: &Sga) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_push();
-        let inner = self.inner.borrow();
-        match inner.queues.get(&qd) {
-            Some(CatnipQueue::Udp { port, remote }) => {
+        let queues = self.queues.borrow();
+        match queues.get(qd)? {
+            CatnipQueue::Udp { port, remote } => {
                 let remote = remote.ok_or(DemiError::InvalidState)?;
                 let (port, payload) = (*port, self.gather(sga));
-                drop(inner);
+                drop(queues);
                 self.stack.udp_sendto(port, remote, payload)?;
                 Ok(self
                     .runtime
                     .complete_op("catnip::udp_push", OperationResult::Push))
             }
-            Some(CatnipQueue::TcpConn { conn, .. }) => {
+            CatnipQueue::TcpConn { conn, .. } => {
                 let conn = *conn;
-                drop(inner);
+                drop(queues);
                 // Framing header and segments are one push (the stack
                 // holds buffer clones: free-protection in action).
                 let header = std::iter::once(self.framing_header(sga.len()));
@@ -517,87 +451,63 @@ impl LibOs for Catnip {
                     .runtime
                     .complete_op("catnip::tcp_push", OperationResult::Push))
             }
-            Some(_) => Err(DemiError::InvalidState),
-            None => Err(DemiError::BadQDesc),
+            _ => Err(DemiError::InvalidState),
         }
     }
 
     fn pushto(&self, qd: QDesc, sga: &Sga, to: SocketAddr) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_push();
-        let inner = self.inner.borrow();
-        match inner.queues.get(&qd) {
-            Some(CatnipQueue::Udp { port, .. }) => {
-                let (port, payload) = (*port, self.gather(sga));
-                drop(inner);
-                self.stack.udp_sendto(port, to, payload)?;
-                Ok(self
-                    .runtime
-                    .complete_op("catnip::udp_pushto", OperationResult::Push))
-            }
-            Some(_) => Err(DemiError::InvalidState),
-            None => Err(DemiError::BadQDesc),
-        }
+        let queues = self.queues.borrow();
+        let CatnipQueue::Udp { port, .. } = queues.get(qd)? else {
+            return Err(DemiError::InvalidState);
+        };
+        let (port, payload) = (*port, self.gather(sga));
+        drop(queues);
+        self.stack.udp_sendto(port, to, payload)?;
+        Ok(self
+            .runtime
+            .complete_op("catnip::udp_pushto", OperationResult::Push))
     }
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_pop();
-        let inner = self.inner.borrow();
-        match inner.queues.get(&qd) {
-            Some(CatnipQueue::Udp { port, .. }) => {
+        let (stack, queues) = (self.stack.clone(), self.queues.clone());
+        let rt = &self.runtime;
+        match self.queues.borrow().get(qd)? {
+            CatnipQueue::Udp { port, .. } => {
                 let port = *port;
-                let stack = self.stack.clone();
-                let activity = self.runtime.activity().clone();
-                drop(inner);
-                Ok(self.runtime.spawn_op("catnip::udp_pop", async move {
-                    loop {
-                        let wait = activity.notified();
-                        if let Some((from, payload)) = stack.udp_recv_from(port) {
-                            return OperationResult::Pop {
-                                from: Some(from),
-                                sga: Sga::from_bufs(vec![payload]),
-                            };
-                        }
-                        wait.await;
-                    }
-                }))
+                let check = move || match stack.udp_recv_from(port) {
+                    Some((from, payload)) => Some(OperationResult::Pop {
+                        from: Some(from),
+                        sga: Sga::from_bufs(vec![payload]),
+                    }),
+                    None => queues.borrow().closed(qd),
+                };
+                Ok(rt.spawn_ready_op("catnip::udp_pop", rt.activity(), check))
             }
-            Some(CatnipQueue::TcpConn { conn, decoder }) => {
-                let conn = *conn;
-                let decoder = decoder.clone();
-                let stack = self.stack.clone();
-                let activity = self.runtime.activity().clone();
-                drop(inner);
-                Ok(self.runtime.spawn_op("catnip::tcp_pop", async move {
-                    let mut chunks = Vec::new();
-                    loop {
-                        let wait = activity.notified();
-                        // Drain arrived stream chunks into the framer.
-                        if let Err(e) = stack.tcp_recv_all(conn, &mut chunks) {
-                            return OperationResult::Failed(e.into());
-                        }
-                        for chunk in chunks.drain(..) {
-                            decoder.borrow_mut().push_chunk(chunk);
-                        }
-                        // Pop a complete atomic unit only (paper §4.2).
-                        match decoder.borrow_mut().next_message() {
-                            Ok(Some(msg)) => {
-                                return OperationResult::Pop {
-                                    from: None,
-                                    sga: Sga::from_bufs(vec![msg]),
-                                };
-                            }
-                            Ok(None) => {}
-                            Err(e) => return OperationResult::Failed(e.into()),
-                        }
-                        if stack.tcp_eof(conn) && decoder.borrow().buffered_bytes() == 0 {
-                            return OperationResult::Failed(DemiError::Closed);
-                        }
-                        wait.await;
+            CatnipQueue::TcpConn { conn, decoder } => {
+                let (conn, decoder) = (*conn, decoder.clone());
+                let mut chunks = Vec::new();
+                let check = move || {
+                    // Drain arrived stream chunks into the framer.
+                    if let Err(e) = stack.tcp_recv_all(conn, &mut chunks) {
+                        return Some(OperationResult::Failed(e.into()));
                     }
-                }))
+                    let mut decoder = decoder.borrow_mut();
+                    for chunk in chunks.drain(..) {
+                        decoder.push_chunk(chunk);
+                    }
+                    if let Some(result) = framed_pop(&mut decoder) {
+                        return Some(result);
+                    }
+                    if stack.tcp_eof(conn) && decoder.buffered_bytes() == 0 {
+                        return Some(OperationResult::Failed(DemiError::Closed));
+                    }
+                    queues.borrow().closed(qd)
+                };
+                Ok(rt.spawn_ready_op("catnip::tcp_pop", rt.activity(), check))
             }
-            Some(_) => Err(DemiError::InvalidState),
-            None => Err(DemiError::BadQDesc),
+            _ => Err(DemiError::InvalidState),
         }
     }
 
@@ -606,12 +516,10 @@ impl LibOs for Catnip {
     }
 
     fn try_offload_filter(&self, qd: QDesc, pred: Rc<dyn Fn(&Sga) -> bool>) -> bool {
-        let inner = self.inner.borrow();
-        let Some(CatnipQueue::Udp { port, .. }) = inner.queues.get(&qd) else {
-            return false;
+        let udp_port = match self.queues.borrow().get(qd) {
+            Ok(CatnipQueue::Udp { port, .. }) => *port,
+            _ => return false,
         };
-        let udp_port = *port;
-        drop(inner);
         // Compile the Sga predicate into a raw-frame program: non-UDP
         // traffic and other ports pass untouched; matching datagrams are
         // kept only if the predicate holds on their payload.
@@ -628,23 +536,20 @@ impl LibOs for Catnip {
     }
 }
 
-/// Extracts the UDP payload if `frame` is an IPv4/UDP frame addressed to
-/// `port`; `None` lets unrelated traffic pass the filter.
+/// The UDP payload of `frame` if it is an IPv4/UDP datagram addressed to
+/// `port`. `None` — other traffic, or anything the stack's own (length- and
+/// checksum-checking) parsers reject — passes the filter untouched.
 fn udp_payload_for_port(frame: &[u8], port: u16) -> Option<&[u8]> {
-    if frame.len() < 42 || frame[12] != 0x08 || frame[13] != 0x00 {
-        return None; // Not IPv4.
-    }
-    let ip = &frame[14..];
-    if ip[0] != 0x45 || ip[9] != 17 {
-        return None; // Options or not UDP.
-    }
-    let udp = &ip[20..];
-    let dst_port = u16::from_be_bytes([udp[2], udp[3]]);
-    if dst_port != port {
+    let (eth, packet) = EthHeader::parse(frame).ok()?;
+    if eth.ethertype != EtherType::Ipv4 {
         return None;
     }
-    let udp_len = u16::from_be_bytes([udp[4], udp[5]]) as usize;
-    udp.get(8..udp_len)
+    let (ip, datagram) = Ipv4Header::parse(packet).ok()?;
+    if ip.protocol != IpProtocol::Udp {
+        return None;
+    }
+    let (udp, len) = UdpHeader::parse(ip.src, ip.dst, datagram).ok()?;
+    (udp.dst_port == port).then(|| &datagram[UDP_HEADER_LEN..UDP_HEADER_LEN + len])
 }
 
 /// Maps stack errors into Demikernel errors (convenience for coroutines).

@@ -267,3 +267,68 @@ fn sgaalloc_comes_from_registered_pools() {
         "warmed pools serve the data path without registration"
     );
 }
+
+/// The device-side filter `try_offload_filter` compiles (E6), on a
+/// SmartNIC port: the device judges exactly the datagrams addressed to the
+/// queue's port. Everything else — another port's datagrams, the ARP
+/// exchange that precedes the first datagram, a frame the stack's parsers
+/// reject — reaches the host untouched.
+#[test]
+fn offloaded_filter_judges_only_its_own_ports_datagrams() {
+    let fabric = Fabric::new(2025);
+    let rt = Runtime::with_fabric(fabric.clone());
+    let (client_mac, server_mac) = (
+        MacAddress::from_last_octet(1),
+        MacAddress::from_last_octet(2),
+    );
+    let client = Catnip::new(&rt, &fabric, client_mac, ip(1));
+    let server = Catnip::with_port_config(&rt, &fabric, PortConfig::smartnic(server_mac, 2), ip(2));
+    let udp_queue = |libos: &Catnip, addr| {
+        let qd = libos.socket(SocketKind::Udp).unwrap();
+        libos.bind(qd, addr).unwrap();
+        qd
+    };
+    let (filtered, other) = (SocketAddr::new(ip(2), 7), SocketAddr::new(ip(2), 8));
+    let (filtered_qd, other_qd) = (udp_queue(&server, filtered), udp_queue(&server, other));
+    let keep = Rc::new(|sga: &Sga| sga.to_vec().starts_with(b"keep"));
+    assert!(server.try_offload_filter(filtered_qd, keep));
+    assert!(!client.try_offload_filter(filtered_qd, Rc::new(|_: &Sga| true)));
+
+    let cqd = udp_queue(&client, SocketAddr::new(ip(1), 9000));
+    let sends = [
+        (&b"keep-1"[..], filtered),
+        (b"drop-1", filtered),
+        (b"drop-2", other),
+        (b"keep-2", filtered),
+    ];
+    for (payload, to) in sends {
+        client.pushto(cqd, &Sga::from_slice(payload), to).unwrap();
+    }
+    let pop = |qd| server.blocking_pop(qd).unwrap().expect_pop().1.to_vec();
+    assert_eq!(pop(filtered_qd), b"keep-1");
+    assert_eq!(pop(filtered_qd), b"keep-2", "drop-1 never reached the host");
+    assert_eq!(pop(other_qd), b"drop-2", "another port's datagrams pass");
+    assert_eq!(server.port().smartnic_stats().frames_filtered, 1);
+
+    // A frame cut inside its UDP header (the four bytes present still name
+    // port 7) does not parse, so the filter lets it through to the stack.
+    let ipv4 = Ipv4Header {
+        src: ip(1),
+        dst: ip(2),
+        protocol: IpProtocol::Udp,
+        payload_len: 4,
+    };
+    let eth = EthHeader {
+        dst: server_mac,
+        src: client_mac,
+        ethertype: EtherType::Ipv4,
+    };
+    let mut truncated = eth.serialize().to_vec();
+    truncated.extend_from_slice(&ipv4.serialize());
+    truncated.extend_from_slice(&[0x23, 0x28, 0, 7]);
+    let rx_before = server.port().stats().rx_frames;
+    fabric.transmit(client_mac, server_mac, truncated);
+    rt.settle(SimTime::from_micros(100));
+    assert_eq!(server.port().stats().rx_frames, rx_before + 1);
+    assert_eq!(server.port().smartnic_stats().frames_filtered, 1);
+}

@@ -16,6 +16,15 @@
 //!
 //! `wait`/`wait_any`/`wait_all` and the `blocking_*` conveniences are
 //! provided once, on the trait, over the shared [`Runtime`].
+//!
+//! The skeleton under every libOS is written once, too. Queues live in a
+//! [`QueueTable`], which owns descriptor allocation and the `BadQDesc`
+//! answer, so a call site keeps only its device-specific arm (anything
+//! else is `InvalidState`). An operation that must block is a *check*
+//! closure handed to [`Runtime::spawn_ready_op`] — run now and after every
+//! notification of its gate — never a hand-rolled loop; `close` removes
+//! the queue and bumps that gate, and the check's last resort,
+//! [`QueueTable::closed`], fails the parked operation with `Closed`.
 
 pub mod catcorn;
 pub mod catfs;
@@ -23,8 +32,10 @@ pub mod catmem;
 pub mod catnap;
 pub mod catnip;
 
+use std::collections::HashMap;
 use std::rc::Rc;
 
+use net_stack::framing::FrameDecoder;
 use net_stack::types::SocketAddr;
 use sim_fabric::{DeviceCaps, SimTime};
 
@@ -56,6 +67,67 @@ impl LibOsKind {
             LibOsKind::Catfs => "catfs",
             LibOsKind::Catnap => "catnap",
         }
+    }
+}
+
+/// One libOS's open queues by descriptor. Descriptors count up from the
+/// table's first and are never reissued, so a descriptor missing from the
+/// table names a closed (or never opened) queue.
+pub(crate) struct QueueTable<Q> {
+    queues: HashMap<QDesc, Q>,
+    next_qd: u32,
+}
+
+impl<Q> QueueTable<Q> {
+    /// An empty table whose first descriptor is `first`.
+    pub(crate) fn new(first: u32) -> Self {
+        QueueTable {
+            queues: HashMap::new(),
+            next_qd: first,
+        }
+    }
+
+    /// Opens `queue` under a fresh descriptor.
+    pub(crate) fn insert(&mut self, queue: Q) -> QDesc {
+        let qd = QDesc(self.next_qd);
+        self.next_qd += 1;
+        self.queues.insert(qd, queue);
+        qd
+    }
+
+    /// The open queue `qd` names, or `BadQDesc`.
+    pub(crate) fn get(&self, qd: QDesc) -> Result<&Q, DemiError> {
+        self.queues.get(&qd).ok_or(DemiError::BadQDesc)
+    }
+
+    /// [`QueueTable::get`], mutably.
+    pub(crate) fn get_mut(&mut self, qd: QDesc) -> Result<&mut Q, DemiError> {
+        self.queues.get_mut(&qd).ok_or(DemiError::BadQDesc)
+    }
+
+    /// Closes `qd`, handing back its queue for device teardown.
+    pub(crate) fn remove(&mut self, qd: QDesc) -> Result<Q, DemiError> {
+        self.queues.remove(&qd).ok_or(DemiError::BadQDesc)
+    }
+
+    /// What an operation still parked on `qd` resolves to once the queue
+    /// is closed; `None` while it is open.
+    pub(crate) fn closed(&self, qd: QDesc) -> Option<OperationResult> {
+        let closed = !self.queues.contains_key(&qd);
+        closed.then_some(OperationResult::Failed(DemiError::Closed))
+    }
+}
+
+/// The next complete message of a framed TCP queue as a pop result — a pop
+/// yields a whole atomic unit or nothing (paper §4.2).
+fn framed_pop(decoder: &mut FrameDecoder) -> Option<OperationResult> {
+    match decoder.next_message() {
+        Ok(Some(msg)) => Some(OperationResult::Pop {
+            from: None,
+            sga: Sga::from_bufs(vec![msg]),
+        }),
+        Ok(None) => None,
+        Err(e) => Some(OperationResult::Failed(e.into())),
     }
 }
 

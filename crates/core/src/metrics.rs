@@ -225,12 +225,6 @@ impl Metrics {
         Self::default()
     }
 
-    /// Records a data-path kernel crossing (never called by bypass
-    /// libOSes; exists so the baseline adapter can be honest).
-    pub fn count_data_path_syscall(&self) {
-        self.inner.borrow_mut().snap.data_path_syscalls += 1;
-    }
-
     /// Records a control-path kernel interaction.
     pub fn count_control_path_syscall(&self) {
         self.inner.borrow_mut().snap.control_path_syscalls += 1;

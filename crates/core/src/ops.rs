@@ -13,15 +13,15 @@
 //! the CPU if necessary." [`OpsStats`] exposes which path ran, powering
 //! experiment E6.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
-use demi_sched::{AsyncQueue, Notify};
+use demi_sched::Notify;
 use net_stack::types::SocketAddr;
 use sim_fabric::DeviceCaps;
 
-use crate::libos::{LibOs, LibOsKind, SocketKind};
+use crate::libos::{LibOs, LibOsKind, QueueTable, SocketKind};
 use crate::runtime::Runtime;
 use crate::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 
@@ -41,14 +41,20 @@ pub struct OpsStats {
     pub cpu_filters: u64,
     /// Map-function applications.
     pub map_applications: u64,
-    /// Elements forwarded by merge/qconnect plumbing.
+    /// Elements forwarded by merge/sort/qconnect plumbing.
     pub forwarded: u64,
 }
 
 /// A popped element with its datagram source, threaded through transforms.
 type Element = (Option<SocketAddr>, Sga);
-/// Shared priority buffer behind a sorted queue.
-type SortBuffer = Rc<RefCell<Vec<Element>>>;
+/// Where a merge or sort forwarder lands elements for the queue's pops.
+#[derive(Default)]
+struct Landing {
+    items: RefCell<VecDeque<Element>>,
+    /// Fires when a forwarder lands an element.
+    added: Notify,
+}
+
 /// A user predicate over Sga contents.
 pub type SgaPredicate = Rc<dyn Fn(&Sga) -> bool>;
 /// A user priority comparator ("is `a` higher priority than `b`?").
@@ -58,7 +64,7 @@ pub type SgaMap = Rc<dyn Fn(Sga) -> Sga>;
 
 enum VirtualQueue {
     Merge {
-        out: AsyncQueue<Element>,
+        out: Rc<Landing>,
         targets: [QDesc; 2],
     },
     Filter {
@@ -67,9 +73,7 @@ enum VirtualQueue {
         on_device: bool,
     },
     Sort {
-        buffer: SortBuffer,
-        /// Fires when the forwarder lands an element in `buffer`.
-        added: Notify,
+        buffer: Rc<Landing>,
         target: QDesc,
         higher_priority: SgaPriority,
     },
@@ -82,8 +86,7 @@ enum VirtualQueue {
 struct DkInner {
     base: Rc<dyn LibOs>,
     runtime: Runtime,
-    virt: RefCell<HashMap<QDesc, Rc<VirtualQueue>>>,
-    next_virt: Cell<u32>,
+    virt: RefCell<QueueTable<Rc<VirtualQueue>>>,
     stats: RefCell<OpsStats>,
 }
 
@@ -105,8 +108,7 @@ impl Demikernel {
             inner: Rc::new(DkInner {
                 base,
                 runtime,
-                virt: RefCell::new(HashMap::new()),
-                next_virt: Cell::new(VIRTUAL_QD_BASE),
+                virt: RefCell::new(QueueTable::new(VIRTUAL_QD_BASE)),
                 stats: RefCell::new(OpsStats::default()),
             }),
         }
@@ -123,18 +125,45 @@ impl Demikernel {
     }
 
     fn alloc_virt(&self, vq: VirtualQueue) -> QDesc {
-        let qd = QDesc(self.inner.next_virt.get());
-        self.inner.next_virt.set(qd.0 + 1);
-        self.inner.virt.borrow_mut().insert(qd, Rc::new(vq));
-        qd
+        self.inner.virt.borrow_mut().insert(Rc::new(vq))
     }
 
     fn virt(&self, qd: QDesc) -> Option<Rc<VirtualQueue>> {
-        self.inner.virt.borrow().get(&qd).cloned()
+        self.inner.virt.borrow().get(qd).ok().cloned()
     }
 
     fn downgrade(&self) -> Weak<DkInner> {
         Rc::downgrade(&self.inner)
+    }
+
+    /// Spawns the background loop that pops `src` forever and lands each
+    /// element where the pops of a merged or sorted queue look for it.
+    fn spawn_forwarder(&self, src: QDesc, landing: Rc<Landing>) {
+        let weak = self.downgrade();
+        let forward = async move {
+            loop {
+                let Some(inner) = weak.upgrade() else { return };
+                let dk = Demikernel { inner };
+                let Ok(qt) = dk.pop(src) else { return };
+                // Build the (runtime-weak) future, then drop every strong
+                // handle before suspending: a parked forwarder holding the
+                // runtime would leak the world (Rc cycle through the
+                // scheduler).
+                let fut = dk.inner.runtime.await_op(qt);
+                drop(dk);
+                let OperationResult::Pop { from, sga } = fut.await else {
+                    return;
+                };
+                if let Some(inner) = weak.upgrade() {
+                    inner.stats.borrow_mut().forwarded += 1;
+                }
+                landing.items.borrow_mut().push_back((from, sga));
+                landing.added.notify_waiters();
+            }
+        };
+        self.inner
+            .runtime
+            .spawn_background("ops::forwarder", forward);
     }
 
     /// `merge(qd1, qd2)`: a queue that pops from either input and pushes
@@ -142,40 +171,14 @@ impl Demikernel {
     pub fn merge(&self, qd1: QDesc, qd2: QDesc) -> Result<QDesc, DemiError> {
         self.check_exists(qd1)?;
         self.check_exists(qd2)?;
-        let out: AsyncQueue<Element> = AsyncQueue::new();
+        let out = Rc::<Landing>::default();
         let merged = self.alloc_virt(VirtualQueue::Merge {
             out: out.clone(),
             targets: [qd1, qd2],
         });
         // One forwarder per input: pops flow into the merged buffer.
-        for src in [qd1, qd2] {
-            let weak = self.downgrade();
-            let out = out.clone();
-            self.inner
-                .runtime
-                .spawn_background("ops::merge_forwarder", async move {
-                    loop {
-                        let Some(inner) = weak.upgrade() else { return };
-                        let dk = Demikernel { inner };
-                        let Ok(qt) = dk.pop(src) else { return };
-                        // Build the (runtime-weak) future, then drop every
-                        // strong handle before suspending: a parked forwarder
-                        // holding the runtime would leak the world (Rc cycle
-                        // through the scheduler).
-                        let fut = dk.inner.runtime.await_op(qt);
-                        drop(dk);
-                        match fut.await {
-                            OperationResult::Pop { from, sga } => {
-                                if let Some(inner) = weak.upgrade() {
-                                    inner.stats.borrow_mut().forwarded += 1;
-                                }
-                                out.push((from, sga));
-                            }
-                            _ => return,
-                        }
-                    }
-                });
-        }
+        self.spawn_forwarder(qd1, out.clone());
+        self.spawn_forwarder(qd2, out);
         Ok(merged)
     }
 
@@ -205,34 +208,14 @@ impl Demikernel {
     /// available element of `qd` (paper §4.3).
     pub fn sort(&self, qd: QDesc, higher_priority: SgaPriority) -> Result<QDesc, DemiError> {
         self.check_exists(qd)?;
-        let buffer: SortBuffer = Rc::new(RefCell::new(Vec::new()));
-        let added = Notify::new();
+        let buffer = Rc::<Landing>::default();
         let sorted = self.alloc_virt(VirtualQueue::Sort {
             buffer: buffer.clone(),
-            added: added.clone(),
             target: qd,
             higher_priority,
         });
         // Forwarder drains the base queue into the priority buffer.
-        let weak = self.downgrade();
-        self.inner
-            .runtime
-            .spawn_background("ops::sort_forwarder", async move {
-                loop {
-                    let Some(inner) = weak.upgrade() else { return };
-                    let dk = Demikernel { inner };
-                    let Ok(qt) = dk.pop(qd) else { return };
-                    let fut = dk.inner.runtime.await_op(qt);
-                    drop(dk);
-                    match fut.await {
-                        OperationResult::Pop { from, sga } => {
-                            buffer.borrow_mut().push((from, sga));
-                            added.notify_waiters();
-                        }
-                        _ => return,
-                    }
-                }
-            });
+        self.spawn_forwarder(qd, buffer);
         Ok(sorted)
     }
 
@@ -282,11 +265,7 @@ impl Demikernel {
 
     fn check_exists(&self, qd: QDesc) -> Result<(), DemiError> {
         if qd.0 >= VIRTUAL_QD_BASE {
-            if self.virt(qd).is_some() {
-                Ok(())
-            } else {
-                Err(DemiError::BadQDesc)
-            }
+            self.inner.virt.borrow().get(qd).map(|_| ())
         } else {
             // Cheap existence probe: descriptors below the virtual range
             // belong to the base libOS; trust it to reject bad ones at use.
@@ -334,12 +313,7 @@ impl LibOs for Demikernel {
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
         if qd.0 >= VIRTUAL_QD_BASE {
-            self.inner
-                .virt
-                .borrow_mut()
-                .remove(&qd)
-                .map(|_| ())
-                .ok_or(DemiError::BadQDesc)
+            self.inner.virt.borrow_mut().remove(qd).map(|_| ())
         } else {
             self.inner.base.close(qd)
         }
@@ -434,11 +408,13 @@ impl LibOs for Demikernel {
         };
         match &*vq {
             VirtualQueue::Merge { out, .. } => {
-                let out = out.clone();
-                Ok(self.inner.runtime.spawn_op("ops::merge_pop", async move {
-                    let (from, sga) = out.pop().await;
-                    OperationResult::Pop { from, sga }
-                }))
+                let (added, out) = (out.added.clone(), out.clone());
+                let check = move || {
+                    let (from, sga) = out.items.borrow_mut().pop_front()?;
+                    Some(OperationResult::Pop { from, sga })
+                };
+                let runtime = &self.inner.runtime;
+                Ok(runtime.spawn_ready_op("ops::merge_pop", &added, check))
             }
             VirtualQueue::Filter {
                 target,
@@ -484,32 +460,24 @@ impl LibOs for Demikernel {
             }
             VirtualQueue::Sort {
                 buffer,
-                added,
                 higher_priority,
                 ..
             } => {
-                let buffer = buffer.clone();
-                let added = added.clone();
+                let (added, buffer) = (buffer.added.clone(), buffer.clone());
                 let cmp = higher_priority.clone();
-                Ok(self.inner.runtime.spawn_op("ops::sort_pop", async move {
-                    loop {
-                        let wait = added.notified();
-                        {
-                            let mut buf = buffer.borrow_mut();
-                            if !buf.is_empty() {
-                                let mut best = 0;
-                                for i in 1..buf.len() {
-                                    if cmp(&buf[i].1, &buf[best].1) {
-                                        best = i;
-                                    }
-                                }
-                                let (from, sga) = buf.remove(best);
-                                return OperationResult::Pop { from, sga };
-                            }
+                let check = move || {
+                    let mut buf = buffer.items.borrow_mut();
+                    let mut best = 0;
+                    for i in 1..buf.len() {
+                        if cmp(&buf[i].1, &buf[best].1) {
+                            best = i;
                         }
-                        wait.await;
                     }
-                }))
+                    let (from, sga) = buf.remove(best)?;
+                    Some(OperationResult::Pop { from, sga })
+                };
+                let runtime = &self.inner.runtime;
+                Ok(runtime.spawn_ready_op("ops::sort_pop", &added, check))
             }
             VirtualQueue::Map { target, f } => {
                 let target = *target;

@@ -286,9 +286,9 @@ impl Runtime {
     }
 
     /// The activity gate: fires after every batch of external progress
-    /// (frames delivered, poller work, timers fired). Coroutines waiting
-    /// for device- or network-driven state changes park on
-    /// `activity().notified()` and re-check their predicate when woken.
+    /// (frames delivered, poller work, timers fired). Operations waiting
+    /// for device- or network-driven state changes name it as the gate of
+    /// [`Runtime::spawn_ready_op`] and re-check when it fires.
     pub fn activity(&self) -> &Notify {
         &self.inner.activity
     }
@@ -342,6 +342,23 @@ impl Runtime {
             },
         );
         qt
+    }
+
+    /// The one check-then-park driver: spawns an operation that runs
+    /// `check` when first polled and again each time `gate` is notified,
+    /// parked (zero polls) in between, until `check` yields its result. A
+    /// notification landing between a check and the park is not lost.
+    /// `check` lives inside a task the runtime owns, so it must capture
+    /// only cycle-free pieces — a stack, a queue table, a `Notify` — never
+    /// a `Runtime`.
+    pub fn spawn_ready_op(
+        &self,
+        name: &'static str,
+        gate: &Notify,
+        check: impl FnMut() -> Option<OperationResult> + 'static,
+    ) -> QToken {
+        let gate = gate.clone();
+        self.spawn_op(name, async move { gate.until(check).await })
     }
 
     /// The qtoken of an operation whose result is known as the libOS call
@@ -935,26 +952,25 @@ mod tests {
         assert_eq!(rt.now(), fire_at);
     }
 
+    /// `n` ready-ops that stay parked on `gate` until `released` is set.
+    fn park_herd(rt: &Runtime, gate: &Notify, released: &Rc<Cell<bool>>, n: usize) -> Vec<QToken> {
+        let herd = (0..n).map(|_| {
+            let released = released.clone();
+            rt.spawn_ready_op("parked", gate, move || {
+                released.get().then_some(OperationResult::Push)
+            })
+        });
+        let herd = herd.collect();
+        // Drain the initial spawn polls.
+        rt.pump();
+        herd
+    }
+
     #[test]
     fn parked_ops_cost_nothing_while_waiting_on_another() {
         let rt = Runtime::new();
-        // 50 operations parked forever on their own wakerless futures
-        // would deadlock; park them on never-signalled conditions instead
-        // and confirm waiting on a live op doesn't re-poll them.
-        let conds: Vec<demi_sched::Condition> =
-            (0..50).map(|_| demi_sched::Condition::new()).collect();
-        let parked: Vec<QToken> = conds
-            .iter()
-            .map(|c| {
-                let c = c.clone();
-                rt.spawn_op("parked", async move {
-                    c.wait().await;
-                    OperationResult::Push
-                })
-            })
-            .collect();
-        // Drain the initial spawn polls.
-        rt.pump();
+        let (gate, released) = (Notify::new(), Rc::new(Cell::new(false)));
+        let parked = park_herd(&rt, &gate, &released, 50);
         let polls_after_park = rt.scheduler().stats().polls;
         let live = rt.spawn_op("live", async {
             yield_once().await;
@@ -966,12 +982,41 @@ mod tests {
         assert_eq!(stats.polls, polls_after_park + 2);
         assert_eq!(stats.spurious_polls, 0);
         // Release the parked ops so the world shuts down cleanly.
-        for c in &conds {
-            c.signal();
-        }
-        for qt in parked {
-            rt.wait(qt, None).unwrap();
-        }
+        released.set(true);
+        assert_eq!(gate.notify_waiters(), 50);
+        assert_eq!(rt.wait_all(&parked, None).unwrap().len(), 50);
+        assert_eq!(rt.outstanding(), 0);
+    }
+
+    #[test]
+    fn ready_op_does_not_lose_a_notification_between_check_and_park() {
+        let rt = Runtime::new();
+        let (gate, ready) = (Notify::new(), Rc::new(Cell::new(false)));
+        let qt = rt.spawn_ready_op("racy", &gate, {
+            let (gate, ready) = (gate.clone(), ready.clone());
+            move || {
+                if ready.get() {
+                    return Some(OperationResult::Push);
+                }
+                // The event lands after this check looked, before the park.
+                ready.set(true);
+                gate.notify_waiters();
+                None
+            }
+        });
+        assert_eq!(rt.wait(qt, None), Ok(OperationResult::Push));
+        // Resolved by the notification, not by the deadlock rescue sweep.
+        assert_eq!(rt.scheduler().stats().spurious_polls, 0);
+    }
+
+    #[test]
+    fn dropping_the_runtime_with_ready_ops_parked_leaks_nothing() {
+        let rt = Runtime::new();
+        let (gate, released) = (Notify::new(), Rc::new(Cell::new(false)));
+        park_herd(&rt, &gate, &released, 8);
+        assert_eq!(Rc::strong_count(&released), 9);
+        drop(rt);
+        assert_eq!(Rc::strong_count(&released), 1, "parked checks were freed");
     }
 
     #[test]

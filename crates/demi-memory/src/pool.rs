@@ -290,16 +290,6 @@ impl BufferPool {
     pub fn stats(&self) -> PoolStats {
         self.inner.borrow().stats
     }
-
-    /// Free buffers currently cached for the class serving `len`-byte
-    /// allocations (`None` for oversized requests).
-    pub fn free_count_for(&self, len: usize) -> Option<usize> {
-        let inner = self.inner.borrow();
-        SIZE_CLASSES
-            .iter()
-            .position(|&s| s >= len)
-            .map(|c| inner.classes[c].free.len())
-    }
 }
 
 impl fmt::Debug for BufferPool {
@@ -312,6 +302,15 @@ impl fmt::Debug for BufferPool {
 mod tests {
     use super::*;
     use crate::registration::CountingRegistrar;
+
+    impl BufferPool {
+        /// Free buffers currently cached for the class serving `len`-byte
+        /// allocations (`None` for oversized requests).
+        fn free_count_for(&self, len: usize) -> Option<usize> {
+            let class = SIZE_CLASSES.iter().position(|&s| s >= len)?;
+            Some(self.inner.borrow().classes[class].free.len())
+        }
+    }
 
     #[test]
     fn alloc_rounds_up_to_size_class() {

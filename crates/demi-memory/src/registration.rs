@@ -75,11 +75,6 @@ impl CountingRegistrar {
     pub fn stats(&self) -> RegionStats {
         self.inner.borrow().stats
     }
-
-    /// Whether a region id is currently registered.
-    pub fn is_registered(&self, id: RegionId) -> bool {
-        self.inner.borrow().regions.iter().any(|(r, _)| *r == id)
-    }
 }
 
 impl Registrar for CountingRegistrar {
@@ -119,6 +114,13 @@ impl fmt::Debug for CountingRegistrar {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CountingRegistrar {
+        /// Whether a region id is currently registered.
+        fn is_registered(&self, id: RegionId) -> bool {
+            self.inner.borrow().regions.iter().any(|(r, _)| *r == id)
+        }
+    }
 
     #[test]
     fn register_and_deregister_track_pins() {

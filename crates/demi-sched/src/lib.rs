@@ -19,10 +19,12 @@
 //!   advances the clock to [`TimerService::earliest_deadline`] and
 //!   [`fire_due`](TimerService::fire_due) wakes exactly the expired
 //!   sleepers.
-//! * [`yield_once`] / [`Condition`] / [`Notify`] / [`AsyncQueue`] —
-//!   cooperation primitives. All of them wake their waiters on state
-//!   change; `yield_once` self-wakes (stay runnable, go to the back of the
-//!   queue).
+//! * [`Notify`] — the one parking primitive: an edge-triggered event
+//!   counter whose [`Notify::until`] is the check-then-park loop every
+//!   blocked operation runs. A flag, a queue or a condition is plain state
+//!   (`Cell`, `RefCell<VecDeque<_>>`) beside the `Notify` that announces
+//!   its changes. [`yield_once`] self-wakes instead (stay runnable, go to
+//!   the back of the queue).
 //!
 //! Everything is single-threaded (`Rc`-based) by design: a Demikernel libOS
 //! owns one core and partitions state per core, so cross-thread
@@ -33,18 +35,13 @@
 //! structure this crate provides is the bounded lock-free [`spsc`] ring
 //! that carries messages *between* per-shard worlds.
 
-pub mod condition;
 pub mod notify;
-pub mod queue;
 pub mod scheduler;
 pub mod spsc;
 pub mod timer;
-mod waiters;
 pub mod yield_;
 
-pub use condition::Condition;
 pub use notify::{Notified, Notify};
-pub use queue::AsyncQueue;
 pub use scheduler::{PassReport, Scheduler, SchedulerStats, TaskHandle, TaskId};
 pub use timer::TimerService;
 pub use yield_::{yield_once, YieldFuture};

@@ -141,7 +141,6 @@ impl Wake for SlotWaker {
 }
 
 struct TaskSlot {
-    id: TaskId,
     name: &'static str,
     gen: u64,
     /// The wake-side state, and the one `Waker` built over it at spawn:
@@ -268,7 +267,6 @@ impl Scheduler {
             }),
         };
         let slot = TaskSlot {
-            id,
             name,
             gen,
             waker: Waker::from(state.clone()),
@@ -427,16 +425,6 @@ impl Scheduler {
             .flatten()
             .map(|t| t.name)
             .collect()
-    }
-
-    /// Whether a task with the given id is still live.
-    pub fn is_live(&self, id: TaskId) -> bool {
-        self.inner
-            .borrow()
-            .tasks
-            .iter()
-            .flatten()
-            .any(|t| t.id == id)
     }
 
     /// Snapshot of activity counters.
@@ -600,8 +588,7 @@ mod tests {
         assert!(a.is_complete());
         let b = sched.spawn("b", async { 2u32 });
         assert_ne!(a.id(), b.id());
-        assert!(!sched.is_live(a.id()));
-        assert!(sched.is_live(b.id()));
+        assert_eq!(sched.live_task_names(), vec!["b"]);
         sched.poll_once();
         assert_eq!(b.take_result(), Some(2));
     }

@@ -156,11 +156,6 @@ impl<T> Producer<T> {
         self.len() == 0
     }
 
-    /// True when a `try_push` right now would fail.
-    pub fn is_full(&self) -> bool {
-        self.len() == self.capacity()
-    }
-
     /// Total slot count.
     pub fn capacity(&self) -> usize {
         self.shared.mask + 1
@@ -225,7 +220,7 @@ mod tests {
         for i in 0..4 {
             p.try_push(i).unwrap();
         }
-        assert!(p.is_full());
+        assert_eq!(p.len(), p.capacity());
         assert_eq!(p.try_push(99), Err(99));
         for i in 0..4 {
             assert_eq!(c.try_pop(), Some(i));

@@ -30,9 +30,9 @@ impl Future for YieldFuture {
 ///
 /// The yielding task re-enqueues itself (a self-wake), so under the
 /// waker-driven policy a yield loop keeps running — but code that *waits*
-/// for an event should park on a waker source ([`crate::Condition`],
-/// [`crate::Notify`], [`crate::AsyncQueue`], a timer) instead of spinning
-/// on `yield_once`, which burns a poll per pass.
+/// for an event should park on a waker source ([`crate::Notify::until`] or
+/// a timer) instead of spinning on `yield_once`, which burns a poll per
+/// pass.
 pub fn yield_once() -> YieldFuture {
     YieldFuture::default()
 }

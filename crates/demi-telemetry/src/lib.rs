@@ -63,11 +63,6 @@ pub fn set_now_source(src: Rc<dyn Fn() -> u64>) {
     NOW_SOURCE.with(|s| *s.borrow_mut() = Some(src));
 }
 
-/// Remove the installed time source (tests use this to isolate worlds).
-pub fn clear_now_source() {
-    NOW_SOURCE.with(|s| *s.borrow_mut() = None);
-}
-
 /// Current virtual time in nanoseconds, or 0 if no source is installed.
 /// Sites treat 0 as "unstamped" and skip delta recording, so a world
 /// that never enabled telemetry never records garbage.
@@ -97,7 +92,7 @@ mod tests {
         assert_eq!(now_ns(), 41);
         t.set(42);
         assert_eq!(now_ns(), 42);
-        clear_now_source();
+        NOW_SOURCE.with(|s| *s.borrow_mut() = None);
         assert_eq!(now_ns(), 0);
     }
 }

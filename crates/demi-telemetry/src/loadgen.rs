@@ -68,16 +68,6 @@ pub fn poisson_schedule(seed: u64, start_ns: u64, rate_per_sec: f64, count: usiz
     out
 }
 
-/// Evenly spaced arrivals at `rate_per_sec` (the deterministic
-/// comparison baseline for the Poisson schedule).
-pub fn uniform_schedule(start_ns: u64, rate_per_sec: f64, count: usize) -> Vec<u64> {
-    assert!(rate_per_sec > 0.0, "offered rate must be positive");
-    let gap_ns = 1e9 / rate_per_sec;
-    (1..=count)
-        .map(|i| start_ns + (i as f64 * gap_ns) as u64)
-        .collect()
-}
-
 /// One measured point on a throughput–latency curve.
 #[derive(Clone, Debug)]
 pub struct CurvePoint {
@@ -221,13 +211,6 @@ mod tests {
             (mean_gap - 10_000.0).abs() < 500.0,
             "mean inter-arrival {mean_gap} ns, expected ~10000"
         );
-    }
-
-    #[test]
-    fn uniform_schedule_is_evenly_spaced() {
-        let sched = uniform_schedule(100, 1_000_000.0, 10);
-        assert_eq!(sched[0], 1100);
-        assert!(sched.windows(2).all(|w| w[1] - w[0] == 1000));
     }
 
     #[test]

@@ -269,17 +269,6 @@ impl TenantRegistry {
             owner == tenant
         }
     }
-
-    /// Sum of TX weights across registered tenants (min 1).
-    pub fn total_weight(&self) -> u64 {
-        let specs = self.specs.lock().expect("tenant registry poisoned");
-        specs
-            .iter()
-            .skip(1)
-            .map(|s| s.weight as u64)
-            .sum::<u64>()
-            .max(1)
-    }
 }
 
 impl fmt::Debug for TenantRegistry {
@@ -322,7 +311,6 @@ mod tests {
         assert_eq!((a, b), (TenantId(1), TenantId(2)));
         assert_eq!(reg.spec(b).unwrap().weight, 3);
         assert_eq!(reg.tenants().len(), 2);
-        assert_eq!(reg.total_weight(), 4);
     }
 
     #[test]

@@ -412,11 +412,6 @@ impl TcpOffload {
         }
     }
 
-    /// Whether `key` is currently armed and device-active.
-    pub fn is_armed(&self, key: FlowKey) -> bool {
-        self.flows.get(&key).map(|f| f.active).unwrap_or(false)
-    }
-
     /// Drains the ordered sync-event queue.
     pub fn take_events(&mut self) -> Vec<OffloadEvent> {
         self.events.drain(..).collect()
@@ -1184,7 +1179,7 @@ mod tests {
         let dup = client_data(1000, 5100, b"");
         let o = process(&mut engine, &dup);
         assert_eq!(o.action, OffloadAction::Deliver);
-        assert!(!engine.is_armed(key()), "flow fell back");
+        assert!(!engine.flows[&key()].active, "flow fell back");
         assert_eq!(engine.stats().fallbacks, 1);
     }
 
@@ -1228,7 +1223,7 @@ mod tests {
         let ooo = client_data(1500, 5000, &msg);
         let o = process(&mut engine, &ooo);
         assert_eq!(o.action, OffloadAction::Deliver);
-        assert!(!engine.is_armed(key()));
+        assert!(!engine.flows[&key()].active);
     }
 
     #[test]

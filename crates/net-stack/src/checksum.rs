@@ -89,19 +89,16 @@ impl ChecksumAccumulator {
     }
 }
 
-/// One-shot checksum over a sequence of fragments, as if they were
-/// concatenated.
-pub fn checksum_iovec(fragments: &[&[u8]]) -> u16 {
-    let mut acc = ChecksumAccumulator::new();
-    for f in fragments {
-        acc.push(f);
-    }
-    acc.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The accumulator's checksum over `fragments`, as if concatenated.
+    fn checksum_iovec(fragments: &[&[u8]]) -> u16 {
+        let mut acc = ChecksumAccumulator::new();
+        fragments.iter().for_each(|f| acc.push(f));
+        acc.finish()
+    }
 
     #[test]
     fn rfc1071_reference_vector() {

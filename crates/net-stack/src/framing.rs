@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use demi_memory::{counters, DemiBuffer, HeadroomError};
+use demi_memory::{counters, DemiBuffer};
 
 use crate::types::NetError;
 
@@ -59,16 +59,6 @@ pub fn encode_message(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&encode_header(payload.len()));
     out.extend_from_slice(payload);
     out
-}
-
-/// Frames `payload` in place by prepending the 8-byte header into its
-/// headroom — the zero-copy TX framing path. Fails (no silent realloc)
-/// when the headroom is exhausted or another live handle blocks the
-/// prepend; callers fall back to [`DemiBuffer::copy_with_headroom`].
-pub fn prepend_header(payload: &mut DemiBuffer) -> Result<(), HeadroomError> {
-    let hdr = encode_header(payload.len());
-    payload.prepend(FRAME_HEADER_LEN)?.copy_from_slice(&hdr);
-    Ok(())
 }
 
 /// Reassembles messages from a stream of received chunks.
@@ -248,23 +238,6 @@ mod tests {
         assert_eq!(dec.next_message().unwrap().unwrap().as_slice(), b"second");
         assert!(dec.next_message().unwrap().is_none());
         assert_eq!(dec.buffered_bytes(), 0);
-    }
-
-    #[test]
-    fn prepend_header_matches_encode_message() {
-        let mut payload = DemiBuffer::zeroed_with_headroom(FRAME_HEADER_LEN, 11);
-        payload.try_mut().unwrap().copy_from_slice(b"atomic unit");
-        let probe = payload.clone();
-        drop(probe); // exercise clone-at-same-offset then sole-handle prepend
-        prepend_header(&mut payload).unwrap();
-        assert_eq!(payload, encode_message(b"atomic unit"));
-    }
-
-    #[test]
-    fn prepend_header_without_headroom_is_an_error() {
-        let mut payload = DemiBuffer::from_slice(b"no room");
-        assert!(prepend_header(&mut payload).is_err());
-        assert_eq!(payload.as_slice(), b"no room", "payload untouched");
     }
 
     #[test]

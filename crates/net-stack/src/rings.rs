@@ -106,11 +106,6 @@ impl ShardRings {
         drained
     }
 
-    /// Messages currently queued toward shard `to` (0 for self).
-    pub fn queued_to(&self, to: usize) -> usize {
-        self.outboxes[to].as_ref().map_or(0, |p| p.len())
-    }
-
     /// This endpoint's counters.
     pub fn stats(&self) -> RingStats {
         self.stats

@@ -283,11 +283,6 @@ impl NetworkStack {
         self.shards[0].borrow().port.mac()
     }
 
-    /// Largest UDP payload the MTU allows.
-    pub fn max_udp_payload(&self) -> usize {
-        self.config.mtu - IPV4_HEADER_LEN - UDP_HEADER_LEN
-    }
-
     /// Number of shards this stack runs: one per device RX queue.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -822,17 +817,6 @@ impl NetworkStack {
         shard.offload_release_conn(conn);
         let now = shard.clock.now();
         shard.tcp.close(conn, now)?;
-        shard.flush_tcp();
-        Ok(())
-    }
-
-    /// Abortive close (offload disarmed first, as for [`tcp_close`]).
-    ///
-    /// [`tcp_close`]: NetworkStack::tcp_close
-    pub fn tcp_abort(&self, conn: ConnId) -> Result<(), NetError> {
-        let mut shard = self.conn_shard(conn).borrow_mut();
-        shard.offload_release_conn(conn);
-        shard.tcp.abort(conn)?;
         shard.flush_tcp();
         Ok(())
     }

@@ -161,11 +161,6 @@ impl SimClock {
     pub fn advance_by(&self, delta: SimTime) {
         self.now.set(self.now.get().saturating_add(delta.0));
     }
-
-    /// Returns true when both handles refer to the same underlying clock.
-    pub fn same_clock(&self, other: &SimClock) -> bool {
-        Rc::ptr_eq(&self.now, &other.now)
-    }
 }
 
 impl fmt::Debug for SimClock {
@@ -208,8 +203,6 @@ mod tests {
         assert_eq!(c1.now(), SimTime::from_micros(5));
         c2.advance_by(SimTime::from_micros(1));
         assert_eq!(c1.now(), SimTime::from_micros(6));
-        assert!(c1.same_clock(&c2));
-        assert!(!c1.same_clock(&SimClock::new()));
     }
 
     #[test]

@@ -336,12 +336,6 @@ impl Fabric {
         self.inner.borrow_mut().links.insert((src, dst), config);
     }
 
-    /// Configures both directions between `a` and `b`.
-    pub fn set_link_bidir(&self, a: MacAddress, b: MacAddress, config: LinkConfig) {
-        self.set_link(a, b, config);
-        self.set_link(b, a, config);
-    }
-
     /// Severs connectivity between `a` and `b` in both directions
     /// (failure injection). In-flight frames still arrive.
     pub fn partition(&self, a: MacAddress, b: MacAddress) {
@@ -388,12 +382,6 @@ impl Fabric {
             fabric: self.clone(),
             mac,
         }
-    }
-
-    /// Removes an endpoint; its queued and in-flight frames are dropped on
-    /// delivery.
-    pub fn deregister_endpoint(&self, mac: MacAddress) {
-        self.inner.borrow_mut().endpoints.remove(&mac);
     }
 
     /// Transmits `payload` from `src` to `dst` (which may be broadcast).
@@ -508,16 +496,6 @@ impl Endpoint {
             .get_mut(&self.mac)
             .and_then(|m| m.queue.pop_front())
     }
-
-    /// Number of frames waiting in this endpoint's mailbox.
-    pub fn pending_rx(&self) -> usize {
-        self.fabric
-            .inner
-            .borrow()
-            .endpoints
-            .get(&self.mac)
-            .map_or(0, |m| m.queue.len())
-    }
 }
 
 impl fmt::Debug for Endpoint {
@@ -529,6 +507,14 @@ impl fmt::Debug for Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Endpoint {
+        /// Number of frames waiting in this endpoint's mailbox.
+        fn pending_rx(&self) -> usize {
+            let inner = self.fabric.inner.borrow();
+            inner.endpoints.get(&self.mac).map_or(0, |m| m.queue.len())
+        }
+    }
 
     fn two_endpoints(fabric: &Fabric) -> (Endpoint, Endpoint) {
         (
@@ -739,17 +725,6 @@ mod tests {
         let fabric = Fabric::new(1);
         let _a = fabric.register_endpoint(MacAddress::from_last_octet(1));
         let _b = fabric.register_endpoint(MacAddress::from_last_octet(1));
-    }
-
-    #[test]
-    fn deregistered_endpoint_stops_receiving() {
-        let fabric = Fabric::new(1);
-        fabric.set_default_link(LinkConfig::ideal());
-        let (a, b) = two_endpoints(&fabric);
-        fabric.deregister_endpoint(b.mac());
-        a.transmit(b.mac(), vec![1]);
-        fabric.deliver_due();
-        assert_eq!(fabric.stats().frames_dropped, 1);
     }
 
     #[test]

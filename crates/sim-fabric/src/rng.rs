@@ -37,16 +37,6 @@ impl SimRng {
         z ^ (z >> 31)
     }
 
-    /// Uniform value in `[0, bound)`. Returns 0 when `bound == 0`.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            return 0;
-        }
-        // Multiply-shift bounded sampling (Lemire); bias is negligible for
-        // simulation purposes and determinism is what matters here.
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -77,16 +67,6 @@ mod tests {
         }
         let mut c = SimRng::new(8);
         assert_ne!(a.next_u64(), c.next_u64());
-    }
-
-    #[test]
-    fn bounded_values_stay_in_range() {
-        let mut r = SimRng::new(1);
-        for _ in 0..10_000 {
-            let v = r.next_below(17);
-            assert!(v < 17);
-        }
-        assert_eq!(r.next_below(0), 0);
     }
 
     #[test]

@@ -104,7 +104,7 @@ bench-smoke:
 
 # The line budget: non-test product lines per crate (everything under
 # crates/ except bench) against the checked-in LOC_BUDGET table; fails if
-# any crate is over.
+# any crate is over, or 50 or more lines under (budgets only ratchet down).
 loc:
     sh tools/loc.sh
 

@@ -6,10 +6,12 @@
 //! a frame of its own or losing its tenant stamp, and batching never
 //! changes the bytes a TCP stream delivers.
 
+use std::cell::Cell;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 use demi_memory::{BufferPool, DemiBuffer, DEFAULT_HEADROOM};
-use demi_sched::Condition;
+use demi_sched::Notify;
 use demi_tenant::{TenantRegistry, TenantSpec};
 use demikernel::types::{OperationResult, QToken};
 use demikernel::Runtime;
@@ -237,14 +239,12 @@ fn delayed_ack_timer_fires_in_virtual_time() {
 fn wait_any_does_not_rescan_tokens_every_pass() {
     const HERD: usize = 1024;
     let rt = Runtime::new();
-    let conds: Vec<Condition> = (0..HERD).map(|_| Condition::new()).collect();
-    let mut tokens: Vec<QToken> = conds
-        .iter()
-        .map(|c| {
-            let c = c.clone();
-            rt.spawn_op("parked", async move {
-                c.wait().await;
-                OperationResult::Push
+    let (gate, released) = (Notify::new(), Rc::new(Cell::new(false)));
+    let mut tokens: Vec<QToken> = (0..HERD)
+        .map(|_| {
+            let released = released.clone();
+            rt.spawn_ready_op("parked", &gate, move || {
+                released.get().then_some(OperationResult::Push)
             })
         })
         .collect();
@@ -297,12 +297,9 @@ fn wait_any_does_not_rescan_tokens_every_pass() {
 
     // Shut the world down cleanly.
     tokens.pop();
-    for c in &conds {
-        c.signal();
-    }
-    for qt in tokens {
-        rt.wait(qt, None).unwrap();
-    }
+    released.set(true);
+    assert_eq!(gate.notify_waiters(), HERD);
+    rt.wait_all(&tokens, None).unwrap();
 }
 
 /// Drives `chunks` through a fresh two-host TCP world and returns the byte

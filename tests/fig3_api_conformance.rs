@@ -1,13 +1,17 @@
 //! Figure 3 conformance: every listed system call exists and behaves as
 //! the paper specifies, exercised over catmem (pure queues) and catnip
-//! (device queues).
+//! (device queues) — and the two contracts the paper leaves implicit hold
+//! on all five libOSes alike: what a call on a bad or wrong-kind descriptor
+//! answers, and that closing a queue completes the pop parked on it.
 
 use std::rc::Rc;
 
 use demikernel::libos::{LibOs, SocketKind};
 use demikernel::ops::Demikernel;
-use demikernel::testing::{catmem_world, catnip_pair, host_ip};
-use demikernel::types::{DemiError, OperationResult, Sga};
+use demikernel::testing::{
+    catcorn_pair, catfs_world, catmem_world, catnap_pair, catnip_pair, host_ip,
+};
+use demikernel::types::{DemiError, OperationResult, QDesc, Sga};
 use net_stack::types::SocketAddr;
 use sim_fabric::SimTime;
 
@@ -189,4 +193,153 @@ fn file_calls_exist_on_the_storage_libos() {
     let reader = catfs.open("fig3").unwrap();
     let (_, sga) = catfs.blocking_pop(reader).unwrap().expect_pop();
     assert_eq!(sga.to_vec(), b"stored");
+}
+
+/// A connected stream pair over any socket libOS: `(listener, client
+/// queue, server queue)`.
+fn connect_pair(client: &dyn LibOs, server: &dyn LibOs, port: u16) -> (QDesc, QDesc, QDesc) {
+    let addr = SocketAddr::new(host_ip(2), port);
+    let lqd = server.socket(SocketKind::Tcp).unwrap();
+    server.bind(lqd, addr).unwrap();
+    server.listen(lqd, 8).unwrap();
+    let aqt = server.accept(lqd).unwrap();
+    let cqd = client.socket(SocketKind::Tcp).unwrap();
+    let cqt = client.connect(cqd, addr).unwrap();
+    let sqd = server.wait(aqt, None).unwrap().expect_accept();
+    assert_eq!(client.wait(cqt, None).unwrap(), OperationResult::Connect);
+    (lqd, cqd, sqd)
+}
+
+/// A pop pending when its queue is closed completes, with `Closed`, woken
+/// by the close itself — and gives its op slot back.
+fn close_fails_the_pending_pop(libos: &dyn LibOs, qd: QDesc) {
+    let rt = libos.runtime();
+    let kind = libos.kind().name();
+    let before = rt.outstanding();
+    let qt = libos.pop(qd).unwrap();
+    rt.pump();
+    let sweeps = rt.scheduler().stats().spurious_polls;
+    libos.close(qd).unwrap();
+    assert_eq!(
+        libos.wait(qt, Some(SimTime::from_millis(1))),
+        Ok(OperationResult::Failed(DemiError::Closed)),
+        "{kind}: pending pop after close"
+    );
+    assert_eq!(rt.outstanding(), before, "{kind}: op slot returned");
+    let stats = rt.scheduler().stats();
+    assert_eq!(stats.spurious_polls, sweeps, "{kind}: woken by the close");
+}
+
+#[test]
+fn a_pop_pending_when_its_queue_is_closed_completes_on_every_libos() {
+    let (_rt, catmem) = catmem_world();
+    close_fails_the_pending_pop(&catmem, catmem.queue().unwrap());
+
+    let (_rt, catfs, _dev) = catfs_world();
+    close_fails_the_pending_pop(&catfs, catfs.create("log").unwrap());
+
+    let udp_queue = |libos: &dyn LibOs| {
+        let qd = libos.socket(SocketKind::Udp).unwrap();
+        libos.bind(qd, SocketAddr::new(host_ip(2), 7)).unwrap();
+        qd
+    };
+    let (_rt, _fabric, client, server) = catnip_pair(110);
+    close_fails_the_pending_pop(&server, udp_queue(&server));
+    let (_, cqd, sqd) = connect_pair(&client, &server, 80);
+    close_fails_the_pending_pop(&server, sqd);
+    let unframed = client.pop_unframed(cqd).unwrap();
+    client.close(cqd).unwrap();
+    assert!(matches!(
+        client.wait(unframed, Some(SimTime::from_millis(1))),
+        Ok(OperationResult::Failed(_))
+    ));
+
+    let (_rt, _fabric, client, server) = catnap_pair(111);
+    close_fails_the_pending_pop(&server, udp_queue(&server));
+    let (_, _, sqd) = connect_pair(&client, &server, 80);
+    close_fails_the_pending_pop(&server, sqd);
+
+    let (_rt, _fabric, client, server) = catcorn_pair(112);
+    let (_, _, sqd) = connect_pair(&client, &server, 18515);
+    close_fails_the_pending_pop(&server, sqd);
+}
+
+/// The descriptor error contract: a call naming a descriptor that is not
+/// open is `BadQDesc` (or `NotSupported` where the libOS has no such
+/// call), and closing twice is the same thing.
+fn unknown_descriptors_are_bad(libos: &dyn LibOs, open: QDesc, unknown: QDesc) {
+    let kind = libos.kind().name();
+    let addr = SocketAddr::new(host_ip(2), 81);
+    let sga = Sga::from_slice(b"x");
+    libos.close(open).unwrap();
+    for qd in [open, unknown] {
+        let control = [
+            ("bind", libos.bind(qd, addr)),
+            ("listen", libos.listen(qd, 1)),
+            ("accept", libos.accept(qd).map(drop)),
+            ("connect", libos.connect(qd, addr).map(drop)),
+            ("pushto", libos.pushto(qd, &sga, addr).map(drop)),
+        ];
+        for (call, result) in control {
+            assert!(
+                matches!(
+                    result,
+                    Err(DemiError::BadQDesc | DemiError::NotSupported(_))
+                ),
+                "{kind}: {call}({qd:?}) = {result:?}"
+            );
+        }
+        assert_eq!(libos.push(qd, &sga), Err(DemiError::BadQDesc), "{kind}");
+        assert_eq!(libos.pop(qd), Err(DemiError::BadQDesc), "{kind}");
+        assert_eq!(libos.close(qd), Err(DemiError::BadQDesc), "{kind}");
+    }
+}
+
+/// ...and a call on an open descriptor of the wrong kind is `InvalidState`.
+fn wrong_kind_is_invalid_state(client: &dyn LibOs, server: &dyn LibOs, port: u16) {
+    let kind = server.kind().name();
+    let (lqd, cqd, sqd) = connect_pair(client, server, port);
+    let sga = Sga::from_slice(b"x");
+    let wrong_kind = [
+        ("push on a listener", server.push(lqd, &sga).map(drop)),
+        ("pop on a listener", server.pop(lqd).map(drop)),
+        ("listen on a connection", client.listen(cqd, 1)),
+        ("accept on a data queue", server.accept(sqd).map(drop)),
+    ];
+    for (call, result) in wrong_kind {
+        assert_eq!(result, Err(DemiError::InvalidState), "{kind}: {call}");
+    }
+    unknown_descriptors_are_bad(server, sqd, QDesc(0xdead));
+}
+
+#[test]
+fn the_descriptor_error_contract_holds_on_every_libos() {
+    let (_rt, catmem) = catmem_world();
+    unknown_descriptors_are_bad(&catmem, catmem.queue().unwrap(), QDesc(0xdead));
+    let (_rt, catfs, _dev) = catfs_world();
+    unknown_descriptors_are_bad(&catfs, catfs.create("log").unwrap(), QDesc(0xdead));
+
+    let (_rt, _fabric, client, server) = catnip_pair(120);
+    wrong_kind_is_invalid_state(&client, &server, 80);
+    let (_rt, _fabric, client, server) = catnap_pair(121);
+    wrong_kind_is_invalid_state(&client, &server, 80);
+    let (_rt, _fabric, client, server) = catcorn_pair(122);
+    wrong_kind_is_invalid_state(&client, &server, 18515);
+
+    // The facade answers for its own (virtual) range and passes the base
+    // libOS's answers through.
+    let (_rt, _fabric, client, server) = catnip_pair(123);
+    let (client, server) = (
+        Demikernel::new(Rc::new(client)),
+        Demikernel::new(Rc::new(server)),
+    );
+    wrong_kind_is_invalid_state(&client, &server, 80);
+    let base = server.socket(SocketKind::Udp).unwrap();
+    let mapped = server.map(base, Rc::new(|s: Sga| s)).unwrap();
+    let unknown = QDesc(demikernel::ops::VIRTUAL_QD_BASE + 0xdead);
+    unknown_descriptors_are_bad(&server, mapped, unknown);
+    assert_eq!(
+        server.map(mapped, Rc::new(|s: Sga| s)),
+        Err(DemiError::BadQDesc)
+    );
 }

@@ -2,7 +2,8 @@
 # The line budget: non-test product lines per crate against LOC_BUDGET.
 # A file counts up to its first `#[cfg(test)]`; `tests.rs` files and
 # `crates/bench` (the experiment harness) are skipped. Exits non-zero if a
-# crate is over its budget or has none.
+# crate is over its budget, has none, or sits 50 or more lines under it:
+# budgets only ratchet down, so a shrink cannot be silently re-spent.
 set -eu
 cd "$(dirname "$0")/.."
 status=0
@@ -21,6 +22,9 @@ for dir in crates/*/; do
     printf '%-16s %7d %7s' "$crate" "$lines" "${budget:-none}"
     if [ -z "$budget" ] || [ "$lines" -gt "$budget" ]; then
         printf '  OVER BUDGET'
+        status=1
+    elif [ $((budget - lines)) -ge 50 ]; then
+        printf '  slack: lower the budget'
         status=1
     fi
     printf '\n'

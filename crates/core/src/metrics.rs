@@ -128,6 +128,8 @@ metrics_table! {
         timers_fired <- timers_fired,
         /// Wheel entries discarded as lazily cancelled.
         timers_stale <- timers_stale,
+        /// Wheel slot vectors examined or swept (zero per pass when idle).
+        timer_buckets_visited <- timer_buckets_visited,
     }
     conns: net_stack::counters::ConnSnapshot {
         /// TCP demux lookups (segments matched against the flow table).

@@ -206,6 +206,25 @@ impl DpdkPort {
     ///
     /// Panics if `queue` is out of range.
     pub fn rx_burst(&self, queue: u16, max: usize) -> Vec<Mbuf> {
+        let mut burst = Vec::new();
+        self.rx_burst_into(queue, max, &mut burst);
+        burst
+    }
+
+    /// Frames waiting in RX queue `queue` (after pumping arrivals).
+    pub fn rx_pending(&self, queue: u16) -> usize {
+        self.rx_burst_into(queue, 0, &mut Vec::new())
+    }
+
+    /// [`DpdkPort::rx_burst`] into the caller's reusable buffer (appended,
+    /// not cleared), returning how many frames remain in the ring: one
+    /// pump answers both "what arrived" and "what is left", and an idle
+    /// poll allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queue` is out of range.
+    pub fn rx_burst_into(&self, queue: u16, max: usize, out: &mut Vec<Mbuf>) -> usize {
         let mut inner = self.inner.borrow_mut();
         assert!(
             queue < inner.config.num_rx_queues,
@@ -214,14 +233,8 @@ impl DpdkPort {
         inner.pump();
         let ring = &mut inner.rx_rings[queue as usize];
         let take = ring.len().min(max);
-        ring.drain(..take).collect()
-    }
-
-    /// Frames waiting in RX queue `queue` (after pumping arrivals).
-    pub fn rx_pending(&self, queue: u16) -> usize {
-        let mut inner = self.inner.borrow_mut();
-        inner.pump();
-        inner.rx_rings[queue as usize].len()
+        out.extend(ring.drain(..take));
+        ring.len()
     }
 
     /// Attaches a cross-thread ingress ring to RX queue `queue` and
@@ -442,6 +455,24 @@ mod tests {
         fabric.deliver_due();
         assert_eq!(b.rx_burst(0, 3).len(), 3);
         assert_eq!(b.rx_burst(0, 3).len(), 2);
+    }
+
+    #[test]
+    fn rx_burst_into_appends_and_reports_what_is_left() {
+        let fabric = Fabric::new(1);
+        let (a, b) = pair(&fabric);
+        for i in 0..5u8 {
+            let f = eth_frame(b.mac(), a.mac(), &[i]);
+            a.tx_burst(&[a.mempool().alloc_from(&f)]);
+        }
+        fabric.deliver_due();
+        let mut out = Vec::new();
+        assert_eq!(b.rx_burst_into(0, 3, &mut out), 2);
+        assert_eq!(b.rx_burst_into(0, 3, &mut out), 0);
+        let bodies: Vec<u8> = out.iter().map(|m| m.as_slice()[14]).collect();
+        assert_eq!(bodies, [0, 1, 2, 3, 4], "appended in ring order");
+        assert_eq!(b.rx_burst_into(0, 3, &mut out), 0);
+        assert_eq!(out.len(), 5, "an idle poll adds nothing");
     }
 
     #[test]

@@ -123,6 +123,16 @@ fn ipv4_tuple_hash(frame: &[u8]) -> Option<u32> {
     Some(hash_tuple(src, src_port, dst, dst_port))
 }
 
+/// `hash() % queues` — a lone queue owns every flow, so nothing is hashed
+/// to say so.
+fn steer(queues: u16, hash: impl FnOnce() -> u32) -> u16 {
+    assert!(queues > 0, "RSS needs at least one queue");
+    if queues == 1 {
+        return 0;
+    }
+    (hash() % queues as u32) as u16
+}
+
 /// The RX queue (out of `queues`) a 4-tuple steers to.
 pub fn queue_for_tuple(
     a_ip: Ipv4Addr,
@@ -131,14 +141,12 @@ pub fn queue_for_tuple(
     b_port: u16,
     queues: u16,
 ) -> u16 {
-    assert!(queues > 0, "RSS needs at least one queue");
-    (hash_tuple(a_ip, a_port, b_ip, b_port) % queues as u32) as u16
+    steer(queues, || hash_tuple(a_ip, a_port, b_ip, b_port))
 }
 
 /// The RX queue (out of `queues`) a raw frame steers to.
 pub fn queue_for_frame(frame: &[u8], queues: u16) -> u16 {
-    assert!(queues > 0, "RSS needs at least one queue");
-    (hash_frame(frame) % queues as u32) as u16
+    steer(queues, || hash_frame(frame))
 }
 
 /// The RSS owner of a frame's IPv4 flow, or `None` when the frame

@@ -30,8 +30,9 @@ demi_telemetry::counter_family! {
     /// A point-in-time reading of the timer-wheel counters.
     ///
     /// Timer work scales with *firing* timers, not resident connections:
-    /// `timers_fired` + `timers_stale` bound the per-poll timer cost, and an
-    /// idle connection contributes to neither (`tests/sharding.rs`).
+    /// `timers_fired` + `timers_stale` + `timer_buckets_visited` bound the
+    /// per-poll timer cost, and an idle connection contributes to none of
+    /// them (`tests/sharding.rs`).
     pub struct ShardSnapshot {
         /// Timer entries scheduled on a wheel.
         pub timers_scheduled: u64 => note_timer_scheduled,
@@ -39,6 +40,10 @@ demi_telemetry::counter_family! {
         pub timers_fired: u64 => note_timer_fired,
         /// Wheel entries discarded as lazily-cancelled (superseded generation).
         pub timers_stale: u64 => note_timer_stale,
+        /// Wheel slot vectors examined by an earliest-deadline question or
+        /// swept by an advance (`immediate`/`overflow` excluded). Zero per
+        /// poll for an idle or empty wheel — the cost `timers_fired` cannot see.
+        pub timer_buckets_visited: u64,
     }
     /// This thread's timer-wheel counter totals.
     pub fn shard_snapshot();

@@ -25,10 +25,6 @@ use crate::tcp::{ConnId, TcpPeer, TcpSegmentOut};
 use crate::types::SocketAddr;
 use crate::udp::{UdpHeader, UdpPeer, UDP_HEADER_LEN};
 
-/// Frames pulled from the device per `rx_burst` call (ring-drain chunk;
-/// the per-poll cap is [`StackConfig::rx_budget`]).
-const RX_BURST: usize = 64;
-
 /// One shard: a complete protocol instance bound to exactly one of the
 /// device's RX queues.
 pub(super) struct Shard {
@@ -72,6 +68,9 @@ pub(super) struct Shard {
     /// The host-wide port namespace, for returning recycled ephemeral
     /// ports (expired TIME_WAIT records release them shard-locally first).
     ports: Arc<PortAllocator>,
+    /// Reusable RX scratch: `rx_pass` has the device append each pass's
+    /// frames here instead of collecting a fresh vector per burst.
+    rx_scratch: Vec<Mbuf>,
     /// Reusable TCP flush scratch: `flush_tcp` drains the peer's outbox
     /// into this instead of allocating a fresh vector every poll pass.
     tcp_out: Vec<(Ipv4Addr, TcpSegmentOut)>,
@@ -114,6 +113,7 @@ impl Shard {
             learned: Vec::new(),
             global: None,
             ports: Arc::clone(ports),
+            rx_scratch: Vec::new(),
             tcp_out: Vec::new(),
             port: port.clone(),
             clock: clock.clone(),
@@ -181,25 +181,22 @@ impl Shard {
             // Already steered here by the owning check — dispatch directly.
             self.dispatch_frame(mbuf, now);
         }
-        while processed < budget {
-            let burst = self
-                .port
-                .rx_burst(self.queue, (budget - processed).min(RX_BURST));
-            // Pulling from the device pumps its RX pipeline, which may
-            // have absorbed or served frames on the NIC: apply the sync
-            // events *before* dispatching the frames it did deliver.
-            self.drain_offload_events(now);
-            if burst.is_empty() {
-                break;
-            }
-            processed += burst.len();
-            for mbuf in burst {
-                self.stats.rx_frames += 1;
-                self.shard_stats.rx_frames += 1;
-                self.handle_frame(mbuf, now);
-            }
+        let mut burst = std::mem::take(&mut self.rx_scratch);
+        let pending = self
+            .port
+            .rx_burst_into(self.queue, budget - processed, &mut burst);
+        // Pulling from the device pumps its RX pipeline, which may have
+        // absorbed or served frames on the NIC: apply the sync events
+        // *before* dispatching the frames it did deliver.
+        self.drain_offload_events(now);
+        processed += burst.len();
+        for mbuf in burst.drain(..) {
+            self.stats.rx_frames += 1;
+            self.shard_stats.rx_frames += 1;
+            self.handle_frame(mbuf, now);
         }
-        let backlog = self.handoff.len() + self.port.rx_pending(self.queue);
+        self.rx_scratch = burst;
+        let backlog = self.handoff.len() + pending;
         if processed >= budget && backlog > 0 {
             crate::counters::note_rx_budget_exhausted();
         }

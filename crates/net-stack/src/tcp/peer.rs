@@ -145,6 +145,9 @@ struct SlabEntry {
     /// Whether this connection owns an ephemeral local port to release on
     /// free (server-side connections share their listener's port).
     ephemeral_port: bool,
+    /// Set while the connection waits on `tick_fired` within one
+    /// [`TcpPeer::on_tick`], so several timers due together tick it once.
+    tick_queued: bool,
     timers: TimerSlots,
     cb: Option<ControlBlock>,
 }
@@ -200,6 +203,14 @@ fn decode_id(first: u32, stride: u32, id: u32) -> Option<(u32, u32)> {
     }
     let rel = rel / stride;
     Some((rel & SLOT_MASK, rel >> SLOT_BITS))
+}
+
+/// The slab slot whose armed control-block timer `tkey` still is: `None`
+/// once the connection is gone or the timer was re-armed or cancelled.
+fn live_timer_slot(entries: &[SlabEntry], first: u32, stride: u32, tkey: &TimerKey) -> Option<u32> {
+    let (slot, gen) = decode_id(first, stride, tkey.conn.0)?;
+    let e = entries.get(slot as usize)?;
+    (e.gen == gen && e.cb.is_some() && e.timers.gen[tkey.kind] == tkey.gen).then_some(slot)
 }
 
 /// How a handle resolved against the slab and TIME_WAIT records.
@@ -283,7 +294,7 @@ pub struct TcpPeer {
     /// Reused backing for the tick walk (due wheel entries, then the
     /// deduped fired list), so a steady-state tick allocates nothing.
     tick_due: Vec<(SimTime, TimerKey)>,
-    tick_fired: Vec<(u32, ConnId)>,
+    tick_fired: Vec<u32>,
     stats: TcpStats,
 }
 
@@ -1351,12 +1362,8 @@ impl TcpPeer {
                 }
                 continue;
             }
-            let live_slot = self.decode(tkey.conn).and_then(|(slot, gen)| {
-                let e = self.entries.get(slot as usize)?;
-                (e.gen == gen && e.cb.is_some() && e.timers.gen[tkey.kind] == tkey.gen)
-                    .then_some(slot)
-            });
-            let Some(slot) = live_slot else {
+            let Some(slot) = live_timer_slot(&self.entries, self.first_id, self.id_stride, &tkey)
+            else {
                 crate::counters::note_timer_stale();
                 continue;
             };
@@ -1367,12 +1374,14 @@ impl TcpPeer {
             let e = &mut self.entries[slot as usize];
             e.timers.gen[tkey.kind] += 1;
             e.timers.deadline[tkey.kind] = None;
-            if !fired.iter().any(|&(_, c)| c == tkey.conn) {
-                fired.push((slot, tkey.conn));
+            if !std::mem::replace(&mut e.tick_queued, true) {
+                fired.push(slot);
             }
         }
-        for &(slot, _) in &fired {
-            if let Some(cb) = self.entries[slot as usize].cb.as_mut() {
+        for &slot in &fired {
+            let e = &mut self.entries[slot as usize];
+            e.tick_queued = false;
+            if let Some(cb) = e.cb.as_mut() {
                 events += cb.on_tick(now);
             }
             self.sync_slot(slot);
@@ -1427,7 +1436,6 @@ impl TcpPeer {
             id_stride,
             ..
         } = self;
-        let (first, stride) = (*first_id, *id_stride);
         wheel.peek_earliest_live(|tkey| {
             let live = if tkey.kind == TW_KIND {
                 tw_by_id
@@ -1435,11 +1443,7 @@ impl TcpPeer {
                     .and_then(|k| tw.get(k))
                     .is_some_and(|r| r.wheel_gen as u64 == tkey.gen)
             } else {
-                decode_id(first, stride, tkey.conn.0).is_some_and(|(slot, gen)| {
-                    entries.get(slot as usize).is_some_and(|e| {
-                        e.gen == gen && e.cb.is_some() && e.timers.gen[tkey.kind] == tkey.gen
-                    })
-                })
+                live_timer_slot(entries, *first_id, *id_stride, tkey).is_some()
             };
             if !live {
                 crate::counters::note_timer_stale();
@@ -1646,6 +1650,64 @@ mod tests {
             .unwrap();
         pump(&mut client, ip(1), &mut server, ip(2), now);
         assert_eq!(client.recv(c).unwrap().unwrap().as_slice(), b"value42");
+    }
+
+    /// An RTO storm: every connection's delayed-ACK and RTO entries fall
+    /// due in one tick. Each connection is ticked once, in the order its
+    /// first due entry comes off the wheel (here: the order the delayed
+    /// ACKs were armed, which is not slot order).
+    #[test]
+    fn timers_due_together_tick_each_connection_once_in_due_order() {
+        const CONNS: usize = 2_000;
+        let now = SimTime::ZERO;
+        let mut client = TcpPeer::new(ip(1), TcpConfig::default());
+        let mut server = TcpPeer::new(ip(2), TcpConfig::default());
+        let lid = server.listen(80, CONNS).unwrap();
+        let mut pairs = Vec::new();
+        for _ in 0..CONNS {
+            let c = client.connect(SocketAddr::new(ip(2), 80), now).unwrap();
+            pump(&mut client, ip(1), &mut server, ip(2), now);
+            pairs.push((c, server.accept(lid).unwrap().expect("connection ready")));
+        }
+        // Server data that is never delivered arms each RTO ...
+        for &(_, s) in &pairs {
+            server
+                .send(s, DemiBuffer::from_slice(b"lost"), now)
+                .unwrap();
+        }
+        server.take_segments();
+        // ... and client data, delivered in a scrambled order, arms each
+        // delayed ACK.
+        let scrambled: Vec<usize> = (0..CONNS).map(|i| i * 7_919 % CONNS).collect();
+        for &i in &scrambled {
+            client
+                .send(pairs[i].0, DemiBuffer::from_slice(b"data"), now)
+                .unwrap();
+            for (_, seg) in client.take_segments() {
+                server.on_segment(ip(1), &seg.header, seg.payload, now);
+            }
+        }
+        assert!(server.take_segments().is_empty(), "every ACK is delayed");
+
+        let before = crate::counters::shard_snapshot();
+        let events = server.on_tick(SimTime::from_secs(60));
+        let moved = crate::counters::shard_snapshot().delta(&before);
+        assert_eq!(
+            moved.timers_fired,
+            2 * CONNS as u64,
+            "both entries were live"
+        );
+        assert_eq!(events, CONNS, "the retransmission carries the delayed ACK");
+        let want: Vec<u32> = scrambled
+            .iter()
+            .map(|&i| server.decode(pairs[i].1).unwrap().0)
+            .collect();
+        assert_eq!(server.tick_fired, want);
+        let timeouts: u64 = pairs
+            .iter()
+            .map(|&(_, s)| server.conn_stats(s).unwrap().timeouts)
+            .sum();
+        assert_eq!(timeouts, CONNS as u64);
     }
 
     #[test]

@@ -4,16 +4,27 @@
 //! block (`advance_timers` plus an earliest-deadline scan) — O(resident
 //! connections) per poll, which is exactly the serialized-host cost the
 //! paper says a bypass-era stack cannot afford. The wheel makes timer work
-//! proportional to *firing* timers: schedule, cancel, and reschedule are
-//! O(1), advancing is O(slots crossed + entries fired), and ten thousand
-//! idle connections cost nothing per poll (`tests/sharding.rs` asserts it).
+//! proportional to timers that *fire*: neither advancing nor asking for
+//! the earliest deadline ever looks at an empty slot, so an idle or empty
+//! wheel costs no slot visit per poll (`ShardSnapshot::timer_buckets_visited`
+//! counts them; the tests below, `tests/sharding.rs` and `tests/kv.rs`
+//! pin it).
 //!
-//! Shape: [`LEVELS`] levels of [`SLOTS`] slots. Level *k* slots span
-//! `64^k` nanosecond ticks, so level 0 resolves single nanoseconds and the
-//! whole wheel covers `64^6` ns ≈ 68.7 s; anything further out parks in an
+//! Shape: [`LEVELS`] levels of [`SLOTS`] slots, one `u64` per level
+//! recording which of its slots hold anything. Level *k* slots span `64^k`
+//! nanosecond ticks, so level 0 resolves single nanoseconds and the whole
+//! wheel covers `64^6` ns ≈ 68.7 s; anything further out parks in an
 //! overflow list that is re-examined when the top level turns. A slot is
 //! swept when the level's cursor passes it: entries that are due fire,
 //! entries placed there by a coarser level cascade down to a finer one.
+//!
+//! Costs: `schedule` is O(1); `advance_into` is a mask per level whose
+//! cursor moved plus O(occupied slots crossed + their entries);
+//! `peek_earliest_live` reads `immediate`, `overflow` and each level's
+//! first occupied slot after the cursor. Those slots are in deadline order
+//! (a slot is emptied before the cursor passes it, and every entry in one
+//! slot shares `deadline >> 6·level`), so the minimum over the ≤
+//! [`LEVELS`] + 2 candidates is the exact earliest deadline.
 //!
 //! Ticks are exact nanoseconds of [`SimTime`], so a fired entry's deadline
 //! is *exactly* the scheduled time — no quantization. That exactness is
@@ -21,16 +32,21 @@
 //! differential test assert firing-time identity against the linear scan.
 //!
 //! Cancellation is lazy: the owner bumps a generation and simply abandons
-//! the entry. Stale entries are discarded when swept — or when
-//! [`TimerWheel::peek_earliest_live`] walks past them, which keeps the
-//! earliest-deadline answer exact (a stale earliest entry must not hide
-//! `None`).
+//! the entry. A stale entry is discarded when its slot is swept or when a
+//! peek examines its slot; the peek moves on to the level's next occupied
+//! slot only if that empties this one, so a stale earliest entry never
+//! hides the true answer (or a `None`). Abandoned entries *behind* a live
+//! one are out of a peek's sight: so that re-arming a far timer forever
+//! cannot pile them up, a peek that finds `len` above twice what the last
+//! scrub left, plus [`SLOTS`], scrubs every occupied slot — amortised O(1)
+//! per `schedule`.
 
 use sim_fabric::SimTime;
 
 /// Levels in the hierarchy.
 pub const LEVELS: usize = 6;
-/// Slots per level (64 = one 6-bit digit of the deadline per level).
+/// Slots per level (64 = one 6-bit digit of the deadline per level, and
+/// one bit of the level's occupancy word).
 pub const SLOTS: usize = 64;
 const SLOT_BITS: u32 = 6;
 
@@ -48,6 +64,9 @@ struct Entry<T> {
 /// liveness; the wheel only orders and fires).
 pub struct TimerWheel<T> {
     levels: Vec<Vec<Vec<Entry<T>>>>,
+    /// Bit `s` of `occupied[k]` is set exactly when `levels[k][s]` is
+    /// non-empty.
+    occupied: [u64; LEVELS],
     /// Entries scheduled at or before `now` (fire on the next advance).
     immediate: Vec<Entry<T>>,
     /// Entries beyond the wheel horizon.
@@ -59,6 +78,35 @@ pub struct TimerWheel<T> {
     now: u64,
     seq: u64,
     len: usize,
+    /// `len` as the last whole-wheel scrub left it.
+    scrubbed_len: usize,
+}
+
+/// Drops the entries of `bucket` that `live` rejects (lowering `len` by
+/// the count) and lowers `best` to the earliest deadline kept. Returns
+/// whether anything was kept.
+fn retain_live<T>(
+    bucket: &mut Vec<Entry<T>>,
+    len: &mut usize,
+    best: &mut Option<u64>,
+    live: &mut impl FnMut(&T) -> bool,
+) -> bool {
+    let before = bucket.len();
+    bucket.retain(|e| {
+        let keep = live(&e.key);
+        if keep && best.is_none_or(|b| e.deadline < b) {
+            *best = Some(e.deadline);
+        }
+        keep
+    });
+    *len -= before - bucket.len();
+    !bucket.is_empty()
+}
+
+fn note_buckets_visited(visited: u64) {
+    if visited > 0 {
+        crate::counters::ShardSnapshot::update(|s| s.timer_buckets_visited += visited);
+    }
 }
 
 impl<T: Copy> TimerWheel<T> {
@@ -66,12 +114,14 @@ impl<T: Copy> TimerWheel<T> {
     pub fn new(start: SimTime) -> Self {
         TimerWheel {
             levels: (0..LEVELS).map(|_| vec![Vec::new(); SLOTS]).collect(),
+            occupied: [0; LEVELS],
             immediate: Vec::new(),
             overflow: Vec::new(),
             cascade_scratch: Vec::new(),
             now: start.as_nanos(),
             seq: 0,
             len: 0,
+            scrubbed_len: 0,
         }
     }
 
@@ -115,6 +165,7 @@ impl<T: Copy> TimerWheel<T> {
         }
         let slot = ((entry.deadline >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
         self.levels[level][slot].push(entry);
+        self.occupied[level] |= 1 << slot;
     }
 
     /// Advances the cursor to `now` and returns everything that fired, as
@@ -136,6 +187,7 @@ impl<T: Copy> TimerWheel<T> {
         if new > old {
             self.now = new;
             let mut cascades = std::mem::take(&mut self.cascade_scratch);
+            let mut visited = 0;
             for level in 0..LEVELS {
                 let shift = SLOT_BITS * level as u32;
                 let old_idx = old >> shift;
@@ -145,14 +197,23 @@ impl<T: Copy> TimerWheel<T> {
                     // nothing above this level turned either.
                     break;
                 }
-                // Sweep each slot the cursor passed; ≥ 64 steps wraps the
-                // whole level once, so 64 sweeps cover every position.
-                let steps = (new_idx - old_idx).min(SLOTS as u64);
-                for step in 1..=steps {
-                    let slot = ((old_idx + step) & (SLOTS as u64 - 1)) as usize;
-                    cascades.append(&mut self.levels[level][slot]);
+                // The slots the cursor passed, `old_idx + 1 ..= new_idx`
+                // mod 64, as a mask; ≥ 64 steps wraps the whole level.
+                let steps = new_idx - old_idx;
+                let crossed = if steps >= SLOTS as u64 {
+                    u64::MAX
+                } else {
+                    ((1u64 << steps) - 1).rotate_left(((old_idx + 1) & (SLOTS as u64 - 1)) as u32)
+                };
+                let mut swept = self.occupied[level] & crossed;
+                self.occupied[level] &= !crossed;
+                while swept != 0 {
+                    cascades.append(&mut self.levels[level][swept.trailing_zeros() as usize]);
+                    swept &= swept - 1;
+                    visited += 1;
                 }
             }
+            note_buckets_visited(visited);
             // The overflow list holds entries that were ≥ 64^LEVELS ticks
             // out; re-place them whenever the top level turned.
             if (old >> (SLOT_BITS * (LEVELS as u32 - 1)))
@@ -177,32 +238,34 @@ impl<T: Copy> TimerWheel<T> {
     }
 
     /// The earliest deadline among entries for which `live` returns true.
-    /// Dead entries encountered on the way are discarded, so a stale
+    /// Dead entries in the slots examined are discarded, so a stale
     /// earliest entry can never mask the true answer (or a `None`).
     pub fn peek_earliest_live(&mut self, mut live: impl FnMut(&T) -> bool) -> Option<SimTime> {
-        let mut best: Option<u64> = None;
-        let mut removed = 0usize;
-        let mut consider = |bucket: &mut Vec<Entry<T>>| {
-            bucket.retain(|e| {
-                if live(&e.key) {
-                    if best.is_none_or(|b| e.deadline < b) {
-                        best = Some(e.deadline);
-                    }
-                    true
-                } else {
-                    removed += 1;
-                    false
+        let scrub = self.len > 2 * self.scrubbed_len + SLOTS;
+        let (mut best, mut visited) = (None, 0);
+        retain_live(&mut self.immediate, &mut self.len, &mut best, &mut live);
+        for level in 0..LEVELS {
+            // Bit i of `ahead` is slot `cursor + 1 + i`: deadline order.
+            let cursor = (self.now >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1);
+            let first = cursor as u32 + 1;
+            let mut ahead = self.occupied[level].rotate_right(first % SLOTS as u32);
+            while ahead != 0 {
+                let slot = (first + ahead.trailing_zeros()) as usize % SLOTS;
+                ahead &= ahead - 1;
+                visited += 1;
+                let bucket = &mut self.levels[level][slot];
+                if !retain_live(bucket, &mut self.len, &mut best, &mut live) {
+                    self.occupied[level] &= !(1 << slot);
+                } else if !scrub {
+                    break;
                 }
-            });
-        };
-        consider(&mut self.immediate);
-        for level in self.levels.iter_mut() {
-            for slot in level.iter_mut() {
-                consider(slot);
             }
         }
-        consider(&mut self.overflow);
-        self.len -= removed;
+        note_buckets_visited(visited);
+        retain_live(&mut self.overflow, &mut self.len, &mut best, &mut live);
+        if scrub {
+            self.scrubbed_len = self.len;
+        }
         best.map(SimTime::from_nanos)
     }
 }
@@ -273,6 +336,108 @@ mod tests {
         assert_eq!(w.len(), 1, "the dead entry was discarded");
         assert_eq!(w.peek_earliest_live(|_| false), None);
         assert!(w.is_empty());
+    }
+
+    /// Slot vectors the wheel examined or swept while `f` ran.
+    fn buckets_visited(f: impl FnOnce()) -> u64 {
+        let before = crate::counters::shard_snapshot();
+        f();
+        crate::counters::shard_snapshot()
+            .delta(&before)
+            .timer_buckets_visited
+    }
+
+    #[test]
+    fn empty_wheel_visits_no_buckets() {
+        let mut w: TimerWheel<u32> = TimerWheel::new(SimTime::ZERO);
+        let visited = buckets_visited(|| {
+            for micros in 1..=1_000 {
+                assert!(w.advance(t(micros * 1_000)).is_empty());
+                assert_eq!(w.peek_earliest_live(|_| true), None);
+            }
+        });
+        assert_eq!(visited, 0);
+    }
+
+    #[test]
+    fn far_entry_costs_a_bucket_per_peek_and_none_per_advance() {
+        const DEADLINE: u64 = 200_000_000;
+        let mut w: TimerWheel<u32> = TimerWheel::new(SimTime::ZERO);
+        w.schedule(t(DEADLINE), 1);
+        // 200 ms out is a level-4 slot (2^24 ns wide): nothing is swept
+        // until the level-4 cursor reaches it.
+        let slot_start = DEADLINE >> 24 << 24;
+        let mut now = 0;
+        while now + 1_000 < slot_start {
+            now += 1_000;
+            assert_eq!(buckets_visited(|| assert!(w.advance(t(now)).is_empty())), 0);
+            let peek = buckets_visited(|| {
+                assert_eq!(w.peek_earliest_live(|_| true), Some(t(DEADLINE)));
+            });
+            assert!(peek <= LEVELS as u64, "{peek} buckets for one peek");
+        }
+        // From there it cascades one level at a time and fires on time.
+        let mut fired = Vec::new();
+        let cascade = buckets_visited(|| {
+            while fired.is_empty() {
+                now += 1_000;
+                fired = w.advance(t(now));
+            }
+        });
+        assert_eq!((now, fired), (DEADLINE, vec![(t(DEADLINE), 1)]));
+        assert!(cascade <= LEVELS as u64, "{cascade} buckets to cascade");
+    }
+
+    #[test]
+    fn emptied_slots_are_not_visited_again() {
+        let mut w: TimerWheel<u32> = TimerWheel::new(SimTime::ZERO);
+        w.schedule(t(100), 1); // Level 1.
+        w.schedule(t(5_000), 2); // Level 2.
+        assert_eq!(w.peek_earliest_live(|&k| k != 1), Some(t(5_000)));
+        // The peek that discarded entry 1 emptied its slot for good.
+        let peek = buckets_visited(|| {
+            assert_eq!(w.peek_earliest_live(|_| true), Some(t(5_000)));
+        });
+        assert_eq!(peek, 1);
+        // And so did the advance that swept entry 2 out of its own.
+        assert_eq!(w.advance(t(10_000)), vec![(t(5_000), 2)]);
+        let after = buckets_visited(|| {
+            assert_eq!(w.peek_earliest_live(|_| true), None);
+            assert!(w.advance(t(1_000_000_000)).is_empty());
+        });
+        assert_eq!(after, 0);
+    }
+
+    #[test]
+    fn peek_examines_one_slot_per_level_however_many_are_occupied() {
+        let mut w: TimerWheel<u32> = TimerWheel::new(SimTime::ZERO);
+        for i in 0..1_000u32 {
+            w.schedule(t(1 + (i as u64 * 7_919) % 100_000_000), i);
+        }
+        // The first peek to find more than SLOTS new entries scrubs.
+        assert_eq!(w.peek_earliest_live(|_| true), Some(t(1)));
+        let visited = buckets_visited(|| {
+            assert_eq!(w.peek_earliest_live(|_| true), Some(t(1)));
+        });
+        assert!(visited <= LEVELS as u64, "{visited} buckets for one peek");
+    }
+
+    /// Re-arming a far timer forever behind an earlier live one: a peek
+    /// stops at the live entry's slot and never reaches the abandoned
+    /// re-arms, so only the whole-wheel scrub bounds them.
+    #[test]
+    fn abandoned_entries_behind_a_live_one_stay_bounded() {
+        let mut w: TimerWheel<u32> = TimerWheel::new(SimTime::ZERO);
+        w.schedule(t(20_000_000), 0);
+        let live = 2;
+        for rearm in 1..=60_000u32 {
+            w.schedule(t(200_000_000 + rearm as u64), rearm);
+            assert_eq!(
+                w.peek_earliest_live(|&k| k == 0 || k == rearm),
+                Some(t(20_000_000))
+            );
+            assert!(w.len() <= 2 * live + SLOTS + 1, "len {}", w.len());
+        }
     }
 
     #[test]

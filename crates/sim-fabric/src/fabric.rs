@@ -172,7 +172,11 @@ struct FabricInner {
     clock: SimClock,
     rng: SimRng,
     tracer: Tracer,
-    endpoints: HashMap<MacAddress, Mailbox>,
+    /// Every registered mailbox, in registration order; an [`Endpoint`]
+    /// holds its index, so polling an idle NIC hashes nothing.
+    mailboxes: Vec<Mailbox>,
+    /// MAC → index into `mailboxes`, for frames addressed by MAC.
+    endpoints: HashMap<MacAddress, usize>,
     default_link: LinkConfig,
     links: HashMap<(MacAddress, MacAddress), LinkConfig>,
     partitions: HashSet<(MacAddress, MacAddress)>,
@@ -253,7 +257,8 @@ impl FabricInner {
             }
             let Reverse(p) = self.pending.pop().expect("peeked entry exists");
             let len = p.frame.payload.len();
-            match self.endpoints.get_mut(&p.dst) {
+            let mailbox = self.endpoints.get(&p.dst).map(|&i| &mut self.mailboxes[i]);
+            match mailbox {
                 Some(mailbox) if mailbox.queue.len() < mailbox.capacity => {
                     mailbox.queue.push_back(p.frame);
                     self.stats.frames_delivered += 1;
@@ -303,6 +308,7 @@ impl Fabric {
                 clock,
                 rng: SimRng::new(seed),
                 tracer: Tracer::new(4096),
+                mailboxes: Vec::new(),
                 endpoints: HashMap::new(),
                 default_link: LinkConfig::default(),
                 links: HashMap::new(),
@@ -369,18 +375,18 @@ impl Fabric {
     pub fn register_endpoint_with_capacity(&self, mac: MacAddress, capacity: usize) -> Endpoint {
         assert!(!mac.is_broadcast(), "cannot register the broadcast address");
         let mut inner = self.inner.borrow_mut();
-        let prev = inner.endpoints.insert(
-            mac,
-            Mailbox {
-                queue: VecDeque::new(),
-                capacity,
-            },
-        );
+        let mailbox = inner.mailboxes.len();
+        let prev = inner.endpoints.insert(mac, mailbox);
         assert!(prev.is_none(), "endpoint {mac} registered twice");
+        inner.mailboxes.push(Mailbox {
+            queue: VecDeque::new(),
+            capacity,
+        });
         drop(inner);
         Endpoint {
             fabric: self.clone(),
             mac,
+            mailbox,
         }
     }
 
@@ -464,6 +470,8 @@ impl Fabric {
 pub struct Endpoint {
     fabric: Fabric,
     mac: MacAddress,
+    /// Index of this endpoint's mailbox in the fabric.
+    mailbox: usize,
 }
 
 impl Endpoint {
@@ -491,10 +499,7 @@ impl Endpoint {
     /// Dequeues the next delivered frame, if any. Does not advance time.
     pub fn receive(&self) -> Option<Frame> {
         let mut inner = self.fabric.inner.borrow_mut();
-        inner
-            .endpoints
-            .get_mut(&self.mac)
-            .and_then(|m| m.queue.pop_front())
+        inner.mailboxes[self.mailbox].queue.pop_front()
     }
 }
 
@@ -512,7 +517,7 @@ mod tests {
         /// Number of frames waiting in this endpoint's mailbox.
         fn pending_rx(&self) -> usize {
             let inner = self.fabric.inner.borrow();
-            inner.endpoints.get(&self.mac).map_or(0, |m| m.queue.len())
+            inner.mailboxes[self.mailbox].queue.len()
         }
     }
 

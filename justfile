@@ -97,6 +97,13 @@ bench-ledger seed="11":
 bench-diff old new:
     cargo run --release --manifest-path benchmark/Cargo.toml -- diff {{old}} {{new}}
 
+# The trajectory check CI runs: `bench-diff` between the two
+# highest-numbered entries committed under ledger/ (every PR commits
+# ledger/BENCH_<pr>.json from `demi-ledger run --seed 7 --out <tmp>`, with
+# its parent's entry measured on the same box in the same sitting).
+bench-diff-latest:
+    sh tools/bench-diff-latest.sh
+
 # The ledger's own self-test: every workload and metric emitted once,
 # counts and virtual time exactly repeatable for a seed.
 bench-smoke:

@@ -512,11 +512,20 @@ fn depth_one_get_is_two_frames_and_one_pop() {
     let acks =
         || [&client, &server].map(|h| h.stack().tcp_conn_stats(ConnId(0)).unwrap().acks_sent);
     let (frames_before, acks_before) = (fabric.stats().frames_sent, acks());
+    let timers_before = net_stack::counters::shard_snapshot();
     for _ in 0..ROUNDS {
         let (reply, pops) = exchange(&client, cqd, get.clone(), expected.len());
         assert_eq!(reply, expected);
         assert_eq!(pops, 1, "header, value and trailer arrive as one segment");
     }
+    let buckets = net_stack::counters::shard_snapshot()
+        .delta(&timers_before)
+        .timer_buckets_visited;
+    assert!(
+        buckets <= 16 * ROUNDS,
+        "both stacks' wheels and the store's TTL wheel touch only occupied \
+         slots: {buckets} slot visits over {ROUNDS} GETs"
+    );
     assert_eq!(
         fabric.stats().frames_sent - frames_before,
         2 * ROUNDS,

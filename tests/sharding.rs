@@ -115,52 +115,130 @@ impl LinearTimers {
     }
 }
 
+/// The wheel and the linear scan side by side, fed the same schedules,
+/// kills and advances and compared after every one of them.
+struct Differential {
+    wheel: TimerWheel<u32>,
+    linear: LinearTimers,
+    /// Liveness by key (keys count schedules). A kill is one-way, as lazy
+    /// cancellation is: the wheel may discard a dead entry at any time.
+    dead: Vec<bool>,
+    now: u64,
+}
+
+impl Differential {
+    fn schedule(&mut self, deadline: u64) -> u32 {
+        let key = self.dead.len() as u32;
+        self.dead.push(false);
+        self.wheel.schedule(SimTime::from_nanos(deadline), key);
+        self.linear.schedule(deadline, key);
+        self.check_peek();
+        key
+    }
+
+    fn kill(&mut self, key: u32) {
+        self.dead[key as usize] = true;
+        self.check_peek();
+    }
+
+    fn advance_to(&mut self, now: u64) {
+        self.now = now;
+        let dead = &self.dead;
+        let wheel_fired: Vec<(u64, u32)> = self
+            .wheel
+            .advance(SimTime::from_nanos(now))
+            .into_iter()
+            .map(|(t, k)| (t.as_nanos(), k))
+            .filter(|&(_, k)| !dead[k as usize])
+            .collect();
+        let linear_fired: Vec<(u64, u32)> = self
+            .linear
+            .advance(now)
+            .into_iter()
+            .filter(|&(_, k)| !dead[k as usize])
+            .collect();
+        prop_assert_eq!(wheel_fired, linear_fired, "divergence at t={}", now);
+        self.check_peek();
+    }
+
+    fn check_peek(&mut self) {
+        let dead = &self.dead;
+        prop_assert_eq!(
+            self.wheel
+                .peek_earliest_live(|&k| !dead[k as usize])
+                .map(|t| t.as_nanos()),
+            self.linear.peek(|k| !dead[k as usize]),
+            "earliest live deadline diverged at t={}",
+            self.now
+        );
+        // The wheel tracks every pending live entry and nothing the
+        // linear list does not (it may have discarded dead ones).
+        let live = self.linear.entries.iter().filter(|e| !dead[e.2 as usize]);
+        prop_assert!(live.count() <= self.wheel.len());
+        prop_assert!(self.wheel.len() <= self.linear.entries.len());
+    }
+}
+
+/// 1 ns to 30 ms, every scale in between equally likely.
+fn stride(x: u64) -> u64 {
+    1 + (((x >> 8) % 30_000_000) >> (x % 25))
+}
+
 proptest! {
-    /// Any randomized schedule of timers — short RTO-like, delayed-ACK
-    /// scale, and TIME_WAIT-long deadlines, advanced by irregular strides —
-    /// fires in the identical order, at the identical times, under the
-    /// wheel and under the linear scan.
+    /// Any interleaving of schedules (relative to wherever the cursor has
+    /// moved: already past, every level, beyond the 68.7 s horizon),
+    /// one-way kills, re-arms and irregular advances fires in the
+    /// identical order, at the identical times, and answers every
+    /// earliest-live-deadline question identically, under the wheel and
+    /// under the linear scan — compared after *every* step.
     #[test]
     fn wheel_fires_identically_to_linear_scan(
-        deadlines in prop::collection::vec(1u64..200_000_000, 1..120),
-        strides in prop::collection::vec(1u64..30_000_000, 1..40),
-        dead_mask in any::<u64>(),
+        steps in prop::collection::vec((0u8..8, any::<u64>()), 100..400),
     ) {
-        let mut wheel: TimerWheel<u32> = TimerWheel::new(SimTime::ZERO);
-        let mut linear = LinearTimers::new();
-        for (i, &d) in deadlines.iter().enumerate() {
-            wheel.schedule(SimTime::from_nanos(d), i as u32);
-            linear.schedule(d, i as u32);
+        let mut d = Differential {
+            wheel: TimerWheel::new(SimTime::ZERO),
+            linear: LinearTimers::new(),
+            dead: Vec::new(),
+            now: 0,
+        };
+        // With the cursor moved, re-arm a far timer behind a nearer live
+        // one on the same level often enough that the abandoned entries
+        // (which no peek walks past) cross the scrub threshold.
+        d.advance_to(stride(steps[0].1));
+        d.schedule(d.now + 20_000_000);
+        let mut rearmed = d.schedule(d.now + 200_000_000);
+        for i in 0..70 {
+            d.kill(rearmed);
+            rearmed = d.schedule(d.now + 200_000_000 + i);
         }
-
-        // Lazy cancellation: a subset of keys is declared dead. The wheel
-        // discards them via the liveness filter; the linear reference
-        // filters the same way.
-        let alive = |k: u32| dead_mask & (1 << (k % 64)) == 0;
-        prop_assert_eq!(
-            wheel.peek_earliest_live(|&k| alive(k)).map(|t| t.as_nanos()),
-            linear.peek(alive),
-            "earliest live deadline diverged before any advance"
-        );
-
-        let mut now = 0u64;
-        let mut stride_idx = 0;
-        while !wheel.is_empty() || !linear.entries.is_empty() {
-            now += strides[stride_idx % strides.len()];
-            stride_idx += 1;
-            let wheel_fired: Vec<(u64, u32)> = wheel
-                .advance(SimTime::from_nanos(now))
-                .into_iter()
-                .map(|(t, k)| (t.as_nanos(), k))
-                .filter(|&(_, k)| alive(k))
-                .collect();
-            let linear_fired: Vec<(u64, u32)> = linear
-                .advance(now)
-                .into_iter()
-                .filter(|&(_, k)| alive(k))
-                .collect();
-            prop_assert_eq!(wheel_fired, linear_fired, "divergence at t={}", now);
+        prop_assert!(d.wheel.len() <= 2 * 2 + 65, "72 entries, 2 live: no scrub ran");
+        for &(op, x) in &steps {
+            let distance = (x >> 8) % (1 << (x % 40));
+            match op {
+                0 | 1 => {
+                    d.schedule(d.now + distance);
+                }
+                2 => {
+                    d.schedule(d.now.saturating_sub(distance % 1_000));
+                }
+                3 => d.kill((x % d.dead.len() as u64) as u32),
+                4 => {
+                    d.kill(rearmed);
+                    rearmed = d.schedule(d.now + 200_000_000 + x % 1_000);
+                }
+                _ => d.advance_to(d.now + stride(x)),
+            }
         }
+        // Drain: alternately jump to the earliest remaining deadline (what
+        // an event loop does) and take one more irregular stride.
+        for turn in 0.. {
+            let Some(next) = d.linear.entries.iter().map(|e| e.0).min() else {
+                break;
+            };
+            let step = stride(steps[turn % steps.len()].1);
+            d.advance_to(if turn % 2 == 0 { next.max(d.now) } else { d.now + step });
+        }
+        prop_assert!(d.wheel.is_empty());
     }
 }
 
@@ -309,10 +387,12 @@ fn idle_connections_do_not_tick_timers() {
     for _ in 0..100 {
         a.poll();
         b.poll();
+        assert_eq!(a.next_deadline().or(b.next_deadline()), None);
     }
     let moved = net_stack::counters::shard_snapshot().delta(&before);
     assert_eq!(moved.timers_fired, 0, "idle connections fire nothing");
     assert_eq!(moved.timers_scheduled, 0, "and schedule nothing");
+    assert_eq!(moved.timer_buckets_visited, 0, "and no wheel slot is read");
 
     let empty = Fabric::new(11);
     let (c, _) = multi_queue_host(&empty, 1, 4);
@@ -322,6 +402,81 @@ fn idle_connections_do_not_tick_timers() {
         echo_rtt(&empty, &c, &d),
         "parked connections must not move the virtual-time RTT"
     );
+}
+
+/// The cost `timers_fired` cannot see: every wait pass asks both stacks
+/// for their earliest deadline and advances both wheels, and none of that
+/// may look at an empty wheel slot. A thousand `pushto`/`pop`/`wait` UDP
+/// echoes through the whole libOS visit exactly zero slots with no TCP
+/// state at all, and at most one slot per level per question (four
+/// questions a round trip) with 200 idle connections resident.
+#[test]
+fn udp_echoes_visit_no_empty_timer_buckets() {
+    use demikernel::libos::{LibOs, SocketKind};
+    use demikernel::testing::{catnip_pair, host_ip};
+    use demikernel::types::{OperationResult, Sga};
+    const ECHOES: u64 = 1_000;
+
+    for idle_conns in [0, 200] {
+        let (rt, _fabric, client, server) = catnip_pair(17);
+        if idle_conns > 0 {
+            let lqd = server.socket(SocketKind::Tcp).unwrap();
+            server.bind(lqd, SocketAddr::new(host_ip(2), 80)).unwrap();
+            server.listen(lqd, idle_conns).unwrap();
+            for _ in 0..idle_conns {
+                let aqt = server.accept(lqd).unwrap();
+                let cqd = client.socket(SocketKind::Tcp).unwrap();
+                let cqt = client
+                    .connect(cqd, SocketAddr::new(host_ip(2), 80))
+                    .unwrap();
+                server.wait(aqt, None).unwrap().expect_accept();
+                client.wait(cqt, None).unwrap();
+            }
+        }
+        let sqd = server.socket(SocketKind::Udp).unwrap();
+        server.bind(sqd, SocketAddr::new(host_ip(2), 7)).unwrap();
+        let cqd = client.socket(SocketKind::Udp).unwrap();
+        client.bind(cqd, SocketAddr::new(host_ip(1), 9000)).unwrap();
+        let echo = server.clone();
+        rt.spawn_background("echo", async move {
+            loop {
+                let qt = echo.pop(sqd).unwrap();
+                let OperationResult::Pop { from, sga } = echo.runtime().await_op(qt).await else {
+                    return;
+                };
+                let qt = echo.pushto(sqd, &sga, from.unwrap()).unwrap();
+                echo.runtime().await_op(qt).await;
+            }
+        });
+        let round = || {
+            let sga = Sga::from_bufs(vec![DemiBuffer::from_slice(&[0xA5; 64])]);
+            let qt = client
+                .pushto(cqd, &sga, SocketAddr::new(host_ip(2), 7))
+                .unwrap();
+            client.wait(qt, None).unwrap();
+            let qt = client.pop(cqd).unwrap();
+            let (_, reply) = client.wait(qt, None).unwrap().expect_pop();
+            assert_eq!(reply.to_vec(), [0xA5; 64]);
+        };
+        // ARP both ways, and every handshake timer drained.
+        round();
+        rt.settle(SimTime::from_secs(1));
+
+        let before = net_stack::counters::shard_snapshot();
+        (0..ECHOES).for_each(|_| round());
+        let visited = net_stack::counters::shard_snapshot()
+            .delta(&before)
+            .timer_buckets_visited;
+        if idle_conns == 0 {
+            assert_eq!(visited, 0, "no TCP state, no slot to look at");
+        } else {
+            let bound = 4 * net_stack::tcp::wheel::LEVELS as u64 * ECHOES;
+            assert!(
+                visited <= bound,
+                "{visited} slot visits over {ECHOES} echoes"
+            );
+        }
+    }
 }
 
 /// Virtual time of one warmed 64-byte UDP echo round from `a` to `b`.

@@ -120,6 +120,11 @@ metrics_table! {
         /// Stack poll passes that spent their whole RX budget with device
         /// frames still pending (the backlog waits for the next pass).
         rx_budget_exhausted <- rx_budget_exhausted,
+        /// Shard poll passes run.
+        poll_passes <- poll_passes,
+        /// Poll-pass stages entered (RX, ARP tick, TCP tick, TCP flush, TX
+        /// burst); an idle pass's guards skip all five.
+        poll_stages_run <- poll_stages_run,
     }
     timers: net_stack::counters::ShardSnapshot {
         /// Timer entries scheduled on the TCP timing wheels.

@@ -416,12 +416,10 @@ impl Runtime {
     }
 
     fn pump_report(&self) -> PumpReport {
-        let mut external = 0usize;
-        if let Some(fabric) = &self.inner.fabric {
-            let before = fabric.stats().frames_delivered;
-            fabric.deliver_due();
-            external += (fabric.stats().frames_delivered - before) as usize;
-        }
+        let mut external = match &self.inner.fabric {
+            Some(fabric) => fabric.deliver_due(),
+            None => 0,
+        };
         external += self.run_pollers();
         external += self.inner.timers.fire_due();
         if external > 0 {

@@ -211,9 +211,16 @@ impl DpdkPort {
         burst
     }
 
-    /// Frames waiting in RX queue `queue` (after pumping arrivals).
-    pub fn rx_pending(&self, queue: u16) -> usize {
-        self.rx_burst_into(queue, 0, &mut Vec::new())
+    /// Whether [`DpdkPort::rx_burst_into`] on `queue` could do anything:
+    /// a frame in the queue's descriptor ring, in the fabric mailbox (which
+    /// may steer to any queue) or on a cross-thread ingress ring. O(1), no
+    /// pump: `false` means a burst now would return nothing and change
+    /// nothing, so a polling host may skip it.
+    pub fn rx_ready(&self, queue: u16) -> bool {
+        let inner = self.inner.borrow();
+        !inner.rx_rings[queue as usize].is_empty()
+            || inner.endpoint.has_rx()
+            || inner.ingress.iter().flatten().any(|rx| !rx.is_empty())
     }
 
     /// [`DpdkPort::rx_burst`] into the caller's reusable buffer (appended,
@@ -403,6 +410,13 @@ mod tests {
     use sim_fabric::LinkConfig;
     use std::rc::Rc as StdRc;
 
+    impl DpdkPort {
+        /// Frames waiting in RX queue `queue` (after pumping arrivals).
+        fn rx_pending(&self, queue: u16) -> usize {
+            self.rx_burst_into(queue, 0, &mut Vec::new())
+        }
+    }
+
     /// Builds an Ethernet-framed payload: dst(6) src(6) ethertype(2) body.
     fn eth_frame(dst: MacAddress, src: MacAddress, body: &[u8]) -> Vec<u8> {
         let mut f = Vec::with_capacity(14 + body.len());
@@ -473,6 +487,40 @@ mod tests {
         assert_eq!(bodies, [0, 1, 2, 3, 4], "appended in ring order");
         assert_eq!(b.rx_burst_into(0, 3, &mut out), 0);
         assert_eq!(out.len(), 5, "an idle poll adds nothing");
+    }
+
+    /// `rx_ready` is exact where it says no (a burst finds nothing) and
+    /// says yes for each of the three places a frame can wait.
+    #[test]
+    fn rx_ready_sees_the_mailbox_the_ring_and_the_ingress_ring() {
+        let fabric = Fabric::new(1);
+        fabric.set_default_link(LinkConfig::ideal());
+        let a = DpdkPort::new(&fabric, PortConfig::basic(MacAddress::from_last_octet(1)));
+        let b = DpdkPort::new(
+            &fabric,
+            PortConfig {
+                num_rx_queues: 2,
+                ..PortConfig::basic(MacAddress::from_last_octet(2))
+            },
+        );
+        assert!(!b.rx_ready(0) && !b.rx_ready(1));
+        let f = udp_flow_frame(b.mac(), a.mac(), 40_000, 80);
+        let q = crate::rss::queue_for_frame(&f, 2);
+        a.tx_burst(&[a.mempool().alloc_from(&f)]);
+        assert!(!b.rx_ready(q), "in flight is not arrived");
+        fabric.deliver_due();
+        // In the mailbox the frame could be for any queue; once a burst on
+        // the other queue has pumped it into its ring, only its own.
+        assert!(b.rx_ready(0) && b.rx_ready(1));
+        assert!(b.rx_burst(1 - q, 8).is_empty());
+        assert!(b.rx_ready(q) && !b.rx_ready(1 - q));
+        assert_eq!(b.rx_burst(q, 8).len(), 1);
+        assert!(!b.rx_ready(0) && !b.rx_ready(1));
+        let mut inj = b.attach_rx_ingress(1, 8);
+        assert!(inj.inject(f));
+        assert!(b.rx_ready(0) && b.rx_ready(1), "any ingress ring counts");
+        assert_eq!(b.rx_burst(1, 8).len(), 1);
+        assert!(!b.rx_ready(0) && !b.rx_ready(1));
     }
 
     #[test]

@@ -34,25 +34,40 @@ const KEY: [u8; 40] = [
     0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
 ];
 
-/// Toeplitz hash of `data` under [`KEY`]: for every set bit of the input,
-/// XOR in the 32-bit key window starting at that bit position.
+/// Longest input [`toeplitz`] is ever given: a 12-byte tuple, 8 bytes of
+/// MAC + ethertype, or a runt frame of under 14 bytes.
+const MAX_INPUT: usize = 13;
+
+/// `TABLE[i][b]`: what byte value `b` at input position `i` contributes —
+/// for every set bit of `b`, the 32-bit key window starting at that bit.
+static TABLE: [[u32; 256]; MAX_INPUT] = {
+    let mut table = [[0u32; 256]; MAX_INPUT];
+    let mut i = 0;
+    while i < MAX_INPUT {
+        // The 8 bits of key under byte `i` and the 32 after them.
+        let (mut window, mut k) = (0u64, 0);
+        while k < 5 {
+            window = (window << 8) | KEY[i + k] as u64;
+            k += 1;
+        }
+        let mut byte = 1usize;
+        while byte < 256 {
+            // All but the lowest set bit are already in the table.
+            let low = byte.trailing_zeros();
+            table[i][byte] = table[i][byte & (byte - 1)] ^ (window >> (low + 1)) as u32;
+            byte += 1;
+        }
+        i += 1;
+    }
+    table
+};
+
+/// Toeplitz hash of `data` under [`KEY`]: one table word per input byte.
 fn toeplitz(data: &[u8]) -> u32 {
+    assert!(data.len() <= MAX_INPUT, "RSS input longer than its table");
     let mut hash = 0u32;
-    for (i, &byte) in data.iter().enumerate() {
-        if byte == 0 {
-            continue;
-        }
-        // 40 bits of key starting at bit 8*i (bytes wrap like hardware
-        // shift registers do for long inputs).
-        let mut window = 0u64;
-        for k in 0..5 {
-            window = (window << 8) | KEY[(i + k) % KEY.len()] as u64;
-        }
-        for bit in 0..8 {
-            if byte & (0x80 >> bit) != 0 {
-                hash ^= ((window >> (8 - bit)) & 0xFFFF_FFFF) as u32;
-            }
-        }
+    for (row, &byte) in TABLE.iter().zip(data) {
+        hash ^= row[byte as usize];
     }
     hash
 }
@@ -188,6 +203,101 @@ mod tests {
         l4.extend_from_slice(&dst.to_be_bytes());
         l4.extend_from_slice(&[0u8; 16]);
         l4
+    }
+
+    /// The bit-serial definition the table replaced, kept as the
+    /// reference: for every set bit of the input, XOR in the 32-bit key
+    /// window starting at that bit position.
+    fn toeplitz_bit_serial(data: &[u8]) -> u32 {
+        let mut hash = 0u32;
+        for (i, &byte) in data.iter().enumerate() {
+            let mut window = 0u64;
+            for k in 0..5 {
+                window = (window << 8) | KEY[(i + k) % KEY.len()] as u64;
+            }
+            for bit in 0..8 {
+                if byte & (0x80 >> bit) != 0 {
+                    hash ^= ((window >> (8 - bit)) & 0xFFFF_FFFF) as u32;
+                }
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn table_matches_bit_serial_at_every_position_and_byte() {
+        for pos in 0..MAX_INPUT {
+            for byte in 0..=255u8 {
+                let mut data = [0u8; MAX_INPUT];
+                data[pos] = byte;
+                assert_eq!(
+                    toeplitz(&data),
+                    toeplitz_bit_serial(&data),
+                    "byte {byte:#04x} at position {pos}"
+                );
+            }
+        }
+    }
+
+    /// 10 000 seeded tuples and frames of every shape the port hashes —
+    /// TCP/UDP, portless IP, non-IP, runt — against the reference fed the
+    /// bytes the module doc says each shape hashes.
+    #[test]
+    fn seeded_tuples_and_frames_match_bit_serial() {
+        let mut rng = sim_fabric::SimRng::new(0x7055);
+        for case in 0..10_000 {
+            let x = rng.next_u64();
+            let (a_ip, b_ip) = (Ipv4Addr::from(x as u32), Ipv4Addr::from((x >> 32) as u32));
+            let y = rng.next_u64();
+            let (a_port, b_port) = (y as u16, (y >> 16) as u16);
+            let tuple_ref = |ap: u16, bp: u16| {
+                let (a, b) = ((u32::from(a_ip), ap), (u32::from(b_ip), bp));
+                let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+                let mut data = Vec::new();
+                for (ip, port) in [lo, hi] {
+                    data.extend_from_slice(&ip.to_be_bytes());
+                    data.extend_from_slice(&port.to_be_bytes());
+                }
+                toeplitz_bit_serial(&data)
+            };
+            let queues = 2 + (y >> 32) as u16 % 15;
+            let want = tuple_ref(a_port, b_port);
+            assert_eq!(hash_tuple(a_ip, a_port, b_ip, b_port), want);
+            assert_eq!(
+                queue_for_tuple(a_ip, a_port, b_ip, b_port, queues),
+                (want % queues as u32) as u16
+            );
+            let mut frame = match case % 4 {
+                0 => ipv4_frame(6, a_ip, b_ip, &ports(a_port, b_port)),
+                1 => ipv4_frame(17, a_ip, b_ip, &ports(a_port, b_port)),
+                2 => ipv4_frame(1, a_ip, b_ip, &ports(a_port, b_port)),
+                _ => vec![0u8; 14 + 28],
+            };
+            frame[..12].copy_from_slice(&rng.next_u64().to_le_bytes().repeat(2)[..12]);
+            let want = match case % 4 {
+                0 | 1 => tuple_ref(a_port, b_port),
+                2 => tuple_ref(0, 0),
+                _ => {
+                    frame[12..14].copy_from_slice(&[0x08, 0x06]);
+                    toeplitz_bit_serial(&[&frame[6..12], &frame[12..14]].concat())
+                }
+            };
+            assert_eq!(hash_frame(&frame), want, "case {case}");
+            assert_eq!(
+                queue_for_frame(&frame, queues),
+                (want % queues as u32) as u16
+            );
+            let flow = (case % 4 != 3).then_some((want % queues as u32) as u16);
+            assert_eq!(flow_queue_for_frame(&frame, queues), flow);
+            let runt = &frame[..(y >> 48) as usize % 14];
+            assert_eq!(hash_frame(runt), toeplitz_bit_serial(runt));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "longer than its table")]
+    fn input_longer_than_the_table_is_a_bug() {
+        toeplitz(&[1u8; MAX_INPUT + 1]);
     }
 
     #[test]

@@ -112,6 +112,9 @@ pub enum ArpAction {
 pub struct ArpCache {
     entries: FastHashMap<Ipv4Addr, (MacAddress, SimTime)>,
     in_flight: FastHashMap<Ipv4Addr, InFlight>,
+    /// The earliest `next_retry` in `in_flight`, recomputed by every method
+    /// that changes one, so "is a retry due?" is one compare.
+    next_retry: Option<SimTime>,
     ttl: SimTime,
     retry_interval: SimTime,
     max_tries: u32,
@@ -124,6 +127,7 @@ impl ArpCache {
         ArpCache {
             entries: FastHashMap::default(),
             in_flight: FastHashMap::default(),
+            next_retry: None,
             ttl,
             retry_interval,
             max_tries,
@@ -142,14 +146,14 @@ impl ArpCache {
     /// for it, ready to transmit.
     pub fn insert(&mut self, ip: Ipv4Addr, mac: MacAddress, now: SimTime) -> Vec<ArpAction> {
         self.entries.insert(ip, (mac, now.saturating_add(self.ttl)));
-        match self.in_flight.remove(&ip) {
-            Some(state) => state
-                .pending
-                .into_iter()
-                .map(|p| ArpAction::SendPending(mac, p))
-                .collect(),
-            None => Vec::new(),
-        }
+        let waiting = self.in_flight.remove(&ip).into_iter();
+        self.next_retry = self.earliest_retry();
+        let pending = waiting.flat_map(|state| state.pending);
+        pending.map(|p| ArpAction::SendPending(mac, p)).collect()
+    }
+
+    fn earliest_retry(&self) -> Option<SimTime> {
+        self.in_flight.values().map(|s| s.next_retry).min()
     }
 
     /// Queues `packet` for `ip`; returns the actions to take (usually an
@@ -174,13 +178,23 @@ impl ArpCache {
                         pending: vec![packet],
                     },
                 );
+                self.next_retry = self.earliest_retry();
                 vec![ArpAction::SendRequest(ip)]
             }
         }
     }
 
+    /// Whether [`ArpCache::poll`] at `now` would do anything. O(1).
+    pub fn due(&self, now: SimTime) -> bool {
+        self.next_retry.is_some_and(|t| t <= now)
+    }
+
     /// Advances retry timers; returns retransmissions and failures due now.
     pub fn poll(&mut self, now: SimTime) -> Vec<ArpAction> {
+        if !self.due(now) {
+            debug_assert!(self.in_flight.values().all(|s| now < s.next_retry));
+            return Vec::new();
+        }
         let mut actions = Vec::new();
         let mut failed: Vec<Ipv4Addr> = Vec::new();
         for (&ip, state) in self.in_flight.iter_mut() {
@@ -201,12 +215,13 @@ impl ArpCache {
                 actions.push(ArpAction::FailPending(p));
             }
         }
+        self.next_retry = self.earliest_retry();
         actions
     }
 
     /// Earliest retry/failure deadline, for runtime clock advancement.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.in_flight.values().map(|s| s.next_retry).min()
+        self.next_retry
     }
 
     /// Number of cached (possibly expired) entries.

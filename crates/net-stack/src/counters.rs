@@ -21,6 +21,12 @@ demi_telemetry::counter_family! {
         /// device ring (the backlog is reported as remaining work, not drained
         /// in one pass).
         pub rx_budget_exhausted: u64 => note_rx_budget_exhausted,
+        /// Shard poll passes run.
+        pub poll_passes: u64 => note_poll_pass,
+        /// Poll-pass stage bodies entered (RX, ARP tick, TCP tick, TCP flush,
+        /// TX burst): a stage whose O(1) guard found nothing to do is skipped
+        /// and not counted, so an idle pass counts a pass and no stage.
+        pub poll_stages_run: u64 => note_poll_stage_run,
     }
     /// This thread's batching counter totals.
     pub fn snapshot();

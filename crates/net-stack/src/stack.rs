@@ -310,6 +310,16 @@ impl NetworkStack {
         (0..self.shards.len()).map(|i| self.poll_shard(i)).sum()
     }
 
+    /// [`NetworkStack::poll`] with every guard overridden — each stage of
+    /// each pass runs whether or not it has work. The reference side of the
+    /// guarded-vs-unguarded differential test; nothing else should call it.
+    #[doc(hidden)]
+    pub fn poll_every_stage(&self) -> usize {
+        (0..self.shards.len())
+            .map(|i| self.poll_with(i, true))
+            .sum()
+    }
+
     /// One poll pass over a single shard: drain its inbound rings, then
     /// its RX queue and handoffs (up to [`StackConfig::rx_budget`]
     /// frames), advance its protocol timers, hand its coalesced outgoing
@@ -318,31 +328,36 @@ impl NetworkStack {
     /// borrow of another shard — it may live on another thread). This is
     /// the unit the runtime registers one poller per shard for.
     pub fn poll_shard(&self, index: usize) -> usize {
+        self.poll_with(index, false)
+    }
+
+    /// [`NetworkStack::poll_shard`]; `every_stage` overrides the guards.
+    fn poll_with(&self, index: usize, every_stage: bool) -> usize {
+        let mut shard = self.shards[index].borrow_mut();
         // Ring drain happens at the pass boundary: messages peers sent
         // during *their* passes become this shard's handoffs/bindings now.
-        let mut work = {
-            let mut rings = self.rings[index].borrow_mut();
-            let mut shard = self.shards[index].borrow_mut();
-            rings.drain(|msg| shard.on_shard_msg(msg))
-        };
+        let mut work = self.rings[index]
+            .borrow_mut()
+            .drain(|msg| shard.on_shard_msg(msg));
         // Shard 0 also drains this world's cross-thread inbox.
         if index == 0 {
             if let Some(ext) = self.external.borrow_mut().as_mut() {
-                let mut shard = self.shards[0].borrow_mut();
                 work += ext.drain(|msg| shard.on_shard_msg(msg));
             }
         }
-        let (w, forwards, ext_forwards, learned) = {
-            let mut shard = self.shards[index].borrow_mut();
-            let work = shard.poll_pass();
-            (
-                work,
-                std::mem::take(&mut shard.forwards),
-                std::mem::take(&mut shard.ext_forwards),
-                std::mem::take(&mut shard.learned),
-            )
-        };
-        work += w;
+        work += shard.poll_pass(every_stage);
+        // The common pass staged nothing for another shard: done. Debug
+        // builds (and the reference) walk the empty send loops anyway and
+        // check they sent nothing, like any other skipped stage.
+        let staged = shard.has_staged();
+        if !(staged || every_stage || cfg!(debug_assertions)) {
+            return work;
+        }
+        let forwards = std::mem::take(&mut shard.forwards);
+        let ext_forwards = std::mem::take(&mut shard.ext_forwards);
+        let learned = std::mem::take(&mut shard.learned);
+        drop(shard);
+        let work_before = work;
         // Mis-steered frames go to their owning shard's ring; processing
         // them is counted there (`handoffs_in`). A successful send counts
         // as work here so the scheduler keeps polling until the receiving
@@ -383,6 +398,7 @@ impl NetworkStack {
                 }
             }
         }
+        debug_assert!(staged || work == work_before, "sent with nothing staged");
         work
     }
 

@@ -3,6 +3,23 @@
 //! (`handle_frame`) → demux (`dispatch_frame`) → `flush_tcp` → TX ring →
 //! one `tx_burst` (`flush_tx`). Tenancy and device offload hang off the
 //! two `Option` fields at the bottom of [`Shard`], behind hook methods.
+//!
+//! Most passes find nothing to do, so each stage of [`Shard::poll_pass`]
+//! sits behind an O(1) guard that asks "anything to do?" where the answer
+//! lives, and is skipped on a no (`Shard::stage` has the rule that keeps
+//! the guards honest):
+//!
+//! | stage | runs when |
+//! |---|---|
+//! | RX (`rx_pass`) | the handoff queue is non-empty, or `DpdkPort::rx_ready`: this queue's descriptor ring, the fabric mailbox or an ingress ring holds a frame |
+//! | ARP tick | `ArpCache::due`: the earliest retry (cached) is `<= now` |
+//! | TCP tick | `TcpPeer::tick_needed`: the wheel has something to fire or cascade, or the compactor's front is due |
+//! | TCP flush | `TcpPeer::has_output`: a raw segment, a dirty connection or a released port |
+//! | TX burst (`flush_tx`) | the TX ring holds a frame |
+//!
+//! Stages with per-pass hook state stay conservative: tenancy (RX slices
+//! reopen, paced lanes fill) forces RX and TX, an installed offload (the
+//! pump runs its programs) forces RX.
 
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -128,34 +145,93 @@ impl Shard {
         }
     }
 
-    /// One full pass: RX (handoffs, then own queue), timers, TCP flush,
-    /// TX flush. Returns the work-item count for the scheduler's activity
-    /// gate; handed-off frames count here (their arrival moved no stack
-    /// counter, but a caller parked on the delivered data must wake).
-    pub(super) fn poll_pass(&mut self) -> usize {
+    /// One full pass: RX (handoffs, then own queue), ARP and TCP timers,
+    /// TCP flush, TX burst — each behind its O(1) guard (module doc).
+    /// Returns the work-item count for the scheduler's activity gate;
+    /// handed-off frames count here (their arrival moved no stack counter,
+    /// but a caller parked on the delivered data must wake).
+    ///
+    /// `every_stage` overrides every guard: the run-everything reference
+    /// the guarded pass is compared against (`tests/sharding.rs`).
+    pub(super) fn poll_pass(&mut self, every_stage: bool) -> usize {
+        crate::counters::note_poll_pass();
         let before = self.stats.rx_frames + self.stats.tx_frames + self.stats.unreachable_drops;
         let handoffs_before = self.shard_stats.handoffs_in;
         let offload_before = self.shard_stats.offload_events_applied;
+        // One clock read per pass: every stage and per-frame handler below
+        // receives this timestamp.
+        let now = self.clock.now();
         // Sync events queued by the device since the last pass must reach
         // the control blocks before any frame (handed off or fresh) is
         // dispatched — delivered fallback frames assume the host already
         // absorbed the flushed bytes that precede them.
-        let now = self.clock.now();
         self.drain_offload_events(now);
-        let backlog = self.rx_pass();
-        let timer_events = self.timer_pass();
+        let rx = every_stage
+            || self.tenancy.is_some()
+            || self.offload.is_some()
+            || !self.handoff.is_empty()
+            || self.port.rx_ready(self.queue);
+        let backlog = self.stage(rx, |s| s.rx_pass(now));
+        let arp = every_stage || self.arp.due(now);
+        self.stage(arp, |s| {
+            let actions = s.arp.poll(now);
+            s.run_arp_actions(actions);
+            0
+        });
+        let tick = every_stage || self.tcp.tick_needed(now);
+        let timer_events = self.stage(tick, |s| s.tcp.on_tick(now));
         self.shard_stats.timer_events += timer_events as u64;
-        self.flush_tcp();
+        let flush = every_stage || self.tcp.has_output();
+        self.stage(flush, |s| {
+            s.flush_tcp();
+            0
+        });
         // Flows that completed host-side work this pass (reply ACKed,
         // queues drained) are quiescent now: hand them to the device.
         self.rearm_offload();
         // The flush runs before the work snapshot: DRR-admitted tenant
         // frames count `tx_frames` at admission, inside `flush_tx`.
-        let tx_backlog = self.flush_tx();
+        let tx = every_stage || self.tenancy.is_some() || !self.tx_ring.is_empty();
+        let tx_backlog = self.stage(tx, Self::flush_tx);
         let after = self.stats.rx_frames + self.stats.tx_frames + self.stats.unreachable_drops;
         let handoffs = (self.shard_stats.handoffs_in - handoffs_before) as usize;
         let offload_events = (self.shard_stats.offload_events_applied - offload_before) as usize;
         (after - before) as usize + handoffs + timer_events + backlog + offload_events + tx_backlog
+    }
+
+    /// Runs one stage of the pass if its guard found work for it. A stage
+    /// whose guard said "idle" is skipped — except under `debug_assertions`,
+    /// where it runs anyway and must have been a no-op: it reported no work
+    /// and moved nothing in [`Shard::witness`]. Every debug test run is thus
+    /// the differential test of every guard; release builds take the skip.
+    fn stage(&mut self, ready: bool, body: impl FnOnce(&mut Self) -> usize) -> usize {
+        if ready {
+            crate::counters::note_poll_stage_run();
+            return body(self);
+        }
+        if cfg!(debug_assertions) {
+            let (before, work) = (self.witness(), body(self));
+            assert_eq!((work, self.witness()), (0, before), "a guard skipped work");
+        }
+        0
+    }
+
+    /// What a stage with nothing to do must leave as it found it. TCP's
+    /// `next_deadline()` discards abandoned wheel entries as it looks, so
+    /// the witness reads what feeds it: ARP's deadline and the thread's TCP
+    /// counters (a timer scheduled, fired or discarded, a wheel slot
+    /// visited, a queue box compacted, a demux lookup each move one).
+    fn witness(&self) -> impl PartialEq + std::fmt::Debug {
+        use crate::counters::{conn_snapshot, shard_snapshot};
+        let timers = (self.arp.next_deadline(), shard_snapshot(), conn_snapshot());
+        let device = (self.port.stats(), self.tx_ring.len());
+        (self.stats, self.shard_stats, device, timers)
+    }
+
+    /// Whether the pass staged anything for the facade to send over the
+    /// rings.
+    pub(super) fn has_staged(&self) -> bool {
+        !(self.forwards.is_empty() && self.ext_forwards.is_empty() && self.learned.is_empty())
     }
 
     /// Drains up to `rx_budget` frames — handoffs from other shards first,
@@ -163,14 +239,11 @@ impl Shard {
     /// afterwards — remaining work the caller reports so the scheduler's
     /// activity gate keeps seeing progress under a flood without this
     /// pass starving timers or the other pollers.
-    fn rx_pass(&mut self) -> usize {
+    fn rx_pass(&mut self, now: SimTime) -> usize {
         let budget = self.config.rx_budget;
         if let Some(ten) = &mut self.tenancy {
             ten.rx_open();
         }
-        // One clock read per pass, not per frame: every per-frame handler
-        // below receives the hoisted timestamp.
-        let now = self.clock.now();
         let mut processed = 0;
         while processed < budget {
             let Some(mbuf) = self.handoff.pop_front() else {
@@ -398,13 +471,6 @@ impl Shard {
         } else {
             self.pongs.push_back((src, echo.ident, echo.seq));
         }
-    }
-
-    fn timer_pass(&mut self) -> usize {
-        let now = self.clock.now();
-        let actions = self.arp.poll(now);
-        self.run_arp_actions(actions);
-        self.tcp.on_tick(now)
     }
 
     /// Earliest timer deadline: ARP retry, TCP, a paced tenant lane.

@@ -1340,12 +1340,22 @@ impl TcpPeer {
         self.sync_slot(slot);
     }
 
+    /// Whether [`TcpPeer::on_tick`] at `now` would do anything: a wheel
+    /// entry to fire or cascade, or a compaction falling due. O(1).
+    pub fn tick_needed(&self, now: SimTime) -> bool {
+        let compaction = self.compact_pending.front();
+        self.wheel.due(now) || compaction.is_some_and(|&(due, _)| due <= now)
+    }
+
     /// Advances the timing wheel to `now` and ticks only connections whose
     /// timers fired — O(firing timers), independent of how many connections
     /// are resident. Also sweeps the queue compactor and expires TIME_WAIT
     /// records. Returns the total number of timer events fired.
     pub fn on_tick(&mut self, now: SimTime) -> usize {
         self.sweep_compact(now);
+        if !self.wheel.due(now) {
+            return 0;
+        }
         let mut due = std::mem::take(&mut self.tick_due);
         due.clear();
         self.wheel.advance_into(now, &mut due);
@@ -1450,6 +1460,12 @@ impl TcpPeer {
             }
             live
         })
+    }
+
+    /// Whether [`TcpPeer::drain_segments`] or
+    /// [`TcpPeer::pop_released_port`] has anything to hand over. O(1).
+    pub fn has_output(&self) -> bool {
+        !(self.raw_out.is_empty() && self.active_out.is_empty() && self.released_ports.is_empty())
     }
 
     /// Appends every segment queued for transmission, tagged with its

@@ -18,8 +18,11 @@
 //! swept when the level's cursor passes it: entries that are due fire,
 //! entries placed there by a coarser level cascade down to a finer one.
 //!
-//! Costs: `schedule` is O(1); `advance_into` is a mask per level whose
-//! cursor moved plus O(occupied slots crossed + their entries);
+//! Costs: `schedule` is O(1); `advance_into` is one compare while nothing
+//! is due ([`TimerWheel::due`]: the cursor simply stays behind until
+//! `now` reaches `next_due`, a lower bound on every tracked deadline, and
+//! then crosses the whole gap in one sweep), otherwise a mask per level
+//! whose cursor moved plus O(occupied slots crossed + their entries);
 //! `peek_earliest_live` reads `immediate`, `overflow` and each level's
 //! first occupied slot after the cursor. Those slots are in deadline order
 //! (a slot is emptied before the cursor passes it, and every entry in one
@@ -75,7 +78,15 @@ pub struct TimerWheel<T> {
     /// advancing; kept on the wheel so a steady-state advance allocates
     /// nothing once warm.
     cascade_scratch: Vec<Entry<T>>,
+    /// The cursor: the last instant the wheel was swept to. It lags the
+    /// caller's clock while nothing is due; every slot invariant is relative
+    /// to it, so a late sweep is the same sweep.
     now: u64,
+    /// Nothing tracked is due before this instant: the earliest deadline
+    /// scheduled since the last sweep, the start of the first occupied slot
+    /// that sweep left, or the top level's next turn — which keeps the
+    /// cursor within one top-level slot (≈1.07 s) of the clock.
+    next_due: u64,
     seq: u64,
     len: usize,
     /// `len` as the last whole-wheel scrub left it.
@@ -119,6 +130,7 @@ impl<T: Copy> TimerWheel<T> {
             overflow: Vec::new(),
             cascade_scratch: Vec::new(),
             now: start.as_nanos(),
+            next_due: 0,
             seq: 0,
             len: 0,
             scrubbed_len: 0,
@@ -144,7 +156,40 @@ impl<T: Copy> TimerWheel<T> {
         };
         self.seq += 1;
         self.len += 1;
+        self.next_due = self.next_due.min(entry.deadline);
         self.place(entry);
+    }
+
+    /// Whether [`TimerWheel::advance_into`] at `now` could fire or cascade
+    /// anything. O(1); `false` means the advance would be a no-op.
+    pub fn due(&self, now: SimTime) -> bool {
+        now.as_nanos() >= self.next_due
+    }
+
+    /// `level`'s slots in deadline order: the absolute index of the slot
+    /// after the cursor, and the occupancy word rotated so that bit `i` is
+    /// that slot `+ i`.
+    fn ahead(&self, level: usize) -> (u64, u64) {
+        let first = (self.now >> (SLOT_BITS * level as u32)) + 1;
+        let rotation = (first % SLOTS as u64) as u32;
+        (first, self.occupied[level].rotate_right(rotation))
+    }
+
+    /// A lower bound on what is still tracked after a sweep to `self.now`
+    /// (`immediate` is empty then): per level, the start of the first
+    /// occupied slot after the cursor; and the next turn of the top level,
+    /// which is when the overflow list is looked at again.
+    fn earliest_slot_start(&self) -> u64 {
+        let top = SLOT_BITS * (LEVELS as u32 - 1);
+        let mut bound = ((self.now >> top) + 1) << top;
+        for level in 0..LEVELS {
+            let (first, ahead) = self.ahead(level);
+            if ahead != 0 {
+                let slot = first + ahead.trailing_zeros() as u64;
+                bound = bound.min(slot << (SLOT_BITS * level as u32));
+            }
+        }
+        bound
     }
 
     fn place(&mut self, entry: Entry<T>) {
@@ -182,6 +227,9 @@ impl<T: Copy> TimerWheel<T> {
     /// internal scratch are warm — the form the peer's tick path uses to
     /// keep steady state off the allocator.
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, T)>) {
+        if !self.due(now) {
+            return;
+        }
         let new = now.as_nanos();
         let old = self.now;
         if new > old {
@@ -235,6 +283,7 @@ impl<T: Copy> TimerWheel<T> {
                 .drain(..)
                 .map(|e| (SimTime::from_nanos(e.deadline), e.key)),
         );
+        self.next_due = self.earliest_slot_start();
     }
 
     /// The earliest deadline among entries for which `live` returns true.
@@ -245,12 +294,9 @@ impl<T: Copy> TimerWheel<T> {
         let (mut best, mut visited) = (None, 0);
         retain_live(&mut self.immediate, &mut self.len, &mut best, &mut live);
         for level in 0..LEVELS {
-            // Bit i of `ahead` is slot `cursor + 1 + i`: deadline order.
-            let cursor = (self.now >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1);
-            let first = cursor as u32 + 1;
-            let mut ahead = self.occupied[level].rotate_right(first % SLOTS as u32);
+            let (first, mut ahead) = self.ahead(level);
             while ahead != 0 {
-                let slot = (first + ahead.trailing_zeros()) as usize % SLOTS;
+                let slot = (first + ahead.trailing_zeros() as u64) as usize % SLOTS;
                 ahead &= ahead - 1;
                 visited += 1;
                 let bucket = &mut self.levels[level][slot];
@@ -386,6 +432,53 @@ mod tests {
         });
         assert_eq!((now, fired), (DEADLINE, vec![(t(DEADLINE), 1)]));
         assert!(cascade <= LEVELS as u64, "{cascade} buckets to cascade");
+    }
+
+    /// While nothing is due the cursor stays where it is — an advance is
+    /// one compare — and a timer armed meanwhile is placed relative to the
+    /// stale cursor; both still fire at their exact instants, the gap
+    /// crossed in one sweep.
+    #[test]
+    fn cursor_lags_while_nothing_is_due_and_fires_on_time() {
+        const FAR: u64 = 200_000_000;
+        const NEAR: u64 = 150_000_040;
+        let mut w: TimerWheel<u32> = TimerWheel::new(SimTime::ZERO);
+        assert!(w.advance(t(0)).is_empty());
+        w.schedule(t(FAR), 1);
+        let idle = buckets_visited(|| {
+            for now in (1_000..150_000_000).step_by(1_000) {
+                assert!(!w.due(t(now)));
+                assert!(w.advance(t(now)).is_empty());
+            }
+        });
+        assert_eq!(idle, 0, "150 000 advances with nothing due read no slot");
+        w.schedule(t(NEAR), 2);
+        assert_eq!(w.peek_earliest_live(|_| true), Some(t(NEAR)));
+        assert!(!w.due(t(NEAR - 1)) && w.advance(t(NEAR - 1)).is_empty());
+        assert!(w.due(t(NEAR)));
+        assert_eq!(w.advance(t(NEAR)), vec![(t(NEAR), 2)]);
+        assert_eq!(w.peek_earliest_live(|_| true), Some(t(FAR)));
+        assert!(w.advance(t(FAR - 1)).is_empty());
+        assert_eq!(w.advance(t(FAR + 5)), vec![(t(FAR), 1)]);
+        assert!(w.is_empty());
+    }
+
+    /// The lag is bounded: even an empty wheel sweeps at every turn of its
+    /// top level, so a timer armed after a long quiet spell is placed
+    /// within one top-level slot of where an up-to-date cursor would put it
+    /// (never in the overflow list for the lag alone).
+    #[test]
+    fn an_empty_wheel_still_turns_with_its_top_level() {
+        const TURN: u64 = 1 << (SLOT_BITS * (LEVELS as u32 - 1));
+        let mut w: TimerWheel<u32> = TimerWheel::new(SimTime::ZERO);
+        assert!(w.advance(t(1)).is_empty());
+        assert!(!w.due(t(TURN - 1)));
+        assert!(w.due(t(TURN)));
+        assert!(w.advance(t(100 * TURN + 7)).is_empty());
+        assert!(!w.due(t(101 * TURN - 1)) && w.due(t(101 * TURN)));
+        w.schedule(t(101 * TURN + 50), 1);
+        assert!(w.overflow.is_empty());
+        assert_eq!(w.advance(t(101 * TURN + 50)), vec![(t(101 * TURN + 50), 1)]);
     }
 
     #[test]

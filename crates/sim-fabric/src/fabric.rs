@@ -142,7 +142,9 @@ pub struct FabricStats {
 struct PendingFrame {
     deliver_at: SimTime,
     seq: u64,
-    dst: MacAddress,
+    /// The destination's index in `mailboxes`, resolved when the frame was
+    /// accepted, so delivery hashes nothing.
+    dst_box: usize,
     frame: Frame,
 }
 
@@ -164,9 +166,16 @@ impl Ord for PendingFrame {
 }
 
 struct Mailbox {
+    mac: MacAddress,
     queue: VecDeque<Frame>,
     capacity: usize,
+    /// When this endpoint's line finishes serializing what it has sent.
+    line_busy_until: SimTime,
 }
+
+/// A MAC address and, when it is a registered endpoint's, that endpoint's
+/// index in `mailboxes`.
+type Station = (MacAddress, Option<usize>);
 
 struct FabricInner {
     clock: SimClock,
@@ -181,7 +190,6 @@ struct FabricInner {
     links: HashMap<(MacAddress, MacAddress), LinkConfig>,
     partitions: HashSet<(MacAddress, MacAddress)>,
     pending: BinaryHeap<Reverse<PendingFrame>>,
-    line_busy_until: HashMap<MacAddress, SimTime>,
     seq: u64,
     stats: FabricStats,
 }
@@ -198,7 +206,13 @@ impl FabricInner {
         self.partitions.contains(&(a, b)) || self.partitions.contains(&(b, a))
     }
 
-    fn enqueue_unicast(&mut self, src: MacAddress, dst: MacAddress, payload: DemiBuffer) {
+    /// Accepts one frame for `dst`; one addressed to no endpoint is dropped.
+    fn enqueue_unicast(
+        &mut self,
+        (src, src_box): Station,
+        (dst, dst_box): Station,
+        payload: DemiBuffer,
+    ) {
         let now = self.clock.now();
         self.stats.frames_sent += 1;
         self.stats.bytes_sent += payload.len() as u64;
@@ -210,10 +224,10 @@ impl FabricInner {
         });
 
         let link = self.link_for(src, dst);
-        if self.is_partitioned(src, dst)
-            || !self.endpoints.contains_key(&dst)
-            || self.rng.chance(link.loss_probability)
-        {
+        let lost = dst_box.is_none()
+            || self.is_partitioned(src, dst)
+            || self.rng.chance(link.loss_probability);
+        let (Some(dst_box), false) = (dst_box, lost) else {
             self.stats.frames_dropped += 1;
             self.tracer.record(TraceEvent::Drop {
                 at: now,
@@ -222,24 +236,24 @@ impl FabricInner {
                 len: payload.len(),
             });
             return;
-        }
+        };
 
         // Serialization: the sender's line transmits frames back-to-back.
-        let busy = self
-            .line_busy_until
-            .get(&src)
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        let tx_start = busy.max(now);
-        let tx_end = tx_start.saturating_add(link.serialization_delay(payload.len()));
-        self.line_busy_until.insert(src, tx_end);
-        let deliver_at = tx_end.saturating_add(link.latency);
+        let mut no_line = SimTime::ZERO;
+        let line = match src_box {
+            Some(src_box) => &mut self.mailboxes[src_box].line_busy_until,
+            None => &mut no_line,
+        };
+        *line = (*line)
+            .max(now)
+            .saturating_add(link.serialization_delay(payload.len()));
+        let deliver_at = line.saturating_add(link.latency);
 
         self.seq += 1;
         self.pending.push(Reverse(PendingFrame {
             deliver_at,
             seq: self.seq,
-            dst,
+            dst_box,
             frame: Frame {
                 src,
                 dst,
@@ -249,36 +263,48 @@ impl FabricInner {
         }));
     }
 
-    fn deliver_due(&mut self) {
+    fn transmit(&mut self, src: Station, dst: MacAddress, payload: DemiBuffer) {
+        if dst.is_broadcast() {
+            for receiver in 0..self.mailboxes.len() {
+                let mac = self.mailboxes[receiver].mac;
+                if mac != src.0 {
+                    // Handle clone: every receiver reads the same storage.
+                    self.enqueue_unicast(src, (mac, Some(receiver)), payload.clone());
+                }
+            }
+        } else {
+            let dst_box = self.endpoints.get(&dst).copied();
+            self.enqueue_unicast(src, (dst, dst_box), payload);
+        }
+    }
+
+    /// Delivers every frame due at `now`; returns how many reached a mailbox.
+    fn deliver_due(&mut self) -> usize {
         let now = self.clock.now();
+        let delivered_before = self.stats.frames_delivered;
         while let Some(Reverse(head)) = self.pending.peek() {
             if head.deliver_at > now {
                 break;
             }
             let Reverse(p) = self.pending.pop().expect("peeked entry exists");
-            let len = p.frame.payload.len();
-            let mailbox = self.endpoints.get(&p.dst).map(|&i| &mut self.mailboxes[i]);
-            match mailbox {
-                Some(mailbox) if mailbox.queue.len() < mailbox.capacity => {
-                    mailbox.queue.push_back(p.frame);
-                    self.stats.frames_delivered += 1;
-                    self.tracer.record(TraceEvent::Deliver {
-                        at: now,
-                        dst: p.dst,
-                        len,
-                    });
-                }
-                _ => {
-                    self.stats.frames_dropped += 1;
-                    self.tracer.record(TraceEvent::Drop {
-                        at: now,
-                        src: p.frame.src,
-                        dst: p.dst,
-                        len,
-                    });
-                }
+            let (dst, len) = (p.frame.dst, p.frame.payload.len());
+            let mailbox = &mut self.mailboxes[p.dst_box];
+            if mailbox.queue.len() < mailbox.capacity {
+                mailbox.queue.push_back(p.frame);
+                self.stats.frames_delivered += 1;
+                self.tracer
+                    .record(TraceEvent::Deliver { at: now, dst, len });
+            } else {
+                self.stats.frames_dropped += 1;
+                self.tracer.record(TraceEvent::Drop {
+                    at: now,
+                    src: p.frame.src,
+                    dst,
+                    len,
+                });
             }
         }
+        (self.stats.frames_delivered - delivered_before) as usize
     }
 }
 
@@ -314,7 +340,6 @@ impl Fabric {
                 links: HashMap::new(),
                 partitions: HashSet::new(),
                 pending: BinaryHeap::new(),
-                line_busy_until: HashMap::new(),
                 seq: 0,
                 stats: FabricStats::default(),
             })),
@@ -379,8 +404,10 @@ impl Fabric {
         let prev = inner.endpoints.insert(mac, mailbox);
         assert!(prev.is_none(), "endpoint {mac} registered twice");
         inner.mailboxes.push(Mailbox {
+            mac,
             queue: VecDeque::new(),
             capacity,
+            line_busy_until: SimTime::ZERO,
         });
         drop(inner);
         Endpoint {
@@ -395,23 +422,16 @@ impl Fabric {
     /// Accepts anything convertible into a [`DemiBuffer`] — a `Vec<u8>`
     /// converts by taking ownership of its storage, a `DemiBuffer` passes
     /// straight through (the zero-copy path), and a `&[u8]` is copied.
+    ///
+    /// `src` is looked up once; an [`Endpoint`] already knows its mailbox
+    /// and [`Endpoint::transmit`] skips the lookup. A `src` that was never
+    /// registered is a frame injected onto the wire by no NIC: it owns no
+    /// line, so its frames are not serialized behind one another — each
+    /// leaves at `now` and pays only its own serialization delay.
     pub fn transmit(&self, src: MacAddress, dst: MacAddress, payload: impl Into<DemiBuffer>) {
-        let payload = payload.into();
         let mut inner = self.inner.borrow_mut();
-        if dst.is_broadcast() {
-            let receivers: Vec<MacAddress> = inner
-                .endpoints
-                .keys()
-                .copied()
-                .filter(|&m| m != src)
-                .collect();
-            for r in receivers {
-                // Handle clone: every receiver reads the same storage.
-                inner.enqueue_unicast(src, r, payload.clone());
-            }
-        } else {
-            inner.enqueue_unicast(src, dst, payload);
-        }
+        let src_box = inner.endpoints.get(&src).copied();
+        inner.transmit((src, src_box), dst, payload.into());
     }
 
     /// Earliest in-flight delivery instant, if any frame is in flight.
@@ -423,20 +443,21 @@ impl Fabric {
             .map(|Reverse(p)| p.deliver_at)
     }
 
-    /// Delivers every frame whose delivery instant is `<= now`.
-    pub fn deliver_due(&self) {
-        self.inner.borrow_mut().deliver_due();
+    /// Delivers every frame whose delivery instant is `<= now`; returns
+    /// how many reached a mailbox.
+    pub fn deliver_due(&self) -> usize {
+        self.inner.borrow_mut().deliver_due()
     }
 
     /// Advances the clock to the next delivery instant and delivers.
     /// Returns `false` when nothing is in flight.
     pub fn advance_to_next_event(&self) -> bool {
-        let Some(t) = self.next_event_time() else {
+        let mut inner = self.inner.borrow_mut();
+        let Some(Reverse(head)) = inner.pending.peek() else {
             return false;
         };
-        let clock = self.clock();
-        clock.advance_to(t);
-        self.deliver_due();
+        inner.clock.advance_to(head.deliver_at);
+        inner.deliver_due();
         true
     }
 
@@ -487,13 +508,20 @@ impl Endpoint {
 
     /// Transmits a frame to `dst` (zero-copy when given a [`DemiBuffer`]).
     pub fn transmit(&self, dst: MacAddress, payload: impl Into<DemiBuffer>) {
-        self.fabric.transmit(self.mac, dst, payload);
+        let mut inner = self.fabric.inner.borrow_mut();
+        inner.transmit((self.mac, Some(self.mailbox)), dst, payload.into());
     }
 
     /// Transmits a broadcast frame.
     pub fn broadcast(&self, payload: impl Into<DemiBuffer>) {
-        self.fabric
-            .transmit(self.mac, MacAddress::BROADCAST, payload);
+        self.transmit(MacAddress::BROADCAST, payload);
+    }
+
+    /// Whether a delivered frame is waiting: the O(1) question a polling
+    /// NIC asks before it drains anything.
+    pub fn has_rx(&self) -> bool {
+        let inner = self.fabric.inner.borrow();
+        !inner.mailboxes[self.mailbox].queue.is_empty()
     }
 
     /// Dequeues the next delivered frame, if any. Does not advance time.
@@ -565,6 +593,55 @@ mod tests {
         assert_eq!(b.pending_rx(), 1);
         fabric.advance_to(SimTime::from_micros(20));
         assert_eq!(b.pending_rx(), 2);
+    }
+
+    /// Each sender has its own line: `a`'s second frame queues behind its
+    /// first, `b`'s first does not queue behind either. A source that was
+    /// never registered has no line at all — its frames overlap.
+    #[test]
+    fn lines_are_per_sender_and_an_unregistered_source_has_none() {
+        let fabric = Fabric::new(1);
+        fabric.set_default_link(LinkConfig {
+            latency: SimTime::ZERO,
+            bandwidth_bps: 1_000_000_000,
+            loss_probability: 0.0,
+        });
+        let (a, b) = two_endpoints(&fabric);
+        let c = fabric.register_endpoint(MacAddress::from_last_octet(3));
+        a.transmit(c.mac(), vec![0; 1250]);
+        a.transmit(c.mac(), vec![0; 1250]);
+        b.transmit(c.mac(), vec![0; 1250]);
+        // `Fabric::transmit` with a registered source is that endpoint's line.
+        fabric.transmit(b.mac(), c.mac(), vec![0; 1250]);
+        let ghost = MacAddress::from_last_octet(99);
+        fabric.transmit(ghost, c.mac(), vec![0; 1250]);
+        fabric.transmit(ghost, c.mac(), vec![0; 1250]);
+        fabric.advance_to(SimTime::from_micros(10));
+        assert_eq!(c.pending_rx(), 4, "a#1, b#1 and both ghost frames");
+        fabric.advance_to(SimTime::from_micros(20));
+        assert_eq!(c.pending_rx(), 6, "a#2 and b#2 queued behind their firsts");
+        assert_eq!(fabric.stats().frames_delivered, 6);
+    }
+
+    #[test]
+    fn deliver_due_reports_what_reached_a_mailbox() {
+        let fabric = Fabric::new(1);
+        fabric.set_default_link(LinkConfig::ideal());
+        let a = fabric.register_endpoint(MacAddress::from_last_octet(1));
+        let b = fabric.register_endpoint_with_capacity(MacAddress::from_last_octet(2), 2);
+        assert!(!b.has_rx());
+        assert_eq!(fabric.deliver_due(), 0);
+        for i in 0..3u8 {
+            a.transmit(b.mac(), vec![i]);
+        }
+        a.transmit(MacAddress::from_last_octet(99), vec![9]);
+        assert_eq!(
+            fabric.deliver_due(),
+            2,
+            "one overflowed, one had no mailbox"
+        );
+        assert!(b.has_rx() && !a.has_rx());
+        assert_eq!(fabric.deliver_due(), 0);
     }
 
     #[test]

@@ -302,6 +302,145 @@ fn wait_any_does_not_rescan_tokens_every_pass() {
     rt.wait_all(&tokens, None).unwrap();
 }
 
+/// What the poll-pass guards must never starve: work staged *between*
+/// polls — by a synchronous call the runtime knows nothing about, or by a
+/// deadline falling due — leaves at the very next `poll()` (the first one
+/// at or after the deadline), one doorbell, whatever the guards concluded
+/// on the idle passes before it.
+#[test]
+fn work_staged_between_polls_leaves_at_the_next_poll() {
+    let fabric = Fabric::new(29);
+    let (a_port, a) = host(&fabric, 1);
+    let mut b_config = StackConfig::new(ip(2));
+    b_config.tcp.recv_capacity = 2_000;
+    let (b_port, b) = host_with(&fabric, b_config);
+    a.udp_bind(9000).unwrap();
+    let (conn, sconn) = connect(&fabric, &a, &b);
+    settle(&fabric, &[&a, &b], || false);
+    // The next poll of `stack` — and not the idle ones before it — hands
+    // exactly `frames` to `port` in one burst.
+    let leaves_at_next_poll = |what: &str, stack: &NetworkStack, port: &DpdkPort, frames: u64| {
+        let before = port.stats();
+        stack.poll();
+        let after = port.stats();
+        assert_eq!(after.tx_frames - before.tx_frames, frames, "{what}");
+        assert_eq!(after.tx_burst_calls - before.tx_burst_calls, 1, "{what}");
+    };
+    let idle = |stack: &NetworkStack| (0..3).for_each(|_| assert_eq!(stack.poll(), 0));
+
+    idle(&a);
+    a.ping(ip(2), 1, 1);
+    leaves_at_next_poll("ping", &a, &a_port, 1);
+    idle(&a);
+    a.udp_sendto(9000, SocketAddr::new(ip(2), 7), &b"raw"[..])
+        .unwrap();
+    leaves_at_next_poll("udp_sendto", &a, &a_port, 1);
+    idle(&a);
+    // 2 000 bytes fill `b`'s receive buffer: two segments, window shut.
+    let pool = BufferPool::unregistered();
+    a.tcp_send_all(
+        conn,
+        [pooled(&pool, &[7u8; 1_000]), pooled(&pool, &[8u8; 1_000])],
+    )
+    .unwrap();
+    leaves_at_next_poll("tcp_send_all", &a, &a_port, 2);
+    settle(&fabric, &[&a, &b], || false);
+    idle(&b);
+    let mut got = Vec::new();
+    b.tcp_recv_all(sconn, &mut got).unwrap();
+    assert_eq!(got.iter().map(DemiBuffer::len).sum::<usize>(), 2_000);
+    leaves_at_next_poll("window update", &b, &b_port, 1);
+    settle(&fabric, &[&a, &b], || false);
+    idle(&a);
+    a.tcp_close(conn).unwrap();
+    leaves_at_next_poll("FIN", &a, &a_port, 1);
+    // `b` closes too; `a` sits out TIME_WAIT, and the poll in which that
+    // expires — no segment in it — is the one that hands the connection's
+    // ephemeral port (the stack's first: 32 768) back to the allocator.
+    settle(&fabric, &[&a, &b], || b.tcp_eof(sconn));
+    b.tcp_close(sconn).unwrap();
+    leaves_at_next_poll("FIN back", &b, &b_port, 1);
+    settle(&fabric, &[&a, &b], || {
+        a.tcp_state(conn) == Ok(State::TimeWait)
+    });
+    a.poll();
+    let expiry = a.next_deadline().expect("2·MSL armed");
+    fabric.advance_to(SimTime::from_nanos(expiry.as_nanos() - 1));
+    idle(&a);
+    assert!(a.port_allocator().is_claimed(32_768));
+    fabric.advance_to(expiry);
+    a.poll();
+    assert!(!a.port_allocator().is_claimed(32_768), "port recycled");
+    settle(&fabric, &[&a, &b], || false);
+
+    // An ARP retry: nothing one nanosecond before it falls due, the
+    // request on the first poll at the deadline.
+    a.udp_sendto(9000, SocketAddr::new(ip(99), 7), &b"void"[..])
+        .unwrap();
+    leaves_at_next_poll("ARP request", &a, &a_port, 1);
+    let retry = a.next_deadline().expect("retry armed");
+    fabric.advance_to(SimTime::from_nanos(retry.as_nanos() - 1));
+    idle(&a);
+    fabric.advance_to(retry);
+    leaves_at_next_poll("ARP retry", &a, &a_port, 1);
+    assert_eq!(a.stats().arp_requests, 3, "b, then 10.0.0.99 twice");
+}
+
+/// An echo's poll passes are mostly idle, and an idle pass is free by
+/// count: of the poll passes a `pushto`/`pop`/`wait` round trip spends on
+/// two hosts, only four stages have anything to do — each host's RX of the
+/// one frame it receives and TX burst of the one it sends; with no TCP
+/// state there is no tick and no flush. Read through `MetricsSnapshot`,
+/// the same in debug and release builds, and the guards cost no virtual
+/// time: every round is the 2.042 µs it was.
+#[test]
+fn an_echo_runs_four_poll_stages() {
+    use demikernel::libos::{LibOs, SocketKind};
+    use demikernel::testing::{catnip_pair, host_ip};
+    use demikernel::types::Sga;
+    const ECHOES: u64 = 1_000;
+    let (rt, _fabric, client, server) = catnip_pair(23);
+    let sqd = server.socket(SocketKind::Udp).unwrap();
+    server.bind(sqd, SocketAddr::new(host_ip(2), 7)).unwrap();
+    let cqd = client.socket(SocketKind::Udp).unwrap();
+    client.bind(cqd, SocketAddr::new(host_ip(1), 9000)).unwrap();
+    let echo = server.clone();
+    rt.spawn_background("echo", async move {
+        loop {
+            let qt = echo.pop(sqd).unwrap();
+            let OperationResult::Pop { from, sga } = echo.runtime().await_op(qt).await else {
+                return;
+            };
+            let qt = echo.pushto(sqd, &sga, from.unwrap()).unwrap();
+            echo.runtime().await_op(qt).await;
+        }
+    });
+    let round = || {
+        let t0 = rt.now();
+        let sga = Sga::from_bufs(vec![DemiBuffer::from_slice(&[0xA5; 64])]);
+        let qt = client
+            .pushto(cqd, &sga, SocketAddr::new(host_ip(2), 7))
+            .unwrap();
+        client.wait(qt, None).unwrap();
+        let qt = client.pop(cqd).unwrap();
+        let (_, reply) = client.wait(qt, None).unwrap().expect_pop();
+        assert_eq!(reply.to_vec(), [0xA5; 64]);
+        rt.now().saturating_since(t0)
+    };
+    // ARP both ways, then let the resolution timers drain.
+    round();
+    rt.settle(SimTime::from_millis(10));
+
+    rt.metrics().reset();
+    for _ in 0..ECHOES {
+        assert_eq!(round(), SimTime::from_nanos(2_042));
+    }
+    let m = rt.metrics().snapshot();
+    // 14 passes an echo today; how many run is the runtime's business.
+    assert!(m.poll_passes >= 4 * ECHOES, "{} poll passes", m.poll_passes);
+    assert_eq!(m.poll_stages_run, 4 * ECHOES, "2 RX + 2 TX bursts per echo");
+}
+
 /// Drives `chunks` through a fresh two-host TCP world and returns the byte
 /// stream the receiver observed.
 fn run_stream(chunks: &[Vec<u8>], seed: u64) -> Vec<u8> {

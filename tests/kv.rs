@@ -513,6 +513,7 @@ fn depth_one_get_is_two_frames_and_one_pop() {
         || [&client, &server].map(|h| h.stack().tcp_conn_stats(ConnId(0)).unwrap().acks_sent);
     let (frames_before, acks_before) = (fabric.stats().frames_sent, acks());
     let timers_before = net_stack::counters::shard_snapshot();
+    let passes_before = net_stack::counters::snapshot();
     for _ in 0..ROUNDS {
         let (reply, pops) = exchange(&client, cqd, get.clone(), expected.len());
         assert_eq!(reply, expected);
@@ -521,6 +522,15 @@ fn depth_one_get_is_two_frames_and_one_pop() {
     let buckets = net_stack::counters::shard_snapshot()
         .delta(&timers_before)
         .timer_buckets_visited;
+    let passes = net_stack::counters::snapshot().delta(&passes_before);
+    assert!(
+        passes.poll_stages_run <= 5 * ROUNDS,
+        "a GET is an RX and a TX burst on each host, plus a TCP tick when \
+         the wheel has a slot to cascade: {} stages in {} poll passes over \
+         {ROUNDS} GETs",
+        passes.poll_stages_run,
+        passes.poll_passes
+    );
     assert!(
         buckets <= 16 * ROUNDS,
         "both stacks' wheels and the store's TTL wheel touch only occupied \

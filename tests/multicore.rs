@@ -289,6 +289,59 @@ fn handoff_overflow_drops_counted_and_stack_survives() {
     assert_eq!(payload.as_slice(), b"still-alive");
 }
 
+/// What another thread hands a stack is seen by its very next poll,
+/// however many idle passes came before: a frame injected on the device's
+/// cross-thread ingress ring (the RX guard's `rx_ready` reads that ring
+/// without pumping), and a frame sent over the external shard ring (drained
+/// ahead of the pass into the handoff queue the guard reads).
+#[test]
+fn frames_from_other_threads_are_seen_by_the_next_poll() {
+    let fabric = Fabric::new(98);
+    let port = DpdkPort::new(&fabric, PortConfig::basic(host_mac(2)));
+    let stack = NetworkStack::new(port.clone(), fabric.clock(), StackConfig::new(host_ip(2)));
+    let peer = NetworkStack::new(
+        DpdkPort::new(&fabric, PortConfig::basic(host_mac(1))),
+        fabric.clock(),
+        StackConfig::new(host_ip(1)),
+    );
+    let mut mesh = net_stack::mesh(2, 64);
+    let mut far_end = mesh.remove(0);
+    stack.attach_external(mesh.remove(0));
+    let sport = (40_000..50_000)
+        .find(|&p| rss::queue_for_tuple(host_ip(1), p, host_ip(2), 7, 2) == 1)
+        .unwrap();
+    stack.udp_bind(7).unwrap();
+    peer.udp_bind(sport).unwrap();
+    let send = || {
+        peer.udp_sendto(sport, SocketAddr::new(host_ip(2), 7), b"datagram")
+            .unwrap()
+    };
+    send();
+    settle(&fabric, &[&peer, &stack], || stack.udp_pending(7) == 1);
+    // A second datagram, taken off the wire before the stack sees it.
+    send();
+    peer.poll();
+    assert!(fabric.advance_to_next_event());
+    let frame = port.rx_burst(0, 1).pop().unwrap().as_slice().to_vec();
+
+    let mut injector = port.attach_rx_ingress(0, 8);
+    let idle = || (0..3).for_each(|_| assert_eq!(stack.poll(), 0));
+    idle();
+    let bytes = frame.clone();
+    std::thread::spawn(move || assert!(injector.inject(bytes)))
+        .join()
+        .unwrap();
+    assert!(stack.poll() > 0);
+    assert_eq!(stack.udp_pending(7), 2, "the ingress ring's frame");
+    idle();
+    std::thread::spawn(move || assert!(far_end.send(1, ShardMsg::Frame(frame))))
+        .join()
+        .unwrap();
+    assert!(stack.poll() > 0);
+    assert_eq!(stack.udp_pending(7), 3, "the external ring's frame");
+    idle();
+}
+
 // ---------------------------------------------------------------------
 // Cross-thread observability: merged metrics and telemetry.
 // ---------------------------------------------------------------------

@@ -13,6 +13,7 @@
 use std::net::Ipv4Addr;
 
 use demi_memory::DemiBuffer;
+use demikernel::libos::catnip::Catnip;
 use dpdk_sim::{rss, DpdkPort, PortConfig};
 use net_stack::tcp::wheel::TimerWheel;
 use net_stack::types::SocketAddr;
@@ -161,6 +162,25 @@ impl Differential {
         self.check_peek();
     }
 
+    /// Time passes the way a guarded poll pass lets it: the wheel is asked
+    /// whether anything is due and advanced only if it says so. When it
+    /// says no, nothing may be — its cursor stays behind, and whatever is
+    /// scheduled next is placed relative to the stale cursor.
+    fn pass_time_to(&mut self, now: u64) {
+        if self.wheel.due(SimTime::from_nanos(now)) {
+            return self.advance_to(now);
+        }
+        self.now = now;
+        let live = self
+            .linear
+            .entries
+            .iter()
+            .filter(|e| !self.dead[e.2 as usize]);
+        let overdue = live.filter(|e| e.0 <= now).count();
+        prop_assert_eq!(overdue, 0, "the wheel said idle at t={}", now);
+        self.check_peek();
+    }
+
     fn check_peek(&mut self) {
         let dead = &self.dead;
         prop_assert_eq!(
@@ -186,14 +206,15 @@ fn stride(x: u64) -> u64 {
 
 proptest! {
     /// Any interleaving of schedules (relative to wherever the cursor has
-    /// moved: already past, every level, beyond the 68.7 s horizon),
-    /// one-way kills, re-arms and irregular advances fires in the
-    /// identical order, at the identical times, and answers every
-    /// earliest-live-deadline question identically, under the wheel and
-    /// under the linear scan — compared after *every* step.
+    /// moved or been left behind: already past, every level, beyond the
+    /// 68.7 s horizon), one-way kills, re-arms, irregular advances and
+    /// guarded passes that skip the advance while the wheel says nothing is
+    /// due fires in the identical order, at the identical times, and
+    /// answers every earliest-live-deadline question identically, under the
+    /// wheel and under the linear scan — compared after *every* step.
     #[test]
     fn wheel_fires_identically_to_linear_scan(
-        steps in prop::collection::vec((0u8..8, any::<u64>()), 100..400),
+        steps in prop::collection::vec((0u8..10, any::<u64>()), 100..400),
     ) {
         let mut d = Differential {
             wheel: TimerWheel::new(SimTime::ZERO),
@@ -226,7 +247,8 @@ proptest! {
                     d.kill(rearmed);
                     rearmed = d.schedule(d.now + 200_000_000 + x % 1_000);
                 }
-                _ => d.advance_to(d.now + stride(x)),
+                5..=7 => d.advance_to(d.now + stride(x)),
+                _ => d.pass_time_to(d.now + stride(x)),
             }
         }
         // Drain: alternately jump to the earliest remaining deadline (what
@@ -361,6 +383,54 @@ fn sharded_stacks_serve_flows_with_zero_cross_shard_traffic() {
     }
 }
 
+/// The exception path the rings exist for: a SmartNIC steering program
+/// overrides RSS and lands a flow on the wrong queue. The shard that polled
+/// it forwards it over the in-world ring after its pass, and the owning
+/// shard's pass — later in the same `poll()` — drains the ring and delivers
+/// it, however many idle passes either shard ran before.
+#[test]
+fn a_missteered_frame_reaches_its_owner_in_the_same_poll() {
+    let fabric = Fabric::new(13);
+    let (a, _) = multi_queue_host(&fabric, 1, 1);
+    let b_port = DpdkPort::new(
+        &fabric,
+        PortConfig {
+            num_rx_queues: 2,
+            ..PortConfig::smartnic(MacAddress::from_last_octet(2), 1)
+        },
+    );
+    let b = NetworkStack::new(b_port.clone(), fabric.clock(), StackConfig::new(ip(2)));
+    let sport = (40_000..50_000)
+        .find(|&p| b.shard_for(7, SocketAddr::new(ip(1), p)) == 1)
+        .unwrap();
+    a.udp_bind(sport).unwrap();
+    b.udp_bind(7).unwrap();
+    let send = || {
+        a.udp_sendto(sport, SocketAddr::new(ip(2), 7), &b"stray"[..])
+            .unwrap()
+    };
+    send();
+    settle(&fabric, &[&a, &b], || b.udp_pending(7) == 1);
+    assert_eq!(b.shard_stats(1).handoffs_in, 0, "RSS alone steers it home");
+
+    b_port
+        .install_program(dpdk_sim::NicProgram::Steer {
+            selector: std::rc::Rc::new(|_: &[u8]| Some(0)),
+            cycles_per_frame: 1,
+        })
+        .unwrap();
+    (0..3).for_each(|_| assert_eq!(b.poll(), 0));
+    let sent_before = b.ring_stats(0).sent;
+    send();
+    a.poll();
+    assert!(fabric.advance_to_next_event());
+    assert!(b.poll() > 0);
+    assert_eq!(b.udp_pending(7), 2, "forwarded and delivered in one poll");
+    assert_eq!(b.shard_stats(0).steering_mismatches, 1);
+    assert_eq!(b.shard_stats(1).handoffs_in, 1);
+    assert_eq!(b.ring_stats(0).sent - sent_before, 1);
+}
+
 /// Idle connections cost nothing per poll: with 200 established-and-quiet
 /// connections resident, a poll pass fires no timers, the timer-wheel
 /// counters stay still (timer cost scales with *firing* timers), and a
@@ -404,6 +474,25 @@ fn idle_connections_do_not_tick_timers() {
     );
 }
 
+/// Establishes `n` TCP connections from `client` to a fresh listener on
+/// `server` port 80 and leaves them idle.
+fn park_idle_conns(client: &Catnip, server: &Catnip, n: usize) {
+    use demikernel::libos::{LibOs, SocketKind};
+    use demikernel::testing::host_ip;
+    let lqd = server.socket(SocketKind::Tcp).unwrap();
+    server.bind(lqd, SocketAddr::new(host_ip(2), 80)).unwrap();
+    server.listen(lqd, n).unwrap();
+    for _ in 0..n {
+        let aqt = server.accept(lqd).unwrap();
+        let cqd = client.socket(SocketKind::Tcp).unwrap();
+        let cqt = client
+            .connect(cqd, SocketAddr::new(host_ip(2), 80))
+            .unwrap();
+        server.wait(aqt, None).unwrap().expect_accept();
+        client.wait(cqt, None).unwrap();
+    }
+}
+
 /// The cost `timers_fired` cannot see: every wait pass asks both stacks
 /// for their earliest deadline and advances both wheels, and none of that
 /// may look at an empty wheel slot. A thousand `pushto`/`pop`/`wait` UDP
@@ -420,18 +509,7 @@ fn udp_echoes_visit_no_empty_timer_buckets() {
     for idle_conns in [0, 200] {
         let (rt, _fabric, client, server) = catnip_pair(17);
         if idle_conns > 0 {
-            let lqd = server.socket(SocketKind::Tcp).unwrap();
-            server.bind(lqd, SocketAddr::new(host_ip(2), 80)).unwrap();
-            server.listen(lqd, idle_conns).unwrap();
-            for _ in 0..idle_conns {
-                let aqt = server.accept(lqd).unwrap();
-                let cqd = client.socket(SocketKind::Tcp).unwrap();
-                let cqt = client
-                    .connect(cqd, SocketAddr::new(host_ip(2), 80))
-                    .unwrap();
-                server.wait(aqt, None).unwrap().expect_accept();
-                client.wait(cqt, None).unwrap();
-            }
+            park_idle_conns(&client, &server, idle_conns);
         }
         let sqd = server.socket(SocketKind::Udp).unwrap();
         server.bind(sqd, SocketAddr::new(host_ip(2), 7)).unwrap();
@@ -476,6 +554,214 @@ fn udp_echoes_visit_no_empty_timer_buckets() {
                 "{visited} slot visits over {ECHOES} echoes"
             );
         }
+    }
+}
+
+/// Idle is free, by count: with 200 established-and-quiet connections
+/// resident, a thousand runtime pumps run a poll pass per host each and
+/// not one stage of any of them — every guard answers "nothing to do" —
+/// so no doorbell rings, no wheel slot is read and no deadline moves. The
+/// same numbers in debug builds (which re-run each skipped stage to check
+/// it was a no-op, uncounted) and release builds (which skip).
+#[test]
+fn idle_pumps_run_no_poll_stage() {
+    use demikernel::testing::catnip_pair;
+    const PUMPS: u64 = 1_000;
+    let (rt, _fabric, client, server) = catnip_pair(19);
+    park_idle_conns(&client, &server, 200);
+    rt.settle(SimTime::from_secs(1));
+
+    let deadlines = || [&client, &server].map(|h| h.stack().next_deadline());
+    let bursts = || [&client, &server].map(|h| h.port().stats().tx_burst_calls);
+    let (deadlines_before, bursts_before) = (deadlines(), bursts());
+    let (passes_before, timers_before) = (
+        net_stack::counters::snapshot(),
+        net_stack::counters::shard_snapshot(),
+    );
+    for _ in 0..PUMPS {
+        rt.pump();
+    }
+    let passes = net_stack::counters::snapshot().delta(&passes_before);
+    let timers = net_stack::counters::shard_snapshot().delta(&timers_before);
+    assert_eq!(passes.poll_passes, 2 * PUMPS, "one pass per host per pump");
+    assert_eq!(passes.poll_stages_run, 0, "and no stage of any of them");
+    assert_eq!(bursts(), bursts_before, "no doorbell");
+    assert_eq!(timers.timer_buckets_visited, 0, "no wheel slot read");
+    assert_eq!(deadlines(), deadlines_before);
+}
+
+// ---------------------------------------------------------------------
+// Guarded poll passes vs a run-every-stage reference, differentially.
+// ---------------------------------------------------------------------
+
+/// One side of the differential: two raw stacks on a lossy fabric plus the
+/// "application" that drains whatever they deliver. The guarded side polls
+/// with `poll()`; the reference side with `poll_every_stage()`, which
+/// overrides every guard.
+struct PollWorld {
+    reference: bool,
+    fabric: Fabric,
+    hosts: [NetworkStack; 2],
+    ports: [DpdkPort; 2],
+    listener: net_stack::tcp::ListenerId,
+    /// `(host, connection)`, both ends of everything opened so far.
+    conns: Vec<(usize, net_stack::tcp::ConnId)>,
+    /// Every byte an application received, tagged by where.
+    delivered: Vec<u8>,
+    poll_work: usize,
+}
+
+impl PollWorld {
+    fn new(reference: bool, seed: u64) -> Self {
+        let fabric = Fabric::new(seed);
+        fabric.set_default_link(sim_fabric::LinkConfig {
+            loss_probability: 0.05,
+            ..Default::default()
+        });
+        let (a, a_port) = multi_queue_host(&fabric, 1, 1);
+        let (b, b_port) = multi_queue_host(&fabric, 2, 1);
+        a.udp_bind(9000).unwrap();
+        b.udp_bind(9000).unwrap();
+        let listener = b.tcp_listen(80, 16).unwrap();
+        PollWorld {
+            reference,
+            fabric,
+            hosts: [a, b],
+            ports: [a_port, b_port],
+            listener,
+            conns: Vec::new(),
+            delivered: Vec::new(),
+            poll_work: 0,
+        }
+    }
+
+    fn step(&mut self, op: u64, x: u64) {
+        let h = (x % 2) as usize;
+        let now = self.fabric.clock().now();
+        match op {
+            0 => {
+                // One send in eight is to a host that does not exist: ARP
+                // retries fall due, then the datagram is dropped.
+                let to = if (x >> 1) % 8 == 7 { 99 } else { 2 - h as u8 };
+                let payload = vec![x as u8; (x >> 8) as usize % 200];
+                self.hosts[h]
+                    .udp_sendto(9000, SocketAddr::new(ip(to), 9000), payload)
+                    .unwrap();
+            }
+            1 => self.hosts[h].ping(ip(2 - h as u8), 7, x as u16),
+            2 if self.conns.len() < 40 => {
+                let conn = self.hosts[0].tcp_connect(SocketAddr::new(ip(2), 80));
+                self.conns.push((0, conn.unwrap()));
+            }
+            3 | 4 if !self.conns.is_empty() => {
+                let (host, conn) = self.conns[(x >> 8) as usize % self.conns.len()];
+                let result = if op == 3 || x & 3 != 0 {
+                    let data = vec![x as u8; 1 + (x >> 16) as usize % 3_000];
+                    self.hosts[host].tcp_send(conn, DemiBuffer::from(data))
+                } else {
+                    self.hosts[host].tcp_close(conn)
+                };
+                self.delivered.push(result.is_ok() as u8);
+            }
+            5 => {
+                // To the next event: a frame landing or a timer falling due.
+                let timers = self.hosts.iter().filter_map(|s| s.next_deadline());
+                let next = timers.chain(self.fabric.next_event_time()).min();
+                self.fabric.advance_to(next.map_or(now, |t| t.max(now)));
+            }
+            6 => self
+                .fabric
+                .advance_to(SimTime::from_nanos(now.as_nanos() + stride(x))),
+            _ => {
+                self.poll_work += match self.reference {
+                    true => self.hosts[h].poll_every_stage(),
+                    false => self.hosts[h].poll(),
+                }
+            }
+        }
+        // The application: take whatever arrived, in a fixed order.
+        for (i, stack) in self.hosts.iter().enumerate() {
+            while let Some((_, data)) = stack.udp_recv_from(9000) {
+                self.delivered.push(i as u8);
+                self.delivered.extend_from_slice(&data);
+            }
+            while let Some(pong) = stack.recv_pong() {
+                self.delivered.extend_from_slice(&pong.2.to_be_bytes());
+            }
+        }
+        while let Some(conn) = self.hosts[1].tcp_accept(self.listener).unwrap() {
+            self.conns.push((1, conn));
+        }
+        let mut chunks = Vec::new();
+        for &(host, conn) in &self.conns {
+            if self.hosts[host].tcp_recv_all(conn, &mut chunks).is_ok() {
+                self.delivered.push(host as u8);
+                chunks
+                    .drain(..)
+                    .for_each(|c| self.delivered.extend_from_slice(&c));
+            }
+        }
+    }
+
+    /// Everything the two sides must agree on after every step.
+    fn observe(&self) -> impl PartialEq + std::fmt::Debug {
+        let stacks = [0, 1].map(|i| {
+            let s = &self.hosts[i];
+            let shard = s.shard_stats(0);
+            (
+                s.stats(),
+                s.tcp_stats(),
+                s.udp_stats(),
+                shard,
+                self.ports[i].stats(),
+            )
+        });
+        let states: Vec<_> = self
+            .conns
+            .iter()
+            .map(|&(host, conn)| {
+                let stack = &self.hosts[host];
+                (stack.tcp_state(conn), stack.tcp_conn_stats(conn))
+            })
+            .collect();
+        let wire = (self.fabric.clock().now(), self.fabric.stats());
+        (wire, stacks, states, self.delivered.len(), self.poll_work)
+    }
+}
+
+/// The guards change what an idle pass costs and nothing else: over 4 000
+/// seeded random steps — sends, pings, connects, closes, jumps to the next
+/// event, jumps of 1 ns–30 ms, polls of one side — on a fabric that loses
+/// one frame in twenty, a world polled through the guards and a world
+/// whose every pass runs every stage agree on every counter, every
+/// delivered byte, every connection state and the virtual clock after
+/// every single step. (Debug builds re-run each skipped stage anyway and
+/// assert it idle; in release builds this is the comparison.)
+#[test]
+fn guarded_polls_match_a_run_every_stage_reference() {
+    for seed in 1..=4 {
+        let timers_before = net_stack::counters::shard_snapshot();
+        let (mut guarded, mut reference) =
+            (PollWorld::new(false, seed), PollWorld::new(true, seed));
+        let mut rng = sim_fabric::SimRng::new(seed);
+        for step in 0..1_000 {
+            let (op, x) = (rng.next_u64() % 10, rng.next_u64());
+            guarded.step(op, x);
+            reference.step(op, x);
+            assert_eq!(
+                guarded.observe(),
+                reference.observe(),
+                "seed {seed}, step {step}: op {op}, x {x:#x}"
+            );
+            assert_eq!(guarded.delivered, reference.delivered);
+        }
+        // The run reached what the guards guard: traffic, ARP give-ups,
+        // lost frames, and timers firing on both worlds (one thread).
+        let s = guarded.hosts[0].stats();
+        assert!(s.rx_frames > 100 && s.unreachable_drops > 0, "{s:?}");
+        assert!(guarded.fabric.stats().frames_dropped > 10);
+        let timers = net_stack::counters::shard_snapshot().delta(&timers_before);
+        assert!(timers.timers_fired > 100, "{timers:?}");
     }
 }
 

@@ -43,14 +43,20 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// Reads `DEMI_EXEC_MODE`: `threads` (or `thread-per-shard` / `mt`)
-    /// selects [`ExecMode::ThreadPerShard`]; anything else — including
-    /// unset — is [`ExecMode::SingleThread`]. This is how CI runs the
-    /// same test suite once per mode.
+    /// Reads `DEMI_EXEC_MODE` — how CI runs the same suite once per mode.
     pub fn from_env() -> Self {
-        match std::env::var("DEMI_EXEC_MODE").as_deref() {
-            Ok("threads") | Ok("thread-per-shard") | Ok("mt") => ExecMode::ThreadPerShard,
-            _ => ExecMode::SingleThread,
+        let value = std::env::var_os("DEMI_EXEC_MODE");
+        Self::parse(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
+    }
+
+    /// `threads` selects [`ExecMode::ThreadPerShard`]; unset or empty,
+    /// [`ExecMode::SingleThread`]. A typo must not quietly test nothing
+    /// threaded, so any other value panics.
+    fn parse(value: Option<&str>) -> Self {
+        match value {
+            None | Some("") => ExecMode::SingleThread,
+            Some("threads") => ExecMode::ThreadPerShard,
+            Some(v) => panic!("DEMI_EXEC_MODE={v:?}: the only accepted value is `threads`"),
         }
     }
 }
@@ -187,10 +193,16 @@ mod tests {
 
     #[test]
     fn env_selects_mode() {
-        // Not set in the test environment unless CI exported it; both
-        // values are legitimate — just check the parse is total.
-        let _ = ExecMode::from_env();
         assert_eq!(ExecMode::default(), ExecMode::SingleThread);
+        assert_eq!(ExecMode::parse(None), ExecMode::SingleThread);
+        assert_eq!(ExecMode::parse(Some("")), ExecMode::SingleThread);
+        assert_eq!(ExecMode::parse(Some("threads")), ExecMode::ThreadPerShard);
+    }
+
+    #[test]
+    #[should_panic(expected = "DEMI_EXEC_MODE=\"thread\": the only accepted value is `threads`")]
+    fn a_misspelt_mode_is_refused() {
+        ExecMode::parse(Some("thread"));
     }
 
     #[test]

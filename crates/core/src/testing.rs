@@ -1,5 +1,5 @@
 //! World builders and the allocation meter shared by integration tests,
-//! examples, and benches.
+//! examples, and the perf ledger.
 //!
 //! Every world follows one convention: hosts are numbered by last octet —
 //! host *n* is `10.0.0.n` at MAC `02:00:00:00:00:0n` — and client/server
@@ -101,7 +101,7 @@ pub fn catnip_pair(seed: u64) -> (Runtime, Fabric, Catnip, Catnip) {
 
 /// Two catnip hosts where the server (host 2) sits on a SmartNIC-class
 /// device with `slots` on-device program slots — the world the E17
-/// offload experiments run in. The client stays on a plain NIC.
+/// offload tests run in. The client stays on a plain NIC.
 pub fn catnip_pair_offload(seed: u64, slots: usize) -> (Runtime, Fabric, Catnip, Catnip) {
     let fabric = Fabric::new(seed);
     let rt = Runtime::with_fabric(fabric.clone());
@@ -130,10 +130,6 @@ pub struct ShardWorld {
     pub server: Catnip,
     /// The run's metrics sink (absorb on this world's thread).
     pub hub: std::sync::Arc<crate::metrics::MetricsHub>,
-    /// This world's shard number.
-    pub index: usize,
-    /// Total shard worlds in the run.
-    pub total: usize,
 }
 
 /// Builds shard world `spec.index` of the standard two-host deployment:
@@ -179,8 +175,6 @@ pub fn catnip_shard_world(spec: crate::exec::ShardSpec, seed: u64) -> ShardWorld
         client,
         server,
         hub: spec.hub,
-        index: spec.index,
-        total: spec.total,
     }
 }
 

@@ -1,5 +1,5 @@
-//! The live store: byte-budgeted LRU eviction and TTL expiry, promoted
-//! from `bench::cachesim`'s simulation into the serving path.
+//! The live store: byte-budgeted LRU eviction and TTL expiry in the
+//! serving path.
 //!
 //! * Entries live in a slab (`Vec<Slot>` + free list) threaded by an
 //!   intrusive doubly-linked LRU list — touch, insert, and evict are all

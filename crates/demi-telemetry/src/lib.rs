@@ -1,6 +1,6 @@
-//! Telemetry for microsecond-scale I/O: op-lifecycle spans, log-bucketed
-//! latency histograms, and load-generation schedules — all on *virtual*
-//! time, all allocation-free on the hot path.
+//! Telemetry for microsecond-scale I/O: op-lifecycle spans and
+//! log-bucketed latency histograms — all on *virtual* time, all
+//! allocation-free on the hot path.
 //!
 //! The crate is a leaf: it depends on nothing, so every layer of the
 //! stack (scheduler, net stack, device sims, runtime) can report into it
@@ -24,15 +24,12 @@
 //!   enqueue→burst).
 //! - [`span`] — per-qtoken lifecycle stamps in a bounded ring,
 //!   exportable as Chrome `trace_event` JSON.
-//! - [`loadgen`] — closed/open-loop arrival schedules and
-//!   throughput–latency curve assembly.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 pub mod counters;
 pub mod hist;
-pub mod loadgen;
 pub mod span;
 pub mod stage;
 

@@ -195,6 +195,7 @@ mod tests {
     fn single_chunk_message_is_zero_copy() {
         let mut dec = FrameDecoder::new();
         let wire = encode_message(b"atomic unit");
+        assert_eq!(wire.len(), b"atomic unit".len() + 8, "E9: 8 B a message");
         dec.push_chunk(DemiBuffer::from_slice(&wire));
         let msg = dec.next_message().unwrap().expect("complete");
         assert_eq!(msg.as_slice(), b"atomic unit");

@@ -31,7 +31,7 @@ pub struct TenancyCfg {
     /// lane on a shard. `None` (the default) leaves the link unpaced:
     /// the deficit round-robin then only *orders* frames. With a cap,
     /// saturation becomes observable and DRR's proportional shares are
-    /// exact per pass — the configuration the E20 bench measures.
+    /// exact per pass — the configuration the E20 tests measure.
     pub tx_pass_bytes: Option<u64>,
 }
 
@@ -81,8 +81,8 @@ impl TenancyCfg {
 }
 
 /// Per-tenant datapath accounting, summed across shards by
-/// [`NetworkStack::tenant_stats`]. The adversarial-isolation bench (E20)
-/// reads these to prove the shared doorbell served tenants by weight.
+/// [`NetworkStack::tenant_stats`]: the witness that the shared doorbell
+/// served tenants by weight (`tests/tenant.rs`, E20).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantLaneStats {
     /// The tenant these counters describe.

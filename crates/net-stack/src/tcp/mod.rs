@@ -72,13 +72,6 @@ pub struct TcpConfig {
     /// the allocation; short enough that parked connections reach their
     /// zero-heap idle footprint quickly.
     pub compact_delay: SimTime,
-    /// Demote a fully-drained `TIME_WAIT` control block to a ~32-byte
-    /// record (identical wire behavior, 2·MSL expiry on the same wheel).
-    /// `false` keeps the full control block resident until expiry. The one
-    /// A/B switch the stack keeps: `tests/timewait.rs`
-    /// (`demoted_record_is_wire_identical_to_full_tcb`) uses the off side
-    /// as the reference model the compact record is proven against.
-    pub timewait_demote: bool,
 }
 
 impl Default for TcpConfig {
@@ -95,7 +88,6 @@ impl Default for TcpConfig {
             backlog: 128,
             ack_delay: SimTime::from_micros(50),
             compact_delay: SimTime::from_millis(5),
-            timewait_demote: true,
         }
     }
 }

@@ -295,6 +295,7 @@ pub struct TcpPeer {
     /// deduped fired list), so a steady-state tick allocates nothing.
     tick_due: Vec<(SimTime, TimerKey)>,
     tick_fired: Vec<u32>,
+    keep_timewait_blocks: bool,
     stats: TcpStats,
 }
 
@@ -302,6 +303,14 @@ impl TcpPeer {
     /// Creates the TCP layer for a host with address `local_ip`.
     pub fn new(local_ip: Ipv4Addr, config: TcpConfig) -> Self {
         Self::with_id_space(local_ip, config, 0, 1)
+    }
+
+    /// Keeps `TIME_WAIT` control blocks resident until 2·MSL instead of
+    /// demoting them: the reference `tests/timewait.rs` proves the compact
+    /// record wire-identical to. Nothing else should call it.
+    #[doc(hidden)]
+    pub fn keep_full_timewait_blocks(&mut self) {
+        self.keep_timewait_blocks = true;
     }
 
     /// Creates a TCP layer allocating connection ids `first, first+stride,
@@ -347,6 +356,7 @@ impl TcpPeer {
             compact_pending: VecDeque::new(),
             tick_due: Vec::new(),
             tick_fired: Vec::new(),
+            keep_timewait_blocks: false,
             stats: TcpStats::default(),
         }
     }
@@ -926,14 +936,11 @@ impl TcpPeer {
     /// port stays bound until the record expires — that is TIME_WAIT's
     /// whole point.
     fn maybe_demote_slot(&mut self, slot: u32) {
-        if !self.config.timewait_demote {
-            return;
-        }
         let e = &self.entries[slot as usize];
         let Some(cb) = e.cb.as_ref() else {
             return;
         };
-        if !cb.can_demote_timewait() {
+        if self.keep_timewait_blocks || !cb.can_demote_timewait() {
             return;
         }
         let Some(expiry) = cb.timewait_expiry() else {

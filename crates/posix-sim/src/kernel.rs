@@ -38,7 +38,7 @@ impl CostModel {
     }
 
     /// Copy charge for `bytes` bytes.
-    pub fn copy_cost(&self, bytes: usize) -> SimTime {
+    fn copy_cost(&self, bytes: usize) -> SimTime {
         // Scale per-KiB cost linearly, rounding up to the nanosecond.
         let ns = (self.copy_per_kib.as_nanos() as u128 * bytes as u128).div_ceil(1024);
         SimTime::from_nanos(ns as u64)

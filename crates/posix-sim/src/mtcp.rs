@@ -14,7 +14,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use demi_memory::DemiBuffer;
-use net_stack::tcp::{ConnId, ListenerId, State};
+use net_stack::tcp::{ConnId, ListenerId};
 use net_stack::types::{NetError, SocketAddr};
 use net_stack::NetworkStack;
 use sim_fabric::{SimClock, SimTime};
@@ -100,7 +100,7 @@ impl MtcpSim {
     }
 
     /// Registers a connection for batched receive staging.
-    pub fn track(&mut self, conn: ConnId) {
+    fn track(&mut self, conn: ConnId) {
         self.staged_rx.entry(conn).or_default();
         self.visible_rx.entry(conn).or_default();
     }
@@ -124,11 +124,6 @@ impl MtcpSim {
         let conn = self.stack.tcp_connect(remote)?;
         self.track(conn);
         Ok(conn)
-    }
-
-    /// Whether a connection is established.
-    pub fn is_established(&self, conn: ConnId) -> bool {
-        self.stack.tcp_state(conn) == Ok(State::Established)
     }
 
     /// POSIX-style send: copies the user buffer, then *stages* the send
@@ -203,6 +198,7 @@ impl MtcpSim {
 mod tests {
     use super::*;
     use dpdk_sim::{DpdkPort, PortConfig};
+    use net_stack::tcp::State;
     use net_stack::StackConfig;
     use sim_fabric::{Fabric, MacAddress};
     use std::net::Ipv4Addr;
@@ -252,7 +248,9 @@ mod tests {
         let conn = mtcp
             .connect(SocketAddr::new(Ipv4Addr::new(10, 0, 0, 2), 80))
             .unwrap();
-        settle(&fabric, &mut mtcp, &server, |m, _| m.is_established(conn));
+        settle(&fabric, &mut mtcp, &server, |m, _| {
+            m.stack().tcp_state(conn) == Ok(State::Established)
+        });
         let mut sconn = None;
         settle(&fabric, &mut mtcp, &server, |_, s| {
             sconn = s.tcp_accept(lid).unwrap();
@@ -287,7 +285,9 @@ mod tests {
         let conn = mtcp
             .connect(SocketAddr::new(Ipv4Addr::new(10, 0, 0, 2), 80))
             .unwrap();
-        settle(&fabric, &mut mtcp, &server, |m, _| m.is_established(conn));
+        settle(&fabric, &mut mtcp, &server, |m, _| {
+            m.stack().tcp_state(conn) == Ok(State::Established)
+        });
         let mut sconn = None;
         settle(&fabric, &mut mtcp, &server, |_, s| {
             sconn = s.tcp_accept(lid).unwrap();

@@ -69,15 +69,6 @@ pub struct RdmaDeviceStats {
     pub onesided_reads_handled: u64,
 }
 
-/// The virtual-time cost of registering `bytes` of memory (pin + translate).
-///
-/// Model: a fixed syscall/doorbell cost plus a per-page table-update cost,
-/// roughly shaped like published `ibv_reg_mr` measurements.
-pub fn registration_cost(bytes: usize) -> SimTime {
-    let pages = bytes.div_ceil(4096) as u64;
-    SimTime::from_nanos(3_000 + pages * 300)
-}
-
 struct Mr {
     pd: PdId,
     rkey: u32,
@@ -216,8 +207,7 @@ impl RdmaDevice {
     /// [`RdmaDevice::rkey`].
     ///
     /// This is the explicit, application-visible registration the paper
-    /// wants to hide inside the libOS; its simulated cost is
-    /// [`registration_cost`].
+    /// wants to hide inside the libOS.
     pub fn register_mr(&self, pd: PdId, len: usize, access: MrAccess) -> MrId {
         let mut inner = self.inner.borrow_mut();
         let id = MrId(inner.alloc_id());

@@ -6,8 +6,9 @@
 //! a frame of its own or losing its tenant stamp, and batching never
 //! changes the bytes a TCP stream delivers.
 
+mod support;
+
 use std::cell::Cell;
-use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use demi_memory::{BufferPool, DemiBuffer, DEFAULT_HEADROOM};
@@ -22,20 +23,12 @@ use net_stack::types::SocketAddr;
 use net_stack::{NetworkStack, StackConfig, TenancyCfg};
 use proptest::prelude::*;
 use sim_fabric::{Fabric, MacAddress, SimRng, SimTime};
+use support::{host, ip, quiesce, settle, spawn_udp_echo, udp_echo_round, udp_pair};
 
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 0, last)
-}
-
-fn host(fabric: &Fabric, last: u8) -> (DpdkPort, NetworkStack) {
-    host_with(fabric, StackConfig::new(ip(last)))
-}
-
+/// A host with `config` on a basic port, with its device handle.
 fn host_with(fabric: &Fabric, config: StackConfig) -> (DpdkPort, NetworkStack) {
     let mac = MacAddress::from_last_octet(config.ip.octets()[3]);
-    let port = DpdkPort::new(fabric, PortConfig::basic(mac));
-    let stack = NetworkStack::new(port.clone(), fabric.clock(), config);
-    (port, stack)
+    support::host_with(fabric, PortConfig::basic(mac), config)
 }
 
 /// Connects `a` to a fresh listener on `b`; returns both connection ids.
@@ -57,34 +50,13 @@ fn pooled(pool: &BufferPool, bytes: &[u8]) -> DemiBuffer {
     buf
 }
 
-/// Runs the world until `until` holds, frames drain, and timers settle.
-fn settle(fabric: &Fabric, stacks: &[&NetworkStack], mut until: impl FnMut() -> bool) {
-    for _ in 0..100_000 {
-        for s in stacks {
-            s.poll();
-        }
-        if until() {
-            return;
-        }
-        if fabric.advance_to_next_event() {
-            continue;
-        }
-        let deadline = stacks.iter().filter_map(|s| s.next_deadline()).min();
-        match deadline {
-            Some(t) => fabric.clock().advance_to(t),
-            None => return,
-        }
-    }
-    panic!("simulation did not settle");
-}
-
 /// TX coalescing: frames enqueued across protocols between polls leave in
 /// one device handoff, in enqueue order.
 #[test]
 fn coalesced_frames_leave_in_enqueue_order() {
     let fabric = Fabric::new(7);
-    let (a_port, a) = host(&fabric, 1);
-    let (_b_port, b) = host(&fabric, 2);
+    let (a_port, a) = host_with(&fabric, StackConfig::new(ip(1)));
+    let b = host(&fabric, 2);
     a.udp_bind(9000).unwrap();
     b.udp_bind(7).unwrap();
     let lid = b.tcp_listen(80, 16).unwrap();
@@ -137,7 +109,7 @@ fn coalesced_frames_leave_in_enqueue_order() {
     // takes exactly the virtual time the removed per-frame handoff path
     // took (EXPERIMENTS.md E13, depth 1: 2.042us either way) — the flush
     // happens in the poll pass that would have carried the frame alone.
-    settle(&fabric, &[&a, &b], || false);
+    quiesce(&fabric, &[&a, &b]);
     let t0 = fabric.clock().now();
     a.udp_sendto(9000, dst, &[0xA5u8; 64][..]).unwrap();
     settle(&fabric, &[&a, &b], || b.udp_pending(7) > 0);
@@ -155,8 +127,8 @@ fn coalesced_frames_leave_in_enqueue_order() {
 #[test]
 fn delayed_ack_timer_fires_in_virtual_time() {
     let fabric = Fabric::new(11);
-    let (_ap, a) = host(&fabric, 1);
-    let (_bp, b) = host(&fabric, 2);
+    let a = host(&fabric, 1);
+    let b = host(&fabric, 2);
     let ack_delay = StackConfig::new(ip(2)).tcp.ack_delay;
     let (conn, sconn) = connect(&fabric, &a, &b);
 
@@ -310,13 +282,13 @@ fn wait_any_does_not_rescan_tokens_every_pass() {
 #[test]
 fn work_staged_between_polls_leaves_at_the_next_poll() {
     let fabric = Fabric::new(29);
-    let (a_port, a) = host(&fabric, 1);
+    let (a_port, a) = host_with(&fabric, StackConfig::new(ip(1)));
     let mut b_config = StackConfig::new(ip(2));
     b_config.tcp.recv_capacity = 2_000;
     let (b_port, b) = host_with(&fabric, b_config);
     a.udp_bind(9000).unwrap();
     let (conn, sconn) = connect(&fabric, &a, &b);
-    settle(&fabric, &[&a, &b], || false);
+    quiesce(&fabric, &[&a, &b]);
     // The next poll of `stack` — and not the idle ones before it — hands
     // exactly `frames` to `port` in one burst.
     let leaves_at_next_poll = |what: &str, stack: &NetworkStack, port: &DpdkPort, frames: u64| {
@@ -344,13 +316,13 @@ fn work_staged_between_polls_leaves_at_the_next_poll() {
     )
     .unwrap();
     leaves_at_next_poll("tcp_send_all", &a, &a_port, 2);
-    settle(&fabric, &[&a, &b], || false);
+    quiesce(&fabric, &[&a, &b]);
     idle(&b);
     let mut got = Vec::new();
     b.tcp_recv_all(sconn, &mut got).unwrap();
     assert_eq!(got.iter().map(DemiBuffer::len).sum::<usize>(), 2_000);
     leaves_at_next_poll("window update", &b, &b_port, 1);
-    settle(&fabric, &[&a, &b], || false);
+    quiesce(&fabric, &[&a, &b]);
     idle(&a);
     a.tcp_close(conn).unwrap();
     leaves_at_next_poll("FIN", &a, &a_port, 1);
@@ -371,7 +343,7 @@ fn work_staged_between_polls_leaves_at_the_next_poll() {
     fabric.advance_to(expiry);
     a.poll();
     assert!(!a.port_allocator().is_claimed(32_768), "port recycled");
-    settle(&fabric, &[&a, &b], || false);
+    quiesce(&fabric, &[&a, &b]);
 
     // An ARP retry: nothing one nanosecond before it falls due, the
     // request on the first poll at the deadline.
@@ -395,36 +367,14 @@ fn work_staged_between_polls_leaves_at_the_next_poll() {
 /// time: every round is the 2.042 µs it was.
 #[test]
 fn an_echo_runs_four_poll_stages() {
-    use demikernel::libos::{LibOs, SocketKind};
-    use demikernel::testing::{catnip_pair, host_ip};
-    use demikernel::types::Sga;
+    use demikernel::testing::catnip_pair;
     const ECHOES: u64 = 1_000;
     let (rt, _fabric, client, server) = catnip_pair(23);
-    let sqd = server.socket(SocketKind::Udp).unwrap();
-    server.bind(sqd, SocketAddr::new(host_ip(2), 7)).unwrap();
-    let cqd = client.socket(SocketKind::Udp).unwrap();
-    client.bind(cqd, SocketAddr::new(host_ip(1), 9000)).unwrap();
-    let echo = server.clone();
-    rt.spawn_background("echo", async move {
-        loop {
-            let qt = echo.pop(sqd).unwrap();
-            let OperationResult::Pop { from, sga } = echo.runtime().await_op(qt).await else {
-                return;
-            };
-            let qt = echo.pushto(sqd, &sga, from.unwrap()).unwrap();
-            echo.runtime().await_op(qt).await;
-        }
-    });
+    let (cqd, sqd, to) = udp_pair(&client, &server);
+    spawn_udp_echo(&server, sqd);
     let round = || {
         let t0 = rt.now();
-        let sga = Sga::from_bufs(vec![DemiBuffer::from_slice(&[0xA5; 64])]);
-        let qt = client
-            .pushto(cqd, &sga, SocketAddr::new(host_ip(2), 7))
-            .unwrap();
-        client.wait(qt, None).unwrap();
-        let qt = client.pop(cqd).unwrap();
-        let (_, reply) = client.wait(qt, None).unwrap().expect_pop();
-        assert_eq!(reply.to_vec(), [0xA5; 64]);
+        udp_echo_round(&client, cqd, to);
         rt.now().saturating_since(t0)
     };
     // ARP both ways, then let the resolution timers drain.
@@ -445,8 +395,8 @@ fn an_echo_runs_four_poll_stages() {
 /// stream the receiver observed.
 fn run_stream(chunks: &[Vec<u8>], seed: u64) -> Vec<u8> {
     let fabric = Fabric::new(seed);
-    let (_ap, a) = host(&fabric, 1);
-    let (_bp, b) = host(&fabric, 2);
+    let a = host(&fabric, 1);
+    let b = host(&fabric, 2);
     let (conn, sconn) = connect(&fabric, &a, &b);
 
     // Even seeds push the chunks as one SGA (they gather into shared
@@ -474,8 +424,8 @@ fn run_stream(chunks: &[Vec<u8>], seed: u64) -> Vec<u8> {
 #[test]
 fn a_buffer_worth_a_frame_is_never_gathered() {
     let fabric = Fabric::new(13);
-    let (_ap, a) = host(&fabric, 1);
-    let (_bp, b) = host(&fabric, 2);
+    let a = host(&fabric, 1);
+    let b = host(&fabric, 2);
     let (conn, sconn) = connect(&fabric, &a, &b);
     let pool = BufferPool::unregistered();
     let big = pooled(&pool, &vec![0xB1; TcpConfig::default().mss / 2]);
@@ -519,8 +469,8 @@ fn a_gathered_segment_is_charged_to_the_pushing_tenant() {
     let tenant = registry.register(TenantSpec::named("pusher", 1));
     let mut config = StackConfig::new(ip(1));
     config.tenancy = Some(TenancyCfg::new(registry));
-    let (_ap, a) = host_with(&fabric, config);
-    let (_bp, b) = host(&fabric, 2);
+    let (_, a) = host_with(&fabric, config);
+    let b = host(&fabric, 2);
     let (conn, sconn) = demi_tenant::scope(tenant, || connect(&fabric, &a, &b));
 
     let pool = BufferPool::for_tenant(tenant, None);

@@ -1,8 +1,8 @@
-//! Connection-scale fast-path invariants (PR 8, toward E18).
+//! Connection-scale fast-path invariants (E18).
 //!
-//! The slab/demux/TIME_WAIT/SYN-table redesign makes four structural
-//! claims at scale, pinned here at test size (the E18 bench measures
-//! them at 100k):
+//! The slab/demux/TIME_WAIT/SYN-table redesign makes five structural
+//! claims at scale — through the whole stack at [`SCALE`] connections, and
+//! at the bare TCP peer at [`PEER_SCALE`] (100 000 in release builds):
 //!
 //! * an *idle* established connection costs a bounded slab slot — after
 //!   the compactor reclaims its drained queue box, amortized bytes per
@@ -12,53 +12,49 @@
 //! * a SYN flood cannot allocate control blocks or grow the fixed SYN
 //!   table — memory stays O(backlog) no matter the flood size;
 //! * steady-state echo traffic allocates no queue boxes and never grows
-//!   the TX scratch (the TCP layer's witnesses of the zero-alloc claim).
+//!   the TX scratch (the TCP layer's witnesses of the zero-alloc claim),
+//!   and at the peer allocates nothing at all;
+//! * an echo op costs the same segments, demux lookups and allocations
+//!   however many other connections are established, and a forged SYN
+//!   costs one lookup and one SYN-ACK on top.
 
-use std::net::Ipv4Addr;
+mod support;
 
 use demi_memory::DemiBuffer;
-use dpdk_sim::{DpdkPort, PortConfig};
+use demikernel::testing::{AllocMeter, CountingAlloc};
 use net_stack::counters as nsc;
 use net_stack::tcp::header::{TcpFlags, TcpHeader};
-use net_stack::tcp::{SeqNum, State, TcpConfig, TcpPeer};
+use net_stack::tcp::{ConnId, SeqNum, State, TcpConfig, TcpPeer};
 use net_stack::types::SocketAddr;
-use net_stack::{NetworkStack, StackConfig};
-use sim_fabric::{Fabric, MacAddress, SimTime};
+use net_stack::NetworkStack;
+use sim_fabric::{Fabric, SimTime};
+use support::{host, ip, settle, PeerWorld};
 
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 0, last)
-}
+/// Counts this thread's heap allocations inside an [`AllocMeter`] window.
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Debug builds run the CI-sized version; release runs the full size
 /// (the `verify` recipe runs this suite under `--release`).
 const SCALE: usize = if cfg!(debug_assertions) { 128 } else { 1024 };
+/// Connections on the bare peer, where 100 000 are a second's work.
+const PEER_SCALE: usize = if cfg!(debug_assertions) {
+    2_000
+} else {
+    100_000
+};
 
-fn host(fabric: &Fabric, last: u8) -> NetworkStack {
-    let port = DpdkPort::new(fabric, PortConfig::basic(MacAddress::from_last_octet(last)));
-    NetworkStack::new(port, fabric.clock(), StackConfig::new(ip(last)))
-}
-
-/// Runs the world until `until` returns true or the simulation wedges.
-fn settle(fabric: &Fabric, stacks: &[&NetworkStack], mut until: impl FnMut() -> bool) {
-    for _ in 0..2_000_000 {
-        for s in stacks {
-            s.poll();
-        }
-        if until() {
-            return;
-        }
-        if fabric.advance_to_next_event() {
-            continue;
-        }
-        let deadline = stacks.iter().filter_map(|s| s.next_deadline()).min();
-        match deadline {
-            Some(t) => fabric.clock().advance_to(t),
-            // Quiescence with the condition still false means the world
-            // wedged — never mask that as success.
-            None => panic!("simulation went quiescent before the condition held"),
-        }
+/// A SYN from a source nobody will ever answer for (unique per `k`).
+fn forged_syn(k: u32) -> TcpHeader {
+    TcpHeader {
+        src_port: 1_024 + (k % 60_000) as u16,
+        dst_port: 80,
+        seq: SeqNum(k.wrapping_mul(2_654_435_761)),
+        ack: SeqNum(0),
+        flags: TcpFlags::SYN,
+        window: 65_535,
+        mss: Some(1_460),
     }
-    panic!("simulation did not settle");
 }
 
 /// Advances virtual time by `dt` and polls until quiescent again.
@@ -192,17 +188,9 @@ fn syn_flood_memory_stays_bounded_by_the_backlog() {
     let table_before = server.mem_stats().syn_table_bytes;
     let before = nsc::conn_snapshot();
     for i in 0..flood as u32 {
-        let syn = TcpHeader {
-            src_port: 1_024 + (i % 60_000) as u16,
-            dst_port: 80,
-            seq: SeqNum(i.wrapping_mul(2_654_435_761)),
-            ack: SeqNum(0),
-            flags: TcpFlags::SYN,
-            window: 65_535,
-            mss: Some(1_460),
-        };
         // Distinct source hosts so every SYN is a distinct flow.
-        server.on_segment(ip(3 + (i % 200) as u8), &syn, DemiBuffer::empty(), now);
+        let src = ip(3 + (i % 200) as u8);
+        server.on_segment(src, &forged_syn(i), DemiBuffer::empty(), now);
     }
     let evicted = nsc::conn_snapshot().delta(&before).syns_evicted;
     assert_eq!(server.conn_count(), 0, "no TCB before handshake completion");
@@ -264,53 +252,30 @@ fn established_flow_survives_a_syn_flood() {
     // Peer-level: an established connection keeps echoing while (and
     // after) its listener absorbs a flood of half-open attempts from an
     // attacker who never completes a handshake.
-    let now = SimTime::from_millis(1);
-    let mut client = TcpPeer::new(ip(1), TcpConfig::default());
-    let mut server = TcpPeer::new(ip(2), TcpConfig::default());
-    let lid = server.listen(80, 16).unwrap();
-    let c = client.connect(SocketAddr::new(ip(2), 80), now).unwrap();
-    let shuttle = |client: &mut TcpPeer, server: &mut TcpPeer| {
-        for _ in 0..100 {
-            let mut quiet = true;
-            for (_, seg) in client.take_segments() {
-                quiet = false;
-                server.on_segment(ip(1), &seg.header, seg.payload, now);
-            }
-            for (dst, seg) in server.take_segments() {
-                quiet = false;
-                // Replies to the attacker fall on the floor (it never
-                // answers); only the real client's traffic loops back.
-                if dst == ip(1) {
-                    client.on_segment(ip(2), &seg.header, seg.payload, now);
-                }
-            }
-            if quiet {
-                break;
-            }
-        }
-    };
-    shuttle(&mut client, &mut server);
-    let s = server.accept(lid).unwrap().expect("connection ready");
-    assert_eq!(client.state(c).unwrap(), State::Established);
-
-    // 512 half-open attempts from an attacker that never ACKs.
-    let mut attacker = TcpPeer::new(ip(9), TcpConfig::default());
-    for _ in 0..512 {
-        attacker.connect(SocketAddr::new(ip(2), 80), now).unwrap();
+    let mut w = PeerWorld::new(80, 16);
+    let (i, c, s) = w.establish(1)[0];
+    for k in 0..512 {
+        let now = w.now;
+        w.server
+            .on_segment(ip(9), &forged_syn(k), DemiBuffer::empty(), now);
     }
-    for (_, seg) in attacker.take_segments() {
-        server.on_segment(ip(9), &seg.header, seg.payload, now);
-    }
-    server.take_segments(); // SYN-ACKs to the attacker: dropped.
-    assert_eq!(server.stats().syns_evicted, 512 - 16);
-    assert_eq!(server.conn_count(), 1, "the flood pinned no control block");
+    w.shuttle(); // SYN-ACKs to the attacker fall on the floor.
+    assert_eq!(w.server.stats().syns_evicted, 512 - 16);
+    assert_eq!(
+        w.server.conn_count(),
+        1,
+        "the flood pinned no control block"
+    );
 
     // The established flow is unharmed.
-    client
-        .send(c, DemiBuffer::from_slice(b"still alive"), now)
-        .unwrap();
-    shuttle(&mut client, &mut server);
-    let got = server.recv(s).unwrap().expect("request survived the flood");
+    let request = DemiBuffer::from_slice(b"still alive");
+    w.clients[i].send(c, request, w.now).unwrap();
+    w.shuttle();
+    let got = w
+        .server
+        .recv(s)
+        .unwrap()
+        .expect("request survived the flood");
     assert_eq!(got.as_slice(), b"still alive");
 }
 
@@ -384,5 +349,126 @@ fn steady_state_echo_allocates_no_queue_boxes_and_never_grows_scratch() {
     assert!(
         delta.demux_cache_hits > 0,
         "back-to-back segments of a flow should hit the last-flow cache"
+    );
+}
+
+/// One synchronous 4 KiB echo (three MSS-sized segments each way, the
+/// last-flow cache's target pattern), then 10 µs pass: delayed-ACK timers
+/// fire a few ops later, and rotating over the sample re-touches every
+/// connection inside the compact delay, so queue boxes never thrash.
+fn echo_op(w: &mut PeerWorld, (i, c, s): (usize, ConnId, ConnId), payload: &DemiBuffer) {
+    w.clients[i].send(c, payload.clone(), w.now).unwrap();
+    w.shuttle();
+    let mut echoed = 0;
+    while let Ok(Some(chunk)) = w.server.recv(s) {
+        echoed += chunk.len();
+        w.server.send(s, chunk, w.now).unwrap();
+    }
+    w.shuttle();
+    let mut got = 0;
+    while let Ok(Some(chunk)) = w.clients[i].recv(c) {
+        got += chunk.len();
+    }
+    assert_eq!((echoed, got), (payload.len(), payload.len()));
+    w.advance_by(SimTime::from_micros(10));
+}
+
+/// What `ops` echo ops over `sample` cost after a 200-op warm-up, with
+/// `flood` forged SYNs injected ahead of each: segments on the wire, heap
+/// allocations, and the TCP layer's own counters.
+fn echo_cost(
+    w: &mut PeerWorld,
+    sample: &[(usize, ConnId, ConnId)],
+    ops: usize,
+    flood: u32,
+) -> (u64, u64, nsc::ConnSnapshot) {
+    let payload = DemiBuffer::from_slice(&[0x5au8; 4_096]);
+    for op in 0..200 {
+        echo_op(w, sample[op % sample.len()], &payload);
+    }
+    let (segments, conn) = (w.segments, nsc::conn_snapshot());
+    let meter = AllocMeter::arm();
+    for op in 0..ops {
+        for k in 0..flood {
+            let (k, now) = (op as u32 * flood + k, w.now);
+            let src = std::net::Ipv4Addr::new(10, 0, 1, (k % 250) as u8);
+            w.server
+                .on_segment(src, &forged_syn(k), DemiBuffer::empty(), now);
+        }
+        echo_op(w, sample[op % sample.len()], &payload);
+    }
+    let allocs = meter.count();
+    (
+        w.segments - segments,
+        allocs,
+        nsc::conn_snapshot().delta(&conn),
+    )
+}
+
+/// The fast path must not care how many connections exist: the same 64
+/// hot connections cost the same work per echo whether 100 or
+/// [`PEER_SCALE`] are established, the warmed op allocates nothing, and a
+/// 10x SYN flood adds exactly its own SYN-ACKs.
+#[test]
+fn echo_cost_is_flat_in_established_connections_and_under_a_syn_flood() {
+    const OPS: u64 = if cfg!(debug_assertions) {
+        1_000
+    } else {
+        10_000
+    };
+    let mut w = PeerWorld::new(80, if cfg!(debug_assertions) { 64 } else { 256 });
+    let sample = w.establish(100)[..64].to_vec();
+    // Nine segments an op: three of data and their ACKs each way. (The
+    // first window may still grow a scratch vector or two; none later.)
+    let (segments, _, small) = echo_cost(&mut w, &sample, OPS as usize, 0);
+    assert_eq!((segments, small.demux_lookups), (9 * OPS, 9 * OPS));
+
+    w.establish(PEER_SCALE - 100);
+    // Parked past the compact delay, drained queue boxes return to the
+    // allocator and idle connections fall back to their slab slots.
+    w.advance_by(SimTime::from_millis(20));
+    let mem = w.server.mem_stats();
+    let per_conn = (mem.slab_bytes + mem.cb_heap_bytes + mem.demux_bytes) / mem.live_conns;
+    assert_eq!(mem.live_conns, PEER_SCALE);
+    assert_eq!(mem.cb_heap_bytes, 0, "parked connections hold no queue box");
+    // The claim is "under 2 KiB". Measured: a 560 B slab slot plus its
+    // demux entry, amortized over both tables' power-of-two capacities
+    // (2 048 slots for 2 000 connections, 131 072 for 100 000).
+    let idle_bytes = if cfg!(debug_assertions) { 596 } else { 748 };
+    assert_eq!(per_conn, idle_bytes, "bytes an idle connection costs");
+
+    let (segments, allocs, big) = echo_cost(&mut w, &sample, OPS as usize, 0);
+    assert_eq!(
+        (segments, big.demux_lookups),
+        (9 * OPS, 9 * OPS),
+        "an echo op must cost the same work at 100 and {PEER_SCALE} conns"
+    );
+    assert_eq!(
+        (allocs, big.tcb_queue_allocs, big.outbox_scratch_grows),
+        (0, 0, 0),
+        "steady-state echo (send, demux, recv, echo, ACK ticks) must not allocate"
+    );
+    assert!(
+        big.demux_cache_hits > 0,
+        "the last-flow cache sees the echoes"
+    );
+
+    let (syn_bytes, live) = (mem.syn_table_bytes, w.server.conn_count());
+    let (segments, allocs, flood) = echo_cost(&mut w, &sample, OPS as usize, 10);
+    assert_eq!(
+        (segments, flood.demux_lookups, allocs),
+        (19 * OPS, 19 * OPS, 0),
+        "a forged SYN costs one lookup and one SYN-ACK; the established \
+         flows' work is untouched and half-open state never allocates"
+    );
+    assert_eq!(w.server.mem_stats().syn_table_bytes, syn_bytes);
+    assert_eq!(
+        w.server.conn_count(),
+        live,
+        "the flood pins no control block"
+    );
+    assert!(
+        flood.syns_evicted > 0,
+        "10x the service rate overflows oldest-first"
     );
 }

@@ -1,6 +1,8 @@
 //! Failure injection across the full Demikernel stack: loss, partitions,
 //! refused connections, timeouts, and hostile remote input.
 
+mod support;
+
 use demi_memory::DemiBuffer;
 use demikernel::libos::{LibOs, SocketKind};
 use demikernel::testing::{catcorn_pair, catnip_pair, host_ip, host_mac};
@@ -12,6 +14,7 @@ use net_stack::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
 use net_stack::stack::PONG_QUEUE_CAP;
 use net_stack::types::SocketAddr;
 use sim_fabric::{LinkConfig, SimTime};
+use support::{tcp_pair, udp_pair};
 
 #[test]
 fn catnip_tcp_bulk_transfer_survives_10pct_loss() {
@@ -21,16 +24,7 @@ fn catnip_tcp_bulk_transfer_survives_10pct_loss() {
         bandwidth_bps: 10_000_000_000,
         loss_probability: 0.10,
     });
-    let lqd = server.socket(SocketKind::Tcp).unwrap();
-    server.bind(lqd, SocketAddr::new(host_ip(2), 80)).unwrap();
-    server.listen(lqd, 8).unwrap();
-    let aqt = server.accept(lqd).unwrap();
-    let cqd = client.socket(SocketKind::Tcp).unwrap();
-    let cqt = client
-        .connect(cqd, SocketAddr::new(host_ip(2), 80))
-        .unwrap();
-    let sqd = server.wait(aqt, None).unwrap().expect_accept();
-    client.wait(cqt, None).unwrap();
+    let (cqd, sqd) = tcp_pair(&client, &server, 80);
 
     // 50 framed messages of 2 KiB through 10% loss: all arrive, intact,
     // in order, as atomic units.
@@ -49,10 +43,7 @@ fn catnip_udp_loss_is_visible_to_the_application() {
     // UDP makes no promises: with loss, pops time out — the libOS must
     // not invent data.
     let (_rt, fabric, client, server) = catnip_pair(402);
-    let sqd = server.socket(SocketKind::Udp).unwrap();
-    server.bind(sqd, SocketAddr::new(host_ip(2), 7)).unwrap();
-    let cqd = client.socket(SocketKind::Udp).unwrap();
-    client.bind(cqd, SocketAddr::new(host_ip(1), 9000)).unwrap();
+    let (cqd, sqd, _) = udp_pair(&client, &server);
     // Warm ARP on a clean link first.
     client
         .pushto(
@@ -85,18 +76,7 @@ fn catnip_udp_loss_is_visible_to_the_application() {
 #[test]
 fn catcorn_partition_fails_pushes_with_rdma_error() {
     let (_rt, fabric, client, server) = catcorn_pair(403);
-    let lqd = server.socket(SocketKind::Tcp).unwrap();
-    server
-        .bind(lqd, SocketAddr::new(host_ip(2), 18515))
-        .unwrap();
-    server.listen(lqd, 8).unwrap();
-    let aqt = server.accept(lqd).unwrap();
-    let cqd = client.socket(SocketKind::Tcp).unwrap();
-    let cqt = client
-        .connect(cqd, SocketAddr::new(host_ip(2), 18515))
-        .unwrap();
-    let _sqd = server.wait(aqt, None).unwrap().expect_accept();
-    client.wait(cqt, None).unwrap();
+    let (cqd, _sqd) = tcp_pair(&client, &server, 18515);
 
     fabric.partition(host_mac(1), host_mac(2));
     let qt = client
@@ -127,16 +107,7 @@ fn catnip_connect_to_partitioned_host_times_out() {
 #[test]
 fn catnip_tcp_survives_a_transient_partition() {
     let (_rt, fabric, client, server) = catnip_pair(405);
-    let lqd = server.socket(SocketKind::Tcp).unwrap();
-    server.bind(lqd, SocketAddr::new(host_ip(2), 80)).unwrap();
-    server.listen(lqd, 8).unwrap();
-    let aqt = server.accept(lqd).unwrap();
-    let cqd = client.socket(SocketKind::Tcp).unwrap();
-    let cqt = client
-        .connect(cqd, SocketAddr::new(host_ip(2), 80))
-        .unwrap();
-    let sqd = server.wait(aqt, None).unwrap().expect_accept();
-    client.wait(cqt, None).unwrap();
+    let (cqd, sqd) = tcp_pair(&client, &server, 80);
 
     // Send during a partition; heal it; retransmission completes delivery.
     fabric.partition(host_mac(1), host_mac(2));
@@ -159,18 +130,7 @@ fn rdma_rnr_is_invisible_thanks_to_libos_buffering() {
     // through catcorn the same workload succeeds because the libOS manages
     // the ring. Burst twice the ring size with the receiver idle.
     let (_rt, _fabric, client, server) = catcorn_pair(406);
-    let lqd = server.socket(SocketKind::Tcp).unwrap();
-    server
-        .bind(lqd, SocketAddr::new(host_ip(2), 18515))
-        .unwrap();
-    server.listen(lqd, 8).unwrap();
-    let aqt = server.accept(lqd).unwrap();
-    let cqd = client.socket(SocketKind::Tcp).unwrap();
-    let cqt = client
-        .connect(cqd, SocketAddr::new(host_ip(2), 18515))
-        .unwrap();
-    let sqd = server.wait(aqt, None).unwrap().expect_accept();
-    client.wait(cqt, None).unwrap();
+    let (cqd, sqd) = tcp_pair(&client, &server, 18515);
 
     let tokens: Vec<_> = (0..64u32)
         .map(|i| {

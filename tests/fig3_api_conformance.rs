@@ -4,6 +4,8 @@
 //! on all five libOSes alike: what a call on a bad or wrong-kind descriptor
 //! answers, and that closing a queue completes the pop parked on it.
 
+mod support;
+
 use std::rc::Rc;
 
 use demikernel::libos::{LibOs, SocketKind};
@@ -14,6 +16,7 @@ use demikernel::testing::{
 use demikernel::types::{DemiError, OperationResult, QDesc, Sga};
 use net_stack::types::SocketAddr;
 use sim_fabric::SimTime;
+use support::tcp_pair;
 
 #[test]
 fn control_path_network_calls_mirror_posix_but_return_qds() {
@@ -81,16 +84,7 @@ fn push_pop_atomicity_over_both_libos() {
 
     // catnip over TCP (a byte stream under the hood):
     let (_rt2, _fabric, client, server) = catnip_pair(102);
-    let lqd = server.socket(SocketKind::Tcp).unwrap();
-    server.bind(lqd, SocketAddr::new(host_ip(2), 80)).unwrap();
-    server.listen(lqd, 8).unwrap();
-    let aqt = server.accept(lqd).unwrap();
-    let cqd = client.socket(SocketKind::Tcp).unwrap();
-    let cqt = client
-        .connect(cqd, SocketAddr::new(host_ip(2), 80))
-        .unwrap();
-    let sqd = server.wait(aqt, None).unwrap().expect_accept();
-    client.wait(cqt, None).unwrap();
+    let (cqd, sqd) = tcp_pair(&client, &server, 80);
     client.blocking_push(cqd, &sga).unwrap();
     let (_, got) = server.blocking_pop(sqd).unwrap().expect_pop();
     assert_eq!(got.to_vec(), b"threepartmessage");

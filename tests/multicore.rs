@@ -16,12 +16,16 @@
 //! * per-thread metrics and stage telemetry merge into run-wide totals
 //!   that a naive cross-thread read would miss.
 
+mod support;
+
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
+use demi_telemetry::stage::{self, Stage};
 use demikernel::exec::{ExecMode, ShardSpec};
-use demikernel::libos::{LibOs, SocketKind};
-use demikernel::testing::{catnip_shard_world, host_ip, host_mac};
+use demikernel::libos::LibOs;
+use demikernel::testing::{catnip_shard_world, host_ip, host_mac, ShardWorld};
 use demikernel::types::{QDesc, Sga};
 use demikernel::{run_shards, MetricsSnapshot};
 use dpdk_sim::{rss, DpdkPort, PortConfig};
@@ -29,29 +33,9 @@ use net_stack::types::SocketAddr;
 use net_stack::{NetworkStack, ShardMsg, StackConfig};
 use proptest::prelude::*;
 use sim_fabric::Fabric;
+use support::{settle, tcp_pair};
 
 const ECHO_PORT: u16 = 7000;
-
-/// Polls `stacks` and advances virtual time until `until` holds or the
-/// world is fully quiescent (same loop as `tests/sharding.rs`).
-fn settle(fabric: &Fabric, stacks: &[&NetworkStack], mut until: impl FnMut() -> bool) {
-    for _ in 0..100_000 {
-        for s in stacks {
-            s.poll();
-        }
-        if until() {
-            return;
-        }
-        if fabric.advance_to_next_event() {
-            continue;
-        }
-        match stacks.iter().filter_map(|s| s.next_deadline()).min() {
-            Some(t) => fabric.clock().advance_to(t),
-            None => return,
-        }
-    }
-    panic!("simulation did not settle");
-}
 
 // ---------------------------------------------------------------------
 // Differential: SingleThread and ThreadPerShard produce identical bytes.
@@ -61,29 +45,20 @@ fn settle(fabric: &Fabric, stacks: &[&NetworkStack], mut until: impl FnMut() -> 
 /// before the first reply is popped). Returns the concatenated request
 /// and reply byte streams.
 fn echo_world(spec: ShardSpec, seed: u64, msgs: &[Vec<u8>]) -> (Vec<u8>, Vec<u8>) {
-    let world = catnip_shard_world(spec, seed);
-    echo_drive(&world, msgs)
+    echo_drive(&catnip_shard_world(spec, seed), msgs)
 }
 
 /// Drives the pipelined echo over an already-built shard world.
-fn echo_drive(world: &demikernel::testing::ShardWorld, msgs: &[Vec<u8>]) -> (Vec<u8>, Vec<u8>) {
-    let (client, server) = (&world.client, &world.server);
-
-    let lqd = server.socket(SocketKind::Tcp).unwrap();
+fn echo_drive(world: &ShardWorld, msgs: &[Vec<u8>]) -> (Vec<u8>, Vec<u8>) {
     // Every world listens on the same port: the shared allocator
     // refcounts listeners (SO_REUSEPORT-style replication).
-    server
-        .bind(lqd, SocketAddr::new(host_ip(2), ECHO_PORT))
-        .unwrap();
-    server.listen(lqd, 8).unwrap();
-    let aqt = server.accept(lqd).unwrap();
-    let cqd = client.socket(SocketKind::Tcp).unwrap();
-    let cqt = client
-        .connect(cqd, SocketAddr::new(host_ip(2), ECHO_PORT))
-        .unwrap();
-    let sqd: QDesc = server.wait(aqt, None).unwrap().expect_accept();
-    client.wait(cqt, None).unwrap();
+    let (cqd, sqd) = tcp_pair(&world.client, &world.server, ECHO_PORT);
+    echo_batch(world, cqd, sqd, msgs)
+}
 
+/// One pipelined batch over an established connection.
+fn echo_batch(world: &ShardWorld, cqd: QDesc, sqd: QDesc, msgs: &[Vec<u8>]) -> (Vec<u8>, Vec<u8>) {
+    let (client, server) = (&world.client, &world.server);
     let mut sent = Vec::new();
     for msg in msgs {
         client.blocking_push(cqd, &Sga::from_slice(msg)).unwrap();
@@ -142,6 +117,98 @@ proptest! {
             prop_assert_eq!(&s.0, &s.1, "single-thread world {} corrupted its echo", w);
             prop_assert_eq!(&m.0, &m.1, "threaded world {} corrupted its echo", w);
             prop_assert_eq!(s, m, "world {} diverged between exec modes", w);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// E16: fixed work over four shard worlds, sequential vs threaded. The
+// work done and every world's virtual-time tail are mode-independent;
+// only the wall clock may differ, and no test reads it.
+// ---------------------------------------------------------------------
+
+/// 200 echoes of 64 B in 8-deep pipelined batches, each batch checked.
+fn echo_work(world: &ShardWorld) -> u64 {
+    let (cqd, sqd) = tcp_pair(&world.client, &world.server, ECHO_PORT);
+    for batch in 0..25u8 {
+        let msgs: Vec<_> = (0..8)
+            .map(|i| vec![(8 * batch).wrapping_add(i); 64])
+            .collect();
+        let (sent, got) = echo_batch(world, cqd, sqd, &msgs);
+        assert_eq!(got, sent, "echo stream corrupted");
+    }
+    200
+}
+
+/// 150 request-response ops alternating `S<key>=<value>` / `G<key>` (the
+/// kv_store example's wire protocol), every reply checked against the
+/// client's own model of the store.
+fn kv_work(world: &ShardWorld) -> u64 {
+    let (cqd, sqd) = tcp_pair(&world.client, &world.server, 6379);
+    let (client, server) = (&world.client, &world.server);
+    let value_reply = |v: Option<&Vec<u8>>| v.map_or(b"N".to_vec(), |v| [b"V", &v[..]].concat());
+    let (mut store, mut model) = (HashMap::new(), HashMap::new());
+    for i in 0..150 {
+        let key = format!("k{}", i % 32).into_bytes();
+        let (request, want) = if i % 2 == 0 {
+            let value = vec![i as u8; 24];
+            model.insert(key.clone(), value.clone());
+            ([b"S", &key[..], b"=", &value[..]].concat(), b"O".to_vec())
+        } else {
+            ([b"G", &key[..]].concat(), value_reply(model.get(&key)))
+        };
+        client
+            .blocking_push(cqd, &Sga::from_slice(&request))
+            .unwrap();
+        let (_, req) = server.blocking_pop(sqd).unwrap().expect_pop();
+        let req = req.to_vec();
+        let reply = if req[0] == b'S' {
+            let eq = req.iter().position(|&b| b == b'=').unwrap();
+            store.insert(req[1..eq].to_vec(), req[eq + 1..].to_vec());
+            b"O".to_vec()
+        } else {
+            value_reply(store.get(&req[1..]))
+        };
+        server.blocking_push(sqd, &Sga::from_slice(&reply)).unwrap();
+        let (_, got) = client.blocking_pop(cqd).unwrap().expect_pop();
+        assert_eq!(got.to_vec(), want, "op {i} returned the wrong reply");
+    }
+    150
+}
+
+/// Runs `work` over `worlds` shard worlds under `mode`; returns each
+/// world's completed ops and its virtual-time op-latency p99, measured on
+/// the world's own thread (where its stage histograms live). The reset
+/// keeps the sequential mode honest: all worlds share one thread's
+/// histograms there.
+fn run_fixed(mode: ExecMode, worlds: usize, work: fn(&ShardWorld) -> u64) -> Vec<(u64, u64)> {
+    run_shards(mode, worlds, 2, 256, |spec| {
+        let world = catnip_shard_world(spec, 0xE16);
+        stage::reset();
+        demi_telemetry::set_enabled(true);
+        let ops = work(&world);
+        demi_telemetry::set_enabled(false);
+        (ops, stage::snapshot(Stage::OpLatency).p99())
+    })
+}
+
+#[test]
+fn fixed_work_and_per_world_tails_are_exec_mode_independent() {
+    for (name, work, ops_per_world, p99) in [
+        ("tcp_echo", echo_work as fn(&ShardWorld) -> u64, 200, 1_055),
+        ("kv_store", kv_work, 150, 1_023),
+    ] {
+        // Ops conserved, and sharding buys throughput without trading away
+        // per-flow latency: the bound was "p99 <= 1.5x the single-world
+        // baseline", what is measured is equality with it.
+        for (mode, worlds) in [
+            (ExecMode::SingleThread, 1),
+            (ExecMode::SingleThread, 4),
+            (ExecMode::ThreadPerShard, 4),
+        ] {
+            let per_world = run_fixed(mode, worlds, work);
+            let want = vec![(ops_per_world, p99); worlds];
+            assert_eq!(per_world, want, "{name}/{mode:?}: (ops, virtual p99 ns)");
         }
     }
 }

@@ -13,16 +13,31 @@
 //!   KV GET hits are served on the device (counted per program slot),
 //!   and the host never sees the served requests.
 
-use std::collections::HashMap;
+mod support;
 
+use std::collections::HashMap;
+use std::rc::Rc;
+
+use demi_memory::DemiBuffer;
 use demikernel::libos::catnip::Catnip;
 use demikernel::libos::{LibOs, SocketKind};
+use demikernel::ops::Demikernel;
 use demikernel::runtime::Runtime;
-use demikernel::testing::{catnip_pair, catnip_pair_offload, host_ip};
+use demikernel::testing::{
+    catfs_world, catnip_pair, catnip_pair_offload, host_ip, host_mac, AllocMeter, CountingAlloc,
+};
 use demikernel::types::{OperationResult, QDesc, Sga};
+use dpdk_sim::{NicProgram, PortConfig, SmartNic};
 use net_stack::types::SocketAddr;
 use proptest::prelude::*;
-use sim_fabric::SimTime;
+use sim_fabric::{Fabric, SimTime};
+use spdk_sim::nvme::BLOCK_SIZE;
+use spdk_sim::ChainSpec;
+use support::tcp_pair;
+
+/// Counts this thread's heap allocations inside an [`AllocMeter`] window.
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const KV_PORT: u16 = 6379;
 const ECHO_PORT: u16 = 7001;
@@ -33,20 +48,36 @@ fn quiesce(rt: &Runtime) {
     rt.settle(SimTime::from_micros(50_000));
 }
 
-/// Connects client to a freshly-listening server; returns (client qd,
-/// server connection qd).
-fn tcp_pair(client: &Catnip, server: &Catnip, port: u16) -> (QDesc, QDesc) {
-    let lqd = server.socket(SocketKind::Tcp).unwrap();
-    server.bind(lqd, SocketAddr::new(host_ip(2), port)).unwrap();
-    server.listen(lqd, 8).unwrap();
-    let aqt = server.accept(lqd).unwrap();
-    let cqd = client.socket(SocketKind::Tcp).unwrap();
-    let cqt = client
-        .connect(cqd, SocketAddr::new(host_ip(2), port))
-        .unwrap();
-    let sqd = server.wait(aqt, None).unwrap().expect_accept();
-    client.wait(cqt, None).unwrap();
-    (cqd, sqd)
+/// Client on a plain NIC; server on a 4-slot SmartNIC when `offloaded`,
+/// on a plain NIC otherwise.
+fn world(offloaded: bool, seed: u64) -> (Runtime, Catnip, Catnip) {
+    let (rt, _fabric, client, server) = if offloaded {
+        catnip_pair_offload(seed, 4)
+    } else {
+        catnip_pair(seed)
+    };
+    (rt, client, server)
+}
+
+/// Host-side echo loop: serves whatever the device does not — idle while
+/// an offload serves, taking over on uninstall.
+fn spawn_echo_server(rt: &Runtime, server: &Catnip, sqd: QDesc) {
+    let server_clone = server.clone();
+    rt.spawn_background("echo-server", async move {
+        loop {
+            let Ok(pop_qt) = server_clone.pop(sqd) else {
+                return;
+            };
+            let OperationResult::Pop { sga, .. } = server_clone.runtime().await_op(pop_qt).await
+            else {
+                return;
+            };
+            let Ok(push_qt) = server_clone.push(sqd, &sga) else {
+                return;
+            };
+            let _ = server_clone.runtime().await_op(push_qt).await;
+        }
+    });
 }
 
 /// One lock-step request: push, await the push, pop one framed reply.
@@ -137,11 +168,7 @@ fn run_kv(
     ops: &[KvOp],
     uninstall_at: Option<usize>,
 ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, u64) {
-    let (rt, _fabric, client, server) = if offloaded {
-        catnip_pair_offload(seed, 4)
-    } else {
-        catnip_pair(seed)
-    };
+    let (rt, client, server) = world(offloaded, seed);
     let (cqd, sqd) = tcp_pair(&client, &server, KV_PORT);
     if offloaded {
         // Small capacity: long workloads also exercise LRU eviction.
@@ -184,33 +211,13 @@ fn run_echo(
     lens: &[u16],
     uninstall_at: Option<usize>,
 ) -> (Vec<Vec<u8>>, u64) {
-    let (rt, _fabric, client, server) = if offloaded {
-        catnip_pair_offload(seed, 4)
-    } else {
-        catnip_pair(seed)
-    };
+    let (rt, client, server) = world(offloaded, seed);
     let (cqd, sqd) = tcp_pair(&client, &server, ECHO_PORT);
     if offloaded {
         server.install_echo_offload(ECHO_PORT).unwrap();
     }
 
-    // Host-side echo: serves whatever the device does not.
-    let server_clone = server.clone();
-    rt.spawn_background("echo-server", async move {
-        loop {
-            let Ok(pop_qt) = server_clone.pop(sqd) else {
-                return;
-            };
-            let OperationResult::Pop { sga, .. } = server_clone.runtime().await_op(pop_qt).await
-            else {
-                return;
-            };
-            let Ok(push_qt) = server_clone.push(sqd, &sga) else {
-                return;
-            };
-            let _ = server_clone.runtime().await_op(push_qt).await;
-        }
-    });
+    spawn_echo_server(&rt, &server, sqd);
 
     let mut replies = Vec::new();
     let mut served_at_uninstall = None;
@@ -288,24 +295,7 @@ proptest! {
 fn echo_offload_serves_on_device_with_slot_attribution() {
     let (rt, _fabric, client, server) = catnip_pair_offload(11, 4);
     let (cqd, sqd) = tcp_pair(&client, &server, ECHO_PORT);
-    // Host echo loop: idles while the device serves; takes over on
-    // uninstall.
-    let server_clone = server.clone();
-    rt.spawn_background("echo-server", async move {
-        loop {
-            let Ok(pop_qt) = server_clone.pop(sqd) else {
-                return;
-            };
-            let OperationResult::Pop { sga, .. } = server_clone.runtime().await_op(pop_qt).await
-            else {
-                return;
-            };
-            let Ok(push_qt) = server_clone.push(sqd, &sga) else {
-                return;
-            };
-            let _ = server_clone.runtime().await_op(push_qt).await;
-        }
-    });
+    spawn_echo_server(&rt, &server, sqd);
     server.install_echo_offload(ECHO_PORT).unwrap();
     quiesce(&rt); // Arm the (already quiescent) flow.
     assert_eq!(
@@ -384,5 +374,207 @@ fn kv_offload_hits_on_device_and_stays_coherent() {
         request(&client, cqd, b"Galpha").as_slice(),
         b"Vtwo",
         "a stale cached value must never shadow a newer SET"
+    );
+}
+
+// ---------------------------------------------------------------------
+// E17: what the offload buys — host work per operation, A/B.
+// ---------------------------------------------------------------------
+
+/// What `ops` lock-step requests cost the serving side: [frames its host
+/// stack received plus transmitted — every one a host-device crossing,
+/// requests served on the device, device cycles charged].
+fn server_work(server: &Catnip, ops: usize, request: impl FnMut(usize)) -> [u64; 3] {
+    let read = || {
+        let (p, n) = (server.port().stats(), server.port().smartnic_stats());
+        [p.rx_frames + p.tx_frames, n.frames_served, n.device_cycles]
+    };
+    let before = read();
+    (0..ops).for_each(request);
+    let after = read();
+    std::array::from_fn(|f| after[f] - before[f])
+}
+
+/// 64 TCP echoes of 64 B against a quiesced (armed, when offloaded) flow.
+fn echo_work(offloaded: bool) -> [u64; 3] {
+    let (rt, client, server) = world(offloaded, 17);
+    let (cqd, sqd) = tcp_pair(&client, &server, ECHO_PORT);
+    spawn_echo_server(&rt, &server, sqd);
+    if offloaded {
+        server.install_echo_offload(ECHO_PORT).unwrap();
+    }
+    assert_eq!(request(&client, cqd, &[0xA5; 64]), [0xA5; 64]);
+    quiesce(&rt);
+    server_work(&server, 64, |i| {
+        assert_eq!(request(&client, cqd, &[i as u8; 64]), [i as u8; 64]);
+    })
+}
+
+/// 64 GETs over 16 keys; when offloaded, the NIC-resident cache is warmed
+/// so every measured GET is a device hit.
+fn kv_get_work(offloaded: bool) -> [u64; 3] {
+    let (rt, client, server) = world(offloaded, 17);
+    let (cqd, sqd) = tcp_pair(&client, &server, KV_PORT);
+    let keys: Vec<_> = (0..16)
+        .map(|k| (format!("Gkey{k}"), format!("Vvalue-{k:032}")))
+        .collect();
+    if offloaded {
+        server.install_kv_offload(KV_PORT, 64 * 1024).unwrap();
+    }
+    let store = keys.iter().map(|(k, v)| {
+        let (k, v) = (k.as_bytes()[1..].to_vec(), v.as_bytes()[1..].to_vec());
+        assert_eq!(server.offload_cache_insert(&k, &v), offloaded);
+        (k, v)
+    });
+    spawn_kv_server(&rt, &server, sqd, store.collect());
+    assert_eq!(request(&client, cqd, b"Gkey0"), keys[0].1.as_bytes());
+    quiesce(&rt);
+    server_work(&server, 64, |i| {
+        let (get, reply) = &keys[i % keys.len()];
+        assert_eq!(request(&client, cqd, get.as_bytes()), reply.as_bytes());
+    })
+}
+
+/// The host gets out of the data path for the requests a device program
+/// can answer: the NIC-served legs cost the serving host *zero* frames per
+/// op (the claim was "≥ 80 % fewer"), every op is served on the device,
+/// and the device is charged cycles for each.
+#[test]
+fn offloaded_requests_cost_the_serving_host_no_frames() {
+    for (label, work, cycles) in [
+        ("TCP echo 64B", echo_work as fn(bool) -> _, 5_376),
+        ("KV GET", kv_get_work, 6_784),
+    ] {
+        assert_eq!(work(false), [2 * 64, 0, 0], "{label}: host-served twin");
+        let [host_frames, served, device_cycles] = work(true);
+        assert_eq!(served, 64, "{label}: every op must be served on the device");
+        assert_eq!(device_cycles, cycles, "{label}: device cycles charged");
+        assert_eq!(host_frames, 0, "{label}: offload must cut host work per op");
+    }
+}
+
+/// The `Map` device path rewrites frames in place: zero heap allocations
+/// and zero copy fallbacks across a burst of exclusive buffers.
+#[test]
+fn map_rewrites_a_burst_of_exclusive_frames_without_allocating() {
+    let mut nic = SmartNic::new(2);
+    nic.install(NicProgram::Map {
+        transform: Rc::new(|f: &mut [u8]| f.iter_mut().for_each(|b| *b = b.wrapping_add(1))),
+        cycles_per_frame: 2,
+    })
+    .unwrap();
+    let mut frames: Vec<DemiBuffer> = (0..=255)
+        .map(|i| DemiBuffer::from_slice(&[i; 64]))
+        .collect();
+    let meter = AllocMeter::arm();
+    for f in frames.iter_mut() {
+        nic.process_rx(f, SimTime::ZERO);
+    }
+    let allocs = meter.count();
+    drop(meter);
+    assert_eq!(allocs, 0, "Map must rewrite frames in place, not allocate");
+    let fallbacks = nic.slot_stats()[0].copy_fallbacks;
+    assert_eq!(
+        fallbacks, 0,
+        "exclusive buffers must never trigger the copy fallback"
+    );
+    let rewritten = |i: u8| frames[i as usize].as_slice() == [i.wrapping_add(1); 64];
+    assert!((0..=255).all(rewritten), "every frame was rewritten");
+}
+
+/// An 8-hop on-disk pointer chase is one host submission with device-side
+/// resubmission, against one submission per hop for the host read loop —
+/// and both walks end on identical bytes.
+#[test]
+fn a_chained_lookup_is_one_host_submission_not_one_per_hop() {
+    let (rt, catfs, device) = catfs_world();
+    let lbas: [u64; 8] = [100, 205, 3, 77, 150, 42, 9, 1000];
+    let qp = device.alloc_qpair();
+    for (i, &lba) in lbas.iter().enumerate() {
+        let mut block = vec![0u8; BLOCK_SIZE];
+        let next = lbas.get(i + 1).copied().unwrap_or(u64::MAX);
+        block[0..8].copy_from_slice(&next.to_le_bytes());
+        block[16..24].copy_from_slice(&(0xC0FFEE00 + i as u64).to_le_bytes());
+        device.submit_write(qp, i as u64 + 1, lba, &block).unwrap();
+        while device.in_flight(qp) > 0 {
+            rt.clock().advance_to(device.next_deadline().unwrap());
+            device.poll_completions(qp, 16);
+        }
+    }
+    let spec = ChainSpec {
+        start_lba: lbas[0],
+        pointer_offset: 0,
+        sentinel: u64::MAX,
+        max_hops: 32,
+    };
+    let walk = |qt| {
+        let read = || {
+            let s = catfs.device_stats();
+            [s.reads, s.chases, s.chase_hops]
+        };
+        let before = read();
+        let (_, sga) = rt.wait(qt, None).unwrap().expect_pop();
+        let cost: [u64; 3] = std::array::from_fn(|f| read()[f] - before[f]);
+        (sga.to_vec(), cost)
+    };
+    let (host_block, host_cost) = walk(catfs.chase_host(spec));
+    let (device_block, device_cost) = walk(catfs.chase(spec));
+    assert_eq!(host_cost, [8, 0, 0], "one host submission per hop");
+    // One host submission; its hops are not host-visible reads.
+    assert_eq!(device_cost, [0, 1, 8]);
+    assert_eq!(host_block, device_block);
+    assert_eq!(host_block[16..24], (0xC0FFEE00u64 + 7).to_le_bytes());
+}
+
+// ---------------------------------------------------------------------
+// E6: "libOSes always implement filters directly on supported devices
+// but default to the CPU" (§4.2).
+// ---------------------------------------------------------------------
+
+/// 1 000 datagrams, every tenth matching, through a `filter` queue on a
+/// device with `slots` program slots. Returns (CPU predicate evaluations,
+/// device cycles, frames the device dropped).
+fn filter_placement(slots: usize) -> (u64, u64, u64) {
+    let fabric = Fabric::new(61);
+    let rt = Runtime::with_fabric(fabric.clone());
+    let sender = Catnip::new(&rt, &fabric, host_mac(1), host_ip(1));
+    let port = PortConfig {
+        rx_ring_size: 4096,
+        ..PortConfig::smartnic(host_mac(2), slots)
+    };
+    let receiver_libos = Catnip::with_port_config(&rt, &fabric, port, host_ip(2));
+    let receiver = Demikernel::new(Rc::new(receiver_libos.clone()));
+    let to = SocketAddr::new(host_ip(2), 514);
+    let raw = receiver.socket(SocketKind::Udp).unwrap();
+    receiver.bind(raw, to).unwrap();
+    let wanted = receiver
+        .filter(raw, Rc::new(|sga: &Sga| sga.to_vec()[0] == 1))
+        .unwrap();
+    let tx = sender.socket(SocketKind::Udp).unwrap();
+    sender.bind(tx, SocketAddr::new(host_ip(1), 9000)).unwrap();
+    for i in 0..1000u32 {
+        let tagged = Sga::from_slice(&[u8::from(i % 10 == 0), i as u8]);
+        sender.pushto(tx, &tagged, to).unwrap();
+    }
+    for _ in 0..100 {
+        let (_, sga) = receiver.blocking_pop(wanted).unwrap().expect_pop();
+        assert_eq!(sga.to_vec()[0], 1);
+    }
+    let nic = receiver_libos.port().smartnic_stats();
+    let evals = receiver.ops_stats().cpu_filter_evals;
+    (evals, nic.device_cycles, nic.frames_filtered)
+}
+
+#[test]
+fn a_filter_runs_on_the_device_when_it_has_a_slot_and_on_the_cpu_otherwise() {
+    // No slot: every datagram up to the 100th match (≥ 900) is a host eval.
+    let cpu = filter_placement(0);
+    assert_eq!(cpu, (991, 0, 0), "CPU does the filtering work");
+    // One slot: the device drops every non-match before the 100th match.
+    let device = filter_placement(4);
+    assert_eq!(
+        device,
+        (0, 49_600, 891),
+        "offloaded filter must not burn host evals"
     );
 }

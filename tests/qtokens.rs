@@ -4,17 +4,18 @@
 //! submission still reaches the device; pops on one queue resolve in issue
 //! order; and a push costs the runtime no allocation.
 
+mod support;
+
 use std::cell::Cell;
 use std::rc::Rc;
 
 use demi_sched::yield_once;
-use demikernel::libos::SocketKind;
-use demikernel::testing::{catmem_world, catnip_pair, host_ip, AllocMeter, CountingAlloc};
+use demikernel::testing::{catmem_world, catnip_pair, AllocMeter, CountingAlloc};
 use demikernel::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 use demikernel::{LibOs, Runtime};
-use net_stack::types::SocketAddr;
 use proptest::prelude::*;
 use sim_fabric::SimTime;
+use support::udp_pair;
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -283,17 +284,6 @@ fn a_reissued_slot_rejects_every_stale_token() {
         assert_eq!(rt.outstanding(), 0);
         stale.push(qt);
     }
-}
-
-/// Binds a UDP queue on each host of a catnip pair; returns the queues and
-/// the server's address.
-fn udp_pair(client: &impl LibOs, server: &impl LibOs) -> (QDesc, QDesc, SocketAddr) {
-    let server_addr = SocketAddr::new(host_ip(2), 7);
-    let sqd = server.socket(SocketKind::Udp).unwrap();
-    server.bind(sqd, server_addr).unwrap();
-    let cqd = client.socket(SocketKind::Udp).unwrap();
-    client.bind(cqd, SocketAddr::new(host_ip(1), 9000)).unwrap();
-    (cqd, sqd, server_addr)
 }
 
 /// The liveness rule: a sender that only ever does `pushto; wait` — no

@@ -10,6 +10,8 @@
 //!   with zero cross-shard traffic and strands no queue, and parked
 //!   connections cost neither timer work nor virtual-time latency.
 
+mod support;
+
 use std::net::Ipv4Addr;
 
 use demi_memory::DemiBuffer;
@@ -20,10 +22,7 @@ use net_stack::types::SocketAddr;
 use net_stack::{NetworkStack, StackConfig};
 use proptest::prelude::*;
 use sim_fabric::{Fabric, MacAddress, SimTime};
-
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 0, last)
-}
+use support::{ip, quiesce, settle, spawn_udp_echo, udp_echo_round, udp_pair};
 
 // ---------------------------------------------------------------------
 // RSS properties.
@@ -268,36 +267,12 @@ proptest! {
 // Stack-level behavior on multi-queue devices.
 // ---------------------------------------------------------------------
 
-/// Runs the world until `until` returns true or the simulation wedges.
-fn settle(fabric: &Fabric, stacks: &[&NetworkStack], mut until: impl FnMut() -> bool) {
-    for _ in 0..100_000 {
-        for s in stacks {
-            s.poll();
-        }
-        if until() {
-            return;
-        }
-        if fabric.advance_to_next_event() {
-            continue;
-        }
-        let deadline = stacks.iter().filter_map(|s| s.next_deadline()).min();
-        match deadline {
-            Some(t) => fabric.clock().advance_to(t),
-            None => return, // Fully quiescent.
-        }
-    }
-    panic!("simulation did not settle");
-}
-
 fn multi_queue_host(fabric: &Fabric, last: u8, queues: u16) -> (NetworkStack, DpdkPort) {
-    let port = DpdkPort::new(
-        fabric,
-        PortConfig {
-            num_rx_queues: queues,
-            ..PortConfig::basic(MacAddress::from_last_octet(last))
-        },
-    );
-    let stack = NetworkStack::new(port.clone(), fabric.clock(), StackConfig::new(ip(last)));
+    let port = PortConfig {
+        num_rx_queues: queues,
+        ..PortConfig::basic(MacAddress::from_last_octet(last))
+    };
+    let (port, stack) = support::host_with(fabric, port, StackConfig::new(ip(last)));
     (stack, port)
 }
 
@@ -451,7 +426,7 @@ fn idle_connections_do_not_tick_timers() {
             .all(|&c| a.tcp_state(c) == Ok(net_stack::tcp::State::Established))
     });
     // Let every delayed-ACK and handshake timer drain.
-    settle(&fabric, &[&a, &b], || false);
+    quiesce(&fabric, &[&a, &b]);
 
     let before = net_stack::counters::shard_snapshot();
     for _ in 0..100 {
@@ -501,9 +476,7 @@ fn park_idle_conns(client: &Catnip, server: &Catnip, n: usize) {
 /// questions a round trip) with 200 idle connections resident.
 #[test]
 fn udp_echoes_visit_no_empty_timer_buckets() {
-    use demikernel::libos::{LibOs, SocketKind};
-    use demikernel::testing::{catnip_pair, host_ip};
-    use demikernel::types::{OperationResult, Sga};
+    use demikernel::testing::catnip_pair;
     const ECHOES: u64 = 1_000;
 
     for idle_conns in [0, 200] {
@@ -511,31 +484,9 @@ fn udp_echoes_visit_no_empty_timer_buckets() {
         if idle_conns > 0 {
             park_idle_conns(&client, &server, idle_conns);
         }
-        let sqd = server.socket(SocketKind::Udp).unwrap();
-        server.bind(sqd, SocketAddr::new(host_ip(2), 7)).unwrap();
-        let cqd = client.socket(SocketKind::Udp).unwrap();
-        client.bind(cqd, SocketAddr::new(host_ip(1), 9000)).unwrap();
-        let echo = server.clone();
-        rt.spawn_background("echo", async move {
-            loop {
-                let qt = echo.pop(sqd).unwrap();
-                let OperationResult::Pop { from, sga } = echo.runtime().await_op(qt).await else {
-                    return;
-                };
-                let qt = echo.pushto(sqd, &sga, from.unwrap()).unwrap();
-                echo.runtime().await_op(qt).await;
-            }
-        });
-        let round = || {
-            let sga = Sga::from_bufs(vec![DemiBuffer::from_slice(&[0xA5; 64])]);
-            let qt = client
-                .pushto(cqd, &sga, SocketAddr::new(host_ip(2), 7))
-                .unwrap();
-            client.wait(qt, None).unwrap();
-            let qt = client.pop(cqd).unwrap();
-            let (_, reply) = client.wait(qt, None).unwrap().expect_pop();
-            assert_eq!(reply.to_vec(), [0xA5; 64]);
-        };
+        let (cqd, sqd, to) = udp_pair(&client, &server);
+        spawn_udp_echo(&server, sqd);
+        let round = || udp_echo_round(&client, cqd, to);
         // ARP both ways, and every handshake timer drained.
         round();
         rt.settle(SimTime::from_secs(1));

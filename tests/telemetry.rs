@@ -2,18 +2,20 @@
 //! causal order, stage histograms fill from a real echo workload,
 //! recording allocates nothing on the sample path, the span ring stays
 //! bounded, quantiles stay within one log-bucket of exact, and the
-//! scaled-down tail-latency claims hold in debug builds.
+//! open-loop throughput–latency curve bends where it should.
 
-use demi_bench::loadgen::{closed_loop, open_loop};
+mod support;
+
 use demi_telemetry::hist::{bucket_index, Histogram};
 use demi_telemetry::span::{self, SpanPoint};
 use demi_telemetry::stage::{self, Stage};
 use demikernel::testing::{catnap_pair, catnip_pair, AllocMeter, CountingAlloc};
 use proptest::prelude::*;
+use support::{closed_loop, open_loop};
 
 /// Counts this thread's heap allocations inside an [`AllocMeter`] window,
-/// so the zero-alloc claim is measured here too, not only in the release
-/// bench — and holds whatever sibling tests allocate concurrently.
+/// so the zero-alloc claim is measured, not assumed — and holds whatever
+/// sibling tests allocate concurrently.
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
@@ -149,27 +151,41 @@ fn disabled_telemetry_records_nothing() {
     assert!(span::drain().is_empty());
 }
 
+/// E15's four claims on the throughput–latency curve of a 1 KiB catnip UDP
+/// echo (1 KiB puts ~213 ns of 40 Gbps line serialization in play, so the
+/// knee sits inside a simulable rate range): 200 open-loop Poisson arrivals
+/// per offered rate, sojourn measured from the *scheduled* instant.
 #[test]
 fn scaled_tail_latency_claims_hold() {
-    // The release bench (e15) runs the full curve; this is the debug-mode
-    // smoke version of its two core asserts.
-    let (rt, _f, c, s) = catnip_pair(16);
-    let catnip = closed_loop(&rt, &c, &s, 256, 1, 24);
-    let (rt, _f, c, s) = catnap_pair(16);
-    let catnap = closed_loop(&rt, &c, &s, 256, 1, 24);
-    assert!(
-        catnip.hist.p99() < catnap.hist.p99(),
-        "catnip p99 {}ns must beat the kernel baseline's {}ns",
-        catnip.hist.p99(),
-        catnap.hist.p99()
+    const PAYLOAD: usize = 1024;
+    const RATES: [f64; 6] = [100e3, 500e3, 1e6, 2e6, 4e6, 6e6];
+    // Unloaded floors: one outstanding request, nothing to queue behind.
+    let (rt, _f, c, s) = catnip_pair(42);
+    let unloaded_p99 = closed_loop(&rt, &c, &s, PAYLOAD, 1, 64).hist.p99();
+    let (rt, _f, c, s) = catnap_pair(42);
+    let catnap_p99 = closed_loop(&rt, &c, &s, PAYLOAD, 1, 64).hist.p99();
+    let curve = RATES.map(|rate| {
+        let (rt, _f, c, s) = catnip_pair(42);
+        let run = open_loop(&rt, &c, &s, PAYLOAD, rate, 200, 7);
+        assert_eq!(run.hist.count(), 200);
+        (run.hist.p99(), run.achieved_ops_per_sec())
+    });
+    // The measured curve (virtual time: the same on any host and build).
+    assert_eq!(
+        (unloaded_p99, catnap_p99),
+        (2_426, 7_026),
+        "catnip's unloaded p99 must beat the kernel baseline's"
     );
-    let (rt, _f, c, s) = catnip_pair(17);
-    let light = open_loop(&rt, &c, &s, 256, 10_000.0, 24, 5);
-    assert!(
-        light.hist.p99() <= 2 * catnip.hist.p99(),
-        "light open-loop p99 {}ns vs unloaded p99 {}ns",
-        light.hist.p99(),
-        catnip.hist.p99()
+    assert_eq!(
+        curve.map(|(p99, _)| p99),
+        [2_559, 2_687, 2_879, 3_134, 4_607, 15_103],
+        "low-load open-loop p99 must be within 2x the unloaded RTT p99, \
+         and the curve must bend by 6M ops/s"
+    );
+    assert_eq!(
+        curve[5].1.round(),
+        4_401_602.0,
+        "past saturation achieved load must fall short (< 0.9x) of offered 6000000"
     );
 }
 

@@ -21,75 +21,32 @@
 //!   deny, and a hostile tenant's activity never perturbs a victim's
 //!   byte stream (the differential property E20 measures at scale).
 
-use std::net::Ipv4Addr;
+mod support;
+
 use std::sync::Arc;
 
 use demi_memory::{BufferPool, DemiBuffer, DEFAULT_HEADROOM};
+use demi_telemetry::hist::Histogram;
 use demi_tenant::{RateLimit, TenantId, TenantRegistry, TenantSpec};
 use dpdk_sim::{DpdkPort, PortConfig};
 use net_stack::counters as nsc;
-use net_stack::tcp::State;
+use net_stack::tcp::{ConnId, ListenerId, State};
 use net_stack::types::{NetError, SocketAddr};
-use net_stack::{NetworkStack, StackConfig, TenancyCfg};
+use net_stack::{NetworkStack, StackConfig, TenancyCfg, TenantLaneStats};
 use proptest::prelude::*;
-use sim_fabric::{Fabric, MacAddress};
-
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 0, last)
-}
-
-/// A plain single-tenant host (no tenancy policy).
-fn host(fabric: &Fabric, last: u8) -> NetworkStack {
-    let port = DpdkPort::new(fabric, PortConfig::basic(MacAddress::from_last_octet(last)));
-    NetworkStack::new(port, fabric.clock(), StackConfig::new(ip(last)))
-}
+use sim_fabric::{Fabric, MacAddress, SimTime};
+use support::{host, ip, settle, warm_arp};
 
 /// A host enforcing the given tenancy policy.
 fn tenant_host(fabric: &Fabric, last: u8, tenancy: TenancyCfg) -> NetworkStack {
-    let port = DpdkPort::new(fabric, PortConfig::basic(MacAddress::from_last_octet(last)));
     let mut cfg = StackConfig::new(ip(last));
     cfg.tenancy = Some(tenancy);
-    NetworkStack::new(port, fabric.clock(), cfg)
-}
-
-/// Runs the world until `until` returns true or the simulation wedges.
-fn settle(fabric: &Fabric, stacks: &[&NetworkStack], mut until: impl FnMut() -> bool) {
-    for _ in 0..200_000 {
-        for s in stacks {
-            s.poll();
-        }
-        if until() {
-            return;
-        }
-        if fabric.advance_to_next_event() {
-            continue;
-        }
-        let deadline = stacks.iter().filter_map(|s| s.next_deadline()).min();
-        match deadline {
-            Some(t) => fabric.clock().advance_to(t),
-            None => panic!("simulation went quiescent before the condition held"),
-        }
-    }
-    panic!("simulation did not settle");
-}
-
-/// Resolves ARP in both directions over a throwaway host-owned UDP port,
-/// so later tenant sends stage immediately instead of parking in the ARP
-/// pending queue.
-fn warm_arp(fabric: &Fabric, a: &NetworkStack, b: &NetworkStack) {
-    a.udp_bind(9901).unwrap();
-    b.udp_bind(9901).unwrap();
-    let to_b = SocketAddr::new(b.local_ip(), 9901);
-    let to_a = SocketAddr::new(a.local_ip(), 9901);
-    a.udp_sendto(9901, to_b, DemiBuffer::from_slice(b"warm"))
-        .unwrap();
-    b.udp_sendto(9901, to_a, DemiBuffer::from_slice(b"warm"))
-        .unwrap();
-    settle(fabric, &[a, b], || {
-        a.udp_pending(9901) > 0 && b.udp_pending(9901) > 0
-    });
-    while a.udp_recv_from(9901).is_some() {}
-    while b.udp_recv_from(9901).is_some() {}
+    support::host_with(
+        fabric,
+        PortConfig::basic(MacAddress::from_last_octet(last)),
+        cfg,
+    )
+    .1
 }
 
 /// A tenant-stamped payload with enough headroom for zero-copy headers.
@@ -344,6 +301,31 @@ fn token_bucket_paces_tx_to_the_configured_rate_on_virtual_time() {
     assert_eq!(lane.sent_frames, FRAMES);
 }
 
+/// Accepts `conns` on `lid` once all are established, then takes the
+/// first `closing` of them through the full close walk, client first, so
+/// `a` takes every TIME_WAIT record (or evicts it straight to Closed).
+fn close_walk(
+    fabric: &Fabric,
+    [a, b]: [&NetworkStack; 2],
+    lid: ListenerId,
+    conns: &[ConnId],
+    closing: usize,
+) {
+    let closing = &conns[..closing];
+    let established = |c: &ConnId| a.tcp_state(*c) == Ok(State::Established);
+    let mut accepted = Vec::new();
+    settle(fabric, &[a, b], || {
+        accepted.extend(b.tcp_accept(lid).unwrap());
+        accepted.len() == conns.len() && conns.iter().all(established)
+    });
+    closing.iter().for_each(|&c| a.tcp_close(c).unwrap());
+    let eofs = || accepted.iter().filter(|&&s| b.tcp_eof(s));
+    settle(fabric, &[a, b], || eofs().count() == closing.len());
+    eofs().for_each(|&s| b.tcp_close(s).unwrap());
+    let parked = |c: &ConnId| matches!(a.tcp_state(*c), Ok(State::TimeWait | State::Closed));
+    settle(fabric, &[a, b], || closing.iter().all(parked));
+}
+
 #[test]
 fn time_wait_quota_evicts_the_hostile_tenants_own_oldest_only() {
     let fabric = Fabric::new(46);
@@ -366,31 +348,8 @@ fn time_wait_quota_evicts_the_hostile_tenants_own_oldest_only() {
         (0..10).map(|_| a.tcp_connect(to).unwrap()).collect()
     });
     let all: Vec<_> = vconns.iter().chain(hconns.iter()).copied().collect();
-    let mut accepted = Vec::new();
-    settle(&fabric, &[&a, &b], || {
-        while let Some(s) = b.tcp_accept(lid).unwrap() {
-            accepted.push(s);
-        }
-        accepted.len() == all.len()
-            && all
-                .iter()
-                .all(|&c| a.tcp_state(c) == Ok(State::Established))
-    });
     let before = demi_tenant::counters::snapshot();
-    // Full close walk: the client side takes every TIME_WAIT.
-    for &c in &all {
-        a.tcp_close(c).unwrap();
-    }
-    settle(&fabric, &[&a, &b], || {
-        accepted.iter().all(|&s| b.tcp_eof(s))
-    });
-    for &s in &accepted {
-        b.tcp_close(s).unwrap();
-    }
-    settle(&fabric, &[&a, &b], || {
-        all.iter()
-            .all(|&c| a.tcp_state(c) == Ok(State::TimeWait) || a.tcp_state(c) == Ok(State::Closed))
-    });
+    close_walk(&fabric, [&a, &b], lid, &all, all.len());
     assert_eq!(
         a.tcp_tw_count_for(hostile.0),
         4,
@@ -416,24 +375,29 @@ fn syn_flood_fills_only_the_hostile_listeners_partition() {
     let hostile = registry.register(TenantSpec::named("hostile", 1));
     registry.grant_port(victim, 80);
     registry.grant_port(hostile, 81);
+    let a = tenant_host(&fabric, 1, TenancyCfg::new(Arc::clone(&registry)));
     let b = tenant_host(&fabric, 2, TenancyCfg::new(Arc::clone(&registry)));
-    let a = host(&fabric, 1);
-    demi_tenant::scope(victim, || b.tcp_listen(80, 16).unwrap());
+    let lid = demi_tenant::scope(victim, || b.tcp_listen(80, 16).unwrap());
     demi_tenant::scope(hostile, || b.tcp_listen(81, 4).unwrap());
 
-    // A victim connection established before the flood.
-    let vc = a.tcp_connect(SocketAddr::new(ip(2), 80)).unwrap();
-    settle(&fabric, &[&a, &b], || {
-        a.tcp_state(vc) == Ok(State::Established)
+    // Victim state established before the flood: two closed connections
+    // parked in TIME_WAIT (full close walk, client closes first) plus one
+    // live connection.
+    let conns: Vec<_> = demi_tenant::scope(victim, || {
+        let to = SocketAddr::new(ip(2), 80);
+        (0..3).map(|_| a.tcp_connect(to).unwrap()).collect()
     });
+    close_walk(&fabric, [&a, &b], lid, &conns, 2);
+    assert_eq!(a.tcp_tw_count_for(victim.0), 2);
 
     // The flood: 4x the hostile listener's backlog in half-open SYNs.
     // The flooding client stops polling after emitting them, so the
     // handshakes can never complete and the SYNs pile up half-open.
     let before = nsc::conn_snapshot();
-    let _floods: Vec<_> = (0..16)
-        .map(|_| a.tcp_connect(SocketAddr::new(ip(2), 81)).unwrap())
-        .collect();
+    let _floods: Vec<_> = demi_tenant::scope(hostile, || {
+        let to = SocketAddr::new(ip(2), 81);
+        (0..16).map(|_| a.tcp_connect(to).unwrap()).collect()
+    });
     for _ in 0..8 {
         a.poll();
     }
@@ -458,7 +422,12 @@ fn syn_flood_fills_only_the_hostile_listeners_partition() {
         "overflow SYNs were evicted from the hostile table, not absorbed"
     );
     assert_eq!(
-        a.tcp_state(vc),
+        a.tcp_tw_count_for(victim.0),
+        2,
+        "the victim's TIME_WAIT partition rode out the spray"
+    );
+    assert_eq!(
+        a.tcp_state(conns[2]),
         Ok(State::Established),
         "the victim's established connection rode out the flood"
     );
@@ -524,6 +493,136 @@ fn rx_slice_polices_a_tenants_inbound_flood() {
     let stats = b.tenant_stats();
     let v = stats.iter().find(|s| s.tenant == victim.0).unwrap();
     assert_eq!(v.rx_quota_drops, 0, "the victim's slice never saturated");
+}
+
+// ---------------------------------------------------------------------
+// E20: a victim echo session and a hostile sprayer through one device.
+// ---------------------------------------------------------------------
+
+/// Sized so one wire frame is exactly the 1 500-byte MTU the DRR quantum
+/// is denominated in: quanta are then integral in frames.
+const E20_PAYLOAD: usize = 1_458;
+/// Per-poll-pass TX byte budget: four frames, split 3:1 by DRR weight.
+const PASS_BYTES: u64 = 4 * udp_frame_bytes(E20_PAYLOAD as u64);
+/// One pass budget every 1 500 ns offers 32 Gbps to the 40 Gbps line: at
+/// line rate the flood would keep a standing, ever-deeper queue at the
+/// serializer — queueing theory, not an isolation failure.
+const PASS_NS: u64 = PASS_BYTES * 8 * 1_000_000_000 / 32_000_000_000;
+/// Frames the hostile tenant keeps staged ahead of every victim op: 64x
+/// its one-frame-per-pass fair share.
+const HOSTILE_BACKLOG: u64 = 64;
+
+/// With `isolated`, each tenant gets its own weighted DRR lane (victim 3,
+/// hostile 1); without, both squeeze through one FIFO lane — the "no
+/// policy in the datapath" contrast — under the same per-pass budget.
+struct EchoWorld {
+    fabric: Fabric,
+    a: NetworkStack,
+    b: NetworkStack,
+    hostile: TenantId,
+    vpool: BufferPool,
+    hpool: BufferPool,
+}
+
+impl EchoWorld {
+    fn new(isolated: bool) -> Self {
+        let fabric = Fabric::new(0xE20);
+        let registry = Arc::new(TenantRegistry::new());
+        let (victim, hostile) = if isolated {
+            (
+                registry.register(TenantSpec::named("victim", 3)),
+                registry.register(TenantSpec::named("hostile", 1)),
+            )
+        } else {
+            let shared = registry.register(TenantSpec::named("shared", 1));
+            (shared, shared)
+        };
+        registry.grant_port(victim, 7100);
+        registry.grant_port(hostile, 7200);
+        let mut tenancy = TenancyCfg::new(Arc::clone(&registry));
+        tenancy.tx_pass_bytes = Some(PASS_BYTES);
+        let a = tenant_host(&fabric, 1, tenancy);
+        let b = host(&fabric, 2);
+        warm_arp(&fabric, &a, &b);
+        demi_tenant::scope(victim, || a.udp_bind(7100).unwrap());
+        demi_tenant::scope(hostile, || a.udp_bind(7200).unwrap());
+        b.udp_bind(7100).unwrap();
+        EchoWorld {
+            fabric,
+            a,
+            b,
+            hostile,
+            vpool: BufferPool::for_tenant(victim, None),
+            hpool: BufferPool::for_tenant(hostile, None),
+        }
+    }
+
+    /// One victim request/response, after topping the hostile lane up to
+    /// its backlog (sprayed at an unbound peer port: pure device pressure)
+    /// when `flood`; returns the virtual RTT in ns. The drive loop is
+    /// paced — one poll pass per [`PASS_NS`] — to model a steadily-driven
+    /// NIC, not a spin staging passes faster than virtual time drains them.
+    fn echo_rtt(&self, flood: bool) -> u64 {
+        let lanes: Vec<TenantLaneStats> = self.a.tenant_stats();
+        let staged = lanes.iter().find(|s| s.tenant == self.hostile.0).unwrap();
+        for _ in staged.staged_frames..HOSTILE_BACKLOG * flood as u64 {
+            let spam = tenant_payload(&self.hpool, E20_PAYLOAD, 0xEE);
+            let _ = self.a.udp_sendto(7200, SocketAddr::new(ip(2), 9), spam);
+        }
+        let t0 = self.fabric.clock().now();
+        let request = tenant_payload(&self.vpool, E20_PAYLOAD, 0x5A);
+        self.a
+            .udp_sendto(7100, SocketAddr::new(ip(2), 7100), request)
+            .unwrap();
+        loop {
+            self.a.poll();
+            self.b.poll();
+            if let Some((from, buf)) = self.b.udp_recv_from(7100) {
+                self.b.udp_sendto(7100, from, buf).unwrap();
+                // Flush the echo now, not a whole pass interval later.
+                self.b.poll();
+            }
+            if let Some((_, back)) = self.a.udp_recv_from(7100) {
+                assert_eq!(back.as_slice(), [0x5A; E20_PAYLOAD]);
+                return self.fabric.clock().now().saturating_since(t0).as_nanos();
+            }
+            let next = self.fabric.clock().now().as_nanos() + PASS_NS;
+            assert!(next < t0.as_nanos() + 1_000_000_000, "echo never completed");
+            self.fabric.advance_to(SimTime::from_nanos(next));
+        }
+    }
+
+    /// The victim's echo p99 over 60 ops after 5 of warm-up.
+    fn p99(&self, flood: bool) -> u64 {
+        let mut hist = Histogram::new();
+        for op in 0..65 {
+            let rtt = self.echo_rtt(flood);
+            if op >= 5 {
+                hist.record(rtt);
+            }
+        }
+        hist.p99()
+    }
+}
+
+/// *Safe Sharing of Fast Kernel-Bypass I/O Among Nontrusting
+/// Applications*: behind its own lane, a flood 64x the hostile tenant's
+/// fair share costs the victim at most one extra pass of tail latency;
+/// through a shared FIFO the same flood puts the victim behind it.
+#[test]
+fn a_hostile_flood_cannot_double_the_victims_tail_unless_lanes_are_shared() {
+    let world = EchoWorld::new(true);
+    let (base, flooded) = (world.p99(false), world.p99(true));
+    let fifo = EchoWorld::new(false);
+    fifo.p99(false); // Warm the lane bookkeeping before flooding.
+    let shared = fifo.p99(true);
+    assert_eq!(
+        (base, flooded, shared),
+        (3_000, 6_000, 27_000),
+        "a hostile flood behind its own lane must not degrade the victim's \
+         p99 > 2x; the contrast case must show the harm: a shared FIFO puts \
+         the victim behind the flood, past that bound"
+    );
 }
 
 /// One victim echo session over TCP while a hostile tenant optionally

@@ -20,15 +20,12 @@
 use std::net::Ipv4Addr;
 
 use demi_memory::DemiBuffer;
+use demikernel::testing::host_ip as ip;
 use net_stack::tcp::header::{TcpFlags, TcpHeader};
 use net_stack::tcp::{ConnId, State, TcpConfig, TcpPeer, TcpSegmentOut};
 use net_stack::types::{NetError, SocketAddr};
 use proptest::prelude::*;
 use sim_fabric::SimTime;
-
-fn ip(last: u8) -> Ipv4Addr {
-    Ipv4Addr::new(10, 0, 0, last)
-}
 
 /// One line of wire trace: everything a header and payload commit to.
 fn trace_line(dst: Ipv4Addr, seg: &TcpSegmentOut) -> String {
@@ -80,12 +77,15 @@ fn pump_recording(
 /// every header the server sent (the last FIN-bearing one is the replay
 /// candidate).
 fn closed_pair(
-    config: TcpConfig,
+    demote: bool,
     msgs: &[Vec<u8>],
     now: SimTime,
 ) -> (TcpPeer, TcpPeer, ConnId, Vec<String>, Vec<TcpHeader>) {
-    let mut client = TcpPeer::new(ip(1), config);
-    let mut server = TcpPeer::new(ip(2), config);
+    let mut client = TcpPeer::new(ip(1), TcpConfig::default());
+    if !demote {
+        client.keep_full_timewait_blocks();
+    }
+    let mut server = TcpPeer::new(ip(2), TcpConfig::default());
     let lid = server.listen(80, 16).unwrap();
     let c = client.connect(SocketAddr::new(ip(2), 80), now).unwrap();
     let mut ct = Vec::new();
@@ -162,7 +162,7 @@ fn closed_pair(
 fn record_expires_at_exactly_two_msl_on_the_wheel() {
     let config = TcpConfig::default();
     let now = SimTime::from_millis(1);
-    let (mut client, _server, c, _, _) = closed_pair(config, &[b"ping".to_vec()], now);
+    let (mut client, _server, c, _, _) = closed_pair(true, &[b"ping".to_vec()], now);
     // The full control block was demoted: no live connection remains, one
     // compact record holds the port.
     let mem = client.mem_stats();
@@ -191,7 +191,7 @@ fn record_expires_at_exactly_two_msl_on_the_wheel() {
 fn expiry_recycles_the_ephemeral_port() {
     let config = TcpConfig::default();
     let now = SimTime::from_millis(1);
-    let (mut client, _server, _c, _, _) = closed_pair(config, &[], now);
+    let (mut client, _server, _c, _, _) = closed_pair(true, &[], now);
     assert!(client.is_port_bound(32_768));
     assert_eq!(client.pop_released_port(), None, "not before expiry");
     client.on_tick(now.saturating_add(config.msl.saturating_mul(2)));
@@ -203,7 +203,7 @@ fn expiry_recycles_the_ephemeral_port() {
 fn late_fin_is_reacked_identically_and_restarts_two_msl() {
     let config = TcpConfig::default();
     let now = SimTime::from_millis(1);
-    let (mut client, _server, c, ct, from_server) = closed_pair(config, &[b"data".to_vec()], now);
+    let (mut client, _server, c, ct, from_server) = closed_pair(true, &[b"data".to_vec()], now);
     let fin = *from_server
         .iter()
         .rev()
@@ -231,9 +231,8 @@ fn late_fin_is_reacked_identically_and_restarts_two_msl() {
 
 #[test]
 fn late_data_is_absorbed_silently() {
-    let config = TcpConfig::default();
     let now = SimTime::from_millis(1);
-    let (mut client, _server, c, _, from_server) = closed_pair(config, &[], now);
+    let (mut client, _server, c, _, from_server) = closed_pair(true, &[], now);
     // A stray in-window ACK segment (no FIN, no RST) from the old peer.
     let mut stray = *from_server.last().unwrap();
     stray.flags = TcpFlags::ACK;
@@ -245,9 +244,8 @@ fn late_data_is_absorbed_silently() {
 
 #[test]
 fn rst_drops_the_record_and_frees_the_port_early() {
-    let config = TcpConfig::default();
     let now = SimTime::from_millis(1);
-    let (mut client, _server, c, _, from_server) = closed_pair(config, &[], now);
+    let (mut client, _server, c, _, from_server) = closed_pair(true, &[], now);
     let mut rst = *from_server.last().unwrap();
     rst.flags = TcpFlags {
         rst: true,
@@ -267,7 +265,7 @@ fn rst_drops_the_record_and_frees_the_port_early() {
 fn stale_timewait_handle_still_answers_every_query() {
     let config = TcpConfig::default();
     let now = SimTime::from_millis(1);
-    let (mut client, _server, c, _, _) = closed_pair(config, &[], now);
+    let (mut client, _server, c, _, _) = closed_pair(true, &[], now);
     // While the record lives, the old handle maps onto it.
     assert_eq!(client.state(c).unwrap(), State::TimeWait);
     assert_eq!(client.remote(c).unwrap(), SocketAddr::new(ip(2), 80));
@@ -291,12 +289,9 @@ fn stale_timewait_handle_still_answers_every_query() {
 /// stray late ACK, and ticks through both the superseded and the real
 /// expiry. Everything the client commits to the wire is recorded.
 fn client_wire_trace(demote: bool, msgs: &[Vec<u8>], fin_delay: SimTime) -> Vec<String> {
-    let config = TcpConfig {
-        timewait_demote: demote,
-        ..TcpConfig::default()
-    };
+    let config = TcpConfig::default();
     let now = SimTime::from_millis(1);
-    let (mut client, _server, _c, mut trace, from_server) = closed_pair(config, msgs, now);
+    let (mut client, _server, _c, mut trace, from_server) = closed_pair(demote, msgs, now);
 
     let fin = *from_server
         .iter()

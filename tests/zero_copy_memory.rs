@@ -1,10 +1,13 @@
 //! §4.5 end to end: transparent registration and free-protection across
 //! the assembled system.
 
-use demikernel::libos::{LibOs, SocketKind};
+mod support;
+
+use demikernel::libos::LibOs;
 use demikernel::testing::{catnip_pair, host_ip};
 use demikernel::types::Sga;
 use net_stack::types::SocketAddr;
+use support::{tcp_pair, udp_pair};
 
 mod headroom_properties {
     //! Property coverage for the headroom API the TX path leans on.
@@ -97,10 +100,7 @@ mod headroom_properties {
 #[test]
 fn sgaalloc_memory_is_preregistered_and_data_path_registers_nothing() {
     let (_rt, _fabric, client, server) = catnip_pair(501);
-    let sqd = server.socket(SocketKind::Udp).unwrap();
-    server.bind(sqd, SocketAddr::new(host_ip(2), 7)).unwrap();
-    let cqd = client.socket(SocketKind::Udp).unwrap();
-    client.bind(cqd, SocketAddr::new(host_ip(1), 9000)).unwrap();
+    let (cqd, sqd, _) = udp_pair(&client, &server);
 
     let regs_before = client.memory().region_stats().registrations;
     for _ in 0..200 {
@@ -126,16 +126,7 @@ fn free_protection_lets_the_app_drop_in_flight_buffers() {
     // device, but the libOS will not deallocate the buffer until the
     // device completes its I/O."
     let (_rt, _fabric, client, server) = catnip_pair(502);
-    let lqd = server.socket(SocketKind::Tcp).unwrap();
-    server.bind(lqd, SocketAddr::new(host_ip(2), 80)).unwrap();
-    server.listen(lqd, 8).unwrap();
-    let aqt = server.accept(lqd).unwrap();
-    let cqd = client.socket(SocketKind::Tcp).unwrap();
-    let cqt = client
-        .connect(cqd, SocketAddr::new(host_ip(2), 80))
-        .unwrap();
-    let sqd = server.wait(aqt, None).unwrap().expect_accept();
-    client.wait(cqt, None).unwrap();
+    let (cqd, sqd) = tcp_pair(&client, &server, 80);
 
     {
         // Allocate, push, and immediately drop every application handle —
@@ -172,10 +163,7 @@ fn pool_recycling_works_through_the_full_stack() {
     // Buffers released after I/O return to the pool; sustained traffic
     // reaches a steady state with no pool growth.
     let (_rt, _fabric, client, server) = catnip_pair(503);
-    let sqd = server.socket(SocketKind::Udp).unwrap();
-    server.bind(sqd, SocketAddr::new(host_ip(2), 7)).unwrap();
-    let cqd = client.socket(SocketKind::Udp).unwrap();
-    client.bind(cqd, SocketAddr::new(host_ip(1), 9000)).unwrap();
+    let (cqd, sqd, _) = udp_pair(&client, &server);
 
     // Warm up.
     for _ in 0..20 {
@@ -207,10 +195,7 @@ fn wire_and_peer_see_the_senders_own_storage() {
     // allocation* — one buffer travels app → UDP → IP → Ethernet → mbuf →
     // fabric → peer mbuf → peer app, headers prepended into its headroom.
     let (_rt, _fabric, client, server) = catnip_pair(505);
-    let sqd = server.socket(SocketKind::Udp).unwrap();
-    server.bind(sqd, SocketAddr::new(host_ip(2), 7)).unwrap();
-    let cqd = client.socket(SocketKind::Udp).unwrap();
-    client.bind(cqd, SocketAddr::new(host_ip(1), 9000)).unwrap();
+    let (cqd, sqd, _) = udp_pair(&client, &server);
 
     let mut sga = client.sgaalloc(1400);
     let pattern: Vec<u8> = (0..1400u32).map(|i| (i % 251) as u8).collect();
@@ -241,10 +226,7 @@ fn udp_packets_cost_one_alloc_and_zero_copies_each() {
     // pool allocation — the stack adds no allocation and moves no payload
     // byte, on TX or RX.
     let (_rt, _fabric, client, server) = catnip_pair(506);
-    let sqd = server.socket(SocketKind::Udp).unwrap();
-    server.bind(sqd, SocketAddr::new(host_ip(2), 7)).unwrap();
-    let cqd = client.socket(SocketKind::Udp).unwrap();
-    client.bind(cqd, SocketAddr::new(host_ip(1), 9000)).unwrap();
+    let (cqd, sqd, _) = udp_pair(&client, &server);
 
     // Warm-up: ARP resolution and pool population happen here.
     for _ in 0..20 {
@@ -276,16 +258,7 @@ fn tcp_echo_path_moves_payload_bytes_zero_times() {
     // allocation plus the 8-byte framing-header buffer and empty ACK
     // frames — and zero payload-byte copies.
     let (_rt, _fabric, client, server) = catnip_pair(507);
-    let lqd = server.socket(SocketKind::Tcp).unwrap();
-    server.bind(lqd, SocketAddr::new(host_ip(2), 80)).unwrap();
-    server.listen(lqd, 8).unwrap();
-    let aqt = server.accept(lqd).unwrap();
-    let cqd = client.socket(SocketKind::Tcp).unwrap();
-    let cqt = client
-        .connect(cqd, SocketAddr::new(host_ip(2), 80))
-        .unwrap();
-    let sqd = server.wait(aqt, None).unwrap().expect_accept();
-    client.wait(cqt, None).unwrap();
+    let (cqd, sqd) = tcp_pair(&client, &server, 80);
 
     for _ in 0..10 {
         let sga = client.sgaalloc(1400);
@@ -319,10 +292,7 @@ fn popped_data_shares_storage_with_the_device_frame() {
     // Zero-copy receive: the application's Sga segments are views into
     // the device's mbuf, not copies.
     let (rt, _fabric, client, server) = catnip_pair(504);
-    let sqd = server.socket(SocketKind::Udp).unwrap();
-    server.bind(sqd, SocketAddr::new(host_ip(2), 7)).unwrap();
-    let cqd = client.socket(SocketKind::Udp).unwrap();
-    client.bind(cqd, SocketAddr::new(host_ip(1), 9000)).unwrap();
+    let (cqd, sqd, _) = udp_pair(&client, &server);
     client
         .pushto(
             cqd,

@@ -1,9 +1,9 @@
 #!/bin/sh
 # The line budget: non-test product lines per crate against LOC_BUDGET.
-# A file counts up to its first `#[cfg(test)]`; `tests.rs` files and
-# `crates/bench` (the experiment harness) are skipped. Exits non-zero if a
-# crate is over its budget, has none, or sits 50 or more lines under it:
-# budgets only ratchet down, so a shrink cannot be silently re-spent.
+# A file counts up to its first `#[cfg(test)]`; `tests.rs` files are
+# skipped. Exits non-zero if a crate is over its budget, has none, or sits
+# 50 or more lines under it: budgets only ratchet down, so a shrink cannot
+# be silently re-spent.
 set -eu
 cd "$(dirname "$0")/.."
 status=0
@@ -11,7 +11,6 @@ total=0
 printf '%-16s %7s %7s\n' crate lines budget
 for dir in crates/*/; do
     crate=$(basename "$dir")
-    [ "$crate" = bench ] && continue
     lines=$(find "${dir}src" -name '*.rs' ! -name tests.rs -exec awk '
         FNR == 1 { in_tests = 0 }
         /#\[cfg\(test\)\]/ { in_tests = 1 }

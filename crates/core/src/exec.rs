@@ -27,6 +27,7 @@
 
 use std::sync::{Arc, Barrier};
 
+pub use net_stack::HostLinks;
 use net_stack::{PortAllocator, ShardRings};
 
 use crate::metrics::MetricsHub;
@@ -42,37 +43,6 @@ pub enum ExecMode {
     ThreadPerShard,
 }
 
-impl ExecMode {
-    /// Reads `DEMI_EXEC_MODE` — how CI runs the same suite once per mode.
-    pub fn from_env() -> Self {
-        let value = std::env::var_os("DEMI_EXEC_MODE");
-        Self::parse(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
-    }
-
-    /// `threads` selects [`ExecMode::ThreadPerShard`]; unset or empty,
-    /// [`ExecMode::SingleThread`]. A typo must not quietly test nothing
-    /// threaded, so any other value panics.
-    fn parse(value: Option<&str>) -> Self {
-        match value {
-            None | Some("") => ExecMode::SingleThread,
-            Some("threads") => ExecMode::ThreadPerShard,
-            Some(v) => panic!("DEMI_EXEC_MODE={v:?}: the only accepted value is `threads`"),
-        }
-    }
-}
-
-/// One logical host's cross-thread links, as seen by one shard world:
-/// this world's endpoint in the host's ring mesh plus the host's shared
-/// port namespace.
-pub struct HostLinks {
-    /// This world's endpoint in the host's all-pairs ring mesh (its
-    /// index is the world's global shard number). Attach to the host's
-    /// stack with [`net_stack::NetworkStack::attach_external`].
-    pub rings: ShardRings,
-    /// The host's TCP port namespace, shared by every world.
-    pub ports: Arc<PortAllocator>,
-}
-
 /// Everything one shard world receives from the harness. All fields are
 /// `Send`; the world builds its own `!Send` interior (fabric, runtime,
 /// libOSes) from them.
@@ -82,7 +52,8 @@ pub struct ShardSpec {
     /// Total shard worlds in the run.
     pub total: usize,
     /// Per-logical-host links, in the order the harness declared them
-    /// (`hosts` argument of [`run_shards`]).
+    /// (`hosts` argument of [`run_shards`]): build this world's shard of
+    /// host *h* with [`net_stack::NetworkStack::shard_of`].
     pub hosts: Vec<HostLinks>,
     /// The run's metrics sink. Absorb this world's snapshot *on this
     /// world's thread* (where its thread-local counters are live).
@@ -190,20 +161,6 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn env_selects_mode() {
-        assert_eq!(ExecMode::default(), ExecMode::SingleThread);
-        assert_eq!(ExecMode::parse(None), ExecMode::SingleThread);
-        assert_eq!(ExecMode::parse(Some("")), ExecMode::SingleThread);
-        assert_eq!(ExecMode::parse(Some("threads")), ExecMode::ThreadPerShard);
-    }
-
-    #[test]
-    #[should_panic(expected = "DEMI_EXEC_MODE=\"thread\": the only accepted value is `threads`")]
-    fn a_misspelt_mode_is_refused() {
-        ExecMode::parse(Some("thread"));
-    }
 
     #[test]
     fn single_thread_runs_in_order() {

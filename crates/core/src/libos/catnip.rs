@@ -98,41 +98,32 @@ impl Catnip {
         port_config: PortConfig,
         config: StackConfig,
     ) -> Self {
-        Self::with_shared_ports(
-            runtime,
-            fabric,
-            port_config,
-            config,
-            std::sync::Arc::new(net_stack::PortAllocator::new()),
-        )
+        let port = DpdkPort::new(fabric, port_config);
+        let stack = NetworkStack::new(port.clone(), fabric.clock(), config);
+        Self::over(runtime, port, stack)
     }
 
-    /// Creates a catnip instance whose TCP port namespace is `ports` —
-    /// shared across the shard worlds of one logical host under
-    /// thread-per-shard execution, so an ephemeral port allocated in one
-    /// world is never reissued in another.
-    pub fn with_shared_ports(
+    /// Creates one shard of a logical host's catnip — its ring-mesh
+    /// endpoint and the host's shared TCP port namespace arrive in `links`
+    /// — as each world of a thread-per-shard run does for its host.
+    pub fn shard_of(
         runtime: &Runtime,
         fabric: &Fabric,
         port_config: PortConfig,
         config: StackConfig,
-        ports: std::sync::Arc<net_stack::PortAllocator>,
+        links: net_stack::HostLinks,
     ) -> Self {
         let port = DpdkPort::new(fabric, port_config);
-        let stack = Rc::new(NetworkStack::with_ports(
-            port.clone(),
-            fabric.clock(),
-            config,
-            ports,
-        ));
-        // The libOS polls its device on every scheduler pass — one poller
-        // per stack shard, so each shard's RX queue, timers, and TX ring
-        // advance as an independently-reported unit of work. It also
+        let stack = NetworkStack::shard_of(port.clone(), fabric.clock(), config, links);
+        Self::over(runtime, port, stack)
+    }
+
+    fn over(runtime: &Runtime, port: DpdkPort, stack: NetworkStack) -> Self {
+        let stack = Rc::new(stack);
+        // The libOS polls its device on every scheduler pass. It also
         // exposes its protocol timers for clock advancement.
-        for shard in 0..stack.num_shards() {
-            let poll_stack = stack.clone();
-            runtime.register_poller(move || poll_stack.poll_shard(shard));
-        }
+        let poll_stack = stack.clone();
+        runtime.register_poller(move || poll_stack.poll());
         // Stack progress (frames in/out) is reported by that poller, so
         // every blocking operation below names the runtime's activity gate
         // rather than re-polling the stack each pass.

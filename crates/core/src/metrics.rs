@@ -15,7 +15,7 @@
 //! bursts and per-queue frames, a SmartNIC slot's cycles, a shard's
 //! steering mismatches, a connection's coalesced ACKs — are *not* here:
 //! ask the object (`port().stats()`, `port().smartnic_slot_stats()`,
-//! `stack().shard_stats(i)`, `stack().tcp_conn_stats(conn)`).
+//! `stack().shard_stats()`, `stack().tcp_conn_stats(conn)`).
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -153,22 +153,12 @@ pub fn catnip_shard_world(spec: crate::exec::ShardSpec, seed: u64) -> ShardWorld
     let mut hosts = spec.hosts.into_iter();
     let client_links = hosts.next().unwrap();
     let server_links = hosts.next().unwrap();
-    let client = Catnip::with_shared_ports(
-        &rt,
-        &fabric,
-        PortConfig::basic(host_mac(1)),
-        StackConfig::new(host_ip(1)),
-        client_links.ports,
-    );
-    client.stack().attach_external(client_links.rings);
-    let server = Catnip::with_shared_ports(
-        &rt,
-        &fabric,
-        PortConfig::basic(host_mac(2)),
-        StackConfig::new(host_ip(2)),
-        server_links.ports,
-    );
-    server.stack().attach_external(server_links.rings);
+    let host = |n, links| {
+        let (nic, cfg) = (PortConfig::basic(host_mac(n)), StackConfig::new(host_ip(n)));
+        Catnip::shard_of(&rt, &fabric, nic, cfg, links)
+    };
+    let client = host(1, client_links);
+    let server = host(2, server_links);
     ShardWorld {
         rt,
         fabric,

@@ -23,7 +23,6 @@
 
 pub mod mbuf;
 pub mod mempool;
-pub mod mtq;
 pub mod offload;
 pub mod port;
 pub mod rss;
@@ -31,7 +30,6 @@ pub mod smartnic;
 
 pub use mbuf::Mbuf;
 pub use mempool::Mempool;
-pub use mtq::FrameInjector;
 pub use offload::{
     FlowKey, FlowShadow, OffloadAction, OffloadEvent, OffloadService, OffloadStats, TcpOffload,
 };

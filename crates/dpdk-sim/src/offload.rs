@@ -417,16 +417,6 @@ impl TcpOffload {
         self.events.drain(..).collect()
     }
 
-    /// Puts events a consumer could not apply back at the *front* of the
-    /// queue, preserving order. The host's per-shard planners share one
-    /// engine: each drains the queue, applies the events for flows it
-    /// owns, and restores the rest for the owning shard's next drain.
-    pub fn restore_events(&mut self, events: Vec<OffloadEvent>) {
-        for ev in events.into_iter().rev() {
-            self.events.push_front(ev);
-        }
-    }
-
     /// Drains reply frames awaiting device transmission.
     pub fn take_tx(&mut self) -> Vec<DemiBuffer> {
         std::mem::take(&mut self.tx)

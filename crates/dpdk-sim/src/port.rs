@@ -90,9 +90,6 @@ struct PortInner {
     config: PortConfig,
     mempool: Mempool,
     rx_rings: Vec<VecDeque<Mbuf>>,
-    /// Per-queue cross-thread ingress rings (see [`crate::mtq`]); `None`
-    /// until [`DpdkPort::attach_rx_ingress`] is called for the queue.
-    ingress: Vec<Option<demi_sched::spsc::Consumer<Vec<u8>>>>,
     queue_stats: Vec<PortQueueStats>,
     smartnic: SmartNic,
     stats: PortStats,
@@ -128,7 +125,6 @@ impl DpdkPort {
             inner: Rc::new(RefCell::new(PortInner {
                 endpoint,
                 rx_rings: (0..config.num_rx_queues).map(|_| VecDeque::new()).collect(),
-                ingress: (0..config.num_rx_queues).map(|_| None).collect(),
                 queue_stats: vec![PortQueueStats::default(); config.num_rx_queues as usize],
                 smartnic: SmartNic::new(config.smartnic_slots),
                 config,
@@ -212,15 +208,13 @@ impl DpdkPort {
     }
 
     /// Whether [`DpdkPort::rx_burst_into`] on `queue` could do anything:
-    /// a frame in the queue's descriptor ring, in the fabric mailbox (which
-    /// may steer to any queue) or on a cross-thread ingress ring. O(1), no
-    /// pump: `false` means a burst now would return nothing and change
-    /// nothing, so a polling host may skip it.
+    /// a frame in the queue's descriptor ring or in the fabric mailbox
+    /// (which may steer to any queue). O(1), no pump: `false` means a burst
+    /// now would return nothing and change nothing, so a polling host may
+    /// skip it.
     pub fn rx_ready(&self, queue: u16) -> bool {
         let inner = self.inner.borrow();
-        !inner.rx_rings[queue as usize].is_empty()
-            || inner.endpoint.has_rx()
-            || inner.ingress.iter().flatten().any(|rx| !rx.is_empty())
+        !inner.rx_rings[queue as usize].is_empty() || inner.endpoint.has_rx()
     }
 
     /// [`DpdkPort::rx_burst`] into the caller's reusable buffer (appended,
@@ -242,31 +236,6 @@ impl DpdkPort {
         let take = ring.len().min(max);
         out.extend(ring.drain(..take));
         ring.len()
-    }
-
-    /// Attaches a cross-thread ingress ring to RX queue `queue` and
-    /// returns its `Send` injector half. Frames injected from any thread
-    /// surface in that queue's descriptor ring at the next pump, subject
-    /// to the normal tail-drop rule — the queue-granular thread-safety
-    /// boundary of the device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queue` is out of range or already has an ingress ring
-    /// (the ring is single-producer).
-    pub fn attach_rx_ingress(&self, queue: u16, capacity: usize) -> crate::mtq::FrameInjector {
-        let mut inner = self.inner.borrow_mut();
-        assert!(
-            queue < inner.config.num_rx_queues,
-            "rx queue {queue} out of range"
-        );
-        assert!(
-            inner.ingress[queue as usize].is_none(),
-            "rx queue {queue} already has an ingress ring"
-        );
-        let (injector, rx) = crate::mtq::channel(queue, capacity);
-        inner.ingress[queue as usize] = Some(rx);
-        injector
     }
 
     /// Installs a SmartNIC program.
@@ -349,7 +318,6 @@ impl PortInner {
             mbuf.queue = queue;
             ring.push_back(mbuf);
         }
-        self.drain_ingress();
     }
 
     /// Transmits frames the SmartNIC generated device-side (offload
@@ -365,35 +333,6 @@ impl PortInner {
             let dst = MacAddress::new([bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5]]);
             self.stats.device_tx_frames += 1;
             self.endpoint.transmit(dst, reply);
-        }
-    }
-
-    /// Moves cross-thread injected frames into their queues' descriptor
-    /// rings (see [`DpdkPort::attach_rx_ingress`]). The injector chose
-    /// the queue, so frames skip RSS and SmartNIC processing; the
-    /// tail-drop rule still applies.
-    fn drain_ingress(&mut self) {
-        for q in 0..self.ingress.len() {
-            let Some(rx) = self.ingress[q].as_mut() else {
-                continue;
-            };
-            while let Some(bytes) = rx.try_pop() {
-                let ring = &mut self.rx_rings[q];
-                if ring.len() >= self.config.rx_ring_size {
-                    self.stats.rx_ring_drops += 1;
-                    self.queue_stats[q].dropped += 1;
-                    continue;
-                }
-                let hash = crate::rss::hash_frame(&bytes);
-                let data = demi_memory::DemiBuffer::from(bytes);
-                self.stats.rx_frames += 1;
-                self.stats.rx_bytes += data.len() as u64;
-                self.queue_stats[q].enqueued += 1;
-                let mut mbuf = Mbuf::from_data(data);
-                mbuf.rss_hash = hash;
-                mbuf.queue = q as u16;
-                ring.push_back(mbuf);
-            }
         }
     }
 }
@@ -490,9 +429,9 @@ mod tests {
     }
 
     /// `rx_ready` is exact where it says no (a burst finds nothing) and
-    /// says yes for each of the three places a frame can wait.
+    /// says yes for both places a frame can wait.
     #[test]
-    fn rx_ready_sees_the_mailbox_the_ring_and_the_ingress_ring() {
+    fn rx_ready_sees_the_mailbox_and_the_ring() {
         let fabric = Fabric::new(1);
         fabric.set_default_link(LinkConfig::ideal());
         let a = DpdkPort::new(&fabric, PortConfig::basic(MacAddress::from_last_octet(1)));
@@ -515,11 +454,6 @@ mod tests {
         assert!(b.rx_burst(1 - q, 8).is_empty());
         assert!(b.rx_ready(q) && !b.rx_ready(1 - q));
         assert_eq!(b.rx_burst(q, 8).len(), 1);
-        assert!(!b.rx_ready(0) && !b.rx_ready(1));
-        let mut inj = b.attach_rx_ingress(1, 8);
-        assert!(inj.inject(f));
-        assert!(b.rx_ready(0) && b.rx_ready(1), "any ingress ring counts");
-        assert_eq!(b.rx_burst(1, 8).len(), 1);
         assert!(!b.rx_ready(0) && !b.rx_ready(1));
     }
 
@@ -694,69 +628,5 @@ mod tests {
         let fabric = Fabric::new(1);
         let (a, _b) = pair(&fabric);
         let _ = a.rx_burst(5, 1);
-    }
-
-    #[test]
-    fn ingress_injects_frames_from_another_thread() {
-        let fabric = Fabric::new(1);
-        fabric.set_default_link(LinkConfig::ideal());
-        let b = DpdkPort::new(
-            &fabric,
-            PortConfig {
-                mac: MacAddress::from_last_octet(2),
-                num_rx_queues: 2,
-                rx_ring_size: 1024,
-                smartnic_slots: 0,
-            },
-        );
-        let mut inj = b.attach_rx_ingress(1, 64);
-        assert_eq!(inj.queue(), 1);
-        let frame = eth_frame(b.mac(), MacAddress::from_last_octet(9), b"offworld");
-        let t = std::thread::spawn(move || {
-            for _ in 0..16 {
-                assert!(inj.inject(frame.clone()), "ring sized for the burst");
-            }
-        });
-        t.join().unwrap();
-        // Injected frames surface only on the attached queue, with the
-        // frame bytes intact, and count like normal arrivals.
-        assert_eq!(b.rx_pending(0), 0);
-        let got = b.rx_burst(1, 32);
-        assert_eq!(got.len(), 16);
-        assert_eq!(&got[0].as_slice()[14..], b"offworld");
-        assert_eq!(got[0].queue, 1);
-        assert_eq!(b.stats().rx_frames, 16);
-        assert_eq!(b.queue_stats()[1].enqueued, 16);
-    }
-
-    #[test]
-    fn ingress_overflow_tail_drops() {
-        let fabric = Fabric::new(1);
-        let b = DpdkPort::new(
-            &fabric,
-            PortConfig {
-                mac: MacAddress::from_last_octet(2),
-                num_rx_queues: 1,
-                rx_ring_size: 2,
-                smartnic_slots: 0,
-            },
-        );
-        let mut inj = b.attach_rx_ingress(0, 64);
-        for i in 0..5u8 {
-            let f = eth_frame(b.mac(), MacAddress::from_last_octet(9), &[i]);
-            assert!(inj.inject(f));
-        }
-        // 5 injected into a 2-deep descriptor ring: 2 kept, 3 tail-dropped.
-        assert_eq!(b.rx_pending(0), 2);
-        assert_eq!(b.stats().rx_ring_drops, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "already has an ingress ring")]
-    fn second_ingress_on_same_queue_panics() {
-        let fabric = Fabric::new(1);
-        let (a, _b) = pair(&fabric);
-        let _first = a.attach_rx_ingress(0, 8);
-        let _second = a.attach_rx_ingress(0, 8);
     }
 }

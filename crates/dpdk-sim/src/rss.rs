@@ -16,8 +16,9 @@
 //!   with symmetric Toeplitz keys; canonicalizing the input is the
 //!   simulation-friendly equivalent).
 //!
-//! The stack's `shard_for(flow)` calls [`queue_for_tuple`] with the shard
-//! count; when shards == RX queues the two mappings agree bit for bit.
+//! A sharded host decides which shard owns a flow with the same functions
+//! ([`flow_queue_for_frame`], [`queue_for_tuple`]) over its shard count;
+//! when shards == RX queues the two mappings agree bit for bit.
 //!
 //! Non-IP frames (ARP, control ethertypes) fall back to hashing the source
 //! MAC + ethertype: all such frames from one host serialize onto one queue,

@@ -25,11 +25,12 @@
 //!   [`dpdk_sim::DpdkPort`] behind handle-based, poll-driven socket APIs.
 //!
 //! The stack is single-threaded and non-blocking throughout: a Demikernel
-//! coroutine calls `poll()`, checks for completions, and yields. Under
-//! thread-per-shard execution each shard's stack state stays
-//! single-threaded too; the only structures that cross threads are the
-//! bounded [`rings`] (cross-shard messages) and the [`ports`] namespace
-//! (host-wide TCP port ownership).
+//! coroutine calls `poll()`, checks for completions, and yields. A
+//! [`NetworkStack`] is one shard of its host on one RX queue; the only
+//! structures shards share — and so the only ones that cross threads
+//! under thread-per-shard execution — are the bounded [`rings`]
+//! (cross-shard messages) and the [`ports`] namespace (host-wide TCP port
+//! ownership).
 
 pub mod arp;
 pub mod checksum;
@@ -49,5 +50,7 @@ pub mod udp;
 pub use fasthash::{FastHashMap, FastHashSet};
 pub use ports::PortAllocator;
 pub use rings::{mesh, RingStats, ShardMsg, ShardRings};
-pub use stack::{NetworkStack, ShardStats, StackConfig, StackStats, TenancyCfg, TenantLaneStats};
+pub use stack::{
+    HostLinks, NetworkStack, ShardStats, StackConfig, StackStats, TenancyCfg, TenantLaneStats,
+};
 pub use types::{NetError, SocketAddr};

@@ -4,8 +4,8 @@
 //! into a NIC program slot, keeps host control blocks coherent by
 //! applying the engine's sync events, and falls everything back to the
 //! pure host path on uninstall. Applications never talk to the device
-//! directly; the shard core reaches its `Option<ShardOffload>` only
-//! through `drain_events`, `release_conn` and `rearm`.
+//! directly; the shard core reaches its `Option<Offload>` only through
+//! `drain_events`, `release_conn` and `rearm`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -21,41 +21,26 @@ use crate::fasthash::FastHashMap;
 use crate::tcp::{ConnId, TcpPeer};
 use crate::types::NetError;
 
-/// Facade-level handle on the installed device offload program: the
-/// engine (shared with every shard) and the NIC slot it occupies.
-pub(super) struct OffloadCtl {
+/// The installed device offload program: the engine, the NIC slot it
+/// occupies, and the flows currently armed on it. An engine's sync events
+/// all belong to the stack that installed it — a second stack on the same
+/// port installs its own engine in its own slot.
+pub(super) struct Offload {
     engine: Rc<RefCell<TcpOffload>>,
     slot: ProgramSlot,
-}
-
-/// A shard's view of the device offload: the shared engine plus the
-/// flows *this shard owns* that are currently armed. The engine's sync
-/// events are keyed by flow; each shard drains the shared queue, applies
-/// the events for its own flows, and restores the rest in order for the
-/// owning shard (see [`ShardOffload::drain_events`]).
-pub(super) struct ShardOffload {
-    engine: Rc<RefCell<TcpOffload>>,
     /// The offloaded local TCP port.
     port: u16,
-    /// Armed flows this shard owns: device flow key → control block.
+    /// Armed flows: device flow key → control block.
     armed: FastHashMap<FlowKey, ConnId>,
     /// Reverse index for the release path (send/close on an armed conn).
     by_conn: FastHashMap<ConnId, FlowKey>,
 }
 
-impl ShardOffload {
+impl Offload {
     /// Applies the device's queued sync events to `tcp`'s control
-    /// blocks, in order; returns how many were applied. The engine is
-    /// shared by every shard of the stack, so events for flows another
-    /// shard owns are restored to the front of the queue untouched —
-    /// each flow's events are applied exactly once, by its owner, in
-    /// emission order.
+    /// blocks, in emission order; returns how many were applied.
     pub(super) fn drain_events(&mut self, tcp: &mut TcpPeer, now: SimTime) -> usize {
         let events = self.engine.borrow_mut().take_events();
-        if events.is_empty() {
-            return 0;
-        }
-        let mut foreign = Vec::new();
         let mut applied = 0usize;
         for ev in events {
             let key = match &ev {
@@ -65,7 +50,6 @@ impl ShardOffload {
                 | OffloadEvent::FellBack { key } => *key,
             };
             let Some(&conn) = self.armed.get(&key) else {
-                foreign.push(ev);
                 continue;
             };
             applied += 1;
@@ -95,9 +79,6 @@ impl ShardOffload {
                     self.by_conn.remove(&conn);
                 }
             }
-        }
-        if !foreign.is_empty() {
-            self.engine.borrow_mut().restore_events(foreign);
         }
         applied
     }
@@ -171,31 +152,27 @@ impl NetworkStack {
     }
 
     fn install_tcp_offload(&self, port: u16, service: OffloadService) -> Result<(), NetError> {
-        let mut ctl = self.offload.borrow_mut();
-        if ctl.is_some() {
+        let mut shard = self.shard.borrow_mut();
+        if shard.offload.is_some() {
             return Err(NetError::Unsupported("a TCP offload is already installed"));
         }
         let engine = Rc::new(RefCell::new(TcpOffload::new(port, service)));
-        let slot = self.shards[0]
-            .borrow()
+        let slot = shard
             .port
             .install_program(NicProgram::TcpOffload {
                 engine: Rc::clone(&engine),
             })
             .map_err(|_| NetError::Unsupported("device has no free program slots"))?;
-        for s in &self.shards {
-            let mut shard = s.borrow_mut();
-            shard.offload = Some(ShardOffload {
-                engine: Rc::clone(&engine),
-                port,
-                armed: FastHashMap::default(),
-                by_conn: FastHashMap::default(),
-            });
-            // Arm already-established quiescent connections immediately;
-            // new ones are picked up at the end of each poll pass.
-            shard.rearm_offload();
-        }
-        *ctl = Some(OffloadCtl { engine, slot });
+        shard.offload = Some(Offload {
+            engine,
+            slot,
+            port,
+            armed: FastHashMap::default(),
+            by_conn: FastHashMap::default(),
+        });
+        // Arm already-established quiescent connections immediately; new
+        // ones are picked up at the end of each poll pass.
+        shard.rearm_offload();
         Ok(())
     }
 
@@ -204,18 +181,16 @@ impl NetworkStack {
     /// the host control blocks, and the NIC slot is freed. Connections
     /// continue seamlessly on the pure host path. Idempotent.
     pub fn uninstall_tcp_offload(&self) {
-        let Some(ctl) = self.offload.borrow_mut().take() else {
+        let mut shard = self.shard.borrow_mut();
+        let Some(off) = &shard.offload else {
             return;
         };
-        ctl.engine.borrow_mut().disarm_all();
-        for s in &self.shards {
-            let mut shard = s.borrow_mut();
-            let now = shard.clock.now();
-            shard.drain_offload_events(now);
-            shard.flush_tcp();
-            shard.offload = None;
-        }
-        self.shards[0].borrow().port.uninstall_program(ctl.slot);
+        off.engine.borrow_mut().disarm_all();
+        let now = shard.clock.now();
+        shard.drain_offload_events(now);
+        shard.flush_tcp();
+        let off = shard.offload.take().expect("checked above");
+        shard.port.uninstall_program(off.slot);
     }
 
     /// Write-through populate of the device KV cache (the host calls
@@ -223,8 +198,8 @@ impl NetworkStack {
     /// offload is installed or the entry exceeds the device-memory bound
     /// — callers need no special-casing either way.
     pub fn offload_cache_insert(&self, key: &[u8], value: &[u8]) -> bool {
-        match self.offload.borrow().as_ref() {
-            Some(ctl) => ctl.engine.borrow_mut().cache_insert(key, value),
+        match &self.shard.borrow().offload {
+            Some(off) => off.engine.borrow_mut().cache_insert(key, value),
             None => false,
         }
     }
@@ -234,17 +209,18 @@ impl NetworkStack {
     /// eviction, TTL expiry). Returns `false` when no KV offload is
     /// installed or the key was not cached.
     pub fn offload_cache_invalidate(&self, key: &[u8]) -> bool {
-        match self.offload.borrow().as_ref() {
-            Some(ctl) => ctl.engine.borrow_mut().cache_invalidate(key),
+        match &self.shard.borrow().offload {
+            Some(off) => off.engine.borrow_mut().cache_invalidate(key),
             None => false,
         }
     }
 
     /// Counters of the installed offload engine, if any.
     pub fn offload_stats(&self) -> Option<OffloadStats> {
-        self.offload
-            .borrow()
+        let shard = self.shard.borrow();
+        shard
+            .offload
             .as_ref()
-            .map(|ctl| ctl.engine.borrow().stats())
+            .map(|off| off.engine.borrow().stats())
     }
 }

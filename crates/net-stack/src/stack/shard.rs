@@ -11,7 +11,7 @@
 //!
 //! | stage | runs when |
 //! |---|---|
-//! | RX (`rx_pass`) | the handoff queue is non-empty, or `DpdkPort::rx_ready`: this queue's descriptor ring, the fabric mailbox or an ingress ring holds a frame |
+//! | RX (`rx_pass`) | the handoff queue is non-empty, or `DpdkPort::rx_ready`: this queue's descriptor ring or the fabric mailbox holds a frame |
 //! | ARP tick | `ArpCache::due`: the earliest retry (cached) is `<= now` |
 //! | TCP tick | `TcpPeer::tick_needed`: the wheel has something to fire or cascade, or the compactor's front is due |
 //! | TCP flush | `TcpPeer::has_output`: a raw segment, a dirty connection or a released port |
@@ -29,7 +29,7 @@ use demi_memory::DemiBuffer;
 use dpdk_sim::{rss, DpdkPort, Mbuf};
 use sim_fabric::{MacAddress, SimClock, SimTime};
 
-use super::offload::ShardOffload;
+use super::offload::Offload;
 use super::tenancy::ShardTenancy;
 use super::{ShardStats, StackConfig, StackStats, MAX_HEADER_LEN, PONG_QUEUE_CAP};
 use crate::arp::{ArpAction, ArpCache, ArpOp, ArpPacket, ARP_LEN};
@@ -45,9 +45,11 @@ use crate::udp::{UdpHeader, UdpPeer, UDP_HEADER_LEN};
 /// One shard: a complete protocol instance bound to exactly one of the
 /// device's RX queues.
 pub(super) struct Shard {
-    /// The RX queue this shard drains — also its index among the shards.
+    /// The RX queue this shard drains.
     queue: u16,
-    num_shards: usize,
+    /// `(this shard's index, shard count)` in its host's ring mesh — what
+    /// RSS ownership is computed over. `(0, 1)` for a host's sole shard.
+    pub(super) mesh: (u16, u16),
     pub(super) port: DpdkPort,
     pub(super) clock: SimClock,
     config: StackConfig,
@@ -64,24 +66,18 @@ pub(super) struct Shard {
     /// them into TX enqueue→burst samples.
     tx_stamps: Vec<u64>,
     /// Frames other shards received but this shard owns (RSS overridden by
-    /// a steering program). Drained before the device queue each pass.
+    /// a steering program, or arrival on another shard world's device).
+    /// Drained before the device queue each pass.
     /// Bounded at [`StackConfig::handoff_capacity`]: overflow drops the
     /// frame (counted) rather than growing.
     handoff: VecDeque<Mbuf>,
-    /// Frames this shard received but another owns, staged for the facade
-    /// to send over the rings after this shard's pass: `(owning shard,
-    /// frame)`.
-    pub(super) forwards: Vec<(usize, Mbuf)>,
-    /// Frames owned by another shard *world* (cross-thread), staged for
-    /// the external rings: `(owning world, serialized frame)`. Owned
-    /// bytes, not a buffer handle — `Rc` never crosses a shard boundary.
-    pub(super) ext_forwards: Vec<(usize, Vec<u8>)>,
-    /// ARP bindings learned this pass, staged for the facade to teach the
-    /// other shards (resolution benefits the whole host).
-    pub(super) learned: Vec<(Ipv4Addr, MacAddress)>,
-    /// `(global shard index, global shard count)` when this stack is one
-    /// world of a thread-per-shard host; `None` in a self-contained stack.
-    pub(super) global: Option<(u16, u16)>,
+    /// What this pass has for other shards, staged for
+    /// [`super::NetworkStack::poll`] to send over the rings after the
+    /// pass, as `(destination shard, message)`: frames this shard received
+    /// but another owns (owned bytes — `Rc` never crosses a shard
+    /// boundary), and the ARP bindings it learned, one copy per peer
+    /// (resolution benefits the whole host).
+    pub(super) staged: Vec<(usize, ShardMsg)>,
     /// The host-wide port namespace, for returning recycled ephemeral
     /// ports (expired TIME_WAIT records release them shard-locally first).
     ports: Arc<PortAllocator>,
@@ -93,31 +89,30 @@ pub(super) struct Shard {
     tcp_out: Vec<(Ipv4Addr, TcpSegmentOut)>,
     pub(super) stats: StackStats,
     pub(super) shard_stats: ShardStats,
-    /// This shard's view of the installed device offload, if any.
-    pub(super) offload: Option<ShardOffload>,
+    /// The installed device offload program, if any.
+    pub(super) offload: Option<Offload>,
     /// Multi-tenant TX lanes and RX slices; `None` on a single-tenant
     /// stack (the unconditional fast path).
     pub(super) tenancy: Option<ShardTenancy>,
 }
 
 impl Shard {
-    /// Shard `index` of `num_shards` on `port`, polling RX queue `index`.
+    /// Shard `mesh.0` of `mesh.1` on `port`, polling RX queue `queue`.
     pub(super) fn new(
-        index: usize,
-        num_shards: usize,
-        port: &DpdkPort,
-        clock: &SimClock,
+        queue: u16,
+        mesh: (u16, u16),
+        port: DpdkPort,
+        clock: SimClock,
         config: &StackConfig,
-        ports: &Arc<PortAllocator>,
+        ports: Arc<PortAllocator>,
     ) -> Self {
-        let mut tcp =
-            TcpPeer::with_id_space(config.ip, config.tcp, index as u32, num_shards as u32);
+        let mut tcp = TcpPeer::new(config.ip, config.tcp);
         if let Some(tcfg) = &config.tenancy {
             tcfg.apply_tw_quotas(&mut tcp);
         }
         Shard {
-            queue: index as u16,
-            num_shards,
+            queue,
+            mesh,
             arp: ArpCache::new(config.arp_ttl, config.arp_retry, config.arp_tries),
             udp: UdpPeer::new(config.udp_queue_depth),
             tcp,
@@ -125,15 +120,12 @@ impl Shard {
             tx_ring: Vec::new(),
             tx_stamps: Vec::new(),
             handoff: VecDeque::new(),
-            forwards: Vec::new(),
-            ext_forwards: Vec::new(),
-            learned: Vec::new(),
-            global: None,
-            ports: Arc::clone(ports),
+            staged: Vec::new(),
+            ports,
             rx_scratch: Vec::new(),
             tcp_out: Vec::new(),
-            port: port.clone(),
-            clock: clock.clone(),
+            port,
+            clock,
             stats: StackStats::default(),
             shard_stats: ShardStats::default(),
             offload: None,
@@ -228,12 +220,6 @@ impl Shard {
         (self.stats, self.shard_stats, device, timers)
     }
 
-    /// Whether the pass staged anything for the facade to send over the
-    /// rings.
-    pub(super) fn has_staged(&self) -> bool {
-        !(self.forwards.is_empty() && self.ext_forwards.is_empty() && self.learned.is_empty())
-    }
-
     /// Drains up to `rx_budget` frames — handoffs from other shards first,
     /// then this shard's device queue. Returns the backlog still pending
     /// afterwards — remaining work the caller reports so the scheduler's
@@ -276,10 +262,10 @@ impl Shard {
         backlog
     }
 
-    /// Routes one message drained from a ring (in-world or cross-thread).
-    /// Frames were already steered here by the sender's ownership check,
-    /// so they join the handoff queue for direct dispatch; ARP bindings
-    /// are learned (never re-broadcast — the origin shard did that).
+    /// Routes one message drained from a ring. Frames were already steered
+    /// here by the sender's ownership check, so they join the handoff queue
+    /// for direct dispatch; ARP bindings are learned (never re-broadcast —
+    /// the origin shard did that).
     pub(super) fn on_shard_msg(&mut self, msg: ShardMsg) {
         match msg {
             ShardMsg::Frame(bytes) => {
@@ -305,28 +291,18 @@ impl Shard {
 
     /// First touch of a frame pulled from this shard's own queue: check it
     /// actually belongs here (a SmartNIC steering program can override the
-    /// RSS hash), forwarding strays to their owner — another in-world
-    /// shard, or another shard world entirely when running
-    /// thread-per-shard.
+    /// RSS hash; a shard world's device sees every flow of its host),
+    /// forwarding strays to their owner. Only flows have an owner;
+    /// flowless frames (ARP) are broadcast-scope — whichever shard gets
+    /// one answers it locally and shares what it learned over the rings.
     fn handle_frame(&mut self, mbuf: Mbuf, now: SimTime) {
-        if let Some((gidx, gtotal)) = self.global {
-            // Only flows have a global owner; flowless frames (ARP) are
-            // broadcast-scope — every world answers its own copy locally
-            // and shares what it learned over the rings instead.
-            if let Some(world) = rss::flow_queue_for_frame(mbuf.as_slice(), gtotal) {
-                if world as usize != gidx as usize {
-                    self.shard_stats.steering_mismatches += 1;
-                    self.ext_forwards
-                        .push((world as usize, mbuf.as_slice().to_vec()));
-                    return;
-                }
-            }
-        }
-        if self.num_shards > 1 {
-            let owner = rss::queue_for_frame(mbuf.as_slice(), self.num_shards as u16) as usize;
-            if owner != self.queue as usize {
+        let (index, total) = self.mesh;
+        if total > 1 {
+            let owner = rss::flow_queue_for_frame(mbuf.as_slice(), total);
+            if let Some(owner) = owner.filter(|&o| o != index) {
                 self.shard_stats.steering_mismatches += 1;
-                self.forwards.push((owner, mbuf));
+                let frame = ShardMsg::Frame(mbuf.as_slice().to_vec());
+                self.staged.push((owner as usize, frame));
                 return;
             }
         }
@@ -356,11 +332,12 @@ impl Shard {
         // Opportunistically learn the sender's binding either way.
         let actions = self.arp.insert(pkt.sender_ip, pkt.sender_mac, now);
         self.run_arp_actions(actions);
-        if self.num_shards > 1 || self.global.is_some() {
-            // An ARP reply is RSS-steered by source MAC, not by the flow
-            // that asked — the shard (or shard world) waiting on it may be
-            // another one.
-            self.learned.push((pkt.sender_ip, pkt.sender_mac));
+        // An ARP reply is RSS-steered by source MAC, not by the flow that
+        // asked — the shard waiting on it may be another one.
+        let (index, total) = self.mesh;
+        for peer in (0..total).filter(|&p| p != index) {
+            let learn = ShardMsg::ArpLearn(pkt.sender_ip, pkt.sender_mac);
+            self.staged.push((peer as usize, learn));
         }
         if pkt.op == ArpOp::Request && pkt.target_ip == self.config.ip {
             let reply = ArpPacket {

@@ -80,9 +80,9 @@ impl TenancyCfg {
     }
 }
 
-/// Per-tenant datapath accounting, summed across shards by
-/// [`NetworkStack::tenant_stats`]: the witness that the shared doorbell
-/// served tenants by weight (`tests/tenant.rs`, E20).
+/// Per-tenant datapath accounting ([`NetworkStack::tenant_stats`]): the
+/// witness that the shared doorbell served tenants by weight
+/// (`tests/tenant.rs`, E20).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantLaneStats {
     /// The tenant these counters describe.
@@ -367,35 +367,16 @@ impl ShardTenancy {
 }
 
 impl NetworkStack {
-    /// Per-tenant datapath counters, summed across shards. Empty without
-    /// tenancy. Order matches registration order.
+    /// Per-tenant datapath counters. Empty without tenancy. Order matches
+    /// registration order.
     pub fn tenant_stats(&self) -> Vec<TenantLaneStats> {
-        let Some(tcfg) = &self.config.tenancy else {
-            return Vec::new();
-        };
-        let mut out: Vec<TenantLaneStats> = tcfg
-            .registry
-            .tenants()
-            .iter()
-            .map(|&(t, _)| TenantLaneStats {
-                tenant: t.0,
-                ..TenantLaneStats::default()
+        let shard = self.shard.borrow();
+        let lanes = shard.tenancy.iter().flat_map(|ten| &ten.lanes);
+        lanes
+            .map(|lane| TenantLaneStats {
+                staged_frames: lane.staging.len() as u64,
+                ..lane.stats
             })
-            .collect();
-        for s in &self.shards {
-            let sh = s.borrow();
-            let Some(ten) = &sh.tenancy else { continue };
-            for lane in &ten.lanes {
-                if let Some(o) = out.iter_mut().find(|o| o.tenant == lane.tenant.0) {
-                    o.sent_frames += lane.stats.sent_frames;
-                    o.sent_bytes += lane.stats.sent_bytes;
-                    o.quota_drops += lane.stats.quota_drops;
-                    o.rate_deferrals += lane.stats.rate_deferrals;
-                    o.rx_quota_drops += lane.stats.rx_quota_drops;
-                    o.staged_frames += lane.staging.len() as u64;
-                }
-            }
-        }
-        out
+            .collect()
     }
 }

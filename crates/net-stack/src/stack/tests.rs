@@ -217,35 +217,47 @@ fn zero_copy_payloads_share_device_storage() {
     );
 }
 
-/// One shard per RX queue, always: a 4-queue port yields 4 shards, and a
-/// shard's poll pass drains its own queue and no other.
+/// One shard per RX queue, always: a 4-queue port takes 4 stacks — the
+/// sole-shard constructor refuses it — and a stack's poll pass drains its
+/// own queue and no other.
 #[test]
-fn four_queue_port_yields_four_shards_each_polling_only_its_own_queue() {
+fn four_queue_port_takes_four_stacks_each_polling_only_its_own_queue() {
     let fabric = Fabric::new(99);
-    let host = |last: u8| {
-        let port = DpdkPort::new(
-            &fabric,
-            PortConfig {
-                num_rx_queues: 4,
-                ..PortConfig::basic(MacAddress::from_last_octet(last))
-            },
-        );
-        let stack = NetworkStack::new(port.clone(), fabric.clock(), StackConfig::new(ip(last)));
-        (stack, port)
-    };
-    let (a, _) = host(1);
-    let (b, b_port) = host(2);
-    assert_eq!(b.num_shards(), 4);
+    let a = host(&fabric, 1);
+    let b_port = DpdkPort::new(
+        &fabric,
+        PortConfig {
+            num_rx_queues: 4,
+            ..PortConfig::basic(MacAddress::from_last_octet(2))
+        },
+    );
+    let ports = Arc::new(PortAllocator::new());
+    let b: Vec<NetworkStack> = crate::mesh(4, 64)
+        .into_iter()
+        .map(|rings| {
+            let ports = Arc::clone(&ports);
+            let links = HostLinks { rings, ports };
+            NetworkStack::shard_of(
+                b_port.clone(),
+                fabric.clock(),
+                StackConfig::new(ip(2)),
+                links,
+            )
+        })
+        .collect();
+    let mut all: Vec<&NetworkStack> = b.iter().collect();
+    all.push(&a);
+    let pending = || b.iter().map(|s| s.udp_pending(7)).sum::<usize>();
 
     // Warm ARP, then park 32 flows' datagrams in b's rings unpolled.
-    b.udp_bind(7).unwrap();
+    b.iter().for_each(|s| s.udp_bind(7).unwrap());
     let dst = SocketAddr::new(ip(2), 7);
     for i in 0..32u16 {
         a.udp_bind(20_000 + i).unwrap();
     }
     a.udp_sendto(20_000, dst, b"warm").unwrap();
-    settle(&fabric, &[&a, &b], || b.udp_pending(7) == 1);
-    settle(&fabric, &[&a, &b], || false);
+    settle(&fabric, &all, || pending() == 1);
+    settle(&fabric, &all, || false);
     for i in 0..32u16 {
         a.udp_sendto(20_000 + i, dst, b"x").unwrap();
     }
@@ -256,11 +268,11 @@ fn four_queue_port_yields_four_shards_each_polling_only_its_own_queue() {
     assert_eq!(parked.iter().sum::<usize>(), 32);
     assert!(parked.iter().all(|&d| d > 0), "RSS reached every queue");
 
-    for i in 0..4 {
-        let before = b.shard_stats(i).rx_frames;
-        b.poll_shard(i);
+    for (i, stack) in b.iter().enumerate() {
+        let before = stack.shard_stats().rx_frames;
+        stack.poll();
         assert_eq!(
-            b.shard_stats(i).rx_frames - before,
+            stack.shard_stats().rx_frames - before,
             parked[i] as u64,
             "shard {i} drained exactly its own queue"
         );
@@ -268,7 +280,22 @@ fn four_queue_port_yields_four_shards_each_polling_only_its_own_queue() {
         assert_eq!(now[i], 0);
         assert_eq!(now[i + 1..], parked[i + 1..], "later queues untouched");
     }
-    assert_eq!(b.udp_pending(7), 33);
+    assert_eq!(pending(), 33);
+}
+
+#[test]
+#[should_panic(expected = "a 4-queue port needs one NetworkStack::shard_of per queue")]
+fn the_sole_shard_constructor_refuses_a_multi_queue_port() {
+    let fabric = Fabric::new(99);
+    let nic = PortConfig {
+        num_rx_queues: 4,
+        ..PortConfig::basic(MacAddress::from_last_octet(1))
+    };
+    NetworkStack::new(
+        DpdkPort::new(&fabric, nic),
+        fabric.clock(),
+        StackConfig::new(ip(1)),
+    );
 }
 
 // ----------------------------------------------------------------------

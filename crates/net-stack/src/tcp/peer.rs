@@ -38,11 +38,8 @@ use super::seq::SeqNum;
 use super::wheel::TimerWheel;
 use super::TcpConfig;
 
-/// Handle to one connection: `first + stride · (generation << SLOT_BITS |
-/// slot)`. The arithmetic preserves the sharding invariant `id % N ==
-/// owning shard` (shard *i* of *N* constructs its peer with `first = i`,
-/// `stride = N`), while the generation makes recycled slots reject stale
-/// handles.
+/// Handle to one connection: `generation << SLOT_BITS | slot`. The
+/// generation makes recycled slots reject stale handles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConnId(pub u32);
 
@@ -54,6 +51,9 @@ pub struct ListenerId(pub u32);
 /// connections. The remaining bits hold the slot generation.
 const SLOT_BITS: u32 = 20;
 const SLOT_MASK: u32 = (1 << SLOT_BITS) - 1;
+/// Generations per slot before the id would wrap; stored generations stay
+/// below this.
+const GEN_LIMIT: u32 = u32::MAX >> SLOT_BITS;
 
 demi_telemetry::counter_family! {
     /// Host-wide TCP counters.
@@ -196,19 +196,19 @@ demi_telemetry::counter_family! {
     }
 }
 
-fn decode_id(first: u32, stride: u32, id: u32) -> Option<(u32, u32)> {
-    let rel = id.checked_sub(first)?;
-    if rel % stride != 0 {
-        return None;
-    }
-    let rel = rel / stride;
-    Some((rel & SLOT_MASK, rel >> SLOT_BITS))
+fn encode_id(slot: u32, gen: u32) -> ConnId {
+    ConnId((gen << SLOT_BITS) | slot)
+}
+
+/// `(slot, generation)` of a raw connection id.
+fn decode_id(id: u32) -> (u32, u32) {
+    (id & SLOT_MASK, id >> SLOT_BITS)
 }
 
 /// The slab slot whose armed control-block timer `tkey` still is: `None`
 /// once the connection is gone or the timer was re-armed or cancelled.
-fn live_timer_slot(entries: &[SlabEntry], first: u32, stride: u32, tkey: &TimerKey) -> Option<u32> {
-    let (slot, gen) = decode_id(first, stride, tkey.conn.0)?;
+fn live_timer_slot(entries: &[SlabEntry], tkey: &TimerKey) -> Option<u32> {
+    let (slot, gen) = decode_id(tkey.conn.0);
     let e = entries.get(slot as usize)?;
     (e.gen == gen && e.cb.is_some() && e.timers.gen[tkey.kind] == tkey.gen).then_some(slot)
 }
@@ -262,13 +262,6 @@ pub struct TcpPeer {
     /// Ephemeral ports whose connections fully closed; the stack drains
     /// these back to the host-wide allocator.
     released_ports: Vec<u16>,
-    /// Connection-id space: shard *i* of *N* allocates ids with
-    /// `first = i`, `stride = N`, so `id % N` recovers the owning shard.
-    first_id: u32,
-    id_stride: u32,
-    /// Generations per slot before the id arithmetic would wrap; stored
-    /// generations stay below this.
-    gen_limit: u32,
     next_listener: u32,
     next_ephemeral: u16,
     isn_counter: u32,
@@ -302,27 +295,6 @@ pub struct TcpPeer {
 impl TcpPeer {
     /// Creates the TCP layer for a host with address `local_ip`.
     pub fn new(local_ip: Ipv4Addr, config: TcpConfig) -> Self {
-        Self::with_id_space(local_ip, config, 0, 1)
-    }
-
-    /// Keeps `TIME_WAIT` control blocks resident until 2·MSL instead of
-    /// demoting them: the reference `tests/timewait.rs` proves the compact
-    /// record wire-identical to. Nothing else should call it.
-    #[doc(hidden)]
-    pub fn keep_full_timewait_blocks(&mut self) {
-        self.keep_timewait_blocks = true;
-    }
-
-    /// Creates a TCP layer allocating connection ids `first, first+stride,
-    /// first+2·stride, …` — shard *i* of *N* passes `(i, N)` so any
-    /// connection's owning shard is recoverable as `id % N` without a map.
-    pub fn with_id_space(local_ip: Ipv4Addr, config: TcpConfig, first: u32, stride: u32) -> Self {
-        assert!(stride > 0, "id stride must be positive");
-        assert!(
-            (stride as u64) * (SLOT_MASK as u64) + (first as u64) <= u32::MAX as u64,
-            "id stride too large for the slot space"
-        );
-        let gen_limit = ((u32::MAX - first) / stride) >> SLOT_BITS;
         TcpPeer {
             local_ip,
             config,
@@ -341,9 +313,6 @@ impl TcpPeer {
             listening_ports: FastHashMap::default(),
             bound_ports: HashSet::new(),
             released_ports: Vec::new(),
-            first_id: first,
-            id_stride: stride,
-            gen_limit,
             next_listener: 0,
             next_ephemeral: 32_768,
             isn_counter: 0,
@@ -361,34 +330,30 @@ impl TcpPeer {
         }
     }
 
+    /// Keeps `TIME_WAIT` control blocks resident until 2·MSL instead of
+    /// demoting them: the reference `tests/timewait.rs` proves the compact
+    /// record wire-identical to. Nothing else should call it.
+    #[doc(hidden)]
+    pub fn keep_full_timewait_blocks(&mut self) {
+        self.keep_timewait_blocks = true;
+    }
+
     // ------------------------------------------------------------------
     // Slab plumbing.
     // ------------------------------------------------------------------
 
-    fn encode(&self, slot: u32, gen: u32) -> ConnId {
-        ConnId(self.first_id + self.id_stride * ((gen << SLOT_BITS) | slot))
-    }
-
-    fn decode(&self, id: ConnId) -> Option<(u32, u32)> {
-        decode_id(self.first_id, self.id_stride, id.0)
-    }
-
     fn lookup(&self, id: ConnId) -> Lookup {
-        if let Some((slot, gen)) = self.decode(id) {
-            if let Some(e) = self.entries.get(slot as usize) {
-                if e.gen == gen && e.cb.is_some() {
-                    return Lookup::Live(slot);
-                }
-                if self.tw_by_id.contains_key(&id.0) {
-                    return Lookup::TimeWait;
-                }
-                return Lookup::Stale;
-            }
-            if self.tw_by_id.contains_key(&id.0) {
-                return Lookup::TimeWait;
-            }
+        let (slot, gen) = decode_id(id.0);
+        let entry = self.entries.get(slot as usize);
+        if entry.is_some_and(|e| e.gen == gen && e.cb.is_some()) {
+            Lookup::Live(slot)
+        } else if self.tw_by_id.contains_key(&id.0) {
+            Lookup::TimeWait
+        } else if entry.is_some() {
+            Lookup::Stale
+        } else {
+            Lookup::Bad
         }
-        Lookup::Bad
     }
 
     fn cb(&self, slot: u32) -> &ControlBlock {
@@ -421,7 +386,7 @@ impl TcpPeer {
         e.cb = Some(cb);
         let gen = e.gen;
         self.live += 1;
-        let id = self.encode(slot, gen);
+        let id = encode_id(slot, gen);
         self.demux.insert(key, slot);
         self.sync_slot(slot);
         id
@@ -439,7 +404,7 @@ impl TcpPeer {
             e.timers.deadline[kind] = None;
             e.timers.gen[kind] += 1;
         }
-        e.gen = (e.gen + 1) % self.gen_limit.max(1);
+        e.gen = (e.gen + 1) % GEN_LIMIT;
         let eph = e.ephemeral_port;
         e.ephemeral_port = false;
         self.live -= 1;
@@ -477,7 +442,7 @@ impl TcpPeer {
             if e.cb.is_none() {
                 return;
             }
-            self.encode(slot, e.gen)
+            encode_id(slot, e.gen)
         };
         let TcpPeer {
             entries,
@@ -528,9 +493,7 @@ impl TcpPeer {
                 break;
             }
             self.compact_pending.pop_front();
-            let Some((slot, gen)) = self.decode(id) else {
-                continue;
-            };
+            let (slot, gen) = decode_id(id.0);
             let Some(e) = self.entries.get_mut(slot as usize) else {
                 continue;
             };
@@ -607,18 +570,19 @@ impl TcpPeer {
     }
 
     /// Stops listening; half-open entries vanish (the SYN table is
-    /// dropped) and ready-but-unaccepted connections are aborted.
-    pub fn close_listener(&mut self, listener: ListenerId) {
-        if let Some(l) = self.listeners.remove(&listener) {
-            self.listening_ports.remove(&l.port);
-            self.bound_ports.remove(&l.port);
-            for &id in l.ready.iter() {
-                if let Lookup::Live(slot) = self.lookup(id) {
-                    self.cb_mut(slot).abort();
-                    self.sync_slot(slot);
-                }
+    /// dropped) and ready-but-unaccepted connections are aborted. Returns
+    /// the port the listener held, `None` for an unknown handle.
+    pub fn close_listener(&mut self, listener: ListenerId) -> Option<u16> {
+        let l = self.listeners.remove(&listener)?;
+        self.listening_ports.remove(&l.port);
+        self.bound_ports.remove(&l.port);
+        for &id in l.ready.iter() {
+            if let Lookup::Live(slot) = self.lookup(id) {
+                self.cb_mut(slot).abort();
+                self.sync_slot(slot);
             }
         }
+        Some(l.port)
     }
 
     /// Starts an active open to `remote`; returns immediately with the
@@ -628,9 +592,9 @@ impl TcpPeer {
         Ok(self.connect_bound(port, remote, now))
     }
 
-    /// Active open from an already-reserved local port. The sharded stack
-    /// allocates ephemeral ports centrally (the port picks the owning
-    /// shard), then hands the reserved port to that shard's peer here.
+    /// Active open from an already-reserved local port. The stack draws
+    /// ephemeral ports from the host-wide allocator (one whose flow hashes
+    /// home to its shard), then hands the reserved port to its peer here.
     /// When the connection fully closes, the port surfaces through
     /// [`TcpPeer::pop_released_port`] for return to the central pool.
     pub fn connect_bound(&mut self, local_port: u16, remote: SocketAddr, now: SimTime) -> ConnId {
@@ -946,7 +910,7 @@ impl TcpPeer {
         let Some(expiry) = cb.timewait_expiry() else {
             return;
         };
-        let id = self.encode(slot, e.gen);
+        let id = encode_id(slot, e.gen);
         let remote = cb.remote();
         let local_port = cb.local().port;
         let (rcv_nxt, snd_nxt) = cb.seq_shadow();
@@ -1379,8 +1343,7 @@ impl TcpPeer {
                 }
                 continue;
             }
-            let Some(slot) = live_timer_slot(&self.entries, self.first_id, self.id_stride, &tkey)
-            else {
+            let Some(slot) = live_timer_slot(&self.entries, &tkey) else {
                 crate::counters::note_timer_stale();
                 continue;
             };
@@ -1426,10 +1389,9 @@ impl TcpPeer {
             let Some(&(due, id)) = self.compact_pending.front() else {
                 break None;
             };
-            let live = self.decode(id).is_some_and(|(slot, gen)| {
-                self.entries.get(slot as usize).is_some_and(|e| {
-                    e.gen == gen && e.cb.as_ref().is_some_and(|cb| cb.compact_enrolled())
-                })
+            let (slot, gen) = decode_id(id.0);
+            let live = self.entries.get(slot as usize).is_some_and(|e| {
+                e.gen == gen && e.cb.as_ref().is_some_and(|cb| cb.compact_enrolled())
             });
             if live {
                 break Some(due);
@@ -1449,8 +1411,6 @@ impl TcpPeer {
             entries,
             tw,
             tw_by_id,
-            first_id,
-            id_stride,
             ..
         } = self;
         wheel.peek_earliest_live(|tkey| {
@@ -1460,7 +1420,7 @@ impl TcpPeer {
                     .and_then(|k| tw.get(k))
                     .is_some_and(|r| r.wheel_gen as u64 == tkey.gen)
             } else {
-                live_timer_slot(entries, *first_id, *id_stride, tkey).is_some()
+                live_timer_slot(entries, tkey).is_some()
             };
             if !live {
                 crate::counters::note_timer_stale();
@@ -1532,7 +1492,7 @@ impl TcpPeer {
             .filter_map(|(slot, e)| {
                 let cb = e.cb.as_ref()?;
                 (cb.local().port == port && cb.state() == State::Established)
-                    .then(|| (self.encode(slot as u32, e.gen), cb.remote()))
+                    .then(|| (encode_id(slot as u32, e.gen), cb.remote()))
             })
             .collect()
     }
@@ -1723,7 +1683,7 @@ mod tests {
         assert_eq!(events, CONNS, "the retransmission carries the delayed ACK");
         let want: Vec<u32> = scrambled
             .iter()
-            .map(|&i| server.decode(pairs[i].1).unwrap().0)
+            .map(|&i| decode_id(pairs[i].1 .0).0)
             .collect();
         assert_eq!(server.tick_fired, want);
         let timeouts: u64 = pairs
@@ -1913,6 +1873,43 @@ mod tests {
             Err(NetError::BadHandle)
         );
         assert_eq!(p.accept(ListenerId(42)), Err(NetError::BadHandle));
+    }
+
+    /// The id codec at its edges, next to a live connection in slot 0. A
+    /// slot past the slab — in any generation, `u32::MAX` included — is
+    /// `BadHandle` on every call and indexes nothing. A forged generation
+    /// of the resident slot cannot be told from a handle that went stale,
+    /// so it answers as one (`Closed`, `NotConnected`, EOF) and never
+    /// reaches the live control block.
+    #[test]
+    fn forged_handles_never_reach_a_connection() {
+        let now = SimTime::ZERO;
+        let (mut client, _server, c, _) = connected_pair();
+        assert_eq!(decode_id(c.0), (0, 0));
+        assert_eq!(encode_id(SLOT_MASK, GEN_LIMIT), ConnId(u32::MAX));
+        let data = || DemiBuffer::from_slice(b"x");
+        for forged in [
+            encode_id(1, 0),
+            encode_id(1, 7),
+            encode_id(SLOT_MASK, 0),
+            ConnId(u32::MAX),
+        ] {
+            assert_eq!(client.state(forged), Err(NetError::BadHandle));
+            assert_eq!(client.send(forged, data(), now), Err(NetError::BadHandle));
+            assert_eq!(client.recv(forged), Err(NetError::BadHandle));
+            assert_eq!(client.close(forged, now), Err(NetError::BadHandle));
+        }
+        for stale in [encode_id(0, 1), encode_id(0, GEN_LIMIT)] {
+            assert_eq!(client.state(stale), Ok(State::Closed));
+            assert_eq!(client.send(stale, data(), now), Err(NetError::NotConnected));
+            assert_eq!(client.recv(stale), Ok(None));
+            assert_eq!(client.close(stale, now), Ok(()));
+        }
+        assert_eq!(client.state(c), Ok(State::Established));
+        assert!(
+            client.take_segments().is_empty(),
+            "nothing was queued or closed"
+        );
     }
 
     #[test]

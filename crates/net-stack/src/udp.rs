@@ -127,6 +127,8 @@ impl UdpHeader {
 struct UdpSocket {
     recv_queue: VecDeque<(SocketAddr, DemiBuffer, u64)>,
     capacity: usize,
+    /// Bound by [`UdpPeer::bind_ephemeral`] rather than by number.
+    ephemeral: bool,
 }
 
 demi_telemetry::counter_family! {
@@ -170,14 +172,17 @@ impl UdpPeer {
         if self.sockets.contains_key(&port) {
             return Err(NetError::AddrInUse(port));
         }
-        self.sockets.insert(
-            port,
-            UdpSocket {
-                recv_queue: VecDeque::new(),
-                capacity: self.per_socket_capacity,
-            },
-        );
+        self.open(port, false);
         Ok(())
+    }
+
+    fn open(&mut self, port: u16, ephemeral: bool) {
+        let socket = UdpSocket {
+            recv_queue: VecDeque::new(),
+            capacity: self.per_socket_capacity,
+            ephemeral,
+        };
+        self.sockets.insert(port, socket);
     }
 
     /// Binds the next free ephemeral port and returns it.
@@ -191,7 +196,7 @@ impl UdpPeer {
                 candidate + 1
             };
             if !self.sockets.contains_key(&candidate) {
-                self.bind(candidate)?;
+                self.open(candidate, true);
                 return Ok(candidate);
             }
             if self.next_ephemeral == start {
@@ -200,9 +205,11 @@ impl UdpPeer {
         }
     }
 
-    /// Unbinds a port; queued datagrams are discarded.
-    pub fn close(&mut self, port: u16) {
-        self.sockets.remove(&port);
+    /// Unbinds a port; queued datagrams are discarded. Returns whether
+    /// the port was an ephemeral bind (the stack then takes back the
+    /// tenant grant it made for the socket's lifetime).
+    pub fn close(&mut self, port: u16) -> bool {
+        self.sockets.remove(&port).is_some_and(|s| s.ephemeral)
     }
 
     /// Whether `port` is bound.

@@ -22,7 +22,6 @@ verify-all:
     cargo build --workspace --release
     sh tools/loc.sh
     cargo test --workspace -q
-    DEMI_EXEC_MODE=threads cargo test -q
     cargo test --release -q
     cargo fmt --check
     cargo clippy --workspace --all-targets -- -D warnings
@@ -36,9 +35,9 @@ test-threads:
     cargo test -q
 
 # The consecutive-runs gate: the tier-1 suite {{n}} times in each of the
-# four modes CI uses (`--test-threads` 1, 2, default, and
-# `DEMI_EXEC_MODE=threads`); stops at the first failure and prints its
-# iteration and mode. ~4n suite runs — nightly in CI, not per push.
+# three modes CI uses (`--test-threads` 1, 2 and default); stops at the
+# first failure and prints its iteration and mode. ~3n suite runs —
+# nightly in CI, not per push.
 soak n="20":
     sh tools/soak.sh {{n}}
 

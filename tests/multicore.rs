@@ -30,7 +30,7 @@ use demikernel::types::{QDesc, Sga};
 use demikernel::{run_shards, MetricsSnapshot};
 use dpdk_sim::{rss, DpdkPort, PortConfig};
 use net_stack::types::SocketAddr;
-use net_stack::{NetworkStack, ShardMsg, StackConfig};
+use net_stack::{HostLinks, NetworkStack, PortAllocator, ShardMsg, ShardRings, StackConfig};
 use proptest::prelude::*;
 use sim_fabric::Fabric;
 use support::{settle, tcp_pair};
@@ -221,28 +221,19 @@ fn fixed_work_and_per_world_tails_are_exec_mode_independent() {
 /// links, polled by hand — the stack-level twin of `catnip_shard_world`.
 fn raw_world(spec: ShardSpec) -> (Fabric, NetworkStack, NetworkStack) {
     let fabric = Fabric::new(0x5eed ^ spec.index as u64);
-    let mut hosts = spec.hosts.into_iter();
-    let (cl, sl) = (hosts.next().unwrap(), hosts.next().unwrap());
-    let client = NetworkStack::with_ports(
-        DpdkPort::new(&fabric, PortConfig::basic(host_mac(1))),
-        fabric.clock(),
-        StackConfig::new(host_ip(1)),
-        cl.ports,
-    );
-    client.attach_external(cl.rings);
-    let server = NetworkStack::with_ports(
-        DpdkPort::new(&fabric, PortConfig::basic(host_mac(2))),
-        fabric.clock(),
-        StackConfig::new(host_ip(2)),
-        sl.ports,
-    );
-    server.attach_external(sl.rings);
+    let host = |n, links| {
+        let port = DpdkPort::new(&fabric, PortConfig::basic(host_mac(n)));
+        NetworkStack::shard_of(port, fabric.clock(), StackConfig::new(host_ip(n)), links)
+    };
+    let mut links = spec.hosts.into_iter();
+    let client = host(1, links.next().unwrap());
+    let server = host(2, links.next().unwrap());
     (fabric, client, server)
 }
 
 /// A datagram whose 4-tuple globally hashes to world 1 but arrives on
-/// world 0's device is forwarded across threads over the external ring
-/// and delivered by world 1's stack.
+/// world 0's device is forwarded across threads over the ring mesh and
+/// delivered by world 1's stack.
 #[test]
 fn misdelivered_frame_crosses_threads_to_its_owner() {
     let bound = Barrier::new(2);
@@ -285,16 +276,13 @@ fn misdelivered_frame_crosses_threads_to_its_owner() {
                     break;
                 }
             }
-            let s = server.shard_stats(0);
+            let s = server.shard_stats();
             assert!(
                 s.steering_mismatches >= 1,
                 "world 0 must detect the foreign flow: {s:?}"
             );
-            let ext = server.external_ring_stats().unwrap();
-            assert!(
-                ext.sent >= 1,
-                "frame must leave on the external ring: {ext:?}"
-            );
+            let ring = server.ring_stats().unwrap();
+            assert!(ring.sent >= 1, "frame must leave on the ring: {ring:?}");
         }
     });
     assert_eq!(delivered.load(Ordering::SeqCst), 1);
@@ -311,23 +299,12 @@ fn misdelivered_frame_crosses_threads_to_its_owner() {
 #[test]
 fn handoff_overflow_drops_counted_and_stack_survives() {
     let fabric = Fabric::new(99);
-    let stack = NetworkStack::new(
-        DpdkPort::new(&fabric, PortConfig::basic(host_mac(2))),
-        fabric.clock(),
-        StackConfig {
-            handoff_capacity: 2,
-            ..StackConfig::new(host_ip(2))
-        },
-    );
-    let peer = NetworkStack::new(
-        DpdkPort::new(&fabric, PortConfig::basic(host_mac(1))),
-        fabric.clock(),
-        StackConfig::new(host_ip(1)),
-    );
-    // Make the stack world 1 of 2; keep world 0's endpoint in the test.
-    let mut mesh = net_stack::mesh(2, 64);
-    let mut test_end = mesh.remove(0);
-    stack.attach_external(mesh.remove(0));
+    let config = StackConfig {
+        handoff_capacity: 2,
+        ..StackConfig::new(host_ip(2))
+    };
+    let (_, stack, mut test_end) = world_one_of_two(&fabric, config);
+    let peer = support::host(&fabric, 1);
 
     // Eight junk frames into a capacity-2 handoff queue, all queued
     // before the stack polls once.
@@ -335,7 +312,7 @@ fn handoff_overflow_drops_counted_and_stack_survives() {
         assert!(test_end.send(1, ShardMsg::Frame(vec![i; 60])));
     }
     stack.poll();
-    let s = stack.shard_stats(0);
+    let s = stack.shard_stats();
     assert_eq!(
         s.handoff_dropped, 6,
         "kept the bound, dropped the excess: {s:?}"
@@ -356,24 +333,27 @@ fn handoff_overflow_drops_counted_and_stack_survives() {
     assert_eq!(payload.as_slice(), b"still-alive");
 }
 
+/// Host 2 as world 1 of a two-world mesh on its own device; world 0's
+/// ring endpoint stays with the test.
+fn world_one_of_two(fabric: &Fabric, config: StackConfig) -> (DpdkPort, NetworkStack, ShardRings) {
+    let port = DpdkPort::new(fabric, PortConfig::basic(host_mac(2)));
+    let mut mesh = net_stack::mesh(2, 64);
+    let links = HostLinks {
+        rings: mesh.remove(1),
+        ports: Arc::new(PortAllocator::new()),
+    };
+    let stack = NetworkStack::shard_of(port.clone(), fabric.clock(), config, links);
+    (port, stack, mesh.remove(0))
+}
+
 /// What another thread hands a stack is seen by its very next poll,
-/// however many idle passes came before: a frame injected on the device's
-/// cross-thread ingress ring (the RX guard's `rx_ready` reads that ring
-/// without pumping), and a frame sent over the external shard ring (drained
-/// ahead of the pass into the handoff queue the guard reads).
+/// however many idle passes came before: a frame sent over the shard ring
+/// is drained ahead of the pass into the handoff queue the RX guard reads.
 #[test]
 fn frames_from_other_threads_are_seen_by_the_next_poll() {
     let fabric = Fabric::new(98);
-    let port = DpdkPort::new(&fabric, PortConfig::basic(host_mac(2)));
-    let stack = NetworkStack::new(port.clone(), fabric.clock(), StackConfig::new(host_ip(2)));
-    let peer = NetworkStack::new(
-        DpdkPort::new(&fabric, PortConfig::basic(host_mac(1))),
-        fabric.clock(),
-        StackConfig::new(host_ip(1)),
-    );
-    let mut mesh = net_stack::mesh(2, 64);
-    let mut far_end = mesh.remove(0);
-    stack.attach_external(mesh.remove(0));
+    let (port, stack, mut far_end) = world_one_of_two(&fabric, StackConfig::new(host_ip(2)));
+    let peer = support::host(&fabric, 1);
     let sport = (40_000..50_000)
         .find(|&p| rss::queue_for_tuple(host_ip(1), p, host_ip(2), 7, 2) == 1)
         .unwrap();
@@ -391,21 +371,13 @@ fn frames_from_other_threads_are_seen_by_the_next_poll() {
     assert!(fabric.advance_to_next_event());
     let frame = port.rx_burst(0, 1).pop().unwrap().as_slice().to_vec();
 
-    let mut injector = port.attach_rx_ingress(0, 8);
     let idle = || (0..3).for_each(|_| assert_eq!(stack.poll(), 0));
-    idle();
-    let bytes = frame.clone();
-    std::thread::spawn(move || assert!(injector.inject(bytes)))
-        .join()
-        .unwrap();
-    assert!(stack.poll() > 0);
-    assert_eq!(stack.udp_pending(7), 2, "the ingress ring's frame");
     idle();
     std::thread::spawn(move || assert!(far_end.send(1, ShardMsg::Frame(frame))))
         .join()
         .unwrap();
     assert!(stack.poll() > 0);
-    assert_eq!(stack.udp_pending(7), 3, "the external ring's frame");
+    assert_eq!(stack.udp_pending(7), 2, "the ring's frame");
     idle();
 }
 
@@ -461,24 +433,4 @@ fn shard_thread_metrics_and_telemetry_merge() {
         "merged op-latency histogram covers both shard threads: {}",
         op.count()
     );
-}
-
-// ---------------------------------------------------------------------
-// Environment switch (CI runs this file under DEMI_EXEC_MODE=threads).
-// ---------------------------------------------------------------------
-
-/// The suite honors `DEMI_EXEC_MODE`: whatever mode the environment
-/// selects, the standard workload passes. CI runs the whole test suite a
-/// second time with `DEMI_EXEC_MODE=threads` to exercise the threaded
-/// path everywhere this helper is used.
-#[test]
-fn env_selected_mode_runs_the_standard_workload() {
-    let mode = ExecMode::from_env();
-    let results = run_shards(mode, 2, 2, 64, |spec| {
-        let msgs: Vec<Vec<u8>> = (0..3).map(|i| vec![0x40 + i as u8; 48]).collect();
-        echo_world(spec, 7, &msgs)
-    });
-    for (sent, got) in results {
-        assert_eq!(sent, got);
-    }
 }

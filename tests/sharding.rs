@@ -16,12 +16,13 @@ use std::net::Ipv4Addr;
 
 use demi_memory::DemiBuffer;
 use demikernel::libos::catnip::Catnip;
+use demikernel::testing::host_mac;
 use dpdk_sim::{rss, DpdkPort, PortConfig};
 use net_stack::tcp::wheel::TimerWheel;
 use net_stack::types::SocketAddr;
 use net_stack::{NetworkStack, StackConfig};
 use proptest::prelude::*;
-use sim_fabric::{Fabric, MacAddress, SimTime};
+use sim_fabric::{Fabric, SimTime};
 use support::{ip, quiesce, settle, spawn_udp_echo, udp_echo_round, udp_pair};
 
 // ---------------------------------------------------------------------
@@ -267,143 +268,182 @@ proptest! {
 // Stack-level behavior on multi-queue devices.
 // ---------------------------------------------------------------------
 
-fn multi_queue_host(fabric: &Fabric, last: u8, queues: u16) -> (NetworkStack, DpdkPort) {
-    let port = PortConfig {
+/// Host `last` as one stack per queue of one `queues`-queue port, on one
+/// ring mesh.
+fn multi_queue_host(fabric: &Fabric, last: u8, queues: u16) -> (Vec<NetworkStack>, DpdkPort) {
+    let nic = PortConfig {
         num_rx_queues: queues,
-        ..PortConfig::basic(MacAddress::from_last_octet(last))
+        ..PortConfig::basic(host_mac(last))
     };
-    let (port, stack) = support::host_with(fabric, port, StackConfig::new(ip(last)));
-    (stack, port)
+    let port = DpdkPort::new(fabric, nic);
+    let cfg = StackConfig::new(ip(last));
+    let nic = |_| (port.clone(), fabric.clock());
+    (support::mesh(queues as usize, 1024, &cfg, nic), port)
 }
 
-/// A sharded 4-queue pair serving 16 TCP flows: every connection works,
+/// A sharded 4-queue pair serving 64 TCP flows: every connection works,
 /// every frame arrives on the shard that owns its flow (zero steering
-/// mismatches, zero handoffs), the load reaches multiple shards, and no
-/// device queue is left stranded.
+/// mismatches, zero handoffs), every shard carries load, and no device
+/// queue is left stranded.
 #[test]
 fn sharded_stacks_serve_flows_with_zero_cross_shard_traffic() {
     let fabric = Fabric::new(7);
     let (a, a_port) = multi_queue_host(&fabric, 1, 4);
     let (b, b_port) = multi_queue_host(&fabric, 2, 4);
-    assert_eq!(a.num_shards(), 4);
 
-    let lid = b.tcp_listen(80, 64).unwrap();
-    let conns: Vec<_> = (0..16)
-        .map(|_| a.tcp_connect(SocketAddr::new(ip(2), 80)).unwrap())
+    let lids: Vec<_> = b.iter().map(|s| s.tcp_listen(80, 64).unwrap()).collect();
+    // Flow j opens on client shard j % 4, which draws an ephemeral port
+    // whose tuple hashes home to it.
+    let conns: Vec<_> = (0..64)
+        .map(|j| {
+            (
+                j % 4,
+                a[j % 4].tcp_connect(SocketAddr::new(ip(2), 80)).unwrap(),
+            )
+        })
         .collect();
-    for (j, &conn) in conns.iter().enumerate() {
-        settle(&fabric, &[&a, &b], || {
-            a.tcp_state(conn) == Ok(net_stack::tcp::State::Established)
-        });
-        // Connection j drew ephemeral port 32768+j; the id-stride rule
-        // says its id mod N is the shard that tuple hashes to.
-        let port = 32_768 + j as u16;
-        assert_eq!(
-            a.shard_for(port, SocketAddr::new(ip(2), 80)),
-            conn.0 as usize % a.num_shards(),
-            "connection placed on the shard its tuple hashes to"
-        );
-    }
     let mut accepted = Vec::new();
     settle(&fabric, &[&a, &b], || {
-        while let Some(c) = b.tcp_accept(lid).unwrap() {
-            accepted.push(c);
+        for (s, &lid) in lids.iter().enumerate() {
+            while let Some(c) = b[s].tcp_accept(lid).unwrap() {
+                accepted.push((s, c));
+            }
         }
         accepted.len() == conns.len()
     });
+    for s in 0..4 {
+        // The hash is symmetric: the server shard a flow's handshake
+        // reached is the client shard that opened it.
+        let here = accepted.iter().filter(|&&(t, _)| t == s).count();
+        assert_eq!(
+            here, 16,
+            "connections placed on the shard their tuple hashes to"
+        );
+    }
 
-    for (i, &conn) in conns.iter().enumerate() {
+    for (i, &(s, conn)) in conns.iter().enumerate() {
         let msg = format!("req-{i}");
-        a.tcp_send(conn, DemiBuffer::from_slice(msg.as_bytes()))
+        a[s].tcp_send(conn, DemiBuffer::from_slice(msg.as_bytes()))
             .unwrap();
     }
     let mut echoed = 0;
     settle(&fabric, &[&a, &b], || {
-        for &sc in &accepted {
-            if let Ok(Some(chunk)) = b.tcp_recv(sc) {
-                b.tcp_send(sc, chunk).unwrap();
+        for &(s, sc) in &accepted {
+            if let Ok(Some(chunk)) = b[s].tcp_recv(sc) {
+                b[s].tcp_send(sc, chunk).unwrap();
             }
         }
-        for &conn in &conns {
-            if a.tcp_recv(conn).ok().flatten().is_some() {
+        for &(s, conn) in &conns {
+            if a[s].tcp_recv(conn).ok().flatten().is_some() {
                 echoed += 1;
             }
         }
         echoed == conns.len()
     });
 
-    for stack in [&a, &b] {
-        let mut shards_with_rx = 0;
-        for i in 0..stack.num_shards() {
-            let s = stack.shard_stats(i);
-            assert_eq!(s.steering_mismatches, 0, "RSS and shard_for agree");
-            assert_eq!(s.handoffs_in, 0, "no cross-shard frame traffic");
-            if s.rx_frames > 0 {
-                shards_with_rx += 1;
-            }
-        }
-        assert!(
-            shards_with_rx >= 2,
-            "16 flows must exercise more than one shard"
-        );
+    for stack in a.iter().chain(&b) {
+        let s = stack.shard_stats();
+        assert_eq!(s.steering_mismatches, 0, "RSS and flow ownership agree");
+        assert_eq!(s.handoffs_in, 0, "no cross-shard frame traffic");
+        assert!(s.rx_frames > 0, "every shard carries traffic");
     }
     for port in [&a_port, &b_port] {
         let queue_stats = port.queue_stats();
-        let landed = queue_stats.iter().filter(|q| q.enqueued > 0).count();
-        assert!(landed >= 2, "16 flows must spread past queue 0");
         assert!(
-            queue_stats.iter().all(|q| q.depth == 0),
-            "no queue left stranded: {queue_stats:?}"
+            queue_stats.iter().all(|q| q.enqueued > 0 && q.depth == 0),
+            "every queue used, none left stranded: {queue_stats:?}"
         );
     }
 }
 
-/// The exception path the rings exist for: a SmartNIC steering program
-/// overrides RSS and lands a flow on the wrong queue. The shard that polled
-/// it forwards it over the in-world ring after its pass, and the owning
-/// shard's pass — later in the same `poll()` — drains the ring and delivers
-/// it, however many idle passes either shard ran before.
+/// The exception path the rings exist for, on either wiring of a two-shard
+/// host 2: a datagram of a flow `owner` (shard 1) owns arrives on
+/// `receiver`'s (shard 0's) queue. The receiver forwards it over the ring
+/// after its pass and the owner's next pass — the same poll round —
+/// delivers it, however many idle passes either ran before; the ARP binding
+/// the receiver learned from the client's request reaches the owner the
+/// same way. Returns the counters the wirings must agree on.
+fn missteer(
+    fabric: &Fabric,
+    client: &NetworkStack,
+    [receiver, owner]: [&NetworkStack; 2],
+) -> impl PartialEq + std::fmt::Debug {
+    let to = SocketAddr::new(ip(2), 7);
+    let sport = |shard| {
+        (40_000..50_000).find(|&p| rss::queue_for_tuple(ip(1), p, to.ip, to.port, 2) == shard)
+    };
+    let (home, stray) = (sport(0).unwrap(), sport(1).unwrap());
+    client.udp_bind(home).unwrap();
+    client.udp_bind(stray).unwrap();
+    receiver.udp_bind(7).unwrap();
+    owner.udp_bind(7).unwrap();
+    // A flow the receiver owns resolves ARP both ways first.
+    client.udp_sendto(home, to, &b"home"[..]).unwrap();
+    settle(fabric, &[client, receiver, owner], || {
+        receiver.udp_pending(7) == 1
+    });
+    quiesce(fabric, &[client, receiver, owner]);
+    assert_eq!(owner.shard_stats().handoffs_in, 0, "steered home so far");
+
+    (0..3).for_each(|_| assert_eq!(receiver.poll() + owner.poll(), 0));
+    let sent_before = receiver.ring_stats().unwrap().sent;
+    client.udp_sendto(stray, to, &b"stray"[..]).unwrap();
+    client.poll();
+    assert!(fabric.advance_to_next_event());
+    assert!(receiver.poll() > 0);
+    assert!(owner.poll() > 0);
+    assert_eq!(
+        owner.udp_pending(7),
+        1,
+        "forwarded and delivered in one round"
+    );
+    assert_eq!(receiver.shard_stats().steering_mismatches, 1);
+    assert_eq!(owner.shard_stats().handoffs_in, 1);
+    assert_eq!(receiver.ring_stats().unwrap().sent - sent_before, 1);
+    // The owner never saw the client's ARP request, yet replies unasked.
+    let (from, data) = owner.udp_recv_from(7).unwrap();
+    owner.udp_sendto(7, from, data).unwrap();
+    owner.poll();
+    let s = owner.stats();
+    assert_eq!(
+        (s.arp_requests, s.tx_frames),
+        (0, 1),
+        "the learned binding arrived"
+    );
+    [receiver, owner].map(|s| (s.shard_stats(), s.ring_stats(), s.stats()))
+}
+
+/// One handoff path, whichever way the shards are wired: two stacks on one
+/// 2-queue SmartNIC port whose steering program overrides RSS, and two
+/// shard worlds with a one-queue device each, produce the same counters.
 #[test]
 fn a_missteered_frame_reaches_its_owner_in_the_same_poll() {
-    let fabric = Fabric::new(13);
-    let (a, _) = multi_queue_host(&fabric, 1, 1);
-    let b_port = DpdkPort::new(
-        &fabric,
-        PortConfig {
+    let cfg = StackConfig::new(ip(2));
+    let one_port = {
+        let fabric = Fabric::new(13);
+        let nic = PortConfig {
             num_rx_queues: 2,
-            ..PortConfig::smartnic(MacAddress::from_last_octet(2), 1)
-        },
-    );
-    let b = NetworkStack::new(b_port.clone(), fabric.clock(), StackConfig::new(ip(2)));
-    let sport = (40_000..50_000)
-        .find(|&p| b.shard_for(7, SocketAddr::new(ip(1), p)) == 1)
-        .unwrap();
-    a.udp_bind(sport).unwrap();
-    b.udp_bind(7).unwrap();
-    let send = || {
-        a.udp_sendto(sport, SocketAddr::new(ip(2), 7), &b"stray"[..])
-            .unwrap()
-    };
-    send();
-    settle(&fabric, &[&a, &b], || b.udp_pending(7) == 1);
-    assert_eq!(b.shard_stats(1).handoffs_in, 0, "RSS alone steers it home");
-
-    b_port
-        .install_program(dpdk_sim::NicProgram::Steer {
+            ..PortConfig::smartnic(host_mac(2), 1)
+        };
+        let port = DpdkPort::new(&fabric, nic);
+        port.install_program(dpdk_sim::NicProgram::Steer {
             selector: std::rc::Rc::new(|_: &[u8]| Some(0)),
             cycles_per_frame: 1,
         })
         .unwrap();
-    (0..3).for_each(|_| assert_eq!(b.poll(), 0));
-    let sent_before = b.ring_stats(0).sent;
-    send();
-    a.poll();
-    assert!(fabric.advance_to_next_event());
-    assert!(b.poll() > 0);
-    assert_eq!(b.udp_pending(7), 2, "forwarded and delivered in one poll");
-    assert_eq!(b.shard_stats(0).steering_mismatches, 1);
-    assert_eq!(b.shard_stats(1).handoffs_in, 1);
-    assert_eq!(b.ring_stats(0).sent - sent_before, 1);
+        let b = support::mesh(2, 64, &cfg, |_| (port.clone(), fabric.clock()));
+        missteer(&fabric, &support::host(&fabric, 1), [&b[0], &b[1]])
+    };
+    let two_worlds = {
+        let worlds = [Fabric::new(13), Fabric::new(14)];
+        let nic = |i: usize| {
+            let port = DpdkPort::new(&worlds[i], PortConfig::basic(host_mac(2)));
+            (port, worlds[i].clock())
+        };
+        let b = support::mesh(2, 64, &cfg, nic);
+        missteer(&worlds[0], &support::host(&worlds[0], 1), [&b[0], &b[1]])
+    };
+    assert_eq!(one_port, two_worlds);
 }
 
 /// Idle connections cost nothing per poll: with 200 established-and-quiet
@@ -416,23 +456,31 @@ fn idle_connections_do_not_tick_timers() {
     let fabric = Fabric::new(11);
     let (a, _) = multi_queue_host(&fabric, 1, 4);
     let (b, _) = multi_queue_host(&fabric, 2, 4);
-    b.tcp_listen(80, 256).unwrap();
+    for s in &b {
+        s.tcp_listen(80, 256).unwrap();
+    }
     let conns: Vec<_> = (0..200)
-        .map(|_| a.tcp_connect(SocketAddr::new(ip(2), 80)).unwrap())
+        .map(|j| {
+            (
+                j % 4,
+                a[j % 4].tcp_connect(SocketAddr::new(ip(2), 80)).unwrap(),
+            )
+        })
         .collect();
     settle(&fabric, &[&a, &b], || {
         conns
             .iter()
-            .all(|&c| a.tcp_state(c) == Ok(net_stack::tcp::State::Established))
+            .all(|&(s, c)| a[s].tcp_state(c) == Ok(net_stack::tcp::State::Established))
     });
     // Let every delayed-ACK and handshake timer drain.
     quiesce(&fabric, &[&a, &b]);
 
     let before = net_stack::counters::shard_snapshot();
     for _ in 0..100 {
-        a.poll();
-        b.poll();
-        assert_eq!(a.next_deadline().or(b.next_deadline()), None);
+        support::Node::poll(&a);
+        support::Node::poll(&b);
+        assert_eq!(support::Node::next_deadline(&a), None);
+        assert_eq!(support::Node::next_deadline(&b), None);
     }
     let moved = net_stack::counters::shard_snapshot().delta(&before);
     assert_eq!(moved.timers_fired, 0, "idle connections fire nothing");
@@ -569,8 +617,14 @@ impl PollWorld {
             loss_probability: 0.05,
             ..Default::default()
         });
-        let (a, a_port) = multi_queue_host(&fabric, 1, 1);
-        let (b, b_port) = multi_queue_host(&fabric, 2, 1);
+        let host = |n| {
+            support::host_with(
+                &fabric,
+                PortConfig::basic(host_mac(n)),
+                StackConfig::new(ip(n)),
+            )
+        };
+        let ((a_port, a), (b_port, b)) = (host(1), host(2));
         a.udp_bind(9000).unwrap();
         b.udp_bind(9000).unwrap();
         let listener = b.tcp_listen(80, 16).unwrap();
@@ -658,7 +712,7 @@ impl PollWorld {
     fn observe(&self) -> impl PartialEq + std::fmt::Debug {
         let stacks = [0, 1].map(|i| {
             let s = &self.hosts[i];
-            let shard = s.shard_stats(0);
+            let shard = s.shard_stats();
             (
                 s.stats(),
                 s.tcp_stats(),
@@ -716,21 +770,25 @@ fn guarded_polls_match_a_run_every_stage_reference() {
     }
 }
 
-/// Virtual time of one warmed 64-byte UDP echo round from `a` to `b`.
-fn echo_rtt(fabric: &Fabric, a: &NetworkStack, b: &NetworkStack) -> SimTime {
-    a.udp_bind(9000).unwrap();
-    b.udp_bind(7).unwrap();
+/// Virtual time of one warmed 64-byte UDP echo round between two 4-shard
+/// hosts, on the shard pair that owns the flow.
+fn echo_rtt(fabric: &Fabric, a: &Vec<NetworkStack>, b: &Vec<NetworkStack>) -> SimTime {
+    let shard = rss::queue_for_tuple(ip(1), 9000, ip(2), 7, 4) as usize;
+    let (client, server) = (&a[shard], &b[shard]);
+    client.udp_bind(9000).unwrap();
+    server.udp_bind(7).unwrap();
     let mut rtt = SimTime::ZERO;
     // The first round resolves ARP both ways; the second is the sample.
     for _ in 0..2 {
         let t0 = fabric.clock().now();
-        a.udp_sendto(9000, SocketAddr::new(ip(2), 7), &[0xA5u8; 64][..])
+        client
+            .udp_sendto(9000, SocketAddr::new(ip(2), 7), &[0xA5u8; 64][..])
             .unwrap();
-        settle(fabric, &[a, b], || b.udp_pending(7) > 0);
-        let (from, data) = b.udp_recv_from(7).unwrap();
-        b.udp_sendto(7, from, data).unwrap();
-        settle(fabric, &[a, b], || a.udp_pending(9000) > 0);
-        a.udp_recv_from(9000).unwrap();
+        settle(fabric, &[a, b], || server.udp_pending(7) > 0);
+        let (from, data) = server.udp_recv_from(7).unwrap();
+        server.udp_sendto(7, from, data).unwrap();
+        settle(fabric, &[a, b], || client.udp_pending(9000) > 0);
+        client.udp_recv_from(9000).unwrap();
         rtt = fabric.clock().now().saturating_since(t0);
     }
     rtt

@@ -20,9 +20,9 @@ use demikernel::{LibOs, Runtime};
 use dpdk_sim::{DpdkPort, PortConfig};
 use net_stack::tcp::{ConnId, ListenerId, State, TcpConfig, TcpPeer, TcpSegmentOut};
 use net_stack::types::SocketAddr;
-use net_stack::{NetworkStack, StackConfig};
+use net_stack::{HostLinks, NetworkStack, PortAllocator, StackConfig};
 use posix_sim::{MtcpConfig, MtcpSim};
-use sim_fabric::{Fabric, SimRng, SimTime};
+use sim_fabric::{Fabric, SimClock, SimRng, SimTime};
 
 // ---------------------------------------------------------------------
 // Stack-level worlds: hosts on a fabric, driven by `settle`.
@@ -42,6 +42,27 @@ pub fn host(fabric: &Fabric, last: u8) -> NetworkStack {
     host_with(fabric, port, StackConfig::new(ip(last))).1
 }
 
+/// The `n` shards of one host — one ring mesh (`cap` messages a ring), one
+/// port namespace — shard *i* on the device `nic(i)` returns: a clone of
+/// the host's one `n`-queue port, or shard world *i*'s own one-queue port.
+pub fn mesh(
+    n: usize,
+    cap: usize,
+    cfg: &StackConfig,
+    mut nic: impl FnMut(usize) -> (DpdkPort, SimClock),
+) -> Vec<NetworkStack> {
+    let ports = std::sync::Arc::new(PortAllocator::new());
+    let shard = |(i, rings)| {
+        let ((port, clock), ports) = (nic(i), ports.clone());
+        NetworkStack::shard_of(port, clock, cfg.clone(), HostLinks { rings, ports })
+    };
+    net_stack::mesh(n, cap)
+        .into_iter()
+        .enumerate()
+        .map(shard)
+        .collect()
+}
+
 /// What [`settle`] drives: polled every pass, asked for its next timer.
 pub trait Node {
     fn poll(&self);
@@ -54,6 +75,18 @@ impl Node for NetworkStack {
     }
     fn next_deadline(&self) -> Option<SimTime> {
         NetworkStack::next_deadline(self)
+    }
+}
+
+/// A sharded host: its stacks polled in shard order, as one thread would.
+impl Node for Vec<NetworkStack> {
+    fn poll(&self) {
+        for s in self {
+            s.poll();
+        }
+    }
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.iter().filter_map(|s| s.next_deadline()).min()
     }
 }
 

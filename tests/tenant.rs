@@ -99,6 +99,42 @@ fn port_ownership_gates_bind_and_listen() {
     );
 }
 
+/// A tenant's ephemeral UDP port is its own only while the socket lives:
+/// closing it returns the port to the host (who may then bind it), while a
+/// statically granted service port stays granted across a close.
+#[test]
+fn an_ephemeral_udp_grant_ends_with_its_socket() {
+    let fabric = Fabric::new(42);
+    let registry = Arc::new(TenantRegistry::new());
+    let alice = registry.register(TenantSpec::named("alice", 1));
+    registry.grant_port(alice, 8080);
+    let a = tenant_host(&fabric, 1, TenancyCfg::new(Arc::clone(&registry)));
+
+    let port = demi_tenant::scope(alice, || {
+        a.udp_bind(8080).unwrap();
+        a.udp_bind_ephemeral().unwrap()
+    });
+    assert_eq!(registry.port_owner(port), alice);
+    assert_eq!(a.udp_bind(port), Err(NetError::TenantDenied(port)));
+    a.udp_close(port);
+    a.udp_close(8080);
+    assert_eq!(
+        registry.port_owner(port),
+        TenantId::HOST,
+        "transient grant revoked"
+    );
+    assert_eq!(
+        a.udp_bind(port),
+        Ok(()),
+        "the host may take the recycled port"
+    );
+    assert_eq!(
+        registry.port_owner(8080),
+        alice,
+        "static grant survives close"
+    );
+}
+
 #[test]
 fn tx_lane_quota_drops_overflow_at_the_lane() {
     let fabric = Fabric::new(42);

@@ -20,6 +20,8 @@
 //!   "on the device", spending device cycles instead of host cycles. This
 //!   models the Table-1 right column (FPGA/SoC SmartNICs) and powers the
 //!   offload experiment (E6).
+//! * [`wire`] — the header codec and internet checksum the device shares
+//!   with the host stack, so both agree on what a valid segment is.
 
 pub mod mbuf;
 pub mod mempool;
@@ -27,6 +29,7 @@ pub mod offload;
 pub mod port;
 pub mod rss;
 pub mod smartnic;
+pub mod wire;
 
 pub use mbuf::Mbuf;
 pub use mempool::Mempool;

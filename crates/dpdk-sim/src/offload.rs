@@ -65,19 +65,23 @@
 //! and accounted per entry; reassembly buffers are bounded per flow
 //! ([`MAX_PENDING_BYTES`]).
 //!
-//! The framing constants here intentionally mirror `net-stack`'s stream
-//! framing (this crate sits *below* net-stack and cannot depend on it);
-//! a cross-crate test in net-stack pins the two layouts together.
+//! # One wire view
+//!
+//! The engine parses frames with the host's parser chain ([`crate::wire`],
+//! checksums verified) and the host decoder's `parse_header`, so it never
+//! acts on a segment the host would reject: such a frame is delivered
+//! untouched — no event, absorb, reply or fallback — for the host to count.
 
 use std::collections::{HashMap, VecDeque};
 
 use demi_memory::DemiBuffer;
 use sim_fabric::SimTime;
 
-/// Stream-framing header length (mirrors `net_stack::framing`).
-pub const FRAME_HEADER_LEN: usize = 8;
-/// Stream-framing magic (mirrors `net_stack::framing`).
-pub const FRAME_MAGIC: [u8; 4] = *b"DEMI";
+use crate::wire::eth::{EthHeader, EtherType, ETH_HEADER_LEN};
+use crate::wire::framing::{encode_header, parse_header, FRAME_HEADER_LEN};
+use crate::wire::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
+use crate::wire::seq::SeqNum;
+use crate::wire::tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};
 
 /// Per-flow reassembly bound: device memory is finite, so a flow whose
 /// pending (absorbed, unserved) bytes would exceed this falls back.
@@ -234,7 +238,7 @@ struct FlowState {
     /// invalidation; everything delivered).
     active: bool,
     /// Highest cumulative ACK seen from the client.
-    last_ack: u32,
+    last_ack: SeqNum,
     /// In-order bytes absorbed for reassembly but not yet served. The
     /// device has NOT acknowledged these: they are covered either by a
     /// reply's ACK (serve) or by the host's own ACK (flush).
@@ -315,9 +319,13 @@ impl KvCache {
         }
     }
 
-    fn clear(&mut self) {
+    /// The conservative answer to any loss of framing certainty: forget
+    /// every entry. Returns the device cycles the clear costs.
+    fn clear(&mut self, stats: &mut OffloadStats) -> u64 {
         self.map.clear();
         self.bytes = 0;
+        stats.kv_clears += 1;
+        CYCLES_KV_INVALIDATE
     }
 }
 
@@ -385,7 +393,7 @@ impl TcpOffload {
     pub fn arm_flow(&mut self, key: FlowKey, shadow: FlowShadow) {
         // snd_una == snd_nxt at quiescence, so the client's last seen
         // cumulative ACK is exactly snd_nxt.
-        let last_ack = shadow.snd_nxt;
+        let last_ack = SeqNum(shadow.snd_nxt);
         self.flows.insert(
             key,
             FlowState {
@@ -463,14 +471,14 @@ impl TcpOffload {
     /// Examines one RX frame. Called from the SmartNIC slot engine.
     pub fn process(&mut self, frame: &[u8], now: SimTime) -> EngineOutcome {
         let mut cycles = CYCLES_PARSE;
-        let Some(p) = parse_tcp_frame(frame) else {
+        let Some((eth, ip, tcp, payload)) = parse_segment(frame) else {
             return EngineOutcome::deliver(cycles);
         };
-        if p.dst_port != self.local_port {
+        if tcp.dst_port != self.local_port {
             return EngineOutcome::deliver(cycles);
         }
 
-        let key: FlowKey = (p.src_ip, p.src_port);
+        let key: FlowKey = (ip.src.octets(), tcp.src_port);
 
         // Write-through invalidation: every segment to the service port is
         // scanned, armed or not, so a SET on a host-pending flow can never
@@ -479,15 +487,14 @@ impl TcpOffload {
         // certainty clears the whole cache (stale hits are impossible by
         // construction).
         if let ServiceState::Kv(cache) = &mut self.service {
-            if p.flags & TCP_SYN != 0 {
-                self.scans
-                    .insert(key, InvalScan::fresh(p.seq.wrapping_add(1)));
-            } else if !p.payload.is_empty() {
+            if tcp.flags.syn {
+                self.scans.insert(key, InvalScan::fresh(tcp.seq + 1));
+            } else if !payload.is_empty() {
                 let scan = self
                     .scans
                     .entry(key)
-                    .or_insert_with(|| InvalScan::fresh(p.seq));
-                cycles += scan_invalidate(cache, scan, p.seq, p.payload, &mut self.stats);
+                    .or_insert_with(|| InvalScan::fresh(tcp.seq));
+                cycles += scan_invalidate(cache, scan, tcp.seq, payload, &mut self.stats);
             }
         }
         let Self {
@@ -505,147 +512,144 @@ impl TcpOffload {
             return EngineOutcome::deliver(cycles);
         }
 
-        if p.flags & (TCP_SYN | TCP_FIN | TCP_RST) != 0 {
+        if tcp.flags.syn || tcp.flags.fin || tcp.flags.rst {
             fall_back(&key, flow, events, stats);
             return EngineOutcome::deliver(cycles);
         }
 
-        let device_nxt = flow.shadow.rcv_nxt.wrapping_add(flow.pending.len() as u32);
+        let device_nxt = SeqNum(flow.shadow.rcv_nxt) + flow.pending.len() as u32;
 
-        if p.payload.is_empty() {
-            // Pure ACK: absorb only a clean, strictly advancing one.
-            // Duplicates and window probes go to the host (they drive fast
-            // retransmit and persist logic the device does not model).
-            if p.flags == TCP_ACK && p.seq == device_nxt && seq_advances(p.ack, flow.last_ack) {
-                flow.last_ack = p.ack;
-                stats.acks_absorbed += 1;
-                events.push_back(OffloadEvent::AckAdvance {
-                    key,
-                    ack: p.ack,
-                    window: p.window,
-                });
-                return EngineOutcome {
-                    action: OffloadAction::Absorb,
-                    cycles: cycles + CYCLES_ACK_ABSORB,
-                    served: false,
-                };
-            }
+        // A pure ACK is absorbed only if it strictly advances — duplicates
+        // and window probes go to the host (they drive fast retransmit and
+        // persist logic the device does not model); data only if reassembly
+        // can hold it. Either must be exactly in order past what we absorbed.
+        let advances = tcp.flags.ack && tcp.ack.gt(flow.last_ack);
+        let acceptable = match payload.len() {
+            0 => advances,
+            len => flow.pending.len() + len <= MAX_PENDING_BYTES,
+        };
+        if tcp.seq != device_nxt || !acceptable {
             fall_back(&key, flow, events, stats);
             return EngineOutcome::deliver(cycles);
         }
-
-        // Data segment: must be exactly in order past what we absorbed.
-        if p.seq != device_nxt || flow.pending.len() + p.payload.len() > MAX_PENDING_BYTES {
-            fall_back(&key, flow, events, stats);
-            return EngineOutcome::deliver(cycles);
-        }
-
-        // Forward the piggybacked ACK before serving, preserving event
-        // order (the client acks our replies on its next request).
-        if p.flags & TCP_ACK != 0 && seq_advances(p.ack, flow.last_ack) {
-            flow.last_ack = p.ack;
+        // Forward the ACK (piggybacked: before serving, preserving event
+        // order — the client acks our replies on its next request).
+        if advances {
+            flow.last_ack = tcp.ack;
             events.push_back(OffloadEvent::AckAdvance {
                 key,
-                ack: p.ack,
-                window: p.window,
+                ack: tcp.ack.0,
+                window: tcp.window,
             });
+        }
+        if payload.is_empty() {
+            stats.acks_absorbed += 1;
+            return EngineOutcome {
+                action: OffloadAction::Absorb,
+                cycles: cycles + CYCLES_ACK_ABSORB,
+                served: false,
+            };
         }
 
         cycles += CYCLES_REASSEMBLE;
-        flow.pending.extend_from_slice(p.payload);
+        flow.pending.extend_from_slice(payload);
 
         // Serve complete framed messages from the front of the pending
         // buffer; each serve acknowledges exactly the bytes it consumed.
+        // Anything the device cannot answer — desynchronized framing (in
+        // KV mode the invalidation scanner has already cleared the cache
+        // for it), a cache miss, a non-GET, a reply over one segment (the
+        // host path segments large replies; the device does not) — falls
+        // the flow back; the absorbed bytes travel via `Flushed`.
         let mut served_any = false;
         loop {
-            let (msg_len, total) = match peek_message(&flow.pending) {
-                MessagePeek::Partial => break,
-                MessagePeek::Bad => {
-                    // (In KV mode the invalidation scanner has already
-                    // cleared the cache for this desync.)
-                    fall_back(&key, flow, events, stats);
-                    return EngineOutcome {
-                        action: OffloadAction::Absorb,
-                        cycles,
-                        served: served_any,
-                    };
+            let total = match parse_header(&flow.pending) {
+                Ok(None) => break,
+                Ok(Some(len)) if FRAME_HEADER_LEN + len <= MAX_PENDING_BYTES => {
+                    FRAME_HEADER_LEN + len
                 }
-                MessagePeek::Complete { msg_len, total } => (msg_len, total),
+                // Desynchronized, or longer than reassembly could ever hold.
+                _ => {
+                    fall_back(&key, flow, events, stats);
+                    break;
+                }
             };
-            let body = &flow.pending[FRAME_HEADER_LEN..FRAME_HEADER_LEN + msg_len];
-            let reply_body: Vec<u8> = match service {
-                ServiceState::Echo => flow.pending[..total].to_vec(),
+            let Some(request) = flow.pending.get(..total) else {
+                break;
+            };
+            let reply = match service {
+                ServiceState::Echo => Some(DemiBuffer::from_slice(request)),
                 ServiceState::Kv(cache) => {
                     cycles += CYCLES_KV_LOOKUP;
-                    let hit = if body.first() == Some(&b'G') {
-                        cache.get(&body[1..]).map(|v| {
-                            let mut reply = Vec::with_capacity(FRAME_HEADER_LEN + 1 + v.len());
-                            reply.extend_from_slice(&FRAME_MAGIC);
-                            reply.extend_from_slice(&((1 + v.len()) as u32).to_be_bytes());
-                            reply.push(b'V');
-                            reply.extend_from_slice(v);
-                            reply
-                        })
-                    } else {
-                        None
-                    };
-                    match hit {
-                        Some(reply) => {
-                            stats.kv_hits += 1;
-                            reply
-                        }
-                        None => {
-                            if body.first() == Some(&b'G') {
-                                stats.kv_misses += 1;
+                    match request[FRAME_HEADER_LEN..].split_first() {
+                        Some((b'G', get)) => match cache.get(get) {
+                            Some(value) => {
+                                stats.kv_hits += 1;
+                                let header = encode_header(1 + value.len());
+                                let framed = [&header[..], b"V", value].concat();
+                                Some(DemiBuffer::from_slice(&framed))
                             }
-                            fall_back(&key, flow, events, stats);
-                            return EngineOutcome {
-                                action: OffloadAction::Absorb,
-                                cycles,
-                                served: served_any,
-                            };
-                        }
+                            None => {
+                                stats.kv_misses += 1;
+                                None
+                            }
+                        },
+                        _ => None,
                     }
                 }
             };
-            if reply_body.len() > flow.shadow.mss {
-                // The host path segments large replies; the device does not.
+            let Some(reply) = reply.filter(|r| r.len() <= flow.shadow.mss) else {
                 fall_back(&key, flow, events, stats);
-                return EngineOutcome {
-                    action: OffloadAction::Absorb,
-                    cycles,
-                    served: served_any,
-                };
-            }
+                break;
+            };
 
             flow.pending.drain(..total);
             flow.shadow.rcv_nxt = flow.shadow.rcv_nxt.wrapping_add(total as u32);
-            let reply_seq = flow.shadow.snd_nxt;
-            flow.shadow.snd_nxt = flow.shadow.snd_nxt.wrapping_add(reply_body.len() as u32);
+            let reply_seq = SeqNum(flow.shadow.snd_nxt);
+            flow.shadow.snd_nxt = flow.shadow.snd_nxt.wrapping_add(reply.len() as u32);
 
-            let reply_frame = encode_tcp_frame(
-                &p.dst_mac,
-                &p.src_mac,
-                p.dst_ip,
-                p.src_ip,
-                p.dst_port,
-                p.src_port,
-                reply_seq,
-                flow.shadow.rcv_nxt,
-                TCP_ACK,
-                flow.shadow.window,
-                &reply_body,
-            );
+            // The reply frame: built as the host's TX path builds its own.
+            let mut reply_frame = reply.copy_with_headroom(REPLY_HEADROOM);
+            let header = TcpHeader {
+                src_port: tcp.dst_port,
+                dst_port: tcp.src_port,
+                seq: reply_seq,
+                ack: SeqNum(flow.shadow.rcv_nxt),
+                flags: TcpFlags::ACK,
+                window: flow.shadow.window,
+                mss: None,
+            };
+            header
+                .prepend_onto(ip.dst, ip.src, &mut reply_frame)
+                .expect("headroom reserved above");
+            let header = Ipv4Header {
+                src: ip.dst,
+                dst: ip.src,
+                payload_len: reply_frame.len(),
+                ..ip
+            };
+            header
+                .prepend_onto(&mut reply_frame)
+                .expect("headroom reserved above");
+            let header = EthHeader {
+                dst: eth.src,
+                src: eth.dst,
+                ..eth
+            };
+            header
+                .prepend_onto(&mut reply_frame)
+                .expect("headroom reserved above");
             tx.push(reply_frame);
+
+            cycles += CYCLES_SERVE_BASE + (reply.len() as u64 / 16) * CYCLES_SERVE_PER_16B;
             events.push_back(OffloadEvent::Served {
                 key,
                 rx_len: total as u32,
-                reply: DemiBuffer::from_slice(&reply_body),
+                reply,
                 served_at: now,
             });
             stats.served += 1;
             served_any = true;
-            cycles += CYCLES_SERVE_BASE + (reply_body.len() as u64 / 16) * CYCLES_SERVE_PER_16B;
         }
 
         EngineOutcome {
@@ -654,6 +658,24 @@ impl TcpOffload {
             served: served_any,
         }
     }
+}
+
+/// Headroom a reply payload needs for its TCP, IPv4 and Ethernet headers.
+const REPLY_HEADROOM: usize = TCP_HEADER_LEN + IPV4_HEADER_LEN + ETH_HEADER_LEN;
+
+/// The host's parse chain over one frame: `None` for anything it would not
+/// hand to its TCP — other protocols, a failed header check or checksum.
+fn parse_segment(frame: &[u8]) -> Option<(EthHeader, Ipv4Header, TcpHeader, &[u8])> {
+    let (eth, packet) = EthHeader::parse(frame).ok()?;
+    if eth.ethertype != EtherType::Ipv4 {
+        return None;
+    }
+    let (ip, segment) = Ipv4Header::parse(packet).ok()?;
+    if ip.protocol != IpProtocol::Tcp {
+        return None;
+    }
+    let (tcp, data_off) = TcpHeader::parse(ip.src, ip.dst, segment).ok()?;
+    Some((eth, ip, tcp, &segment[data_off..]))
 }
 
 /// Flushes a flow's pending bytes to the host (without marking fallback).
@@ -688,44 +710,6 @@ fn fall_back(
     }
 }
 
-/// `a` strictly after `b` in modular sequence order.
-fn seq_advances(a: u32, b: u32) -> bool {
-    (a.wrapping_sub(b) as i32) > 0
-}
-
-enum MessagePeek {
-    /// Front of the buffer holds a complete framed message.
-    Complete { msg_len: usize, total: usize },
-    /// More bytes needed.
-    Partial,
-    /// Framing desynchronized (bad magic / absurd length).
-    Bad,
-}
-
-fn peek_message(pending: &[u8]) -> MessagePeek {
-    if pending.len() < FRAME_HEADER_LEN {
-        return if pending.is_empty() || FRAME_MAGIC.starts_with(&pending[..pending.len().min(4)]) {
-            MessagePeek::Partial
-        } else {
-            MessagePeek::Bad
-        };
-    }
-    if pending[..4] != FRAME_MAGIC {
-        return MessagePeek::Bad;
-    }
-    let msg_len = u32::from_be_bytes([pending[4], pending[5], pending[6], pending[7]]) as usize;
-    if FRAME_HEADER_LEN + msg_len > MAX_PENDING_BYTES {
-        return MessagePeek::Bad;
-    }
-    if pending.len() < FRAME_HEADER_LEN + msg_len {
-        return MessagePeek::Partial;
-    }
-    MessagePeek::Complete {
-        msg_len,
-        total: FRAME_HEADER_LEN + msg_len,
-    }
-}
-
 /// Invalidation-scan reassembly bound: the scanner only ever needs a
 /// message's opcode and key, which sit at the front; once classified, the
 /// rest of the message is skipped by byte count.
@@ -737,7 +721,7 @@ const SCAN_BUF_CAP: usize = 256;
 /// serves must still invalidate device cache state.
 struct InvalScan {
     /// Next expected sequence number.
-    nxt: u32,
+    nxt: SeqNum,
     /// Head-of-message bytes accumulated so far (≤ [`SCAN_BUF_CAP`]).
     buf: Vec<u8>,
     /// Remaining bytes of an already-classified message to discard.
@@ -745,7 +729,7 @@ struct InvalScan {
 }
 
 impl InvalScan {
-    fn fresh(nxt: u32) -> Self {
+    fn fresh(nxt: SeqNum) -> Self {
         InvalScan {
             nxt,
             buf: Vec::new(),
@@ -761,7 +745,7 @@ impl InvalScan {
 fn scan_invalidate(
     cache: &mut KvCache,
     scan: &mut InvalScan,
-    seq: u32,
+    seq: SeqNum,
     payload: &[u8],
     stats: &mut OffloadStats,
 ) -> u64 {
@@ -771,13 +755,11 @@ fn scan_invalidate(
         // mid-stream): framing alignment is unknown, so forget everything
         // and resynchronize optimistically at this segment. A wrong guess
         // is caught by the magic check below, which clears again.
-        cache.clear();
-        stats.kv_clears += 1;
-        cycles += CYCLES_KV_INVALIDATE;
+        cycles += cache.clear(stats);
         scan.buf.clear();
         scan.skip = 0;
     }
-    scan.nxt = seq.wrapping_add(payload.len() as u32);
+    scan.nxt = seq + payload.len() as u32;
     let mut rest = payload;
     while !rest.is_empty() {
         if scan.skip > 0 {
@@ -789,18 +771,16 @@ fn scan_invalidate(
         let take = rest.len().min(SCAN_BUF_CAP.saturating_sub(scan.buf.len()));
         scan.buf.extend_from_slice(&rest[..take]);
         rest = &rest[take..];
-        if scan.buf.len() < FRAME_HEADER_LEN {
-            break; // Need more bytes; `take` drained all available.
-        }
-        if scan.buf[..4] != FRAME_MAGIC {
-            cache.clear();
-            stats.kv_clears += 1;
-            cycles += CYCLES_KV_INVALIDATE;
-            scan.buf.clear();
-            break; // Desynced; resync at the next discontinuity or SYN.
-        }
-        let msg_len =
-            u32::from_be_bytes([scan.buf[4], scan.buf[5], scan.buf[6], scan.buf[7]]) as usize;
+        let msg_len = match parse_header(&scan.buf) {
+            // Need more bytes; `take` drained all available.
+            Ok(None) => break,
+            Ok(Some(len)) => len,
+            Err(_) => {
+                cycles += cache.clear(stats);
+                scan.buf.clear();
+                break; // Desynced; resync at the next discontinuity or SYN.
+            }
+        };
         let total = FRAME_HEADER_LEN + msg_len;
         let have_body = scan.buf.len().min(total) - FRAME_HEADER_LEN;
         let body = &scan.buf[FRAME_HEADER_LEN..FRAME_HEADER_LEN + have_body];
@@ -818,9 +798,7 @@ fn scan_invalidate(
                 None if body.len() == msg_len => Some(false),
                 None if scan.buf.len() >= SCAN_BUF_CAP => {
                     // Key longer than the scan window: cannot name it.
-                    cache.clear();
-                    stats.kv_clears += 1;
-                    cycles += CYCLES_KV_INVALIDATE;
+                    cycles += cache.clear(stats);
                     Some(false)
                 }
                 None => None,
@@ -830,9 +808,7 @@ fn scan_invalidate(
                     cycles += CYCLES_KV_INVALIDATE;
                     Some(cache.remove(&body[1..]))
                 } else if scan.buf.len() >= SCAN_BUF_CAP {
-                    cache.clear();
-                    stats.kv_clears += 1;
-                    cycles += CYCLES_KV_INVALIDATE;
+                    cycles += cache.clear(stats);
                     Some(false)
                 } else {
                     None
@@ -860,192 +836,17 @@ fn scan_invalidate(
     cycles
 }
 
-// ---------------------------------------------------------------------
-// Device firmware frame parsing and construction.
-//
-// The engine cannot use net-stack's serializers (dependency direction), so
-// it carries its own minimal eth/IPv4/TCP codec. Replies it builds carry
-// valid IPv4 header and TCP pseudo-header checksums — the host stack's
-// parsers verify both, and a device that emitted unverifiable frames would
-// be cheating the model.
-// ---------------------------------------------------------------------
-
-const ETH_LEN: usize = 14;
-const IPV4_MIN_LEN: usize = 20;
-const TCP_MIN_LEN: usize = 20;
-
-/// TCP flag bits (byte 13 of the TCP header).
-pub const TCP_FIN: u8 = 0x01;
-/// SYN flag bit.
-pub const TCP_SYN: u8 = 0x02;
-/// RST flag bit.
-pub const TCP_RST: u8 = 0x04;
-/// ACK flag bit.
-pub const TCP_ACK: u8 = 0x10;
-
-/// A TCP segment parsed by the device (no checksum validation on RX — the
-/// simulated fabric does not corrupt frames; TX checksums ARE computed).
-#[derive(Debug, Clone, Copy)]
-pub struct ParsedTcpFrame<'a> {
-    /// Destination (device) MAC.
-    pub dst_mac: [u8; 6],
-    /// Source (client) MAC.
-    pub src_mac: [u8; 6],
-    /// Source IPv4 address.
-    pub src_ip: [u8; 4],
-    /// Destination IPv4 address.
-    pub dst_ip: [u8; 4],
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Sequence number.
-    pub seq: u32,
-    /// Acknowledgment number.
-    pub ack: u32,
-    /// Raw flag byte (FIN/SYN/RST/ACK bits).
-    pub flags: u8,
-    /// Advertised window.
-    pub window: u16,
-    /// Segment payload.
-    pub payload: &'a [u8],
-}
-
-/// Parses an Ethernet/IPv4/TCP frame; `None` for anything else.
-pub fn parse_tcp_frame(frame: &[u8]) -> Option<ParsedTcpFrame<'_>> {
-    if frame.len() < ETH_LEN + IPV4_MIN_LEN + TCP_MIN_LEN {
-        return None;
-    }
-    if frame[12] != 0x08 || frame[13] != 0x00 {
-        return None; // Not IPv4.
-    }
-    let ip = &frame[ETH_LEN..];
-    if ip[0] >> 4 != 4 {
-        return None;
-    }
-    let ihl = ((ip[0] & 0x0F) as usize) * 4;
-    let total_len = u16::from_be_bytes([ip[2], ip[3]]) as usize;
-    if ihl < IPV4_MIN_LEN || total_len < ihl || total_len > ip.len() {
-        return None;
-    }
-    if ip[9] != 6 {
-        return None; // Not TCP.
-    }
-    let tcp = &ip[ihl..total_len];
-    if tcp.len() < TCP_MIN_LEN {
-        return None;
-    }
-    let data_off = ((tcp[12] >> 4) as usize) * 4;
-    if data_off < TCP_MIN_LEN || data_off > tcp.len() {
-        return None;
-    }
-    Some(ParsedTcpFrame {
-        dst_mac: frame[0..6].try_into().expect("6 bytes"),
-        src_mac: frame[6..12].try_into().expect("6 bytes"),
-        src_ip: ip[12..16].try_into().expect("4 bytes"),
-        dst_ip: ip[16..20].try_into().expect("4 bytes"),
-        src_port: u16::from_be_bytes([tcp[0], tcp[1]]),
-        dst_port: u16::from_be_bytes([tcp[2], tcp[3]]),
-        seq: u32::from_be_bytes([tcp[4], tcp[5], tcp[6], tcp[7]]),
-        ack: u32::from_be_bytes([tcp[8], tcp[9], tcp[10], tcp[11]]),
-        flags: tcp[13],
-        window: u16::from_be_bytes([tcp[14], tcp[15]]),
-        payload: &tcp[data_off..],
-    })
-}
-
-fn csum_words(data: &[u8], mut acc: u32) -> u32 {
-    let mut chunks = data.chunks_exact(2);
-    for w in &mut chunks {
-        acc += u32::from(u16::from_be_bytes([w[0], w[1]]));
-    }
-    if let [last] = chunks.remainder() {
-        acc += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    acc
-}
-
-fn csum_finish(mut acc: u32) -> u16 {
-    while acc >> 16 != 0 {
-        acc = (acc & 0xFFFF) + (acc >> 16);
-    }
-    !(acc as u16)
-}
-
-/// Builds a complete Ethernet/IPv4/TCP frame (no options, valid IPv4 and
-/// TCP checksums). Used for device-generated replies; also the test
-/// helper for synthesizing client traffic.
-#[allow(clippy::too_many_arguments)]
-pub fn encode_tcp_frame(
-    src_mac: &[u8; 6],
-    dst_mac: &[u8; 6],
-    src_ip: [u8; 4],
-    dst_ip: [u8; 4],
-    src_port: u16,
-    dst_port: u16,
-    seq: u32,
-    ack: u32,
-    flags: u8,
-    window: u16,
-    payload: &[u8],
-) -> DemiBuffer {
-    let ip_total = IPV4_MIN_LEN + TCP_MIN_LEN + payload.len();
-    let mut buf = DemiBuffer::zeroed(ETH_LEN + ip_total);
-    let b = buf.try_mut().expect("fresh buffer is exclusive");
-
-    b[0..6].copy_from_slice(dst_mac);
-    b[6..12].copy_from_slice(src_mac);
-    b[12..14].copy_from_slice(&0x0800u16.to_be_bytes());
-
-    let ip = &mut b[ETH_LEN..];
-    ip[0] = 0x45;
-    ip[2..4].copy_from_slice(&(ip_total as u16).to_be_bytes());
-    ip[6] = 0x40; // Don't fragment.
-    ip[8] = 64; // TTL.
-    ip[9] = 6; // TCP.
-    ip[12..16].copy_from_slice(&src_ip);
-    ip[16..20].copy_from_slice(&dst_ip);
-    let ip_ck = csum_finish(csum_words(&ip[..IPV4_MIN_LEN], 0));
-    ip[10..12].copy_from_slice(&ip_ck.to_be_bytes());
-
-    let tcp = &mut ip[IPV4_MIN_LEN..];
-    tcp[0..2].copy_from_slice(&src_port.to_be_bytes());
-    tcp[2..4].copy_from_slice(&dst_port.to_be_bytes());
-    tcp[4..8].copy_from_slice(&seq.to_be_bytes());
-    tcp[8..12].copy_from_slice(&ack.to_be_bytes());
-    tcp[12] = 0x50; // Data offset: 5 words, no options.
-    tcp[13] = flags;
-    tcp[14..16].copy_from_slice(&window.to_be_bytes());
-    tcp[20..].copy_from_slice(payload);
-
-    let mut pseudo = [0u8; 12];
-    pseudo[0..4].copy_from_slice(&src_ip);
-    pseudo[4..8].copy_from_slice(&dst_ip);
-    pseudo[9] = 6;
-    let tcp_len = (TCP_MIN_LEN + payload.len()) as u16;
-    pseudo[10..12].copy_from_slice(&tcp_len.to_be_bytes());
-    let tcp_ck = csum_finish(csum_words(tcp, csum_words(&pseudo, 0)));
-    tcp[16..18].copy_from_slice(&tcp_ck.to_be_bytes());
-
-    buf
-}
-
-/// Frames a message with the stream framing header (device-side mirror of
-/// `net_stack::framing::encode_message`).
-pub fn frame_message(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(body);
-    out
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::net::Ipv4Addr;
 
-    const CLIENT_MAC: [u8; 6] = [0x02, 0, 0, 0, 0, 1];
-    const SERVER_MAC: [u8; 6] = [0x02, 0, 0, 0, 0, 2];
+    use sim_fabric::MacAddress;
+
+    use super::*;
+    use crate::wire::framing::encode_message;
+
+    const CLIENT_MAC: MacAddress = MacAddress::new([0x02, 0, 0, 0, 0, 1]);
+    const SERVER_MAC: MacAddress = MacAddress::new([0x02, 0, 0, 0, 0, 2]);
     const CLIENT_IP: [u8; 4] = [10, 0, 0, 1];
     const SERVER_IP: [u8; 4] = [10, 0, 0, 2];
     const PORT: u16 = 7000;
@@ -1064,20 +865,46 @@ mod tests {
         }
     }
 
+    /// The one builder of client traffic: a client → server segment
+    /// serialized the way the host stack serializes its own.
+    fn client_segment(seq: u32, ack: u32, flags: TcpFlags, payload: &[u8]) -> DemiBuffer {
+        let (src, dst) = (Ipv4Addr::from(CLIENT_IP), Ipv4Addr::from(SERVER_IP));
+        let mut frame = DemiBuffer::from_slice(payload).copy_with_headroom(REPLY_HEADROOM);
+        let tcp = TcpHeader {
+            src_port: CLIENT_PORT,
+            dst_port: PORT,
+            seq: SeqNum(seq),
+            ack: SeqNum(ack),
+            flags,
+            window: 60_000,
+            mss: None,
+        };
+        tcp.prepend_onto(src, dst, &mut frame).unwrap();
+        let ip = Ipv4Header {
+            src,
+            dst,
+            protocol: IpProtocol::Tcp,
+            payload_len: frame.len(),
+        };
+        ip.prepend_onto(&mut frame).unwrap();
+        let eth = EthHeader {
+            dst: SERVER_MAC,
+            src: CLIENT_MAC,
+            ethertype: EtherType::Ipv4,
+        };
+        eth.prepend_onto(&mut frame).unwrap();
+        frame
+    }
+
     fn client_data(seq: u32, ack: u32, payload: &[u8]) -> DemiBuffer {
-        encode_tcp_frame(
-            &CLIENT_MAC,
-            &SERVER_MAC,
-            CLIENT_IP,
-            SERVER_IP,
-            CLIENT_PORT,
-            PORT,
-            seq,
-            ack,
-            TCP_ACK,
-            60_000,
-            payload,
-        )
+        client_segment(seq, ack, TcpFlags::ACK, payload)
+    }
+
+    /// A device reply, parsed by the host's chain: Ethernet and TCP
+    /// headers and the payload.
+    fn parse_reply(frame: &DemiBuffer) -> (EthHeader, TcpHeader, &[u8]) {
+        let (eth, _, tcp, payload) = parse_segment(frame.as_slice()).expect("reply parses");
+        (eth, tcp, payload)
     }
 
     fn process(engine: &mut TcpOffload, frame: &DemiBuffer) -> EngineOutcome {
@@ -1085,33 +912,11 @@ mod tests {
     }
 
     #[test]
-    fn frame_codec_round_trips_with_valid_checksums() {
-        let frame = client_data(100, 200, b"payload!");
-        let p = parse_tcp_frame(frame.as_slice()).expect("parses");
-        assert_eq!(p.src_ip, CLIENT_IP);
-        assert_eq!(p.dst_port, PORT);
-        assert_eq!(p.seq, 100);
-        assert_eq!(p.ack, 200);
-        assert_eq!(p.payload, b"payload!");
-        // IPv4 header checksum verifies (sum over header == 0).
-        let ip = &frame.as_slice()[ETH_LEN..ETH_LEN + IPV4_MIN_LEN];
-        assert_eq!(csum_finish(csum_words(ip, 0)), 0);
-        // TCP checksum verifies over the pseudo-header.
-        let tcp = &frame.as_slice()[ETH_LEN + IPV4_MIN_LEN..];
-        let mut pseudo = [0u8; 12];
-        pseudo[0..4].copy_from_slice(&CLIENT_IP);
-        pseudo[4..8].copy_from_slice(&SERVER_IP);
-        pseudo[9] = 6;
-        pseudo[10..12].copy_from_slice(&(tcp.len() as u16).to_be_bytes());
-        assert_eq!(csum_finish(csum_words(tcp, csum_words(&pseudo, 0))), 0);
-    }
-
-    #[test]
     fn echo_serves_split_header_and_body_segments() {
         let mut engine = TcpOffload::new(PORT, OffloadService::Echo);
         engine.arm_flow(key(), shadow(1000, 5000));
 
-        let msg = frame_message(b"hello");
+        let msg = encode_message(b"hello");
         // The host stack sends framing header and body as separate
         // segments; the device reassembles.
         let hdr_seg = client_data(1000, 5000, &msg[..FRAME_HEADER_LEN]);
@@ -1132,12 +937,12 @@ mod tests {
 
         let tx = engine.take_tx();
         assert_eq!(tx.len(), 1);
-        let reply = parse_tcp_frame(tx[0].as_slice()).expect("reply parses");
-        assert_eq!(reply.dst_mac, CLIENT_MAC);
+        let (eth, reply, payload) = parse_reply(&tx[0]);
+        assert_eq!(eth.dst, CLIENT_MAC);
         assert_eq!(reply.src_port, PORT);
-        assert_eq!(reply.seq, 5000);
-        assert_eq!(reply.ack, 1000 + msg.len() as u32);
-        assert_eq!(reply.payload, &msg[..], "echo reply mirrors the request");
+        assert_eq!(reply.seq, SeqNum(5000));
+        assert_eq!(reply.ack, SeqNum(1000 + msg.len() as u32));
+        assert_eq!(payload, &msg[..], "echo reply mirrors the request");
 
         let events = engine.take_events();
         assert_eq!(events.len(), 1);
@@ -1149,6 +954,34 @@ mod tests {
             other => panic!("unexpected event {other:?}"),
         }
         assert_eq!(engine.stats().served, 1);
+    }
+
+    /// The device serves nothing the host would drop: one flipped bit —
+    /// in the payload (TCP checksum) or in the IPv4 source address (header
+    /// checksum) — and the frame is delivered with the engine untouched;
+    /// the clean retransmission at the same `seq` is then served.
+    #[test]
+    fn corrupted_segment_is_delivered_untouched_then_its_retransmission_served() {
+        let msg = encode_message(b"hello");
+        let clean = client_data(1000, 5000, &msg);
+        for flipped_byte in [clean.len() - 1, ETH_HEADER_LEN + 12] {
+            let mut engine = TcpOffload::new(PORT, OffloadService::Echo);
+            engine.arm_flow(key(), shadow(1000, 5000));
+            let armed = engine.stats();
+            let mut corrupted = clean.to_vec();
+            corrupted[flipped_byte] ^= 0x04;
+
+            let o = engine.process(&corrupted, SimTime::ZERO);
+            assert_eq!(o.action, OffloadAction::Deliver, "byte {flipped_byte}");
+            assert!(!o.served);
+            assert!(engine.take_events().is_empty(), "no event, no fallback");
+            assert!(engine.take_tx().is_empty(), "no reply");
+            assert_eq!(engine.stats(), armed, "nothing counted, flow still armed");
+
+            assert!(process(&mut engine, &clean).served);
+            assert_eq!(parse_reply(&engine.take_tx()[0]).2, &msg[..]);
+            assert_eq!(engine.stats().served, 1);
+        }
     }
 
     #[test]
@@ -1177,23 +1010,11 @@ mod tests {
     fn fin_falls_back_and_flushes_pending_bytes() {
         let mut engine = TcpOffload::new(PORT, OffloadService::Echo);
         engine.arm_flow(key(), shadow(1000, 5000));
-        let msg = frame_message(b"partial");
+        let msg = encode_message(b"partial");
         let hdr_seg = client_data(1000, 5000, &msg[..FRAME_HEADER_LEN]);
         assert_eq!(process(&mut engine, &hdr_seg).action, OffloadAction::Absorb);
 
-        let fin = encode_tcp_frame(
-            &CLIENT_MAC,
-            &SERVER_MAC,
-            CLIENT_IP,
-            SERVER_IP,
-            CLIENT_PORT,
-            PORT,
-            1008,
-            5000,
-            TCP_ACK | TCP_FIN,
-            60_000,
-            b"",
-        );
+        let fin = client_segment(1008, 5000, TcpFlags::FIN_ACK, b"");
         let o = process(&mut engine, &fin);
         assert_eq!(o.action, OffloadAction::Deliver, "host handles the FIN");
         let events = engine.take_events();
@@ -1209,7 +1030,7 @@ mod tests {
     fn out_of_order_segment_falls_back() {
         let mut engine = TcpOffload::new(PORT, OffloadService::Echo);
         engine.arm_flow(key(), shadow(1000, 5000));
-        let msg = frame_message(b"x");
+        let msg = encode_message(b"x");
         let ooo = client_data(1500, 5000, &msg);
         let o = process(&mut engine, &ooo);
         assert_eq!(o.action, OffloadAction::Deliver);
@@ -1228,18 +1049,17 @@ mod tests {
         assert!(engine.cache_insert(b"k1", b"v1"));
 
         // GET hit: served from device memory.
-        let get = frame_message(b"Gk1");
+        let get = encode_message(b"Gk1");
         let o = process(&mut engine, &client_data(1000, 5000, &get));
         assert_eq!(o.action, OffloadAction::Absorb);
         assert!(o.served);
         let tx = engine.take_tx();
-        let reply = parse_tcp_frame(tx[0].as_slice()).unwrap();
-        assert_eq!(reply.payload, &frame_message(b"Vv1")[..]);
+        assert_eq!(parse_reply(&tx[0]).2, &encode_message(b"Vv1")[..]);
         assert_eq!(engine.stats().kv_hits, 1);
 
         // GET miss: falls back (bytes flushed to host).
         let nxt = 1000 + get.len() as u32;
-        let miss = frame_message(b"Gk2");
+        let miss = encode_message(b"Gk2");
         let o = process(&mut engine, &client_data(nxt, 5000, &miss));
         assert_eq!(o.action, OffloadAction::Absorb, "bytes travel via Flushed");
         let events = engine.take_events();
@@ -1253,14 +1073,14 @@ mod tests {
 
         // SET on the (now host-pending) flow still invalidates.
         let nxt = nxt + miss.len() as u32;
-        let set = frame_message(b"Sk1=v2");
+        let set = encode_message(b"Sk1=v2");
         let o = process(&mut engine, &client_data(nxt, 5000, &set));
         assert_eq!(o.action, OffloadAction::Deliver, "host serves the SET");
         assert_eq!(engine.stats().kv_invalidations, 1);
 
         // Re-arm; the stale key must miss now.
         engine.arm_flow(key(), shadow(2000, 6000));
-        let get1 = frame_message(b"Gk1");
+        let get1 = encode_message(b"Gk1");
         let o = process(&mut engine, &client_data(2000, 6000, &get1));
         assert!(!o.served, "invalidated key cannot hit");
         assert_eq!(engine.stats().kv_misses, 2);
@@ -1275,7 +1095,7 @@ mod tests {
         assert!(engine.cache_insert(b"k3", b"cccc"));
         engine.arm_flow(key(), shadow(0, 0));
         // Touch k1 so k2 becomes the LRU.
-        let g1 = frame_message(b"Gk1");
+        let g1 = encode_message(b"Gk1");
         assert!(process(&mut engine, &client_data(0, 0, &g1)).served);
         engine.take_tx();
         engine.take_events();
@@ -1285,7 +1105,7 @@ mod tests {
         assert!(s.cache_bytes <= 20);
         // k2 was evicted; k1 survived.
         let nxt = g1.len() as u32;
-        let g2 = frame_message(b"Gk2");
+        let g2 = encode_message(b"Gk2");
         let o = process(&mut engine, &client_data(nxt, 0, &g2));
         assert!(!o.served, "LRU entry was evicted");
         // An entry bigger than the whole device budget is refused.
@@ -1296,7 +1116,7 @@ mod tests {
     fn uninstall_flushes_and_disarms_everything() {
         let mut engine = TcpOffload::new(PORT, OffloadService::Echo);
         engine.arm_flow(key(), shadow(1000, 5000));
-        let msg = frame_message(b"pend");
+        let msg = encode_message(b"pend");
         let hdr = client_data(1000, 5000, &msg[..FRAME_HEADER_LEN]);
         process(&mut engine, &hdr);
         engine.disarm_all();
@@ -1315,8 +1135,8 @@ mod tests {
     fn pipelined_messages_in_one_segment_all_serve() {
         let mut engine = TcpOffload::new(PORT, OffloadService::Echo);
         engine.arm_flow(key(), shadow(0, 0));
-        let m1 = frame_message(b"one");
-        let m2 = frame_message(b"two");
+        let m1 = encode_message(b"one");
+        let m2 = encode_message(b"two");
         let mut both = m1.clone();
         both.extend_from_slice(&m2);
         let o = process(&mut engine, &client_data(0, 0, &both));
@@ -1325,12 +1145,12 @@ mod tests {
         assert_eq!(tx.len(), 2, "one reply per message");
         let events = engine.take_events();
         assert_eq!(events.len(), 2);
-        let r2 = parse_tcp_frame(tx[1].as_slice()).unwrap();
+        let (_, r2, payload) = parse_reply(&tx[1]);
         assert_eq!(
             r2.seq,
-            m1.len() as u32,
+            SeqNum(m1.len() as u32),
             "replies occupy consecutive seq space"
         );
-        assert_eq!(r2.payload, &m2[..]);
+        assert_eq!(payload, &m2[..]);
     }
 }

@@ -483,20 +483,26 @@ mod tests {
     /// A minimal IPv4/UDP frame: the sender's last MAC octet doubles as its
     /// IP last octet (10.0.0.n), and varying the ports varies the flow.
     fn udp_flow_frame(dst: MacAddress, src: MacAddress, src_port: u16, dst_port: u16) -> Vec<u8> {
-        let mut f = Vec::new();
-        f.extend_from_slice(&dst.octets());
-        f.extend_from_slice(&src.octets());
-        f.extend_from_slice(&[0x08, 0x00]);
-        let mut ip = [0u8; 20];
-        ip[0] = 0x45;
-        ip[9] = 17;
-        ip[12..16].copy_from_slice(&[10, 0, 0, src.octets()[5]]);
-        ip[16..20].copy_from_slice(&[10, 0, 0, dst.octets()[5]]);
-        f.extend_from_slice(&ip);
-        f.extend_from_slice(&src_port.to_be_bytes());
-        f.extend_from_slice(&dst_port.to_be_bytes());
-        f.extend_from_slice(&[0u8; 8]);
-        f
+        use crate::wire::eth::{EthHeader, EtherType};
+        use crate::wire::ipv4::{IpProtocol, Ipv4Header};
+        let l4 = [
+            &src_port.to_be_bytes()[..],
+            &dst_port.to_be_bytes(),
+            &[0u8; 8],
+        ]
+        .concat();
+        let eth = EthHeader {
+            dst,
+            src,
+            ethertype: EtherType::Ipv4,
+        };
+        let ip = Ipv4Header {
+            src: [10, 0, 0, src.octets()[5]].into(),
+            dst: [10, 0, 0, dst.octets()[5]].into(),
+            protocol: IpProtocol::Udp,
+            payload_len: l4.len(),
+        };
+        [&eth.serialize()[..], &ip.serialize(), &l4].concat()
     }
 
     #[test]

@@ -26,6 +26,10 @@
 
 use std::net::Ipv4Addr;
 
+use crate::wire::eth::{EthHeader, EtherType};
+use crate::wire::ipv4::{IpProtocol, Ipv4Header};
+use crate::wire::l4_ports;
+
 /// The well-known 40-byte Microsoft RSS key. The specific constants do not
 /// matter for the simulation (symmetry comes from canonicalization, not the
 /// key), but using the standard key keeps the hash recognizably Toeplitz.
@@ -100,43 +104,32 @@ pub fn hash_frame(frame: &[u8]) -> u32 {
     if let Some(hash) = ipv4_tuple_hash(frame) {
         return hash;
     }
-    if frame.len() >= 14 {
-        let mut data = [0u8; 8];
-        data[0..6].copy_from_slice(&frame[6..12]);
-        data[6..8].copy_from_slice(&frame[12..14]);
-        toeplitz(&data)
-    } else {
-        toeplitz(frame)
-    }
+    let Ok((eth, _)) = EthHeader::parse(frame) else {
+        return toeplitz(frame);
+    };
+    let mut data = [0u8; 8];
+    data[0..6].copy_from_slice(&eth.src.octets());
+    data[6..8].copy_from_slice(&eth.ethertype.to_u16().to_be_bytes());
+    toeplitz(&data)
 }
 
+/// The flow hash of a structurally sound IPv4 frame. Checksums are not
+/// verified: hardware RSS steers a corrupted frame like any other, and the
+/// host parser on the owning queue is what drops it.
 fn ipv4_tuple_hash(frame: &[u8]) -> Option<u32> {
-    if frame.len() < 14 + 20 || frame[12..14] != [0x08, 0x00] {
+    let (eth, packet) = EthHeader::parse(frame).ok()?;
+    if eth.ethertype != EtherType::Ipv4 {
         return None;
     }
-    let ip = &frame[14..];
-    if ip[0] >> 4 != 4 {
-        return None;
-    }
-    let ihl = ((ip[0] & 0x0F) as usize) * 4;
-    if ihl < 20 || ip.len() < ihl {
-        return None;
-    }
-    let src = Ipv4Addr::new(ip[12], ip[13], ip[14], ip[15]);
-    let dst = Ipv4Addr::new(ip[16], ip[17], ip[18], ip[19]);
-    let (src_port, dst_port) = match ip[9] {
-        // TCP and UDP start with src/dst ports; everything else (ICMP, ...)
-        // hashes as a host pair.
-        6 | 17 => {
-            let l4 = ip.get(ihl..ihl + 4)?;
-            (
-                u16::from_be_bytes([l4[0], l4[1]]),
-                u16::from_be_bytes([l4[2], l4[3]]),
-            )
+    let (ip, ihl) = Ipv4Header::parse_structure(packet).ok()?;
+    let (src_port, dst_port) = match ip.protocol {
+        IpProtocol::Tcp | IpProtocol::Udp => {
+            l4_ports(ip.protocol, &packet[ihl..ihl + ip.payload_len])?
         }
+        // Everything else (ICMP, ...) hashes as a host pair.
         _ => (0, 0),
     };
-    Some(hash_tuple(src, src_port, dst, dst_port))
+    Some(hash_tuple(ip.src, src_port, ip.dst, dst_port))
 }
 
 /// `hash() % queues` — a lone queue owns every flow, so nothing is hashed
@@ -190,6 +183,7 @@ mod tests {
         f[12] = 0x08;
         let mut ip_hdr = [0u8; 20];
         ip_hdr[0] = 0x45;
+        ip_hdr[2..4].copy_from_slice(&((20 + l4.len()) as u16).to_be_bytes());
         ip_hdr[9] = proto;
         ip_hdr[12..16].copy_from_slice(&src.octets());
         ip_hdr[16..20].copy_from_slice(&dst.octets());

@@ -10,6 +10,7 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 
 /// Accumulates 16-bit words of `data` into `acc` without folding, so callers
 /// can checksum a pseudo-header followed by a payload.
+#[inline]
 pub fn sum_words(data: &[u8], mut acc: u32) -> u32 {
     let mut chunks = data.chunks_exact(2);
     for chunk in &mut chunks {
@@ -58,6 +59,7 @@ impl ChecksumAccumulator {
     }
 
     /// Feeds one fragment. Fragments may have any length, including zero.
+    #[inline]
     pub fn push(&mut self, data: &[u8]) {
         let data = match self.pending.take() {
             Some(hi) => {
@@ -80,6 +82,7 @@ impl ChecksumAccumulator {
     }
 
     /// Folds and complements, zero-padding any dangling odd byte.
+    #[inline]
     pub fn finish(self) -> u16 {
         let mut acc = self.acc;
         if let Some(hi) = self.pending {

@@ -3,7 +3,7 @@
 use demi_memory::{DemiBuffer, HeadroomError};
 use sim_fabric::MacAddress;
 
-use crate::types::NetError;
+use super::Malformed;
 
 /// Ethernet header length in bytes.
 pub const ETH_HEADER_LEN: usize = 14;
@@ -62,9 +62,10 @@ impl EthHeader {
 
     /// Parses a header from the start of `frame`; returns the header and the
     /// payload that follows.
-    pub fn parse(frame: &[u8]) -> Result<(EthHeader, &[u8]), NetError> {
+    #[inline]
+    pub fn parse(frame: &[u8]) -> Result<(EthHeader, &[u8]), Malformed> {
         if frame.len() < ETH_HEADER_LEN {
-            return Err(NetError::Malformed("ethernet header"));
+            return Err(Malformed("ethernet header"));
         }
         let mut dst = [0u8; 6];
         dst.copy_from_slice(&frame[0..6]);
@@ -121,7 +122,7 @@ mod tests {
     fn short_frame_is_malformed() {
         assert_eq!(
             EthHeader::parse(&[0u8; 13]),
-            Err(NetError::Malformed("ethernet header"))
+            Err(Malformed("ethernet header"))
         );
     }
 

@@ -8,8 +8,8 @@ use std::net::Ipv4Addr;
 
 use demi_memory::{DemiBuffer, HeadroomError};
 
-use crate::checksum::{internet_checksum, verify};
-use crate::types::NetError;
+use super::checksum::{internet_checksum, verify};
+use super::Malformed;
 
 /// IPv4 header length (no options).
 pub const IPV4_HEADER_LEN: usize = 20;
@@ -80,25 +80,24 @@ impl Ipv4Header {
         out
     }
 
-    /// Parses and validates a header; returns it and the payload slice
-    /// (truncated to the header's declared total length).
-    pub fn parse(data: &[u8]) -> Result<(Ipv4Header, &[u8]), NetError> {
+    /// The structural half of [`Ipv4Header::parse`] — version, IHL, total
+    /// length ≤ buffer; no checksum — which is all hardware RSS does.
+    /// Returns the header and its own length in bytes (options included).
+    #[inline]
+    pub fn parse_structure(data: &[u8]) -> Result<(Ipv4Header, usize), Malformed> {
         if data.len() < IPV4_HEADER_LEN {
-            return Err(NetError::Malformed("ipv4 header"));
+            return Err(Malformed("ipv4 header"));
         }
         if data[0] >> 4 != 4 {
-            return Err(NetError::Malformed("ipv4 version"));
+            return Err(Malformed("ipv4 version"));
         }
         let ihl = ((data[0] & 0x0F) as usize) * 4;
         if ihl < IPV4_HEADER_LEN || data.len() < ihl {
-            return Err(NetError::Malformed("ipv4 ihl"));
-        }
-        if !verify(&data[..ihl]) {
-            return Err(NetError::Malformed("ipv4 checksum"));
+            return Err(Malformed("ipv4 ihl"));
         }
         let total_len = u16::from_be_bytes([data[2], data[3]]) as usize;
         if total_len < ihl || total_len > data.len() {
-            return Err(NetError::Malformed("ipv4 total length"));
+            return Err(Malformed("ipv4 total length"));
         }
         let header = Ipv4Header {
             src: Ipv4Addr::new(data[12], data[13], data[14], data[15]),
@@ -106,7 +105,18 @@ impl Ipv4Header {
             protocol: IpProtocol::from_u8(data[9]),
             payload_len: total_len - ihl,
         };
-        Ok((header, &data[ihl..total_len]))
+        Ok((header, ihl))
+    }
+
+    /// Parses and validates a header; returns it and the payload slice
+    /// (truncated to the header's declared total length).
+    #[inline]
+    pub fn parse(data: &[u8]) -> Result<(Ipv4Header, &[u8]), Malformed> {
+        let (header, ihl) = Self::parse_structure(data)?;
+        if !verify(&data[..ihl]) {
+            return Err(Malformed("ipv4 checksum"));
+        }
+        Ok((header, &data[ihl..ihl + header.payload_len]))
     }
 
     /// Writes this header into `payload`'s headroom, turning it into an IP
@@ -118,6 +128,18 @@ impl Ipv4Header {
             .copy_from_slice(&self.serialize());
         Ok(())
     }
+}
+
+/// The 12-byte pseudo-header that TCP and UDP checksums cover ahead of
+/// their `len`-byte segment or datagram.
+#[inline]
+pub fn pseudo_header(src: Ipv4Addr, dst: Ipv4Addr, protocol: IpProtocol, len: usize) -> [u8; 12] {
+    let mut pseudo = [0u8; 12];
+    pseudo[0..4].copy_from_slice(&src.octets());
+    pseudo[4..8].copy_from_slice(&dst.octets());
+    pseudo[9] = protocol.to_u8();
+    pseudo[10..12].copy_from_slice(&(len as u16).to_be_bytes());
+    pseudo
 }
 
 #[cfg(test)]
@@ -170,10 +192,7 @@ mod tests {
     fn corrupted_checksum_rejected() {
         let mut packet = build_packet(&header(4), b"abcd");
         packet[12] ^= 0x01; // Flip a bit in the source address.
-        assert_eq!(
-            Ipv4Header::parse(&packet),
-            Err(NetError::Malformed("ipv4 checksum"))
-        );
+        assert_eq!(Ipv4Header::parse(&packet), Err(Malformed("ipv4 checksum")));
     }
 
     #[test]
@@ -189,10 +208,7 @@ mod tests {
     fn wrong_version_rejected() {
         let mut packet = build_packet(&header(0), b"");
         packet[0] = 0x65; // Version 6.
-        assert_eq!(
-            Ipv4Header::parse(&packet),
-            Err(NetError::Malformed("ipv4 version"))
-        );
+        assert_eq!(Ipv4Header::parse(&packet), Err(Malformed("ipv4 version")));
     }
 
     #[test]

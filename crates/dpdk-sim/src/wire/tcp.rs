@@ -4,9 +4,9 @@ use std::net::Ipv4Addr;
 
 use demi_memory::{DemiBuffer, HeadroomError};
 
-use crate::checksum::{finish, sum_words, ChecksumAccumulator};
-use crate::ipv4::IpProtocol;
-use crate::types::NetError;
+use super::checksum::{finish, sum_words, ChecksumAccumulator};
+use super::ipv4::{pseudo_header, IpProtocol};
+use super::Malformed;
 
 use super::seq::SeqNum;
 
@@ -141,11 +141,8 @@ impl TcpHeader {
         let header_len = self.write_header(&mut hdr);
         let hdr = &mut hdr[..header_len];
         let mut acc = ChecksumAccumulator::new();
-        acc.push(&tcp_pseudo_header(
-            src_ip,
-            dst_ip,
-            header_len + payload.len(),
-        ));
+        let segment_len = header_len + payload.len();
+        acc.push(&pseudo_header(src_ip, dst_ip, IpProtocol::Tcp, segment_len));
         acc.push(hdr);
         acc.push(payload.as_slice());
         let ck = acc.finish();
@@ -160,16 +157,16 @@ impl TcpHeader {
         src_ip: Ipv4Addr,
         dst_ip: Ipv4Addr,
         segment: &[u8],
-    ) -> Result<(TcpHeader, usize), NetError> {
+    ) -> Result<(TcpHeader, usize), Malformed> {
         if segment.len() < TCP_HEADER_LEN {
-            return Err(NetError::Malformed("tcp header"));
+            return Err(Malformed("tcp header"));
         }
         let data_offset = ((segment[12] >> 4) as usize) * 4;
         if data_offset < TCP_HEADER_LEN || data_offset > segment.len() {
-            return Err(NetError::Malformed("tcp data offset"));
+            return Err(Malformed("tcp data offset"));
         }
         if tcp_checksum(src_ip, dst_ip, segment) != 0 {
-            return Err(NetError::Malformed("tcp checksum"));
+            return Err(Malformed("tcp checksum"));
         }
         let mut mss = None;
         let mut opts = &segment[TCP_HEADER_LEN..data_offset];
@@ -213,19 +210,9 @@ impl TcpHeader {
     }
 }
 
-/// The 12-byte IPv4 pseudo-header TCP checksums are computed over.
-fn tcp_pseudo_header(src: Ipv4Addr, dst: Ipv4Addr, segment_len: usize) -> [u8; 12] {
-    let mut pseudo = [0u8; 12];
-    pseudo[0..4].copy_from_slice(&src.octets());
-    pseudo[4..8].copy_from_slice(&dst.octets());
-    pseudo[9] = IpProtocol::Tcp.to_u8();
-    pseudo[10..12].copy_from_slice(&(segment_len as u16).to_be_bytes());
-    pseudo
-}
-
 /// TCP checksum over the IPv4 pseudo-header and the full segment.
 fn tcp_checksum(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> u16 {
-    let pseudo = tcp_pseudo_header(src, dst, segment.len());
+    let pseudo = pseudo_header(src, dst, IpProtocol::Tcp, segment.len());
     finish(sum_words(segment, sum_words(&pseudo, 0)))
 }
 
@@ -333,7 +320,7 @@ mod tests {
         bad[4] ^= 0x01;
         assert_eq!(
             TcpHeader::parse(ip(1), ip(2), &bad),
-            Err(NetError::Malformed("tcp checksum"))
+            Err(Malformed("tcp checksum"))
         );
     }
 

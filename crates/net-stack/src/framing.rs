@@ -1,33 +1,20 @@
-//! Length-prefixed message framing over byte streams.
-//!
-//! Demikernel queues carry *atomic data units*: a scatter-gather array
-//! pushed on one end pops out as a single element on the other (paper
-//! §4.2). UDP and RDMA preserve message boundaries natively, but TCP is a
-//! byte stream, so the libOS "inserts the needed framing itself (e.g., atop
-//! a TCP stream)" — the first option paper §5.2 discusses. This module is
-//! that framing: a fixed 8-byte header (magic + length) ahead of each
-//! message.
-//!
-//! The decoder is deliberately honest about the costs the paper talks
-//! about: extraction is zero-copy when a message lies within one received
-//! chunk, and the [`FramingStats`] counters expose both reassembly copies
-//! and the *partial inspections* a stream interface forces (experiment E3's
-//! "Redis inspects the pipe and finds its read incomplete" scenario).
+//! Length-prefixed message framing over byte streams: the 8-byte header
+//! (shared with the device's offload engine, so re-exported from
+//! [`dpdk_sim::wire::framing`]) and the host's decoder over received
+//! chunks. Extraction is zero-copy when a message lies within one chunk;
+//! [`FramingStats`] exposes the reassembly copies and the *partial
+//! inspections* a stream interface forces (experiment E3's "Redis inspects
+//! the pipe and finds its read incomplete" scenario).
 
 use std::collections::VecDeque;
 
 use demi_memory::{counters, DemiBuffer};
 
+pub use dpdk_sim::wire::framing::{
+    encode_header, encode_message, parse_header, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_LEN,
+};
+
 use crate::types::NetError;
-
-/// Frame header: 4-byte magic + 4-byte big-endian length.
-pub const FRAME_HEADER_LEN: usize = 8;
-
-/// Magic tag guarding against desynchronization ("DEMI").
-pub const FRAME_MAGIC: [u8; 4] = *b"DEMI";
-
-/// Largest message the framing accepts (guards against corrupt lengths).
-pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
 /// Decoder-side counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,24 +28,6 @@ pub struct FramingStats {
     /// `next_message` calls that found only part of a message buffered —
     /// the wasted inspections a stream abstraction forces on the app.
     pub partial_inspections: u64,
-}
-
-/// Encodes one message: returns the 8-byte header to send ahead of the
-/// payload (the payload itself travels zero-copy).
-pub fn encode_header(payload_len: usize) -> [u8; FRAME_HEADER_LEN] {
-    let mut h = [0u8; FRAME_HEADER_LEN];
-    h[0..4].copy_from_slice(&FRAME_MAGIC);
-    h[4..8].copy_from_slice(&(payload_len as u32).to_be_bytes());
-    h
-}
-
-/// Convenience: header + payload in one buffer (copies; used by tests and
-/// the POSIX baseline, which copies anyway).
-pub fn encode_message(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&encode_header(payload.len()));
-    out.extend_from_slice(payload);
-    out
 }
 
 /// Reassembles messages from a stream of received chunks.
@@ -95,24 +64,19 @@ impl FrameDecoder {
     /// message (counted as a partial inspection when non-empty), and an
     /// error if the stream desynchronized (bad magic or absurd length).
     pub fn next_message(&mut self) -> Result<Option<DemiBuffer>, NetError> {
-        if self.buffered < FRAME_HEADER_LEN {
-            if self.buffered > 0 {
-                self.stats.partial_inspections += 1;
+        // Gathered onto the stack: an inspection never touches the heap.
+        let mut header = [0u8; FRAME_HEADER_LEN];
+        let bytes = self.chunks.iter().flat_map(|chunk| chunk.as_slice());
+        let have = header.iter_mut().zip(bytes).map(|(h, &b)| *h = b).count();
+        let len = match parse_header(&header[..have])? {
+            Some(len) if self.buffered >= FRAME_HEADER_LEN + len => len,
+            _ => {
+                if self.buffered > 0 {
+                    self.stats.partial_inspections += 1;
+                }
+                return Ok(None);
             }
-            return Ok(None);
-        }
-        let header = self.peek(FRAME_HEADER_LEN);
-        if header[0..4] != FRAME_MAGIC {
-            return Err(NetError::Malformed("frame magic"));
-        }
-        let len = u32::from_be_bytes([header[4], header[5], header[6], header[7]]) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(NetError::Malformed("frame length"));
-        }
-        if self.buffered < FRAME_HEADER_LEN + len {
-            self.stats.partial_inspections += 1;
-            return Ok(None);
-        }
+        };
         self.discard(FRAME_HEADER_LEN);
         let msg = self.extract(len);
         self.stats.messages += 1;
@@ -122,19 +86,6 @@ impl FrameDecoder {
     /// Decoder counters.
     pub fn stats(&self) -> FramingStats {
         self.stats
-    }
-
-    fn peek(&self, n: usize) -> Vec<u8> {
-        debug_assert!(self.buffered >= n);
-        let mut out = Vec::with_capacity(n);
-        for chunk in &self.chunks {
-            let take = chunk.len().min(n - out.len());
-            out.extend_from_slice(&chunk.as_slice()[..take]);
-            if out.len() == n {
-                break;
-            }
-        }
-        out
     }
 
     fn discard(&mut self, mut n: usize) {
@@ -265,6 +216,49 @@ mod tests {
         h[4..8].copy_from_slice(&u32::MAX.to_be_bytes());
         dec.push_chunk(DemiBuffer::from_slice(&h));
         assert_eq!(dec.next_message(), Err(NetError::Malformed("frame length")));
+    }
+
+    /// Host half of the device ⊆ host differential (`dpdk-sim`'s
+    /// `tests/device_subset_of_host.rs` has the device half): however a
+    /// spliced header is cut into chunks, the decoder rejects exactly what
+    /// `parse_header` rejects, for the same reason, and never earlier than
+    /// the byte that gives it away.
+    #[test]
+    fn decoder_rejects_exactly_the_headers_parse_header_rejects() {
+        const CASES: u32 = if cfg!(debug_assertions) {
+            2_000
+        } else {
+            50_000
+        };
+        let mut rng = sim_fabric::SimRng::new(0xF4A3E);
+        for case in 0..CASES {
+            let len = match rng.next_u64() % 5 {
+                0 => 0,
+                1 => MAX_FRAME_LEN,
+                2 => MAX_FRAME_LEN + 1,
+                3 => u32::MAX as usize,
+                _ => rng.next_u64() as u32 as usize,
+            };
+            let mut header = encode_header(len);
+            if rng.chance(0.25) {
+                header[(rng.next_u64() % 4) as usize] ^= 1 << (rng.next_u64() % 8);
+            }
+            // A header with no body behind it: only the empty message is
+            // complete.
+            let verdict = |bytes: &[u8]| {
+                let len = parse_header(bytes).map_err(NetError::from);
+                len.map(|len| len.filter(|&len| len == 0))
+            };
+            let pop = |dec: &mut FrameDecoder| dec.next_message().map(|m| m.map(|m| m.len()));
+            let cut = (rng.next_u64() % 9) as usize;
+            let mut dec = FrameDecoder::new();
+            dec.push_chunk(DemiBuffer::from_slice(&header[..cut]));
+            assert_eq!(pop(&mut dec), verdict(&header[..cut]), "{case}");
+            if cut < FRAME_HEADER_LEN && verdict(&header[..cut]).is_ok() {
+                dec.push_chunk(DemiBuffer::from_slice(&header[cut..]));
+                assert_eq!(pop(&mut dec), verdict(&header), "{case}");
+            }
+        }
     }
 
     #[test]

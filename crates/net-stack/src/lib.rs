@@ -6,11 +6,13 @@
 //! largest piece of OS functionality the `catnip` library OS must implement
 //! on the CPU because the device does not:
 //!
-//! * [`eth`] — Ethernet II framing;
+//! * [`eth`], [`ipv4`], [`checksum`], [`tcp::header`], [`tcp::seq`] —
+//!   Ethernet II, IPv4 (no fragmentation: upper layers respect the MTU)
+//!   and TCP headers with their checksums: re-exports of [`dpdk_sim::wire`],
+//!   the one codec shared with the device's offload engine and RSS, under
+//!   the paths the frozen perf ledger imports them by;
 //! * [`arp`] — address resolution with a cache, request retry, and pending
 //!   packet queues;
-//! * [`ipv4`] — IPv4 headers with internet checksums (no fragmentation:
-//!   upper layers respect the MTU, as datacenter stacks do);
 //! * [`icmp`] — echo request/reply, for reachability tests;
 //! * [`udp`] — datagram sockets (message boundaries preserved — the natural
 //!   fit for Demikernel queues);
@@ -20,7 +22,7 @@
 //!   reassembly, and the complete close/TIME_WAIT state machine;
 //! * [`framing`] — length-prefixed message framing layered over TCP's byte
 //!   stream, so Demikernel queues can preserve *atomic data units* across a
-//!   stream transport (paper §5.2);
+//!   stream transport (paper §5.2): the shared header and the host decoder;
 //! * [`stack`] — [`stack::NetworkStack`], which ties the layers to a
 //!   [`dpdk_sim::DpdkPort`] behind handle-based, poll-driven socket APIs.
 //!
@@ -33,13 +35,10 @@
 //! ownership).
 
 pub mod arp;
-pub mod checksum;
 pub mod counters;
-pub mod eth;
 pub mod fasthash;
 pub mod framing;
 pub mod icmp;
-pub mod ipv4;
 pub mod ports;
 pub mod rings;
 pub mod stack;
@@ -47,6 +46,7 @@ pub mod tcp;
 pub mod types;
 pub mod udp;
 
+pub use dpdk_sim::wire::{checksum, eth, ipv4};
 pub use fasthash::{FastHashMap, FastHashSet};
 pub use ports::PortAllocator;
 pub use rings::{mesh, RingStats, ShardMsg, ShardRings};

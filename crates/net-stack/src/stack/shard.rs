@@ -379,8 +379,9 @@ impl Shard {
                 self.stats.not_for_us += 1;
                 return;
             }
-            let ihl = ((ip_bytes[0] & 0x0F) as usize) * 4;
-            (ip.src, ip.protocol, ETH_HEADER_LEN + ihl, payload.len())
+            // `payload` is `frame`'s bytes past the IP header and its options.
+            let ip_payload_off = payload.as_ptr() as usize - frame.as_ptr() as usize;
+            (ip.src, ip.protocol, ip_payload_off, payload.len())
         };
         // RX budget policing happens here — after demux scalars are known
         // (the destination port names the owning tenant) but before any

@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use demi_memory::{DemiBuffer, TenantId};
 use demi_tenant::{counters as tenant_counters, TenantRegistry, TokenBucket};
+use dpdk_sim::wire::l4_ports;
 use dpdk_sim::Mbuf;
 use sim_fabric::{SimClock, SimTime};
 
@@ -194,14 +195,14 @@ impl ShardTenancy {
     /// budget across tenants in proportion to `rx_share`, and a tenant's
     /// frames beyond its slice are dropped here (counted) — one tenant's
     /// RX flood can saturate only its own slice of the pass, never the
-    /// whole budget. The destination port (bytes 2..4 of the UDP/TCP
-    /// header `l4`) names the owning tenant; frames to host-owned ports
-    /// are never policed.
+    /// whole budget. The destination port of the UDP/TCP payload `l4`
+    /// names the owning tenant; frames to host-owned ports are never
+    /// policed.
     pub(super) fn rx_admit(&mut self, protocol: IpProtocol, l4: &[u8]) -> bool {
-        if !matches!(protocol, IpProtocol::Udp | IpProtocol::Tcp) || l4.len() < 4 {
+        let Some((_, dst_port)) = l4_ports(protocol, l4) else {
             return true;
-        }
-        let owner = self.registry.port_owner(u16::from_be_bytes([l4[2], l4[3]]));
+        };
+        let owner = self.registry.port_owner(dst_port);
         if owner.is_host() {
             return true;
         }

@@ -302,7 +302,12 @@ fn the_sole_shard_constructor_refuses_a_multi_queue_port() {
 // Device offload programs (E17): the stack as offload planner.
 // ----------------------------------------------------------------------
 
-use dpdk_sim::offload::frame_message;
+use std::cell::Cell;
+use std::rc::Rc;
+
+use dpdk_sim::NicProgram;
+
+use crate::framing::encode_message;
 
 /// A two-host world where host `b` (the server) has a SmartNIC with
 /// program slots. Returns the server's port handle too, so tests can
@@ -361,7 +366,7 @@ fn echo_offload_serves_on_device_without_host_delivery() {
         b.offload_stats().unwrap().flows_armed == 1
     });
 
-    let msg = frame_message(b"hello-device");
+    let msg = encode_message(b"hello-device");
     a.tcp_send(conn, DemiBuffer::from_slice(&msg)).unwrap();
     let reply = recv_exactly(&fabric, &a, &b, conn, msg.len());
     assert_eq!(reply, msg, "device echoes the full framed message");
@@ -378,7 +383,7 @@ fn echo_offload_serves_on_device_without_host_delivery() {
     );
 
     // A second round trip proves shadow state stayed coherent.
-    let msg2 = frame_message(b"again");
+    let msg2 = encode_message(b"again");
     a.tcp_send(conn, DemiBuffer::from_slice(&msg2)).unwrap();
     let reply2 = recv_exactly(&fabric, &a, &b, conn, msg2.len());
     assert_eq!(reply2, msg2);
@@ -394,6 +399,50 @@ fn echo_offload_serves_on_device_without_host_delivery() {
     assert!(b.offload_stats().unwrap().fallbacks >= 1);
 }
 
+/// The device and the host agree on what a valid segment is: a request
+/// whose payload took a bit flip on the wire (a `Map` slot ahead of the
+/// engine plays the corrupting link) is not served, absorbed or answered
+/// by the device — the host parser drops it and counts it — and the
+/// client's clean retransmission is then served on the device.
+#[test]
+fn corrupted_request_reaches_the_host_parser_not_the_device_service() {
+    let (fabric, a, b, port) = offload_world();
+    let corrupt_next = Rc::new(Cell::new(false));
+    let flip = Rc::clone(&corrupt_next);
+    port.install_program(NicProgram::Map {
+        transform: Rc::new(move |frame: &mut [u8]| {
+            if flip.replace(false) {
+                *frame.last_mut().unwrap() ^= 0x01;
+            }
+        }),
+        cycles_per_frame: 0,
+    })
+    .unwrap();
+    b.install_echo_offload(7).unwrap();
+    let (conn, sconn) = tcp_pair(&fabric, &a, &b, 7);
+    settle(&fabric, &[&a, &b], || {
+        b.offload_stats().unwrap().flows_armed == 1
+    });
+
+    let msg = encode_message(b"hello-device");
+    let malformed = b.stats().malformed;
+    corrupt_next.set(true);
+    a.tcp_send(conn, DemiBuffer::from_slice(&msg)).unwrap();
+    settle(&fabric, &[&a, &b], || b.stats().malformed > malformed);
+    assert_eq!(b.stats().malformed, malformed + 1, "the host counted it");
+    let device = b.offload_stats().unwrap();
+    assert_eq!((device.served, device.fallbacks), (0, 0));
+    assert_eq!(device.flows_armed, 1, "the flow is still the device's");
+    assert_eq!(port.stats().device_tx_frames, 0, "nothing was answered");
+
+    // The retransmission timer resends the same bytes, clean this time.
+    let (host_rx, served) = (b.stats().rx_frames, port.smartnic_stats().frames_served);
+    assert_eq!(recv_exactly(&fabric, &a, &b, conn, msg.len()), msg);
+    assert_eq!(port.smartnic_stats().frames_served, served + 1);
+    assert_eq!(b.stats().rx_frames, host_rx, "0 host RX frames");
+    assert!(!b.tcp_readable(sconn));
+}
+
 #[test]
 fn kv_offload_hits_on_device_and_invalidates_on_set() {
     let (fabric, a, b, _port) = offload_world();
@@ -405,9 +454,9 @@ fn kv_offload_hits_on_device_and_invalidates_on_set() {
     });
 
     // GET hit: answered on the device.
-    a.tcp_send(conn, DemiBuffer::from_slice(&frame_message(b"Gk")))
+    a.tcp_send(conn, DemiBuffer::from_slice(&encode_message(b"Gk")))
         .unwrap();
-    let want = frame_message(b"Vvee");
+    let want = encode_message(b"Vvee");
     let reply = recv_exactly(&fabric, &a, &b, conn, want.len());
     assert_eq!(reply, want);
     assert_eq!(b.offload_stats().unwrap().kv_hits, 1);
@@ -415,20 +464,20 @@ fn kv_offload_hits_on_device_and_invalidates_on_set() {
 
     // SET: falls back; the host application serves it and the device
     // cache drops the key (write-through invalidation).
-    a.tcp_send(conn, DemiBuffer::from_slice(&frame_message(b"Sk=new")))
+    a.tcp_send(conn, DemiBuffer::from_slice(&encode_message(b"Sk=new")))
         .unwrap();
     let mut request = Vec::new();
     settle(&fabric, &[&a, &b], || {
         while let Ok(Some(chunk)) = b.tcp_recv(sconn) {
             request.extend_from_slice(chunk.as_slice());
         }
-        request.len() >= frame_message(b"Sk=new").len()
+        request.len() >= encode_message(b"Sk=new").len()
     });
-    assert_eq!(request, frame_message(b"Sk=new"), "flushed bytes intact");
+    assert_eq!(request, encode_message(b"Sk=new"), "flushed bytes intact");
     assert!(b.offload_stats().unwrap().kv_invalidations >= 1);
-    b.tcp_send(sconn, DemiBuffer::from_slice(&frame_message(b"O")))
+    b.tcp_send(sconn, DemiBuffer::from_slice(&encode_message(b"O")))
         .unwrap();
-    let ok = frame_message(b"O");
+    let ok = encode_message(b"O");
     assert_eq!(recv_exactly(&fabric, &a, &b, conn, ok.len()), ok);
 
     // The flow re-arms once quiescent; the invalidated key now misses on
@@ -436,19 +485,19 @@ fn kv_offload_hits_on_device_and_invalidates_on_set() {
     settle(&fabric, &[&a, &b], || {
         b.offload_stats().unwrap().flows_armed == 1
     });
-    a.tcp_send(conn, DemiBuffer::from_slice(&frame_message(b"Gk")))
+    a.tcp_send(conn, DemiBuffer::from_slice(&encode_message(b"Gk")))
         .unwrap();
     let mut request2 = Vec::new();
     settle(&fabric, &[&a, &b], || {
         while let Ok(Some(chunk)) = b.tcp_recv(sconn) {
             request2.extend_from_slice(chunk.as_slice());
         }
-        request2.len() >= frame_message(b"Gk").len()
+        request2.len() >= encode_message(b"Gk").len()
     });
     assert!(b.offload_stats().unwrap().kv_misses >= 1);
-    b.tcp_send(sconn, DemiBuffer::from_slice(&frame_message(b"Vnew")))
+    b.tcp_send(sconn, DemiBuffer::from_slice(&encode_message(b"Vnew")))
         .unwrap();
-    let fresh = frame_message(b"Vnew");
+    let fresh = encode_message(b"Vnew");
     assert_eq!(recv_exactly(&fabric, &a, &b, conn, fresh.len()), fresh);
 }
 
@@ -463,7 +512,7 @@ fn uninstall_mid_message_flushes_absorbed_bytes_to_host() {
 
     // First half of a framed message: the device absorbs it (incomplete,
     // unACKed) while it waits for the rest.
-    let msg = frame_message(b"split-across-uninstall");
+    let msg = encode_message(b"split-across-uninstall");
     a.tcp_send(conn, DemiBuffer::from_slice(&msg[..5])).unwrap();
     settle(&fabric, &[&a, &b], || {
         port.stats().device_absorbed_frames >= 1

@@ -24,13 +24,12 @@
 
 pub mod cb;
 pub mod congestion;
-pub mod header;
 pub mod peer;
 pub mod rto;
-pub mod seq;
 pub mod wheel;
 
 pub use cb::{ControlBlock, State, TcpSegmentOut};
+pub use dpdk_sim::wire::{seq, tcp as header};
 pub use header::{TcpFlags, TcpHeader, TCP_MAX_HEADER_LEN};
 pub use peer::{ConnId, ListenerId, TcpMemStats, TcpPeer, TcpStats};
 pub use seq::SeqNum;

@@ -90,6 +90,13 @@ impl fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+/// A [`dpdk_sim::wire`] parse failure is this stack's `Malformed`.
+impl From<dpdk_sim::wire::Malformed> for NetError {
+    fn from(e: dpdk_sim::wire::Malformed) -> Self {
+        NetError::Malformed(e.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

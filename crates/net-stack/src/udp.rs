@@ -12,7 +12,7 @@ use std::net::Ipv4Addr;
 use demi_memory::{DemiBuffer, HeadroomError};
 
 use crate::checksum::{finish, sum_words, ChecksumAccumulator};
-use crate::ipv4::IpProtocol;
+use crate::ipv4::{pseudo_header, IpProtocol};
 use crate::types::{NetError, SocketAddr};
 
 /// UDP header length.
@@ -30,19 +30,9 @@ pub struct UdpHeader {
     pub dst_port: u16,
 }
 
-/// The 12-byte IPv4 pseudo-header UDP checksums are computed over.
-fn pseudo_header(src: Ipv4Addr, dst: Ipv4Addr, datagram_len: usize) -> [u8; 12] {
-    let mut pseudo = [0u8; 12];
-    pseudo[0..4].copy_from_slice(&src.octets());
-    pseudo[4..8].copy_from_slice(&dst.octets());
-    pseudo[9] = IpProtocol::Udp.to_u8();
-    pseudo[10..12].copy_from_slice(&(datagram_len as u16).to_be_bytes());
-    pseudo
-}
-
 /// Computes the UDP checksum over the IPv4 pseudo-header plus the datagram.
 pub fn udp_checksum(src: Ipv4Addr, dst: Ipv4Addr, datagram: &[u8]) -> u16 {
-    let pseudo = pseudo_header(src, dst, datagram.len());
+    let pseudo = pseudo_header(src, dst, IpProtocol::Udp, datagram.len());
     let acc = sum_words(&pseudo, 0);
     let ck = finish(sum_words(datagram, acc));
     // All-zero checksum means "no checksum" on the wire; transmit 0xFFFF.
@@ -70,7 +60,12 @@ impl UdpHeader {
         hdr[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
         hdr[4..6].copy_from_slice(&len.to_be_bytes());
         let mut acc = ChecksumAccumulator::new();
-        acc.push(&pseudo_header(src_ip, dst_ip, len as usize));
+        acc.push(&pseudo_header(
+            src_ip,
+            dst_ip,
+            IpProtocol::Udp,
+            len as usize,
+        ));
         acc.push(&hdr);
         acc.push(payload.as_slice());
         let ck = match acc.finish() {
@@ -101,11 +96,7 @@ impl UdpHeader {
         if wire_ck != 0 {
             // Verify: checksum over the datagram including the checksum
             // field must fold to zero (0xFFFF represents zero on the wire).
-            let mut pseudo = [0u8; 12];
-            pseudo[0..4].copy_from_slice(&src_ip.octets());
-            pseudo[4..8].copy_from_slice(&dst_ip.octets());
-            pseudo[9] = IpProtocol::Udp.to_u8();
-            pseudo[10..12].copy_from_slice(&(len as u16).to_be_bytes());
+            let pseudo = pseudo_header(src_ip, dst_ip, IpProtocol::Udp, len);
             let acc = sum_words(&pseudo, 0);
             if finish(sum_words(&datagram[..len], acc)) != 0 {
                 return Err(NetError::Malformed("udp checksum"));

@@ -3,11 +3,17 @@
 
 mod support;
 
+use demi_memory::DemiBuffer;
 use demikernel::libos::LibOs;
-use demikernel::testing::{catnip_pair, host_ip};
+use demikernel::testing::{catnip_pair, host_ip, AllocMeter, CountingAlloc};
 use demikernel::types::Sga;
+use net_stack::framing::{encode_message, FrameDecoder};
 use net_stack::types::SocketAddr;
 use support::{tcp_pair, udp_pair};
+
+/// Counts this thread's heap allocations inside an [`AllocMeter`] window.
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 mod headroom_properties {
     //! Property coverage for the headroom API the TX path leans on.
@@ -305,4 +311,38 @@ fn popped_data_shares_storage_with_the_device_frame() {
     assert!(seg.capacity() > seg.len(), "a view into the full frame");
     // And the libOS performed zero payload copies to deliver it.
     assert_eq!(rt.metrics().snapshot().copies, 0);
+}
+
+/// The stream decoder looks at a framing header without touching the
+/// heap: neither a partial inspection (E3's "finds its read incomplete")
+/// nor the extraction of a message that lies within one received chunk
+/// allocates — the header is gathered onto the stack even where it
+/// straddles chunks, and the message is a view of the chunk.
+#[test]
+fn framed_message_in_one_chunk_costs_the_decoder_zero_allocations() {
+    let wire = DemiBuffer::from_slice(&encode_message(&[7u8; 100]));
+    let mut decoder = FrameDecoder::new();
+    let inspections = |decoder: &mut FrameDecoder, want_message: bool| {
+        let meter = AllocMeter::arm();
+        let message = decoder.next_message().unwrap();
+        let allocs = meter.count();
+        drop(meter);
+        assert_eq!(message.is_some(), want_message);
+        assert_eq!(allocs, 0, "the decoder allocated to inspect a header");
+        message
+    };
+    // Header split across two chunks, body still missing: partial twice.
+    decoder.push_chunk(wire.slice(0, 3));
+    inspections(&mut decoder, false);
+    decoder.push_chunk(wire.slice(3, 50));
+    inspections(&mut decoder, false);
+    decoder.push_chunk(wire.slice(50, wire.len()));
+    // A second message, whole in one chunk: the zero-copy extraction.
+    decoder.push_chunk(wire.clone());
+    let spanning = decoder.next_message().unwrap().expect("complete");
+    assert_eq!(spanning.as_slice(), &[7u8; 100]);
+    let whole = inspections(&mut decoder, true).unwrap();
+    assert!(whole.same_storage(&wire), "a view of the received chunk");
+    assert_eq!(decoder.stats().partial_inspections, 2);
+    assert_eq!(decoder.stats().zero_copy_extractions, 1);
 }

@@ -6,24 +6,37 @@
 //! that design point: each named queue is an append-only record log.
 //!
 //! * `push` appends one record — `[magic, length, checksum, payload]` —
-//!   buffered in the tail block; exactly **one** device block write makes
-//!   it durable (the log is its own allocation map: no bitmap, no inode).
-//!   Compare with the ext4-like baseline in [`posix_sim::file`], which
-//!   pays bitmap + inode + (eventually) indirect-block writes per append —
-//!   the difference experiment E10 measures as write amplification.
+//!   and makes it durable with **one device command**. All of the log's
+//!   state moves at submission: the cached partial tail block, the header
+//!   and the SGA's segments are gathered once into a block-aligned image,
+//!   which the device takes by value as one multi-block write of every
+//!   block the record touches; the spawned operation only waits for it.
+//!   The log is its own allocation map: no bitmap, no inode. Compare with
+//!   the ext4-like baseline in [`posix_sim::file`], which pays bitmap +
+//!   inode + (eventually) indirect-block writes, a command each, per
+//!   append — experiment E10's write amplification and time per append.
+//! * Pushes in flight on one log therefore cannot interleave, and a log
+//!   has two lengths: `len`, what was submitted, and `durable`, what the
+//!   device acknowledged — whole records, in order, and all a `pop` reads.
 //! * `pop` tails the log: it returns the next record as an atomic element,
-//!   verifying its checksum, and blocks (cooperatively) at the end of the
-//!   log until more data is pushed.
-//! * Records are recoverable: [`Catfs::recover`] rebuilds a log's state by
-//!   scanning the device (single-log devices; multi-log devices would need
-//!   per-extent ownership tags, noted as future work).
+//!   verifying its checksum, and blocks (cooperatively) at the durable end
+//!   of the log until more data is pushed.
+//! * [`Catfs::recover`] rebuilds a log by scanning the device and
+//!   verifying every record. One that parses but fails its sum is the torn
+//!   tail — the commit a crash interrupted, never acknowledged — and the
+//!   log ends before it. (Single-log devices; multi-log recovery needs
+//!   per-extent ownership tags, future work. Where logs do share a device,
+//!   a commit whose tail block and fresh blocks are not adjacent is two
+//!   commands, both submitted before either is waited on.)
+//! * A full namespace or queue pair fails the `push` with
+//!   [`DemiError::Storage`] before any log state changes.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use demi_sched::Notify;
-use sim_fabric::{DeviceCaps, SimClock};
+use sim_fabric::DeviceCaps;
 use spdk_sim::nvme::{NvmeCompletion, NvmeDevice, QpairId, BLOCK_SIZE};
 
 use crate::libos::{LibOs, LibOsKind, QueueTable};
@@ -49,27 +62,20 @@ pub struct CatfsStats {
     pub checksum_failures: u64,
 }
 
+#[derive(Default)]
 struct LogState {
     /// Device blocks of this log, in order.
     blocks: Vec<u64>,
-    /// Total bytes appended.
+    /// Total bytes appended (submitted to the device).
     len: u64,
-    /// Cached tail-block contents (also durable: rewritten per push).
+    /// Bytes the device has acknowledged: the prefix pops may read.
+    durable: u64,
+    /// Cached contents of the partial tail block, the prefix of the next
+    /// push's image (empty when `len` is block-aligned).
     tail: Vec<u8>,
-    /// Fires whenever `len` grows or a queue on this log closes, waking
-    /// pops parked at the log tail.
+    /// Fires whenever `durable` grows or a queue on this log closes,
+    /// waking pops parked at the log tail.
     appended: Notify,
-}
-
-impl LogState {
-    fn new() -> Self {
-        LogState {
-            blocks: Vec::new(),
-            len: 0,
-            tail: Vec::new(),
-            appended: Notify::new(),
-        }
-    }
 }
 
 struct OpenLog {
@@ -84,15 +90,23 @@ struct Inner {
     next_cmd: u64,
     completions: HashMap<u64, NvmeCompletion>,
     stats: CatfsStats,
+    /// The runtime's activity gate (its own Rc, independent of the runtime).
+    activity: Notify,
+}
+
+impl Inner {
+    /// Draws the next command id (ids reach the device in draw order).
+    fn cmd_id(&mut self) -> u64 {
+        self.next_cmd += 1;
+        self.next_cmd - 1
+    }
 }
 
 /// The storage libOS.
 #[derive(Clone)]
 pub struct Catfs {
     runtime: Runtime,
-    device: NvmeDevice,
-    qpair: QpairId,
-    inner: Rc<RefCell<Inner>>,
+    core: Core,
 }
 
 /// The cycle-free heart of catfs: everything the I/O coroutines need.
@@ -104,8 +118,6 @@ struct Core {
     device: NvmeDevice,
     qpair: QpairId,
     inner: Rc<RefCell<Inner>>,
-    /// The runtime's activity gate (its own Rc, independent of the runtime).
-    activity: Notify,
 }
 
 impl Core {
@@ -116,12 +128,9 @@ impl Core {
     fn pump_completions(&self) -> usize {
         let comps = self.device.poll_completions(self.qpair, 64);
         let n = comps.len();
-        if n == 0 {
-            return 0;
-        }
-        let mut inner = self.inner.borrow_mut();
-        for c in comps {
-            inner.completions.insert(c.cmd_id, c);
+        if n > 0 {
+            let table = &mut self.inner.borrow_mut().completions;
+            table.extend(comps.into_iter().map(|c| (c.cmd_id, c)));
         }
         n
     }
@@ -129,63 +138,123 @@ impl Core {
     async fn wait_cmd(&self, cmd_id: u64) -> NvmeCompletion {
         // Completions surface through the poller above, which counts as
         // external progress; park on the activity gate between checks.
+        let activity = self.inner.borrow().activity.clone();
         let arrived = || self.inner.borrow_mut().completions.remove(&cmd_id);
-        self.activity.until(arrived).await
+        activity.until(arrived).await
     }
 
-    /// Parks at the tail of `qd`'s log until `want` bytes past its cursor
-    /// are durable; yields the cursor, or `None` once `qd` is closed.
-    async fn wait_tail(&self, qd: QDesc, log: &RefCell<LogState>, want: u64) -> Option<u64> {
+    /// Parks at the tail of `qd`'s log until a record past its cursor is
+    /// durable; yields the cursor, or `None` once `qd` is closed.
+    async fn wait_tail(&self, qd: QDesc, log: &RefCell<LogState>) -> Option<u64> {
         let appended = log.borrow().appended.clone();
         let ready = || match self.inner.borrow().queues.get(qd) {
-            Ok(open) => (log.borrow().len - open.cursor >= want).then_some(Some(open.cursor)),
+            Ok(open) => (log.borrow().durable > open.cursor).then_some(Some(open.cursor)),
             Err(_) => Some(None),
         };
         appended.until(ready).await
     }
 
-    /// Submits a block write and waits for durability.
-    async fn write_block(&self, lba: u64, data: &[u8]) {
-        let cmd_id = {
-            let mut inner = self.inner.borrow_mut();
-            let id = inner.next_cmd;
-            inner.next_cmd += 1;
-            inner.stats.block_writes += 1;
-            id
+    /// Appends one record to `log` and submits every block it touches: the
+    /// cached partial tail, the header and the segments are gathered into
+    /// one block-aligned, zero-padded image the device takes by value.
+    /// Returns the command ids to wait for and the log length that is
+    /// durable once they complete; a full namespace or queue pair is an
+    /// `Err` before any state changes.
+    fn append(
+        &self,
+        log: &RefCell<LogState>,
+        sga: &Sga,
+    ) -> Result<(std::ops::Range<u64>, u64), DemiError> {
+        let mut inner = self.inner.borrow_mut();
+        let mut state = log.borrow_mut();
+        let payload =
+            u32::try_from(sga.len()).map_err(|_| DemiError::Storage("record too long"))?;
+        let at = state.tail.len();
+        let end = at + RECORD_HEADER + payload as usize;
+        let blocks = end.div_ceil(BLOCK_SIZE);
+        // A partial tail block is rewritten where it is; the rest are
+        // fresh. On a device holding one log that is one contiguous run;
+        // where another log allocated in between, two commands.
+        let tail_lba = state.blocks.last().copied().filter(|_| at > 0);
+        let fresh = blocks as u64 - u64::from(tail_lba.is_some());
+        let fresh = inner.next_lba..inner.next_lba + fresh;
+        let first = tail_lba.unwrap_or(fresh.start);
+        let split = tail_lba.is_some_and(|lba| !fresh.is_empty() && lba + 1 != fresh.start);
+        if fresh.end > self.device.namespace_blocks() {
+            return Err(DemiError::Storage("device full"));
+        }
+        if self.device.free_slots(self.qpair) < 1 + usize::from(split) {
+            return Err(DemiError::Storage("queue pair full"));
+        }
+
+        let mut image = Vec::with_capacity(blocks * BLOCK_SIZE);
+        image.extend_from_slice(&state.tail);
+        image.extend_from_slice(&RECORD_MAGIC.to_be_bytes());
+        image.extend_from_slice(&payload.to_be_bytes());
+        image.extend_from_slice(&[0; 4]);
+        for seg in sga.segments() {
+            image.extend_from_slice(seg.as_slice());
+        }
+        // Summed over the gathered bytes, so however the SGA was cut.
+        let sum = checksum(&image[at + RECORD_HEADER..]);
+        image[at + 6..at + RECORD_HEADER].copy_from_slice(&sum.to_be_bytes());
+        state.tail.clear();
+        state
+            .tail
+            .extend_from_slice(&image[end - end % BLOCK_SIZE..]);
+        image.resize(blocks * BLOCK_SIZE, 0);
+
+        state.len += (end - at) as u64;
+        state.blocks.extend(fresh.clone());
+        inner.next_lba = fresh.end;
+        inner.stats.appends += 1;
+        inner.stats.block_writes += blocks as u64;
+        let cmds = inner.next_cmd..inner.next_cmd + 1 + u64::from(split);
+        inner.next_cmd = cmds.end;
+        let submit = |cmd, lba, data| {
+            let submitted = self.device.submit_write(self.qpair, cmd, lba, data);
+            submitted.expect("range and queue depth validated above");
         };
-        self.device
-            .submit_write(self.qpair, cmd_id, lba, data)
-            .expect("catfs block write");
-        self.wait_cmd(cmd_id).await;
+        let rest = split.then(|| image.split_off(BLOCK_SIZE));
+        submit(cmds.start, first, image);
+        if let Some(rest) = rest {
+            submit(cmds.start + 1, fresh.start, rest);
+        }
+        Ok((cmds, state.len))
+    }
+
+    /// A record failed its integrity check: counted, and the pop fails.
+    fn checksum_failure(&self) -> OperationResult {
+        self.inner.borrow_mut().stats.checksum_failures += 1;
+        OperationResult::Failed(DemiError::Storage("record checksum"))
+    }
+
+    /// Submits a block read; returns its command id.
+    fn start_read(&self, lba: u64) -> u64 {
+        let mut inner = self.inner.borrow_mut();
+        inner.stats.block_reads += 1;
+        let cmd_id = inner.cmd_id();
+        let submitted = self.device.submit_read(self.qpair, cmd_id, lba, 1);
+        submitted.expect("catfs block read");
+        cmd_id
     }
 
     /// Submits a block read and waits for the data.
     async fn read_block(&self, lba: u64) -> Vec<u8> {
-        let cmd_id = {
-            let mut inner = self.inner.borrow_mut();
-            let id = inner.next_cmd;
-            inner.next_cmd += 1;
-            inner.stats.block_reads += 1;
-            id
-        };
-        self.device
-            .submit_read(self.qpair, cmd_id, lba, 1)
-            .expect("catfs block read");
-        self.wait_cmd(cmd_id).await.data.expect("read returns data")
+        let completion = self.wait_cmd(self.start_read(lba)).await;
+        completion.data.expect("read returns data")
     }
 
     /// Reads `len` bytes at byte offset `off` of `log` from the device.
     async fn read_bytes(&self, log: &Rc<RefCell<LogState>>, off: u64, len: usize) -> Vec<u8> {
+        let (mut pos, end) = (off as usize, off as usize + len);
         let mut out = Vec::with_capacity(len);
-        let mut pos = off as usize;
-        let end = off as usize + len;
         while pos < end {
-            let block_index = pos / BLOCK_SIZE;
-            let in_block = pos % BLOCK_SIZE;
-            let take = (BLOCK_SIZE - in_block).min(end - pos);
-            let lba = log.borrow().blocks[block_index];
+            let lba = log.borrow().blocks[pos / BLOCK_SIZE];
             let block = self.read_block(lba).await;
-            out.extend_from_slice(&block[in_block..in_block + take]);
+            let from = pos % BLOCK_SIZE;
+            let take = (BLOCK_SIZE - from).min(end - pos);
+            out.extend_from_slice(&block[from..from + take]);
             pos += take;
         }
         out
@@ -196,11 +265,9 @@ impl Catfs {
     /// Creates a catfs instance owning `device`, registered on the shared
     /// runtime (the device's completion times drive clock advancement).
     pub fn new(runtime: &Runtime, device: NvmeDevice) -> Self {
-        let qpair = device.alloc_qpair();
-        let catfs = Catfs {
-            runtime: runtime.clone(),
+        let core = Core {
+            qpair: device.alloc_qpair(),
             device: device.clone(),
-            qpair,
             inner: Rc::new(RefCell::new(Inner {
                 logs: HashMap::new(),
                 queues: QueueTable::new(1),
@@ -208,52 +275,39 @@ impl Catfs {
                 next_cmd: 1,
                 completions: HashMap::new(),
                 stats: CatfsStats::default(),
+                activity: runtime.activity().clone(),
             })),
         };
         // Pump device completions into the dispatch table each pass. The
         // poller lives inside the runtime, so it must capture the cycle-free
         // core, not the libOS (which holds the runtime).
-        let pump = catfs.core();
+        let pump = core.clone();
         runtime.register_poller(move || pump.pump_completions());
-        let deadline_dev = device.clone();
-        runtime.register_deadline_source(move || deadline_dev.next_deadline());
-        catfs
-    }
-
-    /// The shared virtual clock (convenience).
-    pub fn clock(&self) -> SimClock {
-        self.runtime.clock().clone()
+        runtime.register_deadline_source(move || device.next_deadline());
+        Catfs {
+            runtime: runtime.clone(),
+            core,
+        }
     }
 
     /// Layout counters.
     pub fn stats(&self) -> CatfsStats {
-        self.inner.borrow().stats
+        self.core.inner.borrow().stats
     }
 
     /// Device-level counters (write amplification denominator).
     pub fn device_stats(&self) -> spdk_sim::NvmeStats {
-        self.device.stats()
-    }
-
-    /// A fresh handle to the cycle-free coroutine state.
-    fn core(&self) -> Core {
-        Core {
-            device: self.device.clone(),
-            qpair: self.qpair,
-            inner: self.inner.clone(),
-            activity: self.runtime.activity().clone(),
-        }
+        self.core.device.stats()
     }
 
     /// Rebuilds a log from a device written by a previous catfs instance
     /// (single-log devices: scanning starts at block 0).
     pub fn recover(&self, path: &str) -> Result<QDesc, DemiError> {
-        let mut state = LogState::new();
-        let mut lba = 0u64;
+        let mut state = LogState::default();
         // Synchronous scan (mount is control-path): read blocks until the
         // record stream stops parsing.
         let mut bytes: Vec<u8> = Vec::new();
-        loop {
+        for lba in 0..self.core.device.namespace_blocks() {
             let data = self.sync_read_block(lba);
             let all_zero = data.iter().all(|&b| b == 0);
             // An all-zero block ends the scan only when the bytes so far
@@ -267,23 +321,19 @@ impl Catfs {
             }
             bytes.extend_from_slice(&data);
             state.blocks.push(lba);
-            lba += 1;
-            if lba >= self.device.namespace_blocks() {
-                break;
-            }
         }
-        let valid_len = parsed_length(&bytes);
-        state.len = valid_len;
-        // Trim trailing unused blocks and rebuild the tail cache.
-        let needed_blocks = (valid_len as usize).div_ceil(BLOCK_SIZE);
-        state.blocks.truncate(needed_blocks);
-        let tail_start = (valid_len as usize / BLOCK_SIZE) * BLOCK_SIZE;
-        state.tail = bytes[tail_start..valid_len as usize].to_vec();
-        if (valid_len as usize).is_multiple_of(BLOCK_SIZE) && !state.tail.is_empty() {
-            state.tail.clear();
-        }
+        // The scan trusts magic + length; a record that also fails its
+        // checksum is the torn tail — the commit the crash interrupted,
+        // never acknowledged — and the log ends before it (the next push
+        // overwrites it). Trim the blocks past it, rebuild the tail cache.
+        let valid = parsed_length(&bytes, true);
+        let torn = valid < parsed_length(&bytes, false);
+        (state.len, state.durable) = (valid as u64, valid as u64);
+        state.blocks.truncate(valid.div_ceil(BLOCK_SIZE));
+        state.tail = bytes[valid - valid % BLOCK_SIZE..valid].to_vec();
 
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.core.inner.borrow_mut();
+        inner.stats.checksum_failures += u64::from(torn);
         inner.next_lba = inner.next_lba.max(state.blocks.len() as u64);
         let log = Rc::new(RefCell::new(state));
         inner.logs.insert(path.to_string(), log.clone());
@@ -303,14 +353,9 @@ impl Catfs {
     /// N host crossings). Compare with [`Catfs::chase_host`].
     pub fn chase(&self, spec: spdk_sim::ChainSpec) -> QToken {
         self.runtime.metrics().count_pop();
-        let core = self.core();
+        let core = self.core.clone();
         self.runtime.spawn_op("catfs::chase", async move {
-            let cmd_id = {
-                let mut inner = core.inner.borrow_mut();
-                let id = inner.next_cmd;
-                inner.next_cmd += 1;
-                id
-            };
+            let cmd_id = core.inner.borrow_mut().cmd_id();
             if core.device.submit_chase(core.qpair, cmd_id, spec).is_err() {
                 return OperationResult::Failed(DemiError::Storage("chase rejected"));
             }
@@ -328,7 +373,7 @@ impl Catfs {
     /// [`Catfs::chase`].
     pub fn chase_host(&self, spec: spdk_sim::ChainSpec) -> QToken {
         self.runtime.metrics().count_pop();
-        let core = self.core();
+        let core = self.core.clone();
         self.runtime.spawn_op("catfs::chase_host", async move {
             let blocks = core.device.namespace_blocks();
             let mut lba = spec.start_lba;
@@ -352,80 +397,82 @@ impl Catfs {
 
     /// Synchronous block read for mount-time recovery (control path).
     fn sync_read_block(&self, lba: u64) -> Vec<u8> {
-        let cmd_id = {
-            let mut inner = self.inner.borrow_mut();
-            let id = inner.next_cmd;
-            inner.next_cmd += 1;
-            inner.stats.block_reads += 1;
-            id
-        };
-        self.device
-            .submit_read(self.qpair, cmd_id, lba, 1)
-            .expect("recovery read");
+        let cmd_id = self.core.start_read(lba);
         loop {
-            if let Some(t) = self.device.next_deadline() {
+            if let Some(t) = self.core.device.next_deadline() {
                 self.runtime.clock().advance_to(t);
             }
-            for c in self.device.poll_completions(self.qpair, 64) {
+            for c in self.core.device.poll_completions(self.core.qpair, 64) {
                 if c.cmd_id == cmd_id {
                     return c.data.expect("read returns data");
                 }
-                self.inner.borrow_mut().completions.insert(c.cmd_id, c);
+                self.core.inner.borrow_mut().completions.insert(c.cmd_id, c);
             }
         }
     }
 }
 
-/// Whether `bytes` parses as a complete record stream (no partial record
-/// at the end).
+/// Whether `bytes` parses to a clean end: a record boundary, or bytes that
+/// cannot begin a record (zero padding). A magic — or one stray byte that
+/// could start one — means the record continues in the next block.
 fn bytes_parse_end(bytes: &[u8]) -> bool {
-    parsed_length(bytes) == bytes.len() as u64 || remaining_is_unparseable(bytes)
-}
-
-fn remaining_is_unparseable(bytes: &[u8]) -> bool {
-    let off = parsed_length(bytes) as usize;
-    let rest = &bytes[off..];
-    match rest.len() {
-        0 => true, // Clean record boundary.
-        // One stray byte: unparseable only if it cannot start a magic
-        // (zero padding); a real magic prefix means the record continues
-        // in the next block.
-        1 => rest[0] != RECORD_MAGIC.to_be_bytes()[0],
-        _ => u16::from_be_bytes([rest[0], rest[1]]) != RECORD_MAGIC,
+    let magic = RECORD_MAGIC.to_be_bytes();
+    match bytes[parsed_length(bytes, false)..] {
+        [] => true,
+        [stray] => stray != magic[0],
+        [a, b, ..] => [a, b] != magic,
     }
 }
 
-/// Byte length of the longest valid record prefix of `bytes`.
-fn parsed_length(bytes: &[u8]) -> u64 {
-    let mut off = 0usize;
-    loop {
-        if bytes.len() - off < RECORD_HEADER {
-            return off as u64;
+/// Byte length of the longest valid record prefix of `bytes`: records whose
+/// magic and length parse and, with `verify`, whose checksum holds.
+fn parsed_length(bytes: &[u8], verify: bool) -> usize {
+    let mut off = 0;
+    while bytes.len() - off >= RECORD_HEADER {
+        let Some((len, sum)) = parse_header(&bytes[off..]) else {
+            break;
+        };
+        let (payload, end) = (off + RECORD_HEADER, off + RECORD_HEADER + len);
+        if end > bytes.len() || verify && checksum(&bytes[payload..end]) != sum {
+            break;
         }
-        if u16::from_be_bytes([bytes[off], bytes[off + 1]]) != RECORD_MAGIC {
-            return off as u64;
-        }
-        let len = u32::from_be_bytes([
-            bytes[off + 2],
-            bytes[off + 3],
-            bytes[off + 4],
-            bytes[off + 5],
-        ]) as usize;
-        if bytes.len() - off < RECORD_HEADER + len {
-            return off as u64;
-        }
-        off += RECORD_HEADER + len;
+        off = end;
     }
+    off
 }
 
-/// FNV-1a over the payload, the record checksum.
-fn checksum(data: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811C_9DC5;
-    for &b in data {
-        hash ^= b as u32;
-        hash = hash.wrapping_mul(0x0100_0193);
+/// A record header's payload length and stored checksum; `None` on a bad
+/// magic.
+fn parse_header(header: &[u8]) -> Option<(usize, u32)> {
+    let word =
+        |at| u32::from_be_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]]);
+    (header[..2] == RECORD_MAGIC.to_be_bytes()).then(|| (word(2) as usize, word(6)))
+}
+
+const FNV_OFFSET: u32 = 0x811C_9DC5;
+const FNV_PRIME: u32 = 0x0100_0193;
+
+/// The record checksum, a word at a time: four independent 32-bit FNV-1a
+/// lanes, each taking every fourth little-endian `u32` word of the payload
+/// (so four multiplies overlap where byte-serial FNV-1a waits on one), the
+/// last `len % 16` bytes folded in byte-wise. Every step is a bijection of
+/// its lane — xor with the input, multiply by an odd prime — so, like the
+/// byte-serial sum it replaces, **any single-bit flip anywhere in the
+/// payload changes the sum**: it changes exactly one lane, and so the xor.
+fn checksum(payload: &[u8]) -> u32 {
+    let mut lanes = [FNV_OFFSET; 4];
+    let mut steps = payload.chunks_exact(16);
+    for step in &mut steps {
+        for (lane, word) in lanes.iter_mut().zip(step.chunks_exact(4)) {
+            let word = u32::from_le_bytes(word.try_into().expect("4 bytes"));
+            *lane = (*lane ^ word).wrapping_mul(FNV_PRIME);
+        }
     }
-    hash
+    for &byte in steps.remainder() {
+        lanes[0] = (lanes[0] ^ u32::from(byte)).wrapping_mul(FNV_PRIME);
+    }
+    // Rotated apart so equal lanes (a payload of one repeated word) don't cancel.
+    lanes[0] ^ lanes[1].rotate_left(8) ^ lanes[2].rotate_left(16) ^ lanes[3].rotate_left(24)
 }
 
 impl LibOs for Catfs {
@@ -443,18 +490,18 @@ impl LibOs for Catfs {
 
     fn create(&self, path: &str) -> Result<QDesc, DemiError> {
         self.runtime.metrics().count_control_path_syscall();
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.core.inner.borrow_mut();
         if inner.logs.contains_key(path) {
             return Err(DemiError::Storage("log exists"));
         }
-        let log = Rc::new(RefCell::new(LogState::new()));
+        let log = Rc::new(RefCell::new(LogState::default()));
         inner.logs.insert(path.to_string(), log.clone());
         Ok(inner.queues.insert(OpenLog { log, cursor: 0 }))
     }
 
     fn open(&self, path: &str) -> Result<QDesc, DemiError> {
         self.runtime.metrics().count_control_path_syscall();
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.core.inner.borrow_mut();
         let log = inner
             .logs
             .get(path)
@@ -464,7 +511,7 @@ impl LibOs for Catfs {
     }
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
-        let open = self.inner.borrow_mut().queues.remove(qd)?;
+        let open = self.core.inner.borrow_mut().queues.remove(qd)?;
         // A pop parked at the log tail re-checks and fails `Closed`.
         open.log.borrow().appended.notify_waiters();
         Ok(())
@@ -472,99 +519,51 @@ impl LibOs for Catfs {
 
     fn push(&self, qd: QDesc, sga: &Sga) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_push();
-        let log = self.inner.borrow().queues.get(qd)?.log.clone();
-        let payload = sga.to_vec();
-        let core = self.core();
+        let log = self.core.inner.borrow().queues.get(qd)?.log.clone();
+        // All of the log's state moves here, at submission: two pushes in
+        // flight on one log cannot interleave, whatever order they wake in.
+        let (cmds, end) = self.core.append(&log, sga)?;
+        let core = self.core.clone();
         Ok(self.runtime.spawn_op("catfs::push", async move {
-            // Serialize the record.
-            let mut record = Vec::with_capacity(RECORD_HEADER + payload.len());
-            record.extend_from_slice(&RECORD_MAGIC.to_be_bytes());
-            record.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            record.extend_from_slice(&checksum(&payload).to_be_bytes());
-            record.extend_from_slice(&payload);
-
-            // Append through the tail block; each filled block is written
-            // once, and the final (possibly partial) tail block is written
-            // for durability. No metadata writes, ever.
-            let mut written = 0;
-            while written < record.len() {
-                let (lba, tail_len) = {
-                    let mut state = log.borrow_mut();
-                    if state.tail.is_empty() {
-                        // Start a new block.
-                        let lba = {
-                            let mut inner = core.inner.borrow_mut();
-                            let lba = inner.next_lba;
-                            inner.next_lba += 1;
-                            lba
-                        };
-                        state.blocks.push(lba);
-                    }
-                    let take = (BLOCK_SIZE - state.tail.len()).min(record.len() - written);
-                    state
-                        .tail
-                        .extend_from_slice(&record[written..written + take]);
-                    state.len += take as u64;
-                    written += take;
-                    (
-                        *state.blocks.last().expect("block allocated"),
-                        state.tail.len(),
-                    )
-                };
-                // Durability: write the tail block (padded to block size).
-                let block = {
-                    let state = log.borrow();
-                    let mut b = state.tail.clone();
-                    b.resize(BLOCK_SIZE, 0);
-                    b
-                };
-                core.write_block(lba, &block).await;
-                {
-                    let mut state = log.borrow_mut();
-                    if tail_len == BLOCK_SIZE {
-                        state.tail.clear();
-                    }
-                    // The appended bytes are durable: wake tailing pops.
-                    state.appended.notify_waiters();
-                }
+            for cmd in cmds {
+                core.wait_cmd(cmd).await;
             }
-            core.inner.borrow_mut().stats.appends += 1;
+            // The record is durable: let tailing pops read up to its end.
+            let mut state = log.borrow_mut();
+            state.durable = state.durable.max(end);
+            state.appended.notify_waiters();
             OperationResult::Push
         }))
     }
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_pop();
-        let log = self.inner.borrow().queues.get(qd)?.log.clone();
-        let core = self.core();
-        // Not a `spawn_ready_op`: between its two parks at the log tail a
-        // pop awaits device block reads.
+        let log = self.core.inner.borrow().queues.get(qd)?.log.clone();
+        let core = self.core.clone();
+        // Not a `spawn_ready_op`: after its park at the log tail a pop
+        // awaits device block reads.
         Ok(self.runtime.spawn_op("catfs::pop", async move {
-            let closed = OperationResult::Failed(DemiError::Closed);
-            let Some(cursor) = core.wait_tail(qd, &log, RECORD_HEADER as u64).await else {
-                return closed;
+            let Some(cursor) = core.wait_tail(qd, &log).await else {
+                return OperationResult::Failed(DemiError::Closed);
             };
             let header = core.read_bytes(&log, cursor, RECORD_HEADER).await;
-            if u16::from_be_bytes([header[0], header[1]]) != RECORD_MAGIC {
+            let Some((len, expect_sum)) = parse_header(&header) else {
                 return OperationResult::Failed(DemiError::Storage("bad record magic"));
+            };
+            // `durable` only ever rises by whole records, so a durable
+            // header's payload is durable too — unless its length is corrupt.
+            let start = cursor + RECORD_HEADER as u64;
+            let end = start + len as u64;
+            if end > log.borrow().durable {
+                return core.checksum_failure();
             }
-            let len = u32::from_be_bytes([header[2], header[3], header[4], header[5]]) as u64;
-            let expect_sum = u32::from_be_bytes([header[6], header[7], header[8], header[9]]);
-            // The header may land before the rest of its record is pushed.
-            let record = RECORD_HEADER as u64 + len;
-            if core.wait_tail(qd, &log, record).await.is_none() {
-                return closed;
-            }
-            let payload = core
-                .read_bytes(&log, cursor + RECORD_HEADER as u64, len as usize)
-                .await;
+            let payload = core.read_bytes(&log, start, len).await;
             if checksum(&payload) != expect_sum {
-                core.inner.borrow_mut().stats.checksum_failures += 1;
-                return OperationResult::Failed(DemiError::Storage("record checksum"));
+                return core.checksum_failure();
             }
             let mut inner = core.inner.borrow_mut();
             if let Ok(open) = inner.queues.get_mut(qd) {
-                open.cursor = cursor + record;
+                open.cursor = end;
             }
             inner.stats.records_read += 1;
             OperationResult::Pop {

@@ -156,7 +156,7 @@ impl Ext4Sim {
             self.stats.data_writes += 1;
         }
         self.device
-            .submit_write(self.qpair, 0, lba, data)
+            .submit_write(self.qpair, 0, lba, data.to_vec())
             .expect("block write");
         self.complete_all();
     }

@@ -16,6 +16,14 @@ pub const BLOCK_SIZE: usize = 4096;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QpairId(pub u32);
 
+impl QpairId {
+    /// Ids are dense from 1: `QpairId(n)` is the device's `qpairs[n - 1]`,
+    /// so the per-pass completion poll indexes instead of hashing.
+    fn index(self) -> usize {
+        (self.0 as usize).wrapping_sub(1)
+    }
+}
+
 /// Device construction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct NvmeConfig {
@@ -157,8 +165,7 @@ struct Inner {
     clock: SimClock,
     config: NvmeConfig,
     media: HashMap<u64, Box<[u8]>>,
-    qpairs: HashMap<QpairId, Qpair>,
-    next_qpair: u32,
+    qpairs: Vec<Qpair>,
     stats: NvmeStats,
 }
 
@@ -182,8 +189,7 @@ impl NvmeDevice {
                 clock,
                 config,
                 media: HashMap::new(),
-                qpairs: HashMap::new(),
-                next_qpair: 1,
+                qpairs: Vec::new(),
                 stats: NvmeStats::default(),
             })),
         }
@@ -197,16 +203,11 @@ impl NvmeDevice {
     /// Allocates an I/O queue pair.
     pub fn alloc_qpair(&self) -> QpairId {
         let mut inner = self.inner.borrow_mut();
-        let id = QpairId(inner.next_qpair);
-        inner.next_qpair += 1;
-        inner.qpairs.insert(
-            id,
-            Qpair {
-                in_flight: VecDeque::new(),
-                busy_until: SimTime::ZERO,
-            },
-        );
-        id
+        inner.qpairs.push(Qpair {
+            in_flight: VecDeque::new(),
+            busy_until: SimTime::ZERO,
+        });
+        QpairId(inner.qpairs.len() as u32)
     }
 
     /// Submits an asynchronous read of `blocks` blocks starting at `lba`.
@@ -224,13 +225,16 @@ impl NvmeDevice {
     }
 
     /// Submits an asynchronous write of `data` (must be block-aligned)
-    /// starting at `lba`.
+    /// starting at `lba`. The device takes the data by value — a
+    /// submission copies nothing — and on completion each block is copied
+    /// into the media once, over the old contents where it was written
+    /// before.
     pub fn submit_write(
         &self,
         qpair: QpairId,
         cmd_id: u64,
         lba: u64,
-        data: &[u8],
+        data: Vec<u8>,
     ) -> Result<(), NvmeError> {
         let mut inner = self.inner.borrow_mut();
         if data.is_empty() || !data.len().is_multiple_of(BLOCK_SIZE) {
@@ -239,15 +243,7 @@ impl NvmeDevice {
         let blocks = (data.len() / BLOCK_SIZE) as u64;
         inner.check_range(lba, blocks)?;
         let service = inner.config.latency.write_time(blocks);
-        inner.enqueue(
-            qpair,
-            cmd_id,
-            service,
-            Command::Write {
-                lba,
-                data: data.to_vec(),
-            },
-        )
+        inner.enqueue(qpair, cmd_id, service, Command::Write { lba, data })
     }
 
     /// Submits a device-side chained lookup (see [`ChainSpec`]).
@@ -311,31 +307,29 @@ impl NvmeDevice {
         let mut inner = self.inner.borrow_mut();
         let now = inner.clock.now();
         let mut out = Vec::new();
-        // Split borrows: temporarily detach the qpair queue.
-        let Some(mut qp) = inner.qpairs.remove(&qpair) else {
-            return out;
-        };
         while out.len() < max {
-            let Some(front) = qp.in_flight.front() else {
-                break;
-            };
-            if front.complete_at > now {
-                break;
-            }
-            let item = qp.in_flight.pop_front().expect("front exists");
+            let due = inner
+                .qpairs
+                .get_mut(qpair.index())
+                .and_then(|qp| qp.in_flight.pop_front_if(|c| c.complete_at <= now));
+            let Some(item) = due else { break };
             out.push(inner.execute(item));
         }
-        inner.qpairs.insert(qpair, qp);
         out
     }
 
     /// In-flight command count on a queue pair.
     pub fn in_flight(&self, qpair: QpairId) -> usize {
-        self.inner
-            .borrow()
-            .qpairs
-            .get(&qpair)
-            .map_or(0, |q| q.in_flight.len())
+        let inner = self.inner.borrow();
+        let qp = inner.qpairs.get(qpair.index());
+        qp.map_or(0, |q| q.in_flight.len())
+    }
+
+    /// Commands a queue pair can still accept before `QueueFull`.
+    pub fn free_slots(&self, qpair: QpairId) -> usize {
+        let inner = self.inner.borrow();
+        let qp = inner.qpairs.get(qpair.index());
+        qp.map_or(0, |q| inner.config.qpair_depth - q.in_flight.len())
     }
 
     /// Earliest pending completion instant across all queue pairs.
@@ -343,7 +337,7 @@ impl NvmeDevice {
         self.inner
             .borrow()
             .qpairs
-            .values()
+            .iter()
             .filter_map(|q| q.in_flight.front().map(|c| c.complete_at))
             .min()
     }
@@ -372,7 +366,10 @@ impl Inner {
     ) -> Result<(), NvmeError> {
         let now = self.clock.now();
         let depth = self.config.qpair_depth;
-        let qp = self.qpairs.get_mut(&qpair).ok_or(NvmeError::BadQpair)?;
+        let qp = self
+            .qpairs
+            .get_mut(qpair.index())
+            .ok_or(NvmeError::BadQpair)?;
         if qp.in_flight.len() >= depth {
             self.stats.queue_full_rejections += 1;
             return Err(NvmeError::QueueFull);
@@ -405,14 +402,12 @@ impl Inner {
             }
             Command::Write { lba, data } => {
                 self.stats.writes += 1;
-                let blocks = (data.len() / BLOCK_SIZE) as u64;
-                self.stats.blocks_written += blocks;
-                for i in 0..blocks {
-                    let off = (i as usize) * BLOCK_SIZE;
-                    self.media.insert(
-                        lba + i,
-                        data[off..off + BLOCK_SIZE].to_vec().into_boxed_slice(),
-                    );
+                self.stats.blocks_written += (data.len() / BLOCK_SIZE) as u64;
+                for (lba, block) in (lba..).zip(data.chunks_exact(BLOCK_SIZE)) {
+                    let stored = self.media.entry(lba);
+                    stored
+                        .and_modify(|old| old.copy_from_slice(block))
+                        .or_insert_with(|| block.into());
                 }
                 None
             }
@@ -456,7 +451,7 @@ mod tests {
         let (clock, dev) = device();
         let qp = dev.alloc_qpair();
         let data = vec![0xAB; BLOCK_SIZE * 2];
-        dev.submit_write(qp, 1, 10, &data).unwrap();
+        dev.submit_write(qp, 1, 10, data.clone()).unwrap();
         finish_all(&clock);
         assert_eq!(dev.poll_completions(qp, 8).len(), 1);
         dev.submit_read(qp, 2, 10, 2).unwrap();
@@ -465,6 +460,28 @@ mod tests {
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].cmd_id, 2);
         assert_eq!(comps[0].data.as_deref(), Some(&data[..]));
+    }
+
+    /// A multi-block write lands fresh blocks beside the one it rewrites.
+    #[test]
+    fn rewrites_land_in_place_and_fresh_blocks_beside_them() {
+        let (clock, dev) = device();
+        let qp = dev.alloc_qpair();
+        let blocks = |fills: &[u8]| -> Vec<u8> {
+            let each = |&f: &u8| std::iter::repeat_n(f, BLOCK_SIZE);
+            fills.iter().flat_map(each).collect()
+        };
+        dev.submit_write(qp, 1, 5, blocks(&[0x11])).unwrap();
+        dev.submit_write(qp, 2, 4, blocks(&[0x22, 0x33, 0x44]))
+            .unwrap();
+        dev.submit_write(qp, 3, 6, blocks(&[0x55])).unwrap();
+        dev.submit_read(qp, 4, 3, 5).unwrap();
+        finish_all(&clock);
+        let comps = dev.poll_completions(qp, 8);
+        assert_eq!(comps.len(), 4);
+        let expect = blocks(&[0, 0x22, 0x33, 0x55, 0]);
+        assert_eq!(comps[3].data.as_deref(), Some(&expect[..]));
+        assert_eq!(dev.stats().blocks_written, 5);
     }
 
     #[test]
@@ -528,6 +545,7 @@ mod tests {
         let qp = dev.alloc_qpair();
         dev.submit_read(qp, 1, 0, 1).unwrap();
         dev.submit_read(qp, 2, 0, 1).unwrap();
+        assert_eq!(dev.free_slots(qp), 0);
         assert_eq!(dev.submit_read(qp, 3, 0, 1), Err(NvmeError::QueueFull));
         assert_eq!(dev.stats().queue_full_rejections, 1);
     }
@@ -540,10 +558,13 @@ mod tests {
         assert_eq!(dev.submit_read(qp, 1, max, 1), Err(NvmeError::OutOfRange));
         assert_eq!(dev.submit_read(qp, 1, 0, 0), Err(NvmeError::OutOfRange));
         assert_eq!(
-            dev.submit_write(qp, 1, 0, &[1, 2, 3]),
+            dev.submit_write(qp, 1, 0, vec![1, 2, 3]),
             Err(NvmeError::BadLength)
         );
-        assert_eq!(dev.submit_write(qp, 1, 0, &[]), Err(NvmeError::BadLength));
+        assert_eq!(
+            dev.submit_write(qp, 1, 0, Vec::new()),
+            Err(NvmeError::BadLength)
+        );
     }
 
     #[test]
@@ -562,7 +583,7 @@ mod tests {
     fn stats_track_block_counts_for_write_amp() {
         let (clock, dev) = device();
         let qp = dev.alloc_qpair();
-        dev.submit_write(qp, 1, 0, &vec![1u8; BLOCK_SIZE * 3])
+        dev.submit_write(qp, 1, 0, vec![1u8; BLOCK_SIZE * 3])
             .unwrap();
         dev.submit_read(qp, 2, 0, 2).unwrap();
         finish_all(&clock);
@@ -577,7 +598,7 @@ mod tests {
         let (clock, dev) = device();
         let qp1 = dev.alloc_qpair();
         let qp2 = dev.alloc_qpair();
-        dev.submit_write(qp1, 1, 0, &vec![0u8; BLOCK_SIZE]).unwrap(); // 20µs
+        dev.submit_write(qp1, 1, 0, vec![0u8; BLOCK_SIZE]).unwrap(); // 20µs
         dev.submit_read(qp2, 2, 0, 1).unwrap(); // 10µs
         assert_eq!(dev.next_deadline(), Some(SimTime::from_micros(10)));
         clock.advance_by(SimTime::from_micros(10));
@@ -597,7 +618,7 @@ mod tests {
     ) {
         let mut block = vec![fill; BLOCK_SIZE];
         block[0..8].copy_from_slice(&next.to_le_bytes());
-        dev.submit_write(qp, 1000 + lba, lba, &block).unwrap();
+        dev.submit_write(qp, 1000 + lba, lba, block).unwrap();
         finish_all(clock);
         let _ = dev.poll_completions(qp, 8);
     }
@@ -724,5 +745,7 @@ mod tests {
             Err(NvmeError::BadQpair)
         );
         assert!(dev.poll_completions(QpairId(99), 8).is_empty());
+        assert!(dev.poll_completions(QpairId(0), 8).is_empty());
+        assert_eq!(dev.free_slots(QpairId(0)), 0);
     }
 }

@@ -1,10 +1,10 @@
 //! Durable queues: the catfs storage libOS (paper §5.3).
 //!
 //! Files become queues too: `creat`/`open` return queue descriptors, push
-//! appends a durable record (one device block write — the log layout is
-//! its own allocation map), and pop tails the log. The example also
+//! appends a durable record (one device command — the log layout is its
+//! own allocation map), and pop tails the log. The example also
 //! demonstrates crash recovery: a second catfs instance rebuilds the log
-//! by scanning the device.
+//! by scanning the device and verifying every record's checksum.
 //!
 //! Run with: `cargo run --example persistent_log`
 

@@ -64,6 +64,13 @@ bench-diff old new:
 bench-diff-latest:
     sh tools/bench-diff-latest.sh
 
+# The pair campaign a wall-clock claim rests on: the ledger of
+# {{parent}} against the working tree's, {{pairs}} alternating pairs of
+# {{seconds}} s on every workload; medians, quartile spreads, pairs won
+# and the nine-in-ten / beyond-the-parent's-spread verdict per metric.
+bench-pairs parent pairs="10" seconds="30":
+    sh tools/bench-pairs.sh {{parent}} {{pairs}} {{seconds}}
+
 # The ledger's own self-test: every workload and metric emitted once,
 # counts and virtual time exactly repeatable for a seed.
 bench-smoke:

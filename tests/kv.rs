@@ -425,6 +425,72 @@ fn group_commit_replay_restores_acknowledged_sets() {
 }
 
 // ---------------------------------------------------------------------
+// E25: what one group commit costs, as counts. The engine's batch goes to
+// the device as one owned multi-block write and the operation waits once.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_group_commit_is_one_device_command_and_one_wait() {
+    let rt = Runtime::new();
+    let device = NvmeDevice::new(rt.clock().clone(), NvmeConfig::default());
+    let fs = Catfs::new(&rt, device.clone());
+    let qd = fs.create("kv-commit.aof").unwrap();
+    let mut eng = engine(demi_memory::MemoryManager::new(), rt.now(), true);
+    let mut conn = KvConn::new();
+    let flash = NvmeConfig::default().latency;
+
+    // Pushes `record`, waits for it, and returns what that cost: (device
+    // write commands, blocks written, virtual ns, wait passes, allocations).
+    let commit = |record: Sga| {
+        let (dev0, run0, t0) = (device.stats(), rt.metrics().snapshot(), rt.now());
+        let meter = AllocMeter::arm();
+        let qt = fs.push(qd, &record).unwrap();
+        assert_eq!(fs.wait(qt, None).unwrap(), OperationResult::Push);
+        let allocs = meter.count();
+        drop(meter);
+        let (dev, run) = (device.stats(), rt.metrics().snapshot());
+        (
+            dev.writes - dev0.writes,
+            dev.blocks_written - dev0.blocks_written,
+            rt.now().saturating_since(t0),
+            run.wait_passes - run0.wait_passes,
+            allocs,
+        )
+    };
+
+    // Twenty bursts of eight 1 KiB SETs: an 8 422-byte record each, so the
+    // log's tail creeps 230 bytes per commit and the eighteenth commit
+    // touches four blocks where the others touch three.
+    let mut tail = 0u64;
+    for round in 0..20 {
+        let mut burst = Vec::new();
+        for i in 0..8 {
+            let key = format!("key:{i:06}");
+            encode_command(&mut burst, &[b"SET", key.as_bytes(), &[0xC3; 1024]]);
+        }
+        conn.feed(DemiBuffer::from(burst));
+        let batch = eng.drain(&mut conn, rt.now()).batch.expect("one record");
+        assert_eq!(batch.len() + 10, 8_422);
+        let blocks = (tail + 8_422).div_ceil(4096);
+        assert_eq!(blocks, if round == 17 { 4 } else { 3 });
+        let (commands, written, virt, passes, allocs) =
+            commit(Sga::from_bufs(vec![DemiBuffer::from(batch)]));
+        assert_eq!((commands, written), (1, blocks), "round {round}");
+        assert_eq!(virt, flash.write_time(blocks), "round {round}");
+        assert_eq!(passes, 2, "round {round}: submit, then the completion");
+        // Steady state is 6, 7 when a table grows: the image, a box per
+        // fresh block, the completion batch and the runtime's per-operation
+        // bookkeeping. (The per-block path this replaced made about 20.)
+        let warm = if round < 2 { 21 } else { 8 };
+        assert!(allocs <= warm, "round {round}: {allocs} allocations");
+        tail = (tail + 8_422) % 4096;
+    }
+    // A small append is still exactly one one-block command.
+    let (commands, written, virt, ..) = commit(Sga::from_slice(&[7; 100]));
+    assert_eq!((commands, written, virt), (1, 1, flash.write_time(1)));
+}
+
+// ---------------------------------------------------------------------
 // SGA-granular streams under the real serving loop: a reply is one
 // segment and one pop, and a burst that arrives while the server waits
 // on a group commit is committed once.

@@ -495,7 +495,7 @@ fn a_chained_lookup_is_one_host_submission_not_one_per_hop() {
         let next = lbas.get(i + 1).copied().unwrap_or(u64::MAX);
         block[0..8].copy_from_slice(&next.to_le_bytes());
         block[16..24].copy_from_slice(&(0xC0FFEE00 + i as u64).to_le_bytes());
-        device.submit_write(qp, i as u64 + 1, lba, &block).unwrap();
+        device.submit_write(qp, i as u64 + 1, lba, block).unwrap();
         while device.in_flight(qp) > 0 {
             rt.clock().advance_to(device.next_deadline().unwrap());
             device.poll_completions(qp, 16);

@@ -27,7 +27,7 @@
 
 use std::sync::{Arc, Barrier};
 
-pub use net_stack::HostLinks;
+use net_stack::HostLinks;
 use net_stack::{PortAllocator, ShardRings};
 
 use crate::metrics::MetricsHub;

@@ -23,7 +23,7 @@
 //!   `map`, `qconnect` (§4.2–4.3), with a planner that offloads filters to
 //!   SmartNIC program slots when the device advertises them and falls back
 //!   to the CPU otherwise.
-//! * [`metrics`] — exact counters of data-path kernel crossings, copies,
+//! * [`Metrics`] — exact counters of data-path kernel crossings, copies,
 //!   and wakeups, used by every experiment in `EXPERIMENTS.md`.
 //! * [`telemetry`] — the latency side of the same story: op-lifecycle
 //!   spans, per-stage latency histograms (p50/p99/p999), and Chrome
@@ -32,18 +32,19 @@
 //! The unchanged-application claim (§1) is demonstrated by the test suite
 //! and examples: the same echo application source runs over catmem,
 //! catnip, and catcorn by swapping the libOS constructor.
+#![warn(unreachable_pub)]
 
-pub mod exec;
+mod exec;
 pub mod libos;
-pub mod metrics;
+mod metrics;
 pub mod ops;
 pub mod runtime;
 pub mod telemetry;
 pub mod testing;
 pub mod types;
 
-pub use exec::{run_shards, ExecMode, HostLinks, ShardSpec};
-pub use libos::{LibOs, LibOsKind};
+pub use exec::{run_shards, ExecMode, ShardSpec};
+pub use libos::LibOs;
 pub use metrics::{Metrics, MetricsHub, MetricsSnapshot};
 pub use runtime::Runtime;
 pub use types::{DemiError, OperationResult, QDesc, QToken, Sga};

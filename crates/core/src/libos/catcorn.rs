@@ -38,9 +38,9 @@ use crate::runtime::Runtime;
 use crate::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 
 /// Bytes per send/receive slot (the largest single message).
-pub const SLOT_SIZE: usize = 16 * 1024;
+pub(crate) const SLOT_SIZE: usize = 16 * 1024;
 /// Slots per ring.
-pub const RING_SLOTS: usize = 32;
+pub(crate) const RING_SLOTS: usize = 32;
 
 struct Conn {
     qp: QpId,
@@ -169,7 +169,7 @@ impl Core {
 
 impl Catcorn {
     /// Creates a catcorn instance on a fresh RDMA device at `mac`.
-    pub fn new(runtime: &Runtime, fabric: &Fabric, mac: MacAddress) -> Self {
+    pub(crate) fn new(runtime: &Runtime, fabric: &Fabric, mac: MacAddress) -> Self {
         let device = RdmaDevice::new(fabric, mac);
         let pd = device.alloc_pd();
         let cq = device.create_cq();

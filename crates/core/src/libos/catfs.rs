@@ -12,7 +12,7 @@
 //!   which the device takes by value as one multi-block write of every
 //!   block the record touches; the spawned operation only waits for it.
 //!   The log is its own allocation map: no bitmap, no inode. Compare with
-//!   the ext4-like baseline in [`posix_sim::file`], which pays bitmap +
+//!   the ext4-like baseline in `posix_sim::file`, which pays bitmap +
 //!   inode + (eventually) indirect-block writes, a command each, per
 //!   append — experiment E10's write amplification and time per append.
 //! * Pushes in flight on one log therefore cannot interleave, and a log

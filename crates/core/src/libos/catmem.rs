@@ -32,16 +32,11 @@ pub struct Catmem {
 
 impl Catmem {
     /// Creates a catmem instance on a shared runtime.
-    pub fn new(runtime: &Runtime) -> Self {
+    pub(crate) fn new(runtime: &Runtime) -> Self {
         Catmem {
             runtime: runtime.clone(),
             queues: Rc::new(RefCell::new(QueueTable::new(1))),
         }
-    }
-
-    /// Items currently queued (diagnostics).
-    pub fn depth(&self, qd: QDesc) -> Result<usize, DemiError> {
-        Ok(self.queues.borrow().get(qd)?.items.len())
     }
 }
 

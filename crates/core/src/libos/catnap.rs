@@ -14,8 +14,9 @@ use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
+use dpdk_sim::wire::framing::encode_header;
 use dpdk_sim::{DpdkPort, PortConfig};
-use net_stack::framing::{encode_header, FrameDecoder};
+use net_stack::framing::FrameDecoder;
 use net_stack::types::SocketAddr;
 use net_stack::{NetworkStack, StackConfig};
 use posix_sim::{CostModel, Fd, KernelSockets, KernelStats, SimKernel};
@@ -63,7 +64,7 @@ pub struct Catnap {
 impl Catnap {
     /// Creates a catnap instance: a host whose NIC is driven by the
     /// simulated kernel rather than by the application.
-    pub fn new(runtime: &Runtime, fabric: &Fabric, mac: MacAddress, ip: Ipv4Addr) -> Self {
+    pub(crate) fn new(runtime: &Runtime, fabric: &Fabric, mac: MacAddress, ip: Ipv4Addr) -> Self {
         Self::with_cost_model(runtime, fabric, mac, ip, CostModel::default())
     }
 

@@ -23,9 +23,10 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use demi_memory::{DemiBuffer, MemoryManager};
+use dpdk_sim::wire::framing::{encode_header, FRAME_HEADER_LEN};
 use dpdk_sim::{DpdkPort, NicProgram, PortConfig};
 use net_stack::eth::{EthHeader, EtherType};
-use net_stack::framing::{encode_header, FrameDecoder};
+use net_stack::framing::FrameDecoder;
 use net_stack::ipv4::{IpProtocol, Ipv4Header};
 use net_stack::tcp::{ConnId, ListenerId, State};
 use net_stack::types::{NetError, SocketAddr};
@@ -92,7 +93,7 @@ impl Catnip {
     }
 
     /// Creates a catnip instance with explicit stack tunables.
-    pub fn with_stack_config(
+    pub(crate) fn with_stack_config(
         runtime: &Runtime,
         fabric: &Fabric,
         port_config: PortConfig,
@@ -106,7 +107,7 @@ impl Catnip {
     /// Creates one shard of a logical host's catnip — its ring-mesh
     /// endpoint and the host's shared TCP port namespace arrive in `links`
     /// — as each world of a thread-per-shard run does for its host.
-    pub fn shard_of(
+    pub(crate) fn shard_of(
         runtime: &Runtime,
         fabric: &Fabric,
         port_config: PortConfig,
@@ -136,11 +137,6 @@ impl Catnip {
             memory: MemoryManager::warmed(),
             queues: Rc::new(RefCell::new(QueueTable::new(1))),
         }
-    }
-
-    /// This host's IP address.
-    pub fn local_ip(&self) -> Ipv4Addr {
-        self.stack.local_ip()
     }
 
     /// The underlying stack (experiment instrumentation).
@@ -180,7 +176,7 @@ impl Catnip {
     /// Builds the 8-byte stream framing header in a pool buffer with
     /// header headroom, so the stack can wrap it without reallocating.
     fn framing_header(&self, payload_len: usize) -> DemiBuffer {
-        let mut buf = self.memory.alloc(net_stack::framing::FRAME_HEADER_LEN);
+        let mut buf = self.memory.alloc(FRAME_HEADER_LEN);
         buf.try_mut()
             .expect("fresh buffer")
             .copy_from_slice(&encode_header(payload_len));
@@ -373,7 +369,7 @@ impl LibOs for Catnip {
         match queues.get_mut(qd)? {
             // UDP connect: record the default destination.
             q @ CatnipQueue::UdpUnbound => {
-                let port = self.stack.udp_bind_ephemeral()?;
+                let port = self.stack.udp_bind_ephemeral(remote)?;
                 *q = CatnipQueue::Udp {
                     port,
                     remote: Some(remote),

@@ -18,13 +18,13 @@
 //! provided once, on the trait, over the shared [`Runtime`].
 //!
 //! The skeleton under every libOS is written once, too. Queues live in a
-//! [`QueueTable`], which owns descriptor allocation and the `BadQDesc`
+//! `QueueTable`, which owns descriptor allocation and the `BadQDesc`
 //! answer, so a call site keeps only its device-specific arm (anything
 //! else is `InvalidState`). An operation that must block is a *check*
 //! closure handed to [`Runtime::spawn_ready_op`] — run now and after every
 //! notification of its gate — never a hand-rolled loop; `close` removes
 //! the queue and bumps that gate, and the check's last resort,
-//! [`QueueTable::closed`], fails the parked operation with `Closed`.
+//! `QueueTable::closed`, fails the parked operation with `Closed`.
 
 pub mod catcorn;
 pub mod catfs;

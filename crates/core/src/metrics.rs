@@ -189,7 +189,7 @@ pub struct MetricsHub {
 
 impl MetricsHub {
     /// An empty hub.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -202,11 +202,6 @@ impl MetricsHub {
     /// The sum of everything absorbed so far.
     pub fn merged(&self) -> MetricsSnapshot {
         *self.merged.lock().unwrap()
-    }
-
-    /// Clears the hub (between experiment phases).
-    pub fn reset(&self) {
-        *self.merged.lock().unwrap() = MetricsSnapshot::default();
     }
 }
 
@@ -228,24 +223,24 @@ impl Default for MetricsInner {
 
 impl Metrics {
     /// Fresh counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records a control-path kernel interaction.
-    pub fn count_control_path_syscall(&self) {
+    pub(crate) fn count_control_path_syscall(&self) {
         self.inner.borrow_mut().snap.control_path_syscalls += 1;
     }
 
     /// Records a libOS payload copy.
-    pub fn count_copy(&self, bytes: usize) {
+    pub(crate) fn count_copy(&self, bytes: usize) {
         let mut inner = self.inner.borrow_mut();
         inner.snap.copies += 1;
         inner.snap.bytes_copied += bytes as u64;
     }
 
     /// Records a completed wait that handed data to the application.
-    pub fn count_wakeup(&self, with_data: bool) {
+    pub(crate) fn count_wakeup(&self, with_data: bool) {
         let mut inner = self.inner.borrow_mut();
         inner.snap.wakeups += 1;
         if with_data {
@@ -254,24 +249,24 @@ impl Metrics {
     }
 
     /// Records a push submission.
-    pub fn count_push(&self) {
+    pub(crate) fn count_push(&self) {
         self.inner.borrow_mut().snap.pushes += 1;
     }
 
     /// Records a pop submission.
-    pub fn count_pop(&self) {
+    pub(crate) fn count_pop(&self) {
         self.inner.borrow_mut().snap.pops += 1;
     }
 
     /// Records one iteration of a `wait` loop and the task polls it made.
-    pub fn count_wait_pass(&self, polls: u64) {
+    pub(crate) fn count_wait_pass(&self, polls: u64) {
         let mut inner = self.inner.borrow_mut();
         inner.snap.wait_passes += 1;
         inner.snap.wait_polls += polls;
     }
 
     /// Records `checks` completed-token lookups made by a wait loop.
-    pub fn count_completion_checks(&self, checks: u64) {
+    pub(crate) fn count_completion_checks(&self, checks: u64) {
         self.inner.borrow_mut().snap.completion_checks += checks;
     }
 
@@ -380,8 +375,6 @@ mod tests {
         let merged = hub.merged();
         assert_eq!(merged.pushes, 1);
         assert_eq!(merged.buffer_allocs, 1);
-        hub.reset();
-        assert_eq!(hub.merged(), MetricsSnapshot::default());
     }
 
     #[test]

@@ -56,11 +56,11 @@ struct Landing {
 }
 
 /// A user predicate over Sga contents.
-pub type SgaPredicate = Rc<dyn Fn(&Sga) -> bool>;
+pub(crate) type SgaPredicate = Rc<dyn Fn(&Sga) -> bool>;
 /// A user priority comparator ("is `a` higher priority than `b`?").
-pub type SgaPriority = Rc<dyn Fn(&Sga, &Sga) -> bool>;
+pub(crate) type SgaPriority = Rc<dyn Fn(&Sga, &Sga) -> bool>;
 /// A user element transformation.
-pub type SgaMap = Rc<dyn Fn(Sga) -> Sga>;
+pub(crate) type SgaMap = Rc<dyn Fn(Sga) -> Sga>;
 
 enum VirtualQueue {
     Merge {
@@ -117,11 +117,6 @@ impl Demikernel {
     /// Transformation counters.
     pub fn ops_stats(&self) -> OpsStats {
         *self.inner.stats.borrow()
-    }
-
-    /// The wrapped libOS.
-    pub fn base(&self) -> &Rc<dyn LibOs> {
-        &self.inner.base
     }
 
     fn alloc_virt(&self, vq: VirtualQueue) -> QDesc {

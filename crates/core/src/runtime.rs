@@ -23,7 +23,7 @@
 //! the run queue is non-empty, and blocked coroutines park on waker
 //! sources — per-qtoken completion wakers ([`Runtime::await_op`]), queue
 //! and condition wakers, timer deadlines, or the runtime's *activity gate*
-//! ([`Runtime::activity`]), which fires whenever external progress happens
+//! (`Runtime::activity`), which fires whenever external progress happens
 //! (frames delivered, device pollers did work, timers fired). Deadlock is
 //! no longer a spin-count heuristic: when a pass polls nothing, nothing
 //! external moved, and virtual time cannot advance, one *rescue sweep*
@@ -272,7 +272,7 @@ impl Runtime {
 
     /// Turns on latency histograms (end-to-end op latency plus the
     /// per-stage deltas) for this thread, clocked by this runtime.
-    pub fn enable_telemetry(&self) {
+    pub(crate) fn enable_telemetry(&self) {
         self.install_now_source();
         demi_telemetry::set_enabled(true);
     }
@@ -280,7 +280,7 @@ impl Runtime {
     /// Turns on op-lifecycle span capture (the bounded ring behind
     /// `demi_telemetry::span::drain` / Chrome trace export) for this
     /// thread, clocked by this runtime.
-    pub fn enable_tracing(&self) {
+    pub(crate) fn enable_tracing(&self) {
         self.install_now_source();
         demi_telemetry::span::set_enabled(true);
     }
@@ -289,7 +289,7 @@ impl Runtime {
     /// (frames delivered, poller work, timers fired). Operations waiting
     /// for device- or network-driven state changes name it as the gate of
     /// [`Runtime::spawn_ready_op`] and re-check when it fires.
-    pub fn activity(&self) -> &Notify {
+    pub(crate) fn activity(&self) -> &Notify {
         &self.inner.activity
     }
 
@@ -297,13 +297,13 @@ impl Runtime {
     /// stack `poll()`s). The poller reports how many work items it
     /// processed; `0` means "nothing happened", letting the runtime detect
     /// quiescence without spin counting.
-    pub fn register_poller(&self, poller: impl Fn() -> usize + 'static) {
+    pub(crate) fn register_poller(&self, poller: impl Fn() -> usize + 'static) {
         self.inner.pollers.borrow_mut().push(Box::new(poller));
     }
 
     /// Registers a source of timer deadlines consulted when all tasks are
     /// blocked (TCP RTO, device completion times, ...).
-    pub fn register_deadline_source(&self, source: impl Fn() -> Option<SimTime> + 'static) {
+    pub(crate) fn register_deadline_source(&self, source: impl Fn() -> Option<SimTime> + 'static) {
         self.inner
             .deadline_sources
             .borrow_mut()

@@ -65,7 +65,7 @@ impl Sga {
     }
 
     /// Number of segments.
-    pub fn seg_count(&self) -> usize {
+    pub(crate) fn seg_count(&self) -> usize {
         self.segs.len()
     }
 

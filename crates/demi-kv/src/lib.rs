@@ -15,18 +15,21 @@
 //!   [`store::CacheMirror`] doorbell so a NIC-offload replica (PR:
 //!   device-side offload) shares one insert/invalidate path with the
 //!   host.
-//! - [`server`] — the engine: drains every complete command per RX pass
+//! - [`KvEngine`] — the engine: drains every complete command per RX pass
 //!   (deep pipelining), splits replies at the durability barrier for
 //!   group commit.
 //! - [`log`] — group-commit batch codec + replay: one storage
 //!   submission per drained batch, byte-exact recovery of acknowledged
 //!   state.
+#![warn(unreachable_pub)]
 
 pub mod log;
 pub mod resp;
-pub mod server;
+mod server;
 pub mod store;
 
-pub use resp::{ReplyWriter, RespCommand, RespParser};
-pub use server::{DrainResult, KvConn, KvEngine, KvEngineConfig};
-pub use store::{CacheMirror, KvStore};
+pub use resp::{ReplyWriter, RespParser};
+pub use server::{DrainResult, EngineStats, KvConn, KvEngine, KvEngineConfig};
+
+#[cfg(test)]
+mod tests;

@@ -32,9 +32,9 @@ use demi_memory::{counters, DemiBuffer, MemoryManager};
 /// Longest accepted header line (`*<n>\r\n` / `$<len>\r\n`), generous.
 const MAX_LINE: usize = 32;
 /// Most arguments a single command may carry.
-pub const MAX_ARGS: u64 = 64;
+pub(crate) const MAX_ARGS: u64 = 64;
 /// Largest accepted bulk argument (keys and values).
-pub const MAX_BULK: u64 = 8 * 1024 * 1024;
+pub(crate) const MAX_BULK: u64 = 8 * 1024 * 1024;
 
 /// A malformed byte stream. The connection should be closed: RESP has no
 /// way to resynchronize after a framing error.
@@ -58,7 +58,7 @@ pub struct RespCommand {
 
 impl RespCommand {
     /// Argument `i` as a byte slice.
-    pub fn arg(&self, i: usize) -> &[u8] {
+    pub(crate) fn arg(&self, i: usize) -> &[u8] {
         self.args[i].as_slice()
     }
 }
@@ -128,19 +128,8 @@ impl RespParser {
         self.chunks.push_back(chunk);
     }
 
-    /// Unconsumed bytes currently held.
-    pub fn buffered_bytes(&self) -> usize {
-        self.buffered
-    }
-
-    /// Whether a partially parsed command is pending (mid-header or
-    /// mid-argument state survives across `push_chunk` calls).
-    pub fn mid_command(&self) -> bool {
-        !matches!(self.state, ParseState::ArrayHeader) || !self.args.is_empty()
-    }
-
     /// Parser counters.
-    pub fn stats(&self) -> RespStats {
+    pub(crate) fn stats(&self) -> RespStats {
         self.stats
     }
 
@@ -341,83 +330,6 @@ fn parse_decimal(line: &[u8]) -> Result<u64, RespError> {
 }
 
 // ---------------------------------------------------------------------
-// Reference parser — the naive, copying implementation the differential
-// proptest compares against. Deliberately written the "obvious" way.
-// ---------------------------------------------------------------------
-
-/// Owned commands as the reference parser produces them: each command is
-/// a list of argument byte strings.
-pub type RefCommands = Vec<Vec<Vec<u8>>>;
-
-/// Parses every complete command in `bytes` the simple way (all copies),
-/// returning the commands and how many bytes they consumed. The real
-/// parser must agree with this on every stream and every re-chunking.
-pub fn reference_parse(bytes: &[u8]) -> Result<(RefCommands, usize), RespError> {
-    let mut commands = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        let start = pos;
-        let Some(line) = ref_line(bytes, pos) else {
-            return Ok((commands, start));
-        };
-        let (text, next) = line;
-        if text.first() != Some(&b'*') {
-            return Err(RespError("expected array header"));
-        }
-        let nargs = ref_decimal(&text[1..])?;
-        if nargs == 0 || nargs > MAX_ARGS {
-            return Err(RespError("argument count out of range"));
-        }
-        pos = next;
-        let mut args = Vec::with_capacity(nargs as usize);
-        for _ in 0..nargs {
-            let Some((text, next)) = ref_line(bytes, pos) else {
-                return Ok((commands, start));
-            };
-            if text.first() != Some(&b'$') {
-                return Err(RespError("expected bulk header"));
-            }
-            let len = ref_decimal(&text[1..])? as usize;
-            if len as u64 > MAX_BULK {
-                return Err(RespError("bulk argument too large"));
-            }
-            if bytes.len() < next + len + 2 {
-                return Ok((commands, start));
-            }
-            if &bytes[next + len..next + len + 2] != b"\r\n" {
-                return Err(RespError("bulk argument missing CRLF"));
-            }
-            args.push(bytes[next..next + len].to_vec());
-            pos = next + len + 2;
-        }
-        commands.push(args);
-    }
-}
-
-fn ref_line(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
-    let rest = &bytes[pos.min(bytes.len())..];
-    let nl = rest.iter().position(|&b| b == b'\n')?;
-    if nl == 0 || rest[nl - 1] != b'\r' {
-        return None; // Malformed; surfaces as a header error upstream.
-    }
-    Some((&rest[..nl - 1], pos + nl + 1))
-}
-
-fn ref_decimal(text: &[u8]) -> Result<u64, RespError> {
-    if text.is_empty() || !text.iter().all(|b| b.is_ascii_digit()) {
-        return Err(RespError("malformed decimal"));
-    }
-    let mut v: u64 = 0;
-    for &b in text {
-        v = v
-            .checked_mul(10)
-            .and_then(|x| x.checked_add((b - b'0') as u64))
-            .ok_or(RespError("decimal overflow"))?;
-    }
-    Ok(v)
-}
-
-// ---------------------------------------------------------------------
 // Command encoding (clients, tests, and the load generator).
 // ---------------------------------------------------------------------
 
@@ -479,33 +391,33 @@ impl ReplyWriter {
     }
 
     /// Cumulative reply-path counters.
-    pub fn stats(&self) -> ReplyStats {
+    pub(crate) fn stats(&self) -> ReplyStats {
         self.stats
     }
 
     /// `+OK\r\n`-style simple string (pass without the `+`).
-    pub fn simple(&mut self, text: &[u8]) {
+    pub(crate) fn simple(&mut self, text: &[u8]) {
         self.ctrl.push(b'+');
         self.ctrl.extend_from_slice(text);
         self.ctrl.extend_from_slice(b"\r\n");
     }
 
     /// `-ERR ...\r\n` error reply (pass the full message).
-    pub fn error(&mut self, text: &[u8]) {
+    pub(crate) fn error(&mut self, text: &[u8]) {
         self.ctrl.push(b'-');
         self.ctrl.extend_from_slice(text);
         self.ctrl.extend_from_slice(b"\r\n");
     }
 
     /// `:<n>\r\n` integer reply.
-    pub fn integer(&mut self, v: i64) {
+    pub(crate) fn integer(&mut self, v: i64) {
         self.ctrl.push(b':');
         self.ctrl.extend_from_slice(v.to_string().as_bytes());
         self.ctrl.extend_from_slice(b"\r\n");
     }
 
     /// `$-1\r\n` null bulk (missing key).
-    pub fn null(&mut self) {
+    pub(crate) fn null(&mut self) {
         self.ctrl.extend_from_slice(b"$-1\r\n");
     }
 
@@ -567,9 +479,101 @@ impl ReplyWriter {
     }
 }
 
+/// The naive, copying RESP parser the differential tests compare the
+/// real one against — deliberately written the "obvious" way.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{RespError, MAX_ARGS, MAX_BULK};
+
+    /// Owned commands as the reference parser produces them: each command is
+    /// a list of argument byte strings.
+    pub(crate) type RefCommands = Vec<Vec<Vec<u8>>>;
+
+    /// Parses every complete command in `bytes` the simple way (all copies),
+    /// returning the commands and how many bytes they consumed. The real
+    /// parser must agree with this on every stream and every re-chunking.
+    pub(crate) fn reference_parse(bytes: &[u8]) -> Result<(RefCommands, usize), RespError> {
+        let mut commands = Vec::new();
+        let mut pos = 0usize;
+        loop {
+            let start = pos;
+            let Some(line) = ref_line(bytes, pos) else {
+                return Ok((commands, start));
+            };
+            let (text, next) = line;
+            if text.first() != Some(&b'*') {
+                return Err(RespError("expected array header"));
+            }
+            let nargs = ref_decimal(&text[1..])?;
+            if nargs == 0 || nargs > MAX_ARGS {
+                return Err(RespError("argument count out of range"));
+            }
+            pos = next;
+            let mut args = Vec::with_capacity(nargs as usize);
+            for _ in 0..nargs {
+                let Some((text, next)) = ref_line(bytes, pos) else {
+                    return Ok((commands, start));
+                };
+                if text.first() != Some(&b'$') {
+                    return Err(RespError("expected bulk header"));
+                }
+                let len = ref_decimal(&text[1..])? as usize;
+                if len as u64 > MAX_BULK {
+                    return Err(RespError("bulk argument too large"));
+                }
+                if bytes.len() < next + len + 2 {
+                    return Ok((commands, start));
+                }
+                if &bytes[next + len..next + len + 2] != b"\r\n" {
+                    return Err(RespError("bulk argument missing CRLF"));
+                }
+                args.push(bytes[next..next + len].to_vec());
+                pos = next + len + 2;
+            }
+            commands.push(args);
+        }
+    }
+
+    fn ref_line(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
+        let rest = &bytes[pos.min(bytes.len())..];
+        let nl = rest.iter().position(|&b| b == b'\n')?;
+        if nl == 0 || rest[nl - 1] != b'\r' {
+            return None; // Malformed; surfaces as a header error upstream.
+        }
+        Some((&rest[..nl - 1], pos + nl + 1))
+    }
+
+    fn ref_decimal(text: &[u8]) -> Result<u64, RespError> {
+        if text.is_empty() || !text.iter().all(|b| b.is_ascii_digit()) {
+            return Err(RespError("malformed decimal"));
+        }
+        let mut v: u64 = 0;
+        for &b in text {
+            v = v
+                .checked_mul(10)
+                .and_then(|x| x.checked_add((b - b'0') as u64))
+                .ok_or(RespError("decimal overflow"))?;
+        }
+        Ok(v)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RespParser {
+        /// Unconsumed bytes currently held.
+        pub(crate) fn buffered_bytes(&self) -> usize {
+            self.buffered
+        }
+
+        /// Whether a partially parsed command is pending (mid-header or
+        /// mid-argument state survives across `push_chunk` calls).
+        pub(crate) fn mid_command(&self) -> bool {
+            !matches!(self.state, ParseState::ArrayHeader) || !self.args.is_empty()
+        }
+    }
 
     fn cmds(parser: &mut RespParser) -> Vec<Vec<Vec<u8>>> {
         let mut out = Vec::new();
@@ -667,7 +671,7 @@ mod tests {
         let mut bytes = Vec::new();
         encode_command(&mut bytes, &[b"SET", b"a", b"1"]);
         encode_command(&mut bytes, &[b"GET", b"a"]);
-        let (cmds, consumed) = reference_parse(&bytes).unwrap();
+        let (cmds, consumed) = reference::reference_parse(&bytes).unwrap();
         assert_eq!(consumed, bytes.len());
         assert_eq!(cmds.len(), 2);
         assert_eq!(cmds[1], vec![b"GET".to_vec(), b"a".to_vec()]);

@@ -72,12 +72,6 @@ impl KvConn {
     pub fn parser_stats(&self) -> RespStats {
         self.parser.stats()
     }
-
-    /// Whether the connection hit a protocol error and must be closed
-    /// (RESP cannot resynchronize mid-stream).
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
 }
 
 /// What one drain pass produced.
@@ -138,11 +132,6 @@ impl KvEngine {
         }
     }
 
-    /// The live store (mirror attachment, instrumentation).
-    pub fn store(&self) -> &KvStore {
-        &self.store
-    }
-
     /// Mutable store access (mirror attachment, replay).
     pub fn store_mut(&mut self) -> &mut KvStore {
         &mut self.store
@@ -156,17 +145,6 @@ impl KvEngine {
     /// Reply-path counters (prepend hits vs control-run fallbacks).
     pub fn reply_stats(&self) -> ReplyStats {
         self.writer.stats()
-    }
-
-    /// Earliest TTL deadline (drive [`KvEngine::advance`] by then).
-    pub fn next_deadline(&mut self) -> Option<SimTime> {
-        self.store.next_deadline()
-    }
-
-    /// Advances the store's TTL wheel (call on timer ticks between
-    /// drains; `drain` also advances at entry).
-    pub fn advance(&mut self, now: SimTime) {
-        self.store.advance(now);
     }
 
     /// Executes every complete buffered command on `conn` — the whole
@@ -455,7 +433,7 @@ mod tests {
         feed(&mut conn2, &[&[b"GET", b"k"]]);
         let r = e.drain(&mut conn2, SimTime::from_millis(10));
         assert_eq!(flat(&r.immediate), b"$-1\r\n");
-        assert_eq!(e.store().stats().expirations, 1);
+        assert_eq!(e.store_mut().stats().expirations, 1);
     }
 
     #[test]
@@ -466,7 +444,7 @@ mod tests {
         let r = e.drain(&mut conn, SimTime::from_nanos(1));
         assert!(r.disconnect);
         assert!(flat(&r.immediate).starts_with(b"-ERR"));
-        assert!(conn.is_dead());
+        assert!(conn.dead);
         let r2 = e.drain(&mut conn, SimTime::from_nanos(2));
         assert!(r2.disconnect, "a poisoned connection stays poisoned");
     }

@@ -61,7 +61,7 @@ pub enum SetError {
 
 /// TTL query result (Redis `PTTL` semantics, in virtual nanoseconds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ttl {
+pub(crate) enum Ttl {
     /// No such key.
     Missing,
     /// Key exists and never expires.
@@ -170,26 +170,6 @@ impl KvStore {
         self.stats
     }
 
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether the store holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Resident key+value bytes.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// The configured byte budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
     /// Looks up `key`. A live entry is touched to MRU and its value
     /// handle cloned out (zero-copy). An entry whose deadline already
     /// passed is removed here — lazy expiry — and reported as a miss.
@@ -284,7 +264,7 @@ impl KvStore {
 
     /// Sets `key`'s deadline; `false` if the key is missing (or already
     /// past its previous deadline).
-    pub fn expire(&mut self, key: &[u8], at: SimTime, now: SimTime) -> bool {
+    pub(crate) fn expire(&mut self, key: &[u8], at: SimTime, now: SimTime) -> bool {
         let Some(&slot) = self.index.get(key) else {
             return false;
         };
@@ -301,7 +281,7 @@ impl KvStore {
     }
 
     /// `key`'s remaining lifetime.
-    pub fn ttl(&mut self, key: &[u8], now: SimTime) -> Ttl {
+    pub(crate) fn ttl(&mut self, key: &[u8], now: SimTime) -> Ttl {
         let Some(&slot) = self.index.get(key) else {
             return Ttl::Missing;
         };
@@ -319,7 +299,7 @@ impl KvStore {
     /// deadline passed — in deadline order, ties in schedule order (the
     /// wheel's guarantee), so expiry-driven mirror invalidations are
     /// deterministic.
-    pub fn advance(&mut self, now: SimTime) {
+    pub(crate) fn advance(&mut self, now: SimTime) {
         let mut fired = std::mem::take(&mut self.fired);
         fired.clear();
         self.wheel.advance_into(now, &mut fired);
@@ -336,18 +316,6 @@ impl KvStore {
             self.remove_slot(slot, RemovalCause::Expired);
         }
         self.fired = fired;
-    }
-
-    /// The earliest live TTL deadline, if any (feed the event loop's
-    /// timer). Stale wheel entries encountered are discarded.
-    pub fn next_deadline(&mut self) -> Option<SimTime> {
-        let slots = &self.slots;
-        self.wheel.peek_earliest_live(|&packed| {
-            let (slot, generation) = unpack(packed);
-            slots
-                .get(slot as usize)
-                .is_some_and(|s| s.live && s.generation == generation)
-        })
     }
 
     /// Copies out every live (non-expired) entry — recovery verification
@@ -461,6 +429,35 @@ enum RemovalCause {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl KvStore {
+        /// Live entries.
+        pub(crate) fn len(&self) -> usize {
+            self.index.len()
+        }
+
+        /// Whether the store holds no entries.
+        fn is_empty(&self) -> bool {
+            self.index.is_empty()
+        }
+
+        /// Resident key+value bytes.
+        pub(crate) fn bytes(&self) -> usize {
+            self.bytes
+        }
+
+        /// The earliest live TTL deadline, if any (feed the event loop's
+        /// timer). Stale wheel entries encountered are discarded.
+        pub(crate) fn next_deadline(&mut self) -> Option<SimTime> {
+            let slots = &self.slots;
+            self.wheel.peek_earliest_live(|&packed| {
+                let (slot, generation) = unpack(packed);
+                slots
+                    .get(slot as usize)
+                    .is_some_and(|s| s.live && s.generation == generation)
+            })
+        }
+    }
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)

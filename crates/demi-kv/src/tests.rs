@@ -2,7 +2,7 @@
 //!
 //! Two oracles:
 //!
-//! 1. The incremental zero-copy RESP parser vs [`resp::reference_parse`]
+//! 1. The incremental zero-copy RESP parser vs [`resp::reference::reference_parse`]
 //!    (a naive contiguous-buffer parser) over randomly re-chunked
 //!    streams — including pathological 1-byte splits — with the
 //!    additional claim that a stream delivered in ONE chunk reassembles
@@ -15,8 +15,8 @@
 
 use std::collections::HashMap;
 
-use demi_kv::resp::{self, RespParser};
-use demi_kv::store::{KvStore, SetError, Ttl};
+use crate::resp::{self, RespParser};
+use crate::store::{KvStore, SetError, Ttl};
 use demi_memory::DemiBuffer;
 use proptest::prelude::*;
 use sim_fabric::SimTime;
@@ -91,7 +91,7 @@ proptest! {
             stream.truncate(1 + rng.below(stream.len() as u64) as usize);
         }
         let (expected, consumed) =
-            resp::reference_parse(&stream).expect("generator emits valid streams");
+            resp::reference::reference_parse(&stream).expect("generator emits valid streams");
 
         // Three delivery shapes per case: 1-byte splits, random chunks,
         // one whole chunk.

@@ -25,7 +25,7 @@ use std::rc::{Rc, Weak};
 use demi_tenant::TenantId;
 
 use crate::counters;
-use crate::pool::{BufferPool, PoolInner};
+use crate::pool::PoolInner;
 
 /// Why a [`DemiBuffer::prepend`] was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,12 +307,6 @@ impl DemiBuffer {
         )
     }
 
-    /// Allocates `len` visible bytes from `pool` with `headroom` bytes of
-    /// prepend room in front of the view.
-    pub fn with_headroom(pool: &BufferPool, headroom: usize, len: usize) -> Self {
-        pool.alloc_with_headroom(headroom, len)
-    }
-
     /// A zero-length buffer: the payload of pure-control packets (ACKs,
     /// handshake segments). Allocates no data bytes and counts nothing
     /// toward the datapath counters.
@@ -406,14 +400,6 @@ impl DemiBuffer {
         // paths (`try_mut`, `prepend`) either require exclusive ownership
         // or write a range disjoint from every live view (see `prepend`).
         unsafe { std::slice::from_raw_parts(self.inner.ptr.as_ptr().add(self.off), self.len) }
-    }
-
-    /// Copies the view into a `Vec`. Counts one copy toward the datapath
-    /// counters — calling this on the hot path is exactly the cost the
-    /// zero-copy discipline avoids.
-    pub fn to_vec(&self) -> Vec<u8> {
-        counters::note_copy(self.len);
-        self.as_slice().to_vec()
     }
 
     /// Mutable access to the view, available only while this is the sole
@@ -575,17 +561,6 @@ impl DemiBuffer {
         self.off = new_off;
         self.len -= n;
     }
-
-    /// Grows the view toward the storage capacity (used by devices that
-    /// fill a freshly allocated buffer and then publish its true length).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resulting view would exceed capacity.
-    pub fn set_len(&mut self, len: usize) {
-        assert!(self.off + len <= self.inner.cap, "set_len beyond capacity");
-        self.len = len;
-    }
 }
 
 impl Drop for DemiBuffer {
@@ -707,7 +682,6 @@ mod tests {
         assert_eq!(b.as_slice(), b"hello");
         assert_eq!(b.len(), 5);
         assert!(!b.is_empty());
-        assert_eq!(b.to_vec(), b"hello".to_vec());
     }
 
     #[test]
@@ -754,26 +728,10 @@ mod tests {
     }
 
     #[test]
-    fn set_len_grows_within_capacity() {
-        let mut a = DemiBuffer::zeroed(16);
-        a.truncate(0);
-        assert!(a.is_empty());
-        a.set_len(8);
-        assert_eq!(a.len(), 8);
-    }
-
-    #[test]
     #[should_panic(expected = "slice out of bounds")]
     fn slice_out_of_bounds_panics() {
         let a = DemiBuffer::from_slice(b"abc");
         let _ = a.slice(1, 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "set_len beyond capacity")]
-    fn set_len_beyond_capacity_panics() {
-        let mut a = DemiBuffer::zeroed(4);
-        a.set_len(5);
     }
 
     #[test]

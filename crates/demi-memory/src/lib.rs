@@ -29,16 +29,17 @@
 //!   budget turns exhaustion into the typed, recoverable
 //!   [`PoolExhausted`] error — one tenant leaking buffers to exhaustion
 //!   never blocks another tenant's allocations.
+#![warn(unreachable_pub)]
 
-pub mod buffer;
+mod buffer;
 pub mod counters;
-pub mod manager;
-pub mod pool;
-pub mod registration;
+mod manager;
+mod pool;
+mod registration;
 
 pub use buffer::{CrossTenantAccess, DemiBuffer, HeadroomError};
 pub use counters::DatapathSnapshot;
 pub use demi_tenant::TenantId;
 pub use manager::MemoryManager;
-pub use pool::{BufferPool, PoolExhausted, PoolStats, DEFAULT_HEADROOM, SIZE_CLASSES};
+pub use pool::{BufferPool, PoolExhausted, PoolStats, DEFAULT_HEADROOM};
 pub use registration::{CountingRegistrar, RegionId, RegionStats, Registrar};

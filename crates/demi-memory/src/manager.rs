@@ -6,11 +6,11 @@ use std::rc::Rc;
 use crate::buffer::DemiBuffer;
 use crate::counters;
 use crate::pool::{BufferPool, PoolStats, DEFAULT_HEADROOM};
-use crate::registration::{CountingRegistrar, RegionStats, Registrar};
+use crate::registration::{CountingRegistrar, RegionStats};
 
 /// One memory manager per libOS instance (paper §4.5).
 ///
-/// Combines a [`BufferPool`] with the device's [`Registrar`] so that:
+/// Combines a [`BufferPool`] with the device's `Registrar` so that:
 ///
 /// * `sgaalloc`-style allocations ([`MemoryManager::alloc`]) always return
 ///   device-registered memory — applications never call a registration API;
@@ -52,11 +52,6 @@ impl MemoryManager {
         self.pool.alloc_with_headroom(DEFAULT_HEADROOM, len)
     }
 
-    /// Allocates with an explicit headroom reservation.
-    pub fn alloc_with_headroom(&self, headroom: usize, len: usize) -> DemiBuffer {
-        self.pool.alloc_with_headroom(headroom, len)
-    }
-
     /// Allocates and fills a buffer with `data` (a counted payload copy).
     pub fn alloc_from(&self, data: &[u8]) -> DemiBuffer {
         let mut buf = self.alloc(data.len());
@@ -67,11 +62,6 @@ impl MemoryManager {
         buf
     }
 
-    /// The underlying pool (for tests and experiments).
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
     /// Pool counters.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
@@ -80,11 +70,6 @@ impl MemoryManager {
     /// Registration/pin counters.
     pub fn region_stats(&self) -> RegionStats {
         self.registrar.stats()
-    }
-
-    /// The registrar, for devices that want to share pin accounting.
-    pub fn registrar(&self) -> Rc<dyn Registrar> {
-        self.registrar.clone()
     }
 }
 

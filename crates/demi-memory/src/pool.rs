@@ -12,7 +12,7 @@ use crate::registration::{RegionId, Registrar};
 /// The pool's size classes, in bytes. Allocations round up to the smallest
 /// class that fits; requests above the largest class get a dedicated,
 /// individually registered buffer.
-pub const SIZE_CLASSES: [usize; 6] = [64, 256, 1024, 4096, 16384, 65536];
+pub(crate) const SIZE_CLASSES: [usize; 6] = [64, 256, 1024, 4096, 16384, 65536];
 
 /// How many buffers a class adds each time it grows.
 const GROWTH_BATCH: usize = 64;
@@ -119,15 +119,6 @@ impl BufferPool {
         Self::build(None, tenant, budget_bytes)
     }
 
-    /// A tenant partition whose growth registers with `registrar`.
-    pub fn for_tenant_with_registrar(
-        tenant: TenantId,
-        budget_bytes: Option<u64>,
-        registrar: Rc<dyn Registrar>,
-    ) -> Self {
-        Self::build(Some(registrar), tenant, budget_bytes)
-    }
-
     fn build(
         registrar: Option<Rc<dyn Registrar>>,
         tenant: TenantId,
@@ -151,30 +142,6 @@ impl BufferPool {
         }
     }
 
-    /// The tenant owning this pool partition.
-    pub fn tenant(&self) -> TenantId {
-        self.inner.borrow().tenant
-    }
-
-    /// Allocates a buffer whose view covers `len` bytes.
-    ///
-    /// The underlying capacity is the smallest size class ≥ `len`; requests
-    /// larger than every class are served as dedicated registered buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool has a tenant byte budget and is exhausted —
-    /// budgeted callers should use [`BufferPool::try_alloc`].
-    pub fn alloc(&self, len: usize) -> DemiBuffer {
-        self.alloc_with_headroom(0, len)
-    }
-
-    /// Like [`BufferPool::alloc`], but exhaustion of a budgeted tenant
-    /// partition is a typed, recoverable error instead of a panic.
-    pub fn try_alloc(&self, len: usize) -> Result<DemiBuffer, PoolExhausted> {
-        self.try_alloc_with_headroom(0, len)
-    }
-
     /// Allocates a buffer whose view covers `len` bytes, preceded by
     /// `headroom` bytes of prepend room.
     ///
@@ -185,7 +152,7 @@ impl BufferPool {
     /// # Panics
     ///
     /// Panics if the pool has a tenant byte budget and is exhausted —
-    /// budgeted callers should use [`BufferPool::try_alloc_with_headroom`].
+    /// budgeted callers should use `BufferPool::try_alloc_with_headroom`.
     pub fn alloc_with_headroom(&self, headroom: usize, len: usize) -> DemiBuffer {
         match self.try_alloc_with_headroom(headroom, len) {
             Ok(buf) => buf,
@@ -198,7 +165,7 @@ impl BufferPool {
     /// cannot cover the growth. Frees return storage to the free lists,
     /// after which allocation succeeds again — exhaustion is a state,
     /// not a death sentence.
-    pub fn try_alloc_with_headroom(
+    pub(crate) fn try_alloc_with_headroom(
         &self,
         headroom: usize,
         len: usize,
@@ -287,7 +254,7 @@ impl BufferPool {
     }
 
     /// Snapshot of pool counters.
-    pub fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         self.inner.borrow().stats
     }
 }
@@ -304,6 +271,17 @@ mod tests {
     use crate::registration::CountingRegistrar;
 
     impl BufferPool {
+        /// Allocates `len` bytes with no headroom; panics on exhaustion.
+        fn alloc(&self, len: usize) -> DemiBuffer {
+            self.alloc_with_headroom(0, len)
+        }
+
+        /// [`BufferPool::alloc`], reporting [`PoolExhausted`] when a
+        /// budgeted tenant partition is spent.
+        fn try_alloc(&self, len: usize) -> Result<DemiBuffer, PoolExhausted> {
+            self.try_alloc_with_headroom(0, len)
+        }
+
         /// Free buffers currently cached for the class serving `len`-byte
         /// allocations (`None` for oversized requests).
         fn free_count_for(&self, len: usize) -> Option<usize> {

@@ -72,7 +72,7 @@ impl CountingRegistrar {
     }
 
     /// Snapshot of the counters.
-    pub fn stats(&self) -> RegionStats {
+    pub(crate) fn stats(&self) -> RegionStats {
         self.inner.borrow().stats
     }
 }

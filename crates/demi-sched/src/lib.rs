@@ -34,14 +34,15 @@
 //! thread owns a complete scheduler of its own; the only cross-thread
 //! structure this crate provides is the bounded lock-free [`spsc`] ring
 //! that carries messages *between* per-shard worlds.
+#![warn(unreachable_pub)]
 
-pub mod notify;
-pub mod scheduler;
+mod notify;
+mod scheduler;
 pub mod spsc;
-pub mod timer;
-pub mod yield_;
+mod timer;
+mod yield_;
 
 pub use notify::{Notified, Notify};
 pub use scheduler::{PassReport, Scheduler, SchedulerStats, TaskHandle, TaskId};
-pub use timer::TimerService;
+pub use timer::{SleepFuture, TimerService};
 pub use yield_::{yield_once, YieldFuture};

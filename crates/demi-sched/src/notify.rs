@@ -94,10 +94,10 @@ impl Notify {
     ///     let (added, items) = (added.clone(), items.clone());
     ///     async move { added.until(|| items.borrow_mut().pop()).await }
     /// });
-    /// sched.poll_once(); // nothing there yet: the consumer parks
+    /// sched.run_pass(); // nothing there yet: the consumer parks
     /// items.borrow_mut().push(7);
     /// added.notify_waiters();
-    /// sched.poll_once();
+    /// sched.run_pass();
     /// assert_eq!(consumer.take_result(), Some(7));
     /// ```
     pub async fn until<T>(&self, mut check: impl FnMut() -> Option<T>) -> T {
@@ -168,10 +168,10 @@ mod tests {
                 "woken"
             }
         });
-        sched.poll_once();
+        sched.run_pass();
         assert!(!h.is_complete());
         assert_eq!(notify.notify_waiters(), 1);
-        sched.poll_once();
+        sched.run_pass();
         assert_eq!(h.take_result(), Some("woken"));
     }
 
@@ -190,7 +190,7 @@ mod tests {
                 true
             }
         });
-        sched.poll_once();
+        sched.run_pass();
         assert_eq!(h.take_result(), Some(true));
     }
 
@@ -205,13 +205,13 @@ mod tests {
                 notify.notified().await;
             }
         });
-        sched.poll_once();
+        sched.run_pass();
         assert!(
             !h.is_complete(),
             "stale notification completed a fresh wait"
         );
         notify.notify_waiters();
-        sched.poll_once();
+        sched.run_pass();
         assert!(h.is_complete());
     }
 
@@ -225,10 +225,10 @@ mod tests {
                 notify.notified().await;
             }
         });
-        sched.poll_once();
+        sched.run_pass();
         let parked_polls = sched.stats().polls;
         for _ in 0..10 {
-            sched.poll_once();
+            sched.run_pass();
         }
         assert_eq!(sched.stats().polls, parked_polls);
     }
@@ -248,15 +248,15 @@ mod tests {
                 })
             })
             .collect();
-        sched.poll_once();
+        sched.run_pass();
         items.borrow_mut().push(10);
         assert_eq!(notify.notify_waiters(), 2);
-        sched.poll_once();
+        sched.run_pass();
         // The winner's slot awaits compaction; the loser re-armed its own.
         assert_eq!(notify.inner.borrow().waiters.len(), 2);
         items.borrow_mut().push(20);
         assert_eq!(notify.notify_waiters(), 1);
-        sched.poll_once();
+        sched.run_pass();
         let mut got: Vec<u32> = consumers.iter().filter_map(|h| h.take_result()).collect();
         got.sort_unstable();
         assert_eq!(got, vec![10, 20]);

@@ -16,7 +16,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
-/// Identifies a spawned task. In the Demikernel layer, qtokens wrap task ids.
+/// Identifies a spawned task, numbered in spawn order. (A Demikernel qtoken
+/// names a slot of the runtime's op slab, not a task.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u64);
 
@@ -30,7 +31,7 @@ pub struct SchedulerStats {
     pub completed: u64,
     /// Total individual `Future::poll` invocations.
     pub polls: u64,
-    /// Total scheduler passes (`poll_once` / `run_pass` / `sweep_pass`).
+    /// Total scheduler passes (`run_pass` / `sweep_pass`).
     pub passes: u64,
     /// Total waker deliveries that made a task runnable. Redundant wakes of
     /// an already-queued task and wakes of completed tasks are not counted —
@@ -188,7 +189,7 @@ struct Shared<T> {
 /// let sched = Scheduler::new();
 /// let handle = sched.spawn("answer", async { 21 * 2 });
 /// while !handle.is_complete() {
-///     sched.poll_once();
+///     sched.run_pass();
 /// }
 /// assert_eq!(handle.take_result(), Some(42));
 /// ```
@@ -281,12 +282,6 @@ impl Scheduler {
         drop(inner);
         self.rq.push(index, gen);
         id
-    }
-
-    /// Runs one scheduler pass; returns how many tasks completed.
-    /// Compatibility alias for [`Scheduler::run_pass`].
-    pub fn poll_once(&self) -> usize {
-        self.run_pass().completed
     }
 
     /// Whether any task is currently queued to run.
@@ -454,16 +449,6 @@ pub struct TaskHandle<T> {
 }
 
 impl<T> TaskHandle<T> {
-    /// The task's scheduler-wide id.
-    pub fn id(&self) -> TaskId {
-        self.id
-    }
-
-    /// The diagnostic name given at spawn.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Whether the task has run to completion (its result may already have
     /// been taken).
     pub fn is_complete(&self) -> bool {
@@ -500,7 +485,7 @@ mod tests {
         let sched = Scheduler::new();
         let h = sched.spawn("ready", async { 7 });
         assert!(!h.is_complete());
-        assert_eq!(sched.poll_once(), 1);
+        assert_eq!(sched.run_pass().completed, 1);
         assert!(h.is_complete());
         assert_eq!(h.take_result(), Some(7));
         assert_eq!(h.take_result(), None);
@@ -515,9 +500,9 @@ mod tests {
             yield_once().await;
             "done"
         });
-        assert_eq!(sched.poll_once(), 0);
-        assert_eq!(sched.poll_once(), 0);
-        assert_eq!(sched.poll_once(), 1);
+        assert_eq!(sched.run_pass().completed, 0);
+        assert_eq!(sched.run_pass().completed, 0);
+        assert_eq!(sched.run_pass().completed, 1);
         assert_eq!(h.take_result(), Some("done"));
     }
 
@@ -535,7 +520,7 @@ mod tests {
             });
         }
         while sched.live_tasks() > 0 {
-            sched.poll_once();
+            sched.run_pass();
         }
         assert_eq!(&*log.borrow(), &[0, 10, 20, 1, 11, 21]);
     }
@@ -558,7 +543,7 @@ mod tests {
             }
         });
         for _ in 0..10 {
-            sched.poll_once();
+            sched.run_pass();
         }
         assert!(inner_done.get());
         assert_eq!(h.take_result(), Some(true));
@@ -575,8 +560,8 @@ mod tests {
                 ran.set(true);
             });
         }
-        sched.poll_once();
-        sched.poll_once();
+        sched.run_pass();
+        sched.run_pass();
         assert!(ran.get());
     }
 
@@ -584,12 +569,12 @@ mod tests {
     fn slot_reuse_does_not_confuse_ids() {
         let sched = Scheduler::new();
         let a = sched.spawn("a", async { 1u32 });
-        sched.poll_once();
+        sched.run_pass();
         assert!(a.is_complete());
         let b = sched.spawn("b", async { 2u32 });
-        assert_ne!(a.id(), b.id());
+        assert_ne!(a.id, b.id);
         assert_eq!(sched.live_task_names(), vec!["b"]);
-        sched.poll_once();
+        sched.run_pass();
         assert_eq!(b.take_result(), Some(2));
     }
 
@@ -600,8 +585,8 @@ mod tests {
             yield_once().await;
         });
         sched.spawn("two", async {});
-        sched.poll_once();
-        sched.poll_once();
+        sched.run_pass();
+        sched.run_pass();
         let stats = sched.stats();
         assert_eq!(stats.spawned, 2);
         assert_eq!(stats.completed, 2);
@@ -614,7 +599,7 @@ mod tests {
     fn live_task_names_reports_pending_tasks() {
         let sched = Scheduler::new();
         sched.spawn("stuck", std::future::pending::<()>());
-        sched.poll_once();
+        sched.run_pass();
         assert_eq!(sched.live_task_names(), vec!["stuck"]);
     }
 
@@ -624,10 +609,10 @@ mod tests {
         // A task that parks forever: polled exactly once (its spawn wake),
         // then never again.
         sched.spawn("parked", std::future::pending::<()>());
-        sched.poll_once();
+        sched.run_pass();
         let after_first = sched.stats().polls;
         for _ in 0..100 {
-            sched.poll_once();
+            sched.run_pass();
         }
         assert_eq!(sched.stats().polls, after_first);
         assert_eq!(sched.stats().spurious_polls, 0);
@@ -674,9 +659,9 @@ mod tests {
         });
         let _b = sched.spawn("b", async {});
         assert_eq!(sched.live_tasks(), 2);
-        sched.poll_once();
+        sched.run_pass();
         assert_eq!(sched.live_tasks(), 1);
-        sched.poll_once();
+        sched.run_pass();
         assert_eq!(sched.live_tasks(), 0);
     }
 }

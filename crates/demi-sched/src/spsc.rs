@@ -55,7 +55,13 @@ struct Shared<T> {
 // producer owns slots in `[tail, head + capacity)` and the consumer owns
 // `[head, tail)` — with Release/Acquire edges on the index that transfers
 // ownership. `T: Send` is required because values move across threads.
+// `tests::cross_thread_fifo_stress` fails (lost, reordered or corrupted
+// items) if either side ever touches a slot the other owns.
 unsafe impl<T: Send> Send for Shared<T> {}
+// SAFETY: `&Shared<T>` exposes only the atomic `head`/`tail` and the slots,
+// and a slot is read or written solely by the side that owns it under the
+// invariant above, so two threads sharing one `Shared` never race on a
+// slot. Pinned by the same `cross_thread_fifo_stress`.
 unsafe impl<T: Send> Sync for Shared<T> {}
 
 impl<T> Drop for Shared<T> {
@@ -92,9 +98,14 @@ pub struct Consumer<T> {
     cached_tail: usize,
 }
 
-// SAFETY: each half is used by one thread at a time; sending the *half*
-// to another thread is the whole point. `T: Send` flows from Shared.
+// SAFETY: a `Producer` is not `Clone` and every method takes `&mut self`,
+// so exactly one thread at a time pushes; moving it to another thread
+// moves the one producer. `T: Send` flows from `Shared`.
+// `tests::cross_thread_fifo_stress` runs the producer on its own thread.
 unsafe impl<T: Send> Send for Producer<T> {}
+// SAFETY: as for `Producer`: one non-`Clone` consumer, `&mut self` pops,
+// so exactly one thread at a time pops. Pinned by
+// `tests::cross_thread_fifo_stress`, which pops on the other thread.
 unsafe impl<T: Send> Send for Consumer<T> {}
 
 /// Creates a bounded SPSC ring holding at least `capacity` items
@@ -143,23 +154,6 @@ impl<T> Producer<T> {
         self.shared.tail.0.store(self.tail, Ordering::Release);
         Ok(())
     }
-
-    /// Number of items currently enqueued (racy under concurrency; exact
-    /// when the consumer is quiescent).
-    pub fn len(&self) -> usize {
-        self.tail - self.shared.head.0.load(Ordering::Acquire)
-    }
-
-    /// True when the ring holds no items (subject to the same race as
-    /// [`len`](Self::len)).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total slot count.
-    pub fn capacity(&self) -> usize {
-        self.shared.mask + 1
-    }
 }
 
 impl<T> Consumer<T> {
@@ -180,27 +174,34 @@ impl<T> Consumer<T> {
         self.shared.head.0.store(self.head, Ordering::Release);
         Some(value)
     }
-
-    /// Number of items currently enqueued (racy under concurrency).
-    pub fn len(&self) -> usize {
-        self.shared.tail.0.load(Ordering::Acquire) - self.head
-    }
-
-    /// True when the ring holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total slot count.
-    pub fn capacity(&self) -> usize {
-        self.shared.mask + 1
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    impl<T> Producer<T> {
+        /// Items currently enqueued (exact while the consumer is quiescent).
+        fn len(&self) -> usize {
+            self.tail - self.shared.head.0.load(Ordering::Acquire)
+        }
+
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
+        /// Total slot count.
+        fn capacity(&self) -> usize {
+            self.shared.mask + 1
+        }
+    }
+
+    impl<T> Consumer<T> {
+        fn is_empty(&self) -> bool {
+            self.shared.tail.0.load(Ordering::Acquire) == self.head
+        }
+    }
 
     #[test]
     fn capacity_rounds_up_to_power_of_two() {

@@ -60,16 +60,6 @@ impl TimerService {
         }
     }
 
-    /// The clock this service reads.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    /// Current virtual time (convenience passthrough).
-    pub fn now(&self) -> SimTime {
-        self.clock.now()
-    }
-
     /// A future that completes once virtual time reaches `deadline`.
     pub fn sleep_until(&self, deadline: SimTime) -> SleepFuture {
         let waker = Rc::new(RefCell::new(None));
@@ -118,11 +108,6 @@ impl TimerService {
         self.fire_due();
         self.deadlines.borrow().peek().map(|e| e.deadline)
     }
-
-    /// Number of registered (possibly expired or cancelled) deadlines.
-    pub fn pending(&self) -> usize {
-        self.deadlines.borrow().len()
-    }
 }
 
 /// Future returned by [`TimerService::sleep_until`].
@@ -135,13 +120,6 @@ pub struct SleepFuture {
     clock: SimClock,
     deadline: SimTime,
     waker: Rc<RefCell<Option<Waker>>>,
-}
-
-impl SleepFuture {
-    /// The instant this sleep completes.
-    pub fn deadline(&self) -> SimTime {
-        self.deadline
-    }
 }
 
 impl Future for SleepFuture {
@@ -176,6 +154,18 @@ mod tests {
     use super::*;
     use crate::Scheduler;
 
+    impl TimerService {
+        /// Current virtual time.
+        fn now(&self) -> SimTime {
+            self.clock.now()
+        }
+
+        /// Number of registered (possibly expired or cancelled) deadlines.
+        fn pending(&self) -> usize {
+            self.deadlines.borrow().len()
+        }
+    }
+
     #[test]
     fn sleep_completes_only_after_clock_advances() {
         let clock = SimClock::new();
@@ -188,12 +178,12 @@ mod tests {
                 timers.now()
             }
         });
-        sched.poll_once();
+        sched.run_pass();
         assert!(!h.is_complete());
         assert_eq!(timers.earliest_deadline(), Some(SimTime::from_micros(10)));
         clock.advance_to(SimTime::from_micros(10));
         assert_eq!(timers.fire_due(), 1);
-        sched.poll_once();
+        sched.run_pass();
         assert_eq!(h.take_result(), Some(SimTime::from_micros(10)));
         assert_eq!(timers.earliest_deadline(), None);
     }
@@ -225,7 +215,7 @@ mod tests {
                 1u8
             }
         });
-        sched.poll_once();
+        sched.run_pass();
         assert_eq!(h.take_result(), Some(1));
     }
 
@@ -254,11 +244,11 @@ mod tests {
                 true
             }
         });
-        sched.poll_once();
+        sched.run_pass();
         let parked_polls = sched.stats().polls;
         clock.advance_to(SimTime::from_micros(3));
         assert_eq!(timers.fire_due(), 1);
-        sched.poll_once();
+        sched.run_pass();
         assert!(h.is_complete());
         // Only the sleeper was re-polled; the pending task stayed parked.
         assert_eq!(sched.stats().polls, parked_polls + 1);

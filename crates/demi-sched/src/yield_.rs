@@ -61,7 +61,7 @@ mod tests {
             true
         });
         for _ in 0..4 {
-            sched.poll_once();
+            sched.run_pass();
         }
         assert_eq!(h.take_result(), Some(true));
     }

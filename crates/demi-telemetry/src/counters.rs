@@ -236,6 +236,10 @@ impl<S: CounterSnapshot> Baseline<S> {
 
 #[cfg(test)]
 mod tests {
+    // The macro's generated API is `pub`, for the crates that export their
+    // families; inside this private test module it is unreachable.
+    #![allow(unreachable_pub)]
+
     use super::*;
 
     crate::counter_family! {

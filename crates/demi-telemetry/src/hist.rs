@@ -1,7 +1,7 @@
 //! Fixed-size log-bucketed latency histograms (HDR-style).
 //!
 //! Values are u64 nanoseconds. Buckets are logarithmic with 32 linear
-//! sub-buckets per power of two ([`SUB_BITS`] = 5), which bounds the
+//! sub-buckets per power of two (`SUB_BITS` = 5), which bounds the
 //! relative quantile error at `2^-5` ≈ 3.1% — a bucket never rounds a
 //! reported quantile by more than one sub-bucket width. The whole
 //! structure is a flat `[u64; 1920]` plus four scalars: **recording a
@@ -14,14 +14,14 @@
 //! const-initialized `thread_local!` cells (see [`crate::stage`]).
 
 /// log2 of the sub-bucket count per power of two.
-pub const SUB_BITS: u32 = 5;
+pub(crate) const SUB_BITS: u32 = 5;
 /// Linear sub-buckets per power of two (32 → ≤3.125% relative error).
-pub const SUBS: usize = 1 << SUB_BITS;
+pub(crate) const SUBS: usize = 1 << SUB_BITS;
 /// Total bucket count covering the full u64 range.
-pub const BUCKETS: usize = SUBS * (64 - SUB_BITS as usize + 1);
+pub(crate) const BUCKETS: usize = SUBS * (64 - SUB_BITS as usize + 1);
 
-/// Bucket index for a value. Values below [`SUBS`] get exact unit
-/// buckets; above, the top [`SUB_BITS`]+1 significant bits select the
+/// Bucket index for a value. Values below `SUBS` get exact unit
+/// buckets; above, the top `SUB_BITS`+1 significant bits select the
 /// bucket.
 #[inline]
 pub fn bucket_index(v: u64) -> usize {
@@ -36,7 +36,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// Smallest value mapping to bucket `i` (inverse of [`bucket_index`]).
 #[inline]
-pub fn bucket_lower_bound(i: usize) -> u64 {
+pub(crate) fn bucket_lower_bound(i: usize) -> u64 {
     if i < SUBS {
         i as u64
     } else {
@@ -46,7 +46,7 @@ pub fn bucket_lower_bound(i: usize) -> u64 {
 
 /// Largest value mapping to bucket `i`.
 #[inline]
-pub fn bucket_upper_bound(i: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
     let width = if i < SUBS {
         1u64
     } else {
@@ -93,7 +93,7 @@ impl Histogram {
     }
 
     /// Fold `other`'s samples into `self`.
-    pub fn merge(&mut self, other: &Self) {
+    pub(crate) fn merge(&mut self, other: &Self) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
@@ -114,7 +114,7 @@ impl Histogram {
     }
 
     /// Smallest recorded sample (0 if empty).
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.is_empty() {
             0
         } else {
@@ -129,7 +129,7 @@ impl Histogram {
 
     /// Mean of recorded samples (0 if empty). Sum saturates at u64::MAX,
     /// so the mean degrades (never wraps) past ~18.4e18 total ns.
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         if self.is_empty() {
             0
         } else {
@@ -176,7 +176,7 @@ impl Histogram {
     }
 
     /// Reset to empty without touching capacity (it's all inline anyway).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         *self = Self::new();
     }
 }

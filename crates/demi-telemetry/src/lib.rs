@@ -24,6 +24,7 @@
 //!   enqueue→burst).
 //! - [`span`] — per-qtoken lifecycle stamps in a bounded ring,
 //!   exportable as Chrome `trace_event` JSON.
+#![warn(unreachable_pub)]
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -37,7 +38,6 @@ thread_local! {
     /// Master switch for latency recording (histograms + stage deltas).
     static ENABLED: Cell<bool> = const { Cell::new(false) };
     /// Injected virtual-time source. `None` until a runtime installs one.
-    #[allow(clippy::type_complexity)]
     static NOW_SOURCE: RefCell<Option<Rc<dyn Fn() -> u64>>> = const { RefCell::new(None) };
 }
 

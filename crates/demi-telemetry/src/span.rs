@@ -40,10 +40,10 @@ pub enum SpanPoint {
 }
 
 /// Number of lifecycle points per span.
-pub const POINT_COUNT: usize = 5;
+pub(crate) const POINT_COUNT: usize = 5;
 
 /// Sentinel for "this point was never observed".
-pub const UNSET: u64 = u64::MAX;
+pub(crate) const UNSET: u64 = u64::MAX;
 
 /// One operation's recorded lifecycle.
 #[derive(Clone, Copy, Debug)]
@@ -52,7 +52,7 @@ pub struct OpSpan {
     pub op: u64,
     /// The spawn name of the op (e.g. `"catnip::udp_pop"`).
     pub name: &'static str,
-    /// Virtual-time ns per [`SpanPoint`]; [`UNSET`] if unobserved.
+    /// Virtual-time ns per [`SpanPoint`]; `UNSET` if unobserved.
     pub stamps: [u64; POINT_COUNT],
 }
 

@@ -33,7 +33,7 @@ pub enum Stage {
 }
 
 /// Number of stages (registry array length).
-pub const STAGE_COUNT: usize = 5;
+pub(crate) const STAGE_COUNT: usize = 5;
 
 impl Stage {
     /// All stages, in registry order.

@@ -75,16 +75,18 @@ impl TokenBucket {
         let dt = (need - have).div_ceil(self.rate_bps as u128);
         Some(now_ns.saturating_add(dt as u64))
     }
-
-    /// Tokens (whole bytes) currently banked (diagnostic).
-    pub fn tokens(&self, now_ns: u64) -> u64 {
-        (self.nano_at(now_ns) / NANOS_PER_SEC) as u64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TokenBucket {
+        /// Tokens (whole bytes) currently banked.
+        fn tokens(&self, now_ns: u64) -> u64 {
+            (self.nano_at(now_ns) / NANOS_PER_SEC) as u64
+        }
+    }
 
     fn limit(rate: u64, burst: u64) -> RateLimit {
         RateLimit {

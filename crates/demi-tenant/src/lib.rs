@@ -23,13 +23,14 @@
 //! entirely as HOST and sees no policy at all), and HOST code may touch
 //! any tenant's state — it is the stack prepending headers onto a
 //! tenant's payload, not one tenant spying on another.
+#![warn(unreachable_pub)]
 
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::Mutex;
 
-pub mod bucket;
+mod bucket;
 pub mod counters;
 
 pub use bucket::TokenBucket;
@@ -82,7 +83,7 @@ pub fn current() -> TenantId {
 }
 
 /// Restores the previous ambient tenant when dropped.
-pub struct TenantScope {
+pub(crate) struct TenantScope {
     prev: TenantId,
 }
 
@@ -93,7 +94,7 @@ impl Drop for TenantScope {
 }
 
 /// Switches the ambient tenant until the returned guard drops.
-pub fn enter(tenant: TenantId) -> TenantScope {
+pub(crate) fn enter(tenant: TenantId) -> TenantScope {
     let prev = CURRENT.with(|c| c.replace(tenant));
     TenantScope { prev }
 }
@@ -221,15 +222,6 @@ impl TenantRegistry {
         TenantId(id)
     }
 
-    /// The tenant's policy, if registered.
-    pub fn spec(&self, tenant: TenantId) -> Option<TenantSpec> {
-        self.specs
-            .lock()
-            .expect("tenant registry poisoned")
-            .get(tenant.0 as usize)
-            .cloned()
-    }
-
     /// Every registered tenant (excluding HOST) with its policy.
     pub fn tenants(&self) -> Vec<(TenantId, TenantSpec)> {
         self.specs
@@ -309,8 +301,9 @@ mod tests {
         let a = reg.register(TenantSpec::named("a", 1));
         let b = reg.register(TenantSpec::named("b", 3));
         assert_eq!((a, b), (TenantId(1), TenantId(2)));
-        assert_eq!(reg.spec(b).unwrap().weight, 3);
-        assert_eq!(reg.tenants().len(), 2);
+        let tenants = reg.tenants();
+        assert_eq!(tenants.len(), 2);
+        assert_eq!((tenants[1].0, tenants[1].1.weight), (b, 3));
     }
 
     #[test]

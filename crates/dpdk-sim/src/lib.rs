@@ -16,28 +16,32 @@
 //!   [`DpdkPort::tx_burst`]) over a [`sim_fabric`] endpoint, with multiple
 //!   RX queues fed by RSS hashing or an installed steering program, and
 //!   bounded descriptor rings that tail-drop when full.
-//! * [`smartnic`] — optional program slots (filter/steer/map) that execute
+//! * [`SmartNic`] — optional program slots (filter/steer/map) that execute
 //!   "on the device", spending device cycles instead of host cycles. This
 //!   models the Table-1 right column (FPGA/SoC SmartNICs) and powers the
 //!   offload experiment (E6).
 //! * [`wire`] — the header codec and internet checksum the device shares
 //!   with the host stack, so both agree on what a valid segment is.
+#![warn(unreachable_pub)]
 
-pub mod mbuf;
-pub mod mempool;
-pub mod offload;
-pub mod port;
+mod mbuf;
+mod mempool;
+mod offload;
+mod port;
 pub mod rss;
-pub mod smartnic;
+mod smartnic;
 pub mod wire;
 
 pub use mbuf::Mbuf;
 pub use mempool::Mempool;
 pub use offload::{
-    FlowKey, FlowShadow, OffloadAction, OffloadEvent, OffloadService, OffloadStats, TcpOffload,
+    EngineOutcome, FlowKey, FlowShadow, OffloadAction, OffloadEvent, OffloadService, OffloadStats,
+    TcpOffload,
 };
 pub use port::{DpdkPort, PortConfig, PortQueueStats, PortStats};
-pub use smartnic::{NicProgram, ProgramSlot, SlotStats, SmartNic, SmartNicStats};
+pub use smartnic::{
+    NicProgram, ProgramSlot, RxDecision, SlotStats, SmartNic, SmartNicError, SmartNicStats,
+};
 
 use sim_fabric::{DeviceCaps, DeviceCategory};
 
@@ -70,22 +74,4 @@ pub fn smartnic_capabilities() -> DeviceCaps {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn plain_device_offers_bypass_only() {
-        let caps = capabilities();
-        assert!(caps.kernel_bypass);
-        assert!(!caps.network_stack);
-        assert!(!caps.program_offload);
-        assert_eq!(caps.category, DeviceCategory::BypassOnly);
-    }
-
-    #[test]
-    fn smartnic_adds_offload() {
-        let caps = smartnic_capabilities();
-        assert!(caps.program_offload);
-        assert_eq!(caps.category, DeviceCategory::PlusOtherFeatures);
-    }
-}
+mod tests;

@@ -1,45 +1,21 @@
 //! Message buffers exchanged with the device.
 
 use demi_memory::DemiBuffer;
-use sim_fabric::SimTime;
 
 /// A packet buffer, the rte_mbuf analogue.
 ///
-/// Wraps a zero-copy [`DemiBuffer`] (so the same storage flows from device
-/// to protocol stack to application without copies) plus the per-packet
-/// metadata a driver exposes.
+/// Wraps a zero-copy [`DemiBuffer`], so the same storage flows from device
+/// to protocol stack to application without copies.
 #[derive(Debug, Clone)]
 pub struct Mbuf {
     /// Frame contents.
     pub data: DemiBuffer,
-    /// RX: virtual instant the frame was delivered by the fabric.
-    pub rx_timestamp: SimTime,
-    /// RX: RSS-style hash the device computed over the frame, used for
-    /// multi-queue distribution.
-    pub rss_hash: u32,
-    /// RX queue this packet was steered to.
-    pub queue: u16,
 }
 
 impl Mbuf {
-    /// Wraps outgoing frame data (TX metadata fields are zeroed).
+    /// Wraps frame data.
     pub fn from_data(data: DemiBuffer) -> Self {
-        Mbuf {
-            data,
-            rx_timestamp: SimTime::ZERO,
-            rss_hash: 0,
-            queue: 0,
-        }
-    }
-
-    /// Frame length in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the frame is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        Mbuf { data }
     }
 
     /// Frame bytes.
@@ -64,8 +40,6 @@ mod tests {
         let handles_before = buf.handle_count();
         let mbuf = Mbuf::from_data(buf.clone());
         assert_eq!(mbuf.as_slice(), b"frame");
-        assert_eq!(mbuf.len(), 5);
-        assert!(!mbuf.is_empty());
         assert_eq!(buf.handle_count(), handles_before + 1);
         assert!(mbuf.data.same_storage(&buf));
     }

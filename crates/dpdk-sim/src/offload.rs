@@ -85,22 +85,22 @@ use crate::wire::tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};
 
 /// Per-flow reassembly bound: device memory is finite, so a flow whose
 /// pending (absorbed, unserved) bytes would exceed this falls back.
-pub const MAX_PENDING_BYTES: usize = 4096;
+pub(crate) const MAX_PENDING_BYTES: usize = 4096;
 
 /// Device cycles to parse/classify one examined frame.
-pub const CYCLES_PARSE: u64 = 12;
+pub(crate) const CYCLES_PARSE: u64 = 12;
 /// Device cycles to absorb one in-order partial segment into reassembly.
-pub const CYCLES_REASSEMBLE: u64 = 8;
+pub(crate) const CYCLES_REASSEMBLE: u64 = 8;
 /// Device cycles to absorb one pure ACK.
-pub const CYCLES_ACK_ABSORB: u64 = 18;
+pub(crate) const CYCLES_ACK_ABSORB: u64 = 18;
 /// Device cycles to build and transmit one reply segment.
-pub const CYCLES_SERVE_BASE: u64 = 60;
+pub(crate) const CYCLES_SERVE_BASE: u64 = 60;
 /// Additional device cycles per 16 payload bytes served.
-pub const CYCLES_SERVE_PER_16B: u64 = 1;
+pub(crate) const CYCLES_SERVE_PER_16B: u64 = 1;
 /// Device cycles for one KV cache lookup.
-pub const CYCLES_KV_LOOKUP: u64 = 24;
+pub(crate) const CYCLES_KV_LOOKUP: u64 = 24;
 /// Device cycles for one write-through invalidation.
-pub const CYCLES_KV_INVALIDATE: u64 = 10;
+pub(crate) const CYCLES_KV_INVALIDATE: u64 = 10;
 
 /// Identifies an armed flow: (remote IPv4, remote port). The local port is
 /// fixed per engine instance.
@@ -382,11 +382,6 @@ impl TcpOffload {
         }
     }
 
-    /// The port this engine serves.
-    pub fn local_port(&self) -> u16 {
-        self.local_port
-    }
-
     /// Arms (or re-arms) a flow with a fresh host-provided shadow. The
     /// planner must call this only when the host control block is
     /// quiescent for the flow (nothing unacked, queued, or out of order).
@@ -426,7 +421,7 @@ impl TcpOffload {
     }
 
     /// Drains reply frames awaiting device transmission.
-    pub fn take_tx(&mut self) -> Vec<DemiBuffer> {
+    pub(crate) fn take_tx(&mut self) -> Vec<DemiBuffer> {
         std::mem::take(&mut self.tx)
     }
 
@@ -469,7 +464,7 @@ impl TcpOffload {
     }
 
     /// Examines one RX frame. Called from the SmartNIC slot engine.
-    pub fn process(&mut self, frame: &[u8], now: SimTime) -> EngineOutcome {
+    pub(crate) fn process(&mut self, frame: &[u8], now: SimTime) -> EngineOutcome {
         let mut cycles = CYCLES_PARSE;
         let Some((eth, ip, tcp, payload)) = parse_segment(frame) else {
             return EngineOutcome::deliver(cycles);

@@ -300,9 +300,9 @@ impl PortInner {
             };
             // Toeplitz-style RSS: symmetric 4-tuple hash picks the queue
             // unless a SmartNIC steering program already chose one.
-            let hash = crate::rss::hash_frame(&data);
-            let queue = steered.unwrap_or((hash % self.config.num_rx_queues as u32) as u16);
-            let queue = queue % self.config.num_rx_queues;
+            let queues = self.config.num_rx_queues;
+            let queue =
+                steered.unwrap_or_else(|| crate::rss::queue_for_frame(&data, queues)) % queues;
             let ring = &mut self.rx_rings[queue as usize];
             if ring.len() >= self.config.rx_ring_size {
                 self.stats.rx_ring_drops += 1;
@@ -312,11 +312,7 @@ impl PortInner {
             self.stats.rx_frames += 1;
             self.stats.rx_bytes += data.len() as u64;
             self.queue_stats[queue as usize].enqueued += 1;
-            let mut mbuf = Mbuf::from_data(data);
-            mbuf.rx_timestamp = frame.delivered_at;
-            mbuf.rss_hash = hash;
-            mbuf.queue = queue;
-            ring.push_back(mbuf);
+            ring.push_back(Mbuf::from_data(data));
         }
     }
 
@@ -366,6 +362,10 @@ mod tests {
         f
     }
 
+    fn mbuf(frame: &[u8]) -> Mbuf {
+        Mbuf::from_data(demi_memory::DemiBuffer::from_slice(frame))
+    }
+
     fn pair(fabric: &Fabric) -> (DpdkPort, DpdkPort) {
         fabric.set_default_link(LinkConfig::ideal());
         let a = DpdkPort::new(fabric, PortConfig::basic(MacAddress::from_last_octet(1)));
@@ -378,8 +378,7 @@ mod tests {
         let fabric = Fabric::new(1);
         let (a, b) = pair(&fabric);
         let frame = eth_frame(b.mac(), a.mac(), b"payload");
-        let mbuf = a.mempool().alloc_from(&frame);
-        assert_eq!(a.tx_burst(&[mbuf]), 1);
+        assert_eq!(a.tx_burst(&[mbuf(&frame)]), 1);
         fabric.deliver_due();
         let got = b.rx_burst(0, 32);
         assert_eq!(got.len(), 1);
@@ -392,7 +391,7 @@ mod tests {
     fn runt_frames_are_rejected_at_tx() {
         let fabric = Fabric::new(1);
         let (a, _b) = pair(&fabric);
-        let runt = a.mempool().alloc_from(&[0u8; 13]);
+        let runt = mbuf(&[0u8; 13]);
         assert_eq!(a.tx_burst(&[runt]), 0);
         assert_eq!(a.stats().tx_frames, 0);
     }
@@ -403,7 +402,7 @@ mod tests {
         let (a, b) = pair(&fabric);
         for i in 0..5u8 {
             let f = eth_frame(b.mac(), a.mac(), &[i]);
-            a.tx_burst(&[a.mempool().alloc_from(&f)]);
+            a.tx_burst(&[mbuf(&f)]);
         }
         fabric.deliver_due();
         assert_eq!(b.rx_burst(0, 3).len(), 3);
@@ -416,7 +415,7 @@ mod tests {
         let (a, b) = pair(&fabric);
         for i in 0..5u8 {
             let f = eth_frame(b.mac(), a.mac(), &[i]);
-            a.tx_burst(&[a.mempool().alloc_from(&f)]);
+            a.tx_burst(&[mbuf(&f)]);
         }
         fabric.deliver_due();
         let mut out = Vec::new();
@@ -445,7 +444,7 @@ mod tests {
         assert!(!b.rx_ready(0) && !b.rx_ready(1));
         let f = udp_flow_frame(b.mac(), a.mac(), 40_000, 80);
         let q = crate::rss::queue_for_frame(&f, 2);
-        a.tx_burst(&[a.mempool().alloc_from(&f)]);
+        a.tx_burst(&[mbuf(&f)]);
         assert!(!b.rx_ready(q), "in flight is not arrived");
         fabric.deliver_due();
         // In the mailbox the frame could be for any queue; once a burst on
@@ -473,7 +472,7 @@ mod tests {
         );
         for i in 0..4u8 {
             let f = eth_frame(b.mac(), a.mac(), &[i]);
-            a.tx_burst(&[a.mempool().alloc_from(&f)]);
+            a.tx_burst(&[mbuf(&f)]);
         }
         fabric.deliver_due();
         assert_eq!(b.rx_pending(0), 2);
@@ -522,7 +521,7 @@ mod tests {
         // 64 distinct flows (varying source ports).
         for i in 0..64u16 {
             let f = udp_flow_frame(b.mac(), a.mac(), 32_768 + i, 80);
-            a.tx_burst(&[a.mempool().alloc_from(&f)]);
+            a.tx_burst(&[mbuf(&f)]);
         }
         fabric.deliver_due();
         let counts: Vec<usize> = (0..4).map(|q| b.rx_pending(q)).collect();
@@ -553,7 +552,7 @@ mod tests {
         // 4-deep ring drop the last 2.
         for _ in 0..6 {
             let f = udp_flow_frame(b.mac(), a.mac(), 40_000, 80);
-            a.tx_burst(&[a.mempool().alloc_from(&f)]);
+            a.tx_burst(&[mbuf(&f)]);
         }
         fabric.deliver_due();
         let qs = b.queue_stats();
@@ -586,7 +585,7 @@ mod tests {
         .unwrap();
         for i in 0..8u8 {
             let f = eth_frame(b.mac(), a.mac(), &[i]);
-            a.tx_burst(&[a.mempool().alloc_from(&f)]);
+            a.tx_burst(&[mbuf(&f)]);
         }
         fabric.deliver_due();
         assert_eq!(b.rx_pending(3), 8);
@@ -611,7 +610,7 @@ mod tests {
         .unwrap();
         for i in 0..10u8 {
             let f = eth_frame(b.mac(), a.mac(), &[i]);
-            a.tx_burst(&[a.mempool().alloc_from(&f)]);
+            a.tx_burst(&[mbuf(&f)]);
         }
         fabric.deliver_due();
         assert_eq!(b.rx_pending(0), 5);

@@ -100,7 +100,7 @@ pub fn hash_tuple(a_ip: Ipv4Addr, a_port: u16, b_ip: Ipv4Addr, b_port: u16) -> u
 /// IPv4 frames hash their 4-tuple (TCP/UDP ports; other IP protocols use
 /// ports 0/0, which keeps an ICMP exchange on one queue). Anything else —
 /// ARP, truncated IP, unknown ethertypes — hashes source MAC + ethertype.
-pub fn hash_frame(frame: &[u8]) -> u32 {
+pub(crate) fn hash_frame(frame: &[u8]) -> u32 {
     if let Some(hash) = ipv4_tuple_hash(frame) {
         return hash;
     }
@@ -154,7 +154,7 @@ pub fn queue_for_tuple(
 }
 
 /// The RX queue (out of `queues`) a raw frame steers to.
-pub fn queue_for_frame(frame: &[u8], queues: u16) -> u16 {
+pub(crate) fn queue_for_frame(frame: &[u8], queues: u16) -> u16 {
     steer(queues, || hash_frame(frame))
 }
 
@@ -162,7 +162,7 @@ pub fn queue_for_frame(frame: &[u8], queues: u16) -> u16 {
 /// carries no 4-tuple (ARP, truncated IP, unknown ethertypes). Flowless
 /// frames are broadcast-scope: cross-world ownership checks must treat
 /// them as local everywhere rather than steering them by the MAC-hash
-/// fallback of [`queue_for_frame`], which would ship a world's own ARP
+/// fallback of `queue_for_frame`, which would ship a world's own ARP
 /// traffic onto another world's wire.
 pub fn flow_queue_for_frame(frame: &[u8], queues: u16) -> Option<u16> {
     assert!(queues > 0, "RSS needs at least one queue");

@@ -25,11 +25,11 @@ use sim_fabric::SimTime;
 use crate::offload::{OffloadAction, TcpOffload};
 
 /// A frame predicate: `false` drops the frame.
-pub type FramePredicate = Rc<dyn Fn(&[u8]) -> bool>;
+pub(crate) type FramePredicate = Rc<dyn Fn(&[u8]) -> bool>;
 /// A steering function: `Some(q)` selects RX queue `q`.
-pub type FrameSelector = Rc<dyn Fn(&[u8]) -> Option<u16>>;
+pub(crate) type FrameSelector = Rc<dyn Fn(&[u8]) -> Option<u16>>;
 /// An in-place frame rewriter over the mutable frame bytes.
-pub type FrameTransform = Rc<dyn Fn(&mut [u8])>;
+pub(crate) type FrameTransform = Rc<dyn Fn(&mut [u8])>;
 
 /// Handle to an installed program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +63,7 @@ pub enum NicProgram {
     },
     /// The restricted TCP offload engine: ACK absorption, echo
     /// short-circuiting, and the NIC-resident KV GET cache (see
-    /// [`crate::offload`]). The handle stays with the installer — it is
+    /// `crate::offload`). The handle stays with the installer — it is
     /// the host's doorbell for arming flows and syncing shadow state.
     TcpOffload {
         /// Shared engine state (flow table, cache, sync-event queue).
@@ -190,14 +190,14 @@ impl SmartNic {
     }
 
     /// Removes the program in `slot`; idempotent.
-    pub fn uninstall(&mut self, slot: ProgramSlot) {
+    pub(crate) fn uninstall(&mut self, slot: ProgramSlot) {
         if let Some(s) = self.slots.get_mut(slot.0) {
             *s = None;
         }
     }
 
     /// Number of installed programs.
-    pub fn installed(&self) -> usize {
+    pub(crate) fn installed(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
@@ -284,12 +284,12 @@ impl SmartNic {
     }
 
     /// Drains reply frames built by offload engines this pump.
-    pub fn take_tx(&mut self) -> Vec<DemiBuffer> {
+    pub(crate) fn take_tx(&mut self) -> Vec<DemiBuffer> {
         std::mem::take(&mut self.tx)
     }
 
     /// Execution counters, aggregated over all slots.
-    pub fn stats(&self) -> SmartNicStats {
+    pub(crate) fn stats(&self) -> SmartNicStats {
         self.stats
     }
 

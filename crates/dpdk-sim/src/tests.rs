@@ -1,5 +1,6 @@
-//! Device ⊆ host, seeded: whatever the NIC half of the datapath acts on,
-//! the OS half accepts.
+//! Crate-level tests: the advertised capabilities, and device ⊆ host,
+//! seeded — whatever the NIC half of the datapath acts on, the OS half
+//! accepts.
 //!
 //! Valid frames of every kind the port sees — SYN with the MSS option,
 //! framed data, pure ACK, FIN, an IHL-6 packet, UDP, ICMP, ARP, a runt —
@@ -27,17 +28,17 @@
 
 use std::net::Ipv4Addr;
 
+use crate::wire::checksum::{finish, internet_checksum, sum_words};
+use crate::wire::eth::{EthHeader, EtherType, ETH_HEADER_LEN};
+use crate::wire::framing::{encode_header, encode_message, parse_header, MAX_FRAME_LEN};
+use crate::wire::ipv4::{pseudo_header, IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
+use crate::wire::l4_ports;
+use crate::wire::seq::SeqNum;
+use crate::wire::tcp::{TcpFlags, TcpHeader};
+use crate::{capabilities, rss, smartnic_capabilities};
+use crate::{FlowKey, FlowShadow, OffloadAction, OffloadEvent, OffloadService, TcpOffload};
 use demi_memory::DemiBuffer;
-use dpdk_sim::rss;
-use dpdk_sim::wire::checksum::{finish, internet_checksum, sum_words};
-use dpdk_sim::wire::eth::{EthHeader, EtherType, ETH_HEADER_LEN};
-use dpdk_sim::wire::framing::{encode_header, encode_message, parse_header, MAX_FRAME_LEN};
-use dpdk_sim::wire::ipv4::{pseudo_header, IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
-use dpdk_sim::wire::l4_ports;
-use dpdk_sim::wire::seq::SeqNum;
-use dpdk_sim::wire::tcp::{TcpFlags, TcpHeader};
-use dpdk_sim::{FlowKey, FlowShadow, OffloadAction, OffloadEvent, OffloadService, TcpOffload};
-use sim_fabric::{MacAddress, SimRng, SimTime};
+use sim_fabric::{DeviceCategory, MacAddress, SimRng, SimTime};
 
 const SEEDS: u64 = if cfg!(debug_assertions) { 40 } else { 2_000 };
 const CASES: u32 = 250;
@@ -375,4 +376,20 @@ fn a_framing_header_one_reader_rejects_every_reader_rejects() {
             assert_eq!((stats.kv_invalidations, stats.cache_entries), (1, 0));
         }
     }
+}
+
+#[test]
+fn plain_device_offers_bypass_only() {
+    let caps = capabilities();
+    assert!(caps.kernel_bypass);
+    assert!(!caps.network_stack);
+    assert!(!caps.program_offload);
+    assert_eq!(caps.category, DeviceCategory::BypassOnly);
+}
+
+#[test]
+fn smartnic_adds_offload() {
+    let caps = smartnic_capabilities();
+    assert!(caps.program_offload);
+    assert_eq!(caps.category, DeviceCategory::PlusOtherFeatures);
 }

@@ -21,7 +21,7 @@ pub enum EtherType {
 
 impl EtherType {
     /// Wire value.
-    pub fn to_u16(self) -> u16 {
+    pub(crate) fn to_u16(self) -> u16 {
         match self {
             EtherType::Ipv4 => 0x0800,
             EtherType::Arp => 0x0806,
@@ -30,7 +30,7 @@ impl EtherType {
     }
 
     /// From wire value.
-    pub fn from_u16(v: u16) -> Self {
+    pub(crate) fn from_u16(v: u16) -> Self {
         match v {
             0x0800 => EtherType::Ipv4,
             0x0806 => EtherType::Arp,

@@ -14,7 +14,7 @@ use super::Malformed;
 pub const FRAME_HEADER_LEN: usize = 8;
 
 /// Magic tag guarding against desynchronization ("DEMI").
-pub const FRAME_MAGIC: [u8; 4] = *b"DEMI";
+pub(crate) const FRAME_MAGIC: [u8; 4] = *b"DEMI";
 
 /// Largest message the framing accepts (guards against corrupt lengths).
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;

@@ -29,7 +29,7 @@ pub enum IpProtocol {
 
 impl IpProtocol {
     /// Wire value.
-    pub fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             IpProtocol::Icmp => 1,
             IpProtocol::Tcp => 6,
@@ -39,7 +39,7 @@ impl IpProtocol {
     }
 
     /// From wire value.
-    pub fn from_u8(v: u8) -> Self {
+    pub(crate) fn from_u8(v: u8) -> Self {
         match v {
             1 => IpProtocol::Icmp,
             6 => IpProtocol::Tcp,
@@ -84,7 +84,7 @@ impl Ipv4Header {
     /// length ≤ buffer; no checksum — which is all hardware RSS does.
     /// Returns the header and its own length in bytes (options included).
     #[inline]
-    pub fn parse_structure(data: &[u8]) -> Result<(Ipv4Header, usize), Malformed> {
+    pub(crate) fn parse_structure(data: &[u8]) -> Result<(Ipv4Header, usize), Malformed> {
         if data.len() < IPV4_HEADER_LEN {
             return Err(Malformed("ipv4 header"));
         }

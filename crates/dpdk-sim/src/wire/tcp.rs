@@ -11,7 +11,7 @@ use super::Malformed;
 use super::seq::SeqNum;
 
 /// Minimum TCP header length (no options).
-pub const TCP_HEADER_LEN: usize = 20;
+pub(crate) const TCP_HEADER_LEN: usize = 20;
 
 /// Longest TCP header the stack emits: base header plus the 4-byte MSS
 /// option (the only option it generates, on SYN segments).

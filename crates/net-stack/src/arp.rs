@@ -40,11 +40,11 @@ pub struct ArpPacket {
 }
 
 /// Wire size of an Ethernet/IPv4 ARP packet.
-pub const ARP_LEN: usize = 28;
+pub(crate) const ARP_LEN: usize = 28;
 
 impl ArpPacket {
     /// Serializes to the 28-byte wire format.
-    pub fn serialize(&self) -> [u8; ARP_LEN] {
+    pub(crate) fn serialize(&self) -> [u8; ARP_LEN] {
         let mut out = [0u8; ARP_LEN];
         out[0..2].copy_from_slice(&1u16.to_be_bytes()); // HTYPE: Ethernet
         out[2..4].copy_from_slice(&0x0800u16.to_be_bytes()); // PTYPE: IPv4
@@ -98,7 +98,7 @@ struct InFlight {
 
 /// What the cache wants the stack to do after a call.
 #[derive(Debug, PartialEq)]
-pub enum ArpAction {
+pub(crate) enum ArpAction {
     /// Transmit this pending packet to the now-resolved MAC.
     SendPending(MacAddress, DemiBuffer),
     /// Broadcast an ARP request for this IP.
@@ -109,7 +109,7 @@ pub enum ArpAction {
 
 /// The ARP cache plus resolution machinery.
 #[derive(Debug)]
-pub struct ArpCache {
+pub(crate) struct ArpCache {
     entries: FastHashMap<Ipv4Addr, (MacAddress, SimTime)>,
     in_flight: FastHashMap<Ipv4Addr, InFlight>,
     /// The earliest `next_retry` in `in_flight`, recomputed by every method
@@ -123,7 +123,7 @@ pub struct ArpCache {
 impl ArpCache {
     /// Creates a cache: `ttl` bounds entry lifetime, requests retry every
     /// `retry_interval` up to `max_tries` times.
-    pub fn new(ttl: SimTime, retry_interval: SimTime, max_tries: u32) -> Self {
+    pub(crate) fn new(ttl: SimTime, retry_interval: SimTime, max_tries: u32) -> Self {
         ArpCache {
             entries: FastHashMap::default(),
             in_flight: FastHashMap::default(),
@@ -135,7 +135,7 @@ impl ArpCache {
     }
 
     /// Looks up an unexpired entry.
-    pub fn lookup(&self, ip: Ipv4Addr, now: SimTime) -> Option<MacAddress> {
+    pub(crate) fn lookup(&self, ip: Ipv4Addr, now: SimTime) -> Option<MacAddress> {
         self.entries
             .get(&ip)
             .filter(|(_, expiry)| *expiry > now)
@@ -144,7 +144,7 @@ impl ArpCache {
 
     /// Inserts/refreshes a binding and returns any packets that were waiting
     /// for it, ready to transmit.
-    pub fn insert(&mut self, ip: Ipv4Addr, mac: MacAddress, now: SimTime) -> Vec<ArpAction> {
+    pub(crate) fn insert(&mut self, ip: Ipv4Addr, mac: MacAddress, now: SimTime) -> Vec<ArpAction> {
         self.entries.insert(ip, (mac, now.saturating_add(self.ttl)));
         let waiting = self.in_flight.remove(&ip).into_iter();
         self.next_retry = self.earliest_retry();
@@ -158,7 +158,7 @@ impl ArpCache {
 
     /// Queues `packet` for `ip`; returns the actions to take (usually an
     /// ARP request broadcast on first miss).
-    pub fn enqueue_pending(
+    pub(crate) fn enqueue_pending(
         &mut self,
         ip: Ipv4Addr,
         packet: DemiBuffer,
@@ -185,12 +185,12 @@ impl ArpCache {
     }
 
     /// Whether [`ArpCache::poll`] at `now` would do anything. O(1).
-    pub fn due(&self, now: SimTime) -> bool {
+    pub(crate) fn due(&self, now: SimTime) -> bool {
         self.next_retry.is_some_and(|t| t <= now)
     }
 
     /// Advances retry timers; returns retransmissions and failures due now.
-    pub fn poll(&mut self, now: SimTime) -> Vec<ArpAction> {
+    pub(crate) fn poll(&mut self, now: SimTime) -> Vec<ArpAction> {
         if !self.due(now) {
             debug_assert!(self.in_flight.values().all(|s| now < s.next_retry));
             return Vec::new();
@@ -220,18 +220,8 @@ impl ArpCache {
     }
 
     /// Earliest retry/failure deadline, for runtime clock advancement.
-    pub fn next_deadline(&self) -> Option<SimTime> {
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
         self.next_retry
-    }
-
-    /// Number of cached (possibly expired) entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 

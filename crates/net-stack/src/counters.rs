@@ -1,8 +1,8 @@
 //! The stack's thread-local counter families.
 //!
 //! Most of what the stack counts belongs to an object and lives on that
-//! object's `stats()`: frames and drops on the shard ([`crate::StackStats`],
-//! [`crate::ShardStats`]), ring traffic on the ring
+//! object's `stats()`: frames and drops on the shard (`crate::StackStats`,
+//! `crate::ShardStats`), ring traffic on the ring
 //! ([`crate::RingStats`]), segments, ACKs and coalesced ACKs on the
 //! control block (`tcp_conn_stats`). What is counted *here* are the
 //! events whose owner is out of a test's or `Metrics`' reach — buried in

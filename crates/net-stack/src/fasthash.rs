@@ -17,7 +17,7 @@
 //! the low bits (`HashMap` uses the low bits for bucket selection), no
 //! external dependency.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
 
@@ -27,7 +27,7 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 /// Multiply-rotate word hasher. One `u64` of state; each written word
 /// costs a rotate, a xor, and a multiply.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 
@@ -86,10 +86,7 @@ impl Hasher for FxHasher {
 
 /// A `HashMap` using [`FxHasher`] — the shared alias every per-packet-path
 /// map in the stack uses instead of the SipHash default.
-pub type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// A `HashSet` using [`FxHasher`].
-pub type FastHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
+pub(crate) type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Packs a TCP/UDP flow's demux identity — local port plus remote
 /// endpoint — into one `u64` key. The local IP is implicit (one address
@@ -97,13 +94,14 @@ pub type FastHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 /// each a single word operation, and the packed key doubles as the
 /// single-entry demux-cache tag.
 #[inline]
-pub fn flow_key(local_port: u16, remote_ip: Ipv4Addr, remote_port: u16) -> u64 {
+pub(crate) fn flow_key(local_port: u16, remote_ip: Ipv4Addr, remote_port: u16) -> u64 {
     ((u32::from(remote_ip) as u64) << 32) | ((local_port as u64) << 16) | remote_port as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn hash_one<H: std::hash::Hash>(v: H) -> u64 {
         let mut h = FxHasher::default();
@@ -146,8 +144,5 @@ mod tests {
         for i in 0..1_000u64 {
             assert_eq!(m.get(&i.wrapping_mul(0x9E37_79B9)), Some(&(i as u32)));
         }
-        let mut s: FastHashSet<u16> = FastHashSet::default();
-        s.insert(80);
-        assert!(s.contains(&80));
     }
 }

@@ -10,9 +10,7 @@ use std::collections::VecDeque;
 
 use demi_memory::{counters, DemiBuffer};
 
-pub use dpdk_sim::wire::framing::{
-    encode_header, encode_message, parse_header, FRAME_HEADER_LEN, FRAME_MAGIC, MAX_FRAME_LEN,
-};
+use dpdk_sim::wire::framing::{parse_header, FRAME_HEADER_LEN};
 
 use crate::types::NetError;
 
@@ -141,6 +139,7 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpdk_sim::wire::framing::{encode_header, encode_message, MAX_FRAME_LEN};
 
     #[test]
     fn single_chunk_message_is_zero_copy() {

@@ -6,7 +6,7 @@ use crate::checksum::{verify, ChecksumAccumulator};
 use crate::types::NetError;
 
 /// ICMP header length for echo messages.
-pub const ICMP_HEADER_LEN: usize = 8;
+pub(crate) const ICMP_HEADER_LEN: usize = 8;
 
 /// An ICMP echo request or reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,7 +87,7 @@ impl IcmpEcho {
 
     /// Builds the reply to this request: same ident/seq, and the payload
     /// *handle* — no bytes are copied.
-    pub fn reply(self) -> IcmpEcho {
+    pub(crate) fn reply(self) -> IcmpEcho {
         IcmpEcho {
             is_request: false,
             ..self

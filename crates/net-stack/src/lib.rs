@@ -6,7 +6,7 @@
 //! largest piece of OS functionality the `catnip` library OS must implement
 //! on the CPU because the device does not:
 //!
-//! * [`eth`], [`ipv4`], [`checksum`], [`tcp::header`], [`tcp::seq`] —
+//! * [`eth`], [`ipv4`], [`checksum`] and the TCP header types in [`tcp`] —
 //!   Ethernet II, IPv4 (no fragmentation: upper layers respect the MTU)
 //!   and TCP headers with their checksums: re-exports of [`dpdk_sim::wire`],
 //!   the one codec shared with the device's offload engine and RSS, under
@@ -22,7 +22,8 @@
 //!   reassembly, and the complete close/TIME_WAIT state machine;
 //! * [`framing`] — length-prefixed message framing layered over TCP's byte
 //!   stream, so Demikernel queues can preserve *atomic data units* across a
-//!   stream transport (paper §5.2): the shared header and the host decoder;
+//!   stream transport (paper §5.2): the host decoder over the shared
+//!   header codec in `dpdk_sim::wire::framing`;
 //! * [`stack`] — [`stack::NetworkStack`], which ties the layers to a
 //!   [`dpdk_sim::DpdkPort`] behind handle-based, poll-driven socket APIs.
 //!
@@ -30,27 +31,27 @@
 //! coroutine calls `poll()`, checks for completions, and yields. A
 //! [`NetworkStack`] is one shard of its host on one RX queue; the only
 //! structures shards share — and so the only ones that cross threads
-//! under thread-per-shard execution — are the bounded [`rings`]
-//! (cross-shard messages) and the [`ports`] namespace (host-wide TCP port
-//! ownership).
+//! under thread-per-shard execution — are the bounded [`ShardRings`]
+//! (cross-shard messages) and the [`PortAllocator`] namespace (host-wide
+//! port ownership). [`testing`] holds the reference hooks the differential
+//! tests compare the guarded paths against.
+#![warn(unreachable_pub)]
 
 pub mod arp;
 pub mod counters;
-pub mod fasthash;
+mod fasthash;
 pub mod framing;
 pub mod icmp;
-pub mod ports;
-pub mod rings;
+mod ports;
+mod rings;
 pub mod stack;
 pub mod tcp;
+pub mod testing;
 pub mod types;
 pub mod udp;
 
 pub use dpdk_sim::wire::{checksum, eth, ipv4};
-pub use fasthash::{FastHashMap, FastHashSet};
 pub use ports::PortAllocator;
 pub use rings::{mesh, RingStats, ShardMsg, ShardRings};
-pub use stack::{
-    HostLinks, NetworkStack, ShardStats, StackConfig, StackStats, TenancyCfg, TenantLaneStats,
-};
-pub use types::{NetError, SocketAddr};
+pub use stack::{HostLinks, NetworkStack, StackConfig, TenancyCfg, TenantLaneStats};
+pub use types::SocketAddr;

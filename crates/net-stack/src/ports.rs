@@ -1,9 +1,9 @@
-//! Lock-free host-wide TCP port-space ownership.
+//! Lock-free host-wide port-space ownership.
 //!
 //! Under thread-per-shard execution the shards of one logical host live on
 //! different OS threads, but they still share one port namespace: an
-//! ephemeral port handed to a connection on shard 2 must never be handed
-//! to a connection on shard 0, and a listener must be able to replicate
+//! ephemeral port handed to a TCP connection or UDP socket on shard 2 must
+//! never be handed to another on shard 0, and a listener must be able to replicate
 //! onto every shard (SO_REUSEPORT-style) without any shard's exclusive
 //! claim racing it.
 //!
@@ -27,11 +27,12 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// First port of the ephemeral range.
-pub const EPHEMERAL_BASE: u16 = 32_768;
+pub(crate) const EPHEMERAL_BASE: u16 = 32_768;
 /// Number of ports in the ephemeral range (`32768..=65535`).
-pub const EPHEMERAL_SPAN: u32 = 65_536 - EPHEMERAL_BASE as u32;
+pub(crate) const EPHEMERAL_SPAN: u32 = 65_536 - EPHEMERAL_BASE as u32;
 
-/// Host-wide TCP port namespace, safe to share across shard threads.
+/// Host-wide port namespace (TCP ports and UDP ephemeral ports), safe to
+/// share across shard threads.
 pub struct PortAllocator {
     /// One bit per port: set while the port is exclusively claimed (a
     /// connection's local port).
@@ -71,13 +72,13 @@ impl PortAllocator {
     }
 
     /// True while at least one shard world listens on `port`.
-    pub fn is_listened(&self, port: u16) -> bool {
+    pub(crate) fn is_listened(&self, port: u16) -> bool {
         self.listeners[port as usize].load(Ordering::Acquire) != 0
     }
 
     /// Claims `port` exclusively (a connection's local port). Fails if it
     /// is already claimed or any world listens on it.
-    pub fn claim_exclusive(&self, port: u16) -> bool {
+    pub(crate) fn claim_exclusive(&self, port: u16) -> bool {
         if self.is_listened(port) {
             return false;
         }
@@ -95,14 +96,14 @@ impl PortAllocator {
     }
 
     /// Releases an exclusive claim.
-    pub fn release(&self, port: u16) {
+    pub(crate) fn release(&self, port: u16) {
         let (w, b) = Self::word_bit(port);
         self.exclusive[w].fetch_and(!b, Ordering::AcqRel);
     }
 
     /// Acquires one listener reference on `port` (one per shard world).
     /// Fails if a connection exclusively claims the port.
-    pub fn listen_acquire(&self, port: u16) -> bool {
+    pub(crate) fn listen_acquire(&self, port: u16) -> bool {
         self.listeners[port as usize].fetch_add(1, Ordering::AcqRel);
         if self.is_claimed(port) {
             self.listeners[port as usize].fetch_sub(1, Ordering::AcqRel);
@@ -112,7 +113,7 @@ impl PortAllocator {
     }
 
     /// Drops one listener reference on `port`.
-    pub fn listen_release(&self, port: u16) {
+    pub(crate) fn listen_release(&self, port: u16) {
         let prev = self.listeners[port as usize].fetch_sub(1, Ordering::AcqRel);
         debug_assert!(prev > 0, "listen_release without matching acquire");
     }
@@ -125,7 +126,7 @@ impl PortAllocator {
     /// Allocates a free ephemeral port satisfying `pred` (e.g. "this
     /// port's flow hashes home to my shard"). Probes the whole range once;
     /// `None` means exhaustion under that predicate.
-    pub fn alloc_ephemeral_where(&self, pred: impl Fn(u16) -> bool) -> Option<u16> {
+    pub(crate) fn alloc_ephemeral_where(&self, pred: impl Fn(u16) -> bool) -> Option<u16> {
         for _ in 0..EPHEMERAL_SPAN {
             let off = self.cursor.fetch_add(1, Ordering::Relaxed) % EPHEMERAL_SPAN;
             let candidate = EPHEMERAL_BASE + off as u16;

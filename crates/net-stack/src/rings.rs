@@ -107,7 +107,7 @@ impl ShardRings {
     }
 
     /// This endpoint's counters.
-    pub fn stats(&self) -> RingStats {
+    pub(crate) fn stats(&self) -> RingStats {
         self.stats
     }
 }

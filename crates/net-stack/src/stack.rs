@@ -21,7 +21,7 @@
 //! overrides RSS or a shard world's device sees another world's flow.
 //! Mismatched frames are handed off to the owning shard as
 //! [`crate::rings::ShardMsg::Frame`]s over bounded lock-free SPSC rings
-//! ([`crate::rings`]), drained at the start of the owning shard's next
+//! (`crate::rings`), drained at the start of the owning shard's next
 //! poll pass; ARP bindings are broadcast the same way. A full ring or
 //! handoff queue drops (counted: `handoff_backpressure` /
 //! `handoff_dropped`) instead of growing — TCP retransmission recovers,
@@ -48,7 +48,7 @@ use std::sync::Arc;
 
 use demi_memory::{DemiBuffer, TenantId};
 use dpdk_sim::{rss, DpdkPort};
-use sim_fabric::{MacAddress, SimClock, SimTime};
+use sim_fabric::{SimClock, SimTime};
 
 use crate::ports::PortAllocator;
 use crate::rings::{RingStats, ShardRings};
@@ -56,8 +56,9 @@ use crate::rings::{RingStats, ShardRings};
 use crate::eth::ETH_HEADER_LEN;
 use crate::icmp::IcmpEcho;
 use crate::ipv4::{IpProtocol, IPV4_HEADER_LEN};
-use crate::tcp::peer::TcpMemStats;
-use crate::tcp::{ConnId, ListenerId, State, TcpConfig, TcpStats, TCP_MAX_HEADER_LEN};
+use crate::tcp::{
+    CbStats, ConnId, ListenerId, State, TcpConfig, TcpMemStats, TcpStats, TCP_MAX_HEADER_LEN,
+};
 use crate::types::{NetError, SocketAddr};
 use crate::udp::{UdpHeader, UdpStats, UDP_HEADER_LEN};
 
@@ -186,7 +187,7 @@ pub struct HostLinks {
     /// This shard's endpoint in the host's all-pairs [`crate::rings::mesh`]
     /// (its index is the shard's number, its size the host's shard count).
     pub rings: ShardRings,
-    /// The host's TCP port namespace, shared by every shard.
+    /// The host's port namespace, shared by every shard.
     pub ports: Arc<PortAllocator>,
 }
 
@@ -267,7 +268,7 @@ impl NetworkStack {
         }
     }
 
-    /// The shared TCP port namespace this stack allocates from.
+    /// The shared port namespace this stack allocates from.
     pub fn port_allocator(&self) -> Arc<PortAllocator> {
         Arc::clone(&self.ports)
     }
@@ -275,11 +276,6 @@ impl NetworkStack {
     /// This host's IPv4 address.
     pub fn local_ip(&self) -> Ipv4Addr {
         self.config.ip
-    }
-
-    /// This host's hardware address.
-    pub fn mac(&self) -> MacAddress {
-        self.shard.borrow().port.mac()
     }
 
     /// One poll pass: drain the inbound rings, then the RX queue and
@@ -296,16 +292,9 @@ impl NetworkStack {
         self.poll_with(false)
     }
 
-    /// [`NetworkStack::poll`] with every guard overridden — each stage of
-    /// the pass runs whether or not it has work. The reference side of the
-    /// guarded-vs-unguarded differential test; nothing else should call it.
-    #[doc(hidden)]
-    pub fn poll_every_stage(&self) -> usize {
-        self.poll_with(true)
-    }
-
-    /// [`NetworkStack::poll`]; `every_stage` overrides the guards.
-    fn poll_with(&self, every_stage: bool) -> usize {
+    /// [`NetworkStack::poll`]; `every_stage` overrides the guards
+    /// ([`crate::testing::poll_every_stage`]).
+    pub(crate) fn poll_with(&self, every_stage: bool) -> usize {
         let mut guard = self.shard.borrow_mut();
         let shard = &mut *guard;
         let mut links = self.rings.borrow_mut();
@@ -420,24 +409,42 @@ impl NetworkStack {
         self.shard.borrow_mut().udp.bind(port)
     }
 
-    /// Binds an ephemeral UDP port and returns it. Under tenancy the
+    /// Binds an ephemeral UDP port for talking to `remote` and returns
+    /// it. The port is drawn from the host-wide namespace, constrained to
+    /// hash home to this shard for `remote` — the shard whose RX queue the
+    /// replies arrive on — exactly as [`NetworkStack::tcp_connect`] draws
+    /// its ports, so no two shards of a host share one. Under tenancy the
     /// port is granted to the binding tenant until the socket closes, so
     /// its datagrams are policed against that tenant's RX slice.
-    pub fn udp_bind_ephemeral(&self) -> Result<u16, NetError> {
-        let port = self.shard.borrow_mut().udp.bind_ephemeral()?;
+    pub fn udp_bind_ephemeral(&self, remote: SocketAddr) -> Result<u16, NetError> {
+        let mut shard = self.shard.borrow_mut();
+        let (ip, (index, total)) = (self.config.ip, shard.mesh);
+        let udp = &shard.udp;
+        let port = self
+            .ports
+            .alloc_ephemeral_where(|p| {
+                !udp.is_bound(p)
+                    && rss::queue_for_tuple(ip, p, remote.ip, remote.port, total) == index
+            })
+            .ok_or(NetError::EphemeralPortsExhausted)?;
+        shard.udp.open(port, true);
         if let Some(tcfg) = &self.config.tenancy {
             tcfg.grant_ephemeral(port);
         }
         Ok(port)
     }
 
-    /// Closes a UDP port. An ephemeral port's transient tenant grant (made
-    /// at bind time) is revoked with it, so the port is recycled unowned;
-    /// a statically granted service port stays granted.
+    /// Closes a UDP port. An ephemeral port goes back to the host-wide
+    /// namespace and its transient tenant grant (made at bind time) is
+    /// revoked with it, so the port is recycled unowned; a statically
+    /// granted service port stays granted.
     pub fn udp_close(&self, port: u16) {
-        let mut shard = self.shard.borrow_mut();
-        if let (true, Some(ten)) = (shard.udp.close(port), &shard.tenancy) {
-            ten.revoke_port(port);
+        let shard = &mut *self.shard.borrow_mut();
+        if shard.udp.close(port) {
+            self.ports.release(port);
+            if let Some(ten) = &shard.tenancy {
+                ten.revoke_port(port);
+            }
         }
     }
 
@@ -651,7 +658,7 @@ impl NetworkStack {
     }
 
     /// Per-connection protocol counters.
-    pub fn tcp_conn_stats(&self, conn: ConnId) -> Result<crate::tcp::cb::CbStats, NetError> {
+    pub fn tcp_conn_stats(&self, conn: ConnId) -> Result<CbStats, NetError> {
         self.shard.borrow().tcp.conn_stats(conn)
     }
 }

@@ -307,7 +307,7 @@ use std::rc::Rc;
 
 use dpdk_sim::NicProgram;
 
-use crate::framing::encode_message;
+use dpdk_sim::wire::framing::encode_message;
 
 /// A two-host world where host `b` (the server) has a SmartNIC with
 /// program slots. Returns the server's port handle too, so tests can

@@ -158,7 +158,7 @@ impl CbQueues {
 }
 
 /// The TCP connection state machine.
-pub struct ControlBlock {
+pub(crate) struct ControlBlock {
     local: SocketAddr,
     remote: SocketAddr,
     state: State,
@@ -213,7 +213,7 @@ pub struct ControlBlock {
 
 impl ControlBlock {
     /// Starts an active open: emits a SYN and enters `SynSent`.
-    pub fn connect(
+    pub(crate) fn connect(
         local: SocketAddr,
         remote: SocketAddr,
         iss: SeqNum,
@@ -227,35 +227,12 @@ impl ControlBlock {
         cb
     }
 
-    /// Starts a passive open in response to a received SYN: emits a
-    /// SYN-ACK and enters `SynReceived`.
-    pub fn accept(
-        local: SocketAddr,
-        remote: SocketAddr,
-        iss: SeqNum,
-        syn: &TcpHeader,
-        now: SimTime,
-        config: TcpConfig,
-    ) -> Self {
-        let mut cb = Self::blank(local, remote, iss, config);
-        cb.state = State::SynReceived;
-        cb.irs = syn.seq;
-        cb.rcv_nxt = syn.seq + 1;
-        if let Some(peer_mss) = syn.mss {
-            cb.mss = cb.mss.min(peer_mss as usize);
-        }
-        cb.snd_wnd = syn.window as usize;
-        cb.last_activity = now;
-        cb.push_handshake_segment(true, true, now);
-        cb
-    }
-
     /// Builds a block directly in `Established`, for handshakes completed
     /// from a listener's SYN table: the SYN-ACK (sequence `iss`) was sent
     /// without a control block, and the completing ACK is about to be fed
     /// through [`ControlBlock::on_segment`] (which applies its window and
     /// any piggybacked payload exactly as `complete_passive_open` did).
-    pub fn established(
+    pub(crate) fn established(
         local: SocketAddr,
         remote: SocketAddr,
         iss: SeqNum,
@@ -346,13 +323,13 @@ impl ControlBlock {
 
     /// Whether the queue box exists but every queue is empty — the block
     /// is a candidate for compaction.
-    pub fn queues_idle(&self) -> bool {
+    pub(crate) fn queues_idle(&self) -> bool {
         self.qr().is_some_and(|q| q.drained())
     }
 
     /// Releases the (drained) queue box, returning the heap bytes freed.
     /// No-op unless [`ControlBlock::queues_idle`].
-    pub fn release_queues(&mut self) -> usize {
+    pub(crate) fn release_queues(&mut self) -> usize {
         if !self.queues_idle() {
             return 0;
         }
@@ -365,12 +342,12 @@ impl ControlBlock {
     /// Heap owned by this block beyond its own struct: the queue box and
     /// every queue's grown capacity. The slab adds `size_of::<SlabEntry>`
     /// on top; together they are the real `bytes_per_conn`.
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.qr().map_or(0, CbQueues::heap_bytes)
     }
 
     /// Virtual time of the last protocol event on this block.
-    pub fn last_activity(&self) -> SimTime {
+    pub(crate) fn last_activity(&self) -> SimTime {
         self.last_activity
     }
 
@@ -394,49 +371,37 @@ impl ControlBlock {
     // ------------------------------------------------------------------
 
     /// Current connection state.
-    pub fn state(&self) -> State {
+    pub(crate) fn state(&self) -> State {
         self.state
     }
 
     /// Terminal error (RST received, handshake timeout), if any.
-    pub fn error(&self) -> Option<&NetError> {
+    pub(crate) fn error(&self) -> Option<&NetError> {
         self.error.as_ref()
     }
 
     /// The local endpoint.
-    pub fn local(&self) -> SocketAddr {
+    pub(crate) fn local(&self) -> SocketAddr {
         self.local
     }
 
     /// The remote endpoint.
-    pub fn remote(&self) -> SocketAddr {
+    pub(crate) fn remote(&self) -> SocketAddr {
         self.remote
     }
 
-    /// Negotiated maximum segment size.
-    pub fn mss(&self) -> usize {
-        self.mss
-    }
-
     /// Connection counters.
-    pub fn stats(&self) -> CbStats {
+    pub(crate) fn stats(&self) -> CbStats {
         self.stats
-    }
-
-    /// Drains segments queued for transmission into a fresh vector.
-    /// Unit-test convenience; the datapath uses
-    /// [`ControlBlock::drain_outbox_into`], which reuses the caller's
-    /// buffer instead of allocating per connection per poll.
-    pub fn take_outbox(&mut self) -> Vec<TcpSegmentOut> {
-        match self.q.as_mut() {
-            Some(q) => std::mem::take(&mut q.outbox),
-            None => Vec::new(),
-        }
     }
 
     /// Appends every queued segment, tagged with `dst`, onto `out` —
     /// leaving the outbox empty but its capacity in place.
-    pub fn drain_outbox_into(&mut self, dst: Ipv4Addr, out: &mut Vec<(Ipv4Addr, TcpSegmentOut)>) {
+    pub(crate) fn drain_outbox_into(
+        &mut self,
+        dst: Ipv4Addr,
+        out: &mut Vec<(Ipv4Addr, TcpSegmentOut)>,
+    ) {
         if let Some(q) = self.q.as_mut() {
             for seg in q.outbox.drain(..) {
                 out.push((dst, seg));
@@ -445,17 +410,12 @@ impl ControlBlock {
     }
 
     /// Whether received data (or an EOF) is available to the application.
-    pub fn is_readable(&self) -> bool {
+    pub(crate) fn is_readable(&self) -> bool {
         self.qr().is_some_and(|q| !q.ready.is_empty()) || self.fin_received || self.error.is_some()
     }
 
-    /// Bytes queued locally but not yet transmitted.
-    pub fn untransmitted_bytes(&self) -> usize {
-        self.send_queue_bytes
-    }
-
     /// Bytes in flight (transmitted, unacked), in sequence space.
-    pub fn flight_size(&self) -> usize {
+    pub(crate) fn flight_size(&self) -> usize {
         self.snd_nxt.since(self.snd_una) as usize
     }
 
@@ -467,15 +427,10 @@ impl ControlBlock {
             .min(65_535)
     }
 
-    /// Earliest timer deadline, for runtime clock advancement.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.timer_deadlines().into_iter().flatten().min()
-    }
-
     /// All four timer deadlines, indexed RTO / persist / TIME_WAIT /
     /// delayed-ACK — the peer's timing wheel diffs this array after every
     /// control-block touch to schedule or lazily cancel wheel entries.
-    pub fn timer_deadlines(&self) -> [Option<SimTime>; 4] {
+    pub(crate) fn timer_deadlines(&self) -> [Option<SimTime>; 4] {
         [
             self.rto_deadline,
             self.persist_deadline,
@@ -486,7 +441,7 @@ impl ControlBlock {
 
     /// Whether segments are waiting in the outbox (drives the peer's
     /// active-output list, so flushing scales with active connections).
-    pub fn has_outbox(&self) -> bool {
+    pub(crate) fn has_outbox(&self) -> bool {
         self.qr().is_some_and(|q| !q.outbox.is_empty())
     }
 
@@ -495,14 +450,14 @@ impl ControlBlock {
     /// queues are provably empty) and the receive side plus outbox have
     /// fully drained. The record then fully determines the remaining wire
     /// behavior — re-ACK late FINs, die on RST, expire at 2·MSL.
-    pub fn can_demote_timewait(&self) -> bool {
+    pub(crate) fn can_demote_timewait(&self) -> bool {
         self.state == State::TimeWait
             && self.error.is_none()
             && self.qr().is_none_or(CbQueues::drained)
     }
 
     /// The armed 2·MSL expiry, for TIME_WAIT demotion.
-    pub fn timewait_expiry(&self) -> Option<SimTime> {
+    pub(crate) fn timewait_expiry(&self) -> Option<SimTime> {
         self.timewait_deadline
     }
 
@@ -516,17 +471,11 @@ impl ControlBlock {
     // Application interface.
     // ------------------------------------------------------------------
 
-    /// Queues `data` for transmission: the one-buffer case of
-    /// [`ControlBlock::send_all`].
-    pub fn send(&mut self, data: DemiBuffer, now: SimTime) -> Result<(), NetError> {
-        self.send_all(std::iter::once(data), now)
-    }
-
     /// Queues every buffer of one push, then runs the output engine once,
     /// so buffers that fit a segment together leave in it together. The
     /// state is checked before anything is queued: a failing push leaves
     /// none of its buffers on the stream.
-    pub fn send_all(
+    pub(crate) fn send_all(
         &mut self,
         bufs: impl IntoIterator<Item = DemiBuffer>,
         now: SimTime,
@@ -554,7 +503,7 @@ impl ControlBlock {
 
     /// Pops received in-order data. `None` means nothing available (check
     /// [`ControlBlock::is_readable`] / EOF separately).
-    pub fn recv(&mut self) -> Option<DemiBuffer> {
+    pub(crate) fn recv(&mut self) -> Option<DemiBuffer> {
         let buf = self.q.as_mut()?.ready.pop_front()?;
         self.ready_bytes -= buf.len();
         // Window update: if the advertised window had collapsed below one
@@ -567,7 +516,7 @@ impl ControlBlock {
     }
 
     /// Whether the peer has closed and all its data has been consumed.
-    pub fn at_eof(&self) -> bool {
+    pub(crate) fn at_eof(&self) -> bool {
         self.fin_received
             && self
                 .qr()
@@ -575,7 +524,7 @@ impl ControlBlock {
     }
 
     /// Initiates a local close. Queued data (and then a FIN) still drain.
-    pub fn close(&mut self, now: SimTime) {
+    pub(crate) fn close(&mut self, now: SimTime) {
         match self.state {
             State::SynSent => {
                 self.state = State::Closed;
@@ -598,7 +547,7 @@ impl ControlBlock {
     }
 
     /// Hard reset: emits RST and closes immediately (abortive close).
-    pub fn abort(&mut self) {
+    pub(crate) fn abort(&mut self) {
         if !matches!(self.state, State::Closed | State::TimeWait) {
             self.emit(TcpFlags::RST_ACK, self.snd_nxt, DemiBuffer::empty(), None);
         }
@@ -612,7 +561,7 @@ impl ControlBlock {
     // ------------------------------------------------------------------
 
     /// Processes one received segment addressed to this connection.
-    pub fn on_segment(&mut self, hdr: &TcpHeader, payload: DemiBuffer, now: SimTime) {
+    pub(crate) fn on_segment(&mut self, hdr: &TcpHeader, payload: DemiBuffer, now: SimTime) {
         self.last_activity = now;
         if hdr.flags.rst {
             self.on_rst();
@@ -946,7 +895,7 @@ impl ControlBlock {
 
     /// Transmits as much queued data as the congestion and peer windows
     /// allow, then the FIN if pending.
-    pub fn output(&mut self, now: SimTime) {
+    pub(crate) fn output(&mut self, now: SimTime) {
         let can_send_data = matches!(
             self.state,
             State::Established | State::CloseWait | State::FinWait1 | State::LastAck
@@ -1178,7 +1127,7 @@ impl ControlBlock {
     /// quiescence the compact shadow (`rcv_nxt`/`snd_nxt`/window/mss)
     /// fully determines the flow's future, which is what makes the sync
     /// protocol sound.
-    pub fn offload_quiescent(&self) -> bool {
+    pub(crate) fn offload_quiescent(&self) -> bool {
         self.state == State::Established
             && self.error.is_none()
             && self.qr().is_none_or(|q| {
@@ -1198,7 +1147,7 @@ impl ControlBlock {
     /// The shadow handed to the device at arm time: `(rcv_nxt, snd_nxt,
     /// advertisable window, mss)`. Meaningful only when
     /// [`ControlBlock::offload_quiescent`] holds.
-    pub fn offload_arm_info(&self) -> (u32, u32, u16, usize) {
+    pub(crate) fn offload_arm_info(&self) -> (u32, u32, u16, usize) {
         (
             self.rcv_nxt.0,
             self.snd_nxt.0,
@@ -1213,7 +1162,7 @@ impl ControlBlock {
     /// the application (the device answered them) and mirrors the reply
     /// into the retransmission queue *without* emitting it — loss
     /// recovery for device-sent bytes remains a host responsibility.
-    pub fn offload_served(&mut self, rx_len: u32, reply: DemiBuffer, now: SimTime) {
+    pub(crate) fn offload_served(&mut self, rx_len: u32, reply: DemiBuffer, now: SimTime) {
         self.last_activity = now;
         self.stats.in_order_segments += 1;
         self.rcv_nxt += rx_len;
@@ -1236,7 +1185,7 @@ impl ControlBlock {
     /// Applies a device `AckAdvance` event by running the normal ACK
     /// machinery on a synthetic pure-ACK header — mirrored retransmission
     /// entries clear, windows update, RTT samples accrue.
-    pub fn offload_ack(&mut self, ack: u32, window: u16, now: SimTime) {
+    pub(crate) fn offload_ack(&mut self, ack: u32, window: u16, now: SimTime) {
         self.last_activity = now;
         let hdr = TcpHeader {
             src_port: self.remote.port,
@@ -1255,7 +1204,7 @@ impl ControlBlock {
     /// receive path exactly as if their frames had been delivered — the
     /// application reads them, and an acknowledgment is scheduled (the
     /// device deliberately never ACKs bytes it hands back).
-    pub fn offload_flushed(&mut self, data: DemiBuffer, now: SimTime) {
+    pub(crate) fn offload_flushed(&mut self, data: DemiBuffer, now: SimTime) {
         if data.is_empty() {
             return;
         }
@@ -1276,7 +1225,7 @@ impl ControlBlock {
     /// but give-ups (handshake timeout, TIME_WAIT expiry) are pure state
     /// transitions, and callers waiting on connection state need to know
     /// *something* happened even when no frame moves.
-    pub fn on_tick(&mut self, now: SimTime) -> usize {
+    pub(crate) fn on_tick(&mut self, now: SimTime) -> usize {
         let mut events = 0;
         if let Some(deadline) = self.timewait_deadline {
             if now >= deadline {

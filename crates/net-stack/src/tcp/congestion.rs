@@ -6,7 +6,7 @@
 
 /// Congestion controller state.
 #[derive(Debug, Clone)]
-pub struct NewReno {
+pub(crate) struct NewReno {
     mss: usize,
     cwnd: usize,
     ssthresh: usize,
@@ -18,7 +18,7 @@ pub struct NewReno {
 impl NewReno {
     /// Creates a controller: initial window of 10·MSS (RFC 6928),
     /// `ssthresh` effectively unbounded.
-    pub fn new(mss: usize) -> Self {
+    pub(crate) fn new(mss: usize) -> Self {
         NewReno {
             mss,
             cwnd: 10 * mss,
@@ -29,23 +29,18 @@ impl NewReno {
     }
 
     /// Current congestion window in bytes.
-    pub fn cwnd(&self) -> usize {
+    pub(crate) fn cwnd(&self) -> usize {
         self.cwnd
     }
 
-    /// Current slow-start threshold in bytes.
-    pub fn ssthresh(&self) -> usize {
-        self.ssthresh
-    }
-
     /// Whether fast recovery is in progress.
-    pub fn in_recovery(&self) -> bool {
+    pub(crate) fn in_recovery(&self) -> bool {
         self.in_recovery
     }
 
     /// A new cumulative ACK covered `bytes_acked` fresh bytes while
     /// `flight` bytes were outstanding.
-    pub fn on_ack(&mut self, bytes_acked: usize, _flight: usize) {
+    pub(crate) fn on_ack(&mut self, bytes_acked: usize, _flight: usize) {
         if self.in_recovery {
             // Full ACK handling is driven by `on_recovery_complete`; partial
             // ACKs deflate then re-inflate, which nets out — keep cwnd.
@@ -65,14 +60,14 @@ impl NewReno {
     }
 
     /// Third duplicate ACK: halve and enter fast recovery.
-    pub fn on_fast_retransmit(&mut self, flight: usize) {
+    pub(crate) fn on_fast_retransmit(&mut self, flight: usize) {
         self.ssthresh = (flight / 2).max(2 * self.mss);
         self.cwnd = self.ssthresh + 3 * self.mss;
         self.in_recovery = true;
     }
 
     /// A further duplicate ACK during recovery inflates the window.
-    pub fn on_dup_ack_in_recovery(&mut self) {
+    pub(crate) fn on_dup_ack_in_recovery(&mut self) {
         if self.in_recovery {
             self.cwnd += self.mss;
         }
@@ -80,14 +75,14 @@ impl NewReno {
 
     /// The ACK that covers the recovery point: deflate and resume
     /// congestion avoidance.
-    pub fn on_recovery_complete(&mut self) {
+    pub(crate) fn on_recovery_complete(&mut self) {
         self.cwnd = self.ssthresh;
         self.in_recovery = false;
         self.avoidance_acc = 0;
     }
 
     /// Retransmission timeout: collapse to one segment.
-    pub fn on_timeout(&mut self, flight: usize) {
+    pub(crate) fn on_timeout(&mut self, flight: usize) {
         self.ssthresh = (flight / 2).max(2 * self.mss);
         self.cwnd = self.mss;
         self.in_recovery = false;
@@ -125,7 +120,7 @@ mod tests {
         // Force avoidance by setting up a loss.
         cc.on_timeout(20 * MSS);
         assert_eq!(cc.cwnd(), MSS);
-        let ssthresh = cc.ssthresh();
+        let ssthresh = cc.ssthresh;
         assert_eq!(ssthresh, 10 * MSS);
         // Slow-start back to ssthresh.
         while cc.cwnd() < ssthresh {
@@ -146,7 +141,7 @@ mod tests {
         let mut cc = NewReno::new(MSS);
         cc.on_fast_retransmit(10 * MSS);
         assert!(cc.in_recovery());
-        assert_eq!(cc.ssthresh(), 5 * MSS);
+        assert_eq!(cc.ssthresh, 5 * MSS);
         assert_eq!(cc.cwnd(), 5 * MSS + 3 * MSS);
         cc.on_dup_ack_in_recovery();
         assert_eq!(cc.cwnd(), 9 * MSS);
@@ -161,7 +156,7 @@ mod tests {
         cc.on_fast_retransmit(10 * MSS);
         cc.on_timeout(8 * MSS);
         assert_eq!(cc.cwnd(), MSS);
-        assert_eq!(cc.ssthresh(), 4 * MSS);
+        assert_eq!(cc.ssthresh, 4 * MSS);
         assert!(!cc.in_recovery());
     }
 
@@ -169,6 +164,6 @@ mod tests {
     fn ssthresh_floor_is_two_mss() {
         let mut cc = NewReno::new(MSS);
         cc.on_timeout(MSS);
-        assert_eq!(cc.ssthresh(), 2 * MSS);
+        assert_eq!(cc.ssthresh, 2 * MSS);
     }
 }

@@ -7,8 +7,8 @@
 //! * three-way handshake and full close state machine (including
 //!   `TIME_WAIT` with 2·MSL);
 //! * cumulative ACKs, duplicate-ACK fast retransmit, and
-//!   retransmission timeouts with Jacobson/Karn estimation ([`rto`]);
-//! * NewReno-style congestion control ([`congestion`]): slow start,
+//!   retransmission timeouts with Jacobson/Karn estimation (`rto`);
+//! * NewReno-style congestion control (`congestion`): slow start,
 //!   congestion avoidance, fast recovery;
 //! * receiver flow control with out-of-order segment reassembly and
 //!   window-update ACKs, plus a persist-style zero-window probe;
@@ -18,18 +18,18 @@
 //! scaling (the simulated fabric's bandwidth-delay product fits in 64 KiB),
 //! selective ACKs, timestamps, and simultaneous open.
 //!
-//! Layering: [`cb::ControlBlock`] is a pure protocol machine (segments in,
+//! Layering: `cb::ControlBlock` is a pure protocol machine (segments in,
 //! segments out, no I/O), [`peer::TcpPeer`] owns the demux table and
 //! listeners, and [`crate::stack::NetworkStack`] binds a peer to a device.
 
-pub mod cb;
-pub mod congestion;
-pub mod peer;
-pub mod rto;
+mod cb;
+mod congestion;
+mod peer;
+mod rto;
 pub mod wheel;
 
-pub use cb::{ControlBlock, State, TcpSegmentOut};
-pub use dpdk_sim::wire::{seq, tcp as header};
+pub use cb::{CbStats, State, TcpSegmentOut};
+use dpdk_sim::wire::{seq, tcp as header};
 pub use header::{TcpFlags, TcpHeader, TCP_MAX_HEADER_LEN};
 pub use peer::{ConnId, ListenerId, TcpMemStats, TcpPeer, TcpStats};
 pub use seq::SeqNum;

@@ -288,7 +288,7 @@ pub struct TcpPeer {
     /// deduped fired list), so a steady-state tick allocates nothing.
     tick_due: Vec<(SimTime, TimerKey)>,
     tick_fired: Vec<u32>,
-    keep_timewait_blocks: bool,
+    pub(crate) keep_timewait_blocks: bool,
     stats: TcpStats,
 }
 
@@ -328,14 +328,6 @@ impl TcpPeer {
             keep_timewait_blocks: false,
             stats: TcpStats::default(),
         }
-    }
-
-    /// Keeps `TIME_WAIT` control blocks resident until 2·MSL instead of
-    /// demoting them: the reference `tests/timewait.rs` proves the compact
-    /// record wire-identical to. Nothing else should call it.
-    #[doc(hidden)]
-    pub fn keep_full_timewait_blocks(&mut self) {
-        self.keep_timewait_blocks = true;
     }
 
     // ------------------------------------------------------------------
@@ -572,7 +564,7 @@ impl TcpPeer {
     /// Stops listening; half-open entries vanish (the SYN table is
     /// dropped) and ready-but-unaccepted connections are aborted. Returns
     /// the port the listener held, `None` for an unknown handle.
-    pub fn close_listener(&mut self, listener: ListenerId) -> Option<u16> {
+    pub(crate) fn close_listener(&mut self, listener: ListenerId) -> Option<u16> {
         let l = self.listeners.remove(&listener)?;
         self.listening_ports.remove(&l.port);
         self.bound_ports.remove(&l.port);
@@ -597,7 +589,12 @@ impl TcpPeer {
     /// home to its shard), then hands the reserved port to its peer here.
     /// When the connection fully closes, the port surfaces through
     /// [`TcpPeer::pop_released_port`] for return to the central pool.
-    pub fn connect_bound(&mut self, local_port: u16, remote: SocketAddr, now: SimTime) -> ConnId {
+    pub(crate) fn connect_bound(
+        &mut self,
+        local_port: u16,
+        remote: SocketAddr,
+        now: SimTime,
+    ) -> ConnId {
         self.bound_ports.insert(local_port);
         let local = SocketAddr::new(self.local_ip, local_port);
         let iss = self.isn(remote);
@@ -643,7 +640,7 @@ impl TcpPeer {
     /// Connection error, if the connection failed. (Connections that fail
     /// stay resident until their error is observed via a fresh handle
     /// lookup; cleanly-closed connections are reclaimed and report none.)
-    pub fn error(&self, conn: ConnId) -> Option<NetError> {
+    pub(crate) fn error(&self, conn: ConnId) -> Option<NetError> {
         match self.lookup(conn) {
             Lookup::Live(slot) => self.cb(slot).error().cloned(),
             _ => None,
@@ -657,7 +654,7 @@ impl TcpPeer {
     }
 
     /// Queues every buffer of one push and runs the connection's output
-    /// engine once ([`ControlBlock::send_all`]): all or none are queued.
+    /// engine once (`ControlBlock::send_all`): all or none are queued.
     pub fn send_all(
         &mut self,
         conn: ConnId,
@@ -684,7 +681,11 @@ impl TcpPeer {
     }
 
     /// Pops every in-order chunk that has arrived onto `out`.
-    pub fn recv_all(&mut self, conn: ConnId, out: &mut Vec<DemiBuffer>) -> Result<(), NetError> {
+    pub(crate) fn recv_all(
+        &mut self,
+        conn: ConnId,
+        out: &mut Vec<DemiBuffer>,
+    ) -> Result<(), NetError> {
         self.recv_with(conn, |cb| out.extend(std::iter::from_fn(|| cb.recv())))
     }
 
@@ -708,7 +709,7 @@ impl TcpPeer {
     }
 
     /// Whether the connection has readable data or EOF.
-    pub fn is_readable(&self, conn: ConnId) -> bool {
+    pub(crate) fn is_readable(&self, conn: ConnId) -> bool {
         match self.lookup(conn) {
             Lookup::Live(slot) => self.cb(slot).is_readable(),
             Lookup::TimeWait | Lookup::Stale => true, // EOF is readable.
@@ -750,23 +751,6 @@ impl TcpPeer {
         }
     }
 
-    /// Abortive close (RST).
-    pub fn abort(&mut self, conn: ConnId) -> Result<(), NetError> {
-        match self.lookup(conn) {
-            Lookup::Live(slot) => {
-                self.cb_mut(slot).abort();
-                self.sync_slot(slot);
-                Ok(())
-            }
-            Lookup::TimeWait => {
-                self.drop_tw_by_id(conn.0);
-                Ok(())
-            }
-            Lookup::Stale => Ok(()),
-            Lookup::Bad => Err(NetError::BadHandle),
-        }
-    }
-
     /// Remote endpoint of a connection.
     pub fn remote(&self, conn: ConnId) -> Result<SocketAddr, NetError> {
         match self.lookup(conn) {
@@ -793,7 +777,7 @@ impl TcpPeer {
 
     /// Per-connection protocol counters. Reclaimed connections report
     /// zeroes.
-    pub fn conn_stats(&self, conn: ConnId) -> Result<super::cb::CbStats, NetError> {
+    pub(crate) fn conn_stats(&self, conn: ConnId) -> Result<super::cb::CbStats, NetError> {
         match self.lookup(conn) {
             Lookup::Live(slot) => Ok(self.cb(slot).stats()),
             Lookup::TimeWait | Lookup::Stale => Ok(super::cb::CbStats::default()),
@@ -812,7 +796,7 @@ impl TcpPeer {
     /// Tags `port` with its owning tenant: TIME_WAIT records from
     /// connections on the port are charged to that tenant's partition.
     /// Tenant 0 (host) clears the tag.
-    pub fn tag_port_tenant(&mut self, port: u16, tenant: u16) {
+    pub(crate) fn tag_port_tenant(&mut self, port: u16, tenant: u16) {
         if tenant == 0 {
             self.port_tenants.remove(&port);
         } else {
@@ -823,19 +807,19 @@ impl TcpPeer {
     /// Caps the parked TIME_WAIT records charged to `tenant`: beyond the
     /// quota the tenant's own oldest record is evicted (a quota drop) —
     /// never another tenant's. TIME_WAIT memory is thereby partitioned.
-    pub fn set_tenant_tw_quota(&mut self, tenant: u16, quota: usize) {
+    pub(crate) fn set_tenant_tw_quota(&mut self, tenant: u16, quota: usize) {
         self.tw_quota.insert(tenant, quota.max(1));
     }
 
     /// Parked TIME_WAIT records currently charged to `tenant`.
-    pub fn tw_count_for(&self, tenant: u16) -> usize {
+    pub(crate) fn tw_count_for(&self, tenant: u16) -> usize {
         self.tw_count.get(&tenant).copied().unwrap_or(0)
     }
 
     /// Occupied SYN-table slots for the listener on `port` (0 when not
     /// listening). SYN tables are per-listener — and a port has one
     /// owning tenant — so this is the per-tenant half-open partition.
-    pub fn syn_backlog_used(&self, port: u16) -> usize {
+    pub(crate) fn syn_backlog_used(&self, port: u16) -> usize {
         self.listening_ports
             .get(&port)
             .and_then(|lid| self.listeners.get(lid))
@@ -879,18 +863,6 @@ impl TcpPeer {
             self.tw_uncharge(tenant);
             demi_tenant::counters::note_quota_drop();
             return true;
-        }
-    }
-
-    fn drop_tw_by_id(&mut self, owner: u32) {
-        if let Some(key) = self.tw_by_id.remove(&owner) {
-            if let Some(rec) = self.tw.remove(&key) {
-                if rec.ephemeral {
-                    self.bound_ports.remove(&rec.local_port);
-                    self.released_ports.push(rec.local_port);
-                }
-                self.tw_uncharge(rec.tenant);
-            }
         }
     }
 
@@ -1313,7 +1285,7 @@ impl TcpPeer {
 
     /// Whether [`TcpPeer::on_tick`] at `now` would do anything: a wheel
     /// entry to fire or cascade, or a compaction falling due. O(1).
-    pub fn tick_needed(&self, now: SimTime) -> bool {
+    pub(crate) fn tick_needed(&self, now: SimTime) -> bool {
         let compaction = self.compact_pending.front();
         self.wheel.due(now) || compaction.is_some_and(|&(due, _)| due <= now)
     }
@@ -1431,7 +1403,7 @@ impl TcpPeer {
 
     /// Whether [`TcpPeer::drain_segments`] or
     /// [`TcpPeer::pop_released_port`] has anything to hand over. O(1).
-    pub fn has_output(&self) -> bool {
+    pub(crate) fn has_output(&self) -> bool {
         !(self.raw_out.is_empty() && self.active_out.is_empty() && self.released_ports.is_empty())
     }
 
@@ -1466,15 +1438,6 @@ impl TcpPeer {
         }
     }
 
-    /// Collects every queued segment into a fresh vector. Test
-    /// convenience; the datapath uses [`TcpPeer::drain_segments`] with a
-    /// reused buffer.
-    pub fn take_segments(&mut self) -> Vec<(Ipv4Addr, TcpSegmentOut)> {
-        let mut out = Vec::new();
-        self.drain_segments(&mut out);
-        out
-    }
-
     // ------------------------------------------------------------------
     // Device-offload planner interface (see `ControlBlock`'s offload
     // section). Every mutation goes through `sync_slot` like any other
@@ -1485,7 +1448,7 @@ impl TcpPeer {
     /// Established connections bound to local `port`, with their remote
     /// endpoints (planner scan for arming candidates). A cache-linear
     /// slab walk.
-    pub fn conns_on_port(&self, port: u16) -> Vec<(ConnId, SocketAddr)> {
+    pub(crate) fn conns_on_port(&self, port: u16) -> Vec<(ConnId, SocketAddr)> {
         self.entries
             .iter()
             .enumerate()
@@ -1498,12 +1461,12 @@ impl TcpPeer {
     }
 
     /// Whether `conn` is quiescent enough to arm a device offload.
-    pub fn offload_quiescent(&self, conn: ConnId) -> bool {
+    pub(crate) fn offload_quiescent(&self, conn: ConnId) -> bool {
         matches!(self.lookup(conn), Lookup::Live(slot) if self.cb(slot).offload_quiescent())
     }
 
     /// Arm-time shadow `(rcv_nxt, snd_nxt, window, mss)` for `conn`.
-    pub fn offload_arm_info(&self, conn: ConnId) -> Option<(u32, u32, u16, usize)> {
+    pub(crate) fn offload_arm_info(&self, conn: ConnId) -> Option<(u32, u32, u16, usize)> {
         match self.lookup(conn) {
             Lookup::Live(slot) => Some(self.cb(slot).offload_arm_info()),
             _ => None,
@@ -1511,7 +1474,13 @@ impl TcpPeer {
     }
 
     /// Applies a device `Served` sync event to `conn`.
-    pub fn offload_served(&mut self, conn: ConnId, rx_len: u32, reply: DemiBuffer, now: SimTime) {
+    pub(crate) fn offload_served(
+        &mut self,
+        conn: ConnId,
+        rx_len: u32,
+        reply: DemiBuffer,
+        now: SimTime,
+    ) {
         if let Lookup::Live(slot) = self.lookup(conn) {
             self.cb_mut(slot).offload_served(rx_len, reply, now);
             self.sync_slot(slot);
@@ -1519,7 +1488,7 @@ impl TcpPeer {
     }
 
     /// Applies a device `AckAdvance` sync event to `conn`.
-    pub fn offload_ack(&mut self, conn: ConnId, ack: u32, window: u16, now: SimTime) {
+    pub(crate) fn offload_ack(&mut self, conn: ConnId, ack: u32, window: u16, now: SimTime) {
         if let Lookup::Live(slot) = self.lookup(conn) {
             self.cb_mut(slot).offload_ack(ack, window, now);
             self.sync_slot(slot);
@@ -1527,7 +1496,7 @@ impl TcpPeer {
     }
 
     /// Applies a device `Flushed` sync event to `conn`.
-    pub fn offload_flushed(&mut self, conn: ConnId, data: DemiBuffer, now: SimTime) {
+    pub(crate) fn offload_flushed(&mut self, conn: ConnId, data: DemiBuffer, now: SimTime) {
         if let Lookup::Live(slot) = self.lookup(conn) {
             self.cb_mut(slot).offload_flushed(data, now);
             self.sync_slot(slot);
@@ -1579,6 +1548,17 @@ impl TcpPeer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TcpPeer {
+        /// Collects every queued segment into a fresh vector. Test
+        /// convenience; the datapath uses [`TcpPeer::drain_segments`] with a
+        /// reused buffer.
+        fn take_segments(&mut self) -> Vec<(Ipv4Addr, TcpSegmentOut)> {
+            let mut out = Vec::new();
+            self.drain_segments(&mut out);
+            out
+        }
+    }
 
     fn ip(last: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, last)

@@ -7,7 +7,7 @@ use sim_fabric::SimTime;
 /// Samples from retransmitted segments must not be fed in (Karn's rule —
 /// the caller enforces this by only sampling unretransmitted segments).
 #[derive(Debug, Clone)]
-pub struct RttEstimator {
+pub(crate) struct RttEstimator {
     srtt: Option<SimTime>,
     rttvar: SimTime,
     rto: SimTime,
@@ -17,7 +17,7 @@ pub struct RttEstimator {
 
 impl RttEstimator {
     /// Creates an estimator with the configured initial/min/max RTO.
-    pub fn new(rto_initial: SimTime, rto_min: SimTime, rto_max: SimTime) -> Self {
+    pub(crate) fn new(rto_initial: SimTime, rto_min: SimTime, rto_max: SimTime) -> Self {
         RttEstimator {
             srtt: None,
             rttvar: SimTime::ZERO,
@@ -28,7 +28,7 @@ impl RttEstimator {
     }
 
     /// Feeds one RTT measurement (RFC 6298 §2).
-    pub fn sample(&mut self, rtt: SimTime) {
+    pub(crate) fn sample(&mut self, rtt: SimTime) {
         match self.srtt {
             None => {
                 self.srtt = Some(rtt);
@@ -55,17 +55,12 @@ impl RttEstimator {
     }
 
     /// Current RTO.
-    pub fn rto(&self) -> SimTime {
+    pub(crate) fn rto(&self) -> SimTime {
         self.rto
     }
 
-    /// Smoothed RTT, if any sample has arrived.
-    pub fn srtt(&self) -> Option<SimTime> {
-        self.srtt
-    }
-
     /// Exponential backoff after a timeout (RFC 6298 §5.5).
-    pub fn backoff(&mut self) {
+    pub(crate) fn backoff(&mut self) {
         self.rto = clamp(self.rto.saturating_mul(2), self.rto_min, self.rto_max);
     }
 }
@@ -108,7 +103,7 @@ mod tests {
         let mut e = estimator();
         assert_eq!(e.rto(), SimTime::from_millis(1));
         e.sample(SimTime::from_micros(100));
-        assert_eq!(e.srtt(), Some(SimTime::from_micros(100)));
+        assert_eq!(e.srtt, Some(SimTime::from_micros(100)));
         // RTO = SRTT + 4·(RTT/2) = 100 + 200 = 300µs.
         assert_eq!(e.rto(), SimTime::from_micros(300));
     }
@@ -121,7 +116,7 @@ mod tests {
         }
         // Variance decays toward zero; min clamp holds the RTO up.
         assert_eq!(e.rto(), SimTime::from_micros(200));
-        let srtt = e.srtt().unwrap();
+        let srtt = e.srtt.unwrap();
         assert!(srtt.as_nanos() <= 11_000, "srtt converged: {srtt:?}");
     }
 

@@ -10,7 +10,7 @@
 //! counts them; the tests below, `tests/sharding.rs` and `tests/kv.rs`
 //! pin it).
 //!
-//! Shape: [`LEVELS`] levels of [`SLOTS`] slots, one `u64` per level
+//! Shape: [`LEVELS`] levels of `SLOTS` slots, one `u64` per level
 //! recording which of its slots hold anything. Level *k* slots span `64^k`
 //! nanosecond ticks, so level 0 resolves single nanoseconds and the whole
 //! wheel covers `64^6` ns ≈ 68.7 s; anything further out parks in an
@@ -41,7 +41,7 @@
 //! hides the true answer (or a `None`). Abandoned entries *behind* a live
 //! one are out of a peek's sight: so that re-arming a far timer forever
 //! cannot pile them up, a peek that finds `len` above twice what the last
-//! scrub left, plus [`SLOTS`], scrubs every occupied slot — amortised O(1)
+//! scrub left, plus `SLOTS`, scrubs every occupied slot — amortised O(1)
 //! per `schedule`.
 
 use sim_fabric::SimTime;
@@ -50,7 +50,7 @@ use sim_fabric::SimTime;
 pub const LEVELS: usize = 6;
 /// Slots per level (64 = one 6-bit digit of the deadline per level, and
 /// one bit of the level's occupancy word).
-pub const SLOTS: usize = 64;
+pub(crate) const SLOTS: usize = 64;
 const SLOT_BITS: u32 = 6;
 
 #[derive(Debug, Clone, Copy)]
@@ -213,19 +213,11 @@ impl<T: Copy> TimerWheel<T> {
         self.occupied[level] |= 1 << slot;
     }
 
-    /// Advances the cursor to `now` and returns everything that fired, as
-    /// `(deadline, key)` in (deadline, schedule-order) order. The caller
-    /// filters out abandoned entries.
-    pub fn advance(&mut self, now: SimTime) -> Vec<(SimTime, T)> {
-        let mut due = Vec::new();
-        self.advance_into(now, &mut due);
-        due
-    }
-
-    /// [`TimerWheel::advance`] into the caller's reusable buffer:
-    /// appended, not cleared. Allocates nothing once `out` and the
-    /// internal scratch are warm — the form the peer's tick path uses to
-    /// keep steady state off the allocator.
+    /// Advances the cursor to `now` and appends everything that fired to
+    /// `out` (not cleared), as `(deadline, key)` in (deadline,
+    /// schedule-order) order; the caller filters out abandoned entries.
+    /// Allocates nothing once `out` and the internal scratch are warm, so
+    /// the peer's tick path keeps steady state off the allocator.
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, T)>) {
         if !self.due(now) {
             return;
@@ -319,6 +311,17 @@ impl<T: Copy> TimerWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Copy> TimerWheel<T> {
+        /// Advances the cursor to `now` and returns everything that fired, as
+        /// `(deadline, key)` in (deadline, schedule-order) order. The caller
+        /// filters out abandoned entries.
+        fn advance(&mut self, now: SimTime) -> Vec<(SimTime, T)> {
+            let mut due = Vec::new();
+            self.advance_into(now, &mut due);
+            due
+        }
+    }
 
     fn t(nanos: u64) -> SimTime {
         SimTime::from_nanos(nanos)

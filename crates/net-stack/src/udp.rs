@@ -18,9 +18,6 @@ use crate::types::{NetError, SocketAddr};
 /// UDP header length.
 pub const UDP_HEADER_LEN: usize = 8;
 
-/// First ephemeral port handed out by [`UdpPeer::bind_ephemeral`].
-pub const EPHEMERAL_BASE: u16 = 49152;
-
 /// A parsed UDP header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpHeader {
@@ -28,19 +25,6 @@ pub struct UdpHeader {
     pub src_port: u16,
     /// Destination port.
     pub dst_port: u16,
-}
-
-/// Computes the UDP checksum over the IPv4 pseudo-header plus the datagram.
-pub fn udp_checksum(src: Ipv4Addr, dst: Ipv4Addr, datagram: &[u8]) -> u16 {
-    let pseudo = pseudo_header(src, dst, IpProtocol::Udp, datagram.len());
-    let acc = sum_words(&pseudo, 0);
-    let ck = finish(sum_words(datagram, acc));
-    // All-zero checksum means "no checksum" on the wire; transmit 0xFFFF.
-    if ck == 0 {
-        0xFFFF
-    } else {
-        ck
-    }
 }
 
 impl UdpHeader {
@@ -118,7 +102,7 @@ impl UdpHeader {
 struct UdpSocket {
     recv_queue: VecDeque<(SocketAddr, DemiBuffer, u64)>,
     capacity: usize,
-    /// Bound by [`UdpPeer::bind_ephemeral`] rather than by number.
+    /// Drawn from the host-wide ephemeral range rather than bound by number.
     ephemeral: bool,
 }
 
@@ -138,9 +122,8 @@ demi_telemetry::counter_family! {
 ///
 /// Transport-only: the caller (the stack) handles IP/Ethernet and feeds
 /// parsed datagrams in via [`UdpPeer::deliver`].
-pub struct UdpPeer {
+pub(crate) struct UdpPeer {
     sockets: FastHashMap<u16, UdpSocket>,
-    next_ephemeral: u16,
     per_socket_capacity: usize,
     stats: UdpStats,
 }
@@ -149,17 +132,16 @@ impl UdpPeer {
     /// Creates an empty socket table; each socket queues at most
     /// `per_socket_capacity` datagrams (overflow is dropped, as the kernel
     /// does when `SO_RCVBUF` is exhausted).
-    pub fn new(per_socket_capacity: usize) -> Self {
+    pub(crate) fn new(per_socket_capacity: usize) -> Self {
         UdpPeer {
             sockets: FastHashMap::default(),
-            next_ephemeral: EPHEMERAL_BASE,
             per_socket_capacity,
             stats: UdpStats::default(),
         }
     }
 
     /// Binds a specific local port.
-    pub fn bind(&mut self, port: u16) -> Result<(), NetError> {
+    pub(crate) fn bind(&mut self, port: u16) -> Result<(), NetError> {
         if self.sockets.contains_key(&port) {
             return Err(NetError::AddrInUse(port));
         }
@@ -167,7 +149,11 @@ impl UdpPeer {
         Ok(())
     }
 
-    fn open(&mut self, port: u16, ephemeral: bool) {
+    /// Opens `port`, which must be free; `ephemeral` marks a port drawn
+    /// from the host-wide namespace, which [`UdpPeer::close`] reports so
+    /// the stack can hand it back.
+    pub(crate) fn open(&mut self, port: u16, ephemeral: bool) {
+        debug_assert!(!self.is_bound(port), "UDP port {port} opened twice");
         let socket = UdpSocket {
             recv_queue: VecDeque::new(),
             capacity: self.per_socket_capacity,
@@ -176,41 +162,22 @@ impl UdpPeer {
         self.sockets.insert(port, socket);
     }
 
-    /// Binds the next free ephemeral port and returns it.
-    pub fn bind_ephemeral(&mut self) -> Result<u16, NetError> {
-        let start = self.next_ephemeral;
-        loop {
-            let candidate = self.next_ephemeral;
-            self.next_ephemeral = if candidate == u16::MAX {
-                EPHEMERAL_BASE
-            } else {
-                candidate + 1
-            };
-            if !self.sockets.contains_key(&candidate) {
-                self.open(candidate, true);
-                return Ok(candidate);
-            }
-            if self.next_ephemeral == start {
-                return Err(NetError::EphemeralPortsExhausted);
-            }
-        }
-    }
-
     /// Unbinds a port; queued datagrams are discarded. Returns whether
-    /// the port was an ephemeral bind (the stack then takes back the
-    /// tenant grant it made for the socket's lifetime).
-    pub fn close(&mut self, port: u16) -> bool {
+    /// the port was an ephemeral bind (the stack then returns it to the
+    /// host-wide namespace and takes back the tenant grant it made for the
+    /// socket's lifetime).
+    pub(crate) fn close(&mut self, port: u16) -> bool {
         self.sockets.remove(&port).is_some_and(|s| s.ephemeral)
     }
 
     /// Whether `port` is bound.
-    pub fn is_bound(&self, port: u16) -> bool {
+    pub(crate) fn is_bound(&self, port: u16) -> bool {
         self.sockets.contains_key(&port)
     }
 
     /// Delivers a received datagram payload to the socket bound to
     /// `dst_port`. `payload` is a zero-copy view into the receive buffer.
-    pub fn deliver(&mut self, from: SocketAddr, dst_port: u16, payload: DemiBuffer) {
+    pub(crate) fn deliver(&mut self, from: SocketAddr, dst_port: u16, payload: DemiBuffer) {
         match self.sockets.get_mut(&dst_port) {
             Some(sock) => {
                 if sock.recv_queue.len() >= sock.capacity {
@@ -231,7 +198,7 @@ impl UdpPeer {
 
     /// Pops the next datagram for `port`, if any, recording its RX
     /// demux→delivery residency when latency telemetry is on.
-    pub fn recv_from(&mut self, port: u16) -> Option<(SocketAddr, DemiBuffer)> {
+    pub(crate) fn recv_from(&mut self, port: u16) -> Option<(SocketAddr, DemiBuffer)> {
         let (from, payload, demuxed_ns) = self.sockets.get_mut(&port)?.recv_queue.pop_front()?;
         if demuxed_ns != 0 {
             demi_telemetry::stage::record(
@@ -243,12 +210,12 @@ impl UdpPeer {
     }
 
     /// Number of datagrams queued on `port`.
-    pub fn pending(&self, port: u16) -> usize {
+    pub(crate) fn pending(&self, port: u16) -> usize {
         self.sockets.get(&port).map_or(0, |s| s.recv_queue.len())
     }
 
     /// Counters.
-    pub fn stats(&self) -> UdpStats {
+    pub(crate) fn stats(&self) -> UdpStats {
         self.stats
     }
 }
@@ -256,6 +223,17 @@ impl UdpPeer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The UDP checksum over the IPv4 pseudo-header plus the datagram.
+    fn udp_checksum(src: Ipv4Addr, dst: Ipv4Addr, datagram: &[u8]) -> u16 {
+        let pseudo = pseudo_header(src, dst, IpProtocol::Udp, datagram.len());
+        let acc = sum_words(&pseudo, 0);
+        match finish(sum_words(datagram, acc)) {
+            // All-zero means "no checksum" on the wire; transmit 0xFFFF.
+            0 => 0xFFFF,
+            ck => ck,
+        }
+    }
 
     impl UdpHeader {
         /// Reference builder: a complete datagram (header + payload) with
@@ -363,12 +341,15 @@ mod tests {
     }
 
     #[test]
-    fn ephemeral_ports_are_distinct() {
+    fn close_reports_whether_the_port_was_ephemeral() {
         let mut peer = UdpPeer::new(16);
-        let a = peer.bind_ephemeral().unwrap();
-        let b = peer.bind_ephemeral().unwrap();
-        assert_ne!(a, b);
-        assert!(a >= EPHEMERAL_BASE && b >= EPHEMERAL_BASE);
+        peer.bind(7).unwrap();
+        peer.open(40_000, true);
+        assert!(!peer.close(7), "a port bound by number stays the caller's");
+        assert!(
+            peer.close(40_000),
+            "an ephemeral port goes back to the host"
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub struct EpollId(pub u32);
 
 /// Counters for wakeup accounting (experiment E4).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EpollStats {
+pub(crate) struct EpollStats {
     /// `epoll_wait` calls that returned at least one ready fd.
     pub wakeups: u64,
     /// `epoll_wait` calls that returned empty.
@@ -62,19 +62,6 @@ impl EpollRegistry {
         Ok(())
     }
 
-    /// `epoll_ctl(EPOLL_CTL_DEL)`.
-    pub fn remove(
-        &mut self,
-        sockets: &mut KernelSockets,
-        ep: EpollId,
-        fd: Fd,
-    ) -> Result<(), SockError> {
-        sockets.kernel().syscall();
-        let set = self.sets.get_mut(&ep).ok_or(SockError::BadFd)?;
-        set.retain(|&f| f != fd);
-        Ok(())
-    }
-
     /// Nonblocking `epoll_wait`: returns up to `max` ready descriptors.
     ///
     /// Level-triggered: a descriptor stays ready (and is returned to every
@@ -102,11 +89,6 @@ impl EpollRegistry {
         }
         Ok(ready)
     }
-
-    /// Wakeup counters.
-    pub fn stats(&self) -> EpollStats {
-        self.stats
-    }
 }
 
 #[cfg(test)]
@@ -117,6 +99,26 @@ mod tests {
     use net_stack::{NetworkStack, StackConfig};
     use sim_fabric::{Fabric, LinkConfig, MacAddress};
     use std::net::Ipv4Addr;
+
+    impl EpollRegistry {
+        /// `epoll_ctl(EPOLL_CTL_DEL)`.
+        fn remove(
+            &mut self,
+            sockets: &mut KernelSockets,
+            ep: EpollId,
+            fd: Fd,
+        ) -> Result<(), SockError> {
+            sockets.kernel().syscall();
+            let set = self.sets.get_mut(&ep).ok_or(SockError::BadFd)?;
+            set.retain(|&f| f != fd);
+            Ok(())
+        }
+
+        /// Wakeup counters.
+        fn stats(&self) -> EpollStats {
+            self.stats
+        }
+    }
 
     fn two_hosts() -> (Fabric, KernelSockets, KernelSockets) {
         let fabric = Fabric::new(5);

@@ -62,7 +62,7 @@ impl std::error::Error for FileError {}
 
 /// Layout-level write/read counters, split by class (experiment E10).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FsStats {
+pub(crate) struct FsStats {
     /// Data-block writes.
     pub data_writes: u64,
     /// Metadata-block writes (inode table, bitmap, indirect blocks).
@@ -71,8 +71,6 @@ pub struct FsStats {
     pub data_reads: u64,
     /// Metadata-block reads.
     pub metadata_reads: u64,
-    /// Flushes issued by `fsync`.
-    pub fsyncs: u64,
 }
 
 const DIRECT_PTRS: usize = 12;
@@ -134,11 +132,6 @@ impl Ext4Sim {
         // Superblock write.
         fs.write_block(0, &[0xE4u8; BLOCK_SIZE], true);
         fs
-    }
-
-    /// Layout counters.
-    pub fn stats(&self) -> FsStats {
-        self.stats
     }
 
     fn charge_syscall(&self) {
@@ -247,25 +240,6 @@ impl Ext4Sim {
         Ok(fd)
     }
 
-    /// Opens an existing file.
-    pub fn open(&mut self, name: &str) -> Result<FileFd, FileError> {
-        self.charge_syscall();
-        let ino = *self.names.get(name).ok_or(FileError::NotFound)?;
-        let fd = FileFd(self.next_fd);
-        self.next_fd += 1;
-        self.open.insert(fd, OpenFile { ino });
-        Ok(fd)
-    }
-
-    /// File size in bytes.
-    pub fn size(&self, fd: FileFd) -> Result<u64, FileError> {
-        let f = self.open.get(&fd).ok_or(FileError::BadFd)?;
-        Ok(self.inodes[f.ino]
-            .as_ref()
-            .expect("open implies inode")
-            .size)
-    }
-
     /// Resolves the device block holding file block `fbn`, allocating it
     /// (and the indirect block) if `grow`.
     fn resolve_block(&mut self, ino: usize, fbn: usize, grow: bool) -> Result<u64, FileError> {
@@ -336,53 +310,67 @@ impl Ext4Sim {
         self.persist_inode(ino);
         Ok(())
     }
-
-    /// Reads `len` bytes at `offset`.
-    pub fn read(&mut self, fd: FileFd, offset: u64, len: usize) -> Result<Vec<u8>, FileError> {
-        self.charge_syscall();
-        let ino = self.open.get(&fd).ok_or(FileError::BadFd)?.ino;
-        let size = self.inodes[ino].as_ref().expect("inode").size;
-        if offset + len as u64 > size {
-            return Err(FileError::OutOfBounds);
-        }
-        let mut out = Vec::with_capacity(len);
-        let mut pos = offset as usize;
-        let end = offset as usize + len;
-        while pos < end {
-            let fbn = pos / BLOCK_SIZE;
-            let in_block = pos % BLOCK_SIZE;
-            let take = (BLOCK_SIZE - in_block).min(end - pos);
-            let lba = self.resolve_block(ino, fbn, false)?;
-            let block = self.read_block(lba, false);
-            out.extend_from_slice(&block[in_block..in_block + take]);
-            pos += take;
-        }
-        Ok(out)
-    }
-
-    /// Durability barrier.
-    pub fn fsync(&mut self, fd: FileFd) -> Result<(), FileError> {
-        self.charge_syscall();
-        if !self.open.contains_key(&fd) {
-            return Err(FileError::BadFd);
-        }
-        self.stats.fsyncs += 1;
-        self.device.submit_flush(self.qpair, 0).expect("flush");
-        self.complete_all();
-        Ok(())
-    }
-
-    /// Closes a handle.
-    pub fn close(&mut self, fd: FileFd) -> Result<(), FileError> {
-        self.charge_syscall();
-        self.open.remove(&fd).map(|_| ()).ok_or(FileError::BadFd)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use spdk_sim::nvme::NvmeConfig;
+
+    impl Ext4Sim {
+        /// Layout counters.
+        fn stats(&self) -> FsStats {
+            self.stats
+        }
+
+        /// Opens an existing file.
+        fn open(&mut self, name: &str) -> Result<FileFd, FileError> {
+            self.charge_syscall();
+            let ino = *self.names.get(name).ok_or(FileError::NotFound)?;
+            let fd = FileFd(self.next_fd);
+            self.next_fd += 1;
+            self.open.insert(fd, OpenFile { ino });
+            Ok(fd)
+        }
+
+        /// File size in bytes.
+        fn size(&self, fd: FileFd) -> Result<u64, FileError> {
+            let f = self.open.get(&fd).ok_or(FileError::BadFd)?;
+            Ok(self.inodes[f.ino]
+                .as_ref()
+                .expect("open implies inode")
+                .size)
+        }
+
+        /// Reads `len` bytes at `offset`.
+        fn read(&mut self, fd: FileFd, offset: u64, len: usize) -> Result<Vec<u8>, FileError> {
+            self.charge_syscall();
+            let ino = self.open.get(&fd).ok_or(FileError::BadFd)?.ino;
+            let size = self.inodes[ino].as_ref().expect("inode").size;
+            if offset + len as u64 > size {
+                return Err(FileError::OutOfBounds);
+            }
+            let mut out = Vec::with_capacity(len);
+            let mut pos = offset as usize;
+            let end = offset as usize + len;
+            while pos < end {
+                let fbn = pos / BLOCK_SIZE;
+                let in_block = pos % BLOCK_SIZE;
+                let take = (BLOCK_SIZE - in_block).min(end - pos);
+                let lba = self.resolve_block(ino, fbn, false)?;
+                let block = self.read_block(lba, false);
+                out.extend_from_slice(&block[in_block..in_block + take]);
+                pos += take;
+            }
+            Ok(out)
+        }
+
+        /// Closes a handle.
+        fn close(&mut self, fd: FileFd) -> Result<(), FileError> {
+            self.charge_syscall();
+            self.open.remove(&fd).map(|_| ()).ok_or(FileError::BadFd)
+        }
+    }
 
     fn fs() -> Ext4Sim {
         let clock = SimClock::new();
@@ -457,15 +445,6 @@ mod tests {
         f.append(fd, b"abc").unwrap();
         assert_eq!(f.read(fd, 0, 4), Err(FileError::OutOfBounds));
         assert_eq!(f.read(fd, 4, 1), Err(FileError::OutOfBounds));
-    }
-
-    #[test]
-    fn fsync_flushes_device() {
-        let mut f = fs();
-        let fd = f.create("durable").unwrap();
-        f.append(fd, b"x").unwrap();
-        f.fsync(fd).unwrap();
-        assert_eq!(f.stats().fsyncs, 1);
     }
 
     #[test]

@@ -79,13 +79,8 @@ impl SimKernel {
         }
     }
 
-    /// The shared clock.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
     /// Charges one syscall crossing.
-    pub fn syscall(&self) {
+    pub(crate) fn syscall(&self) {
         let mut stats = self.stats.borrow_mut();
         stats.syscalls += 1;
         stats.time_charged = stats.time_charged.saturating_add(self.cost.syscall);
@@ -98,14 +93,14 @@ impl SimKernel {
     /// # Panics
     ///
     /// Panics if the slices differ in length (caller sizes them).
-    pub fn copy(&self, dst: &mut [u8], src: &[u8]) {
+    pub(crate) fn copy(&self, dst: &mut [u8], src: &[u8]) {
         assert_eq!(dst.len(), src.len(), "copy endpoints must match");
         dst.copy_from_slice(src);
         self.charge_copy(src.len());
     }
 
     /// Charges for a copy performed by the caller.
-    pub fn charge_copy(&self, bytes: usize) {
+    pub(crate) fn charge_copy(&self, bytes: usize) {
         let cost = self.cost.copy_cost(bytes);
         let mut stats = self.stats.borrow_mut();
         stats.copies += 1;

@@ -4,10 +4,10 @@
 //! modeled here as an explicit, countable, *metered* event so experiments
 //! can compare it against the Demikernel data path on equal terms:
 //!
-//! * [`kernel`] — the syscall gate. Each POSIX call charges a crossing cost
+//! * [`SimKernel`] — the syscall gate. Each POSIX call charges a crossing cost
 //!   in virtual time and increments exact counters (E1: "the kernel adds
 //!   significant overhead to every I/O access").
-//! * [`socket`] — POSIX sockets over the same [`net_stack`] the Demikernel
+//! * [`KernelSockets`] — POSIX sockets over the same [`net_stack`] the Demikernel
 //!   uses, but with the kernel in the way: every `read`/`write` performs a
 //!   *real* `memcpy` between kernel and user buffers, plus a metered copy
 //!   charge (E2: "copying a 4k page takes 1µs on a 4Ghz CPU"). TCP reads
@@ -16,21 +16,21 @@
 //!   every waiter sees a ready fd, one gets the data, the rest waste their
 //!   wakeup (E4: "wait wakes exactly one thread ... never wasted wake ups"
 //!   is the Demikernel's fix for exactly this).
-//! * [`mod@file`] — an ext4-like layout (inodes, bitmaps, indirect blocks) on
+//! * [`Ext4Sim`] — an ext4-like layout (inodes, bitmaps, indirect blocks) on
 //!   the simulated NVMe device, the baseline for E10's storage-layout
 //!   comparison.
-//! * [`mtcp`] — a POSIX-preserving user-level stack with mTCP-style batch
+//! * [`MtcpSim`] — a POSIX-preserving user-level stack with mTCP-style batch
 //!   processing: no syscall crossings, but batching epochs add latency
 //!   (E8: "its latency was higher than the Linux kernel's").
+#![warn(unreachable_pub)]
 
 pub mod epoll;
-pub mod file;
-pub mod kernel;
-pub mod mtcp;
-pub mod socket;
+mod file;
+mod kernel;
+mod mtcp;
+mod socket;
 
-pub use epoll::EpollId;
-pub use file::{Ext4Sim, FileError, FileFd, FsStats};
+pub use file::{Ext4Sim, FileError, FileFd};
 pub use kernel::{CostModel, KernelStats, SimKernel};
-pub use mtcp::{MtcpConfig, MtcpSim, MtcpStats};
+pub use mtcp::{MtcpConfig, MtcpSim};
 pub use socket::{Fd, KernelSockets, SockError};

@@ -14,7 +14,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use demi_memory::DemiBuffer;
-use net_stack::tcp::{ConnId, ListenerId};
+use net_stack::tcp::ConnId;
 use net_stack::types::{NetError, SocketAddr};
 use net_stack::NetworkStack;
 use sim_fabric::{SimClock, SimTime};
@@ -39,7 +39,7 @@ impl Default for MtcpConfig {
 
 /// Batching counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MtcpStats {
+pub(crate) struct MtcpStats {
     /// Epoch flushes executed.
     pub batches: u64,
     /// Events (rx chunks + tx sends) released by those flushes.
@@ -89,11 +89,6 @@ impl MtcpSim {
         &self.meter
     }
 
-    /// Batching counters.
-    pub fn stats(&self) -> MtcpStats {
-        self.stats
-    }
-
     /// The underlying stack (for connection setup plumbing in harnesses).
     pub fn stack(&self) -> &NetworkStack {
         &self.stack
@@ -103,20 +98,6 @@ impl MtcpSim {
     fn track(&mut self, conn: ConnId) {
         self.staged_rx.entry(conn).or_default();
         self.visible_rx.entry(conn).or_default();
-    }
-
-    /// Listens (control path, unbatched).
-    pub fn listen(&mut self, port: u16, backlog: usize) -> Result<ListenerId, NetError> {
-        self.stack.tcp_listen(port, backlog)
-    }
-
-    /// Accepts (control path, unbatched).
-    pub fn accept(&mut self, listener: ListenerId) -> Result<Option<ConnId>, NetError> {
-        let conn = self.stack.tcp_accept(listener)?;
-        if let Some(c) = conn {
-            self.track(c);
-        }
-        Ok(conn)
     }
 
     /// Connects (control path, unbatched).
@@ -202,6 +183,13 @@ mod tests {
     use net_stack::StackConfig;
     use sim_fabric::{Fabric, MacAddress};
     use std::net::Ipv4Addr;
+
+    impl MtcpSim {
+        /// Batching counters.
+        fn stats(&self) -> MtcpStats {
+            self.stats
+        }
+    }
 
     fn host(fabric: &Fabric, last: u8) -> NetworkStack {
         let port = DpdkPort::new(fabric, PortConfig::basic(MacAddress::from_last_octet(last)));

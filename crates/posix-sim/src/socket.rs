@@ -82,13 +82,8 @@ impl KernelSockets {
     }
 
     /// The metered kernel.
-    pub fn kernel(&self) -> &SimKernel {
+    pub(crate) fn kernel(&self) -> &SimKernel {
         &self.kernel
-    }
-
-    /// The in-kernel network stack (for experiment plumbing).
-    pub fn stack(&self) -> &NetworkStack {
-        &self.stack
     }
 
     /// Drives the in-kernel stack (device interrupts / softirq stand-in).

@@ -13,7 +13,7 @@ use crate::wire::WireMsg;
 
 /// Device tunables.
 #[derive(Debug, Clone, Copy)]
-pub struct RdmaConfig {
+pub(crate) struct RdmaConfig {
     /// Transport retransmission timeout (fixed; real HCAs use a static,
     /// firmware-configured timeout rather than RTT estimation).
     pub rto: SimTime,
@@ -155,7 +155,7 @@ impl RdmaDevice {
     }
 
     /// Attaches a device with explicit tunables.
-    pub fn with_config(fabric: &Fabric, mac: MacAddress, config: RdmaConfig) -> Self {
+    pub(crate) fn with_config(fabric: &Fabric, mac: MacAddress, config: RdmaConfig) -> Self {
         RdmaDevice {
             inner: Rc::new(RefCell::new(Inner {
                 endpoint: fabric.register_endpoint(mac),
@@ -170,11 +170,6 @@ impl RdmaDevice {
                 stats: RdmaDeviceStats::default(),
             })),
         }
-    }
-
-    /// The device's hardware address.
-    pub fn mac(&self) -> MacAddress {
-        self.inner.borrow().endpoint.mac()
     }
 
     /// Device counters.

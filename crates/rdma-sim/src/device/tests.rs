@@ -4,6 +4,13 @@ use sim_fabric::{Fabric, LinkConfig, MacAddress, SimTime};
 
 use super::*;
 
+impl RdmaDevice {
+    /// The device's hardware address.
+    fn mac(&self) -> MacAddress {
+        self.inner.borrow().endpoint.mac()
+    }
+}
+
 fn world() -> (Fabric, RdmaDevice, RdmaDevice) {
     let fabric = Fabric::new(99);
     let a = RdmaDevice::new(&fabric, MacAddress::from_last_octet(1));

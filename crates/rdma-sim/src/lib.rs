@@ -27,9 +27,10 @@
 //! * **One-sided READ/WRITE** execute entirely on the responder's device:
 //!   no responder-CPU event is generated, and the stats distinguish
 //!   one-sided from two-sided responder work.
+#![warn(unreachable_pub)]
 
-pub mod device;
-pub mod verbs;
+mod device;
+mod verbs;
 pub mod wire;
 
 pub use device::{RdmaDevice, RdmaDeviceStats};

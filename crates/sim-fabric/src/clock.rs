@@ -24,9 +24,6 @@ impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Largest representable instant; useful as an "infinite" timeout.
-    pub const MAX: SimTime = SimTime(u64::MAX);
-
     /// Creates an instant `ns` nanoseconds after the epoch.
     pub const fn from_nanos(ns: u64) -> Self {
         SimTime(ns)
@@ -52,16 +49,6 @@ impl SimTime {
         self.0
     }
 
-    /// Microseconds since the epoch (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// Whole milliseconds since the epoch (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Fractional microseconds since the epoch.
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
@@ -72,7 +59,7 @@ impl SimTime {
         SimTime(self.0.saturating_sub(earlier.0))
     }
 
-    /// Saturating addition; clamps at [`SimTime::MAX`].
+    /// Saturating addition; clamps at `u64::MAX` nanoseconds.
     pub fn saturating_add(self, delta: SimTime) -> SimTime {
         SimTime(self.0.saturating_add(delta.0))
     }
@@ -188,7 +175,8 @@ mod tests {
         assert_eq!((a - b).as_nanos(), 60);
         assert_eq!(b.saturating_since(a), SimTime::ZERO);
         assert_eq!(a.saturating_since(b).as_nanos(), 60);
-        assert_eq!(SimTime::MAX.saturating_add(a), SimTime::MAX);
+        let end = SimTime::from_nanos(u64::MAX);
+        assert_eq!(end.saturating_add(a), end);
         assert_eq!(SimTime::from_nanos(3).saturating_mul(7).as_nanos(), 21);
     }
 

@@ -10,7 +10,6 @@ use demi_memory::DemiBuffer;
 
 use crate::clock::{SimClock, SimTime};
 use crate::rng::SimRng;
-use crate::trace::{TraceEvent, Tracer};
 
 /// A 48-bit Ethernet-style hardware address identifying a fabric endpoint.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -31,7 +30,7 @@ impl MacAddress {
     }
 
     /// Whether this is the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
+    pub(crate) fn is_broadcast(&self) -> bool {
         *self == Self::BROADCAST
     }
 
@@ -75,11 +74,8 @@ pub struct Frame {
     pub delivered_at: SimTime,
 }
 
-/// Per-link characteristics.
-///
-/// Links are directional: `set_link(a, b, ..)` configures frames flowing from
-/// `a` to `b` only. Endpoints without an explicit entry use the fabric-wide
-/// default.
+/// Link characteristics, one set for the whole fabric
+/// ([`Fabric::set_default_link`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// One-way propagation delay.
@@ -115,7 +111,7 @@ impl LinkConfig {
     }
 
     /// Serialization delay for a frame of `len` bytes on this link.
-    pub fn serialization_delay(&self, len: usize) -> SimTime {
+    pub(crate) fn serialization_delay(&self, len: usize) -> SimTime {
         if self.bandwidth_bps == 0 {
             return SimTime::ZERO;
         }
@@ -180,14 +176,12 @@ type Station = (MacAddress, Option<usize>);
 struct FabricInner {
     clock: SimClock,
     rng: SimRng,
-    tracer: Tracer,
     /// Every registered mailbox, in registration order; an [`Endpoint`]
     /// holds its index, so polling an idle NIC hashes nothing.
     mailboxes: Vec<Mailbox>,
     /// MAC → index into `mailboxes`, for frames addressed by MAC.
     endpoints: HashMap<MacAddress, usize>,
     default_link: LinkConfig,
-    links: HashMap<(MacAddress, MacAddress), LinkConfig>,
     partitions: HashSet<(MacAddress, MacAddress)>,
     pending: BinaryHeap<Reverse<PendingFrame>>,
     seq: u64,
@@ -195,13 +189,6 @@ struct FabricInner {
 }
 
 impl FabricInner {
-    fn link_for(&self, src: MacAddress, dst: MacAddress) -> LinkConfig {
-        self.links
-            .get(&(src, dst))
-            .copied()
-            .unwrap_or(self.default_link)
-    }
-
     fn is_partitioned(&self, a: MacAddress, b: MacAddress) -> bool {
         self.partitions.contains(&(a, b)) || self.partitions.contains(&(b, a))
     }
@@ -216,25 +203,13 @@ impl FabricInner {
         let now = self.clock.now();
         self.stats.frames_sent += 1;
         self.stats.bytes_sent += payload.len() as u64;
-        self.tracer.record(TraceEvent::Transmit {
-            at: now,
-            src,
-            dst,
-            len: payload.len(),
-        });
 
-        let link = self.link_for(src, dst);
+        let link = self.default_link;
         let lost = dst_box.is_none()
             || self.is_partitioned(src, dst)
             || self.rng.chance(link.loss_probability);
         let (Some(dst_box), false) = (dst_box, lost) else {
             self.stats.frames_dropped += 1;
-            self.tracer.record(TraceEvent::Drop {
-                at: now,
-                src,
-                dst,
-                len: payload.len(),
-            });
             return;
         };
 
@@ -287,21 +262,12 @@ impl FabricInner {
                 break;
             }
             let Reverse(p) = self.pending.pop().expect("peeked entry exists");
-            let (dst, len) = (p.frame.dst, p.frame.payload.len());
             let mailbox = &mut self.mailboxes[p.dst_box];
             if mailbox.queue.len() < mailbox.capacity {
                 mailbox.queue.push_back(p.frame);
                 self.stats.frames_delivered += 1;
-                self.tracer
-                    .record(TraceEvent::Deliver { at: now, dst, len });
             } else {
                 self.stats.frames_dropped += 1;
-                self.tracer.record(TraceEvent::Drop {
-                    at: now,
-                    src: p.frame.src,
-                    dst,
-                    len,
-                });
             }
         }
         (self.stats.frames_delivered - delivered_before) as usize
@@ -319,7 +285,7 @@ pub struct Fabric {
 }
 
 /// Default per-endpoint mailbox capacity, in frames.
-pub const DEFAULT_MAILBOX_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_MAILBOX_CAPACITY: usize = 65_536;
 
 impl Fabric {
     /// Creates a fabric with a fresh clock and the given loss-model seed.
@@ -328,16 +294,14 @@ impl Fabric {
     }
 
     /// Creates a fabric sharing an existing clock.
-    pub fn with_clock(clock: SimClock, seed: u64) -> Self {
+    pub(crate) fn with_clock(clock: SimClock, seed: u64) -> Self {
         Fabric {
             inner: Rc::new(RefCell::new(FabricInner {
                 clock,
                 rng: SimRng::new(seed),
-                tracer: Tracer::new(4096),
                 mailboxes: Vec::new(),
                 endpoints: HashMap::new(),
                 default_link: LinkConfig::default(),
-                links: HashMap::new(),
                 partitions: HashSet::new(),
                 pending: BinaryHeap::new(),
                 seq: 0,
@@ -351,20 +315,9 @@ impl Fabric {
         self.inner.borrow().clock.clone()
     }
 
-    /// Handle to the fabric's tracer.
-    pub fn tracer(&self) -> Tracer {
-        self.inner.borrow().tracer.clone()
-    }
-
-    /// Sets the link configuration used by endpoint pairs without an
-    /// explicit override.
+    /// Sets the link configuration every frame travels over.
     pub fn set_default_link(&self, config: LinkConfig) {
         self.inner.borrow_mut().default_link = config;
-    }
-
-    /// Configures the directional link `src → dst`.
-    pub fn set_link(&self, src: MacAddress, dst: MacAddress, config: LinkConfig) {
-        self.inner.borrow_mut().links.insert((src, dst), config);
     }
 
     /// Severs connectivity between `a` and `b` in both directions
@@ -397,7 +350,11 @@ impl Fabric {
     /// # Panics
     ///
     /// Panics if `mac` is already registered or is the broadcast address.
-    pub fn register_endpoint_with_capacity(&self, mac: MacAddress, capacity: usize) -> Endpoint {
+    pub(crate) fn register_endpoint_with_capacity(
+        &self,
+        mac: MacAddress,
+        capacity: usize,
+    ) -> Endpoint {
         assert!(!mac.is_broadcast(), "cannot register the broadcast address");
         let mut inner = self.inner.borrow_mut();
         let mailbox = inner.mailboxes.len();
@@ -479,11 +436,6 @@ impl Fabric {
     pub fn stats(&self) -> FabricStats {
         self.inner.borrow().stats
     }
-
-    /// Number of frames currently in flight (transmitted, not yet delivered).
-    pub fn in_flight(&self) -> usize {
-        self.inner.borrow().pending.len()
-    }
 }
 
 /// A registered attachment point on the fabric; owned by a simulated NIC.
@@ -501,20 +453,10 @@ impl Endpoint {
         self.mac
     }
 
-    /// Handle to the owning fabric.
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
-    }
-
     /// Transmits a frame to `dst` (zero-copy when given a [`DemiBuffer`]).
     pub fn transmit(&self, dst: MacAddress, payload: impl Into<DemiBuffer>) {
         let mut inner = self.fabric.inner.borrow_mut();
         inner.transmit((self.mac, Some(self.mailbox)), dst, payload.into());
-    }
-
-    /// Transmits a broadcast frame.
-    pub fn broadcast(&self, payload: impl Into<DemiBuffer>) {
-        self.transmit(MacAddress::BROADCAST, payload);
     }
 
     /// Whether a delivered frame is waiting: the O(1) question a polling
@@ -665,7 +607,7 @@ mod tests {
         let a = fabric.register_endpoint(MacAddress::from_last_octet(1));
         let b = fabric.register_endpoint(MacAddress::from_last_octet(2));
         let c = fabric.register_endpoint(MacAddress::from_last_octet(3));
-        a.broadcast(vec![9]);
+        a.transmit(MacAddress::BROADCAST, vec![9]);
         fabric.deliver_due();
         assert_eq!(a.pending_rx(), 0);
         assert_eq!(b.receive().unwrap().payload, vec![9]);
@@ -759,49 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn per_link_override_beats_default() {
-        let fabric = Fabric::new(1);
-        fabric.set_default_link(LinkConfig {
-            latency: SimTime::from_micros(100),
-            bandwidth_bps: 0,
-            loss_probability: 0.0,
-        });
-        let (a, b) = two_endpoints(&fabric);
-        fabric.set_link(
-            a.mac(),
-            b.mac(),
-            LinkConfig {
-                latency: SimTime::from_micros(1),
-                bandwidth_bps: 0,
-                loss_probability: 0.0,
-            },
-        );
-        a.transmit(b.mac(), vec![1]);
-        b.transmit(a.mac(), vec![2]);
-        // a→b uses the 1µs override; b→a still uses the 100µs default.
-        assert_eq!(fabric.next_event_time(), Some(SimTime::from_micros(1)));
-        fabric.advance_to(SimTime::from_micros(1));
-        assert_eq!(b.pending_rx(), 1);
-        assert_eq!(a.pending_rx(), 0);
-        fabric.advance_to(SimTime::from_micros(100));
-        assert_eq!(a.pending_rx(), 1);
-    }
-
-    #[test]
-    fn tracer_records_when_enabled() {
-        let fabric = Fabric::new(1);
-        fabric.set_default_link(LinkConfig::ideal());
-        fabric.tracer().set_enabled(true);
-        let (a, b) = two_endpoints(&fabric);
-        a.transmit(b.mac(), vec![1, 2]);
-        fabric.deliver_due();
-        let events = fabric.tracer().snapshot();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(events[0], TraceEvent::Transmit { len: 2, .. }));
-        assert!(matches!(events[1], TraceEvent::Deliver { len: 2, .. }));
-    }
-
-    #[test]
     #[should_panic(expected = "registered twice")]
     fn duplicate_registration_panics() {
         let fabric = Fabric::new(1);
@@ -824,6 +723,6 @@ mod tests {
         fabric.advance_to(SimTime::from_millis(1));
         assert_eq!(b.pending_rx(), 2);
         assert_eq!(fabric.clock().now(), SimTime::from_millis(1));
-        assert_eq!(fabric.in_flight(), 0);
+        assert_eq!(fabric.next_event_time(), None);
     }
 }

@@ -26,15 +26,14 @@
 //! fabric.advance_to_next_event();
 //! assert_eq!(b.receive().unwrap().payload, vec![0xAB; 64]);
 //! ```
+#![warn(unreachable_pub)]
 
-pub mod caps;
-pub mod clock;
-pub mod fabric;
-pub mod rng;
-pub mod trace;
+mod caps;
+mod clock;
+mod fabric;
+mod rng;
 
 pub use caps::{DeviceCaps, DeviceCategory};
 pub use clock::{SimClock, SimTime};
 pub use fabric::{Endpoint, Fabric, FabricStats, Frame, LinkConfig, MacAddress};
 pub use rng::SimRng;
-pub use trace::{TraceEvent, Tracer};

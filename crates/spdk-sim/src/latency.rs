@@ -43,7 +43,7 @@ impl Default for FlashLatencyModel {
 
 impl FlashLatencyModel {
     /// Service time for a read of `blocks` blocks.
-    pub fn read_time(&self, blocks: u64) -> SimTime {
+    pub(crate) fn read_time(&self, blocks: u64) -> SimTime {
         self.read
             .base
             .saturating_add(self.read.per_block.saturating_mul(blocks))
@@ -54,21 +54,6 @@ impl FlashLatencyModel {
         self.write
             .base
             .saturating_add(self.write.per_block.saturating_mul(blocks))
-    }
-
-    /// An instant, zero-latency model for logic-only tests.
-    pub fn instant() -> Self {
-        FlashLatencyModel {
-            read: OpLatency {
-                base: SimTime::ZERO,
-                per_block: SimTime::ZERO,
-            },
-            write: OpLatency {
-                base: SimTime::ZERO,
-                per_block: SimTime::ZERO,
-            },
-            flush: SimTime::ZERO,
-        }
     }
 }
 
@@ -87,12 +72,5 @@ mod tests {
     fn writes_cost_more_than_reads() {
         let m = FlashLatencyModel::default();
         assert!(m.write_time(1) > m.read_time(1));
-    }
-
-    #[test]
-    fn instant_model_is_free() {
-        let m = FlashLatencyModel::instant();
-        assert_eq!(m.read_time(100), SimTime::ZERO);
-        assert_eq!(m.write_time(100), SimTime::ZERO);
     }
 }

@@ -11,12 +11,13 @@
 //! The latency model is a flash-shaped service time (fixed submission cost
 //! plus per-block transfer) with per-queue-pair serialization, driven by
 //! the shared virtual clock.
+#![warn(unreachable_pub)]
 
-pub mod latency;
+mod latency;
 pub mod nvme;
 
-pub use latency::FlashLatencyModel;
-pub use nvme::{ChainSpec, NvmeCompletion, NvmeConfig, NvmeDevice, NvmeError, NvmeStats, QpairId};
+pub use latency::{FlashLatencyModel, OpLatency};
+pub use nvme::{ChainSpec, NvmeStats};
 
 use sim_fabric::{DeviceCaps, DeviceCategory};
 

@@ -18,7 +18,7 @@ use demikernel::types::{OperationResult, QToken};
 use demikernel::Runtime;
 use dpdk_sim::{DpdkPort, PortConfig};
 use net_stack::stack::MAX_HEADER_LEN;
-use net_stack::tcp::{ConnId, ControlBlock, SeqNum, State, TcpConfig};
+use net_stack::tcp::{ConnId, State, TcpConfig, TcpPeer};
 use net_stack::types::SocketAddr;
 use net_stack::{NetworkStack, StackConfig, TenancyCfg};
 use proptest::prelude::*;
@@ -501,22 +501,17 @@ fn a_gathered_segment_is_charged_to_the_pushing_tenant() {
     );
 }
 
-fn cb_addr(last: u8, port: u16) -> SocketAddr {
-    SocketAddr::new(ip(last), port)
-}
-
-/// Pushes `sgas` (one `send_all` each) from one control block to another
-/// over a link that drops data and ACK segments with probability `loss`,
-/// into a receive buffer of `recv_capacity` bytes drained at random.
-/// Checks every data segment against the MSS and the receiver's
-/// advertised window; returns the bytes received.
+/// Pushes `sgas` (one `send_all` each) from one TCP peer to another over
+/// a link that drops data and ACK segments with probability `loss`, into
+/// a receive buffer of `recv_capacity` bytes drained at random. Checks
+/// every data segment against the MSS and the receiver's advertised
+/// window; returns the bytes received.
 fn gathered_transfer(
     sgas: Vec<Vec<DemiBuffer>>,
     seed: u64,
     loss: f64,
     recv_capacity: usize,
 ) -> Vec<u8> {
-    const ISS: SeqNum = SeqNum(7_000);
     let ccfg = TcpConfig::default();
     let scfg = TcpConfig {
         recv_capacity,
@@ -524,46 +519,56 @@ fn gathered_transfer(
     };
     let mut now = SimTime::from_millis(1);
     let mut rng = SimRng::new(seed);
-    let mut c = ControlBlock::connect(cb_addr(1, 40_000), cb_addr(2, 80), ISS, now, ccfg);
-    let syn = c.take_outbox().remove(0);
-    let (s_addr, c_addr) = (cb_addr(2, 80), cb_addr(1, 40_000));
-    let mut s = ControlBlock::accept(s_addr, c_addr, SeqNum(9_000), &syn.header, now, scfg);
+    let (c_ip, s_ip) = (ip(1), ip(2));
+    let mut client = TcpPeer::new(c_ip, ccfg);
+    let mut server = TcpPeer::new(s_ip, scfg);
+    let listener = server.listen(80, 1).unwrap();
+    let c = client.connect(SocketAddr::new(s_ip, 80), now).unwrap();
+    let mut wire = Vec::new();
+    client.drain_segments(&mut wire);
+    let (_, syn) = wire.remove(0);
+    let iss = syn.header.seq;
+    server.on_segment(c_ip, &syn.header, syn.payload, now);
     let total: usize = sgas.iter().flatten().map(|buf| buf.len()).sum();
     let mut sgas = sgas.into_iter();
+    let mut accepted = None;
     // Highest sequence offset the receiver has allowed, as the sender
     // learned it from delivered segments.
     let mut right_edge = 0u32;
     let mut received = Vec::new();
     for _ in 0..200_000 {
         let mut moved = false;
-        for seg in s.take_outbox() {
+        server.drain_segments(&mut wire);
+        for (_, seg) in wire.drain(..) {
             moved = true;
             if !seg.header.flags.syn && rng.chance(loss) {
                 continue;
             }
-            right_edge = right_edge.max(seg.header.ack.since(ISS) + seg.header.window as u32);
-            c.on_segment(&seg.header, seg.payload, now);
+            right_edge = right_edge.max(seg.header.ack.since(iss) + seg.header.window as u32);
+            client.on_segment(s_ip, &seg.header, seg.payload, now);
         }
-        if c.state() == State::Established {
+        if client.state(c) == Ok(State::Established) {
             if let Some(sga) = sgas.next() {
-                c.send_all(sga, now).unwrap();
+                client.send_all(c, sga, now).unwrap();
             }
         }
-        for seg in c.take_outbox() {
+        client.drain_segments(&mut wire);
+        for (_, seg) in wire.drain(..) {
             moved = true;
             let len = seg.payload.len();
             assert!(len <= ccfg.mss, "{len}-byte segment exceeds the MSS");
             // (A one-byte zero-window probe may sit just past the edge.)
             assert!(
-                len <= 1 || seg.header.seq.since(ISS) + len as u32 <= right_edge,
+                len <= 1 || seg.header.seq.since(iss) + len as u32 <= right_edge,
                 "{len}-byte segment overruns the advertised window"
             );
             if len == 0 || !rng.chance(loss) {
-                s.on_segment(&seg.header, seg.payload, now);
+                server.on_segment(c_ip, &seg.header, seg.payload, now);
             }
         }
-        if rng.chance(0.5) {
-            while let Some(chunk) = s.recv() {
+        accepted = accepted.or_else(|| server.accept(listener).unwrap());
+        if let (true, Some(s)) = (rng.chance(0.5), accepted) {
+            while let Some(chunk) = server.recv(s).unwrap() {
                 received.extend_from_slice(chunk.as_slice());
             }
         }
@@ -572,8 +577,8 @@ fn gathered_transfer(
         }
         if !moved {
             now = now.saturating_add(SimTime::from_micros(250));
-            c.on_tick(now);
-            s.on_tick(now);
+            client.on_tick(now);
+            server.on_tick(now);
         }
     }
     panic!("transfer stalled at {}/{total} bytes", received.len());

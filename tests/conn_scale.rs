@@ -23,12 +23,11 @@ mod support;
 use demi_memory::DemiBuffer;
 use demikernel::testing::{AllocMeter, CountingAlloc};
 use net_stack::counters as nsc;
-use net_stack::tcp::header::{TcpFlags, TcpHeader};
-use net_stack::tcp::{ConnId, SeqNum, State, TcpConfig, TcpPeer};
+use net_stack::tcp::{ConnId, SeqNum, State, TcpConfig, TcpFlags, TcpHeader, TcpPeer};
 use net_stack::types::SocketAddr;
 use net_stack::NetworkStack;
 use sim_fabric::{Fabric, SimTime};
-use support::{host, ip, settle, PeerWorld};
+use support::{host, ip, settle, take_segments, PeerWorld};
 
 /// Counts this thread's heap allocations inside an [`AllocMeter`] window.
 #[global_allocator]
@@ -207,7 +206,7 @@ fn syn_flood_memory_stays_bounded_by_the_backlog() {
     assert_eq!(server.stats().syns_accepted as usize, flood);
     // Every admitted SYN still got its SYN-ACK (the flood is answered,
     // just never allowed to pin memory).
-    assert_eq!(server.take_segments().len(), flood);
+    assert_eq!(take_segments(&mut server).len(), flood);
 }
 
 #[test]
@@ -221,10 +220,10 @@ fn closing_a_reset_connection_releases_its_slab_slot_and_port() {
     let mut server = TcpPeer::new(ip(2), TcpConfig::default());
     // Nobody listens on 81: the SYN draws an RST.
     let c = client.connect(SocketAddr::new(ip(2), 81), now).unwrap();
-    for (_, seg) in client.take_segments() {
+    for (_, seg) in take_segments(&mut client) {
         server.on_segment(ip(1), &seg.header, seg.payload, now);
     }
-    for (_, seg) in server.take_segments() {
+    for (_, seg) in take_segments(&mut server) {
         client.on_segment(ip(2), &seg.header, seg.payload, now);
     }
     assert_eq!(client.state(c).unwrap(), State::Closed);

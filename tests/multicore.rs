@@ -23,11 +23,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 use demi_telemetry::stage::{self, Stage};
-use demikernel::exec::{ExecMode, ShardSpec};
 use demikernel::libos::LibOs;
 use demikernel::testing::{catnip_shard_world, host_ip, host_mac, ShardWorld};
 use demikernel::types::{QDesc, Sga};
 use demikernel::{run_shards, MetricsSnapshot};
+use demikernel::{ExecMode, ShardSpec};
 use dpdk_sim::{rss, DpdkPort, PortConfig};
 use net_stack::types::SocketAddr;
 use net_stack::{HostLinks, NetworkStack, PortAllocator, ShardMsg, ShardRings, StackConfig};
@@ -393,7 +393,7 @@ fn frames_from_other_threads_are_seen_by_the_next_poll() {
 fn shard_thread_metrics_and_telemetry_merge() {
     demi_telemetry::stage::reset_merged();
     let ops_per_world = 4usize;
-    let hub_out: Mutex<Option<Arc<demikernel::metrics::MetricsHub>>> = Mutex::new(None);
+    let hub_out: Mutex<Option<Arc<demikernel::MetricsHub>>> = Mutex::new(None);
     let world_allocs = AtomicU64::new(0);
     run_shards(ExecMode::ThreadPerShard, 2, 2, 64, |spec| {
         demi_telemetry::set_enabled(true);

@@ -4,8 +4,9 @@ use demi_memory::DemiBuffer;
 use demikernel::libos::LibOs;
 use demikernel::testing::catmem_world;
 use demikernel::types::Sga;
+use dpdk_sim::wire::framing::encode_message;
 use net_stack::checksum::{finish, internet_checksum, sum_words};
-use net_stack::framing::{encode_message, FrameDecoder};
+use net_stack::framing::FrameDecoder;
 use proptest::prelude::*;
 
 proptest! {

@@ -5,20 +5,16 @@ use demi_memory::DemiBuffer;
 use demikernel::libos::LibOs;
 use demikernel::runtime::Runtime;
 use demikernel::types::Sga;
-use net_stack::tcp::{ControlBlock, State, TcpConfig};
+use net_stack::tcp::{State, TcpConfig, TcpPeer};
 use net_stack::types::SocketAddr;
 use proptest::prelude::*;
 use sim_fabric::{SimRng, SimTime};
 use spdk_sim::nvme::{NvmeConfig, NvmeDevice};
 use std::net::Ipv4Addr;
 
-fn addr(last: u8, port: u16) -> SocketAddr {
-    SocketAddr::new(Ipv4Addr::new(10, 0, 0, last), port)
-}
-
-/// Drives two control blocks over a lossy, zero-delay link until the
-/// transfer completes; advances virtual time whenever the world goes
-/// quiet so retransmission timers can fire.
+/// Drives two TCP peers over a lossy, zero-delay link until the transfer
+/// completes; advances virtual time whenever the world goes quiet so
+/// retransmission timers can fire.
 fn lossy_transfer(seed: u64, data: &[u8], loss: f64) -> Vec<u8> {
     let config = TcpConfig {
         syn_retries: 30,
@@ -26,55 +22,41 @@ fn lossy_transfer(seed: u64, data: &[u8], loss: f64) -> Vec<u8> {
     };
     let mut now = SimTime::from_millis(1);
     let mut rng = SimRng::new(seed);
-    let mut client = ControlBlock::connect(
-        addr(1, 40_000),
-        addr(2, 80),
-        net_stack::tcp::SeqNum(7_000),
-        now,
-        config,
-    );
-    // Deliver the SYN (possibly after retries) to create the server.
-    let mut server: Option<ControlBlock> = None;
+    let (c_ip, s_ip) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+    let mut client = TcpPeer::new(c_ip, config);
+    let mut server = TcpPeer::new(s_ip, config);
+    let listener = server.listen(80, 1).unwrap();
+    let conn = client.connect(SocketAddr::new(s_ip, 80), now).unwrap();
+    let mut accepted = None;
+    let mut wire = Vec::new();
     let mut received: Vec<u8> = Vec::new();
     let mut sent = false;
 
     for _ in 0..200_000 {
         let mut moved = false;
-        for seg in client.take_outbox() {
+        client.drain_segments(&mut wire);
+        for (_, seg) in wire.drain(..) {
             moved = true;
-            if rng.chance(loss) {
-                continue;
-            }
-            match &mut server {
-                None if seg.header.flags.syn => {
-                    server = Some(ControlBlock::accept(
-                        addr(2, 80),
-                        addr(1, 40_000),
-                        net_stack::tcp::SeqNum(9_000),
-                        &seg.header,
-                        now,
-                        config,
-                    ));
-                }
-                None => {}
-                Some(s) => s.on_segment(&seg.header, seg.payload, now),
+            if !rng.chance(loss) {
+                server.on_segment(c_ip, &seg.header, seg.payload, now);
             }
         }
-        if let Some(s) = &mut server {
-            for seg in s.take_outbox() {
-                moved = true;
-                if rng.chance(loss) {
-                    continue;
-                }
-                client.on_segment(&seg.header, seg.payload, now);
+        server.drain_segments(&mut wire);
+        for (_, seg) in wire.drain(..) {
+            moved = true;
+            if !rng.chance(loss) {
+                client.on_segment(s_ip, &seg.header, seg.payload, now);
             }
-            while let Some(chunk) = s.recv() {
+        }
+        accepted = accepted.or_else(|| server.accept(listener).unwrap());
+        if let Some(s) = accepted {
+            while let Some(chunk) = server.recv(s).unwrap() {
                 received.extend_from_slice(chunk.as_slice());
             }
         }
-        if client.state() == State::Established && !sent {
+        if client.state(conn) == Ok(State::Established) && !sent {
             client
-                .send(DemiBuffer::from_slice(data), now)
+                .send(conn, DemiBuffer::from_slice(data), now)
                 .expect("established");
             sent = true;
         }
@@ -84,16 +66,14 @@ fn lossy_transfer(seed: u64, data: &[u8], loss: f64) -> Vec<u8> {
         if !moved {
             now = now.saturating_add(SimTime::from_micros(250));
             client.on_tick(now);
-            if let Some(s) = &mut server {
-                s.on_tick(now);
-            }
+            server.on_tick(now);
         }
     }
     panic!(
         "transfer did not complete: {}/{} bytes, client {:?}",
         received.len(),
         data.len(),
-        client.state()
+        client.state(conn)
     );
 }
 

@@ -145,9 +145,10 @@ impl Differential {
     fn advance_to(&mut self, now: u64) {
         self.now = now;
         let dead = &self.dead;
-        let wheel_fired: Vec<(u64, u32)> = self
-            .wheel
-            .advance(SimTime::from_nanos(now))
+        let mut fired = Vec::new();
+        self.wheel
+            .advance_into(SimTime::from_nanos(now), &mut fired);
+        let wheel_fired: Vec<(u64, u32)> = fired
             .into_iter()
             .map(|(t, k)| (t.as_nanos(), k))
             .filter(|&(_, k)| !dead[k as usize])
@@ -446,6 +447,58 @@ fn a_missteered_frame_reaches_its_owner_in_the_same_poll() {
     assert_eq!(one_port, two_worlds);
 }
 
+/// Every shard of a 4-queue host UDP-connects to one echo server: the
+/// ephemeral ports come from the host's one namespace, so they are
+/// distinct, and each hashes home to the shard that drew it, so every
+/// shard gets its own reply and none crosses shards — one socket never
+/// reads another's datagram.
+#[test]
+fn ephemeral_udp_ports_are_host_wide_and_home_to_their_shard() {
+    let fabric = Fabric::new(17);
+    let (a, _) = multi_queue_host(&fabric, 1, 4);
+    let b = support::host(&fabric, 2);
+    let server = SocketAddr::new(ip(2), 7);
+    b.udp_bind(7).unwrap();
+    let ports: Vec<u16> = a
+        .iter()
+        .map(|shard| shard.udp_bind_ephemeral(server).unwrap())
+        .collect();
+    for (i, (shard, &port)) in a.iter().zip(&ports).enumerate() {
+        let home = rss::queue_for_tuple(ip(1), port, server.ip, server.port, 4);
+        assert_eq!(home, i as u16, "port {port} hashes home to shard {i}");
+        let msg = format!("from-{i}");
+        shard.udp_sendto(port, server, msg.as_bytes()).unwrap();
+    }
+    let mut distinct = ports.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), ports.len(), "one namespace: {ports:?}");
+
+    let mut replies = vec![None; a.len()];
+    settle(&fabric, &[&a, &b], || {
+        while let Some((from, data)) = b.udp_recv_from(7) {
+            b.udp_sendto(7, from, data).unwrap();
+        }
+        for (i, (shard, &port)) in a.iter().zip(&ports).enumerate() {
+            if let Some((_, data)) = shard.udp_recv_from(port) {
+                replies[i] = Some(data.as_slice().to_vec());
+            }
+        }
+        replies.iter().all(Option::is_some)
+    });
+    for (i, shard) in a.iter().enumerate() {
+        assert_eq!(replies[i].as_deref(), Some(format!("from-{i}").as_bytes()));
+        assert_eq!(shard.udp_stats().delivered, 1, "shard {i}: its reply only");
+        assert_eq!(shard.shard_stats().steering_mismatches, 0);
+        assert_eq!(shard.shard_stats().handoffs_in, 0);
+    }
+    // Closing hands each port back to the host's namespace.
+    for (shard, &port) in a.iter().zip(&ports) {
+        shard.udp_close(port);
+        assert!(!shard.port_allocator().is_claimed(port));
+    }
+}
+
 /// Idle connections cost nothing per poll: with 200 established-and-quiet
 /// connections resident, a poll pass fires no timers, the timer-wheel
 /// counters stay still (timer cost scales with *firing* timers), and a
@@ -679,7 +732,7 @@ impl PollWorld {
                 .advance_to(SimTime::from_nanos(now.as_nanos() + stride(x))),
             _ => {
                 self.poll_work += match self.reference {
-                    true => self.hosts[h].poll_every_stage(),
+                    true => net_stack::testing::poll_every_stage(&self.hosts[h]),
                     false => self.hosts[h].poll(),
                 }
             }

@@ -412,6 +412,13 @@ pub fn open_loop<L: LibOs + Clone + 'static>(
 /// Client peers of a [`PeerWorld`]; each owns its own ephemeral range.
 pub const PEER_CLIENTS: usize = 4;
 
+/// Every segment `peer` has queued, drained into a fresh vector.
+pub fn take_segments(peer: &mut TcpPeer) -> Vec<(Ipv4Addr, TcpSegmentOut)> {
+    let mut out = Vec::new();
+    peer.drain_segments(&mut out);
+    out
+}
+
 fn peer_client_ip(i: usize) -> Ipv4Addr {
     ip(10 + i as u8)
 }

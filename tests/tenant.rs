@@ -112,7 +112,7 @@ fn an_ephemeral_udp_grant_ends_with_its_socket() {
 
     let port = demi_tenant::scope(alice, || {
         a.udp_bind(8080).unwrap();
-        a.udp_bind_ephemeral().unwrap()
+        a.udp_bind_ephemeral(SocketAddr::new(ip(2), 9)).unwrap()
     });
     assert_eq!(registry.port_owner(port), alice);
     assert_eq!(a.udp_bind(port), Err(NetError::TenantDenied(port)));
@@ -695,7 +695,9 @@ fn victim_stream(chunks: &[Vec<u8>], hostile_active: bool) -> Vec<u8> {
             .copy_from_slice(c);
         a.tcp_send(conn, payload).unwrap();
     }
-    let hport = demi_tenant::scope(hostile, || a.udp_bind_ephemeral().unwrap());
+    let hport = demi_tenant::scope(hostile, || {
+        a.udp_bind_ephemeral(SocketAddr::new(ip(2), 9)).unwrap()
+    });
     let hpool = BufferPool::for_tenant(hostile, None);
     let total: usize = chunks.iter().map(|c| c.len()).sum();
     let mut got = Vec::new();

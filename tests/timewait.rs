@@ -17,15 +17,17 @@
 //!
 //! [`TimeWaitRecord`]: net_stack::tcp::peer::TcpPeer
 
+mod support;
+
 use std::net::Ipv4Addr;
 
 use demi_memory::DemiBuffer;
 use demikernel::testing::host_ip as ip;
-use net_stack::tcp::header::{TcpFlags, TcpHeader};
-use net_stack::tcp::{ConnId, State, TcpConfig, TcpPeer, TcpSegmentOut};
+use net_stack::tcp::{ConnId, State, TcpConfig, TcpFlags, TcpHeader, TcpPeer, TcpSegmentOut};
 use net_stack::types::{NetError, SocketAddr};
 use proptest::prelude::*;
 use sim_fabric::SimTime;
+use support::take_segments;
 
 /// One line of wire trace: everything a header and payload commit to.
 fn trace_line(dst: Ipv4Addr, seg: &TcpSegmentOut) -> String {
@@ -51,13 +53,13 @@ fn pump_recording(
 ) {
     for _ in 0..1_000 {
         let mut quiet = true;
-        for (dst, seg) in a.take_segments() {
+        for (dst, seg) in take_segments(a) {
             quiet = false;
             assert_eq!(dst, b_ip);
             a_trace.push(trace_line(dst, &seg));
             b.on_segment(a_ip, &seg.header, seg.payload, now);
         }
-        for (dst, seg) in b.take_segments() {
+        for (dst, seg) in take_segments(b) {
             quiet = false;
             assert_eq!(dst, a_ip);
             b_trace.push(trace_line(dst, &seg));
@@ -83,7 +85,7 @@ fn closed_pair(
 ) -> (TcpPeer, TcpPeer, ConnId, Vec<String>, Vec<TcpHeader>) {
     let mut client = TcpPeer::new(ip(1), TcpConfig::default());
     if !demote {
-        client.keep_full_timewait_blocks();
+        net_stack::testing::keep_full_timewait_blocks(&mut client);
     }
     let mut server = TcpPeer::new(ip(2), TcpConfig::default());
     let lid = server.listen(80, 16).unwrap();
@@ -215,7 +217,7 @@ fn late_fin_is_reacked_identically_and_restarts_two_msl() {
 
     let later = now.saturating_add(config.msl); // Inside the 2*MSL window.
     client.on_segment(ip(2), &fin, DemiBuffer::empty(), later);
-    let out = client.take_segments();
+    let out = take_segments(&mut client);
     assert_eq!(out.len(), 1, "exactly one re-ACK");
     assert_eq!(trace_line(out[0].0, &out[0].1), final_ack);
 
@@ -237,7 +239,10 @@ fn late_data_is_absorbed_silently() {
     let mut stray = *from_server.last().unwrap();
     stray.flags = TcpFlags::ACK;
     client.on_segment(ip(2), &stray, DemiBuffer::from_slice(b"zombie"), now);
-    assert!(client.take_segments().is_empty(), "absorbed, not answered");
+    assert!(
+        take_segments(&mut client).is_empty(),
+        "absorbed, not answered"
+    );
     assert_eq!(client.state(c).unwrap(), State::TimeWait);
     assert_eq!(client.mem_stats().timewait_records, 1);
 }
@@ -253,7 +258,7 @@ fn rst_drops_the_record_and_frees_the_port_early() {
         ..TcpFlags::default()
     };
     client.on_segment(ip(2), &rst, DemiBuffer::empty(), now);
-    assert!(client.take_segments().is_empty(), "RST gets no reply");
+    assert!(take_segments(&mut client).is_empty(), "RST gets no reply");
     assert_eq!(client.state(c).unwrap(), State::Closed);
     assert_eq!(client.mem_stats().timewait_records, 0);
     assert_eq!(client.pop_released_port(), Some(32_768));
@@ -300,14 +305,14 @@ fn client_wire_trace(demote: bool, msgs: &[Vec<u8>], fin_delay: SimTime) -> Vec<
         .expect("server sent a FIN");
     let replay_at = now.saturating_add(fin_delay);
     client.on_segment(ip(2), &fin, DemiBuffer::empty(), replay_at);
-    for (dst, seg) in client.take_segments() {
+    for (dst, seg) in take_segments(&mut client) {
         trace.push(trace_line(dst, &seg));
     }
     // A stray pure ACK right after: absorbed in both modes.
     let mut stray = fin;
     stray.flags = TcpFlags::ACK;
     client.on_segment(ip(2), &stray, DemiBuffer::empty(), replay_at);
-    for (dst, seg) in client.take_segments() {
+    for (dst, seg) in take_segments(&mut client) {
         trace.push(trace_line(dst, &seg));
     }
     // Tick through the superseded expiry and the restarted one.
@@ -315,7 +320,7 @@ fn client_wire_trace(demote: bool, msgs: &[Vec<u8>], fin_delay: SimTime) -> Vec<
     let new_expiry = replay_at.saturating_add(config.msl.saturating_mul(2));
     for t in [old_expiry, new_expiry] {
         client.on_tick(t);
-        for (dst, seg) in client.take_segments() {
+        for (dst, seg) in take_segments(&mut client) {
             trace.push(trace_line(dst, &seg));
         }
     }

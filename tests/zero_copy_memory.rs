@@ -7,7 +7,8 @@ use demi_memory::DemiBuffer;
 use demikernel::libos::LibOs;
 use demikernel::testing::{catnip_pair, host_ip, AllocMeter, CountingAlloc};
 use demikernel::types::Sga;
-use net_stack::framing::{encode_message, FrameDecoder};
+use dpdk_sim::wire::framing::encode_message;
+use net_stack::framing::FrameDecoder;
 use net_stack::types::SocketAddr;
 use support::{tcp_pair, udp_pair};
 

@@ -28,7 +28,7 @@
 //!   per-extent ownership tags, future work. Where logs do share a device,
 //!   a commit whose tail block and fresh blocks are not adjacent is two
 //!   commands, both submitted before either is waited on.)
-//! * A full namespace or queue pair fails the `push` with
+//! * A full namespace or queue pair fails a `push` — or a read — with
 //!   [`DemiError::Storage`] before any log state changes.
 
 use std::cell::RefCell;
@@ -37,7 +37,7 @@ use std::rc::Rc;
 
 use demi_sched::Notify;
 use sim_fabric::DeviceCaps;
-use spdk_sim::nvme::{NvmeCompletion, NvmeDevice, QpairId, BLOCK_SIZE};
+use spdk_sim::nvme::{NvmeCompletion, NvmeDevice, NvmeError, QpairId, BLOCK_SIZE};
 
 use crate::libos::{LibOs, LibOsKind, QueueTable};
 use crate::runtime::Runtime;
@@ -223,42 +223,86 @@ impl Core {
         Ok((cmds, state.len))
     }
 
-    /// A record failed its integrity check: counted, and the pop fails.
-    fn checksum_failure(&self) -> OperationResult {
-        self.inner.borrow_mut().stats.checksum_failures += 1;
-        OperationResult::Failed(DemiError::Storage("record checksum"))
-    }
-
-    /// Submits a block read; returns its command id.
-    fn start_read(&self, lba: u64) -> u64 {
+    /// Submits a block read; returns its command id. A full queue pair is
+    /// an `Err`, as it is for `append`.
+    fn start_read(&self, lba: u64) -> Result<u64, DemiError> {
         let mut inner = self.inner.borrow_mut();
-        inner.stats.block_reads += 1;
         let cmd_id = inner.cmd_id();
         let submitted = self.device.submit_read(self.qpair, cmd_id, lba, 1);
-        submitted.expect("catfs block read");
-        cmd_id
+        submitted.map_err(|e| match e {
+            NvmeError::QueueFull => DemiError::Storage("queue pair full"),
+            _ => DemiError::Storage("block read rejected"),
+        })?;
+        inner.stats.block_reads += 1;
+        Ok(cmd_id)
     }
 
     /// Submits a block read and waits for the data.
-    async fn read_block(&self, lba: u64) -> Vec<u8> {
-        let completion = self.wait_cmd(self.start_read(lba)).await;
-        completion.data.expect("read returns data")
+    async fn read_block(&self, lba: u64) -> Read {
+        read_data(self.wait_cmd(self.start_read(lba)?).await)
     }
 
     /// Reads `len` bytes at byte offset `off` of `log` from the device.
-    async fn read_bytes(&self, log: &Rc<RefCell<LogState>>, off: u64, len: usize) -> Vec<u8> {
+    async fn read_bytes(&self, log: &RefCell<LogState>, off: u64, len: usize) -> Read {
         let (mut pos, end) = (off as usize, off as usize + len);
         let mut out = Vec::with_capacity(len);
         while pos < end {
             let lba = log.borrow().blocks[pos / BLOCK_SIZE];
-            let block = self.read_block(lba).await;
+            let block = self.read_block(lba).await?;
             let from = pos % BLOCK_SIZE;
             let take = (BLOCK_SIZE - from).min(end - pos);
             out.extend_from_slice(&block[from..from + take]);
             pos += take;
         }
-        out
+        Ok(out)
     }
+
+    /// Parks until a record past `qd`'s cursor is durable (so a pop is no
+    /// `spawn_ready_op`: block reads follow the park), reads and verifies
+    /// it, and moves the cursor past it.
+    async fn pop_record(&self, qd: QDesc, log: &RefCell<LogState>) -> Read {
+        let cursor = self.wait_tail(qd, log).await.ok_or(DemiError::Closed)?;
+        let header = self.read_bytes(log, cursor, RECORD_HEADER).await?;
+        let magic = DemiError::Storage("bad record magic");
+        let (len, expect_sum) = parse_header(&header).ok_or(magic)?;
+        let corrupt = || {
+            self.inner.borrow_mut().stats.checksum_failures += 1;
+            DemiError::Storage("record checksum")
+        };
+        // `durable` only ever rises by whole records, so a durable
+        // header's payload is durable too — unless its length is corrupt.
+        let start = cursor + RECORD_HEADER as u64;
+        let end = start + len as u64;
+        if end > log.borrow().durable {
+            return Err(corrupt());
+        }
+        let payload = self.read_bytes(log, start, len).await?;
+        if checksum(&payload) != expect_sum {
+            return Err(corrupt());
+        }
+        let mut inner = self.inner.borrow_mut();
+        if let Ok(open) = inner.queues.get_mut(qd) {
+            open.cursor = end;
+        }
+        inner.stats.records_read += 1;
+        Ok(payload)
+    }
+}
+
+/// Bytes read from the device, or why not.
+type Read = Result<Vec<u8>, DemiError>;
+
+/// A read command's data; every completed read carries some.
+fn read_data(c: NvmeCompletion) -> Read {
+    c.data.ok_or(DemiError::Storage("no read data"))
+}
+
+/// A pop-like operation's result.
+fn popped(read: Read) -> OperationResult {
+    read.map_or_else(OperationResult::Failed, |bytes| OperationResult::Pop {
+        from: None,
+        sga: Sga::from_slice(&bytes),
+    })
 }
 
 impl Catfs {
@@ -308,7 +352,7 @@ impl Catfs {
         // record stream stops parsing.
         let mut bytes: Vec<u8> = Vec::new();
         for lba in 0..self.core.device.namespace_blocks() {
-            let data = self.sync_read_block(lba);
+            let data = self.sync_read_block(lba)?;
             let all_zero = data.iter().all(|&b| b == 0);
             // An all-zero block ends the scan only when the bytes so far
             // parse to a clean end: a record's interior may legitimately
@@ -359,11 +403,7 @@ impl Catfs {
             if core.device.submit_chase(core.qpair, cmd_id, spec).is_err() {
                 return OperationResult::Failed(DemiError::Storage("chase rejected"));
             }
-            let completion = core.wait_cmd(cmd_id).await;
-            OperationResult::Pop {
-                from: None,
-                sga: Sga::from_slice(&completion.data.expect("chase returns the final block")),
-            }
+            popped(read_data(core.wait_cmd(cmd_id).await))
         })
     }
 
@@ -375,38 +415,32 @@ impl Catfs {
         self.runtime.metrics().count_pop();
         let core = self.core.clone();
         self.runtime.spawn_op("catfs::chase_host", async move {
-            let blocks = core.device.namespace_blocks();
-            let mut lba = spec.start_lba;
-            let mut hops = 0u32;
-            loop {
-                let block = core.read_block(lba).await;
+            let (blocks, mut lba, mut hops) = (core.device.namespace_blocks(), spec.start_lba, 0);
+            popped(loop {
+                let read = core.read_block(lba).await;
+                let Ok(block) = &read else { break read }; // A failed read ends the walk.
                 hops += 1;
                 let at = spec.pointer_offset;
                 let next =
                     u64::from_le_bytes(block[at..at + 8].try_into().expect("offset validated"));
                 if next == spec.sentinel || hops >= spec.max_hops || next >= blocks {
-                    return OperationResult::Pop {
-                        from: None,
-                        sga: Sga::from_slice(&block),
-                    };
+                    break read;
                 }
                 lba = next;
-            }
+            })
         })
     }
 
     /// Synchronous block read for mount-time recovery (control path).
-    fn sync_read_block(&self, lba: u64) -> Vec<u8> {
-        let cmd_id = self.core.start_read(lba);
+    fn sync_read_block(&self, lba: u64) -> Read {
+        let cmd_id = self.core.start_read(lba)?;
         loop {
             if let Some(t) = self.core.device.next_deadline() {
                 self.runtime.clock().advance_to(t);
             }
-            for c in self.core.device.poll_completions(self.core.qpair, 64) {
-                if c.cmd_id == cmd_id {
-                    return c.data.expect("read returns data");
-                }
-                self.core.inner.borrow_mut().completions.insert(c.cmd_id, c);
+            self.core.pump_completions();
+            if let Some(c) = self.core.inner.borrow_mut().completions.remove(&cmd_id) {
+                return read_data(c);
             }
         }
     }
@@ -502,11 +536,8 @@ impl LibOs for Catfs {
     fn open(&self, path: &str) -> Result<QDesc, DemiError> {
         self.runtime.metrics().count_control_path_syscall();
         let mut inner = self.core.inner.borrow_mut();
-        let log = inner
-            .logs
-            .get(path)
-            .cloned()
-            .ok_or(DemiError::Storage("no such log"))?;
+        let missing = DemiError::Storage("no such log");
+        let log = inner.logs.get(path).cloned().ok_or(missing)?;
         Ok(inner.queues.insert(OpenLog { log, cursor: 0 }))
     }
 
@@ -540,36 +571,8 @@ impl LibOs for Catfs {
         self.runtime.metrics().count_pop();
         let log = self.core.inner.borrow().queues.get(qd)?.log.clone();
         let core = self.core.clone();
-        // Not a `spawn_ready_op`: after its park at the log tail a pop
-        // awaits device block reads.
         Ok(self.runtime.spawn_op("catfs::pop", async move {
-            let Some(cursor) = core.wait_tail(qd, &log).await else {
-                return OperationResult::Failed(DemiError::Closed);
-            };
-            let header = core.read_bytes(&log, cursor, RECORD_HEADER).await;
-            let Some((len, expect_sum)) = parse_header(&header) else {
-                return OperationResult::Failed(DemiError::Storage("bad record magic"));
-            };
-            // `durable` only ever rises by whole records, so a durable
-            // header's payload is durable too — unless its length is corrupt.
-            let start = cursor + RECORD_HEADER as u64;
-            let end = start + len as u64;
-            if end > log.borrow().durable {
-                return core.checksum_failure();
-            }
-            let payload = core.read_bytes(&log, start, len).await;
-            if checksum(&payload) != expect_sum {
-                return core.checksum_failure();
-            }
-            let mut inner = core.inner.borrow_mut();
-            if let Ok(open) = inner.queues.get_mut(qd) {
-                open.cursor = end;
-            }
-            inner.stats.records_read += 1;
-            OperationResult::Pop {
-                from: None,
-                sga: Sga::from_slice(&payload),
-            }
+            popped(core.pop_record(qd, &log).await)
         }))
     }
 }

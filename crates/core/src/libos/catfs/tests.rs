@@ -324,6 +324,51 @@ fn a_full_queue_pair_fails_the_push_and_keeps_the_log() {
     }
 }
 
+/// A read that finds the queue pair full fails its operation the way a
+/// push does — a pop of a durable record, the host-path chase and
+/// recovery alike — and the same reads succeed once the pushes land.
+#[test]
+fn a_full_queue_pair_fails_reads_and_keeps_the_log() {
+    let rt = Runtime::new();
+    let config = NvmeConfig {
+        qpair_depth: 2,
+        ..NvmeConfig::default()
+    };
+    let dev = NvmeDevice::new(rt.clock().clone(), config);
+    let fs = Catfs::new(&rt, dev.clone());
+    let qd = fs.create("busy").unwrap();
+    fs.blocking_push(qd, &Sga::from_slice(&[7; 64])).unwrap();
+    let qts: Vec<QToken> = (0..2)
+        .map(|i| fs.push(qd, &Sga::from_slice(&[i; 64])).unwrap())
+        .collect();
+    let full = OperationResult::Failed(DemiError::Storage("queue pair full"));
+    let reader = fs.open("busy").unwrap();
+    assert_eq!(fs.blocking_pop(reader).unwrap(), full, "pop");
+    let chain = spdk_sim::ChainSpec {
+        start_lba: 0,
+        pointer_offset: 0,
+        sentinel: u64::MAX,
+        max_hops: 1,
+    };
+    let qt = fs.chase_host(chain);
+    assert_eq!(fs.wait(qt, None).unwrap(), full, "chase_host");
+    assert_eq!(
+        fs.recover("busy-again").unwrap_err(),
+        DemiError::Storage("queue pair full"),
+        "recover"
+    );
+    assert_eq!(log_state(&fs, "busy").borrow().len, 3 * 74);
+
+    fs.wait_all(&qts, None).unwrap();
+    let (_, sga) = fs.blocking_pop(reader).unwrap().expect_pop();
+    assert_eq!(sga.to_vec(), [7; 64], "the failed pop consumed nothing");
+    let qt = fs.chase_host(chain);
+    assert!(matches!(
+        fs.wait(qt, None).unwrap(),
+        OperationResult::Pop { .. }
+    ));
+}
+
 // ---------------------------------------------------------------------
 // The record checksum: the durable path's one integrity check.
 // ---------------------------------------------------------------------

@@ -682,10 +682,7 @@ impl Runtime {
             }
             Ok((missing == 0).then_some(()))
         })?;
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("all slots filled"))
-            .collect())
+        Ok(results.into_iter().flatten().collect())
     }
 
     /// Number of unresolved qtokens (diagnostics). A token never waited on

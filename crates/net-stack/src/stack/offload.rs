@@ -19,21 +19,20 @@ use sim_fabric::SimTime;
 use super::NetworkStack;
 use crate::fasthash::FastHashMap;
 use crate::tcp::{ConnId, TcpPeer};
-use crate::types::NetError;
+use crate::types::{NetError, SocketAddr};
 
 /// The installed device offload program: the engine, the NIC slot it
-/// occupies, and the flows currently armed on it. An engine's sync events
-/// all belong to the stack that installed it — a second stack on the same
-/// port installs its own engine in its own slot.
+/// occupies, and the connections currently armed on it. An engine's sync
+/// events all belong to the stack that installed it — a second stack on
+/// the same port installs its own engine in its own slot.
 pub(super) struct Offload {
     engine: Rc<RefCell<TcpOffload>>,
     slot: ProgramSlot,
     /// The offloaded local TCP port.
     port: u16,
-    /// Armed flows: device flow key → control block.
-    armed: FastHashMap<FlowKey, ConnId>,
-    /// Reverse index for the release path (send/close on an armed conn).
-    by_conn: FastHashMap<ConnId, FlowKey>,
+    /// Armed connections and their device flow keys. The other direction,
+    /// flow → connection, is the peer's demux table.
+    armed: FastHashMap<ConnId, FlowKey>,
 }
 
 impl Offload {
@@ -49,7 +48,9 @@ impl Offload {
                 | OffloadEvent::Flushed { key, .. }
                 | OffloadEvent::FellBack { key } => *key,
             };
-            let Some(&conn) = self.armed.get(&key) else {
+            let remote = SocketAddr::new(key.0.into(), key.1);
+            let armed = |conn: &ConnId| self.armed.contains_key(conn);
+            let Some(conn) = tcp.demux_conn(self.port, remote).filter(armed) else {
                 continue;
             };
             applied += 1;
@@ -75,8 +76,7 @@ impl Offload {
                     tcp.offload_flushed(conn, data, now);
                 }
                 OffloadEvent::FellBack { .. } => {
-                    self.armed.remove(&key);
-                    self.by_conn.remove(&conn);
+                    self.armed.remove(&conn);
                 }
             }
         }
@@ -88,16 +88,15 @@ impl Offload {
     /// and any other pending sync events, and forgets the arming. No-op
     /// for unarmed connections. Returns the sync events applied.
     pub(super) fn release_conn(&mut self, tcp: &mut TcpPeer, conn: ConnId, now: SimTime) -> usize {
-        let Some(&key) = self.by_conn.get(&conn) else {
+        let Some(&key) = self.armed.get(&conn) else {
             return 0;
         };
         self.engine.borrow_mut().disarm_flow(key);
-        // The flushed bytes apply through the normal drain (the key is
-        // still in the armed map); dropping the map entries afterwards
-        // completes the release.
+        // The flushed bytes apply through the normal drain (the connection
+        // is still armed); dropping the arming afterwards completes the
+        // release.
         let applied = self.drain_events(tcp, now);
-        self.armed.remove(&key);
-        self.by_conn.remove(&conn);
+        self.armed.remove(&conn);
         applied
     }
 
@@ -110,7 +109,7 @@ impl Offload {
     pub(super) fn rearm(&mut self, tcp: &TcpPeer) -> usize {
         let mut armed = 0;
         for (conn, remote) in tcp.conns_on_port(self.port) {
-            if self.by_conn.contains_key(&conn) || !tcp.offload_quiescent(conn) {
+            if self.armed.contains_key(&conn) {
                 continue;
             }
             let Some((rcv_nxt, snd_nxt, window, mss)) = tcp.offload_arm_info(conn) else {
@@ -126,8 +125,7 @@ impl Offload {
                     mss,
                 },
             );
-            self.armed.insert(key, conn);
-            self.by_conn.insert(conn, key);
+            self.armed.insert(conn, key);
             armed += 1;
         }
         armed
@@ -168,7 +166,6 @@ impl NetworkStack {
             slot,
             port,
             armed: FastHashMap::default(),
-            by_conn: FastHashMap::default(),
         });
         // Arm already-established quiescent connections immediately; new
         // ones are picked up at the end of each poll pass.
@@ -189,8 +186,9 @@ impl NetworkStack {
         let now = shard.clock.now();
         shard.drain_offload_events(now);
         shard.flush_tcp();
-        let off = shard.offload.take().expect("checked above");
-        shard.port.uninstall_program(off.slot);
+        if let Some(off) = shard.offload.take() {
+            shard.port.uninstall_program(off.slot);
+        }
     }
 
     /// Write-through populate of the device KV cache (the host calls

@@ -72,6 +72,12 @@ pub struct TcpSegmentOut {
     pub payload: DemiBuffer,
 }
 
+/// The segment size a peer's MSS option allows. A zero option would make
+/// every segment empty, and the output loop would never drain its queue.
+fn usable_mss(option: u16) -> usize {
+    usize::from(option.max(1))
+}
+
 /// A sent-but-unacked segment kept for retransmission.
 #[derive(Debug, Clone)]
 struct TxSeg {
@@ -246,7 +252,7 @@ impl ControlBlock {
         cb.irs = irs;
         cb.rcv_nxt = irs + 1;
         if let Some(peer_mss) = peer_mss {
-            cb.mss = cb.mss.min(peer_mss as usize);
+            cb.mss = cb.mss.min(usable_mss(peer_mss));
         }
         cb.last_activity = now;
         cb
@@ -298,11 +304,10 @@ impl ControlBlock {
     /// use.
     #[inline]
     fn q(&mut self) -> &mut CbQueues {
-        if self.q.is_none() {
+        self.q.get_or_insert_with(|| {
             crate::counters::note_tcb_queues_allocated();
-            self.q = Some(Box::default());
-        }
-        self.q.as_mut().expect("just ensured").as_mut()
+            Box::default()
+        })
     }
 
     /// Read-only view of the queue box, if allocated.
@@ -621,7 +626,7 @@ impl ControlBlock {
             self.snd_una = hdr.ack;
             self.snd_wnd = hdr.window as usize;
             if let Some(peer_mss) = hdr.mss {
-                self.mss = self.mss.min(peer_mss as usize);
+                self.mss = self.mss.min(usable_mss(peer_mss));
             }
             // The SYN is acked; drop it from the retransmission queue.
             if let Some(q) = self.q.as_mut() {
@@ -868,13 +873,11 @@ impl ControlBlock {
         };
         loop {
             let key = self.rcv_nxt.since(self.irs);
-            let Some((&k, _)) = q.ooo.first_key_value() else {
+            // Stop at the first hole.
+            let Some(first) = q.ooo.first_entry().filter(|e| *e.key() <= key) else {
                 break;
             };
-            if k > key {
-                break; // A hole remains.
-            }
-            let mut buf = q.ooo.remove(&k).expect("first key exists");
+            let (k, mut buf) = first.remove_entry();
             self.ooo_bytes -= buf.len();
             let end = k + buf.len() as u32;
             if end <= key {
@@ -904,10 +907,7 @@ impl ControlBlock {
             return;
         }
 
-        loop {
-            if self.send_queue_is_empty() {
-                break;
-            }
+        while !self.send_queue_is_empty() {
             let flight = self.flight_size();
             let effective = self.snd_wnd.min(self.cc.cwnd());
             if flight >= effective {
@@ -919,7 +919,9 @@ impl ControlBlock {
                 }
                 break;
             }
-            let chunk = self.next_segment((effective - flight).min(self.mss));
+            let Some(chunk) = self.next_segment((effective - flight).min(self.mss)) else {
+                break;
+            };
             self.send_queue_bytes -= chunk.len();
             self.transmit_data(chunk, now);
         }
@@ -945,17 +947,17 @@ impl ControlBlock {
     }
 
     /// Carves the next segment's payload, at most `budget` bytes, off the
-    /// front of the (non-empty) send queue. A segment that comes from one
-    /// buffer is a zero-copy view of it. Several queued buffers that fit
-    /// are copied into one pool buffer with header headroom — one frame
-    /// instead of one each — except that a buffer of at least half a
-    /// segment which can take the headers in place is never copied: it
-    /// ends the gather and travels alone.
-    fn next_segment(&mut self, budget: usize) -> DemiBuffer {
+    /// front of the send queue (`None` when it is empty). A segment that
+    /// comes from one buffer is a zero-copy view of it. Several queued
+    /// buffers that fit are copied into one pool buffer with header
+    /// headroom — one frame instead of one each — except that a buffer of
+    /// at least half a segment which can take the headers in place is
+    /// never copied: it ends the gather and travels alone.
+    fn next_segment(&mut self, budget: usize) -> Option<DemiBuffer> {
         let half = self.mss / 2;
         let alone = |b: &DemiBuffer| b.len() >= half && b.can_prepend(MAX_HEADER_LEN);
-        let queue = &mut self.q().send_queue;
-        let front = queue.front_mut().expect("checked non-empty");
+        let queue = &mut self.q.as_mut()?.send_queue;
+        let front = queue.front_mut()?;
         let mut len = front.len().min(budget);
         let mut parts = 1;
         if !alone(front) {
@@ -965,15 +967,17 @@ impl ControlBlock {
             }
         }
         if parts == 1 {
-            return Self::take_front(queue, len);
+            return Some(Self::take_front(queue, len));
         }
         let mut seg = SEGMENT_POOL.with(|pool| pool.alloc_with_headroom(MAX_HEADER_LEN, len));
+        // Proof: `seg` was allocated on the line above and shares its
+        // storage with nothing; no remote byte reaches this.
         let dst = seg.try_mut().expect("fresh pool buffer is exclusive");
         // The copy holds the pusher's bytes, so it carries the pusher's
         // stamp (the first non-host one: a libOS-made framing header may
         // lead) and is charged to that tenant's TX lane.
         let (mut off, mut tenant) = (0, TenantId::HOST);
-        while off < len {
+        for _ in 0..parts {
             let part = Self::take_front(queue, len - off);
             dst[off..off + part.len()].copy_from_slice(&part);
             if tenant.is_host() {
@@ -983,19 +987,21 @@ impl ControlBlock {
         }
         demi_memory::counters::note_copy(len);
         seg.retag(tenant);
-        seg
+        Some(seg)
     }
 
-    /// Takes up to `n` bytes off the front buffer of a non-empty send
-    /// queue: the buffer itself if it fits, else a view of its head.
+    /// Takes up to `n` bytes off the front of the send queue: the front
+    /// buffer itself if it fits, else a view of its head (an empty queue
+    /// yields an empty buffer).
     fn take_front(queue: &mut VecDeque<DemiBuffer>, n: usize) -> DemiBuffer {
-        let front = queue.front_mut().expect("send queue is non-empty");
-        if front.len() <= n {
-            return queue.pop_front().expect("just peeked");
+        match queue.front_mut() {
+            Some(front) if front.len() > n => {
+                let head = front.slice(0, n);
+                front.advance(n);
+                head
+            }
+            _ => queue.pop_front().unwrap_or_else(DemiBuffer::empty),
         }
-        let head = front.slice(0, n);
-        front.advance(n);
-        head
     }
 
     fn transmit_data(&mut self, data: DemiBuffer, now: SimTime) {

@@ -23,6 +23,7 @@
 //!   reaching a zero-queue-heap idle footprint without ever thrashing the
 //!   active path's warmed capacity.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashSet, VecDeque};
 use std::net::Ipv4Addr;
 
@@ -32,7 +33,7 @@ use sim_fabric::SimTime;
 use crate::fasthash::{flow_key, FastHashMap};
 use crate::types::{NetError, SocketAddr};
 
-use super::cb::{ControlBlock, State, TcpSegmentOut};
+use super::cb::{CbStats, ControlBlock, State, TcpSegmentOut};
 use super::header::{TcpFlags, TcpHeader};
 use super::seq::SeqNum;
 use super::wheel::TimerWheel;
@@ -43,7 +44,9 @@ use super::TcpConfig;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConnId(pub u32);
 
-/// Handle to one listener.
+/// Handle to one listener: its port in the low 16 bits, the peer's count
+/// of earlier listens above them, so the handle of a closed listener
+/// never reaches a later one on the same port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ListenerId(pub u32);
 
@@ -94,21 +97,14 @@ struct SynEntry {
     created: u64,
 }
 
+/// One listening port (the key it is stored under).
 struct Listener {
-    port: u16,
-    max_backlog: usize,
+    id: ListenerId,
     /// Connections past the handshake, awaiting `accept`.
     ready: VecDeque<ConnId>,
-    /// Fixed-size half-open table (length = `max_backlog`, never grows).
+    /// Fixed-size half-open table. Its length is the backlog, which also
+    /// bounds `ready`; it never grows and is never empty.
     syn_table: Vec<Option<SynEntry>>,
-}
-
-impl Listener {
-    fn syn_slot(&self, key: u64) -> Option<usize> {
-        self.syn_table
-            .iter()
-            .position(|e| e.as_ref().is_some_and(|e| e.key == key))
-    }
 }
 
 /// Timer kinds per connection, indexed like
@@ -148,6 +144,15 @@ struct SlabEntry {
     /// Set while the connection waits on `tick_fired` within one
     /// [`TcpPeer::on_tick`], so several timers due together tick it once.
     tick_queued: bool,
+    /// Set while the connection is listed on `active_out`, so it is listed
+    /// once however often it is touched before the next
+    /// [`TcpPeer::drain_segments`]. Reset when the slot is freed: the
+    /// stale listing is skipped, and the slot's next connection lists
+    /// itself.
+    out_queued: bool,
+    /// Set once the application closed its handle: nobody is left to ask
+    /// `error()`, so a block that dies with an error is freed at once.
+    owner_closed: bool,
     timers: TimerSlots,
     cb: Option<ControlBlock>,
 }
@@ -172,6 +177,18 @@ struct TimeWaitRecord {
     /// TIME_WAIT capacity is partitioned per tenant: over quota, the
     /// tenant's *own* oldest record is evicted, never another's.
     tenant: u16,
+}
+
+/// One tenant's TIME_WAIT partition.
+#[derive(Default)]
+struct TenantTimeWait {
+    /// Cap on parked records; `None` = uncapped.
+    quota: Option<usize>,
+    /// Records currently charged.
+    count: usize,
+    /// Their flow keys in parking order, for oldest-first eviction. Keys
+    /// whose record already left (expiry, RST) are skipped lazily.
+    order: VecDeque<u64>,
 }
 
 demi_telemetry::counter_family! {
@@ -213,12 +230,34 @@ fn live_timer_slot(entries: &[SlabEntry], tkey: &TimerKey) -> Option<u32> {
     (e.gen == gen && e.cb.is_some() && e.timers.gen[tkey.kind] == tkey.gen).then_some(slot)
 }
 
+/// The flow key of the TIME_WAIT record whose 2·MSL expiry `tkey` still
+/// is: `None` once the record is gone or a late FIN restarted its clock.
+fn live_tw_key(
+    tw: &FastHashMap<u64, TimeWaitRecord>,
+    tw_by_id: &FastHashMap<u32, u64>,
+    tkey: &TimerKey,
+) -> Option<u64> {
+    let key = *tw_by_id.get(&tkey.conn.0)?;
+    (tw.get(&key)?.wheel_gen as u64 == tkey.gen).then_some(key)
+}
+
+/// Deterministic but connection-dependent initial sequence number: the
+/// `counter` stride plus a cheap hash of the remote end.
+fn isn(counter: &mut u32, remote: SocketAddr) -> SeqNum {
+    *counter = counter.wrapping_add(1);
+    let mut h: u32 = 0x9E37_79B9 ^ remote.port as u32;
+    for b in remote.ip.octets() {
+        h = h.rotate_left(5) ^ b as u32;
+    }
+    SeqNum(counter.wrapping_mul(64_000).wrapping_add(h))
+}
+
 /// How a handle resolved against the slab and TIME_WAIT records.
-enum Lookup {
-    /// Slot holds this generation's live control block.
-    Live(u32),
+enum Lookup<'a> {
+    /// This generation's live control block.
+    Live(&'a ControlBlock),
     /// Demoted to a TIME_WAIT record.
-    TimeWait,
+    TimeWait(&'a TimeWaitRecord),
     /// A previously-valid handle whose connection is gone: reports
     /// `Closed` rather than an error, matching what a kept-forever
     /// control block would have said.
@@ -235,12 +274,12 @@ pub struct TcpPeer {
     entries: Vec<SlabEntry>,
     free: Vec<u32>,
     live: usize,
-    /// Packed-flow-key demux: key → slab slot. Invariant: values are
-    /// always live slots (freed slots are removed eagerly).
-    demux: FastHashMap<u64, u32>,
+    /// Packed-flow-key demux: key → connection. Invariant: values are
+    /// always live (freed slots are removed eagerly).
+    demux: FastHashMap<u64, ConnId>,
     /// Single-entry demux cache: the last flow that matched. Burst RX to
     /// one flow skips the map entirely. Invalidated on any slot free.
-    last_demux: Option<(u64, u32)>,
+    last_demux: Option<(u64, ConnId)>,
     /// Compact TIME_WAIT records by flow key, plus a raw-id index so
     /// handles and wheel entries can find them.
     tw: FastHashMap<u64, TimeWaitRecord>,
@@ -248,21 +287,17 @@ pub struct TcpPeer {
     /// Port → owning tenant, stamped by the stack at listen/connect.
     /// Absent ports are host-owned (untracked).
     port_tenants: FastHashMap<u16, u16>,
-    /// Per-tenant caps on parked TIME_WAIT records.
-    tw_quota: FastHashMap<u16, usize>,
-    /// Per-tenant occupancy against `tw_quota`.
-    tw_count: FastHashMap<u16, usize>,
-    /// Per-tenant insertion order of TIME_WAIT flow keys, for oldest-
-    /// first quota eviction. Keys whose record already left (expiry,
-    /// RST) are skipped lazily.
-    tw_order: FastHashMap<u16, VecDeque<u64>>,
-    listeners: FastHashMap<ListenerId, Listener>,
-    listening_ports: FastHashMap<u16, ListenerId>,
+    /// Per-tenant TIME_WAIT partitions. Tenant 0 (the host) is never
+    /// charged.
+    tenant_tw: FastHashMap<u16, TenantTimeWait>,
+    /// Listeners by port.
+    listeners: FastHashMap<u16, Listener>,
     bound_ports: HashSet<u16>,
     /// Ephemeral ports whose connections fully closed; the stack drains
     /// these back to the host-wide allocator.
     released_ports: Vec<u16>,
-    next_listener: u32,
+    /// Listens so far (the high half of each [`ListenerId`]).
+    listens: u32,
     next_ephemeral: u16,
     isn_counter: u32,
     /// Admission clock for SYN-table oldest-eviction.
@@ -274,11 +309,10 @@ pub struct TcpPeer {
     /// TIME_WAIT expiry. Idle connections have no due entries and cost
     /// nothing per tick.
     wheel: TimerWheel<TimerKey>,
-    /// Connections with queued output, in touch order (`active_set`
-    /// dedups). [`TcpPeer::drain_segments`] walks only these — O(active),
-    /// not O(resident).
+    /// Connections with queued output, in touch order (each slot's
+    /// `out_queued` flag dedups). [`TcpPeer::drain_segments`] walks only
+    /// these — O(active), not O(resident).
     active_out: Vec<ConnId>,
-    active_set: HashSet<u32>,
     /// Reused backing for the drain walk, so draining allocates nothing.
     active_scratch: Vec<ConnId>,
     /// Quiet connections awaiting queue-box release, as `(due, id)` in
@@ -306,21 +340,17 @@ impl TcpPeer {
             tw: FastHashMap::default(),
             tw_by_id: FastHashMap::default(),
             port_tenants: FastHashMap::default(),
-            tw_quota: FastHashMap::default(),
-            tw_count: FastHashMap::default(),
-            tw_order: FastHashMap::default(),
+            tenant_tw: FastHashMap::default(),
             listeners: FastHashMap::default(),
-            listening_ports: FastHashMap::default(),
             bound_ports: HashSet::new(),
             released_ports: Vec::new(),
-            next_listener: 0,
+            listens: 0,
             next_ephemeral: 32_768,
             isn_counter: 0,
             syn_clock: 0,
             raw_out: Vec::new(),
             wheel: TimerWheel::new(SimTime::ZERO),
             active_out: Vec::new(),
-            active_set: HashSet::new(),
             active_scratch: Vec::new(),
             compact_pending: VecDeque::new(),
             tick_due: Vec::new(),
@@ -334,32 +364,51 @@ impl TcpPeer {
     // Slab plumbing.
     // ------------------------------------------------------------------
 
-    fn lookup(&self, id: ConnId) -> Lookup {
-        let (slot, gen) = decode_id(id.0);
-        let entry = self.entries.get(slot as usize);
-        if entry.is_some_and(|e| e.gen == gen && e.cb.is_some()) {
-            Lookup::Live(slot)
-        } else if self.tw_by_id.contains_key(&id.0) {
-            Lookup::TimeWait
-        } else if entry.is_some() {
+    fn lookup(&self, id: ConnId) -> Lookup<'_> {
+        if let Some(cb) = self.live(id) {
+            Lookup::Live(cb)
+        } else if let Some(rec) = self.tw_by_id.get(&id.0).and_then(|key| self.tw.get(key)) {
+            Lookup::TimeWait(rec)
+        } else if (decode_id(id.0).0 as usize) < self.entries.len() {
             Lookup::Stale
         } else {
             Lookup::Bad
         }
     }
 
-    fn cb(&self, slot: u32) -> &ControlBlock {
-        self.entries[slot as usize]
+    /// `id`'s control block, if the handle is live.
+    fn live(&self, id: ConnId) -> Option<&ControlBlock> {
+        let (slot, gen) = decode_id(id.0);
+        self.entries
+            .get(slot as usize)
+            .filter(|e| e.gen == gen)?
             .cb
             .as_ref()
-            .expect("looked-up slot is live")
     }
 
-    fn cb_mut(&mut self, slot: u32) -> &mut ControlBlock {
-        self.entries[slot as usize]
-            .cb
-            .as_mut()
-            .expect("looked-up slot is live")
+    /// The slab entry `id` names, if its generation is current.
+    fn entry_mut(&mut self, id: ConnId) -> Option<&mut SlabEntry> {
+        let (slot, gen) = decode_id(id.0);
+        self.entries.get_mut(slot as usize).filter(|e| e.gen == gen)
+    }
+
+    /// Runs `f` on `id`'s live control block, then reconciles the slot
+    /// with what `f` did. Returns the slot and `f`'s result, or `None` —
+    /// `f` unrun — when the handle is not live.
+    fn touch<R>(&mut self, id: ConnId, f: impl FnOnce(&mut ControlBlock) -> R) -> Option<(u32, R)> {
+        let r = f(self.entry_mut(id)?.cb.as_mut()?);
+        let slot = decode_id(id.0).0;
+        self.sync_slot(slot);
+        Some((slot, r))
+    }
+
+    /// `Ok` for a handle this peer ever issued (a stale or TIME_WAIT one
+    /// reads as closed), `BadHandle` for any other.
+    fn known(&self, id: ConnId) -> Result<(), NetError> {
+        match self.lookup(id) {
+            Lookup::Bad => Err(NetError::BadHandle),
+            _ => Ok(()),
+        }
     }
 
     fn alloc_conn(&mut self, cb: ControlBlock, ephemeral_port: bool) -> ConnId {
@@ -376,10 +425,9 @@ impl TcpPeer {
         let e = &mut self.entries[slot as usize];
         e.ephemeral_port = ephemeral_port;
         e.cb = Some(cb);
-        let gen = e.gen;
+        let id = encode_id(slot, e.gen);
         self.live += 1;
-        let id = encode_id(slot, gen);
-        self.demux.insert(key, slot);
+        self.demux.insert(key, id);
         self.sync_slot(slot);
         id
     }
@@ -389,7 +437,9 @@ impl TcpPeer {
     /// the demux mapping, and optionally releases an ephemeral port.
     fn free_slot(&mut self, slot: u32, release_port: bool) {
         let e = &mut self.entries[slot as usize];
-        let cb = e.cb.take().expect("freeing a live slot");
+        let Some(cb) = e.cb.take() else {
+            return;
+        };
         let port = cb.local().port;
         let remote = cb.remote();
         for kind in 0..TIMER_KINDS {
@@ -399,6 +449,7 @@ impl TcpPeer {
         e.gen = (e.gen + 1) % GEN_LIMIT;
         let eph = e.ephemeral_port;
         e.ephemeral_port = false;
+        (e.out_queued, e.owner_closed) = (false, false);
         self.live -= 1;
         self.free.push(slot);
         self.demux.remove(&flow_key(port, remote.ip, remote.port));
@@ -409,18 +460,22 @@ impl TcpPeer {
         }
     }
 
-    /// Frees a connection that has finished cleanly: `Closed`, no error
-    /// to report, nothing left for the application or the wire. Blocks
-    /// that closed *with* an error stay resident so `error()` keeps
-    /// answering.
+    /// Frees a `Closed` connection nobody can learn more from: one that
+    /// finished cleanly with nothing left for the application or the
+    /// wire, or one that died with an error and whose owner has closed
+    /// the handle (until then it stays resident so `error()` answers).
     fn reap_slot(&mut self, slot: u32) {
-        let Some(cb) = self.entries[slot as usize].cb.as_ref() else {
+        let e = &self.entries[slot as usize];
+        let Some(cb) = e.cb.as_ref() else {
             return;
         };
         // Queues are empty when the box was never allocated (heap 0) or
         // when it is allocated but drained (`queues_idle`).
-        let queues_empty = cb.heap_bytes() == 0 || cb.queues_idle();
-        if cb.state() == State::Closed && cb.error().is_none() && queues_empty {
+        let done = match cb.error() {
+            Some(_) => e.owner_closed,
+            None => cb.heap_bytes() == 0 || cb.queues_idle(),
+        };
+        if cb.state() == State::Closed && done {
             self.free_slot(slot, true);
         }
     }
@@ -429,26 +484,20 @@ impl TcpPeer {
     /// queue with one connection's control block. Called after every
     /// operation that can touch a CB.
     fn sync_slot(&mut self, slot: u32) {
-        let id = {
-            let e = &self.entries[slot as usize];
-            if e.cb.is_none() {
-                return;
-            }
-            encode_id(slot, e.gen)
-        };
         let TcpPeer {
             entries,
             wheel,
             active_out,
-            active_set,
             compact_pending,
             config,
             ..
         } = self;
         let e = &mut entries[slot as usize];
-        let cb = e.cb.as_mut().expect("checked above");
-        let deadlines = cb.timer_deadlines();
-        for (kind, &deadline) in deadlines.iter().enumerate() {
+        let id = encode_id(slot, e.gen);
+        let Some(cb) = e.cb.as_mut() else {
+            return;
+        };
+        for (kind, &deadline) in cb.timer_deadlines().iter().enumerate() {
             if e.timers.deadline[kind] != deadline {
                 e.timers.gen[kind] += 1;
                 e.timers.deadline[kind] = deadline;
@@ -465,7 +514,7 @@ impl TcpPeer {
                 }
             }
         }
-        if cb.has_outbox() && active_set.insert(id.0) {
+        if cb.has_outbox() && !std::mem::replace(&mut e.out_queued, true) {
             active_out.push(id);
         }
         if cb.queues_idle() && !cb.compact_enrolled() {
@@ -480,48 +529,29 @@ impl TcpPeer {
     /// enrollment and re-enqueue push monotonically increasing dues), so
     /// one front scan per tick suffices.
     fn sweep_compact(&mut self, now: SimTime) {
+        let delay = self.config.compact_delay;
         while let Some(&(due, id)) = self.compact_pending.front() {
             if due > now {
                 break;
             }
             self.compact_pending.pop_front();
-            let (slot, gen) = decode_id(id.0);
-            let Some(e) = self.entries.get_mut(slot as usize) else {
-                continue;
-            };
-            if e.gen != gen {
-                continue;
-            }
-            let Some(cb) = e.cb.as_mut() else {
+            let Some(cb) = self.entry_mut(id).and_then(|e| e.cb.as_mut()) else {
                 continue;
             };
             if !cb.queues_idle() {
                 // Queues refilled since enrollment; sync_slot re-enrolls
                 // when they next drain.
                 cb.set_compact_enrolled(false);
-                continue;
-            }
-            if now.saturating_since(cb.last_activity()) >= self.config.compact_delay {
+            } else if now.saturating_since(cb.last_activity()) >= delay {
                 cb.release_queues();
                 cb.set_compact_enrolled(false);
             } else {
                 // Active again since enrollment; give it a fresh quiet
                 // window.
-                let due = cb.last_activity().saturating_add(self.config.compact_delay);
+                let due = cb.last_activity().saturating_add(delay);
                 self.compact_pending.push_back((due, id));
             }
         }
-    }
-
-    fn isn(&mut self, remote: SocketAddr) -> SeqNum {
-        // Deterministic but connection-dependent: counter stride plus a
-        // cheap hash of the 4-tuple.
-        self.isn_counter = self.isn_counter.wrapping_add(1);
-        let mut h: u32 = 0x9E37_79B9 ^ remote.port as u32;
-        for b in remote.ip.octets() {
-            h = h.rotate_left(5) ^ b as u32;
-        }
-        SeqNum(self.isn_counter.wrapping_mul(64_000).wrapping_add(h))
     }
 
     // ------------------------------------------------------------------
@@ -530,34 +560,29 @@ impl TcpPeer {
 
     /// Starts listening on `port`.
     pub fn listen(&mut self, port: u16, backlog: usize) -> Result<ListenerId, NetError> {
-        if self.bound_ports.contains(&port) {
+        if !self.bound_ports.insert(port) {
             return Err(NetError::AddrInUse(port));
         }
-        self.bound_ports.insert(port);
-        let id = ListenerId(self.next_listener);
-        self.next_listener += 1;
-        let max_backlog = backlog.max(1);
+        let id = ListenerId(self.listens << 16 | u32::from(port));
+        self.listens = self.listens.wrapping_add(1);
         let mut syn_table = Vec::new();
-        syn_table.resize_with(max_backlog, || None);
+        syn_table.resize_with(backlog.max(1), || None);
+        let ready = VecDeque::new();
         self.listeners.insert(
-            id,
+            port,
             Listener {
-                port,
-                max_backlog,
-                ready: VecDeque::new(),
+                id,
+                ready,
                 syn_table,
             },
         );
-        self.listening_ports.insert(port, id);
         Ok(id)
     }
 
     /// Pops an established connection off the listener's backlog.
     pub fn accept(&mut self, listener: ListenerId) -> Result<Option<ConnId>, NetError> {
-        let l = self
-            .listeners
-            .get_mut(&listener)
-            .ok_or(NetError::BadHandle)?;
+        let l = self.listeners.get_mut(&(listener.0 as u16));
+        let l = l.filter(|l| l.id == listener).ok_or(NetError::BadHandle)?;
         Ok(l.ready.pop_front())
     }
 
@@ -565,16 +590,18 @@ impl TcpPeer {
     /// dropped) and ready-but-unaccepted connections are aborted. Returns
     /// the port the listener held, `None` for an unknown handle.
     pub(crate) fn close_listener(&mut self, listener: ListenerId) -> Option<u16> {
-        let l = self.listeners.remove(&listener)?;
-        self.listening_ports.remove(&l.port);
-        self.bound_ports.remove(&l.port);
-        for &id in l.ready.iter() {
-            if let Lookup::Live(slot) = self.lookup(id) {
-                self.cb_mut(slot).abort();
-                self.sync_slot(slot);
-            }
+        let port = listener.0 as u16;
+        let Entry::Occupied(l) = self.listeners.entry(port) else {
+            return None;
+        };
+        if l.get().id != listener {
+            return None;
         }
-        Some(l.port)
+        self.bound_ports.remove(&port);
+        for id in l.remove().ready {
+            self.touch(id, ControlBlock::abort);
+        }
+        Some(port)
     }
 
     /// Starts an active open to `remote`; returns immediately with the
@@ -597,7 +624,7 @@ impl TcpPeer {
     ) -> ConnId {
         self.bound_ports.insert(local_port);
         let local = SocketAddr::new(self.local_ip, local_port);
-        let iss = self.isn(remote);
+        let iss = isn(&mut self.isn_counter, remote);
         let cb = ControlBlock::connect(local, remote, iss, now, self.config);
         self.alloc_conn(cb, true)
     }
@@ -617,8 +644,7 @@ impl TcpPeer {
         for _ in 0..=u16::MAX as u32 {
             let candidate = self.next_ephemeral;
             self.next_ephemeral = self.next_ephemeral.checked_add(1).unwrap_or(32_768);
-            if !self.bound_ports.contains(&candidate) {
-                self.bound_ports.insert(candidate);
+            if self.bound_ports.insert(candidate) {
                 return Ok(candidate);
             }
         }
@@ -630,8 +656,8 @@ impl TcpPeer {
     /// control block would.
     pub fn state(&self, conn: ConnId) -> Result<State, NetError> {
         match self.lookup(conn) {
-            Lookup::Live(slot) => Ok(self.cb(slot).state()),
-            Lookup::TimeWait => Ok(State::TimeWait),
+            Lookup::Live(cb) => Ok(cb.state()),
+            Lookup::TimeWait(_) => Ok(State::TimeWait),
             Lookup::Stale => Ok(State::Closed),
             Lookup::Bad => Err(NetError::BadHandle),
         }
@@ -641,10 +667,7 @@ impl TcpPeer {
     /// stay resident until their error is observed via a fresh handle
     /// lookup; cleanly-closed connections are reclaimed and report none.)
     pub(crate) fn error(&self, conn: ConnId) -> Option<NetError> {
-        match self.lookup(conn) {
-            Lookup::Live(slot) => self.cb(slot).error().cloned(),
-            _ => None,
-        }
+        self.live(conn)?.error().cloned()
     }
 
     /// Queues data for transmission: the one-buffer case of
@@ -661,16 +684,14 @@ impl TcpPeer {
         bufs: impl IntoIterator<Item = DemiBuffer>,
         now: SimTime,
     ) -> Result<(), NetError> {
-        match self.lookup(conn) {
-            Lookup::Live(slot) => {
-                self.cb_mut(slot).send_all(bufs, now)?;
-                self.sync_slot(slot);
-                Ok(())
-            }
-            Lookup::TimeWait => Err(NetError::Closed),
-            Lookup::Stale => Err(NetError::NotConnected),
-            Lookup::Bad => Err(NetError::BadHandle),
+        if let Some((_, sent)) = self.touch(conn, |cb| cb.send_all(bufs, now)) {
+            return sent;
         }
+        Err(match self.lookup(conn) {
+            Lookup::TimeWait(_) => NetError::Closed,
+            Lookup::Stale => NetError::NotConnected,
+            _ => NetError::BadHandle,
+        })
     }
 
     /// Pops one received stream chunk (zero-copy, in order).
@@ -694,25 +715,20 @@ impl TcpPeer {
         conn: ConnId,
         pop: impl FnOnce(&mut ControlBlock),
     ) -> Result<(), NetError> {
-        match self.lookup(conn) {
-            Lookup::Live(slot) => {
-                pop(self.cb_mut(slot));
-                self.sync_slot(slot);
-                // Draining the last buffered data may make a cleanly
-                // closed connection reclaimable.
-                self.reap_slot(slot);
-                Ok(())
-            }
-            Lookup::TimeWait | Lookup::Stale => Ok(()),
-            Lookup::Bad => Err(NetError::BadHandle),
-        }
+        let Some((slot, ())) = self.touch(conn, pop) else {
+            return self.known(conn);
+        };
+        // Draining the last buffered data may make a cleanly closed
+        // connection reclaimable.
+        self.reap_slot(slot);
+        Ok(())
     }
 
     /// Whether the connection has readable data or EOF.
     pub(crate) fn is_readable(&self, conn: ConnId) -> bool {
         match self.lookup(conn) {
-            Lookup::Live(slot) => self.cb(slot).is_readable(),
-            Lookup::TimeWait | Lookup::Stale => true, // EOF is readable.
+            Lookup::Live(cb) => cb.is_readable(),
+            Lookup::TimeWait(_) | Lookup::Stale => true, // EOF is readable.
             Lookup::Bad => false,
         }
     }
@@ -720,45 +736,29 @@ impl TcpPeer {
     /// Whether the peer closed and all data was drained.
     pub fn at_eof(&self, conn: ConnId) -> bool {
         match self.lookup(conn) {
-            Lookup::Live(slot) => self.cb(slot).at_eof(),
-            Lookup::TimeWait | Lookup::Stale => true,
+            Lookup::Live(cb) => cb.at_eof(),
+            Lookup::TimeWait(_) | Lookup::Stale => true,
             Lookup::Bad => false,
         }
     }
 
-    /// Graceful close.
+    /// Graceful close. The handle is the owner's last word: a block that
+    /// has died, or later dies, with an error is freed (with its
+    /// ephemeral port) as soon as it is `Closed`.
     pub fn close(&mut self, conn: ConnId, now: SimTime) -> Result<(), NetError> {
-        match self.lookup(conn) {
-            Lookup::Live(slot) => {
-                self.cb_mut(slot).close(now);
-                self.sync_slot(slot);
-                self.reap_slot(slot);
-                // A block that already died with an error stays resident
-                // only so `error()` keeps answering; once the owner closes
-                // the handle there is no one left to ask, so the slot (and
-                // its ephemeral port) frees immediately.
-                let errored_closed = self.entries[slot as usize]
-                    .cb
-                    .as_ref()
-                    .is_some_and(|cb| cb.state() == State::Closed && cb.error().is_some());
-                if errored_closed {
-                    self.free_slot(slot, true);
-                }
-                Ok(())
-            }
-            Lookup::TimeWait | Lookup::Stale => Ok(()),
-            Lookup::Bad => Err(NetError::BadHandle),
-        }
+        let Some((slot, ())) = self.touch(conn, |cb| cb.close(now)) else {
+            return self.known(conn);
+        };
+        self.entries[slot as usize].owner_closed = true;
+        self.reap_slot(slot);
+        Ok(())
     }
 
     /// Remote endpoint of a connection.
     pub fn remote(&self, conn: ConnId) -> Result<SocketAddr, NetError> {
         match self.lookup(conn) {
-            Lookup::Live(slot) => Ok(self.cb(slot).remote()),
-            Lookup::TimeWait => {
-                let rec = self.tw_rec(conn.0).expect("lookup said TimeWait");
-                Ok(rec.remote)
-            }
+            Lookup::Live(cb) => Ok(cb.remote()),
+            Lookup::TimeWait(rec) => Ok(rec.remote),
             _ => Err(NetError::BadHandle),
         }
     }
@@ -766,21 +766,18 @@ impl TcpPeer {
     /// Local endpoint of a connection.
     pub fn local(&self, conn: ConnId) -> Result<SocketAddr, NetError> {
         match self.lookup(conn) {
-            Lookup::Live(slot) => Ok(self.cb(slot).local()),
-            Lookup::TimeWait => {
-                let rec = self.tw_rec(conn.0).expect("lookup said TimeWait");
-                Ok(SocketAddr::new(self.local_ip, rec.local_port))
-            }
+            Lookup::Live(cb) => Ok(cb.local()),
+            Lookup::TimeWait(rec) => Ok(SocketAddr::new(self.local_ip, rec.local_port)),
             _ => Err(NetError::BadHandle),
         }
     }
 
     /// Per-connection protocol counters. Reclaimed connections report
     /// zeroes.
-    pub(crate) fn conn_stats(&self, conn: ConnId) -> Result<super::cb::CbStats, NetError> {
+    pub(crate) fn conn_stats(&self, conn: ConnId) -> Result<CbStats, NetError> {
         match self.lookup(conn) {
-            Lookup::Live(slot) => Ok(self.cb(slot).stats()),
-            Lookup::TimeWait | Lookup::Stale => Ok(super::cb::CbStats::default()),
+            Lookup::Live(cb) => Ok(cb.stats()),
+            Lookup::TimeWait(_) | Lookup::Stale => Ok(CbStats::default()),
             Lookup::Bad => Err(NetError::BadHandle),
         }
     }
@@ -788,10 +785,6 @@ impl TcpPeer {
     // ------------------------------------------------------------------
     // TIME_WAIT records.
     // ------------------------------------------------------------------
-
-    fn tw_rec(&self, owner: u32) -> Option<&TimeWaitRecord> {
-        self.tw.get(self.tw_by_id.get(&owner)?)
-    }
 
     /// Tags `port` with its owning tenant: TIME_WAIT records from
     /// connections on the port are charged to that tenant's partition.
@@ -808,62 +801,55 @@ impl TcpPeer {
     /// quota the tenant's own oldest record is evicted (a quota drop) —
     /// never another tenant's. TIME_WAIT memory is thereby partitioned.
     pub(crate) fn set_tenant_tw_quota(&mut self, tenant: u16, quota: usize) {
-        self.tw_quota.insert(tenant, quota.max(1));
+        self.tenant_tw.entry(tenant).or_default().quota = Some(quota.max(1));
     }
 
     /// Parked TIME_WAIT records currently charged to `tenant`.
     pub(crate) fn tw_count_for(&self, tenant: u16) -> usize {
-        self.tw_count.get(&tenant).copied().unwrap_or(0)
+        self.tenant_tw.get(&tenant).map_or(0, |t| t.count)
     }
 
     /// Occupied SYN-table slots for the listener on `port` (0 when not
     /// listening). SYN tables are per-listener — and a port has one
     /// owning tenant — so this is the per-tenant half-open partition.
     pub(crate) fn syn_backlog_used(&self, port: u16) -> usize {
-        self.listening_ports
-            .get(&port)
-            .and_then(|lid| self.listeners.get(lid))
-            .map(|l| l.syn_table.iter().filter(|e| e.is_some()).count())
-            .unwrap_or(0)
+        let l = self.listeners.get(&port);
+        l.map_or(0, |l| l.syn_table.iter().flatten().count())
     }
 
-    /// Releases one TIME_WAIT charge against `tenant`'s partition.
-    fn tw_uncharge(&mut self, tenant: u16) {
-        if tenant != 0 {
-            if let Some(c) = self.tw_count.get_mut(&tenant) {
-                *c = c.saturating_sub(1);
-            }
+    /// Drops the TIME_WAIT record for `key`, if any: unindexes it,
+    /// releases its ephemeral port and uncharges its tenant.
+    fn release_tw(&mut self, key: u64) -> bool {
+        let Some(rec) = self.tw.remove(&key) else {
+            return false;
+        };
+        self.tw_by_id.remove(&rec.owner_id);
+        if rec.ephemeral {
+            self.bound_ports.remove(&rec.local_port);
+            self.released_ports.push(rec.local_port);
         }
+        if let Some(t) = self.tenant_tw.get_mut(&rec.tenant) {
+            t.count = t.count.saturating_sub(1);
+        }
+        true
     }
 
     /// Evicts `tenant`'s own oldest parked TIME_WAIT record to make room
     /// under its quota (stale order keys are skipped). Ports release as
     /// on expiry.
     fn evict_oldest_tw(&mut self, tenant: u16) -> bool {
-        loop {
-            let key = {
-                let Some(order) = self.tw_order.get_mut(&tenant) else {
-                    return false;
-                };
-                let Some(key) = order.pop_front() else {
-                    return false;
-                };
-                key
-            };
-            let evictable = self.tw.get(&key).is_some_and(|r| r.tenant == tenant);
-            if !evictable {
-                continue;
+        while let Some(key) = self
+            .tenant_tw
+            .get_mut(&tenant)
+            .and_then(|t| t.order.pop_front())
+        {
+            if self.tw.get(&key).is_some_and(|r| r.tenant == tenant) {
+                self.release_tw(key);
+                demi_tenant::counters::note_quota_drop();
+                return true;
             }
-            let rec = self.tw.remove(&key).expect("checked above");
-            self.tw_by_id.remove(&rec.owner_id);
-            if rec.ephemeral {
-                self.bound_ports.remove(&rec.local_port);
-                self.released_ports.push(rec.local_port);
-            }
-            self.tw_uncharge(tenant);
-            demi_tenant::counters::note_quota_drop();
-            return true;
         }
+        false
     }
 
     /// Demotes a fully-drained TIME_WAIT control block to a compact
@@ -894,15 +880,11 @@ impl TcpPeer {
         // tenant's own oldest record makes room first.
         let tenant = self.port_tenants.get(&local_port).copied().unwrap_or(0);
         if tenant != 0 {
-            if let Some(&quota) = self.tw_quota.get(&tenant) {
-                while self.tw_count_for(tenant) >= quota {
-                    if !self.evict_oldest_tw(tenant) {
-                        break;
-                    }
-                }
-            }
-            *self.tw_count.entry(tenant).or_insert(0) += 1;
-            self.tw_order.entry(tenant).or_default().push_back(key);
+            let full = |t: &TenantTimeWait| t.quota.is_some_and(|q| t.count >= q);
+            while self.tenant_tw.get(&tenant).is_some_and(full) && self.evict_oldest_tw(tenant) {}
+            let t = self.tenant_tw.entry(tenant).or_default();
+            t.count += 1;
+            t.order.push_back(key);
         }
         self.tw.insert(
             key,
@@ -935,24 +917,18 @@ impl TcpPeer {
     /// the record, a late FIN is re-ACKed and restarts 2·MSL, anything
     /// else is silently absorbed.
     fn handle_timewait_segment(&mut self, key: u64, hdr: &TcpHeader, now: SimTime) -> bool {
-        if !self.tw.contains_key(&key) {
-            return false;
-        }
-        self.stats.demuxed += 1;
         if hdr.flags.rst {
-            let rec = self.tw.remove(&key).expect("checked above");
-            self.tw_by_id.remove(&rec.owner_id);
-            if rec.ephemeral {
-                self.bound_ports.remove(&rec.local_port);
-                self.released_ports.push(rec.local_port);
-            }
-            self.tw_uncharge(rec.tenant);
-            return true;
+            let found = self.release_tw(key);
+            self.stats.demuxed += u64::from(found);
+            return found;
         }
+        let Some(rec) = self.tw.get_mut(&key) else {
+            return false;
+        };
+        self.stats.demuxed += 1;
         if hdr.flags.fin {
             let window = self.config.recv_capacity.min(65_535) as u16;
             let expiry = now.saturating_add(self.config.msl.saturating_mul(2));
-            let rec = self.tw.get_mut(&key).expect("checked above");
             rec.wheel_gen = rec.wheel_gen.wrapping_add(1);
             let reply = (
                 rec.remote.ip,
@@ -983,27 +959,6 @@ impl TcpPeer {
         true
     }
 
-    fn expire_tw(&mut self, owner: u32, wheel_gen: u64) -> bool {
-        let Some(&key) = self.tw_by_id.get(&owner) else {
-            return false;
-        };
-        let Some(rec) = self.tw.get(&key) else {
-            return false;
-        };
-        if rec.wheel_gen as u64 != wheel_gen {
-            return false; // A late FIN restarted 2·MSL; this entry is stale.
-        }
-        let rec = self.tw.remove(&key).expect("checked above");
-        self.tw_by_id.remove(&owner);
-        if rec.ephemeral {
-            self.bound_ports.remove(&rec.local_port);
-            self.released_ports.push(rec.local_port);
-        }
-        self.tw_uncharge(rec.tenant);
-        crate::counters::note_tw_expired();
-        true
-    }
-
     // ------------------------------------------------------------------
     // Stack-facing interface.
     // ------------------------------------------------------------------
@@ -1019,23 +974,23 @@ impl TcpPeer {
         let key = flow_key(hdr.dst_port, src_ip, hdr.src_port);
         crate::counters::note_demux_lookup();
         let hit = match self.last_demux {
-            Some((k, slot)) if k == key => {
+            Some((k, id)) if k == key => {
                 crate::counters::note_demux_cache_hit();
-                Some(slot)
+                Some(id)
             }
             _ => {
                 let found = self.demux.get(&key).copied();
-                if let Some(slot) = found {
-                    self.last_demux = Some((key, slot));
+                if let Some(id) = found {
+                    self.last_demux = Some((key, id));
                 }
                 found
             }
         };
-        if let Some(slot) = hit {
+        if let Some(id) = hit {
             self.stats.demuxed += 1;
-            self.cb_mut(slot).on_segment(hdr, payload, now);
-            self.sync_slot(slot);
-            self.reap_slot(slot);
+            if let Some((slot, ())) = self.touch(id, |cb| cb.on_segment(hdr, payload, now)) {
+                self.reap_slot(slot);
+            }
             return;
         }
 
@@ -1043,11 +998,9 @@ impl TcpPeer {
             return;
         }
 
-        let payload_len = payload.len();
-        if let Some(&lid) = self.listening_ports.get(&hdr.dst_port) {
-            if self.handle_listener_segment(lid, key, src_ip, hdr, payload, now) {
-                return;
-            }
+        let payload_len = payload.len() as u32;
+        if self.handle_listener_segment(key, src_ip, hdr, payload, now) {
+            return;
         }
 
         // Nothing matched: refuse with RST (unless this is itself a RST).
@@ -1055,45 +1008,102 @@ impl TcpPeer {
             self.stats.unmatched += 1;
             return;
         }
-        self.stats.resets_sent += 1;
-        let ack = hdr.seq + payload_len as u32 + hdr.flags.syn as u32 + hdr.flags.fin as u32;
-        self.raw_out.push((
-            src_ip,
-            TcpSegmentOut {
-                header: TcpHeader {
-                    src_port: hdr.dst_port,
-                    dst_port: hdr.src_port,
-                    seq: if hdr.flags.ack { hdr.ack } else { SeqNum(0) },
-                    ack,
-                    flags: TcpFlags::RST_ACK,
-                    window: 0,
-                    mss: None,
-                },
-                payload: DemiBuffer::empty(),
-            },
-        ));
+        let ack = hdr.seq + payload_len + hdr.flags.syn as u32 + hdr.flags.fin as u32;
+        self.send_reset(src_ip, hdr, ack);
     }
 
-    /// Handles a segment addressed to a listening port that matched no
-    /// connection: SYNs enter the bounded SYN table; a final-handshake ACK
-    /// promotes its entry to a real control block. Returns `false` if the
-    /// segment should fall through to the unmatched-RST path.
+    /// Refuses `hdr` from `dst` with a RST acknowledging through `ack`.
+    fn send_reset(&mut self, dst: Ipv4Addr, hdr: &TcpHeader, ack: SeqNum) {
+        self.stats.resets_sent += 1;
+        let header = TcpHeader {
+            src_port: hdr.dst_port,
+            dst_port: hdr.src_port,
+            seq: if hdr.flags.ack { hdr.ack } else { SeqNum(0) },
+            ack,
+            flags: TcpFlags::RST_ACK,
+            window: 0,
+            mss: None,
+        };
+        let payload = DemiBuffer::empty();
+        self.raw_out.push((dst, TcpSegmentOut { header, payload }));
+    }
+
+    /// Handles a segment to a listening port that matched no connection,
+    /// without allocating anything per connection until the handshake
+    /// completes: a SYN takes a slot of the fixed-size SYN table and gets
+    /// a SYN-ACK, a RST drops its half-open entry, and the final ACK
+    /// promotes the entry to a control block queued for `accept`.
+    /// Returns `false` — nothing listens on the port, or nothing
+    /// half-open matches — for the unmatched-RST path.
     fn handle_listener_segment(
         &mut self,
-        lid: ListenerId,
         key: u64,
         src_ip: Ipv4Addr,
         hdr: &TcpHeader,
         payload: DemiBuffer,
         now: SimTime,
     ) -> bool {
-        let remote = SocketAddr::new(src_ip, hdr.src_port);
+        let Some(l) = self.listeners.get_mut(&hdr.dst_port) else {
+            return false;
+        };
+        let found = l
+            .syn_table
+            .iter()
+            .position(|e| e.as_ref().is_some_and(|e| e.key == key));
         if hdr.flags.syn && !hdr.flags.ack {
-            self.admit_syn(lid, key, remote, hdr, now);
+            let remote = SocketAddr::new(src_ip, hdr.src_port);
+            let resent = found.and_then(|i| l.syn_table[i].as_mut());
+            let (iss, irs) = match resent.filter(|e| e.irs == hdr.seq) {
+                // Retransmitted SYN (our SYN-ACK was lost): re-send it
+                // identically, and stop trusting its RTT sample.
+                Some(e) => {
+                    e.retransmitted = true;
+                    (e.iss, e.irs)
+                }
+                None => {
+                    // A fresh attempt takes its 4-tuple's stale entry,
+                    // else a free slot, else the oldest: under a SYN
+                    // flood that recycles attacker entries, and an
+                    // evicted legitimate client retries its SYN.
+                    let free = || l.syn_table.iter().position(Option::is_none);
+                    let idx = found.or_else(free).unwrap_or_else(|| {
+                        self.stats.syns_evicted += 1;
+                        crate::counters::note_syn_evicted();
+                        let age = |e: &Option<SynEntry>| e.as_ref().map_or(0, |e| e.created);
+                        let oldest = l.syn_table.iter().enumerate().min_by_key(|(_, e)| age(e));
+                        oldest.map_or(0, |(i, _)| i)
+                    });
+                    let iss = isn(&mut self.isn_counter, remote);
+                    l.syn_table[idx] = Some(SynEntry {
+                        key,
+                        remote,
+                        irs: hdr.seq,
+                        iss,
+                        peer_mss: hdr.mss,
+                        synack_time: now,
+                        retransmitted: false,
+                        created: self.syn_clock,
+                    });
+                    self.syn_clock += 1;
+                    self.stats.syns_accepted += 1;
+                    (iss, hdr.seq)
+                }
+            };
+            let header = TcpHeader {
+                src_port: hdr.dst_port,
+                dst_port: remote.port,
+                seq: iss,
+                ack: irs + 1,
+                flags: TcpFlags::SYN_ACK,
+                window: self.config.recv_capacity.min(65_535) as u16,
+                mss: Some(self.config.mss as u16),
+            };
+            let payload = DemiBuffer::empty();
+            self.raw_out
+                .push((src_ip, TcpSegmentOut { header, payload }));
             return true;
         }
-        let l = self.listeners.get_mut(&lid).expect("listener exists");
-        let Some(idx) = l.syn_slot(key) else {
+        let Some(idx) = found else {
             return false;
         };
         if hdr.flags.rst {
@@ -1102,159 +1112,27 @@ impl TcpPeer {
             self.stats.demuxed += 1;
             return true;
         }
-        if hdr.flags.ack {
-            let entry = l.syn_table[idx].as_ref().expect("slot found");
-            if hdr.ack == entry.iss + 1 {
-                let entry = l.syn_table[idx].take().expect("slot found");
-                self.stats.demuxed += 1;
-                self.complete_handshake(lid, entry, src_ip, hdr, payload, now);
-            }
-            // A wrong-ack ACK to a half-open entry is ignored, like the
-            // old SYN_RCVD control block did.
+        // Only the final ACK promotes the entry. A wrong-ack ACK is
+        // ignored, like the old SYN_RCVD control block did, and so is
+        // anything else: the client's retransmissions sort it out.
+        let completes = |e: &mut SynEntry| hdr.flags.ack && hdr.ack == e.iss + 1;
+        let Some(entry) = l.syn_table[idx].take_if(completes) else {
             return true;
-        }
-        // Anything else aimed at a half-open entry: ignore; the client's
-        // retransmissions sort it out.
-        true
-    }
-
-    /// Admits a SYN to the listener's fixed-size table (dup-detecting,
-    /// oldest-evicting) and emits the SYN-ACK — without allocating any
-    /// per-connection state beyond the table slot.
-    fn admit_syn(
-        &mut self,
-        lid: ListenerId,
-        key: u64,
-        remote: SocketAddr,
-        hdr: &TcpHeader,
-        now: SimTime,
-    ) {
-        let l = self.listeners.get(&lid).expect("listener exists");
-        let port = l.port;
-        if let Some(idx) = l.syn_slot(key) {
-            let l = self.listeners.get_mut(&lid).expect("listener exists");
-            let e = l.syn_table[idx].as_mut().expect("slot found");
-            if e.irs == hdr.seq {
-                // Retransmitted SYN (our SYN-ACK was lost): re-send it
-                // identically, and stop trusting its RTT sample.
-                e.retransmitted = true;
-                let (iss, irs) = (e.iss, e.irs);
-                self.emit_synack(remote, port, iss, irs);
-                return;
-            }
-            // Same 4-tuple, new ISN: a fresh attempt replacing a stale
-            // half-open entry.
-            let iss = self.isn(remote);
-            let created = self.syn_clock;
-            self.syn_clock += 1;
-            let l = self.listeners.get_mut(&lid).expect("listener exists");
-            l.syn_table[idx] = Some(SynEntry {
-                key,
-                remote,
-                irs: hdr.seq,
-                iss,
-                peer_mss: hdr.mss,
-                synack_time: now,
-                retransmitted: false,
-                created,
-            });
-            self.stats.syns_accepted += 1;
-            self.emit_synack(remote, port, iss, hdr.seq);
-            return;
-        }
-        let iss = self.isn(remote);
-        let created = self.syn_clock;
-        self.syn_clock += 1;
-        let l = self.listeners.get_mut(&lid).expect("listener exists");
-        let idx = match l.syn_table.iter().position(Option::is_none) {
-            Some(i) => i,
-            None => {
-                // Table full: evict the oldest half-open attempt. Under a
-                // SYN flood this recycles attacker entries; a legitimate
-                // client that gets evicted retries its SYN.
-                let oldest = l
-                    .syn_table
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.as_ref().expect("table full").created)
-                    .expect("table non-empty")
-                    .0;
-                self.stats.syns_evicted += 1;
-                crate::counters::note_syn_evicted();
-                oldest
-            }
         };
-        l.syn_table[idx] = Some(SynEntry {
-            key,
-            remote,
-            irs: hdr.seq,
-            iss,
-            peer_mss: hdr.mss,
-            synack_time: now,
-            retransmitted: false,
-            created,
-        });
-        self.stats.syns_accepted += 1;
-        self.emit_synack(remote, port, iss, hdr.seq);
-    }
-
-    fn emit_synack(&mut self, remote: SocketAddr, local_port: u16, iss: SeqNum, irs: SeqNum) {
-        self.raw_out.push((
-            remote.ip,
-            TcpSegmentOut {
-                header: TcpHeader {
-                    src_port: local_port,
-                    dst_port: remote.port,
-                    seq: iss,
-                    ack: irs + 1,
-                    flags: TcpFlags::SYN_ACK,
-                    window: self.config.recv_capacity.min(65_535) as u16,
-                    mss: Some(self.config.mss as u16),
-                },
-                payload: DemiBuffer::empty(),
-            },
-        ));
-    }
-
-    /// The handshake's final ACK arrived: build the established control
-    /// block (the first per-connection allocation), feed it the ACK
-    /// segment so windows and any piggybacked payload apply normally, and
-    /// queue it for `accept`.
-    fn complete_handshake(
-        &mut self,
-        lid: ListenerId,
-        entry: SynEntry,
-        src_ip: Ipv4Addr,
-        hdr: &TcpHeader,
-        payload: DemiBuffer,
-        now: SimTime,
-    ) {
-        let l = self.listeners.get(&lid).expect("listener exists");
-        let (port, max_backlog, ready_len) = (l.port, l.max_backlog, l.ready.len());
-        if ready_len >= max_backlog {
+        self.stats.demuxed += 1;
+        if l.ready.len() >= l.syn_table.len() {
             // Accept queue full: refuse the completed handshake with RST
             // rather than allocating a control block nobody will accept.
             self.stats.syns_dropped_backlog += 1;
-            self.stats.resets_sent += 1;
             let ack = hdr.seq + payload.len() as u32 + hdr.flags.fin as u32;
-            self.raw_out.push((
-                src_ip,
-                TcpSegmentOut {
-                    header: TcpHeader {
-                        src_port: port,
-                        dst_port: entry.remote.port,
-                        seq: hdr.ack,
-                        ack,
-                        flags: TcpFlags::RST_ACK,
-                        window: 0,
-                        mss: None,
-                    },
-                    payload: DemiBuffer::empty(),
-                },
-            ));
-            return;
+            self.send_reset(src_ip, hdr, ack);
+            return true;
         }
-        let local = SocketAddr::new(self.local_ip, port);
+        // Build the established control block (the first per-connection
+        // allocation) and replay the completing ACK through it, so its
+        // window and any piggybacked payload land exactly as they did when
+        // SYN_RCVD control blocks processed this segment.
+        let local = SocketAddr::new(self.local_ip, hdr.dst_port);
         let mut cb = ControlBlock::established(
             local,
             entry.remote,
@@ -1267,20 +1145,13 @@ impl TcpPeer {
         if !entry.retransmitted {
             cb.sample_rtt(now.saturating_since(entry.synack_time));
         }
+        cb.on_segment(hdr, payload, now);
         let id = self.alloc_conn(cb, false);
-        let Lookup::Live(slot) = self.lookup(id) else {
-            unreachable!("just allocated");
-        };
-        self.listeners
-            .get_mut(&lid)
-            .expect("listener exists")
-            .ready
-            .push_back(id);
-        // Replay the completing ACK through the normal machine so its
-        // window (and any piggybacked payload) land exactly as they did
-        // when SYN_RCVD control blocks processed this segment.
-        self.cb_mut(slot).on_segment(hdr, payload, now);
-        self.sync_slot(slot);
+        // `alloc_conn` needs all of `self`, so the listener is found again.
+        if let Some(l) = self.listeners.get_mut(&hdr.dst_port) {
+            l.ready.push_back(id);
+        }
+        true
     }
 
     /// Whether [`TcpPeer::on_tick`] at `now` would do anything: a wheel
@@ -1307,11 +1178,14 @@ impl TcpPeer {
         fired.clear();
         for &(_, tkey) in &due {
             if tkey.kind == TW_KIND {
-                if self.expire_tw(tkey.conn.0, tkey.gen) {
-                    crate::counters::note_timer_fired();
-                    events += 1;
-                } else {
-                    crate::counters::note_timer_stale();
+                match live_tw_key(&self.tw, &self.tw_by_id, &tkey) {
+                    Some(key) => {
+                        self.release_tw(key);
+                        crate::counters::note_tw_expired();
+                        crate::counters::note_timer_fired();
+                        events += 1;
+                    }
+                    None => crate::counters::note_timer_stale(),
                 }
                 continue;
             }
@@ -1361,23 +1235,11 @@ impl TcpPeer {
             let Some(&(due, id)) = self.compact_pending.front() else {
                 break None;
             };
-            let (slot, gen) = decode_id(id.0);
-            let live = self.entries.get(slot as usize).is_some_and(|e| {
-                e.gen == gen && e.cb.as_ref().is_some_and(|cb| cb.compact_enrolled())
-            });
-            if live {
+            if self.live(id).is_some_and(ControlBlock::compact_enrolled) {
                 break Some(due);
             }
             self.compact_pending.pop_front();
         };
-        let wheel_due = self.wheel_next_deadline();
-        match (wheel_due, compact_due) {
-            (Some(w), Some(c)) => Some(w.min(c)),
-            (w, c) => w.or(c),
-        }
-    }
-
-    fn wheel_next_deadline(&mut self) -> Option<SimTime> {
         let TcpPeer {
             wheel,
             entries,
@@ -1385,12 +1247,9 @@ impl TcpPeer {
             tw_by_id,
             ..
         } = self;
-        wheel.peek_earliest_live(|tkey| {
+        let wheel_due = wheel.peek_earliest_live(|tkey| {
             let live = if tkey.kind == TW_KIND {
-                tw_by_id
-                    .get(&tkey.conn.0)
-                    .and_then(|k| tw.get(k))
-                    .is_some_and(|r| r.wheel_gen as u64 == tkey.gen)
+                live_tw_key(tw, tw_by_id, tkey).is_some()
             } else {
                 live_timer_slot(entries, tkey).is_some()
             };
@@ -1398,7 +1257,11 @@ impl TcpPeer {
                 crate::counters::note_timer_stale();
             }
             live
-        })
+        });
+        match (wheel_due, compact_due) {
+            (Some(w), Some(c)) => Some(w.min(c)),
+            (w, c) => w.or(c),
+        }
     }
 
     /// Whether [`TcpPeer::drain_segments`] or
@@ -1419,19 +1282,24 @@ impl TcpPeer {
             std::mem::swap(&mut self.active_out, &mut self.active_scratch);
             for i in 0..self.active_scratch.len() {
                 let id = self.active_scratch[i];
-                let Lookup::Live(slot) = self.lookup(id) else {
+                // A listing whose slot was freed since is skipped; the
+                // slot's flag was reset with it.
+                let Some(e) = self.entry_mut(id) else {
                     continue;
                 };
-                let cb = self.cb_mut(slot);
+                e.out_queued = false;
+                let Some(cb) = e.cb.as_mut() else {
+                    continue;
+                };
                 let dst = cb.remote().ip;
                 cb.drain_outbox_into(dst, out);
                 // With the closing ACK on the wire, a drained TIME_WAIT
                 // block can demote and a finished block can be reclaimed.
+                let slot = decode_id(id.0).0;
                 self.maybe_demote_slot(slot);
                 self.reap_slot(slot);
             }
             self.active_scratch.clear();
-            self.active_set.clear();
         }
         if out.capacity() > cap_before {
             crate::counters::note_outbox_scratch_grow();
@@ -1460,17 +1328,19 @@ impl TcpPeer {
             .collect()
     }
 
-    /// Whether `conn` is quiescent enough to arm a device offload.
-    pub(crate) fn offload_quiescent(&self, conn: ConnId) -> bool {
-        matches!(self.lookup(conn), Lookup::Live(slot) if self.cb(slot).offload_quiescent())
+    /// The connection the demux table holds for local `port` and
+    /// `remote` — the planner's flow → connection map.
+    pub(crate) fn demux_conn(&self, port: u16, remote: SocketAddr) -> Option<ConnId> {
+        self.demux
+            .get(&flow_key(port, remote.ip, remote.port))
+            .copied()
     }
 
-    /// Arm-time shadow `(rcv_nxt, snd_nxt, window, mss)` for `conn`.
+    /// Arm-time shadow `(rcv_nxt, snd_nxt, window, mss)` for `conn`, if
+    /// it is quiescent enough to arm a device offload.
     pub(crate) fn offload_arm_info(&self, conn: ConnId) -> Option<(u32, u32, u16, usize)> {
-        match self.lookup(conn) {
-            Lookup::Live(slot) => Some(self.cb(slot).offload_arm_info()),
-            _ => None,
-        }
+        let cb = self.live(conn).filter(|cb| cb.offload_quiescent())?;
+        Some(cb.offload_arm_info())
     }
 
     /// Applies a device `Served` sync event to `conn`.
@@ -1481,26 +1351,17 @@ impl TcpPeer {
         reply: DemiBuffer,
         now: SimTime,
     ) {
-        if let Lookup::Live(slot) = self.lookup(conn) {
-            self.cb_mut(slot).offload_served(rx_len, reply, now);
-            self.sync_slot(slot);
-        }
+        self.touch(conn, |cb| cb.offload_served(rx_len, reply, now));
     }
 
     /// Applies a device `AckAdvance` sync event to `conn`.
     pub(crate) fn offload_ack(&mut self, conn: ConnId, ack: u32, window: u16, now: SimTime) {
-        if let Lookup::Live(slot) = self.lookup(conn) {
-            self.cb_mut(slot).offload_ack(ack, window, now);
-            self.sync_slot(slot);
-        }
+        self.touch(conn, |cb| cb.offload_ack(ack, window, now));
     }
 
     /// Applies a device `Flushed` sync event to `conn`.
     pub(crate) fn offload_flushed(&mut self, conn: ConnId, data: DemiBuffer, now: SimTime) {
-        if let Lookup::Live(slot) = self.lookup(conn) {
-            self.cb_mut(slot).offload_flushed(data, now);
-            self.sync_slot(slot);
-        }
+        self.touch(conn, |cb| cb.offload_flushed(data, now));
     }
 
     /// Host-wide counters.
@@ -1524,7 +1385,7 @@ impl TcpPeer {
             .map(ControlBlock::heap_bytes)
             .sum();
         // Hash maps: charge capacity × (key + value + 1 control byte).
-        let demux_bytes = self.demux.capacity() * (size_of::<u64>() + size_of::<u32>() + 1);
+        let demux_bytes = self.demux.capacity() * (size_of::<u64>() + size_of::<ConnId>() + 1);
         let timewait_bytes = self.tw.capacity()
             * (size_of::<u64>() + size_of::<TimeWaitRecord>() + 1)
             + self.tw_by_id.capacity() * (size_of::<u32>() + size_of::<u64>() + 1);
@@ -1671,6 +1532,62 @@ mod tests {
             .map(|&(_, s)| server.conn_stats(s).unwrap().timeouts)
             .sum();
         assert_eq!(timeouts, CONNS as u64);
+    }
+
+    /// A connection freed while listed for output, its slot reused before
+    /// the next drain: the stale listing is skipped, and the slot's new
+    /// connection — whose dirty flag was reset with the slot — is listed
+    /// and drained.
+    #[test]
+    fn a_reused_slot_keeps_its_output() {
+        let now = SimTime::ZERO;
+        let (mut client, _server, x, _) = connected_pair();
+        client
+            .send(x, DemiBuffer::from_slice(b"doomed"), now)
+            .unwrap();
+        let (local, remote) = (client.local(x).unwrap(), client.remote(x).unwrap());
+        let rst = TcpHeader {
+            src_port: remote.port,
+            dst_port: local.port,
+            seq: SeqNum(0),
+            ack: SeqNum(0),
+            flags: TcpFlags::RST_ACK,
+            window: 0,
+            mss: None,
+        };
+        client.on_segment(remote.ip, &rst, DemiBuffer::empty(), now);
+        client.close(x, now).unwrap();
+        assert_eq!(client.conn_count(), 0, "an errored block frees at close");
+        let y = client.connect(remote, now).unwrap();
+        assert_eq!(decode_id(y.0).0, decode_id(x.0).0, "the same slot");
+        let out = client.take_segments();
+        let y_port = client.local(y).unwrap().port;
+        assert_eq!(out.len(), 1, "only the new connection's SYN");
+        assert!(out[0].1.header.flags.syn && out[0].1.header.src_port == y_port);
+    }
+
+    /// A block that dies with an error after its owner closed the handle
+    /// is freed then: nobody is left to ask `error()`.
+    #[test]
+    fn a_block_reset_after_its_owner_closed_is_freed() {
+        let now = SimTime::ZERO;
+        let (mut client, _server, c, _) = connected_pair();
+        client.close(c, now).unwrap();
+        let (local, remote) = (client.local(c).unwrap(), client.remote(c).unwrap());
+        let rst = TcpHeader {
+            src_port: remote.port,
+            dst_port: local.port,
+            seq: SeqNum(0),
+            ack: SeqNum(0),
+            flags: TcpFlags::RST_ACK,
+            window: 0,
+            mss: None,
+        };
+        client.on_segment(remote.ip, &rst, DemiBuffer::empty(), now);
+        assert_eq!(client.conn_count(), 0);
+        assert_eq!(client.state(c), Ok(State::Closed));
+        assert_eq!(client.pop_released_port(), Some(local.port));
+        assert!(!client.is_port_bound(local.port));
     }
 
     #[test]

@@ -76,9 +76,9 @@ bench-pairs parent pairs="10" seconds="30":
 bench-smoke:
     cargo test --manifest-path benchmark/Cargo.toml
 
-# The size budget: non-test product lines and non-test `pub` declarations
-# per crate against the checked-in LOC_BUDGET table; fails if any crate is
-# over either, 50 or more lines under its line budget, or under its pub
-# budget at all (budgets only ratchet down).
+# The size budget: non-test product lines, `pub` declarations and panic
+# sites per crate against the checked-in LOC_BUDGET table; fails if any
+# crate is over any of them, 50 or more lines under its line budget, or
+# under its pub or panic budget at all (budgets only ratchet down).
 loc:
     sh tools/loc.sh

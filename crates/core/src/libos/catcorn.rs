@@ -34,7 +34,7 @@ use sim_fabric::{DeviceCaps, Fabric, MacAddress, SimClock};
 
 use crate::libos::{LibOs, LibOsKind, QueueTable, SocketKind};
 use crate::metrics::Metrics;
-use crate::runtime::Runtime;
+use crate::runtime::{Check, Runtime};
 use crate::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 
 /// Bytes per send/receive slot (the largest single message).
@@ -81,6 +81,8 @@ pub struct Catcorn {
     pd: PdId,
     cq: CqId,
     inner: Rc<RefCell<Inner>>,
+    /// The check every parked pop shares ([`pop_ready`]).
+    pop: Check,
 }
 
 /// The cycle-free heart of catcorn: everything the I/O coroutines and the
@@ -173,19 +175,22 @@ impl Catcorn {
         let device = RdmaDevice::new(fabric, mac);
         let pd = device.alloc_pd();
         let cq = device.create_cq();
+        let inner = Rc::new(RefCell::new(Inner {
+            queues: QueueTable::new(1),
+            conns: HashMap::new(),
+            next_wr: 1,
+        }));
+        // The pump and the pops' check capture cycle-free pieces, never the
+        // libOS (which holds the runtime).
+        let (check_device, check_inner) = (device.clone(), inner.clone());
         let catcorn = Catcorn {
             runtime: runtime.clone(),
             device: device.clone(),
             pd,
             cq,
-            inner: Rc::new(RefCell::new(Inner {
-                queues: QueueTable::new(1),
-                conns: HashMap::new(),
-                next_wr: 1,
-            })),
+            inner,
+            pop: Rc::new(move |qd| pop_ready(&check_device, &check_inner, qd)),
         };
-        // The pump runs inside the runtime, so it must capture the
-        // cycle-free core, not the libOS (which holds the runtime).
         let pump = catcorn.core();
         let clock = runtime.clock().clone();
         runtime.register_poller(move || pump.pump(clock.now()));
@@ -279,7 +284,7 @@ impl LibOs for Catcorn {
         let core = self.core();
         let qp = self.device.create_qp(self.pd, self.cq, self.cq);
         // Connection requests arrive with device frames: the activity gate.
-        let check = move || match core.device.accept(port, qp, core.clock.now()) {
+        let check = move |qd| match core.device.accept(port, qp, core.clock.now()) {
             Ok(true) => {
                 let conn = CatcornQueue::Conn(core.setup_conn(qp));
                 let qd = core.inner.borrow_mut().queues.insert(conn);
@@ -289,7 +294,7 @@ impl LibOs for Catcorn {
             Err(_) => Some(OperationResult::Failed(DemiError::Rdma("accept failed"))),
         };
         let rt = &self.runtime;
-        Ok(rt.spawn_ready_op("catcorn::accept", rt.activity(), check))
+        Ok(rt.park_op("catcorn::accept", rt.activity(), Rc::new(check), qd))
     }
 
     fn connect(&self, qd: QDesc, remote: SocketAddr) -> Result<QToken, DemiError> {
@@ -302,7 +307,7 @@ impl LibOs for Catcorn {
             .map_err(|_| DemiError::Rdma("connect failed"))?;
         let core = self.core();
         // The QP reaches RTS when the handshake frames land: the activity gate.
-        let check = move || {
+        let check = move |qd| {
             if let Some(closed) = core.inner.borrow().queues.closed(qd) {
                 return Some(closed);
             }
@@ -321,7 +326,7 @@ impl LibOs for Catcorn {
             }
         };
         let rt = &self.runtime;
-        Ok(rt.spawn_ready_op("catcorn::connect", rt.activity(), check))
+        Ok(rt.park_op("catcorn::connect", rt.activity(), Rc::new(check), qd))
     }
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
@@ -356,8 +361,8 @@ impl LibOs for Catcorn {
             c.next_ticket += 1;
             t
         };
-        // Not a `spawn_ready_op`: a push parks twice, for its turn and a
-        // send slot and then for its completion, posting the send between.
+        // Not a `park_op`: a push parks twice, for its turn and a send slot
+        // and then for its completion, posting the send between.
         Ok(self.runtime.spawn_op("catcorn::push", async move {
             // Flow control the device does not provide: wait for our turn
             // and for a free slot, parked on the connection's event channel
@@ -424,39 +429,38 @@ impl LibOs for Catcorn {
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_pop();
         let conn = self.conn(qd)?;
-        let core = self.core();
         // Receive completions are dispatched by the pump, which fires the
         // connection's event channel.
-        let events = conn.borrow().events.clone();
-        let check = move || {
-            let Some(completion) = conn.borrow_mut().recv_ready.pop_front() else {
-                return core.inner.borrow().queues.closed(qd);
-            };
-            if !completion.status.is_ok() {
-                return Some(OperationResult::Failed(rdma_status_err(completion.status)));
-            }
-            let slot = (completion.wr_id & !RECV_WR_FLAG) as usize;
-            let (qp, recv_mr) = {
-                let c = conn.borrow();
-                (c.qp, c.recv_mr)
-            };
-            let Ok(payload) = core
-                .device
-                .mr_read(recv_mr, slot * SLOT_SIZE, completion.byte_len)
-            else {
-                return Some(OperationResult::Failed(DemiError::Rdma("mr read")));
-            };
-            // Recycle the slot: re-post the receive (buffer management).
-            let _ =
-                core.device
-                    .post_recv(qp, completion.wr_id, recv_mr, slot * SLOT_SIZE, SLOT_SIZE);
-            Some(OperationResult::Pop {
-                from: None,
-                sga: Sga::from_slice(&payload),
-            })
-        };
-        Ok(self.runtime.spawn_ready_op("catcorn::pop", &events, check))
+        let (events, rt) = (&conn.borrow().events, &self.runtime);
+        Ok(rt.park_op("catcorn::pop", events, self.pop.clone(), qd))
     }
+}
+
+/// The check of a parked `pop`: the next received message, its slot
+/// re-posted (the buffer management RDMA demands); `Closed` once closed.
+fn pop_ready(device: &RdmaDevice, inner: &RefCell<Inner>, qd: QDesc) -> Option<OperationResult> {
+    let conn = match inner.borrow().queues.get(qd) {
+        Ok(CatcornQueue::Conn(conn)) => conn.clone(),
+        _ => return Some(OperationResult::Failed(DemiError::Closed)),
+    };
+    let completion = conn.borrow_mut().recv_ready.pop_front()?;
+    if !completion.status.is_ok() {
+        return Some(OperationResult::Failed(rdma_status_err(completion.status)));
+    }
+    let slot = (completion.wr_id & !RECV_WR_FLAG) as usize;
+    let (qp, recv_mr) = {
+        let c = conn.borrow();
+        (c.qp, c.recv_mr)
+    };
+    let Ok(payload) = device.mr_read(recv_mr, slot * SLOT_SIZE, completion.byte_len) else {
+        return Some(OperationResult::Failed(DemiError::Rdma("mr read")));
+    };
+    // Recycle the slot: re-post the receive.
+    let _ = device.post_recv(qp, completion.wr_id, recv_mr, slot * SLOT_SIZE, SLOT_SIZE);
+    Some(OperationResult::Pop {
+        from: None,
+        sga: Sga::from_slice(&payload),
+    })
 }
 
 fn rdma_status_err(status: WcStatus) -> DemiError {

@@ -13,7 +13,7 @@ use std::rc::Rc;
 use demi_sched::Notify;
 
 use crate::libos::{LibOs, LibOsKind, QueueTable};
-use crate::runtime::Runtime;
+use crate::runtime::{Check, Runtime};
 use crate::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 
 #[derive(Default)]
@@ -28,14 +28,26 @@ struct CatmemQueue {
 pub struct Catmem {
     runtime: Runtime,
     queues: Rc<RefCell<QueueTable<CatmemQueue>>>,
+    /// The check every parked pop shares: the next element, or `Closed`.
+    pop: Check,
 }
 
 impl Catmem {
     /// Creates a catmem instance on a shared runtime.
     pub(crate) fn new(runtime: &Runtime) -> Self {
+        let queues = Rc::new(RefCell::new(QueueTable::<CatmemQueue>::new(1)));
+        let table = queues.clone();
+        let pop = move |qd| match table.borrow_mut().get_mut(qd) {
+            Ok(queue) => {
+                let sga = queue.items.pop_front()?;
+                Some(OperationResult::Pop { from: None, sga })
+            }
+            Err(_) => Some(OperationResult::Failed(DemiError::Closed)),
+        };
         Catmem {
             runtime: runtime.clone(),
-            queues: Rc::new(RefCell::new(QueueTable::new(1))),
+            queues,
+            pop: Rc::new(pop),
         }
     }
 }
@@ -74,17 +86,11 @@ impl LibOs for Catmem {
     }
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
-        let events = self.queues.borrow().get(qd)?.events.clone();
+        let queues = self.queues.borrow();
+        let events = &queues.get(qd)?.events;
         self.runtime.metrics().count_pop();
-        let queues = self.queues.clone();
-        let check = move || match queues.borrow_mut().get_mut(qd) {
-            Ok(queue) => {
-                let sga = queue.items.pop_front()?;
-                Some(OperationResult::Pop { from: None, sga })
-            }
-            Err(_) => Some(OperationResult::Failed(DemiError::Closed)),
-        };
-        Ok(self.runtime.spawn_ready_op("catmem::pop", &events, check))
+        let rt = &self.runtime;
+        Ok(rt.park_op("catmem::pop", events, self.pop.clone(), qd))
     }
 }
 
@@ -138,7 +144,7 @@ mod tests {
         let sga = Sga::from_bufs(vec![seg.clone(), DemiBuffer::from_slice(b"tail")]);
         libos.blocking_push(qd, &sga).unwrap();
         let (_, popped) = libos.blocking_pop(qd).unwrap().expect_pop();
-        assert_eq!(popped.seg_count(), 2, "sga boundaries preserved");
+        assert_eq!(popped.segments().len(), 2, "sga boundaries preserved");
         assert!(
             popped.segments()[0].same_storage(&seg),
             "popped element shares the pushed storage (zero copy)"

@@ -23,31 +23,22 @@ use posix_sim::{CostModel, Fd, KernelSockets, KernelStats, SimKernel};
 use sim_fabric::{Fabric, MacAddress};
 
 use crate::libos::{framed_pop, LibOs, LibOsKind, QueueTable, SocketKind};
-use crate::runtime::Runtime;
+use crate::runtime::{Check, Runtime};
 use crate::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 
 enum CatnapQueue {
-    Udp {
-        fd: Fd,
-    },
+    Udp { fd: Fd },
     UdpUnbound,
-    TcpUnbound {
-        bound: Option<SocketAddr>,
-    },
-    TcpListener {
-        fd: Fd,
-    },
-    TcpConn {
-        fd: Fd,
-        decoder: Rc<RefCell<FrameDecoder>>,
-    },
+    TcpUnbound { bound: Option<SocketAddr> },
+    TcpListener { fd: Fd },
+    TcpConn { fd: Fd, decoder: FrameDecoder },
 }
 
 impl CatnapQueue {
     fn tcp_conn(fd: Fd) -> Self {
         CatnapQueue::TcpConn {
             fd,
-            decoder: Rc::new(RefCell::new(FrameDecoder::new())),
+            decoder: FrameDecoder::new(),
         }
     }
 }
@@ -59,6 +50,8 @@ pub struct Catnap {
     sockets: Rc<RefCell<KernelSockets>>,
     kernel: SimKernel,
     queues: Rc<RefCell<QueueTable<CatnapQueue>>>,
+    /// The check every parked pop shares (see [`pop_ready`]).
+    pop: Check,
 }
 
 impl Catnap {
@@ -90,11 +83,19 @@ impl Catnap {
         // so they name the runtime's activity gate.
         let deadline_sockets = sockets.clone();
         runtime.register_deadline_source(move || deadline_sockets.borrow().next_deadline());
+        let queues = Rc::new(RefCell::new(QueueTable::new(1)));
+        let pop = {
+            let (sockets, queues) = (sockets.clone(), queues.clone());
+            // POSIX forces a user buffer the kernel copies into.
+            let buf = RefCell::new(vec![0u8; 65_536]);
+            move |qd| pop_ready(&sockets, &queues, &mut buf.borrow_mut(), qd)
+        };
         Catnap {
             runtime: runtime.clone(),
             sockets,
             kernel,
-            queues: Rc::new(RefCell::new(QueueTable::new(1))),
+            queues,
+            pop: Rc::new(pop),
         }
     }
 
@@ -163,15 +164,18 @@ impl LibOs for Catnap {
         };
         let (sockets, queues) = (self.sockets.clone(), self.queues.clone());
         let rt = &self.runtime;
-        let check = move || match sockets.borrow_mut().accept(fd) {
+        let check = move |qd| match sockets.borrow_mut().accept(fd) {
             Ok(Some(conn_fd)) => {
                 let qd = queues.borrow_mut().insert(CatnapQueue::tcp_conn(conn_fd));
                 Some(OperationResult::Accept { qd })
             }
             Ok(None) => None,
-            Err(e) => Some(closed_or(&queues, qd, e)),
+            Err(e) => {
+                let closed = queues.borrow().closed(qd);
+                Some(closed.unwrap_or(OperationResult::Failed(sock_err(e))))
+            }
         };
-        Ok(rt.spawn_ready_op("catnap::accept", rt.activity(), check))
+        Ok(rt.park_op("catnap::accept", rt.activity(), Rc::new(check), qd))
     }
 
     fn connect(&self, qd: QDesc, remote: SocketAddr) -> Result<QToken, DemiError> {
@@ -188,7 +192,7 @@ impl LibOs for Catnap {
         };
         *queue = CatnapQueue::tcp_conn(fd);
         let (sockets, rt) = (self.sockets.clone(), &self.runtime);
-        let check = move || {
+        let check = move |_| {
             let sockets = sockets.borrow();
             if let Some(err) = sockets.so_error(fd) {
                 return Some(OperationResult::Failed(DemiError::Net(err)));
@@ -199,7 +203,7 @@ impl LibOs for Catnap {
                 Err(e) => Some(OperationResult::Failed(sock_err(e))),
             }
         };
-        Ok(rt.spawn_ready_op("catnap::connect", rt.activity(), check))
+        Ok(rt.park_op("catnap::connect", rt.activity(), Rc::new(check), qd))
     }
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
@@ -253,65 +257,58 @@ impl LibOs for Catnap {
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_pop();
-        let (sockets, queues) = (self.sockets.clone(), self.queues.clone());
+        let name = match self.queues.borrow().get(qd)? {
+            CatnapQueue::Udp { .. } => "catnap::udp_pop",
+            CatnapQueue::TcpConn { .. } => "catnap::tcp_pop",
+            _ => return Err(DemiError::InvalidState),
+        };
         let rt = &self.runtime;
-        match self.queues.borrow().get(qd)? {
-            CatnapQueue::Udp { fd } => {
-                let fd = *fd;
-                // POSIX forces a user buffer the kernel copies into.
-                let mut buf = vec![0u8; 65_536];
-                let check = move || match sockets.borrow_mut().recvfrom(fd, &mut buf) {
-                    Ok(Some((from, n))) => Some(OperationResult::Pop {
-                        from: Some(from),
-                        sga: Sga::from_slice(&buf[..n]),
-                    }),
-                    Ok(None) => None,
-                    Err(e) => Some(closed_or(&queues, qd, e)),
-                };
-                Ok(rt.spawn_ready_op("catnap::udp_pop", rt.activity(), check))
-            }
-            CatnapQueue::TcpConn { fd, decoder } => {
-                let (fd, decoder) = (*fd, decoder.clone());
-                let mut buf = vec![0u8; 16_384];
-                let check = move || loop {
-                    // Stream read into a user buffer (copy), then
-                    // reassemble the atomic unit from the bytes.
-                    let read_bytes = match sockets.borrow_mut().read(fd, &mut buf) {
-                        Ok(Some(0)) => return Some(OperationResult::Failed(DemiError::Closed)),
-                        Ok(Some(n)) => {
-                            let chunk = demi_memory::DemiBuffer::from_slice(&buf[..n]);
-                            decoder.borrow_mut().push_chunk(chunk);
-                            true
-                        }
-                        Ok(None) => false,
-                        Err(e) => return Some(closed_or(&queues, qd, e)),
-                    };
-                    if let Some(result) = framed_pop(&mut decoder.borrow_mut()) {
-                        return Some(result);
-                    }
-                    // Park only when the read came up empty: a productive
-                    // read means more bytes may already be buffered in the
-                    // kernel socket.
-                    if !read_bytes {
-                        return None;
-                    }
-                };
-                Ok(rt.spawn_ready_op("catnap::tcp_pop", rt.activity(), check))
-            }
-            _ => Err(DemiError::InvalidState),
-        }
+        Ok(rt.park_op(name, rt.activity(), self.pop.clone(), qd))
     }
 }
 
-/// The failure of a parked operation whose socket call failed: `Closed`
-/// once `close` took the queue (and its fd) away, else the kernel's error.
-fn closed_or(
+/// The check of a parked `pop`: a `recvfrom` of the next datagram, or
+/// stream reads until a whole framed message is reassembled, each copying
+/// through the user buffer `buf`.
+fn pop_ready(
+    sockets: &RefCell<KernelSockets>,
     queues: &RefCell<QueueTable<CatnapQueue>>,
+    buf: &mut [u8],
     qd: QDesc,
-    e: posix_sim::SockError,
-) -> OperationResult {
-    let closed = queues.borrow().closed(qd);
-    closed.unwrap_or(OperationResult::Failed(sock_err(e)))
+) -> Option<OperationResult> {
+    let mut queues = queues.borrow_mut();
+    match queues.get_mut(qd) {
+        Ok(CatnapQueue::Udp { fd }) => match sockets.borrow_mut().recvfrom(*fd, buf) {
+            Ok(Some((from, n))) => Some(OperationResult::Pop {
+                from: Some(from),
+                sga: Sga::from_slice(&buf[..n]),
+            }),
+            Ok(None) => None,
+            Err(e) => Some(OperationResult::Failed(sock_err(e))),
+        },
+        Ok(CatnapQueue::TcpConn { fd, decoder }) => loop {
+            // Stream read into a user buffer (copy), then reassemble the
+            // atomic unit from the bytes.
+            let read_bytes = match sockets.borrow_mut().read(*fd, &mut buf[..16_384]) {
+                Ok(Some(0)) => return Some(OperationResult::Failed(DemiError::Closed)),
+                Ok(Some(n)) => {
+                    decoder.push_chunk(demi_memory::DemiBuffer::from_slice(&buf[..n]));
+                    true
+                }
+                Ok(None) => false,
+                Err(e) => return Some(OperationResult::Failed(sock_err(e))),
+            };
+            if let Some(result) = framed_pop(decoder) {
+                return Some(result);
+            }
+            // Park only when the read came up empty: a productive read
+            // means more bytes may already be buffered in the kernel socket.
+            if !read_bytes {
+                return None;
+            }
+        },
+        _ => queues.closed(qd),
+    }
 }
 
 fn sock_err(e: posix_sim::SockError) -> DemiError {

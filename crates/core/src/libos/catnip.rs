@@ -35,7 +35,7 @@ use net_stack::{NetworkStack, StackConfig};
 use sim_fabric::{DeviceCaps, Fabric, MacAddress};
 
 use crate::libos::{framed_pop, LibOs, LibOsKind, QueueTable, SocketKind};
-use crate::runtime::Runtime;
+use crate::runtime::{Check, Runtime};
 use crate::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 
 enum CatnipQueue {
@@ -52,7 +52,10 @@ enum CatnipQueue {
     },
     TcpConn {
         conn: ConnId,
-        decoder: Rc<RefCell<FrameDecoder>>,
+        /// What pops keep between checks: framed reassembly, and the chunk
+        /// list the stack drains into, its capacity kept across pops.
+        decoder: FrameDecoder,
+        chunks: Vec<DemiBuffer>,
     },
 }
 
@@ -60,10 +63,13 @@ impl CatnipQueue {
     fn tcp_conn(conn: ConnId) -> Self {
         CatnipQueue::TcpConn {
             conn,
-            decoder: Rc::new(RefCell::new(FrameDecoder::new())),
+            decoder: FrameDecoder::new(),
+            chunks: Vec::new(),
         }
     }
 }
+
+type Queues = RefCell<QueueTable<CatnipQueue>>;
 
 /// The DPDK-class libOS.
 #[derive(Clone)]
@@ -72,7 +78,10 @@ pub struct Catnip {
     stack: Rc<NetworkStack>,
     port: DpdkPort,
     memory: MemoryManager,
-    queues: Rc<RefCell<QueueTable<CatnipQueue>>>,
+    queues: Rc<Queues>,
+    /// The checks of `pop` and `pop_unframed`, shared by every parked pop.
+    pop: Check,
+    pop_unframed: Check,
 }
 
 impl Catnip {
@@ -130,12 +139,19 @@ impl Catnip {
         // rather than re-polling the stack each pass.
         let deadline_stack = stack.clone();
         runtime.register_deadline_source(move || deadline_stack.next_deadline());
+        let queues = Rc::new(RefCell::new(QueueTable::new(1)));
+        let check = |framed| {
+            let (stack, queues) = (stack.clone(), queues.clone());
+            Rc::new(move |qd| pop_ready(&stack, &queues, qd, framed)) as Check
+        };
         Catnip {
             runtime: runtime.clone(),
+            pop: check(true),
+            pop_unframed: check(false),
             stack,
             port,
             memory: MemoryManager::warmed(),
-            queues: Rc::new(RefCell::new(QueueTable::new(1))),
+            queues,
         }
     }
 
@@ -159,8 +175,8 @@ impl Catnip {
     /// the stack); multi-seg arrays gather into a pool buffer with header
     /// headroom (counted).
     fn gather(&self, sga: &Sga) -> DemiBuffer {
-        if sga.seg_count() == 1 {
-            return sga.segments()[0].clone();
+        if let [seg] = sga.segments() {
+            return seg.clone();
         }
         self.runtime.metrics().count_copy(sga.len());
         let mut buf = self.memory.alloc(sga.len());
@@ -263,26 +279,9 @@ impl Catnip {
     /// fails `Closed` at clean EOF.
     pub fn pop_unframed(&self, qd: QDesc) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_pop();
-        let conn = self.tcp_conn(qd)?;
-        let (stack, queues) = (self.stack.clone(), self.queues.clone());
-        let rt = &self.runtime;
-        let mut chunks = Vec::new();
-        let check = move || {
-            if let Err(e) = stack.tcp_recv_all(conn, &mut chunks) {
-                return Some(OperationResult::Failed(e.into()));
-            }
-            if !chunks.is_empty() {
-                return Some(OperationResult::Pop {
-                    from: None,
-                    sga: Sga::from_bufs(std::mem::take(&mut chunks)),
-                });
-            }
-            if stack.tcp_eof(conn) {
-                return Some(OperationResult::Failed(DemiError::Closed));
-            }
-            queues.borrow().closed(qd)
-        };
-        Ok(rt.spawn_ready_op("catnip::tcp_pop_unframed", rt.activity(), check))
+        self.tcp_conn(qd)?;
+        let (rt, check) = (&self.runtime, self.pop_unframed.clone());
+        Ok(rt.park_op("catnip::tcp_pop_unframed", rt.activity(), check, qd))
     }
 
     /// The connection behind a TCP data queue.
@@ -353,7 +352,7 @@ impl LibOs for Catnip {
         };
         let (stack, queues) = (self.stack.clone(), self.queues.clone());
         let rt = &self.runtime;
-        let check = move || match stack.tcp_accept(listener) {
+        let check = move |qd| match stack.tcp_accept(listener) {
             Ok(Some(conn)) => {
                 let qd = queues.borrow_mut().insert(CatnipQueue::tcp_conn(conn));
                 Some(OperationResult::Accept { qd })
@@ -361,7 +360,7 @@ impl LibOs for Catnip {
             Ok(None) => queues.borrow().closed(qd),
             Err(e) => Some(OperationResult::Failed(e.into())),
         };
-        Ok(rt.spawn_ready_op("catnip::accept", rt.activity(), check))
+        Ok(rt.park_op("catnip::accept", rt.activity(), Rc::new(check), qd))
     }
 
     fn connect(&self, qd: QDesc, remote: SocketAddr) -> Result<QToken, DemiError> {
@@ -381,7 +380,7 @@ impl LibOs for Catnip {
                 let conn = self.stack.tcp_connect(remote)?;
                 *q = CatnipQueue::tcp_conn(conn);
                 let (stack, rt) = (self.stack.clone(), &self.runtime);
-                let check = move || match stack.tcp_state(conn) {
+                let check = move |_| match stack.tcp_state(conn) {
                     Ok(State::Established) => Some(OperationResult::Connect),
                     Ok(State::Closed) => {
                         let err = stack.tcp_error(conn).map(DemiError::Net);
@@ -390,7 +389,8 @@ impl LibOs for Catnip {
                     Ok(_) => None,
                     Err(e) => Some(OperationResult::Failed(e.into())),
                 };
-                return Ok(rt.spawn_ready_op("catnip::tcp_connect", rt.activity(), check));
+                let check = Rc::new(check);
+                return Ok(rt.park_op("catnip::tcp_connect", rt.activity(), check, qd));
             }
             _ => return Err(DemiError::InvalidState),
         }
@@ -458,48 +458,17 @@ impl LibOs for Catnip {
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_pop();
-        let (stack, queues) = (self.stack.clone(), self.queues.clone());
+        let name = match self.queues.borrow().get(qd)? {
+            CatnipQueue::Udp { .. } => "catnip::udp_pop",
+            CatnipQueue::TcpConn { .. } => "catnip::tcp_pop",
+            _ => return Err(DemiError::InvalidState),
+        };
         let rt = &self.runtime;
-        match self.queues.borrow().get(qd)? {
-            CatnipQueue::Udp { port, .. } => {
-                let port = *port;
-                let check = move || match stack.udp_recv_from(port) {
-                    Some((from, payload)) => Some(OperationResult::Pop {
-                        from: Some(from),
-                        sga: Sga::from_bufs(vec![payload]),
-                    }),
-                    None => queues.borrow().closed(qd),
-                };
-                Ok(rt.spawn_ready_op("catnip::udp_pop", rt.activity(), check))
-            }
-            CatnipQueue::TcpConn { conn, decoder } => {
-                let (conn, decoder) = (*conn, decoder.clone());
-                let mut chunks = Vec::new();
-                let check = move || {
-                    // Drain arrived stream chunks into the framer.
-                    if let Err(e) = stack.tcp_recv_all(conn, &mut chunks) {
-                        return Some(OperationResult::Failed(e.into()));
-                    }
-                    let mut decoder = decoder.borrow_mut();
-                    for chunk in chunks.drain(..) {
-                        decoder.push_chunk(chunk);
-                    }
-                    if let Some(result) = framed_pop(&mut decoder) {
-                        return Some(result);
-                    }
-                    if stack.tcp_eof(conn) && decoder.buffered_bytes() == 0 {
-                        return Some(OperationResult::Failed(DemiError::Closed));
-                    }
-                    queues.borrow().closed(qd)
-                };
-                Ok(rt.spawn_ready_op("catnip::tcp_pop", rt.activity(), check))
-            }
-            _ => Err(DemiError::InvalidState),
-        }
+        Ok(rt.park_op(name, rt.activity(), self.pop.clone(), qd))
     }
 
     fn sgaalloc(&self, len: usize) -> Sga {
-        Sga::from_bufs(vec![self.memory.alloc(len)])
+        self.memory.alloc(len).into()
     }
 
     fn try_offload_filter(&self, qd: QDesc, pred: Rc<dyn Fn(&Sga) -> bool>) -> bool {
@@ -521,6 +490,45 @@ impl LibOs for Catnip {
         };
         self.port.install_program(program).is_ok()
     }
+}
+
+/// The check of a parked pop: the next datagram, or the stream's next
+/// framed message — or, unframed, every chunk that arrived; `Closed` at
+/// clean EOF or once the queue is closed.
+fn pop_ready(
+    stack: &NetworkStack,
+    queues: &Queues,
+    qd: QDesc,
+    framed: bool,
+) -> Option<OperationResult> {
+    let mut queues = queues.borrow_mut();
+    let (conn, decoder, chunks) = match queues.get_mut(qd) {
+        Ok(CatnipQueue::Udp { port, .. }) => {
+            let (from, payload) = stack.udp_recv_from(*port)?;
+            let (from, sga) = (Some(from), payload.into());
+            return Some(OperationResult::Pop { from, sga });
+        }
+        Ok(CatnipQueue::TcpConn {
+            conn,
+            decoder,
+            chunks,
+        }) => (*conn, decoder, chunks),
+        _ => return queues.closed(qd),
+    };
+    if let Err(e) = stack.tcp_recv_all(conn, chunks) {
+        return Some(OperationResult::Failed(e.into()));
+    }
+    if framed {
+        chunks.drain(..).for_each(|chunk| decoder.push_chunk(chunk));
+        if let Some(result) = framed_pop(decoder) {
+            return Some(result);
+        }
+    } else if !chunks.is_empty() {
+        let sga = Sga::take_from(chunks);
+        return Some(OperationResult::Pop { from: None, sga });
+    }
+    let eof = stack.tcp_eof(conn) && decoder.buffered_bytes() == 0;
+    eof.then_some(OperationResult::Failed(DemiError::Closed))
 }
 
 /// The UDP payload of `frame` if it is an IPv4/UDP datagram addressed to

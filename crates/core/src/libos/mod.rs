@@ -20,11 +20,12 @@
 //! The skeleton under every libOS is written once, too. Queues live in a
 //! `QueueTable`, which owns descriptor allocation and the `BadQDesc`
 //! answer, so a call site keeps only its device-specific arm (anything
-//! else is `InvalidState`). An operation that must block is a *check*
-//! closure handed to [`Runtime::spawn_ready_op`] — run now and after every
-//! notification of its gate — never a hand-rolled loop; `close` removes
-//! the queue and bumps that gate, and the check's last resort,
-//! `QueueTable::closed`, fails the parked operation with `Closed`.
+//! else is `InvalidState`). An operation that must block parks in its op
+//! slot with a *check* ([`Runtime::park_op`]) — run first and after every
+//! notification of its gate, never a hand-rolled loop. A pop's check is
+//! built once per libOS and its state lives in the queue entry, so a pop
+//! allocates nothing; `close` removes the queue and bumps the gate, and
+//! the check fails the parked operation with `Closed`.
 
 pub mod catcorn;
 pub mod catfs;
@@ -124,7 +125,7 @@ fn framed_pop(decoder: &mut FrameDecoder) -> Option<OperationResult> {
     match decoder.next_message() {
         Ok(Some(msg)) => Some(OperationResult::Pop {
             from: None,
-            sga: Sga::from_bufs(vec![msg]),
+            sga: msg.into(),
         }),
         Ok(None) => None,
         Err(e) => Some(OperationResult::Failed(e.into())),
@@ -258,7 +259,7 @@ pub trait LibOs {
     /// Allocates an I/O scatter-gather array from device-registered
     /// memory (transparent registration).
     fn sgaalloc(&self, len: usize) -> Sga {
-        Sga::from_bufs(vec![demi_memory::DemiBuffer::zeroed(len)])
+        demi_memory::DemiBuffer::zeroed(len).into()
     }
 
     // ------------------------------------------------------------------

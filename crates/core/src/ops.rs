@@ -22,7 +22,7 @@ use net_stack::types::SocketAddr;
 use sim_fabric::DeviceCaps;
 
 use crate::libos::{LibOs, LibOsKind, QueueTable, SocketKind};
-use crate::runtime::Runtime;
+use crate::runtime::{Check, Runtime};
 use crate::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 
 /// First descriptor of the transformed-queue range.
@@ -83,11 +83,15 @@ enum VirtualQueue {
     },
 }
 
+type VirtualQueues = RefCell<QueueTable<Rc<VirtualQueue>>>;
+
 struct DkInner {
     base: Rc<dyn LibOs>,
     runtime: Runtime,
-    virt: RefCell<QueueTable<Rc<VirtualQueue>>>,
+    virt: Rc<VirtualQueues>,
     stats: RefCell<OpsStats>,
+    /// The check every parked merge or sort pop shares ([`landed`]).
+    pop: Check,
 }
 
 /// The Demikernel facade: any libOS plus the queue-transformation calls.
@@ -104,12 +108,15 @@ impl Demikernel {
     /// Wraps a concrete libOS.
     pub fn new(base: Rc<dyn LibOs>) -> Self {
         let runtime = base.runtime().clone();
+        let virt = Rc::new(RefCell::new(QueueTable::new(VIRTUAL_QD_BASE)));
+        let landings = virt.clone();
         Demikernel {
             inner: Rc::new(DkInner {
                 base,
                 runtime,
-                virt: RefCell::new(QueueTable::new(VIRTUAL_QD_BASE)),
+                virt,
                 stats: RefCell::new(OpsStats::default()),
+                pop: Rc::new(move |qd| landed(&landings, qd)),
             }),
         }
     }
@@ -401,15 +408,10 @@ impl LibOs for Demikernel {
         let Some(vq) = self.virt(qd) else {
             return self.inner.base.pop(qd);
         };
+        let (rt, check) = (&self.inner.runtime, self.inner.pop.clone());
         match &*vq {
             VirtualQueue::Merge { out, .. } => {
-                let (added, out) = (out.added.clone(), out.clone());
-                let check = move || {
-                    let (from, sga) = out.items.borrow_mut().pop_front()?;
-                    Some(OperationResult::Pop { from, sga })
-                };
-                let runtime = &self.inner.runtime;
-                Ok(runtime.spawn_ready_op("ops::merge_pop", &added, check))
+                Ok(rt.park_op("ops::merge_pop", &out.added, check, qd))
             }
             VirtualQueue::Filter {
                 target,
@@ -453,26 +455,8 @@ impl LibOs for Demikernel {
                     }
                 }))
             }
-            VirtualQueue::Sort {
-                buffer,
-                higher_priority,
-                ..
-            } => {
-                let (added, buffer) = (buffer.added.clone(), buffer.clone());
-                let cmp = higher_priority.clone();
-                let check = move || {
-                    let mut buf = buffer.items.borrow_mut();
-                    let mut best = 0;
-                    for i in 1..buf.len() {
-                        if cmp(&buf[i].1, &buf[best].1) {
-                            best = i;
-                        }
-                    }
-                    let (from, sga) = buf.remove(best)?;
-                    Some(OperationResult::Pop { from, sga })
-                };
-                let runtime = &self.inner.runtime;
-                Ok(runtime.spawn_ready_op("ops::sort_pop", &added, check))
+            VirtualQueue::Sort { buffer, .. } => {
+                Ok(rt.park_op("ops::sort_pop", &buffer.added, check, qd))
             }
             VirtualQueue::Map { target, f } => {
                 let target = *target;
@@ -502,6 +486,30 @@ impl LibOs for Demikernel {
             }
         }
     }
+}
+
+/// The check of a parked merge or sort pop: the oldest landed element, or
+/// the highest-priority one; `Closed` once the queue is closed.
+fn landed(virt: &VirtualQueues, qd: QDesc) -> Option<OperationResult> {
+    // The queue is cloned out so the user's comparator runs unborrowed.
+    let Ok(vq) = virt.borrow().get(qd).cloned() else {
+        return Some(OperationResult::Failed(DemiError::Closed));
+    };
+    let (from, sga) = match &*vq {
+        VirtualQueue::Merge { out, .. } => out.items.borrow_mut().pop_front()?,
+        VirtualQueue::Sort {
+            buffer,
+            higher_priority,
+            ..
+        } => {
+            let mut buf = buffer.items.borrow_mut();
+            let better = |best, i| higher_priority(&buf[i].1, &buf[best].1);
+            let best = (1..buf.len()).fold(0, |best, i| if better(best, i) { i } else { best });
+            buf.remove(best)?
+        }
+        _ => return Some(OperationResult::Failed(DemiError::InvalidState)),
+    };
+    Some(OperationResult::Pop { from, sga })
 }
 
 #[cfg(test)]

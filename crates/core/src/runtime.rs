@@ -5,14 +5,17 @@
 //! [`Runtime::wait`] / [`Runtime::wait_any`] / [`Runtime::wait_all`]
 //! drive the world until the named operations complete (paper §4.4). An
 //! operation whose result is known when the libOS call returns records a
-//! completed slot and nothing else; only one that must block becomes a
-//! coroutine, which writes its result straight into its slot.
+//! completed slot and nothing else. One that must block *parks* in its
+//! slot ([`Runtime::park_op`]) — its gate and check live there, and the
+//! runtime re-runs the check each time the gate fires, allocating
+//! nothing. Only long-running work (catfs I/O, catcorn sends, composed
+//! transformations) is a coroutine, which writes its result into its slot.
 //!
 //! One `Runtime` is shared by every libOS instance in a simulation:
-//! client and server co-run as coroutines on one virtual CPU, and when
-//! every task is blocked the runtime advances virtual time to the next
-//! event — a fabric delivery, a protocol timer, or a device completion
-//! (registered as *deadline sources*).
+//! client and server co-run on one virtual CPU, and when every task is
+//! blocked the runtime advances virtual time to the next event — a fabric
+//! delivery, a protocol timer, or a device completion (registered as
+//! *deadline sources*).
 //!
 //! `wait` gives the paper's two improvements over epoll by construction:
 //! it returns the completed operation's data directly (no second syscall),
@@ -20,9 +23,11 @@
 //! operation).
 //!
 //! Scheduling is waker-driven: a `wait` runs scheduler passes only while
-//! the run queue is non-empty, and blocked coroutines park on waker
-//! sources — per-qtoken completion wakers ([`Runtime::await_op`]), queue
-//! and condition wakers, timer deadlines, or the runtime's *activity gate*
+//! the run queue is non-empty. A parked operation is a *keyed* scheduler
+//! task (its poll is the slot's re-check), so it runs in the one run queue
+//! with the coroutines, which park on per-qtoken completion wakers
+//! ([`Runtime::await_op`]), timer deadlines or the same gates: queue and
+//! condition `Notify`s, or the runtime's *activity gate*
 //! (`Runtime::activity`), which fires whenever external progress happens
 //! (frames delivered, device pollers did work, timers fired). Deadlock is
 //! no longer a spin-count heuristic: when a pass polls nothing, nothing
@@ -38,12 +43,19 @@ use std::pin::Pin;
 use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
 
-use demi_sched::{Notify, Scheduler, TimerService};
+use demi_sched::{Notified, Notify, Scheduler, TimerService};
 use demi_telemetry::span::SpanPoint;
 use sim_fabric::{Fabric, SimClock, SimTime};
 
 use crate::metrics::Metrics;
-use crate::types::{DemiError, OperationResult, QToken};
+use crate::types::{DemiError, OperationResult, QDesc, QToken};
+
+/// A parked operation's check: given its queue, its result once there is
+/// one. Shared by every pop of a kind. It runs with the op slab borrowed,
+/// so it must never reach the runtime — it captures cycle-free pieces
+/// only, never a `Runtime`.
+pub(crate) type Check = Rc<dyn Fn(QDesc) -> Option<OperationResult>>;
+type ParkedPoll = Rc<dyn Fn(u64, &mut Context<'_>) -> Poll<()>>;
 
 /// A device-poll hook run on every scheduler pass; returns how many work
 /// items (frames, completions, readiness transitions) it processed, so the
@@ -69,14 +81,42 @@ impl PumpReport {
     }
 }
 
-/// One slot's place in the op lifecycle: free → pending | complete →
-/// consumed (free again, generation bumped).
+/// One slot's place in the op lifecycle: free → parked | pending |
+/// complete → consumed (free again, generation bumped).
 enum OpState {
     Free,
+    /// Blocked on a gate; the runtime re-runs its check when it fires.
+    Parked(Parked),
     /// A coroutine will write the result.
     Pending,
     /// The result, waiting to be consumed exactly once.
     Complete(OperationResult),
+}
+
+/// A blocked operation: [`Notify::until`]'s loop, without the coroutine.
+struct Parked {
+    gate: Notify,
+    /// The gate snapshot, taken at the first check as `until` takes it.
+    wait: Option<Notified>,
+    check: Check,
+    qd: QDesc,
+}
+
+impl Parked {
+    /// The check runs first and after each notification, until it yields.
+    fn poll(&mut self, cx: &mut Context<'_>) -> Poll<OperationResult> {
+        let mut checked = self.wait.is_some();
+        let wait = self.wait.get_or_insert_with(|| self.gate.notified());
+        loop {
+            if checked && Pin::new(&mut *wait).poll(cx).is_pending() {
+                return Poll::Pending;
+            }
+            checked = true;
+            if let Some(result) = (self.check)(self.qd) {
+                return Poll::Ready(result);
+            }
+        }
+    }
 }
 
 /// Everything the runtime knows about one queue operation.
@@ -139,14 +179,14 @@ impl OpSlab {
     }
 
     /// Consumes `qt` if complete, yielding its result and submission
-    /// instant; while it is pending, parks `waker` (if given) on it.
+    /// instant; until then, parks `waker` (if given) on it.
     fn take(
         &mut self,
         qt: QToken,
         waker: Option<&Waker>,
     ) -> Result<Option<(OperationResult, SimTime)>, DemiError> {
         let slot = self.slot(qt).ok_or(DemiError::BadQToken)?;
-        if matches!(slot.state, OpState::Pending) {
+        if !matches!(slot.state, OpState::Complete(_)) {
             if let Some(waker) = waker {
                 slot.waker = Some(waker.clone());
             }
@@ -161,7 +201,7 @@ impl OpSlab {
         Ok(Some((result, started)))
     }
 
-    /// Records the result of `qt`'s coroutine and tells the wait watching
+    /// Records the result of `qt`'s operation and tells the wait watching
     /// it, if any; returns the parked awaiter to wake.
     fn complete(&mut self, qt: QToken, result: OperationResult) -> Option<Waker> {
         let epoch = self.epoch;
@@ -189,9 +229,11 @@ struct Inner {
     unflushed: Cell<bool>,
     metrics: Metrics,
     /// The activity gate: notified whenever external progress happens, so
-    /// libOS coroutines waiting for "the world to move" (new frames, device
+    /// operations waiting for "the world to move" (new frames, device
     /// completions) park here instead of yield-spinning.
     activity: Notify,
+    /// Every parked operation's task poll ([`poll_parked`]).
+    poll_parked: ParkedPoll,
 }
 
 /// The shared runtime (cheaply cloneable handle).
@@ -220,7 +262,7 @@ impl Runtime {
 
     fn build(clock: SimClock, fabric: Option<Fabric>) -> Self {
         Runtime {
-            inner: Rc::new(Inner {
+            inner: Rc::new_cyclic(|runtime: &Weak<Inner>| Inner {
                 scheduler: Scheduler::new(),
                 timers: TimerService::new(clock.clone()),
                 clock,
@@ -231,6 +273,10 @@ impl Runtime {
                 unflushed: Cell::new(false),
                 metrics: Metrics::new(),
                 activity: Notify::new(),
+                poll_parked: {
+                    let runtime = runtime.clone();
+                    Rc::new(move |key, cx| poll_parked(&runtime, QToken(key), cx))
+                },
             }),
         }
     }
@@ -288,7 +334,7 @@ impl Runtime {
     /// The activity gate: fires after every batch of external progress
     /// (frames delivered, poller work, timers fired). Operations waiting
     /// for device- or network-driven state changes name it as the gate of
-    /// [`Runtime::spawn_ready_op`] and re-check when it fires.
+    /// [`Runtime::park_op`] and re-check when it fires.
     pub(crate) fn activity(&self) -> &Notify {
         &self.inner.activity
     }
@@ -333,32 +379,28 @@ impl Runtime {
         F: Future<Output = OperationResult> + 'static,
     {
         let qt = self.begin_op(name, OpState::Pending);
-        self.inner.scheduler.spawn_detached(
-            name,
-            OpTask {
-                qt,
-                runtime: Rc::downgrade(&self.inner),
-                op,
-            },
-        );
+        let runtime = Rc::downgrade(&self.inner);
+        let task = OpTask { qt, runtime, op };
+        self.inner.scheduler.spawn_detached(name, task);
         qt
     }
 
-    /// The one check-then-park driver: spawns an operation that runs
-    /// `check` when first polled and again each time `gate` is notified,
-    /// parked (zero polls) in between, until `check` yields its result. A
-    /// notification landing between a check and the park is not lost.
-    /// `check` lives inside a task the runtime owns, so it must capture
-    /// only cycle-free pieces — a stack, a queue table, a `Notify` — never
-    /// a `Runtime`.
-    pub fn spawn_ready_op(
-        &self,
-        name: &'static str,
-        gate: &Notify,
-        check: impl FnMut() -> Option<OperationResult> + 'static,
-    ) -> QToken {
-        let gate = gate.clone();
-        self.spawn_op(name, async move { gate.until(check).await })
+    /// The one parking path: an operation on `qd` that runs `check(qd)`
+    /// when first polled and again each time `gate` is notified (one that
+    /// lands between a check and the park is not lost), parked at zero
+    /// polls in between. It lives in its slot and runs as a keyed task:
+    /// once warm, parking allocates nothing.
+    pub fn park_op(&self, name: &'static str, gate: &Notify, check: Check, qd: QDesc) -> QToken {
+        let parked = Parked {
+            gate: gate.clone(),
+            wait: None,
+            check,
+            qd,
+        };
+        let qt = self.begin_op(name, OpState::Parked(parked));
+        let poll = self.inner.poll_parked.clone();
+        self.inner.scheduler.spawn_keyed(name, qt.0, poll);
+        qt
     }
 
     /// The qtoken of an operation whose result is known as the libOS call
@@ -662,27 +704,25 @@ impl Runtime {
 
     /// Waits until *all* of `qts` complete (or the timeout expires).
     /// Results are returned in token order; a token named twice can only
-    /// resolve once, so it fails the call like an already-consumed one.
+    /// resolve once, so it fails the call like an already-consumed one. A
+    /// timeout consumes nothing.
     ///
-    /// Drives one wait loop consuming completions as they arrive — not a
+    /// Drives one wait loop counting completions as they arrive — not a
     /// `wait_any` per token, which rescanned the survivors after every
-    /// completion (O(n²) over the batch).
+    /// completion (O(n²) over the batch) — then consumes them all.
     pub fn wait_all(
         &self,
         qts: &[QToken],
         timeout: Option<SimTime>,
     ) -> Result<Vec<OperationResult>, DemiError> {
         self.watch(qts, true)?;
-        let mut results: Vec<Option<OperationResult>> = qts.iter().map(|_| None).collect();
         let mut missing = qts.len();
         self.drive_wait(timeout, || {
-            while let Some((i, result)) = self.next_arrival() {
-                results[i] = Some(result);
-                missing -= 1;
-            }
+            missing -= self.inner.ops.borrow_mut().arrivals.drain(..).count();
             Ok((missing == 0).then_some(()))
         })?;
-        Ok(results.into_iter().flatten().collect())
+        let take = |&qt: &QToken| self.take(qt)?.ok_or(DemiError::BadQToken);
+        qts.iter().map(take).collect()
     }
 
     /// Number of unresolved qtokens (diagnostics). A token never waited on
@@ -709,13 +749,55 @@ impl Runtime {
     }
 }
 
-/// The coroutine behind a deferred operation: runs `op`, then writes its
-/// result into the token's slot. Along the way it observes the lifecycle:
-/// stamps the span's first-poll and completion points and brackets each
-/// poll with the span module's current-op marker so deeper layers (the
-/// device sim's `tx_burst`) can attribute events to the op being
-/// executed. When span capture is off that is one thread-local bool read
-/// per poll.
+/// One poll of `qt`'s operation, traced: stamps the span's first-poll and
+/// completion points and brackets the poll with the span module's
+/// current-op marker, so deeper layers (the device sim's `tx_burst`) can
+/// attribute events to the op being executed. With span capture off that
+/// is one thread-local bool read.
+fn traced(qt: QToken, poll: impl FnOnce() -> Poll<OperationResult>) -> Poll<OperationResult> {
+    if !demi_telemetry::span::enabled() {
+        return poll();
+    }
+    // Stamps are set-once: only the first poll's sticks.
+    demi_telemetry::span::note(qt.0, SpanPoint::FirstPoll, demi_telemetry::now_ns());
+    demi_telemetry::span::set_current(Some(qt.0));
+    let polled = poll();
+    demi_telemetry::span::set_current(None);
+    if polled.is_ready() {
+        demi_telemetry::span::note(qt.0, SpanPoint::Completed, demi_telemetry::now_ns());
+    }
+    polled
+}
+
+/// Writes `qt`'s result into its slot and wakes the coroutine awaiting it.
+fn deliver(mut ops: std::cell::RefMut<'_, OpSlab>, qt: QToken, result: OperationResult) {
+    let awaiter = ops.complete(qt, result);
+    drop(ops);
+    if let Some(waker) = awaiter {
+        waker.wake();
+    }
+}
+
+/// A parked operation's task poll: re-runs its check in place, in its slot
+/// — which is why a check must never reach the runtime — and completes the
+/// slot once the check yields. The task is the only way out of `Parked`.
+fn poll_parked(runtime: &Weak<Inner>, qt: QToken, cx: &mut Context<'_>) -> Poll<()> {
+    let Some(inner) = runtime.upgrade() else {
+        return Poll::Ready(());
+    };
+    let mut ops = inner.ops.borrow_mut();
+    let Some(OpState::Parked(parked)) = ops.slot(qt).map(|slot| &mut slot.state) else {
+        return Poll::Ready(());
+    };
+    let Poll::Ready(result) = traced(qt, || parked.poll(cx)) else {
+        return Poll::Pending;
+    };
+    deliver(ops, qt, result);
+    Poll::Ready(())
+}
+
+/// The coroutine behind a long-running operation: runs `op`, then writes
+/// its result into the token's slot.
 struct OpTask<F> {
     qt: QToken,
     runtime: Weak<Inner>,
@@ -729,29 +811,14 @@ impl<F: Future<Output = OperationResult>> Future for OpTask<F> {
         // SAFETY: `op` is never moved out of the pinned wrapper; the
         // re-pin below covers the only access.
         let this = unsafe { self.get_unchecked_mut() };
-        let tracing = demi_telemetry::span::enabled();
-        if tracing {
-            // Stamps are set-once: only the first poll's sticks.
-            demi_telemetry::span::note(this.qt.0, SpanPoint::FirstPoll, demi_telemetry::now_ns());
-            demi_telemetry::span::set_current(Some(this.qt.0));
-        }
         // SAFETY: see above — `this.op` stays where the outer pin put it.
-        let polled = unsafe { Pin::new_unchecked(&mut this.op) }.poll(cx);
-        if tracing {
-            demi_telemetry::span::set_current(None);
-        }
-        let Poll::Ready(result) = polled else {
+        let op = unsafe { Pin::new_unchecked(&mut this.op) };
+        let Poll::Ready(result) = traced(this.qt, || op.poll(cx)) else {
             return Poll::Pending;
         };
-        if tracing {
-            demi_telemetry::span::note(this.qt.0, SpanPoint::Completed, demi_telemetry::now_ns());
-        }
         // A runtime being torn down has nobody left to deliver to.
         if let Some(inner) = this.runtime.upgrade() {
-            let parked = inner.ops.borrow_mut().complete(this.qt, result);
-            if let Some(waker) = parked {
-                waker.wake();
-            }
+            deliver(inner.ops.borrow_mut(), this.qt, result);
         }
         Poll::Ready(())
     }
@@ -951,9 +1018,8 @@ mod tests {
     fn park_herd(rt: &Runtime, gate: &Notify, released: &Rc<Cell<bool>>, n: usize) -> Vec<QToken> {
         let herd = (0..n).map(|_| {
             let released = released.clone();
-            rt.spawn_ready_op("parked", gate, move || {
-                released.get().then_some(OperationResult::Push)
-            })
+            let check = Rc::new(move |_| released.get().then_some(OperationResult::Push));
+            rt.park_op("parked", gate, check, QDesc(0))
         });
         let herd = herd.collect();
         // Drain the initial spawn polls.
@@ -987,9 +1053,9 @@ mod tests {
     fn ready_op_does_not_lose_a_notification_between_check_and_park() {
         let rt = Runtime::new();
         let (gate, ready) = (Notify::new(), Rc::new(Cell::new(false)));
-        let qt = rt.spawn_ready_op("racy", &gate, {
+        let check = Rc::new({
             let (gate, ready) = (gate.clone(), ready.clone());
-            move || {
+            move |_| {
                 if ready.get() {
                     return Some(OperationResult::Push);
                 }
@@ -999,6 +1065,7 @@ mod tests {
                 None
             }
         });
+        let qt = rt.park_op("racy", &gate, check, QDesc(0));
         assert_eq!(rt.wait(qt, None), Ok(OperationResult::Push));
         // Resolved by the notification, not by the deadlock rescue sweep.
         assert_eq!(rt.scheduler().stats().spurious_polls, 0);

@@ -23,10 +23,13 @@ pub struct QToken(pub u64);
 /// A scatter-gather array: the atomic unit of queue I/O (paper §4.2).
 ///
 /// Segments are zero-copy [`DemiBuffer`] handles. "A scatter-gather array
-/// pushed into a Demikernel queue always pops out as a single element."
+/// pushed into a Demikernel queue always pops out as a single element." A
+/// one-segment array, the common one, is held inline: no vector.
 #[derive(Debug, Clone, Default)]
 pub struct Sga {
-    segs: Vec<DemiBuffer>,
+    /// The segment of a one-segment array; `many` holds every other shape.
+    one: Option<DemiBuffer>,
+    many: Vec<DemiBuffer>,
 }
 
 impl Sga {
@@ -38,40 +41,49 @@ impl Sga {
     /// Single-segment array copying `data` (convenience; zero-copy callers
     /// use [`Sga::from_bufs`] with pool-allocated buffers).
     pub fn from_slice(data: &[u8]) -> Self {
-        Sga {
-            segs: vec![DemiBuffer::from_slice(data)],
-        }
+        DemiBuffer::from_slice(data).into()
     }
 
     /// Builds from existing buffers, zero-copy.
-    pub fn from_bufs(segs: Vec<DemiBuffer>) -> Self {
-        Sga { segs }
+    pub fn from_bufs(mut segs: Vec<DemiBuffer>) -> Self {
+        Sga::take_from(&mut segs)
+    }
+
+    /// Moves `segs` out, leaving it its capacity when it holds one segment.
+    pub(crate) fn take_from(segs: &mut Vec<DemiBuffer>) -> Self {
+        if segs.len() == 1 {
+            return segs.pop().map(Sga::from).unwrap_or_default();
+        }
+        let many = std::mem::take(segs);
+        Sga { one: None, many }
     }
 
     /// Appends a segment (zero-copy handle).
     pub fn push_seg(&mut self, seg: DemiBuffer) {
-        self.segs.push(seg);
+        self.many.extend(self.one.take());
+        self.many.push(seg);
     }
 
     /// The segments.
     pub fn segments(&self) -> &[DemiBuffer] {
-        &self.segs
+        match &self.one {
+            Some(seg) => std::slice::from_ref(seg),
+            None => &self.many,
+        }
     }
 
     /// Mutable segment handles, for filling freshly allocated buffers in
     /// place (each still refuses writes unless exclusively owned).
     pub fn segments_mut(&mut self) -> &mut [DemiBuffer] {
-        &mut self.segs
-    }
-
-    /// Number of segments.
-    pub(crate) fn seg_count(&self) -> usize {
-        self.segs.len()
+        match &mut self.one {
+            Some(seg) => std::slice::from_mut(seg),
+            None => &mut self.many,
+        }
     }
 
     /// Total payload bytes across segments.
     pub fn len(&self) -> usize {
-        self.segs.iter().map(|s| s.len()).sum()
+        self.segments().iter().map(|s| s.len()).sum()
     }
 
     /// Whether the array carries no bytes.
@@ -83,10 +95,18 @@ impl Sga {
     /// baselines only — the data path never calls this).
     pub fn to_vec(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len());
-        for seg in &self.segs {
+        for seg in self.segments() {
             out.extend_from_slice(seg.as_slice());
         }
         out
+    }
+}
+
+impl From<DemiBuffer> for Sga {
+    /// A one-segment array, zero-copy.
+    fn from(seg: DemiBuffer) -> Self {
+        let one = Some(seg);
+        Sga { one, many: vec![] }
     }
 }
 
@@ -225,7 +245,7 @@ mod tests {
         assert!(sga.is_empty());
         sga.push_seg(DemiBuffer::from_slice(b"hello "));
         sga.push_seg(DemiBuffer::from_slice(b"world"));
-        assert_eq!(sga.seg_count(), 2);
+        assert_eq!(sga.segments().len(), 2);
         assert_eq!(sga.len(), 11);
         assert_eq!(sga.to_vec(), b"hello world");
     }

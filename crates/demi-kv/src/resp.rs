@@ -26,6 +26,7 @@
 //! writer's: pushed as one SGA, small buffers share segments.
 
 use std::collections::VecDeque;
+use std::io::Write;
 
 use demi_memory::{counters, DemiBuffer, MemoryManager};
 
@@ -96,7 +97,11 @@ pub struct RespParser {
     chunks: VecDeque<DemiBuffer>,
     buffered: usize,
     state: ParseState,
+    /// The arguments of the command being parsed, and the last complete
+    /// command. The two vectors trade places per command and are cleared,
+    /// never dropped, so parsing allocates no argument list.
     args: Vec<DemiBuffer>,
+    command: RespCommand,
     stats: RespStats,
 }
 
@@ -114,6 +119,7 @@ impl RespParser {
             buffered: 0,
             state: ParseState::ArrayHeader,
             args: Vec::new(),
+            command: RespCommand { args: Vec::new() },
             stats: RespStats::default(),
         }
     }
@@ -134,8 +140,10 @@ impl RespParser {
     }
 
     /// Extracts the next complete command, or `None` if more bytes are
-    /// needed. Call in a loop to drain a pipelined burst.
-    pub fn next_command(&mut self) -> Result<Option<RespCommand>, RespError> {
+    /// needed. Call in a loop to drain a pipelined burst; each call
+    /// releases the previous command's argument views.
+    pub fn next_command(&mut self) -> Result<Option<&RespCommand>, RespError> {
+        self.command.args.clear();
         loop {
             match self.state {
                 ParseState::ArrayHeader => {
@@ -150,7 +158,7 @@ impl RespParser {
                         return Err(RespError("argument count out of range"));
                     }
                     self.consume(line_len);
-                    self.args = Vec::with_capacity(nargs as usize);
+                    self.args.clear();
                     self.state = ParseState::BulkHeader { remaining: nargs };
                 }
                 ParseState::BulkHeader { remaining } => {
@@ -188,9 +196,8 @@ impl RespParser {
                     if remaining == 1 {
                         self.state = ParseState::ArrayHeader;
                         self.stats.commands += 1;
-                        return Ok(Some(RespCommand {
-                            args: std::mem::take(&mut self.args),
-                        }));
+                        std::mem::swap(&mut self.args, &mut self.command.args);
+                        return Ok(Some(&self.command));
                     }
                     self.state = ParseState::BulkHeader {
                         remaining: remaining - 1,
@@ -335,20 +342,12 @@ fn parse_decimal(line: &[u8]) -> Result<u64, RespError> {
 
 /// Appends the RESP encoding of a command to `out`.
 pub fn encode_command(out: &mut Vec<u8>, args: &[&[u8]]) {
-    out.push(b'*');
-    out.extend_from_slice(itoa(args.len() as u64).as_bytes());
-    out.extend_from_slice(b"\r\n");
+    let _ = write!(out, "*{}\r\n", args.len());
     for a in args {
-        out.push(b'$');
-        out.extend_from_slice(itoa(a.len() as u64).as_bytes());
-        out.extend_from_slice(b"\r\n");
+        let _ = write!(out, "${}\r\n", a.len());
         out.extend_from_slice(a);
         out.extend_from_slice(b"\r\n");
     }
-}
-
-fn itoa(v: u64) -> String {
-    v.to_string()
 }
 
 // ---------------------------------------------------------------------
@@ -411,9 +410,7 @@ impl ReplyWriter {
 
     /// `:<n>\r\n` integer reply.
     pub(crate) fn integer(&mut self, v: i64) {
-        self.ctrl.push(b':');
-        self.ctrl.extend_from_slice(v.to_string().as_bytes());
-        self.ctrl.extend_from_slice(b"\r\n");
+        let _ = write!(self.ctrl, ":{v}\r\n");
     }
 
     /// `$-1\r\n` null bulk (missing key).
@@ -431,12 +428,10 @@ impl ReplyWriter {
     pub fn bulk(&mut self, value: &DemiBuffer) {
         let mut header = [0u8; MAX_LINE];
         let header_len = {
-            let digits = value.len().to_string();
-            header[0] = b'$';
-            header[1..1 + digits.len()].copy_from_slice(digits.as_bytes());
-            header[1 + digits.len()] = b'\r';
-            header[2 + digits.len()] = b'\n';
-            3 + digits.len()
+            // Formatted on the stack: at most 20 digits, so it always fits.
+            let mut rest = &mut header[..];
+            let _ = write!(rest, "${}\r\n", value.len());
+            MAX_LINE - rest.len()
         };
         let mut v = value.clone();
         match v.prepend(header_len) {

@@ -162,7 +162,7 @@ impl KvEngine {
             match conn.parser.next_command() {
                 Ok(Some(cmd)) => {
                     result.depth += 1;
-                    self.execute(&cmd, &mut pending, &mut result.immediate, now);
+                    self.execute(cmd, &mut pending, &mut result.immediate, now);
                 }
                 Ok(None) => break,
                 Err(err) => {
@@ -180,8 +180,9 @@ impl KvEngine {
             self.stats.max_burst = self.stats.max_burst.max(result.depth as u64);
         }
         if pending.is_empty() {
-            // Nothing to commit: everything releases now.
-            result.immediate.append(&mut self.writer.take());
+            // Nothing to commit: everything releases now, the writer's
+            // own burst handed over whole.
+            result.immediate = self.writer.take();
         } else {
             self.stats.batches += 1;
             self.stats.logged_ops += pending.len() as u64;
@@ -298,10 +299,11 @@ impl KvEngine {
     }
 
     /// On the pass's first logged mutation, everything already written
-    /// precedes the durability barrier: release it immediately.
+    /// precedes the durability barrier: release it immediately. (Nothing
+    /// was released before the first barrier, so `immediate` is empty.)
     fn log_barrier(&mut self, pending: &[PendingOp], immediate: &mut Vec<DemiBuffer>) {
         if pending.is_empty() {
-            immediate.append(&mut self.writer.take());
+            *immediate = self.writer.take();
         }
     }
 }

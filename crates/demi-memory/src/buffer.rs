@@ -83,12 +83,15 @@ impl fmt::Display for CrossTenantAccess {
 
 impl std::error::Error for CrossTenantAccess {}
 
-/// Where a buffer's storage returns when its last handle drops.
+/// The pool and class a pooled buffer returns to when its last handle drops.
 pub(crate) struct PoolHome {
     pub(crate) pool: Weak<RefCell<PoolInner>>,
     pub(crate) class: usize,
 }
 
+/// The header every handle of one buffer shares. A pooled header outlives
+/// its buffer: the last handle returns it to the pool with its storage and
+/// its registry's capacity, for the next allocation of its class.
 pub(crate) struct BufInner {
     /// Base pointer of the owned allocation. Kept raw (rather than as a
     /// `Box<[u8]>`) so that disjoint-range access — a `prepend` writing
@@ -97,7 +100,7 @@ pub(crate) struct BufInner {
     /// `Drop`.
     ptr: NonNull<u8>,
     cap: usize,
-    home: Cell<Option<PoolHome>>,
+    home: Option<PoolHome>,
     /// Live view starts: `(view start offset, number of live handles)`.
     /// Maintained by every handle create/clone/retarget/drop; `prepend`
     /// consults it to prove the headroom bytes are invisible to all other
@@ -118,7 +121,11 @@ impl BufInner {
         Self::from_box_for(storage, home, demi_tenant::current())
     }
 
-    fn from_box_for(storage: Box<[u8]>, home: Option<PoolHome>, tenant: TenantId) -> Self {
+    pub(crate) fn from_box_for(
+        storage: Box<[u8]>,
+        home: Option<PoolHome>,
+        tenant: TenantId,
+    ) -> Self {
         let cap = storage.len();
         let ptr = Box::into_raw(storage) as *mut u8;
         BufInner {
@@ -126,7 +133,7 @@ impl BufInner {
             // for an empty slice).
             ptr: unsafe { NonNull::new_unchecked(ptr) },
             cap,
-            home: Cell::new(home),
+            home,
             views: RefCell::new(Vec::with_capacity(2)),
             tenant: Cell::new(tenant),
         }
@@ -194,13 +201,7 @@ impl BufInner {
 impl Drop for BufInner {
     fn drop(&mut self) {
         // SAFETY: the last handle is gone, so no slice borrows remain.
-        let storage = unsafe { self.take_storage() };
-        if let Some(home) = self.home.take() {
-            if let Some(pool) = home.pool.upgrade() {
-                pool.borrow_mut().recycle(home.class, storage);
-            }
-            // Pool already gone: storage simply deallocates.
-        }
+        drop(unsafe { self.take_storage() });
     }
 }
 
@@ -352,22 +353,19 @@ impl DemiBuffer {
         fresh
     }
 
-    /// Wraps pool-owned storage; the view covers `[off, off + len)` and
-    /// the buffer is stamped with the pool's owning tenant.
+    /// The first handle to a pooled header, viewing `[off, off + len)` and
+    /// stamped with the pool's tenant; a reused header has no view left.
     pub(crate) fn from_pool(
-        storage: Box<[u8]>,
+        header: Rc<BufInner>,
         off: usize,
         len: usize,
-        home: PoolHome,
         tenant: TenantId,
     ) -> Self {
-        debug_assert!(off + len <= storage.len());
+        debug_assert!(off + len <= header.cap);
+        debug_assert!(header.views.borrow().is_empty(), "a free header has a view");
         counters::note_alloc();
-        Self::new_handle(
-            Rc::new(BufInner::from_box_for(storage, Some(home), tenant)),
-            off,
-            len,
-        )
+        header.tenant.set(tenant);
+        Self::new_handle(header, off, len)
     }
 
     /// Bytes visible through this handle.
@@ -566,6 +564,20 @@ impl DemiBuffer {
 impl Drop for DemiBuffer {
     fn drop(&mut self) {
         self.inner.view_unregister(self.off);
+        // The last handle of a pooled buffer returns its header to the pool;
+        // without a pool to return to, header and storage simply free.
+        let Some(home) = self.inner.home.as_ref() else {
+            return;
+        };
+        if Rc::strong_count(&self.inner) > 1 {
+            return;
+        }
+        if let Some(pool) = home.pool.upgrade() {
+            // A drop must not panic: a pool busy right now lets it go.
+            if let Ok(mut pool) = pool.try_borrow_mut() {
+                pool.recycle(home.class, self.inner.clone());
+            }
+        }
     }
 }
 
@@ -675,6 +687,60 @@ impl From<Vec<u8>> for DemiBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+
+    thread_local! {
+        static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    /// Counts this thread's allocations inside [`allocs_in`].
+    struct Counting;
+
+    // SAFETY: every request is forwarded unchanged to `System`; the only
+    // addition is a thread-local counter bump that cannot allocate or unwind.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+            // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
+
+    fn allocs_in(f: impl FnOnce()) -> u64 {
+        ALLOCS.set(Some(0));
+        f();
+        ALLOCS.replace(None).unwrap_or(0)
+    }
+
+    /// A pooled buffer's header goes back to the pool with its storage and
+    /// its view registry's capacity: once warm, allocating, sharing and
+    /// viewing a buffer at three offsets, and dropping it, allocates
+    /// nothing. Catches the last handle dropping its header instead of
+    /// returning it (`recycle` deleted from `Drop`): the next buffer gets a
+    /// header whose registry regrows at the third offset.
+    #[test]
+    fn a_warm_pool_buffer_allocates_nothing_over_its_life() {
+        let pool = crate::BufferPool::unregistered();
+        pool.warm_up();
+        let life = || {
+            let buf = pool.alloc_with_headroom(16, 100);
+            let mut second = buf.clone();
+            second.advance(10);
+            let mut third = second.clone();
+            third.advance(10);
+            assert_eq!(buf.inner.views.borrow().len(), 3);
+        };
+        life();
+        assert_eq!(allocs_in(life), 0);
+    }
 
     #[test]
     fn from_slice_round_trips() {

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use demi_tenant::TenantId;
 
-use crate::buffer::{DemiBuffer, PoolHome};
+use crate::buffer::{BufInner, DemiBuffer, PoolHome};
 use crate::registration::{RegionId, Registrar};
 
 /// The pool's size classes, in bytes. Allocations round up to the smallest
@@ -42,7 +42,9 @@ pub struct PoolStats {
 
 pub(crate) struct ClassPool {
     size: usize,
-    free: Vec<Box<[u8]>>,
+    /// Free buffers: headers with their storage attached. A returned one
+    /// keeps its view registry's capacity.
+    free: Vec<Rc<BufInner>>,
     regions: Vec<RegionId>,
 }
 
@@ -81,9 +83,9 @@ pub(crate) struct PoolInner {
 }
 
 impl PoolInner {
-    pub(crate) fn recycle(&mut self, class: usize, storage: Box<[u8]>) {
+    pub(crate) fn recycle(&mut self, class: usize, header: Rc<BufInner>) {
         self.stats.recycled += 1;
-        self.classes[class].free.push(storage);
+        self.classes[class].free.push(header);
     }
 }
 
@@ -193,7 +195,7 @@ impl BufferPool {
         };
 
         if inner.classes[class].free.is_empty() {
-            if !Self::grow(&mut inner, class) {
+            if !self.grow(&mut inner, class) {
                 demi_tenant::counters::note_pool_exhaustion();
                 return Err(PoolExhausted { tenant });
             }
@@ -201,22 +203,18 @@ impl BufferPool {
         } else {
             inner.stats.warm_allocs += 1;
         }
-        let storage = inner.classes[class]
+        let header = inner.classes[class]
             .free
             .pop()
             .expect("grow populated the free list");
-        let home = PoolHome {
-            pool: Rc::downgrade(&self.inner),
-            class,
-        };
         drop(inner);
-        Ok(DemiBuffer::from_pool(storage, headroom, len, home, tenant))
+        Ok(DemiBuffer::from_pool(header, headroom, len, tenant))
     }
 
     /// Grows `class` by up to one batch, clipped to the tenant budget.
     /// Returns false (without growing) when the budget has no room for
     /// even one buffer of this class.
-    fn grow(inner: &mut PoolInner, class: usize) -> bool {
+    fn grow(&self, inner: &mut PoolInner, class: usize) -> bool {
         let size = inner.classes[class].size;
         let batch = match inner.budget_bytes {
             Some(budget) => {
@@ -235,9 +233,13 @@ impl BufferPool {
         }
         inner.stats.owned_bytes += batch_bytes as u64;
         for _ in 0..batch {
-            inner.classes[class]
-                .free
-                .push(vec![0u8; size].into_boxed_slice());
+            let home = PoolHome {
+                pool: Rc::downgrade(&self.inner),
+                class,
+            };
+            let storage = vec![0u8; size].into_boxed_slice();
+            let header = BufInner::from_box_for(storage, Some(home), inner.tenant);
+            inner.classes[class].free.push(Rc::new(header));
         }
         true
     }
@@ -248,7 +250,7 @@ impl BufferPool {
         let mut inner = self.inner.borrow_mut();
         for class in 0..SIZE_CLASSES.len() {
             if inner.classes[class].free.is_empty() {
-                Self::grow(&mut inner, class);
+                self.grow(&mut inner, class);
             }
         }
     }

@@ -1,17 +1,17 @@
 //! A single-threaded, waker-driven coroutine scheduler.
 //!
-//! Demikernel library OSes run every I/O operation as a coroutine: `push`,
-//! `pop`, `accept`, and `connect` each spawn a task and return a *qtoken*
+//! Demikernel library OSes run every blocked I/O operation as a task: a
+//! parked `pop`, `accept` or `connect` is one and returns a *qtoken*
 //! naming it; `wait`/`wait_any`/`wait_all` drive the scheduler until the
-//! named tasks complete (paper §4.3–4.4). The paper's efficiency claim —
+//! named operations complete (paper §4.3–4.4). The paper's efficiency claim —
 //! `wait` "wakes exactly one thread" per completion — is a statement about
 //! *readiness*: completing an operation must cost O(that operation), not
 //! O(every outstanding operation). This crate provides that machinery:
 //!
-//! * [`Scheduler`] — a slab of `Pin<Box<dyn Future>>` tasks, each with a
-//!   real [`std::task::Waker`] backed by a shared run queue. A scheduler
-//!   pass drains only woken tasks, so thousands of parked connections cost
-//!   nothing per completion.
+//! * [`Scheduler`] — a slab of tasks (boxed futures, or *keyed* polls of
+//!   the runtime's parked ops, which need no box), each with a real
+//!   [`std::task::Waker`] backed by a shared run queue. A pass drains only
+//!   woken tasks, so thousands of parked connections cost nothing.
 //! * [`TaskHandle`] — typed access to a task's eventual result. Tasks that
 //!   deliver their own result (the runtime's queue operations write into
 //!   their qtoken's slot) spawn detached, with no handle at all.
@@ -43,6 +43,6 @@ mod timer;
 mod yield_;
 
 pub use notify::{Notified, Notify};
-pub use scheduler::{PassReport, Scheduler, SchedulerStats, TaskHandle, TaskId};
+pub use scheduler::{PassReport, Scheduler, SchedulerStats, TaskHandle};
 pub use timer::{SleepFuture, TimerService};
 pub use yield_::{yield_once, YieldFuture};

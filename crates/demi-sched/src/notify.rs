@@ -10,7 +10,8 @@
 //! readability, connection state changes).
 //!
 //! The idiomatic wait loop — snapshot, check, park until the epoch moves,
-//! re-check — is written once, as [`Notify::until`].
+//! re-check — is written once, as [`Notify::until`]. Parking allocates
+//! nothing: a parked waiter is one `(key, Waker)` entry in the `Notify`.
 
 use std::cell::RefCell;
 use std::future::Future;
@@ -18,18 +19,12 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-/// One waiting future's waker cell: armed on every `Pending` poll, taken
-/// (so each arming yields at most one wake) by a notification, disarmed
-/// when the future completes or is dropped.
-type WakerSlot = Rc<RefCell<Option<Waker>>>;
-
 #[derive(Default)]
 struct NotifyInner {
     epoch: u64,
-    /// The slot of every future that has parked here. One whose future is
-    /// gone is compacted out by the next notification, so a cancelled
-    /// waiter is never woken and leaks nothing.
-    waiters: Vec<WakerSlot>,
+    next_key: u64,
+    /// Parked waiters in parking order; a notification drains them all.
+    waiters: Vec<(u64, Waker)>,
 }
 
 /// A cloneable edge-triggered event source.
@@ -49,15 +44,10 @@ impl Notify {
     pub fn notify_waiters(&self) -> usize {
         let mut inner = self.inner.borrow_mut();
         inner.epoch += 1;
-        let mut woken = 0;
-        inner.waiters.retain(|slot| {
-            if let Some(waker) = slot.borrow_mut().take() {
-                waker.wake();
-                woken += 1;
-            }
-            // Strong count 1: only this list still holds the slot.
-            Rc::strong_count(slot) > 1
-        });
+        let woken = inner.waiters.len();
+        for (_, waker) in inner.waiters.drain(..) {
+            waker.wake();
+        }
         woken
     }
 
@@ -69,20 +59,22 @@ impl Notify {
     /// A future that completes once [`Notify::notify_waiters`] is called
     /// *after* this future was created. Create it before checking the
     /// condition you are waiting on, so an intervening notification is not
-    /// lost. Completing re-snapshots the epoch, so one `Notified` (one
-    /// waiter registration) can be awaited again for the next notification.
+    /// lost. Completing re-snapshots the epoch, so one `Notified` can be
+    /// awaited again for the next notification.
     pub fn notified(&self) -> Notified {
+        let mut inner = self.inner.borrow_mut();
+        inner.next_key += 1;
         Notified {
             inner: self.inner.clone(),
-            seen_epoch: self.inner.borrow().epoch,
-            slot: Rc::new(RefCell::new(None)),
-            registered: false,
+            seen_epoch: inner.epoch,
+            key: inner.next_key,
+            parked: false,
         }
     }
 
     /// Parks the calling coroutine until `check` yields a value: `check`
-    /// runs once now and again after every notification, on one waiter
-    /// registration. A notification landing between a check and the park
+    /// runs once now and again after every notification, on one
+    /// [`Notified`]. A notification landing between a check and the park
     /// is not lost.
     ///
     /// ```
@@ -121,8 +113,9 @@ impl std::fmt::Debug for Notify {
 pub struct Notified {
     inner: Rc<RefCell<NotifyInner>>,
     seen_epoch: u64,
-    slot: WakerSlot,
-    registered: bool,
+    key: u64,
+    /// Whether this future has an entry among the waiters.
+    parked: bool,
 }
 
 impl Future for Notified {
@@ -133,13 +126,16 @@ impl Future for Notified {
         let mut inner = this.inner.borrow_mut();
         if inner.epoch > this.seen_epoch {
             this.seen_epoch = inner.epoch;
-            *this.slot.borrow_mut() = None;
+            this.parked = false;
             return Poll::Ready(());
         }
-        *this.slot.borrow_mut() = Some(cx.waker().clone());
-        if !this.registered {
-            inner.waiters.push(this.slot.clone());
-            this.registered = true;
+        let key = this.key;
+        if !this.parked {
+            inner.waiters.push((key, cx.waker().clone()));
+            this.parked = true;
+        } else if let Some((_, waker)) = inner.waiters.iter_mut().find(|(k, _)| *k == key) {
+            // Re-polled while parked: the entry keeps the latest waker.
+            waker.clone_from(cx.waker());
         }
         Poll::Pending
     }
@@ -147,8 +143,14 @@ impl Future for Notified {
 
 impl Drop for Notified {
     fn drop(&mut self) {
-        // Disarm so a later notification does not wake a dead waiter.
-        *self.slot.borrow_mut() = None;
+        // Disarm: remove this future's entry unless a notification already
+        // took it. A failed borrow means one is taking it right now.
+        if let Ok(mut inner) = self.inner.try_borrow_mut() {
+            if self.parked && inner.epoch == self.seen_epoch {
+                let key = self.key;
+                inner.waiters.retain(|(k, _)| *k != key);
+            }
+        }
     }
 }
 
@@ -239,7 +241,7 @@ mod tests {
         let notify = Notify::new();
         let items = Rc::new(RefCell::new(Vec::new()));
         // Two competing consumers: each notification wakes both, the loser
-        // finds nothing and parks again without registering a second slot.
+        // finds nothing and parks again on the same `Notified`.
         let consumers: Vec<_> = (0..2)
             .map(|_| {
                 let (notify, items) = (notify.clone(), items.clone());
@@ -252,15 +254,15 @@ mod tests {
         items.borrow_mut().push(10);
         assert_eq!(notify.notify_waiters(), 2);
         sched.run_pass();
-        // The winner's slot awaits compaction; the loser re-armed its own.
-        assert_eq!(notify.inner.borrow().waiters.len(), 2);
+        // The notification drained both entries; only the loser re-armed.
+        assert_eq!(notify.inner.borrow().waiters.len(), 1);
         items.borrow_mut().push(20);
         assert_eq!(notify.notify_waiters(), 1);
         sched.run_pass();
         let mut got: Vec<u32> = consumers.iter().filter_map(|h| h.take_result()).collect();
         got.sort_unstable();
         assert_eq!(got, vec![10, 20]);
-        assert_eq!(notify.notify_waiters(), 0, "finished waiters are compacted");
+        assert_eq!(notify.notify_waiters(), 0, "finished waiters left no entry");
     }
 
     #[test]
@@ -268,6 +270,13 @@ mod tests {
         let notify = Notify::new();
         let fut = notify.notified();
         drop(fut);
+        assert_eq!(notify.notify_waiters(), 0);
+        // A parked waiter dropped before any notification removes its entry.
+        let mut parked = Box::pin(notify.notified());
+        let mut cx = Context::from_waker(Waker::noop());
+        assert!(parked.as_mut().poll(&mut cx).is_pending());
+        assert_eq!(notify.inner.borrow().waiters.len(), 1);
+        drop(parked);
         assert_eq!(notify.notify_waiters(), 0);
     }
 }

@@ -19,7 +19,15 @@ use std::task::{Context, Poll, Wake, Waker};
 /// Identifies a spawned task, numbered in spawn order. (A Demikernel qtoken
 /// names a slot of the runtime's op slab, not a task.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TaskId(pub u64);
+pub(crate) struct TaskId(u64);
+
+type KeyedPoll = Rc<dyn Fn(u64, &mut Context<'_>) -> Poll<()>>;
+
+/// What a task runs: its own future, or a key its owner's poll resolves.
+enum Body {
+    Future(Pin<Box<dyn Future<Output = ()>>>),
+    Keyed(u64, KeyedPoll),
+}
 
 /// Counters describing scheduler activity, used by the experiments to count
 /// wake-ups and polls precisely.
@@ -148,7 +156,7 @@ struct TaskSlot {
     /// every poll borrows `waker` instead of cloning the `Arc` again.
     state: Arc<SlotWaker>,
     waker: Waker,
-    future: Pin<Box<dyn Future<Output = ()>>>,
+    body: Body,
 }
 
 #[derive(Default)]
@@ -229,20 +237,31 @@ impl Scheduler {
             done: Cell::new(false),
         });
         let task = shared.clone();
-        let id = self.spawn_detached(name, async move {
+        let body = Body::Future(Box::pin(async move {
             *task.result.borrow_mut() = Some(future.await);
             task.done.set(true);
-        });
+        }));
+        let id = self.spawn_body(name, body);
         TaskHandle { id, name, shared }
     }
 
     /// Spawns a coroutine that delivers its own result (service loops, and
     /// the runtime's queue operations, which write into their qtoken's
     /// slot): no handle, so the task's future is the only allocation.
-    pub fn spawn_detached<F>(&self, name: &'static str, future: F) -> TaskId
+    pub fn spawn_detached<F>(&self, name: &'static str, future: F)
     where
         F: Future<Output = ()> + 'static,
     {
+        self.spawn_body(name, Body::Future(Box::pin(future)));
+    }
+
+    /// Spawns a task whose every poll is `poll(key, cx)` on an operation its
+    /// owner keeps: no future, so nothing to allocate once the slab is warm.
+    pub fn spawn_keyed(&self, name: &'static str, key: u64, poll: KeyedPoll) {
+        self.spawn_body(name, Body::Keyed(key, poll));
+    }
+
+    fn spawn_body(&self, name: &'static str, body: Body) -> TaskId {
         let mut inner = self.inner.borrow_mut();
         inner.stats.spawned += 1;
         inner.live += 1;
@@ -272,7 +291,7 @@ impl Scheduler {
             gen,
             waker: Waker::from(state.clone()),
             state,
-            future: Box::pin(future),
+            body,
         };
         if index == inner.tasks.len() {
             inner.tasks.push(Some(slot));
@@ -381,7 +400,11 @@ impl Scheduler {
         // task runs must re-enqueue it (exactly once).
         slot.state.scheduled.store(false, Ordering::Release);
         let mut cx = Context::from_waker(&slot.waker);
-        match slot.future.as_mut().poll(&mut cx) {
+        let polled = match &mut slot.body {
+            Body::Future(future) => future.as_mut().poll(&mut cx),
+            Body::Keyed(key, poll) => poll(*key, &mut cx),
+        };
+        match polled {
             Poll::Ready(()) => {
                 // Leave `scheduled` set forever: any straggler wake of this
                 // (now dead) generation becomes an O(1) no-op.
@@ -389,7 +412,7 @@ impl Scheduler {
                 // The task's own references go first (its future may hold
                 // clones of its waker); a state nobody else references
                 // cannot be woken again and serves the next spawn.
-                drop((slot.future, slot.waker));
+                drop((slot.body, slot.waker));
                 let mut inner = self.inner.borrow_mut();
                 if Arc::get_mut(&mut slot.state).is_some() {
                     inner.spare_wakers.push(slot.state);

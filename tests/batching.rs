@@ -14,7 +14,7 @@ use std::rc::Rc;
 use demi_memory::{BufferPool, DemiBuffer, DEFAULT_HEADROOM};
 use demi_sched::Notify;
 use demi_tenant::{TenantRegistry, TenantSpec};
-use demikernel::types::{OperationResult, QToken};
+use demikernel::types::{OperationResult, QDesc, QToken};
 use demikernel::Runtime;
 use dpdk_sim::{DpdkPort, PortConfig};
 use net_stack::stack::MAX_HEADER_LEN;
@@ -215,9 +215,8 @@ fn wait_any_does_not_rescan_tokens_every_pass() {
     let mut tokens: Vec<QToken> = (0..HERD)
         .map(|_| {
             let released = released.clone();
-            rt.spawn_ready_op("parked", &gate, move || {
-                released.get().then_some(OperationResult::Push)
-            })
+            let check = Rc::new(move |_| released.get().then_some(OperationResult::Push));
+            rt.park_op("parked", &gate, check, QDesc(0))
         })
         .collect();
     // Park the herd.

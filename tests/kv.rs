@@ -21,17 +21,19 @@ use demikernel::libos::catfs::Catfs;
 use demikernel::libos::catnip::Catnip;
 use demikernel::libos::LibOs;
 use demikernel::runtime::Runtime;
-use demikernel::testing::{catnip_pair, catnip_pair_offload, AllocMeter, CountingAlloc};
+use demikernel::testing::{catnip_pair, catnip_pair_offload, AllocMeter};
 use demikernel::types::{OperationResult, QDesc, Sga};
 use net_stack::counters as nsc;
 use net_stack::tcp::ConnId;
 use sim_fabric::SimTime;
 use spdk_sim::nvme::{NvmeConfig, NvmeDevice};
+use support::alloc_sites::{assert_allocs, SiteAlloc};
 use support::{tcp_pair, PeerWorld};
 
-/// Counts this thread's heap allocations inside an [`AllocMeter`] window.
+/// Counts this thread's heap allocations inside an [`AllocMeter`] window,
+/// and says where they came from when a pin fails.
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOCATOR: SiteAlloc = SiteAlloc;
 
 /// Client sends one pipelined burst on the raw stream (RESP is
 /// self-delimiting — no DEMI framing), the server pops whatever
@@ -277,6 +279,73 @@ fn warmed_get_burst_is_zero_copy_and_coalesced() {
         reasm_before,
         "single-segment bursts never take the reassembly fallback"
     );
+}
+
+/// A warmed depth-1 GET through the whole serving path — the request's
+/// `sgaalloc` and push, the server's `pop_unframed`, `KvEngine::drain`,
+/// the reply's `push_unframed` and the client's pop — makes exactly one
+/// allocation: the `DrainResult::immediate` vector the reply rides in.
+/// Catches, one line each: `value.len().to_string()` back in
+/// `ReplyWriter::bulk`, a fresh argument `Vec` per parsed command, `drain`
+/// appending the writer's segments into a second vector, and the chunk
+/// list `mem::take`n out of the connection by every `pop_unframed`.
+#[test]
+fn a_depth1_get_allocates_only_its_reply_vec() {
+    let (rt, _fabric, client, server) = catnip_pair(36);
+    let (cqd, sqd) = tcp_pair(&client, &server, 6379);
+    let mut eng = engine(server.memory().clone(), rt.now(), false);
+    let mut conn = KvConn::new();
+    let mut set = Vec::new();
+    encode_command(&mut set, &[b"SET", b"key", &[0x5A; 64]]);
+    let r = send_and_drain(
+        &client,
+        &server,
+        cqd,
+        sqd,
+        &mut eng,
+        &mut conn,
+        set,
+        rt.now(),
+    );
+    assert_eq!(
+        reply_and_recv(&client, &server, cqd, sqd, r.immediate, 5),
+        b"+OK\r\n"
+    );
+    let mut get = Vec::new();
+    encode_command(&mut get, &[b"GET", b"key"]);
+    let mut round = || {
+        let mut request = client.sgaalloc(get.len());
+        request.segments_mut()[0]
+            .try_mut()
+            .unwrap()
+            .copy_from_slice(&get);
+        let qt = client.push_unframed(cqd, &request).unwrap();
+        client.wait(qt, None).unwrap();
+        let qt = server.pop_unframed(sqd).unwrap();
+        let (_, sga) = server.wait(qt, None).unwrap().expect_pop();
+        for seg in sga.segments() {
+            conn.feed(seg.clone());
+        }
+        let r = eng.drain(&mut conn, rt.now());
+        let qt = server.push_unframed(sqd, &Sga::from_bufs(r.immediate));
+        server.wait(qt.unwrap(), None).unwrap();
+        let qt = client.pop_unframed(cqd).unwrap();
+        let (_, reply) = client.wait(qt, None).unwrap().expect_pop();
+        assert_eq!(
+            reply.len(),
+            b"$64\r\n\r\n".len() + 64,
+            "one pop, the whole reply"
+        );
+    };
+    // Warm the pools and rings, and walk 20 ms of virtual time so every
+    // timer-wheel slot a connection's deadlines land in has held one — in
+    // steps below the 5 ms idle compaction, which would free the queues.
+    for _ in 0..100 {
+        round();
+        rt.settle(SimTime::from_micros(200));
+    }
+    (0..4).for_each(|_| round());
+    assert_allocs(1, "a depth-1 GET", round);
 }
 
 // ---------------------------------------------------------------------

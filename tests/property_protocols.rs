@@ -1,6 +1,8 @@
 //! Property tests for the protocol machines: random loss, adversarial
 //! bytes, and durability round trips.
 
+mod support;
+
 use demi_memory::DemiBuffer;
 use demikernel::libos::LibOs;
 use demikernel::runtime::Runtime;
@@ -11,6 +13,7 @@ use proptest::prelude::*;
 use sim_fabric::{SimRng, SimTime};
 use spdk_sim::nvme::{NvmeConfig, NvmeDevice};
 use std::net::Ipv4Addr;
+use support::Repro;
 
 /// Drives two TCP peers over a lossy, zero-delay link until the transfer
 /// completes; advances virtual time whenever the world goes quiet so
@@ -79,18 +82,6 @@ fn lossy_transfer(seed: u64, data: &[u8], loss: f64) -> Vec<u8> {
 
 const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
-
-/// Names the failing case whether it failed by assertion or by a panic
-/// inside the peer.
-struct Repro(u64, u32);
-
-impl Drop for Repro {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!("reproduce with: seed={} case={}", self.0, self.1);
-        }
-    }
-}
 
 /// Delivers segments between the two peers until the wire is quiet, but
 /// for the server's segments `withhold` takes off the wire.

@@ -1,8 +1,10 @@
 //! The qtoken contract over the runtime's op slab: every token resolves
 //! exactly once, through whichever wait gets there first; a consumed token
-//! stays dead after its slot is reissued; an operation completed at
-//! submission still reaches the device; pops on one queue resolve in issue
-//! order; and a push costs the runtime no allocation.
+//! stays dead after its slot is reissued; a wait that times out consumes
+//! nothing; an operation completed at submission still reaches the device;
+//! pops on one queue resolve in issue order; and an operation is a slot,
+//! not an allocation — a push, and a whole UDP echo round trip, cost the
+//! runtime none.
 
 mod support;
 
@@ -10,15 +12,16 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use demi_sched::yield_once;
-use demikernel::testing::{catmem_world, catnip_pair, AllocMeter, CountingAlloc};
+use demikernel::testing::{catmem_world, catnip_pair, AllocMeter};
 use demikernel::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 use demikernel::{LibOs, Runtime};
 use proptest::prelude::*;
 use sim_fabric::SimTime;
+use support::alloc_sites::{assert_allocs, SiteAlloc};
 use support::udp_pair;
 
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOCATOR: SiteAlloc = SiteAlloc;
 
 /// What the plain model says a token must resolve to.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -411,4 +414,74 @@ fn a_push_and_its_wait_allocate_nothing() {
     assert_eq!(allocs, 0, "pushto + wait allocated {allocs} times");
     let (_, echoed) = server.blocking_pop(sqd).unwrap().expect_pop();
     assert_eq!(echoed.to_vec(), sga.to_vec());
+}
+
+/// The steady-state echo allocates nothing at all: the request's
+/// `sgaalloc`, both pushes and both pops with their waits — each pop parked
+/// in its op slot, each pool buffer's header recycled, each one-segment
+/// array inline. Catches, one line each, `Sga::from_bufs(vec![payload])`
+/// back in catnip's UDP pop or `sgaalloc` (one `Vec` per array) — and any
+/// per-pop box or waiter cell, which would cost two allocations a round.
+#[test]
+fn a_udp_echo_round_trip_allocates_nothing() {
+    let (_rt, _fabric, client, server) = catnip_pair(34);
+    let (cqd, sqd, server_addr) = udp_pair(&client, &server);
+    let round = || {
+        let mut request = client.sgaalloc(64);
+        request.segments_mut()[0].try_mut().unwrap().fill(0xA5);
+        let qt = client.pushto(cqd, &request, server_addr).unwrap();
+        client.wait(qt, None).unwrap();
+        let qt = server.pop(sqd).unwrap();
+        let (from, sga) = server.wait(qt, None).unwrap().expect_pop();
+        let qt = server.pushto(sqd, &sga, from.unwrap()).unwrap();
+        server.wait(qt, None).unwrap();
+        let qt = client.pop(cqd).unwrap();
+        let (_, reply) = client.wait(qt, None).unwrap().expect_pop();
+        assert_eq!(reply.segments()[0].as_slice(), &[0xA5; 64]);
+    };
+    // Warm every ring, pool, slab and free list on the path (and ARP).
+    (0..8).for_each(|_| round());
+    assert_allocs(0, "a UDP echo round trip", round);
+}
+
+/// A `wait_all` that times out consumes nothing: a completion that did
+/// arrive — here a pop holding its bytes — stays in its slot for the next
+/// wait. A wait that took arrivals as they came would drop them with the
+/// timeout, leaving the pop's token `BadQToken` and its bytes gone.
+#[test]
+fn a_wait_all_that_times_out_consumes_nothing() {
+    let (rt, libos) = catmem_world();
+    let qd = libos.queue().unwrap();
+    libos.blocking_push(qd, &Sga::from_slice(b"kept")).unwrap();
+    let fast = libos.pop(qd).unwrap();
+    let timers = rt.timers().clone();
+    let slow = rt.spawn_op("sleeper", async move {
+        timers.sleep(SimTime::from_millis(10)).await;
+        OperationResult::Push
+    });
+    let tick = Some(SimTime::from_millis(1));
+    assert_eq!(rt.wait_all(&[fast, slow], tick), Err(DemiError::Timeout));
+    let (_, sga) = rt.wait(fast, None).unwrap().expect_pop();
+    assert_eq!(sga.to_vec(), b"kept");
+    assert_eq!(rt.wait(slow, None), Ok(OperationResult::Push));
+    assert_eq!(rt.outstanding(), 0);
+}
+
+/// Nor does a `wait_any` that times out: every token stays valid.
+#[test]
+fn a_wait_any_that_times_out_consumes_nothing() {
+    let (rt, libos) = catmem_world();
+    let qd = libos.queue().unwrap();
+    let pop = libos.pop(qd).unwrap();
+    let timers = rt.timers().clone();
+    let slow = rt.spawn_op("sleeper", async move {
+        timers.sleep(SimTime::from_millis(10)).await;
+        OperationResult::Push
+    });
+    let tick = Some(SimTime::from_millis(1));
+    assert_eq!(rt.wait_any(&[pop, slow], tick), Err(DemiError::Timeout));
+    libos.blocking_push(qd, &Sga::from_slice(b"late")).unwrap();
+    let results = rt.wait_all(&[pop, slow], None).unwrap();
+    assert_eq!(results[0].clone().expect_pop().1.to_vec(), b"late");
+    assert_eq!(results[1], OperationResult::Push);
 }

@@ -3,7 +3,11 @@
 //! host *n* is `10.0.0.n` at MAC `02:00:00:00:00:0n`.
 //!
 //! Each test binary compiles this file for itself and uses its own subset.
+//! [`alloc_sites`] is the allocation pins' allocator: a failing pin says
+//! where its allocations came from.
 #![allow(dead_code)]
+
+pub mod alloc_sites;
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -23,6 +27,18 @@ use net_stack::types::SocketAddr;
 use net_stack::{HostLinks, NetworkStack, PortAllocator, StackConfig};
 use posix_sim::{MtcpConfig, MtcpSim};
 use sim_fabric::{Fabric, SimClock, SimRng, SimTime};
+
+/// Names the failing case of a seeded test, whether it failed by assertion
+/// or by a panic inside the code under test: `Repro(seed, case)`.
+pub struct Repro(pub u64, pub u32);
+
+impl Drop for Repro {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("reproduce with: seed={} case={}", self.0, self.1);
+        }
+    }
+}
 
 // ---------------------------------------------------------------------
 // Stack-level worlds: hosts on a fabric, driven by `settle`.

@@ -1,16 +1,22 @@
 //! §4.5 end to end: transparent registration and free-protection across
-//! the assembled system.
+//! the assembled system, and the pool's recycled buffer headers checked
+//! against a naive model.
 
 mod support;
 
-use demi_memory::DemiBuffer;
+use std::cell::RefCell;
+use std::collections::HashSet;
+use std::rc::Rc;
+
+use demi_memory::{BufferPool, DemiBuffer, HeadroomError, TenantId};
 use demikernel::libos::LibOs;
 use demikernel::testing::{catnip_pair, host_ip, AllocMeter, CountingAlloc};
 use demikernel::types::Sga;
 use dpdk_sim::wire::framing::encode_message;
 use net_stack::framing::FrameDecoder;
 use net_stack::types::SocketAddr;
-use support::{tcp_pair, udp_pair};
+use sim_fabric::SimRng;
+use support::{tcp_pair, udp_pair, Repro};
 
 /// Counts this thread's heap allocations inside an [`AllocMeter`] window.
 #[global_allocator]
@@ -312,6 +318,176 @@ fn popped_data_shares_storage_with_the_device_frame() {
     assert!(seg.capacity() > seg.len(), "a view into the full frame");
     // And the libOS performed zero payload copies to deliver it.
     assert_eq!(rt.metrics().snapshot().copies, 0);
+}
+
+/// One live handle and what the model says it sees: its storage (the
+/// model's handle count is this `Rc`'s strong count) and its view.
+struct Handle {
+    buf: DemiBuffer,
+    storage: Rc<RefCell<Vec<u8>>>,
+    off: usize,
+    len: usize,
+}
+
+/// Where a buffer's storage starts: the identity a recycled header keeps.
+fn base(buf: &DemiBuffer) -> usize {
+    buf.as_slice().as_ptr() as usize - buf.headroom()
+}
+
+fn below(rng: &mut SimRng, n: usize) -> usize {
+    (rng.next_u64() % n as u64) as usize
+}
+
+/// Fills `bytes` (a view the model says is exclusively writable) with
+/// fresh random bytes, in the buffer and in the model alike.
+fn scribble(rng: &mut SimRng, bytes: &mut [u8], model: &mut [u8]) {
+    for (b, m) in bytes.iter_mut().zip(model) {
+        *b = rng.next_u64() as u8;
+        *m = *b;
+    }
+}
+
+/// One seeded run of [`recycled_headers_never_alias_a_live_buffer`];
+/// returns how many allocations reused a returned header.
+fn buffer_model_case(seed: u64, steps: u32) -> u64 {
+    const TENANT: TenantId = TenantId(7);
+    let mut repro = Repro(seed, 0);
+    let mut rng = SimRng::new(seed);
+    let mut pools = [
+        BufferPool::unregistered(),
+        BufferPool::for_tenant(TENANT, None),
+    ];
+    let tenant_of = [TenantId::HOST, TENANT];
+    let (mut live, mut returned, mut reuses) = (Vec::<Handle>::new(), HashSet::new(), 0);
+    for step in 0..steps {
+        repro.1 = step;
+        if step == steps / 2 {
+            // Live buffers outlive their pool: they keep their bytes and
+            // free, rather than return, when their last handle drops.
+            pools[1] = BufferPool::for_tenant(TENANT, None);
+            returned.clear();
+        }
+        let pick = below(&mut rng, live.len().max(1));
+        match below(&mut rng, if live.len() > 24 { 1 } else { 8 }) {
+            0 if !live.is_empty() => {
+                // Drop, sometimes after the host retags it to a stranger.
+                if rng.chance(0.3) {
+                    live[pick].buf.retag(TenantId(9));
+                }
+                let h = live.swap_remove(pick);
+                if Rc::strong_count(&h.storage) == 1 {
+                    returned.insert(base(&h.buf));
+                }
+            }
+            1 | 2 => {
+                let p = below(&mut rng, 2);
+                let (headroom, len) = (below(&mut rng, 80), 1 + below(&mut rng, 300));
+                let mut buf = pools[p].alloc_with_headroom(headroom, len);
+                // A reused header starts with no view but this one and the
+                // pool's tenant, whoever owned it last.
+                reuses += u64::from(returned.remove(&base(&buf)));
+                assert_eq!(buf.tenant(), tenant_of[p]);
+                assert_eq!((buf.handle_count(), buf.headroom()), (1, headroom));
+                assert!(buf.can_prepend(headroom), "a stale view below a fresh one");
+                let mut model = vec![0; buf.capacity()];
+                let view = buf.try_mut().expect("a fresh buffer is exclusive");
+                scribble(&mut rng, view, &mut model[headroom..headroom + len]);
+                let storage = Rc::new(RefCell::new(model));
+                live.push(Handle {
+                    buf,
+                    storage,
+                    off: headroom,
+                    len,
+                });
+            }
+            3 if !live.is_empty() => {
+                let h = &live[pick];
+                let (start, end) = (below(&mut rng, h.len + 1), below(&mut rng, h.len + 1));
+                let (start, end) = (start.min(end), start.max(end));
+                let buf = h.buf.slice(start, end);
+                let (storage, off) = (h.storage.clone(), h.off + start);
+                live.push(Handle {
+                    buf,
+                    storage,
+                    off,
+                    len: end - start,
+                });
+            }
+            4 if !live.is_empty() => {
+                let h = &mut live[pick];
+                let n = below(&mut rng, h.len + 1);
+                h.buf.advance(n);
+                (h.off, h.len) = (h.off + n, h.len - n);
+            }
+            5 if !live.is_empty() => {
+                let n = below(&mut rng, live[pick].off + 8);
+                let (off, storage) = (live[pick].off, &live[pick].storage);
+                let below_us = live
+                    .iter()
+                    .any(|o| Rc::ptr_eq(&o.storage, storage) && o.off < off);
+                let h = &mut live[pick];
+                match h.buf.prepend(n) {
+                    Ok(head) => {
+                        assert!(!below_us && n <= off, "prepend wrote under another view");
+                        scribble(&mut rng, head, &mut h.storage.borrow_mut()[off - n..off]);
+                        (h.off, h.len) = (off - n, h.len + n);
+                    }
+                    Err(HeadroomError::Shared) => assert!(below_us),
+                    Err(e) => assert!(!below_us && n > off, "{e}"),
+                }
+            }
+            6 if !live.is_empty() => {
+                let exclusive = Rc::strong_count(&live[pick].storage) == 1;
+                let h = &mut live[pick];
+                match h.buf.try_mut() {
+                    Some(view) => {
+                        assert!(exclusive, "try_mut on a shared buffer");
+                        let model = &mut h.storage.borrow_mut()[h.off..h.off + h.len];
+                        scribble(&mut rng, view, model);
+                    }
+                    None => assert!(!exclusive, "try_mut refused a sole handle"),
+                }
+            }
+            _ => {
+                if let Some(h) = live.get(pick) {
+                    let buf = h.buf.clone();
+                    live.push(Handle {
+                        buf,
+                        storage: h.storage.clone(),
+                        off: h.off,
+                        len: h.len,
+                    });
+                }
+            }
+        }
+        // No drop, reuse or write elsewhere changed a live buffer's bytes.
+        for h in &live {
+            let storage = h.storage.borrow();
+            assert_eq!(h.buf.as_slice(), &storage[h.off..h.off + h.len]);
+        }
+    }
+    reuses
+}
+
+/// The header a pool recycles never aliases a live buffer (ROADMAP item
+/// 3's `DemiBuffer` differential): random allocations from two pools, one
+/// a tenant's, with clones, slices, advances, prepends, exclusive writes
+/// and drops — and one pool dropped while its buffers live — against a
+/// naive `Rc<Vec<u8>>` model. Every live buffer's bytes match the model
+/// after every step; `try_mut` and `prepend` succeed exactly when the
+/// model says; a reused header has no stale view and its pool's tenant.
+#[test]
+fn recycled_headers_never_alias_a_live_buffer() {
+    let (seeds, steps) = if cfg!(debug_assertions) {
+        (24, 300)
+    } else {
+        (400, 600)
+    };
+    let reuses: u64 = (0..seeds).map(|seed| buffer_model_case(seed, steps)).sum();
+    assert!(
+        reuses > seeds,
+        "the run must exercise recycling: {reuses} reuses"
+    );
 }
 
 /// The stream decoder looks at a framing header without touching the

@@ -2,10 +2,11 @@
 //!
 //! The parser consumes raw TCP stream chunks (`DemiBuffer` RX views) and
 //! yields complete commands whose arguments are **sub-views of those same
-//! chunks** — no payload byte is copied on the happy path. A command that
-//! happens to straddle a segment boundary is reassembled with an honestly
-//! counted copy ([`demi_memory::counters`]), and the parser's stats expose
-//! exactly how often that happened so experiments can assert it didn't.
+//! chunks** — no payload byte is copied on the happy path. An argument
+//! that happens to straddle a segment boundary is reassembled with an
+//! honestly counted copy ([`ByteStream::take`]), and the parser's stats
+//! expose exactly how often that happened so experiments can assert it
+//! didn't.
 //!
 //! Wire shape (the RESP2 command subset Redis clients speak):
 //!
@@ -25,12 +26,13 @@
 //! either way. How many frames the burst costs is TCP's call, not the
 //! writer's: pushed as one SGA, small buffers share segments.
 
-use std::collections::VecDeque;
 use std::io::Write;
 
-use demi_memory::{counters, DemiBuffer, MemoryManager};
+use demi_memory::{ByteStream, DemiBuffer, MemoryManager};
 
-/// Longest accepted header line (`*<n>\r\n` / `$<len>\r\n`), generous.
+/// Longest accepted header line (`*<n>\r\n` / `$<len>\r\n`, CRLF
+/// included), generous: a header line whose first `MAX_LINE` bytes hold
+/// no `\n` is an error, however the stream was chunked.
 const MAX_LINE: usize = 32;
 /// Most arguments a single command may carry.
 pub(crate) const MAX_ARGS: u64 = 64;
@@ -51,7 +53,7 @@ impl std::fmt::Display for RespError {
 /// One parsed command: `args[0]` is the verb, the rest its operands.
 /// Every argument is a buffer view — into the RX chunk it arrived in
 /// (zero-copy) or into a reassembly buffer (counted, cross-chunk case).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RespCommand {
     /// The command's arguments, verb first.
     pub args: Vec<DemiBuffer>,
@@ -76,8 +78,10 @@ pub struct RespStats {
     pub reassembled_args: u64,
 }
 
+#[derive(Default)]
 enum ParseState {
     /// Expecting `*<nargs>\r\n`.
+    #[default]
     ArrayHeader,
     /// Expecting `$<len>\r\n` for the next of `remaining` arguments.
     BulkHeader { remaining: u64 },
@@ -90,12 +94,11 @@ enum ParseState {
 /// argument) persists across pushes — exactly the paper's "atomic data
 /// units over a byte stream" discipline (§3.2), generalized from the
 /// fixed framing layer to a real protocol.
+#[derive(Default)]
 pub struct RespParser {
-    /// Unconsumed stream, in order. The front chunk's view is advanced
-    /// in place as bytes are consumed; exhausted chunks are dropped
-    /// (releasing their storage for value-headroom prepends).
-    chunks: VecDeque<DemiBuffer>,
-    buffered: usize,
+    /// Unconsumed stream, in order. Exhausted chunks are dropped as they
+    /// are consumed (releasing their storage for value-headroom prepends).
+    stream: ByteStream,
     state: ParseState,
     /// The arguments of the command being parsed, and the last complete
     /// command. The two vectors trade places per command and are cleared,
@@ -105,33 +108,16 @@ pub struct RespParser {
     stats: RespStats,
 }
 
-impl Default for RespParser {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl RespParser {
     /// An empty parser.
     pub fn new() -> Self {
-        RespParser {
-            chunks: VecDeque::new(),
-            buffered: 0,
-            state: ParseState::ArrayHeader,
-            args: Vec::new(),
-            command: RespCommand { args: Vec::new() },
-            stats: RespStats::default(),
-        }
+        Self::default()
     }
 
     /// Appends one stream chunk (zero-copy: the handle is kept, not the
     /// bytes). Empty chunks are ignored.
     pub fn push_chunk(&mut self, chunk: DemiBuffer) {
-        if chunk.is_empty() {
-            return;
-        }
-        self.buffered += chunk.len();
-        self.chunks.push_back(chunk);
+        self.stream.push(chunk);
     }
 
     /// Parser counters.
@@ -147,32 +133,22 @@ impl RespParser {
         loop {
             match self.state {
                 ParseState::ArrayHeader => {
-                    let Some((line, line_len)) = self.peek_line()? else {
+                    let Some(nargs) = self.header(b'*', "expected array header")? else {
                         return Ok(None);
                     };
-                    if line.first() != Some(&b'*') {
-                        return Err(RespError("expected array header"));
-                    }
-                    let nargs = parse_decimal(&line[1..])?;
                     if nargs == 0 || nargs > MAX_ARGS {
                         return Err(RespError("argument count out of range"));
                     }
-                    self.consume(line_len);
                     self.args.clear();
                     self.state = ParseState::BulkHeader { remaining: nargs };
                 }
                 ParseState::BulkHeader { remaining } => {
-                    let Some((line, line_len)) = self.peek_line()? else {
+                    let Some(len) = self.header(b'$', "expected bulk header")? else {
                         return Ok(None);
                     };
-                    if line.first() != Some(&b'$') {
-                        return Err(RespError("expected bulk header"));
-                    }
-                    let len = parse_decimal(&line[1..])?;
                     if len > MAX_BULK {
                         return Err(RespError("bulk argument too large"));
                     }
-                    self.consume(line_len);
                     self.state = ParseState::BulkPayload {
                         remaining,
                         len: len as usize,
@@ -182,15 +158,24 @@ impl RespParser {
                     // Payload plus its CRLF terminator must be buffered in
                     // full before anything is consumed, so a partial
                     // argument never tears.
-                    if self.buffered < len + 2 {
+                    let taken = if self.stream.len() >= len + 2 {
+                        self.stream.take(len)
+                    } else {
+                        None
+                    };
+                    let Some((arg, gathered)) = taken else {
                         return Ok(None);
-                    }
-                    let arg = self.extract_payload(len);
+                    };
                     let mut crlf = [0u8; 2];
-                    self.copy_out(&mut crlf);
-                    self.consume(2);
+                    self.stream.peek(&mut crlf);
+                    self.stream.advance(2);
                     if crlf != *b"\r\n" {
                         return Err(RespError("bulk argument missing CRLF"));
+                    }
+                    if gathered {
+                        self.stats.reassembled_args += 1;
+                    } else if !arg.is_empty() {
+                        self.stats.zero_copy_args += 1;
                     }
                     self.args.push(arg);
                     if remaining == 1 {
@@ -207,133 +192,42 @@ impl RespParser {
         }
     }
 
-    /// Takes `len` payload bytes off the front of the stream. Entirely
-    /// within the front chunk → a zero-copy sub-view. Straddling chunks →
-    /// one honestly counted gather copy.
-    fn extract_payload(&mut self, len: usize) -> DemiBuffer {
-        if len == 0 {
-            return DemiBuffer::empty();
-        }
-        let front_len = self.chunks.front().map_or(0, |c| c.len());
-        if front_len >= len {
-            let arg = self.chunks.front().expect("front exists").slice(0, len);
-            self.consume(len);
-            self.stats.zero_copy_args += 1;
-            return arg;
-        }
-        // Cross-chunk reassembly: the one counted copy in this module.
-        let mut bytes = Vec::with_capacity(len);
-        let mut need = len;
-        for chunk in &self.chunks {
-            let take = chunk.len().min(need);
-            bytes.extend_from_slice(&chunk.as_slice()[..take]);
-            need -= take;
-            if need == 0 {
-                break;
+    /// Consumes one `<kind><decimal>\r\n` header line and returns its
+    /// decimal, or `None` while the line's `\n` has not arrived. Header
+    /// lines are protocol metadata, not payload: at most [`MAX_LINE`]
+    /// bytes are peeked onto the stack.
+    fn header(&mut self, kind: u8, unexpected: &'static str) -> Result<Option<u64>, RespError> {
+        let mut peeked = [0u8; MAX_LINE];
+        let have = self.stream.peek(&mut peeked);
+        let Some(nl) = peeked[..have].iter().position(|&b| b == b'\n') else {
+            if have == MAX_LINE {
+                return Err(RespError("header line too long"));
             }
+            return Ok(None);
+        };
+        let Some((b'\r', line)) = peeked[..nl].split_last() else {
+            return Err(RespError("header line missing CR"));
+        };
+        if line.first() != Some(&kind) {
+            return Err(RespError(unexpected));
         }
-        debug_assert_eq!(need, 0, "availability checked by caller");
-        counters::note_copy(len);
-        self.consume(len);
-        self.stats.reassembled_args += 1;
-        DemiBuffer::from(bytes)
-    }
-
-    /// Finds one `\r\n`-terminated line at the front of the stream
-    /// without consuming it. Returns the line bytes (CRLF stripped) and
-    /// the total length including CRLF. Header lines are protocol
-    /// metadata, not payload: the few bytes pass through a stack buffer.
-    fn peek_line(&self) -> Result<Option<([u8; MAX_LINE], usize)>, RespError> {
-        let mut line = [0u8; MAX_LINE];
-        let mut n = 0usize;
-        for chunk in &self.chunks {
-            for &b in chunk.as_slice() {
-                if b == b'\n' {
-                    if n == 0 || line[n - 1] != b'\r' {
-                        return Err(RespError("header line missing CR"));
-                    }
-                    let mut out = [0u8; MAX_LINE];
-                    out[..n - 1].copy_from_slice(&line[..n - 1]);
-                    // Ugly but allocation-free: return the CRLF-stripped
-                    // prefix length via a sentinel in the caller's parse.
-                    return Ok(Some((trim_to(out, n - 1), n + 1)));
-                }
-                if n == MAX_LINE {
-                    return Err(RespError("header line too long"));
-                }
-                line[n] = b;
-                n += 1;
-            }
-        }
-        if n == MAX_LINE {
-            return Err(RespError("header line too long"));
-        }
-        Ok(None)
-    }
-
-    /// Copies the next `out.len()` buffered bytes into `out` without
-    /// consuming (CRLF verification).
-    fn copy_out(&self, out: &mut [u8]) {
-        let mut n = 0;
-        for chunk in &self.chunks {
-            for &b in chunk.as_slice() {
-                out[n] = b;
-                n += 1;
-                if n == out.len() {
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Drops `n` bytes off the front of the stream, advancing chunk views
-    /// in place and releasing exhausted chunk handles.
-    fn consume(&mut self, mut n: usize) {
-        self.buffered -= n;
-        while n > 0 {
-            let front = self.chunks.front_mut().expect("consume within buffered");
-            let take = front.len().min(n);
-            front.advance(take);
-            n -= take;
-            if front.is_empty() {
-                self.chunks.pop_front();
-            }
-        }
+        let value = parse_decimal(&line[1..])?;
+        self.stream.advance(nl + 1);
+        Ok(Some(value))
     }
 }
 
-/// Fixed-size line helper: keeps only the first `n` meaningful bytes.
-fn trim_to(mut line: [u8; MAX_LINE], n: usize) -> [u8; MAX_LINE] {
-    // Zero the tail and stash the length in a parallel convention: callers
-    // re-scan for the terminating zero. Simpler: pad with a sentinel that
-    // `parse_decimal` rejects — zeros work because lines never contain NUL.
-    for b in line.iter_mut().skip(n) {
-        *b = 0;
+/// Parses a non-empty run of ASCII digits.
+fn parse_decimal(digits: &[u8]) -> Result<u64, RespError> {
+    if digits.is_empty() || !digits.iter().all(u8::is_ascii_digit) {
+        return Err(RespError("malformed decimal"));
     }
-    line
-}
-
-/// Parses the ASCII decimal in `line` (NUL-padded, from [`trim_to`]).
-fn parse_decimal(line: &[u8]) -> Result<u64, RespError> {
-    let mut value: u64 = 0;
-    let mut digits = 0;
-    for &b in line {
-        if b == 0 {
-            break;
-        }
-        if !b.is_ascii_digit() {
-            return Err(RespError("malformed decimal"));
-        }
-        value = value
-            .checked_mul(10)
-            .and_then(|v| v.checked_add((b - b'0') as u64))
-            .ok_or(RespError("decimal overflow"))?;
-        digits += 1;
-    }
-    if digits == 0 {
-        return Err(RespError("empty decimal"));
-    }
-    Ok(value)
+    digits
+        .iter()
+        .try_fold(0u64, |v, &b| {
+            v.checked_mul(10)?.checked_add((b - b'0').into())
+        })
+        .ok_or(RespError("decimal overflow"))
 }
 
 // ---------------------------------------------------------------------
@@ -478,7 +372,7 @@ impl ReplyWriter {
 /// real one against — deliberately written the "obvious" way.
 #[cfg(test)]
 pub(crate) mod reference {
-    use super::{RespError, MAX_ARGS, MAX_BULK};
+    use super::{RespError, MAX_ARGS, MAX_BULK, MAX_LINE};
 
     /// Owned commands as the reference parser produces them: each command is
     /// a list of argument byte strings.
@@ -488,14 +382,25 @@ pub(crate) mod reference {
     /// returning the commands and how many bytes they consumed. The real
     /// parser must agree with this on every stream and every re-chunking.
     pub(crate) fn reference_parse(bytes: &[u8]) -> Result<(RefCommands, usize), RespError> {
+        let (commands, end) = reference_prefix(bytes);
+        end.map(|consumed| (commands, consumed))
+    }
+
+    /// The commands before the first error, and that error — or, on a
+    /// stream without one, how many bytes the commands consumed.
+    pub(crate) fn reference_prefix(bytes: &[u8]) -> (RefCommands, Result<usize, RespError>) {
         let mut commands = Vec::new();
+        let end = parse_into(bytes, &mut commands);
+        (commands, end)
+    }
+
+    fn parse_into(bytes: &[u8], commands: &mut RefCommands) -> Result<usize, RespError> {
         let mut pos = 0usize;
         loop {
             let start = pos;
-            let Some(line) = ref_line(bytes, pos) else {
-                return Ok((commands, start));
+            let Some((text, next)) = ref_line(bytes, pos)? else {
+                return Ok(start);
             };
-            let (text, next) = line;
             if text.first() != Some(&b'*') {
                 return Err(RespError("expected array header"));
             }
@@ -506,8 +411,8 @@ pub(crate) mod reference {
             pos = next;
             let mut args = Vec::with_capacity(nargs as usize);
             for _ in 0..nargs {
-                let Some((text, next)) = ref_line(bytes, pos) else {
-                    return Ok((commands, start));
+                let Some((text, next)) = ref_line(bytes, pos)? else {
+                    return Ok(start);
                 };
                 if text.first() != Some(&b'$') {
                     return Err(RespError("expected bulk header"));
@@ -517,7 +422,7 @@ pub(crate) mod reference {
                     return Err(RespError("bulk argument too large"));
                 }
                 if bytes.len() < next + len + 2 {
-                    return Ok((commands, start));
+                    return Ok(start);
                 }
                 if &bytes[next + len..next + len + 2] != b"\r\n" {
                     return Err(RespError("bulk argument missing CRLF"));
@@ -529,13 +434,21 @@ pub(crate) mod reference {
         }
     }
 
-    fn ref_line(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
+    /// The `\r\n`-terminated line at `pos`, CRLF stripped, and where the
+    /// next one starts. A `\n` without its `\r` is an error, and so is a
+    /// line that has not ended within its first `MAX_LINE` bytes.
+    fn ref_line(bytes: &[u8], pos: usize) -> Result<Option<(&[u8], usize)>, RespError> {
         let rest = &bytes[pos.min(bytes.len())..];
-        let nl = rest.iter().position(|&b| b == b'\n')?;
+        let Some(nl) = rest.iter().take(MAX_LINE).position(|&b| b == b'\n') else {
+            if rest.len() >= MAX_LINE {
+                return Err(RespError("header line too long"));
+            }
+            return Ok(None);
+        };
         if nl == 0 || rest[nl - 1] != b'\r' {
-            return None; // Malformed; surfaces as a header error upstream.
+            return Err(RespError("header line missing CR"));
         }
-        Some((&rest[..nl - 1], pos + nl + 1))
+        Ok(Some((&rest[..nl - 1], pos + nl + 1)))
     }
 
     fn ref_decimal(text: &[u8]) -> Result<u64, RespError> {
@@ -560,7 +473,7 @@ mod tests {
     impl RespParser {
         /// Unconsumed bytes currently held.
         pub(crate) fn buffered_bytes(&self) -> usize {
-            self.buffered
+            self.stream.len()
         }
 
         /// Whether a partially parsed command is pending (mid-header or
@@ -659,6 +572,26 @@ mod tests {
         let mut p = RespParser::new();
         p.push_chunk(DemiBuffer::from(b"*1\r\n$3\r\nabcXX".to_vec()));
         assert!(p.next_command().is_err(), "bad CRLF detected");
+    }
+
+    /// A header line ends at its CRLF, not at a NUL: `*1\0junk` and
+    /// `$4\0x` are malformed decimals, as the reference says, however the
+    /// bytes arrive.
+    #[test]
+    fn a_nul_in_a_header_line_is_a_malformed_decimal() {
+        for stream in [
+            &b"*1\0junk\r\n$4\r\nPING\r\n"[..],
+            b"*1\r\n$4\0x\r\nPING\r\n",
+        ] {
+            let malformed = Some(RespError("malformed decimal"));
+            assert_eq!(reference::reference_parse(stream).err(), malformed);
+            for split in 1..=stream.len() {
+                let mut p = RespParser::new();
+                p.push_chunk(DemiBuffer::from(stream[..split].to_vec()));
+                p.push_chunk(DemiBuffer::from(stream[split..].to_vec()));
+                assert_eq!(p.next_command().err(), malformed, "split at {split}");
+            }
+        }
     }
 
     #[test]

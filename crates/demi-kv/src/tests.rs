@@ -6,7 +6,10 @@
 //!    (a naive contiguous-buffer parser) over randomly re-chunked
 //!    streams — including pathological 1-byte splits — with the
 //!    additional claim that a stream delivered in ONE chunk reassembles
-//!    nothing (every argument is a zero-copy sub-view).
+//!    nothing (every argument is a zero-copy sub-view) — and then over the
+//!    same streams mutated (flipped bytes, inserted `\0`/`\r`/`\n`,
+//!    truncation, splices), where the two must agree on the commands
+//!    before the first error and on that error.
 //! 2. The live [`KvStore`] vs a HashMap + explicit-LRU + deadline-map
 //!    reference model over random GET/SET/DEL/PEXPIRE/PTTL/advance
 //!    schedules on synthetic time — checking values, return codes,
@@ -79,9 +82,89 @@ fn drain_parser(parser: &mut RespParser) -> Vec<Vec<Vec<u8>>> {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+/// Chunk lengths covering `len` bytes: one byte at a time (mode 0), 1 to
+/// 16 at random (mode 1), or all at once.
+fn chunking(rng: &mut Rng, len: usize, mode: u32) -> Vec<usize> {
+    match mode {
+        0 => vec![1; len],
+        1 => {
+            let mut v = Vec::new();
+            let mut left = len;
+            while left > 0 {
+                let take = (1 + rng.below(16) as usize).min(left);
+                v.push(take);
+                left -= take;
+            }
+            v
+        }
+        _ => vec![len],
+    }
+}
 
+/// One hostile edit of a client stream: a byte flipped, a `\0`, `\r` or
+/// `\n` inserted, the stream truncated, or its tail replaced by the tail of
+/// `other`.
+fn mutate(rng: &mut Rng, stream: &mut Vec<u8>, other: &[u8]) {
+    let at = rng.below(stream.len() as u64 + 1) as usize;
+    match rng.below(4) {
+        0 if at < stream.len() => stream[at] ^= 1 + rng.below(255) as u8,
+        1 => stream.insert(at, [b'\0', b'\r', b'\n'][rng.below(3) as usize]),
+        2 => stream.truncate(at),
+        _ => {
+            stream.truncate(at);
+            let from = rng.below(other.len() as u64 + 1) as usize;
+            stream.extend_from_slice(&other[from..]);
+        }
+    }
+}
+
+/// The parser fed `chunks` of `stream`, drained after every push as the
+/// server does: the commands before the first error, and that error.
+fn parse_incrementally(
+    stream: &[u8],
+    chunks: &[usize],
+) -> (Vec<Vec<Vec<u8>>>, Result<(), resp::RespError>) {
+    let mut parser = RespParser::new();
+    let mut out = Vec::new();
+    let mut pos = 0;
+    for &len in chunks {
+        parser.push_chunk(DemiBuffer::from(stream[pos..pos + len].to_vec()));
+        pos += len;
+        loop {
+            match parser.next_command() {
+                Ok(Some(cmd)) => out.push(cmd.args.iter().map(|a| a.to_vec()).collect()),
+                Ok(None) => break,
+                Err(e) => return (out, Err(e)),
+            }
+        }
+    }
+    (out, Ok(()))
+}
+
+/// Names the failing case whether it failed by assertion or by a panic
+/// inside the parser.
+struct Repro(u64, u32);
+
+impl Drop for Repro {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("reproduce with: seed={:#x} case={}", self.0, self.1);
+        }
+    }
+}
+
+/// Parser differential cases: a quick budget in debug, a large one in
+/// release.
+const RESP_CASES: u32 = if cfg!(debug_assertions) { 96 } else { 4_000 };
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(RESP_CASES))]
+
+    /// Valid streams parse as the reference parses them, whatever the
+    /// chunking. Then the hostile half: each stream mutated four times
+    /// over, every chunking yields the reference's commands before the
+    /// first error and the reference's error, and nothing panics. A
+    /// failure prints `seed=… case=…` (the mutation round).
     #[test]
     fn resp_parser_matches_reference_under_rechunking(seed in any::<u64>()) {
         let mut rng = Rng(seed);
@@ -96,20 +179,7 @@ proptest! {
         // Three delivery shapes per case: 1-byte splits, random chunks,
         // one whole chunk.
         for mode in 0..3 {
-            let chunks: Vec<usize> = match mode {
-                0 => vec![1; stream.len()],
-                1 => {
-                    let mut v = Vec::new();
-                    let mut left = stream.len();
-                    while left > 0 {
-                        let take = (1 + rng.below(16) as usize).min(left);
-                        v.push(take);
-                        left -= take;
-                    }
-                    v
-                }
-                _ => vec![stream.len()],
-            };
+            let chunks = chunking(&mut rng, stream.len(), mode);
             let mut parser = RespParser::new();
             feed_in_chunks(&mut parser, &stream, &chunks);
             let got = drain_parser(&mut parser);
@@ -148,6 +218,23 @@ proptest! {
                         .count() as u64;
                     prop_assert_eq!(parser.stats().zero_copy_args, total_args);
                 }
+            }
+        }
+
+        let other = random_stream(&mut rng);
+        for round in 0..4 {
+            let _repro = Repro(seed, round);
+            let mut hostile = stream.clone();
+            for _ in 0..=rng.below(3) {
+                mutate(&mut rng, &mut hostile, &other);
+            }
+            let (want, end) = resp::reference::reference_prefix(&hostile);
+            let want_end = end.map(|_| ());
+            for mode in 0..3 {
+                let chunks = chunking(&mut rng, hostile.len(), mode);
+                let (got, got_end) = parse_incrementally(&hostile, &chunks);
+                prop_assert_eq!(&got, &want, "commands before the first error");
+                prop_assert_eq!(got_end, want_end, "the error");
             }
         }
     }

@@ -15,6 +15,9 @@
 //!   the paper's position that *write*-protection for shared I/O buffers is
 //!   intentionally not offered and applications should allocate new buffers
 //!   instead of updating in place.
+//! * [`ByteStream`] — a connection's received bytes as views of the chunks
+//!   they arrived in: a payload is a view when one chunk holds it, else one
+//!   counted gather.
 //! * [`BufferPool`] / [`MemoryManager`] — size-class pools carved from
 //!   device-registered regions. Allocation from a warm pool touches no
 //!   registration machinery, which is what makes registration "transparent":
@@ -36,6 +39,7 @@ pub mod counters;
 mod manager;
 mod pool;
 mod registration;
+mod stream;
 
 pub use buffer::{CrossTenantAccess, DemiBuffer, HeadroomError};
 pub use counters::DatapathSnapshot;
@@ -43,3 +47,4 @@ pub use demi_tenant::TenantId;
 pub use manager::MemoryManager;
 pub use pool::{BufferPool, PoolExhausted, PoolStats, DEFAULT_HEADROOM};
 pub use registration::{CountingRegistrar, RegionId, RegionStats, Registrar};
+pub use stream::ByteStream;

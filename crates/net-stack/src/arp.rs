@@ -196,25 +196,20 @@ impl ArpCache {
             return Vec::new();
         }
         let mut actions = Vec::new();
-        let mut failed: Vec<Ipv4Addr> = Vec::new();
-        for (&ip, state) in self.in_flight.iter_mut() {
+        self.in_flight.retain(|&ip, state| {
             if now < state.next_retry {
-                continue;
+                return true;
             }
             if state.tries_left == 0 {
-                failed.push(ip);
-            } else {
-                state.tries_left -= 1;
-                state.next_retry = now.saturating_add(self.retry_interval);
-                actions.push(ArpAction::SendRequest(ip));
+                let pending = std::mem::take(&mut state.pending);
+                actions.extend(pending.into_iter().map(ArpAction::FailPending));
+                return false;
             }
-        }
-        for ip in failed {
-            let state = self.in_flight.remove(&ip).expect("collected above");
-            for p in state.pending {
-                actions.push(ArpAction::FailPending(p));
-            }
-        }
+            state.tries_left -= 1;
+            state.next_retry = now.saturating_add(self.retry_interval);
+            actions.push(ArpAction::SendRequest(ip));
+            true
+        });
         self.next_retry = self.earliest_retry();
         actions
     }

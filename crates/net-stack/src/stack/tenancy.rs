@@ -309,7 +309,9 @@ impl ShardTenancy {
                             break;
                         }
                     }
-                    let mbuf = lane.staging.pop_front().expect("peeked above");
+                    let Some(mbuf) = lane.staging.pop_front() else {
+                        break;
+                    };
                     lane.deficit -= bytes;
                     if let Some(rem) = &mut remaining {
                         *rem -= bytes;

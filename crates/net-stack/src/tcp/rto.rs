@@ -29,10 +29,10 @@ impl RttEstimator {
 
     /// Feeds one RTT measurement (RFC 6298 §2).
     pub(crate) fn sample(&mut self, rtt: SimTime) {
-        match self.srtt {
+        let srtt = match self.srtt {
             None => {
-                self.srtt = Some(rtt);
                 self.rttvar = SimTime::from_nanos(rtt.as_nanos() / 2);
+                rtt
             }
             Some(srtt) => {
                 // RTTVAR = 3/4·RTTVAR + 1/4·|SRTT − R'|
@@ -44,12 +44,10 @@ impl RttEstimator {
                 self.rttvar =
                     SimTime::from_nanos((3 * self.rttvar.as_nanos() + err.as_nanos()) / 4);
                 // SRTT = 7/8·SRTT + 1/8·R'
-                self.srtt = Some(SimTime::from_nanos(
-                    (7 * srtt.as_nanos() + rtt.as_nanos()) / 8,
-                ));
+                SimTime::from_nanos((7 * srtt.as_nanos() + rtt.as_nanos()) / 8)
             }
-        }
-        let srtt = self.srtt.expect("just set");
+        };
+        self.srtt = Some(srtt);
         let candidate = srtt.saturating_add(self.rttvar.saturating_mul(4));
         self.rto = clamp(candidate, self.rto_min, self.rto_max);
     }

@@ -6,14 +6,15 @@
 # has to be green in both — and release is the optimization level the
 # ledger runs, where the counter asserts (1 alloc / 0 copies per packet,
 # one doorbell per burst, 0 poll stages per idle pump, two frames per
-# depth-1 GET, ...) mean what they say. The workspace run executes the
-# crates' unit tests too, which EXPERIMENTS.md names as pins beside the
-# tier-1 suites (`.claude/skills/verify/SKILL.md` has the same map).
+# depth-1 GET, ...) mean what they say. Both runs execute the crates'
+# unit tests too, which EXPERIMENTS.md names as pins beside the tier-1
+# suites (`.claude/skills/verify/SKILL.md` has the same map); the seeded
+# differentials take their large case budgets only in release.
 verify:
     cargo build --release
     sh tools/loc.sh
     cargo test --workspace -q
-    cargo test --release -q
+    cargo test --workspace --release -q
     cargo fmt --check
     cargo clippy -- -D warnings -D clippy::undocumented_unsafe_blocks
 
@@ -22,7 +23,7 @@ verify-all:
     cargo build --workspace --release
     sh tools/loc.sh
     cargo test --workspace -q
-    cargo test --release -q
+    cargo test --workspace --release -q
     cargo fmt --check
     cargo clippy --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
 

@@ -117,6 +117,9 @@ pub struct KvEngine {
     store: KvStore,
     writer: ReplyWriter,
     durable: bool,
+    /// The pass's logged mutations; cleared once encoded, never dropped,
+    /// so a durable pass allocates no op list.
+    pending: Vec<PendingOp>,
     stats: EngineStats,
 }
 
@@ -128,6 +131,7 @@ impl KvEngine {
             store: KvStore::new(config.byte_budget, start),
             writer: ReplyWriter::new(memory),
             durable: config.durable,
+            pending: Vec::new(),
             stats: EngineStats::default(),
         }
     }
@@ -157,12 +161,11 @@ impl KvEngine {
             result.disconnect = true;
             return result;
         }
-        let mut pending: Vec<PendingOp> = Vec::new();
         loop {
             match conn.parser.next_command() {
                 Ok(Some(cmd)) => {
                     result.depth += 1;
-                    self.execute(cmd, &mut pending, &mut result.immediate, now);
+                    self.execute(cmd, &mut result.immediate, now);
                 }
                 Ok(None) => break,
                 Err(err) => {
@@ -179,15 +182,16 @@ impl KvEngine {
             self.stats.bursts += 1;
             self.stats.max_burst = self.stats.max_burst.max(result.depth as u64);
         }
-        if pending.is_empty() {
+        if self.pending.is_empty() {
             // Nothing to commit: everything releases now, the writer's
             // own burst handed over whole.
             result.immediate = self.writer.take();
         } else {
             self.stats.batches += 1;
-            self.stats.logged_ops += pending.len() as u64;
-            result.batch = Some(encode_batch(&pending));
+            self.stats.logged_ops += self.pending.len() as u64;
+            result.batch = Some(encode_batch(&self.pending));
             result.deferred = self.writer.take();
+            self.pending.clear();
         }
         result
     }
@@ -196,13 +200,7 @@ impl KvEngine {
     /// pass's **first** logged mutation, all previously written replies
     /// are flushed to `immediate` first — they precede the durability
     /// barrier and need not wait for it.
-    fn execute(
-        &mut self,
-        cmd: &RespCommand,
-        pending: &mut Vec<PendingOp>,
-        immediate: &mut Vec<DemiBuffer>,
-        now: SimTime,
-    ) {
+    fn execute(&mut self, cmd: &RespCommand, immediate: &mut Vec<DemiBuffer>, now: SimTime) {
         let verb = cmd.arg(0);
         if verb.eq_ignore_ascii_case(b"GET") {
             if cmd.args.len() != 2 {
@@ -235,8 +233,8 @@ impl KvEngine {
             {
                 Ok(()) => {
                     if self.durable {
-                        self.log_barrier(pending, immediate);
-                        pending.push(PendingOp::Set {
+                        self.log_barrier(immediate);
+                        self.pending.push(PendingOp::Set {
                             key,
                             value,
                             expire_at,
@@ -255,8 +253,8 @@ impl KvEngine {
             }
             let removed = self.store.del(cmd.arg(1), now);
             if removed && self.durable {
-                self.log_barrier(pending, immediate);
-                pending.push(PendingOp::Del {
+                self.log_barrier(immediate);
+                self.pending.push(PendingOp::Del {
                     key: cmd.args[1].clone(),
                 });
             }
@@ -273,8 +271,8 @@ impl KvEngine {
             let at = now.saturating_add(SimTime::from_millis(ms));
             let applied = self.store.expire(cmd.arg(1), at, now);
             if applied && self.durable {
-                self.log_barrier(pending, immediate);
-                pending.push(PendingOp::Expire {
+                self.log_barrier(immediate);
+                self.pending.push(PendingOp::Expire {
                     key: cmd.args[1].clone(),
                     at,
                 });
@@ -301,8 +299,8 @@ impl KvEngine {
     /// On the pass's first logged mutation, everything already written
     /// precedes the durability barrier: release it immediately. (Nothing
     /// was released before the first barrier, so `immediate` is empty.)
-    fn log_barrier(&mut self, pending: &[PendingOp], immediate: &mut Vec<DemiBuffer>) {
-        if pending.is_empty() {
+    fn log_barrier(&mut self, immediate: &mut Vec<DemiBuffer>) {
+        if self.pending.is_empty() {
             *immediate = self.writer.take();
         }
     }

@@ -25,7 +25,14 @@ use std::rc::{Rc, Weak};
 use demi_tenant::TenantId;
 
 use crate::counters;
-use crate::pool::PoolInner;
+use crate::pool::{BufferPool, PoolInner};
+
+thread_local! {
+    /// Where every counted copy lands ([`DemiBuffer::gather`]). Per thread
+    /// because worlds are: buffers are `Rc`-counted and never cross one,
+    /// and one pool warms once for every copy site on the thread.
+    static COPY_POOL: BufferPool = BufferPool::unregistered();
+}
 
 /// Why a [`DemiBuffer::prepend`] was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -329,28 +336,58 @@ impl DemiBuffer {
         EMPTY_INNER.with(|inner| Self::new_handle(Rc::clone(inner), 0, 0))
     }
 
-    /// Copies this view into a fresh unpooled buffer with `headroom` bytes
-    /// of prepend room. This is the *honestly counted* fallback for when
-    /// [`DemiBuffer::prepend`] is refused: one allocation, one payload copy.
+    /// Copies this view into a fresh buffer with `headroom` bytes of
+    /// prepend room. This is the *honestly counted* fallback for when
+    /// [`DemiBuffer::prepend`] is refused: one [`DemiBuffer::gather`].
     ///
     /// # Panics
     ///
     /// Panics if the buffer belongs to a foreign tenant — the copy would
     /// read the owner's payload bytes.
     pub fn copy_with_headroom(&self, headroom: usize) -> Self {
-        self.check_access()
-            .expect("cross-tenant copy is a protection violation");
-        let mut fresh = Self::zeroed_with_headroom(headroom, self.len);
-        // The copy holds the owner's bytes, so it inherits the owner's
-        // stamp even when the host supervisor performs the copy — TX
-        // accounting keeps attributing the frame to its tenant.
-        fresh.inner.tenant.set(self.inner.tenant.get());
-        counters::note_copy(self.len);
-        fresh
-            .try_mut()
-            .expect("freshly allocated buffer is exclusive")
-            .copy_from_slice(self.as_slice());
-        fresh
+        Self::gather(headroom, self.len, [self])
+    }
+
+    /// Copies the first `len` bytes of `parts`, in order (fewer, if they
+    /// hold fewer), into one buffer from this thread's copy pool, behind
+    /// `headroom` bytes of prepend room: one allocation and one copy, both
+    /// counted, and no heap allocation once the pool is warm. The copy
+    /// holds its parts' bytes, so it carries their owner's stamp — the
+    /// first non-host one, since a libOS-made header may lead — even when
+    /// the host supervisor performs the copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a part belongs to a foreign tenant — the copy would read
+    /// the owner's payload bytes.
+    pub fn gather<'a>(
+        headroom: usize,
+        len: usize,
+        parts: impl IntoIterator<Item = &'a DemiBuffer>,
+    ) -> Self {
+        let mut copy = COPY_POOL.with(|pool| pool.alloc_with_headroom(headroom, len));
+        // Proof: `copy` was allocated on the line above from a host pool,
+        // so any tenant may write it, and it shares its storage with
+        // nothing.
+        let dst = copy.try_mut().expect("a fresh pool buffer is exclusive");
+        let (mut off, mut owner) = (0, TenantId::HOST);
+        for part in parts {
+            part.check_access()
+                .expect("cross-tenant copy is a protection violation");
+            let n = part.len.min(len - off);
+            dst[off..off + n].copy_from_slice(&part[..n]);
+            if owner.is_host() {
+                owner = part.tenant();
+            }
+            off += n;
+            if off == len {
+                break;
+            }
+        }
+        copy.truncate(off);
+        copy.inner.tenant.set(owner);
+        counters::note_copy(off);
+        copy
     }
 
     /// The first handle to a pooled header, viewing `[off, off + len)` and

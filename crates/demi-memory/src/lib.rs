@@ -18,6 +18,10 @@
 //! * [`ByteStream`] — a connection's received bytes as views of the chunks
 //!   they arrived in: a payload is a view when one chunk holds it, else one
 //!   counted gather.
+//! * [`DemiBuffer::gather`] — the one counted copy: the TX header fallback,
+//!   a payload gathered across received chunks and TCP's segment gather
+//!   all copy into a recycled buffer of a per-thread copy pool, so a warm
+//!   copy allocates nothing.
 //! * [`BufferPool`] / [`MemoryManager`] — size-class pools carved from
 //!   device-registered regions. Allocation from a warm pool touches no
 //!   registration machinery, which is what makes registration "transparent":

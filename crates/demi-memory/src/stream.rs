@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use crate::{counters, DemiBuffer};
+use crate::DemiBuffer;
 
 /// Received, unconsumed bytes: the chunks in arrival order, the front one
 /// advanced in place as bytes are consumed, and their total length.
@@ -66,8 +66,8 @@ impl ByteStream {
 
     /// Takes the first `n` bytes and says whether they were gathered: a
     /// view of the front chunk (`false`) when it holds all `n`, else one
-    /// fresh buffer (`true`) that costs one allocation and one copy of `n`
-    /// bytes, both counted in [`counters`]. `None`, with nothing consumed,
+    /// [`DemiBuffer::gather`] (`true`) with no headroom, so the copy stays
+    /// in the size class of its `n` bytes. `None`, with nothing consumed,
     /// while fewer than `n` bytes are buffered.
     pub fn take(&mut self, n: usize) -> Option<(DemiBuffer, bool)> {
         if n == 0 {
@@ -81,12 +81,9 @@ impl ByteStream {
             self.advance(n);
             return Some((view, false));
         }
-        let mut bytes = Vec::with_capacity(n);
-        self.prefix(n)
-            .for_each(|piece| bytes.extend_from_slice(piece));
-        counters::note_copy(n);
+        let bytes = DemiBuffer::gather(0, n, &self.chunks);
         self.advance(n);
-        Some((DemiBuffer::from(bytes), true))
+        Some((bytes, true))
     }
 
     /// The first `n` buffered bytes (fewer, if fewer are buffered), one
@@ -104,6 +101,7 @@ impl ByteStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{counters, TenantId};
 
     fn stream_of(pieces: &[&[u8]]) -> ByteStream {
         let mut stream = ByteStream::default();
@@ -143,6 +141,20 @@ mod tests {
         assert_eq!(delta.bytes_copied, 6);
         assert_eq!(stream.len(), 3);
         assert_eq!(stream.take(3).expect("buffered").0.as_slice(), b"hij");
+    }
+
+    /// A reassembled argument is its owner's, as a view of one chunk is:
+    /// under the host supervisor, tenant T's message split across two
+    /// chunks comes back T-owned, not host-owned (public).
+    #[test]
+    fn a_take_across_chunks_keeps_the_owners_stamp() {
+        let t = TenantId(5);
+        let mut stream = demi_tenant::scope(t, || stream_of(&[b"sec", b"ret!"]));
+        let (whole, gathered) = stream.take(6).expect("buffered");
+        assert!(gathered);
+        assert_eq!(whole.as_slice(), b"secret");
+        assert_eq!(whole.tenant(), t);
+        demi_tenant::scope(TenantId(6), || assert!(whole.try_clone().is_err()));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
-use demi_memory::{BufferPool, DemiBuffer, TenantId};
+use demi_memory::DemiBuffer;
 use sim_fabric::SimTime;
 
 use crate::stack::MAX_HEADER_LEN;
@@ -30,13 +30,6 @@ use super::header::{TcpFlags, TcpHeader};
 use super::rto::RttEstimator;
 use super::seq::SeqNum;
 use super::TcpConfig;
-
-thread_local! {
-    /// Where gathered segments are built ([`ControlBlock::next_segment`]).
-    /// Per thread because worlds are: buffers are `Rc`-counted and never
-    /// cross one, and a pool warms once instead of once per connection.
-    static SEGMENT_POOL: BufferPool = BufferPool::unregistered();
-}
 
 /// Connection states (RFC 793 §3.2; LISTEN lives in the peer's listener).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -949,7 +942,7 @@ impl ControlBlock {
     /// Carves the next segment's payload, at most `budget` bytes, off the
     /// front of the send queue (`None` when it is empty). A segment that
     /// comes from one buffer is a zero-copy view of it. Several queued
-    /// buffers that fit are copied into one pool buffer with header
+    /// buffers that fit are gathered into one copy-pool buffer with header
     /// headroom — one frame instead of one each — except that a buffer of
     /// at least half a segment which can take the headers in place is
     /// never copied: it ends the gather and travels alone.
@@ -969,24 +962,13 @@ impl ControlBlock {
         if parts == 1 {
             return Some(Self::take_front(queue, len));
         }
-        let mut seg = SEGMENT_POOL.with(|pool| pool.alloc_with_headroom(MAX_HEADER_LEN, len));
-        // Proof: `seg` was allocated on the line above and shares its
-        // storage with nothing; no remote byte reaches this.
-        let dst = seg.try_mut().expect("fresh pool buffer is exclusive");
         // The copy holds the pusher's bytes, so it carries the pusher's
-        // stamp (the first non-host one: a libOS-made framing header may
-        // lead) and is charged to that tenant's TX lane.
-        let (mut off, mut tenant) = (0, TenantId::HOST);
+        // stamp and is charged to that tenant's TX lane.
+        let seg = DemiBuffer::gather(MAX_HEADER_LEN, len, queue.iter().take(parts));
+        let mut left = len;
         for _ in 0..parts {
-            let part = Self::take_front(queue, len - off);
-            dst[off..off + part.len()].copy_from_slice(&part);
-            if tenant.is_host() {
-                tenant = part.tenant();
-            }
-            off += part.len();
+            left -= Self::take_front(queue, left).len();
         }
-        demi_memory::counters::note_copy(len);
-        seg.retag(tenant);
         Some(seg)
     }
 

@@ -348,6 +348,141 @@ fn a_depth1_get_allocates_only_its_reply_vec() {
     assert_allocs(1, "a depth-1 GET", round);
 }
 
+/// The allocations of a vector pushed `n` elements one at a time from
+/// empty: its first four-slot buffer, then one per doubling.
+fn vec_growth(n: usize) -> u64 {
+    let (mut cap, mut allocs) = (4, u64::from(n > 0));
+    while cap < n {
+        (cap, allocs) = (cap * 2, allocs + 1);
+    }
+    allocs
+}
+
+/// A warmed depth-16 burst of 1 KiB GETs through catnip — the request's
+/// push and pop, `KvEngine::drain`, and the reply's push, segmentation and
+/// delivery — allocates exactly the reply vector's growth, though the
+/// stack copies reply bytes on the way: each of those copies lands in a
+/// recycled copy-pool buffer. The client reads with the stack's
+/// `tcp_recv_all` into a kept vector, so a multi-chunk pop's fresh chunk
+/// list stays out of the pin. Catches `flush_tcp`'s counted fallback
+/// building its copy on the heap again (three allocations per copy).
+#[test]
+fn a_depth16_get_burst_allocates_only_its_reply_vec() {
+    const DEPTH: usize = 16;
+    let (rt, _fabric, client, server) = catnip_pair(37);
+    let (cqd, sqd) = tcp_pair(&client, &server, 6379);
+    let mut eng = engine(server.memory().clone(), rt.now(), false);
+    let mut conn = KvConn::new();
+    let keys: Vec<_> = (0..DEPTH).map(|i| format!("key{i:02}")).collect();
+    // Preload over the wire, so each value is a view of the frame it came in.
+    let mut sets = Vec::new();
+    keys.iter()
+        .for_each(|key| encode_command(&mut sets, &[b"SET", key.as_bytes(), &[0xC3; 1024]]));
+    let qt = client
+        .push_unframed(cqd, &Sga::from_bufs(vec![DemiBuffer::from(sets)]))
+        .unwrap();
+    client.wait(qt, None).unwrap();
+    let mut acks = Vec::new();
+    while acks.len() < DEPTH * 5 {
+        let qt = server.pop_unframed(sqd).unwrap();
+        let (_, sga) = server.wait(qt, None).unwrap().expect_pop();
+        sga.segments().iter().for_each(|seg| conn.feed(seg.clone()));
+        let r = eng.drain(&mut conn, rt.now());
+        acks.extend(reply_and_recv(
+            &client,
+            &server,
+            cqd,
+            sqd,
+            r.immediate,
+            r.depth * 5,
+        ));
+    }
+    assert_eq!(acks, b"+OK\r\n".repeat(DEPTH));
+
+    let mut get = Vec::new();
+    keys.iter()
+        .for_each(|key| encode_command(&mut get, &[b"GET", key.as_bytes()]));
+    let expect = DEPTH * (b"$1024\r\n\r\n".len() + 1024);
+    let (reply_segments, copies) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+    let mut received = Vec::new();
+    let mut round = || {
+        let mut request = client.sgaalloc(get.len());
+        request.segments_mut()[0]
+            .try_mut()
+            .unwrap()
+            .copy_from_slice(&get);
+        let qt = client.push_unframed(cqd, &request).unwrap();
+        client.wait(qt, None).unwrap();
+        let qt = server.pop_unframed(sqd).unwrap();
+        let (_, sga) = server.wait(qt, None).unwrap().expect_pop();
+        sga.segments().iter().for_each(|seg| conn.feed(seg.clone()));
+        let r = eng.drain(&mut conn, rt.now());
+        assert_eq!(r.depth, DEPTH);
+        reply_segments.set(r.immediate.len());
+        let before = mem_counters::snapshot();
+        let qt = server.push_unframed(sqd, &Sga::from_bufs(r.immediate));
+        server.wait(qt.unwrap(), None).unwrap();
+        let mut got = 0;
+        while got < expect {
+            rt.settle(SimTime::from_micros(20));
+            client
+                .stack()
+                .tcp_recv_all(ConnId(0), &mut received)
+                .unwrap();
+            got += received.drain(..).map(|chunk| chunk.len()).sum::<usize>();
+        }
+        assert_eq!(got, expect);
+        copies.set(mem_counters::snapshot().delta(&before).copies);
+    };
+    for _ in 0..100 {
+        round();
+        rt.settle(SimTime::from_micros(200));
+    }
+    (0..4).for_each(|_| round());
+    assert_allocs(
+        vec_growth(reply_segments.get()),
+        "a depth-16 GET burst",
+        &mut round,
+    );
+    assert!(
+        copies.get() > 0,
+        "the burst's reply took the counted copy path"
+    );
+}
+
+/// A warmed durable drain of sixteen 1 KiB SETs whose values all straddle
+/// received chunks allocates exactly its batch encoding and its reply
+/// vector: each reassembled value is a recycled copy-pool buffer, and the
+/// pass's list of logged mutations is the engine's, kept between passes.
+/// Catches the list built fresh per pass again (three allocations as it
+/// grows to 16) and a reassembled argument built on the heap (three per
+/// value).
+#[test]
+fn a_durable_drain_of_reassembled_sets_allocates_its_record_and_reply_vec() {
+    const DEPTH: u64 = 16;
+    let now = SimTime::ZERO;
+    let mut eng = engine(demi_memory::MemoryManager::new(), now, true);
+    let mut conn = KvConn::new();
+    let mut burst = Vec::new();
+    for i in 0..DEPTH {
+        let key = format!("key{i:02}");
+        encode_command(&mut burst, &[b"SET", key.as_bytes(), &[0xC3; 1024]]);
+    }
+    // No 1 000-byte chunk can hold a 1 KiB value: every one is reassembled.
+    let chunks: Vec<_> = burst.chunks(1_000).map(DemiBuffer::from_slice).collect();
+    let mut pass = || {
+        let reassembled = conn.parser_stats().reassembled_args;
+        chunks.iter().for_each(|chunk| conn.feed(chunk.clone()));
+        let r = eng.drain(&mut conn, now);
+        assert_eq!(r.depth as u64, DEPTH);
+        assert!(r.immediate.is_empty() && r.batch.is_some());
+        assert_eq!(r.deferred.len(), 1, "sixteen +OKs, one control run");
+        assert!(conn.parser_stats().reassembled_args - reassembled >= DEPTH);
+    };
+    (0..4).for_each(|_| pass());
+    assert_allocs(2, "a durable 16-SET drain", pass);
+}
+
 // ---------------------------------------------------------------------
 // Coherence: the host store and the NIC-resident GET cache share ONE
 // insert/invalidate path — every host-side removal the device cannot

@@ -8,19 +8,22 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
 
-use demi_memory::{BufferPool, DemiBuffer, HeadroomError, TenantId};
+use demi_memory::{BufferPool, ByteStream, DemiBuffer, HeadroomError, TenantId};
 use demikernel::libos::LibOs;
-use demikernel::testing::{catnip_pair, host_ip, AllocMeter, CountingAlloc};
+use demikernel::testing::{catnip_pair, host_ip, AllocMeter};
 use demikernel::types::Sga;
 use dpdk_sim::wire::framing::encode_message;
 use net_stack::framing::FrameDecoder;
+use net_stack::stack::MAX_HEADER_LEN;
 use net_stack::types::SocketAddr;
-use sim_fabric::SimRng;
-use support::{tcp_pair, udp_pair, Repro};
+use sim_fabric::{SimRng, SimTime};
+use support::alloc_sites::{assert_allocs, SiteAlloc};
+use support::{tcp_pair, udp_pair, PeerWorld, Repro};
 
-/// Counts this thread's heap allocations inside an [`AllocMeter`] window.
+/// Counts this thread's heap allocations inside an [`AllocMeter`] window,
+/// and says where they came from when a pin fails.
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOCATOR: SiteAlloc = SiteAlloc;
 
 mod headroom_properties {
     //! Property coverage for the headroom API the TX path leans on.
@@ -320,6 +323,59 @@ fn popped_data_shares_storage_with_the_device_frame() {
     assert_eq!(rt.metrics().snapshot().copies, 0);
 }
 
+/// Every counted copy on the datapath lands in a recycled copy-pool
+/// buffer: once the pool is warm, the TX header fallback
+/// (`copy_with_headroom`), a payload gathered across received chunks
+/// (`ByteStream::take`) and TCP gathering small queued buffers into one
+/// segment each make their one counted copy and no heap allocation.
+/// Catches a copy site that builds its buffer by hand again (a `Vec`
+/// handed to `DemiBuffer::from` is three allocations: the bytes, the
+/// header and its view registry).
+#[test]
+fn a_warm_counted_copy_allocates_nothing() {
+    let copies = |op: &mut dyn FnMut()| {
+        let before = demi_memory::counters::snapshot();
+        op();
+        demi_memory::counters::snapshot().delta(&before).copies
+    };
+
+    let payload = DemiBuffer::from_slice(&[0xA5; 700]);
+    let mut fallback = || drop(payload.copy_with_headroom(MAX_HEADER_LEN));
+    assert_eq!(copies(&mut fallback), 1);
+    assert_allocs(0, "a warmed copy_with_headroom", fallback);
+
+    let chunks = [0x11, 0x22, 0x33].map(|b| DemiBuffer::from_slice(&[b; 400]));
+    let mut stream = ByteStream::default();
+    let mut across = || {
+        chunks.iter().for_each(|chunk| stream.push(chunk.clone()));
+        let (value, gathered) = stream.take(1_000).expect("buffered");
+        assert!(gathered && value[399] == 0x11 && value[400] == 0x22);
+        stream.advance(200);
+    };
+    assert_eq!(copies(&mut across), 1);
+    assert_allocs(0, "a warmed cross-chunk ByteStream::take", across);
+
+    let mut w = PeerWorld::new(80, 16);
+    let (i, c, s) = w.establish(1)[0];
+    let parts = [b"$1024\r\n".as_slice(), &[0x5A; 300], b"\r\n"].map(DemiBuffer::from_slice);
+    let mut gather = || {
+        let now = w.now;
+        w.clients[i]
+            .send_all(c, parts.iter().cloned(), now)
+            .unwrap();
+        w.shuttle();
+        let mut got = 0;
+        while let Ok(Some(chunk)) = w.server.recv(s) {
+            got += chunk.len();
+        }
+        assert_eq!(got, 309);
+        w.advance_by(SimTime::from_micros(10));
+    };
+    (0..50).for_each(|_| gather());
+    assert_eq!(copies(&mut gather), 1, "three queued buffers, one segment");
+    assert_allocs(0, "a warmed TCP multi-part gather", gather);
+}
+
 /// One live handle and what the model says it sees: its storage (the
 /// model's handle count is this `Rc`'s strong count) and its view.
 struct Handle {
@@ -347,6 +403,34 @@ fn scribble(rng: &mut SimRng, bytes: &mut [u8], model: &mut [u8]) {
     }
 }
 
+/// A fresh copy of `bytes` behind `headroom`, as the model sees it: its
+/// own storage, shared with no live buffer, stamped with `owner` however
+/// its recycled header was stamped last.
+fn copied(
+    buf: DemiBuffer,
+    headroom: usize,
+    bytes: &[u8],
+    owner: TenantId,
+    live: &[Handle],
+) -> Handle {
+    assert_eq!(buf.as_slice(), bytes);
+    assert_eq!(buf.tenant(), owner, "a copy carries its bytes' owner");
+    assert_eq!((buf.handle_count(), buf.headroom()), (1, headroom));
+    assert!(buf.can_prepend(headroom), "a stale view below a fresh copy");
+    assert!(
+        live.iter().all(|o| !o.buf.same_storage(&buf)),
+        "a copy aliases a live buffer"
+    );
+    let mut model = vec![0; buf.capacity()];
+    model[headroom..headroom + bytes.len()].copy_from_slice(bytes);
+    Handle {
+        buf,
+        storage: Rc::new(RefCell::new(model)),
+        off: headroom,
+        len: bytes.len(),
+    }
+}
+
 /// One seeded run of [`recycled_headers_never_alias_a_live_buffer`];
 /// returns how many allocations reused a returned header.
 fn buffer_model_case(seed: u64, steps: u32) -> u64 {
@@ -368,7 +452,7 @@ fn buffer_model_case(seed: u64, steps: u32) -> u64 {
             returned.clear();
         }
         let pick = below(&mut rng, live.len().max(1));
-        match below(&mut rng, if live.len() > 24 { 1 } else { 8 }) {
+        match below(&mut rng, if live.len() > 24 { 1 } else { 10 }) {
             0 if !live.is_empty() => {
                 // Drop, sometimes after the host retags it to a stranger.
                 if rng.chance(0.3) {
@@ -448,6 +532,70 @@ fn buffer_model_case(seed: u64, steps: u32) -> u64 {
                     None => assert!(!exclusive, "try_mut refused a sole handle"),
                 }
             }
+            7 if !live.is_empty() => {
+                // The TX header fallback copies a view into the copy pool.
+                let headroom = below(&mut rng, 80);
+                let h = &live[pick];
+                let buf = h.buf.copy_with_headroom(headroom);
+                let bytes = h.storage.borrow()[h.off..h.off + h.len].to_vec();
+                let owner = h.buf.tenant();
+                let copy = copied(buf, headroom, &bytes, owner, &live);
+                reuses += u64::from(returned.remove(&base(&copy.buf)));
+                live.push(copy);
+            }
+            8 if !live.is_empty() => {
+                // Two or three live views received as a stream, the first
+                // partly consumed, then one take: a view of the front
+                // chunk, or a gather into the copy pool stamped with the
+                // first non-host owner of the chunks it read.
+                let mut stream = ByteStream::default();
+                let mut chunks = Vec::new();
+                for _ in 0..2 + below(&mut rng, 2) {
+                    let h = &live[below(&mut rng, live.len())];
+                    if h.len > 0 {
+                        stream.push(h.buf.clone());
+                        chunks.push((h.storage.clone(), h.off, h.len, h.buf.tenant()));
+                    }
+                }
+                let Some(front) = chunks.first_mut() else {
+                    continue;
+                };
+                let skip = below(&mut rng, front.2);
+                stream.advance(skip);
+                (front.1, front.2) = (front.1 + skip, front.2 - skip);
+                let total: usize = chunks.iter().map(|chunk| chunk.2).sum();
+                let n = 1 + below(&mut rng, total);
+                let (buf, gathered) = stream.take(n).expect("buffered");
+                assert_eq!(
+                    gathered,
+                    n > chunks[0].2,
+                    "a view exactly when one chunk holds it"
+                );
+                if gathered {
+                    let mut bytes = Vec::new();
+                    let mut owner = TenantId::HOST;
+                    for (storage, off, len, tenant) in &chunks {
+                        let m = (*len).min(n - bytes.len());
+                        bytes.extend_from_slice(&storage.borrow()[*off..off + m]);
+                        owner = if owner.is_host() { *tenant } else { owner };
+                        if bytes.len() == n {
+                            break;
+                        }
+                    }
+                    let copy = copied(buf, 0, &bytes, owner, &live);
+                    reuses += u64::from(returned.remove(&base(&copy.buf)));
+                    live.push(copy);
+                } else {
+                    let (storage, off, ..) = &chunks[0];
+                    assert!(live.iter().any(|o| o.buf.same_storage(&buf)));
+                    live.push(Handle {
+                        buf,
+                        storage: storage.clone(),
+                        off: *off,
+                        len: n,
+                    });
+                }
+            }
             _ => {
                 if let Some(h) = live.get(pick) {
                     let buf = h.buf.clone();
@@ -471,11 +619,14 @@ fn buffer_model_case(seed: u64, steps: u32) -> u64 {
 
 /// The header a pool recycles never aliases a live buffer (ROADMAP item
 /// 3's `DemiBuffer` differential): random allocations from two pools, one
-/// a tenant's, with clones, slices, advances, prepends, exclusive writes
-/// and drops — and one pool dropped while its buffers live — against a
-/// naive `Rc<Vec<u8>>` model. Every live buffer's bytes match the model
-/// after every step; `try_mut` and `prepend` succeed exactly when the
-/// model says; a reused header has no stale view and its pool's tenant.
+/// a tenant's, with clones, slices, advances, prepends, exclusive writes,
+/// counted copies (`copy_with_headroom` and a cross-chunk
+/// `ByteStream::take`, both into the thread's copy pool) and drops — and
+/// one pool dropped while its buffers live — against a naive
+/// `Rc<Vec<u8>>` model. Every live buffer's bytes match the model after
+/// every step; `try_mut` and `prepend` succeed exactly when the model
+/// says; a reused header has no stale view and its pool's tenant, and a
+/// copy has its own storage and its bytes' owner.
 #[test]
 fn recycled_headers_never_alias_a_live_buffer() {
     let (seeds, steps) = if cfg!(debug_assertions) {

@@ -189,7 +189,7 @@ impl Catcorn {
             pd,
             cq,
             inner,
-            pop: Rc::new(move |qd| pop_ready(&check_device, &check_inner, qd)),
+            pop: Rc::new(move |qd, _| pop_ready(&check_device, &check_inner, qd)),
         };
         let pump = catcorn.core();
         let clock = runtime.clock().clone();
@@ -284,7 +284,7 @@ impl LibOs for Catcorn {
         let core = self.core();
         let qp = self.device.create_qp(self.pd, self.cq, self.cq);
         // Connection requests arrive with device frames: the activity gate.
-        let check = move |qd| match core.device.accept(port, qp, core.clock.now()) {
+        let check = move |qd, _| match core.device.accept(port, qp, core.clock.now()) {
             Ok(true) => {
                 let conn = CatcornQueue::Conn(core.setup_conn(qp));
                 let qd = core.inner.borrow_mut().queues.insert(conn);
@@ -294,7 +294,7 @@ impl LibOs for Catcorn {
             Err(_) => Some(OperationResult::Failed(DemiError::Rdma("accept failed"))),
         };
         let rt = &self.runtime;
-        Ok(rt.park_op("catcorn::accept", rt.activity(), Rc::new(check), qd))
+        Ok(rt.park_op("catcorn::accept", rt.activity(), Rc::new(check), qd, 0))
     }
 
     fn connect(&self, qd: QDesc, remote: SocketAddr) -> Result<QToken, DemiError> {
@@ -307,7 +307,7 @@ impl LibOs for Catcorn {
             .map_err(|_| DemiError::Rdma("connect failed"))?;
         let core = self.core();
         // The QP reaches RTS when the handshake frames land: the activity gate.
-        let check = move |qd| {
+        let check = move |qd, _| {
             if let Some(closed) = core.inner.borrow().queues.closed(qd) {
                 return Some(closed);
             }
@@ -326,7 +326,7 @@ impl LibOs for Catcorn {
             }
         };
         let rt = &self.runtime;
-        Ok(rt.park_op("catcorn::connect", rt.activity(), Rc::new(check), qd))
+        Ok(rt.park_op("catcorn::connect", rt.activity(), Rc::new(check), qd, 0))
     }
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
@@ -432,7 +432,7 @@ impl LibOs for Catcorn {
         // Receive completions are dispatched by the pump, which fires the
         // connection's event channel.
         let (events, rt) = (&conn.borrow().events, &self.runtime);
-        Ok(rt.park_op("catcorn::pop", events, self.pop.clone(), qd))
+        Ok(rt.park_op("catcorn::pop", events, self.pop.clone(), qd, 0))
     }
 }
 

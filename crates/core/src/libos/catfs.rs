@@ -8,16 +8,23 @@
 //! * `push` appends one record — `[magic, length, checksum, payload]` —
 //!   and makes it durable with **one device command**. All of the log's
 //!   state moves at submission: the cached partial tail block, the header
-//!   and the SGA's segments are gathered once into a block-aligned image,
-//!   which the device takes by value as one multi-block write of every
-//!   block the record touches; the spawned operation only waits for it.
-//!   The log is its own allocation map: no bitmap, no inode. Compare with
-//!   the ext4-like baseline in `posix_sim::file`, which pays bitmap +
-//!   inode + (eventually) indirect-block writes, a command each, per
-//!   append — experiment E10's write amplification and time per append.
+//!   and the SGA's segments are gathered once into a block-aligned image
+//!   — laid out in the write buffer the device handed back with the last
+//!   completion — which the device takes by value as one multi-block
+//!   write of every block the record touches. The log is its own
+//!   allocation map: no bitmap, no inode. Compare with the ext4-like
+//!   baseline in `posix_sim::file`, which pays bitmap + inode +
+//!   (eventually) indirect-block writes, a command each, per append —
+//!   experiment E10's write amplification and time per append.
 //! * Pushes in flight on one log therefore cannot interleave, and a log
 //!   has two lengths: `len`, what was submitted, and `durable`, what the
 //!   device acknowledged — whole records, in order, and all a `pop` reads.
+//! * The poller, not the push, retires a commit: the queue pair completes
+//!   in order, so in-flight commits are a FIFO, and a commit's last
+//!   command raises its log's `durable`, wakes tailing pops and bumps the
+//!   `retired` count. A push is a parked slot ([`Runtime::park_op`])
+//!   whose check is "`retired` is past my commit": once warm, a commit
+//!   allocates nothing. Pops, chases and recovery read through coroutines.
 //! * `pop` tails the log: it returns the next record as an atomic element,
 //!   verifying its checksum, and blocks (cooperatively) at the durable end
 //!   of the log until more data is pushed.
@@ -32,7 +39,8 @@
 //!   [`DemiError::Storage`] before any log state changes.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::rc::Rc;
 
 use demi_sched::Notify;
@@ -40,7 +48,7 @@ use sim_fabric::DeviceCaps;
 use spdk_sim::nvme::{NvmeCompletion, NvmeDevice, NvmeError, QpairId, BLOCK_SIZE};
 
 use crate::libos::{LibOs, LibOsKind, QueueTable};
-use crate::runtime::Runtime;
+use crate::runtime::{Check, Runtime};
 use crate::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 
 /// Record header: magic (2) + payload length (4) + checksum (4).
@@ -83,12 +91,32 @@ struct OpenLog {
     cursor: u64,
 }
 
+/// A commit the device has not finished: its write commands and what
+/// they make durable.
+struct Commit {
+    cmds: Range<u64>,
+    log: Rc<RefCell<LogState>>,
+    /// The log's length once the commit lands.
+    end: u64,
+}
+
 struct Inner {
     logs: HashMap<String, Rc<RefCell<LogState>>>,
     queues: QueueTable<OpenLog>,
     next_lba: u64,
     next_cmd: u64,
+    /// Read and chase completions, until [`Core::wait_cmd`] takes them.
     completions: HashMap<u64, NvmeCompletion>,
+    /// The poller's completion batch, kept between polls.
+    polled: Vec<NvmeCompletion>,
+    /// Commits submitted and not yet landed, oldest first: one queue pair
+    /// completes in submission order, so they retire from the front.
+    in_flight: VecDeque<Commit>,
+    /// Commits landed so far: commit `n` (numbered from 0 in submission
+    /// order) is durable once `retired > n`.
+    retired: u64,
+    /// A write buffer the device handed back: the next append's image.
+    spare: Vec<u8>,
     stats: CatfsStats,
     /// The runtime's activity gate (its own Rc, independent of the runtime).
     activity: Notify,
@@ -100,6 +128,36 @@ impl Inner {
         self.next_cmd += 1;
         self.next_cmd - 1
     }
+
+    /// Files one completion. A commit's write hands its buffer back and,
+    /// as the commit's last command, retires it: the log's `durable`
+    /// rises to the commit's end and tailing pops are woken. Anything
+    /// else waits in `completions` for its reader.
+    fn complete(&mut self, c: NvmeCompletion) {
+        let ours = self
+            .in_flight
+            .front()
+            .is_some_and(|commit| commit.cmds.contains(&c.cmd_id));
+        if !ours {
+            self.completions.insert(c.cmd_id, c);
+            return;
+        }
+        if let Some(commit) = self
+            .in_flight
+            .pop_front_if(|commit| commit.cmds.end == c.cmd_id + 1)
+        {
+            let mut log = commit.log.borrow_mut();
+            log.durable = log.durable.max(commit.end);
+            log.appended.notify_waiters();
+            self.retired += 1;
+        }
+        if let Some(image) = c
+            .data
+            .filter(|image| image.capacity() > self.spare.capacity())
+        {
+            self.spare = image;
+        }
+    }
 }
 
 /// The storage libOS.
@@ -107,6 +165,8 @@ impl Inner {
 pub struct Catfs {
     runtime: Runtime,
     core: Core,
+    /// Every push's check: its commit has landed.
+    push: Check,
 }
 
 /// The cycle-free heart of catfs: everything the I/O coroutines need.
@@ -121,17 +181,18 @@ struct Core {
 }
 
 impl Core {
-    /// Drains device completions into the dispatch table; returns how many
-    /// arrived (the poller's external-progress report, which also makes the
-    /// runtime fire its activity gate for the waiters parked in
-    /// [`Core::wait_cmd`]).
+    /// Files every due device completion ([`Inner::complete`]); returns
+    /// how many arrived (the poller's external-progress report, which
+    /// also makes the runtime fire its activity gate for the parked pushes
+    /// and the readers waiting in [`Core::wait_cmd`]).
     fn pump_completions(&self) -> usize {
-        let comps = self.device.poll_completions(self.qpair, 64);
-        let n = comps.len();
-        if n > 0 {
-            let table = &mut self.inner.borrow_mut().completions;
-            table.extend(comps.into_iter().map(|c| (c.cmd_id, c)));
+        let mut inner = self.inner.borrow_mut();
+        let mut polled = std::mem::take(&mut inner.polled);
+        let n = self.device.poll_completions(self.qpair, 64, &mut polled);
+        for c in polled.drain(..) {
+            inner.complete(c);
         }
+        inner.polled = polled;
         n
     }
 
@@ -156,15 +217,11 @@ impl Core {
 
     /// Appends one record to `log` and submits every block it touches: the
     /// cached partial tail, the header and the segments are gathered into
-    /// one block-aligned, zero-padded image the device takes by value.
-    /// Returns the command ids to wait for and the log length that is
-    /// durable once they complete; a full namespace or queue pair is an
-    /// `Err` before any state changes.
-    fn append(
-        &self,
-        log: &RefCell<LogState>,
-        sga: &Sga,
-    ) -> Result<(std::ops::Range<u64>, u64), DemiError> {
+    /// one block-aligned, zero-padded image — in the buffer the device
+    /// handed back last — which the device takes by value. Returns the
+    /// commit's number; a full namespace or queue pair is an `Err` before
+    /// any state changes.
+    fn append(&self, log: &Rc<RefCell<LogState>>, sga: &Sga) -> Result<u64, DemiError> {
         let mut inner = self.inner.borrow_mut();
         let mut state = log.borrow_mut();
         let payload =
@@ -187,7 +244,9 @@ impl Core {
             return Err(DemiError::Storage("queue pair full"));
         }
 
-        let mut image = Vec::with_capacity(blocks * BLOCK_SIZE);
+        let mut image = std::mem::take(&mut inner.spare);
+        image.clear();
+        image.reserve(blocks * BLOCK_SIZE);
         image.extend_from_slice(&state.tail);
         image.extend_from_slice(&RECORD_MAGIC.to_be_bytes());
         image.extend_from_slice(&payload.to_be_bytes());
@@ -220,7 +279,10 @@ impl Core {
         if let Some(rest) = rest {
             submit(cmds.start + 1, fresh.start, rest);
         }
-        Ok((cmds, state.len))
+        let seq = inner.retired + inner.in_flight.len() as u64;
+        let (log, end) = (log.clone(), state.len);
+        inner.in_flight.push_back(Commit { cmds, log, end });
+        Ok(seq)
     }
 
     /// Submits a block read; returns its command id. A full queue pair is
@@ -318,6 +380,10 @@ impl Catfs {
                 next_lba: 0,
                 next_cmd: 1,
                 completions: HashMap::new(),
+                polled: Vec::new(),
+                in_flight: VecDeque::new(),
+                retired: 0,
+                spare: Vec::new(),
                 stats: CatfsStats::default(),
                 activity: runtime.activity().clone(),
             })),
@@ -328,9 +394,12 @@ impl Catfs {
         let pump = core.clone();
         runtime.register_poller(move || pump.pump_completions());
         runtime.register_deadline_source(move || device.next_deadline());
+        let inner = core.inner.clone();
+        let push = move |_, seq| (inner.borrow().retired > seq).then_some(OperationResult::Push);
         Catfs {
             runtime: runtime.clone(),
             core,
+            push: Rc::new(push),
         }
     }
 
@@ -420,9 +489,8 @@ impl Catfs {
                 let read = core.read_block(lba).await;
                 let Ok(block) = &read else { break read }; // A failed read ends the walk.
                 hops += 1;
-                let at = spec.pointer_offset;
-                let next =
-                    u64::from_le_bytes(block[at..at + 8].try_into().expect("offset validated"));
+                let pointer = block[spec.pointer_offset..].first_chunk();
+                let next = pointer.map_or(spec.sentinel, |p| u64::from_le_bytes(*p));
                 if next == spec.sentinel || hops >= spec.max_hops || next >= blocks {
                     break read;
                 }
@@ -495,14 +563,13 @@ const FNV_PRIME: u32 = 0x0100_0193;
 /// payload changes the sum**: it changes exactly one lane, and so the xor.
 fn checksum(payload: &[u8]) -> u32 {
     let mut lanes = [FNV_OFFSET; 4];
-    let mut steps = payload.chunks_exact(16);
-    for step in &mut steps {
-        for (lane, word) in lanes.iter_mut().zip(step.chunks_exact(4)) {
-            let word = u32::from_le_bytes(word.try_into().expect("4 bytes"));
-            *lane = (*lane ^ word).wrapping_mul(FNV_PRIME);
+    let (steps, rest) = payload.as_chunks::<16>();
+    for step in steps {
+        for (lane, word) in lanes.iter_mut().zip(step.as_chunks::<4>().0) {
+            *lane = (*lane ^ u32::from_le_bytes(*word)).wrapping_mul(FNV_PRIME);
         }
     }
-    for &byte in steps.remainder() {
+    for &byte in rest {
         lanes[0] = (lanes[0] ^ u32::from(byte)).wrapping_mul(FNV_PRIME);
     }
     // Rotated apart so equal lanes (a payload of one repeated word) don't cancel.
@@ -553,18 +620,10 @@ impl LibOs for Catfs {
         let log = self.core.inner.borrow().queues.get(qd)?.log.clone();
         // All of the log's state moves here, at submission: two pushes in
         // flight on one log cannot interleave, whatever order they wake in.
-        let (cmds, end) = self.core.append(&log, sga)?;
-        let core = self.core.clone();
-        Ok(self.runtime.spawn_op("catfs::push", async move {
-            for cmd in cmds {
-                core.wait_cmd(cmd).await;
-            }
-            // The record is durable: let tailing pops read up to its end.
-            let mut state = log.borrow_mut();
-            state.durable = state.durable.max(end);
-            state.appended.notify_waiters();
-            OperationResult::Push
-        }))
+        // The poller retires the commit; the push parks until it has.
+        let seq = self.core.append(&log, sga)?;
+        let rt = &self.runtime;
+        Ok(rt.park_op("catfs::push", rt.activity(), self.push.clone(), qd, seq))
     }
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {

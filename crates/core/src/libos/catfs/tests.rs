@@ -1,6 +1,7 @@
 //! catfs tests: the single-application log layout.
 
 use super::*;
+use sim_fabric::SimTime;
 use spdk_sim::nvme::NvmeConfig;
 
 fn setup() -> (Runtime, Catfs, NvmeDevice) {
@@ -145,8 +146,10 @@ impl<'a> Raw<'a> {
 
     /// Runs the one command just submitted to completion.
     fn complete(&self) -> NvmeCompletion {
+        let mut done = Vec::new();
         loop {
-            if let Some(done) = self.dev.poll_completions(self.qp, 1).pop() {
+            self.dev.poll_completions(self.qp, 1, &mut done);
+            if let Some(done) = done.pop() {
                 return done;
             }
             let next = self.dev.next_deadline().expect("in flight");
@@ -195,6 +198,87 @@ fn two_in_flight_pushes_keep_their_records_apart() {
         let (_, sga) = fs.blocking_pop(qd).unwrap().expect_pop();
         assert_eq!(sga.to_vec(), vec![fill; 10_000], "in submission order");
     }
+}
+
+/// A push whose queue closes while its command is in flight still
+/// completes once the record is durable, and the record survives a
+/// reboot: closing a queue ends its pops, not its commits.
+#[test]
+fn a_push_outlives_its_closed_queue() {
+    let (rt, fs, dev) = setup();
+    let qd = fs.create("closing").unwrap();
+    let qt = fs.push(qd, &Sga::from_slice(b"in flight")).unwrap();
+    fs.close(qd).unwrap();
+    assert_eq!(fs.wait(qt, None).unwrap(), OperationResult::Push);
+    assert_eq!(log_state(&fs, "closing").borrow().durable, 19);
+
+    let rt2 = Runtime::with_clock(rt.clock().clone());
+    let fs2 = Catfs::new(&rt2, dev);
+    let qd = fs2.recover("closing").unwrap();
+    let (_, sga) = fs2.blocking_pop(qd).unwrap().expect_pop();
+    assert_eq!(sga.to_vec(), b"in flight");
+}
+
+/// Waiting on the later of two in-flight pushes first returns once its
+/// own command has completed — not at the earlier one's completion — and
+/// the earlier push is then already complete.
+#[test]
+fn waiting_on_the_second_push_waits_for_its_own_command() {
+    let (rt, fs, dev) = setup();
+    let qd = fs.create("second").unwrap();
+    let t0 = rt.now();
+    let a = fs.push(qd, &Sga::from_slice(&[0xAA; 10_000])).unwrap();
+    let b = fs.push(qd, &Sga::from_slice(&[0xBB; 100])).unwrap();
+    assert_eq!(fs.wait(b, None).unwrap(), OperationResult::Push);
+    let flash = NvmeConfig::default().latency;
+    let both = t0
+        .saturating_add(flash.write_time(3))
+        .saturating_add(flash.write_time(1));
+    assert_eq!(rt.now(), both, "B's one-block command runs after A's three");
+    assert_eq!(dev.stats().writes, 2);
+    assert_eq!(log_state(&fs, "second").borrow().durable, 10_120);
+    assert_eq!(fs.wait(a, None).unwrap(), OperationResult::Push);
+    assert_eq!(rt.now(), both, "A was already complete");
+}
+
+/// A commit split in two commands (logs sharing a device) completes only
+/// once both have: after the first alone the push is still pending and
+/// the log's durable length has not moved.
+#[test]
+fn a_split_commit_completes_after_both_commands() {
+    let (_rt, fs, dev) = setup();
+    let (x, y) = (fs.create("x").unwrap(), fs.create("y").unwrap());
+    fs.blocking_push(x, &Sga::from_slice(&[1; 100])).unwrap();
+    fs.blocking_push(y, &Sga::from_slice(&[2; 100])).unwrap();
+    let writes = dev.stats().writes;
+    let qt = fs.push(x, &Sga::from_slice(&[3; 5_000])).unwrap();
+    assert_eq!(dev.in_flight(fs.core.qpair), 2);
+    // The two one-block commands complete one write time apart: wait out
+    // the first and half the second.
+    let one = NvmeConfig::default().latency.write_time(1);
+    let first_and_a_half = one.saturating_add(SimTime::from_nanos(one.as_nanos() / 2));
+    assert_eq!(fs.wait(qt, Some(first_and_a_half)), Err(DemiError::Timeout));
+    assert_eq!(dev.stats().writes, writes + 1, "the first command landed");
+    assert_eq!(log_state(&fs, "x").borrow().durable, 110);
+    assert_eq!(fs.wait(qt, None).unwrap(), OperationResult::Push);
+    assert_eq!(dev.stats().writes, writes + 2);
+    assert_eq!(log_state(&fs, "x").borrow().durable, 5_120);
+}
+
+/// Recovery's scan stops at the first all-zero block past the last
+/// record — here a never-written block inside the extent the log's
+/// first block zeroed.
+#[test]
+fn recovery_stops_at_an_unwritten_block_of_a_written_extent() {
+    let (rt, fs, dev) = setup();
+    let qd = fs.create("short").unwrap();
+    fs.blocking_push(qd, &Sga::from_slice(&[0x11; 3_000]))
+        .unwrap();
+    let rt2 = Runtime::with_clock(rt.clock().clone());
+    let fs2 = Catfs::new(&rt2, dev);
+    fs2.recover("short").unwrap();
+    assert_eq!(log_state(&fs2, "short").borrow().blocks, [0]);
+    assert_eq!(fs2.stats().block_reads, 2, "block 0, then zeros at block 1");
 }
 
 /// Two logs on one device: a record that rewrites its tail block and

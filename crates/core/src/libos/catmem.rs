@@ -37,7 +37,7 @@ impl Catmem {
     pub(crate) fn new(runtime: &Runtime) -> Self {
         let queues = Rc::new(RefCell::new(QueueTable::<CatmemQueue>::new(1)));
         let table = queues.clone();
-        let pop = move |qd| match table.borrow_mut().get_mut(qd) {
+        let pop = move |qd, _| match table.borrow_mut().get_mut(qd) {
             Ok(queue) => {
                 let sga = queue.items.pop_front()?;
                 Some(OperationResult::Pop { from: None, sga })
@@ -90,7 +90,7 @@ impl LibOs for Catmem {
         let events = &queues.get(qd)?.events;
         self.runtime.metrics().count_pop();
         let rt = &self.runtime;
-        Ok(rt.park_op("catmem::pop", events, self.pop.clone(), qd))
+        Ok(rt.park_op("catmem::pop", events, self.pop.clone(), qd, 0))
     }
 }
 

@@ -88,7 +88,7 @@ impl Catnap {
             let (sockets, queues) = (sockets.clone(), queues.clone());
             // POSIX forces a user buffer the kernel copies into.
             let buf = RefCell::new(vec![0u8; 65_536]);
-            move |qd| pop_ready(&sockets, &queues, &mut buf.borrow_mut(), qd)
+            move |qd, _| pop_ready(&sockets, &queues, &mut buf.borrow_mut(), qd)
         };
         Catnap {
             runtime: runtime.clone(),
@@ -164,7 +164,7 @@ impl LibOs for Catnap {
         };
         let (sockets, queues) = (self.sockets.clone(), self.queues.clone());
         let rt = &self.runtime;
-        let check = move |qd| match sockets.borrow_mut().accept(fd) {
+        let check = move |qd, _| match sockets.borrow_mut().accept(fd) {
             Ok(Some(conn_fd)) => {
                 let qd = queues.borrow_mut().insert(CatnapQueue::tcp_conn(conn_fd));
                 Some(OperationResult::Accept { qd })
@@ -175,7 +175,7 @@ impl LibOs for Catnap {
                 Some(closed.unwrap_or(OperationResult::Failed(sock_err(e))))
             }
         };
-        Ok(rt.park_op("catnap::accept", rt.activity(), Rc::new(check), qd))
+        Ok(rt.park_op("catnap::accept", rt.activity(), Rc::new(check), qd, 0))
     }
 
     fn connect(&self, qd: QDesc, remote: SocketAddr) -> Result<QToken, DemiError> {
@@ -192,7 +192,7 @@ impl LibOs for Catnap {
         };
         *queue = CatnapQueue::tcp_conn(fd);
         let (sockets, rt) = (self.sockets.clone(), &self.runtime);
-        let check = move |_| {
+        let check = move |_, _| {
             let sockets = sockets.borrow();
             if let Some(err) = sockets.so_error(fd) {
                 return Some(OperationResult::Failed(DemiError::Net(err)));
@@ -203,7 +203,7 @@ impl LibOs for Catnap {
                 Err(e) => Some(OperationResult::Failed(sock_err(e))),
             }
         };
-        Ok(rt.park_op("catnap::connect", rt.activity(), Rc::new(check), qd))
+        Ok(rt.park_op("catnap::connect", rt.activity(), Rc::new(check), qd, 0))
     }
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
@@ -263,7 +263,7 @@ impl LibOs for Catnap {
             _ => return Err(DemiError::InvalidState),
         };
         let rt = &self.runtime;
-        Ok(rt.park_op(name, rt.activity(), self.pop.clone(), qd))
+        Ok(rt.park_op(name, rt.activity(), self.pop.clone(), qd, 0))
     }
 }
 

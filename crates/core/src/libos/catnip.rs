@@ -142,7 +142,7 @@ impl Catnip {
         let queues = Rc::new(RefCell::new(QueueTable::new(1)));
         let check = |framed| {
             let (stack, queues) = (stack.clone(), queues.clone());
-            Rc::new(move |qd| pop_ready(&stack, &queues, qd, framed)) as Check
+            Rc::new(move |qd, _| pop_ready(&stack, &queues, qd, framed)) as Check
         };
         Catnip {
             runtime: runtime.clone(),
@@ -281,7 +281,7 @@ impl Catnip {
         self.runtime.metrics().count_pop();
         self.tcp_conn(qd)?;
         let (rt, check) = (&self.runtime, self.pop_unframed.clone());
-        Ok(rt.park_op("catnip::tcp_pop_unframed", rt.activity(), check, qd))
+        Ok(rt.park_op("catnip::tcp_pop_unframed", rt.activity(), check, qd, 0))
     }
 
     /// The connection behind a TCP data queue.
@@ -352,7 +352,7 @@ impl LibOs for Catnip {
         };
         let (stack, queues) = (self.stack.clone(), self.queues.clone());
         let rt = &self.runtime;
-        let check = move |qd| match stack.tcp_accept(listener) {
+        let check = move |qd, _| match stack.tcp_accept(listener) {
             Ok(Some(conn)) => {
                 let qd = queues.borrow_mut().insert(CatnipQueue::tcp_conn(conn));
                 Some(OperationResult::Accept { qd })
@@ -360,7 +360,7 @@ impl LibOs for Catnip {
             Ok(None) => queues.borrow().closed(qd),
             Err(e) => Some(OperationResult::Failed(e.into())),
         };
-        Ok(rt.park_op("catnip::accept", rt.activity(), Rc::new(check), qd))
+        Ok(rt.park_op("catnip::accept", rt.activity(), Rc::new(check), qd, 0))
     }
 
     fn connect(&self, qd: QDesc, remote: SocketAddr) -> Result<QToken, DemiError> {
@@ -380,7 +380,7 @@ impl LibOs for Catnip {
                 let conn = self.stack.tcp_connect(remote)?;
                 *q = CatnipQueue::tcp_conn(conn);
                 let (stack, rt) = (self.stack.clone(), &self.runtime);
-                let check = move |_| match stack.tcp_state(conn) {
+                let check = move |_, _| match stack.tcp_state(conn) {
                     Ok(State::Established) => Some(OperationResult::Connect),
                     Ok(State::Closed) => {
                         let err = stack.tcp_error(conn).map(DemiError::Net);
@@ -390,7 +390,7 @@ impl LibOs for Catnip {
                     Err(e) => Some(OperationResult::Failed(e.into())),
                 };
                 let check = Rc::new(check);
-                return Ok(rt.park_op("catnip::tcp_connect", rt.activity(), check, qd));
+                return Ok(rt.park_op("catnip::tcp_connect", rt.activity(), check, qd, 0));
             }
             _ => return Err(DemiError::InvalidState),
         }
@@ -464,7 +464,7 @@ impl LibOs for Catnip {
             _ => return Err(DemiError::InvalidState),
         };
         let rt = &self.runtime;
-        Ok(rt.park_op(name, rt.activity(), self.pop.clone(), qd))
+        Ok(rt.park_op(name, rt.activity(), self.pop.clone(), qd, 0))
     }
 
     fn sgaalloc(&self, len: usize) -> Sga {

@@ -25,7 +25,9 @@
 //! notification of its gate, never a hand-rolled loop. A pop's check is
 //! built once per libOS and its state lives in the queue entry, so a pop
 //! allocates nothing; `close` removes the queue and bumps the gate, and
-//! the check fails the parked operation with `Closed`.
+//! the check fails the parked operation with `Closed`. A catfs push parks
+//! the same way, its check reading the one number the slot keeps for the
+//! op itself: its commit's.
 
 pub mod catcorn;
 pub mod catfs;

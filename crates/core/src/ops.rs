@@ -116,7 +116,7 @@ impl Demikernel {
                 runtime,
                 virt,
                 stats: RefCell::new(OpsStats::default()),
-                pop: Rc::new(move |qd| landed(&landings, qd)),
+                pop: Rc::new(move |qd, _| landed(&landings, qd)),
             }),
         }
     }
@@ -411,7 +411,7 @@ impl LibOs for Demikernel {
         let (rt, check) = (&self.inner.runtime, self.inner.pop.clone());
         match &*vq {
             VirtualQueue::Merge { out, .. } => {
-                Ok(rt.park_op("ops::merge_pop", &out.added, check, qd))
+                Ok(rt.park_op("ops::merge_pop", &out.added, check, qd, 0))
             }
             VirtualQueue::Filter {
                 target,
@@ -456,7 +456,7 @@ impl LibOs for Demikernel {
                 }))
             }
             VirtualQueue::Sort { buffer, .. } => {
-                Ok(rt.park_op("ops::sort_pop", &buffer.added, check, qd))
+                Ok(rt.park_op("ops::sort_pop", &buffer.added, check, qd, 0))
             }
             VirtualQueue::Map { target, f } => {
                 let target = *target;

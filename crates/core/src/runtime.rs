@@ -8,7 +8,7 @@
 //! completed slot and nothing else. One that must block *parks* in its
 //! slot ([`Runtime::park_op`]) — its gate and check live there, and the
 //! runtime re-runs the check each time the gate fires, allocating
-//! nothing. Only long-running work (catfs I/O, catcorn sends, composed
+//! nothing. Only long-running work (catfs reads, catcorn sends, composed
 //! transformations) is a coroutine, which writes its result into its slot.
 //!
 //! One `Runtime` is shared by every libOS instance in a simulation:
@@ -50,11 +50,12 @@ use sim_fabric::{Fabric, SimClock, SimTime};
 use crate::metrics::Metrics;
 use crate::types::{DemiError, OperationResult, QDesc, QToken};
 
-/// A parked operation's check: given its queue, its result once there is
-/// one. Shared by every pop of a kind. It runs with the op slab borrowed,
+/// A parked operation's check: given its queue and its own number (a catfs
+/// push's commit; every other check ignores it), its result once there is
+/// one. Shared by every op of a kind. It runs with the op slab borrowed,
 /// so it must never reach the runtime — it captures cycle-free pieces
 /// only, never a `Runtime`.
-pub(crate) type Check = Rc<dyn Fn(QDesc) -> Option<OperationResult>>;
+pub(crate) type Check = Rc<dyn Fn(QDesc, u64) -> Option<OperationResult>>;
 type ParkedPoll = Rc<dyn Fn(u64, &mut Context<'_>) -> Poll<()>>;
 
 /// A device-poll hook run on every scheduler pass; returns how many work
@@ -100,6 +101,7 @@ struct Parked {
     wait: Option<Notified>,
     check: Check,
     qd: QDesc,
+    seq: u64,
 }
 
 impl Parked {
@@ -112,7 +114,7 @@ impl Parked {
                 return Poll::Pending;
             }
             checked = true;
-            if let Some(result) = (self.check)(self.qd) {
+            if let Some(result) = (self.check)(self.qd, self.seq) {
                 return Poll::Ready(result);
             }
         }
@@ -385,17 +387,25 @@ impl Runtime {
         qt
     }
 
-    /// The one parking path: an operation on `qd` that runs `check(qd)`
-    /// when first polled and again each time `gate` is notified (one that
-    /// lands between a check and the park is not lost), parked at zero
-    /// polls in between. It lives in its slot and runs as a keyed task:
-    /// once warm, parking allocates nothing.
-    pub fn park_op(&self, name: &'static str, gate: &Notify, check: Check, qd: QDesc) -> QToken {
+    /// The one parking path: an operation on `qd` that runs
+    /// `check(qd, seq)` when first polled and again each time `gate` is
+    /// notified (one that lands between a check and the park is not lost),
+    /// parked at zero polls in between. It lives in its slot and runs as a
+    /// keyed task: once warm, parking allocates nothing.
+    pub fn park_op(
+        &self,
+        name: &'static str,
+        gate: &Notify,
+        check: Check,
+        qd: QDesc,
+        seq: u64,
+    ) -> QToken {
         let parked = Parked {
             gate: gate.clone(),
             wait: None,
             check,
             qd,
+            seq,
         };
         let qt = self.begin_op(name, OpState::Parked(parked));
         let poll = self.inner.poll_parked.clone();
@@ -1018,8 +1028,8 @@ mod tests {
     fn park_herd(rt: &Runtime, gate: &Notify, released: &Rc<Cell<bool>>, n: usize) -> Vec<QToken> {
         let herd = (0..n).map(|_| {
             let released = released.clone();
-            let check = Rc::new(move |_| released.get().then_some(OperationResult::Push));
-            rt.park_op("parked", gate, check, QDesc(0))
+            let check = Rc::new(move |_, _| released.get().then_some(OperationResult::Push));
+            rt.park_op("parked", gate, check, QDesc(0), 0)
         });
         let herd = herd.collect();
         // Drain the initial spawn polls.
@@ -1055,7 +1065,7 @@ mod tests {
         let (gate, ready) = (Notify::new(), Rc::new(Cell::new(false)));
         let check = Rc::new({
             let (gate, ready) = (gate.clone(), ready.clone());
-            move |_| {
+            move |_, _| {
                 if ready.get() {
                     return Some(OperationResult::Push);
                 }
@@ -1065,7 +1075,7 @@ mod tests {
                 None
             }
         });
-        let qt = rt.park_op("racy", &gate, check, QDesc(0));
+        let qt = rt.park_op("racy", &gate, check, QDesc(0), 0);
         assert_eq!(rt.wait(qt, None), Ok(OperationResult::Push));
         // Resolved by the notification, not by the deadlock rescue sweep.
         assert_eq!(rt.scheduler().stats().spurious_polls, 0);

@@ -20,9 +20,10 @@
 //! encode order — exactly the order the engine executed them, so the
 //! recovered store equals the crashed store's acknowledged state.
 
-use demi_memory::DemiBuffer;
+use demi_memory::{DemiBuffer, MemoryManager};
 use sim_fabric::SimTime;
 
+use crate::resp::pooled;
 use crate::store::KvStore;
 
 /// Sentinel for "no expiry" in the wire encoding.
@@ -81,20 +82,41 @@ pub enum LogEntry {
     },
 }
 
-/// Encodes one batch into a single record payload.
+/// Encodes one batch into a single record payload, in a fresh vector
+/// (replay tests and benchmarks; the engine writes the same bytes into a
+/// pool buffer, [`encode_pooled`]).
 pub fn encode_batch(ops: &[PendingOp]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
-        4 + ops
-            .iter()
-            .map(|op| {
-                17 + match op {
-                    PendingOp::Set { key, value, .. } => key.len() + value.len(),
-                    PendingOp::Del { key } | PendingOp::Expire { key, .. } => key.len(),
-                }
-            })
-            .sum::<usize>(),
-    );
-    out.extend_from_slice(&(ops.len() as u32).to_be_bytes());
+    let mut out = vec![0; batch_len(ops)];
+    write_batch(ops, &mut out);
+    out
+}
+
+/// Encodes one batch straight into a buffer from `memory`'s pool: the
+/// record a durable drain hands to the log allocates nothing once the
+/// pool is warm.
+pub(crate) fn encode_pooled(ops: &[PendingOp], memory: &MemoryManager) -> DemiBuffer {
+    pooled(memory, batch_len(ops), |out| write_batch(ops, out))
+}
+
+/// The encoded length of `ops`.
+fn batch_len(ops: &[PendingOp]) -> usize {
+    let entry = |op: &PendingOp| {
+        17 + match op {
+            PendingOp::Set { key, value, .. } => key.len() + value.len(),
+            PendingOp::Del { key } | PendingOp::Expire { key, .. } => key.len(),
+        }
+    };
+    4 + ops.iter().map(entry).sum::<usize>()
+}
+
+/// Writes `ops`' record into `out`, exactly [`batch_len`] bytes.
+fn write_batch(ops: &[PendingOp], mut out: &mut [u8]) {
+    let mut put = |bytes: &[u8]| {
+        let (head, rest) = std::mem::take(&mut out).split_at_mut(bytes.len());
+        head.copy_from_slice(bytes);
+        out = rest;
+    };
+    put(&(ops.len() as u32).to_be_bytes());
     for op in ops {
         let (tag, key, value, expire): (u8, &DemiBuffer, &[u8], u64) = match op {
             PendingOp::Set {
@@ -110,14 +132,13 @@ pub fn encode_batch(ops: &[PendingOp]) -> Vec<u8> {
             PendingOp::Del { key } => (1, key, &[], NO_EXPIRY),
             PendingOp::Expire { key, at } => (2, key, &[], at.as_nanos()),
         };
-        out.push(tag);
-        out.extend_from_slice(&(key.len() as u32).to_be_bytes());
-        out.extend_from_slice(&(value.len() as u32).to_be_bytes());
-        out.extend_from_slice(&expire.to_be_bytes());
-        out.extend_from_slice(key.as_slice());
-        out.extend_from_slice(value);
+        put(&[tag]);
+        put(&(key.len() as u32).to_be_bytes());
+        put(&(value.len() as u32).to_be_bytes());
+        put(&expire.to_be_bytes());
+        put(key.as_slice());
+        put(value);
     }
-    out
 }
 
 /// Decodes one record payload back into entries.
@@ -177,15 +198,21 @@ pub fn apply(store: &mut KvStore, entry: &LogEntry, now: SimTime) {
 }
 
 fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, &'static str> {
-    let s = bytes.get(*pos..*pos + 4).ok_or("truncated u32")?;
+    let s = bytes
+        .get(*pos..)
+        .and_then(<[u8]>::first_chunk)
+        .ok_or("truncated u32")?;
     *pos += 4;
-    Ok(u32::from_be_bytes(s.try_into().expect("4 bytes")))
+    Ok(u32::from_be_bytes(*s))
 }
 
 fn read_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, &'static str> {
-    let s = bytes.get(*pos..*pos + 8).ok_or("truncated u64")?;
+    let s = bytes
+        .get(*pos..)
+        .and_then(<[u8]>::first_chunk)
+        .ok_or("truncated u64")?;
     *pos += 8;
-    Ok(u64::from_be_bytes(s.try_into().expect("8 bytes")))
+    Ok(u64::from_be_bytes(*s))
 }
 
 fn read_bytes<'a>(bytes: &'a [u8], pos: &mut usize, len: usize) -> Result<&'a [u8], &'static str> {

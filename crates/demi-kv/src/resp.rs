@@ -356,16 +356,26 @@ impl ReplyWriter {
         if self.ctrl.is_empty() {
             return;
         }
-        // Pooled, written once while exclusively owned: protocol bytes
-        // are generated, not copied — the datapath copy counters agree.
-        let mut seg = self.memory.alloc(self.ctrl.len());
-        seg.try_mut()
-            .expect("fresh pool buffer is exclusive")
-            .copy_from_slice(&self.ctrl);
+        // Protocol bytes are generated, not copied: the datapath copy
+        // counters agree.
+        let ctrl = &self.ctrl;
+        let seg = pooled(&self.memory, ctrl.len(), |dst| dst.copy_from_slice(ctrl));
         self.segs.push(seg);
         self.stats.ctrl_segments += 1;
         self.ctrl.clear();
     }
+}
+
+/// A `len`-byte buffer from `memory`'s pool, written once by `fill` while
+/// exclusively owned (generated bytes: no counted copy).
+pub(crate) fn pooled(
+    memory: &MemoryManager,
+    len: usize,
+    fill: impl FnOnce(&mut [u8]),
+) -> DemiBuffer {
+    let mut buf = memory.alloc(len);
+    fill(buf.try_mut().expect("fresh pool buffer is exclusive"));
+    buf
 }
 
 /// The naive, copying RESP parser the differential tests compare the

@@ -26,7 +26,7 @@
 use demi_memory::{DemiBuffer, MemoryManager};
 use sim_fabric::SimTime;
 
-use crate::log::{encode_batch, PendingOp};
+use crate::log::{encode_pooled, PendingOp};
 use crate::resp::{ReplyStats, ReplyWriter, RespCommand, RespParser, RespStats};
 use crate::store::{KvStore, SetError, Ttl};
 
@@ -82,9 +82,10 @@ pub struct DrainResult {
     /// Reply segments gated on `batch` durability, in order after
     /// `immediate`.
     pub deferred: Vec<DemiBuffer>,
-    /// Encoded group-commit record: append with ONE storage submission,
-    /// then release `deferred`. `None` when the pass mutated nothing.
-    pub batch: Option<Vec<u8>>,
+    /// Encoded group-commit record, a buffer from the engine's pool:
+    /// append with ONE storage submission, then release `deferred`. `None`
+    /// when the pass mutated nothing.
+    pub batch: Option<DemiBuffer>,
     /// Commands executed this pass (the burst depth).
     pub depth: usize,
     /// The stream is unparseable; close the connection after sending
@@ -115,6 +116,8 @@ pub struct EngineStats {
 /// of a (single-threaded) serving loop.
 pub struct KvEngine {
     store: KvStore,
+    /// The pool records and reply control segments come from.
+    memory: MemoryManager,
     writer: ReplyWriter,
     durable: bool,
     /// The pass's logged mutations; cleared once encoded, never dropped,
@@ -124,12 +127,13 @@ pub struct KvEngine {
 }
 
 impl KvEngine {
-    /// An engine whose store wheel starts at `start`, drawing reply
-    /// control segments from `memory`'s pool.
+    /// An engine whose store wheel starts at `start`, drawing log records
+    /// and reply control segments from `memory`'s pool.
     pub fn new(config: KvEngineConfig, memory: MemoryManager, start: SimTime) -> Self {
         KvEngine {
             store: KvStore::new(config.byte_budget, start),
-            writer: ReplyWriter::new(memory),
+            writer: ReplyWriter::new(memory.clone()),
+            memory,
             durable: config.durable,
             pending: Vec::new(),
             stats: EngineStats::default(),
@@ -189,7 +193,7 @@ impl KvEngine {
         } else {
             self.stats.batches += 1;
             self.stats.logged_ops += self.pending.len() as u64;
-            result.batch = Some(encode_batch(&self.pending));
+            result.batch = Some(encode_pooled(&self.pending, &self.memory));
             result.deferred = self.writer.take();
             self.pending.clear();
         }

@@ -134,6 +134,10 @@ impl BufInner {
         tenant: TenantId,
     ) -> Self {
         let cap = storage.len();
+        // A pooled header is recycled with its registry, so it is sized
+        // once for the views a datapath buffer carries (a received frame's
+        // parsed keys and values) and never regrows while warm.
+        let views = if home.is_some() { 8 } else { 2 };
         let ptr = Box::into_raw(storage) as *mut u8;
         BufInner {
             // SAFETY: Box::into_raw never returns null (dangling-but-valid
@@ -141,7 +145,7 @@ impl BufInner {
             ptr: unsafe { NonNull::new_unchecked(ptr) },
             cap,
             home,
-            views: RefCell::new(Vec::with_capacity(2)),
+            views: RefCell::new(Vec::with_capacity(views)),
             tenant: Cell::new(tenant),
         }
     }

@@ -177,7 +177,7 @@ impl Ext4Sim {
             if let Some(t) = self.device.next_deadline() {
                 self.clock.advance_to(t);
             }
-            out.extend(self.device.poll_completions(self.qpair, 64));
+            self.device.poll_completions(self.qpair, 64, &mut out);
         }
         out
     }

@@ -12,6 +12,13 @@ use crate::latency::FlashLatencyModel;
 /// Logical block size in bytes (4 KiB, the native flash page).
 pub const BLOCK_SIZE: usize = 4096;
 
+/// Blocks per media extent: the sparse media allocates 256 KiB of zeroed
+/// blocks the first time one of them is written, not one block at a time.
+const EXTENT_BLOCKS: u64 = 64;
+
+/// What every block of a never-written extent reads as.
+static ZERO_BLOCK: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
+
 /// Queue-pair handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QpairId(pub u32);
@@ -76,7 +83,9 @@ impl std::error::Error for NvmeError {}
 pub struct NvmeCompletion {
     /// Caller-chosen command id.
     pub cmd_id: u64,
-    /// Data, for reads (final block for chases).
+    /// Data, for reads (final block for chases); for writes, the buffer
+    /// the host submitted, handed back the way a controller returns the
+    /// host's DMA buffer, for the host to fill again.
     pub data: Option<Vec<u8>>,
     /// Device-side pointer hops taken (chase commands; 0 otherwise).
     pub hops: u32,
@@ -164,6 +173,8 @@ struct Qpair {
 struct Inner {
     clock: SimClock,
     config: NvmeConfig,
+    /// Extent index -> its `EXTENT_BLOCKS` blocks, zeroed when first
+    /// written; an absent extent reads as zero.
     media: HashMap<u64, Box<[u8]>>,
     qpairs: Vec<Qpair>,
     stats: NvmeStats,
@@ -227,8 +238,8 @@ impl NvmeDevice {
     /// Submits an asynchronous write of `data` (must be block-aligned)
     /// starting at `lba`. The device takes the data by value — a
     /// submission copies nothing — and on completion each block is copied
-    /// into the media once, over the old contents where it was written
-    /// before.
+    /// into the media once and the buffer comes back in the completion's
+    /// `data`.
     pub fn submit_write(
         &self,
         qpair: QpairId,
@@ -271,18 +282,11 @@ impl NvmeDevice {
         let mut lba = spec.start_lba;
         let mut hops: u32 = 0;
         let mut service = SimTime::ZERO;
-        let zero_block = [0u8; BLOCK_SIZE];
-        let mut last: Vec<u8>;
         loop {
-            let block: &[u8] = inner.media.get(&lba).map(|b| &b[..]).unwrap_or(&zero_block);
             hops += 1;
             service = service.saturating_add(inner.config.latency.read_time(1));
-            last = block.to_vec();
-            let next = u64::from_le_bytes(
-                block[spec.pointer_offset..spec.pointer_offset + 8]
-                    .try_into()
-                    .expect("8 bytes"),
-            );
+            let pointer = inner.block(lba)[spec.pointer_offset..].first_chunk();
+            let next = pointer.map_or(spec.sentinel, |p| u64::from_le_bytes(*p));
             if next == spec.sentinel
                 || hops >= spec.max_hops
                 || next >= inner.config.namespace_blocks
@@ -291,8 +295,9 @@ impl NvmeDevice {
             }
             lba = next;
         }
+        let data = inner.block(lba).to_vec();
         inner.stats.blocks_read += u64::from(hops);
-        inner.enqueue(qpair, cmd_id, service, Command::Chase { hops, data: last })
+        inner.enqueue(qpair, cmd_id, service, Command::Chase { hops, data })
     }
 
     /// Submits a flush (durability barrier).
@@ -302,20 +307,26 @@ impl NvmeDevice {
         inner.enqueue(qpair, cmd_id, service, Command::Flush)
     }
 
-    /// Pops up to `max` completions whose service time has elapsed.
-    pub fn poll_completions(&self, qpair: QpairId, max: usize) -> Vec<NvmeCompletion> {
+    /// Moves up to `max` completions whose service time has elapsed onto
+    /// the end of `out`, a vector the caller keeps between polls; returns
+    /// how many it moved.
+    pub fn poll_completions(
+        &self,
+        qpair: QpairId,
+        max: usize,
+        out: &mut Vec<NvmeCompletion>,
+    ) -> usize {
         let mut inner = self.inner.borrow_mut();
         let now = inner.clock.now();
-        let mut out = Vec::new();
-        while out.len() < max {
+        for n in 0..max {
             let due = inner
                 .qpairs
                 .get_mut(qpair.index())
                 .and_then(|qp| qp.in_flight.pop_front_if(|c| c.complete_at <= now));
-            let Some(item) = due else { break };
+            let Some(item) = due else { return n };
             out.push(inner.execute(item));
         }
-        out
+        max
     }
 
     /// In-flight command count on a queue pair.
@@ -349,6 +360,28 @@ impl NvmeDevice {
 }
 
 impl Inner {
+    /// Block `lba`'s contents: zeros where its extent was never written.
+    fn block(&self, lba: u64) -> &[u8] {
+        let Some(extent) = self.media.get(&(lba / EXTENT_BLOCKS)) else {
+            return &ZERO_BLOCK;
+        };
+        let at = (lba % EXTENT_BLOCKS) as usize * BLOCK_SIZE;
+        &extent[at..at + BLOCK_SIZE]
+    }
+
+    /// Copies whole blocks into the media from `lba` on, zeroing an
+    /// extent the first time one of its blocks is written.
+    fn store(&mut self, lba: u64, data: &[u8]) {
+        for (lba, block) in (lba..).zip(data.chunks_exact(BLOCK_SIZE)) {
+            let extent = self
+                .media
+                .entry(lba / EXTENT_BLOCKS)
+                .or_insert_with(|| vec![0; EXTENT_BLOCKS as usize * BLOCK_SIZE].into_boxed_slice());
+            let at = (lba % EXTENT_BLOCKS) as usize * BLOCK_SIZE;
+            extent[at..at + BLOCK_SIZE].copy_from_slice(block);
+        }
+    }
+
     fn check_range(&self, lba: u64, blocks: u64) -> Result<(), NvmeError> {
         let end = lba.checked_add(blocks).ok_or(NvmeError::OutOfRange)?;
         if blocks == 0 || end > self.config.namespace_blocks {
@@ -391,25 +424,17 @@ impl Inner {
             Command::Read { lba, blocks } => {
                 self.stats.reads += 1;
                 self.stats.blocks_read += blocks;
-                let mut out = vec![0u8; (blocks as usize) * BLOCK_SIZE];
-                for i in 0..blocks {
-                    if let Some(block) = self.media.get(&(lba + i)) {
-                        let off = (i as usize) * BLOCK_SIZE;
-                        out[off..off + BLOCK_SIZE].copy_from_slice(block);
-                    }
+                let mut out = Vec::with_capacity(blocks as usize * BLOCK_SIZE);
+                for lba in lba..lba + blocks {
+                    out.extend_from_slice(self.block(lba));
                 }
                 Some(out)
             }
             Command::Write { lba, data } => {
                 self.stats.writes += 1;
                 self.stats.blocks_written += (data.len() / BLOCK_SIZE) as u64;
-                for (lba, block) in (lba..).zip(data.chunks_exact(BLOCK_SIZE)) {
-                    let stored = self.media.entry(lba);
-                    stored
-                        .and_modify(|old| old.copy_from_slice(block))
-                        .or_insert_with(|| block.into());
-                }
-                None
+                self.store(lba, &data);
+                Some(data)
             }
             Command::Flush => {
                 self.stats.flushes += 1;
@@ -441,6 +466,13 @@ mod tests {
         (clock, dev)
     }
 
+    /// The completions due on `qp`, in a fresh vector.
+    fn poll(dev: &NvmeDevice, qp: QpairId) -> Vec<NvmeCompletion> {
+        let mut out = Vec::new();
+        dev.poll_completions(qp, 8, &mut out);
+        out
+    }
+
     /// Advances the clock far enough for everything submitted to finish.
     fn finish_all(clock: &SimClock) {
         clock.advance_by(SimTime::from_secs(1));
@@ -453,10 +485,10 @@ mod tests {
         let data = vec![0xAB; BLOCK_SIZE * 2];
         dev.submit_write(qp, 1, 10, data.clone()).unwrap();
         finish_all(&clock);
-        assert_eq!(dev.poll_completions(qp, 8).len(), 1);
+        assert_eq!(poll(&dev, qp).len(), 1);
         dev.submit_read(qp, 2, 10, 2).unwrap();
         finish_all(&clock);
-        let comps = dev.poll_completions(qp, 8);
+        let comps = poll(&dev, qp);
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].cmd_id, 2);
         assert_eq!(comps[0].data.as_deref(), Some(&data[..]));
@@ -477,7 +509,7 @@ mod tests {
         dev.submit_write(qp, 3, 6, blocks(&[0x55])).unwrap();
         dev.submit_read(qp, 4, 3, 5).unwrap();
         finish_all(&clock);
-        let comps = dev.poll_completions(qp, 8);
+        let comps = poll(&dev, qp);
         assert_eq!(comps.len(), 4);
         let expect = blocks(&[0, 0x22, 0x33, 0x55, 0]);
         assert_eq!(comps[3].data.as_deref(), Some(&expect[..]));
@@ -490,8 +522,67 @@ mod tests {
         let qp = dev.alloc_qpair();
         dev.submit_read(qp, 1, 500, 1).unwrap();
         finish_all(&clock);
-        let comps = dev.poll_completions(qp, 8);
+        let comps = poll(&dev, qp);
         assert_eq!(comps[0].data.as_deref(), Some(&vec![0u8; BLOCK_SIZE][..]));
+    }
+
+    /// A write's completion lends the host its own buffer back: the very
+    /// allocation it submitted, not a copy.
+    #[test]
+    fn a_write_completion_returns_the_submitted_buffer() {
+        let (clock, dev) = device();
+        let qp = dev.alloc_qpair();
+        let data = vec![0x5A; BLOCK_SIZE * 3];
+        let submitted = data.as_ptr();
+        dev.submit_write(qp, 1, 7, data).unwrap();
+        finish_all(&clock);
+        let comps = poll(&dev, qp);
+        let lent = comps[0].data.as_ref().expect("the write buffer comes back");
+        assert_eq!(lent.as_ptr(), submitted);
+        assert_eq!(lent.len(), BLOCK_SIZE * 3);
+    }
+
+    /// Writing one block zeroes its whole extent; the blocks beside it
+    /// still read as zero, through a read and as a chase's start block.
+    #[test]
+    fn unwritten_blocks_of_a_written_extent_read_as_zero() {
+        let (clock, dev) = device();
+        let qp = dev.alloc_qpair();
+        dev.submit_write(qp, 1, 10, vec![0xEE; BLOCK_SIZE]).unwrap();
+        dev.submit_read(qp, 2, 9, 3).unwrap();
+        let zero_start = ChainSpec {
+            sentinel: 0,
+            ..chain_spec(11)
+        };
+        dev.submit_chase(qp, 3, zero_start).unwrap();
+        finish_all(&clock);
+        let comps = poll(&dev, qp);
+        let mut expect = vec![0; BLOCK_SIZE * 3];
+        expect[BLOCK_SIZE..2 * BLOCK_SIZE].fill(0xEE);
+        assert_eq!(comps[1].data.as_deref(), Some(&expect[..]));
+        assert_eq!(comps[2].hops, 1, "a zero pointer is the sentinel");
+        assert_eq!(comps[2].data.as_deref(), Some(&[0; BLOCK_SIZE][..]));
+    }
+
+    /// A write across an extent boundary lands in both extents and reads
+    /// back whole, with the unwritten neighbours on either side zero.
+    #[test]
+    fn a_write_straddling_an_extent_boundary_round_trips() {
+        let (clock, dev) = device();
+        let qp = dev.alloc_qpair();
+        let first = EXTENT_BLOCKS - 2;
+        let data: Vec<u8> = (0..4 * BLOCK_SIZE)
+            .map(|i| (i / BLOCK_SIZE + 1) as u8)
+            .collect();
+        dev.submit_write(qp, 1, first, data.clone()).unwrap();
+        dev.submit_read(qp, 2, first - 1, 6).unwrap();
+        finish_all(&clock);
+        let comps = poll(&dev, qp);
+        let mut expect = vec![0; BLOCK_SIZE];
+        expect.extend_from_slice(&data);
+        expect.extend_from_slice(&[0; BLOCK_SIZE]);
+        assert_eq!(comps[1].data.as_deref(), Some(&expect[..]));
+        assert_eq!(dev.inner.borrow().media.len(), 2, "two extents");
     }
 
     #[test]
@@ -499,11 +590,11 @@ mod tests {
         let (clock, dev) = device();
         let qp = dev.alloc_qpair();
         dev.submit_read(qp, 1, 0, 1).unwrap(); // 10µs service time.
-        assert!(dev.poll_completions(qp, 8).is_empty(), "not done yet");
+        assert!(poll(&dev, qp).is_empty(), "not done yet");
         clock.advance_by(SimTime::from_micros(9));
-        assert!(dev.poll_completions(qp, 8).is_empty(), "still not done");
+        assert!(poll(&dev, qp).is_empty(), "still not done");
         clock.advance_by(SimTime::from_micros(1));
-        let comps = dev.poll_completions(qp, 8);
+        let comps = poll(&dev, qp);
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].completed_at, SimTime::from_micros(10));
     }
@@ -515,9 +606,9 @@ mod tests {
         dev.submit_read(qp, 1, 0, 1).unwrap(); // Completes at 10µs.
         dev.submit_read(qp, 2, 0, 1).unwrap(); // Queued behind: 20µs.
         clock.advance_by(SimTime::from_micros(10));
-        assert_eq!(dev.poll_completions(qp, 8).len(), 1);
+        assert_eq!(poll(&dev, qp).len(), 1);
         clock.advance_by(SimTime::from_micros(10));
-        assert_eq!(dev.poll_completions(qp, 8).len(), 1);
+        assert_eq!(poll(&dev, qp).len(), 1);
     }
 
     #[test]
@@ -528,8 +619,8 @@ mod tests {
         dev.submit_read(qp1, 1, 0, 1).unwrap();
         dev.submit_read(qp2, 2, 0, 1).unwrap();
         clock.advance_by(SimTime::from_micros(10));
-        assert_eq!(dev.poll_completions(qp1, 8).len(), 1);
-        assert_eq!(dev.poll_completions(qp2, 8).len(), 1);
+        assert_eq!(poll(&dev, qp1).len(), 1);
+        assert_eq!(poll(&dev, qp2).len(), 1);
     }
 
     #[test]
@@ -573,7 +664,7 @@ mod tests {
         let qp = dev.alloc_qpair();
         dev.submit_flush(qp, 9).unwrap();
         finish_all(&clock);
-        let comps = dev.poll_completions(qp, 8);
+        let comps = poll(&dev, qp);
         assert_eq!(comps[0].cmd_id, 9);
         assert!(comps[0].data.is_none());
         assert_eq!(dev.stats().flushes, 1);
@@ -587,7 +678,7 @@ mod tests {
             .unwrap();
         dev.submit_read(qp, 2, 0, 2).unwrap();
         finish_all(&clock);
-        let _ = dev.poll_completions(qp, 8);
+        let _ = poll(&dev, qp);
         let s = dev.stats();
         assert_eq!(s.blocks_written, 3);
         assert_eq!(s.blocks_read, 2);
@@ -602,7 +693,7 @@ mod tests {
         dev.submit_read(qp2, 2, 0, 1).unwrap(); // 10µs
         assert_eq!(dev.next_deadline(), Some(SimTime::from_micros(10)));
         clock.advance_by(SimTime::from_micros(10));
-        let _ = dev.poll_completions(qp2, 8);
+        let _ = poll(&dev, qp2);
         assert_eq!(dev.next_deadline(), Some(SimTime::from_micros(20)));
     }
 
@@ -620,7 +711,7 @@ mod tests {
         block[0..8].copy_from_slice(&next.to_le_bytes());
         dev.submit_write(qp, 1000 + lba, lba, block).unwrap();
         finish_all(clock);
-        let _ = dev.poll_completions(qp, 8);
+        let _ = poll(dev, qp);
     }
 
     fn chain_spec(start_lba: u64) -> ChainSpec {
@@ -643,7 +734,7 @@ mod tests {
         let before = dev.stats();
         dev.submit_chase(qp, 7, chain_spec(10)).unwrap();
         finish_all(&clock);
-        let comps = dev.poll_completions(qp, 8);
+        let comps = poll(&dev, qp);
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].cmd_id, 7);
         assert_eq!(comps[0].hops, 3);
@@ -669,7 +760,7 @@ mod tests {
         let start = clock.now();
         dev.submit_chase(qp, 1, chain_spec(10)).unwrap();
         finish_all(&clock);
-        let comps = dev.poll_completions(qp, 8);
+        let comps = poll(&dev, qp);
         let per_hop = FlashLatencyModel::default().read_time(1);
         assert_eq!(
             comps[0].completed_at,
@@ -695,12 +786,12 @@ mod tests {
         )
         .unwrap();
         finish_all(&clock);
-        assert_eq!(dev.poll_completions(qp, 8)[0].hops, 5);
+        assert_eq!(poll(&dev, qp)[0].hops, 5);
         // A pointer outside the namespace stops the walk at that block.
         write_chain_block(&dev, &clock, qp, 40, dev.namespace_blocks() + 7, 0xD);
         dev.submit_chase(qp, 2, chain_spec(40)).unwrap();
         finish_all(&clock);
-        let comps = dev.poll_completions(qp, 8);
+        let comps = poll(&dev, qp);
         assert_eq!(comps[0].hops, 1);
         assert_eq!(comps[0].data.as_ref().unwrap()[8], 0xD);
     }
@@ -744,8 +835,8 @@ mod tests {
             dev.submit_read(QpairId(99), 1, 0, 1),
             Err(NvmeError::BadQpair)
         );
-        assert!(dev.poll_completions(QpairId(99), 8).is_empty());
-        assert!(dev.poll_completions(QpairId(0), 8).is_empty());
+        assert!(poll(&dev, QpairId(99)).is_empty());
+        assert!(poll(&dev, QpairId(0)).is_empty());
         assert_eq!(dev.free_slots(QpairId(0)), 0);
     }
 }

@@ -106,7 +106,7 @@ fn main() {
             }
             if let Some(batch) = r.batch {
                 // ONE storage submission for the whole burst's mutations.
-                let record = Sga::from_bufs(vec![DemiBuffer::from(batch)]);
+                let record = Sga::from_bufs(vec![batch]);
                 let Ok(qt) = fs_clone.push(log_qd, &record) else {
                     return;
                 };

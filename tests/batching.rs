@@ -215,8 +215,8 @@ fn wait_any_does_not_rescan_tokens_every_pass() {
     let mut tokens: Vec<QToken> = (0..HERD)
         .map(|_| {
             let released = released.clone();
-            let check = Rc::new(move |_| released.get().then_some(OperationResult::Push));
-            rt.park_op("parked", &gate, check, QDesc(0))
+            let check = Rc::new(move |_, _| released.get().then_some(OperationResult::Push));
+            rt.park_op("parked", &gate, check, QDesc(0), 0)
         })
         .collect();
     // Park the herd.

@@ -490,6 +490,7 @@ fn a_chained_lookup_is_one_host_submission_not_one_per_hop() {
     let (rt, catfs, device) = catfs_world();
     let lbas: [u64; 8] = [100, 205, 3, 77, 150, 42, 9, 1000];
     let qp = device.alloc_qpair();
+    let mut done = Vec::new();
     for (i, &lba) in lbas.iter().enumerate() {
         let mut block = vec![0u8; BLOCK_SIZE];
         let next = lbas.get(i + 1).copied().unwrap_or(u64::MAX);
@@ -498,7 +499,7 @@ fn a_chained_lookup_is_one_host_submission_not_one_per_hop() {
         device.submit_write(qp, i as u64 + 1, lba, block).unwrap();
         while device.in_flight(qp) > 0 {
             rt.clock().advance_to(device.next_deadline().unwrap());
-            device.poll_completions(qp, 16);
+            device.poll_completions(qp, 16, &mut done);
         }
     }
     let spec = ChainSpec {

@@ -9,28 +9,21 @@
 # between the parent's own quartiles. The parent is a `git archive` export
 # under target/, removed on exit; the raw result lines stay in
 # target/bench-pairs/runs.tsv. A claim must also hold on a seed not used
-# while the change was written: pass one. ~2 x pairs x seconds per
-# workload: launch a full campaign detached and build nothing meanwhile.
+# while the change was written: pass one. Workloads named after the seed
+# narrow the campaign to them (default: all of BENCHMARK.json's). ~2 x
+# pairs x seconds per workload: launch a full campaign detached and build
+# nothing meanwhile.
 set -eu
 cd "$(dirname "$0")/.."
 if [ $# -lt 1 ]; then
-    echo "usage: $0 <parent-ref> [pairs=10] [seconds=30] [seed=7]" >&2
+    echo "usage: $0 <parent-ref> [pairs=10] [seconds=30] [seed=7] [workload...]" >&2
     exit 2
 fi
 parent=$1
 pairs=${2:-10}
 seconds=${3:-30}
 seed=${4:-7}
-work=target/bench-pairs
-rm -rf "$work"
-mkdir -p "$work/parent"
-trap 'rm -rf "$work/parent"' EXIT
-git archive "$parent" | tar -x -C "$work/parent"
-for tree in "$work/parent" .; do
-    cargo build --release --quiet --offline --manifest-path "$tree/benchmark/Cargo.toml"
-done
-cp "$work/parent/benchmark/target/release/demi-ledger" "$work/ledger-parent"
-cp benchmark/target/release/demi-ledger "$work/ledger-change"
+shift $(($# < 4 ? $# : 4))
 
 # `name` lines of one BENCHMARK.json section, with `better` where it has one.
 section() {
@@ -42,6 +35,27 @@ section() {
 }
 workloads=$(section workloads end_to_end)
 metrics=$(section end_to_end per_layer)
+if [ $# -gt 0 ]; then
+    known=" $(echo $workloads) "
+    for workload in "$@"; do
+        case $known in
+        *" $workload "*) ;;
+        *) echo "$0: unknown workload $workload (known:$known)" >&2 && exit 2 ;;
+        esac
+    done
+    workloads=$*
+fi
+
+work=target/bench-pairs
+rm -rf "$work"
+mkdir -p "$work/parent"
+trap 'rm -rf "$work/parent"' EXIT
+git archive "$parent" | tar -x -C "$work/parent"
+for tree in "$work/parent" .; do
+    cargo build --release --quiet --offline --manifest-path "$tree/benchmark/Cargo.toml"
+done
+cp "$work/parent/benchmark/target/release/demi-ledger" "$work/ledger-parent"
+cp benchmark/target/release/demi-ledger "$work/ledger-change"
 
 run() { # side workload pair
     line=$("$work/ledger-$1" --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)

@@ -284,7 +284,7 @@ impl LibOs for Catcorn {
         let core = self.core();
         let qp = self.device.create_qp(self.pd, self.cq, self.cq);
         // Connection requests arrive with device frames: the activity gate.
-        let check = move |qd, _| match core.device.accept(port, qp, core.clock.now()) {
+        let check = move |qd, _| match core.device.accept(port, qp) {
             Ok(true) => {
                 let conn = CatcornQueue::Conn(core.setup_conn(qp));
                 let qd = core.inner.borrow_mut().queues.insert(conn);
@@ -467,8 +467,10 @@ fn rdma_status_err(status: WcStatus) -> DemiError {
     DemiError::Rdma(match status {
         WcStatus::RnrRetryExceeded => "receiver not ready",
         WcStatus::LocalLengthError => "receive buffer too small",
+        WcStatus::LocalProtectionError => "local protection error",
         WcStatus::RemoteAccessError => "remote access error",
         WcStatus::RetryExceeded => "transport retries exceeded",
+        WcStatus::BadResponse => "bad read response",
         WcStatus::WrFlushed => "work request flushed",
         WcStatus::Success => "success",
     })

@@ -1,7 +1,13 @@
 //! The device engine: queue pairs, reliability, and the connection manager.
+//!
+//! A queue pair's `Link` holds the facts of its state and nothing else
+//! does: the handshake's target and retry timer while `Connecting`, the
+//! peer and the retransmission timer while `Rts`. A message addressed to a
+//! QP counts only from the station the link names, and every move to
+//! `Error` that can strand work goes through `Qp::fail`.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
 use sim_fabric::{Endpoint, Fabric, MacAddress, SimTime};
@@ -11,42 +17,23 @@ use crate::verbs::{
 };
 use crate::wire::WireMsg;
 
-/// Device tunables.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RdmaConfig {
-    /// Transport retransmission timeout (fixed; real HCAs use a static,
-    /// firmware-configured timeout rather than RTT estimation).
-    pub rto: SimTime,
-    /// Delay before retrying after an RNR NACK.
-    pub rnr_delay: SimTime,
-    /// Transport retries before a fatal `RetryExceeded`.
-    pub transport_retries: u32,
-    /// RNR retries before `RnrRetryExceeded`.
-    pub rnr_retries: u32,
-    /// Connection-request retries.
-    pub connect_retries: u32,
-    /// Delay between connection-request retries.
-    pub connect_retry_delay: SimTime,
-    /// Maximum outstanding work requests per QP.
-    pub max_outstanding: usize,
-    /// Largest message accepted by `post_send`/`post_write`/`post_read`.
-    pub max_msg_size: usize,
-}
-
-impl Default for RdmaConfig {
-    fn default() -> Self {
-        RdmaConfig {
-            rto: SimTime::from_micros(100),
-            rnr_delay: SimTime::from_micros(50),
-            transport_retries: 7,
-            rnr_retries: 7,
-            connect_retries: 5,
-            connect_retry_delay: SimTime::from_millis(1),
-            max_outstanding: 64,
-            max_msg_size: 1 << 20,
-        }
-    }
-}
+/// Transport retransmission timeout (fixed; real HCAs use a static,
+/// firmware-configured timeout rather than RTT estimation).
+const RTO: SimTime = SimTime::from_micros(100);
+/// Delay before retrying after an RNR NACK.
+const RNR_DELAY: SimTime = SimTime::from_micros(50);
+/// Transport retries before a fatal `RetryExceeded`.
+const TRANSPORT_RETRIES: u32 = 7;
+/// RNR retries before `RnrRetryExceeded`.
+const RNR_RETRIES: u32 = 7;
+/// Connection-request retries.
+const CONNECT_RETRIES: u32 = 5;
+/// Delay between connection-request retries.
+const CONNECT_RETRY_DELAY: SimTime = SimTime::from_millis(1);
+/// Maximum outstanding work requests per QP.
+const MAX_OUTSTANDING: usize = 64;
+/// Largest message accepted by `post_send`/`post_write`/`post_read`.
+const MAX_MSG_SIZE: usize = 1 << 20;
 
 /// Device-wide counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -97,45 +84,75 @@ struct OutWr {
     body: WireMsg,
     byte_len: usize,
     rnr_left: u32,
-    /// Reads stay queued after a cumulative ACK until their data arrives.
-    transport_acked: bool,
+}
+
+impl OutWr {
+    fn completion(&self, qp: QpId, status: WcStatus, byte_len: usize) -> Completion {
+        let opcode = match self.kind {
+            OutKind::Send => WcOpcode::Send,
+            OutKind::Write => WcOpcode::Write,
+            OutKind::Read { .. } => WcOpcode::Read,
+        };
+        Completion {
+            wr_id: self.wr_id,
+            qp,
+            opcode,
+            status,
+            byte_len,
+        }
+    }
+}
+
+/// Where a queue pair is in its life, carrying the facts that hold there.
+enum Link {
+    Init,
+    /// Active side of the handshake: the `ConnReq` to `target` (MAC,
+    /// listener port) is resent at `deadline` while retries are left.
+    Connecting {
+        target: (MacAddress, u16),
+        deadline: SimTime,
+        retries_left: u32,
+    },
+    /// Connected to `peer` (MAC, QP number). `rto` is armed while work is
+    /// outstanding.
+    Rts {
+        peer: (MacAddress, u32),
+        rto: Option<SimTime>,
+        retries_left: u32,
+    },
+    Error,
 }
 
 struct Qp {
     pd: PdId,
     send_cq: CqId,
     recv_cq: CqId,
-    state: QpState,
-    peer: Option<(MacAddress, u32)>,
+    link: Link,
     // Requester.
     next_psn: u32,
     outstanding: VecDeque<OutWr>,
-    rto_deadline: Option<SimTime>,
-    retries_left: u32,
     // Responder.
     expected_psn: u32,
     recv_queue: VecDeque<RecvWr>,
-    // CM (active side).
-    connect_target: Option<(MacAddress, u16)>,
-    connect_deadline: Option<SimTime>,
-    connect_retries_left: u32,
 }
 
-struct Listener {
-    pending: VecDeque<(MacAddress, u32)>,
-}
-
-struct Inner {
+/// The device-wide resources every queue pair reaches: the wire, the
+/// memory regions, the completion queues and the counters.
+struct Hca {
     endpoint: Endpoint,
-    config: RdmaConfig,
-    pds: Vec<PdId>,
     mrs: HashMap<MrId, Mr>,
     rkey_index: HashMap<u32, MrId>,
     cqs: HashMap<CqId, VecDeque<Completion>>,
-    qps: HashMap<QpId, Qp>,
-    listeners: HashMap<u16, Listener>,
-    next_id: u32,
     stats: RdmaDeviceStats,
+}
+
+struct Inner {
+    hca: Hca,
+    /// Ordered by id, so timers fire in the same order on every run.
+    qps: BTreeMap<QpId, Qp>,
+    /// Per listening port, the connection requests not yet accepted.
+    listeners: HashMap<u16, VecDeque<(MacAddress, u32)>>,
+    next_id: u32,
 }
 
 /// One simulated RDMA NIC attached to the fabric.
@@ -151,30 +168,25 @@ pub struct RdmaDevice {
 impl RdmaDevice {
     /// Attaches a device to the fabric at `mac`.
     pub fn new(fabric: &Fabric, mac: MacAddress) -> Self {
-        Self::with_config(fabric, mac, RdmaConfig::default())
-    }
-
-    /// Attaches a device with explicit tunables.
-    pub(crate) fn with_config(fabric: &Fabric, mac: MacAddress, config: RdmaConfig) -> Self {
         RdmaDevice {
             inner: Rc::new(RefCell::new(Inner {
-                endpoint: fabric.register_endpoint(mac),
-                config,
-                pds: Vec::new(),
-                mrs: HashMap::new(),
-                rkey_index: HashMap::new(),
-                cqs: HashMap::new(),
-                qps: HashMap::new(),
+                hca: Hca {
+                    endpoint: fabric.register_endpoint(mac),
+                    mrs: HashMap::new(),
+                    rkey_index: HashMap::new(),
+                    cqs: HashMap::new(),
+                    stats: RdmaDeviceStats::default(),
+                },
+                qps: BTreeMap::new(),
                 listeners: HashMap::new(),
                 next_id: 1,
-                stats: RdmaDeviceStats::default(),
             })),
         }
     }
 
     /// Device counters.
     pub fn stats(&self) -> RdmaDeviceStats {
-        self.inner.borrow().stats
+        self.inner.borrow().hca.stats
     }
 
     // ------------------------------------------------------------------
@@ -183,17 +195,14 @@ impl RdmaDevice {
 
     /// Allocates a protection domain.
     pub fn alloc_pd(&self) -> PdId {
-        let mut inner = self.inner.borrow_mut();
-        let id = PdId(inner.alloc_id());
-        inner.pds.push(id);
-        id
+        PdId(self.inner.borrow_mut().alloc_id())
     }
 
     /// Creates a completion queue.
     pub fn create_cq(&self) -> CqId {
         let mut inner = self.inner.borrow_mut();
         let id = CqId(inner.alloc_id());
-        inner.cqs.insert(id, VecDeque::new());
+        inner.hca.cqs.insert(id, VecDeque::new());
         id
     }
 
@@ -207,7 +216,8 @@ impl RdmaDevice {
         let mut inner = self.inner.borrow_mut();
         let id = MrId(inner.alloc_id());
         let rkey = id.0.wrapping_mul(0x9E37_79B9) | 1;
-        inner.mrs.insert(
+        let hca = &mut inner.hca;
+        hca.mrs.insert(
             id,
             Mr {
                 pd,
@@ -216,91 +226,68 @@ impl RdmaDevice {
                 storage: vec![0u8; len],
             },
         );
-        inner.rkey_index.insert(rkey, id);
-        inner.stats.mr_registrations += 1;
-        inner.stats.pinned_bytes += len as u64;
+        hca.rkey_index.insert(rkey, id);
+        hca.stats.mr_registrations += 1;
+        hca.stats.pinned_bytes += len as u64;
         id
     }
 
     /// Deregisters a region; its rkey stops resolving.
     pub fn deregister_mr(&self, mr: MrId) {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(m) = inner.mrs.remove(&mr) {
-            inner.rkey_index.remove(&m.rkey);
-            inner.stats.pinned_bytes -= m.storage.len() as u64;
+        let hca = &mut self.inner.borrow_mut().hca;
+        if let Some(m) = hca.mrs.remove(&mr) {
+            hca.rkey_index.remove(&m.rkey);
+            hca.stats.pinned_bytes -= m.storage.len() as u64;
         }
     }
 
     /// The remote key for a registered region.
     pub fn rkey(&self, mr: MrId) -> Result<u32, QpError> {
-        Ok(self
-            .inner
-            .borrow()
-            .mrs
-            .get(&mr)
-            .ok_or(QpError::BadHandle)?
-            .rkey)
+        let inner = self.inner.borrow();
+        Ok(inner.hca.mrs.get(&mr).ok_or(QpError::BadHandle)?.rkey)
     }
 
     /// Writes application data into a registered region.
     pub fn mr_write(&self, mr: MrId, offset: usize, data: &[u8]) -> Result<(), QpError> {
         let mut inner = self.inner.borrow_mut();
-        let m = inner.mrs.get_mut(&mr).ok_or(QpError::BadHandle)?;
+        let m = inner.hca.mrs.get_mut(&mr).ok_or(QpError::BadHandle)?;
         let end = offset.checked_add(data.len()).ok_or(QpError::OutOfBounds)?;
-        if end > m.storage.len() {
-            return Err(QpError::OutOfBounds);
-        }
-        m.storage[offset..end].copy_from_slice(data);
+        let dst = m.storage.get_mut(offset..end).ok_or(QpError::OutOfBounds)?;
+        dst.copy_from_slice(data);
         Ok(())
     }
 
     /// Reads application data out of a registered region.
     pub fn mr_read(&self, mr: MrId, offset: usize, len: usize) -> Result<Vec<u8>, QpError> {
         let inner = self.inner.borrow();
-        let m = inner.mrs.get(&mr).ok_or(QpError::BadHandle)?;
+        let m = inner.hca.mrs.get(&mr).ok_or(QpError::BadHandle)?;
         let end = offset.checked_add(len).ok_or(QpError::OutOfBounds)?;
-        if end > m.storage.len() {
-            return Err(QpError::OutOfBounds);
-        }
-        Ok(m.storage[offset..end].to_vec())
+        let src = m.storage.get(offset..end).ok_or(QpError::OutOfBounds)?;
+        Ok(src.to_vec())
     }
 
     /// Creates a reliable-connected queue pair.
     pub fn create_qp(&self, pd: PdId, send_cq: CqId, recv_cq: CqId) -> QpId {
         let mut inner = self.inner.borrow_mut();
-        let (retries, cretries) = (inner.config.transport_retries, inner.config.connect_retries);
         let id = QpId(inner.alloc_id());
-        inner.qps.insert(
-            id,
-            Qp {
-                pd,
-                send_cq,
-                recv_cq,
-                state: QpState::Init,
-                peer: None,
-                next_psn: 0,
-                outstanding: VecDeque::new(),
-                rto_deadline: None,
-                retries_left: retries,
-                expected_psn: 0,
-                recv_queue: VecDeque::new(),
-                connect_target: None,
-                connect_deadline: None,
-                connect_retries_left: cretries,
-            },
-        );
+        let qp = Qp {
+            pd,
+            send_cq,
+            recv_cq,
+            link: Link::Init,
+            next_psn: 0,
+            outstanding: VecDeque::new(),
+            expected_psn: 0,
+            recv_queue: VecDeque::new(),
+        };
+        inner.qps.insert(id, qp);
         id
     }
 
     /// Current QP state.
     pub fn qp_state(&self, qp: QpId) -> Result<QpState, QpError> {
-        Ok(self
-            .inner
-            .borrow()
-            .qps
-            .get(&qp)
-            .ok_or(QpError::BadHandle)?
-            .state)
+        let inner = self.inner.borrow();
+        Ok(inner.qps.get(&qp).ok_or(QpError::BadHandle)?.state())
     }
 
     // ------------------------------------------------------------------
@@ -313,41 +300,34 @@ impl RdmaDevice {
         if inner.listeners.contains_key(&port) {
             return Err(QpError::AddrInUse(port));
         }
-        inner.listeners.insert(
-            port,
-            Listener {
-                pending: VecDeque::new(),
-            },
-        );
+        inner.listeners.insert(port, VecDeque::new());
         Ok(())
     }
 
     /// Accepts a pending connection request on `port`, binding it to `qp`
     /// (which must be in `Init`). Returns `false` when none is pending.
-    pub fn accept(&self, port: u16, qp: QpId, now: SimTime) -> Result<bool, QpError> {
-        let _ = now;
+    pub fn accept(&self, port: u16, qp: QpId) -> Result<bool, QpError> {
         let mut inner = self.inner.borrow_mut();
-        let listener = inner.listeners.get_mut(&port).ok_or(QpError::BadHandle)?;
-        let Some((peer_mac, peer_qp)) = listener.pending.pop_front() else {
+        let inner = &mut *inner;
+        let pending = inner.listeners.get_mut(&port).ok_or(QpError::BadHandle)?;
+        let q = inner.qps.get_mut(&qp).ok_or(QpError::BadHandle)?;
+        if !matches!(q.link, Link::Init) {
+            return Err(QpError::InvalidState);
+        }
+        let Some((mac, peer_qp)) = pending.pop_front() else {
             return Ok(false);
         };
-        let qp_num = qp.0;
-        {
-            let q = inner.qps.get_mut(&qp).ok_or(QpError::BadHandle)?;
-            if q.state != QpState::Init {
-                return Err(QpError::InvalidState);
-            }
-            q.peer = Some((peer_mac, peer_qp));
-            q.state = QpState::Rts;
-        }
-        inner.send_msg(
-            peer_mac,
-            &WireMsg::ConnResp {
-                dst_qp: peer_qp,
-                src_qp: qp_num,
-                accepted: true,
-            },
-        );
+        q.link = Link::Rts {
+            peer: (mac, peer_qp),
+            rto: None,
+            retries_left: TRANSPORT_RETRIES,
+        };
+        let resp = WireMsg::ConnResp {
+            dst_qp: peer_qp,
+            src_qp: qp.0,
+            accepted: true,
+        };
+        inner.hca.send(mac, &resp);
         Ok(true)
     }
 
@@ -360,24 +340,19 @@ impl RdmaDevice {
         now: SimTime,
     ) -> Result<(), QpError> {
         let mut inner = self.inner.borrow_mut();
-        let delay = inner.config.connect_retry_delay;
-        let qp_num = qp.0;
-        {
-            let q = inner.qps.get_mut(&qp).ok_or(QpError::BadHandle)?;
-            if q.state != QpState::Init {
-                return Err(QpError::InvalidState);
-            }
-            q.state = QpState::Connecting;
-            q.connect_target = Some((remote, port));
-            q.connect_deadline = Some(now.saturating_add(delay));
+        let inner = &mut *inner;
+        let q = inner.qps.get_mut(&qp).ok_or(QpError::BadHandle)?;
+        if !matches!(q.link, Link::Init) {
+            return Err(QpError::InvalidState);
         }
-        inner.send_msg(
-            remote,
-            &WireMsg::ConnReq {
-                src_qp: qp_num,
-                port,
-            },
-        );
+        q.link = Link::Connecting {
+            target: (remote, port),
+            deadline: now.saturating_add(CONNECT_RETRY_DELAY),
+            retries_left: CONNECT_RETRIES,
+        };
+        inner
+            .hca
+            .send(remote, &WireMsg::ConnReq { src_qp: qp.0, port });
         Ok(())
     }
 
@@ -395,8 +370,9 @@ impl RdmaDevice {
         len: usize,
     ) -> Result<(), QpError> {
         let mut inner = self.inner.borrow_mut();
-        inner.validate_local(qp, mr, offset, len)?;
-        let q = inner.qps.get_mut(&qp).expect("validated");
+        let inner = &mut *inner;
+        let q = inner.qps.get_mut(&qp).ok_or(QpError::BadHandle)?;
+        inner.hca.validate_local(q.pd, mr, offset, len)?;
         q.recv_queue.push_back(RecvWr {
             wr_id,
             mr,
@@ -416,20 +392,19 @@ impl RdmaDevice {
         len: usize,
         now: SimTime,
     ) -> Result<(), QpError> {
-        let mut inner = self.inner.borrow_mut();
-        inner.validate_rts(qp)?;
-        inner.validate_local(qp, mr, offset, len)?;
-        inner.check_queue_space(qp, len)?;
-        let payload = inner.mrs[&mr].storage[offset..offset + len].to_vec();
-        inner.stats.sends += 1;
-        inner.enqueue_wr(qp, wr_id, OutKind::Send, len, now, |dst_qp, psn| {
-            WireMsg::Send {
+        let local = (mr, offset, len);
+        self.post(
+            qp,
+            wr_id,
+            local,
+            OutKind::Send,
+            now,
+            |dst_qp, psn, bytes| WireMsg::Send {
                 dst_qp,
                 psn,
-                payload,
-            }
-        });
-        Ok(())
+                payload: bytes.to_vec(),
+            },
+        )
     }
 
     /// Posts an RDMA WRITE of `mr[offset..offset+len]` to the remote region
@@ -446,21 +421,21 @@ impl RdmaDevice {
         remote_offset: u64,
         now: SimTime,
     ) -> Result<(), QpError> {
-        let mut inner = self.inner.borrow_mut();
-        inner.validate_rts(qp)?;
-        inner.validate_local(qp, mr, offset, len)?;
-        inner.check_queue_space(qp, len)?;
-        let payload = inner.mrs[&mr].storage[offset..offset + len].to_vec();
-        inner.enqueue_wr(qp, wr_id, OutKind::Write, len, now, |dst_qp, psn| {
-            WireMsg::Write {
+        let local = (mr, offset, len);
+        self.post(
+            qp,
+            wr_id,
+            local,
+            OutKind::Write,
+            now,
+            |dst_qp, psn, bytes| WireMsg::Write {
                 dst_qp,
                 psn,
                 rkey,
                 offset: remote_offset,
-                payload,
-            }
-        });
-        Ok(())
+                payload: bytes.to_vec(),
+            },
+        )
     }
 
     /// Posts an RDMA READ of `len` bytes from the remote region
@@ -477,34 +452,70 @@ impl RdmaDevice {
         remote_offset: u64,
         now: SimTime,
     ) -> Result<(), QpError> {
-        let mut inner = self.inner.borrow_mut();
-        inner.validate_rts(qp)?;
-        inner.validate_local(qp, mr, offset, len)?;
-        inner.check_queue_space(qp, len)?;
-        inner.enqueue_wr(
-            qp,
-            wr_id,
-            OutKind::Read {
-                local_mr: mr,
-                local_off: offset,
-            },
-            len,
-            now,
-            |dst_qp, psn| WireMsg::ReadReq {
+        let kind = OutKind::Read {
+            local_mr: mr,
+            local_off: offset,
+        };
+        self.post(qp, wr_id, (mr, offset, len), kind, now, |dst_qp, psn, _| {
+            WireMsg::ReadReq {
                 dst_qp,
                 psn,
                 rkey,
                 offset: remote_offset,
                 len: len as u32,
-            },
-        );
+            }
+        })
+    }
+
+    /// The one send-queue post: checks the QP's state, then the local range
+    /// `(mr, offset, len)`, then the size and the queue depth; `build`
+    /// makes the request from the peer's QP number, the PSN and the local
+    /// bytes.
+    fn post(
+        &self,
+        qp: QpId,
+        wr_id: u64,
+        (mr, offset, len): (MrId, usize, usize),
+        kind: OutKind,
+        now: SimTime,
+        build: impl FnOnce(u32, u32, &[u8]) -> WireMsg,
+    ) -> Result<(), QpError> {
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let q = inner.qps.get_mut(&qp).ok_or(QpError::BadHandle)?;
+        let Link::Rts { peer, rto, .. } = &mut q.link else {
+            return Err(QpError::InvalidState);
+        };
+        let bytes = inner.hca.validate_local(q.pd, mr, offset, len)?;
+        if len > MAX_MSG_SIZE {
+            return Err(QpError::OutOfBounds);
+        }
+        if q.outstanding.len() >= MAX_OUTSTANDING {
+            return Err(QpError::QueueFull);
+        }
+        let psn = q.next_psn;
+        q.next_psn = psn.wrapping_add(1);
+        let body = build(peer.1, psn, bytes);
+        rto.get_or_insert(now.saturating_add(RTO));
+        inner.hca.endpoint.transmit(peer.0, body.serialize());
+        if kind == OutKind::Send {
+            inner.hca.stats.sends += 1;
+        }
+        q.outstanding.push_back(OutWr {
+            wr_id,
+            psn,
+            kind,
+            body,
+            byte_len: len,
+            rnr_left: RNR_RETRIES,
+        });
         Ok(())
     }
 
     /// Pops up to `max` completions from a CQ.
     pub fn poll_cq(&self, cq: CqId, max: usize) -> Vec<Completion> {
         let mut inner = self.inner.borrow_mut();
-        let Some(queue) = inner.cqs.get_mut(&cq) else {
+        let Some(queue) = inner.hca.cqs.get_mut(&cq) else {
             return Vec::new();
         };
         let take = queue.len().min(max);
@@ -520,7 +531,7 @@ impl RdmaDevice {
     pub fn poll(&self, now: SimTime) -> usize {
         let mut inner = self.inner.borrow_mut();
         let mut frames = 0;
-        while let Some(frame) = inner.endpoint.receive() {
+        while let Some(frame) = inner.hca.endpoint.receive() {
             frames += 1;
             if let Some(msg) = WireMsg::parse(&frame.payload) {
                 inner.handle_msg(frame.src, msg, now);
@@ -533,12 +544,7 @@ impl RdmaDevice {
     /// Earliest device timer deadline (for runtime clock advancement).
     pub fn next_deadline(&self) -> Option<SimTime> {
         let inner = self.inner.borrow();
-        inner
-            .qps
-            .values()
-            .flat_map(|q| [q.rto_deadline, q.connect_deadline])
-            .flatten()
-            .min()
+        inner.qps.values().filter_map(Qp::deadline).min()
     }
 }
 
@@ -549,71 +555,120 @@ impl Inner {
         id
     }
 
-    fn send_msg(&mut self, dst: MacAddress, msg: &WireMsg) {
-        self.endpoint.transmit(dst, msg.serialize());
-    }
-
-    fn validate_rts(&self, qp: QpId) -> Result<(), QpError> {
-        match self.qps.get(&qp) {
-            None => Err(QpError::BadHandle),
-            Some(q) if q.state != QpState::Rts => Err(QpError::InvalidState),
-            Some(_) => Ok(()),
+    fn handle_msg(&mut self, src: MacAddress, msg: WireMsg, now: SimTime) {
+        let id = match msg {
+            WireMsg::ConnReq { src_qp, port } => return self.conn_req(src, src_qp, port),
+            WireMsg::ConnResp { dst_qp, .. }
+            | WireMsg::Send { dst_qp, .. }
+            | WireMsg::Ack { dst_qp, .. }
+            | WireMsg::Rnr { dst_qp, .. }
+            | WireMsg::FatalNack { dst_qp, .. }
+            | WireMsg::Write { dst_qp, .. }
+            | WireMsg::ReadReq { dst_qp, .. }
+            | WireMsg::ReadResp { dst_qp, .. } => QpId(dst_qp),
+        };
+        let Some(q) = self.qps.get_mut(&id) else {
+            return;
+        };
+        // A QP-addressed message counts only from the station the QP is
+        // bound to: the handshake's target, then the connected peer.
+        match (&q.link, msg) {
+            (
+                &Link::Connecting {
+                    target: (mac, _), ..
+                },
+                WireMsg::ConnResp {
+                    src_qp, accepted, ..
+                },
+            ) if mac == src => {
+                q.link = if accepted {
+                    Link::Rts {
+                        peer: (src, src_qp),
+                        rto: None,
+                        retries_left: TRANSPORT_RETRIES,
+                    }
+                } else {
+                    Link::Error
+                };
+            }
+            (&Link::Rts { peer, .. }, msg) if peer.0 == src => {
+                q.on_peer_msg(id, peer, msg, &mut self.hca, now);
+            }
+            _ => {}
         }
     }
 
-    fn validate_local(&self, qp: QpId, mr: MrId, offset: usize, len: usize) -> Result<(), QpError> {
-        let q = self.qps.get(&qp).ok_or(QpError::BadHandle)?;
-        let m = self.mrs.get(&mr).ok_or(QpError::BadHandle)?;
-        if m.pd != q.pd {
-            return Err(QpError::PdMismatch);
-        }
-        let end = offset.checked_add(len).ok_or(QpError::OutOfBounds)?;
-        if end > m.storage.len() {
-            return Err(QpError::OutOfBounds);
-        }
-        Ok(())
-    }
-
-    fn check_queue_space(&self, qp: QpId, len: usize) -> Result<(), QpError> {
-        if len > self.config.max_msg_size {
-            return Err(QpError::OutOfBounds);
-        }
-        let q = self.qps.get(&qp).expect("validated by caller");
-        if q.outstanding.len() >= self.config.max_outstanding {
-            return Err(QpError::QueueFull);
-        }
-        Ok(())
-    }
-
-    fn enqueue_wr(
-        &mut self,
-        qp: QpId,
-        wr_id: u64,
-        kind: OutKind,
-        byte_len: usize,
-        now: SimTime,
-        build: impl FnOnce(u32, u32) -> WireMsg,
-    ) {
-        let rnr_retries = self.config.rnr_retries;
-        let rto = self.config.rto;
-        let q = self.qps.get_mut(&qp).expect("validated by caller");
-        let (peer_mac, peer_qp) = q.peer.expect("RTS implies a peer");
-        let psn = q.next_psn;
-        q.next_psn = q.next_psn.wrapping_add(1);
-        let body = build(peer_qp, psn);
-        q.outstanding.push_back(OutWr {
-            wr_id,
-            psn,
-            kind,
-            body: body.clone(),
-            byte_len,
-            rnr_left: rnr_retries,
-            transport_acked: false,
+    fn conn_req(&mut self, src: MacAddress, src_qp: u32, port: u16) {
+        // A retried request for a connection we already accepted means our
+        // ConnResp was lost: resend it. QP ids start at 1, so 0 refuses.
+        let accepted = self.qps.iter().find_map(|(id, q)| match q.link {
+            Link::Rts { peer, .. } if peer == (src, src_qp) => Some(id.0),
+            _ => None,
         });
-        if q.rto_deadline.is_none() {
-            q.rto_deadline = Some(now.saturating_add(rto));
+        let resp_qp = match (accepted, self.listeners.get_mut(&port)) {
+            (Some(id), _) => id,
+            (None, Some(pending)) => {
+                // De-duplicate retried requests.
+                if !pending.contains(&(src, src_qp)) {
+                    pending.push_back((src, src_qp));
+                }
+                return;
+            }
+            (None, None) => 0,
+        };
+        let resp = WireMsg::ConnResp {
+            dst_qp: src_qp,
+            src_qp: resp_qp,
+            accepted: resp_qp != 0,
+        };
+        self.hca.send(src, &resp);
+    }
+
+    /// Fires the timers that are due, in QP-id order.
+    fn tick(&mut self, now: SimTime) {
+        let hca = &mut self.hca;
+        for (&id, q) in &mut self.qps {
+            match &mut q.link {
+                Link::Connecting {
+                    target: (mac, port),
+                    deadline,
+                    retries_left,
+                } if now >= *deadline => {
+                    if *retries_left == 0 {
+                        q.link = Link::Error;
+                        continue;
+                    }
+                    *retries_left -= 1;
+                    *deadline = now.saturating_add(CONNECT_RETRY_DELAY);
+                    let port = *port;
+                    hca.send(*mac, &WireMsg::ConnReq { src_qp: id.0, port });
+                }
+                // Transport RTO: go-back-N resend of everything outstanding.
+                Link::Rts {
+                    peer: (mac, _),
+                    rto: Some(deadline),
+                    retries_left,
+                } if now >= *deadline => {
+                    if *retries_left == 0 {
+                        q.fail(id, WcStatus::RetryExceeded, hca);
+                        continue;
+                    }
+                    *retries_left -= 1;
+                    *deadline = now.saturating_add(RTO);
+                    for w in &q.outstanding {
+                        hca.stats.retransmits += 1;
+                        hca.send(*mac, &w.body);
+                    }
+                }
+                _ => {}
+            }
         }
-        self.send_msg(peer_mac, &body);
+    }
+}
+
+impl Hca {
+    fn send(&self, dst: MacAddress, msg: &WireMsg) {
+        self.endpoint.transmit(dst, msg.serialize());
     }
 
     fn complete(&mut self, cq: CqId, completion: Completion) {
@@ -622,559 +677,331 @@ impl Inner {
         }
     }
 
-    fn handle_msg(&mut self, src: MacAddress, msg: WireMsg, now: SimTime) {
+    /// The bytes `mr[offset..offset+len]` of a region in `pd`.
+    fn validate_local(
+        &self,
+        pd: PdId,
+        mr: MrId,
+        offset: usize,
+        len: usize,
+    ) -> Result<&[u8], QpError> {
+        let m = self.mrs.get(&mr).ok_or(QpError::BadHandle)?;
+        if m.pd != pd {
+            return Err(QpError::PdMismatch);
+        }
+        let end = offset.checked_add(len).ok_or(QpError::OutOfBounds)?;
+        m.storage.get(offset..end).ok_or(QpError::OutOfBounds)
+    }
+
+    /// The `len` bytes at `offset` of the region `rkey` names, if that
+    /// region is in `pd` (that of the QP the request arrived on), grants
+    /// `allowed`, and holds the whole range.
+    fn remote_range(
+        &mut self,
+        pd: PdId,
+        rkey: u32,
+        allowed: fn(MrAccess) -> bool,
+        offset: u64,
+        len: usize,
+    ) -> Option<&mut [u8]> {
+        let m = self.mrs.get_mut(self.rkey_index.get(&rkey)?)?;
+        if m.pd != pd || !allowed(m.access) {
+            return None;
+        }
+        let off = usize::try_from(offset).ok()?;
+        m.storage.get_mut(off..off.checked_add(len)?)
+    }
+}
+
+impl Qp {
+    fn state(&self) -> QpState {
+        match self.link {
+            Link::Init => QpState::Init,
+            Link::Connecting { .. } => QpState::Connecting,
+            Link::Rts { .. } => QpState::Rts,
+            Link::Error => QpState::Error,
+        }
+    }
+
+    fn deadline(&self) -> Option<SimTime> {
+        match self.link {
+            Link::Connecting { deadline, .. } => Some(deadline),
+            Link::Rts { rto, .. } => rto,
+            Link::Init | Link::Error => None,
+        }
+    }
+
+    /// Moves the QP to `Error`, disarming its timers: the first outstanding
+    /// work request completes with `cause`, the rest with `WrFlushed`.
+    fn fail(&mut self, id: QpId, cause: WcStatus, hca: &mut Hca) {
+        self.link = Link::Error;
+        let mut status = cause;
+        for wr in self.outstanding.drain(..) {
+            hca.complete(self.send_cq, wr.completion(id, status, 0));
+            status = WcStatus::WrFlushed;
+        }
+    }
+
+    /// A message from the connected peer `(mac, qp number)`.
+    fn on_peer_msg(
+        &mut self,
+        id: QpId,
+        peer: (MacAddress, u32),
+        msg: WireMsg,
+        hca: &mut Hca,
+        now: SimTime,
+    ) {
         match msg {
-            WireMsg::ConnReq { src_qp, port } => {
-                // A retried request for a connection we already accepted
-                // means our ConnResp was lost: resend it.
-                if let Some((qp_id, _)) = self
-                    .qps
-                    .iter()
-                    .find(|(_, q)| q.state == QpState::Rts && q.peer == Some((src, src_qp)))
-                {
-                    let resp = WireMsg::ConnResp {
-                        dst_qp: src_qp,
-                        src_qp: qp_id.0,
-                        accepted: true,
-                    };
-                    self.send_msg(src, &resp);
-                    return;
-                }
-                match self.listeners.get_mut(&port) {
-                    Some(listener) => {
-                        // De-duplicate retried requests.
-                        if !listener
-                            .pending
-                            .iter()
-                            .any(|&(m, q)| m == src && q == src_qp)
-                        {
-                            listener.pending.push_back((src, src_qp));
-                        }
-                    }
-                    None => {
-                        self.send_msg(
-                            src,
-                            &WireMsg::ConnResp {
-                                dst_qp: src_qp,
-                                src_qp: 0,
-                                accepted: false,
-                            },
-                        );
-                    }
-                }
-            }
-            WireMsg::ConnResp {
-                dst_qp,
-                src_qp,
-                accepted,
-            } => {
-                let qp_id = QpId(dst_qp);
-                if let Some(q) = self.qps.get_mut(&qp_id) {
-                    if q.state == QpState::Connecting {
-                        if accepted {
-                            q.peer = Some((src, src_qp));
-                            q.state = QpState::Rts;
-                        } else {
-                            q.state = QpState::Error;
-                        }
-                        q.connect_deadline = None;
-                        q.connect_target = None;
-                    }
-                }
-            }
-            WireMsg::Send {
-                dst_qp,
-                psn,
-                payload,
-            } => {
-                self.responder_sequenced(src, QpId(dst_qp), psn, now, |inner, qp_id| {
-                    inner.execute_recv(qp_id, payload)
+            WireMsg::Send { psn, payload, .. } => {
+                self.responder_sequenced(id, peer, psn, hca, |q, hca| {
+                    q.execute_recv(id, &payload, hca)
                 });
             }
             WireMsg::Write {
-                dst_qp,
                 psn,
                 rkey,
                 offset,
                 payload,
+                ..
             } => {
-                self.responder_sequenced(src, QpId(dst_qp), psn, now, |inner, _qp_id| {
-                    inner.execute_remote_write(rkey, offset, &payload)
+                self.responder_sequenced(id, peer, psn, hca, |q, hca| {
+                    let allowed = |a: MrAccess| a.remote_write;
+                    let Some(dst) = hca.remote_range(q.pd, rkey, allowed, offset, payload.len())
+                    else {
+                        return ResponderOutcome::Fatal;
+                    };
+                    dst.copy_from_slice(&payload);
+                    // One-sided: the responder CPU is never involved.
+                    hca.stats.onesided_writes_handled += 1;
+                    ResponderOutcome::Ok
                 });
             }
             WireMsg::ReadReq {
-                dst_qp,
                 psn,
                 rkey,
                 offset,
                 len,
-            } => {
-                self.responder_read(src, QpId(dst_qp), psn, rkey, offset, len as usize);
+                ..
+            } => self.responder_read(id, peer, psn, (rkey, offset, len as usize), hca),
+            WireMsg::Ack { psn, .. } => self.requester_ack(id, psn, None, hca, now),
+            WireMsg::ReadResp { psn, payload, .. } => {
+                self.requester_ack(id, psn.wrapping_add(1), Some((psn, payload)), hca, now);
             }
-            WireMsg::Ack { dst_qp, psn } => {
-                self.requester_ack(QpId(dst_qp), psn, None, now);
-            }
-            WireMsg::ReadResp {
-                dst_qp,
-                psn,
-                payload,
-            } => {
-                self.requester_ack(QpId(dst_qp), psn.wrapping_add(1), Some((psn, payload)), now);
-            }
-            WireMsg::Rnr { dst_qp, psn } => {
-                self.requester_rnr(QpId(dst_qp), psn, now);
-            }
-            WireMsg::FatalNack { dst_qp, psn: _ } => {
-                self.requester_fatal(QpId(dst_qp));
-            }
+            WireMsg::Rnr { psn, .. } => self.requester_rnr(id, psn, hca, now),
+            WireMsg::FatalNack { .. } => self.fail(id, WcStatus::RemoteAccessError, hca),
+            WireMsg::ConnReq { .. } | WireMsg::ConnResp { .. } => {}
         }
     }
 
     /// Go-back-N responder sequencing for SEND and WRITE. `execute` returns
-    /// the outcome: `Ok(())` advances, `Err(fatal)` breaks the connection,
-    /// and `Err(rnr)` NACKs without advancing.
+    /// the outcome: `Ok` advances, `Fatal` breaks the connection, and `Rnr`
+    /// NACKs without advancing.
     fn responder_sequenced(
         &mut self,
-        src: MacAddress,
-        qp_id: QpId,
+        id: QpId,
+        (mac, peer_qp): (MacAddress, u32),
         psn: u32,
-        _now: SimTime,
-        execute: impl FnOnce(&mut Self, QpId) -> ResponderOutcome,
+        hca: &mut Hca,
+        execute: impl FnOnce(&mut Self, &mut Hca) -> ResponderOutcome,
     ) {
-        let Some(q) = self.qps.get(&qp_id) else {
-            return;
-        };
-        if q.state != QpState::Rts {
-            return;
-        }
-        let expected = q.expected_psn;
-        let peer_qp = q.peer.map(|(_, n)| n).unwrap_or(0);
-        if psn_lt(psn, expected) {
+        let reply = if psn_lt(psn, self.expected_psn) {
             // Duplicate: re-ACK cumulative state.
-            self.send_msg(
-                src,
-                &WireMsg::Ack {
-                    dst_qp: peer_qp,
-                    psn: expected,
-                },
-            );
-            return;
-        }
-        if psn != expected {
+            WireMsg::Ack {
+                dst_qp: peer_qp,
+                psn: self.expected_psn,
+            }
+        } else if psn != self.expected_psn {
             return; // Out of order under go-back-N: drop, sender resends.
-        }
-        match execute(self, qp_id) {
-            ResponderOutcome::Ok => {
-                let q = self.qps.get_mut(&qp_id).expect("checked above");
-                q.expected_psn = q.expected_psn.wrapping_add(1);
-                let next = q.expected_psn;
-                self.send_msg(
-                    src,
-                    &WireMsg::Ack {
+        } else {
+            match execute(self, hca) {
+                ResponderOutcome::Ok => {
+                    self.expected_psn = psn.wrapping_add(1);
+                    WireMsg::Ack {
                         dst_qp: peer_qp,
-                        psn: next,
-                    },
-                );
-            }
-            ResponderOutcome::Rnr => {
-                self.stats.rnr_nacks_sent += 1;
-                self.send_msg(
-                    src,
-                    &WireMsg::Rnr {
-                        dst_qp: peer_qp,
-                        psn,
-                    },
-                );
-            }
-            ResponderOutcome::Fatal => {
-                if let Some(q) = self.qps.get_mut(&qp_id) {
-                    q.state = QpState::Error;
+                        psn: self.expected_psn,
+                    }
                 }
-                self.send_msg(
-                    src,
-                    &WireMsg::FatalNack {
+                ResponderOutcome::Rnr => {
+                    hca.stats.rnr_nacks_sent += 1;
+                    WireMsg::Rnr {
                         dst_qp: peer_qp,
                         psn,
-                    },
-                );
+                    }
+                }
+                ResponderOutcome::Fatal => {
+                    self.fail(id, WcStatus::WrFlushed, hca);
+                    WireMsg::FatalNack {
+                        dst_qp: peer_qp,
+                        psn,
+                    }
+                }
             }
-        }
+        };
+        hca.send(mac, &reply);
     }
 
-    fn execute_recv(&mut self, qp_id: QpId, payload: Vec<u8>) -> ResponderOutcome {
-        let q = self.qps.get_mut(&qp_id).expect("caller checked");
-        let Some(wr) = q.recv_queue.pop_front() else {
+    /// Places a SEND into the next posted receive. A buffer that is too
+    /// small, or whose region was deregistered since it was posted, fails
+    /// the connection.
+    fn execute_recv(&mut self, id: QpId, payload: &[u8], hca: &mut Hca) -> ResponderOutcome {
+        let Some(wr) = self.recv_queue.pop_front() else {
             return ResponderOutcome::Rnr;
         };
-        let recv_cq = q.recv_cq;
-        if payload.len() > wr.len {
+        let dst = hca.mrs.get_mut(&wr.mr).and_then(|m| {
+            let end = wr.offset.checked_add(payload.len())?;
+            m.storage.get_mut(wr.offset..end)
+        });
+        let status = match dst {
             // "Receivers must allocate ... buffers of the right size."
-            self.complete(
-                recv_cq,
-                Completion {
-                    wr_id: wr.wr_id,
-                    qp: qp_id,
-                    opcode: WcOpcode::Recv,
-                    status: WcStatus::LocalLengthError,
-                    byte_len: 0,
-                },
-            );
-            return ResponderOutcome::Fatal;
-        }
-        let m = self.mrs.get_mut(&wr.mr).expect("validated at post_recv");
-        m.storage[wr.offset..wr.offset + payload.len()].copy_from_slice(&payload);
-        self.stats.responder_cpu_events += 1;
-        self.complete(
-            recv_cq,
-            Completion {
-                wr_id: wr.wr_id,
-                qp: qp_id,
-                opcode: WcOpcode::Recv,
-                status: WcStatus::Success,
-                byte_len: payload.len(),
-            },
-        );
-        ResponderOutcome::Ok
-    }
-
-    fn execute_remote_write(&mut self, rkey: u32, offset: u64, payload: &[u8]) -> ResponderOutcome {
-        let Some(&mr_id) = self.rkey_index.get(&rkey) else {
-            return ResponderOutcome::Fatal;
+            _ if payload.len() > wr.len => WcStatus::LocalLengthError,
+            None => WcStatus::LocalProtectionError,
+            Some(dst) => {
+                dst.copy_from_slice(payload);
+                hca.stats.responder_cpu_events += 1;
+                WcStatus::Success
+            }
         };
-        let m = self.mrs.get_mut(&mr_id).expect("indexed");
-        let off = offset as usize;
-        let Some(end) = off.checked_add(payload.len()) else {
-            return ResponderOutcome::Fatal;
+        let byte_len = if status.is_ok() { payload.len() } else { 0 };
+        let completion = Completion {
+            wr_id: wr.wr_id,
+            qp: id,
+            opcode: WcOpcode::Recv,
+            status,
+            byte_len,
         };
-        if !m.access.remote_write || end > m.storage.len() {
-            return ResponderOutcome::Fatal;
+        hca.complete(self.recv_cq, completion);
+        if status.is_ok() {
+            ResponderOutcome::Ok
+        } else {
+            ResponderOutcome::Fatal
         }
-        m.storage[off..end].copy_from_slice(payload);
-        // One-sided: the responder CPU is never involved.
-        self.stats.onesided_writes_handled += 1;
-        ResponderOutcome::Ok
     }
 
     fn responder_read(
         &mut self,
-        src: MacAddress,
-        qp_id: QpId,
+        id: QpId,
+        (mac, peer_qp): (MacAddress, u32),
         psn: u32,
-        rkey: u32,
-        offset: u64,
-        len: usize,
+        (rkey, offset, len): (u32, u64, usize),
+        hca: &mut Hca,
     ) {
-        let Some(q) = self.qps.get(&qp_id) else {
-            return;
-        };
-        if q.state != QpState::Rts {
-            return;
-        }
-        let expected = q.expected_psn;
-        let peer_qp = q.peer.map(|(_, n)| n).unwrap_or(0);
         // Reads are idempotent: duplicates re-execute; only psn > expected
         // (a gap under go-back-N) is dropped.
-        if psn_lt(expected, psn) {
+        if psn_lt(self.expected_psn, psn) {
             return;
         }
-        let outcome = (|| -> Option<Vec<u8>> {
-            let &mr_id = self.rkey_index.get(&rkey)?;
-            let m = self.mrs.get(&mr_id)?;
-            let off = offset as usize;
-            let end = off.checked_add(len)?;
-            if !m.access.remote_read || end > m.storage.len() {
-                return None;
-            }
-            Some(m.storage[off..end].to_vec())
-        })();
-        match outcome {
-            Some(payload) => {
-                if psn == expected {
-                    let q = self.qps.get_mut(&qp_id).expect("checked above");
-                    q.expected_psn = q.expected_psn.wrapping_add(1);
+        let allowed = |a: MrAccess| a.remote_read;
+        let reply = match hca.remote_range(self.pd, rkey, allowed, offset, len) {
+            Some(data) => {
+                let payload = data.to_vec();
+                if psn == self.expected_psn {
+                    self.expected_psn = psn.wrapping_add(1);
                 }
-                self.stats.onesided_reads_handled += 1;
-                self.send_msg(
-                    src,
-                    &WireMsg::ReadResp {
-                        dst_qp: peer_qp,
-                        psn,
-                        payload,
-                    },
-                );
+                hca.stats.onesided_reads_handled += 1;
+                WireMsg::ReadResp {
+                    dst_qp: peer_qp,
+                    psn,
+                    payload,
+                }
             }
             None => {
-                if let Some(q) = self.qps.get_mut(&qp_id) {
-                    q.state = QpState::Error;
+                self.fail(id, WcStatus::WrFlushed, hca);
+                WireMsg::FatalNack {
+                    dst_qp: peer_qp,
+                    psn,
                 }
-                self.send_msg(
-                    src,
-                    &WireMsg::FatalNack {
-                        dst_qp: peer_qp,
-                        psn,
-                    },
-                );
             }
-        }
+        };
+        hca.send(mac, &reply);
     }
 
     /// Cumulative ACK processing: completes everything below `ack_psn`.
-    /// `read_data` carries a read response `(psn, data)` when present.
+    /// `read_data` carries a read response `(psn, data)`; one that answers
+    /// no outstanding READ is ignored, and one of the wrong length fails
+    /// the QP with `BadResponse`.
     fn requester_ack(
         &mut self,
-        qp_id: QpId,
+        id: QpId,
         ack_psn: u32,
         read_data: Option<(u32, Vec<u8>)>,
+        hca: &mut Hca,
         now: SimTime,
     ) {
-        let Some(q) = self.qps.get_mut(&qp_id) else {
-            return;
-        };
-        let send_cq = q.send_cq;
-        let rto = self.config.rto;
-        let retries = self.config.transport_retries;
-
         // Place read data first (the read may not be at the queue head).
         let mut read_completion = None;
         if let Some((read_psn, data)) = read_data {
-            if let Some(pos) = q.outstanding.iter().position(|w| w.psn == read_psn) {
-                let wr = q.outstanding.remove(pos).expect("position found");
-                if let OutKind::Read {
-                    local_mr,
-                    local_off,
-                } = wr.kind
-                {
-                    read_completion = Some((local_mr, local_off, data, wr.wr_id, wr.byte_len));
+            let answers = |w: &OutWr| w.psn == read_psn && matches!(w.kind, OutKind::Read { .. });
+            let found = self.outstanding.iter().position(answers);
+            let Some(wr) = found.and_then(|pos| self.outstanding.remove(pos)) else {
+                return;
+            };
+            let OutKind::Read {
+                local_mr,
+                local_off,
+            } = wr.kind
+            else {
+                return;
+            };
+            let dst = hca.mrs.get_mut(&local_mr).and_then(|m| {
+                let end = local_off.checked_add(wr.byte_len)?;
+                m.storage.get_mut(local_off..end)
+            });
+            let status = match dst {
+                _ if data.len() != wr.byte_len => WcStatus::BadResponse,
+                None => WcStatus::LocalProtectionError,
+                Some(dst) => {
+                    dst.copy_from_slice(&data);
+                    read_completion = Some(wr.completion(id, WcStatus::Success, wr.byte_len));
+                    WcStatus::Success
                 }
+            };
+            if !status.is_ok() {
+                self.outstanding.push_front(wr);
+                return self.fail(id, status, hca);
             }
         }
 
         // Complete transport-acked, non-read work in order.
-        let mut completions = Vec::new();
-        while let Some(front) = q.outstanding.front_mut() {
-            if !psn_lt(front.psn, ack_psn) {
+        while let Some(front) = self.outstanding.front() {
+            // A read acked at transport level whose data is not yet here
+            // stays queued (the RTO re-requests it if the response was lost
+            // — reads are idempotent).
+            if !psn_lt(front.psn, ack_psn) || matches!(front.kind, OutKind::Read { .. }) {
                 break;
             }
-            match front.kind {
-                OutKind::Read { .. } => {
-                    // Acked at transport level but data not yet here; keep
-                    // it queued (the RTO will re-request if the response
-                    // was lost — reads are idempotent).
-                    front.transport_acked = true;
-                    break;
-                }
-                OutKind::Send | OutKind::Write => {
-                    let wr = q.outstanding.pop_front().expect("front exists");
-                    completions.push(Completion {
-                        wr_id: wr.wr_id,
-                        qp: qp_id,
-                        opcode: if wr.kind == OutKind::Send {
-                            WcOpcode::Send
-                        } else {
-                            WcOpcode::Write
-                        },
-                        status: WcStatus::Success,
-                        byte_len: wr.byte_len,
-                    });
-                }
+            if let Some(wr) = self.outstanding.pop_front() {
+                hca.complete(
+                    self.send_cq,
+                    wr.completion(id, WcStatus::Success, wr.byte_len),
+                );
             }
         }
-        q.retries_left = retries;
-        q.rto_deadline = if q.outstanding.is_empty() {
-            None
-        } else {
-            Some(now.saturating_add(rto))
-        };
-
-        for c in completions {
-            self.complete(send_cq, c);
+        if let Link::Rts {
+            rto, retries_left, ..
+        } = &mut self.link
+        {
+            *retries_left = TRANSPORT_RETRIES;
+            *rto = (!self.outstanding.is_empty()).then(|| now.saturating_add(RTO));
         }
-        if let Some((local_mr, local_off, data, wr_id, _)) = read_completion {
-            let byte_len = data.len();
-            if let Some(m) = self.mrs.get_mut(&local_mr) {
-                let end = (local_off + byte_len).min(m.storage.len());
-                m.storage[local_off..end].copy_from_slice(&data[..end - local_off]);
-            }
-            self.complete(
-                send_cq,
-                Completion {
-                    wr_id,
-                    qp: qp_id,
-                    opcode: WcOpcode::Read,
-                    status: WcStatus::Success,
-                    byte_len,
-                },
-            );
+        if let Some(completion) = read_completion {
+            hca.complete(self.send_cq, completion);
         }
     }
 
-    fn requester_rnr(&mut self, qp_id: QpId, psn: u32, now: SimTime) {
-        let Some(q) = self.qps.get_mut(&qp_id) else {
-            return;
-        };
-        let rnr_delay = self.config.rnr_delay;
-        let send_cq = q.send_cq;
-        let Some(front) = q.outstanding.front_mut() else {
+    fn requester_rnr(&mut self, id: QpId, psn: u32, hca: &mut Hca, now: SimTime) {
+        let Some(front) = self.outstanding.front_mut() else {
             return;
         };
         if front.psn != psn {
             return; // Stale NACK.
         }
         if front.rnr_left == 0 {
-            let wr = q.outstanding.pop_front().expect("front exists");
-            q.state = QpState::Error;
-            q.rto_deadline = None;
-            let flushed: Vec<Completion> = q
-                .outstanding
-                .drain(..)
-                .map(|w| Completion {
-                    wr_id: w.wr_id,
-                    qp: qp_id,
-                    opcode: kind_opcode(w.kind),
-                    status: WcStatus::WrFlushed,
-                    byte_len: 0,
-                })
-                .collect();
-            self.complete(
-                send_cq,
-                Completion {
-                    wr_id: wr.wr_id,
-                    qp: qp_id,
-                    opcode: kind_opcode(wr.kind),
-                    status: WcStatus::RnrRetryExceeded,
-                    byte_len: 0,
-                },
-            );
-            for c in flushed {
-                self.complete(send_cq, c);
-            }
-            return;
+            return self.fail(id, WcStatus::RnrRetryExceeded, hca);
         }
         front.rnr_left -= 1;
         // Defer the resend to the RNR timer.
-        q.rto_deadline = Some(now.saturating_add(rnr_delay));
-    }
-
-    fn requester_fatal(&mut self, qp_id: QpId) {
-        let Some(q) = self.qps.get_mut(&qp_id) else {
-            return;
-        };
-        q.state = QpState::Error;
-        q.rto_deadline = None;
-        let send_cq = q.send_cq;
-        let mut completions = Vec::new();
-        let mut first = true;
-        for w in q.outstanding.drain(..) {
-            completions.push(Completion {
-                wr_id: w.wr_id,
-                qp: qp_id,
-                opcode: kind_opcode(w.kind),
-                status: if first {
-                    WcStatus::RemoteAccessError
-                } else {
-                    WcStatus::WrFlushed
-                },
-                byte_len: 0,
-            });
-            first = false;
-        }
-        for c in completions {
-            self.complete(send_cq, c);
-        }
-    }
-
-    fn tick(&mut self, now: SimTime) {
-        let qp_ids: Vec<QpId> = self.qps.keys().copied().collect();
-        for qp_id in qp_ids {
-            self.tick_qp(qp_id, now);
-        }
-    }
-
-    fn tick_qp(&mut self, qp_id: QpId, now: SimTime) {
-        let config = self.config;
-        // Connection retry.
-        let mut resend_conn: Option<(MacAddress, WireMsg)> = None;
-        {
-            let q = self.qps.get_mut(&qp_id).expect("id collected");
-            if q.state == QpState::Connecting {
-                if let Some(deadline) = q.connect_deadline {
-                    if now >= deadline {
-                        if q.connect_retries_left == 0 {
-                            q.state = QpState::Error;
-                            q.connect_deadline = None;
-                        } else {
-                            q.connect_retries_left -= 1;
-                            let (mac, port) = q.connect_target.expect("connecting");
-                            q.connect_deadline =
-                                Some(now.saturating_add(config.connect_retry_delay));
-                            resend_conn = Some((
-                                mac,
-                                WireMsg::ConnReq {
-                                    src_qp: qp_id.0,
-                                    port,
-                                },
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        if let Some((mac, msg)) = resend_conn {
-            self.send_msg(mac, &msg);
-        }
-
-        // Transport RTO: go-back-N resend of everything outstanding.
-        let mut resend: Vec<(MacAddress, WireMsg)> = Vec::new();
-        let mut fail = false;
-        {
-            let q = self.qps.get_mut(&qp_id).expect("id collected");
-            if q.state == QpState::Rts {
-                if let Some(deadline) = q.rto_deadline {
-                    if now >= deadline && !q.outstanding.is_empty() {
-                        if q.retries_left == 0 {
-                            fail = true;
-                        } else {
-                            q.retries_left -= 1;
-                            let peer_mac = q.peer.expect("RTS implies peer").0;
-                            for w in &q.outstanding {
-                                if !w.transport_acked || matches!(w.kind, OutKind::Read { .. }) {
-                                    resend.push((peer_mac, w.body.clone()));
-                                }
-                            }
-                            q.rto_deadline = Some(now.saturating_add(config.rto));
-                        }
-                    }
-                }
-            }
-        }
-        for (mac, msg) in resend {
-            self.stats.retransmits += 1;
-            self.send_msg(mac, &msg);
-        }
-        if fail {
-            let q = self.qps.get_mut(&qp_id).expect("id collected");
-            q.state = QpState::Error;
-            q.rto_deadline = None;
-            let send_cq = q.send_cq;
-            let mut completions = Vec::new();
-            let mut first = true;
-            for w in q.outstanding.drain(..) {
-                completions.push(Completion {
-                    wr_id: w.wr_id,
-                    qp: qp_id,
-                    opcode: kind_opcode(w.kind),
-                    status: if first {
-                        WcStatus::RetryExceeded
-                    } else {
-                        WcStatus::WrFlushed
-                    },
-                    byte_len: 0,
-                });
-                first = false;
-            }
-            for c in completions {
-                self.complete(send_cq, c);
-            }
+        if let Link::Rts { rto, .. } = &mut self.link {
+            *rto = Some(now.saturating_add(RNR_DELAY));
         }
     }
 }
@@ -1184,14 +1011,6 @@ enum ResponderOutcome {
     Ok,
     Rnr,
     Fatal,
-}
-
-fn kind_opcode(kind: OutKind) -> WcOpcode {
-    match kind {
-        OutKind::Send => WcOpcode::Send,
-        OutKind::Write => WcOpcode::Write,
-        OutKind::Read { .. } => WcOpcode::Read,
-    }
 }
 
 /// `a < b` in wrapping PSN space.

@@ -15,7 +15,7 @@ pub struct MrId(pub u32);
 pub struct CqId(pub u32);
 
 /// Queue-pair handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QpId(pub u32);
 
 /// Access rights requested at memory registration.
@@ -76,12 +76,16 @@ pub enum WcStatus {
     RnrRetryExceeded,
     /// The posted receive buffer was too small for the incoming message.
     LocalLengthError,
+    /// The local region of a posted receive or READ was deregistered.
+    LocalProtectionError,
     /// Remote access was refused (bad rkey, out of bounds, or missing
     /// permission).
     RemoteAccessError,
     /// The transport retry budget was exhausted (peer dead / partitioned).
     RetryExceeded,
-    /// The queue pair was in the wrong state.
+    /// A READ response did not carry the requested length.
+    BadResponse,
+    /// Flushed because the queue pair entered `Error` before it ran.
     WrFlushed,
 }
 

@@ -149,6 +149,24 @@ fn rdma_rnr_is_invisible_thanks_to_libos_buffering() {
     assert_eq!(server.device().stats().rnr_nacks_sent, 0);
 }
 
+/// Closing a catcorn connection deregisters its receive ring while the
+/// receives stay posted on the queue pair. A peer's push after that close
+/// must fail the pusher with a typed RDMA error, not panic the closer's
+/// device.
+#[test]
+fn catcorn_push_after_the_peer_closes_fails_without_a_panic() {
+    let (_rt, _fabric, client, server) = catcorn_pair(408);
+    let (cqd, sqd) = tcp_pair(&client, &server, 18515);
+
+    server.close(sqd).unwrap();
+    let qt = client.push(cqd, &Sga::from_slice(b"after close")).unwrap();
+    let result = client.wait(qt, None).unwrap();
+    assert!(
+        matches!(result, OperationResult::Failed(DemiError::Rdma(_))),
+        "expected an RDMA error, got {result:?}"
+    );
+}
+
 /// Any host on the fabric can send ICMP echo *replies* nobody asked for.
 /// The victim's pong queue must stay bounded (drop-newest, counted), and
 /// a legitimate ping afterwards must still round-trip.

@@ -26,6 +26,7 @@ use demi_tenant::TenantId;
 
 use crate::counters;
 use crate::pool::{BufferPool, PoolInner};
+use crate::registration::RegionId;
 
 thread_local! {
     /// Where every counted copy lands ([`DemiBuffer::gather`]). Per thread
@@ -90,10 +91,14 @@ impl fmt::Display for CrossTenantAccess {
 
 impl std::error::Error for CrossTenantAccess {}
 
-/// The pool and class a pooled buffer returns to when its last handle drops.
+/// The pool a pooled buffer returns to when its last handle drops.
 pub(crate) struct PoolHome {
     pub(crate) pool: Weak<RefCell<PoolInner>>,
+    /// The size class it recycles into; past the last class for an
+    /// oversized buffer, which is not kept.
     pub(crate) class: usize,
+    /// An oversized buffer's own registered region.
+    pub(crate) region: Option<RegionId>,
 }
 
 /// The header every handle of one buffer shares. A pooled header outlives
@@ -106,7 +111,7 @@ pub(crate) struct BufInner {
     /// overlapping references. The allocation is reconstructed as a box in
     /// `Drop`.
     ptr: NonNull<u8>,
-    cap: usize,
+    pub(crate) cap: usize,
     home: Option<PoolHome>,
     /// Live view starts: `(view start offset, number of live handles)`.
     /// Maintained by every handle create/clone/retarget/drop; `prepend`
@@ -616,7 +621,7 @@ impl Drop for DemiBuffer {
         if let Some(pool) = home.pool.upgrade() {
             // A drop must not panic: a pool busy right now lets it go.
             if let Ok(mut pool) = pool.try_borrow_mut() {
-                pool.recycle(home.class, self.inner.clone());
+                pool.recycle(home, self.inner.clone());
             }
         }
     }
@@ -770,7 +775,7 @@ mod tests {
     #[test]
     fn a_warm_pool_buffer_allocates_nothing_over_its_life() {
         let pool = crate::BufferPool::unregistered();
-        pool.warm_up();
+        pool.warm_up(usize::MAX);
         let life = || {
             let buf = pool.alloc_with_headroom(16, 100);
             let mut second = buf.clone();

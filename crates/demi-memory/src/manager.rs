@@ -35,10 +35,12 @@ impl MemoryManager {
 
     /// Creates a manager and immediately pre-registers every size class, as
     /// a libOS does at start-up so no registration cost lands on the data
-    /// path.
+    /// path: `sgaalloc` may ask for any size, so every class gets its
+    /// first growth batch (64 buffers up to 4 KiB, 16 of 16 KiB, 4 of
+    /// 64 KiB — 852 KiB in all).
     pub fn warmed() -> Self {
         let mgr = Self::new();
-        mgr.pool.warm_up();
+        mgr.pool.warm_up(usize::MAX);
         mgr
     }
 

@@ -7,15 +7,20 @@ use std::rc::Rc;
 use demi_tenant::TenantId;
 
 use crate::buffer::{BufInner, DemiBuffer, PoolHome};
-use crate::registration::{RegionId, Registrar};
+use crate::registration::Registrar;
 
 /// The pool's size classes, in bytes. Allocations round up to the smallest
 /// class that fits; requests above the largest class get a dedicated,
 /// individually registered buffer.
 pub(crate) const SIZE_CLASSES: [usize; 6] = [64, 256, 1024, 4096, 16384, 65536];
 
-/// How many buffers a class adds each time it grows.
-const GROWTH_BATCH: usize = 64;
+/// The bytes a class's first growth adds (at least one buffer, at most
+/// [`MAX_BATCH`]): 64 buffers of every class up to 4 KiB, 16 of 16 KiB,
+/// 4 of 64 KiB.
+const FIRST_GROWTH_BYTES: usize = 256 * 1024;
+
+/// The most buffers one growth adds.
+const MAX_BATCH: usize = 64;
 
 /// Default headroom reserved in front of datapath allocations so that every
 /// protocol header on the TX path can be prepended in place. Sized to cover
@@ -45,7 +50,19 @@ pub(crate) struct ClassPool {
     /// Free buffers: headers with their storage attached. A returned one
     /// keeps its view registry's capacity.
     free: Vec<Rc<BufInner>>,
-    regions: Vec<RegionId>,
+    /// Buffers the class owns, free or lent out.
+    population: usize,
+}
+
+impl ClassPool {
+    /// How many buffers the next growth adds: the first batch
+    /// ([`FIRST_GROWTH_BYTES`]), then the population again — a large class
+    /// doubles — but never more than [`MAX_BATCH`], so every class up to
+    /// 4 KiB grows by 64 each time.
+    fn batch(&self) -> usize {
+        let first = (FIRST_GROWTH_BYTES / self.size).clamp(1, MAX_BATCH);
+        self.population.clamp(first, MAX_BATCH)
+    }
 }
 
 /// Allocation refused: the pool's owning tenant is at its byte budget.
@@ -83,9 +100,19 @@ pub(crate) struct PoolInner {
 }
 
 impl PoolInner {
-    pub(crate) fn recycle(&mut self, class: usize, header: Rc<BufInner>) {
+    /// Takes back a buffer whose last handle dropped: a class buffer goes
+    /// to its free list; an oversized one returns its bytes to the budget
+    /// and its region to the device, and its storage frees.
+    pub(crate) fn recycle(&mut self, home: &PoolHome, header: Rc<BufInner>) {
+        let Some(class) = self.classes.get_mut(home.class) else {
+            self.stats.owned_bytes -= header.cap as u64;
+            if let (Some(reg), Some(id)) = (&self.registrar, home.region) {
+                reg.deregister(id);
+            }
+            return;
+        };
         self.stats.recycled += 1;
-        self.classes[class].free.push(header);
+        class.free.push(header);
     }
 }
 
@@ -133,7 +160,7 @@ impl BufferPool {
                     .map(|&size| ClassPool {
                         size,
                         free: Vec::new(),
-                        regions: Vec::new(),
+                        population: 0,
                     })
                     .collect(),
                 registrar,
@@ -176,7 +203,8 @@ impl BufferPool {
         let mut inner = self.inner.borrow_mut();
         let tenant = inner.tenant;
         let Some(class) = SIZE_CLASSES.iter().position(|&s| s >= total) else {
-            // Oversized: dedicated allocation, registered on its own.
+            // Oversized: dedicated allocation, registered on its own, whose
+            // drop gives its bytes and its region back.
             if let Some(budget) = inner.budget_bytes {
                 if inner.stats.owned_bytes + total as u64 > budget {
                     demi_tenant::counters::note_pool_exhaustion();
@@ -185,13 +213,14 @@ impl BufferPool {
             }
             inner.stats.oversized_allocs += 1;
             inner.stats.owned_bytes += total as u64;
-            if let Some(reg) = &inner.registrar {
-                let _ = reg.register(total);
-            }
-            drop(inner);
-            let buf = DemiBuffer::zeroed_with_headroom(headroom, len);
-            buf.retag(tenant);
-            return Ok(buf);
+            let home = PoolHome {
+                pool: Rc::downgrade(&self.inner),
+                class: SIZE_CLASSES.len(),
+                region: inner.registrar.as_ref().map(|reg| reg.register(total)),
+            };
+            let storage = vec![0u8; total].into_boxed_slice();
+            let header = Rc::new(BufInner::from_box_for(storage, Some(home), tenant));
+            return Ok(DemiBuffer::from_pool(header, headroom, len, tenant));
         };
 
         if inner.classes[class].free.is_empty() {
@@ -211,31 +240,31 @@ impl BufferPool {
         Ok(DemiBuffer::from_pool(header, headroom, len, tenant))
     }
 
-    /// Grows `class` by up to one batch, clipped to the tenant budget.
-    /// Returns false (without growing) when the budget has no room for
-    /// even one buffer of this class.
+    /// Grows `class` by [`ClassPool::batch`] buffers, clipped to the
+    /// tenant budget, and registers them as one region. Returns false
+    /// (without growing) when the budget has no room for even one buffer
+    /// of this class.
     fn grow(&self, inner: &mut PoolInner, class: usize) -> bool {
         let size = inner.classes[class].size;
-        let batch = match inner.budget_bytes {
-            Some(budget) => {
-                let remaining = budget.saturating_sub(inner.stats.owned_bytes);
-                (remaining / size as u64).min(GROWTH_BATCH as u64) as usize
-            }
-            None => GROWTH_BATCH,
-        };
+        let mut batch = inner.classes[class].batch();
+        if let Some(budget) = inner.budget_bytes {
+            let remaining = budget.saturating_sub(inner.stats.owned_bytes);
+            batch = batch.min((remaining / size as u64) as usize);
+        }
         if batch == 0 {
             return false;
         }
         let batch_bytes = size * batch;
         if let Some(reg) = &inner.registrar {
-            let id = reg.register(batch_bytes);
-            inner.classes[class].regions.push(id);
+            reg.register(batch_bytes);
         }
         inner.stats.owned_bytes += batch_bytes as u64;
+        inner.classes[class].population += batch;
         for _ in 0..batch {
             let home = PoolHome {
                 pool: Rc::downgrade(&self.inner),
                 class,
+                region: None,
             };
             let storage = vec![0u8; size].into_boxed_slice();
             let header = BufInner::from_box_for(storage, Some(home), inner.tenant);
@@ -244,13 +273,20 @@ impl BufferPool {
         true
     }
 
-    /// Pre-populates every class with at least one growth batch, moving all
-    /// registration cost ahead of the data path (typical libOS start-up).
-    pub fn warm_up(&self) {
+    /// Gives every class an allocation of up to `max_len` bytes (headroom
+    /// included) can land in — each class up to the first that holds
+    /// `max_len` — at least its first growth batch, moving that
+    /// registration ahead of the data path (typical libOS start-up). A
+    /// class no such allocation can use stays empty and pins nothing;
+    /// `usize::MAX` warms every class.
+    pub fn warm_up(&self, max_len: usize) {
         let mut inner = self.inner.borrow_mut();
-        for class in 0..SIZE_CLASSES.len() {
+        for (class, &size) in SIZE_CLASSES.iter().enumerate() {
             if inner.classes[class].free.is_empty() {
                 self.grow(&mut inner, class);
+            }
+            if size >= max_len {
+                break;
             }
         }
     }
@@ -289,6 +325,12 @@ mod tests {
         fn free_count_for(&self, len: usize) -> Option<usize> {
             let class = SIZE_CLASSES.iter().position(|&s| s >= len)?;
             Some(self.inner.borrow().classes[class].free.len())
+        }
+
+        /// Buffers the class of `size`-byte buffers owns.
+        fn population(&self, size: usize) -> usize {
+            let class = SIZE_CLASSES.iter().position(|&s| s == size).unwrap();
+            self.inner.borrow().classes[class].population
         }
     }
 
@@ -362,7 +404,7 @@ mod tests {
     fn warm_up_preregisters_every_class() {
         let reg = Rc::new(CountingRegistrar::new());
         let pool = BufferPool::with_registrar(reg.clone());
-        pool.warm_up();
+        pool.warm_up(usize::MAX);
         assert_eq!(reg.stats().registrations as usize, SIZE_CLASSES.len());
         // Subsequent small allocs are all warm.
         for _ in 0..10 {
@@ -384,12 +426,12 @@ mod tests {
     #[test]
     fn exhausting_a_batch_triggers_second_growth() {
         let pool = BufferPool::unregistered();
-        let held: Vec<_> = (0..GROWTH_BATCH + 1).map(|_| pool.alloc(64)).collect();
+        let held: Vec<_> = (0..MAX_BATCH + 1).map(|_| pool.alloc(64)).collect();
         assert_eq!(pool.stats().cold_allocs, 2);
         drop(held);
         assert_eq!(
             pool.free_count_for(64).unwrap(),
-            2 * GROWTH_BATCH,
+            2 * MAX_BATCH,
             "all buffers recycled"
         );
     }
@@ -413,15 +455,15 @@ mod tests {
             let _b = pool.alloc_with_headroom(64, 512);
         }
         assert_eq!(pool.stats().recycled, 1);
-        assert_eq!(pool.free_count_for(576).unwrap(), GROWTH_BATCH);
+        assert_eq!(pool.free_count_for(576).unwrap(), MAX_BATCH);
     }
 
     #[test]
     fn tenant_pool_stamps_buffers_and_enforces_budget() {
         let t = TenantId(9);
         // Room for exactly one growth batch of the 64-byte class.
-        let pool = BufferPool::for_tenant(t, Some((64 * GROWTH_BATCH) as u64));
-        let held: Vec<_> = (0..GROWTH_BATCH)
+        let pool = BufferPool::for_tenant(t, Some((64 * MAX_BATCH) as u64));
+        let held: Vec<_> = (0..MAX_BATCH)
             .map(|_| pool.try_alloc(64).unwrap())
             .collect();
         assert!(held.iter().all(|b| b.tenant() == t));
@@ -457,9 +499,71 @@ mod tests {
     }
 
     #[test]
+    fn an_oversized_buffer_returns_its_budget_when_dropped() {
+        let t = TenantId(9);
+        let pool = BufferPool::for_tenant(t, Some(1 << 20));
+        drop(pool.try_alloc(1 << 20).unwrap());
+        assert_eq!(pool.stats().owned_bytes, 0);
+        assert!(pool.try_alloc(1 << 20).is_ok(), "exhaustion is a state");
+    }
+
+    #[test]
+    fn an_oversized_buffer_returns_its_pin_when_dropped() {
+        let reg = Rc::new(CountingRegistrar::new());
+        let pool = BufferPool::with_registrar(reg.clone());
+        let _small = pool.alloc(64);
+        let before = reg.stats();
+        drop(pool.alloc(1 << 20));
+        let after = reg.stats();
+        assert_eq!(after.pinned_bytes, before.pinned_bytes);
+        assert_eq!(after.active_regions, before.active_regions);
+        assert_eq!(after.deregistrations, before.deregistrations + 1);
+    }
+
+    #[test]
+    fn a_large_class_doubles_up_to_a_full_batch() {
+        let pool = BufferPool::unregistered();
+        let mut held = Vec::new();
+        let mut populations = Vec::new();
+        while populations.len() < 6 {
+            held.push(pool.alloc(65536));
+            if populations.last() != Some(&pool.population(65536)) {
+                populations.push(pool.population(65536));
+            }
+        }
+        assert_eq!(populations, [4, 8, 16, 32, 64, 128]);
+        held.push(pool.alloc(16384));
+        assert_eq!(pool.population(16384), 16);
+    }
+
+    #[test]
+    fn a_budget_clips_a_doubling_growth() {
+        // Room for six 64 KiB buffers: a first batch of 4, then 2 of the
+        // 4 the doubling asks for.
+        let pool = BufferPool::for_tenant(TenantId(9), Some(6 * 65536));
+        let held: Vec<_> = (0..6).map(|_| pool.try_alloc(65536).unwrap()).collect();
+        assert_eq!(pool.population(65536), 6);
+        assert!(pool.try_alloc(65536).is_err());
+        drop(held);
+    }
+
+    #[test]
+    fn warm_up_to_an_mbuf_leaves_the_large_classes_empty() {
+        let reg = Rc::new(CountingRegistrar::new());
+        let pool = BufferPool::with_registrar(reg.clone());
+        pool.warm_up(2048);
+        assert_eq!(pool.population(16384), 0);
+        assert_eq!(pool.population(65536), 0);
+        assert_eq!(reg.stats().registrations, 4);
+        assert_eq!(reg.stats().pinned_bytes, 64 * (64 + 256 + 1024 + 4096));
+        let _frame = pool.alloc(2048);
+        assert_eq!(pool.stats().cold_allocs, 0, "every mbuf size is warm");
+    }
+
+    #[test]
     fn one_tenant_exhausting_never_blocks_another() {
         let a = BufferPool::for_tenant(TenantId(1), Some(64));
-        let b = BufferPool::for_tenant(TenantId(2), Some(64 * GROWTH_BATCH as u64));
+        let b = BufferPool::for_tenant(TenantId(2), Some(64 * MAX_BATCH as u64));
         let _hog = a.try_alloc(64).unwrap();
         assert!(a.try_alloc(64).is_err(), "tenant 1 is out of budget");
         assert!(

@@ -15,8 +15,9 @@
 //! * a 64 Ki-bit **exclusive bitmap** (one `AtomicU64` word per 64 ports)
 //!   claimed with `fetch_or` — the thread that flips the bit owns the
 //!   port, no CAS loop;
-//! * a **listener refcount** per port, so the same listening port can be
-//!   acquired once per shard world and released symmetrically;
+//! * a one-byte **listener refcount** per port, so the same listening port
+//!   can be acquired once per shard world (up to 255) and released
+//!   symmetrically;
 //! * a shared **ephemeral cursor** bumped with `fetch_add`, so concurrent
 //!   allocators start probing from different offsets instead of
 //!   contending on the same candidate.
@@ -24,7 +25,7 @@
 //! Single-thread mode uses exactly the same allocator (uncontended); there
 //! is no separate code path to drift.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 /// First port of the ephemeral range.
 pub(crate) const EPHEMERAL_BASE: u16 = 32_768;
@@ -38,8 +39,9 @@ pub struct PortAllocator {
     /// connection's local port).
     exclusive: Box<[AtomicU64]>,
     /// Per-port listener refcount: one count per shard world currently
-    /// listening. Listeners and exclusive claims are mutually exclusive.
-    listeners: Box<[AtomicU32]>,
+    /// listening, at most 255. Listeners and exclusive claims are mutually
+    /// exclusive.
+    listeners: Box<[AtomicU8]>,
     /// Next ephemeral probe offset (wraps over [`EPHEMERAL_SPAN`]).
     cursor: AtomicU32,
 }
@@ -55,7 +57,7 @@ impl PortAllocator {
     pub fn new() -> Self {
         PortAllocator {
             exclusive: (0..1024).map(|_| AtomicU64::new(0)).collect(),
-            listeners: (0..65_536).map(|_| AtomicU32::new(0)).collect(),
+            listeners: (0..65_536).map(|_| AtomicU8::new(0)).collect(),
             cursor: AtomicU32::new(0),
         }
     }
@@ -102,11 +104,18 @@ impl PortAllocator {
     }
 
     /// Acquires one listener reference on `port` (one per shard world).
-    /// Fails if a connection exclusively claims the port.
+    /// Fails if a connection exclusively claims the port, or if 255 worlds
+    /// already listen on it.
     pub(crate) fn listen_acquire(&self, port: u16) -> bool {
-        self.listeners[port as usize].fetch_add(1, Ordering::AcqRel);
+        let count = &self.listeners[port as usize];
+        if count
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_add(1))
+            .is_err()
+        {
+            return false;
+        }
         if self.is_claimed(port) {
-            self.listeners[port as usize].fetch_sub(1, Ordering::AcqRel);
+            count.fetch_sub(1, Ordering::AcqRel);
             return false;
         }
         true
@@ -165,6 +174,20 @@ mod tests {
         p.listen_release(7);
         assert!(p.claim_exclusive(7));
         assert!(!p.listen_acquire(7)); // claimed port can't be listened
+    }
+
+    #[test]
+    fn a_256th_listener_is_refused_without_wrapping() {
+        let p = PortAllocator::new();
+        for _ in 0..255 {
+            assert!(p.listen_acquire(80));
+        }
+        assert!(!p.listen_acquire(80), "the count is full");
+        assert!(!p.claim_exclusive(80), "the refusal left 255 listeners");
+        for _ in 0..255 {
+            p.listen_release(80);
+        }
+        assert!(p.claim_exclusive(80));
     }
 
     #[test]

@@ -524,9 +524,9 @@ impl NetworkStack {
         // partition.
         let owner = self.check_bind(port)?;
         // Acquiring a listener reference in the shared namespace fails only
-        // if a connection exclusively claims the port (other shards
-        // listening is replication); a second listen on this shard fails in
-        // its own peer.
+        // if a connection exclusively claims the port or 255 shards already
+        // listen on it (other shards listening is replication); a second
+        // listen on this shard fails in its own peer.
         if !self.ports.listen_acquire(port) {
             return Err(NetError::AddrInUse(port));
         }

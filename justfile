@@ -1,29 +1,27 @@
 # Developer entry points. `just verify` is the pre-merge gate.
 
-# Build, test, and lint — everything CI would reject. Tier-1 runs twice:
-# debug builds run every poll-pass stage a guard skipped and assert it was
-# a no-op, release builds take the skip (DESIGN.md §4), so the whole suite
-# has to be green in both — and release is the optimization level the
-# ledger runs, where the counter asserts (1 alloc / 0 copies per packet,
-# one doorbell per burst, 0 poll stages per idle pump, two frames per
-# depth-1 GET, ...) mean what they say. Both runs execute the crates'
-# unit tests too, which EXPERIMENTS.md names as pins beside the tier-1
-# suites (`.claude/skills/verify/SKILL.md` has the same map); the seeded
-# differentials take their large case budgets only in release.
+# Build, test, and lint — exactly the steps of CI's verify job
+# (.github/workflows/ci.yml), in its order, so a green local run predicts
+# a green CI run. Tier-1 runs serialised and at two threads (it must not
+# depend on how many sibling tests share the process), then with every
+# crate's unit tests in debug and in release: debug builds run every
+# poll-pass stage a guard skipped and assert it was a no-op, release
+# builds take the skip (DESIGN.md §4), and release is the optimization
+# level the ledger runs, where the counter asserts (1 alloc / 0 copies
+# per packet, one doorbell per burst, 0 poll stages per idle pump, two
+# frames per depth-1 GET, ...) mean what they say and the seeded
+# differentials take their large case budgets. Then the ledger's
+# self-test, its trajectory over the two newest entries, format, and
+# clippy over every target of the workspace.
 verify:
     cargo build --release
     sh tools/loc.sh
+    cargo test -q -- --test-threads=1
+    cargo test -q -- --test-threads=2
     cargo test --workspace -q
     cargo test --workspace --release -q
-    cargo fmt --check
-    cargo clippy -- -D warnings -D clippy::undocumented_unsafe_blocks
-
-# Everything `verify` checks, across the whole workspace.
-verify-all:
-    cargo build --workspace --release
-    sh tools/loc.sh
-    cargo test --workspace -q
-    cargo test --workspace --release -q
+    cargo test --manifest-path benchmark/Cargo.toml
+    sh tools/bench-diff-latest.sh
     cargo fmt --check
     cargo clippy --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
 

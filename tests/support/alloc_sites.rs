@@ -1,6 +1,7 @@
 //! Where allocations come from. [`SiteAlloc`] is the counting allocator
-//! of `demikernel::testing` plus, only while [`sites`] runs an operation,
-//! a recorder of each allocation's backtrace. An allocation pin written
+//! of `demikernel::testing` plus a per-thread count of live heap bytes
+//! ([`live_bytes`]) and, only while [`sites`] runs an operation, a
+//! recorder of each allocation's backtrace. An allocation pin written
 //! with [`assert_allocs`] that fails runs its operation again under the
 //! recorder and prints the in-repo frames of every allocation site, so
 //! the failure names the line that allocated, not just the count.
@@ -37,18 +38,34 @@ thread_local! {
     /// is being recorded, so the recorder's own allocations are not.
     static RECORDING: Cell<bool> = const { Cell::new(false) };
     static SITES: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    /// Bytes this thread allocated minus bytes it freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+/// This thread's live heap bytes: what it allocated minus what it freed.
+/// Only the difference between two readings means anything.
+pub fn live_bytes() -> isize {
+    LIVE.get()
+}
+
+/// Moves this thread's live-byte count by `delta`; a thread's last frees
+/// may run after its thread-locals are gone.
+fn note_live(delta: isize) {
+    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
 }
 
 /// [`CountingAlloc`], recording a backtrace per allocation while asked.
 pub struct SiteAlloc;
 
 // SAFETY: every request is forwarded unchanged to `CountingAlloc`; the
-// recording around it reads and writes this thread's locals only, and is
-// guarded against re-entry by `RECORDING`.
+// live-byte count and the recording around it read and write this
+// thread's locals only, and the recording is guarded against re-entry by
+// `RECORDING`.
 unsafe impl GlobalAlloc for SiteAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         let ptr = unsafe { CountingAlloc.alloc(layout) };
+        note_live(layout.size() as isize);
         if RECORDING.try_with(|r| r.replace(false)).unwrap_or(false) {
             let site = in_repo_frames(&Backtrace::force_capture().to_string());
             let _ = SITES.try_with(|sites| sites.borrow_mut().push(site));
@@ -58,6 +75,7 @@ unsafe impl GlobalAlloc for SiteAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_live(-(layout.size() as isize));
         // SAFETY: `ptr` came from `alloc` above with this `layout`.
         unsafe { CountingAlloc.dealloc(ptr, layout) }
     }

@@ -8,7 +8,9 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
 
-use demi_memory::{BufferPool, ByteStream, DemiBuffer, HeadroomError, TenantId};
+use demi_memory::{
+    BufferPool, ByteStream, DemiBuffer, HeadroomError, MemoryManager, TenantId, DEFAULT_HEADROOM,
+};
 use demikernel::libos::LibOs;
 use demikernel::testing::{catnip_pair, host_ip, AllocMeter};
 use demikernel::types::Sga;
@@ -17,7 +19,7 @@ use net_stack::framing::FrameDecoder;
 use net_stack::stack::MAX_HEADER_LEN;
 use net_stack::types::SocketAddr;
 use sim_fabric::{SimRng, SimTime};
-use support::alloc_sites::{assert_allocs, SiteAlloc};
+use support::alloc_sites::{assert_allocs, live_bytes, SiteAlloc};
 use support::{tcp_pair, udp_pair, PeerWorld, Repro};
 
 /// Counts this thread's heap allocations inside an [`AllocMeter`] window,
@@ -134,6 +136,54 @@ fn sgaalloc_memory_is_preregistered_and_data_path_registers_nothing() {
         "no registration on the data path"
     );
     assert!(client.memory().region_stats().pinned_bytes > 0);
+}
+
+/// A libOS pins only the memory it serves: each host's device mempool
+/// warms only the classes an mbuf fits in, the libOS's pool gives its
+/// 16 KiB and 64 KiB classes a 256 KiB first batch, and the port
+/// namespace counts listeners in one byte a port. Catches a pool that
+/// warms every class at 64 buffers again (≈ 23 MB for the pair).
+#[test]
+fn a_catnip_pair_builds_in_under_4_mib() {
+    let before = live_bytes();
+    let pair = catnip_pair(503);
+    let built = live_bytes() - before;
+    println!("a catnip pair holds {built} live heap bytes");
+    assert!(built <= 4 << 20, "a catnip pair holds {built} bytes");
+    drop(pair);
+}
+
+/// E5c: more pinned memory buys fewer cold allocations — and no more
+/// pinned memory than demand. Ramping one class of an unwarmed manager
+/// from 0 to 1 024 live buffers, every growth registers at most the live
+/// buffers again (never more than 64) on top of the first batch, so the
+/// pin stays within 2 × live + the first batch; growths are a doubling
+/// run up to 64 buffers, then one per 64, so the two large classes make
+/// log2(64 / first batch) more cold allocations than a small class.
+#[test]
+fn e5c_pinned_memory_tracks_live_demand() {
+    for (class, first, cold) in [
+        (64, 64, 16),
+        (4096, 64, 16),
+        (16384, 16, 18),
+        (65536, 4, 20),
+    ] {
+        let mgr = MemoryManager::new();
+        let mut live = Vec::new();
+        while live.len() < 1024 {
+            live.push(mgr.alloc(class - DEFAULT_HEADROOM));
+            let (pinned, live_bytes) = (mgr.region_stats().pinned_bytes, live.len() * class);
+            assert!(
+                pinned <= (2 * live_bytes + first * class) as u64,
+                "class {class}: {pinned} pinned for {} live",
+                live.len()
+            );
+        }
+        let stats = mgr.pool_stats();
+        assert_eq!(stats.cold_allocs, cold, "class {class}");
+        assert_eq!(stats.warm_allocs, 1024 - cold, "class {class}");
+        assert_eq!(mgr.region_stats().pinned_bytes, (1024 * class) as u64);
+    }
 }
 
 #[test]

@@ -30,11 +30,11 @@
 //! condition `Notify`s, or the runtime's *activity gate*
 //! (`Runtime::activity`), which fires whenever external progress happens
 //! (frames delivered, device pollers did work, timers fired). Deadlock is
-//! no longer a spin-count heuristic: when a pass polls nothing, nothing
-//! external moved, and virtual time cannot advance, one *rescue sweep*
-//! re-polls every live task (catching state changes that lack waker
-//! plumbing), and only if that, too, yields nothing is the wait declared
-//! deadlocked.
+//! not a spin-count heuristic: when a pass polls nothing, nothing external
+//! moved, and virtual time cannot advance, the wait is declared deadlocked
+//! at once — sound because every state change wakes its waiters (§4.4),
+//! which debug builds check there by polling every live task once more
+//! and panicking, naming them, if one completes.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -532,14 +532,20 @@ impl Runtime {
         true
     }
 
-    /// The last line of defense before declaring deadlock: re-poll every
-    /// live task once (counted as spurious polls in the scheduler stats).
-    /// This catches state transitions that have no waker plumbing — e.g., a
-    /// protocol giving up after its last retry without emitting a frame.
-    /// Returns whether the sweep produced new work.
-    fn rescue_sweep(&self) -> bool {
-        let report = self.inner.scheduler.sweep_pass();
-        report.completed > 0 || self.inner.scheduler.has_runnable()
+    /// Debug builds' witness of the quiescence rule: polled once more
+    /// (spurious polls), no live task of a quiescent world completes or
+    /// wakes another — one that did changed state without a wake, and a
+    /// release build would report its wait deadlocked.
+    #[cfg(debug_assertions)]
+    fn assert_quiescent(&self) {
+        let scheduler = &self.inner.scheduler;
+        let live = scheduler.live_task_names();
+        let report = scheduler.sweep_pass();
+        assert!(
+            report.completed == 0 && !scheduler.has_runnable(),
+            "a task changed state without a wake at {:?}; live tasks: {live:?}",
+            self.now()
+        );
     }
 
     /// Consumes `qt` if its operation has completed (`Ok(None)` while it
@@ -620,8 +626,7 @@ impl Runtime {
     /// The shared loop under every wait: let the caller consume what has
     /// completed — first before anything is pumped, so a satisfied wait
     /// costs no pass — then pump the world and otherwise advance virtual
-    /// time, declaring deadlock only when a quiescent pass survives a
-    /// rescue sweep.
+    /// time, declaring deadlock on the first quiescent pass.
     fn drive_wait<T>(
         &self,
         timeout: Option<SimTime>,
@@ -657,19 +662,13 @@ impl Runtime {
             } else {
                 self.advance(deadline)
             };
-            // Quiescent — no woken tasks, no external work, no time to
-            // advance: one rescue sweep, then give up.
-            if advanced || report.has_work() || self.rescue_sweep() {
+            if advanced || report.has_work() {
                 continue;
             }
-            if std::env::var("DEMI_DEBUG_DEADLOCK").is_ok() {
-                eprintln!(
-                    "DEADLOCK: now={:?} live={:?} stats={:?}",
-                    self.now(),
-                    self.inner.scheduler.live_task_names(),
-                    self.inner.scheduler.stats()
-                );
-            }
+            // Quiescent — no woken tasks, no external work, no time to
+            // advance: nothing can move again.
+            #[cfg(debug_assertions)]
+            self.assert_quiescent();
             return Err(DemiError::Deadlock);
         }
     }
@@ -697,9 +696,10 @@ impl Runtime {
     ///
     /// The wait loop is event-driven, not spin-bounded: every iteration
     /// either ran woken tasks, absorbed external work, or advanced virtual
-    /// time. When none of those is possible the world is quiescent; after
-    /// a fruitless rescue sweep the wait reports [`DemiError::Deadlock`]
-    /// deterministically.
+    /// time. When none of those is possible the world is quiescent and the
+    /// wait reports [`DemiError::Deadlock`] deterministically; no task
+    /// that was not woken is polled again (debug builds check that none
+    /// would have completed).
     pub fn wait_any(
         &self,
         qts: &[QToken],
@@ -1077,7 +1077,7 @@ mod tests {
         });
         let qt = rt.park_op("racy", &gate, check, QDesc(0), 0);
         assert_eq!(rt.wait(qt, None), Ok(OperationResult::Push));
-        // Resolved by the notification, not by the deadlock rescue sweep.
+        // Resolved by the notification: nothing unwoken was polled.
         assert_eq!(rt.scheduler().stats().spurious_polls, 0);
     }
 
@@ -1112,31 +1112,42 @@ mod tests {
         assert_eq!(rt.now(), SimTime::from_micros(100));
     }
 
-    #[test]
-    fn rescue_sweep_catches_wakerless_state_change() {
-        let rt = Runtime::new();
-        // A future with NO waker plumbing: readiness flips as a side effect
-        // of a deadline source moving the clock, but nobody wakes the task.
-        let clock = rt.clock().clone();
+    /// An op whose readiness flips with no waker plumbing: the clock a
+    /// deadline source moves makes it ready, but nobody wakes it.
+    fn wakerless_op(rt: &Runtime) -> QToken {
         let fire_at = SimTime::from_micros(7);
         rt.register_deadline_source(move || Some(fire_at));
-        let poll_clock = rt.clock().clone();
-        let qt = rt.spawn_op("wakerless", async move {
+        let clock = rt.clock().clone();
+        rt.spawn_op("wakerless", async move {
             std::future::poll_fn(move |_cx| {
-                if poll_clock.now() >= fire_at {
-                    std::task::Poll::Ready(())
+                if clock.now() >= fire_at {
+                    Poll::Ready(())
                 } else {
-                    std::task::Poll::Pending // no waker registered!
+                    Poll::Pending // No waker registered.
                 }
             })
             .await;
             OperationResult::Push
-        });
-        rt.wait(qt, None).unwrap();
-        assert_eq!(clock.now(), fire_at);
-        // The wait needed at least one rescue sweep to notice the flip
-        // (visible as extra passes beyond the wake-driven ones); the task
-        // still completed and the clock still advanced correctly.
-        assert!(rt.scheduler().stats().passes > 1);
+        })
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "live tasks: [\"wakerless\"]")]
+    fn a_wakerless_state_change_panics_naming_its_task_in_debug() {
+        let rt = Runtime::new();
+        let qt = wakerless_op(&rt);
+        let _ = rt.wait(qt, None);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn a_wakerless_state_change_is_a_deadlock_in_release() {
+        let rt = Runtime::new();
+        let qt = wakerless_op(&rt);
+        assert_eq!(rt.wait(qt, None), Err(DemiError::Deadlock));
+        assert_eq!(rt.now(), SimTime::from_micros(7));
+        // Nothing unwoken was polled again.
+        assert_eq!(rt.scheduler().stats().spurious_polls, 0);
     }
 }

@@ -152,17 +152,10 @@ impl KvStore {
     /// Publishes `key`'s live value into the mirror (insert-after-miss:
     /// call after the host served a GET the device could not).
     pub fn publish_to_mirror(&mut self, key: &[u8]) -> bool {
-        if self.mirror.is_none() {
-            return false;
-        }
-        let Some(&slot) = self.index.get(key) else {
+        let (Some(mirror), Some(&slot)) = (&mut self.mirror, self.index.get(key)) else {
             return false;
         };
-        let value = self.slots[slot as usize].value.clone();
-        match &mut self.mirror {
-            Some(m) => m.insert(key, value.as_slice()),
-            None => unreachable!("checked above"),
-        }
+        mirror.insert(key, self.slots[slot as usize].value.as_slice())
     }
 
     /// Store counters.

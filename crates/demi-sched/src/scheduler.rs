@@ -48,7 +48,8 @@ pub struct SchedulerStats {
     pub wakeups: u64,
     /// Polls of tasks that had *not* been woken and returned `Pending`: pure
     /// overhead. Zero by construction in [`Scheduler::run_pass`]; only
-    /// rescue sweeps ([`Scheduler::sweep_pass`]) add to it.
+    /// [`Scheduler::sweep_pass`] adds to it, which the runtime runs in
+    /// debug builds alone, to check a deadlocked world is quiescent.
     pub spurious_polls: u64,
 }
 
@@ -354,8 +355,9 @@ impl Scheduler {
     }
 
     /// Polls **every** live task once, regardless of readiness: the
-    /// runtime's rescue sweep before declaring deadlock. Polls of unwoken
-    /// tasks that stay `Pending` are tallied as `spurious_polls`.
+    /// runtime's debug-build check, before it declares deadlock, that no
+    /// task changed state without a wake. Polls of unwoken tasks that stay
+    /// `Pending` are tallied as `spurious_polls`.
     pub fn sweep_pass(&self) -> PassReport {
         let upper = {
             let mut inner = self.inner.borrow_mut();

@@ -161,15 +161,6 @@ pub fn enabled() -> bool {
     SPAN_ENABLED.with(|e| e.get())
 }
 
-/// Resize the ring (clears all retained spans and the dropped counter).
-pub fn set_capacity(capacity: usize) {
-    RING.with(|r| {
-        let mut ring = r.borrow_mut();
-        *ring = SpanRing::new();
-        ring.capacity = capacity.max(1);
-    });
-}
-
 /// Open a span for `op` stamped [`SpanPoint::Entry`] at `now`.
 pub fn begin(op: u64, name: &'static str, now: u64) {
     if !enabled() {
@@ -285,6 +276,15 @@ pub fn chrome_trace_json(spans: &[OpSpan]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Resize the ring (clears all retained spans and the dropped counter).
+    fn set_capacity(capacity: usize) {
+        RING.with(|r| {
+            let mut ring = r.borrow_mut();
+            *ring = SpanRing::new();
+            ring.capacity = capacity.max(1);
+        });
+    }
 
     fn with_clean_ring(f: impl FnOnce()) {
         set_capacity(DEFAULT_CAPACITY);

@@ -107,33 +107,24 @@ pub(crate) enum ArpAction {
     FailPending(DemiBuffer),
 }
 
+/// How long a resolved binding stays cached. Chosen.
+const ARP_TTL: SimTime = SimTime::from_secs(60);
+/// Interval between ARP requests for one unresolved address. Chosen.
+const ARP_RETRY: SimTime = SimTime::from_millis(1);
+/// Requests sent before pending packets fail over as unreachable. Chosen.
+const ARP_TRIES: u32 = 3;
+
 /// The ARP cache plus resolution machinery.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct ArpCache {
     entries: FastHashMap<Ipv4Addr, (MacAddress, SimTime)>,
     in_flight: FastHashMap<Ipv4Addr, InFlight>,
     /// The earliest `next_retry` in `in_flight`, recomputed by every method
     /// that changes one, so "is a retry due?" is one compare.
     next_retry: Option<SimTime>,
-    ttl: SimTime,
-    retry_interval: SimTime,
-    max_tries: u32,
 }
 
 impl ArpCache {
-    /// Creates a cache: `ttl` bounds entry lifetime, requests retry every
-    /// `retry_interval` up to `max_tries` times.
-    pub(crate) fn new(ttl: SimTime, retry_interval: SimTime, max_tries: u32) -> Self {
-        ArpCache {
-            entries: FastHashMap::default(),
-            in_flight: FastHashMap::default(),
-            next_retry: None,
-            ttl,
-            retry_interval,
-            max_tries,
-        }
-    }
-
     /// Looks up an unexpired entry.
     pub(crate) fn lookup(&self, ip: Ipv4Addr, now: SimTime) -> Option<MacAddress> {
         self.entries
@@ -145,7 +136,7 @@ impl ArpCache {
     /// Inserts/refreshes a binding and returns any packets that were waiting
     /// for it, ready to transmit.
     pub(crate) fn insert(&mut self, ip: Ipv4Addr, mac: MacAddress, now: SimTime) -> Vec<ArpAction> {
-        self.entries.insert(ip, (mac, now.saturating_add(self.ttl)));
+        self.entries.insert(ip, (mac, now.saturating_add(ARP_TTL)));
         let waiting = self.in_flight.remove(&ip).into_iter();
         self.next_retry = self.earliest_retry();
         let pending = waiting.flat_map(|state| state.pending);
@@ -173,8 +164,8 @@ impl ArpCache {
                 self.in_flight.insert(
                     ip,
                     InFlight {
-                        tries_left: self.max_tries - 1,
-                        next_retry: now.saturating_add(self.retry_interval),
+                        tries_left: ARP_TRIES - 1,
+                        next_retry: now.saturating_add(ARP_RETRY),
                         pending: vec![packet],
                     },
                 );
@@ -206,7 +197,7 @@ impl ArpCache {
                 return false;
             }
             state.tries_left -= 1;
-            state.next_retry = now.saturating_add(self.retry_interval);
+            state.next_retry = now.saturating_add(ARP_RETRY);
             actions.push(ArpAction::SendRequest(ip));
             true
         });
@@ -225,10 +216,6 @@ mod tests {
     use super::*;
 
     const MS: SimTime = SimTime::from_millis(1);
-
-    fn cache() -> ArpCache {
-        ArpCache::new(SimTime::from_secs(60), MS, 3)
-    }
 
     fn ip(last: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, last)
@@ -266,7 +253,7 @@ mod tests {
 
     #[test]
     fn miss_enqueues_and_requests_once() {
-        let mut c = cache();
+        let mut c = ArpCache::default();
         let a1 = c.enqueue_pending(ip(2), DemiBuffer::from_slice(&[1]), SimTime::ZERO);
         assert_eq!(a1, vec![ArpAction::SendRequest(ip(2))]);
         let a2 = c.enqueue_pending(ip(2), DemiBuffer::from_slice(&[2]), SimTime::ZERO);
@@ -278,7 +265,7 @@ mod tests {
 
     #[test]
     fn reply_flushes_pending_in_order() {
-        let mut c = cache();
+        let mut c = ArpCache::default();
         let (p1, p2) = (DemiBuffer::from_slice(&[1]), DemiBuffer::from_slice(&[2]));
         c.enqueue_pending(ip(2), p1.clone(), SimTime::ZERO);
         c.enqueue_pending(ip(2), p2.clone(), SimTime::ZERO);
@@ -301,7 +288,7 @@ mod tests {
 
     #[test]
     fn entries_expire_after_ttl() {
-        let mut c = cache();
+        let mut c = ArpCache::default();
         let mac = MacAddress::from_last_octet(2);
         c.insert(ip(2), mac, SimTime::ZERO);
         assert!(c.lookup(ip(2), SimTime::from_secs(59)).is_some());
@@ -310,7 +297,7 @@ mod tests {
 
     #[test]
     fn retries_then_fails_pending() {
-        let mut c = cache();
+        let mut c = ArpCache::default();
         c.enqueue_pending(ip(2), DemiBuffer::from_slice(&[7]), SimTime::ZERO);
         // First retry at 1ms, second at 2ms; failure announced at 3ms.
         assert_eq!(c.poll(MS), vec![ArpAction::SendRequest(ip(2))]);
@@ -328,7 +315,7 @@ mod tests {
 
     #[test]
     fn poll_before_deadline_is_quiet() {
-        let mut c = cache();
+        let mut c = ArpCache::default();
         c.enqueue_pending(ip(2), DemiBuffer::from_slice(&[7]), SimTime::ZERO);
         assert!(c.poll(SimTime::from_micros(500)).is_empty());
         assert_eq!(c.next_deadline(), Some(MS));
@@ -336,7 +323,7 @@ mod tests {
 
     #[test]
     fn refresh_extends_ttl() {
-        let mut c = cache();
+        let mut c = ArpCache::default();
         let mac = MacAddress::from_last_octet(2);
         c.insert(ip(2), mac, SimTime::ZERO);
         c.insert(ip(2), mac, SimTime::from_secs(50));

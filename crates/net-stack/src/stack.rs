@@ -79,21 +79,16 @@ const _: () = assert!(MAX_HEADER_LEN <= demi_memory::DEFAULT_HEADROOM);
 /// ([`StackStats::pongs_dropped`]) instead of growing the queue.
 pub const PONG_QUEUE_CAP: usize = 64;
 
-/// Stack construction parameters.
+/// Link MTU in bytes (the IP packet budget): Ethernet's. Chosen.
+const MTU: usize = 1500;
+
+/// Stack construction parameters: the few a test or a world varies. The
+/// protocol timers and bounds nothing varies are constants beside the code
+/// that uses them (DESIGN.md lists them all).
 #[derive(Debug, Clone)]
 pub struct StackConfig {
     /// This host's IPv4 address.
     pub ip: Ipv4Addr,
-    /// Link MTU in bytes (IP packet budget).
-    pub mtu: usize,
-    /// ARP cache TTL.
-    pub arp_ttl: SimTime,
-    /// ARP request retry interval.
-    pub arp_retry: SimTime,
-    /// ARP request attempts before declaring unreachable.
-    pub arp_tries: u32,
-    /// Per-UDP-socket receive queue depth.
-    pub udp_queue_depth: usize,
     /// Maximum frames processed from the device per poll pass.
     /// Under a flood the leftover backlog is reported as remaining work
     /// instead of being drained in one unbounded loop that would starve
@@ -116,11 +111,6 @@ impl StackConfig {
     pub fn new(ip: Ipv4Addr) -> Self {
         StackConfig {
             ip,
-            mtu: 1500,
-            arp_ttl: SimTime::from_secs(60),
-            arp_retry: SimTime::from_millis(1),
-            arp_tries: 3,
-            udp_queue_depth: 1024,
             rx_budget: 64,
             handoff_capacity: 1024,
             tcp: TcpConfig::default(),
@@ -462,7 +452,7 @@ impl NetworkStack {
         payload: impl Into<DemiBuffer>,
     ) -> Result<(), NetError> {
         let payload: DemiBuffer = payload.into();
-        let max = self.config.mtu - IPV4_HEADER_LEN - UDP_HEADER_LEN;
+        let max = MTU - IPV4_HEADER_LEN - UDP_HEADER_LEN;
         if payload.len() > max {
             return Err(NetError::MessageTooLong {
                 len: payload.len(),

@@ -31,7 +31,7 @@ use sim_fabric::{MacAddress, SimClock, SimTime};
 
 use super::offload::Offload;
 use super::tenancy::ShardTenancy;
-use super::{ShardStats, StackConfig, StackStats, MAX_HEADER_LEN, PONG_QUEUE_CAP};
+use super::{ShardStats, StackConfig, StackStats, MAX_HEADER_LEN, MTU, PONG_QUEUE_CAP};
 use crate::arp::{ArpAction, ArpCache, ArpOp, ArpPacket, ARP_LEN};
 use crate::eth::{EthHeader, EtherType, ETH_HEADER_LEN};
 use crate::icmp::IcmpEcho;
@@ -113,8 +113,8 @@ impl Shard {
         Shard {
             queue,
             mesh,
-            arp: ArpCache::new(config.arp_ttl, config.arp_retry, config.arp_tries),
-            udp: UdpPeer::new(config.udp_queue_depth),
+            arp: ArpCache::default(),
+            udp: UdpPeer::default(),
             tcp,
             pongs: VecDeque::new(),
             tx_ring: Vec::new(),
@@ -526,7 +526,7 @@ impl Shard {
     /// hop, queueing the buffer handle on ARP misses.
     pub(super) fn send_ip(&mut self, dst: Ipv4Addr, protocol: IpProtocol, packet: DemiBuffer) {
         debug_assert!(
-            IPV4_HEADER_LEN + packet.len() <= self.config.mtu,
+            IPV4_HEADER_LEN + packet.len() <= MTU,
             "IP packet exceeds MTU"
         );
         let header = Ipv4Header {
@@ -635,7 +635,7 @@ impl Shard {
         let leftover = match &mut self.tenancy {
             Some(ten) => {
                 let telemetry = demi_telemetry::enabled();
-                ten.drr_fill(&self.clock, self.config.mtu, |mbuf| {
+                ten.drr_fill(&self.clock, |mbuf| {
                     self.stats.tx_frames += 1;
                     self.tx_ring.push(mbuf);
                     if telemetry {

@@ -12,7 +12,7 @@ use dpdk_sim::wire::l4_ports;
 use dpdk_sim::Mbuf;
 use sim_fabric::{SimClock, SimTime};
 
-use super::NetworkStack;
+use super::{NetworkStack, MTU};
 use crate::ipv4::IpProtocol;
 use crate::tcp::TcpPeer;
 use crate::types::NetError;
@@ -257,18 +257,13 @@ impl ShardTenancy {
     /// left staged by the shared per-pass byte budget — reported as poll
     /// backlog so the scheduler keeps draining; rate-limited leftovers
     /// are *not* counted (polling cannot make tokens refill).
-    pub(super) fn drr_fill(
-        &mut self,
-        clock: &SimClock,
-        mtu: usize,
-        mut admit: impl FnMut(Mbuf),
-    ) -> usize {
+    pub(super) fn drr_fill(&mut self, clock: &SimClock, mut admit: impl FnMut(Mbuf)) -> usize {
         if self.lanes.iter().all(|l| l.staging.is_empty()) {
             return 0;
         }
         let now_ns = clock.now().as_nanos();
         let mut remaining = self.tx_pass_bytes;
-        let quantum_unit = mtu as u64;
+        let quantum_unit = MTU as u64;
         let nlanes = self.lanes.len();
         let mut budget_capped = false;
         let mut capped_at = self.next_lane;

@@ -12,7 +12,7 @@
 //! out-of-order, ready) plus the outbox live behind one lazily allocated
 //! [`CbQueues`] box. A parked established connection that has drained its
 //! queues owns **zero heap** beyond its slab slot — the peer releases the
-//! box after [`super::TcpConfig::compact_delay`] of quiet — while an
+//! box after the peer's `COMPACT_DELAY` of quiet — while an
 //! active connection keeps the box (and every queue's grown capacity)
 //! across operations, so the steady-state datapath never allocates.
 
@@ -29,7 +29,17 @@ use super::congestion::NewReno;
 use super::header::{TcpFlags, TcpHeader};
 use super::rto::RttEstimator;
 use super::seq::SeqNum;
-use super::TcpConfig;
+use super::{TcpConfig, MSL, RTO_MIN};
+
+/// Delayed-ACK timer (RFC 1122 §4.2.3.2): in-order data is acked every
+/// second segment, or this long after a lone segment if the second never
+/// arrives; outgoing data piggybacks any pending ACK. Chosen.
+const ACK_DELAY: SimTime = SimTime::from_micros(50);
+// Coalescing must never masquerade as loss and trigger a spurious
+// retransmission.
+const _: () = assert!(ACK_DELAY.as_nanos() < RTO_MIN.as_nanos());
+/// Zero-window probe interval. Chosen.
+const PERSIST_INTERVAL: SimTime = SimTime::from_millis(1);
 
 /// Connection states (RFC 793 §3.2; LISTEN lives in the peer's listener).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,7 +272,7 @@ impl ControlBlock {
             snd_wnd: config.mss, // Until the first window arrives.
             send_queue_bytes: 0,
             cc: NewReno::new(config.mss),
-            rtt: RttEstimator::new(config.rto_initial, config.rto_min, config.rto_max),
+            rtt: RttEstimator::new(),
             rto_deadline: None,
             persist_deadline: None,
             dup_acks: 0,
@@ -572,8 +582,7 @@ impl ControlBlock {
                 // Re-ACK a retransmitted FIN and restart the 2·MSL timer.
                 if hdr.flags.fin {
                     self.send_ack();
-                    self.timewait_deadline =
-                        Some(now.saturating_add(self.config.msl.saturating_mul(2)));
+                    self.timewait_deadline = Some(now.saturating_add(MSL.saturating_mul(2)));
                 }
             }
             _ => {
@@ -908,7 +917,7 @@ impl ControlBlock {
                 // timer if the *peer's* window is the limiter and nothing is
                 // in flight to trigger ACK clocking.
                 if self.snd_wnd == 0 && flight == 0 && self.persist_deadline.is_none() {
-                    self.persist_deadline = Some(now.saturating_add(self.config.persist_interval));
+                    self.persist_deadline = Some(now.saturating_add(PERSIST_INTERVAL));
                 }
                 break;
             }
@@ -1063,7 +1072,7 @@ impl ControlBlock {
             self.send_ack();
         } else {
             self.delayed_ack_pending = true;
-            self.delayed_ack_deadline = Some(now.saturating_add(self.config.ack_delay));
+            self.delayed_ack_deadline = Some(now.saturating_add(ACK_DELAY));
         }
     }
 
@@ -1289,11 +1298,11 @@ impl ControlBlock {
         self.send_queue_bytes -= 1;
         self.transmit_data(probe, now);
         // Re-arm: keep probing until the window opens.
-        self.persist_deadline = Some(now.saturating_add(self.config.persist_interval));
+        self.persist_deadline = Some(now.saturating_add(PERSIST_INTERVAL));
     }
 
     fn enter_timewait(&mut self, now: SimTime) {
-        self.timewait_deadline = Some(now.saturating_add(self.config.msl.saturating_mul(2)));
+        self.timewait_deadline = Some(now.saturating_add(MSL.saturating_mul(2)));
         self.rto_deadline = None;
         self.persist_deadline = None;
         self.delayed_ack_deadline = None;

@@ -280,7 +280,7 @@ fn orderly_close_walks_the_state_machine() {
     assert_eq!(s.state(), State::Closed);
     assert_eq!(c.state(), State::TimeWait);
     // 2·MSL later the client is fully closed.
-    now = now.saturating_add(cfg().msl.saturating_mul(2));
+    now = now.saturating_add(MSL.saturating_mul(2));
     c.on_tick(now);
     assert_eq!(c.state(), State::Closed);
     assert!(c.error().is_none());
@@ -316,7 +316,7 @@ fn simultaneous_close_reaches_closed_on_both_sides() {
         "server: {:?}",
         s.state()
     );
-    now = now.saturating_add(cfg().msl.saturating_mul(3));
+    now = now.saturating_add(MSL.saturating_mul(3));
     c.on_tick(now);
     s.on_tick(now);
     assert_eq!(c.state(), State::Closed);

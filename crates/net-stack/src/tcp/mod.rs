@@ -36,7 +36,19 @@ pub use seq::SeqNum;
 
 use sim_fabric::SimTime;
 
-/// Tunables for the TCP machine.
+/// Maximum segment lifetime; TIME_WAIT lasts twice this. Chosen: the
+/// simulated fabric's worst path is microseconds, so 10 ms outlives any
+/// segment by orders of magnitude while keeping churn's TIME_WAIT short.
+pub const MSL: SimTime = SimTime::from_millis(10);
+
+/// Lower bound on the retransmission timeout. Chosen: RFC 6298 says 1 s,
+/// scaled down to the µs-scale fabric; it stays well above the
+/// delayed-ACK timer, or coalescing would masquerade as loss.
+pub const RTO_MIN: SimTime = SimTime::from_micros(200);
+
+/// The TCP machine's per-stack tunables: the three a test varies. Every
+/// other protocol timer is a constant beside the code that arms it
+/// ([`MSL`], [`RTO_MIN`]; DESIGN.md lists them all).
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
     /// Maximum segment size we advertise and use (bytes of payload).
@@ -44,33 +56,8 @@ pub struct TcpConfig {
     /// Receive buffer capacity per connection (bytes); bounds the
     /// advertised window at 65535 (no window scaling).
     pub recv_capacity: usize,
-    /// Lower bound on the retransmission timeout.
-    pub rto_min: SimTime,
-    /// Upper bound on the retransmission timeout.
-    pub rto_max: SimTime,
-    /// Initial RTO before any RTT sample (RFC 6298 says 1s; the simulated
-    /// fabric is µs-scale, so the default is much smaller).
-    pub rto_initial: SimTime,
-    /// Maximum segment lifetime; TIME_WAIT lasts twice this.
-    pub msl: SimTime,
-    /// Zero-window probe interval.
-    pub persist_interval: SimTime,
     /// SYN retransmission limit before `connect` fails.
     pub syn_retries: u32,
-    /// Listener accept-backlog bound.
-    pub backlog: usize,
-    /// Delayed-ACK timer (RFC 1122 §4.2.3.2): in-order data is acked
-    /// every second segment, or this long after a lone segment if the
-    /// second never arrives; outgoing data piggybacks any pending ACK.
-    /// Must stay well below `rto_min`, or coalescing would masquerade as
-    /// loss and trigger spurious retransmissions.
-    pub ack_delay: SimTime,
-    /// How long a connection must stay quiet (no segments, sends, or fired
-    /// timers) before the peer releases its drained queue box back to the
-    /// allocator. Long enough that back-to-back operations never thrash
-    /// the allocation; short enough that parked connections reach their
-    /// zero-heap idle footprint quickly.
-    pub compact_delay: SimTime,
 }
 
 impl Default for TcpConfig {
@@ -78,15 +65,7 @@ impl Default for TcpConfig {
         TcpConfig {
             mss: 1460,
             recv_capacity: 65_535,
-            rto_min: SimTime::from_micros(200),
-            rto_max: SimTime::from_secs(4),
-            rto_initial: SimTime::from_millis(1),
-            msl: SimTime::from_millis(10),
-            persist_interval: SimTime::from_millis(1),
             syn_retries: 5,
-            backlog: 128,
-            ack_delay: SimTime::from_micros(50),
-            compact_delay: SimTime::from_millis(5),
         }
     }
 }

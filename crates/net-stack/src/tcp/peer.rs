@@ -19,7 +19,7 @@
 //!   per-listener SYN table with oldest-eviction; no control block exists
 //!   until the handshake's final ACK, so a SYN flood allocates O(backlog).
 //! * **Queue compaction.** Established-but-quiet connections release
-//!   their drained queue boxes after [`super::TcpConfig::compact_delay`],
+//!   their drained queue boxes after [`COMPACT_DELAY`],
 //!   reaching a zero-queue-heap idle footprint without ever thrashing the
 //!   active path's warmed capacity.
 
@@ -37,7 +37,14 @@ use super::cb::{CbStats, ControlBlock, State, TcpSegmentOut};
 use super::header::{TcpFlags, TcpHeader};
 use super::seq::SeqNum;
 use super::wheel::TimerWheel;
-use super::TcpConfig;
+use super::{TcpConfig, MSL};
+
+/// How long a connection must stay quiet (no segments, sends, or fired
+/// timers) before the peer releases its drained queue box back to the
+/// allocator. Long enough that back-to-back operations never thrash the
+/// allocation; short enough that parked connections reach their
+/// zero-heap idle footprint quickly. Chosen.
+const COMPACT_DELAY: SimTime = SimTime::from_millis(5);
 
 /// Handle to one connection: `generation << SLOT_BITS | slot`. The
 /// generation makes recycled slots reject stale handles.
@@ -150,8 +157,9 @@ struct SlabEntry {
     /// stale listing is skipped, and the slot's next connection lists
     /// itself.
     out_queued: bool,
-    /// Set once the application closed its handle: nobody is left to ask
-    /// `error()`, so a block that dies with an error is freed at once.
+    /// Set once the application closed its handle (or, for a connection
+    /// its listener never handed out, once the listener closed): nobody is
+    /// left to read or ask `error()`, so the block is freed once `Closed`.
     owner_closed: bool,
     timers: TimerSlots,
     cb: Option<ControlBlock>,
@@ -460,10 +468,11 @@ impl TcpPeer {
         }
     }
 
-    /// Frees a `Closed` connection nobody can learn more from: one that
-    /// finished cleanly with nothing left for the application or the
-    /// wire, or one that died with an error and whose owner has closed
-    /// the handle (until then it stays resident so `error()` answers).
+    /// Frees a `Closed` connection nobody can learn more from: one whose
+    /// owner closed the handle (whatever it still holds: nobody is left to
+    /// read it or ask `error()`), or one that finished cleanly with nothing
+    /// left for the application or the wire. A block that died with an
+    /// error stays resident until its owner closes, so `error()` answers.
     fn reap_slot(&mut self, slot: u32) {
         let e = &self.entries[slot as usize];
         let Some(cb) = e.cb.as_ref() else {
@@ -471,10 +480,8 @@ impl TcpPeer {
         };
         // Queues are empty when the box was never allocated (heap 0) or
         // when it is allocated but drained (`queues_idle`).
-        let done = match cb.error() {
-            Some(_) => e.owner_closed,
-            None => cb.heap_bytes() == 0 || cb.queues_idle(),
-        };
+        let done =
+            e.owner_closed || (cb.error().is_none() && (cb.heap_bytes() == 0 || cb.queues_idle()));
         if cb.state() == State::Closed && done {
             self.free_slot(slot, true);
         }
@@ -489,7 +496,6 @@ impl TcpPeer {
             wheel,
             active_out,
             compact_pending,
-            config,
             ..
         } = self;
         let e = &mut entries[slot as usize];
@@ -519,8 +525,7 @@ impl TcpPeer {
         }
         if cb.queues_idle() && !cb.compact_enrolled() {
             cb.set_compact_enrolled(true);
-            compact_pending
-                .push_back((cb.last_activity().saturating_add(config.compact_delay), id));
+            compact_pending.push_back((cb.last_activity().saturating_add(COMPACT_DELAY), id));
         }
     }
 
@@ -529,7 +534,6 @@ impl TcpPeer {
     /// enrollment and re-enqueue push monotonically increasing dues), so
     /// one front scan per tick suffices.
     fn sweep_compact(&mut self, now: SimTime) {
-        let delay = self.config.compact_delay;
         while let Some(&(due, id)) = self.compact_pending.front() {
             if due > now {
                 break;
@@ -542,13 +546,13 @@ impl TcpPeer {
                 // Queues refilled since enrollment; sync_slot re-enrolls
                 // when they next drain.
                 cb.set_compact_enrolled(false);
-            } else if now.saturating_since(cb.last_activity()) >= delay {
+            } else if now.saturating_since(cb.last_activity()) >= COMPACT_DELAY {
                 cb.release_queues();
                 cb.set_compact_enrolled(false);
             } else {
                 // Active again since enrollment; give it a fresh quiet
                 // window.
-                let due = cb.last_activity().saturating_add(delay);
+                let due = cb.last_activity().saturating_add(COMPACT_DELAY);
                 self.compact_pending.push_back((due, id));
             }
         }
@@ -587,8 +591,10 @@ impl TcpPeer {
     }
 
     /// Stops listening; half-open entries vanish (the SYN table is
-    /// dropped) and ready-but-unaccepted connections are aborted. Returns
-    /// the port the listener held, `None` for an unknown handle.
+    /// dropped) and ready-but-unaccepted connections are aborted. Nobody
+    /// ever owned those, so each is marked owner-closed and freed once
+    /// its RST has left through [`TcpPeer::drain_segments`]. Returns the
+    /// port the listener held, `None` for an unknown handle.
     pub(crate) fn close_listener(&mut self, listener: ListenerId) -> Option<u16> {
         let port = listener.0 as u16;
         let Entry::Occupied(l) = self.listeners.entry(port) else {
@@ -599,7 +605,9 @@ impl TcpPeer {
         }
         self.bound_ports.remove(&port);
         for id in l.remove().ready {
-            self.touch(id, ControlBlock::abort);
+            if let Some((slot, ())) = self.touch(id, ControlBlock::abort) {
+                self.entries[slot as usize].owner_closed = true;
+            }
         }
         Some(port)
     }
@@ -928,7 +936,7 @@ impl TcpPeer {
         self.stats.demuxed += 1;
         if hdr.flags.fin {
             let window = self.config.recv_capacity.min(65_535) as u16;
-            let expiry = now.saturating_add(self.config.msl.saturating_mul(2));
+            let expiry = now.saturating_add(MSL.saturating_mul(2));
             rec.wheel_gen = rec.wheel_gen.wrapping_add(1);
             let reply = (
                 rec.remote.ip,
@@ -1590,6 +1598,24 @@ mod tests {
         assert!(!client.is_port_bound(local.port));
     }
 
+    /// A block its owner closed with data still unread is freed once
+    /// `Closed`: nobody is left to read it.
+    #[test]
+    fn a_block_closed_with_unread_data_is_freed() {
+        let now = SimTime::ZERO;
+        let (mut client, mut server, c, s) = connected_pair();
+        server
+            .send(s, DemiBuffer::from_slice(b"never read"), now)
+            .unwrap();
+        server.close(s, now).unwrap();
+        pump(&mut client, ip(1), &mut server, ip(2), now);
+        assert_eq!(client.state(c), Ok(State::CloseWait));
+        client.close(c, now).unwrap();
+        pump(&mut client, ip(1), &mut server, ip(2), now);
+        assert_eq!(client.state(c), Ok(State::Closed));
+        assert_eq!(client.conn_count(), 0);
+    }
+
     #[test]
     fn listener_port_conflicts_rejected() {
         let mut p = TcpPeer::new(ip(1), TcpConfig::default());
@@ -1829,6 +1855,22 @@ mod tests {
         server.close_listener(lid);
         pump(&mut client, ip(1), &mut server, ip(2), now);
         assert_eq!(client.state(c).unwrap(), State::Closed);
+    }
+
+    /// A connection its listener never handed out is freed once the
+    /// abort's RST has left: nobody can ever close it.
+    #[test]
+    fn close_listener_frees_the_blocks_it_aborts() {
+        let now = SimTime::ZERO;
+        let mut client = TcpPeer::new(ip(1), TcpConfig::default());
+        let mut server = TcpPeer::new(ip(2), TcpConfig::default());
+        let lid = server.listen(80, 16).unwrap();
+        client.connect(SocketAddr::new(ip(2), 80), now).unwrap();
+        pump(&mut client, ip(1), &mut server, ip(2), now);
+        assert_eq!(server.conn_count(), 1);
+        server.close_listener(lid);
+        pump(&mut client, ip(1), &mut server, ip(2), now);
+        assert_eq!(server.conn_count(), 0);
     }
 
     #[test]

@@ -2,6 +2,14 @@
 
 use sim_fabric::SimTime;
 
+use super::RTO_MIN;
+
+/// RTO before any RTT sample. Chosen: RFC 6298's 1 s, scaled down to the
+/// µs-scale fabric.
+const RTO_INITIAL: SimTime = SimTime::from_millis(1);
+/// Upper bound on the backed-off retransmission timeout. Chosen.
+const RTO_MAX: SimTime = SimTime::from_secs(4);
+
 /// Tracks smoothed RTT and variance; produces the RTO.
 ///
 /// Samples from retransmitted segments must not be fed in (Karn's rule —
@@ -11,19 +19,15 @@ pub(crate) struct RttEstimator {
     srtt: Option<SimTime>,
     rttvar: SimTime,
     rto: SimTime,
-    rto_min: SimTime,
-    rto_max: SimTime,
 }
 
 impl RttEstimator {
-    /// Creates an estimator with the configured initial/min/max RTO.
-    pub(crate) fn new(rto_initial: SimTime, rto_min: SimTime, rto_max: SimTime) -> Self {
+    /// Creates an estimator at [`RTO_INITIAL`], before any sample.
+    pub(crate) fn new() -> Self {
         RttEstimator {
             srtt: None,
             rttvar: SimTime::ZERO,
-            rto: rto_initial,
-            rto_min,
-            rto_max,
+            rto: RTO_INITIAL,
         }
     }
 
@@ -49,7 +53,7 @@ impl RttEstimator {
         };
         self.srtt = Some(srtt);
         let candidate = srtt.saturating_add(self.rttvar.saturating_mul(4));
-        self.rto = clamp(candidate, self.rto_min, self.rto_max);
+        self.rto = clamp(candidate, RTO_MIN, RTO_MAX);
     }
 
     /// Current RTO.
@@ -59,7 +63,7 @@ impl RttEstimator {
 
     /// Exponential backoff after a timeout (RFC 6298 §5.5).
     pub(crate) fn backoff(&mut self) {
-        self.rto = clamp(self.rto.saturating_mul(2), self.rto_min, self.rto_max);
+        self.rto = clamp(self.rto.saturating_mul(2), RTO_MIN, RTO_MAX);
     }
 }
 
@@ -88,17 +92,9 @@ impl GeTime for SimTime {
 mod tests {
     use super::*;
 
-    fn estimator() -> RttEstimator {
-        RttEstimator::new(
-            SimTime::from_millis(1),
-            SimTime::from_micros(200),
-            SimTime::from_secs(4),
-        )
-    }
-
     #[test]
     fn first_sample_sets_srtt_and_rto() {
-        let mut e = estimator();
+        let mut e = RttEstimator::new();
         assert_eq!(e.rto(), SimTime::from_millis(1));
         e.sample(SimTime::from_micros(100));
         assert_eq!(e.srtt, Some(SimTime::from_micros(100)));
@@ -108,7 +104,7 @@ mod tests {
 
     #[test]
     fn stable_rtt_converges_and_respects_min() {
-        let mut e = estimator();
+        let mut e = RttEstimator::new();
         for _ in 0..50 {
             e.sample(SimTime::from_micros(10));
         }
@@ -120,7 +116,7 @@ mod tests {
 
     #[test]
     fn variance_grows_with_jitter() {
-        let mut e = estimator();
+        let mut e = RttEstimator::new();
         e.sample(SimTime::from_micros(100));
         let calm = e.rto();
         e.sample(SimTime::from_micros(2_000));
@@ -129,7 +125,7 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let mut e = estimator();
+        let mut e = RttEstimator::new();
         e.sample(SimTime::from_millis(500));
         let base = e.rto();
         e.backoff();
@@ -137,6 +133,6 @@ mod tests {
         for _ in 0..10 {
             e.backoff();
         }
-        assert_eq!(e.rto(), SimTime::from_secs(4), "capped at rto_max");
+        assert_eq!(e.rto(), SimTime::from_secs(4), "capped at RTO_MAX");
     }
 }

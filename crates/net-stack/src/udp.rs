@@ -101,7 +101,6 @@ impl UdpHeader {
 /// 0) so `recv_from` can record socket-queue residency.
 struct UdpSocket {
     recv_queue: VecDeque<(SocketAddr, DemiBuffer, u64)>,
-    capacity: usize,
     /// Drawn from the host-wide ephemeral range rather than bound by number.
     ephemeral: bool,
 }
@@ -118,28 +117,21 @@ demi_telemetry::counter_family! {
     }
 }
 
+/// Datagrams one socket queues before overflow is dropped and counted, as
+/// the kernel does when `SO_RCVBUF` is exhausted. Chosen.
+const UDP_QUEUE_DEPTH: usize = 1024;
+
 /// The UDP layer: port table and receive queues.
 ///
 /// Transport-only: the caller (the stack) handles IP/Ethernet and feeds
 /// parsed datagrams in via [`UdpPeer::deliver`].
+#[derive(Default)]
 pub(crate) struct UdpPeer {
     sockets: FastHashMap<u16, UdpSocket>,
-    per_socket_capacity: usize,
     stats: UdpStats,
 }
 
 impl UdpPeer {
-    /// Creates an empty socket table; each socket queues at most
-    /// `per_socket_capacity` datagrams (overflow is dropped, as the kernel
-    /// does when `SO_RCVBUF` is exhausted).
-    pub(crate) fn new(per_socket_capacity: usize) -> Self {
-        UdpPeer {
-            sockets: FastHashMap::default(),
-            per_socket_capacity,
-            stats: UdpStats::default(),
-        }
-    }
-
     /// Binds a specific local port.
     pub(crate) fn bind(&mut self, port: u16) -> Result<(), NetError> {
         if self.sockets.contains_key(&port) {
@@ -156,7 +148,6 @@ impl UdpPeer {
         debug_assert!(!self.is_bound(port), "UDP port {port} opened twice");
         let socket = UdpSocket {
             recv_queue: VecDeque::new(),
-            capacity: self.per_socket_capacity,
             ephemeral,
         };
         self.sockets.insert(port, socket);
@@ -180,7 +171,7 @@ impl UdpPeer {
     pub(crate) fn deliver(&mut self, from: SocketAddr, dst_port: u16, payload: DemiBuffer) {
         match self.sockets.get_mut(&dst_port) {
             Some(sock) => {
-                if sock.recv_queue.len() >= sock.capacity {
+                if sock.recv_queue.len() >= UDP_QUEUE_DEPTH {
                     self.stats.queue_drops += 1;
                 } else {
                     let demuxed_ns = if demi_telemetry::enabled() {
@@ -334,7 +325,7 @@ mod tests {
 
     #[test]
     fn bind_conflicts_detected() {
-        let mut peer = UdpPeer::new(16);
+        let mut peer = UdpPeer::default();
         peer.bind(53).unwrap();
         assert_eq!(peer.bind(53), Err(NetError::AddrInUse(53)));
         assert!(peer.is_bound(53));
@@ -342,7 +333,7 @@ mod tests {
 
     #[test]
     fn close_reports_whether_the_port_was_ephemeral() {
-        let mut peer = UdpPeer::new(16);
+        let mut peer = UdpPeer::default();
         peer.bind(7).unwrap();
         peer.open(40_000, true);
         assert!(!peer.close(7), "a port bound by number stays the caller's");
@@ -354,7 +345,7 @@ mod tests {
 
     #[test]
     fn deliver_and_recv_preserve_boundaries_and_order() {
-        let mut peer = UdpPeer::new(16);
+        let mut peer = UdpPeer::default();
         peer.bind(7).unwrap();
         let from = SocketAddr::new(ip(2), 9999);
         peer.deliver(from, 7, DemiBuffer::from_slice(b"first"));
@@ -370,26 +361,26 @@ mod tests {
 
     #[test]
     fn unbound_port_counts_no_listener() {
-        let mut peer = UdpPeer::new(16);
+        let mut peer = UdpPeer::default();
         peer.deliver(SocketAddr::new(ip(2), 1), 80, DemiBuffer::from_slice(b"x"));
         assert_eq!(peer.stats().no_listener, 1);
     }
 
     #[test]
     fn full_queue_drops() {
-        let mut peer = UdpPeer::new(2);
+        let mut peer = UdpPeer::default();
         peer.bind(7).unwrap();
         let from = SocketAddr::new(ip(2), 1);
-        for _ in 0..3 {
+        for _ in 0..=UDP_QUEUE_DEPTH {
             peer.deliver(from, 7, DemiBuffer::from_slice(b"x"));
         }
-        assert_eq!(peer.pending(7), 2);
+        assert_eq!(peer.pending(7), UDP_QUEUE_DEPTH);
         assert_eq!(peer.stats().queue_drops, 1);
     }
 
     #[test]
     fn close_discards_queue_and_frees_port() {
-        let mut peer = UdpPeer::new(16);
+        let mut peer = UdpPeer::default();
         peer.bind(7).unwrap();
         peer.deliver(SocketAddr::new(ip(2), 1), 7, DemiBuffer::from_slice(b"x"));
         peer.close(7);

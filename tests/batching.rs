@@ -18,7 +18,7 @@ use demikernel::types::{OperationResult, QDesc, QToken};
 use demikernel::Runtime;
 use dpdk_sim::{DpdkPort, PortConfig};
 use net_stack::stack::MAX_HEADER_LEN;
-use net_stack::tcp::{ConnId, State, TcpConfig, TcpPeer};
+use net_stack::tcp::{ConnId, State, TcpConfig, TcpPeer, RTO_MIN};
 use net_stack::types::SocketAddr;
 use net_stack::{NetworkStack, StackConfig, TenancyCfg};
 use proptest::prelude::*;
@@ -129,7 +129,8 @@ fn delayed_ack_timer_fires_in_virtual_time() {
     let fabric = Fabric::new(11);
     let a = host(&fabric, 1);
     let b = host(&fabric, 2);
-    let ack_delay = StackConfig::new(ip(2)).tcp.ack_delay;
+    // The stack's delayed-ACK timer (DESIGN.md, protocol constants).
+    let ack_delay = SimTime::from_micros(50);
     let (conn, sconn) = connect(&fabric, &a, &b);
 
     // One lone segment; its second never comes.
@@ -168,7 +169,7 @@ fn delayed_ack_timer_fires_in_virtual_time() {
     assert!(fabric.advance_to_next_event(), "ACK is in flight");
     a.poll();
     let tcp = StackConfig::new(ip(1)).tcp;
-    let rto_would_fire = armed_at.saturating_add(tcp.rto_min);
+    let rto_would_fire = armed_at.saturating_add(RTO_MIN);
     assert!(
         a.next_deadline().is_none_or(|d| d > rto_would_fire),
         "sender's RTO is disarmed (only the queue compactor may remain)"

@@ -23,7 +23,7 @@ use std::net::Ipv4Addr;
 
 use demi_memory::DemiBuffer;
 use demikernel::testing::host_ip as ip;
-use net_stack::tcp::{ConnId, State, TcpConfig, TcpFlags, TcpHeader, TcpPeer, TcpSegmentOut};
+use net_stack::tcp::{ConnId, State, TcpConfig, TcpFlags, TcpHeader, TcpPeer, TcpSegmentOut, MSL};
 use net_stack::types::{NetError, SocketAddr};
 use proptest::prelude::*;
 use sim_fabric::SimTime;
@@ -162,7 +162,6 @@ fn closed_pair(
 
 #[test]
 fn record_expires_at_exactly_two_msl_on_the_wheel() {
-    let config = TcpConfig::default();
     let now = SimTime::from_millis(1);
     let (mut client, _server, c, _, _) = closed_pair(true, &[b"ping".to_vec()], now);
     // The full control block was demoted: no live connection remains, one
@@ -173,7 +172,7 @@ fn record_expires_at_exactly_two_msl_on_the_wheel() {
     assert!(client.is_port_bound(32_768), "port held for the full 2*MSL");
 
     // The wheel knows the exact expiry: close time + 2*MSL.
-    let expiry = now.saturating_add(config.msl.saturating_mul(2));
+    let expiry = now.saturating_add(MSL.saturating_mul(2));
     assert_eq!(client.next_deadline(), Some(expiry));
 
     // One tick *before* expiry: nothing fires, the record survives.
@@ -191,19 +190,17 @@ fn record_expires_at_exactly_two_msl_on_the_wheel() {
 
 #[test]
 fn expiry_recycles_the_ephemeral_port() {
-    let config = TcpConfig::default();
     let now = SimTime::from_millis(1);
     let (mut client, _server, _c, _, _) = closed_pair(true, &[], now);
     assert!(client.is_port_bound(32_768));
     assert_eq!(client.pop_released_port(), None, "not before expiry");
-    client.on_tick(now.saturating_add(config.msl.saturating_mul(2)));
+    client.on_tick(now.saturating_add(MSL.saturating_mul(2)));
     assert!(!client.is_port_bound(32_768));
     assert_eq!(client.pop_released_port(), Some(32_768));
 }
 
 #[test]
 fn late_fin_is_reacked_identically_and_restarts_two_msl() {
-    let config = TcpConfig::default();
     let now = SimTime::from_millis(1);
     let (mut client, _server, c, ct, from_server) = closed_pair(true, &[b"data".to_vec()], now);
     let fin = *from_server
@@ -215,17 +212,17 @@ fn late_fin_is_reacked_identically_and_restarts_two_msl() {
     // walk-down; a retransmitted FIN must reproduce it byte for byte.
     let final_ack = ct.last().expect("client acked the FIN").clone();
 
-    let later = now.saturating_add(config.msl); // Inside the 2*MSL window.
+    let later = now.saturating_add(MSL); // Inside the 2*MSL window.
     client.on_segment(ip(2), &fin, DemiBuffer::empty(), later);
     let out = take_segments(&mut client);
     assert_eq!(out.len(), 1, "exactly one re-ACK");
     assert_eq!(trace_line(out[0].0, &out[0].1), final_ack);
 
     // 2*MSL restarted from the late FIN's arrival.
-    let new_expiry = later.saturating_add(config.msl.saturating_mul(2));
+    let new_expiry = later.saturating_add(MSL.saturating_mul(2));
     assert_eq!(client.next_deadline(), Some(new_expiry));
     // The original expiry is now a stale wheel entry: nothing happens.
-    client.on_tick(now.saturating_add(config.msl.saturating_mul(2)));
+    client.on_tick(now.saturating_add(MSL.saturating_mul(2)));
     assert_eq!(client.state(c).unwrap(), State::TimeWait);
     client.on_tick(new_expiry);
     assert_eq!(client.state(c).unwrap(), State::Closed);
@@ -268,7 +265,6 @@ fn rst_drops_the_record_and_frees_the_port_early() {
 
 #[test]
 fn stale_timewait_handle_still_answers_every_query() {
-    let config = TcpConfig::default();
     let now = SimTime::from_millis(1);
     let (mut client, _server, c, _, _) = closed_pair(true, &[], now);
     // While the record lives, the old handle maps onto it.
@@ -283,7 +279,7 @@ fn stale_timewait_handle_still_answers_every_query() {
     assert!(client.at_eof(c));
     assert_eq!(client.close(c, now), Ok(()));
     // After expiry the handle degrades to a plain stale handle.
-    client.on_tick(now.saturating_add(config.msl.saturating_mul(2)));
+    client.on_tick(now.saturating_add(MSL.saturating_mul(2)));
     assert_eq!(client.state(c).unwrap(), State::Closed);
     assert_eq!(client.recv(c).unwrap(), None);
 }
@@ -294,7 +290,6 @@ fn stale_timewait_handle_still_answers_every_query() {
 /// stray late ACK, and ticks through both the superseded and the real
 /// expiry. Everything the client commits to the wire is recorded.
 fn client_wire_trace(demote: bool, msgs: &[Vec<u8>], fin_delay: SimTime) -> Vec<String> {
-    let config = TcpConfig::default();
     let now = SimTime::from_millis(1);
     let (mut client, _server, _c, mut trace, from_server) = closed_pair(demote, msgs, now);
 
@@ -316,8 +311,8 @@ fn client_wire_trace(demote: bool, msgs: &[Vec<u8>], fin_delay: SimTime) -> Vec<
         trace.push(trace_line(dst, &seg));
     }
     // Tick through the superseded expiry and the restarted one.
-    let old_expiry = now.saturating_add(config.msl.saturating_mul(2));
-    let new_expiry = replay_at.saturating_add(config.msl.saturating_mul(2));
+    let old_expiry = now.saturating_add(MSL.saturating_mul(2));
+    let new_expiry = replay_at.saturating_add(MSL.saturating_mul(2));
     for t in [old_expiry, new_expiry] {
         client.on_tick(t);
         for (dst, seg) in take_segments(&mut client) {

@@ -77,11 +77,8 @@ struct Inner {
 #[derive(Clone)]
 pub struct Catcorn {
     runtime: Runtime,
-    device: RdmaDevice,
-    pd: PdId,
-    cq: CqId,
-    inner: Rc<RefCell<Inner>>,
-    /// The check every parked pop shares ([`pop_ready`]).
+    core: Core,
+    /// The check every parked pop shares ([`Core::pop_ready`]).
     pop: Check,
 }
 
@@ -180,45 +177,34 @@ impl Catcorn {
             conns: HashMap::new(),
             next_wr: 1,
         }));
-        // The pump and the pops' check capture cycle-free pieces, never the
-        // libOS (which holds the runtime).
-        let (check_device, check_inner) = (device.clone(), inner.clone());
-        let catcorn = Catcorn {
-            runtime: runtime.clone(),
+        let core = Core {
             device: device.clone(),
             pd,
             cq,
             inner,
-            pop: Rc::new(move |qd, _| pop_ready(&check_device, &check_inner, qd)),
+            metrics: runtime.metrics().clone(),
+            clock: runtime.clock().clone(),
         };
-        let pump = catcorn.core();
-        let clock = runtime.clock().clone();
-        runtime.register_poller(move || pump.pump(clock.now()));
-        let deadline_dev = device.clone();
-        runtime.register_deadline_source(move || deadline_dev.next_deadline());
-        catcorn
+        // The pump and the pops' check capture the core, never the libOS
+        // (which holds the runtime).
+        let (check, pump) = (core.clone(), core.clone());
+        runtime.register_poller(move || pump.pump(pump.clock.now()));
+        runtime.register_deadline_source(move || device.next_deadline());
+        Catcorn {
+            runtime: runtime.clone(),
+            core,
+            pop: Rc::new(move |qd, _| check.pop_ready(qd)),
+        }
     }
 
     /// The underlying device (experiment instrumentation).
     pub fn device(&self) -> &RdmaDevice {
-        &self.device
-    }
-
-    /// A fresh handle to the cycle-free coroutine state.
-    fn core(&self) -> Core {
-        Core {
-            device: self.device.clone(),
-            pd: self.pd,
-            cq: self.cq,
-            inner: self.inner.clone(),
-            metrics: self.runtime.metrics().clone(),
-            clock: self.runtime.clock().clone(),
-        }
+        &self.core.device
     }
 
     /// The connection behind a data queue.
     fn conn(&self, qd: QDesc) -> Result<Rc<RefCell<Conn>>, DemiError> {
-        match self.inner.borrow().queues.get(qd)? {
+        match self.core.inner.borrow().queues.get(qd)? {
             CatcornQueue::Conn(conn) => Ok(conn.clone()),
             _ => Err(DemiError::InvalidState),
         }
@@ -249,11 +235,11 @@ impl LibOs for Catcorn {
     fn socket(&self, _kind: SocketKind) -> Result<QDesc, DemiError> {
         // RDMA RC is its own transport; both socket kinds map onto it.
         let unbound = CatcornQueue::Unbound { bound: None };
-        Ok(self.inner.borrow_mut().queues.insert(unbound))
+        Ok(self.core.inner.borrow_mut().queues.insert(unbound))
     }
 
     fn bind(&self, qd: QDesc, addr: SocketAddr) -> Result<(), DemiError> {
-        match self.inner.borrow_mut().queues.get_mut(qd)? {
+        match self.core.inner.borrow_mut().queues.get_mut(qd)? {
             CatcornQueue::Unbound { bound } => {
                 *bound = Some(addr);
                 Ok(())
@@ -263,13 +249,14 @@ impl LibOs for Catcorn {
     }
 
     fn listen(&self, qd: QDesc, _backlog: usize) -> Result<(), DemiError> {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.core.inner.borrow_mut();
         let queue = inner.queues.get_mut(qd)?;
         let CatcornQueue::Unbound { bound: Some(addr) } = queue else {
             return Err(DemiError::InvalidState);
         };
         let port = addr.port;
-        self.device
+        self.core
+            .device
             .listen(port)
             .map_err(|_| DemiError::Rdma("listen failed"))?;
         *queue = CatcornQueue::Listener { port };
@@ -277,12 +264,12 @@ impl LibOs for Catcorn {
     }
 
     fn accept(&self, qd: QDesc) -> Result<QToken, DemiError> {
-        let port = match self.inner.borrow().queues.get(qd)? {
+        let port = match self.core.inner.borrow().queues.get(qd)? {
             CatcornQueue::Listener { port } => *port,
             _ => return Err(DemiError::InvalidState),
         };
-        let core = self.core();
-        let qp = self.device.create_qp(self.pd, self.cq, self.cq);
+        let core = self.core.clone();
+        let qp = core.device.create_qp(core.pd, core.cq, core.cq);
         // Connection requests arrive with device frames: the activity gate.
         let check = move |qd, _| match core.device.accept(port, qp) {
             Ok(true) => {
@@ -298,14 +285,14 @@ impl LibOs for Catcorn {
     }
 
     fn connect(&self, qd: QDesc, remote: SocketAddr) -> Result<QToken, DemiError> {
-        let CatcornQueue::Unbound { .. } = self.inner.borrow().queues.get(qd)? else {
+        let CatcornQueue::Unbound { .. } = self.core.inner.borrow().queues.get(qd)? else {
             return Err(DemiError::InvalidState);
         };
-        let qp = self.device.create_qp(self.pd, self.cq, self.cq);
-        self.device
+        let core = self.core.clone();
+        let qp = core.device.create_qp(core.pd, core.cq, core.cq);
+        core.device
             .connect(qp, mac_of(remote), remote.port, self.runtime.now())
             .map_err(|_| DemiError::Rdma("connect failed"))?;
-        let core = self.core();
         // The QP reaches RTS when the handshake frames land: the activity gate.
         let check = move |qd, _| {
             if let Some(closed) = core.inner.borrow().queues.closed(qd) {
@@ -330,7 +317,7 @@ impl LibOs for Catcorn {
     }
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.core.inner.borrow_mut();
         let queue = inner.queues.remove(qd)?;
         // Operations parked on the queue re-check and fail `Closed`: an
         // accept or connect on the activity gate, a pop on `events`.
@@ -338,8 +325,8 @@ impl LibOs for Catcorn {
         if let CatcornQueue::Conn(conn) = queue {
             let conn = conn.borrow();
             inner.conns.remove(&conn.qp);
-            self.device.deregister_mr(conn.send_mr);
-            self.device.deregister_mr(conn.recv_mr);
+            self.core.device.deregister_mr(conn.send_mr);
+            self.core.device.deregister_mr(conn.recv_mr);
             conn.events.notify_waiters();
         }
         Ok(())
@@ -351,8 +338,12 @@ impl LibOs for Catcorn {
         if sga.len() > SLOT_SIZE {
             return Err(DemiError::Rdma("message exceeds slot size"));
         }
+        // Every payload byte is copied twice on the way out — into this
+        // staging vector, then into the send slot — and twice on the way in
+        // (`pop_ready`); each copy is counted.
         let payload = sga.to_vec();
-        let core = self.core();
+        self.runtime.metrics().count_copy(payload.len());
+        let core = self.core.clone();
         // Take an ordering ticket at call time: pushes hit the wire in
         // `push()` order regardless of slot contention.
         let ticket = {
@@ -393,6 +384,7 @@ impl LibOs for Catcorn {
                 c.events.notify_waiters();
                 return OperationResult::Failed(DemiError::Rdma("mr write"));
             }
+            core.metrics.count_copy(payload.len());
             let wr_id = core.next_wr();
             let now = core.clock.now();
             let posted =
@@ -436,31 +428,42 @@ impl LibOs for Catcorn {
     }
 }
 
-/// The check of a parked `pop`: the next received message, its slot
-/// re-posted (the buffer management RDMA demands); `Closed` once closed.
-fn pop_ready(device: &RdmaDevice, inner: &RefCell<Inner>, qd: QDesc) -> Option<OperationResult> {
-    let conn = match inner.borrow().queues.get(qd) {
-        Ok(CatcornQueue::Conn(conn)) => conn.clone(),
-        _ => return Some(OperationResult::Failed(DemiError::Closed)),
-    };
-    let completion = conn.borrow_mut().recv_ready.pop_front()?;
-    if !completion.status.is_ok() {
-        return Some(OperationResult::Failed(rdma_status_err(completion.status)));
+impl Core {
+    /// The check of a parked `pop`: the next received message, its slot
+    /// re-posted (the buffer management RDMA demands); `Closed` once closed.
+    fn pop_ready(&self, qd: QDesc) -> Option<OperationResult> {
+        let conn = match self.inner.borrow().queues.get(qd) {
+            Ok(CatcornQueue::Conn(conn)) => conn.clone(),
+            _ => return Some(OperationResult::Failed(DemiError::Closed)),
+        };
+        let completion = conn.borrow_mut().recv_ready.pop_front()?;
+        if !completion.status.is_ok() {
+            return Some(OperationResult::Failed(rdma_status_err(completion.status)));
+        }
+        let slot = (completion.wr_id & !RECV_WR_FLAG) as usize;
+        let (qp, recv_mr) = {
+            let c = conn.borrow();
+            (c.qp, c.recv_mr)
+        };
+        let Ok(payload) = self
+            .device
+            .mr_read(recv_mr, slot * SLOT_SIZE, completion.byte_len)
+        else {
+            return Some(OperationResult::Failed(DemiError::Rdma("mr read")));
+        };
+        // Two counted copies: out of the receive slot, then into the popped
+        // buffer.
+        self.metrics.count_copy(payload.len());
+        self.metrics.count_copy(payload.len());
+        // Recycle the slot: re-post the receive.
+        let _ = self
+            .device
+            .post_recv(qp, completion.wr_id, recv_mr, slot * SLOT_SIZE, SLOT_SIZE);
+        Some(OperationResult::Pop {
+            from: None,
+            sga: Sga::from_slice(&payload),
+        })
     }
-    let slot = (completion.wr_id & !RECV_WR_FLAG) as usize;
-    let (qp, recv_mr) = {
-        let c = conn.borrow();
-        (c.qp, c.recv_mr)
-    };
-    let Ok(payload) = device.mr_read(recv_mr, slot * SLOT_SIZE, completion.byte_len) else {
-        return Some(OperationResult::Failed(DemiError::Rdma("mr read")));
-    };
-    // Recycle the slot: re-post the receive.
-    let _ = device.post_recv(qp, completion.wr_id, recv_mr, slot * SLOT_SIZE, SLOT_SIZE);
-    Some(OperationResult::Pop {
-        from: None,
-        sga: Sga::from_slice(&payload),
-    })
 }
 
 fn rdma_status_err(status: WcStatus) -> DemiError {

@@ -84,7 +84,7 @@ pub enum LogEntry {
 
 /// Encodes one batch into a single record payload, in a fresh vector
 /// (replay tests and benchmarks; the engine writes the same bytes into a
-/// pool buffer, [`encode_pooled`]).
+/// pool buffer, `encode_pooled`).
 pub fn encode_batch(ops: &[PendingOp]) -> Vec<u8> {
     let mut out = vec![0; batch_len(ops)];
     write_batch(ops, &mut out);

@@ -269,6 +269,10 @@ pub struct ReplyWriter {
     memory: MemoryManager,
     ctrl: Vec<u8>,
     segs: Vec<DemiBuffer>,
+    /// Segments of the last non-empty burst handed over: the next burst's
+    /// vector is reserved to it at its first push, so a burst no longer
+    /// than the one before costs one allocation at any depth.
+    last_burst: usize,
     stats: ReplyStats,
 }
 
@@ -279,6 +283,7 @@ impl ReplyWriter {
             memory,
             ctrl: Vec::new(),
             segs: Vec::new(),
+            last_burst: 0,
             stats: ReplyStats::default(),
         }
     }
@@ -333,23 +338,34 @@ impl ReplyWriter {
                 dst.copy_from_slice(&header[..header_len]);
                 self.stats.prepend_hits += 1;
                 self.flush_ctrl();
-                self.segs.push(v);
+                self.push(v);
             }
             Err(_) => {
                 self.stats.prepend_fallbacks += 1;
                 self.ctrl.extend_from_slice(&header[..header_len]);
                 self.flush_ctrl();
-                self.segs.push(value.clone());
+                self.push(value.clone());
             }
         }
         self.ctrl.extend_from_slice(b"\r\n");
     }
 
     /// Flushes pending control bytes and returns the reply burst in
-    /// order. The writer is ready for the next burst afterward.
+    /// order. The writer is ready for the next burst afterward; an empty
+    /// burst allocates nothing.
     pub fn take(&mut self) -> Vec<DemiBuffer> {
         self.flush_ctrl();
+        if !self.segs.is_empty() {
+            self.last_burst = self.segs.len();
+        }
         std::mem::take(&mut self.segs)
+    }
+
+    fn push(&mut self, seg: DemiBuffer) {
+        if self.segs.capacity() == 0 {
+            self.segs.reserve(self.last_burst);
+        }
+        self.segs.push(seg);
     }
 
     fn flush_ctrl(&mut self) {
@@ -360,7 +376,7 @@ impl ReplyWriter {
         // counters agree.
         let ctrl = &self.ctrl;
         let seg = pooled(&self.memory, ctrl.len(), |dst| dst.copy_from_slice(ctrl));
-        self.segs.push(seg);
+        self.push(seg);
         self.stats.ctrl_segments += 1;
         self.ctrl.clear();
     }

@@ -523,6 +523,12 @@ impl ControlBlock {
         Some(buf)
     }
 
+    /// Pops every received in-order chunk onto `out`, growing it once.
+    pub(crate) fn recv_all(&mut self, out: &mut Vec<DemiBuffer>) {
+        out.reserve(self.qr().map_or(0, |q| q.ready.len()));
+        out.extend(std::iter::from_fn(|| self.recv()));
+    }
+
     /// Whether the peer has closed and all its data has been consumed.
     pub(crate) fn at_eof(&self) -> bool {
         self.fin_received

@@ -704,32 +704,32 @@ impl TcpPeer {
 
     /// Pops one received stream chunk (zero-copy, in order).
     pub fn recv(&mut self, conn: ConnId) -> Result<Option<DemiBuffer>, NetError> {
-        let mut got = None;
-        self.recv_with(conn, |cb| got = cb.recv())?;
-        Ok(got)
+        self.recv_with(conn, ControlBlock::recv)
     }
 
-    /// Pops every in-order chunk that has arrived onto `out`.
+    /// Pops every in-order chunk that has arrived onto `out`, growing it
+    /// at most once.
     pub(crate) fn recv_all(
         &mut self,
         conn: ConnId,
         out: &mut Vec<DemiBuffer>,
     ) -> Result<(), NetError> {
-        self.recv_with(conn, |cb| out.extend(std::iter::from_fn(|| cb.recv())))
+        self.recv_with(conn, |cb| cb.recv_all(out))
     }
 
-    fn recv_with(
+    /// Runs `pop` on a live connection; any other known one pops nothing.
+    fn recv_with<R: Default>(
         &mut self,
         conn: ConnId,
-        pop: impl FnOnce(&mut ControlBlock),
-    ) -> Result<(), NetError> {
-        let Some((slot, ())) = self.touch(conn, pop) else {
-            return self.known(conn);
+        pop: impl FnOnce(&mut ControlBlock) -> R,
+    ) -> Result<R, NetError> {
+        let Some((slot, got)) = self.touch(conn, pop) else {
+            return self.known(conn).map(|()| R::default());
         };
         // Draining the last buffered data may make a cleanly closed
         // connection reclaimable.
         self.reap_slot(slot);
-        Ok(())
+        Ok(got)
     }
 
     /// Whether the connection has readable data or EOF.

@@ -11,8 +11,8 @@
 # per packet, one doorbell per burst, 0 poll stages per idle pump, two
 # frames per depth-1 GET, ...) mean what they say and the seeded
 # differentials take their large case budgets. Then the ledger's
-# self-test, its trajectory over the two newest entries, format, and
-# clippy over every target of the workspace.
+# self-test, its trajectory over the two newest entries, format, clippy
+# over every target of the workspace, and a warning-free rustdoc.
 verify:
     cargo build --release
     sh tools/loc.sh
@@ -24,6 +24,7 @@ verify:
     sh tools/bench-diff-latest.sh
     cargo fmt --check
     cargo clippy --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Tier-1 at every test-thread count CI uses: the suite must not depend on
 # how many sibling tests share the process (the allocation meter counts

@@ -348,64 +348,72 @@ fn a_depth1_get_allocates_only_its_reply_vec() {
     assert_allocs(1, "a depth-1 GET", round);
 }
 
-/// The allocations of a vector pushed `n` elements one at a time from
-/// empty: its first four-slot buffer, then one per doubling.
-fn vec_growth(n: usize) -> u64 {
-    let (mut cap, mut allocs) = (4, u64::from(n > 0));
-    while cap < n {
-        (cap, allocs) = (cap * 2, allocs + 1);
+/// Warms `round` for an allocation pin: 100 rounds 200 µs of virtual time
+/// apart, so the pools, rings and timer-wheel slots of a spaced round are
+/// warm — in steps below the 5 ms idle compaction, which would free the
+/// connection's queues — then back to back for one turn of the wheel's
+/// 16.7 ms level (`64^4` ns), so every slot the measured round's
+/// deadlines land in has held an entry before.
+fn warm(rt: &Runtime, mut round: impl FnMut()) {
+    for _ in 0..100 {
+        round();
+        rt.settle(SimTime::from_micros(200));
     }
-    allocs
+    let turned = rt.now().saturating_add(SimTime::from_nanos(1 << 24));
+    while rt.now() < turned {
+        round();
+    }
 }
 
-/// A warmed depth-16 burst of 1 KiB GETs through catnip — the request's
-/// push and pop, `KvEngine::drain`, and the reply's push, segmentation and
-/// delivery — allocates exactly the reply vector's growth, though the
-/// stack copies reply bytes on the way: each of those copies lands in a
-/// recycled copy-pool buffer. The client reads with the stack's
-/// `tcp_recv_all` into a kept vector, so a multi-chunk pop's fresh chunk
-/// list stays out of the pin. Catches `flush_tcp`'s counted fallback
-/// building its copy on the heap again (three allocations per copy).
-#[test]
-fn a_depth16_get_burst_allocates_only_its_reply_vec() {
-    const DEPTH: usize = 16;
-    let (rt, _fabric, client, server) = catnip_pair(37);
+/// A catnip pair whose server holds `depth` 1 KiB values — preloaded over
+/// the wire sixteen at a time, so each value is a view of the frame it came
+/// in — and a warmed round that pushes the `depth`-GET burst, drains it in
+/// one pass, pushes the reply and reads all of it at the client through
+/// the stack's `tcp_recv_all` into a kept vector. The round returns the
+/// buffer copies the reply took on its way. The server reads the request
+/// with `pop_unframed` when `pop` is set; otherwise through `tcp_recv_all`
+/// too, which keeps the chunk list of a request longer than a segment out
+/// of the round (`a_multi_chunk_pop_allocates_one_chunk_list` pins it).
+fn warmed_get_burst(depth: usize, seed: u64, pop: bool) -> impl FnMut() -> u64 {
+    let (rt, _fabric, client, server) = catnip_pair(seed);
     let (cqd, sqd) = tcp_pair(&client, &server, 6379);
     let mut eng = engine(server.memory().clone(), rt.now(), false);
     let mut conn = KvConn::new();
-    let keys: Vec<_> = (0..DEPTH).map(|i| format!("key{i:02}")).collect();
-    // Preload over the wire, so each value is a view of the frame it came in.
-    let mut sets = Vec::new();
-    keys.iter()
-        .for_each(|key| encode_command(&mut sets, &[b"SET", key.as_bytes(), &[0xC3; 1024]]));
-    let qt = client
-        .push_unframed(cqd, &Sga::from_bufs(vec![DemiBuffer::from(sets)]))
-        .unwrap();
-    client.wait(qt, None).unwrap();
-    let mut acks = Vec::new();
-    while acks.len() < DEPTH * 5 {
-        let qt = server.pop_unframed(sqd).unwrap();
-        let (_, sga) = server.wait(qt, None).unwrap().expect_pop();
-        sga.segments().iter().for_each(|seg| conn.feed(seg.clone()));
-        let r = eng.drain(&mut conn, rt.now());
-        acks.extend(reply_and_recv(
-            &client,
-            &server,
-            cqd,
-            sqd,
-            r.immediate,
-            r.depth * 5,
-        ));
+    let keys: Vec<_> = (0..depth).map(|i| format!("key{i:03}")).collect();
+    for group in keys.chunks(16) {
+        let mut sets = Vec::new();
+        group
+            .iter()
+            .for_each(|key| encode_command(&mut sets, &[b"SET", key.as_bytes(), &[0xC3; 1024]]));
+        let qt = client
+            .push_unframed(cqd, &Sga::from_bufs(vec![DemiBuffer::from(sets)]))
+            .unwrap();
+        client.wait(qt, None).unwrap();
+        let mut acks = Vec::new();
+        while acks.len() < group.len() * 5 {
+            let qt = server.pop_unframed(sqd).unwrap();
+            let (_, sga) = server.wait(qt, None).unwrap().expect_pop();
+            sga.segments().iter().for_each(|seg| conn.feed(seg.clone()));
+            let r = eng.drain(&mut conn, rt.now());
+            acks.extend(reply_and_recv(
+                &client,
+                &server,
+                cqd,
+                sqd,
+                r.immediate,
+                r.depth * 5,
+            ));
+        }
+        assert_eq!(acks, b"+OK\r\n".repeat(group.len()));
     }
-    assert_eq!(acks, b"+OK\r\n".repeat(DEPTH));
 
     let mut get = Vec::new();
     keys.iter()
         .for_each(|key| encode_command(&mut get, &[b"GET", key.as_bytes()]));
-    let expect = DEPTH * (b"$1024\r\n\r\n".len() + 1024);
-    let (reply_segments, copies) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
-    let mut received = Vec::new();
-    let mut round = || {
+    let expect = depth * (b"$1024\r\n\r\n".len() + 1024);
+    let (mut requested, mut received) = (Vec::new(), Vec::new());
+    let clock = rt.clone();
+    let mut round = move || {
         let mut request = client.sgaalloc(get.len());
         request.segments_mut()[0]
             .try_mut()
@@ -413,12 +421,26 @@ fn a_depth16_get_burst_allocates_only_its_reply_vec() {
             .copy_from_slice(&get);
         let qt = client.push_unframed(cqd, &request).unwrap();
         client.wait(qt, None).unwrap();
-        let qt = server.pop_unframed(sqd).unwrap();
-        let (_, sga) = server.wait(qt, None).unwrap().expect_pop();
-        sga.segments().iter().for_each(|seg| conn.feed(seg.clone()));
+        if pop {
+            let qt = server.pop_unframed(sqd).unwrap();
+            let (_, sga) = server.wait(qt, None).unwrap().expect_pop();
+            sga.segments().iter().for_each(|seg| conn.feed(seg.clone()));
+        } else {
+            let mut got = 0;
+            while got < get.len() {
+                rt.settle(SimTime::from_micros(20));
+                server
+                    .stack()
+                    .tcp_recv_all(ConnId(0), &mut requested)
+                    .unwrap();
+                for chunk in requested.drain(..) {
+                    got += chunk.len();
+                    conn.feed(chunk);
+                }
+            }
+        }
         let r = eng.drain(&mut conn, rt.now());
-        assert_eq!(r.depth, DEPTH);
-        reply_segments.set(r.immediate.len());
+        assert_eq!(r.depth, depth);
         let before = mem_counters::snapshot();
         let qt = server.push_unframed(sqd, &Sga::from_bufs(r.immediate));
         server.wait(qt.unwrap(), None).unwrap();
@@ -432,22 +454,76 @@ fn a_depth16_get_burst_allocates_only_its_reply_vec() {
             got += received.drain(..).map(|chunk| chunk.len()).sum::<usize>();
         }
         assert_eq!(got, expect);
-        copies.set(mem_counters::snapshot().delta(&before).copies);
+        mem_counters::snapshot().delta(&before).copies
     };
-    for _ in 0..100 {
+    warm(&clock, || {
         round();
-        rt.settle(SimTime::from_micros(200));
+    });
+    round
+}
+
+/// A warmed depth-16 burst of 1 KiB GETs through catnip — the request's
+/// push and pop, `KvEngine::drain`, and the reply's push, segmentation and
+/// delivery — makes exactly one allocation, the reply vector, though the
+/// stack copies reply bytes on the way: each of those copies lands in a
+/// recycled copy-pool buffer, and the reply writer reserves the vector to
+/// the previous burst's length at its first push. Catches the vector
+/// growing one doubling at a time again (four allocations here) and
+/// `flush_tcp`'s counted fallback building its copy on the heap again
+/// (three per copy).
+#[test]
+fn a_depth16_get_burst_allocates_only_its_reply_vec() {
+    let mut round = warmed_get_burst(16, 37, true);
+    let mut copies = 0;
+    assert_allocs(1, "a depth-16 GET burst", || copies = round());
+    assert!(copies > 0, "the burst's reply took the counted copy path");
+}
+
+/// The reply vector is one allocation at any pipeline depth: a warmed
+/// burst of 1, 16, 64 and — at the release budget — 256 GETs of 1 KiB
+/// each allocates exactly once, where growing the vector from empty took
+/// one allocation per doubling (1, 4, 6 and 8).
+#[test]
+fn a_get_burst_allocates_one_reply_vec_at_any_depth() {
+    let depths: &[usize] = if cfg!(debug_assertions) {
+        &[1, 16, 64]
+    } else {
+        &[1, 16, 64, 256]
+    };
+    for &depth in depths {
+        let mut round = warmed_get_burst(depth, 40 + depth as u64, false);
+        assert_allocs(1, &format!("a depth-{depth} GET burst"), || {
+            round();
+        });
     }
-    (0..4).for_each(|_| round());
-    assert_allocs(
-        vec_growth(reply_segments.get()),
-        "a depth-16 GET burst",
-        &mut round,
-    );
-    assert!(
-        copies.get() > 0,
-        "the burst's reply took the counted copy path"
-    );
+}
+
+/// A warmed `pop_unframed` that finds 2, 12 or 40 chunks waiting hands them
+/// over as one `Sga` whose list is exactly one allocation: the stack
+/// reserves the ready queue's length once before draining it, where
+/// pushing the chunks on one at a time grew the list once per doubling
+/// (1, 3 and 5 allocations). Each pool buffer is half the default MSS with
+/// headroom, so it travels alone and arrives as one chunk; the 40 of them
+/// stay under half the receive window, which a stale advertisement would
+/// otherwise split them at.
+#[test]
+fn a_multi_chunk_pop_allocates_one_chunk_list() {
+    for (chunks, seed) in [(2, 50), (12, 51), (40, 52)] {
+        let (rt, _fabric, client, server) = catnip_pair(seed);
+        let (cqd, sqd) = tcp_pair(&client, &server, 7000);
+        let bufs = (0..chunks).map(|_| client.sgaalloc(730).segments()[0].clone());
+        let burst = Sga::from_bufs(bufs.collect());
+        let mut round = || {
+            let qt = client.push_unframed(cqd, &burst).unwrap();
+            client.wait(qt, None).unwrap();
+            rt.settle(SimTime::from_micros(100));
+            let qt = server.pop_unframed(sqd).unwrap();
+            let (_, sga) = server.wait(qt, None).unwrap().expect_pop();
+            assert_eq!(sga.segments().len(), chunks, "one pop, every chunk");
+        };
+        warm(&rt, &mut round);
+        assert_allocs(1, &format!("a {chunks}-chunk pop"), round);
+    }
 }
 
 /// A warmed durable drain of sixteen 1 KiB SETs whose values all straddle

@@ -12,7 +12,7 @@ use demi_memory::{
     BufferPool, ByteStream, DemiBuffer, HeadroomError, MemoryManager, TenantId, DEFAULT_HEADROOM,
 };
 use demikernel::libos::LibOs;
-use demikernel::testing::{catnip_pair, host_ip, AllocMeter};
+use demikernel::testing::{catcorn_pair, catnip_pair, host_ip, AllocMeter};
 use demikernel::types::Sga;
 use dpdk_sim::wire::framing::encode_message;
 use net_stack::framing::FrameDecoder;
@@ -351,6 +351,29 @@ fn tcp_echo_path_moves_payload_bytes_zero_times() {
         d.allocs,
         ROUNDS
     );
+}
+
+/// The RDMA libOS copies every message four times and counts each copy
+/// once in the runtime's `Metrics`: into a staging vector and then a send
+/// slot on push, out of the receive slot and into the popped buffer on
+/// pop — 4 copies and 4 × len bytes per message, the figure pool-backed
+/// memory regions are to bring to 0 (ROADMAP item 5).
+#[test]
+fn catcorn_counts_four_copies_per_message() {
+    const LEN: usize = 1000;
+    const ROUNDS: u64 = 10;
+    let (rt, _fabric, client, server) = catcorn_pair(508);
+    let (cqd, sqd) = tcp_pair(&client, &server, 18515);
+    let sga = Sga::from_slice(&[0x5A; LEN]);
+    rt.metrics().reset();
+    for _ in 0..ROUNDS {
+        client.blocking_push(cqd, &sga).unwrap();
+        let (_, got) = server.blocking_pop(sqd).unwrap().expect_pop();
+        assert_eq!(got.to_vec(), sga.to_vec());
+    }
+    let m = rt.metrics().snapshot();
+    assert_eq!(m.copies, 4 * ROUNDS, "four copies per message");
+    assert_eq!(m.bytes_copied, 4 * LEN as u64 * ROUNDS);
 }
 
 #[test]

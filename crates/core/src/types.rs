@@ -24,7 +24,9 @@ pub struct QToken(pub u64);
 ///
 /// Segments are zero-copy [`DemiBuffer`] handles. "A scatter-gather array
 /// pushed into a Demikernel queue always pops out as a single element." A
-/// one-segment array, the common one, is held inline: no vector.
+/// one-segment array, the common one, is held inline: no vector. Any other
+/// shape's vector comes from demi-memory's per-thread spare list and goes
+/// back to it when the array drops ([`demi_memory::segment_vec`]).
 #[derive(Debug, Clone, Default)]
 pub struct Sga {
     /// The segment of a one-segment array; `many` holds every other shape.
@@ -44,17 +46,24 @@ impl Sga {
         DemiBuffer::from_slice(data).into()
     }
 
-    /// Builds from existing buffers, zero-copy.
-    pub fn from_bufs(mut segs: Vec<DemiBuffer>) -> Self {
-        Sga::take_from(&mut segs)
+    /// Builds from existing buffers, zero-copy. The vector of a
+    /// one-segment array goes to the spare list.
+    pub fn from_bufs(mut many: Vec<DemiBuffer>) -> Self {
+        if many.len() > 1 {
+            return Sga { one: None, many };
+        }
+        let sga = Sga::take_from(&mut many);
+        demi_memory::recycle_segment_vec(many);
+        sga
     }
 
-    /// Moves `segs` out, leaving it its capacity when it holds one segment.
+    /// Moves `segs`'s segments out, leaving it empty: with its own storage
+    /// when they fit inline, else with a spare vector's.
     pub(crate) fn take_from(segs: &mut Vec<DemiBuffer>) -> Self {
-        if segs.len() == 1 {
+        if segs.len() <= 1 {
             return segs.pop().map(Sga::from).unwrap_or_default();
         }
-        let many = std::mem::take(segs);
+        let many = std::mem::replace(segs, demi_memory::segment_vec());
         Sga { one: None, many }
     }
 
@@ -107,6 +116,13 @@ impl From<DemiBuffer> for Sga {
     fn from(seg: DemiBuffer) -> Self {
         let one = Some(seg);
         Sga { one, many: vec![] }
+    }
+}
+
+impl Drop for Sga {
+    /// Hands the segment vector's storage back to the spare list.
+    fn drop(&mut self) {
+        demi_memory::recycle_segment_vec(std::mem::take(&mut self.many));
     }
 }
 
@@ -265,6 +281,28 @@ mod tests {
         let buf = DemiBuffer::from_slice(b"zero copy");
         let sga = Sga::from_bufs(vec![buf.clone()]);
         assert!(sga.segments()[0].same_storage(&buf));
+    }
+
+    /// A multi-segment array's vector returns to demi-memory's spare list
+    /// when the array drops, and the next array built from the list gets
+    /// that storage back; a one-segment array is inline and neither takes
+    /// a vector from the list nor gives one to it.
+    #[test]
+    fn an_sga_returns_its_vector_and_a_one_segment_one_never_touches_it() {
+        let seg = DemiBuffer::from_slice(b"seg");
+        let sga = Sga::from_bufs(vec![seg.clone(), seg.clone(), seg.clone()]);
+        let storage = sga.segments().as_ptr();
+        drop(sga);
+        for _ in 0..3 {
+            drop(Sga::from(seg.clone()));
+            drop(Sga::from_bufs(vec![seg.clone()]));
+            drop(Sga::take_from(&mut vec![seg.clone()]));
+        }
+        let mut chunks = vec![seg.clone(), seg.clone()];
+        let sga = Sga::take_from(&mut chunks);
+        assert_eq!(sga.segments().len(), 2);
+        assert_eq!(chunks.as_ptr(), storage, "refilled from the spare list");
+        assert_eq!(demi_memory::segment_vec().capacity(), 0, "and it held one");
     }
 
     #[test]

@@ -269,9 +269,10 @@ pub struct ReplyWriter {
     memory: MemoryManager,
     ctrl: Vec<u8>,
     segs: Vec<DemiBuffer>,
-    /// Segments of the last non-empty burst handed over: the next burst's
-    /// vector is reserved to it at its first push, so a burst no longer
-    /// than the one before costs one allocation at any depth.
+    /// Segments of the last non-empty burst handed over. The next burst
+    /// starts, at its first push, from a spare vector of demi-memory's
+    /// (the last `Sga` to drop gave one back) reserved to this length, so
+    /// a burst no longer than the one before allocates nothing.
     last_burst: usize,
     stats: ReplyStats,
 }
@@ -363,6 +364,7 @@ impl ReplyWriter {
 
     fn push(&mut self, seg: DemiBuffer) {
         if self.segs.capacity() == 0 {
+            self.segs = demi_memory::segment_vec();
             self.segs.reserve(self.last_burst);
         }
         self.segs.push(seg);

@@ -33,6 +33,40 @@ thread_local! {
     /// because worlds are: buffers are `Rc`-counted and never cross one,
     /// and one pool warms once for every copy site on the thread.
     static COPY_POOL: BufferPool = BufferPool::unregistered();
+    /// Emptied segment vectors kept for [`segment_vec`], per thread for
+    /// the same reason.
+    static SPARE_VECS: RefCell<Vec<Vec<DemiBuffer>>> =
+        RefCell::new(Vec::with_capacity(MAX_SPARE_VECS));
+}
+
+/// Emptied segment vectors a thread keeps at most; one more is freed.
+pub(crate) const MAX_SPARE_VECS: usize = 8;
+/// The most segments a kept vector may have room for: a larger one is
+/// freed, so one oversized burst cannot pin its storage.
+pub(crate) const MAX_SPARE_SEGMENTS: usize = 1024;
+
+/// An empty segment vector: a kept one's storage if this thread has one
+/// ([`recycle_segment_vec`]), else a vector that has not allocated yet.
+pub fn segment_vec() -> Vec<DemiBuffer> {
+    let spare = SPARE_VECS.try_with(|spare| spare.borrow_mut().pop());
+    spare.ok().flatten().unwrap_or_default()
+}
+
+/// Drops `segs`'s segments and keeps its storage for a later
+/// [`segment_vec`]. It is freed instead when it has room for fewer than
+/// two segments (a one-segment array is held inline) or for more than
+/// `MAX_SPARE_SEGMENTS` (1 024), or when this thread already keeps
+/// `MAX_SPARE_VECS` (8).
+pub fn recycle_segment_vec(mut segs: Vec<DemiBuffer>) {
+    segs.clear();
+    if (2..=MAX_SPARE_SEGMENTS).contains(&segs.capacity()) {
+        let _ = SPARE_VECS.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            if spare.len() < MAX_SPARE_VECS {
+                spare.push(segs);
+            }
+        });
+    }
 }
 
 /// Why a [`DemiBuffer::prepend`] was refused.
@@ -786,6 +820,59 @@ mod tests {
         };
         life();
         assert_eq!(allocs_in(life), 0);
+    }
+
+    fn spare_vecs() -> usize {
+        SPARE_VECS.with(|spare| spare.borrow().len())
+    }
+
+    /// The spare segment-vector list is bounded: a kept vector comes back
+    /// empty with its storage and takes nothing from the heap; one with
+    /// room for fewer than two segments or more than the cap is freed; and
+    /// the list never holds more than its count.
+    #[test]
+    fn the_spare_segment_vec_list_is_bounded() {
+        while spare_vecs() > 0 {
+            drop(segment_vec());
+        }
+        let seg = DemiBuffer::from_slice(b"segment");
+        let mut segs = Vec::with_capacity(4);
+        segs.extend([seg.clone(), seg.clone()]);
+        let storage = segs.as_ptr();
+        recycle_segment_vec(segs);
+        assert_eq!(seg.handle_count(), 1, "its segments dropped on the way in");
+        let cycle = || {
+            let mut segs = segment_vec();
+            assert_eq!(
+                (segs.len(), segs.capacity(), segs.as_ptr()),
+                (0, 4, storage)
+            );
+            segs.extend([seg.clone(), seg.clone(), seg.clone()]);
+            recycle_segment_vec(segs);
+        };
+        assert_eq!(allocs_in(cycle), 0);
+        drop(segment_vec());
+
+        recycle_segment_vec(Vec::with_capacity(1));
+        recycle_segment_vec(Vec::with_capacity(MAX_SPARE_SEGMENTS + 1));
+        assert_eq!(spare_vecs(), 0, "too small and too large are freed");
+        recycle_segment_vec(Vec::with_capacity(MAX_SPARE_SEGMENTS));
+        assert_eq!(
+            segment_vec().capacity(),
+            MAX_SPARE_SEGMENTS,
+            "the cap is kept"
+        );
+
+        for _ in 0..2 * MAX_SPARE_VECS {
+            recycle_segment_vec(Vec::with_capacity(2));
+        }
+        assert_eq!(spare_vecs(), MAX_SPARE_VECS);
+        (0..MAX_SPARE_VECS).for_each(|_| assert_eq!(segment_vec().capacity(), 2));
+        assert_eq!(
+            segment_vec().capacity(),
+            0,
+            "an empty list hands out a new vector"
+        );
     }
 
     #[test]

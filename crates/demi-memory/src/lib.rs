@@ -22,6 +22,9 @@
 //!   a payload gathered across received chunks and TCP's segment gather
 //!   all copy into a recycled buffer of a per-thread copy pool, so a warm
 //!   copy allocates nothing.
+//! * [`segment_vec`] / [`recycle_segment_vec`] — a scatter-gather array's
+//!   segment vector comes from a bounded per-thread spare list and goes
+//!   back to it, so a warm multi-segment array allocates nothing either.
 //! * [`BufferPool`] / [`MemoryManager`] — size-class pools carved from
 //!   device-registered regions. Allocation from a warm pool touches no
 //!   registration machinery, which is what makes registration "transparent":
@@ -45,7 +48,7 @@ mod pool;
 mod registration;
 mod stream;
 
-pub use buffer::{CrossTenantAccess, DemiBuffer, HeadroomError};
+pub use buffer::{recycle_segment_vec, segment_vec, CrossTenantAccess, DemiBuffer, HeadroomError};
 pub use counters::DatapathSnapshot;
 pub use demi_tenant::TenantId;
 pub use manager::MemoryManager;

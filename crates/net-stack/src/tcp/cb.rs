@@ -512,21 +512,36 @@ impl ControlBlock {
     /// Pops received in-order data. `None` means nothing available (check
     /// [`ControlBlock::is_readable`] / EOF separately).
     pub(crate) fn recv(&mut self) -> Option<DemiBuffer> {
-        let buf = self.q.as_mut()?.ready.pop_front()?;
-        self.ready_bytes -= buf.len();
-        // Window update: if the advertised window had collapsed below one
-        // MSS and draining reopened it, tell the sender (it may be
-        // persist-probing an apparently-zero window).
-        if self.last_advertised_window < self.mss && self.recv_window() >= self.mss {
-            self.send_ack();
-        }
+        let buf = self.pop_ready()?;
+        self.update_window();
         Some(buf)
     }
 
     /// Pops every received in-order chunk onto `out`, growing it once.
     pub(crate) fn recv_all(&mut self, out: &mut Vec<DemiBuffer>) {
         out.reserve(self.qr().map_or(0, |q| q.ready.len()));
-        out.extend(std::iter::from_fn(|| self.recv()));
+        out.extend(std::iter::from_fn(|| self.pop_ready()));
+        self.update_window();
+    }
+
+    fn pop_ready(&mut self) -> Option<DemiBuffer> {
+        let buf = self.q.as_mut()?.ready.pop_front()?;
+        self.ready_bytes -= buf.len();
+        Some(buf)
+    }
+
+    /// Sends a window update after a read, by Linux's `tcp_cleanup_rbuf`
+    /// rule: the last advertised window was at most half the buffer and
+    /// reading at least doubled it (and reopened one MSS, for a window
+    /// that had collapsed). Without it the sender keeps splitting pushes
+    /// at the stale window, or persist-probing an apparently-zero one.
+    fn update_window(&mut self) {
+        let last = self.last_advertised_window;
+        if 2 * last <= self.config.recv_capacity.min(65_535)
+            && self.recv_window() >= (2 * last).max(self.mss)
+        {
+            self.send_ack();
+        }
     }
 
     /// Whether the peer has closed and all its data has been consumed.

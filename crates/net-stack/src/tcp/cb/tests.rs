@@ -183,6 +183,49 @@ fn bulk_transfer_respects_flow_control() {
     assert_eq!(received, data);
 }
 
+/// Reading a receive buffer that was more than half full re-advertises
+/// the window at once (Linux's `tcp_cleanup_rbuf` rule): 40 full
+/// segments left unread shrink the advertisement to 7 135 B, and once
+/// they are read the sender's next 40-buffer push leaves whole, every
+/// segment full, without waiting on an ACK. An update sent only for a
+/// window below one MSS left the sender at the stale 7 135 B: four full
+/// segments and a 1 295 B one, then a wait.
+#[test]
+fn reading_a_half_full_buffer_reopens_the_window_at_once() {
+    let now = SimTime::ZERO;
+    let (mut c, mut s) = establish(now);
+    let push = |c: &mut ControlBlock| {
+        let bufs = (0..40).map(|_| DemiBuffer::from_slice(&[0x5A; 1_460]));
+        c.send_all(bufs, now).unwrap();
+    };
+    let mut chunks = Vec::new();
+    // Two transfers read as they land grow the congestion window past
+    // 40 segments; the third is left unread.
+    for read in [true, true, false] {
+        push(&mut c);
+        pump(&mut c, &mut s, now);
+        if read {
+            s.recv_all(&mut chunks);
+            pump(&mut c, &mut s, now);
+        }
+    }
+    assert!(
+        s.last_advertised_window < 8 * 1_460,
+        "the advertisement shrank"
+    );
+    s.recv_all(&mut chunks);
+    let read: usize = chunks.iter().map(DemiBuffer::len).sum();
+    assert_eq!(read, 3 * 40 * 1_460);
+    pump(&mut c, &mut s, now);
+    push(&mut c);
+    let sizes: Vec<usize> = c
+        .take_outbox()
+        .iter()
+        .map(|seg| seg.payload.len())
+        .collect();
+    assert_eq!(sizes, [1_460; 40]);
+}
+
 #[test]
 fn lost_segment_recovers_via_timeout() {
     let mut now = SimTime::from_millis(1);

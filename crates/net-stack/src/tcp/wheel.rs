@@ -78,6 +78,10 @@ pub struct TimerWheel<T> {
     /// advancing; kept on the wheel so a steady-state advance allocates
     /// nothing once warm.
     cascade_scratch: Vec<Entry<T>>,
+    /// The storage of slots emptied by a sweep or a peek, for the next
+    /// slot `place` fills: the wheel allocates only for the most slots it
+    /// ever held occupied at once, not for every slot it ever touched.
+    spare: Vec<Vec<Entry<T>>>,
     /// The cursor: the last instant the wheel was swept to. It lags the
     /// caller's clock while nothing is due; every slot invariant is relative
     /// to it, so a late sweep is the same sweep.
@@ -129,6 +133,7 @@ impl<T: Copy> TimerWheel<T> {
             immediate: Vec::new(),
             overflow: Vec::new(),
             cascade_scratch: Vec::new(),
+            spare: Vec::new(),
             now: start.as_nanos(),
             next_due: 0,
             seq: 0,
@@ -209,7 +214,11 @@ impl<T: Copy> TimerWheel<T> {
             return;
         }
         let slot = ((entry.deadline >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.levels[level][slot].push(entry);
+        let bucket = &mut self.levels[level][slot];
+        if bucket.capacity() == 0 {
+            *bucket = self.spare.pop().unwrap_or_default();
+        }
+        bucket.push(entry);
         self.occupied[level] |= 1 << slot;
     }
 
@@ -248,7 +257,9 @@ impl<T: Copy> TimerWheel<T> {
                 let mut swept = self.occupied[level] & crossed;
                 self.occupied[level] &= !crossed;
                 while swept != 0 {
-                    cascades.append(&mut self.levels[level][swept.trailing_zeros() as usize]);
+                    let bucket = &mut self.levels[level][swept.trailing_zeros() as usize];
+                    cascades.append(bucket);
+                    self.spare.push(std::mem::take(bucket));
                     swept &= swept - 1;
                     visited += 1;
                 }
@@ -294,6 +305,7 @@ impl<T: Copy> TimerWheel<T> {
                 let bucket = &mut self.levels[level][slot];
                 if !retain_live(bucket, &mut self.len, &mut best, &mut live) {
                     self.occupied[level] &= !(1 << slot);
+                    self.spare.push(std::mem::take(bucket));
                 } else if !scrub {
                     break;
                 }
@@ -311,6 +323,39 @@ impl<T: Copy> TimerWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    /// Counts this thread's allocations inside [`allocs_in`].
+    struct Counting;
+
+    // SAFETY: every request is forwarded unchanged to `System`; the only
+    // addition is a thread-local counter bump that cannot allocate or unwind.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+            // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
+
+    fn allocs_in(f: impl FnOnce()) -> u64 {
+        ALLOCS.set(Some(0));
+        f();
+        ALLOCS.replace(None).unwrap_or(0)
+    }
 
     impl<T: Copy> TimerWheel<T> {
         /// Advances the cursor to `now` and returns everything that fired, as
@@ -533,6 +578,43 @@ mod tests {
                 Some(t(20_000_000))
             );
             assert!(w.len() <= 2 * live + SLOTS + 1, "len {}", w.len());
+        }
+    }
+
+    /// A slot's vector outlives the slot's entries: rounds that each arm
+    /// four timers at different levels and fire them all allocate nothing
+    /// after the first, though each round is longer than the one before,
+    /// so its deadlines land in slots no earlier round touched. Catches a
+    /// swept slot keeping its vector while `place` fills a fresh slot with
+    /// a new one (6 allocations in the second round), and a slot a peek
+    /// emptied doing the same (1).
+    #[test]
+    fn rounds_of_changing_duration_allocate_nothing_once_warm() {
+        let mut w: TimerWheel<u32> = TimerWheel::new(SimTime::ZERO);
+        let mut fired = Vec::with_capacity(8);
+        let mut now = 0;
+        let mut round = |stretch: u64| {
+            let offsets = [
+                40,
+                3_000 + stretch,
+                200_000 + 64 * stretch,
+                9_000_000 + 4_096 * stretch,
+            ];
+            for (key, offset) in offsets.into_iter().enumerate() {
+                w.schedule(t(now + offset), key as u32);
+            }
+            w.schedule(t(now + 7_000_000), 9);
+            assert_eq!(w.peek_earliest_live(|&k| k != 9), Some(t(now + 40)));
+            while fired.len() < offsets.len() {
+                now += 997;
+                w.advance_into(t(now), &mut fired);
+                fired.retain(|&(_, k)| k != 9);
+            }
+            fired.clear();
+        };
+        round(0);
+        for stretch in 1..=50 {
+            assert_eq!(allocs_in(|| round(stretch * 61)), 0, "round {stretch}");
         }
     }
 

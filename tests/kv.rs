@@ -283,14 +283,15 @@ fn warmed_get_burst_is_zero_copy_and_coalesced() {
 
 /// A warmed depth-1 GET through the whole serving path — the request's
 /// `sgaalloc` and push, the server's `pop_unframed`, `KvEngine::drain`,
-/// the reply's `push_unframed` and the client's pop — makes exactly one
-/// allocation: the `DrainResult::immediate` vector the reply rides in.
-/// Catches, one line each: `value.len().to_string()` back in
-/// `ReplyWriter::bulk`, a fresh argument `Vec` per parsed command, `drain`
-/// appending the writer's segments into a second vector, and the chunk
-/// list `mem::take`n out of the connection by every `pop_unframed`.
+/// the reply's `push_unframed` and the client's pop — allocates nothing:
+/// the `DrainResult::immediate` vector the reply rides in is the spare
+/// one the last reply `Sga` gave back. Catches, one line each:
+/// `value.len().to_string()` back in `ReplyWriter::bulk`, a fresh argument
+/// `Vec` per parsed command, `drain` appending the writer's segments into
+/// a second vector, the chunk list `mem::take`n out of the connection by
+/// every `pop_unframed`, and a dropped `Sga` freeing its vector.
 #[test]
-fn a_depth1_get_allocates_only_its_reply_vec() {
+fn a_depth1_get_allocates_nothing() {
     let (rt, _fabric, client, server) = catnip_pair(36);
     let (cqd, sqd) = tcp_pair(&client, &server, 6379);
     let mut eng = engine(server.memory().clone(), rt.now(), false);
@@ -345,23 +346,17 @@ fn a_depth1_get_allocates_only_its_reply_vec() {
         rt.settle(SimTime::from_micros(200));
     }
     (0..4).for_each(|_| round());
-    assert_allocs(1, "a depth-1 GET", round);
+    assert_allocs(0, "a depth-1 GET", round);
 }
 
 /// Warms `round` for an allocation pin: 100 rounds 200 µs of virtual time
 /// apart, so the pools, rings and timer-wheel slots of a spaced round are
 /// warm — in steps below the 5 ms idle compaction, which would free the
-/// connection's queues — then back to back for one turn of the wheel's
-/// 16.7 ms level (`64^4` ns), so every slot the measured round's
-/// deadlines land in has held an entry before.
+/// connection's queues.
 fn warm(rt: &Runtime, mut round: impl FnMut()) {
     for _ in 0..100 {
         round();
         rt.settle(SimTime::from_micros(200));
-    }
-    let turned = rt.now().saturating_add(SimTime::from_nanos(1 << 24));
-    while rt.now() < turned {
-        round();
     }
 }
 
@@ -373,7 +368,7 @@ fn warm(rt: &Runtime, mut round: impl FnMut()) {
 /// buffer copies the reply took on its way. The server reads the request
 /// with `pop_unframed` when `pop` is set; otherwise through `tcp_recv_all`
 /// too, which keeps the chunk list of a request longer than a segment out
-/// of the round (`a_multi_chunk_pop_allocates_one_chunk_list` pins it).
+/// of the round (`a_multi_chunk_pop_allocates_nothing` pins it).
 fn warmed_get_burst(depth: usize, seed: u64, pop: bool) -> impl FnMut() -> u64 {
     let (rt, _fabric, client, server) = catnip_pair(seed);
     let (cqd, sqd) = tcp_pair(&client, &server, 6379);
@@ -464,27 +459,28 @@ fn warmed_get_burst(depth: usize, seed: u64, pop: bool) -> impl FnMut() -> u64 {
 
 /// A warmed depth-16 burst of 1 KiB GETs through catnip — the request's
 /// push and pop, `KvEngine::drain`, and the reply's push, segmentation and
-/// delivery — makes exactly one allocation, the reply vector, though the
-/// stack copies reply bytes on the way: each of those copies lands in a
-/// recycled copy-pool buffer, and the reply writer reserves the vector to
-/// the previous burst's length at its first push. Catches the vector
-/// growing one doubling at a time again (four allocations here) and
+/// delivery — allocates nothing, though the stack copies reply bytes on
+/// the way: each of those copies lands in a recycled copy-pool buffer, and
+/// the reply vector is a spare one reserved to the previous burst's length
+/// at its first push. Catches the vector growing one doubling at a time
+/// again (four allocations here), a fresh reply vector per burst (one) and
 /// `flush_tcp`'s counted fallback building its copy on the heap again
 /// (three per copy).
 #[test]
-fn a_depth16_get_burst_allocates_only_its_reply_vec() {
+fn a_depth16_get_burst_allocates_nothing() {
     let mut round = warmed_get_burst(16, 37, true);
     let mut copies = 0;
-    assert_allocs(1, "a depth-16 GET burst", || copies = round());
+    assert_allocs(0, "a depth-16 GET burst", || copies = round());
     assert!(copies > 0, "the burst's reply took the counted copy path");
 }
 
-/// The reply vector is one allocation at any pipeline depth: a warmed
-/// burst of 1, 16, 64 and — at the release budget — 256 GETs of 1 KiB
-/// each allocates exactly once, where growing the vector from empty took
-/// one allocation per doubling (1, 4, 6 and 8).
+/// The reply vector costs nothing at any pipeline depth: a warmed burst of
+/// 1, 16, 64 and — at the release budget — 256 GETs of 1 KiB each
+/// allocates nothing, where a fresh vector reserved to the last burst took
+/// one allocation and growing it from empty one per doubling (1, 4, 6 and
+/// 8).
 #[test]
-fn a_get_burst_allocates_one_reply_vec_at_any_depth() {
+fn a_get_burst_allocates_nothing_at_any_depth() {
     let depths: &[usize] = if cfg!(debug_assertions) {
         &[1, 16, 64]
     } else {
@@ -492,22 +488,22 @@ fn a_get_burst_allocates_one_reply_vec_at_any_depth() {
     };
     for &depth in depths {
         let mut round = warmed_get_burst(depth, 40 + depth as u64, false);
-        assert_allocs(1, &format!("a depth-{depth} GET burst"), || {
+        assert_allocs(0, &format!("a depth-{depth} GET burst"), || {
             round();
         });
     }
 }
 
 /// A warmed `pop_unframed` that finds 2, 12 or 40 chunks waiting hands them
-/// over as one `Sga` whose list is exactly one allocation: the stack
-/// reserves the ready queue's length once before draining it, where
-/// pushing the chunks on one at a time grew the list once per doubling
-/// (1, 3 and 5 allocations). Each pool buffer is half the default MSS with
-/// headroom, so it travels alone and arrives as one chunk; the 40 of them
-/// stay under half the receive window, which a stale advertisement would
-/// otherwise split them at.
+/// over as one `Sga` and allocates nothing: the queue's chunk list is
+/// refilled from the spare vector the previous pop's `Sga` gave back, and
+/// the stack reserves the ready queue's length once before draining into
+/// it. A list `mem::take`n per pop allocated once, and pushing the chunks
+/// on one at a time grew it once per doubling (1, 3 and 5 allocations).
+/// Each pool buffer is half the default MSS with headroom, so it travels
+/// alone and arrives as one chunk.
 #[test]
-fn a_multi_chunk_pop_allocates_one_chunk_list() {
+fn a_multi_chunk_pop_allocates_nothing() {
     for (chunks, seed) in [(2, 50), (12, 51), (40, 52)] {
         let (rt, _fabric, client, server) = catnip_pair(seed);
         let (cqd, sqd) = tcp_pair(&client, &server, 7000);
@@ -522,7 +518,7 @@ fn a_multi_chunk_pop_allocates_one_chunk_list() {
             assert_eq!(sga.segments().len(), chunks, "one pop, every chunk");
         };
         warm(&rt, &mut round);
-        assert_allocs(1, &format!("a {chunks}-chunk pop"), round);
+        assert_allocs(0, &format!("a {chunks}-chunk pop"), round);
     }
 }
 
@@ -806,12 +802,14 @@ fn a_warmed_catfs_commit_allocates_nothing() {
 
 /// A warmed durable burst through catnip and catfs — the request's push
 /// and pop, `KvEngine::drain`, the record's `push` and wait, then the
-/// deferred reply's push and the client's pop — allocates exactly two
-/// vectors: the deferred reply's and the record `Sga`'s (the serving
-/// loop's `Sga::from_bufs(vec![batch])`). Before the record became a pool
-/// buffer and the commit stopped allocating, the same round allocated 8.
+/// deferred reply's push and the client's pop — allocates exactly one
+/// vector, the record `Sga`'s (the serving loop's
+/// `Sga::from_bufs(vec![batch])`, one segment, so too small to keep). The
+/// deferred reply's vector is a spare one. Before the record became a pool
+/// buffer and the commit stopped allocating, the same round allocated 8;
+/// before segment vectors were recycled, 2.
 #[test]
-fn a_durable_burst_allocates_only_its_reply_and_record_vecs() {
+fn a_durable_burst_allocates_only_its_record_vec() {
     const DEPTH: usize = 4;
     let (rt, _fabric, client, server) = catnip_pair(38);
     let (cqd, sqd) = tcp_pair(&client, &server, 6379);
@@ -858,7 +856,7 @@ fn a_durable_burst_allocates_only_its_reply_and_record_vecs() {
         rt.settle(SimTime::from_micros(200));
     }
     (0..4).for_each(|_| round());
-    assert_allocs(2, "a durable burst", round);
+    assert_allocs(1, "a durable burst", round);
 }
 
 // ---------------------------------------------------------------------

@@ -3,8 +3,9 @@
 //! ([`live_bytes`]) and, only while [`sites`] runs an operation, a
 //! recorder of each allocation's backtrace. An allocation pin written
 //! with [`assert_allocs`] that fails runs its operation again under the
-//! recorder and prints the in-repo frames of every allocation site, so
-//! the failure names the line that allocated, not just the count.
+//! recorder and prints the in-repo frames of every allocation site — the
+//! product crates' and the test's own — so the failure names the line
+//! that allocated, not just the count.
 //!
 //! A test binary opts in with
 //! `#[global_allocator] static A: SiteAlloc = SiteAlloc;` (this module's).
@@ -15,7 +16,8 @@ use std::cell::{Cell, RefCell};
 
 use demikernel::testing::{AllocMeter, CountingAlloc};
 
-/// Crates whose frames name an allocation site.
+/// Product crates whose frames name an allocation site; the running test
+/// binary's own crate names one too.
 const IN_REPO: [&str; 12] = [
     "demikernel::",
     "demi_kv::",
@@ -82,8 +84,12 @@ unsafe impl GlobalAlloc for SiteAlloc {
 }
 
 /// The innermost [`FRAMES`] frames of a rendered backtrace that belong to
-/// this repository's crates, one `function (file:line)` per frame.
+/// this repository's crates or to the test itself (this recorder's own
+/// frames aside), one `function (file:line)` per frame; a trace with none
+/// says so.
 fn in_repo_frames(trace: &str) -> String {
+    // Each test file is its own crate and includes `support` as a module.
+    let test = module_path!().split("::").next();
     let mut frames = Vec::new();
     let mut lines = trace.lines().peekable();
     while let Some(line) = lines.next() {
@@ -94,7 +100,8 @@ fn in_repo_frames(trace: &str) -> String {
             .next_if(|next| next.trim_start().starts_with("at "))
             .and_then(|next| next.rsplit('/').next().map(str::to_owned));
         let name = symbol.trim_start_matches('<');
-        if IN_REPO.iter().any(|krate| name.starts_with(krate)) {
+        let ours = name.split("::").next() == test && !name.contains("::alloc_sites::");
+        if ours || IN_REPO.iter().any(|krate| name.starts_with(krate)) {
             frames.push(match at {
                 Some(file) => format!("{symbol} ({file})"),
                 None => symbol.to_owned(),
@@ -103,6 +110,9 @@ fn in_repo_frames(trace: &str) -> String {
         if frames.len() == FRAMES {
             break;
         }
+    }
+    if frames.is_empty() {
+        return "(no in-repo frame: std, a dependency or the harness)".to_owned();
     }
     frames.join("\n      ← ")
 }

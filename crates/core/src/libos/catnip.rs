@@ -24,7 +24,7 @@ use std::rc::Rc;
 
 use demi_memory::{DemiBuffer, MemoryManager};
 use dpdk_sim::wire::framing::{encode_header, FRAME_HEADER_LEN};
-use dpdk_sim::{DpdkPort, NicProgram, PortConfig};
+use dpdk_sim::{DpdkPort, NicProgram, OffloadService, PortConfig};
 use net_stack::eth::{EthHeader, EtherType};
 use net_stack::framing::FrameDecoder;
 use net_stack::ipv4::{IpProtocol, Ipv4Header};
@@ -211,14 +211,15 @@ impl Catnip {
     /// without an RX→host→TX crossing.
     pub fn install_echo_offload(&self, port: u16) -> Result<(), DemiError> {
         self.runtime.metrics().count_control_path_syscall();
-        Ok(self.stack.install_echo_offload(port)?)
+        Ok(self.stack.install_tcp_offload(port, OffloadService::Echo)?)
     }
 
     /// Installs a NIC-resident KV GET cache (bounded to `capacity_bytes`
     /// of device memory) for TCP connections on local `port`.
     pub fn install_kv_offload(&self, port: u16, capacity_bytes: usize) -> Result<(), DemiError> {
         self.runtime.metrics().count_control_path_syscall();
-        Ok(self.stack.install_kv_offload(port, capacity_bytes)?)
+        let service = OffloadService::KvCache { capacity_bytes };
+        Ok(self.stack.install_tcp_offload(port, service)?)
     }
 
     /// Uninstalls the TCP offload program, returning every flow to the

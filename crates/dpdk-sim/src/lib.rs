@@ -16,10 +16,13 @@
 //!   [`DpdkPort::tx_burst`]) over a [`sim_fabric`] endpoint, with multiple
 //!   RX queues fed by RSS hashing or an installed steering program, and
 //!   bounded descriptor rings that tail-drop when full.
-//! * [`SmartNic`] — optional program slots (filter/steer/map) that execute
-//!   "on the device", spending device cycles instead of host cycles. This
-//!   models the Table-1 right column (FPGA/SoC SmartNICs) and powers the
-//!   offload experiment (E6).
+//! * [`SmartNic`] — optional program slots that execute "on the device",
+//!   spending device cycles instead of host cycles: filter, steer and map
+//!   programs, and the TCP offload engine ([`TcpOffload`]: ACK absorption,
+//!   echo, a KV GET cache) that answers requests without a host crossing.
+//!   This models the Table-1 right column (FPGA/SoC SmartNICs) and powers
+//!   the filter-placement experiment (E6) and the offload experiment
+//!   (E17).
 //! * [`wire`] — the header codec and internet checksum the device shares
 //!   with the host stack, so both agree on what a valid segment is.
 #![warn(unreachable_pub)]
@@ -34,10 +37,7 @@ pub mod wire;
 
 pub use mbuf::Mbuf;
 pub use mempool::Mempool;
-pub use offload::{
-    EngineOutcome, FlowKey, FlowShadow, OffloadAction, OffloadEvent, OffloadService, OffloadStats,
-    TcpOffload,
-};
+pub use offload::{FlowKey, FlowShadow, OffloadEvent, OffloadService, OffloadStats, TcpOffload};
 pub use port::{DpdkPort, PortConfig, PortQueueStats, PortStats};
 pub use smartnic::{
     NicProgram, ProgramSlot, RxDecision, SlotStats, SmartNic, SmartNicError, SmartNicStats,

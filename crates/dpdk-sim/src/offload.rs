@@ -21,6 +21,18 @@
 //!   not actively serving*, and unparseable traffic conservatively clears
 //!   the whole cache — so a stale hit is impossible.
 //!
+//! # One record per flow
+//!
+//! The engine's flow table is the one record of each flow on its port;
+//! the host planner keeps no map beside it. A record opens at the flow's
+//! first segment (or when the install hands over an existing connection,
+//! [`TcpOffload::arm_flow`]) and holds the KV invalidation cursor and,
+//! while the device serves the flow, its shadow and reassembly. Falling
+//! back clears only the serve half, and no event says so: once per poll
+//! pass the planner's [`TcpOffload::reconcile`] drops each record whose
+//! flow the host no longer holds, armed or not, and re-arms each unarmed
+//! flow whose control block is quiescent again.
+//!
 //! # Shadow-state sync protocol
 //!
 //! The host TCP control block stays authoritative. The device keeps only a
@@ -38,13 +50,11 @@
 //! * [`OffloadEvent::Flushed`] — bytes the device had absorbed for
 //!   reassembly but could not serve are handed back; the host ACKs and
 //!   delivers them exactly as if the frames had arrived normally.
-//! * [`OffloadEvent::FellBack`] — the flow is now host-pending; the
-//!   planner re-arms it once the control block is quiescent again.
 //!
 //! # Fallback invariants
 //!
-//! The device serves a segment only when ALL of: the flow is armed and
-//! active, the segment is flag-free (no SYN/FIN/RST), exactly in order
+//! The device serves a segment only when ALL of: the flow is armed, the
+//! segment is flag-free (no SYN/FIN/RST), exactly in order
 //! (`seq == rcv_nxt + pending`), and its bytes complete framed messages
 //! the service can answer (echo always; KV only on a cache hit). Anything
 //! else — retransmits, out-of-order arrivals, window probes, duplicate
@@ -63,7 +73,11 @@
 //! cycles (`CYCLES_*`), charged through the owning program slot — offload
 //! is never modeled as free. Cache memory is bounded (`capacity_bytes`)
 //! and accounted per entry; reassembly buffers are bounded per flow
-//! ([`MAX_PENDING_BYTES`]).
+//! ([`MAX_PENDING_BYTES`]). Absorbed bytes stay the views of the frames
+//! they arrived in; a reply is one counted copy
+//! ([`DemiBuffer::copy_with_headroom`], after `ByteStream::take`'s gather
+//! when a request spans frames) with its headers written into the copy's
+//! headroom, as the host's TX path writes its own.
 //!
 //! # One wire view
 //!
@@ -73,10 +87,12 @@
 //! untouched — no event, absorb, reply or fallback — for the host to count.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 
-use demi_memory::DemiBuffer;
-use sim_fabric::SimTime;
+use demi_memory::{ByteStream, DemiBuffer, HeadroomError};
+use sim_fabric::{MacAddress, SimTime};
 
+use crate::smartnic::RxDecision;
 use crate::wire::eth::{EthHeader, EtherType, ETH_HEADER_LEN};
 use crate::wire::framing::{encode_header, parse_header, FRAME_HEADER_LEN};
 use crate::wire::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
@@ -102,7 +118,10 @@ pub(crate) const CYCLES_KV_LOOKUP: u64 = 24;
 /// Device cycles for one write-through invalidation.
 pub(crate) const CYCLES_KV_INVALIDATE: u64 = 10;
 
-/// Identifies an armed flow: (remote IPv4, remote port). The local port is
+/// The decision on a frame the engine leaves to the host.
+const DELIVER: RxDecision = RxDecision::Accept { queue: None };
+
+/// Identifies a flow: (remote IPv4, remote port). The local port is
 /// fixed per engine instance.
 pub type FlowKey = ([u8; 4], u16);
 
@@ -166,11 +185,6 @@ pub enum OffloadEvent {
         /// The in-order bytes, starting exactly at the host's `rcv_nxt`.
         data: DemiBuffer,
     },
-    /// The flow is now host-pending (re-arm when quiescent again).
-    FellBack {
-        /// Flow that fell back.
-        key: FlowKey,
-    },
 }
 
 /// Engine counters (device-side view).
@@ -198,59 +212,95 @@ pub struct OffloadStats {
     pub cache_bytes: u64,
     /// Current cache entry count.
     pub cache_entries: u64,
-    /// Currently armed (device-active) flows.
+    /// Currently armed (device-served) flows.
     pub flows_armed: u64,
+    /// Flow records held, armed or not (one per flow on the port).
+    pub flows: u64,
 }
 
-/// What `process` decided about a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OffloadAction {
-    /// Pass the frame to the host RX path.
-    Deliver,
-    /// The device consumed the frame; do not deliver it.
-    Absorb,
+/// The one record of a flow on the engine's port (module doc).
+#[derive(Default)]
+struct Flow {
+    /// The serve path's state while the device serves the flow; `None`
+    /// while the host does.
+    armed: Option<Armed>,
+    /// The write-through invalidation cursor (KV ports only), which runs
+    /// whoever serves the flow.
+    scan: InvalScan,
 }
 
-/// Result of examining one frame, for slot accounting.
-#[derive(Debug)]
-pub struct EngineOutcome {
-    /// Deliver or absorb.
-    pub action: OffloadAction,
-    /// Device cycles charged for the examination.
-    pub cycles: u64,
-    /// Whether a request was served device-side during this examination.
-    pub served: bool,
+impl Flow {
+    /// Arms the flow with the host's shadow, if there is one and the flow
+    /// is not armed already; returns whether it armed.
+    fn arm(&mut self, shadow: Option<FlowShadow>) -> bool {
+        let Some(shadow) = shadow.filter(|_| self.armed.is_none()) else {
+            return false;
+        };
+        // snd_una == snd_nxt at quiescence, so the client's last seen
+        // cumulative ACK is exactly snd_nxt.
+        self.armed = Some(Armed {
+            shadow,
+            last_ack: SeqNum(shadow.snd_nxt),
+            pending: ByteStream::default(),
+        });
+        true
+    }
+
+    /// Takes the flow from the device, handing its absorbed bytes back to
+    /// the host as one `Flushed` event; returns whether it was armed. The
+    /// record stays, and so does its scan.
+    fn disarm(
+        &mut self,
+        key: FlowKey,
+        events: &mut VecDeque<OffloadEvent>,
+        stats: &mut OffloadStats,
+    ) -> bool {
+        let Some(mut armed) = self.armed.take() else {
+            return false;
+        };
+        let len = armed.pending.len();
+        if let Some((data, _)) = armed.pending.take(len).filter(|_| len > 0) {
+            stats.flushed_bytes += len as u64;
+            events.push_back(OffloadEvent::Flushed { key, data });
+        }
+        true
+    }
 }
 
-impl EngineOutcome {
-    fn deliver(cycles: u64) -> Self {
-        EngineOutcome {
-            action: OffloadAction::Deliver,
-            cycles,
-            served: false,
+/// What the device keeps of a flow it serves.
+struct Armed {
+    shadow: FlowShadow,
+    /// Highest cumulative ACK seen from the client.
+    last_ack: SeqNum,
+    /// In-order bytes absorbed for reassembly but not yet served, as views
+    /// of the frames they arrived in. The device has NOT acknowledged
+    /// these: they are covered either by a reply's ACK (serve) or by the
+    /// host's own ACK (flush).
+    pending: ByteStream,
+}
+
+impl Armed {
+    /// Puts a taken request back in front of the bytes that followed it.
+    fn untake(&mut self, request: DemiBuffer) {
+        let mut rest = std::mem::take(&mut self.pending);
+        self.pending.push(request);
+        if let Some((rest, _)) = rest.take(rest.len()) {
+            self.pending.push(rest);
         }
     }
 }
 
-struct FlowState {
-    shadow: FlowShadow,
-    /// Device-active? `false` = host-pending (examine-only for KV
-    /// invalidation; everything delivered).
-    active: bool,
-    /// Highest cumulative ACK seen from the client.
-    last_ack: SeqNum,
-    /// In-order bytes absorbed for reassembly but not yet served. The
-    /// device has NOT acknowledged these: they are covered either by a
-    /// reply's ACK (serve) or by the host's own ACK (flush).
-    pending: Vec<u8>,
-}
-
 struct KvEntry {
-    value: Vec<u8>,
+    /// The framed reply a hit sends: header, `V`, value.
+    reply: DemiBuffer,
     /// Monotone recency stamp for LRU eviction.
     tick: u64,
 }
 
+/// Bytes of a cached reply ahead of its value: the framing header and `V`.
+const REPLY_PREFIX: usize = FRAME_HEADER_LEN + 1;
+
+#[derive(Default)]
 struct KvCache {
     map: HashMap<Vec<u8>, KvEntry>,
     bytes: usize,
@@ -259,21 +309,17 @@ struct KvCache {
 }
 
 impl KvCache {
-    fn new(capacity: usize) -> Self {
-        KvCache {
-            map: HashMap::new(),
-            bytes: 0,
-            capacity,
-            tick: 0,
-        }
-    }
-
-    fn get(&mut self, key: &[u8]) -> Option<&[u8]> {
+    /// The framed reply to a GET of `key`, counted as a hit or a miss.
+    fn get(&mut self, key: &[u8], stats: &mut OffloadStats) -> Option<&DemiBuffer> {
         self.tick += 1;
         let tick = self.tick;
-        let entry = self.map.get_mut(key)?;
+        let Some(entry) = self.map.get_mut(key) else {
+            stats.kv_misses += 1;
+            return None;
+        };
+        stats.kv_hits += 1;
         entry.tick = tick;
-        Some(&entry.value)
+        Some(&entry.reply)
     }
 
     /// Inserts, evicting least-recently-used entries to respect the
@@ -300,10 +346,11 @@ impl KvCache {
         }
         self.tick += 1;
         self.bytes += entry_bytes;
+        let framed = [&encode_header(1 + value.len())[..], b"V", value].concat();
         self.map.insert(
             key.to_vec(),
             KvEntry {
-                value: value.to_vec(),
+                reply: DemiBuffer::from_slice(&framed),
                 tick: self.tick,
             },
         );
@@ -312,7 +359,7 @@ impl KvCache {
 
     fn remove(&mut self, key: &[u8]) -> bool {
         if let Some(e) = self.map.remove(key) {
-            self.bytes -= key.len() + e.value.len();
+            self.bytes -= key.len() + e.reply.len() - REPLY_PREFIX;
             true
         } else {
             false
@@ -343,24 +390,9 @@ enum ServiceState {
 pub struct TcpOffload {
     local_port: u16,
     service: ServiceState,
-    flows: HashMap<FlowKey, FlowState>,
-    /// Write-through invalidation cursors, one per flow ever seen on the
-    /// port (KV mode only) — independent of arm state, because a SET the
-    /// host serves must still invalidate device cache entries.
-    scans: HashMap<FlowKey, InvalScan>,
+    flows: HashMap<FlowKey, Flow>,
     events: VecDeque<OffloadEvent>,
-    tx: Vec<DemiBuffer>,
     stats: OffloadStats,
-}
-
-impl std::fmt::Debug for TcpOffload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpOffload")
-            .field("local_port", &self.local_port)
-            .field("flows", &self.flows.len())
-            .field("events", &self.events.len())
-            .finish()
-    }
 }
 
 impl TcpOffload {
@@ -370,59 +402,65 @@ impl TcpOffload {
             local_port,
             service: match service {
                 OffloadService::Echo => ServiceState::Echo,
-                OffloadService::KvCache { capacity_bytes } => {
-                    ServiceState::Kv(KvCache::new(capacity_bytes))
-                }
+                OffloadService::KvCache { capacity_bytes } => ServiceState::Kv(KvCache {
+                    capacity: capacity_bytes,
+                    ..KvCache::default()
+                }),
             },
             flows: HashMap::new(),
-            scans: HashMap::new(),
             events: VecDeque::new(),
-            tx: Vec::new(),
             stats: OffloadStats::default(),
         }
     }
 
-    /// Arms (or re-arms) a flow with a fresh host-provided shadow. The
-    /// planner must call this only when the host control block is
-    /// quiescent for the flow (nothing unacked, queued, or out of order).
-    pub fn arm_flow(&mut self, key: FlowKey, shadow: FlowShadow) {
-        // snd_una == snd_nxt at quiescence, so the client's last seen
-        // cumulative ACK is exactly snd_nxt.
-        let last_ack = SeqNum(shadow.snd_nxt);
-        self.flows.insert(
-            key,
-            FlowState {
-                shadow,
-                active: true,
-                last_ack,
-                pending: Vec::new(),
-            },
-        );
+    /// Opens `key`'s record if the engine has none and, given the host's
+    /// shadow, arms the flow unless the device serves it already; returns
+    /// whether it armed it. The planner hands a shadow only while the host
+    /// control block is quiescent for the flow (nothing unacked, queued,
+    /// or out of order).
+    pub fn arm_flow(&mut self, key: FlowKey, shadow: Option<FlowShadow>) -> bool {
+        self.flows.entry(key).or_default().arm(shadow)
     }
 
-    /// Disarms one flow, flushing any absorbed bytes back to the host.
+    /// Disarms one flow, flushing any absorbed bytes back to the host. Its
+    /// record stays while its connection does.
     pub fn disarm_flow(&mut self, key: FlowKey) {
-        if let Some(mut flow) = self.flows.remove(&key) {
-            flush_pending(&key, &mut flow, &mut self.events, &mut self.stats);
+        if let Some(flow) = self.flows.get_mut(&key) {
+            flow.disarm(key, &mut self.events, &mut self.stats);
         }
     }
 
     /// Disarms every flow (program uninstall), flushing absorbed bytes.
     pub fn disarm_all(&mut self) {
-        let keys: Vec<FlowKey> = self.flows.keys().copied().collect();
-        for key in keys {
-            self.disarm_flow(key);
+        for (&key, flow) in &mut self.flows {
+            flow.disarm(key, &mut self.events, &mut self.stats);
         }
     }
 
-    /// Drains the ordered sync-event queue.
-    pub fn take_events(&mut self) -> Vec<OffloadEvent> {
-        self.events.drain(..).collect()
+    /// The planner's walk over the flow table, once per poll pass: drops
+    /// the record of every flow `held` says the host no longer holds,
+    /// armed or not (absorbed bytes go with their connection), and arms
+    /// every other unarmed flow `shadow` hands a shadow for. Returns how
+    /// many it armed.
+    pub fn reconcile(
+        &mut self,
+        mut held: impl FnMut(FlowKey) -> bool,
+        mut shadow: impl FnMut(FlowKey) -> Option<FlowShadow>,
+    ) -> usize {
+        let mut armed = 0;
+        self.flows.retain(|&key, flow| {
+            let keep = held(key);
+            if keep && flow.armed.is_none() {
+                armed += usize::from(flow.arm(shadow(key)));
+            }
+            keep
+        });
+        armed
     }
 
-    /// Drains reply frames awaiting device transmission.
-    pub(crate) fn take_tx(&mut self) -> Vec<DemiBuffer> {
-        std::mem::take(&mut self.tx)
+    /// Drains the ordered sync-event queue.
+    pub fn take_events(&mut self) -> impl Iterator<Item = OffloadEvent> + '_ {
+        self.events.drain(..)
     }
 
     /// Host-populated cache insert (after the host served a GET miss).
@@ -440,16 +478,12 @@ impl TcpOffload {
     /// DELs are invalidated by the device's own write-through scanner.)
     /// Returns `false` for echo engines or keys not cached.
     pub fn cache_invalidate(&mut self, key: &[u8]) -> bool {
-        match &mut self.service {
-            ServiceState::Kv(cache) => {
-                let removed = cache.remove(key);
-                if removed {
-                    self.stats.kv_invalidations += 1;
-                }
-                removed
-            }
+        let removed = match &mut self.service {
+            ServiceState::Kv(cache) => cache.remove(key),
             ServiceState::Echo => false,
-        }
+        };
+        self.stats.kv_invalidations += u64::from(removed);
+        removed
     }
 
     /// Engine counters (gauges computed at read time).
@@ -459,78 +493,72 @@ impl TcpOffload {
             s.cache_bytes = cache.bytes as u64;
             s.cache_entries = cache.map.len() as u64;
         }
-        s.flows_armed = self.flows.values().filter(|f| f.active).count() as u64;
+        s.flows_armed = self.flows.values().filter(|f| f.armed.is_some()).count() as u64;
+        s.flows = self.flows.len() as u64;
         s
     }
 
-    /// Examines one RX frame. Called from the SmartNIC slot engine.
-    pub(crate) fn process(&mut self, frame: &[u8], now: SimTime) -> EngineOutcome {
+    /// Examines one RX frame, pushing each reply it builds onto `tx` with
+    /// the MAC it goes to. Returns [`RxDecision::Absorb`] for a frame the
+    /// device consumed (anything else is delivered) and the device cycles
+    /// the examination cost. Called from the SmartNIC slot engine.
+    pub(crate) fn process(
+        &mut self,
+        frame: &DemiBuffer,
+        now: SimTime,
+        tx: &mut Vec<(MacAddress, DemiBuffer)>,
+    ) -> (RxDecision, u64) {
         let mut cycles = CYCLES_PARSE;
-        let Some((eth, ip, tcp, payload)) = parse_segment(frame) else {
-            return EngineOutcome::deliver(cycles);
+        let parsed = parse_segment(frame.as_slice());
+        let Some((eth, ip, tcp, at)) =
+            parsed.filter(|(_, _, tcp, _)| tcp.dst_port == self.local_port)
+        else {
+            return (DELIVER, cycles);
         };
-        if tcp.dst_port != self.local_port {
-            return EngineOutcome::deliver(cycles);
-        }
-
+        let payload = &frame.as_slice()[at.clone()];
         let key: FlowKey = (ip.src.octets(), tcp.src_port);
+        let (events, stats) = (&mut self.events, &mut self.stats);
 
-        // Write-through invalidation: every segment to the service port is
-        // scanned, armed or not, so a SET on a host-pending flow can never
-        // leave a stale cache entry behind. The scanner keeps a tiny
-        // per-flow reassembly cursor of its own; any loss of framing
-        // certainty clears the whole cache (stale hits are impossible by
-        // construction).
+        // The one lookup: every segment to the service port finds, or
+        // opens, its flow's record.
+        let flow = self.flows.entry(key).or_default();
+        // Write-through invalidation: every segment is scanned, armed or
+        // not, so a SET on a host-pending flow can never leave a stale cache
+        // entry behind. The scanner keeps a tiny reassembly cursor in the
+        // record; any loss of framing certainty clears the whole cache
+        // (stale hits are impossible by construction).
         if let ServiceState::Kv(cache) = &mut self.service {
             if tcp.flags.syn {
-                self.scans.insert(key, InvalScan::fresh(tcp.seq + 1));
+                flow.scan = InvalScan::default();
+                flow.scan.nxt = Some(tcp.seq + 1);
             } else if !payload.is_empty() {
-                let scan = self
-                    .scans
-                    .entry(key)
-                    .or_insert_with(|| InvalScan::fresh(tcp.seq));
-                cycles += scan_invalidate(cache, scan, tcp.seq, payload, &mut self.stats);
+                cycles += scan_invalidate(cache, &mut flow.scan, tcp.seq, payload, stats);
             }
         }
-        let Self {
-            flows,
-            events,
-            tx,
-            stats,
-            service,
-            ..
-        } = self;
-        let Some(flow) = flows.get_mut(&key) else {
-            return EngineOutcome::deliver(cycles);
+        let Some(armed) = &mut flow.armed else {
+            return (DELIVER, cycles);
         };
-        if !flow.active {
-            return EngineOutcome::deliver(cycles);
-        }
-
-        if tcp.flags.syn || tcp.flags.fin || tcp.flags.rst {
-            fall_back(&key, flow, events, stats);
-            return EngineOutcome::deliver(cycles);
-        }
-
-        let device_nxt = SeqNum(flow.shadow.rcv_nxt) + flow.pending.len() as u32;
 
         // A pure ACK is absorbed only if it strictly advances — duplicates
         // and window probes go to the host (they drive fast retransmit and
         // persist logic the device does not model); data only if reassembly
-        // can hold it. Either must be exactly in order past what we absorbed.
-        let advances = tcp.flags.ack && tcp.ack.gt(flow.last_ack);
+        // can hold it. Either must be exactly in order past what we absorbed,
+        // and carry no SYN, FIN or RST.
+        let device_nxt = SeqNum(armed.shadow.rcv_nxt) + armed.pending.len() as u32;
+        let advances = tcp.flags.ack && tcp.ack.gt(armed.last_ack);
         let acceptable = match payload.len() {
             0 => advances,
-            len => flow.pending.len() + len <= MAX_PENDING_BYTES,
+            len => armed.pending.len() + len <= MAX_PENDING_BYTES,
         };
-        if tcp.seq != device_nxt || !acceptable {
-            fall_back(&key, flow, events, stats);
-            return EngineOutcome::deliver(cycles);
+        let flagged = tcp.flags.syn || tcp.flags.fin || tcp.flags.rst;
+        if flagged || tcp.seq != device_nxt || !acceptable {
+            stats.fallbacks += u64::from(flow.disarm(key, events, stats));
+            return (DELIVER, cycles);
         }
         // Forward the ACK (piggybacked: before serving, preserving event
         // order — the client acks our replies on its next request).
         if advances {
-            flow.last_ack = tcp.ack;
+            armed.last_ack = tcp.ack;
             events.push_back(OffloadEvent::AckAdvance {
                 key,
                 ack: tcp.ack.0,
@@ -539,102 +567,70 @@ impl TcpOffload {
         }
         if payload.is_empty() {
             stats.acks_absorbed += 1;
-            return EngineOutcome {
-                action: OffloadAction::Absorb,
-                cycles: cycles + CYCLES_ACK_ABSORB,
-                served: false,
-            };
+            return (RxDecision::Absorb, cycles + CYCLES_ACK_ABSORB);
         }
 
         cycles += CYCLES_REASSEMBLE;
-        flow.pending.extend_from_slice(payload);
+        armed.pending.push(frame.slice(at.start, at.end));
 
         // Serve complete framed messages from the front of the pending
-        // buffer; each serve acknowledges exactly the bytes it consumed.
+        // bytes; each serve acknowledges exactly the bytes it consumed.
         // Anything the device cannot answer — desynchronized framing (in
         // KV mode the invalidation scanner has already cleared the cache
         // for it), a cache miss, a non-GET, a reply over one segment (the
         // host path segments large replies; the device does not) — falls
         // the flow back; the absorbed bytes travel via `Flushed`.
-        let mut served_any = false;
+        let mut fell = false;
         loop {
-            let total = match parse_header(&flow.pending) {
+            let mut head = [0; FRAME_HEADER_LEN];
+            let have = armed.pending.peek(&mut head);
+            let total = match parse_header(&head[..have]) {
                 Ok(None) => break,
                 Ok(Some(len)) if FRAME_HEADER_LEN + len <= MAX_PENDING_BYTES => {
                     FRAME_HEADER_LEN + len
                 }
                 // Desynchronized, or longer than reassembly could ever hold.
                 _ => {
-                    fall_back(&key, flow, events, stats);
+                    fell = true;
                     break;
                 }
             };
-            let Some(request) = flow.pending.get(..total) else {
+            let Some((request, _)) = armed.pending.take(total) else {
                 break;
             };
-            let reply = match service {
-                ServiceState::Echo => Some(DemiBuffer::from_slice(request)),
+            let answer = match &mut self.service {
+                ServiceState::Echo => Some(&request),
                 ServiceState::Kv(cache) => {
                     cycles += CYCLES_KV_LOOKUP;
                     match request[FRAME_HEADER_LEN..].split_first() {
-                        Some((b'G', get)) => match cache.get(get) {
-                            Some(value) => {
-                                stats.kv_hits += 1;
-                                let header = encode_header(1 + value.len());
-                                let framed = [&header[..], b"V", value].concat();
-                                Some(DemiBuffer::from_slice(&framed))
-                            }
-                            None => {
-                                stats.kv_misses += 1;
-                                None
-                            }
-                        },
+                        Some((b'G', get)) => cache.get(get, stats),
                         _ => None,
                     }
                 }
             };
-            let Some(reply) = reply.filter(|r| r.len() <= flow.shadow.mss) else {
-                fall_back(&key, flow, events, stats);
-                break;
-            };
-
-            flow.pending.drain(..total);
-            flow.shadow.rcv_nxt = flow.shadow.rcv_nxt.wrapping_add(total as u32);
-            let reply_seq = SeqNum(flow.shadow.snd_nxt);
-            flow.shadow.snd_nxt = flow.shadow.snd_nxt.wrapping_add(reply.len() as u32);
-
-            // The reply frame: built as the host's TX path builds its own.
-            let mut reply_frame = reply.copy_with_headroom(REPLY_HEADROOM);
             let header = TcpHeader {
                 src_port: tcp.dst_port,
                 dst_port: tcp.src_port,
-                seq: reply_seq,
-                ack: SeqNum(flow.shadow.rcv_nxt),
+                seq: SeqNum(armed.shadow.snd_nxt),
+                ack: SeqNum(armed.shadow.rcv_nxt) + total as u32,
                 flags: TcpFlags::ACK,
-                window: flow.shadow.window,
+                window: armed.shadow.window,
                 mss: None,
             };
-            header
-                .prepend_onto(ip.dst, ip.src, &mut reply_frame)
-                .expect("headroom reserved above");
-            let header = Ipv4Header {
-                src: ip.dst,
-                dst: ip.src,
-                payload_len: reply_frame.len(),
-                ..ip
+            let framed = answer
+                .filter(|answer| answer.len() <= armed.shadow.mss)
+                .map(|answer| answer.copy_with_headroom(REPLY_HEADROOM))
+                .and_then(|reply| Some((frame_reply(&reply, header, ip, eth).ok()?, reply)));
+            let Some((reply_frame, reply)) = framed else {
+                // Unanswerable (or, never for a fresh copy, unframeable):
+                // the request is flushed with what followed it.
+                armed.untake(request);
+                fell = true;
+                break;
             };
-            header
-                .prepend_onto(&mut reply_frame)
-                .expect("headroom reserved above");
-            let header = EthHeader {
-                dst: eth.src,
-                src: eth.dst,
-                ..eth
-            };
-            header
-                .prepend_onto(&mut reply_frame)
-                .expect("headroom reserved above");
-            tx.push(reply_frame);
+            armed.shadow.rcv_nxt = header.ack.0;
+            armed.shadow.snd_nxt = armed.shadow.snd_nxt.wrapping_add(reply.len() as u32);
+            tx.push((eth.src, reply_frame));
 
             cycles += CYCLES_SERVE_BASE + (reply.len() as u64 / 16) * CYCLES_SERVE_PER_16B;
             events.push_back(OffloadEvent::Served {
@@ -644,14 +640,11 @@ impl TcpOffload {
                 served_at: now,
             });
             stats.served += 1;
-            served_any = true;
         }
-
-        EngineOutcome {
-            action: OffloadAction::Absorb,
-            cycles,
-            served: served_any,
+        if fell {
+            stats.fallbacks += u64::from(flow.disarm(key, events, stats));
         }
+        (RxDecision::Absorb, cycles)
     }
 }
 
@@ -660,7 +653,8 @@ const REPLY_HEADROOM: usize = TCP_HEADER_LEN + IPV4_HEADER_LEN + ETH_HEADER_LEN;
 
 /// The host's parse chain over one frame: `None` for anything it would not
 /// hand to its TCP — other protocols, a failed header check or checksum.
-fn parse_segment(frame: &[u8]) -> Option<(EthHeader, Ipv4Header, TcpHeader, &[u8])> {
+/// The last field is where the TCP payload sits in `frame`.
+fn parse_segment(frame: &[u8]) -> Option<(EthHeader, Ipv4Header, TcpHeader, Range<usize>)> {
     let (eth, packet) = EthHeader::parse(frame).ok()?;
     if eth.ethertype != EtherType::Ipv4 {
         return None;
@@ -670,39 +664,38 @@ fn parse_segment(frame: &[u8]) -> Option<(EthHeader, Ipv4Header, TcpHeader, &[u8
         return None;
     }
     let (tcp, data_off) = TcpHeader::parse(ip.src, ip.dst, segment).ok()?;
-    Some((eth, ip, tcp, &segment[data_off..]))
+    // Behind the Ethernet header, the IPv4 header with its options (IHL
+    // words) and the TCP header.
+    let start = ETH_HEADER_LEN + usize::from(packet[0] & 0x0F) * 4 + data_off;
+    Some((eth, ip, tcp, start..start + segment.len() - data_off))
 }
 
-/// Flushes a flow's pending bytes to the host (without marking fallback).
-fn flush_pending(
-    key: &FlowKey,
-    flow: &mut FlowState,
-    events: &mut VecDeque<OffloadEvent>,
-    stats: &mut OffloadStats,
-) {
-    if !flow.pending.is_empty() {
-        stats.flushed_bytes += flow.pending.len() as u64;
-        events.push_back(OffloadEvent::Flushed {
-            key: *key,
-            data: DemiBuffer::from_slice(&flow.pending),
-        });
-        flow.pending.clear();
-    }
-}
-
-/// Marks a flow host-pending, flushing absorbed bytes first.
-fn fall_back(
-    key: &FlowKey,
-    flow: &mut FlowState,
-    events: &mut VecDeque<OffloadEvent>,
-    stats: &mut OffloadStats,
-) {
-    flush_pending(key, flow, events, stats);
-    if flow.active {
-        flow.active = false;
-        stats.fallbacks += 1;
-        events.push_back(OffloadEvent::FellBack { key: *key });
-    }
+/// `reply` behind `tcp` and the IPv4 and Ethernet headers that send it
+/// back the way `ip` and `eth` came, written into its headroom by the
+/// serializers the host's TX path uses. The reply view itself stays as it
+/// is: the host mirrors it into its retransmission queue.
+fn frame_reply(
+    reply: &DemiBuffer,
+    tcp: TcpHeader,
+    ip: Ipv4Header,
+    eth: EthHeader,
+) -> Result<DemiBuffer, HeadroomError> {
+    let mut frame = reply.clone();
+    tcp.prepend_onto(ip.dst, ip.src, &mut frame)?;
+    let ip = Ipv4Header {
+        src: ip.dst,
+        dst: ip.src,
+        payload_len: frame.len(),
+        ..ip
+    };
+    ip.prepend_onto(&mut frame)?;
+    let eth = EthHeader {
+        src: eth.dst,
+        dst: eth.src,
+        ..eth
+    };
+    eth.prepend_onto(&mut frame)?;
+    Ok(frame)
 }
 
 /// Invalidation-scan reassembly bound: the scanner only ever needs a
@@ -711,26 +704,18 @@ fn fall_back(
 const SCAN_BUF_CAP: usize = 256;
 
 /// Per-flow cursor for the write-through invalidation scanner. Unlike the
-/// serve path's `pending` buffer, this exists for *every* flow on the
-/// port — armed, fallen-back, or never armed — because a SET the host
-/// serves must still invalidate device cache state.
+/// serve path's `pending` bytes, this runs for *every* flow on the port —
+/// armed, fallen-back, or never armed — because a SET the host serves must
+/// still invalidate device cache state.
+#[derive(Default)]
 struct InvalScan {
-    /// Next expected sequence number.
-    nxt: SeqNum,
+    /// Next expected sequence number; `None` until the scanner has seen
+    /// the flow's SYN or a byte of it.
+    nxt: Option<SeqNum>,
     /// Head-of-message bytes accumulated so far (≤ [`SCAN_BUF_CAP`]).
     buf: Vec<u8>,
     /// Remaining bytes of an already-classified message to discard.
     skip: usize,
-}
-
-impl InvalScan {
-    fn fresh(nxt: SeqNum) -> Self {
-        InvalScan {
-            nxt,
-            buf: Vec::new(),
-            skip: 0,
-        }
-    }
 }
 
 /// Advances a flow's invalidation scan over one segment, removing cached
@@ -745,7 +730,7 @@ fn scan_invalidate(
     stats: &mut OffloadStats,
 ) -> u64 {
     let mut cycles = 0;
-    if seq != scan.nxt {
+    if scan.nxt.is_some_and(|nxt| nxt != seq) {
         // Discontinuity (retransmit, reorder, or a flow first seen
         // mid-stream): framing alignment is unknown, so forget everything
         // and resynchronize optimistically at this segment. A wrong guess
@@ -754,7 +739,7 @@ fn scan_invalidate(
         scan.buf.clear();
         scan.skip = 0;
     }
-    scan.nxt = seq + payload.len() as u32;
+    scan.nxt = Some(seq + payload.len() as u32);
     let mut rest = payload;
     while !rest.is_empty() {
         if scan.skip > 0 {
@@ -851,13 +836,13 @@ mod tests {
         (CLIENT_IP, CLIENT_PORT)
     }
 
-    fn shadow(rcv_nxt: u32, snd_nxt: u32) -> FlowShadow {
-        FlowShadow {
+    fn shadow(rcv_nxt: u32, snd_nxt: u32) -> Option<FlowShadow> {
+        Some(FlowShadow {
             rcv_nxt,
             snd_nxt,
             window: 65_000,
             mss: 1460,
-        }
+        })
     }
 
     /// The one builder of client traffic: a client → server segment
@@ -898,12 +883,37 @@ mod tests {
     /// A device reply, parsed by the host's chain: Ethernet and TCP
     /// headers and the payload.
     fn parse_reply(frame: &DemiBuffer) -> (EthHeader, TcpHeader, &[u8]) {
-        let (eth, _, tcp, payload) = parse_segment(frame.as_slice()).expect("reply parses");
-        (eth, tcp, payload)
+        let (eth, _, tcp, at) = parse_segment(frame.as_slice()).expect("reply parses");
+        (eth, tcp, &frame.as_slice()[at])
     }
 
-    fn process(engine: &mut TcpOffload, frame: &DemiBuffer) -> EngineOutcome {
-        engine.process(frame.as_slice(), SimTime::ZERO)
+    /// What examining one frame did: the decision, the device cycles and
+    /// the reply frames built.
+    struct Outcome {
+        action: RxDecision,
+        cycles: u64,
+        tx: Vec<DemiBuffer>,
+    }
+
+    impl Outcome {
+        fn served(&self) -> bool {
+            !self.tx.is_empty()
+        }
+    }
+
+    fn process(engine: &mut TcpOffload, frame: &DemiBuffer) -> Outcome {
+        let mut tx = Vec::new();
+        let (action, cycles) = engine.process(frame, SimTime::ZERO, &mut tx);
+        assert!(
+            tx.iter().all(|(dst, _)| *dst == CLIENT_MAC),
+            "replies go back"
+        );
+        let tx = tx.into_iter().map(|(_, frame)| frame).collect();
+        Outcome { action, cycles, tx }
+    }
+
+    fn events(engine: &mut TcpOffload) -> Vec<OffloadEvent> {
+        engine.take_events().collect()
     }
 
     #[test]
@@ -918,19 +928,19 @@ mod tests {
         let body_seg = client_data(1008, 5000, &msg[FRAME_HEADER_LEN..]);
 
         let o1 = process(&mut engine, &hdr_seg);
-        assert_eq!(o1.action, OffloadAction::Absorb);
-        assert!(!o1.served);
-        assert!(engine.take_tx().is_empty(), "nothing served yet");
+        assert_eq!(o1.action, RxDecision::Absorb);
+        assert!(!o1.served());
+        assert!(o1.tx.is_empty(), "nothing served yet");
 
         let o2 = process(&mut engine, &body_seg);
-        assert_eq!(o2.action, OffloadAction::Absorb);
-        assert!(o2.served);
+        assert_eq!(o2.action, RxDecision::Absorb);
+        assert!(o2.served());
         assert!(
             o2.cycles >= CYCLES_SERVE_BASE,
             "serving costs device cycles"
         );
 
-        let tx = engine.take_tx();
+        let tx = o2.tx;
         assert_eq!(tx.len(), 1);
         let (eth, reply, payload) = parse_reply(&tx[0]);
         assert_eq!(eth.dst, CLIENT_MAC);
@@ -939,7 +949,7 @@ mod tests {
         assert_eq!(reply.ack, SeqNum(1000 + msg.len() as u32));
         assert_eq!(payload, &msg[..], "echo reply mirrors the request");
 
-        let events = engine.take_events();
+        let events = events(&mut engine);
         assert_eq!(events.len(), 1);
         match &events[0] {
             OffloadEvent::Served { rx_len, reply, .. } => {
@@ -966,15 +976,16 @@ mod tests {
             let mut corrupted = clean.to_vec();
             corrupted[flipped_byte] ^= 0x04;
 
-            let o = engine.process(&corrupted, SimTime::ZERO);
-            assert_eq!(o.action, OffloadAction::Deliver, "byte {flipped_byte}");
-            assert!(!o.served);
-            assert!(engine.take_events().is_empty(), "no event, no fallback");
-            assert!(engine.take_tx().is_empty(), "no reply");
+            let o = process(&mut engine, &DemiBuffer::from_slice(&corrupted));
+            assert_eq!(o.action, DELIVER, "byte {flipped_byte}");
+            assert!(!o.served());
+            assert!(events(&mut engine).is_empty(), "no event, no fallback");
+            assert!(o.tx.is_empty(), "no reply");
             assert_eq!(engine.stats(), armed, "nothing counted, flow still armed");
 
-            assert!(process(&mut engine, &clean).served);
-            assert_eq!(parse_reply(&engine.take_tx()[0]).2, &msg[..]);
+            let o = process(&mut engine, &clean);
+            assert!(o.served());
+            assert_eq!(parse_reply(&o.tx[0]).2, &msg[..]);
             assert_eq!(engine.stats().served, 1);
         }
     }
@@ -985,8 +996,8 @@ mod tests {
         engine.arm_flow(key(), shadow(1000, 5000));
         let ack = client_data(1000, 5100, b"");
         let o = process(&mut engine, &ack);
-        assert_eq!(o.action, OffloadAction::Absorb);
-        match &engine.take_events()[..] {
+        assert_eq!(o.action, RxDecision::Absorb);
+        match &events(&mut engine)[..] {
             [OffloadEvent::AckAdvance { ack, window, .. }] => {
                 assert_eq!(*ack, 5100);
                 assert_eq!(*window, 60_000);
@@ -996,8 +1007,8 @@ mod tests {
         // A duplicate of the same ACK falls back to the host.
         let dup = client_data(1000, 5100, b"");
         let o = process(&mut engine, &dup);
-        assert_eq!(o.action, OffloadAction::Deliver);
-        assert!(!engine.flows[&key()].active, "flow fell back");
+        assert_eq!(o.action, DELIVER);
+        assert!(engine.flows[&key()].armed.is_none(), "flow fell back");
         assert_eq!(engine.stats().fallbacks, 1);
     }
 
@@ -1007,18 +1018,20 @@ mod tests {
         engine.arm_flow(key(), shadow(1000, 5000));
         let msg = encode_message(b"partial");
         let hdr_seg = client_data(1000, 5000, &msg[..FRAME_HEADER_LEN]);
-        assert_eq!(process(&mut engine, &hdr_seg).action, OffloadAction::Absorb);
+        assert_eq!(process(&mut engine, &hdr_seg).action, RxDecision::Absorb);
 
         let fin = client_segment(1008, 5000, TcpFlags::FIN_ACK, b"");
         let o = process(&mut engine, &fin);
-        assert_eq!(o.action, OffloadAction::Deliver, "host handles the FIN");
-        let events = engine.take_events();
+        assert_eq!(o.action, DELIVER, "host handles the FIN");
+        let events = events(&mut engine);
         match &events[..] {
-            [OffloadEvent::Flushed { data, .. }, OffloadEvent::FellBack { .. }] => {
+            [OffloadEvent::Flushed { data, .. }] => {
                 assert_eq!(data.as_slice(), &msg[..FRAME_HEADER_LEN]);
             }
             other => panic!("unexpected events {other:?}"),
         }
+        assert!(engine.flows[&key()].armed.is_none(), "flow fell back");
+        assert_eq!(engine.stats().fallbacks, 1);
     }
 
     #[test]
@@ -1028,8 +1041,8 @@ mod tests {
         let msg = encode_message(b"x");
         let ooo = client_data(1500, 5000, &msg);
         let o = process(&mut engine, &ooo);
-        assert_eq!(o.action, OffloadAction::Deliver);
-        assert!(!engine.flows[&key()].active);
+        assert_eq!(o.action, DELIVER);
+        assert!(engine.flows[&key()].armed.is_none());
     }
 
     #[test]
@@ -1046,38 +1059,39 @@ mod tests {
         // GET hit: served from device memory.
         let get = encode_message(b"Gk1");
         let o = process(&mut engine, &client_data(1000, 5000, &get));
-        assert_eq!(o.action, OffloadAction::Absorb);
-        assert!(o.served);
-        let tx = engine.take_tx();
-        assert_eq!(parse_reply(&tx[0]).2, &encode_message(b"Vv1")[..]);
+        assert_eq!(o.action, RxDecision::Absorb);
+        assert!(o.served());
+        assert_eq!(parse_reply(&o.tx[0]).2, &encode_message(b"Vv1")[..]);
         assert_eq!(engine.stats().kv_hits, 1);
 
         // GET miss: falls back (bytes flushed to host).
         let nxt = 1000 + get.len() as u32;
         let miss = encode_message(b"Gk2");
         let o = process(&mut engine, &client_data(nxt, 5000, &miss));
-        assert_eq!(o.action, OffloadAction::Absorb, "bytes travel via Flushed");
-        let events = engine.take_events();
+        assert_eq!(o.action, RxDecision::Absorb, "bytes travel via Flushed");
+        let events = events(&mut engine);
         assert!(matches!(events[0], OffloadEvent::Served { .. }));
         match &events[1] {
             OffloadEvent::Flushed { data, .. } => assert_eq!(data.as_slice(), &miss[..]),
             other => panic!("unexpected {other:?}"),
         }
-        assert!(matches!(events[2], OffloadEvent::FellBack { .. }));
+        assert_eq!(events.len(), 2);
+        assert!(engine.flows[&key()].armed.is_none(), "flow fell back");
+        assert_eq!(engine.stats().fallbacks, 1);
         assert_eq!(engine.stats().kv_misses, 1);
 
         // SET on the (now host-pending) flow still invalidates.
         let nxt = nxt + miss.len() as u32;
         let set = encode_message(b"Sk1=v2");
         let o = process(&mut engine, &client_data(nxt, 5000, &set));
-        assert_eq!(o.action, OffloadAction::Deliver, "host serves the SET");
+        assert_eq!(o.action, DELIVER, "host serves the SET");
         assert_eq!(engine.stats().kv_invalidations, 1);
 
         // Re-arm; the stale key must miss now.
         engine.arm_flow(key(), shadow(2000, 6000));
         let get1 = encode_message(b"Gk1");
         let o = process(&mut engine, &client_data(2000, 6000, &get1));
-        assert!(!o.served, "invalidated key cannot hit");
+        assert!(!o.served(), "invalidated key cannot hit");
         assert_eq!(engine.stats().kv_misses, 2);
     }
 
@@ -1091,9 +1105,8 @@ mod tests {
         engine.arm_flow(key(), shadow(0, 0));
         // Touch k1 so k2 becomes the LRU.
         let g1 = encode_message(b"Gk1");
-        assert!(process(&mut engine, &client_data(0, 0, &g1)).served);
-        engine.take_tx();
-        engine.take_events();
+        assert!(process(&mut engine, &client_data(0, 0, &g1)).served());
+        events(&mut engine);
         assert!(engine.cache_insert(b"k4", b"dddd"));
         let s = engine.stats();
         assert_eq!(s.kv_evictions, 1);
@@ -1102,7 +1115,7 @@ mod tests {
         let nxt = g1.len() as u32;
         let g2 = encode_message(b"Gk2");
         let o = process(&mut engine, &client_data(nxt, 0, &g2));
-        assert!(!o.served, "LRU entry was evicted");
+        assert!(!o.served(), "LRU entry was evicted");
         // An entry bigger than the whole device budget is refused.
         assert!(!engine.cache_insert(b"huge", &[0u8; 64]));
     }
@@ -1115,7 +1128,7 @@ mod tests {
         let hdr = client_data(1000, 5000, &msg[..FRAME_HEADER_LEN]);
         process(&mut engine, &hdr);
         engine.disarm_all();
-        let events = engine.take_events();
+        let events = events(&mut engine);
         assert!(matches!(&events[..], [OffloadEvent::Flushed { .. }]));
         assert_eq!(engine.stats().flows_armed, 0);
         // Frames now pass straight through.
@@ -1123,7 +1136,7 @@ mod tests {
             &mut engine,
             &client_data(1008, 5000, &msg[FRAME_HEADER_LEN..]),
         );
-        assert_eq!(o.action, OffloadAction::Deliver);
+        assert_eq!(o.action, DELIVER);
     }
 
     #[test]
@@ -1135,10 +1148,10 @@ mod tests {
         let mut both = m1.clone();
         both.extend_from_slice(&m2);
         let o = process(&mut engine, &client_data(0, 0, &both));
-        assert_eq!(o.action, OffloadAction::Absorb);
-        let tx = engine.take_tx();
+        assert_eq!(o.action, RxDecision::Absorb);
+        let tx = o.tx;
         assert_eq!(tx.len(), 2, "one reply per message");
-        let events = engine.take_events();
+        let events = events(&mut engine);
         assert_eq!(events.len(), 2);
         let (_, r2, payload) = parse_reply(&tx[1]);
         assert_eq!(

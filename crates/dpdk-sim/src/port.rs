@@ -277,7 +277,7 @@ impl DpdkPort {
 
     /// Per-program-slot execution counters (E17 attribution).
     pub fn smartnic_slot_stats(&self) -> Vec<crate::smartnic::SlotStats> {
-        self.inner.borrow().smartnic.slot_stats().to_vec()
+        self.inner.borrow().smartnic.slot_stats()
     }
 }
 
@@ -289,7 +289,13 @@ impl PortInner {
             // transmitted; SmartNIC Map programs rewrite it in place.
             let mut data = frame.payload;
             let decision = self.smartnic.process_rx(&mut data, frame.delivered_at);
-            self.flush_device_tx();
+            // Replies an offload program built leave at once, accounted
+            // apart from host TX: no doorbell rang, no host cycle was spent,
+            // only the device cycles the program charged.
+            for (dst, reply) in self.smartnic.drain_tx() {
+                self.stats.device_tx_frames += 1;
+                self.endpoint.transmit(dst, reply);
+            }
             let steered = match decision {
                 RxDecision::Drop => continue,
                 RxDecision::Absorb => {
@@ -313,22 +319,6 @@ impl PortInner {
             self.stats.rx_bytes += data.len() as u64;
             self.queue_stats[queue as usize].enqueued += 1;
             ring.push_back(Mbuf::from_data(data));
-        }
-    }
-
-    /// Transmits frames the SmartNIC generated device-side (offload
-    /// replies). These leave through the fabric like any frame but are
-    /// accounted separately: no host doorbell rang, no host cycle was
-    /// spent — only the device cycles the program already charged.
-    fn flush_device_tx(&mut self) {
-        for reply in self.smartnic.take_tx() {
-            let bytes = reply.as_slice();
-            if bytes.len() < 14 {
-                continue;
-            }
-            let dst = MacAddress::new([bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5]]);
-            self.stats.device_tx_frames += 1;
-            self.endpoint.transmit(dst, reply);
         }
     }
 }

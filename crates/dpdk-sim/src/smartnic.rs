@@ -20,9 +20,9 @@ use std::fmt;
 use std::rc::Rc;
 
 use demi_memory::DemiBuffer;
-use sim_fabric::SimTime;
+use sim_fabric::{MacAddress, SimTime};
 
-use crate::offload::{OffloadAction, TcpOffload};
+use crate::offload::TcpOffload;
 
 /// A frame predicate: `false` drops the frame.
 pub(crate) type FramePredicate = Rc<dyn Fn(&[u8]) -> bool>;
@@ -36,7 +36,6 @@ pub(crate) type FrameTransform = Rc<dyn Fn(&mut [u8])>;
 pub struct ProgramSlot(pub usize);
 
 /// An application function offloaded to the NIC.
-#[derive(Clone)]
 pub enum NicProgram {
     /// Drops frames for which the predicate returns `false`.
     Filter {
@@ -152,23 +151,30 @@ pub enum RxDecision {
     },
 }
 
+/// One program slot: its occupant, and the counters of the program that
+/// last occupied it.
+#[derive(Debug, Default)]
+struct Slot {
+    program: Option<NicProgram>,
+    stats: SlotStats,
+}
+
 /// The device-side program engine.
 #[derive(Debug)]
 pub struct SmartNic {
-    slots: Vec<Option<NicProgram>>,
-    slot_stats: Vec<SlotStats>,
+    slots: Vec<Slot>,
     stats: SmartNicStats,
-    /// Reply frames offload engines built this pump; the port drains and
-    /// transmits them (device TX, never a host doorbell).
-    tx: Vec<DemiBuffer>,
+    /// Reply frames offload engines built, each with the MAC it goes to;
+    /// the port transmits them as they are built (device TX, never a host
+    /// doorbell).
+    tx: Vec<(MacAddress, DemiBuffer)>,
 }
 
 impl SmartNic {
     /// Creates an engine with `num_slots` program slots (0 = plain NIC).
     pub fn new(num_slots: usize) -> Self {
         SmartNic {
-            slots: vec![None; num_slots],
-            slot_stats: vec![SlotStats::default(); num_slots],
+            slots: (0..num_slots).map(|_| Slot::default()).collect(),
             stats: SmartNicStats::default(),
             tx: Vec::new(),
         }
@@ -179,26 +185,25 @@ impl SmartNic {
         if self.slots.is_empty() {
             return Err(SmartNicError::NotProgrammable);
         }
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(program);
-                self.slot_stats[i] = SlotStats::default();
-                return Ok(ProgramSlot(i));
-            }
-        }
-        Err(SmartNicError::OutOfSlots)
+        let free = self.slots.iter().position(|slot| slot.program.is_none());
+        let i = free.ok_or(SmartNicError::OutOfSlots)?;
+        self.slots[i] = Slot {
+            program: Some(program),
+            stats: SlotStats::default(),
+        };
+        Ok(ProgramSlot(i))
     }
 
     /// Removes the program in `slot`; idempotent.
     pub(crate) fn uninstall(&mut self, slot: ProgramSlot) {
         if let Some(s) = self.slots.get_mut(slot.0) {
-            *s = None;
+            s.program = None;
         }
     }
 
     /// Number of installed programs.
     pub(crate) fn installed(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.slots.iter().filter(|s| s.program.is_some()).count()
     }
 
     /// Runs every installed program over an incoming frame, in slot
@@ -208,84 +213,81 @@ impl SmartNic {
         if self.installed() == 0 {
             return RxDecision::Accept { queue: None };
         }
-        self.stats.frames_processed += 1;
+        let SmartNic { slots, stats, tx } = self;
+        stats.frames_processed += 1;
         let mut queue = None;
-        for i in 0..self.slots.len() {
-            let Some(program) = self.slots[i].clone() else {
+        for Slot {
+            program,
+            stats: slot,
+        } in slots
+        {
+            let Some(program) = program else {
                 continue;
             };
-            let slot = &mut self.slot_stats[i];
             slot.frames += 1;
-            match program {
+            // Each program charges its cycles; a drop or an absorb ends the
+            // walk.
+            let (cycles, verdict) = match program {
                 NicProgram::Filter {
                     predicate,
                     cycles_per_frame,
                 } => {
-                    self.stats.device_cycles += cycles_per_frame;
-                    slot.cycles += cycles_per_frame;
-                    if !predicate(frame.as_slice()) {
-                        self.stats.frames_filtered += 1;
-                        slot.drops += 1;
-                        return RxDecision::Drop;
-                    }
+                    let keep = predicate(frame.as_slice());
+                    (*cycles_per_frame, (!keep).then_some(RxDecision::Drop))
                 }
                 NicProgram::Steer {
                     selector,
                     cycles_per_frame,
                 } => {
-                    self.stats.device_cycles += cycles_per_frame;
-                    slot.cycles += cycles_per_frame;
-                    if let Some(q) = selector(frame.as_slice()) {
-                        queue = Some(q);
-                    }
+                    queue = selector(frame.as_slice()).or(queue);
+                    (*cycles_per_frame, None)
                 }
                 NicProgram::Map {
                     transform,
                     cycles_per_frame,
                 } => {
-                    self.stats.device_cycles += cycles_per_frame;
-                    slot.cycles += cycles_per_frame;
-                    match frame.try_mut() {
-                        Some(bytes) => transform(bytes),
-                        None => {
-                            // Another live handle shares the storage:
-                            // rewrite a private copy instead of corrupting
-                            // the sender's bytes (`from_slice` counts the
-                            // alloc + copy toward the datapath counters).
-                            slot.copy_fallbacks += 1;
-                            let mut copy = DemiBuffer::from_slice(frame.as_slice());
-                            transform(copy.try_mut().expect("fresh buffer is exclusive"));
-                            *frame = copy;
-                        }
+                    if frame.try_mut().is_none() {
+                        // Another live handle shares the storage: rewrite a
+                        // private copy instead of corrupting the sender's
+                        // bytes (`from_slice` counts the alloc + copy toward
+                        // the datapath counters).
+                        slot.copy_fallbacks += 1;
+                        *frame = DemiBuffer::from_slice(frame.as_slice());
                     }
+                    // A fresh copy is exclusive, so this always rewrites.
+                    if let Some(bytes) = frame.try_mut() {
+                        transform(bytes);
+                    }
+                    (*cycles_per_frame, None)
                 }
                 NicProgram::TcpOffload { engine } => {
-                    let outcome = engine.borrow_mut().process(frame.as_slice(), now);
-                    self.stats.device_cycles += outcome.cycles;
-                    slot.cycles += outcome.cycles;
-                    if outcome.served {
-                        self.stats.frames_served += 1;
+                    let replies = tx.len();
+                    let (decision, cycles) = engine.borrow_mut().process(frame, now, tx);
+                    if tx.len() > replies {
+                        stats.frames_served += 1;
                         slot.served += 1;
                     }
-                    match outcome.action {
-                        OffloadAction::Deliver => {}
-                        OffloadAction::Absorb => {
-                            self.stats.frames_absorbed += 1;
-                            slot.drops += 1;
-                            self.tx.extend(engine.borrow_mut().take_tx());
-                            return RxDecision::Absorb;
-                        }
-                    }
-                    self.tx.extend(engine.borrow_mut().take_tx());
+                    (cycles, (decision == RxDecision::Absorb).then_some(decision))
                 }
+            };
+            stats.device_cycles += cycles;
+            slot.cycles += cycles;
+            if let Some(verdict) = verdict {
+                slot.drops += 1;
+                match verdict {
+                    RxDecision::Drop => stats.frames_filtered += 1,
+                    _ => stats.frames_absorbed += 1,
+                }
+                return verdict;
             }
         }
         RxDecision::Accept { queue }
     }
 
-    /// Drains reply frames built by offload engines this pump.
-    pub(crate) fn take_tx(&mut self) -> Vec<DemiBuffer> {
-        std::mem::take(&mut self.tx)
+    /// Drains the reply frames offload engines built, each with its
+    /// destination MAC.
+    pub(crate) fn drain_tx(&mut self) -> std::vec::Drain<'_, (MacAddress, DemiBuffer)> {
+        self.tx.drain(..)
     }
 
     /// Execution counters, aggregated over all slots.
@@ -295,8 +297,8 @@ impl SmartNic {
 
     /// Per-slot execution counters (index = slot number; uninstalled
     /// slots keep the stats of their last occupant until reused).
-    pub fn slot_stats(&self) -> &[SlotStats] {
-        &self.slot_stats
+    pub fn slot_stats(&self) -> Vec<SlotStats> {
+        self.slots.iter().map(|slot| slot.stats).collect()
     }
 }
 

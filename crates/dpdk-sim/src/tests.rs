@@ -36,7 +36,7 @@ use crate::wire::l4_ports;
 use crate::wire::seq::SeqNum;
 use crate::wire::tcp::{TcpFlags, TcpHeader};
 use crate::{capabilities, rss, smartnic_capabilities};
-use crate::{FlowKey, FlowShadow, OffloadAction, OffloadEvent, OffloadService, TcpOffload};
+use crate::{FlowKey, FlowShadow, OffloadEvent, OffloadService, RxDecision, TcpOffload};
 use demi_memory::DemiBuffer;
 use sim_fabric::{DeviceCategory, MacAddress, SimRng, SimTime};
 
@@ -264,7 +264,7 @@ fn engine(service: OffloadService, armed: bool) -> TcpOffload {
             window: 65_000,
             mss: 1460,
         };
-        engine.arm_flow(KEY, shadow);
+        engine.arm_flow(KEY, Some(shadow));
     }
     engine
 }
@@ -314,11 +314,11 @@ fn the_device_acts_only_on_frames_the_host_accepts() {
             ] {
                 let mut engine = engine(service, armed);
                 let before = engine.stats();
-                let out = engine.process(&frame, SimTime::ZERO);
-                let (events, tx) = (engine.take_events(), engine.take_tx());
+                let mut tx = Vec::new();
+                let out = engine.process(&DemiBuffer::from_slice(&frame), SimTime::ZERO, &mut tx);
+                let events: Vec<_> = engine.take_events().collect();
                 if accepted.is_none() {
-                    let untouched = out.action == OffloadAction::Deliver
-                        && !out.served
+                    let untouched = out.0 == RxDecision::Accept { queue: None }
                         && events.is_empty()
                         && tx.is_empty()
                         && engine.stats() == before;
@@ -329,7 +329,7 @@ fn the_device_acts_only_on_frames_the_host_accepts() {
                         engine.stats()
                     );
                 }
-                for reply in &tx {
+                for (_, reply) in &tx {
                     assert!(
                         host_chain(reply.as_slice()).is_some(),
                         "{service:?} emitted a frame the host rejects"
@@ -349,21 +349,21 @@ fn a_framing_header_one_reader_rejects_every_reader_rejects() {
             let header = spliced_framing_header(&mut rng, 1);
             let payload = [&header[..], b"X"].concat();
             let mut engine = engine(KV, true);
-            let out = engine.process(&data_frame(&payload), SimTime::ZERO);
-            let events = engine.take_events();
+            let frame = DemiBuffer::from_slice(&data_frame(&payload));
+            let out = engine.process(&frame, SimTime::ZERO, &mut Vec::new());
+            let events: Vec<_> = engine.take_events().collect();
             let stats = engine.stats();
             if parse_header(&payload).is_ok() {
                 assert_eq!(stats.kv_clears, 0, "{header:?}");
                 continue;
             }
             // The serve path hands the bytes back and the flow with them.
-            assert_eq!(out.action, OffloadAction::Absorb);
+            assert_eq!(out.0, RxDecision::Absorb);
             match &events[..] {
-                [OffloadEvent::Flushed { data, .. }, OffloadEvent::FellBack { .. }] => {
-                    assert_eq!(data.as_slice(), &payload[..])
-                }
+                [OffloadEvent::Flushed { data, .. }] => assert_eq!(data.as_slice(), &payload[..]),
                 other => panic!("{other:?}"),
             }
+            assert_eq!((stats.fallbacks, stats.flows_armed), (1, 0));
             // The scanner forgets everything it cached...
             assert_eq!((stats.kv_clears, stats.cache_entries), (1, 0));
             // ...and skips nothing on the header's say-so: the very next
@@ -371,7 +371,11 @@ fn a_framing_header_one_reader_rejects_every_reader_rejects() {
             engine.cache_insert(b"k", b"value");
             let next = RCV_NXT + payload.len() as u32;
             let set = tcp_frame(TcpFlags::ACK, next, SND_NXT, None, &encode_message(b"Sk=v"));
-            engine.process(&set, SimTime::ZERO);
+            engine.process(
+                &DemiBuffer::from_slice(&set),
+                SimTime::ZERO,
+                &mut Vec::new(),
+            );
             let stats = engine.stats();
             assert_eq!((stats.kv_invalidations, stats.cache_entries), (1, 0));
         }

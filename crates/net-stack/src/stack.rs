@@ -164,7 +164,7 @@ pub struct ShardStats {
     /// bounded queue.
     pub handoff_dropped: u64,
     /// Device-offload sync events this shard applied to its control
-    /// blocks (ACK advances, device serves, flushed bytes, fallbacks).
+    /// blocks (ACK advances, device serves, flushed bytes).
     pub offload_events_applied: u64,
     /// Flows this shard armed (or re-armed after fallback) on the device.
     pub offload_rearms: u64,

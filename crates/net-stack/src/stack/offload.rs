@@ -2,154 +2,124 @@
 //! decides which flows are device-eligible (Established, quiescent server
 //! connections on the offloaded port), installs the restricted engine
 //! into a NIC program slot, keeps host control blocks coherent by
-//! applying the engine's sync events, and falls everything back to the
-//! pure host path on uninstall. Applications never talk to the device
-//! directly; the shard core reaches its `Option<Offload>` only through
-//! `drain_events`, `release_conn` and `rearm`.
+//! applying the engine's sync events, drops the engine's record of a
+//! flow once its connection is gone, and falls everything back to the
+//! pure host path on uninstall. The engine's flow table is the only
+//! record of which flows it serves: the planner asks it, and finds a
+//! flow's connection through the demux table. Applications never talk to
+//! the device directly; the shard core reaches its `Option<Offload>` only
+//! through `drain_events`, `release_conn` and `rearm`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use dpdk_sim::{
-    FlowKey, FlowShadow, NicProgram, OffloadEvent, OffloadService, OffloadStats, ProgramSlot,
-    TcpOffload,
+    FlowKey, NicProgram, OffloadEvent, OffloadService, OffloadStats, ProgramSlot, TcpOffload,
 };
 use sim_fabric::SimTime;
 
 use super::NetworkStack;
-use crate::fasthash::FastHashMap;
 use crate::tcp::{ConnId, TcpPeer};
 use crate::types::{NetError, SocketAddr};
 
-/// The installed device offload program: the engine, the NIC slot it
-/// occupies, and the connections currently armed on it. An engine's sync
-/// events all belong to the stack that installed it — a second stack on
-/// the same port installs its own engine in its own slot.
+/// The installed device offload program: the engine and the NIC slot it
+/// occupies. An engine's sync events all belong to the stack that
+/// installed it — a second stack on the same port installs its own engine
+/// in its own slot.
 pub(super) struct Offload {
     engine: Rc<RefCell<TcpOffload>>,
     slot: ProgramSlot,
     /// The offloaded local TCP port.
     port: u16,
-    /// Armed connections and their device flow keys. The other direction,
-    /// flow → connection, is the peer's demux table.
-    armed: FastHashMap<ConnId, FlowKey>,
+}
+
+/// The engine's key for the flow from `remote`.
+fn engine_key(remote: SocketAddr) -> FlowKey {
+    (remote.ip.octets(), remote.port)
+}
+
+/// The remote endpoint of the flow the engine keys `key`.
+fn remote_of(key: FlowKey) -> SocketAddr {
+    SocketAddr::new(key.0.into(), key.1)
 }
 
 impl Offload {
     /// Applies the device's queued sync events to `tcp`'s control
     /// blocks, in emission order; returns how many were applied.
     pub(super) fn drain_events(&mut self, tcp: &mut TcpPeer, now: SimTime) -> usize {
-        let events = self.engine.borrow_mut().take_events();
         let mut applied = 0usize;
-        for ev in events {
-            let key = match &ev {
-                OffloadEvent::AckAdvance { key, .. }
-                | OffloadEvent::Served { key, .. }
-                | OffloadEvent::Flushed { key, .. }
-                | OffloadEvent::FellBack { key } => *key,
-            };
-            let remote = SocketAddr::new(key.0.into(), key.1);
-            let armed = |conn: &ConnId| self.armed.contains_key(conn);
-            let Some(conn) = tcp.demux_conn(self.port, remote).filter(armed) else {
+        for ev in self.engine.borrow_mut().take_events() {
+            let (OffloadEvent::AckAdvance { key, .. }
+            | OffloadEvent::Served { key, .. }
+            | OffloadEvent::Flushed { key, .. }) = ev;
+            let Some(conn) = tcp.demux_conn(self.port, remote_of(key)) else {
                 continue;
             };
             applied += 1;
-            match ev {
-                OffloadEvent::AckAdvance { ack, window, .. } => {
-                    tcp.offload_ack(conn, ack, window, now);
-                }
-                OffloadEvent::Served {
-                    rx_len,
-                    reply,
-                    served_at,
-                    ..
-                } => {
-                    if demi_telemetry::enabled() {
-                        demi_telemetry::stage::record(
-                            demi_telemetry::stage::Stage::DeviceServed,
-                            now.saturating_since(served_at).as_nanos(),
-                        );
-                    }
-                    tcp.offload_served(conn, rx_len, reply, now);
-                }
-                OffloadEvent::Flushed { data, .. } => {
-                    tcp.offload_flushed(conn, data, now);
-                }
-                OffloadEvent::FellBack { .. } => {
-                    self.armed.remove(&conn);
+            if let OffloadEvent::Served { served_at, .. } = ev {
+                if demi_telemetry::enabled() {
+                    demi_telemetry::stage::record(
+                        demi_telemetry::stage::Stage::DeviceServed,
+                        now.saturating_since(served_at).as_nanos(),
+                    );
                 }
             }
+            tcp.apply_offload(conn, ev, now);
         }
         applied
     }
 
     /// Takes `conn` back from the device before a host-side mutation
-    /// (send, close, abort): disarms the flow, applies the flushed bytes
-    /// and any other pending sync events, and forgets the arming. No-op
-    /// for unarmed connections. Returns the sync events applied.
+    /// (send, close, abort): disarms its flow and applies the flushed
+    /// bytes. Returns the sync events applied (none for a flow the device
+    /// was not serving).
     pub(super) fn release_conn(&mut self, tcp: &mut TcpPeer, conn: ConnId, now: SimTime) -> usize {
-        let Some(&key) = self.armed.get(&conn) else {
+        let (Ok(local), Ok(remote)) = (tcp.local(conn), tcp.remote(conn)) else {
             return 0;
         };
-        self.engine.borrow_mut().disarm_flow(key);
-        // The flushed bytes apply through the normal drain (the connection
-        // is still armed); dropping the arming afterwards completes the
-        // release.
-        let applied = self.drain_events(tcp, now);
-        self.armed.remove(&conn);
-        applied
+        if local.port != self.port {
+            return 0;
+        }
+        self.engine.borrow_mut().disarm_flow(engine_key(remote));
+        self.drain_events(tcp, now)
     }
 
-    /// Arms every quiescent, not-yet-armed Established connection on the
-    /// offloaded port; returns how many it armed. Quiescence (nothing
-    /// queued, unacked, or out of order) guarantees the shadow state
-    /// handed to the device — next expected sequence number, next
-    /// transmit sequence number — is the complete truth about the flow,
-    /// so device and host cannot diverge.
-    pub(super) fn rearm(&mut self, tcp: &TcpPeer) -> usize {
+    /// Hands the engine every connection the host already holds on the
+    /// offloaded port (at install), arming the quiescent ones; returns how
+    /// many it armed. Later connections reach the engine by their SYN.
+    fn adopt(&self, tcp: &TcpPeer) -> usize {
+        let mut engine = self.engine.borrow_mut();
         let mut armed = 0;
-        for (conn, remote) in tcp.conns_on_port(self.port) {
-            if self.armed.contains_key(&conn) {
-                continue;
-            }
-            let Some((rcv_nxt, snd_nxt, window, mss)) = tcp.offload_arm_info(conn) else {
-                continue;
-            };
-            let key: FlowKey = (remote.ip.octets(), remote.port);
-            self.engine.borrow_mut().arm_flow(
-                key,
-                FlowShadow {
-                    rcv_nxt,
-                    snd_nxt,
-                    window,
-                    mss,
-                },
-            );
-            self.armed.insert(conn, key);
-            armed += 1;
+        for (remote, shadow) in tcp.conns_on_port(self.port) {
+            armed += usize::from(engine.arm_flow(engine_key(remote), shadow));
         }
         armed
+    }
+
+    /// Drops the engine's record of every flow whose connection is gone
+    /// and arms every unarmed flow whose connection is quiescent again;
+    /// returns how many it armed. Quiescence (nothing queued, unacked, or
+    /// out of order) guarantees the shadow state handed to the device —
+    /// next expected sequence number, next transmit sequence number — is
+    /// the complete truth about the flow, so device and host cannot
+    /// diverge. One demux lookup per armed flow on the port.
+    pub(super) fn rearm(&mut self, tcp: &TcpPeer) -> usize {
+        self.engine.borrow_mut().reconcile(
+            |key| tcp.holds_flow(self.port, remote_of(key)),
+            |key| tcp.offload_shadow(self.port, remote_of(key)),
+        )
     }
 }
 
 impl NetworkStack {
-    /// Installs a NIC-side echo short-circuit for TCP connections on
-    /// local `port`: complete framed request messages are reflected by
-    /// the device without an RX→host→TX crossing.
-    pub fn install_echo_offload(&self, port: u16) -> Result<(), NetError> {
-        self.install_tcp_offload(port, OffloadService::Echo)
-    }
-
-    /// Installs a NIC-resident KV GET cache for TCP connections on local
-    /// `port`, bounded to `capacity_bytes` of device memory. GETs hitting
-    /// the cache are answered on the device; everything else (misses,
-    /// SETs, DELs) falls back to the host, which repopulates the cache
-    /// with [`NetworkStack::offload_cache_insert`].
-    pub fn install_kv_offload(&self, port: u16, capacity_bytes: usize) -> Result<(), NetError> {
-        self.install_tcp_offload(port, OffloadService::KvCache { capacity_bytes })
-    }
-
-    fn install_tcp_offload(&self, port: u16, service: OffloadService) -> Result<(), NetError> {
+    /// Installs the TCP offload engine for connections on local `port`.
+    /// [`OffloadService::Echo`] reflects complete framed request messages
+    /// on the device without an RX→host→TX crossing;
+    /// [`OffloadService::KvCache`] answers GETs that hit a NIC-resident
+    /// cache bounded to `capacity_bytes` of device memory, and everything
+    /// else (misses, SETs, DELs) falls back to the host, which repopulates
+    /// the cache with [`NetworkStack::offload_cache_insert`].
+    pub fn install_tcp_offload(&self, port: u16, service: OffloadService) -> Result<(), NetError> {
         let mut shard = self.shard.borrow_mut();
         if shard.offload.is_some() {
             return Err(NetError::Unsupported("a TCP offload is already installed"));
@@ -161,15 +131,9 @@ impl NetworkStack {
                 engine: Rc::clone(&engine),
             })
             .map_err(|_| NetError::Unsupported("device has no free program slots"))?;
-        shard.offload = Some(Offload {
-            engine,
-            slot,
-            port,
-            armed: FastHashMap::default(),
-        });
-        // Arm already-established quiescent connections immediately; new
-        // ones are picked up at the end of each poll pass.
-        shard.rearm_offload();
+        let off = Offload { engine, slot, port };
+        shard.shard_stats.offload_rearms += off.adopt(&shard.tcp) as u64;
+        shard.offload = Some(off);
         Ok(())
     }
 

@@ -305,7 +305,12 @@ fn the_sole_shard_constructor_refuses_a_multi_queue_port() {
 use std::cell::Cell;
 use std::rc::Rc;
 
-use dpdk_sim::NicProgram;
+use dpdk_sim::{NicProgram, OffloadService};
+
+/// The KV cache service with a 4 KiB device-memory budget.
+const KV_4K: OffloadService = OffloadService::KvCache {
+    capacity_bytes: 4096,
+};
 
 use dpdk_sim::wire::framing::encode_message;
 
@@ -359,7 +364,7 @@ fn recv_exactly(
 #[test]
 fn echo_offload_serves_on_device_without_host_delivery() {
     let (fabric, a, b, port) = offload_world();
-    b.install_echo_offload(7).unwrap();
+    b.install_tcp_offload(7, OffloadService::Echo).unwrap();
     let (conn, sconn) = tcp_pair(&fabric, &a, &b, 7);
     // Handshake done and nothing queued: the flow arms on the next pass.
     settle(&fabric, &[&a, &b], || {
@@ -418,7 +423,7 @@ fn corrupted_request_reaches_the_host_parser_not_the_device_service() {
         cycles_per_frame: 0,
     })
     .unwrap();
-    b.install_echo_offload(7).unwrap();
+    b.install_tcp_offload(7, OffloadService::Echo).unwrap();
     let (conn, sconn) = tcp_pair(&fabric, &a, &b, 7);
     settle(&fabric, &[&a, &b], || {
         b.offload_stats().unwrap().flows_armed == 1
@@ -446,7 +451,7 @@ fn corrupted_request_reaches_the_host_parser_not_the_device_service() {
 #[test]
 fn kv_offload_hits_on_device_and_invalidates_on_set() {
     let (fabric, a, b, _port) = offload_world();
-    b.install_kv_offload(7, 4096).unwrap();
+    b.install_tcp_offload(7, KV_4K).unwrap();
     assert!(b.offload_cache_insert(b"k", b"vee"));
     let (conn, sconn) = tcp_pair(&fabric, &a, &b, 7);
     settle(&fabric, &[&a, &b], || {
@@ -504,7 +509,7 @@ fn kv_offload_hits_on_device_and_invalidates_on_set() {
 #[test]
 fn uninstall_mid_message_flushes_absorbed_bytes_to_host() {
     let (fabric, a, b, port) = offload_world();
-    b.install_echo_offload(7).unwrap();
+    b.install_tcp_offload(7, OffloadService::Echo).unwrap();
     let (conn, sconn) = tcp_pair(&fabric, &a, &b, 7);
     settle(&fabric, &[&a, &b], || {
         b.offload_stats().unwrap().flows_armed == 1
@@ -536,4 +541,66 @@ fn uninstall_mid_message_flushes_absorbed_bytes_to_host() {
     // The host is a plain TCP server again.
     b.tcp_send(sconn, DemiBuffer::from_slice(&msg)).unwrap();
     assert_eq!(recv_exactly(&fabric, &a, &b, conn, msg.len()), msg);
+}
+
+/// The engine's record of a flow lives exactly as long as its connection,
+/// armed or not: connections opened on a KV-offloaded port, each served a
+/// GET hit on the device, given a SET the host serves and closed — by the
+/// client first or by the server first — leave the engine no flow record
+/// once the world settles.
+#[test]
+fn closed_connections_leave_the_device_no_flow_record() {
+    const CONNECTIONS: usize = 40;
+    let (fabric, a, b, _port) = offload_world();
+    b.install_tcp_offload(7, KV_4K).unwrap();
+    assert!(b.offload_cache_insert(b"k", b"vee"));
+    let lid = b.tcp_listen(7, 16).unwrap();
+    let stats = || b.offload_stats().unwrap();
+    for i in 0..CONNECTIONS {
+        let conn = a.tcp_connect(SocketAddr::new(ip(2), 7)).unwrap();
+        let mut sconn = None;
+        settle(&fabric, &[&a, &b], || {
+            sconn = sconn.or_else(|| b.tcp_accept(lid).unwrap());
+            sconn.is_some() && stats().flows_armed == 1
+        });
+        let sconn = sconn.unwrap();
+
+        let hit = encode_message(b"Vvee");
+        a.tcp_send(conn, DemiBuffer::from_slice(&encode_message(b"Gk")))
+            .unwrap();
+        assert_eq!(recv_exactly(&fabric, &a, &b, conn, hit.len()), hit);
+        let set = encode_message(b"Sj=new");
+        a.tcp_send(conn, DemiBuffer::from_slice(&set)).unwrap();
+        let mut request = Vec::new();
+        settle(&fabric, &[&a, &b], || {
+            while let Ok(Some(chunk)) = b.tcp_recv(sconn) {
+                request.extend_from_slice(chunk.as_slice());
+            }
+            request.len() >= set.len()
+        });
+        assert_eq!(request, set);
+        let ok = encode_message(b"O");
+        b.tcp_send(sconn, DemiBuffer::from_slice(&ok)).unwrap();
+        assert_eq!(recv_exactly(&fabric, &a, &b, conn, ok.len()), ok);
+
+        let (first, first_conn, second, second_conn) = if i % 2 == 0 {
+            (&a, conn, &b, sconn)
+        } else {
+            (&b, sconn, &a, conn)
+        };
+        first.tcp_close(first_conn).unwrap();
+        settle(&fabric, &[&a, &b], || second.tcp_eof(second_conn));
+        second.tcp_close(second_conn).unwrap();
+        settle(&fabric, &[&a, &b], || {
+            a.tcp_state(conn) == Ok(State::Closed) && b.tcp_state(sconn) == Ok(State::Closed)
+        });
+    }
+    settle(&fabric, &[&a, &b], || false);
+    let device = stats();
+    assert_eq!(
+        device.kv_hits, CONNECTIONS as u64,
+        "every GET was a device hit"
+    );
+    assert_eq!(device.flows_armed, 0);
+    assert_eq!(device.flows, 0, "a closed connection's record stayed");
 }

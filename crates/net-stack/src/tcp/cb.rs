@@ -20,6 +20,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
 use demi_memory::DemiBuffer;
+use dpdk_sim::{FlowShadow, OffloadEvent};
 use sim_fabric::SimTime;
 
 use crate::stack::MAX_HEADER_LEN;
@@ -1134,19 +1135,19 @@ impl ControlBlock {
     // A SmartNIC offload engine (dpdk-sim) can serve requests and absorb
     // ACKs on this connection without host involvement, keeping only a
     // compact shadow of the sequence state. The host control block stays
-    // authoritative: every device action is replayed here through one of
-    // the `offload_*` methods before any subsequently delivered frame is
+    // authoritative: every device action is replayed here through
+    // `apply_offload` before any subsequently delivered frame is
     // processed, so the two views never diverge observably.
     // ------------------------------------------------------------------
 
-    /// Whether the connection is quiescent enough to arm a device
-    /// offload: established, nothing queued, in flight, buffered out of
-    /// order, or awaiting acknowledgment, and no close in progress. At
-    /// quiescence the compact shadow (`rcv_nxt`/`snd_nxt`/window/mss)
-    /// fully determines the flow's future, which is what makes the sync
+    /// The shadow to hand the device when the connection is quiescent
+    /// enough to arm an offload — established, nothing queued, in flight,
+    /// buffered out of order, or awaiting acknowledgment, and no close in
+    /// progress — else `None`. At quiescence the compact shadow fully
+    /// determines the flow's future, which is what makes the sync
     /// protocol sound.
-    pub(crate) fn offload_quiescent(&self) -> bool {
-        self.state == State::Established
+    pub(crate) fn offload_shadow(&self) -> Option<FlowShadow> {
+        let quiescent = self.state == State::Established
             && self.error.is_none()
             && self.qr().is_none_or(|q| {
                 q.send_queue.is_empty()
@@ -1159,79 +1160,72 @@ impl ControlBlock {
             && !self.fin_pending
             && self.fin_seq.is_none()
             && !self.fin_received
-            && self.snd_una == self.snd_nxt
+            && self.snd_una == self.snd_nxt;
+        quiescent.then(|| FlowShadow {
+            rcv_nxt: self.rcv_nxt.0,
+            snd_nxt: self.snd_nxt.0,
+            window: self.recv_window() as u16,
+            mss: self.mss,
+        })
     }
 
-    /// The shadow handed to the device at arm time: `(rcv_nxt, snd_nxt,
-    /// advertisable window, mss)`. Meaningful only when
-    /// [`ControlBlock::offload_quiescent`] holds.
-    pub(crate) fn offload_arm_info(&self) -> (u32, u32, u16, usize) {
-        (
-            self.rcv_nxt.0,
-            self.snd_nxt.0,
-            self.recv_window() as u16,
-            self.mss,
-        )
-    }
-
-    /// Applies a device `Served` event: the device consumed `rx_len`
-    /// request bytes and already transmitted `reply` with a piggybacked
-    /// ACK. The host advances `rcv_nxt` *without* delivering the bytes to
-    /// the application (the device answered them) and mirrors the reply
-    /// into the retransmission queue *without* emitting it — loss
-    /// recovery for device-sent bytes remains a host responsibility.
-    pub(crate) fn offload_served(&mut self, rx_len: u32, reply: DemiBuffer, now: SimTime) {
+    /// Applies one device sync event:
+    ///
+    /// * `Served` — the device consumed `rx_len` request bytes and already
+    ///   transmitted `reply` with a piggybacked ACK. `rcv_nxt` advances
+    ///   *without* delivering the bytes to the application (the device
+    ///   answered them) and the reply is mirrored into the retransmission
+    ///   queue *without* being emitted — loss recovery for device-sent
+    ///   bytes remains a host responsibility.
+    /// * `AckAdvance` — the normal ACK machinery runs on a synthetic
+    ///   pure-ACK header: mirrored retransmission entries clear, windows
+    ///   update, RTT samples accrue.
+    /// * `Flushed` — in-order bytes the device had absorbed for reassembly
+    ///   but could not serve enter the receive path exactly as if their
+    ///   frames had been delivered: the application reads them, and an
+    ///   acknowledgment is scheduled (the device never ACKs bytes it hands
+    ///   back).
+    pub(crate) fn apply_offload(&mut self, event: OffloadEvent, now: SimTime) {
         self.last_activity = now;
-        self.stats.in_order_segments += 1;
-        self.rcv_nxt += rx_len;
-        let seq = self.snd_nxt;
-        self.snd_nxt += reply.len() as u32;
-        self.stats.segments_sent += 1;
-        self.q().retx.push_back(TxSeg {
-            seq,
-            data: reply,
-            syn: false,
-            fin: false,
-            tx_time: now,
-            retransmitted: false,
-        });
-        if self.rto_deadline.is_none() {
-            self.rto_deadline = Some(now.saturating_add(self.rtt.rto()));
+        match event {
+            OffloadEvent::Served { rx_len, reply, .. } => {
+                self.stats.in_order_segments += 1;
+                self.rcv_nxt += rx_len;
+                let seq = self.snd_nxt;
+                self.snd_nxt += reply.len() as u32;
+                self.stats.segments_sent += 1;
+                self.q().retx.push_back(TxSeg {
+                    seq,
+                    data: reply,
+                    syn: false,
+                    fin: false,
+                    tx_time: now,
+                    retransmitted: false,
+                });
+                if self.rto_deadline.is_none() {
+                    self.rto_deadline = Some(now.saturating_add(self.rtt.rto()));
+                }
+            }
+            OffloadEvent::AckAdvance { ack, window, .. } => {
+                let hdr = TcpHeader {
+                    src_port: self.remote.port,
+                    dst_port: self.local.port,
+                    seq: self.rcv_nxt,
+                    ack: SeqNum(ack),
+                    flags: TcpFlags::ACK,
+                    window,
+                    mss: None,
+                };
+                self.process_ack(&hdr, 0, now);
+            }
+            OffloadEvent::Flushed { data, .. } => {
+                self.stats.in_order_segments += 1;
+                self.rcv_nxt += data.len() as u32;
+                self.ready_bytes += data.len();
+                self.q().ready.push_back(data);
+                self.schedule_ack(now);
+            }
         }
-    }
-
-    /// Applies a device `AckAdvance` event by running the normal ACK
-    /// machinery on a synthetic pure-ACK header — mirrored retransmission
-    /// entries clear, windows update, RTT samples accrue.
-    pub(crate) fn offload_ack(&mut self, ack: u32, window: u16, now: SimTime) {
-        self.last_activity = now;
-        let hdr = TcpHeader {
-            src_port: self.remote.port,
-            dst_port: self.local.port,
-            seq: self.rcv_nxt,
-            ack: SeqNum(ack),
-            flags: TcpFlags::ACK,
-            window,
-            mss: None,
-        };
-        self.process_ack(&hdr, 0, now);
-    }
-
-    /// Applies a device `Flushed` event: in-order bytes the device had
-    /// absorbed for reassembly but could not serve. They enter the
-    /// receive path exactly as if their frames had been delivered — the
-    /// application reads them, and an acknowledgment is scheduled (the
-    /// device deliberately never ACKs bytes it hands back).
-    pub(crate) fn offload_flushed(&mut self, data: DemiBuffer, now: SimTime) {
-        if data.is_empty() {
-            return;
-        }
-        self.last_activity = now;
-        self.stats.in_order_segments += 1;
-        self.rcv_nxt += data.len() as u32;
-        self.ready_bytes += data.len();
-        self.q().ready.push_back(data);
-        self.schedule_ack(now);
     }
 
     // ------------------------------------------------------------------

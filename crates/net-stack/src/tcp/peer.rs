@@ -28,6 +28,7 @@ use std::collections::{HashSet, VecDeque};
 use std::net::Ipv4Addr;
 
 use demi_memory::DemiBuffer;
+use dpdk_sim::{FlowShadow, OffloadEvent};
 use sim_fabric::SimTime;
 
 use crate::fasthash::{flow_key, FastHashMap};
@@ -1321,19 +1322,17 @@ impl TcpPeer {
     // consistent.
     // ------------------------------------------------------------------
 
-    /// Established connections bound to local `port`, with their remote
-    /// endpoints (planner scan for arming candidates). A cache-linear
-    /// slab walk.
-    pub(crate) fn conns_on_port(&self, port: u16) -> Vec<(ConnId, SocketAddr)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, e)| {
-                let cb = e.cb.as_ref()?;
-                (cb.local().port == port && cb.state() == State::Established)
-                    .then(|| (encode_id(slot as u32, e.gen), cb.remote()))
-            })
-            .collect()
+    /// Every connection on local `port`, with its remote endpoint and the
+    /// shadow it would hand a device offload if it is quiescent enough to
+    /// arm (the planner's scan when an offload is installed). A
+    /// cache-linear slab walk that allocates nothing.
+    pub(crate) fn conns_on_port(
+        &self,
+        port: u16,
+    ) -> impl Iterator<Item = (SocketAddr, Option<FlowShadow>)> + '_ {
+        let cbs = self.entries.iter().filter_map(|e| e.cb.as_ref());
+        cbs.filter(move |cb| cb.local().port == port)
+            .map(|cb| (cb.remote(), cb.offload_shadow()))
     }
 
     /// The connection the demux table holds for local `port` and
@@ -1344,32 +1343,24 @@ impl TcpPeer {
             .copied()
     }
 
-    /// Arm-time shadow `(rcv_nxt, snd_nxt, window, mss)` for `conn`, if
-    /// it is quiescent enough to arm a device offload.
-    pub(crate) fn offload_arm_info(&self, conn: ConnId) -> Option<(u32, u32, u16, usize)> {
-        let cb = self.live(conn).filter(|cb| cb.offload_quiescent())?;
-        Some(cb.offload_arm_info())
+    /// Whether the peer holds any state for the flow from `remote` to
+    /// local `port`: a connection, or a half-open entry in the port's SYN
+    /// table.
+    pub(crate) fn holds_flow(&self, port: u16, remote: SocketAddr) -> bool {
+        let key = flow_key(port, remote.ip, remote.port);
+        let half_open = |l: &Listener| l.syn_table.iter().flatten().any(|e| e.key == key);
+        self.demux.contains_key(&key) || self.listeners.get(&port).is_some_and(half_open)
     }
 
-    /// Applies a device `Served` sync event to `conn`.
-    pub(crate) fn offload_served(
-        &mut self,
-        conn: ConnId,
-        rx_len: u32,
-        reply: DemiBuffer,
-        now: SimTime,
-    ) {
-        self.touch(conn, |cb| cb.offload_served(rx_len, reply, now));
+    /// The shadow the connection from `remote` to local `port` would hand
+    /// a device offload, if it is live and quiescent enough to arm.
+    pub(crate) fn offload_shadow(&self, port: u16, remote: SocketAddr) -> Option<FlowShadow> {
+        self.live(self.demux_conn(port, remote)?)?.offload_shadow()
     }
 
-    /// Applies a device `AckAdvance` sync event to `conn`.
-    pub(crate) fn offload_ack(&mut self, conn: ConnId, ack: u32, window: u16, now: SimTime) {
-        self.touch(conn, |cb| cb.offload_ack(ack, window, now));
-    }
-
-    /// Applies a device `Flushed` sync event to `conn`.
-    pub(crate) fn offload_flushed(&mut self, conn: ConnId, data: DemiBuffer, now: SimTime) {
-        self.touch(conn, |cb| cb.offload_flushed(data, now));
+    /// Applies one device sync event to `conn`.
+    pub(crate) fn apply_offload(&mut self, conn: ConnId, event: OffloadEvent, now: SimTime) {
+        self.touch(conn, |cb| cb.apply_offload(event, now));
     }
 
     /// Host-wide counters.

@@ -10,9 +10,11 @@
 # level the ledger runs, where the counter asserts (1 alloc / 0 copies
 # per packet, one doorbell per burst, 0 poll stages per idle pump, two
 # frames per depth-1 GET, ...) mean what they say and the seeded
-# differentials take their large case budgets. Then the ledger's
-# self-test, its trajectory over the two newest entries, format, clippy
-# over every target of the workspace, and a warning-free rustdoc.
+# differentials take their large case budgets. Then every example in
+# release (each asserts its own claims, e.g. kv_store's device hits),
+# the ledger's self-test, its trajectory over the two newest entries,
+# format, clippy over every target of the workspace, and a warning-free
+# rustdoc.
 verify:
     cargo build --release
     sh tools/loc.sh
@@ -20,6 +22,7 @@ verify:
     cargo test -q -- --test-threads=2
     cargo test --workspace -q
     cargo test --workspace --release -q
+    for e in quickstart kv_store kv_server multi_device_echo offload_pipeline event_loop_server persistent_log; do cargo run --release --example "$e" || exit 1; done
     cargo test --manifest-path benchmark/Cargo.toml
     sh tools/bench-diff-latest.sh
     cargo fmt --check

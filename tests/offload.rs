@@ -24,7 +24,7 @@ use demikernel::libos::{LibOs, SocketKind};
 use demikernel::ops::Demikernel;
 use demikernel::runtime::Runtime;
 use demikernel::testing::{
-    catfs_world, catnip_pair, catnip_pair_offload, host_ip, host_mac, AllocMeter, CountingAlloc,
+    catfs_world, catnip_pair, catnip_pair_offload, host_ip, host_mac, AllocMeter,
 };
 use demikernel::types::{OperationResult, QDesc, Sga};
 use dpdk_sim::{NicProgram, PortConfig, SmartNic};
@@ -33,11 +33,12 @@ use proptest::prelude::*;
 use sim_fabric::{Fabric, SimTime};
 use spdk_sim::nvme::BLOCK_SIZE;
 use spdk_sim::ChainSpec;
+use support::alloc_sites::{assert_allocs, SiteAlloc};
 use support::tcp_pair;
 
 /// Counts this thread's heap allocations inside an [`AllocMeter`] window.
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOCATOR: SiteAlloc = SiteAlloc;
 
 const KV_PORT: u16 = 6379;
 const ECHO_PORT: u16 = 7001;
@@ -451,6 +452,59 @@ fn offloaded_requests_cost_the_serving_host_no_frames() {
         assert_eq!(device_cycles, cycles, "{label}: device cycles charged");
         assert_eq!(host_frames, 0, "{label}: offload must cut host work per op");
     }
+}
+
+/// An echo world whose server flow the NIC serves: the host's echo loop
+/// stays parked on its pop while the device answers.
+fn armed_echo_world(seed: u64) -> (Runtime, Catnip, Catnip, QDesc) {
+    let (rt, _fabric, client, server) = catnip_pair_offload(seed, 4);
+    let (cqd, sqd) = tcp_pair(&client, &server, ECHO_PORT);
+    spawn_echo_server(&rt, &server, sqd);
+    server.install_echo_offload(ECHO_PORT).unwrap();
+    quiesce(&rt);
+    assert_eq!(server.offload_stats().unwrap().flows_armed, 1);
+    (rt, client, server, cqd)
+}
+
+/// An idle poll pass over an armed flow allocates nothing: the planner's
+/// per-pass walk reads the engine's flow table in place, with one demux
+/// lookup per flow, and its event drain keeps nothing it would free.
+#[test]
+fn idle_pumps_with_an_armed_flow_allocate_nothing() {
+    let (rt, _client, _server, _cqd) = armed_echo_world(11);
+    assert_allocs(0, "100 idle pumps", || {
+        (0..100).for_each(|_| {
+            rt.pump();
+        })
+    });
+}
+
+/// A warmed echo round the NIC serves allocates nothing, like its
+/// host-served twin: absorbed bytes stay views of their frames, the reply
+/// is one copy from the copy pool with its headers in its headroom, and
+/// the engine's reply list and event queue and the host's mirror of the
+/// reply reuse what they grew while warming.
+#[test]
+fn a_warmed_nic_served_echo_round_allocates_nothing() {
+    let (rt, client, server, cqd) = armed_echo_world(11);
+    let mut fill = 0u8;
+    let mut round = || {
+        fill = fill.wrapping_add(1);
+        let mut request = client.sgaalloc(64);
+        request.segments_mut()[0].try_mut().unwrap().fill(fill);
+        let qt = client.push(cqd, &request).unwrap();
+        client.wait(qt, None).unwrap();
+        let qt = client.pop(cqd).unwrap();
+        let (_, reply) = client.wait(qt, None).unwrap().expect_pop();
+        assert_eq!(reply.segments()[0].as_slice(), &[fill; 64]);
+    };
+    for _ in 0..100 {
+        round();
+        rt.settle(SimTime::from_micros(200));
+    }
+    let served = server.offload_stats().unwrap().served;
+    assert_allocs(0, "a NIC-served echo round", &mut round);
+    assert_eq!(server.offload_stats().unwrap().served, served + 1);
 }
 
 /// The `Map` device path rewrites frames in place: zero heap allocations

@@ -44,7 +44,7 @@ use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
 
 use demi_sched::{Notified, Notify, Scheduler, TimerService};
-use demi_telemetry::span::SpanPoint;
+use demi_telemetry::span::{self, OpSpan, SpanPoint};
 use sim_fabric::{Fabric, SimClock, SimTime};
 
 use crate::metrics::Metrics;
@@ -130,6 +130,9 @@ struct OpSlot {
     state: OpState,
     /// The submission instant (the telemetry anchor for op latency).
     started: SimTime,
+    /// The op's span, entered at `started`, if span capture was on then;
+    /// it goes to the span ring when the op is consumed.
+    span: Option<OpSpan>,
     /// The coroutine parked in [`Runtime::await_op`] on this operation.
     waker: Option<Waker>,
     /// Set by the `wait_any`/`wait_all` call watching this token: that
@@ -156,12 +159,15 @@ struct OpSlab {
 }
 
 impl OpSlab {
-    fn alloc(&mut self, state: OpState, started: SimTime) -> QToken {
+    /// Takes a slot for an op submitted at `started`, with a span named
+    /// `traced` when span capture is on.
+    fn alloc(&mut self, state: OpState, started: SimTime, traced: Option<&'static str>) -> QToken {
         let index = self.free.pop().unwrap_or_else(|| {
             self.slots.push(OpSlot {
                 gen: 1,
                 state: OpState::Free,
                 started,
+                span: None,
                 waker: None,
                 wait_epoch: 0,
                 wait_index: 0,
@@ -169,8 +175,16 @@ impl OpSlab {
             u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 operations in flight")
         });
         let slot = &mut self.slots[index as usize];
+        let qt = QToken(u64::from(slot.gen) << 32 | u64::from(index));
+        slot.span = traced.map(|name| {
+            let mut span = OpSpan::new(qt.0, name, started.as_nanos());
+            if matches!(state, OpState::Complete(_)) {
+                span.note(SpanPoint::Completed, started.as_nanos());
+            }
+            span
+        });
         (slot.state, slot.started, slot.wait_epoch) = (state, started, 0);
-        QToken(u64::from(slot.gen) << 32 | u64::from(index))
+        qt
     }
 
     /// The live slot `qt` names, if its generation is still current.
@@ -181,11 +195,14 @@ impl OpSlab {
     }
 
     /// Consumes `qt` if complete, yielding its result and submission
-    /// instant; until then, parks `waker` (if given) on it.
+    /// instant and recording its span — delivery-stamped on `delivery`,
+    /// the clock of the wait consuming it; until then, parks `waker` (if
+    /// given) on it.
     fn take(
         &mut self,
         qt: QToken,
         waker: Option<&Waker>,
+        delivery: Option<&SimClock>,
     ) -> Result<Option<(OperationResult, SimTime)>, DemiError> {
         let slot = self.slot(qt).ok_or(DemiError::BadQToken)?;
         if !matches!(slot.state, OpState::Complete(_)) {
@@ -198,9 +215,35 @@ impl OpSlab {
         let OpState::Complete(result) = std::mem::replace(&mut slot.state, OpState::Free) else {
             unreachable!("a live slot is pending or complete");
         };
+        if let Some(mut span) = slot.span.take() {
+            if let Some(clock) = delivery {
+                span.note(SpanPoint::Delivered, clock.now().as_nanos());
+            }
+            span::record(span);
+        }
         let started = slot.started;
         self.free.push(qt.0 as u32);
         Ok(Some((result, started)))
+    }
+
+    /// Stamps a poll of `qt`'s op that [`poll_start`] opened at `start`
+    /// on its span: the first poll, the device handoff it made, and its
+    /// completion (now) if it was `ready`.
+    #[inline]
+    fn stamp(&mut self, qt: QToken, start: Option<u64>, ready: bool, clock: &SimClock) {
+        let Some(start) = start else {
+            return;
+        };
+        let Some(span) = self.slot(qt).and_then(|slot| slot.span.as_mut()) else {
+            return;
+        };
+        span.note(SpanPoint::FirstPoll, start);
+        if let Some(at) = span::take_handoff() {
+            span.note(SpanPoint::DeviceHandoff, at);
+        }
+        if ready {
+            span.note(SpanPoint::Completed, clock.now().as_nanos());
+        }
     }
 
     /// Records the result of `qt`'s operation and tells the wait watching
@@ -308,31 +351,6 @@ impl Runtime {
         &self.inner.metrics
     }
 
-    /// Installs this runtime's clock as the telemetry time source (the
-    /// recording sites in demi-sched/net-stack/dpdk-sim read virtual time
-    /// through `demi_telemetry::now_ns`). Called by both enable methods;
-    /// harmless to call repeatedly or from multiple runtimes — last one
-    /// wins, which is right for the one-world-at-a-time test pattern.
-    fn install_now_source(&self) {
-        let clock = self.inner.clock.clone();
-        demi_telemetry::set_now_source(Rc::new(move || clock.now().as_nanos()));
-    }
-
-    /// Turns on latency histograms (end-to-end op latency plus the
-    /// per-stage deltas) for this thread, clocked by this runtime.
-    pub(crate) fn enable_telemetry(&self) {
-        self.install_now_source();
-        demi_telemetry::set_enabled(true);
-    }
-
-    /// Turns on op-lifecycle span capture (the bounded ring behind
-    /// `demi_telemetry::span::drain` / Chrome trace export) for this
-    /// thread, clocked by this runtime.
-    pub(crate) fn enable_tracing(&self) {
-        self.install_now_source();
-        demi_telemetry::span::set_enabled(true);
-    }
-
     /// The activity gate: fires after every batch of external progress
     /// (frames delivered, poller work, timers fired). Operations waiting
     /// for device- or network-driven state changes name it as the gate of
@@ -358,14 +376,12 @@ impl Runtime {
             .push(Box::new(source));
     }
 
-    /// Opens the slot (and the telemetry span) of one operation.
+    /// Opens the slot (and, with span capture on, the span) of one
+    /// operation.
     fn begin_op(&self, name: &'static str, state: OpState) -> QToken {
         let started = self.inner.clock.now();
-        let qt = self.inner.ops.borrow_mut().alloc(state, started);
-        if demi_telemetry::span::enabled() {
-            demi_telemetry::span::begin(qt.0, name, started.as_nanos());
-        }
-        qt
+        let traced = span::enabled().then_some(name);
+        self.inner.ops.borrow_mut().alloc(state, started, traced)
     }
 
     /// Spawns a queue-operation coroutine and returns its qtoken.
@@ -418,9 +434,6 @@ impl Runtime {
     /// `wait` and `await_op` resolve it without a scheduler pass.
     pub(crate) fn complete_op(&self, name: &'static str, result: OperationResult) -> QToken {
         let qt = self.begin_op(name, OpState::Complete(result));
-        if demi_telemetry::span::enabled() {
-            demi_telemetry::span::note(qt.0, SpanPoint::Completed, demi_telemetry::now_ns());
-        }
         self.inner.unflushed.set(true);
         qt
     }
@@ -550,22 +563,20 @@ impl Runtime {
 
     /// Consumes `qt` if its operation has completed (`Ok(None)` while it
     /// is pending) — one slot probe — and, as the wait delivering it,
-    /// records the wakeup and stamps the wait-delivery telemetry
-    /// (end-to-end op latency + span close).
+    /// records the wakeup and the wait-delivery telemetry (end-to-end op
+    /// latency, and the span's delivery stamp).
     fn take(&self, qt: QToken) -> Result<Option<OperationResult>, DemiError> {
         self.inner.metrics.count_completion_checks(1);
-        let taken = self.inner.ops.borrow_mut().take(qt, None)?;
+        let clock = &self.inner.clock;
+        let taken = self.inner.ops.borrow_mut().take(qt, None, Some(clock))?;
         let Some((result, started)) = taken else {
             return Ok(None);
         };
-        if demi_telemetry::enabled() || demi_telemetry::span::enabled() {
-            let now = self.inner.clock.now();
+        if demi_telemetry::enabled() {
             demi_telemetry::stage::record(
                 demi_telemetry::stage::Stage::OpLatency,
-                now.saturating_since(started).as_nanos(),
+                clock.now().saturating_since(started).as_nanos(),
             );
-            demi_telemetry::span::note(qt.0, SpanPoint::Delivered, now.as_nanos());
-            demi_telemetry::span::finish(qt.0);
         }
         self.inner
             .metrics
@@ -759,24 +770,15 @@ impl Runtime {
     }
 }
 
-/// One poll of `qt`'s operation, traced: stamps the span's first-poll and
-/// completion points and brackets the poll with the span module's
-/// current-op marker, so deeper layers (the device sim's `tx_burst`) can
-/// attribute events to the op being executed. With span capture off that
-/// is one thread-local bool read.
-fn traced(qt: QToken, poll: impl FnOnce() -> Poll<OperationResult>) -> Poll<OperationResult> {
-    if !demi_telemetry::span::enabled() {
-        return poll();
-    }
-    // Stamps are set-once: only the first poll's sticks.
-    demi_telemetry::span::note(qt.0, SpanPoint::FirstPoll, demi_telemetry::now_ns());
-    demi_telemetry::span::set_current(Some(qt.0));
-    let polled = poll();
-    demi_telemetry::span::set_current(None);
-    if polled.is_ready() {
-        demi_telemetry::span::note(qt.0, SpanPoint::Completed, demi_telemetry::now_ns());
-    }
-    polled
+/// Opens an op poll: with span capture on (otherwise this is one
+/// thread-local bool read), clears the device-handoff cell, so a handoff
+/// it holds after the poll was the poll's, and yields the poll's start
+/// for [`OpSlab::stamp`].
+fn poll_start(clock: &SimClock) -> Option<u64> {
+    span::enabled().then(|| {
+        span::take_handoff();
+        clock.now().as_nanos()
+    })
 }
 
 /// Writes `qt`'s result into its slot and wakes the coroutine awaiting it.
@@ -799,7 +801,10 @@ fn poll_parked(runtime: &Weak<Inner>, qt: QToken, cx: &mut Context<'_>) -> Poll<
     let Some(OpState::Parked(parked)) = ops.slot(qt).map(|slot| &mut slot.state) else {
         return Poll::Ready(());
     };
-    let Poll::Ready(result) = traced(qt, || parked.poll(cx)) else {
+    let start = poll_start(&inner.clock);
+    let polled = parked.poll(cx);
+    ops.stamp(qt, start, polled.is_ready(), &inner.clock);
+    let Poll::Ready(result) = polled else {
         return Poll::Pending;
     };
     deliver(ops, qt, result);
@@ -821,15 +826,20 @@ impl<F: Future<Output = OperationResult>> Future for OpTask<F> {
         // SAFETY: `op` is never moved out of the pinned wrapper; the
         // re-pin below covers the only access.
         let this = unsafe { self.get_unchecked_mut() };
+        // A runtime being torn down has nobody left to deliver to.
+        let Some(inner) = this.runtime.upgrade() else {
+            return Poll::Ready(());
+        };
         // SAFETY: see above — `this.op` stays where the outer pin put it.
         let op = unsafe { Pin::new_unchecked(&mut this.op) };
-        let Poll::Ready(result) = traced(this.qt, || op.poll(cx)) else {
+        let start = poll_start(&inner.clock);
+        let polled = op.poll(cx);
+        let mut ops = inner.ops.borrow_mut();
+        ops.stamp(this.qt, start, polled.is_ready(), &inner.clock);
+        let Poll::Ready(result) = polled else {
             return Poll::Pending;
         };
-        // A runtime being torn down has nobody left to deliver to.
-        if let Some(inner) = this.runtime.upgrade() {
-            deliver(inner.ops.borrow_mut(), this.qt, result);
-        }
+        deliver(ops, this.qt, result);
         Poll::Ready(())
     }
 }
@@ -850,18 +860,15 @@ impl Future for OpFuture {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<OperationResult> {
         // A runtime being torn down has nothing left to wait for.
         let taken = match self.runtime.upgrade() {
-            Some(inner) => inner.ops.borrow_mut().take(self.qt, Some(cx.waker())),
+            // Consumed inside a composing coroutine, not by a wait: the
+            // span is recorded without a delivery stamp.
+            Some(inner) => inner.ops.borrow_mut().take(self.qt, Some(cx.waker()), None),
             None => Err(DemiError::BadQToken),
         };
         match taken {
             Err(e) => Poll::Ready(OperationResult::Failed(e)),
             Ok(None) => Poll::Pending,
-            Ok(Some((result, _started))) => {
-                // Consumed inside a composing coroutine, not by `wait`:
-                // close the span without a wait-delivery stamp.
-                demi_telemetry::span::finish(self.qt.0);
-                Poll::Ready(result)
-            }
+            Ok(Some((result, _started))) => Poll::Ready(result),
         }
     }
 }
@@ -1110,6 +1117,50 @@ mod tests {
         let result = rt.wait(chained, None).unwrap();
         assert!(matches!(result, OperationResult::Connect));
         assert_eq!(rt.now(), SimTime::from_micros(100));
+    }
+
+    #[test]
+    fn a_span_is_recorded_once_with_the_handoff_its_own_poll_made() {
+        let rt = Runtime::new();
+        span::set_enabled(true);
+        let _ = span::drain();
+        let quiet = rt.spawn_op("quiet", async {
+            yield_once().await;
+            OperationResult::Push
+        });
+        let loud = rt.spawn_op("loud", async {
+            span::note_handoff(7);
+            OperationResult::Push
+        });
+        let inner = rt.spawn_op("inner", async { OperationResult::Push });
+        let outer = rt.spawn_op("outer", {
+            let rt = rt.clone();
+            async move { rt.await_op(inner).await }
+        });
+        // A doorbell outside every op poll belongs to no op.
+        span::note_handoff(3);
+        rt.wait_all(&[quiet, loud, outer], None).unwrap();
+        span::set_enabled(false);
+        let spans = span::drain();
+        let names: Vec<_> = spans.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            ["inner", "quiet", "loud", "outer"],
+            "consumption order"
+        );
+        let handoff = |s: &OpSpan| s.stamp(SpanPoint::DeviceHandoff);
+        assert_eq!(
+            spans.iter().map(handoff).collect::<Vec<_>>(),
+            [None, None, Some(7), None]
+        );
+        // `await_op` consumed `inner`: no wait delivered it.
+        assert_eq!(spans[0].stamp(SpanPoint::Delivered), None);
+        assert!(spans[1..]
+            .iter()
+            .all(|s| s.stamp(SpanPoint::Delivered) == Some(0)));
+        assert!(spans
+            .iter()
+            .all(|s| s.stamp(SpanPoint::FirstPoll) == Some(0)));
     }
 
     /// An op whose readiness flips with no waker plumbing: the clock a

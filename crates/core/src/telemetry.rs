@@ -8,17 +8,21 @@
 //! quantiles plus a per-op-name span breakdown as printable text.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use demi_telemetry::span::{OpSpan, SpanPoint};
 use demi_telemetry::stage::{self, Stage};
 
 use crate::runtime::Runtime;
 
-/// Turns on latency histograms *and* op-lifecycle span capture, clocked
-/// by `rt`'s virtual clock.
+/// Turns on latency histograms *and* op-lifecycle span capture for this
+/// thread, and points `demi_telemetry::now_ns` (the sites below the
+/// runtime, which stamps from its own clock) at `rt`'s virtual clock.
 pub fn enable(rt: &Runtime) {
-    rt.enable_telemetry();
-    rt.enable_tracing();
+    let clock = rt.clock().clone();
+    demi_telemetry::set_now_source(Rc::new(move || clock.now().as_nanos()));
+    demi_telemetry::set_enabled(true);
+    demi_telemetry::span::set_enabled(true);
 }
 
 /// Turns every recording switch off (histogram contents and retained
@@ -46,6 +50,7 @@ fn fmt_ns(ns: u64) -> String {
 
 /// Per-op-name aggregation of drained spans: counts and mean
 /// entry→delivery time, plus where inside the op the time went.
+#[derive(Default)]
 struct NameBreakdown {
     count: u64,
     total_ns: u64,
@@ -57,21 +62,14 @@ struct NameBreakdown {
 fn breakdown(spans: &[OpSpan]) -> Vec<(&'static str, NameBreakdown)> {
     let mut by_name: HashMap<&'static str, NameBreakdown> = HashMap::new();
     for span in spans {
-        let (Some(entry), Some(delivered)) = (
-            span.stamp(SpanPoint::Entry),
-            span.stamp(SpanPoint::Delivered),
-        ) else {
+        let Some(delivered) = span.stamp(SpanPoint::Delivered) else {
             continue;
         };
+        // Every span is entered (`OpSpan::new`).
+        let entry = span.stamps[SpanPoint::Entry as usize];
         let first_poll = span.stamp(SpanPoint::FirstPoll).unwrap_or(entry);
         let completed = span.stamp(SpanPoint::Completed).unwrap_or(delivered);
-        let b = by_name.entry(span.name).or_insert(NameBreakdown {
-            count: 0,
-            total_ns: 0,
-            schedule_ns: 0,
-            execute_ns: 0,
-            deliver_ns: 0,
-        });
+        let b = by_name.entry(span.name).or_default();
         b.count += 1;
         b.total_ns += delivered.saturating_sub(entry);
         b.schedule_ns += first_poll.saturating_sub(entry);

@@ -391,6 +391,31 @@ impl DemiBuffer {
         Self::gather(headroom, self.len, [self])
     }
 
+    /// The headroom-or-copy step of every TX path: `write` prepends a
+    /// header of at most `room` bytes onto this view, if it
+    /// [`can_prepend`](DemiBuffer::can_prepend) `room`, else onto a copy
+    /// behind `room` bytes ([`DemiBuffer::copy_with_headroom`], counted).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `write` takes more than `room` bytes, or on a foreign
+    /// tenant's buffer.
+    pub fn prepend_with(
+        self,
+        room: usize,
+        write: impl FnOnce(&mut Self) -> Result<(), HeadroomError>,
+    ) -> Self {
+        let mut buf = if self.can_prepend(room) {
+            self
+        } else {
+            self.copy_with_headroom(room)
+        };
+        // Proof: `buf` can prepend `room` bytes (checked, or a fresh host
+        // copy with that headroom), and `write` takes at most `room`.
+        write(&mut buf).expect("room for the header was ensured above");
+        buf
+    }
+
     /// Copies the first `len` bytes of `parts`, in order (fewer, if they
     /// hold fewer), into one buffer from this thread's copy pool, behind
     /// `headroom` bytes of prepend room: one allocation and one copy, both

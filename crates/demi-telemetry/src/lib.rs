@@ -4,9 +4,11 @@
 //!
 //! The crate is a leaf: it depends on nothing, so every layer of the
 //! stack (scheduler, net stack, device sims, runtime) can report into it
-//! without dependency cycles. Time is injected: the runtime installs a
-//! thread-local now-source closure reading its `SimClock`, and every
-//! recording site asks [`now_ns`] rather than holding a clock of its own.
+//! without dependency cycles. Time is injected: enabling telemetry
+//! installs a thread-local now-source closure reading the runtime's
+//! `SimClock`, and every recording site below the runtime asks [`now_ns`]
+//! rather than holding a clock of its own; the runtime stamps op latency
+//! and op spans from its clock directly.
 //!
 //! Everything is **off by default**. The disabled path is one
 //! thread-local `Cell<bool>` read per site — no branches into the
@@ -22,7 +24,8 @@
 //! - [`stage`] — a small registry of per-stage histograms (end-to-end op
 //!   latency, scheduler wake→poll lag, RX demux→delivery, TX
 //!   enqueue→burst).
-//! - [`span`] — per-qtoken lifecycle stamps in a bounded ring,
+//! - [`span`] — per-qtoken lifecycle stamps, collected in the op's
+//!   runtime slot and pushed to a bounded ring when the op is consumed,
 //!   exportable as Chrome `trace_event` JSON.
 #![warn(unreachable_pub)]
 

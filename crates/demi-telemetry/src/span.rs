@@ -2,26 +2,29 @@
 //!
 //! Each operation (qtoken) gets one [`OpSpan`] recording up to five
 //! lifecycle points: syscall entry, first poll, device handoff,
-//! completion-ring push, and wait-delivery. Spans live in a bounded
-//! thread-local ring (default 4096 entries); when the ring wraps, the
-//! oldest span is evicted and counted in [`dropped`]. Ownership rule:
-//! **the ring owns every span** — recording sites refer to in-flight
-//! ops by qtoken through a side index, never by pointer, so eviction is
-//! always safe and recording is always allocation-free after the ring
-//! reaches capacity (the only allocations are the ring's own growth to
-//! its cap and the open-op index).
+//! completion-ring push, and wait-delivery. In flight, a span lives in its
+//! op's slot in the runtime's op slab — the one record of a live op — and
+//! reaches the ring once ([`record`]) when the op is consumed: by a
+//! `wait*`, or by a coroutine's `await_op`, which stamps no delivery. An
+//! op nobody consumes leaves no span (it keeps its slot for the life of
+//! the runtime: `Runtime::outstanding`). The ring is thread-local and
+//! bounded (default 4096 spans, reserved by the first): when it wraps, the
+//! oldest span is evicted and counted in [`dropped`].
 //!
 //! Span capture has its own switch, separate from the histogram master
 //! switch: [`set_enabled`]. Disabled cost is one thread-local bool read
-//! per site. Stamps are set-once: the first observation of each point
-//! wins, which makes `first poll` mean *first* and keeps replayed
-//! device handoffs (retransmits) from rewriting history.
+//! per site. Stamps are set-once ([`OpSpan::note`]): the first observation
+//! of each point wins, which makes `first poll` mean *first* and keeps
+//! replayed device handoffs (retransmits) from rewriting history. The
+//! device sim reports a handoff in one thread-local cell
+//! ([`note_handoff`]) that the runtime clears before each traced op poll
+//! and reads after it ([`take_handoff`]), so only the op whose poll made
+//! the handoff is stamped with it.
 //!
 //! [`chrome_trace_json`] renders drained spans as Chrome `trace_event`
 //! JSON — load it at `chrome://tracing` or <https://ui.perfetto.dev>.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 
 /// A lifecycle point inside one operation. `as usize` indexes
 /// [`OpSpan::stamps`].
@@ -57,6 +60,21 @@ pub struct OpSpan {
 }
 
 impl OpSpan {
+    /// `op`'s span, entered at `entry`.
+    pub fn new(op: u64, name: &'static str, entry: u64) -> Self {
+        let mut stamps = [UNSET; POINT_COUNT];
+        stamps[SpanPoint::Entry as usize] = entry;
+        OpSpan { op, name, stamps }
+    }
+
+    /// Stamp `point` at `now` unless it is already stamped (set-once).
+    pub fn note(&mut self, point: SpanPoint, now: u64) {
+        let stamp = &mut self.stamps[point as usize];
+        if *stamp == UNSET {
+            *stamp = now;
+        }
+    }
+
     /// The stamp for `point`, if observed.
     pub fn stamp(&self, point: SpanPoint) -> Option<u64> {
         let v = self.stamps[point as usize];
@@ -72,82 +90,45 @@ struct SpanRing {
     capacity: usize,
     /// Next slot to overwrite once `spans` is full (oldest entry).
     next: usize,
-    /// qtoken → ring slot for ops still receiving stamps.
-    open: HashMap<u64, usize>,
     dropped: u64,
 }
 
 impl SpanRing {
-    fn new() -> Self {
+    const fn new() -> Self {
         Self {
             spans: Vec::new(),
             capacity: DEFAULT_CAPACITY,
             next: 0,
-            open: HashMap::new(),
             dropped: 0,
         }
     }
 
-    fn begin(&mut self, op: u64, name: &'static str, now: u64) {
-        let mut stamps = [UNSET; POINT_COUNT];
-        stamps[SpanPoint::Entry as usize] = now;
-        let span = OpSpan { op, name, stamps };
-        let slot = if self.spans.len() < self.capacity {
+    fn push(&mut self, span: OpSpan) {
+        if self.spans.len() < self.capacity {
+            // The first span reserves the whole ring: recording allocates
+            // once per thread, not at every doubling on the way to full.
+            self.spans.reserve_exact(self.capacity - self.spans.len());
             self.spans.push(span);
-            self.spans.len() - 1
         } else {
-            let slot = self.next;
+            self.spans[self.next] = span;
             self.next = (self.next + 1) % self.capacity;
-            let evicted = self.spans[slot].op;
-            if self.open.get(&evicted) == Some(&slot) {
-                self.open.remove(&evicted);
-            }
-            self.spans[slot] = span;
             self.dropped += 1;
-            slot
-        };
-        self.open.insert(op, slot);
-    }
-
-    fn note(&mut self, op: u64, point: SpanPoint, now: u64) {
-        if let Some(&slot) = self.open.get(&op) {
-            let stamp = &mut self.spans[slot].stamps[point as usize];
-            if *stamp == UNSET {
-                *stamp = now;
-            }
         }
-    }
-
-    fn finish(&mut self, op: u64) {
-        self.open.remove(&op);
     }
 
     fn drain(&mut self) -> Vec<OpSpan> {
         // Chronological: the slot about to be overwritten is the oldest.
-        let mut out = Vec::with_capacity(self.spans.len());
-        if self.spans.len() == self.capacity {
-            out.extend_from_slice(&self.spans[self.next..]);
-            out.extend_from_slice(&self.spans[..self.next]);
-        } else {
-            out.extend_from_slice(&self.spans);
-        }
-        self.spans.clear();
-        self.next = 0;
-        self.open.clear();
-        self.dropped = 0;
-        out
+        self.spans.rotate_left(self.next);
+        (self.next, self.dropped) = (0, 0);
+        self.spans.drain(..).collect()
     }
 }
 
 thread_local! {
     static SPAN_ENABLED: Cell<bool> = const { Cell::new(false) };
-    // Not const-init: `HashMap::new` isn't const. All public entry
-    // points check `enabled()` first, so the lazy-init branch is never
-    // on the disabled path.
-    static RING: RefCell<SpanRing> = RefCell::new(SpanRing::new());
-    /// The op whose coroutine is currently being polled, so deep layers
-    /// (the device sim) can attribute events without plumbing qtokens.
-    static CURRENT_OP: Cell<Option<u64>> = const { Cell::new(None) };
+    static RING: RefCell<SpanRing> = const { RefCell::new(SpanRing::new()) };
+    /// The first device handoff since the runtime last took it, or `UNSET`.
+    static HANDOFF: Cell<u64> = const { Cell::new(UNSET) };
 }
 
 /// Turn span capture on or off for this thread.
@@ -161,47 +142,30 @@ pub fn enabled() -> bool {
     SPAN_ENABLED.with(|e| e.get())
 }
 
-/// Open a span for `op` stamped [`SpanPoint::Entry`] at `now`.
-pub fn begin(op: u64, name: &'static str, now: u64) {
-    if !enabled() {
-        return;
+/// Push a finished span onto the ring, evicting (and counting) the oldest
+/// when it is full. Nothing is recorded while capture is off.
+pub fn record(span: OpSpan) {
+    if enabled() {
+        RING.with(|r| r.borrow_mut().push(span));
     }
-    RING.with(|r| r.borrow_mut().begin(op, name, now));
 }
 
-/// Stamp `point` on `op`'s span (set-once; no-op if the span was
-/// evicted or never begun).
-pub fn note(op: u64, point: SpanPoint, now: u64) {
-    if !enabled() {
-        return;
-    }
-    RING.with(|r| r.borrow_mut().note(op, point, now));
+/// Note a device handoff (TX burst doorbell) at `now`. Set-once until
+/// [`take_handoff`]: a poll that rings the doorbell twice keeps its first.
+pub fn note_handoff(now: u64) {
+    HANDOFF.with(|h| {
+        if h.get() == UNSET {
+            h.set(now);
+        }
+    });
 }
 
-/// Mark `op`'s span closed: it stops accepting stamps but stays in the
-/// ring for [`drain`].
-pub fn finish(op: u64) {
-    if !enabled() {
-        return;
-    }
-    RING.with(|r| r.borrow_mut().finish(op));
-}
-
-/// Set (or clear) the op whose coroutine the scheduler is polling right
-/// now. The runtime brackets every op poll with this.
-pub fn set_current(op: Option<u64>) {
-    CURRENT_OP.with(|c| c.set(op));
-}
-
-/// Stamp `point` on the currently-polled op, if any (how the device sim
-/// records [`SpanPoint::DeviceHandoff`] without knowing about qtokens).
-pub fn note_current(point: SpanPoint, now: u64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(op) = CURRENT_OP.with(|c| c.get()) {
-        note(op, point, now);
-    }
+/// The handoff noted since the last call, if any, leaving none. The
+/// runtime calls it before a traced poll (to forget handoffs no op made)
+/// and after it (to stamp the poll's own).
+pub fn take_handoff() -> Option<u64> {
+    let at = HANDOFF.with(|h| h.replace(UNSET));
+    (at != UNSET).then_some(at)
 }
 
 /// Spans evicted since the last [`drain`].
@@ -220,57 +184,33 @@ pub fn drain() -> Vec<OpSpan> {
 /// plus an `"i"` (instant) event at the device handoff. Timestamps are
 /// microseconds, as the format requires.
 pub fn chrome_trace_json(spans: &[OpSpan]) -> String {
-    fn us(ns: u64) -> f64 {
-        ns as f64 / 1000.0
-    }
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |s: String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str(&s);
-    };
+    use SpanPoint::{Completed, Delivered, DeviceHandoff, Entry, FirstPoll};
+    let us = |ns: u64| ns as f64 / 1000.0;
+    let mut events = Vec::new();
     for span in spans {
+        let (name, qt) = (span.name, span.op);
         let phases = [
-            ("schedule", SpanPoint::Entry, SpanPoint::FirstPoll),
-            ("execute", SpanPoint::FirstPoll, SpanPoint::Completed),
-            ("deliver", SpanPoint::Completed, SpanPoint::Delivered),
+            ("schedule", Entry, FirstPoll),
+            ("execute", FirstPoll, Completed),
+            ("deliver", Completed, Delivered),
         ];
         for (label, from, to) in phases {
             if let (Some(a), Some(b)) = (span.stamp(from), span.stamp(to)) {
-                push(
-                    format!(
-                        "{{\"name\":\"{}/{}\",\"cat\":\"op\",\"ph\":\"X\",\
-                         \"ts\":{:.3},\"dur\":{:.3},\"pid\":0,\"tid\":0,\
-                         \"args\":{{\"qt\":{}}}}}",
-                        span.name,
-                        label,
-                        us(a),
-                        us(b.saturating_sub(a)),
-                        span.op
-                    ),
-                    &mut first,
-                );
+                let (ts, dur) = (us(a), us(b.saturating_sub(a)));
+                events.push(format!(
+                    "{{\"name\":\"{name}/{label}\",\"cat\":\"op\",\"ph\":\"X\",\"ts\":{ts:.3},\
+                     \"dur\":{dur:.3},\"pid\":0,\"tid\":0,\"args\":{{\"qt\":{qt}}}}}"
+                ));
             }
         }
-        if let Some(t) = span.stamp(SpanPoint::DeviceHandoff) {
-            push(
-                format!(
-                    "{{\"name\":\"{}/device_handoff\",\"cat\":\"op\",\
-                     \"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},\"pid\":0,\
-                     \"tid\":0,\"args\":{{\"qt\":{}}}}}",
-                    span.name,
-                    us(t),
-                    span.op
-                ),
-                &mut first,
-            );
+        if let Some(ts) = span.stamp(DeviceHandoff).map(us) {
+            events.push(format!(
+                "{{\"name\":\"{name}/device_handoff\",\"cat\":\"op\",\"ph\":\"i\",\"s\":\"t\",\
+                 \"ts\":{ts:.3},\"pid\":0,\"tid\":0,\"args\":{{\"qt\":{qt}}}}}"
+            ));
         }
     }
-    out.push_str("]}");
-    out
+    format!("{{\"traceEvents\":[{}]}}", events.join(","))
 }
 
 #[cfg(test)]
@@ -294,24 +234,38 @@ mod tests {
         set_capacity(DEFAULT_CAPACITY);
     }
 
+    /// A span of `op` entered at `entry` and stamped at each of `points`.
+    fn span(op: u64, name: &'static str, entry: u64, points: &[(SpanPoint, u64)]) -> OpSpan {
+        let mut span = OpSpan::new(op, name, entry);
+        for &(point, now) in points {
+            span.note(point, now);
+        }
+        span
+    }
+
     #[test]
     fn disabled_records_nothing() {
         set_capacity(16);
         set_enabled(false);
-        begin(1, "op", 10);
-        note(1, SpanPoint::Completed, 20);
+        record(span(1, "op", 10, &[]));
         assert!(drain().is_empty());
+        assert_eq!(dropped(), 0);
     }
 
     #[test]
     fn full_lifecycle_roundtrip() {
         with_clean_ring(|| {
-            begin(7, "catnip::udp_pop", 100);
-            note(7, SpanPoint::FirstPoll, 150);
-            note(7, SpanPoint::DeviceHandoff, 170);
-            note(7, SpanPoint::Completed, 200);
-            note(7, SpanPoint::Delivered, 250);
-            finish(7);
+            record(span(
+                7,
+                "catnip::udp_pop",
+                100,
+                &[
+                    (SpanPoint::FirstPoll, 150),
+                    (SpanPoint::DeviceHandoff, 170),
+                    (SpanPoint::Completed, 200),
+                    (SpanPoint::Delivered, 250),
+                ],
+            ));
             let spans = drain();
             assert_eq!(spans.len(), 1);
             let s = &spans[0];
@@ -324,13 +278,11 @@ mod tests {
 
     #[test]
     fn stamps_are_set_once() {
-        with_clean_ring(|| {
-            begin(1, "op", 10);
-            note(1, SpanPoint::DeviceHandoff, 20);
-            note(1, SpanPoint::DeviceHandoff, 99); // retransmit: ignored
-            let spans = drain();
-            assert_eq!(spans[0].stamp(SpanPoint::DeviceHandoff), Some(20));
-        });
+        let mut s = span(1, "op", 10, &[]);
+        s.note(SpanPoint::DeviceHandoff, 20);
+        s.note(SpanPoint::DeviceHandoff, 99); // retransmit: ignored
+        assert_eq!(s.stamp(SpanPoint::DeviceHandoff), Some(20));
+        assert_eq!(s.stamp(SpanPoint::Completed), None);
     }
 
     #[test]
@@ -338,69 +290,64 @@ mod tests {
         set_capacity(4);
         set_enabled(true);
         for op in 0..10u64 {
-            begin(op, "op", op * 10);
+            record(span(op, "op", op * 10, &[]));
         }
         assert_eq!(dropped(), 6);
-        // Evicted op 5's slot was reused; noting it must not stamp the
-        // span that replaced it.
-        note(5, SpanPoint::Completed, 999);
         let spans = drain();
-        assert_eq!(spans.len(), 4);
         let ops: Vec<u64> = spans.iter().map(|s| s.op).collect();
         assert_eq!(ops, vec![6, 7, 8, 9], "oldest-first after wrap");
-        assert!(spans
-            .iter()
-            .all(|s| s.stamp(SpanPoint::Completed).is_none()));
+        assert_eq!(dropped(), 0, "a drain resets the eviction count");
         set_enabled(false);
         set_capacity(DEFAULT_CAPACITY);
     }
 
     #[test]
-    fn current_op_attribution() {
-        with_clean_ring(|| {
-            begin(3, "op", 10);
-            set_current(Some(3));
-            note_current(SpanPoint::DeviceHandoff, 42);
-            set_current(None);
-            note_current(SpanPoint::Completed, 50); // no current op: dropped
-            let spans = drain();
-            assert_eq!(spans[0].stamp(SpanPoint::DeviceHandoff), Some(42));
-            assert_eq!(spans[0].stamp(SpanPoint::Completed), None);
-        });
+    fn a_handoff_is_attributed_only_to_the_poll_that_made_it() {
+        // Outside any op poll: the runtime's pre-poll take forgets it.
+        note_handoff(5);
+        assert_eq!(take_handoff(), Some(5));
+        // During a poll: the first doorbell sticks, a second is ignored.
+        note_handoff(42);
+        note_handoff(50);
+        assert_eq!(take_handoff(), Some(42));
+        // The next poll rang no doorbell.
+        assert_eq!(take_handoff(), None);
     }
 
     #[test]
     fn chrome_trace_shape() {
-        with_clean_ring(|| {
-            begin(1, "echo", 1000);
-            note(1, SpanPoint::FirstPoll, 2000);
-            note(1, SpanPoint::DeviceHandoff, 2500);
-            note(1, SpanPoint::Completed, 3000);
-            note(1, SpanPoint::Delivered, 4000);
-            let json = chrome_trace_json(&drain());
-            assert!(json.starts_with("{\"traceEvents\":["));
-            assert!(json.ends_with("]}"));
-            assert!(json.contains("\"echo/schedule\""));
-            assert!(json.contains("\"echo/execute\""));
-            assert!(json.contains("\"echo/deliver\""));
-            assert!(json.contains("\"echo/device_handoff\""));
-            assert!(json.contains("\"ts\":1.000")); // 1000 ns = 1 µs
-            assert!(json.contains("\"dur\":1.000"));
-            // Balanced braces — cheap well-formedness check without a
-            // JSON parser in the dep tree.
-            let opens = json.matches('{').count();
-            let closes = json.matches('}').count();
-            assert_eq!(opens, closes);
-        });
+        let spans = [span(
+            1,
+            "echo",
+            1000,
+            &[
+                (SpanPoint::FirstPoll, 2000),
+                (SpanPoint::DeviceHandoff, 2500),
+                (SpanPoint::Completed, 3000),
+                (SpanPoint::Delivered, 4000),
+            ],
+        )];
+        let json = chrome_trace_json(&spans);
+        assert!(json.starts_with("{\"traceEvents\":["));
+        assert!(json.ends_with("]}"));
+        assert!(json.contains("\"echo/schedule\""));
+        assert!(json.contains("\"echo/execute\""));
+        assert!(json.contains("\"echo/deliver\""));
+        assert!(json.contains("\"echo/device_handoff\""));
+        assert!(json.contains("\"ts\":1.000")); // 1000 ns = 1 µs
+        assert!(json.contains("\"dur\":1.000"));
+        // Balanced braces — cheap well-formedness check without a
+        // JSON parser in the dep tree.
+        let opens = json.matches('{').count();
+        let closes = json.matches('}').count();
+        assert_eq!(opens, closes);
     }
 
     #[test]
     fn partial_spans_render_partial_events() {
-        with_clean_ring(|| {
-            begin(1, "never_polled", 10);
-            let json = chrome_trace_json(&drain());
-            assert!(!json.contains("schedule"));
-            assert!(json.contains("\"traceEvents\":[]"));
-        });
+        let spans = [span(1, "never_polled", 10, &[])];
+        let json = chrome_trace_json(&spans);
+        assert!(!json.contains("schedule"));
+        assert!(json.contains("\"traceEvents\":[]"));
     }
 }

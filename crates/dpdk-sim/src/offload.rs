@@ -86,6 +86,7 @@
 //! acts on a segment the host would reject: such a frame is delivered
 //! untouched — no event, absorb, reply or fallback — for the host to count.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 
@@ -391,6 +392,8 @@ pub struct TcpOffload {
     local_port: u16,
     service: ServiceState,
     flows: HashMap<FlowKey, Flow>,
+    /// A record opened or a flow fell back since the last `reconcile`.
+    unreconciled: bool,
     events: VecDeque<OffloadEvent>,
     stats: OffloadStats,
 }
@@ -408,6 +411,7 @@ impl TcpOffload {
                 }),
             },
             flows: HashMap::new(),
+            unreconciled: false,
             events: VecDeque::new(),
             stats: OffloadStats::default(),
         }
@@ -437,17 +441,23 @@ impl TcpOffload {
         }
     }
 
-    /// The planner's walk over the flow table, once per poll pass: drops
-    /// the record of every flow `held` says the host no longer holds,
-    /// armed or not (absorbed bytes go with their connection), and arms
-    /// every other unarmed flow `shadow` hands a shadow for. Returns how
-    /// many it armed.
+    /// Whether a record opened or a flow fell back since the last
+    /// [`TcpOffload::reconcile`]: a walk has something new to look at.
+    pub fn unreconciled(&self) -> bool {
+        self.unreconciled
+    }
+
+    /// The planner's walk over the flow table: drops the record of every
+    /// flow `held` says the host no longer holds, armed or not (absorbed
+    /// bytes go with their connection), and arms every other unarmed flow
+    /// `shadow` hands a shadow for. Returns how many it armed and how
+    /// many records it dropped.
     pub fn reconcile(
         &mut self,
         mut held: impl FnMut(FlowKey) -> bool,
         mut shadow: impl FnMut(FlowKey) -> Option<FlowShadow>,
-    ) -> usize {
-        let mut armed = 0;
+    ) -> (usize, usize) {
+        let (mut armed, records) = (0, self.flows.len());
         self.flows.retain(|&key, flow| {
             let keep = held(key);
             if keep && flow.armed.is_none() {
@@ -455,7 +465,8 @@ impl TcpOffload {
             }
             keep
         });
-        armed
+        self.unreconciled = false;
+        (armed, records - self.flows.len())
     }
 
     /// Drains the ordered sync-event queue.
@@ -521,7 +532,13 @@ impl TcpOffload {
 
         // The one lookup: every segment to the service port finds, or
         // opens, its flow's record.
-        let flow = self.flows.entry(key).or_default();
+        let flow = match self.flows.entry(key) {
+            Entry::Occupied(flow) => flow.into_mut(),
+            Entry::Vacant(flow) => {
+                self.unreconciled = true;
+                flow.insert(Flow::default())
+            }
+        };
         // Write-through invalidation: every segment is scanned, armed or
         // not, so a SET on a host-pending flow can never leave a stale cache
         // entry behind. The scanner keeps a tiny reassembly cursor in the
@@ -552,7 +569,9 @@ impl TcpOffload {
         };
         let flagged = tcp.flags.syn || tcp.flags.fin || tcp.flags.rst;
         if flagged || tcp.seq != device_nxt || !acceptable {
-            stats.fallbacks += u64::from(flow.disarm(key, events, stats));
+            let fell_back = flow.disarm(key, events, stats);
+            stats.fallbacks += u64::from(fell_back);
+            self.unreconciled |= fell_back;
             return (DELIVER, cycles);
         }
         // Forward the ACK (piggybacked: before serving, preserving event
@@ -642,7 +661,9 @@ impl TcpOffload {
             stats.served += 1;
         }
         if fell {
-            stats.fallbacks += u64::from(flow.disarm(key, events, stats));
+            let fell_back = flow.disarm(key, events, stats);
+            stats.fallbacks += u64::from(fell_back);
+            self.unreconciled |= fell_back;
         }
         (RxDecision::Absorb, cycles)
     }

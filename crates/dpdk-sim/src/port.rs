@@ -166,13 +166,10 @@ impl DpdkPort {
     pub fn tx_burst(&self, frames: &[Mbuf]) -> usize {
         let mut inner = self.inner.borrow_mut();
         inner.stats.tx_burst_calls += 1;
-        // Attribute the doorbell to the op whose coroutine is being
-        // polled (if any) — the device-handoff point of its span.
+        // The doorbell is the device handoff of the op being polled, if
+        // any: the runtime reads this cell around each traced op poll.
         if demi_telemetry::span::enabled() {
-            demi_telemetry::span::note_current(
-                demi_telemetry::span::SpanPoint::DeviceHandoff,
-                demi_telemetry::now_ns(),
-            );
+            demi_telemetry::span::note_handoff(demi_telemetry::now_ns());
         }
         let mut sent = 0;
         for mbuf in frames {

@@ -49,17 +49,11 @@ impl IcmpEcho {
     /// fresh buffer (honestly counted).
     pub fn into_packet(self, extra_headroom: usize) -> DemiBuffer {
         let hdr = self.header_bytes();
-        let mut packet = if self.payload.can_prepend(ICMP_HEADER_LEN + extra_headroom) {
-            self.payload
-        } else {
-            self.payload
-                .copy_with_headroom(ICMP_HEADER_LEN + extra_headroom)
-        };
-        packet
-            .prepend(ICMP_HEADER_LEN)
-            .expect("headroom checked or freshly allocated")
-            .copy_from_slice(&hdr);
-        packet
+        let room = ICMP_HEADER_LEN + extra_headroom;
+        self.payload.prepend_with(room, |packet| {
+            packet.prepend(ICMP_HEADER_LEN)?.copy_from_slice(&hdr);
+            Ok(())
+        })
     }
 
     /// Parses and validates an echo message; the returned payload is a

@@ -168,6 +168,9 @@ pub struct ShardStats {
     pub offload_events_applied: u64,
     /// Flows this shard armed (or re-armed after fallback) on the device.
     pub offload_rearms: u64,
+    /// Walks of the offload engine's flow table: poll passes whose guard
+    /// found something the walk reads changed (never an idle pass).
+    pub offload_walks: u64,
 }
 
 /// One logical host's cross-shard links, as seen by one of its shards:
@@ -467,16 +470,9 @@ impl NetworkStack {
             src_port,
             dst_port: dst.port,
         };
-        let mut datagram = if payload.can_prepend(UDP_HEADER_LEN + IPV4_HEADER_LEN + ETH_HEADER_LEN)
-        {
-            payload
-        } else {
-            payload.copy_with_headroom(MAX_HEADER_LEN)
-        };
-        let (src_ip, dst_ip) = (self.config.ip, dst.ip);
-        header
-            .prepend_onto(src_ip, dst_ip, &mut datagram)
-            .expect("headroom ensured above");
+        let room = UDP_HEADER_LEN + IPV4_HEADER_LEN + ETH_HEADER_LEN;
+        let write = |datagram: &mut _| header.prepend_onto(self.config.ip, dst.ip, datagram);
+        let datagram = payload.prepend_with(room, write);
         shard.send_ip(dst.ip, IpProtocol::Udp, datagram);
         Ok(())
     }

@@ -8,7 +8,7 @@
 //! record of which flows it serves: the planner asks it, and finds a
 //! flow's connection through the demux table. Applications never talk to
 //! the device directly; the shard core reaches its `Option<Offload>` only
-//! through `drain_events`, `release_conn` and `rearm`.
+//! through `drain_events`, `release_conn`, `walk_due` and `rearm`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -31,6 +31,8 @@ pub(super) struct Offload {
     slot: ProgramSlot,
     /// The offloaded local TCP port.
     port: u16,
+    /// `TcpPeer::flow_changes` at the last walk (`None` before the first).
+    walked: Option<u64>,
 }
 
 /// The engine's key for the flow from `remote`.
@@ -96,14 +98,24 @@ impl Offload {
         armed
     }
 
+    /// Whether [`Offload::rearm`] could change anything: since its last
+    /// walk, the host touched or freed a control block or changed a SYN
+    /// table, or the device opened a record or fell a flow back. O(1), so
+    /// an idle pass costs no walk however many flows are armed.
+    pub(super) fn walk_due(&self, tcp: &TcpPeer) -> bool {
+        self.walked != Some(tcp.flow_changes) || self.engine.borrow().unreconciled()
+    }
+
     /// Drops the engine's record of every flow whose connection is gone
     /// and arms every unarmed flow whose connection is quiescent again;
-    /// returns how many it armed. Quiescence (nothing queued, unacked, or
-    /// out of order) guarantees the shadow state handed to the device —
-    /// next expected sequence number, next transmit sequence number — is
-    /// the complete truth about the flow, so device and host cannot
-    /// diverge. One demux lookup per armed flow on the port.
-    pub(super) fn rearm(&mut self, tcp: &TcpPeer) -> usize {
+    /// returns how many it armed and how many records it dropped.
+    /// Quiescence (nothing queued, unacked, or out of order) guarantees
+    /// the shadow state handed to the device — next expected sequence
+    /// number, next transmit sequence number — is the complete truth about
+    /// the flow, so device and host cannot diverge. One demux lookup per
+    /// flow on the port.
+    pub(super) fn rearm(&mut self, tcp: &TcpPeer) -> (usize, usize) {
+        self.walked = Some(tcp.flow_changes);
         self.engine.borrow_mut().reconcile(
             |key| tcp.holds_flow(self.port, remote_of(key)),
             |key| tcp.offload_shadow(self.port, remote_of(key)),
@@ -131,7 +143,12 @@ impl NetworkStack {
                 engine: Rc::clone(&engine),
             })
             .map_err(|_| NetError::Unsupported("device has no free program slots"))?;
-        let off = Offload { engine, slot, port };
+        let off = Offload {
+            engine,
+            slot,
+            port,
+            walked: None,
+        };
         shard.shard_stats.offload_rearms += off.adopt(&shard.tcp) as u64;
         shard.offload = Some(off);
         Ok(())

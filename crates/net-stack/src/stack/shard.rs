@@ -15,6 +15,7 @@
 //! | ARP tick | `ArpCache::due`: the earliest retry (cached) is `<= now` |
 //! | TCP tick | `TcpPeer::tick_needed`: the wheel has something to fire or cascade, or the compactor's front is due |
 //! | TCP flush | `TcpPeer::has_output`: a raw segment, a dirty connection or a released port |
+//! | offload walk (`rearm_offload`) | an offload is installed and `Offload::walk_due`: a control block or SYN table changed, or the engine opened a record or fell a flow back, since the last walk |
 //! | TX burst (`flush_tx`) | the TX ring holds a frame |
 //!
 //! Stages with per-pass hook state stay conservative: tenancy (RX slices
@@ -180,7 +181,10 @@ impl Shard {
         });
         // Flows that completed host-side work this pass (reply ACKed,
         // queues drained) are quiescent now: hand them to the device.
-        self.rearm_offload();
+        let offload = self.offload.as_ref();
+        let rearm = offload.is_some_and(|off| every_stage || off.walk_due(&self.tcp));
+        self.shard_stats.offload_walks += u64::from(rearm);
+        self.stage(rearm, Self::rearm_offload);
         // The flush runs before the work snapshot: DRR-admitted tenant
         // frames count `tx_frames` at admission, inside `flush_tx`.
         let tx = every_stage || self.tenancy.is_some() || !self.tx_ring.is_empty();
@@ -480,11 +484,13 @@ impl Shard {
         }
     }
 
-    /// Offload hook: hands quiescent connections to the device.
-    pub(super) fn rearm_offload(&mut self) {
-        if let Some(off) = &mut self.offload {
-            self.shard_stats.offload_rearms += off.rearm(&self.tcp) as u64;
-        }
+    /// Offload hook: hands quiescent connections to the device and drops
+    /// gone ones' records; returns how many flows it armed or dropped.
+    fn rearm_offload(&mut self) -> usize {
+        let offload = self.offload.as_mut();
+        let (armed, dropped) = offload.map_or((0, 0), |off| off.rearm(&self.tcp));
+        self.shard_stats.offload_rearms += armed as u64;
+        armed + dropped
     }
 
     pub(super) fn flush_tcp(&mut self) {
@@ -497,15 +503,10 @@ impl Shard {
             // segment still in flight holds a view *below* and forces a
             // (counted) copy instead of corrupting it, as does a lone
             // view of a buffer the application still shares lower down.
-            let mut segment = if seg.payload.can_prepend(MAX_HEADER_LEN) {
-                seg.payload
-            } else {
-                seg.payload.copy_with_headroom(MAX_HEADER_LEN)
-            };
             let src_ip = self.config.ip;
-            seg.header
-                .prepend_onto(src_ip, dst_ip, &mut segment)
-                .expect("headroom ensured above");
+            let segment = seg.payload.prepend_with(MAX_HEADER_LEN, |segment| {
+                seg.header.prepend_onto(src_ip, dst_ip, segment)
+            });
             self.send_ip(dst_ip, IpProtocol::Tcp, segment);
         }
         self.tcp_out = out;
@@ -535,14 +536,8 @@ impl Shard {
             protocol,
             payload_len: packet.len(),
         };
-        let mut packet = if packet.can_prepend(IPV4_HEADER_LEN + ETH_HEADER_LEN) {
-            packet
-        } else {
-            packet.copy_with_headroom(IPV4_HEADER_LEN + ETH_HEADER_LEN)
-        };
-        header
-            .prepend_onto(&mut packet)
-            .expect("headroom ensured above");
+        let room = IPV4_HEADER_LEN + ETH_HEADER_LEN;
+        let packet = packet.prepend_with(room, |packet| header.prepend_onto(packet));
         let now = self.clock.now();
         match self.arp.lookup(dst, now) {
             Some(mac) => self.tx_frame(mac, EtherType::Ipv4, packet),
@@ -600,13 +595,7 @@ impl Shard {
             src: self.port.mac(),
             ethertype,
         };
-        let mut frame = if payload.can_prepend(ETH_HEADER_LEN) {
-            payload
-        } else {
-            payload.copy_with_headroom(ETH_HEADER_LEN)
-        };
-        eth.prepend_onto(&mut frame)
-            .expect("headroom ensured above");
+        let mut frame = payload.prepend_with(ETH_HEADER_LEN, |frame| eth.prepend_onto(frame));
         // Under tenancy a tenant's frame parks in that tenant's own
         // bounded staging lane until `flush_tx` admits it; HOST frames
         // (and every frame of a single-tenant stack) go straight to the

@@ -311,6 +311,10 @@ pub struct TcpPeer {
     isn_counter: u32,
     /// Admission clock for SYN-table oldest-eviction.
     syn_clock: u64,
+    /// Bumped whenever a control block is touched or freed or a SYN table
+    /// changes: while it holds still, so do [`TcpPeer::holds_flow`] and
+    /// [`TcpPeer::offload_shadow`] (a device-offload planner's walk).
+    pub(crate) flow_changes: u64,
     /// Segments generated without an owning control block: RSTs, SYN-ACKs
     /// from the SYN table, TIME_WAIT re-ACKs.
     raw_out: Vec<(Ipv4Addr, TcpSegmentOut)>,
@@ -357,6 +361,7 @@ impl TcpPeer {
             next_ephemeral: 32_768,
             isn_counter: 0,
             syn_clock: 0,
+            flow_changes: 0,
             raw_out: Vec::new(),
             wheel: TimerWheel::new(SimTime::ZERO),
             active_out: Vec::new(),
@@ -449,6 +454,7 @@ impl TcpPeer {
         let Some(cb) = e.cb.take() else {
             return;
         };
+        self.flow_changes += 1;
         let port = cb.local().port;
         let remote = cb.remote();
         for kind in 0..TIMER_KINDS {
@@ -492,6 +498,7 @@ impl TcpPeer {
     /// queue with one connection's control block. Called after every
     /// operation that can touch a CB.
     fn sync_slot(&mut self, slot: u32) {
+        self.flow_changes += 1;
         let TcpPeer {
             entries,
             wheel,
@@ -605,6 +612,7 @@ impl TcpPeer {
             return None;
         }
         self.bound_ports.remove(&port);
+        self.flow_changes += 1;
         for id in l.remove().ready {
             if let Some((slot, ())) = self.touch(id, ControlBlock::abort) {
                 self.entries[slot as usize].owner_closed = true;
@@ -1070,6 +1078,7 @@ impl TcpPeer {
                     (e.iss, e.irs)
                 }
                 None => {
+                    self.flow_changes += 1;
                     // A fresh attempt takes its 4-tuple's stale entry,
                     // else a free slot, else the oldest: under a SYN
                     // flood that recycles attacker entries, and an
@@ -1115,6 +1124,7 @@ impl TcpPeer {
         let Some(idx) = found else {
             return false;
         };
+        self.flow_changes += 1;
         if hdr.flags.rst {
             // The client gave up on a half-open attempt.
             l.syn_table[idx] = None;

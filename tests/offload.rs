@@ -457,13 +457,58 @@ fn offloaded_requests_cost_the_serving_host_no_frames() {
 /// An echo world whose server flow the NIC serves: the host's echo loop
 /// stays parked on its pop while the device answers.
 fn armed_echo_world(seed: u64) -> (Runtime, Catnip, Catnip, QDesc) {
+    let (rt, client, server, cqds) = armed_echo_flows(seed, 1);
+    (rt, client, server, cqds[0])
+}
+
+/// An echo world with `flows` connections to one listener, every one
+/// served by the NIC; returns the client's queues.
+fn armed_echo_flows(seed: u64, flows: usize) -> (Runtime, Catnip, Catnip, Vec<QDesc>) {
     let (rt, _fabric, client, server) = catnip_pair_offload(seed, 4);
-    let (cqd, sqd) = tcp_pair(&client, &server, ECHO_PORT);
-    spawn_echo_server(&rt, &server, sqd);
+    let lqd = server.socket(SocketKind::Tcp).unwrap();
+    server
+        .bind(lqd, SocketAddr::new(host_ip(2), ECHO_PORT))
+        .unwrap();
+    server.listen(lqd, 8).unwrap();
+    let connect = |_| {
+        let aqt = server.accept(lqd).unwrap();
+        let cqd = client.socket(SocketKind::Tcp).unwrap();
+        let cqt = client.connect(cqd, SocketAddr::new(host_ip(2), ECHO_PORT));
+        let sqd = server.wait(aqt, None).unwrap().expect_accept();
+        client.wait(cqt.unwrap(), None).unwrap();
+        spawn_echo_server(&rt, &server, sqd);
+        cqd
+    };
+    let cqds = (0..flows).map(connect).collect();
     server.install_echo_offload(ECHO_PORT).unwrap();
     quiesce(&rt);
-    assert_eq!(server.offload_stats().unwrap().flows_armed, 1);
-    (rt, client, server, cqd)
+    assert_eq!(server.offload_stats().unwrap().flows_armed, flows as u64);
+    (rt, client, server, cqds)
+}
+
+/// An idle pump walks no flow table, at 1 armed flow or 1 000: the
+/// planner re-reads the engine's flows only once something the walk reads
+/// has changed — a control block touched or freed, a SYN table changed, a
+/// record opened or a flow fallen back on the device. The count is of the
+/// walks the guard ordered; a debug build also runs each skipped walk and
+/// asserts it changed nothing. A served request is a change: the walk
+/// comes back, and re-arms the flow once it is quiescent again.
+#[test]
+fn idle_pumps_walk_no_flow_table() {
+    for flows in [1, 1000] {
+        let (rt, client, server, cqds) = armed_echo_flows(11, flows);
+        let walks = || server.stack().shard_stats().offload_walks;
+        let before = walks();
+        (0..100).for_each(|_| {
+            rt.pump();
+        });
+        assert_eq!(walks() - before, 0, "100 idle pumps at {flows} armed flows");
+        assert_eq!(request(&client, cqds[0], b"ping"), b"ping");
+        quiesce(&rt);
+        assert!(walks() > before, "a served request walks again");
+        let stats = server.offload_stats().unwrap();
+        assert_eq!((stats.served, stats.flows_armed), (1, flows as u64));
+    }
 }
 
 /// An idle poll pass over an armed flow allocates nothing: the planner's

@@ -12,6 +12,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use demi_sched::yield_once;
+use demi_telemetry::span::SpanPoint::Delivered;
 use demikernel::testing::{catmem_world, catnip_pair, AllocMeter};
 use demikernel::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 use demikernel::{LibOs, Runtime};
@@ -424,7 +425,25 @@ fn a_push_and_its_wait_allocate_nothing() {
 /// per-pop box or waiter cell, which would cost two allocations a round.
 #[test]
 fn a_udp_echo_round_trip_allocates_nothing() {
-    let (_rt, _fabric, client, server) = catnip_pair(34);
+    warmed_echo_allocates_nothing(34, false);
+}
+
+/// Telemetry on costs no allocation either: each op's span collects its
+/// stamps in the op's slot and is pushed onto the span ring (reserved
+/// whole by its first span) when the wait consumes the op; the stage
+/// histograms are fixed arrays. A keyed side index of open spans, or a
+/// ring grown by doubling, allocates inside the window.
+#[test]
+fn a_traced_udp_echo_round_trip_allocates_nothing() {
+    warmed_echo_allocates_nothing(35, true);
+}
+
+fn warmed_echo_allocates_nothing(seed: u64, traced: bool) {
+    let (rt, _fabric, client, server) = catnip_pair(seed);
+    if traced {
+        demikernel::telemetry::enable(&rt);
+        demikernel::telemetry::reset();
+    }
     let (cqd, sqd, server_addr) = udp_pair(&client, &server);
     let round = || {
         let mut request = client.sgaalloc(64);
@@ -442,6 +461,14 @@ fn a_udp_echo_round_trip_allocates_nothing() {
     // Warm every ring, pool, slab and free list on the path (and ARP).
     (0..8).for_each(|_| round());
     assert_allocs(0, "a UDP echo round trip", round);
+    if traced {
+        demikernel::telemetry::disable();
+        let spans = demi_telemetry::span::drain();
+        demikernel::telemetry::reset();
+        // Four ops a round over nine rounds, each recorded once, by its wait.
+        let delivered = spans.iter().filter(|s| s.stamp(Delivered).is_some());
+        assert_eq!((spans.len(), delivered.count()), (4 * 9, 4 * 9));
+    }
 }
 
 /// A `wait_all` that times out consumes nothing: a completion that did

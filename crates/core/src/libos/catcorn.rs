@@ -96,6 +96,9 @@ struct Core {
     /// The runtime's metrics block (its own Rc, independent of the runtime).
     metrics: Metrics,
     clock: SimClock,
+    /// Where accepts and connects park: fires when the device processed
+    /// frames (handshakes arrive with them) or a non-connection queue closes.
+    control: Notify,
 }
 
 impl Core {
@@ -104,6 +107,9 @@ impl Core {
     /// completions) were processed.
     fn pump(&self, now: sim_fabric::SimTime) -> usize {
         let frames = self.device.poll(now);
+        if frames > 0 {
+            self.control.notify_waiters();
+        }
         let completions = self.device.poll_cq(self.cq, 64);
         let work = frames + completions.len();
         if completions.is_empty() {
@@ -184,6 +190,7 @@ impl Catcorn {
             inner,
             metrics: runtime.metrics().clone(),
             clock: runtime.clock().clone(),
+            control: Notify::new(),
         };
         // The pump and the pops' check capture the core, never the libOS
         // (which holds the runtime).
@@ -270,7 +277,7 @@ impl LibOs for Catcorn {
         };
         let core = self.core.clone();
         let qp = core.device.create_qp(core.pd, core.cq, core.cq);
-        // Connection requests arrive with device frames: the activity gate.
+        // Connection requests arrive with device frames: the control gate.
         let check = move |qd, _| match core.device.accept(port, qp) {
             Ok(true) => {
                 let conn = CatcornQueue::Conn(core.setup_conn(qp));
@@ -280,8 +287,8 @@ impl LibOs for Catcorn {
             Ok(false) => core.inner.borrow().queues.closed(qd),
             Err(_) => Some(OperationResult::Failed(DemiError::Rdma("accept failed"))),
         };
-        let rt = &self.runtime;
-        Ok(rt.park_op("catcorn::accept", rt.activity(), Rc::new(check), qd, 0))
+        let (rt, control) = (&self.runtime, &self.core.control);
+        Ok(rt.park_op("catcorn::accept", control, Rc::new(check), qd, 0))
     }
 
     fn connect(&self, qd: QDesc, remote: SocketAddr) -> Result<QToken, DemiError> {
@@ -293,7 +300,7 @@ impl LibOs for Catcorn {
         core.device
             .connect(qp, mac_of(remote), remote.port, self.runtime.now())
             .map_err(|_| DemiError::Rdma("connect failed"))?;
-        // The QP reaches RTS when the handshake frames land: the activity gate.
+        // The QP reaches RTS when the handshake frames land: the control gate.
         let check = move |qd, _| {
             if let Some(closed) = core.inner.borrow().queues.closed(qd) {
                 return Some(closed);
@@ -312,23 +319,24 @@ impl LibOs for Catcorn {
                 Err(_) => Some(OperationResult::Failed(DemiError::Rdma("bad qp"))),
             }
         };
-        let rt = &self.runtime;
-        Ok(rt.park_op("catcorn::connect", rt.activity(), Rc::new(check), qd, 0))
+        let (rt, control) = (&self.runtime, &self.core.control);
+        Ok(rt.park_op("catcorn::connect", control, Rc::new(check), qd, 0))
     }
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
         let mut inner = self.core.inner.borrow_mut();
         let queue = inner.queues.remove(qd)?;
         // Operations parked on the queue re-check and fail `Closed`: an
-        // accept or connect on the activity gate, a pop on `events`.
-        self.runtime.activity().notify_waiters();
-        if let CatcornQueue::Conn(conn) = queue {
-            let conn = conn.borrow();
-            inner.conns.remove(&conn.qp);
-            self.core.device.deregister_mr(conn.send_mr);
-            self.core.device.deregister_mr(conn.recv_mr);
-            conn.events.notify_waiters();
-        }
+        // accept or connect on the control gate, a pop on `events`.
+        let CatcornQueue::Conn(conn) = queue else {
+            self.core.control.notify_waiters();
+            return Ok(());
+        };
+        let conn = conn.borrow();
+        inner.conns.remove(&conn.qp);
+        self.core.device.deregister_mr(conn.send_mr);
+        self.core.device.deregister_mr(conn.recv_mr);
+        conn.events.notify_waiters();
         Ok(())
     }
 

@@ -21,10 +21,11 @@
 //!   device acknowledged — whole records, in order, and all a `pop` reads.
 //! * The poller, not the push, retires a commit: the queue pair completes
 //!   in order, so in-flight commits are a FIFO, and a commit's last
-//!   command raises its log's `durable`, wakes tailing pops and bumps the
-//!   `retired` count. A push is a parked slot ([`Runtime::park_op`])
-//!   whose check is "`retired` is past my commit": once warm, a commit
-//!   allocates nothing. Pops, chases and recovery read through coroutines.
+//!   command raises its log's `durable`, bumps the `retired` count and
+//!   fires the log's `appended` gate. A push is a parked slot
+//!   ([`Runtime::park_op`]) on that gate whose check is "`retired` is past
+//!   my commit": once warm, a commit allocates nothing. Pops, chases and
+//!   recovery read through coroutines.
 //! * `pop` tails the log: it returns the next record as an atomic element,
 //!   verifying its checksum, and blocks (cooperatively) at the durable end
 //!   of the log until more data is pushed.
@@ -82,7 +83,7 @@ struct LogState {
     /// push's image (empty when `len` is block-aligned).
     tail: Vec<u8>,
     /// Fires whenever `durable` grows or a queue on this log closes,
-    /// waking pops parked at the log tail.
+    /// waking pops parked at the log tail and the push whose commit landed.
     appended: Notify,
 }
 
@@ -118,8 +119,8 @@ struct Inner {
     /// A write buffer the device handed back: the next append's image.
     spare: Vec<u8>,
     stats: CatfsStats,
-    /// The runtime's activity gate (its own Rc, independent of the runtime).
-    activity: Notify,
+    /// Fires when a read or chase completion is filed in `completions`.
+    completed: Notify,
 }
 
 impl Inner {
@@ -140,6 +141,7 @@ impl Inner {
             .is_some_and(|commit| commit.cmds.contains(&c.cmd_id));
         if !ours {
             self.completions.insert(c.cmd_id, c);
+            self.completed.notify_waiters();
             return;
         }
         if let Some(commit) = self
@@ -182,9 +184,7 @@ struct Core {
 
 impl Core {
     /// Files every due device completion ([`Inner::complete`]); returns
-    /// how many arrived (the poller's external-progress report, which
-    /// also makes the runtime fire its activity gate for the parked pushes
-    /// and the readers waiting in [`Core::wait_cmd`]).
+    /// how many arrived (the poller's external-progress report).
     fn pump_completions(&self) -> usize {
         let mut inner = self.inner.borrow_mut();
         let mut polled = std::mem::take(&mut inner.polled);
@@ -197,11 +197,11 @@ impl Core {
     }
 
     async fn wait_cmd(&self, cmd_id: u64) -> NvmeCompletion {
-        // Completions surface through the poller above, which counts as
-        // external progress; park on the activity gate between checks.
-        let activity = self.inner.borrow().activity.clone();
+        // Completions surface through the poller above, which fires
+        // `completed` as it files them; park on it between checks.
+        let completed = self.inner.borrow().completed.clone();
         let arrived = || self.inner.borrow_mut().completions.remove(&cmd_id);
-        activity.until(arrived).await
+        completed.until(arrived).await
     }
 
     /// Parks at the tail of `qd`'s log until a record past its cursor is
@@ -385,7 +385,7 @@ impl Catfs {
                 retired: 0,
                 spare: Vec::new(),
                 stats: CatfsStats::default(),
-                activity: runtime.activity().clone(),
+                completed: Notify::new(),
             })),
         };
         // Pump device completions into the dispatch table each pass. The
@@ -622,8 +622,8 @@ impl LibOs for Catfs {
         // flight on one log cannot interleave, whatever order they wake in.
         // The poller retires the commit; the push parks until it has.
         let seq = self.core.append(&log, sga)?;
-        let rt = &self.runtime;
-        Ok(rt.park_op("catfs::push", rt.activity(), self.push.clone(), qd, seq))
+        let (rt, appended) = (&self.runtime, &log.borrow().appended);
+        Ok(rt.park_op("catfs::push", appended, self.push.clone(), qd, seq))
     }
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {

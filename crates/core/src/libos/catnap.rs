@@ -75,12 +75,12 @@ impl Catnap {
         let kernel = SimKernel::new(fabric.clock(), cost);
         let sockets = Rc::new(RefCell::new(KernelSockets::new(kernel.clone(), stack)));
         // "Kernel context" work (softirq): runs on every pass, like the
-        // kernel servicing the NIC — not charged as a syscall.
+        // kernel servicing the NIC — not charged as a syscall. All four
+        // blocking operations below (accept/connect/udp_pop/tcp_pop) park
+        // on their descriptor's gate ([`KernelSockets::gate`]), which that
+        // work fires when the socket's readiness rises.
         let poll_sockets = sockets.clone();
         runtime.register_poller(move || poll_sockets.borrow_mut().poll());
-        // All four blocking operations below (accept/connect/udp_pop/
-        // tcp_pop) wait on kernel-stack progress, which the poller reports,
-        // so they name the runtime's activity gate.
         let deadline_sockets = sockets.clone();
         runtime.register_deadline_source(move || deadline_sockets.borrow().next_deadline());
         let queues = Rc::new(RefCell::new(QueueTable::new(1)));
@@ -163,7 +163,7 @@ impl LibOs for Catnap {
             _ => return Err(DemiError::InvalidState),
         };
         let (sockets, queues) = (self.sockets.clone(), self.queues.clone());
-        let rt = &self.runtime;
+        let gate = sockets.borrow().gate(fd).map_err(sock_err)?;
         let check = move |qd, _| match sockets.borrow_mut().accept(fd) {
             Ok(Some(conn_fd)) => {
                 let qd = queues.borrow_mut().insert(CatnapQueue::tcp_conn(conn_fd));
@@ -175,7 +175,8 @@ impl LibOs for Catnap {
                 Some(closed.unwrap_or(OperationResult::Failed(sock_err(e))))
             }
         };
-        Ok(rt.park_op("catnap::accept", rt.activity(), Rc::new(check), qd, 0))
+        let rt = &self.runtime;
+        Ok(rt.park_op("catnap::accept", &gate, Rc::new(check), qd, 0))
     }
 
     fn connect(&self, qd: QDesc, remote: SocketAddr) -> Result<QToken, DemiError> {
@@ -192,6 +193,7 @@ impl LibOs for Catnap {
         };
         *queue = CatnapQueue::tcp_conn(fd);
         let (sockets, rt) = (self.sockets.clone(), &self.runtime);
+        let gate = sockets.borrow().gate(fd).map_err(sock_err)?;
         let check = move |_, _| {
             let sockets = sockets.borrow();
             if let Some(err) = sockets.so_error(fd) {
@@ -203,13 +205,13 @@ impl LibOs for Catnap {
                 Err(e) => Some(OperationResult::Failed(sock_err(e))),
             }
         };
-        Ok(rt.park_op("catnap::connect", rt.activity(), Rc::new(check), qd, 0))
+        Ok(rt.park_op("catnap::connect", &gate, Rc::new(check), qd, 0))
     }
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
+        // Operations parked on the queue re-check and fail `Closed`: the
+        // socket's gate fires as the kernel closes it.
         let queue = self.queues.borrow_mut().remove(qd)?;
-        // Operations parked on the queue re-check and fail `Closed`.
-        self.runtime.activity().notify_waiters();
         match queue {
             CatnapQueue::Udp { fd }
             | CatnapQueue::TcpListener { fd }
@@ -257,13 +259,13 @@ impl LibOs for Catnap {
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_pop();
-        let name = match self.queues.borrow().get(qd)? {
-            CatnapQueue::Udp { .. } => "catnap::udp_pop",
-            CatnapQueue::TcpConn { .. } => "catnap::tcp_pop",
+        let (name, fd) = match self.queues.borrow().get(qd)? {
+            CatnapQueue::Udp { fd } => ("catnap::udp_pop", *fd),
+            CatnapQueue::TcpConn { fd, .. } => ("catnap::tcp_pop", *fd),
             _ => return Err(DemiError::InvalidState),
         };
-        let rt = &self.runtime;
-        Ok(rt.park_op(name, rt.activity(), self.pop.clone(), qd, 0))
+        let (rt, gate) = (&self.runtime, self.sockets.borrow().gate(fd));
+        Ok(rt.park_op(name, &gate.map_err(sock_err)?, self.pop.clone(), qd, 0))
     }
 }
 

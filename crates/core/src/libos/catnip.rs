@@ -131,12 +131,12 @@ impl Catnip {
     fn over(runtime: &Runtime, port: DpdkPort, stack: NetworkStack) -> Self {
         let stack = Rc::new(stack);
         // The libOS polls its device on every scheduler pass. It also
-        // exposes its protocol timers for clock advancement.
+        // exposes its protocol timers for clock advancement. Every
+        // blocking operation below parks on its own socket's gate, which
+        // the stack fires from inside that poll when the socket's
+        // readiness rises.
         let poll_stack = stack.clone();
         runtime.register_poller(move || poll_stack.poll());
-        // Stack progress (frames in/out) is reported by that poller, so
-        // every blocking operation below names the runtime's activity gate
-        // rather than re-polling the stack each pass.
         let deadline_stack = stack.clone();
         runtime.register_deadline_source(move || deadline_stack.next_deadline());
         let queues = Rc::new(RefCell::new(QueueTable::new(1)));
@@ -280,9 +280,9 @@ impl Catnip {
     /// fails `Closed` at clean EOF.
     pub fn pop_unframed(&self, qd: QDesc) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_pop();
-        self.tcp_conn(qd)?;
+        let gate = self.stack.tcp_gate(self.tcp_conn(qd)?)?;
         let (rt, check) = (&self.runtime, self.pop_unframed.clone());
-        Ok(rt.park_op("catnip::tcp_pop_unframed", rt.activity(), check, qd, 0))
+        Ok(rt.park_op("catnip::tcp_pop_unframed", &gate, check, qd, 0))
     }
 
     /// The connection behind a TCP data queue.
@@ -353,6 +353,7 @@ impl LibOs for Catnip {
         };
         let (stack, queues) = (self.stack.clone(), self.queues.clone());
         let rt = &self.runtime;
+        let gate = stack.tcp_listener_gate(listener)?;
         let check = move |qd, _| match stack.tcp_accept(listener) {
             Ok(Some(conn)) => {
                 let qd = queues.borrow_mut().insert(CatnipQueue::tcp_conn(conn));
@@ -361,7 +362,7 @@ impl LibOs for Catnip {
             Ok(None) => queues.borrow().closed(qd),
             Err(e) => Some(OperationResult::Failed(e.into())),
         };
-        Ok(rt.park_op("catnip::accept", rt.activity(), Rc::new(check), qd, 0))
+        Ok(rt.park_op("catnip::accept", &gate, Rc::new(check), qd, 0))
     }
 
     fn connect(&self, qd: QDesc, remote: SocketAddr) -> Result<QToken, DemiError> {
@@ -381,6 +382,7 @@ impl LibOs for Catnip {
                 let conn = self.stack.tcp_connect(remote)?;
                 *q = CatnipQueue::tcp_conn(conn);
                 let (stack, rt) = (self.stack.clone(), &self.runtime);
+                let gate = stack.tcp_gate(conn)?;
                 let check = move |_, _| match stack.tcp_state(conn) {
                     Ok(State::Established) => Some(OperationResult::Connect),
                     Ok(State::Closed) => {
@@ -391,7 +393,7 @@ impl LibOs for Catnip {
                     Err(e) => Some(OperationResult::Failed(e.into())),
                 };
                 let check = Rc::new(check);
-                return Ok(rt.park_op("catnip::tcp_connect", rt.activity(), check, qd, 0));
+                return Ok(rt.park_op("catnip::tcp_connect", &gate, check, qd, 0));
             }
             _ => return Err(DemiError::InvalidState),
         }
@@ -402,9 +404,9 @@ impl LibOs for Catnip {
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
         self.runtime.metrics().count_control_path_syscall();
+        // Operations parked on the queue re-check and fail `Closed`: the
+        // stack fires the socket's gate as it closes it.
         let queue = self.queues.borrow_mut().remove(qd)?;
-        // Operations parked on the queue re-check and fail `Closed`.
-        self.runtime.activity().notify_waiters();
         match queue {
             CatnipQueue::Udp { port, .. } => self.stack.udp_close(port),
             CatnipQueue::TcpConn { conn, .. } => self.stack.tcp_close(conn)?,
@@ -459,13 +461,13 @@ impl LibOs for Catnip {
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_pop();
-        let name = match self.queues.borrow().get(qd)? {
-            CatnipQueue::Udp { .. } => "catnip::udp_pop",
-            CatnipQueue::TcpConn { .. } => "catnip::tcp_pop",
+        let (name, gate) = match self.queues.borrow().get(qd)? {
+            CatnipQueue::Udp { port, .. } => ("catnip::udp_pop", self.stack.udp_gate(*port)?),
+            CatnipQueue::TcpConn { conn, .. } => ("catnip::tcp_pop", self.stack.tcp_gate(*conn)?),
             _ => return Err(DemiError::InvalidState),
         };
         let rt = &self.runtime;
-        Ok(rt.park_op(name, rt.activity(), self.pop.clone(), qd, 0))
+        Ok(rt.park_op(name, &gate, self.pop.clone(), qd, 0))
     }
 
     fn sgaalloc(&self, len: usize) -> Sga {

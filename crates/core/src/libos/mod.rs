@@ -22,12 +22,12 @@
 //! answer, so a call site keeps only its device-specific arm (anything
 //! else is `InvalidState`). An operation that must block parks in its op
 //! slot with a *check* ([`Runtime::park_op`]) — run first and after every
-//! notification of its gate, never a hand-rolled loop. A pop's check is
-//! built once per libOS and its state lives in the queue entry, so a pop
-//! allocates nothing; `close` removes the queue and bumps the gate, and
-//! the check fails the parked operation with `Closed`. A catfs push parks
-//! the same way, its check reading the one number the slot keeps for the
-//! op itself: its commit's.
+//! notification of the gate of the object it waits on (a socket, queue,
+//! log or device), so a change wakes only its own ops. A pop's check is
+//! built once per libOS, its state in the queue entry: a pop allocates
+//! nothing. `close` removes the queue and fires the gate, and the check
+//! fails the parked operation with `Closed`. A catfs push parks the same
+//! way, its check reading the one number its slot keeps: its commit's.
 
 pub mod catcorn;
 pub mod catfs;

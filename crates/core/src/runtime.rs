@@ -26,15 +26,16 @@
 //! the run queue is non-empty. A parked operation is a *keyed* scheduler
 //! task (its poll is the slot's re-check), so it runs in the one run queue
 //! with the coroutines, which park on per-qtoken completion wakers
-//! ([`Runtime::await_op`]), timer deadlines or the same gates: queue and
-//! condition `Notify`s, or the runtime's *activity gate*
-//! (`Runtime::activity`), which fires whenever external progress happens
-//! (frames delivered, device pollers did work, timers fired). Deadlock is
-//! not a spin-count heuristic: when a pass polls nothing, nothing external
-//! moved, and virtual time cannot advance, the wait is declared deadlocked
-//! at once — sound because every state change wakes its waiters (§4.4),
-//! which debug builds check there by polling every live task once more
-//! and panicking, naming them, if one completes.
+//! ([`Runtime::await_op`]), timer deadlines or the same gates. There is
+//! one readiness path: every gate belongs to the object whose state the
+//! op waits on — a socket in the network stack, a catmem queue, a catfs
+//! log, a catcorn device or connection — and fires where that state
+//! rises, so a frame, a completion or a timer wakes only the ops it made
+//! ready. Deadlock is not a spin-count heuristic: when a pass polls
+//! nothing, nothing external moved, and virtual time cannot advance, the
+//! wait is declared deadlocked at once — sound because every state change
+//! wakes its waiters (§4.4), which debug builds check there by polling
+//! every live task once more and panicking, naming them, if one completes.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -273,10 +274,6 @@ struct Inner {
     /// what it enqueued (a frame on a TX ring) may still be sitting there.
     unflushed: Cell<bool>,
     metrics: Metrics,
-    /// The activity gate: notified whenever external progress happens, so
-    /// operations waiting for "the world to move" (new frames, device
-    /// completions) park here instead of yield-spinning.
-    activity: Notify,
     /// Every parked operation's task poll ([`poll_parked`]).
     poll_parked: ParkedPoll,
 }
@@ -317,7 +314,6 @@ impl Runtime {
                 ops: RefCell::default(),
                 unflushed: Cell::new(false),
                 metrics: Metrics::new(),
-                activity: Notify::new(),
                 poll_parked: {
                     let runtime = runtime.clone();
                     Rc::new(move |key, cx| poll_parked(&runtime, QToken(key), cx))
@@ -349,14 +345,6 @@ impl Runtime {
     /// Data-path metrics shared by every libOS on this runtime.
     pub fn metrics(&self) -> &Metrics {
         &self.inner.metrics
-    }
-
-    /// The activity gate: fires after every batch of external progress
-    /// (frames delivered, poller work, timers fired). Operations waiting
-    /// for device- or network-driven state changes name it as the gate of
-    /// [`Runtime::park_op`] and re-check when it fires.
-    pub(crate) fn activity(&self) -> &Notify {
-        &self.inner.activity
     }
 
     /// Registers a function run on every scheduler pass (device RX pumps,
@@ -487,11 +475,6 @@ impl Runtime {
         };
         external += self.run_pollers();
         external += self.inner.timers.fire_due();
-        if external > 0 {
-            // Something moved in the outside world: wake every coroutine
-            // parked on the gate so it can re-check its predicate.
-            self.inner.activity.notify_waiters();
-        }
         // Run a scheduler pass only when there is woken work to run.
         let pass = if self.inner.scheduler.has_runnable() {
             self.inner.scheduler.run_pass()
@@ -586,8 +569,8 @@ impl Runtime {
         // enqueued to the device — a sender that only ever does `pushto;
         // wait` must transmit. Fabric delivery, timers and the run queue
         // are left to the next wait that blocks.
-        if self.inner.unflushed.get() && self.run_pollers() > 0 {
-            self.inner.activity.notify_waiters();
+        if self.inner.unflushed.get() {
+            self.run_pollers();
         }
         Ok(Some(result))
     }
@@ -665,10 +648,7 @@ impl Runtime {
             // Run the pollers once more after any task polls so every
             // pending frame reaches the fabric; if that surfaces real
             // work, reprocess it before the clock is allowed to move.
-            let advanced = if report.completed > 0 {
-                false
-            } else if report.polled > 0 && self.run_pollers() > 0 {
-                self.inner.activity.notify_waiters();
+            let advanced = if report.completed > 0 || report.polled > 0 && self.run_pollers() > 0 {
                 false
             } else {
                 self.advance(deadline)

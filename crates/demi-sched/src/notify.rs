@@ -4,10 +4,9 @@
 //! have happened": a waiter snapshots the epoch when it starts waiting and
 //! completes once the epoch has advanced past the snapshot, so a
 //! notification delivered *between* the check and the park is never lost.
-//! The runtime uses one `Notify` as its activity gate (external progress —
-//! frames delivered, device completions, timers fired — bumps it), and the
-//! library OSes use dedicated instances for per-object events (queue
-//! readability, connection state changes).
+//! Every gate an operation parks on is one `Notify`, owned by the object
+//! whose state the operation waits on (a socket's readability, a queue's
+//! arrivals, a connection's state) and fired where that state rises.
 //!
 //! The idiomatic wait loop — snapshot, check, park until the epoch moves,
 //! re-check — is written once, as [`Notify::until`]. Parking allocates

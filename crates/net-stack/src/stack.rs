@@ -47,6 +47,7 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use demi_memory::{DemiBuffer, TenantId};
+use demi_sched::Notify;
 use dpdk_sim::{rss, DpdkPort};
 use sim_fabric::{SimClock, SimTime};
 
@@ -487,6 +488,12 @@ impl NetworkStack {
         self.shard.borrow().udp.pending(port)
     }
 
+    /// The gate of the UDP socket on `port`: fires when data arrives in
+    /// its empty queue, and when it closes.
+    pub fn udp_gate(&self, port: u16) -> Result<Notify, NetError> {
+        self.shard.borrow_mut().udp.gate(port)
+    }
+
     // ------------------------------------------------------------------
     // TCP.
     // ------------------------------------------------------------------
@@ -532,6 +539,12 @@ impl NetworkStack {
     /// Pops an established connection from a listener backlog.
     pub fn tcp_accept(&self, listener: ListenerId) -> Result<Option<ConnId>, NetError> {
         self.shard.borrow_mut().tcp.accept(listener)
+    }
+
+    /// A listener's gate: fires when a connection is ready to accept, and
+    /// when the listener closes.
+    pub fn tcp_listener_gate(&self, listener: ListenerId) -> Result<Notify, NetError> {
+        self.shard.borrow_mut().tcp.listener_gate(listener)
     }
 
     /// Stops listening; pending unaccepted connections are aborted.
@@ -620,6 +633,12 @@ impl NetworkStack {
         shard.tcp.recv_all(conn, out)?;
         shard.flush_tcp();
         Ok(())
+    }
+
+    /// A connection's gate: fires when it becomes readable (data or EOF),
+    /// when its state changes, and when it goes.
+    pub fn tcp_gate(&self, conn: ConnId) -> Result<Notify, NetError> {
+        self.shard.borrow_mut().tcp.conn_gate(conn)
     }
 
     /// Whether the connection has data or EOF to read.

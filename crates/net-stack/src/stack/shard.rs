@@ -140,9 +140,9 @@ impl Shard {
 
     /// One full pass: RX (handoffs, then own queue), ARP and TCP timers,
     /// TCP flush, TX burst — each behind its O(1) guard (module doc).
-    /// Returns the work-item count for the scheduler's activity gate;
+    /// Returns the work-item count the runtime's quiescence test reads;
     /// handed-off frames count here (their arrival moved no stack counter,
-    /// but a caller parked on the delivered data must wake).
+    /// but it is progress).
     ///
     /// `every_stage` overrides every guard: the run-everything reference
     /// the guarded pass is compared against (`tests/sharding.rs`).
@@ -226,8 +226,8 @@ impl Shard {
 
     /// Drains up to `rx_budget` frames — handoffs from other shards first,
     /// then this shard's device queue. Returns the backlog still pending
-    /// afterwards — remaining work the caller reports so the scheduler's
-    /// activity gate keeps seeing progress under a flood without this
+    /// afterwards — remaining work the caller reports so the runtime keeps
+    /// seeing progress under a flood without this
     /// pass starving timers or the other pollers.
     fn rx_pass(&mut self, now: SimTime) -> usize {
         let budget = self.config.rx_budget;
@@ -359,7 +359,7 @@ impl Shard {
 
     /// Learns an ARP binding discovered by another shard; flushes anything
     /// this shard had queued on that resolution. Returns the work done
-    /// (frames sent plus unreachable drops), for the activity gate.
+    /// (frames sent plus unreachable drops), for the quiescence test.
     fn arp_learn(&mut self, ip: Ipv4Addr, mac: MacAddress) -> usize {
         let now = self.clock.now();
         let before = self.stats.tx_frames + self.stats.unreachable_drops;

@@ -356,7 +356,7 @@ impl ControlBlock {
     }
 
     /// Virtual time of the last protocol event on this block.
-    pub(crate) fn last_activity(&self) -> SimTime {
+    pub(crate) fn last_active(&self) -> SimTime {
         self.last_activity
     }
 

@@ -28,11 +28,12 @@ use std::collections::{HashSet, VecDeque};
 use std::net::Ipv4Addr;
 
 use demi_memory::DemiBuffer;
+use demi_sched::Notify;
 use dpdk_sim::{FlowShadow, OffloadEvent};
 use sim_fabric::SimTime;
 
 use crate::fasthash::{flow_key, FastHashMap};
-use crate::types::{NetError, SocketAddr};
+use crate::types::{Gate, NetError, SocketAddr};
 
 use super::cb::{CbStats, ControlBlock, State, TcpSegmentOut};
 use super::header::{TcpFlags, TcpHeader};
@@ -113,6 +114,8 @@ struct Listener {
     /// Fixed-size half-open table. Its length is the backlog, which also
     /// bounds `ready`; it never grows and is never empty.
     syn_table: Vec<Option<SynEntry>>,
+    /// Fires when a connection joins `ready`, and on close.
+    gate: Gate,
 }
 
 /// Timer kinds per connection, indexed like
@@ -164,6 +167,14 @@ struct SlabEntry {
     owner_closed: bool,
     timers: TimerSlots,
     cb: Option<ControlBlock>,
+    /// Fires where [`readiness`] rises and when the slot is freed; kept
+    /// for the slot's next connection.
+    gate: Gate,
+}
+
+/// What a parked op waits for: data or EOF to read, or a state change.
+fn readiness(cb: &ControlBlock) -> (bool, State) {
+    (cb.is_readable(), cb.state())
 }
 
 /// What remains of a connection after TIME_WAIT demotion: enough to
@@ -410,9 +421,11 @@ impl TcpPeer {
     /// with what `f` did. Returns the slot and `f`'s result, or `None` —
     /// `f` unrun — when the handle is not live.
     fn touch<R>(&mut self, id: ConnId, f: impl FnOnce(&mut ControlBlock) -> R) -> Option<(u32, R)> {
-        let r = f(self.entry_mut(id)?.cb.as_mut()?);
+        let cb = self.entry_mut(id)?.cb.as_mut()?;
+        let was = readiness(cb);
+        let r = f(cb);
         let slot = decode_id(id.0).0;
-        self.sync_slot(slot);
+        self.sync_slot(slot, was);
         Some((slot, r))
     }
 
@@ -436,13 +449,14 @@ impl TcpPeer {
             }
         };
         let key = flow_key(cb.local().port, cb.remote().ip, cb.remote().port);
+        let was = readiness(&cb);
         let e = &mut self.entries[slot as usize];
         e.ephemeral_port = ephemeral_port;
         e.cb = Some(cb);
         let id = encode_id(slot, e.gen);
         self.live += 1;
         self.demux.insert(key, id);
-        self.sync_slot(slot);
+        self.sync_slot(slot, was);
         id
     }
 
@@ -454,6 +468,7 @@ impl TcpPeer {
         let Some(cb) = e.cb.take() else {
             return;
         };
+        e.gate.fire();
         self.flow_changes += 1;
         let port = cb.local().port;
         let remote = cb.remote();
@@ -494,10 +509,11 @@ impl TcpPeer {
         }
     }
 
-    /// Reconciles the wheel, the dirty output list, and the compaction
-    /// queue with one connection's control block. Called after every
-    /// operation that can touch a CB.
-    fn sync_slot(&mut self, slot: u32) {
+    /// Reconciles the wheel, the dirty output list, the compaction queue
+    /// and the gate — fired only if [`readiness`] rose from `was`, so a
+    /// pop's own drain never re-wakes it — with one connection's control
+    /// block. Called after every operation that can touch a CB.
+    fn sync_slot(&mut self, slot: u32, was: (bool, State)) {
         self.flow_changes += 1;
         let TcpPeer {
             entries,
@@ -511,6 +527,10 @@ impl TcpPeer {
         let Some(cb) = e.cb.as_mut() else {
             return;
         };
+        let (readable, state) = readiness(cb);
+        if (readable && !was.0) || state != was.1 {
+            e.gate.fire();
+        }
         for (kind, &deadline) in cb.timer_deadlines().iter().enumerate() {
             if e.timers.deadline[kind] != deadline {
                 e.timers.gen[kind] += 1;
@@ -533,7 +553,7 @@ impl TcpPeer {
         }
         if cb.queues_idle() && !cb.compact_enrolled() {
             cb.set_compact_enrolled(true);
-            compact_pending.push_back((cb.last_activity().saturating_add(COMPACT_DELAY), id));
+            compact_pending.push_back((cb.last_active().saturating_add(COMPACT_DELAY), id));
         }
     }
 
@@ -554,13 +574,13 @@ impl TcpPeer {
                 // Queues refilled since enrollment; sync_slot re-enrolls
                 // when they next drain.
                 cb.set_compact_enrolled(false);
-            } else if now.saturating_since(cb.last_activity()) >= COMPACT_DELAY {
+            } else if now.saturating_since(cb.last_active()) >= COMPACT_DELAY {
                 cb.release_queues();
                 cb.set_compact_enrolled(false);
             } else {
                 // Active again since enrollment; give it a fresh quiet
                 // window.
-                let due = cb.last_activity().saturating_add(COMPACT_DELAY);
+                let due = cb.last_active().saturating_add(COMPACT_DELAY);
                 self.compact_pending.push_back((due, id));
             }
         }
@@ -579,13 +599,14 @@ impl TcpPeer {
         self.listens = self.listens.wrapping_add(1);
         let mut syn_table = Vec::new();
         syn_table.resize_with(backlog.max(1), || None);
-        let ready = VecDeque::new();
+        let (ready, gate) = (VecDeque::new(), Gate::default());
         self.listeners.insert(
             port,
             Listener {
                 id,
                 ready,
                 syn_table,
+                gate,
             },
         );
         Ok(id)
@@ -596,6 +617,20 @@ impl TcpPeer {
         let l = self.listeners.get_mut(&(listener.0 as u16));
         let l = l.filter(|l| l.id == listener).ok_or(NetError::BadHandle)?;
         Ok(l.ready.pop_front())
+    }
+
+    /// A live listener's gate.
+    pub(crate) fn listener_gate(&mut self, listener: ListenerId) -> Result<Notify, NetError> {
+        let l = self.listeners.get_mut(&(listener.0 as u16));
+        let l = l.filter(|l| l.id == listener).ok_or(NetError::BadHandle)?;
+        Ok(l.gate.get())
+    }
+
+    /// The gate of `conn`'s slot (a gone connection's ops resolve at their
+    /// first check).
+    pub(crate) fn conn_gate(&mut self, conn: ConnId) -> Result<Notify, NetError> {
+        let e = self.entries.get_mut(decode_id(conn.0).0 as usize);
+        Ok(e.ok_or(NetError::BadHandle)?.gate.get())
     }
 
     /// Stops listening; half-open entries vanish (the SYN table is
@@ -613,7 +648,9 @@ impl TcpPeer {
         }
         self.bound_ports.remove(&port);
         self.flow_changes += 1;
-        for id in l.remove().ready {
+        let l = l.remove();
+        l.gate.fire();
+        for id in l.ready {
             if let Some((slot, ())) = self.touch(id, ControlBlock::abort) {
                 self.entries[slot as usize].owner_closed = true;
             }
@@ -1169,6 +1206,7 @@ impl TcpPeer {
         // `alloc_conn` needs all of `self`, so the listener is found again.
         if let Some(l) = self.listeners.get_mut(&hdr.dst_port) {
             l.ready.push_back(id);
+            l.gate.fire();
         }
         true
     }
@@ -1226,10 +1264,8 @@ impl TcpPeer {
         for &slot in &fired {
             let e = &mut self.entries[slot as usize];
             e.tick_queued = false;
-            if let Some(cb) = e.cb.as_mut() {
-                events += cb.on_tick(now);
-            }
-            self.sync_slot(slot);
+            let id = encode_id(slot, e.gen);
+            events += self.touch(id, |cb| cb.on_tick(now)).map_or(0, |(_, n)| n);
             self.reap_slot(slot);
         }
         self.tick_due = due;

@@ -90,6 +90,23 @@ impl fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+/// A socket's readiness gate, fired where its readiness rises and when it
+/// goes; made when a libOS first parks on it, so until then one word.
+#[derive(Default)]
+pub(crate) struct Gate(Option<demi_sched::Notify>);
+
+impl Gate {
+    pub(crate) fn get(&mut self) -> demi_sched::Notify {
+        self.0.get_or_insert_with(Default::default).clone()
+    }
+
+    pub(crate) fn fire(&self) {
+        if let Some(gate) = &self.0 {
+            gate.notify_waiters();
+        }
+    }
+}
+
 /// A [`dpdk_sim::wire`] parse failure is this stack's `Malformed`.
 impl From<dpdk_sim::wire::Malformed> for NetError {
     fn from(e: dpdk_sim::wire::Malformed) -> Self {

@@ -13,7 +13,7 @@ use demi_memory::{DemiBuffer, HeadroomError};
 
 use crate::checksum::{finish, sum_words, ChecksumAccumulator};
 use crate::ipv4::{pseudo_header, IpProtocol};
-use crate::types::{NetError, SocketAddr};
+use crate::types::{Gate, NetError, SocketAddr};
 
 /// UDP header length.
 pub const UDP_HEADER_LEN: usize = 8;
@@ -103,6 +103,8 @@ struct UdpSocket {
     recv_queue: VecDeque<(SocketAddr, DemiBuffer, u64)>,
     /// Drawn from the host-wide ephemeral range rather than bound by number.
     ephemeral: bool,
+    /// Fires when `recv_queue` stops being empty, and on close.
+    gate: Gate,
 }
 
 demi_telemetry::counter_family! {
@@ -149,6 +151,7 @@ impl UdpPeer {
         let socket = UdpSocket {
             recv_queue: VecDeque::new(),
             ephemeral,
+            gate: Gate::default(),
         };
         self.sockets.insert(port, socket);
     }
@@ -158,7 +161,14 @@ impl UdpPeer {
     /// host-wide namespace and takes back the tenant grant it made for the
     /// socket's lifetime).
     pub(crate) fn close(&mut self, port: u16) -> bool {
-        self.sockets.remove(&port).is_some_and(|s| s.ephemeral)
+        let socket = self.sockets.remove(&port).inspect(|s| s.gate.fire());
+        socket.is_some_and(|s| s.ephemeral)
+    }
+
+    /// The readiness gate of the socket bound to `port`.
+    pub(crate) fn gate(&mut self, port: u16) -> Result<demi_sched::Notify, NetError> {
+        let socket = self.sockets.get_mut(&port).ok_or(NetError::BadHandle)?;
+        Ok(socket.gate.get())
     }
 
     /// Whether `port` is bound.
@@ -180,6 +190,9 @@ impl UdpPeer {
                         0
                     };
                     sock.recv_queue.push_back((from, payload, demuxed_ns));
+                    if sock.recv_queue.len() == 1 {
+                        sock.gate.fire();
+                    }
                     self.stats.delivered += 1;
                 }
             }

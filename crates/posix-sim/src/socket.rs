@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 
 use demi_memory::DemiBuffer;
+use demi_sched::Notify;
 use net_stack::tcp::{ConnId, ListenerId, State};
 use net_stack::types::{NetError, SocketAddr};
 use net_stack::NetworkStack;
@@ -307,9 +308,24 @@ impl KernelSockets {
                 self.stack.udp_close(port);
                 Ok(())
             }
-            Some(FdKind::TcpListener { .. }) | Some(FdKind::TcpUnbound) => Ok(()),
+            Some(FdKind::TcpListener { listener }) => {
+                self.stack.tcp_close_listener(listener);
+                Ok(())
+            }
+            Some(FdKind::TcpUnbound) => Ok(()),
             None => Err(SockError::BadFd),
         }
+    }
+
+    /// The gate of `fd`'s socket, its wait queue (kernel-internal, not a
+    /// syscall).
+    pub fn gate(&self, fd: Fd) -> Result<Notify, SockError> {
+        Ok(match self.fds.get(&fd) {
+            Some(FdKind::Udp { port }) => self.stack.udp_gate(*port)?,
+            Some(FdKind::TcpListener { listener }) => self.stack.tcp_listener_gate(*listener)?,
+            Some(FdKind::TcpConn { conn, .. }) => self.stack.tcp_gate(*conn)?,
+            _ => return Err(SockError::BadFd),
+        })
     }
 
     /// Level-triggered readiness, used by the epoll layer (kernel-internal,

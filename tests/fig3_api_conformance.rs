@@ -13,7 +13,7 @@ use demikernel::ops::Demikernel;
 use demikernel::testing::{
     catcorn_pair, catfs_world, catmem_world, catnap_pair, catnip_pair, host_ip,
 };
-use demikernel::types::{DemiError, OperationResult, QDesc, Sga};
+use demikernel::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 use net_stack::types::SocketAddr;
 use sim_fabric::SimTime;
 use support::tcp_pair;
@@ -204,41 +204,66 @@ fn connect_pair(client: &dyn LibOs, server: &dyn LibOs, port: u16) -> (QDesc, QD
     (lqd, cqd, sqd)
 }
 
-/// A pop pending when its queue is closed completes, with `Closed`, woken
-/// by the close itself — and gives its op slot back.
-fn close_fails_the_pending_pop(libos: &dyn LibOs, qd: QDesc) {
+/// An op pending when its queue is closed completes, with `Closed`, woken
+/// by the close itself — which polls that op and nothing else, though the
+/// caller keeps another queue's op parked beside it — and gives its op
+/// slot back.
+fn close_fails_the_pending(libos: &dyn LibOs, qd: QDesc, op: impl Fn(QDesc) -> QToken) {
     let rt = libos.runtime();
     let kind = libos.kind().name();
     let before = rt.outstanding();
-    let qt = libos.pop(qd).unwrap();
+    let qt = op(qd);
     rt.pump();
-    let sweeps = rt.scheduler().stats().spurious_polls;
+    let stats = rt.scheduler().stats();
     libos.close(qd).unwrap();
     assert_eq!(
         libos.wait(qt, Some(SimTime::from_millis(1))),
         Ok(OperationResult::Failed(DemiError::Closed)),
-        "{kind}: pending pop after close"
+        "{kind}: pending op after close"
     );
     assert_eq!(rt.outstanding(), before, "{kind}: op slot returned");
-    let stats = rt.scheduler().stats();
-    assert_eq!(stats.spurious_polls, sweeps, "{kind}: woken by the close");
+    let after = rt.scheduler().stats();
+    assert_eq!(
+        after.spurious_polls, stats.spurious_polls,
+        "{kind}: woken by the close"
+    );
+    assert_eq!(
+        after.polls - stats.polls,
+        1,
+        "{kind}: the close polls its own op alone"
+    );
+}
+
+fn close_fails_the_pending_pop(libos: &dyn LibOs, qd: QDesc) {
+    close_fails_the_pending(libos, qd, |qd| libos.pop(qd).unwrap());
+}
+
+/// A pop parked on a fresh queue that nothing will ever complete: the
+/// bystander a close must not wake.
+fn bystander(libos: &dyn LibOs, qd: QDesc) -> QToken {
+    let qt = libos.pop(qd).unwrap();
+    libos.runtime().pump();
+    qt
 }
 
 #[test]
 fn a_pop_pending_when_its_queue_is_closed_completes_on_every_libos() {
     let (_rt, catmem) = catmem_world();
+    let _idle = bystander(&catmem, catmem.queue().unwrap());
     close_fails_the_pending_pop(&catmem, catmem.queue().unwrap());
 
     let (_rt, catfs, _dev) = catfs_world();
+    let _idle = bystander(&catfs, catfs.create("idle").unwrap());
     close_fails_the_pending_pop(&catfs, catfs.create("log").unwrap());
 
-    let udp_queue = |libos: &dyn LibOs| {
+    let udp_queue = |libos: &dyn LibOs, port| {
         let qd = libos.socket(SocketKind::Udp).unwrap();
-        libos.bind(qd, SocketAddr::new(host_ip(2), 7)).unwrap();
+        libos.bind(qd, SocketAddr::new(host_ip(2), port)).unwrap();
         qd
     };
     let (_rt, _fabric, client, server) = catnip_pair(110);
-    close_fails_the_pending_pop(&server, udp_queue(&server));
+    let _idle = bystander(&server, udp_queue(&server, 8));
+    close_fails_the_pending_pop(&server, udp_queue(&server, 7));
     let (_, cqd, sqd) = connect_pair(&client, &server, 80);
     close_fails_the_pending_pop(&server, sqd);
     let unframed = client.pop_unframed(cqd).unwrap();
@@ -249,13 +274,25 @@ fn a_pop_pending_when_its_queue_is_closed_completes_on_every_libos() {
     ));
 
     let (_rt, _fabric, client, server) = catnap_pair(111);
-    close_fails_the_pending_pop(&server, udp_queue(&server));
+    let _idle = bystander(&server, udp_queue(&server, 8));
+    close_fails_the_pending_pop(&server, udp_queue(&server, 7));
     let (_, _, sqd) = connect_pair(&client, &server, 80);
     close_fails_the_pending_pop(&server, sqd);
 
+    // catcorn's accepts park on the device's control gate: the bystander
+    // is an accept on the other host's device.
     let (_rt, _fabric, client, server) = catcorn_pair(112);
     let (_, _, sqd) = connect_pair(&client, &server, 18515);
+    let listener = |libos: &dyn LibOs, ip, port| {
+        let qd = libos.socket(SocketKind::Tcp).unwrap();
+        libos.bind(qd, SocketAddr::new(ip, port)).unwrap();
+        libos.listen(qd, 8).unwrap();
+        qd
+    };
+    let _idle = client.accept(listener(&client, host_ip(1), 9)).unwrap();
     close_fails_the_pending_pop(&server, sqd);
+    let lqd = listener(&server, host_ip(2), 10);
+    close_fails_the_pending(&server, lqd, |qd| server.accept(qd).unwrap());
 }
 
 /// The descriptor error contract: a call naming a descriptor that is not

@@ -34,14 +34,13 @@ use sim_fabric::{Fabric, SimTime};
 use spdk_sim::nvme::BLOCK_SIZE;
 use spdk_sim::ChainSpec;
 use support::alloc_sites::{assert_allocs, SiteAlloc};
-use support::tcp_pair;
+use support::{armed_echo_flows, spawn_echo_server, tcp_pair, ECHO_PORT};
 
 /// Counts this thread's heap allocations inside an [`AllocMeter`] window.
 #[global_allocator]
 static ALLOCATOR: SiteAlloc = SiteAlloc;
 
 const KV_PORT: u16 = 6379;
-const ECHO_PORT: u16 = 7001;
 
 /// Idle time long enough for delayed ACKs to flush so the device re-arms
 /// a quiescent flow after a host-served fallback.
@@ -58,27 +57,6 @@ fn world(offloaded: bool, seed: u64) -> (Runtime, Catnip, Catnip) {
         catnip_pair(seed)
     };
     (rt, client, server)
-}
-
-/// Host-side echo loop: serves whatever the device does not — idle while
-/// an offload serves, taking over on uninstall.
-fn spawn_echo_server(rt: &Runtime, server: &Catnip, sqd: QDesc) {
-    let server_clone = server.clone();
-    rt.spawn_background("echo-server", async move {
-        loop {
-            let Ok(pop_qt) = server_clone.pop(sqd) else {
-                return;
-            };
-            let OperationResult::Pop { sga, .. } = server_clone.runtime().await_op(pop_qt).await
-            else {
-                return;
-            };
-            let Ok(push_qt) = server_clone.push(sqd, &sga) else {
-                return;
-            };
-            let _ = server_clone.runtime().await_op(push_qt).await;
-        }
-    });
 }
 
 /// One lock-step request: push, await the push, pop one framed reply.
@@ -459,31 +437,6 @@ fn offloaded_requests_cost_the_serving_host_no_frames() {
 fn armed_echo_world(seed: u64) -> (Runtime, Catnip, Catnip, QDesc) {
     let (rt, client, server, cqds) = armed_echo_flows(seed, 1);
     (rt, client, server, cqds[0])
-}
-
-/// An echo world with `flows` connections to one listener, every one
-/// served by the NIC; returns the client's queues.
-fn armed_echo_flows(seed: u64, flows: usize) -> (Runtime, Catnip, Catnip, Vec<QDesc>) {
-    let (rt, _fabric, client, server) = catnip_pair_offload(seed, 4);
-    let lqd = server.socket(SocketKind::Tcp).unwrap();
-    server
-        .bind(lqd, SocketAddr::new(host_ip(2), ECHO_PORT))
-        .unwrap();
-    server.listen(lqd, 8).unwrap();
-    let connect = |_| {
-        let aqt = server.accept(lqd).unwrap();
-        let cqd = client.socket(SocketKind::Tcp).unwrap();
-        let cqt = client.connect(cqd, SocketAddr::new(host_ip(2), ECHO_PORT));
-        let sqd = server.wait(aqt, None).unwrap().expect_accept();
-        client.wait(cqt.unwrap(), None).unwrap();
-        spawn_echo_server(&rt, &server, sqd);
-        cqd
-    };
-    let cqds = (0..flows).map(connect).collect();
-    server.install_echo_offload(ECHO_PORT).unwrap();
-    quiesce(&rt);
-    assert_eq!(server.offload_stats().unwrap().flows_armed, flows as u64);
-    (rt, client, server, cqds)
 }
 
 /// An idle pump walks no flow table, at 1 armed flow or 1 000: the

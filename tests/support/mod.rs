@@ -16,6 +16,7 @@ use std::rc::Rc;
 
 use demi_memory::DemiBuffer;
 use demi_telemetry::hist::Histogram;
+use demikernel::libos::catnip::Catnip;
 use demikernel::libos::SocketKind;
 pub use demikernel::testing::host_ip as ip;
 use demikernel::testing::host_mac;
@@ -186,6 +187,54 @@ pub fn tcp_pair(client: &dyn LibOs, server: &dyn LibOs, port: u16) -> (QDesc, QD
     let sqd = server.wait(aqt, None).unwrap().expect_accept();
     client.wait(cqt, None).unwrap();
     (cqd, sqd)
+}
+
+/// The port the framed-echo worlds serve on.
+pub const ECHO_PORT: u16 = 7001;
+
+/// Host-side framed echo loop on `sqd`: serves whatever the device does
+/// not — idle while an offload serves, taking over on uninstall.
+pub fn spawn_echo_server(rt: &Runtime, server: &Catnip, sqd: QDesc) {
+    let server_clone = server.clone();
+    rt.spawn_background("echo-server", async move {
+        loop {
+            let Ok(pop_qt) = server_clone.pop(sqd) else {
+                return;
+            };
+            let OperationResult::Pop { sga, .. } = server_clone.runtime().await_op(pop_qt).await
+            else {
+                return;
+            };
+            let Ok(push_qt) = server_clone.push(sqd, &sga) else {
+                return;
+            };
+            let _ = server_clone.runtime().await_op(push_qt).await;
+        }
+    });
+}
+
+/// An echo world with `flows` connections to one listener on a SmartNIC
+/// server, each with a parked [`spawn_echo_server`] loop, and every one
+/// served by the NIC; returns the client's queues.
+pub fn armed_echo_flows(seed: u64, flows: usize) -> (Runtime, Catnip, Catnip, Vec<QDesc>) {
+    let (rt, _fabric, client, server) = demikernel::testing::catnip_pair_offload(seed, 4);
+    let lqd = server.socket(SocketKind::Tcp).unwrap();
+    server.bind(lqd, SocketAddr::new(ip(2), ECHO_PORT)).unwrap();
+    server.listen(lqd, 8).unwrap();
+    let connect = |_| {
+        let aqt = server.accept(lqd).unwrap();
+        let cqd = client.socket(SocketKind::Tcp).unwrap();
+        let cqt = client.connect(cqd, SocketAddr::new(ip(2), ECHO_PORT));
+        let sqd = server.wait(aqt, None).unwrap().expect_accept();
+        client.wait(cqt.unwrap(), None).unwrap();
+        spawn_echo_server(&rt, &server, sqd);
+        cqd
+    };
+    let cqds = (0..flows).map(connect).collect();
+    server.install_echo_offload(ECHO_PORT).unwrap();
+    rt.settle(SimTime::from_micros(50_000));
+    assert_eq!(server.offload_stats().unwrap().flows_armed, flows as u64);
+    (rt, client, server, cqds)
 }
 
 /// Binds a UDP queue on each host — the server's on port 7, the client's on

@@ -542,6 +542,20 @@ impl Runtime {
             "a task changed state without a wake at {:?}; live tasks: {live:?}",
             self.now()
         );
+        // A parked op's task polls its gate before its check, so the sweep
+        // cannot see a check its unfired gate hides: run each one here.
+        for slot in &self.inner.ops.borrow().slots {
+            if let OpState::Parked(parked) = &slot.state {
+                let done = (parked.check)(parked.qd, parked.seq);
+                assert!(
+                    done.is_none(),
+                    "the op parked on queue {:?} would complete, but its gate never fired \
+                     (a state change without a wake) at {:?}: {done:?}",
+                    parked.qd,
+                    self.now()
+                );
+            }
+        }
     }
 
     /// Consumes `qt` if its operation has completed (`Ok(None)` while it
@@ -963,6 +977,26 @@ mod tests {
         });
         rt.wait(qt, None).unwrap();
         assert_eq!(rt.now(), SimTime::from_micros(500));
+    }
+
+    /// A parked op whose state changed without its gate firing is named
+    /// in a debug build: the quiescence check re-runs every parked check.
+    /// Release declares the wait deadlocked.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "QDesc(7) would complete"))]
+    fn a_parked_op_whose_gate_never_fired_is_named() {
+        let rt = Runtime::new();
+        let gate = Notify::new();
+        let ready = Rc::new(Cell::new(false));
+        let seen = ready.clone();
+        let check: Check = Rc::new(move |_, _| seen.get().then_some(OperationResult::Push));
+        let qt = rt.park_op("unfired", &gate, check, QDesc(7), 0);
+        let timers = rt.timers().clone();
+        rt.spawn_background("flip", async move {
+            timers.sleep(SimTime::from_micros(5)).await;
+            ready.set(true); // The state rises; nobody fires `gate`.
+        });
+        assert_eq!(rt.wait(qt, None), Err(DemiError::Deadlock));
     }
 
     #[test]

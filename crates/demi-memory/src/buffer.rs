@@ -173,6 +173,9 @@ impl BufInner {
         tenant: TenantId,
     ) -> Self {
         let cap = storage.len();
+        // Proof for every view's 32-bit offset and length: none exceeds
+        // its storage's capacity.
+        assert!(u32::try_from(cap).is_ok(), "a buffer holds at most 4 GiB");
         // A pooled header is recycled with its registry, so it is sized
         // once for the views a datapath buffer carries (a received frame's
         // parsed keys and values) and never regrows while warm.
@@ -273,13 +276,17 @@ impl Drop for BufInner {
 /// live handle can see.
 pub struct DemiBuffer {
     inner: Rc<BufInner>,
-    off: usize,
-    len: usize,
+    /// View start and length, 32-bit so that a handle is 16 bytes: a
+    /// packet's chain of them moves through every queue of the datapath.
+    /// Storage is at most 4 GiB (`BufInner::from_box_for`).
+    off: u32,
+    len: u32,
 }
 
 impl DemiBuffer {
     fn new_handle(inner: Rc<BufInner>, off: usize, len: usize) -> Self {
         inner.view_register(off);
+        let (off, len) = (off as u32, len as u32);
         DemiBuffer { inner, off, len }
     }
 
@@ -388,7 +395,7 @@ impl DemiBuffer {
     /// Panics if the buffer belongs to a foreign tenant — the copy would
     /// read the owner's payload bytes.
     pub fn copy_with_headroom(&self, headroom: usize) -> Self {
-        Self::gather(headroom, self.len, [self])
+        Self::gather(headroom, self.len(), [self])
     }
 
     /// The headroom-or-copy step of every TX path: `write` prepends a
@@ -442,7 +449,7 @@ impl DemiBuffer {
         for part in parts {
             part.check_access()
                 .expect("cross-tenant copy is a protection violation");
-            let n = part.len.min(len - off);
+            let n = part.len().min(len - off);
             dst[off..off + n].copy_from_slice(&part[..n]);
             if owner.is_host() {
                 owner = part.tenant();
@@ -474,11 +481,13 @@ impl DemiBuffer {
     }
 
     /// Bytes visible through this handle.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// Whether the view is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -492,17 +501,21 @@ impl DemiBuffer {
     /// Bytes available in front of the view for [`DemiBuffer::prepend`].
     /// Bytes removed with [`DemiBuffer::trim_front`] become headroom again —
     /// exactly the mbuf model.
+    #[inline]
     pub fn headroom(&self) -> usize {
-        self.off
+        self.off as usize
     }
 
     /// The bytes of this view.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         // SAFETY: `[off, off + len)` is in bounds for the allocation, the
         // allocation lives as long as `self.inner`, and the only mutation
         // paths (`try_mut`, `prepend`) either require exclusive ownership
         // or write a range disjoint from every live view (see `prepend`).
-        unsafe { std::slice::from_raw_parts(self.inner.ptr.as_ptr().add(self.off), self.len) }
+        unsafe {
+            std::slice::from_raw_parts(self.inner.ptr.as_ptr().add(self.headroom()), self.len())
+        }
     }
 
     /// Mutable access to the view, available only while this is the sole
@@ -523,13 +536,13 @@ impl DemiBuffer {
         // returned borrow is tied to `&mut self`, so no other access to the
         // storage can be created while it lives.
         Some(unsafe {
-            std::slice::from_raw_parts_mut(self.inner.ptr.as_ptr().add(self.off), self.len)
+            std::slice::from_raw_parts_mut(self.inner.ptr.as_ptr().add(self.headroom()), self.len())
         })
     }
 
     /// Whether [`DemiBuffer::prepend`]`(n)` would succeed right now.
     pub fn can_prepend(&self, n: usize) -> bool {
-        n <= self.off && !self.inner.any_view_below(self.off)
+        n <= self.headroom() && !self.inner.any_view_below(self.headroom())
     }
 
     /// Grows the view `n` bytes downward into headroom and returns the
@@ -548,19 +561,20 @@ impl DemiBuffer {
         if let Err(denial) = self.check_access() {
             return Err(HeadroomError::ForeignTenant(denial));
         }
-        if self.inner.any_view_below(self.off) {
+        let off = self.headroom();
+        if self.inner.any_view_below(off) {
             return Err(HeadroomError::Shared);
         }
-        if n > self.off {
+        if n > off {
             return Err(HeadroomError::Exhausted {
                 needed: n,
-                available: self.off,
+                available: off,
             });
         }
-        let new_off = self.off - n;
-        self.inner.view_retarget(self.off, new_off);
-        self.off = new_off;
-        self.len += n;
+        let new_off = off - n;
+        self.inner.view_retarget(off, new_off);
+        self.off = new_off as u32;
+        self.len += n as u32;
         // SAFETY: `[new_off, new_off + n)` is in bounds. Every *other* live
         // view starts at or above the old `off = new_off + n` (checked via
         // the view registry above), so their slices are disjoint from the
@@ -589,9 +603,9 @@ impl DemiBuffer {
     pub fn split_off(&mut self, at: usize) -> DemiBuffer {
         self.check_access()
             .expect("cross-tenant split_off is a protection violation");
-        assert!(at <= self.len, "split_off beyond view");
-        let tail = Self::new_handle(self.inner.clone(), self.off + at, self.len - at);
-        self.len = at;
+        assert!(at <= self.len(), "split_off beyond view");
+        let tail = Self::new_handle(self.inner.clone(), self.headroom() + at, self.len() - at);
+        self.len = at as u32;
         tail
     }
 
@@ -602,6 +616,7 @@ impl DemiBuffer {
     }
 
     /// Whether two handles share storage.
+    #[inline]
     pub fn same_storage(&self, other: &DemiBuffer) -> bool {
         Rc::ptr_eq(&self.inner, &other.inner)
     }
@@ -626,10 +641,10 @@ impl DemiBuffer {
     /// Panics if the range is out of bounds or inverted.
     pub fn try_slice(&self, start: usize, end: usize) -> Result<DemiBuffer, CrossTenantAccess> {
         self.check_access()?;
-        assert!(start <= end && end <= self.len, "slice out of bounds");
+        assert!(start <= end && end <= self.len(), "slice out of bounds");
         Ok(Self::new_handle(
             self.inner.clone(),
-            self.off + start,
+            self.headroom() + start,
             end - start,
         ))
     }
@@ -639,7 +654,11 @@ impl DemiBuffer {
     /// with the denial escalated to a panic.
     pub fn try_clone(&self) -> Result<DemiBuffer, CrossTenantAccess> {
         self.check_access()?;
-        Ok(Self::new_handle(self.inner.clone(), self.off, self.len))
+        Ok(Self::new_handle(
+            self.inner.clone(),
+            self.headroom(),
+            self.len(),
+        ))
     }
 
     /// Shrinks the view to its first `len` bytes.
@@ -648,8 +667,8 @@ impl DemiBuffer {
     ///
     /// Panics if `len > self.len()`.
     pub fn truncate(&mut self, len: usize) {
-        assert!(len <= self.len, "truncate beyond view");
-        self.len = len;
+        assert!(len <= self.len(), "truncate beyond view");
+        self.len = len as u32;
     }
 
     /// Drops the first `n` bytes from the view.
@@ -658,17 +677,17 @@ impl DemiBuffer {
     ///
     /// Panics if `n > self.len()`.
     pub fn advance(&mut self, n: usize) {
-        assert!(n <= self.len, "advance beyond view");
-        let new_off = self.off + n;
-        self.inner.view_retarget(self.off, new_off);
-        self.off = new_off;
-        self.len -= n;
+        assert!(n <= self.len(), "advance beyond view");
+        let new_off = self.headroom() + n;
+        self.inner.view_retarget(self.headroom(), new_off);
+        self.off = new_off as u32;
+        self.len -= n as u32;
     }
 }
 
 impl Drop for DemiBuffer {
     fn drop(&mut self) {
-        self.inner.view_unregister(self.off);
+        self.inner.view_unregister(self.headroom());
         // The last handle of a pooled buffer returns its header to the pool;
         // without a pool to return to, header and storage simply free.
         let Some(home) = self.inner.home.as_ref() else {
@@ -703,6 +722,7 @@ impl Clone for DemiBuffer {
 impl Deref for DemiBuffer {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }

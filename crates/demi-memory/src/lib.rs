@@ -15,6 +15,10 @@
 //!   the paper's position that *write*-protection for shared I/O buffers is
 //!   intentionally not offered and applications should allocate new buffers
 //!   instead of updating in place.
+//! * [`BufChain`] — a packet as up to [`MAX_LINKS`] views (the head
+//!   inline, the rest in a recycled tail), the chained mbuf: a TCP
+//!   segment's header link and the application's own buffers behind it
+//!   travel to the peer without a payload copy.
 //! * [`ByteStream`] — a connection's received bytes as views of the chunks
 //!   they arrived in: a payload is a view when one chunk holds it, else one
 //!   counted gather.
@@ -42,6 +46,7 @@
 #![warn(unreachable_pub)]
 
 mod buffer;
+mod chain;
 pub mod counters;
 mod manager;
 mod pool;
@@ -49,6 +54,7 @@ mod registration;
 mod stream;
 
 pub use buffer::{recycle_segment_vec, segment_vec, CrossTenantAccess, DemiBuffer, HeadroomError};
+pub use chain::{BufChain, IntoLinks, MAX_LINKS};
 pub use counters::DatapathSnapshot;
 pub use demi_tenant::TenantId;
 pub use manager::MemoryManager;

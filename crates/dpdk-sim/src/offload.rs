@@ -88,11 +88,11 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::ops::Range;
 
-use demi_memory::{ByteStream, DemiBuffer, HeadroomError};
+use demi_memory::{BufChain, ByteStream, DemiBuffer, HeadroomError};
 use sim_fabric::{MacAddress, SimTime};
 
+use crate::mbuf::Mbuf;
 use crate::smartnic::RxDecision;
 use crate::wire::eth::{EthHeader, EtherType, ETH_HEADER_LEN};
 use crate::wire::framing::{encode_header, parse_header, FRAME_HEADER_LEN};
@@ -515,18 +515,17 @@ impl TcpOffload {
     /// the examination cost. Called from the SmartNIC slot engine.
     pub(crate) fn process(
         &mut self,
-        frame: &DemiBuffer,
+        frame: &Mbuf,
         now: SimTime,
         tx: &mut Vec<(MacAddress, DemiBuffer)>,
     ) -> (RxDecision, u64) {
         let mut cycles = CYCLES_PARSE;
-        let parsed = parse_segment(frame.as_slice());
-        let Some((eth, ip, tcp, at)) =
+        let parsed = parse_segment(frame);
+        let Some((eth, ip, tcp, payload)) =
             parsed.filter(|(_, _, tcp, _)| tcp.dst_port == self.local_port)
         else {
             return (DELIVER, cycles);
         };
-        let payload = &frame.as_slice()[at.clone()];
         let key: FlowKey = (ip.src.octets(), tcp.src_port);
         let (events, stats) = (&mut self.events, &mut self.stats);
 
@@ -548,8 +547,12 @@ impl TcpOffload {
             if tcp.flags.syn {
                 flow.scan = InvalScan::default();
                 flow.scan.nxt = Some(tcp.seq + 1);
-            } else if !payload.is_empty() {
-                cycles += scan_invalidate(cache, &mut flow.scan, tcp.seq, payload, stats);
+            } else {
+                let mut seq = tcp.seq;
+                for link in payload.links() {
+                    cycles += scan_invalidate(cache, &mut flow.scan, seq, link, stats);
+                    seq += link.len() as u32;
+                }
             }
         }
         let Some(armed) = &mut flow.armed else {
@@ -590,7 +593,9 @@ impl TcpOffload {
         }
 
         cycles += CYCLES_REASSEMBLE;
-        armed.pending.push(frame.slice(at.start, at.end));
+        payload
+            .into_iter()
+            .for_each(|link| armed.pending.push(link));
 
         // Serve complete framed messages from the front of the pending
         // bytes; each serve acknowledges exactly the bytes it consumed.
@@ -674,21 +679,23 @@ const REPLY_HEADROOM: usize = TCP_HEADER_LEN + IPV4_HEADER_LEN + ETH_HEADER_LEN;
 
 /// The host's parse chain over one frame: `None` for anything it would not
 /// hand to its TCP — other protocols, a failed header check or checksum.
-/// The last field is where the TCP payload sits in `frame`.
-fn parse_segment(frame: &[u8]) -> Option<(EthHeader, Ipv4Header, TcpHeader, Range<usize>)> {
-    let (eth, packet) = EthHeader::parse(frame).ok()?;
+/// The last field is the TCP payload, as views of the frame's segments.
+fn parse_segment(frame: &Mbuf) -> Option<(EthHeader, Ipv4Header, TcpHeader, BufChain)> {
+    let (eth, packet) = EthHeader::parse(frame.as_slice()).ok()?;
     if eth.ethertype != EtherType::Ipv4 {
         return None;
     }
-    let (ip, segment) = Ipv4Header::parse(packet).ok()?;
-    if ip.protocol != IpProtocol::Tcp {
+    let (ip, ihl) = Ipv4Header::parse_head(packet, frame.pkt_len() - ETH_HEADER_LEN).ok()?;
+    // The TCP header sits in the first segment, as the host requires.
+    if ip.protocol != IpProtocol::Tcp || packet.len() <= ihl {
         return None;
     }
-    let (tcp, data_off) = TcpHeader::parse(ip.src, ip.dst, segment).ok()?;
-    // Behind the Ethernet header, the IPv4 header with its options (IHL
-    // words) and the TCP header.
-    let start = ETH_HEADER_LEN + usize::from(packet[0] & 0x0F) * 4 + data_off;
-    Some((eth, ip, tcp, start..start + segment.len() - data_off))
+    let mut segment = frame.segs().clone();
+    segment.advance(ETH_HEADER_LEN + ihl);
+    segment.truncate(ip.payload_len);
+    let (tcp, data_off) = TcpHeader::parse_chain(ip.src, ip.dst, &segment).ok()?;
+    segment.advance(data_off);
+    Some((eth, ip, tcp, segment))
 }
 
 /// `reply` behind `tcp` and the IPv4 and Ethernet headers that send it
@@ -903,9 +910,10 @@ mod tests {
 
     /// A device reply, parsed by the host's chain: Ethernet and TCP
     /// headers and the payload.
-    fn parse_reply(frame: &DemiBuffer) -> (EthHeader, TcpHeader, &[u8]) {
-        let (eth, _, tcp, at) = parse_segment(frame.as_slice()).expect("reply parses");
-        (eth, tcp, &frame.as_slice()[at])
+    fn parse_reply(frame: &DemiBuffer) -> (EthHeader, TcpHeader, Vec<u8>) {
+        let frame = Mbuf::from_data(frame.clone());
+        let (eth, _, tcp, payload) = parse_segment(&frame).expect("reply parses");
+        (eth, tcp, payload.to_vec())
     }
 
     /// What examining one frame did: the decision, the device cycles and
@@ -924,7 +932,8 @@ mod tests {
 
     fn process(engine: &mut TcpOffload, frame: &DemiBuffer) -> Outcome {
         let mut tx = Vec::new();
-        let (action, cycles) = engine.process(frame, SimTime::ZERO, &mut tx);
+        let frame = Mbuf::from_data(frame.clone());
+        let (action, cycles) = engine.process(&frame, SimTime::ZERO, &mut tx);
         assert!(
             tx.iter().all(|(dst, _)| *dst == CLIENT_MAC),
             "replies go back"

@@ -160,10 +160,23 @@ impl DpdkPort {
 
     /// Transmits up to all of `frames`; returns how many were accepted.
     ///
-    /// Each frame must start with a 14-byte Ethernet header; the destination
-    /// MAC (first 6 bytes) addresses the fabric. Short frames are rejected
-    /// (not transmitted), mirroring hardware minimum-frame rules.
+    /// Each frame's first segment must start with a 14-byte Ethernet
+    /// header; the destination MAC (first 6 bytes) addresses the fabric.
+    /// Short heads are rejected (not transmitted), mirroring hardware
+    /// minimum-frame rules. A chained frame leaves as its chain: the NIC
+    /// gathers the segments, it does not copy them.
     pub fn tx_burst(&self, frames: &[Mbuf]) -> usize {
+        self.send_burst(frames.iter().cloned())
+    }
+
+    /// [`DpdkPort::tx_burst`] that takes the frames, as `rte_eth_tx_burst`
+    /// takes its mbufs: `frames` is left empty (its capacity kept) and
+    /// each chain moves to the fabric without a clone and a drop.
+    pub fn tx_burst_drain(&self, frames: &mut Vec<Mbuf>) -> usize {
+        self.send_burst(frames.drain(..))
+    }
+
+    fn send_burst(&self, frames: impl Iterator<Item = Mbuf>) -> usize {
         let mut inner = self.inner.borrow_mut();
         inner.stats.tx_burst_calls += 1;
         // The doorbell is the device handoff of the op being polled, if
@@ -173,16 +186,17 @@ impl DpdkPort {
         }
         let mut sent = 0;
         for mbuf in frames {
-            let bytes = mbuf.as_slice();
-            if bytes.len() < 14 {
+            let head = mbuf.as_slice();
+            let Some(&dst) = head.first_chunk::<6>().filter(|_| head.len() >= 14) else {
                 continue;
-            }
-            let dst = MacAddress::new([bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5]]);
-            // Handle clone, not a byte copy: the fabric carries the very
-            // storage the caller framed.
-            inner.endpoint.transmit(dst, mbuf.data.clone());
+            };
             inner.stats.tx_frames += 1;
-            inner.stats.tx_bytes += bytes.len() as u64;
+            inner.stats.tx_bytes += mbuf.pkt_len() as u64;
+            // The chain's handles, not a byte copy: the fabric carries the
+            // very storage the caller framed.
+            inner
+                .endpoint
+                .transmit(MacAddress::new(dst), mbuf.into_segs());
             sent += 1;
         }
         sent
@@ -284,7 +298,7 @@ impl PortInner {
         while let Some(frame) = self.endpoint.receive() {
             // Zero-copy RX: the mbuf wraps the very storage the sender
             // transmitted; SmartNIC Map programs rewrite it in place.
-            let mut data = frame.payload;
+            let mut data = Mbuf::from(frame.payload);
             let decision = self.smartnic.process_rx(&mut data, frame.delivered_at);
             // Replies an offload program built leave at once, accounted
             // apart from host TX: no doorbell rang, no host cycle was spent,
@@ -313,9 +327,9 @@ impl PortInner {
                 continue;
             }
             self.stats.rx_frames += 1;
-            self.stats.rx_bytes += data.len() as u64;
+            self.stats.rx_bytes += data.pkt_len() as u64;
             self.queue_stats[queue as usize].enqueued += 1;
-            ring.push_back(Mbuf::from_data(data));
+            ring.push_back(data);
         }
     }
 }
@@ -430,7 +444,7 @@ mod tests {
         );
         assert!(!b.rx_ready(0) && !b.rx_ready(1));
         let f = udp_flow_frame(b.mac(), a.mac(), 40_000, 80);
-        let q = crate::rss::queue_for_frame(&f, 2);
+        let q = crate::rss::queue_for_frame(&mbuf(&f), 2);
         a.tx_burst(&[mbuf(&f)]);
         assert!(!b.rx_ready(q), "in flight is not arrived");
         fabric.deliver_due();
@@ -516,8 +530,10 @@ mod tests {
         let nonempty = counts.iter().filter(|&&c| c > 0).count();
         assert!(nonempty >= 2, "RSS should spread flows: {counts:?}");
         // One flow's frames all land on one queue, both directions.
-        let q_fwd = crate::rss::queue_for_frame(&udp_flow_frame(b.mac(), a.mac(), 32_768, 80), 4);
-        let q_rev = crate::rss::queue_for_frame(&udp_flow_frame(a.mac(), b.mac(), 80, 32_768), 4);
+        let q_fwd =
+            crate::rss::queue_for_frame(&mbuf(&udp_flow_frame(b.mac(), a.mac(), 32_768, 80)), 4);
+        let q_rev =
+            crate::rss::queue_for_frame(&mbuf(&udp_flow_frame(a.mac(), b.mac(), 80, 32_768)), 4);
         assert_eq!(q_fwd, q_rev, "RSS must be symmetric");
     }
 
@@ -543,7 +559,8 @@ mod tests {
         }
         fabric.deliver_due();
         let qs = b.queue_stats();
-        let q = crate::rss::queue_for_frame(&udp_flow_frame(b.mac(), a.mac(), 40_000, 80), 2);
+        let q =
+            crate::rss::queue_for_frame(&mbuf(&udp_flow_frame(b.mac(), a.mac(), 40_000, 80)), 2);
         assert_eq!(qs[q as usize].enqueued, 4);
         assert_eq!(qs[q as usize].dropped, 2);
         assert_eq!(qs[q as usize].depth, 4);

@@ -26,7 +26,8 @@
 
 use std::net::Ipv4Addr;
 
-use crate::wire::eth::{EthHeader, EtherType};
+use crate::mbuf::Mbuf;
+use crate::wire::eth::{EthHeader, EtherType, ETH_HEADER_LEN};
 use crate::wire::ipv4::{IpProtocol, Ipv4Header};
 use crate::wire::l4_ports;
 
@@ -95,17 +96,18 @@ pub fn hash_tuple(a_ip: Ipv4Addr, a_port: u16, b_ip: Ipv4Addr, b_port: u16) -> u
     toeplitz(&data)
 }
 
-/// RSS hash of a raw Ethernet frame.
+/// RSS hash of an Ethernet frame, read off its first segment.
 ///
 /// IPv4 frames hash their 4-tuple (TCP/UDP ports; other IP protocols use
 /// ports 0/0, which keeps an ICMP exchange on one queue). Anything else —
-/// ARP, truncated IP, unknown ethertypes — hashes source MAC + ethertype.
-pub(crate) fn hash_frame(frame: &[u8]) -> u32 {
+/// ARP, truncated IP, unknown ethertypes, a first segment too short for
+/// the headers — hashes source MAC + ethertype.
+pub(crate) fn hash_frame(frame: &Mbuf) -> u32 {
     if let Some(hash) = ipv4_tuple_hash(frame) {
         return hash;
     }
-    let Ok((eth, _)) = EthHeader::parse(frame) else {
-        return toeplitz(frame);
+    let Ok((eth, _)) = EthHeader::parse(frame.as_slice()) else {
+        return toeplitz(frame.as_slice());
     };
     let mut data = [0u8; 8];
     data[0..6].copy_from_slice(&eth.src.octets());
@@ -116,15 +118,17 @@ pub(crate) fn hash_frame(frame: &[u8]) -> u32 {
 /// The flow hash of a structurally sound IPv4 frame. Checksums are not
 /// verified: hardware RSS steers a corrupted frame like any other, and the
 /// host parser on the owning queue is what drops it.
-fn ipv4_tuple_hash(frame: &[u8]) -> Option<u32> {
-    let (eth, packet) = EthHeader::parse(frame).ok()?;
+fn ipv4_tuple_hash(frame: &Mbuf) -> Option<u32> {
+    let (eth, packet) = EthHeader::parse(frame.as_slice()).ok()?;
     if eth.ethertype != EtherType::Ipv4 {
         return None;
     }
-    let (ip, ihl) = Ipv4Header::parse_structure(packet).ok()?;
+    let packet_len = frame.pkt_len() - ETH_HEADER_LEN;
+    let (ip, ihl) = Ipv4Header::parse_structure(packet, packet_len).ok()?;
     let (src_port, dst_port) = match ip.protocol {
         IpProtocol::Tcp | IpProtocol::Udp => {
-            l4_ports(ip.protocol, &packet[ihl..ihl + ip.payload_len])?
+            let l4 = &packet[ihl..packet.len().min(ihl + ip.payload_len)];
+            l4_ports(ip.protocol, l4)?
         }
         // Everything else (ICMP, ...) hashes as a host pair.
         _ => (0, 0),
@@ -154,7 +158,7 @@ pub fn queue_for_tuple(
 }
 
 /// The RX queue (out of `queues`) a raw frame steers to.
-pub(crate) fn queue_for_frame(frame: &[u8], queues: u16) -> u16 {
+pub(crate) fn queue_for_frame(frame: &Mbuf, queues: u16) -> u16 {
     steer(queues, || hash_frame(frame))
 }
 
@@ -164,7 +168,7 @@ pub(crate) fn queue_for_frame(frame: &[u8], queues: u16) -> u16 {
 /// them as local everywhere rather than steering them by the MAC-hash
 /// fallback of `queue_for_frame`, which would ship a world's own ARP
 /// traffic onto another world's wire.
-pub fn flow_queue_for_frame(frame: &[u8], queues: u16) -> Option<u16> {
+pub fn flow_queue_for_frame(frame: &Mbuf, queues: u16) -> Option<u16> {
     assert!(queues > 0, "RSS needs at least one queue");
     ipv4_tuple_hash(frame).map(|h| (h % queues as u32) as u16)
 }
@@ -172,6 +176,10 @@ pub fn flow_queue_for_frame(frame: &[u8], queues: u16) -> Option<u16> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn mbuf(frame: &[u8]) -> Mbuf {
+        Mbuf::from_data(demi_memory::DemiBuffer::from_slice(frame))
+    }
 
     fn ip(last: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, last)
@@ -277,15 +285,15 @@ mod tests {
                     toeplitz_bit_serial(&[&frame[6..12], &frame[12..14]].concat())
                 }
             };
-            assert_eq!(hash_frame(&frame), want, "case {case}");
+            assert_eq!(hash_frame(&mbuf(&frame)), want, "case {case}");
             assert_eq!(
-                queue_for_frame(&frame, queues),
+                queue_for_frame(&mbuf(&frame), queues),
                 (want % queues as u32) as u16
             );
             let flow = (case % 4 != 3).then_some((want % queues as u32) as u16);
-            assert_eq!(flow_queue_for_frame(&frame, queues), flow);
+            assert_eq!(flow_queue_for_frame(&mbuf(&frame), queues), flow);
             let runt = &frame[..(y >> 48) as usize % 14];
-            assert_eq!(hash_frame(runt), toeplitz_bit_serial(runt));
+            assert_eq!(hash_frame(&mbuf(runt)), toeplitz_bit_serial(runt));
         }
     }
 
@@ -307,16 +315,16 @@ mod tests {
         let fwd = ipv4_frame(6, ip(1), ip(2), &ports(40_000, 80));
         let rev = ipv4_frame(6, ip(2), ip(1), &ports(80, 40_000));
         let tuple = hash_tuple(ip(1), 40_000, ip(2), 80);
-        assert_eq!(hash_frame(&fwd), tuple);
-        assert_eq!(hash_frame(&rev), tuple);
+        assert_eq!(hash_frame(&mbuf(&fwd)), tuple);
+        assert_eq!(hash_frame(&mbuf(&rev)), tuple);
     }
 
     #[test]
     fn icmp_frames_hash_as_host_pairs() {
         let fwd = ipv4_frame(1, ip(1), ip(2), &[8, 0, 0, 0]);
         let rev = ipv4_frame(1, ip(2), ip(1), &[0, 0, 0, 0]);
-        assert_eq!(hash_frame(&fwd), hash_frame(&rev));
-        assert_eq!(hash_frame(&fwd), hash_tuple(ip(1), 0, ip(2), 0));
+        assert_eq!(hash_frame(&mbuf(&fwd)), hash_frame(&mbuf(&rev)));
+        assert_eq!(hash_frame(&mbuf(&fwd)), hash_tuple(ip(1), 0, ip(2), 0));
     }
 
     #[test]
@@ -327,10 +335,10 @@ mod tests {
         arp[13] = 0x06;
         let mut arp2 = arp.clone();
         arp2[20] = 0xFF; // Different body, same source: same queue.
-        assert_eq!(hash_frame(&arp), hash_frame(&arp2));
+        assert_eq!(hash_frame(&mbuf(&arp)), hash_frame(&mbuf(&arp2)));
         let mut other_src = arp.clone();
         other_src[11] = 9;
-        assert_ne!(hash_frame(&arp), hash_frame(&other_src));
+        assert_ne!(hash_frame(&mbuf(&arp)), hash_frame(&mbuf(&other_src)));
     }
 
     #[test]

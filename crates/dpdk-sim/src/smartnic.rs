@@ -22,6 +22,7 @@ use std::rc::Rc;
 use demi_memory::DemiBuffer;
 use sim_fabric::{MacAddress, SimTime};
 
+use crate::mbuf::Mbuf;
 use crate::offload::TcpOffload;
 
 /// A frame predicate: `false` drops the frame.
@@ -208,8 +209,10 @@ impl SmartNic {
 
     /// Runs every installed program over an incoming frame, in slot
     /// order. Map programs rewrite `frame` in place, so later slots see
-    /// the mapped bytes.
-    pub fn process_rx(&mut self, frame: &mut DemiBuffer, now: SimTime) -> RxDecision {
+    /// the mapped bytes. Filter, steer and map programs read a frame as
+    /// one byte run, so a chained frame is linearized for them first (one
+    /// counted copy); the offload engine walks the chain as it is.
+    pub fn process_rx(&mut self, frame: &mut Mbuf, now: SimTime) -> RxDecision {
         if self.installed() == 0 {
             return RxDecision::Accept { queue: None };
         }
@@ -232,6 +235,7 @@ impl SmartNic {
                     predicate,
                     cycles_per_frame,
                 } => {
+                    frame.linearize();
                     let keep = predicate(frame.as_slice());
                     (*cycles_per_frame, (!keep).then_some(RxDecision::Drop))
                 }
@@ -239,6 +243,7 @@ impl SmartNic {
                     selector,
                     cycles_per_frame,
                 } => {
+                    frame.linearize();
                     queue = selector(frame.as_slice()).or(queue);
                     (*cycles_per_frame, None)
                 }
@@ -246,17 +251,19 @@ impl SmartNic {
                     transform,
                     cycles_per_frame,
                 } => {
-                    if frame.try_mut().is_none() {
-                        // Another live handle shares the storage: rewrite a
-                        // private copy instead of corrupting the sender's
-                        // bytes (`from_slice` counts the alloc + copy toward
-                        // the datapath counters).
-                        slot.copy_fallbacks += 1;
-                        *frame = DemiBuffer::from_slice(frame.as_slice());
-                    }
-                    // A fresh copy is exclusive, so this always rewrites.
-                    if let Some(bytes) = frame.try_mut() {
-                        transform(bytes);
+                    if let Some(frame) = frame.linearize() {
+                        if frame.try_mut().is_none() {
+                            // Another live handle shares the storage: rewrite
+                            // a private copy instead of corrupting the
+                            // sender's bytes (`from_slice` counts the alloc +
+                            // copy toward the datapath counters).
+                            slot.copy_fallbacks += 1;
+                            *frame = DemiBuffer::from_slice(frame.as_slice());
+                        }
+                        // A fresh copy is exclusive, so this always rewrites.
+                        if let Some(bytes) = frame.try_mut() {
+                            transform(bytes);
+                        }
                     }
                     (*cycles_per_frame, None)
                 }
@@ -313,8 +320,8 @@ mod tests {
         }
     }
 
-    fn buf(bytes: &[u8]) -> DemiBuffer {
-        DemiBuffer::from_slice(bytes)
+    fn buf(bytes: &[u8]) -> Mbuf {
+        Mbuf::from_data(DemiBuffer::from_slice(bytes))
     }
 
     #[test]

@@ -28,14 +28,15 @@
 
 use std::net::Ipv4Addr;
 
-use crate::wire::checksum::{finish, internet_checksum, sum_words};
+use crate::wire::checksum::internet_checksum;
 use crate::wire::eth::{EthHeader, EtherType, ETH_HEADER_LEN};
 use crate::wire::framing::{encode_header, encode_message, parse_header, MAX_FRAME_LEN};
-use crate::wire::ipv4::{pseudo_header, IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
+use crate::wire::fuzz::{below, mutate, refresh_checksums};
+use crate::wire::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
 use crate::wire::l4_ports;
 use crate::wire::seq::SeqNum;
 use crate::wire::tcp::{TcpFlags, TcpHeader};
-use crate::{capabilities, rss, smartnic_capabilities};
+use crate::{capabilities, rss, smartnic_capabilities, Mbuf};
 use crate::{FlowKey, FlowShadow, OffloadEvent, OffloadService, RxDecision, TcpOffload};
 use demi_memory::DemiBuffer;
 use sim_fabric::{DeviceCategory, MacAddress, SimRng, SimTime};
@@ -62,10 +63,6 @@ impl Drop for Repro {
             eprintln!("reproduce with: seed={} case={}", self.0, self.1);
         }
     }
-}
-
-fn below(rng: &mut SimRng, n: usize) -> usize {
-    (rng.next_u64() % n as u64) as usize
 }
 
 /// Client → server: `l4` wrapped in IPv4 and Ethernet by the shared
@@ -179,69 +176,6 @@ fn seed_frame(rng: &mut SimRng) -> Vec<u8> {
     }
 }
 
-/// Recomputes the IPv4 header checksum, and the TCP checksum behind it,
-/// wherever the (possibly mutated) length fields still describe bytes the
-/// frame has. This is the mutator's own reading of the layout — it must
-/// not share the product parsers' opinion of what is well formed.
-fn refresh_checksums(frame: &mut [u8]) {
-    let Some(ip) = frame.get_mut(ETH_HEADER_LEN..) else {
-        return;
-    };
-    let ihl = ip.first().map_or(0, |b| (b & 0x0F) as usize * 4);
-    if ihl < IPV4_HEADER_LEN || ihl > ip.len() {
-        return;
-    }
-    ip[10..12].fill(0);
-    let ck = internet_checksum(&ip[..ihl]);
-    ip[10..12].copy_from_slice(&ck.to_be_bytes());
-    let total_len = u16::from_be_bytes([ip[2], ip[3]]) as usize;
-    if ip[9] != 6 || total_len > ip.len() || total_len < ihl + 20 {
-        return;
-    }
-    let src = Ipv4Addr::new(ip[12], ip[13], ip[14], ip[15]);
-    let dst = Ipv4Addr::new(ip[16], ip[17], ip[18], ip[19]);
-    let segment = &mut ip[ihl..total_len];
-    segment[16..18].fill(0);
-    let pseudo = pseudo_header(src, dst, IpProtocol::Tcp, segment.len());
-    let ck = finish(sum_words(segment, sum_words(&pseudo, 0)));
-    segment[16..18].copy_from_slice(&ck.to_be_bytes());
-}
-
-fn mutate(rng: &mut SimRng, frame: &mut Vec<u8>) {
-    for _ in 0..1 + below(rng, 3) {
-        let ihl = frame
-            .get(ETH_HEADER_LEN)
-            .map_or(0, |b| (b & 0x0F) as usize * 4);
-        match below(rng, 7) {
-            0 | 1 if !frame.is_empty() => {
-                let at = below(rng, frame.len());
-                frame[at] ^= 1 << below(rng, 8);
-            }
-            2 => frame.truncate(below(rng, frame.len() + 1)),
-            3 => frame.extend((0..1 + below(rng, 32)).map(|_| rng.next_u64() as u8)),
-            4 if frame.len() > ETH_HEADER_LEN => {
-                frame[ETH_HEADER_LEN] = 0x40 | below(rng, 16) as u8;
-            }
-            5 if frame.len() > ETH_HEADER_LEN + 3 => {
-                // Total length: anything, or just around the truth.
-                let truth = (frame.len() - ETH_HEADER_LEN) as i64;
-                let len = match below(rng, 2) {
-                    0 => rng.next_u64() as u16,
-                    _ => (truth + below(rng, 9) as i64 - 4) as u16,
-                };
-                frame[ETH_HEADER_LEN + 2..][..2].copy_from_slice(&len.to_be_bytes());
-            }
-            6 if frame.len() > ETH_HEADER_LEN + ihl + 12 => {
-                frame[ETH_HEADER_LEN + ihl + 12] = (below(rng, 16) as u8) << 4;
-            }
-            _ => {}
-        }
-    }
-    if below(rng, 2) == 0 {
-        refresh_checksums(frame);
-    }
-}
-
 /// The host's verdict: the headers its parse chain reads off `frame`, if
 /// it accepts the frame as a TCP segment.
 fn host_chain(frame: &[u8]) -> Option<(Ipv4Header, TcpHeader)> {
@@ -289,9 +223,10 @@ fn the_device_acts_only_on_frames_the_host_accepts() {
             // vouched for it; where the host's IPv4 parser does accept the
             // frame, both read the same tuple off it.
             let queues = 1 + below(&mut rng, 16) as u16;
-            assert!(rss::queue_for_frame(&frame, queues) < queues);
-            let _ = rss::hash_frame(&frame);
-            let flow_queue = rss::flow_queue_for_frame(&frame, queues);
+            let mbuf = Mbuf::from_data(DemiBuffer::from_slice(&frame));
+            assert!(rss::queue_for_frame(&mbuf, queues) < queues);
+            let _ = rss::hash_frame(&mbuf);
+            let flow_queue = rss::flow_queue_for_frame(&mbuf, queues);
             let ipv4 = EthHeader::parse(&frame)
                 .ok()
                 .filter(|(eth, _)| eth.ethertype == EtherType::Ipv4)
@@ -315,7 +250,7 @@ fn the_device_acts_only_on_frames_the_host_accepts() {
                 let mut engine = engine(service, armed);
                 let before = engine.stats();
                 let mut tx = Vec::new();
-                let out = engine.process(&DemiBuffer::from_slice(&frame), SimTime::ZERO, &mut tx);
+                let out = engine.process(&mbuf, SimTime::ZERO, &mut tx);
                 let events: Vec<_> = engine.take_events().collect();
                 if accepted.is_none() {
                     let untouched = out.0 == RxDecision::Accept { queue: None }
@@ -349,7 +284,7 @@ fn a_framing_header_one_reader_rejects_every_reader_rejects() {
             let header = spliced_framing_header(&mut rng, 1);
             let payload = [&header[..], b"X"].concat();
             let mut engine = engine(KV, true);
-            let frame = DemiBuffer::from_slice(&data_frame(&payload));
+            let frame = Mbuf::from_data(DemiBuffer::from_slice(&data_frame(&payload)));
             let out = engine.process(&frame, SimTime::ZERO, &mut Vec::new());
             let events: Vec<_> = engine.take_events().collect();
             let stats = engine.stats();
@@ -372,7 +307,7 @@ fn a_framing_header_one_reader_rejects_every_reader_rejects() {
             let next = RCV_NXT + payload.len() as u32;
             let set = tcp_frame(TcpFlags::ACK, next, SND_NXT, None, &encode_message(b"Sk=v"));
             engine.process(
-                &DemiBuffer::from_slice(&set),
+                &Mbuf::from_data(DemiBuffer::from_slice(&set)),
                 SimTime::ZERO,
                 &mut Vec::new(),
             );

@@ -80,11 +80,15 @@ impl Ipv4Header {
         out
     }
 
-    /// The structural half of [`Ipv4Header::parse`] — version, IHL, total
-    /// length ≤ buffer; no checksum — which is all hardware RSS does.
+    /// The structural half of [`Ipv4Header::parse`] — version, IHL within
+    /// `data`, total length ≤ `packet_len` (the whole chain's); no
+    /// checksum — which is all hardware RSS does.
     /// Returns the header and its own length in bytes (options included).
     #[inline]
-    pub(crate) fn parse_structure(data: &[u8]) -> Result<(Ipv4Header, usize), Malformed> {
+    pub(crate) fn parse_structure(
+        data: &[u8],
+        packet_len: usize,
+    ) -> Result<(Ipv4Header, usize), Malformed> {
         if data.len() < IPV4_HEADER_LEN {
             return Err(Malformed("ipv4 header"));
         }
@@ -96,7 +100,7 @@ impl Ipv4Header {
             return Err(Malformed("ipv4 ihl"));
         }
         let total_len = u16::from_be_bytes([data[2], data[3]]) as usize;
-        if total_len < ihl || total_len > data.len() {
+        if total_len < ihl || total_len > packet_len {
             return Err(Malformed("ipv4 total length"));
         }
         let header = Ipv4Header {
@@ -112,11 +116,21 @@ impl Ipv4Header {
     /// (truncated to the header's declared total length).
     #[inline]
     pub fn parse(data: &[u8]) -> Result<(Ipv4Header, &[u8]), Malformed> {
-        let (header, ihl) = Self::parse_structure(data)?;
-        if !verify(&data[..ihl]) {
+        let (header, ihl) = Self::parse_head(data, data.len())?;
+        Ok((header, &data[ihl..ihl + header.payload_len]))
+    }
+
+    /// [`Ipv4Header::parse`] for a packet of `packet_len` bytes of which
+    /// `head` is the first link of a chain: the header must sit whole in
+    /// `head`, and its total length must fit `packet_len`. Returns the
+    /// header and its length (options included).
+    #[inline]
+    pub fn parse_head(head: &[u8], packet_len: usize) -> Result<(Ipv4Header, usize), Malformed> {
+        let (header, ihl) = Self::parse_structure(head, packet_len)?;
+        if !verify(&head[..ihl]) {
             return Err(Malformed("ipv4 checksum"));
         }
-        Ok((header, &data[ihl..ihl + header.payload_len]))
+        Ok((header, ihl))
     }
 
     /// Writes this header into `payload`'s headroom, turning it into an IP

@@ -11,6 +11,7 @@
 pub mod checksum;
 pub mod eth;
 pub mod framing;
+pub mod fuzz;
 pub mod ipv4;
 pub mod seq;
 pub mod tcp;

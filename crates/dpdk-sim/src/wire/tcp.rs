@@ -2,7 +2,7 @@
 
 use std::net::Ipv4Addr;
 
-use demi_memory::{DemiBuffer, HeadroomError};
+use demi_memory::{BufChain, DemiBuffer, HeadroomError};
 
 use super::checksum::{finish, sum_words, ChecksumAccumulator};
 use super::ipv4::{pseudo_header, IpProtocol};
@@ -151,6 +151,33 @@ impl TcpHeader {
         Ok(())
     }
 
+    /// [`TcpHeader::prepend_onto`] for a payload held as a chain: the
+    /// checksum walks every link, and the header goes onto the head link
+    /// in place or onto a header-only link ahead of the payload
+    /// ([`BufChain::prepend_with`], which leaves `room` bytes in front of
+    /// the header for the layers below) — no payload byte is copied.
+    pub fn prepend_onto_chain(
+        &self,
+        src_ip: Ipv4Addr,
+        dst_ip: Ipv4Addr,
+        payload: &mut BufChain,
+        room: usize,
+    ) {
+        let mut hdr = [0u8; TCP_MAX_HEADER_LEN];
+        let header_len = self.write_header(&mut hdr);
+        let hdr = &mut hdr[..header_len];
+        let mut acc = ChecksumAccumulator::new();
+        let segment_len = header_len + payload.len();
+        acc.push(&pseudo_header(src_ip, dst_ip, IpProtocol::Tcp, segment_len));
+        acc.push(hdr);
+        payload.links().for_each(|link| acc.push(link));
+        let ck = acc.finish();
+        hdr[16..18].copy_from_slice(&ck.to_be_bytes());
+        payload.prepend_with(room, |head| {
+            head.prepend(header_len).map(|dst| dst.copy_from_slice(hdr))
+        });
+    }
+
     /// Parses and validates a segment; returns the header and the payload
     /// offset within `segment`.
     pub fn parse(
@@ -158,16 +185,56 @@ impl TcpHeader {
         dst_ip: Ipv4Addr,
         segment: &[u8],
     ) -> Result<(TcpHeader, usize), Malformed> {
-        if segment.len() < TCP_HEADER_LEN {
-            return Err(Malformed("tcp header"));
-        }
-        let data_offset = ((segment[12] >> 4) as usize) * 4;
-        if data_offset < TCP_HEADER_LEN || data_offset > segment.len() {
-            return Err(Malformed("tcp data offset"));
-        }
+        let data_offset = Self::data_offset(segment)?;
         if tcp_checksum(src_ip, dst_ip, segment) != 0 {
             return Err(Malformed("tcp checksum"));
         }
+        Ok((Self::fields(segment, data_offset), data_offset))
+    }
+
+    /// [`TcpHeader::parse`] for a segment held as a chain: the header must
+    /// sit whole in the head link, and the checksum walks every link.
+    /// Returns the header and the payload offset within the head link.
+    pub fn parse_chain(
+        src_ip: Ipv4Addr,
+        dst_ip: Ipv4Addr,
+        segment: &BufChain,
+    ) -> Result<(TcpHeader, usize), Malformed> {
+        let head = segment.head().map_or(&[][..], DemiBuffer::as_slice);
+        if segment.nb_links() <= 1 {
+            return Self::parse(src_ip, dst_ip, head);
+        }
+        let data_offset = Self::data_offset(head)?;
+        let mut acc = ChecksumAccumulator::new();
+        acc.push(&pseudo_header(
+            src_ip,
+            dst_ip,
+            IpProtocol::Tcp,
+            segment.len(),
+        ));
+        segment.links().for_each(|link| acc.push(link));
+        if acc.finish() != 0 {
+            return Err(Malformed("tcp checksum"));
+        }
+        Ok((Self::fields(head, data_offset), data_offset))
+    }
+
+    /// The header length a segment declares, checked against the bytes
+    /// `head` holds.
+    fn data_offset(head: &[u8]) -> Result<usize, Malformed> {
+        if head.len() < TCP_HEADER_LEN {
+            return Err(Malformed("tcp header"));
+        }
+        let data_offset = ((head[12] >> 4) as usize) * 4;
+        if data_offset < TCP_HEADER_LEN || data_offset > head.len() {
+            return Err(Malformed("tcp data offset"));
+        }
+        Ok(data_offset)
+    }
+
+    /// The header fields and options of a segment whose first
+    /// `data_offset` bytes [`TcpHeader::data_offset`] vouched for.
+    fn fields(segment: &[u8], data_offset: usize) -> TcpHeader {
         let mut mss = None;
         let mut opts = &segment[TCP_HEADER_LEN..data_offset];
         while let Some(&kind) = opts.first() {
@@ -188,25 +255,22 @@ impl TcpHeader {
                 }
             }
         }
-        Ok((
-            TcpHeader {
-                src_port: u16::from_be_bytes([segment[0], segment[1]]),
-                dst_port: u16::from_be_bytes([segment[2], segment[3]]),
-                seq: SeqNum(u32::from_be_bytes([
-                    segment[4], segment[5], segment[6], segment[7],
-                ])),
-                ack: SeqNum(u32::from_be_bytes([
-                    segment[8],
-                    segment[9],
-                    segment[10],
-                    segment[11],
-                ])),
-                flags: TcpFlags::from_byte(segment[13]),
-                window: u16::from_be_bytes([segment[14], segment[15]]),
-                mss,
-            },
-            data_offset,
-        ))
+        TcpHeader {
+            src_port: u16::from_be_bytes([segment[0], segment[1]]),
+            dst_port: u16::from_be_bytes([segment[2], segment[3]]),
+            seq: SeqNum(u32::from_be_bytes([
+                segment[4], segment[5], segment[6], segment[7],
+            ])),
+            ack: SeqNum(u32::from_be_bytes([
+                segment[8],
+                segment[9],
+                segment[10],
+                segment[11],
+            ])),
+            flags: TcpFlags::from_byte(segment[13]),
+            window: u16::from_be_bytes([segment[14], segment[15]]),
+            mss,
+        }
     }
 }
 

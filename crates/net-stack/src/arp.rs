@@ -10,7 +10,7 @@
 use crate::fasthash::FastHashMap;
 use std::net::Ipv4Addr;
 
-use demi_memory::DemiBuffer;
+use demi_memory::BufChain;
 use sim_fabric::{MacAddress, SimTime};
 
 use crate::types::NetError;
@@ -93,18 +93,18 @@ struct InFlight {
     next_retry: SimTime,
     /// Serialized IP packets waiting for the MAC — buffer handles, so
     /// queueing while resolution is in flight copies nothing.
-    pending: Vec<DemiBuffer>,
+    pending: Vec<BufChain>,
 }
 
 /// What the cache wants the stack to do after a call.
 #[derive(Debug, PartialEq)]
 pub(crate) enum ArpAction {
     /// Transmit this pending packet to the now-resolved MAC.
-    SendPending(MacAddress, DemiBuffer),
+    SendPending(MacAddress, BufChain),
     /// Broadcast an ARP request for this IP.
     SendRequest(Ipv4Addr),
     /// Resolution gave up; drop this packet and surface unreachable.
-    FailPending(DemiBuffer),
+    FailPending(BufChain),
 }
 
 /// How long a resolved binding stays cached. Chosen.
@@ -152,7 +152,7 @@ impl ArpCache {
     pub(crate) fn enqueue_pending(
         &mut self,
         ip: Ipv4Addr,
-        packet: DemiBuffer,
+        packet: BufChain,
         now: SimTime,
     ) -> Vec<ArpAction> {
         match self.in_flight.get_mut(&ip) {
@@ -214,6 +214,7 @@ impl ArpCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use demi_memory::DemiBuffer;
 
     const MS: SimTime = SimTime::from_millis(1);
 
@@ -254,9 +255,17 @@ mod tests {
     #[test]
     fn miss_enqueues_and_requests_once() {
         let mut c = ArpCache::default();
-        let a1 = c.enqueue_pending(ip(2), DemiBuffer::from_slice(&[1]), SimTime::ZERO);
+        let a1 = c.enqueue_pending(
+            ip(2),
+            BufChain::from(DemiBuffer::from_slice(&[1])),
+            SimTime::ZERO,
+        );
         assert_eq!(a1, vec![ArpAction::SendRequest(ip(2))]);
-        let a2 = c.enqueue_pending(ip(2), DemiBuffer::from_slice(&[2]), SimTime::ZERO);
+        let a2 = c.enqueue_pending(
+            ip(2),
+            BufChain::from(DemiBuffer::from_slice(&[2])),
+            SimTime::ZERO,
+        );
         assert!(
             a2.is_empty(),
             "second packet piggybacks on in-flight request"
@@ -267,20 +276,22 @@ mod tests {
     fn reply_flushes_pending_in_order() {
         let mut c = ArpCache::default();
         let (p1, p2) = (DemiBuffer::from_slice(&[1]), DemiBuffer::from_slice(&[2]));
-        c.enqueue_pending(ip(2), p1.clone(), SimTime::ZERO);
-        c.enqueue_pending(ip(2), p2.clone(), SimTime::ZERO);
+        c.enqueue_pending(ip(2), BufChain::from(p1.clone()), SimTime::ZERO);
+        c.enqueue_pending(ip(2), BufChain::from(p2.clone()), SimTime::ZERO);
         let mac = MacAddress::from_last_octet(2);
         let actions = c.insert(ip(2), mac, SimTime::ZERO);
         assert_eq!(
             actions,
             vec![
-                ArpAction::SendPending(mac, p1.clone()),
-                ArpAction::SendPending(mac, p2.clone()),
+                ArpAction::SendPending(mac, BufChain::from(p1.clone())),
+                ArpAction::SendPending(mac, BufChain::from(p2.clone())),
             ]
         );
         // Flushing hands back the very same storage that was queued.
         match &actions[0] {
-            ArpAction::SendPending(_, flushed) => assert!(flushed.same_storage(&p1)),
+            ArpAction::SendPending(_, flushed) => {
+                assert!(flushed.head().unwrap().same_storage(&p1))
+            }
             other => panic!("unexpected action {other:?}"),
         }
         assert_eq!(c.lookup(ip(2), SimTime::ZERO), Some(mac));
@@ -298,7 +309,11 @@ mod tests {
     #[test]
     fn retries_then_fails_pending() {
         let mut c = ArpCache::default();
-        c.enqueue_pending(ip(2), DemiBuffer::from_slice(&[7]), SimTime::ZERO);
+        c.enqueue_pending(
+            ip(2),
+            BufChain::from(DemiBuffer::from_slice(&[7])),
+            SimTime::ZERO,
+        );
         // First retry at 1ms, second at 2ms; failure announced at 3ms.
         assert_eq!(c.poll(MS), vec![ArpAction::SendRequest(ip(2))]);
         assert_eq!(
@@ -308,7 +323,9 @@ mod tests {
         let actions = c.poll(MS.saturating_mul(3));
         assert_eq!(
             actions,
-            vec![ArpAction::FailPending(DemiBuffer::from_slice(&[7]))]
+            vec![ArpAction::FailPending(BufChain::from(
+                DemiBuffer::from_slice(&[7])
+            ))]
         );
         assert_eq!(c.next_deadline(), None);
     }
@@ -316,7 +333,11 @@ mod tests {
     #[test]
     fn poll_before_deadline_is_quiet() {
         let mut c = ArpCache::default();
-        c.enqueue_pending(ip(2), DemiBuffer::from_slice(&[7]), SimTime::ZERO);
+        c.enqueue_pending(
+            ip(2),
+            BufChain::from(DemiBuffer::from_slice(&[7])),
+            SimTime::ZERO,
+        );
         assert!(c.poll(SimTime::from_micros(500)).is_empty());
         assert_eq!(c.next_deadline(), Some(MS));
     }

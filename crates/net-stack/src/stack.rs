@@ -380,7 +380,7 @@ impl NetworkStack {
         };
         let packet = echo.into_packet(IPV4_HEADER_LEN + ETH_HEADER_LEN);
         let mut shard = self.shard.borrow_mut();
-        shard.send_ip(dst, IpProtocol::Icmp, packet);
+        shard.send_ip(dst, IpProtocol::Icmp, packet.into());
     }
 
     /// Pops a received echo reply `(from, ident, seq)`.
@@ -474,7 +474,7 @@ impl NetworkStack {
         let room = UDP_HEADER_LEN + IPV4_HEADER_LEN + ETH_HEADER_LEN;
         let write = |datagram: &mut _| header.prepend_onto(self.config.ip, dst.ip, datagram);
         let datagram = payload.prepend_with(room, write);
-        shard.send_ip(dst.ip, IpProtocol::Udp, datagram);
+        shard.send_ip(dst.ip, IpProtocol::Udp, datagram.into());
         Ok(())
     }
 

@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use demi_memory::DemiBuffer;
+use demi_memory::{BufChain, DemiBuffer};
 use dpdk_sim::{rss, DpdkPort, Mbuf};
 use sim_fabric::{MacAddress, SimClock, SimTime};
 
@@ -299,13 +299,13 @@ impl Shard {
     /// forwarding strays to their owner. Only flows have an owner;
     /// flowless frames (ARP) are broadcast-scope — whichever shard gets
     /// one answers it locally and shares what it learned over the rings.
-    fn handle_frame(&mut self, mbuf: Mbuf, now: SimTime) {
+    pub(super) fn handle_frame(&mut self, mbuf: Mbuf, now: SimTime) {
         let (index, total) = self.mesh;
         if total > 1 {
-            let owner = rss::flow_queue_for_frame(mbuf.as_slice(), total);
+            let owner = rss::flow_queue_for_frame(&mbuf, total);
             if let Some(owner) = owner.filter(|&o| o != index) {
                 self.shard_stats.steering_mismatches += 1;
-                let frame = ShardMsg::Frame(mbuf.as_slice().to_vec());
+                let frame = ShardMsg::Frame(mbuf.segs().to_vec());
                 self.staged.push((owner as usize, frame));
                 return;
             }
@@ -353,7 +353,7 @@ impl Shard {
             };
             self.stats.arp_replies += 1;
             let buf = self.control_buffer(&reply.serialize());
-            self.tx_frame(pkt.sender_mac, EtherType::Arp, buf);
+            self.tx_frame(pkt.sender_mac, EtherType::Arp, BufChain::from(buf));
         }
     }
 
@@ -370,12 +370,13 @@ impl Shard {
     }
 
     fn handle_ipv4(&mut self, mbuf: Mbuf, now: SimTime) {
-        // Scalars first, so the borrow of the frame ends before we carve
-        // zero-copy views out of (and possibly drop) the mbuf.
-        let (src, protocol, ip_payload_off, ip_payload_len) = {
-            let frame = mbuf.as_slice();
-            let ip_bytes = &frame[ETH_HEADER_LEN..];
-            let Ok((ip, payload)) = Ipv4Header::parse(ip_bytes) else {
+        // Scalars first, off the first segment, which must hold every
+        // header: the borrow of the frame ends before we carve zero-copy
+        // views out of (and possibly drop) the mbuf.
+        let (src, protocol, l4_off, l4_len) = {
+            let ip_bytes = &mbuf.as_slice()[ETH_HEADER_LEN..];
+            let packet_len = mbuf.pkt_len() - ETH_HEADER_LEN;
+            let Ok((ip, ihl)) = Ipv4Header::parse_head(ip_bytes, packet_len) else {
                 self.stats.malformed += 1;
                 return;
             };
@@ -383,51 +384,62 @@ impl Shard {
                 self.stats.not_for_us += 1;
                 return;
             }
-            // `payload` is `frame`'s bytes past the IP header and its options.
-            let ip_payload_off = payload.as_ptr() as usize - frame.as_ptr() as usize;
-            (ip.src, ip.protocol, ip_payload_off, payload.len())
+            (ip.src, ip.protocol, ETH_HEADER_LEN + ihl, ip.payload_len)
         };
         // RX budget policing happens here — after demux scalars are known
         // (the destination port names the owning tenant) but before any
         // protocol work is spent on the frame. Both arrival paths (own
         // queue and handoff) funnel through this point exactly once.
         if let Some(ten) = &mut self.tenancy {
-            if !ten.rx_admit(protocol, &mbuf.as_slice()[ip_payload_off..]) {
+            if !ten.rx_admit(protocol, &mbuf.as_slice()[l4_off..]) {
                 return;
             }
         }
+        let Some(head) = mbuf.segs().head().filter(|_| mbuf.nb_segs() == 1) else {
+            // Chained: only TCP, whose checksum walks the links (the stack
+            // sends UDP and ICMP flat), with its header in the first link.
+            if protocol != IpProtocol::Tcp || mbuf.as_slice().len() <= l4_off {
+                self.stats.malformed += 1;
+                return;
+            }
+            let mut segment = mbuf.into_segs();
+            segment.advance(l4_off);
+            segment.truncate(l4_len);
+            let parsed = crate::tcp::TcpHeader::parse_chain(src, self.config.ip, &segment);
+            let Ok((tcp, data_off)) = parsed else {
+                self.stats.malformed += 1;
+                return;
+            };
+            segment.advance(data_off);
+            self.tcp.on_segment(src, &tcp, segment, now);
+            return;
+        };
+        let l4 = &head[l4_off..l4_off + l4_len];
         match protocol {
             IpProtocol::Icmp => {
-                let view = mbuf
-                    .data
-                    .slice(ip_payload_off, ip_payload_off + ip_payload_len);
+                let view = head.slice(l4_off, l4_off + l4_len);
                 // Drop the full-frame handle: an echo reply can then rewrite
                 // the received buffer's headers in place and send it back.
                 drop(mbuf);
                 self.handle_icmp(src, view);
             }
             IpProtocol::Udp => {
-                let payload = &mbuf.as_slice()[ip_payload_off..][..ip_payload_len];
-                let Ok((udp, payload_len)) = UdpHeader::parse(src, self.config.ip, payload) else {
+                let Ok((udp, payload_len)) = UdpHeader::parse(src, self.config.ip, l4) else {
                     self.stats.malformed += 1;
                     return;
                 };
-                let start = ip_payload_off + UDP_HEADER_LEN;
-                let view = mbuf.data.slice(start, start + payload_len);
+                let start = l4_off + UDP_HEADER_LEN;
+                let view = head.slice(start, start + payload_len);
                 let from = SocketAddr::new(src, udp.src_port);
                 self.udp.deliver(from, udp.dst_port, view);
             }
             IpProtocol::Tcp => {
-                let payload = &mbuf.as_slice()[ip_payload_off..][..ip_payload_len];
-                let Ok((tcp, data_off)) =
-                    crate::tcp::TcpHeader::parse(src, self.config.ip, payload)
+                let Ok((tcp, data_off)) = crate::tcp::TcpHeader::parse(src, self.config.ip, l4)
                 else {
                     self.stats.malformed += 1;
                     return;
                 };
-                let start = ip_payload_off + data_off;
-                let end = ip_payload_off + ip_payload_len;
-                let view = mbuf.data.slice(start, end);
+                let view = head.slice(l4_off + data_off, l4_off + l4_len);
                 self.tcp.on_segment(src, &tcp, view, now);
             }
             IpProtocol::Other(_) => self.stats.not_for_us += 1,
@@ -447,7 +459,7 @@ impl Shard {
             // headroom the reply needs).
             drop(packet);
             let reply = echo.reply().into_packet(IPV4_HEADER_LEN + ETH_HEADER_LEN);
-            self.send_ip(src, IpProtocol::Icmp, reply);
+            self.send_ip(src, IpProtocol::Icmp, BufChain::from(reply));
         } else if self.pongs.len() >= PONG_QUEUE_CAP {
             self.stats.pongs_dropped += 1;
         } else {
@@ -497,16 +509,25 @@ impl Shard {
         let mut out = std::mem::take(&mut self.tcp_out);
         self.tcp.drain_segments(&mut out);
         for (dst_ip, seg) in out.drain(..) {
-            // The retransmission queue keeps clones *at the same offset*, so
-            // prepending below them is legal (a gathered segment is built
-            // with this headroom). A previous transmission of this very
-            // segment still in flight holds a view *below* and forces a
-            // (counted) copy instead of corrupting it, as does a lone
-            // view of a buffer the application still shares lower down.
+            // The header goes onto the segment's head link in place (a
+            // gathered run is built with this headroom, and the
+            // retransmission queue keeps its clones at the same offset),
+            // else onto a header-only link ahead of the payload when an
+            // earlier transmission still in flight, or the rest of the
+            // buffer the head was sliced from, holds a view *below* it.
+            // A one-link segment in that case is copied behind headroom
+            // instead (counted), as before chains: its link would hand the
+            // peer a slice of a larger buffer that the peer's long-lived
+            // state pins whole (the durable SET lost 15 % of its ops/s).
+            let mut segment = seg.payload;
+            if let (1, Some(head)) = (segment.nb_links(), segment.head()) {
+                if !head.can_prepend(MAX_HEADER_LEN) {
+                    segment = BufChain::from(head.copy_with_headroom(MAX_HEADER_LEN));
+                }
+            }
             let src_ip = self.config.ip;
-            let segment = seg.payload.prepend_with(MAX_HEADER_LEN, |segment| {
-                seg.header.prepend_onto(src_ip, dst_ip, segment)
-            });
+            seg.header
+                .prepend_onto_chain(src_ip, dst_ip, &mut segment, MAX_HEADER_LEN);
             self.send_ip(dst_ip, IpProtocol::Tcp, segment);
         }
         self.tcp_out = out;
@@ -523,9 +544,9 @@ impl Shard {
         }
     }
 
-    /// Prepends an IPv4 header onto `packet` in place and resolves the next
-    /// hop, queueing the buffer handle on ARP misses.
-    pub(super) fn send_ip(&mut self, dst: Ipv4Addr, protocol: IpProtocol, packet: DemiBuffer) {
+    /// Prepends an IPv4 header onto `packet`'s head in place and resolves
+    /// the next hop, queueing the chain's handles on ARP misses.
+    pub(super) fn send_ip(&mut self, dst: Ipv4Addr, protocol: IpProtocol, mut packet: BufChain) {
         debug_assert!(
             IPV4_HEADER_LEN + packet.len() <= MTU,
             "IP packet exceeds MTU"
@@ -537,7 +558,11 @@ impl Shard {
             payload_len: packet.len(),
         };
         let room = IPV4_HEADER_LEN + ETH_HEADER_LEN;
-        let packet = packet.prepend_with(room, |packet| header.prepend_onto(packet));
+        packet.prepend_with(room, |head| {
+            let bytes = header.serialize();
+            head.prepend(IPV4_HEADER_LEN)
+                .map(|dst| dst.copy_from_slice(&bytes))
+        });
         let now = self.clock.now();
         match self.arp.lookup(dst, now) {
             Some(mac) => self.tx_frame(mac, EtherType::Ipv4, packet),
@@ -564,7 +589,7 @@ impl Shard {
                         target_ip: ip,
                     };
                     let buf = self.control_buffer(&request.serialize());
-                    self.tx_frame(MacAddress::BROADCAST, EtherType::Arp, buf);
+                    self.tx_frame(MacAddress::BROADCAST, EtherType::Arp, BufChain::from(buf));
                 }
                 ArpAction::FailPending(_) => {
                     self.stats.unreachable_drops += 1;
@@ -587,15 +612,17 @@ impl Shard {
         buf
     }
 
-    /// Prepends the Ethernet header in place and enqueues the same buffer
-    /// on the TX coalescing ring — the zero-copy tail of every TX path.
-    fn tx_frame(&mut self, dst: MacAddress, ethertype: EtherType, payload: DemiBuffer) {
+    /// Prepends the Ethernet header onto the head in place and enqueues
+    /// the same chain on the TX coalescing ring — the zero-copy tail of
+    /// every TX path.
+    fn tx_frame(&mut self, dst: MacAddress, ethertype: EtherType, mut payload: BufChain) {
         let eth = EthHeader {
             dst,
             src: self.port.mac(),
             ethertype,
         };
-        let mut frame = payload.prepend_with(ETH_HEADER_LEN, |frame| eth.prepend_onto(frame));
+        payload.prepend_with(ETH_HEADER_LEN, |head| eth.prepend_onto(head));
+        let mut frame = Mbuf::from(payload);
         // Under tenancy a tenant's frame parks in that tenant's own
         // bounded staging lane until `flush_tx` admits it; HOST frames
         // (and every frame of a single-tenant stack) go straight to the
@@ -607,7 +634,7 @@ impl Shard {
             frame = host_frame;
         }
         self.stats.tx_frames += 1;
-        self.tx_ring.push(Mbuf::from_data(frame));
+        self.tx_ring.push(frame);
         if demi_telemetry::enabled() {
             self.tx_stamps.push(demi_telemetry::now_ns());
         }
@@ -638,10 +665,11 @@ impl Shard {
             self.tx_stamps.clear();
             return leftover;
         }
-        self.port.tx_burst(&self.tx_ring);
+        let frames = self.tx_ring.len();
+        self.port.tx_burst_drain(&mut self.tx_ring);
         // One sample per stamped frame. Telemetry toggled mid-ring leaves
         // fewer stamps than frames; those samples are simply dropped.
-        if !self.tx_stamps.is_empty() && self.tx_stamps.len() == self.tx_ring.len() {
+        if !self.tx_stamps.is_empty() && self.tx_stamps.len() == frames {
             let now = demi_telemetry::now_ns();
             for &enqueued_ns in &self.tx_stamps {
                 demi_telemetry::stage::record(

@@ -6,7 +6,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use demi_memory::{DemiBuffer, TenantId};
+use demi_memory::TenantId;
 use demi_tenant::{counters as tenant_counters, TenantRegistry, TokenBucket};
 use dpdk_sim::wire::l4_ports;
 use dpdk_sim::Mbuf;
@@ -219,14 +219,15 @@ impl ShardTenancy {
     }
 
     /// TX attribution is the buffer stamp: headers were prepended in
-    /// place (or copied stamp-preserving), so the frame still names the
+    /// place or onto a host header link ahead of the payload (or copied
+    /// stamp-preserving), so the frame's first non-host link names the
     /// tenant whose payload it carries. Tenant frames park in the
     /// tenant's own bounded staging lane until the deficit round-robin
     /// admits them (`None`: the frame was staged, or dropped at the lane
     /// bound); HOST frames (stack control traffic) are handed back for
     /// the shared ring, with control-plane priority.
-    pub(super) fn stage(&mut self, frame: DemiBuffer) -> Option<DemiBuffer> {
-        let tenant = frame.tenant();
+    pub(super) fn stage(&mut self, frame: Mbuf) -> Option<Mbuf> {
+        let tenant = frame.segs().tenant();
         if tenant.is_host() {
             return Some(frame);
         }
@@ -241,7 +242,7 @@ impl ShardTenancy {
             tenant_counters::note_quota_drop();
             return None;
         }
-        lane.staging.push_back(Mbuf::from_data(frame));
+        lane.staging.push_back(frame);
         None
     }
 
@@ -289,7 +290,7 @@ impl ShardTenancy {
                 }
                 let mut deferred = false;
                 while let Some(front) = lane.staging.front() {
-                    let bytes = front.as_slice().len() as u64;
+                    let bytes = front.pkt_len() as u64;
                     if bytes > lane.deficit {
                         break;
                     }
@@ -351,7 +352,7 @@ impl ShardTenancy {
             .filter_map(|lane| {
                 let front = lane.staging.front()?;
                 let bucket = lane.bucket.as_ref()?;
-                let ready = bucket.next_ready_ns(front.as_slice().len() as u64, now_ns)?;
+                let ready = bucket.next_ready_ns(front.pkt_len() as u64, now_ns)?;
                 Some(SimTime::from_nanos(ready))
             })
             .min()

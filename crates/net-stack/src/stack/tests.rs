@@ -2,7 +2,8 @@
 
 use std::net::Ipv4Addr;
 
-use dpdk_sim::{DpdkPort, PortConfig};
+use demi_memory::{BufChain, DemiBuffer};
+use dpdk_sim::{DpdkPort, Mbuf, PortConfig};
 use sim_fabric::{Fabric, LinkConfig, MacAddress, SimTime};
 
 use super::*;
@@ -603,4 +604,165 @@ fn closed_connections_leave_the_device_no_flow_record() {
     );
     assert_eq!(device.flows_armed, 0);
     assert_eq!(device.flows, 0, "a closed connection's record stayed");
+}
+
+/// Whether the shard must count `bytes` — split so its first link holds
+/// `head` of them, over `links` links — as malformed: the stack's rules
+/// read off the whole frame by the flat parsers. `None` where another
+/// counter or parser owns the verdict (not IPv4).
+fn must_be_malformed(bytes: &[u8], head: usize, links: usize) -> Option<bool> {
+    use crate::eth::{EthHeader, EtherType};
+    use crate::icmp::IcmpEcho;
+    use crate::ipv4::Ipv4Header;
+    use crate::tcp::TcpHeader;
+    let Ok((eth, _)) = EthHeader::parse(&bytes[..head]) else {
+        return Some(true);
+    };
+    if eth.ethertype != EtherType::Ipv4 {
+        return None;
+    }
+    let parsed = Ipv4Header::parse_head(&bytes[ETH_HEADER_LEN..head], bytes.len() - ETH_HEADER_LEN);
+    let Ok((ip, ihl)) = parsed else {
+        return Some(true);
+    };
+    if ip.dst != ip_of_b() {
+        return Some(false);
+    }
+    let l4_off = ETH_HEADER_LEN + ihl;
+    let l4 = &bytes[l4_off..l4_off + ip.payload_len];
+    Some(match ip.protocol {
+        IpProtocol::Tcp => TcpHeader::parse(ip.src, ip.dst, l4)
+            .map_or(true, |(_, data_off)| links > 1 && l4_off + data_off > head),
+        // Only TCP travels chained.
+        _ if links > 1 => true,
+        IpProtocol::Other(_) => false,
+        IpProtocol::Udp => UdpHeader::parse(ip.src, ip.dst, l4).is_err(),
+        IpProtocol::Icmp => IcmpEcho::parse(&DemiBuffer::from_slice(l4)).is_err(),
+    })
+}
+
+fn ip_of_b() -> Ipv4Addr {
+    ip(2)
+}
+
+/// Frames host `a` put on the wire towards `b`, flat and chained: a
+/// handshake, a gathered-and-linked TCP push, a slice of a large buffer
+/// behind a header link, pure ACKs, a UDP datagram and a ping.
+fn emitted_frames() -> (Fabric, NetworkStack, Vec<Mbuf>) {
+    let (fabric, a, b) = world();
+    let (ca, _) = tcp_pair(&fabric, &a, &b, 9000);
+    a.udp_bind(1000).unwrap();
+    b.udp_bind(2000).unwrap();
+    let big = DemiBuffer::from_slice(&[0x5A; 3000]);
+    let sga = [
+        DemiBuffer::from_slice(b"$1024\r\n"),
+        DemiBuffer::from_slice(&[0xB1; 1024]),
+        DemiBuffer::from_slice(b"\r\n"),
+        big,
+    ];
+    a.tcp_send_all(ca, sga).unwrap();
+    a.udp_sendto(1000, SocketAddr::new(ip(2), 2000), b"datagram")
+        .unwrap();
+    a.ping(ip(2), 7, 1);
+    let mut frames = Vec::new();
+    for _ in 0..8 {
+        a.poll();
+        fabric.advance_to_next_event();
+        frames.extend(b.shard.borrow().port.rx_burst(0, 64));
+    }
+    assert!(frames.iter().any(|f| f.nb_segs() > 1), "a chained frame");
+    (fabric, b, frames)
+}
+
+/// Hostile bytes at the shard's RX entry (`Shard::handle_frame`), flat and
+/// chained, from frames the stack itself emitted: dpdk-sim's wire mutator
+/// over the flattened bytes then a random split into links, one link of
+/// the original layout mutated, a head link shorter than its L2–L4
+/// headers, or an IPv4 total length that disagrees with the chain's. The
+/// oracle: nothing panics (nor any debug invariant, a poll pass runs the
+/// guard differential after each seed), and a frame is counted under
+/// `malformed` exactly when the stack's rules reject it.
+fn hostile_frames(seeds: u64) {
+    use dpdk_sim::wire::fuzz::{below, mutate, refresh_checksums};
+    use sim_fabric::SimRng;
+    let (fabric, b, frames) = emitted_frames();
+    for seed in 0..seeds {
+        let mut rng = SimRng::new(0xC4A1 ^ seed);
+        for case in 0..200 {
+            let frame = &frames[below(&mut rng, frames.len())];
+            let mut bytes = frame.segs().to_vec();
+            let mut cuts: Vec<usize> = Vec::new();
+            let mut at = 0;
+            for link in frame.segs().links() {
+                at += link.len();
+                cuts.push(at);
+            }
+            cuts.pop();
+            match below(&mut rng, 4) {
+                0 => {
+                    mutate(&mut rng, &mut bytes);
+                    cuts = (0..below(&mut rng, demi_memory::MAX_LINKS))
+                        .map(|_| below(&mut rng, bytes.len() + 1))
+                        .collect();
+                }
+                1 => {
+                    let at = below(&mut rng, bytes.len());
+                    bytes[at] ^= 1 << below(&mut rng, 8);
+                    if below(&mut rng, 2) == 0 {
+                        refresh_checksums(&mut bytes);
+                    }
+                }
+                2 => {
+                    let headers = ETH_HEADER_LEN + IPV4_HEADER_LEN + 20;
+                    cuts.insert(0, 1 + below(&mut rng, headers));
+                }
+                _ => {
+                    let truth = bytes.len() - ETH_HEADER_LEN;
+                    let len = (truth + 1 + below(&mut rng, 64)) as u16;
+                    let len = if below(&mut rng, 2) == 0 {
+                        len
+                    } else {
+                        (truth - 1 - below(&mut rng, 8)) as u16
+                    };
+                    bytes[ETH_HEADER_LEN + 2..][..2].copy_from_slice(&len.to_be_bytes());
+                    refresh_checksums(&mut bytes);
+                }
+            }
+            cuts.retain(|&c| c > 0 && c < bytes.len());
+            cuts.sort_unstable();
+            cuts.dedup();
+            cuts.truncate(demi_memory::MAX_LINKS - 1);
+            let mut chain = BufChain::new();
+            let mut from = 0;
+            for &to in cuts.iter().chain([&bytes.len()]) {
+                chain
+                    .push(DemiBuffer::from_slice(&bytes[from..to]))
+                    .unwrap();
+                from = to;
+            }
+            let head = chain.head().map_or(0, |h| h.len());
+            let verdict = must_be_malformed(&bytes, head, chain.nb_links());
+            let before = b.stats().malformed;
+            let now = fabric.clock().now();
+            b.shard.borrow_mut().handle_frame(Mbuf::from(chain), now);
+            let counted = b.stats().malformed - before;
+            if let Some(malformed) = verdict {
+                assert_eq!(counted, u64::from(malformed), "seed={seed} case={case}");
+            }
+        }
+        b.poll();
+    }
+}
+
+#[test]
+fn hostile_flat_and_chained_frames_are_counted_not_fatal() {
+    hostile_frames(if cfg!(debug_assertions) { 8 } else { 64 });
+}
+
+/// The long budget of [`hostile_flat_and_chained_frames_are_counted_not_fatal`],
+/// run by `tools/soak.sh`.
+#[test]
+#[ignore = "long budget: tools/soak.sh runs it"]
+fn hostile_flat_and_chained_frames_soak() {
+    hostile_frames(5_000);
 }

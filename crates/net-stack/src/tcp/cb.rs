@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
-use demi_memory::DemiBuffer;
+use demi_memory::{BufChain, DemiBuffer, MAX_LINKS};
 use dpdk_sim::{FlowShadow, OffloadEvent};
 use sim_fabric::SimTime;
 
@@ -72,8 +72,9 @@ pub enum State {
 pub struct TcpSegmentOut {
     /// Transport header (ports filled from the connection's 4-tuple).
     pub header: TcpHeader,
-    /// Zero-copy payload.
-    pub payload: DemiBuffer,
+    /// Zero-copy payload: a chain of views of what the application pushed
+    /// (and of copy-pool gathers of its small pieces).
+    pub payload: BufChain,
 }
 
 /// The segment size a peer's MSS option allows. A zero option would make
@@ -86,7 +87,7 @@ fn usable_mss(option: u16) -> usize {
 #[derive(Debug, Clone)]
 struct TxSeg {
     seq: SeqNum,
-    data: DemiBuffer,
+    data: BufChain,
     syn: bool,
     fin: bool,
     tx_time: SimTime,
@@ -189,6 +190,9 @@ pub(crate) struct ControlBlock {
     fin_pending: bool,
     fin_seq: Option<SeqNum>,
     fin_acked: bool,
+    /// Whether the send queue's front is the rest of a piece a segment
+    /// boundary split off a link, so it stays a link however short.
+    front_link: bool,
     handshake_retries_left: u32,
 
     // Receiver.
@@ -281,6 +285,7 @@ impl ControlBlock {
             fin_pending: false,
             fin_seq: None,
             fin_acked: false,
+            front_link: false,
             handshake_retries_left: config.syn_retries,
             irs: SeqNum(0),
             rcv_nxt: SeqNum(0),
@@ -579,7 +584,7 @@ impl ControlBlock {
     /// Hard reset: emits RST and closes immediately (abortive close).
     pub(crate) fn abort(&mut self) {
         if !matches!(self.state, State::Closed | State::TimeWait) {
-            self.emit(TcpFlags::RST_ACK, self.snd_nxt, DemiBuffer::empty(), None);
+            self.emit(TcpFlags::RST_ACK, self.snd_nxt, BufChain::new(), None);
         }
         self.state = State::Closed;
         self.error = Some(NetError::ConnectionReset);
@@ -591,7 +596,7 @@ impl ControlBlock {
     // ------------------------------------------------------------------
 
     /// Processes one received segment addressed to this connection.
-    pub(crate) fn on_segment(&mut self, hdr: &TcpHeader, payload: DemiBuffer, now: SimTime) {
+    pub(crate) fn on_segment(&mut self, hdr: &TcpHeader, payload: BufChain, now: SimTime) {
         self.last_activity = now;
         if hdr.flags.rst {
             self.on_rst();
@@ -640,6 +645,7 @@ impl ControlBlock {
             q.retx.clear();
         }
         self.send_queue_bytes = 0;
+        self.front_link = false;
         self.clear_timers();
     }
 
@@ -805,7 +811,7 @@ impl ControlBlock {
         }
     }
 
-    fn process_data(&mut self, hdr: &TcpHeader, mut payload: DemiBuffer, now: SimTime) {
+    fn process_data(&mut self, hdr: &TcpHeader, mut payload: BufChain, now: SimTime) {
         let mut seg_seq = hdr.seq;
         let original_len = payload.len() as u32;
         let had_payload = !payload.is_empty();
@@ -823,12 +829,13 @@ impl ControlBlock {
                     seg_seq = self.rcv_nxt;
                 }
                 let window = self.recv_window();
-                if seg_seq == self.rcv_nxt && payload.len() <= window {
+                let len = payload.len();
+                if seg_seq == self.rcv_nxt && len <= window {
                     self.stats.in_order_segments += 1;
                     let filled_hole = self.qr().is_some_and(|q| !q.ooo.is_empty());
-                    self.rcv_nxt += payload.len() as u32;
-                    self.ready_bytes += payload.len();
-                    self.q().ready.push_back(payload);
+                    self.rcv_nxt += len as u32;
+                    self.ready_bytes += len;
+                    self.q().ready.extend(payload);
                     self.drain_ooo();
                     if filled_hole {
                         // A reassembly hole just closed: ACK immediately
@@ -840,14 +847,24 @@ impl ControlBlock {
                     }
                 } else {
                     if seg_seq.gt(self.rcv_nxt) && seg_seq.since(self.rcv_nxt) as usize <= window {
-                        // Out of order, within the window: buffer for later.
-                        let key = seg_seq.since(self.irs);
-                        let len = payload.len();
+                        // Out of order, within the window: buffer each
+                        // link for later, keyed by its own offset.
+                        let mut key = seg_seq.since(self.irs);
+                        let mut buffered = 0;
                         let q = self.q();
-                        if let std::collections::btree_map::Entry::Vacant(slot) = q.ooo.entry(key) {
-                            slot.insert(payload);
+                        for link in payload {
+                            let (at, len) = (key, link.len());
+                            key += len as u32;
+                            if let std::collections::btree_map::Entry::Vacant(slot) =
+                                q.ooo.entry(at)
+                            {
+                                slot.insert(link);
+                                buffered += len;
+                            }
+                        }
+                        if buffered > 0 {
                             self.stats.out_of_order_segments += 1;
-                            self.ooo_bytes += len;
+                            self.ooo_bytes += buffered;
                         }
                     }
                     // Out-of-order, overlapping, or window-overflow data is
@@ -956,14 +973,14 @@ impl ControlBlock {
             self.fin_pending = false;
             self.q().retx.push_back(TxSeg {
                 seq,
-                data: DemiBuffer::empty(),
+                data: BufChain::new(),
                 syn: false,
                 fin: true,
                 tx_time: now,
                 retransmitted: false,
             });
             self.snd_nxt += 1;
-            self.emit(TcpFlags::FIN_ACK, seq, DemiBuffer::empty(), None);
+            self.emit(TcpFlags::FIN_ACK, seq, BufChain::new(), None);
             if self.rto_deadline.is_none() {
                 self.rto_deadline = Some(now.saturating_add(self.rtt.rto()));
             }
@@ -971,53 +988,79 @@ impl ControlBlock {
     }
 
     /// Carves the next segment's payload, at most `budget` bytes, off the
-    /// front of the send queue (`None` when it is empty). A segment that
-    /// comes from one buffer is a zero-copy view of it. Several queued
-    /// buffers that fit are gathered into one copy-pool buffer with header
-    /// headroom — one frame instead of one each — except that a buffer of
-    /// at least half a segment which can take the headers in place is
-    /// never copied: it ends the gather and travels alone.
-    fn next_segment(&mut self, budget: usize) -> Option<DemiBuffer> {
+    /// front of the send queue as a chain of links (`None` when the queue
+    /// is empty). A piece of at least half a segment — or the rest of one
+    /// that a segment boundary split — is a zero-copy link, wherever it
+    /// falls. A run of smaller pieces is one link: a view of it when it is
+    /// one piece, else one copy-pool gather behind header headroom (it may
+    /// lead the segment). The segment ends when the budget is spent or its
+    /// chain has room for no more payload links; one link is kept for a
+    /// header the head cannot take in place.
+    fn next_segment(&mut self, budget: usize) -> Option<BufChain> {
         let half = self.mss / 2;
-        let alone = |b: &DemiBuffer| b.len() >= half && b.can_prepend(MAX_HEADER_LEN);
+        let is_link = |b: &DemiBuffer| b.len() >= half;
+        let front_link = &mut self.front_link;
         let queue = &mut self.q.as_mut()?.send_queue;
-        let front = queue.front_mut()?;
-        let mut len = front.len().min(budget);
-        let mut parts = 1;
-        if !alone(front) {
-            while let Some(next) = queue.get(parts).filter(|b| len < budget && !alone(b)) {
-                len += next.len().min(budget - len);
-                parts += 1;
-            }
-        }
-        if parts == 1 {
-            return Some(Self::take_front(queue, len));
-        }
-        // The copy holds the pusher's bytes, so it carries the pusher's
-        // stamp and is charged to that tenant's TX lane.
-        let seg = DemiBuffer::gather(MAX_HEADER_LEN, len, queue.iter().take(parts));
-        let mut left = len;
-        for _ in 0..parts {
-            left -= Self::take_front(queue, left).len();
+        queue.front()?;
+        let mut seg = BufChain::new();
+        let mut room = budget;
+        while room > 0 && seg.nb_links() < MAX_LINKS - 1 {
+            let Some(front) = queue.front() else {
+                break;
+            };
+            let link = if *front_link || is_link(front) {
+                Self::take_front(queue, room, front_link, true)
+            } else {
+                let (mut len, mut parts) = (0, 0);
+                while let Some(next) = queue.get(parts).filter(|b| len < room && !is_link(b)) {
+                    len += next.len().min(room - len);
+                    parts += 1;
+                }
+                if parts == 1 {
+                    Self::take_front(queue, len, front_link, false)
+                } else {
+                    // The copy holds the pusher's bytes, so it carries the
+                    // pusher's stamp and is charged to that tenant's lane.
+                    let run = DemiBuffer::gather(MAX_HEADER_LEN, len, queue.iter().take(parts));
+                    let mut left = len;
+                    for _ in 0..parts {
+                        left -= Self::take_front(queue, left, front_link, false).len();
+                    }
+                    run
+                }
+            };
+            room -= link.len();
+            // Proof of room: the loop runs while the chain has it.
+            let _ = seg.push(link);
         }
         Some(seg)
     }
 
     /// Takes up to `n` bytes off the front of the send queue: the front
-    /// buffer itself if it fits, else a view of its head (an empty queue
-    /// yields an empty buffer).
-    fn take_front(queue: &mut VecDeque<DemiBuffer>, n: usize) -> DemiBuffer {
+    /// buffer itself if it fits, else a view of its head, leaving the rest
+    /// in front — a link still if `link` (an empty queue yields an empty
+    /// buffer).
+    fn take_front(
+        queue: &mut VecDeque<DemiBuffer>,
+        n: usize,
+        front_link: &mut bool,
+        link: bool,
+    ) -> DemiBuffer {
         match queue.front_mut() {
             Some(front) if front.len() > n => {
+                *front_link = link;
                 let head = front.slice(0, n);
                 front.advance(n);
                 head
             }
-            _ => queue.pop_front().unwrap_or_else(DemiBuffer::empty),
+            _ => {
+                *front_link = false;
+                queue.pop_front().unwrap_or_else(DemiBuffer::empty)
+            }
         }
     }
 
-    fn transmit_data(&mut self, data: DemiBuffer, now: SimTime) {
+    fn transmit_data(&mut self, data: BufChain, now: SimTime) {
         let seq = self.snd_nxt;
         self.snd_nxt += data.len() as u32;
         self.q().retx.push_back(TxSeg {
@@ -1039,7 +1082,7 @@ impl ControlBlock {
         let seq = self.snd_nxt;
         self.q().retx.push_back(TxSeg {
             seq,
-            data: DemiBuffer::empty(),
+            data: BufChain::new(),
             syn,
             fin: false,
             tx_time: now,
@@ -1051,12 +1094,7 @@ impl ControlBlock {
         } else {
             TcpFlags::SYN
         };
-        self.emit(
-            flags,
-            seq,
-            DemiBuffer::empty(),
-            Some(self.config.mss as u16),
-        );
+        self.emit(flags, seq, BufChain::new(), Some(self.config.mss as u16));
         self.rto_deadline = Some(now.saturating_add(self.rtt.rto()));
     }
 
@@ -1100,10 +1138,10 @@ impl ControlBlock {
 
     fn send_ack(&mut self) {
         self.stats.acks_sent += 1;
-        self.emit(TcpFlags::ACK, self.snd_nxt, DemiBuffer::empty(), None);
+        self.emit(TcpFlags::ACK, self.snd_nxt, BufChain::new(), None);
     }
 
-    fn emit(&mut self, flags: TcpFlags, seq: SeqNum, payload: DemiBuffer, mss: Option<u16>) {
+    fn emit(&mut self, flags: TcpFlags, seq: SeqNum, payload: BufChain, mss: Option<u16>) {
         let window = self.recv_window();
         self.last_advertised_window = window;
         let ack_valid = flags.ack;
@@ -1196,7 +1234,7 @@ impl ControlBlock {
                 self.stats.segments_sent += 1;
                 self.q().retx.push_back(TxSeg {
                     seq,
-                    data: reply,
+                    data: BufChain::from(reply),
                     syn: false,
                     fin: false,
                     tx_time: now,
@@ -1309,9 +1347,16 @@ impl ControlBlock {
             return;
         }
         self.stats.persist_probes += 1;
-        let probe = Self::take_front(&mut self.q().send_queue, 1);
+        let Some(q) = self.q.as_mut() else {
+            return;
+        };
+        let link = self.front_link
+            || q.send_queue
+                .front()
+                .is_some_and(|b| b.len() >= self.mss / 2);
+        let probe = Self::take_front(&mut q.send_queue, 1, &mut self.front_link, link);
         self.send_queue_bytes -= 1;
-        self.transmit_data(probe, now);
+        self.transmit_data(BufChain::from(probe), now);
         // Re-arm: keep probing until the window opens.
         self.persist_deadline = Some(now.saturating_add(PERSIST_INTERVAL));
     }

@@ -27,7 +27,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashSet, VecDeque};
 use std::net::Ipv4Addr;
 
-use demi_memory::DemiBuffer;
+use demi_memory::{BufChain, DemiBuffer};
 use demi_sched::Notify;
 use dpdk_sim::{FlowShadow, OffloadEvent};
 use sim_fabric::SimTime;
@@ -996,7 +996,7 @@ impl TcpPeer {
                         window,
                         mss: None,
                     },
-                    payload: DemiBuffer::empty(),
+                    payload: BufChain::new(),
                 },
             );
             let timer_key = TimerKey {
@@ -1017,14 +1017,16 @@ impl TcpPeer {
     // Stack-facing interface.
     // ------------------------------------------------------------------
 
-    /// Handles one received TCP segment.
+    /// Handles one received TCP segment, its payload a chain of views of
+    /// the frame's segments (a flat buffer is a chain of one).
     pub fn on_segment(
         &mut self,
         src_ip: Ipv4Addr,
         hdr: &TcpHeader,
-        payload: DemiBuffer,
+        payload: impl Into<BufChain>,
         now: SimTime,
     ) {
+        let payload = payload.into();
         let key = flow_key(hdr.dst_port, src_ip, hdr.src_port);
         crate::counters::note_demux_lookup();
         let hit = match self.last_demux {
@@ -1078,7 +1080,7 @@ impl TcpPeer {
             window: 0,
             mss: None,
         };
-        let payload = DemiBuffer::empty();
+        let payload = BufChain::new();
         self.raw_out.push((dst, TcpSegmentOut { header, payload }));
     }
 
@@ -1094,7 +1096,7 @@ impl TcpPeer {
         key: u64,
         src_ip: Ipv4Addr,
         hdr: &TcpHeader,
-        payload: DemiBuffer,
+        payload: BufChain,
         now: SimTime,
     ) -> bool {
         let Some(l) = self.listeners.get_mut(&hdr.dst_port) else {
@@ -1153,7 +1155,7 @@ impl TcpPeer {
                 window: self.config.recv_capacity.min(65_535) as u16,
                 mss: Some(self.config.mss as u16),
             };
-            let payload = DemiBuffer::empty();
+            let payload = BufChain::new();
             self.raw_out
                 .push((src_ip, TcpSegmentOut { header, payload }));
             return true;

@@ -54,6 +54,10 @@ pub struct RdmaDeviceStats {
     pub onesided_writes_handled: u64,
     /// One-sided READs executed entirely on the device.
     pub onesided_reads_handled: u64,
+    /// Queue pairs visited by `poll`'s timer sweep and `next_deadline`'s
+    /// scan: every queue pair, idle or not, on each call (ROADMAP item 11
+    /// makes it the due ones only).
+    pub qp_visits: u64,
 }
 
 struct Mr {
@@ -527,23 +531,26 @@ impl RdmaDevice {
     // ------------------------------------------------------------------
 
     /// Processes delivered fabric frames and expired timers. Returns how
-    /// many frames were consumed, so pollers can report device progress.
+    /// many frames were consumed plus how many connecting queue pairs gave
+    /// up (moved to `Error` on their last retry, with no frame), so pollers
+    /// can report — and wake on — device progress.
     pub fn poll(&self, now: SimTime) -> usize {
         let mut inner = self.inner.borrow_mut();
         let mut frames = 0;
         while let Some(frame) = inner.hca.endpoint.receive() {
             frames += 1;
-            if let Some(msg) = WireMsg::parse(&frame.payload) {
+            // The HCA sends every message as one flat frame.
+            if let Some(msg) = frame.payload.as_flat().and_then(WireMsg::parse) {
                 inner.handle_msg(frame.src, msg, now);
             }
         }
-        inner.tick(now);
-        frames
+        frames + inner.tick(now)
     }
 
     /// Earliest device timer deadline (for runtime clock advancement).
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let inner = self.inner.borrow();
+        let mut inner = self.inner.borrow_mut();
+        inner.hca.stats.qp_visits += inner.qps.len() as u64;
         inner.qps.values().filter_map(Qp::deadline).min()
     }
 }
@@ -625,8 +632,11 @@ impl Inner {
     }
 
     /// Fires the timers that are due, in QP-id order.
-    fn tick(&mut self, now: SimTime) {
-        let hca = &mut self.hca;
+    /// Fires due connect retries and transport RTOs; returns how many
+    /// connecting queue pairs ran out of retries.
+    fn tick(&mut self, now: SimTime) -> usize {
+        let (hca, mut refused) = (&mut self.hca, 0);
+        hca.stats.qp_visits += self.qps.len() as u64;
         for (&id, q) in &mut self.qps {
             match &mut q.link {
                 Link::Connecting {
@@ -636,6 +646,7 @@ impl Inner {
                 } if now >= *deadline => {
                     if *retries_left == 0 {
                         q.link = Link::Error;
+                        refused += 1;
                         continue;
                     }
                     *retries_left -= 1;
@@ -663,6 +674,7 @@ impl Inner {
                 _ => {}
             }
         }
+        refused
     }
 }
 

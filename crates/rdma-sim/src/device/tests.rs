@@ -425,7 +425,9 @@ fn mac(octet: u8) -> MacAddress {
 fn next_msg(fabric: &Fabric, devs: &[&RdmaDevice], station: &Endpoint) -> WireMsg {
     let mut got = None;
     settle(fabric, devs, || {
-        got = station.receive().and_then(|f| WireMsg::parse(&f.payload));
+        got = station
+            .receive()
+            .and_then(|f| WireMsg::parse(f.payload.as_flat().unwrap()));
         got.is_some()
     });
     got.expect("the station received a message")
@@ -616,7 +618,7 @@ fn connect_retries_fire_in_qp_id_order() {
         let round = || {
             while fabric.advance_to_next_event() {}
             std::iter::from_fn(|| silent.receive())
-                .map(|f| match WireMsg::parse(&f.payload) {
+                .map(|f| match WireMsg::parse(f.payload.as_flat().unwrap()) {
                     Some(WireMsg::ConnReq { src_qp, .. }) => src_qp,
                     other => panic!("unexpected {other:?}"),
                 })

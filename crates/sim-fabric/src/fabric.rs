@@ -6,7 +6,7 @@ use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
-use demi_memory::DemiBuffer;
+use demi_memory::BufChain;
 
 use crate::clock::{SimClock, SimTime};
 use crate::rng::SimRng;
@@ -66,10 +66,12 @@ pub struct Frame {
     pub dst: MacAddress,
     /// Opaque payload bytes (for NIC simulators, a full Ethernet frame).
     ///
-    /// Carried as a [`DemiBuffer`] handle: the fabric never copies payload
-    /// bytes — the receiver reads the very storage the sender transmitted
-    /// (zero-copy end to end). Broadcast clones the handle per receiver.
-    pub payload: DemiBuffer,
+    /// Carried as the sender's chain of buffer views, as a NIC gathers a
+    /// frame from its descriptors: the fabric never copies payload bytes —
+    /// the receiver reads the very storage the sender transmitted, link
+    /// for link (zero-copy end to end). Broadcast clones the handles per
+    /// receiver.
+    pub payload: BufChain,
     /// Virtual instant at which the frame reached the receiver's mailbox.
     pub delivered_at: SimTime,
 }
@@ -134,6 +136,9 @@ pub struct FabricStats {
     pub bytes_sent: u64,
 }
 
+/// An in-flight frame's place in the delivery order. The frame itself
+/// waits in its `in_flight` slot, so reordering the heap moves a few
+/// words, not a frame's chain of buffer handles.
 #[derive(Debug)]
 struct PendingFrame {
     deliver_at: SimTime,
@@ -141,7 +146,8 @@ struct PendingFrame {
     /// The destination's index in `mailboxes`, resolved when the frame was
     /// accepted, so delivery hashes nothing.
     dst_box: usize,
-    frame: Frame,
+    /// The frame's index in `in_flight`.
+    slot: usize,
 }
 
 impl PartialEq for PendingFrame {
@@ -184,6 +190,10 @@ struct FabricInner {
     default_link: LinkConfig,
     partitions: HashSet<(MacAddress, MacAddress)>,
     pending: BinaryHeap<Reverse<PendingFrame>>,
+    /// The frames `pending` orders; a delivered frame's slot is reused.
+    in_flight: Vec<Option<Frame>>,
+    /// Free `in_flight` slots.
+    free_slots: Vec<usize>,
     seq: u64,
     stats: FabricStats,
 }
@@ -198,7 +208,7 @@ impl FabricInner {
         &mut self,
         (src, src_box): Station,
         (dst, dst_box): Station,
-        payload: DemiBuffer,
+        payload: BufChain,
     ) {
         let now = self.clock.now();
         self.stats.frames_sent += 1;
@@ -225,20 +235,31 @@ impl FabricInner {
         let deliver_at = line.saturating_add(link.latency);
 
         self.seq += 1;
+        let frame = Some(Frame {
+            src,
+            dst,
+            payload,
+            delivered_at: deliver_at,
+        });
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.in_flight[slot] = frame;
+                slot
+            }
+            None => {
+                self.in_flight.push(frame);
+                self.in_flight.len() - 1
+            }
+        };
         self.pending.push(Reverse(PendingFrame {
             deliver_at,
             seq: self.seq,
             dst_box,
-            frame: Frame {
-                src,
-                dst,
-                payload,
-                delivered_at: deliver_at,
-            },
+            slot,
         }));
     }
 
-    fn transmit(&mut self, src: Station, dst: MacAddress, payload: DemiBuffer) {
+    fn transmit(&mut self, src: Station, dst: MacAddress, payload: BufChain) {
         if dst.is_broadcast() {
             for receiver in 0..self.mailboxes.len() {
                 let mac = self.mailboxes[receiver].mac;
@@ -262,9 +283,11 @@ impl FabricInner {
                 break;
             }
             let Reverse(p) = self.pending.pop().expect("peeked entry exists");
+            let frame = self.in_flight[p.slot].take();
+            self.free_slots.push(p.slot);
             let mailbox = &mut self.mailboxes[p.dst_box];
-            if mailbox.queue.len() < mailbox.capacity {
-                mailbox.queue.push_back(p.frame);
+            if let Some(frame) = frame.filter(|_| mailbox.queue.len() < mailbox.capacity) {
+                mailbox.queue.push_back(frame);
                 self.stats.frames_delivered += 1;
             } else {
                 self.stats.frames_dropped += 1;
@@ -304,6 +327,8 @@ impl Fabric {
                 default_link: LinkConfig::default(),
                 partitions: HashSet::new(),
                 pending: BinaryHeap::new(),
+                in_flight: Vec::new(),
+                free_slots: Vec::new(),
                 seq: 0,
                 stats: FabricStats::default(),
             })),
@@ -376,16 +401,17 @@ impl Fabric {
 
     /// Transmits `payload` from `src` to `dst` (which may be broadcast).
     ///
-    /// Accepts anything convertible into a [`DemiBuffer`] — a `Vec<u8>`
-    /// converts by taking ownership of its storage, a `DemiBuffer` passes
-    /// straight through (the zero-copy path), and a `&[u8]` is copied.
+    /// Accepts anything convertible into a [`BufChain`] — a `Vec<u8>`
+    /// converts by taking ownership of its storage, a `DemiBuffer` is a
+    /// one-link chain and a chain passes straight through (the zero-copy
+    /// paths).
     ///
     /// `src` is looked up once; an [`Endpoint`] already knows its mailbox
     /// and [`Endpoint::transmit`] skips the lookup. A `src` that was never
     /// registered is a frame injected onto the wire by no NIC: it owns no
     /// line, so its frames are not serialized behind one another — each
     /// leaves at `now` and pays only its own serialization delay.
-    pub fn transmit(&self, src: MacAddress, dst: MacAddress, payload: impl Into<DemiBuffer>) {
+    pub fn transmit(&self, src: MacAddress, dst: MacAddress, payload: impl Into<BufChain>) {
         let mut inner = self.inner.borrow_mut();
         let src_box = inner.endpoints.get(&src).copied();
         inner.transmit((src, src_box), dst, payload.into());
@@ -453,8 +479,9 @@ impl Endpoint {
         self.mac
     }
 
-    /// Transmits a frame to `dst` (zero-copy when given a [`DemiBuffer`]).
-    pub fn transmit(&self, dst: MacAddress, payload: impl Into<DemiBuffer>) {
+    /// Transmits a frame to `dst` (zero-copy when given a buffer or a
+    /// [`BufChain`]).
+    pub fn transmit(&self, dst: MacAddress, payload: impl Into<BufChain>) {
         let mut inner = self.fabric.inner.borrow_mut();
         inner.transmit((self.mac, Some(self.mailbox)), dst, payload.into());
     }

@@ -138,6 +138,10 @@ pub struct NvmeStats {
     pub chases: u64,
     /// Total device-side pointer hops taken by chase commands.
     pub chase_hops: u64,
+    /// Queue pairs visited by `next_deadline`'s scan: every queue pair,
+    /// idle or not, on each call (ROADMAP item 11 makes it the due ones
+    /// only).
+    pub qpair_visits: u64,
 }
 
 enum Command {
@@ -345,8 +349,9 @@ impl NvmeDevice {
 
     /// Earliest pending completion instant across all queue pairs.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.inner
-            .borrow()
+        let mut inner = self.inner.borrow_mut();
+        inner.stats.qpair_visits += inner.qpairs.len() as u64;
+        inner
             .qpairs
             .iter()
             .filter_map(|q| q.in_flight.front().map(|c| c.complete_at))

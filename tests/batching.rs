@@ -418,11 +418,11 @@ fn run_stream(chunks: &[Vec<u8>], seed: u64) -> Vec<u8> {
     got
 }
 
-/// A buffer of at least half a segment that can take the headers in place
-/// is never copied into a gather: it ends the one before it, travels
-/// alone, and the peer reads the pusher's own storage.
+/// A buffer of at least half a segment is a link, never a copy: it joins
+/// the segment between the gathers of the small buffers around it instead
+/// of ending it, and the peer reads the pusher's own storage.
 #[test]
-fn a_buffer_worth_a_frame_is_never_gathered() {
+fn a_buffer_worth_half_a_frame_is_linked_never_gathered() {
     let fabric = Fabric::new(13);
     let a = host(&fabric, 1);
     let b = host(&fabric, 2);
@@ -449,14 +449,17 @@ fn a_buffer_worth_a_frame_is_never_gathered() {
     let d = demi_memory::counters::snapshot().delta(&before);
     assert_eq!(
         a.tcp_conn_stats(conn).unwrap().segments_sent - segments_before,
-        3,
-        "two small buffers, the big one alone, two small buffers"
+        1,
+        "one segment: a gather, the big buffer linked, a gather"
     );
     assert_eq!(d.copies, 2, "one gather either side of the big buffer");
     assert_eq!(d.bytes_copied as usize, small, "none of them the big one's");
     assert_eq!(got.len(), 3);
     assert!(got[1].same_storage(&big) && got[1] == big);
-    assert!(got[1].headroom() >= MAX_HEADER_LEN, "headers went in place");
+    assert!(
+        got[1].headroom() >= MAX_HEADER_LEN,
+        "no header went onto it"
+    );
 }
 
 /// Under tenancy a gathered segment is the pushing tenant's frame: it
@@ -636,4 +639,76 @@ proptest! {
         let got = gathered_transfer(sgas, seed, loss_pct as f64 / 100.0, recv_capacity);
         prop_assert_eq!(got, sent);
     }
+}
+
+/// A chained segment's retransmission entry is trimmed across a link
+/// boundary by a partial ACK, and what is retransmitted is the rest of
+/// the pusher's own storage: a three-piece push (`small, ≥ MSS/2, small`)
+/// leaves as one three-link segment; that segment is lost; an ACK for the
+/// first link and 100 bytes of the second arrives; the RTO resends the
+/// other 902 bytes as two links, the first a view of the big buffer —
+/// no payload byte copied.
+#[test]
+fn a_partial_ack_trims_a_chained_segment_across_a_link_boundary() {
+    let cfg = TcpConfig::default();
+    let mut now = SimTime::from_millis(1);
+    let (c_ip, s_ip) = (ip(1), ip(2));
+    let mut client = TcpPeer::new(c_ip, cfg);
+    let mut server = TcpPeer::new(s_ip, cfg);
+    server.listen(80, 1).unwrap();
+    let c = client.connect(SocketAddr::new(s_ip, 80), now).unwrap();
+    let mut wire = Vec::new();
+    while client.state(c) != Ok(State::Established) {
+        client.drain_segments(&mut wire);
+        for (_, seg) in wire.drain(..) {
+            server.on_segment(c_ip, &seg.header, seg.payload, now);
+        }
+        server.drain_segments(&mut wire);
+        for (_, seg) in wire.drain(..) {
+            client.on_segment(s_ip, &seg.header, seg.payload, now);
+        }
+    }
+    client.drain_segments(&mut wire);
+    wire.clear();
+
+    let big = DemiBuffer::from_slice(&[0xB1; 1000]);
+    let pieces = [
+        DemiBuffer::from_slice(b"$1000\r\n"),
+        big.clone(),
+        DemiBuffer::from_slice(b"\r\n"),
+    ];
+    let sent: Vec<u8> = pieces.iter().flat_map(|p| p.as_slice().to_vec()).collect();
+    let before = demi_memory::counters::snapshot();
+    client.send_all(c, pieces, now).unwrap();
+    client.drain_segments(&mut wire);
+    let (_, lost) = wire.pop().unwrap();
+    assert!(wire.is_empty());
+    assert_eq!(
+        (lost.payload.nb_links(), lost.payload.len()),
+        (3, sent.len())
+    );
+
+    let mut ack = lost.header;
+    (ack.src_port, ack.dst_port) = (ack.dst_port, ack.src_port);
+    (ack.seq, ack.ack) = (lost.header.ack, lost.header.seq + 107);
+    client.on_segment(s_ip, &ack, DemiBuffer::empty(), now);
+    let resent = loop {
+        now = client.next_deadline().expect("the RTO is armed");
+        client.on_tick(now);
+        client.drain_segments(&mut wire);
+        if let Some((_, seg)) = wire.pop() {
+            break seg;
+        }
+    };
+    assert_eq!(resent.header.seq, lost.header.seq + 107);
+    assert_eq!(resent.payload, sent[107..].to_vec(), "the rest, in order");
+    assert_eq!(
+        resent.payload.nb_links(),
+        2,
+        "trimmed across the first link"
+    );
+    let head = resent.payload.head().unwrap();
+    assert!(head.same_storage(&big) && head.len() == 900);
+    let d = demi_memory::counters::snapshot().delta(&before);
+    assert_eq!(d.bytes_copied, 0, "neither sending nor resending copied");
 }

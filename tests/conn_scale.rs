@@ -385,6 +385,10 @@ fn echo_cost(
     for op in 0..200 {
         echo_op(w, sample[op % sample.len()], &payload);
     }
+    // The forged SYNs' empty payload is made outside the window: the
+    // stack itself makes no empty buffer, so its thread-local storage
+    // would otherwise be created inside it.
+    let no_payload = DemiBuffer::empty();
     let (segments, conn) = (w.segments, nsc::conn_snapshot());
     let meter = AllocMeter::arm();
     for op in 0..ops {
@@ -392,7 +396,7 @@ fn echo_cost(
             let (k, now) = (op as u32 * flood + k, w.now);
             let src = std::net::Ipv4Addr::new(10, 0, 1, (k % 250) as u8);
             w.server
-                .on_segment(src, &forged_syn(k), DemiBuffer::empty(), now);
+                .on_segment(src, &forged_syn(k), no_payload.clone(), now);
         }
         echo_op(w, sample[op % sample.len()], &payload);
     }

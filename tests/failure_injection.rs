@@ -167,6 +167,27 @@ fn catcorn_push_after_the_peer_closes_fails_without_a_panic() {
     );
 }
 
+/// A catcorn connect to a host nobody answers for fails once the queue
+/// pair's connect retries run out — a state change with no frame, which
+/// the device reports as work so the parked connect re-checks — instead of
+/// the wait declaring deadlock.
+#[test]
+fn catcorn_connect_to_an_unreachable_host_is_refused() {
+    let (_rt, _fabric, client, _server) = catcorn_pair(409);
+    let cqd = client.socket(SocketKind::Tcp).unwrap();
+    let qt = client
+        .connect(cqd, SocketAddr::new(host_ip(9), 18515))
+        .unwrap();
+    let result = client.wait(qt, None).unwrap();
+    assert!(
+        matches!(
+            result,
+            OperationResult::Failed(DemiError::Rdma("connection refused"))
+        ),
+        "expected a refused connect, got {result:?}"
+    );
+}
+
 /// Any host on the fabric can send ICMP echo *replies* nobody asked for.
 /// The victim's pong queue must stay bounded (drop-newest, counted), and
 /// a legitimate ping afterwards must still round-trip.

@@ -1,8 +1,9 @@
 //! The idle-scale matrix: which per-request costs still grow with idle
 //! state. Each row holds one kind of idle state beside a warmed echo, at
 //! several sizes; each column is one cost of a warmed round, read from the
-//! counters — scheduler polls and wakeups, offload-engine flow-table walks
-//! and heap allocations. Wall time per round is printed, not asserted.
+//! counters — scheduler polls and wakeups, the device's O(idle) visits
+//! (offload-engine flow-table walks, RDMA and NVMe queue-pair visits) and
+//! heap allocations. Wall time per round is printed, not asserted.
 //!
 //! A row whose cost is flat asserts equality across its sizes. A column
 //! that still grows pins today's exact count and names the open item that
@@ -17,7 +18,9 @@ mod support;
 
 use std::time::Instant;
 
-use demikernel::testing::{catnap_pair, catnip_pair, host_ip, AllocMeter};
+use demikernel::testing::{
+    catcorn_pair, catfs_world, catnap_pair, catnip_pair, host_ip, AllocMeter,
+};
 use demikernel::types::{QDesc, QToken};
 use demikernel::{LibOs, Runtime};
 use net_stack::types::SocketAddr;
@@ -41,7 +44,9 @@ const SIZES: [usize; 4] = [0, 16, 256, 1024];
 struct Cost {
     polls: u64,
     wakeups: u64,
-    walks: u64,
+    /// Flow-table walks (the NIC-served row) or queue-pair visits (the
+    /// RDMA and NVMe rows); 0 where the row's device has none.
+    visits: u64,
     allocs: u64,
 }
 
@@ -51,11 +56,11 @@ fn measure(
     row: &str,
     idle: usize,
     rt: &Runtime,
-    walks: impl Fn() -> u64,
+    visits: impl Fn() -> u64,
     mut round: impl FnMut(),
 ) -> Cost {
     (0..WARM).for_each(|_| round());
-    let (sched, walked) = (rt.scheduler().stats(), walks());
+    let (sched, visited) = (rt.scheduler().stats(), visits());
     let start = Instant::now();
     let meter = AllocMeter::arm();
     (0..ROUNDS).for_each(|_| round());
@@ -66,15 +71,15 @@ fn measure(
     let cost = Cost {
         polls: after.polls - sched.polls,
         wakeups: after.wakeups - sched.wakeups,
-        walks: walks() - walked,
+        visits: visits() - visited,
         allocs,
     };
     let per = |n: u64| n as f64 / ROUNDS as f64;
     println!(
-        "{row:<28} idle {idle:>5}: polls {:>5.1}  wakeups {:>5.1}  walks {:>4.1}  allocs {:>4.1}  wall {wall:>9.1?}/round",
+        "{row:<28} idle {idle:>5}: polls {:>5.1}  wakeups {:>5.1}  visits {:>6.1}  allocs {:>4.1}  wall {wall:>9.1?}/round",
         per(cost.polls),
         per(cost.wakeups),
-        per(cost.walks),
+        per(cost.visits),
         per(cost.allocs),
     );
     cost
@@ -156,7 +161,7 @@ fn parked_catnip_udp_pops_cost_a_udp_echo_nothing() {
     let expect = Cost {
         polls: 4 * ROUNDS,
         wakeups: 2 * ROUNDS,
-        walks: 0,
+        visits: 0,
         allocs: 0,
     };
     assert_flat(row, &cells, expect);
@@ -180,7 +185,7 @@ fn parked_catnap_udp_pops_cost_a_udp_echo_nothing() {
     let expect = Cost {
         polls: 4 * ROUNDS,
         wakeups: 2 * ROUNDS,
-        walks: 0,
+        visits: 0,
         allocs: cells[0].1.allocs,
     };
     assert_flat(row, &cells, expect);
@@ -226,7 +231,7 @@ fn parked_catnip_tcp_pops_cost_a_tcp_echo_nothing() {
     let expect = Cost {
         polls: 4 * ROUNDS,
         wakeups: 2 * ROUNDS,
-        walks: 0,
+        visits: 0,
         allocs: 0,
     };
     assert_flat(row, &cells, expect);
@@ -268,8 +273,102 @@ fn nic_served_flows_cost_a_served_echo_nothing_but_the_walk() {
     let expect = Cost {
         polls: cells[0].1.polls,
         wakeups: cells[0].1.wakeups,
-        walks: 2 * ROUNDS,
+        visits: 2 * ROUNDS,
         allocs: 0,
     };
     assert_flat(row, &cells, expect);
 }
+
+/// One lock-step 64 B echo over a connected stream queue pair.
+fn stream_round(client: &dyn LibOs, cqd: QDesc, server: &dyn LibOs, sqd: QDesc) {
+    let mut request = client.sgaalloc(64);
+    request.segments_mut()[0].try_mut().unwrap().fill(0x3C);
+    let qt = client.push(cqd, &request).unwrap();
+    client.wait(qt, None).unwrap();
+    let (_, sga) = server.blocking_pop(sqd).unwrap().expect_pop();
+    let qt = server.push(sqd, &sga).unwrap();
+    server.wait(qt, None).unwrap();
+    let (_, reply) = client.blocking_pop(cqd).unwrap().expect_pop();
+    assert_eq!(reply.segments()[0].as_slice(), &[0x3C; 64]);
+}
+
+/// Idle RDMA queue pairs on the server's HCA beside a catcorn echo: every
+/// device poll sweeps every queue pair's timers and every deadline scan
+/// reads every queue pair, so a round visits `a + b·n` of them. Not flat
+/// yet: ROADMAP item 11 (one timer wheel per runtime) makes both
+/// O(due). Pinned at today's exact counts so the fix turns this row into
+/// an equality.
+#[test]
+fn idle_rdma_qps_cost_a_catcorn_echo_a_visit_each_per_poll() {
+    let row = "catcorn echo, idle RDMA QPs";
+    let cell = |idle: usize| {
+        let (rt, _fabric, client, server) = catcorn_pair(43);
+        let (cqd, sqd) = tcp_pair(&client, &server, 18515);
+        let dev = server.device();
+        let (pd, cq) = (dev.alloc_pd(), dev.create_cq());
+        for _ in 0..idle {
+            dev.create_qp(pd, cq, cq);
+        }
+        let visits = || dev.stats().qp_visits;
+        let round = || stream_round(&client, cqd, &server, sqd);
+        (idle, measure(row, idle, &rt, visits, round))
+    };
+    let cells = [cell(1), cell(1000)];
+    let (one, many) = (cells[0].1, cells[1].1);
+    assert_eq!(
+        (one.polls, one.wakeups, one.allocs),
+        (many.polls, many.wakeups, many.allocs),
+        "{row}: only the device's visits may grow"
+    );
+    assert_eq!(
+        (one.visits, many.visits),
+        RDMA_QP_VISITS,
+        "{row}: O(queue pairs) per poll until ROADMAP item 11"
+    );
+}
+
+/// Queue-pair visits of [`ROUNDS`] catcorn echo rounds beside 1 and 1 000
+/// idle queue pairs, as measured: 14 sweeps a round, each over the
+/// connection's queue pair and the idle ones (`--nocapture` prints them
+/// per round).
+const RDMA_QP_VISITS: (u64, u64) = (ROUNDS * 14 * 2, ROUNDS * 14 * 1001);
+
+/// Idle NVMe queue pairs beside a catfs append: the runtime's deadline
+/// scan reads every queue pair of the device on each call. Not flat yet:
+/// ROADMAP item 11. Pinned at today's exact counts.
+#[test]
+fn idle_nvme_qpairs_cost_a_catfs_append_a_visit_each_per_scan() {
+    let row = "catfs append, idle NVMe qpairs";
+    let cell = |idle: usize| {
+        let (rt, catfs, dev) = catfs_world();
+        let qd = catfs.create("log").unwrap();
+        for _ in 0..idle {
+            dev.alloc_qpair();
+        }
+        let visits = || dev.stats().qpair_visits;
+        let round = || {
+            let mut record = catfs.sgaalloc(64);
+            record.segments_mut()[0].try_mut().unwrap().fill(0x7E);
+            let qt = catfs.push(qd, &record).unwrap();
+            catfs.wait(qt, None).unwrap();
+        };
+        (idle, measure(row, idle, &rt, visits, round))
+    };
+    let cells = [cell(1), cell(1000)];
+    let (one, many) = (cells[0].1, cells[1].1);
+    assert_eq!(
+        (one.polls, one.wakeups, one.allocs),
+        (many.polls, many.wakeups, many.allocs),
+        "{row}: only the device's visits may grow"
+    );
+    assert_eq!(
+        (one.visits, many.visits),
+        NVME_QPAIR_VISITS,
+        "{row}: O(queue pairs) per deadline scan until ROADMAP item 11"
+    );
+}
+
+/// Queue-pair visits of [`ROUNDS`] catfs appends beside 1 and 1 000 idle
+/// queue pairs, as measured: one deadline scan a round over catfs's own
+/// queue pair and the idle ones.
+const NVME_QPAIR_VISITS: (u64, u64) = (ROUNDS * 2, ROUNDS * 1001);

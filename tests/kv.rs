@@ -459,19 +459,19 @@ fn warmed_get_burst(depth: usize, seed: u64, pop: bool) -> impl FnMut() -> u64 {
 
 /// A warmed depth-16 burst of 1 KiB GETs through catnip — the request's
 /// push and pop, `KvEngine::drain`, and the reply's push, segmentation and
-/// delivery — allocates nothing, though the stack copies reply bytes on
-/// the way: each of those copies lands in a recycled copy-pool buffer, and
-/// the reply vector is a spare one reserved to the previous burst's length
-/// at its first push. Catches the vector growing one doubling at a time
-/// again (four allocations here), a fresh reply vector per burst (one) and
-/// `flush_tcp`'s counted fallback building its copy on the heap again
-/// (three per copy).
+/// delivery — allocates nothing and copies nothing: every value and every
+/// control run is a link of a segment's chain, and a header that cannot go
+/// in place takes a header link from the warm copy pool. The reply vector
+/// is a spare one reserved to the previous burst's length at its first
+/// push. Catches the vector growing one doubling at a time again (four
+/// allocations here), a fresh reply vector per burst (one), and any
+/// payload copy coming back into segmentation.
 #[test]
 fn a_depth16_get_burst_allocates_nothing() {
     let mut round = warmed_get_burst(16, 37, true);
     let mut copies = 0;
     assert_allocs(0, "a depth-16 GET burst", || copies = round());
-    assert!(copies > 0, "the burst's reply took the counted copy path");
+    assert_eq!(copies, 0, "no byte of a 1 KiB-value reply burst is copied");
 }
 
 /// The reply vector costs nothing at any pipeline depth: a warmed burst of

@@ -27,7 +27,7 @@ use demikernel::testing::{
     catfs_world, catnip_pair, catnip_pair_offload, host_ip, host_mac, AllocMeter,
 };
 use demikernel::types::{OperationResult, QDesc, Sga};
-use dpdk_sim::{NicProgram, PortConfig, SmartNic};
+use dpdk_sim::{Mbuf, NicProgram, PortConfig, SmartNic};
 use net_stack::types::SocketAddr;
 use proptest::prelude::*;
 use sim_fabric::{Fabric, SimTime};
@@ -515,8 +515,8 @@ fn map_rewrites_a_burst_of_exclusive_frames_without_allocating() {
         cycles_per_frame: 2,
     })
     .unwrap();
-    let mut frames: Vec<DemiBuffer> = (0..=255)
-        .map(|i| DemiBuffer::from_slice(&[i; 64]))
+    let mut frames: Vec<Mbuf> = (0..=255)
+        .map(|i| Mbuf::from_data(DemiBuffer::from_slice(&[i; 64])))
         .collect();
     let meter = AllocMeter::arm();
     for f in frames.iter_mut() {

@@ -31,11 +31,7 @@ use support::take_segments;
 
 /// One line of wire trace: everything a header and payload commit to.
 fn trace_line(dst: Ipv4Addr, seg: &TcpSegmentOut) -> String {
-    format!(
-        "{dst} {:?} payload={:?}",
-        seg.header,
-        seg.payload.as_slice()
-    )
+    format!("{dst} {:?} payload={:?}", seg.header, seg.payload.to_vec())
 }
 
 /// Shuttles segments between two peers until quiet, recording every

@@ -353,6 +353,64 @@ fn tcp_echo_path_moves_payload_bytes_zero_times() {
     );
 }
 
+/// A chained segment survives loss without a payload copy: twenty
+/// three-piece pushes (`small, ≥ MSS/2, small`) over a link that drops a
+/// fifth of the frames arrive byte for byte, and neither their first
+/// transmissions nor their retransmissions — whose heads lead with a
+/// header link whenever an earlier copy of the frame still holds the
+/// head's headroom — copy a byte of a large piece.
+/// (`tests/batching.rs` pins a single retransmission at 0 bytes.)
+#[test]
+fn a_chained_segment_survives_loss_without_a_copy() {
+    let (_rt, fabric, client, server) = catnip_pair(511);
+    let (cqd, sqd) = tcp_pair(&client, &server, 80);
+    let pushes: Vec<Vec<DemiBuffer>> = (0..20u8)
+        .map(|i| {
+            let big = DemiBuffer::from_slice(&[i; 900]);
+            vec![
+                DemiBuffer::from_slice(b"$900\r\n"),
+                big,
+                DemiBuffer::from_slice(b"\r\n"),
+            ]
+        })
+        .collect();
+    let sent: Vec<u8> = pushes
+        .iter()
+        .flatten()
+        .flat_map(|b| b.as_slice().to_vec())
+        .collect();
+    fabric.set_default_link(sim_fabric::LinkConfig {
+        loss_probability: 0.2,
+        ..sim_fabric::LinkConfig::default()
+    });
+    let conn = net_stack::tcp::ConnId(0);
+    let resent_before = client.stack().tcp_conn_stats(conn).unwrap().retransmissions;
+    let before = demi_memory::counters::snapshot();
+    for pieces in pushes {
+        let qt = client.push_unframed(cqd, &Sga::from_bufs(pieces)).unwrap();
+        client.wait(qt, None).unwrap();
+    }
+    let mut got = Vec::new();
+    while got.len() < sent.len() {
+        let qt = server.pop_unframed(sqd).unwrap();
+        let (_, sga) = server.wait(qt, None).unwrap().expect_pop();
+        sga.segments().iter().for_each(|s| got.extend_from_slice(s));
+    }
+    let d = demi_memory::counters::snapshot().delta(&before);
+    let resent = client.stack().tcp_conn_stats(conn).unwrap().retransmissions - resent_before;
+    assert_eq!(got, sent, "the bytes delivered are the bytes sent");
+    assert!(resent > 0, "the loss forced retransmissions");
+    // A backlog gathers one push's trailing `\r\n` with the next one's
+    // `$900\r\n` (one 8-byte copy); no byte of a 900-byte piece is ever
+    // copied, however often its segment is resent.
+    let small = 20 * 8;
+    assert!(
+        d.bytes_copied <= small,
+        "{resent} retransmissions: {} bytes copied, over the {small} of small pieces",
+        d.bytes_copied
+    );
+}
+
 /// The RDMA libOS copies every message four times and counts each copy
 /// once in the runtime's `Metrics`: into a staging vector and then a send
 /// slot on push, out of the receive slot and into the popped buffer on

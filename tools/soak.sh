@@ -23,5 +23,10 @@ while [ "$i" -le "$n" ]; do
     echo "soak: iteration $i of $n passed (3 modes)"
     i=$((i + 1))
 done
+cargo test --release -q -p net-stack hostile_flat_and_chained_frames_soak -- --ignored >target/soak.log 2>&1 || {
+    cat target/soak.log
+    echo "soak: the long hostile-frames budget FAILED (output above)"
+    exit 1
+}
 rm -f target/soak.log
 echo "soak: all $((n * 3)) suite runs passed"

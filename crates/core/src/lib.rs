@@ -7,7 +7,7 @@
 //! * [`types`] — queue descriptors, qtokens, scatter-gather arrays, and
 //!   operation results (§4.2–4.3): an Sga pushed into a queue pops out as
 //!   one atomic element.
-//! * [`runtime`] — the coroutine runtime behind qtokens and the `wait`,
+//! * [`runtime`] — the op-slot runtime behind qtokens and the `wait`,
 //!   `wait_any`, `wait_all` calls (§4.4). `wait` returns the operation's
 //!   data directly and completes exactly one waiter per completion — the
 //!   paper's two fixes to epoll.

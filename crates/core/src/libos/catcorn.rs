@@ -14,9 +14,12 @@
 //!   sized to the negotiated message limit, recycling each slot after its
 //!   pop; senders take slots from a send ring gated by completions. The
 //!   application never sees any of it.
-//! * **Flow control**: pushes wait for a free send slot, so a slow
-//!   receiver back-pressures the sender through slot exhaustion instead
-//!   of failing with RNR errors.
+//! * **Flow control**: pushes queue in call order, and the poller posts
+//!   each once its connection has a free send slot, so a slow receiver
+//!   back-pressures the sender through slot exhaustion instead of failing
+//!   with RNR errors. The push is a parked slot whose check takes its own
+//!   send's result; the poller posts sends, files their completions and
+//!   recycles the slots.
 //!
 //! Connection addresses: the simulation maps an IPv4 address to a fabric
 //! MAC by final octet (the convention used by every testing world).
@@ -47,16 +50,14 @@ struct Conn {
     send_mr: MrId,
     recv_mr: MrId,
     free_send_slots: VecDeque<usize>,
-    /// wr_id → slot for in-flight sends.
-    send_completions: HashMap<u64, Completion>,
+    /// wr_id → send slot, for posted sends.
+    posted: HashMap<u64, usize>,
+    /// Finished pushes' results by `wr_id`, until their checks take them.
+    sent: HashMap<u64, OperationResult>,
     recv_ready: VecDeque<Completion>,
-    /// Push-ordering tickets: pushes post in `push()`-call order even when
-    /// they contend for send slots.
-    next_ticket: u64,
-    turn: u64,
     /// Fires on every per-connection state change an operation might be
-    /// parked on: a completion dispatched by the pump, the push turn
-    /// advancing, a send slot being recycled, or the queue closing.
+    /// parked on: a completion dispatched by the pump, a push that failed
+    /// to post, or the queue closing.
     events: Notify,
 }
 
@@ -66,11 +67,15 @@ enum CatcornQueue {
     Conn(Rc<RefCell<Conn>>),
 }
 
+#[derive(Default)]
 struct Inner {
     queues: QueueTable<CatcornQueue>,
     /// qp → connection routing for completion dispatch.
     conns: HashMap<QpId, Rc<RefCell<Conn>>>,
     next_wr: u64,
+    /// Pushes not yet posted, in call order: each one's connection,
+    /// `wr_id` and staged payload.
+    unposted: VecDeque<(Rc<RefCell<Conn>>, u64, Vec<u8>)>,
 }
 
 /// The RDMA libOS.
@@ -80,13 +85,15 @@ pub struct Catcorn {
     core: Core,
     /// The check every parked pop shares ([`Core::pop_ready`]).
     pop: Check,
+    /// The check every parked push shares ([`Core::pushed`]).
+    push: Check,
 }
 
-/// The cycle-free heart of catcorn: everything the I/O coroutines and the
-/// pump need. Spawned coroutines and registered pollers capture this —
-/// never `Catcorn` itself — because anything owned by the runtime that
-/// holds a `Runtime` clone forms an Rc cycle (runtime → scheduler/pollers →
-/// capture → runtime) and leaks the whole world.
+/// The cycle-free heart of catcorn: everything the checks and the pump
+/// need. Checks and registered pollers capture this — never `Catcorn`
+/// itself — because anything owned by the runtime that holds a `Runtime`
+/// clone forms an Rc cycle (runtime → scheduler/pollers → capture →
+/// runtime) and leaks the whole world.
 #[derive(Clone)]
 struct Core {
     device: RdmaDevice,
@@ -102,9 +109,10 @@ struct Core {
 }
 
 impl Core {
-    /// Drives the device and dispatches completions to their connections,
-    /// waking parked coroutines. Returns how many work items (frames +
-    /// completions) were processed.
+    /// Drives the device, dispatches completions to their connections —
+    /// a send's completion files its push's result and recycles its slot —
+    /// and then posts queued pushes into free slots, waking parked ops.
+    /// Returns how many work items (frames + completions) were processed.
     fn pump(&self, now: sim_fabric::SimTime) -> usize {
         let frames = self.device.poll(now);
         if frames > 0 {
@@ -112,10 +120,7 @@ impl Core {
         }
         let completions = self.device.poll_cq(self.cq, 64);
         let work = frames + completions.len();
-        if completions.is_empty() {
-            return work;
-        }
-        let inner = self.inner.borrow();
+        let mut inner = self.inner.borrow_mut();
         for c in completions {
             let Some(conn) = inner.conns.get(&c.qp) else {
                 continue;
@@ -124,19 +129,53 @@ impl Core {
             match c.opcode {
                 WcOpcode::Recv => conn.recv_ready.push_back(c),
                 _ => {
-                    conn.send_completions.insert(c.wr_id, c);
+                    if let Some(slot) = conn.posted.remove(&c.wr_id) {
+                        conn.free_send_slots.push_back(slot);
+                    }
+                    let result = if c.status.is_ok() {
+                        OperationResult::Push
+                    } else {
+                        OperationResult::Failed(rdma_status_err(c.status))
+                    };
+                    conn.sent.insert(c.wr_id, result);
                 }
             }
             conn.events.notify_waiters();
         }
+        // In call order, each once its connection has a free send slot.
+        inner.unposted.retain(|(conn, wr_id, payload)| {
+            !self.post(&mut conn.borrow_mut(), *wr_id, payload, now)
+        });
         work
     }
 
-    fn next_wr(&self) -> u64 {
-        let mut inner = self.inner.borrow_mut();
-        let id = inner.next_wr;
-        inner.next_wr += 1;
-        id
+    /// Posts one queued push if its connection has a free send slot: stages
+    /// it into registered memory (the DMA-visible region; the second
+    /// counted copy) and posts the send, or files why not. Returns whether
+    /// the push left the queue.
+    fn post(&self, conn: &mut Conn, wr_id: u64, payload: &[u8], now: sim_fabric::SimTime) -> bool {
+        let Some(slot) = conn.free_send_slots.pop_front() else {
+            return false;
+        };
+        let at = slot * SLOT_SIZE;
+        let failed = if self.device.mr_write(conn.send_mr, at, payload).is_err() {
+            Some("mr write")
+        } else {
+            self.metrics.count_copy(payload.len());
+            let sent = self
+                .device
+                .post_send(conn.qp, wr_id, conn.send_mr, at, payload.len(), now);
+            sent.err().map(|_| "post_send")
+        };
+        if let Some(why) = failed {
+            conn.free_send_slots.push_back(slot);
+            let failed = OperationResult::Failed(DemiError::Rdma(why));
+            conn.sent.insert(wr_id, failed);
+            conn.events.notify_waiters();
+        } else {
+            conn.posted.insert(wr_id, slot);
+        }
+        true
     }
 
     /// Builds connection state around an RTS queue pair: registers the
@@ -161,10 +200,9 @@ impl Core {
             send_mr,
             recv_mr,
             free_send_slots: (0..RING_SLOTS).collect(),
-            send_completions: HashMap::new(),
+            posted: HashMap::new(),
+            sent: HashMap::new(),
             recv_ready: VecDeque::new(),
-            next_ticket: 0,
-            turn: 0,
             events: Notify::new(),
         }));
         self.inner.borrow_mut().conns.insert(qp, conn.clone());
@@ -178,29 +216,25 @@ impl Catcorn {
         let device = RdmaDevice::new(fabric, mac);
         let pd = device.alloc_pd();
         let cq = device.create_cq();
-        let inner = Rc::new(RefCell::new(Inner {
-            queues: QueueTable::new(1),
-            conns: HashMap::new(),
-            next_wr: 1,
-        }));
         let core = Core {
             device: device.clone(),
             pd,
             cq,
-            inner,
+            inner: Rc::default(),
             metrics: runtime.metrics().clone(),
             clock: runtime.clock().clone(),
             control: Notify::new(),
         };
-        // The pump and the pops' check capture the core, never the libOS
-        // (which holds the runtime).
-        let (check, pump) = (core.clone(), core.clone());
+        // The pump and the checks capture the core, never the libOS (which
+        // holds the runtime).
+        let (pop, push, pump) = (core.clone(), core.clone(), core.clone());
         runtime.register_poller(move || pump.pump(pump.clock.now()));
         runtime.register_deadline_source(move || device.next_deadline());
         Catcorn {
             runtime: runtime.clone(),
             core,
-            pop: Rc::new(move |qd, _| check.pop_ready(qd)),
+            pop: Rc::new(move |qd, _| pop.pop_ready(qd)),
+            push: Rc::new(move |qd, wr_id| push.pushed(qd, wr_id)),
         }
     }
 
@@ -332,6 +366,9 @@ impl LibOs for Catcorn {
             self.core.control.notify_waiters();
             return Ok(());
         };
+        inner
+            .unposted
+            .retain(|(queued, ..)| !Rc::ptr_eq(queued, &conn));
         let conn = conn.borrow();
         inner.conns.remove(&conn.qp);
         self.core.device.deregister_mr(conn.send_mr);
@@ -351,79 +388,15 @@ impl LibOs for Catcorn {
         // (`pop_ready`); each copy is counted.
         let payload = sga.to_vec();
         self.runtime.metrics().count_copy(payload.len());
-        let core = self.core.clone();
-        // Take an ordering ticket at call time: pushes hit the wire in
-        // `push()` order regardless of slot contention.
-        let ticket = {
-            let mut c = conn.borrow_mut();
-            let t = c.next_ticket;
-            c.next_ticket += 1;
-            t
-        };
-        // Not a `park_op`: a push parks twice, for its turn and a send slot
-        // and then for its completion, posting the send between.
-        Ok(self.runtime.spawn_op("catcorn::push", async move {
-            // Flow control the device does not provide: wait for our turn
-            // and for a free slot, parked on the connection's event channel
-            // (earlier pushes advancing the turn or recycling slots fire it).
-            let events = conn.borrow().events.clone();
-            let take_slot = || {
-                let mut c = conn.borrow_mut();
-                if c.turn == ticket {
-                    c.free_send_slots.pop_front()
-                } else {
-                    None
-                }
-            };
-            let slot = events.until(take_slot).await;
-            let (qp, send_mr) = {
-                let c = conn.borrow();
-                (c.qp, c.send_mr)
-            };
-            // Stage into registered memory (the DMA-visible region).
-            if core
-                .device
-                .mr_write(send_mr, slot * SLOT_SIZE, &payload)
-                .is_err()
-            {
-                let mut c = conn.borrow_mut();
-                c.turn += 1;
-                c.free_send_slots.push_back(slot);
-                c.events.notify_waiters();
-                return OperationResult::Failed(DemiError::Rdma("mr write"));
-            }
-            core.metrics.count_copy(payload.len());
-            let wr_id = core.next_wr();
-            let now = core.clock.now();
-            let posted =
-                core.device
-                    .post_send(qp, wr_id, send_mr, slot * SLOT_SIZE, payload.len(), now);
-            {
-                let mut c = conn.borrow_mut();
-                c.turn += 1;
-                c.events.notify_waiters();
-            }
-            if posted.is_err() {
-                let mut c = conn.borrow_mut();
-                c.free_send_slots.push_back(slot);
-                c.events.notify_waiters();
-                return OperationResult::Failed(DemiError::Rdma("post_send"));
-            }
-            // Await the send completion (dispatched by the pump), then
-            // recycle the slot and wake any push blocked on slot exhaustion.
-            let done = || conn.borrow_mut().send_completions.remove(&wr_id);
-            let status = events.until(done).await.status;
-            {
-                let mut c = conn.borrow_mut();
-                c.free_send_slots.push_back(slot);
-                c.events.notify_waiters();
-            }
-            if status.is_ok() {
-                OperationResult::Push
-            } else {
-                OperationResult::Failed(rdma_status_err(status))
-            }
-        }))
+        // Queued in call order; the pump posts it once a send slot is free
+        // and files its completion, which this push's check takes.
+        let mut inner = self.core.inner.borrow_mut();
+        let wr_id = inner.next_wr;
+        inner.next_wr += 1;
+        inner.unposted.push_back((conn.clone(), wr_id, payload));
+        drop(inner);
+        let (events, rt) = (&conn.borrow().events, &self.runtime);
+        Ok(rt.park_op("catcorn::push", events, self.push.clone(), qd, wr_id))
     }
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
@@ -437,6 +410,17 @@ impl LibOs for Catcorn {
 }
 
 impl Core {
+    /// The check of a parked `push`: its send's result, once the pump filed
+    /// it; `Closed` once the queue is closed.
+    fn pushed(&self, qd: QDesc, wr_id: u64) -> Option<OperationResult> {
+        let inner = self.inner.borrow();
+        let Ok(CatcornQueue::Conn(conn)) = inner.queues.get(qd) else {
+            return Some(OperationResult::Failed(DemiError::Closed));
+        };
+        let sent = conn.borrow_mut().sent.remove(&wr_id);
+        sent
+    }
+
     /// The check of a parked `pop`: the next received message, its slot
     /// re-posted (the buffer management RDMA demands); `Closed` once closed.
     fn pop_ready(&self, qd: QDesc) -> Option<OperationResult> {

@@ -24,11 +24,16 @@
 //!   command raises its log's `durable`, bumps the `retired` count and
 //!   fires the log's `appended` gate. A push is a parked slot
 //!   ([`Runtime::park_op`]) on that gate whose check is "`retired` is past
-//!   my commit": once warm, a commit allocates nothing. Pops, chases and
-//!   recovery read through coroutines.
+//!   my commit": once warm, a commit allocates nothing.
 //! * `pop` tails the log: it returns the next record as an atomic element,
 //!   verifying its checksum, and blocks (cooperatively) at the durable end
-//!   of the log until more data is pushed.
+//!   of the log until more data is pushed. A pop registers demand on its
+//!   descriptor; the poller reads the records, one block command at a
+//!   time and one record at a time, in pop order, and files each verified
+//!   record on the descriptor for the pop it serves, so two pops in
+//!   flight get two records. The pop is a parked slot whose check takes
+//!   its own record. Chases are parked slots too: the device walks a
+//!   `chase`, and the poller resubmits each hop of a `chase_host`.
 //! * [`Catfs::recover`] rebuilds a log by scanning the device and
 //!   verifying every record. One that parses but fails its sum is the torn
 //!   tail — the commit a crash interrupted, never acknowledged — and the
@@ -82,14 +87,77 @@ struct LogState {
     /// Cached contents of the partial tail block, the prefix of the next
     /// push's image (empty when `len` is block-aligned).
     tail: Vec<u8>,
-    /// Fires whenever `durable` grows or a queue on this log closes,
-    /// waking pops parked at the log tail and the push whose commit landed.
+    /// Fires whenever `durable` grows, waking the pushes whose commit
+    /// landed.
     appended: Notify,
 }
 
+#[derive(Default)]
 struct OpenLog {
     log: Rc<RefCell<LogState>>,
+    /// Where the next record starts: past every record popped so far.
     cursor: u64,
+    /// The pops waiting for a record, oldest first, by op number: the
+    /// oldest one's is read once a record is durable past the cursor.
+    pops: VecDeque<u64>,
+    /// Whether that read is in flight.
+    reading: bool,
+    /// Fires when a pop's record is filed or the descriptor closes.
+    popped: Notify,
+}
+
+/// A record being read for a pop, one block command at a time: its
+/// header, then its payload.
+struct RecordRead {
+    /// The log bytes still to read, `pos..end`.
+    pos: u64,
+    end: u64,
+    /// The bytes read so far.
+    bytes: Vec<u8>,
+    /// The header's stored checksum, once the header is read: `bytes` is
+    /// the payload from then on.
+    sum: Option<u32>,
+}
+
+impl RecordRead {
+    /// Takes the block read at `pos`, if any, and yields the LBA to read
+    /// next, or `None` once the record is whole and verified. `durable`
+    /// only ever rises by whole records, so a durable header's payload is
+    /// durable too — unless its length is corrupt.
+    fn step(
+        &mut self,
+        block: Option<Read>,
+        log: &LogState,
+        stats: &mut CatfsStats,
+    ) -> Result<Option<u64>, DemiError> {
+        if let Some(block) = block {
+            let (block, from) = (block?, self.pos as usize % BLOCK_SIZE);
+            let take = (BLOCK_SIZE - from).min((self.end - self.pos) as usize);
+            self.bytes.extend_from_slice(&block[from..from + take]);
+            self.pos += take as u64;
+        }
+        let mut corrupt = || {
+            stats.checksum_failures += 1;
+            Err(DemiError::Storage("record checksum"))
+        };
+        if self.pos == self.end && self.sum.is_none() {
+            let magic = DemiError::Storage("bad record magic");
+            let (len, sum) = parse_header(&self.bytes).ok_or(magic)?;
+            self.end += len as u64;
+            if self.end > log.durable {
+                return corrupt();
+            }
+            (self.sum, self.bytes) = (Some(sum), Vec::with_capacity(len));
+        }
+        if self.pos < self.end {
+            return Ok(Some(log.blocks[(self.pos / BLOCK_SIZE as u64) as usize]));
+        }
+        if self.sum != Some(checksum(&self.bytes)) {
+            return corrupt();
+        }
+        stats.records_read += 1;
+        Ok(None)
+    }
 }
 
 /// A commit the device has not finished: its write commands and what
@@ -101,13 +169,30 @@ struct Commit {
     end: u64,
 }
 
+/// A read command whose data the poller moves on.
+enum Reader {
+    /// A block of the record being read for `qd`'s oldest pop.
+    Record(QDesc, RecordRead),
+    /// A hop of host-side chase `op` ([`Catfs::chase_host`]): its walk
+    /// and how many blocks it has read.
+    Hop(u64, spdk_sim::ChainSpec, u32),
+}
+
+#[derive(Default)]
 struct Inner {
     logs: HashMap<String, Rc<RefCell<LogState>>>,
     queues: QueueTable<OpenLog>,
     next_lba: u64,
+    /// The next command id, which numbers pops and chases too (from 0).
     next_cmd: u64,
-    /// Read and chase completions, until [`Core::wait_cmd`] takes them.
-    completions: HashMap<u64, NvmeCompletion>,
+    /// Reads in flight whose data the poller moves on; any other read's
+    /// or chase's data is its op's result.
+    readers: HashMap<u64, Reader>,
+    /// Results of pops, chases and recovery reads by op number, until
+    /// their checks (or the recovery scan) take them.
+    results: HashMap<u64, Read>,
+    /// Descriptors whose oldest pop may wait for a durable record.
+    hungry: Vec<QDesc>,
     /// The poller's completion batch, kept between polls.
     polled: Vec<NvmeCompletion>,
     /// Commits submitted and not yet landed, oldest first: one queue pair
@@ -119,7 +204,7 @@ struct Inner {
     /// A write buffer the device handed back: the next append's image.
     spare: Vec<u8>,
     stats: CatfsStats,
-    /// Fires when a read or chase completion is filed in `completions`.
+    /// Fires when a chase's or a recovery read's result is filed.
     completed: Notify,
 }
 
@@ -130,20 +215,10 @@ impl Inner {
         self.next_cmd - 1
     }
 
-    /// Files one completion. A commit's write hands its buffer back and,
-    /// as the commit's last command, retires it: the log's `durable`
-    /// rises to the commit's end and tailing pops are woken. Anything
-    /// else waits in `completions` for its reader.
-    fn complete(&mut self, c: NvmeCompletion) {
-        let ours = self
-            .in_flight
-            .front()
-            .is_some_and(|commit| commit.cmds.contains(&c.cmd_id));
-        if !ours {
-            self.completions.insert(c.cmd_id, c);
-            self.completed.notify_waiters();
-            return;
-        }
+    /// Files a commit's write completion. It hands its buffer back and, as
+    /// the commit's last command, retires it: the log's `durable` rises to
+    /// the commit's end and the pushes parked on it are woken.
+    fn retire(&mut self, c: NvmeCompletion) {
         if let Some(commit) = self
             .in_flight
             .pop_front_if(|commit| commit.cmds.end == c.cmd_id + 1)
@@ -160,6 +235,12 @@ impl Inner {
             self.spare = image;
         }
     }
+
+    /// Files op `op`'s result for its check and wakes it.
+    fn file(&mut self, op: u64, read: Read) {
+        self.results.insert(op, read);
+        self.completed.notify_waiters();
+    }
 }
 
 /// The storage libOS.
@@ -169,12 +250,14 @@ pub struct Catfs {
     core: Core,
     /// Every push's check: its commit has landed.
     push: Check,
+    /// Every pop's and chase's check: its result is filed.
+    read: Check,
 }
 
-/// The cycle-free heart of catfs: everything the I/O coroutines need.
-/// Spawned coroutines capture this — never `Catfs` itself — because a task
-/// future holding a `Runtime` clone would form an Rc cycle (runtime →
-/// scheduler → task future → runtime) and leak the whole world.
+/// The cycle-free heart of catfs: everything the poller and the checks
+/// need. They live in the runtime and capture this — never `Catfs` itself
+/// — because a runtime-owned closure holding a `Runtime` clone would form
+/// an Rc cycle and leak the whole world.
 #[derive(Clone)]
 struct Core {
     device: NvmeDevice,
@@ -183,36 +266,118 @@ struct Core {
 }
 
 impl Core {
-    /// Files every due device completion ([`Inner::complete`]); returns
-    /// how many arrived (the poller's external-progress report).
+    /// Files every due device completion ([`Core::complete`]), then serves
+    /// the descriptors whose pops waited for a durable record; returns how
+    /// many completions arrived (the poller's external-progress report).
     fn pump_completions(&self) -> usize {
         let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
         let mut polled = std::mem::take(&mut inner.polled);
         let n = self.device.poll_completions(self.qpair, 64, &mut polled);
         for c in polled.drain(..) {
-            inner.complete(c);
+            self.complete(inner, c);
         }
         inner.polled = polled;
+        let mut hungry = std::mem::take(&mut inner.hungry);
+        hungry.retain(|&qd| self.serve(inner, qd));
+        hungry.append(&mut inner.hungry);
+        inner.hungry = hungry;
         n
     }
 
-    async fn wait_cmd(&self, cmd_id: u64) -> NvmeCompletion {
-        // Completions surface through the poller above, which fires
-        // `completed` as it files them; park on it between checks.
-        let completed = self.inner.borrow().completed.clone();
-        let arrived = || self.inner.borrow_mut().completions.remove(&cmd_id);
-        completed.until(arrived).await
+    /// Files one completion: a commit's write retires it
+    /// ([`Inner::retire`]), a pop's or a walk's read moves on, and any
+    /// other read's data is its op's result.
+    fn complete(&self, inner: &mut Inner, c: NvmeCompletion) {
+        let commit = inner.in_flight.front();
+        if commit.is_some_and(|commit| commit.cmds.contains(&c.cmd_id)) {
+            return inner.retire(c);
+        }
+        match inner.readers.remove(&c.cmd_id) {
+            Some(Reader::Record(qd, record)) => self.read(inner, qd, record, Some(read_data(c))),
+            Some(Reader::Hop(op, spec, hops)) => self.hop(inner, op, spec, hops, read_data(c)),
+            None => inner.file(c.cmd_id, read_data(c)),
+        }
     }
 
-    /// Parks at the tail of `qd`'s log until a record past its cursor is
-    /// durable; yields the cursor, or `None` once `qd` is closed.
-    async fn wait_tail(&self, qd: QDesc, log: &RefCell<LogState>) -> Option<u64> {
-        let appended = log.borrow().appended.clone();
-        let ready = || match self.inner.borrow().queues.get(qd) {
-            Ok(open) => (log.borrow().durable > open.cursor).then_some(Some(open.cursor)),
-            Err(_) => Some(None),
+    /// Starts reading the record at `qd`'s cursor for its oldest pop, once
+    /// one is durable; returns whether that pop waits for one.
+    fn serve(&self, inner: &mut Inner, qd: QDesc) -> bool {
+        let Ok(open) = inner.queues.get_mut(qd) else {
+            return false;
         };
-        appended.until(ready).await
+        if open.reading || open.pops.is_empty() {
+            return false;
+        }
+        let pos = open.cursor;
+        if open.log.borrow().durable <= pos {
+            return true;
+        }
+        open.reading = true;
+        let (end, bytes) = (pos + RECORD_HEADER as u64, Vec::new());
+        self.read(
+            inner,
+            qd,
+            RecordRead {
+                pos,
+                end,
+                bytes,
+                sum: None,
+            },
+            None,
+        );
+        false
+    }
+
+    /// Moves `qd`'s record read on with the block that landed: submits the
+    /// next block's read, or files the record — or why not — for the
+    /// oldest pop, moving the cursor past a good one, and serves the next
+    /// pop. A closed descriptor drops its read.
+    fn read(&self, inner: &mut Inner, qd: QDesc, mut record: RecordRead, block: Option<Read>) {
+        let Ok(log) = inner.queues.get(qd).map(|open| open.log.clone()) else {
+            return;
+        };
+        let read = match record.step(block, &log.borrow(), &mut inner.stats) {
+            Ok(Some(lba)) => match self.submit_read(inner, lba) {
+                Ok(cmd) => {
+                    inner.readers.insert(cmd, Reader::Record(qd, record));
+                    return;
+                }
+                Err(e) => Err(e),
+            },
+            Ok(None) => Ok(std::mem::take(&mut record.bytes)),
+            Err(e) => Err(e),
+        };
+        if let Ok(open) = inner.queues.get_mut(qd) {
+            open.reading = false;
+            if read.is_ok() {
+                open.cursor = record.end;
+            }
+            if let Some(op) = open.pops.pop_front() {
+                inner.results.insert(op, read);
+            }
+            open.popped.notify_waiters();
+        }
+        if self.serve(inner, qd) {
+            inner.hungry.push(qd);
+        }
+    }
+
+    /// Moves host-side chase `op` on with the block it read: parses the
+    /// pointer and resubmits, or files the block (or the failed read) as
+    /// the op's result.
+    fn hop(&self, inner: &mut Inner, op: u64, spec: spdk_sim::ChainSpec, hops: u32, read: Read) {
+        let next = read.as_ref().ok().and_then(|block| {
+            let pointer = block[spec.pointer_offset..].first_chunk();
+            let next = pointer.map_or(spec.sentinel, |p| u64::from_le_bytes(*p));
+            let end = next == spec.sentinel || hops + 1 >= spec.max_hops;
+            (!end && next < self.device.namespace_blocks()).then_some(next)
+        });
+        match next.map(|lba| self.submit_read(inner, lba)) {
+            Some(Ok(cmd)) => drop(inner.readers.insert(cmd, Reader::Hop(op, spec, hops + 1))),
+            Some(Err(e)) => inner.file(op, Err(e)),
+            None => inner.file(op, read),
+        }
     }
 
     /// Appends one record to `log` and submits every block it touches: the
@@ -287,8 +452,7 @@ impl Core {
 
     /// Submits a block read; returns its command id. A full queue pair is
     /// an `Err`, as it is for `append`.
-    fn start_read(&self, lba: u64) -> Result<u64, DemiError> {
-        let mut inner = self.inner.borrow_mut();
+    fn submit_read(&self, inner: &mut Inner, lba: u64) -> Result<u64, DemiError> {
         let cmd_id = inner.cmd_id();
         let submitted = self.device.submit_read(self.qpair, cmd_id, lba, 1);
         submitted.map_err(|e| match e {
@@ -297,57 +461,6 @@ impl Core {
         })?;
         inner.stats.block_reads += 1;
         Ok(cmd_id)
-    }
-
-    /// Submits a block read and waits for the data.
-    async fn read_block(&self, lba: u64) -> Read {
-        read_data(self.wait_cmd(self.start_read(lba)?).await)
-    }
-
-    /// Reads `len` bytes at byte offset `off` of `log` from the device.
-    async fn read_bytes(&self, log: &RefCell<LogState>, off: u64, len: usize) -> Read {
-        let (mut pos, end) = (off as usize, off as usize + len);
-        let mut out = Vec::with_capacity(len);
-        while pos < end {
-            let lba = log.borrow().blocks[pos / BLOCK_SIZE];
-            let block = self.read_block(lba).await?;
-            let from = pos % BLOCK_SIZE;
-            let take = (BLOCK_SIZE - from).min(end - pos);
-            out.extend_from_slice(&block[from..from + take]);
-            pos += take;
-        }
-        Ok(out)
-    }
-
-    /// Parks until a record past `qd`'s cursor is durable (so a pop is no
-    /// `spawn_ready_op`: block reads follow the park), reads and verifies
-    /// it, and moves the cursor past it.
-    async fn pop_record(&self, qd: QDesc, log: &RefCell<LogState>) -> Read {
-        let cursor = self.wait_tail(qd, log).await.ok_or(DemiError::Closed)?;
-        let header = self.read_bytes(log, cursor, RECORD_HEADER).await?;
-        let magic = DemiError::Storage("bad record magic");
-        let (len, expect_sum) = parse_header(&header).ok_or(magic)?;
-        let corrupt = || {
-            self.inner.borrow_mut().stats.checksum_failures += 1;
-            DemiError::Storage("record checksum")
-        };
-        // `durable` only ever rises by whole records, so a durable
-        // header's payload is durable too — unless its length is corrupt.
-        let start = cursor + RECORD_HEADER as u64;
-        let end = start + len as u64;
-        if end > log.borrow().durable {
-            return Err(corrupt());
-        }
-        let payload = self.read_bytes(log, start, len).await?;
-        if checksum(&payload) != expect_sum {
-            return Err(corrupt());
-        }
-        let mut inner = self.inner.borrow_mut();
-        if let Ok(open) = inner.queues.get_mut(qd) {
-            open.cursor = end;
-        }
-        inner.stats.records_read += 1;
-        Ok(payload)
     }
 }
 
@@ -374,32 +487,23 @@ impl Catfs {
         let core = Core {
             qpair: device.alloc_qpair(),
             device: device.clone(),
-            inner: Rc::new(RefCell::new(Inner {
-                logs: HashMap::new(),
-                queues: QueueTable::new(1),
-                next_lba: 0,
-                next_cmd: 1,
-                completions: HashMap::new(),
-                polled: Vec::new(),
-                in_flight: VecDeque::new(),
-                retired: 0,
-                spare: Vec::new(),
-                stats: CatfsStats::default(),
-                completed: Notify::new(),
-            })),
+            inner: Rc::default(),
         };
-        // Pump device completions into the dispatch table each pass. The
-        // poller lives inside the runtime, so it must capture the cycle-free
-        // core, not the libOS (which holds the runtime).
+        // The poller moves every command on; it lives inside the runtime,
+        // so it captures the cycle-free core, not the libOS (which holds
+        // the runtime). So do the checks.
         let pump = core.clone();
         runtime.register_poller(move || pump.pump_completions());
         runtime.register_deadline_source(move || device.next_deadline());
         let inner = core.inner.clone();
         let push = move |_, seq| (inner.borrow().retired > seq).then_some(OperationResult::Push);
+        let inner = core.inner.clone();
+        let read = move |_, op| inner.borrow_mut().results.remove(&op).map(popped);
         Catfs {
             runtime: runtime.clone(),
             core,
             push: Rc::new(push),
+            read: Rc::new(read),
         }
     }
 
@@ -450,7 +554,10 @@ impl Catfs {
         inner.next_lba = inner.next_lba.max(state.blocks.len() as u64);
         let log = Rc::new(RefCell::new(state));
         inner.logs.insert(path.to_string(), log.clone());
-        Ok(inner.queues.insert(OpenLog { log, cursor: 0 }))
+        Ok(inner.queues.insert(OpenLog {
+            log,
+            ..OpenLog::default()
+        }))
     }
 
     // ------------------------------------------------------------------
@@ -466,49 +573,58 @@ impl Catfs {
     /// N host crossings). Compare with [`Catfs::chase_host`].
     pub fn chase(&self, spec: spdk_sim::ChainSpec) -> QToken {
         self.runtime.metrics().count_pop();
-        let core = self.core.clone();
-        self.runtime.spawn_op("catfs::chase", async move {
-            let cmd_id = core.inner.borrow_mut().cmd_id();
-            if core.device.submit_chase(core.qpair, cmd_id, spec).is_err() {
-                return OperationResult::Failed(DemiError::Storage("chase rejected"));
-            }
-            popped(read_data(core.wait_cmd(cmd_id).await))
-        })
+        let mut inner = self.core.inner.borrow_mut();
+        let op = inner.cmd_id();
+        let (device, qpair) = (&self.core.device, self.core.qpair);
+        if device.submit_chase(qpair, op, spec).is_err() {
+            let rejected = Err(DemiError::Storage("chase rejected"));
+            inner.results.insert(op, rejected);
+        }
+        drop(inner);
+        self.park_read("catfs::chase", op)
     }
 
     /// The host-path baseline for the same walk: the host reads a block,
     /// parses the pointer, and resubmits — N submissions, N completions,
-    /// N host crossings. E17's storage A/B measures this against
-    /// [`Catfs::chase`].
+    /// N host crossings (the poller resubmits each hop). E17's storage A/B
+    /// measures this against [`Catfs::chase`].
     pub fn chase_host(&self, spec: spdk_sim::ChainSpec) -> QToken {
         self.runtime.metrics().count_pop();
-        let core = self.core.clone();
-        self.runtime.spawn_op("catfs::chase_host", async move {
-            let (blocks, mut lba, mut hops) = (core.device.namespace_blocks(), spec.start_lba, 0);
-            popped(loop {
-                let read = core.read_block(lba).await;
-                let Ok(block) = &read else { break read }; // A failed read ends the walk.
-                hops += 1;
-                let pointer = block[spec.pointer_offset..].first_chunk();
-                let next = pointer.map_or(spec.sentinel, |p| u64::from_le_bytes(*p));
-                if next == spec.sentinel || hops >= spec.max_hops || next >= blocks {
-                    break read;
-                }
-                lba = next;
-            })
-        })
+        let mut inner = self.core.inner.borrow_mut();
+        let op = inner.cmd_id();
+        // The device chase's own checks: both paths refuse the same walks.
+        let read = if spec.pointer_offset > BLOCK_SIZE - 8 || spec.max_hops == 0 {
+            Err(DemiError::Storage("chase rejected"))
+        } else {
+            self.core.submit_read(&mut inner, spec.start_lba)
+        };
+        match read {
+            Ok(cmd) => drop(inner.readers.insert(cmd, Reader::Hop(op, spec, 0))),
+            Err(e) => drop(inner.results.insert(op, Err(e))),
+        }
+        drop(inner);
+        self.park_read("catfs::chase_host", op)
+    }
+
+    /// A chase parked until the poller files op `op`'s result.
+    fn park_read(&self, name: &'static str, op: u64) -> QToken {
+        let completed = self.core.inner.borrow().completed.clone();
+        let check = self.read.clone();
+        self.runtime.park_op(name, &completed, check, QDesc(0), op)
     }
 
     /// Synchronous block read for mount-time recovery (control path).
     fn sync_read_block(&self, lba: u64) -> Read {
-        let cmd_id = self.core.start_read(lba)?;
+        let cmd_id = self
+            .core
+            .submit_read(&mut self.core.inner.borrow_mut(), lba)?;
         loop {
             if let Some(t) = self.core.device.next_deadline() {
                 self.runtime.clock().advance_to(t);
             }
             self.core.pump_completions();
-            if let Some(c) = self.core.inner.borrow_mut().completions.remove(&cmd_id) {
-                return read_data(c);
+            if let Some(read) = self.core.inner.borrow_mut().results.remove(&cmd_id) {
+                return read;
             }
         }
     }
@@ -597,7 +713,10 @@ impl LibOs for Catfs {
         }
         let log = Rc::new(RefCell::new(LogState::default()));
         inner.logs.insert(path.to_string(), log.clone());
-        Ok(inner.queues.insert(OpenLog { log, cursor: 0 }))
+        Ok(inner.queues.insert(OpenLog {
+            log,
+            ..OpenLog::default()
+        }))
     }
 
     fn open(&self, path: &str) -> Result<QDesc, DemiError> {
@@ -605,13 +724,20 @@ impl LibOs for Catfs {
         let mut inner = self.core.inner.borrow_mut();
         let missing = DemiError::Storage("no such log");
         let log = inner.logs.get(path).cloned().ok_or(missing)?;
-        Ok(inner.queues.insert(OpenLog { log, cursor: 0 }))
+        Ok(inner.queues.insert(OpenLog {
+            log,
+            ..OpenLog::default()
+        }))
     }
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
-        let open = self.core.inner.borrow_mut().queues.remove(qd)?;
-        // A pop parked at the log tail re-checks and fails `Closed`.
-        open.log.borrow().appended.notify_waiters();
+        let mut inner = self.core.inner.borrow_mut();
+        let open = inner.queues.remove(qd)?;
+        // Its waiting pops fail `Closed`; a record read in flight for one
+        // is dropped when its block lands.
+        let closed = open.pops.iter().map(|&op| (op, Err(DemiError::Closed)));
+        inner.results.extend(closed);
+        open.popped.notify_waiters();
         Ok(())
     }
 
@@ -628,11 +754,19 @@ impl LibOs for Catfs {
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
         self.runtime.metrics().count_pop();
-        let log = self.core.inner.borrow().queues.get(qd)?.log.clone();
-        let core = self.core.clone();
-        Ok(self.runtime.spawn_op("catfs::pop", async move {
-            popped(core.pop_record(qd, &log).await)
-        }))
+        let mut inner = self.core.inner.borrow_mut();
+        inner.queues.get(qd)?;
+        let op = inner.cmd_id();
+        let open = inner.queues.get_mut(qd)?;
+        // Served in pop order by the poller, once a record is durable past
+        // the cursor: it files the record under `op`.
+        open.pops.push_back(op);
+        let popped = open.popped.clone();
+        inner.hungry.push(qd);
+        drop(inner);
+        Ok(self
+            .runtime
+            .park_op("catfs::pop", &popped, self.read.clone(), qd, op))
     }
 }
 

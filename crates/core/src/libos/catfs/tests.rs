@@ -540,3 +540,196 @@ fn the_record_is_independent_of_sga_segmentation() {
     let cuts = [1, 2, 3, 4, 5, 6, 7, 0, 9, 511, 1_023, 13, 8, 2_049, 17, 31];
     assert_eq!(blocks_for(&cuts), whole, "seventeen segments");
 }
+
+// ---------------------------------------------------------------------
+// Pops: each one is served its own record, and hostile blocks are
+// rejected, never fatal.
+// ---------------------------------------------------------------------
+
+/// Pops in flight on one descriptor take one record each, in pop order,
+/// whatever order they are waited in; one issued past the durable end
+/// parks until a push makes the next record durable.
+#[test]
+fn pops_in_flight_take_one_record_each_in_order() {
+    let (_rt, fs, _dev) = setup();
+    let qd = fs.create("pops").unwrap();
+    fs.blocking_push(qd, &Sga::from_slice(b"one")).unwrap();
+    fs.blocking_push(qd, &Sga::from_slice(b"two")).unwrap();
+    let pops: Vec<QToken> = (0..3).map(|_| fs.pop(qd).unwrap()).collect();
+    let push = fs.push(qd, &Sga::from_slice(b"three")).unwrap();
+    let results = fs.wait_all(&[pops[2], push, pops[1], pops[0]], None);
+    let results = results.unwrap();
+    let popped = |i: usize| results[i].clone().expect_pop().1.to_vec();
+    assert_eq!(popped(3), b"one");
+    assert_eq!(popped(2), b"two");
+    assert_eq!(popped(0), b"three");
+    assert_eq!(fs.stats().records_read, 3, "each record read once");
+}
+
+/// Changes some of the device's blocks under the log's first `end` bytes
+/// (or just past them): bit flips, a tail cut off (zeroed from a random
+/// byte on), a block extended past the log's end with garbage, or a whole
+/// block zeroed. Returns what it did, for the failure message.
+fn corrupt(raw: &Raw, rng: &mut sim_fabric::SimRng, end: usize) -> String {
+    use dpdk_sim::wire::fuzz::below;
+    let block = |at: usize| (at / BLOCK_SIZE) as u64;
+    let edit = |at: usize, len: usize, fill: &mut dyn FnMut(&mut u8)| {
+        let mut pos = at;
+        while pos < at + len {
+            let mut data = raw.read(block(pos));
+            let from = pos % BLOCK_SIZE;
+            let to = BLOCK_SIZE.min(from + at + len - pos);
+            data[from..to].iter_mut().for_each(&mut *fill);
+            raw.write(block(pos), &data);
+            pos += to - from;
+        }
+    };
+    match below(rng, 4) {
+        0 => {
+            let flips = 1 + below(rng, 3);
+            for _ in 0..flips {
+                let (at, bit) = (below(rng, end), below(rng, 8));
+                edit(at, 1, &mut |b| *b ^= 1 << bit);
+            }
+            format!("{flips} bit flips")
+        }
+        1 => {
+            let at = below(rng, end);
+            edit(at, end - at, &mut |b| *b = 0);
+            format!("cut at byte {at} of {end}")
+        }
+        2 => {
+            let len = 1 + below(rng, 2 * BLOCK_SIZE);
+            let mut garbage = |b: &mut u8| *b = 1 + below(rng, 255) as u8;
+            edit(end, len, &mut garbage);
+            format!("{len} bytes of garbage past byte {end}")
+        }
+        _ => {
+            let lba = below(rng, end.div_ceil(BLOCK_SIZE));
+            edit(lba * BLOCK_SIZE, BLOCK_SIZE, &mut |b| *b = 0);
+            format!("block {lba} zeroed")
+        }
+    }
+}
+
+/// Seeded pushes onto a small device, then hostile blocks under
+/// `recover` and `pop` — changed before the recovery scan, or between it
+/// and the pops. The oracle: nothing panics, the records popped are a
+/// prefix of the records pushed, and every rejection is a
+/// `DemiError::Storage`; each checksum failure is counted in
+/// `checksum_failures`.
+fn hostile_blocks(seeds: u64) {
+    use dpdk_sim::wire::fuzz::below;
+    for seed in 0..seeds {
+        let mut rng = sim_fabric::SimRng::new(0xCA7F5 ^ seed);
+        let rt = Runtime::new();
+        let config = NvmeConfig {
+            namespace_blocks: 32,
+            ..NvmeConfig::default()
+        };
+        let dev = NvmeDevice::new(rt.clock().clone(), config);
+        let fs = Catfs::new(&rt, dev.clone());
+        let qd = fs.create("fuzz").unwrap();
+        let pushed: Vec<Vec<u8>> = (0..1 + below(&mut rng, 12))
+            .map(|_| {
+                (0..below(&mut rng, 6_000))
+                    .map(|_| rng.next_u64() as u8)
+                    .collect()
+            })
+            .collect();
+        for record in &pushed {
+            fs.blocking_push(qd, &Sga::from_slice(record)).unwrap();
+        }
+        let end = log_state(&fs, "fuzz").borrow().len as usize;
+        let raw = Raw::new(&dev, &rt);
+        let before_scan = below(&mut rng, 2) == 0;
+        let mut case = String::new();
+        if before_scan {
+            case = format!(
+                "seed={seed} before the scan: {}",
+                corrupt(&raw, &mut rng, end)
+            );
+        }
+        let rt2 = Runtime::with_clock(rt.clock().clone());
+        let fs2 = Catfs::new(&rt2, dev.clone());
+        let qd = match fs2.recover("fuzz") {
+            Ok(qd) => qd,
+            Err(e) => {
+                assert!(matches!(e, DemiError::Storage(_)), "{case}: {e:?}");
+                continue;
+            }
+        };
+        if !before_scan {
+            case = format!(
+                "seed={seed} after the scan: {}",
+                corrupt(&raw, &mut rng, end)
+            );
+        }
+        let log = log_state(&fs2, "fuzz");
+        let cursor = || fs2.core.inner.borrow().queues.get(qd).unwrap().cursor;
+        let mut popped = 0;
+        while cursor() < log.borrow().durable {
+            let failures = fs2.stats().checksum_failures;
+            match fs2.blocking_pop(qd).unwrap() {
+                OperationResult::Pop { sga, .. } => {
+                    assert_eq!(Some(&sga.to_vec()), pushed.get(popped), "{case}");
+                    popped += 1;
+                }
+                OperationResult::Failed(DemiError::Storage(why)) => {
+                    let counted = fs2.stats().checksum_failures - failures;
+                    assert_eq!(counted, u64::from(why == "record checksum"), "{case}");
+                    break;
+                }
+                other => panic!("{case}: {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn hostile_blocks_under_recover_and_pop_are_rejected_not_fatal() {
+    hostile_blocks(if cfg!(debug_assertions) { 48 } else { 400 });
+}
+
+/// The long budget of
+/// [`hostile_blocks_under_recover_and_pop_are_rejected_not_fatal`], run by
+/// `tools/soak.sh`.
+#[test]
+#[ignore = "long budget: tools/soak.sh runs it"]
+fn hostile_blocks_under_recover_and_pop_soak() {
+    hostile_blocks(200_000);
+}
+
+/// A walk spec the device refuses — a pointer past the block, or no hops
+/// — fails `chase_host` the same way instead of panicking the poller on
+/// the first block it reads.
+#[test]
+fn the_host_chase_rejects_what_the_device_chase_rejects() {
+    let (_rt, fs, _dev) = setup();
+    let qd = fs.create("walk").unwrap();
+    fs.blocking_push(qd, &Sga::from_slice(&[1; 100])).unwrap();
+    let spec = spdk_sim::ChainSpec {
+        start_lba: 0,
+        pointer_offset: 0,
+        sentinel: u64::MAX,
+        max_hops: 4,
+    };
+    let rejected = OperationResult::Failed(DemiError::Storage("chase rejected"));
+    for bad in [
+        spdk_sim::ChainSpec {
+            pointer_offset: BLOCK_SIZE - 7,
+            ..spec
+        },
+        spdk_sim::ChainSpec {
+            pointer_offset: BLOCK_SIZE + 1,
+            ..spec
+        },
+        spdk_sim::ChainSpec {
+            max_hops: 0,
+            ..spec
+        },
+    ] {
+        assert_eq!(fs.wait(fs.chase(bad), None).unwrap(), rejected);
+        assert_eq!(fs.wait(fs.chase_host(bad), None).unwrap(), rejected);
+    }
+}

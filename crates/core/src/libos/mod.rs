@@ -81,6 +81,13 @@ pub(crate) struct QueueTable<Q> {
     next_qd: u32,
 }
 
+impl<Q> Default for QueueTable<Q> {
+    /// An empty table whose first descriptor is 1.
+    fn default() -> Self {
+        Self::new(1)
+    }
+}
+
 impl<Q> QueueTable<Q> {
     /// An empty table whose first descriptor is `first`.
     pub(crate) fn new(first: u32) -> Self {

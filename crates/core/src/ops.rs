@@ -13,7 +13,7 @@
 //! the CPU if necessary." [`OpsStats`] exposes which path ran, powering
 //! experiment E6.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
@@ -47,12 +47,20 @@ pub struct OpsStats {
 
 /// A popped element with its datagram source, threaded through transforms.
 type Element = (Option<SocketAddr>, Sga);
-/// Where a merge or sort forwarder lands elements for the queue's pops.
+/// What a forwarder lands: an element, or why a pop it served failed.
+type Landed = Result<Element, DemiError>;
+
+/// Where a virtual queue's forwarders land elements for the queue's pops,
+/// each of which is a slot parked on `added` ([`landed`]).
 #[derive(Default)]
 struct Landing {
-    items: RefCell<VecDeque<Element>>,
-    /// Fires when a forwarder lands an element.
+    items: RefCell<VecDeque<Landed>>,
+    /// Fires when a forwarder lands an element or the queue closes.
     added: Notify,
+    /// Pops of a filter or a map that its forwarder has not served yet.
+    wanted: Cell<usize>,
+    /// Fires when `wanted` rises or the queue closes.
+    demand: Notify,
 }
 
 /// A user predicate over Sga contents.
@@ -62,25 +70,27 @@ pub(crate) type SgaPriority = Rc<dyn Fn(&Sga, &Sga) -> bool>;
 /// A user element transformation.
 pub(crate) type SgaMap = Rc<dyn Fn(Sga) -> Sga>;
 
-enum VirtualQueue {
-    Merge {
-        out: Rc<Landing>,
-        targets: [QDesc; 2],
-    },
-    Filter {
-        target: QDesc,
-        pred: SgaPredicate,
-        on_device: bool,
-    },
-    Sort {
-        buffer: Rc<Landing>,
-        target: QDesc,
-        higher_priority: SgaPriority,
-    },
-    Map {
-        target: QDesc,
-        f: SgaMap,
-    },
+/// What a virtual queue does to the queues it is made of.
+enum Transform {
+    Merge([QDesc; 2]),
+    Filter(QDesc, SgaPredicate),
+    Sort(QDesc, SgaPriority),
+    Map(QDesc, SgaMap),
+}
+
+impl Transform {
+    /// Whether the queue's forwarder pops only for waiting pops: a filter
+    /// evaluates, and a map applies, exactly for the elements pops take.
+    fn lazy(&self) -> bool {
+        matches!(self, Transform::Filter(..) | Transform::Map(..))
+    }
+}
+
+/// A transformed queue and where its pops take their elements: `None`
+/// for a filter the device runs, whose pops are its target's.
+struct VirtualQueue {
+    transform: Transform,
+    out: Option<Landing>,
 }
 
 type VirtualQueues = RefCell<QueueTable<Rc<VirtualQueue>>>;
@@ -90,7 +100,7 @@ struct DkInner {
     runtime: Runtime,
     virt: Rc<VirtualQueues>,
     stats: RefCell<OpsStats>,
-    /// The check every parked merge or sort pop shares ([`landed`]).
+    /// The check every parked virtual-queue pop shares ([`landed`]).
     pop: Check,
 }
 
@@ -126,8 +136,17 @@ impl Demikernel {
         *self.inner.stats.borrow()
     }
 
-    fn alloc_virt(&self, vq: VirtualQueue) -> QDesc {
-        self.inner.virt.borrow_mut().insert(Rc::new(vq))
+    /// Opens a virtual queue and spawns a forwarder from each of `srcs`
+    /// when its pops take forwarded elements.
+    fn alloc_virt(&self, transform: Transform, srcs: &[QDesc], landing: bool) -> QDesc {
+        let vq = Rc::new(VirtualQueue {
+            transform,
+            out: landing.then(Landing::default),
+        });
+        for &src in srcs.iter().filter(|_| landing) {
+            self.spawn_forwarder(src, Rc::downgrade(&vq));
+        }
+        self.inner.virt.borrow_mut().insert(vq)
     }
 
     fn virt(&self, qd: QDesc) -> Option<Rc<VirtualQueue>> {
@@ -138,34 +157,75 @@ impl Demikernel {
         Rc::downgrade(&self.inner)
     }
 
-    /// Spawns the background loop that pops `src` forever and lands each
-    /// element where the pops of a merged or sorted queue look for it.
-    fn spawn_forwarder(&self, src: QDesc, landing: Rc<Landing>) {
+    /// Spawns the background loop that pops `src` and lands what it pops
+    /// where the pops of `vq` take it: every element as it comes for a
+    /// merge or a sort; for a filter or a map, only while a pop of `vq`
+    /// waits, so a filter evaluates exactly the elements its pops consume.
+    /// The loop ends once `vq` is closed (or, for a merge or a sort, its
+    /// input fails).
+    fn spawn_forwarder(&self, src: QDesc, vq: Weak<VirtualQueue>) {
         let weak = self.downgrade();
-        let forward = async move {
+        let forwarder = async move {
+            let mut demanded = None;
             loop {
+                let on_demand = loop {
+                    let Some(vq) = vq.upgrade() else { return };
+                    let Some(out) = &vq.out else { return };
+                    if !vq.transform.lazy() || out.wanted.get() > 0 {
+                        break vq.transform.lazy();
+                    }
+                    let wait = demanded.get_or_insert_with(|| out.demand.notified());
+                    drop(vq);
+                    wait.await;
+                };
                 let Some(inner) = weak.upgrade() else { return };
                 let dk = Demikernel { inner };
-                let Ok(qt) = dk.pop(src) else { return };
-                // Build the (runtime-weak) future, then drop every strong
-                // handle before suspending: a parked forwarder holding the
-                // runtime would leak the world (Rc cycle through the
-                // scheduler).
-                let fut = dk.inner.runtime.await_op(qt);
-                drop(dk);
-                let OperationResult::Pop { from, sga } = fut.await else {
+                let popped = match dk.pop(src) {
+                    // Build the (runtime-weak) future, then drop every
+                    // strong handle before suspending: a parked forwarder
+                    // holding the runtime would leak the world (Rc cycle
+                    // through the scheduler).
+                    Ok(qt) => {
+                        let fut = dk.inner.runtime.await_op(qt);
+                        drop(dk);
+                        fut.await
+                    }
+                    Err(_) => OperationResult::Failed(DemiError::BadQDesc),
+                };
+                let (Some(inner), Some(vq)) = (weak.upgrade(), vq.upgrade()) else {
                     return;
                 };
-                if let Some(inner) = weak.upgrade() {
-                    inner.stats.borrow_mut().forwarded += 1;
-                }
-                landing.items.borrow_mut().push_back((from, sga));
-                landing.added.notify_waiters();
+                let mut stats = inner.stats.borrow_mut();
+                let landed = match (popped, &vq.transform) {
+                    (OperationResult::Pop { from, sga }, Transform::Filter(_, pred)) => {
+                        stats.cpu_filter_evals += 1;
+                        if !pred(&sga) {
+                            stats.filtered_out += 1;
+                            continue;
+                        }
+                        Ok((from, sga))
+                    }
+                    (OperationResult::Pop { from, sga }, Transform::Map(_, f)) => {
+                        stats.map_applications += 1;
+                        Ok((from, f(sga)))
+                    }
+                    (OperationResult::Pop { from, sga }, _) => {
+                        stats.forwarded += 1;
+                        Ok((from, sga))
+                    }
+                    _ if !on_demand => return,
+                    (OperationResult::Failed(e), _) => Err(e),
+                    _ => Err(DemiError::InvalidState),
+                };
+                let Some(out) = &vq.out else { return };
+                out.wanted.set(out.wanted.get().saturating_sub(1));
+                out.items.borrow_mut().push_back(landed);
+                out.added.notify_waiters();
             }
         };
         self.inner
             .runtime
-            .spawn_background("ops::forwarder", forward);
+            .spawn_background("ops::forwarder", forwarder);
     }
 
     /// `merge(qd1, qd2)`: a queue that pops from either input and pushes
@@ -173,15 +233,8 @@ impl Demikernel {
     pub fn merge(&self, qd1: QDesc, qd2: QDesc) -> Result<QDesc, DemiError> {
         self.check_exists(qd1)?;
         self.check_exists(qd2)?;
-        let out = Rc::<Landing>::default();
-        let merged = self.alloc_virt(VirtualQueue::Merge {
-            out: out.clone(),
-            targets: [qd1, qd2],
-        });
         // One forwarder per input: pops flow into the merged buffer.
-        self.spawn_forwarder(qd1, out.clone());
-        self.spawn_forwarder(qd2, out);
-        Ok(merged)
+        Ok(self.alloc_virt(Transform::Merge([qd1, qd2]), &[qd1, qd2], true))
     }
 
     /// `filter(qd, pred)`: a queue passing only elements for which `pred`
@@ -199,33 +252,24 @@ impl Demikernel {
                 stats.cpu_filters += 1;
             }
         }
-        Ok(self.alloc_virt(VirtualQueue::Filter {
-            target: qd,
-            pred,
-            on_device,
-        }))
+        // On the CPU, a forwarder evaluates the predicate for waiting pops.
+        Ok(self.alloc_virt(Transform::Filter(qd, pred), &[qd], !on_device))
     }
 
     /// `sort(qd, higher_priority)`: a queue returning the highest-priority
     /// available element of `qd` (paper §4.3).
     pub fn sort(&self, qd: QDesc, higher_priority: SgaPriority) -> Result<QDesc, DemiError> {
         self.check_exists(qd)?;
-        let buffer = Rc::<Landing>::default();
-        let sorted = self.alloc_virt(VirtualQueue::Sort {
-            buffer: buffer.clone(),
-            target: qd,
-            higher_priority,
-        });
         // Forwarder drains the base queue into the priority buffer.
-        self.spawn_forwarder(qd, buffer);
-        Ok(sorted)
+        Ok(self.alloc_virt(Transform::Sort(qd, higher_priority), &[qd], true))
     }
 
     /// `map(qd, f)`: a queue applying `f` to every element in both
     /// directions (paper §4.3).
     pub fn map(&self, qd: QDesc, f: SgaMap) -> Result<QDesc, DemiError> {
         self.check_exists(qd)?;
-        Ok(self.alloc_virt(VirtualQueue::Map { target: qd, f }))
+        // A forwarder applies `f` for waiting pops.
+        Ok(self.alloc_virt(Transform::Map(qd, f), &[qd], true))
     }
 
     /// `qconnect(qin, qout)`: forwards every element popped from `qin`
@@ -315,7 +359,14 @@ impl LibOs for Demikernel {
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
         if qd.0 >= VIRTUAL_QD_BASE {
-            self.inner.virt.borrow_mut().remove(qd).map(|_| ())
+            let vq = self.inner.virt.borrow_mut().remove(qd)?;
+            // Parked pops re-check and fail `Closed`; a waiting forwarder
+            // finds its queue gone and ends.
+            if let Some(out) = &vq.out {
+                out.added.notify_waiters();
+                out.demand.notify_waiters();
+            }
+            Ok(())
         } else {
             self.inner.base.close(qd)
         }
@@ -349,36 +400,14 @@ impl LibOs for Demikernel {
         let Some(vq) = self.virt(qd) else {
             return self.inner.base.push(qd, sga);
         };
-        match &*vq {
-            VirtualQueue::Merge { targets, .. } => {
+        match &vq.transform {
+            Transform::Merge([t1, t2]) => {
                 // "A push to the merged queue results in a push to both."
-                let (t1, t2) = (targets[0], targets[1]);
-                let qt1 = self.push(t1, sga)?;
-                let qt2 = self.push(t2, sga)?;
-                let weak = self.downgrade();
-                Ok(self.inner.runtime.spawn_op("ops::merge_push", async move {
-                    // Create both (runtime-weak) futures, then drop the
-                    // strong handle before suspending: a spawned coroutine
-                    // owning the runtime would leak the world (Rc cycle
-                    // through the scheduler).
-                    let (f1, f2) = {
-                        let Some(inner) = weak.upgrade() else {
-                            return OperationResult::Failed(DemiError::BadQToken);
-                        };
-                        (inner.runtime.await_op(qt1), inner.runtime.await_op(qt2))
-                    };
-                    let r1 = f1.await;
-                    let r2 = f2.await;
-                    match (r1, r2) {
-                        (OperationResult::Push, OperationResult::Push) => OperationResult::Push,
-                        (OperationResult::Failed(e), _) | (_, OperationResult::Failed(e)) => {
-                            OperationResult::Failed(e)
-                        }
-                        _ => OperationResult::Failed(DemiError::InvalidState),
-                    }
-                }))
+                let parts = [self.push(*t1, sga)?, self.push(*t2, sga)?];
+                // One slot parked on both pushes' slots.
+                Ok(self.inner.runtime.join_op("ops::merge_push", parts))
             }
-            VirtualQueue::Filter { target, pred, .. } => {
+            Transform::Filter(target, pred) => {
                 // "A push into the new queue results in a push to the
                 // original queue only if the filter function is met."
                 let mut stats = self.inner.stats.borrow_mut();
@@ -395,8 +424,8 @@ impl LibOs for Demikernel {
                         .complete_op("ops::filter_drop", OperationResult::Push))
                 }
             }
-            VirtualQueue::Sort { target, .. } => self.push(*target, sga),
-            VirtualQueue::Map { target, f } => {
+            Transform::Sort(target, _) => self.push(*target, sga),
+            Transform::Map(target, f) => {
                 self.inner.stats.borrow_mut().map_applications += 1;
                 let mapped = f(sga.clone());
                 self.push(*target, &mapped)
@@ -408,108 +437,49 @@ impl LibOs for Demikernel {
         let Some(vq) = self.virt(qd) else {
             return self.inner.base.pop(qd);
         };
-        let (rt, check) = (&self.inner.runtime, self.inner.pop.clone());
-        match &*vq {
-            VirtualQueue::Merge { out, .. } => {
-                Ok(rt.park_op("ops::merge_pop", &out.added, check, qd, 0))
-            }
-            VirtualQueue::Filter {
-                target,
-                pred,
-                on_device,
-            } => {
-                if *on_device {
-                    // The device already dropped non-matching elements.
-                    return self.pop(*target);
-                }
-                let target = *target;
-                let pred = pred.clone();
-                let weak = self.downgrade();
-                Ok(self.inner.runtime.spawn_op("ops::filter_pop", async move {
-                    loop {
-                        let fut = {
-                            let Some(inner) = weak.upgrade() else {
-                                return OperationResult::Failed(DemiError::BadQDesc);
-                            };
-                            let dk = Demikernel { inner };
-                            let Ok(qt) = dk.pop(target) else {
-                                return OperationResult::Failed(DemiError::BadQDesc);
-                            };
-                            dk.inner.runtime.await_op(qt)
-                        };
-                        match fut.await {
-                            OperationResult::Pop { from, sga } => {
-                                let Some(inner) = weak.upgrade() else {
-                                    return OperationResult::Failed(DemiError::BadQDesc);
-                                };
-                                let mut stats = inner.stats.borrow_mut();
-                                stats.cpu_filter_evals += 1;
-                                if pred(&sga) {
-                                    drop(stats);
-                                    return OperationResult::Pop { from, sga };
-                                }
-                                stats.filtered_out += 1;
-                            }
-                            other => return other,
-                        }
-                    }
-                }))
-            }
-            VirtualQueue::Sort { buffer, .. } => {
-                Ok(rt.park_op("ops::sort_pop", &buffer.added, check, qd, 0))
-            }
-            VirtualQueue::Map { target, f } => {
-                let target = *target;
-                let f = f.clone();
-                let weak = self.downgrade();
-                Ok(self.inner.runtime.spawn_op("ops::map_pop", async move {
-                    let fut = {
-                        let Some(inner) = weak.upgrade() else {
-                            return OperationResult::Failed(DemiError::BadQDesc);
-                        };
-                        let dk = Demikernel { inner };
-                        let Ok(qt) = dk.pop(target) else {
-                            return OperationResult::Failed(DemiError::BadQDesc);
-                        };
-                        dk.inner.runtime.await_op(qt)
-                    };
-                    match fut.await {
-                        OperationResult::Pop { from, sga } => {
-                            if let Some(inner) = weak.upgrade() {
-                                inner.stats.borrow_mut().map_applications += 1;
-                            }
-                            OperationResult::Pop { from, sga: f(sga) }
-                        }
-                        other => other,
-                    }
-                }))
-            }
+        let out = match (&vq.out, &vq.transform) {
+            (Some(out), _) => out,
+            // The device already dropped non-matching elements.
+            (None, Transform::Filter(target, _)) => return self.pop(*target),
+            (None, _) => return Err(DemiError::InvalidState),
+        };
+        let name = match vq.transform {
+            Transform::Merge(_) => "ops::merge_pop",
+            Transform::Filter(..) => "ops::filter_pop",
+            Transform::Sort(..) => "ops::sort_pop",
+            Transform::Map(..) => "ops::map_pop",
+        };
+        if vq.transform.lazy() {
+            // Demand for the forwarder.
+            out.wanted.set(out.wanted.get() + 1);
+            out.demand.notify_waiters();
         }
+        let (rt, check) = (&self.inner.runtime, self.inner.pop.clone());
+        Ok(rt.park_op(name, &out.added, check, qd, 0))
     }
 }
 
-/// The check of a parked merge or sort pop: the oldest landed element, or
-/// the highest-priority one; `Closed` once the queue is closed.
+/// The check of a parked virtual-queue pop: the oldest landed element, or
+/// for a sort the highest-priority one; `Closed` once the queue is closed.
 fn landed(virt: &VirtualQueues, qd: QDesc) -> Option<OperationResult> {
     // The queue is cloned out so the user's comparator runs unborrowed.
     let Ok(vq) = virt.borrow().get(qd).cloned() else {
         return Some(OperationResult::Failed(DemiError::Closed));
     };
-    let (from, sga) = match &*vq {
-        VirtualQueue::Merge { out, .. } => out.items.borrow_mut().pop_front()?,
-        VirtualQueue::Sort {
-            buffer,
-            higher_priority,
-            ..
-        } => {
-            let mut buf = buffer.items.borrow_mut();
-            let better = |best, i| higher_priority(&buf[i].1, &buf[best].1);
-            let best = (1..buf.len()).fold(0, |best, i| if better(best, i) { i } else { best });
-            buf.remove(best)?
+    let mut items = vq.out.as_ref()?.items.borrow_mut();
+    let landed = match &vq.transform {
+        Transform::Sort(_, higher_priority) => {
+            // A sort lands nothing but elements.
+            let sga = |i: usize| items[i].as_ref().ok().map(|(_, sga)| sga);
+            let better = |best, i| matches!((sga(i), sga(best)), (Some(a), Some(b)) if higher_priority(a, b));
+            let best = (1..items.len()).fold(0, |best, i| if better(best, i) { i } else { best });
+            items.remove(best)?
         }
-        _ => return Some(OperationResult::Failed(DemiError::InvalidState)),
+        _ => items.pop_front()?,
     };
-    Some(OperationResult::Pop { from, sga })
+    Some(landed.map_or_else(OperationResult::Failed, |(from, sga)| {
+        OperationResult::Pop { from, sga }
+    }))
 }
 
 #[cfg(test)]

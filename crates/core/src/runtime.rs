@@ -1,15 +1,18 @@
-//! The shared coroutine runtime behind qtokens and `wait_*`.
+//! The shared runtime behind qtokens and `wait_*`.
 //!
 //! Every queue operation a libOS starts takes one slot in this runtime's
 //! generational op slab; the returned [`QToken`] names the slot, and
 //! [`Runtime::wait`] / [`Runtime::wait_any`] / [`Runtime::wait_all`]
 //! drive the world until the named operations complete (paper §4.4). An
-//! operation whose result is known when the libOS call returns records a
-//! completed slot and nothing else. One that must block *parks* in its
-//! slot ([`Runtime::park_op`]) — its gate and check live there, and the
-//! runtime re-runs the check each time the gate fires, allocating
-//! nothing. Only long-running work (catfs reads, catcorn sends, composed
-//! transformations) is a coroutine, which writes its result into its slot.
+//! operation is one of two things. One whose result is known when the
+//! libOS call returns records a completed slot and nothing else. One that
+//! must block *parks* in its slot ([`Runtime::park_op`]): its gate and
+//! check live there, and the runtime re-runs the check each time the gate
+//! fires, allocating nothing. The device work such an op waits on is moved
+//! by the libOS's poller, so a check only reads, and consumes, its own
+//! result. (A merged queue's push parks on its two inner slots instead of
+//! a gate.) Coroutines are for long-running service loops only —
+//! forwarders, `qconnect` — which compose ops through [`Runtime::await_op`].
 //!
 //! One `Runtime` is shared by every libOS instance in a simulation:
 //! client and server co-run on one virtual CPU, and when every task is
@@ -25,7 +28,7 @@
 //! Scheduling is waker-driven: a `wait` runs scheduler passes only while
 //! the run queue is non-empty. A parked operation is a *keyed* scheduler
 //! task (its poll is the slot's re-check), so it runs in the one run queue
-//! with the coroutines, which park on per-qtoken completion wakers
+//! with the service coroutines, which park on per-qtoken completion wakers
 //! ([`Runtime::await_op`]), timer deadlines or the same gates. There is
 //! one readiness path: every gate belongs to the object whose state the
 //! op waits on — a socket in the network stack, a catmem queue, a catfs
@@ -83,22 +86,23 @@ impl PumpReport {
     }
 }
 
-/// One slot's place in the op lifecycle: free → parked | pending |
+/// One slot's place in the op lifecycle: free → parked | joined |
 /// complete → consumed (free again, generation bumped).
 enum OpState {
     Free,
     /// Blocked on a gate; the runtime re-runs its check when it fires.
     Parked(Parked),
-    /// A coroutine will write the result.
-    Pending,
+    /// Blocked on other ops' slots, consumed as they complete.
+    Joined(Join),
     /// The result, waiting to be consumed exactly once.
     Complete(OperationResult),
 }
 
-/// A blocked operation: [`Notify::until`]'s loop, without the coroutine.
+/// A blocked operation: the check-then-park loop on one [`Notified`],
+/// without a coroutine.
 struct Parked {
     gate: Notify,
-    /// The gate snapshot, taken at the first check as `until` takes it.
+    /// The gate snapshot, taken at the first check.
     wait: Option<Notified>,
     check: Check,
     qd: QDesc,
@@ -122,6 +126,38 @@ impl Parked {
     }
 }
 
+/// Two pushes as one op (a merged queue's push is a push to each input):
+/// it consumes them in order, as [`Runtime::await_op`] does, its task's
+/// waker parked on the one it waits for, and keeps only the first failure
+/// (a part that is not a push fails it `InvalidState`).
+#[derive(Clone)]
+struct Join {
+    parts: [QToken; 2],
+    /// How many parts were consumed.
+    taken: usize,
+    failed: Option<DemiError>,
+}
+
+impl Join {
+    fn poll(&mut self, ops: &mut OpSlab, cx: &mut Context<'_>) -> Poll<OperationResult> {
+        while let Some(&part) = self.parts.get(self.taken) {
+            let failure = match ops.take(part, Some(cx.waker()), None) {
+                Ok(None) => return Poll::Pending,
+                Ok(Some((OperationResult::Push, _))) => None,
+                Ok(Some((OperationResult::Failed(e), _))) | Err(e) => Some(e),
+                Ok(Some(_)) => Some(DemiError::InvalidState),
+            };
+            self.taken += 1;
+            self.failed = self.failed.take().or(failure);
+        }
+        Poll::Ready(
+            self.failed
+                .take()
+                .map_or(OperationResult::Push, OperationResult::Failed),
+        )
+    }
+}
+
 /// Everything the runtime knows about one queue operation.
 struct OpSlot {
     /// Bumped when the slot is consumed, so the token of a consumed
@@ -134,7 +170,8 @@ struct OpSlot {
     /// The op's span, entered at `started`, if span capture was on then;
     /// it goes to the span ring when the op is consumed.
     span: Option<OpSpan>,
-    /// The coroutine parked in [`Runtime::await_op`] on this operation.
+    /// The task parked on this operation: a coroutine in
+    /// [`Runtime::await_op`], or the merged push joined on it.
     waker: Option<Waker>,
     /// Set by the `wait_any`/`wait_all` call watching this token: that
     /// call's epoch (0 = never watched) and the token's index in its slice.
@@ -214,7 +251,7 @@ impl OpSlab {
         }
         slot.gen = slot.gen.wrapping_add(1);
         let OpState::Complete(result) = std::mem::replace(&mut slot.state, OpState::Free) else {
-            unreachable!("a live slot is pending or complete");
+            unreachable!("a live slot is parked, joined or complete");
         };
         if let Some(mut span) = slot.span.take() {
             if let Some(clock) = delivery {
@@ -372,25 +409,6 @@ impl Runtime {
         self.inner.ops.borrow_mut().alloc(state, started, traced)
     }
 
-    /// Spawns a queue-operation coroutine and returns its qtoken.
-    ///
-    /// The coroutine's last act is writing its result into the token's
-    /// slot, which wakes a coroutine parked in [`Runtime::await_op`] and
-    /// tells a watching `wait_any`/`wait_all` in O(1). The task holds the
-    /// runtime weakly — a strong `Runtime` inside a spawned task would
-    /// close an Rc cycle and leak the world (the same ownership rule as
-    /// [`OpFuture`]).
-    pub fn spawn_op<F>(&self, name: &'static str, op: F) -> QToken
-    where
-        F: Future<Output = OperationResult> + 'static,
-    {
-        let qt = self.begin_op(name, OpState::Pending);
-        let runtime = Rc::downgrade(&self.inner);
-        let task = OpTask { qt, runtime, op };
-        self.inner.scheduler.spawn_detached(name, task);
-        qt
-    }
-
     /// The one parking path: an operation on `qd` that runs
     /// `check(qd, seq)` when first polled and again each time `gate` is
     /// notified (one that lands between a check and the park is not lost),
@@ -411,14 +429,51 @@ impl Runtime {
             qd,
             seq,
         };
-        let qt = self.begin_op(name, OpState::Parked(parked));
+        self.keyed_op(name, OpState::Parked(parked))
+    }
+
+    /// Two pushes, `parts`, as one operation: it completes once both have,
+    /// as a push, or with the first failure. Like a parked op it is a keyed
+    /// task, parked on the parts' slots.
+    pub(crate) fn join_op(&self, name: &'static str, parts: [QToken; 2]) -> QToken {
+        let (taken, failed) = (0, None);
+        self.keyed_op(
+            name,
+            OpState::Joined(Join {
+                parts,
+                taken,
+                failed,
+            }),
+        )
+    }
+
+    /// A blocked op's slot, polled by a keyed task ([`poll_parked`]).
+    fn keyed_op(&self, name: &'static str, state: OpState) -> QToken {
+        let qt = self.begin_op(name, state);
         let poll = self.inner.poll_parked.clone();
         self.inner.scheduler.spawn_keyed(name, qt.0, poll);
         qt
     }
 
+    /// An operation whose result `op` computes: a slot parked on a fresh
+    /// gate that a background task running `op` fires once the result is
+    /// where the slot's check takes it. No libOS op is built this way; the
+    /// perf ledger's `core.runtime.qtoken_ns` rig times one.
+    pub fn spawn_op<F>(&self, name: &'static str, op: F) -> QToken
+    where
+        F: Future<Output = OperationResult> + 'static,
+    {
+        let (gate, result) = (Notify::new(), Rc::new(Cell::new(None)));
+        let (fire, slot) = (gate.clone(), result.clone());
+        self.spawn_background(name, async move {
+            slot.set(Some(op.await));
+            fire.notify_waiters();
+        });
+        self.park_op(name, &gate, Rc::new(move |_, _| result.take()), QDesc(0), 0)
+    }
+
     /// The qtoken of an operation whose result is known as the libOS call
-    /// returns (a push the stack accepted): a completed slot, no coroutine.
+    /// returns (a push the stack accepted): a completed slot, no task.
     /// `wait` and `await_op` resolve it without a scheduler pass.
     pub(crate) fn complete_op(&self, name: &'static str, result: OperationResult) -> QToken {
         let qt = self.begin_op(name, OpState::Complete(result));
@@ -426,7 +481,8 @@ impl Runtime {
         qt
     }
 
-    /// Spawns a detached background coroutine (service loops, `qconnect`).
+    /// Spawns a detached background coroutine (service loops: forwarders,
+    /// `qconnect`).
     pub fn spawn_background<F>(&self, name: &'static str, task: F)
     where
         F: Future<Output = ()> + 'static,
@@ -775,67 +831,40 @@ fn poll_start(clock: &SimClock) -> Option<u64> {
     })
 }
 
-/// Writes `qt`'s result into its slot and wakes the coroutine awaiting it.
-fn deliver(mut ops: std::cell::RefMut<'_, OpSlab>, qt: QToken, result: OperationResult) {
-    let awaiter = ops.complete(qt, result);
-    drop(ops);
-    if let Some(waker) = awaiter {
-        waker.wake();
-    }
-}
-
-/// A parked operation's task poll: re-runs its check in place, in its slot
-/// — which is why a check must never reach the runtime — and completes the
-/// slot once the check yields. The task is the only way out of `Parked`.
+/// A parked or joined operation's task poll: re-runs its check, or takes
+/// its parts, in place, in its slot — which is why a check must never
+/// reach the runtime — and completes the slot once that yields. The task
+/// is the only way out of `Parked` and `Joined`.
 fn poll_parked(runtime: &Weak<Inner>, qt: QToken, cx: &mut Context<'_>) -> Poll<()> {
     let Some(inner) = runtime.upgrade() else {
         return Poll::Ready(());
     };
     let mut ops = inner.ops.borrow_mut();
-    let Some(OpState::Parked(parked)) = ops.slot(qt).map(|slot| &mut slot.state) else {
-        return Poll::Ready(());
-    };
     let start = poll_start(&inner.clock);
-    let polled = parked.poll(cx);
+    let polled = match ops.slot(qt).map(|slot| &mut slot.state) {
+        Some(OpState::Parked(parked)) => parked.poll(cx),
+        Some(OpState::Joined(join)) => {
+            // Polled on a copy: taking a part borrows the slab.
+            let mut join = join.clone();
+            let polled = join.poll(&mut ops, cx);
+            if let Some(slot) = ops.slot(qt) {
+                slot.state = OpState::Joined(join);
+            }
+            polled
+        }
+        _ => return Poll::Ready(()),
+    };
     ops.stamp(qt, start, polled.is_ready(), &inner.clock);
     let Poll::Ready(result) = polled else {
         return Poll::Pending;
     };
-    deliver(ops, qt, result);
-    Poll::Ready(())
-}
-
-/// The coroutine behind a long-running operation: runs `op`, then writes
-/// its result into the token's slot.
-struct OpTask<F> {
-    qt: QToken,
-    runtime: Weak<Inner>,
-    op: F,
-}
-
-impl<F: Future<Output = OperationResult>> Future for OpTask<F> {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        // SAFETY: `op` is never moved out of the pinned wrapper; the
-        // re-pin below covers the only access.
-        let this = unsafe { self.get_unchecked_mut() };
-        // A runtime being torn down has nobody left to deliver to.
-        let Some(inner) = this.runtime.upgrade() else {
-            return Poll::Ready(());
-        };
-        // SAFETY: see above — `this.op` stays where the outer pin put it.
-        let op = unsafe { Pin::new_unchecked(&mut this.op) };
-        let start = poll_start(&inner.clock);
-        let polled = op.poll(cx);
-        let mut ops = inner.ops.borrow_mut();
-        ops.stamp(this.qt, start, polled.is_ready(), &inner.clock);
-        let Poll::Ready(result) = polled else {
-            return Poll::Pending;
-        };
-        deliver(ops, this.qt, result);
-        Poll::Ready(())
+    // The result goes into the slot; its awaiter wakes once it is released.
+    let awaiter = ops.complete(qt, result);
+    drop(ops);
+    if let Some(waker) = awaiter {
+        waker.wake();
     }
+    Poll::Ready(())
 }
 
 /// Future returned by [`Runtime::await_op`].
@@ -890,10 +919,30 @@ mod tests {
     use crate::types::Sga;
     use demi_sched::yield_once;
 
+    /// An op whose result `op` computes: parked on a test-owned gate that
+    /// a background task fires once `op` is done.
+    fn deferred(
+        rt: &Runtime,
+        name: &'static str,
+        op: impl Future<Output = OperationResult> + 'static,
+    ) -> QToken {
+        let (gate, result) = (Notify::new(), Rc::new(Cell::new(None)));
+        let check: Check = {
+            let result = result.clone();
+            Rc::new(move |_, _| result.take())
+        };
+        let fire = gate.clone();
+        rt.spawn_background(name, async move {
+            result.set(Some(op.await));
+            fire.notify_waiters();
+        });
+        rt.park_op(name, &gate, check, QDesc(0), 0)
+    }
+
     #[test]
     fn wait_returns_result_directly() {
         let rt = Runtime::new();
-        let qt = rt.spawn_op("instant", async { OperationResult::Push });
+        let qt = deferred(&rt, "instant", async { OperationResult::Push });
         let result = rt.wait(qt, None).unwrap();
         assert!(matches!(result, OperationResult::Push));
         assert_eq!(rt.outstanding(), 0);
@@ -902,7 +951,7 @@ mod tests {
     #[test]
     fn waiting_twice_on_one_token_is_an_error() {
         let rt = Runtime::new();
-        let qt = rt.spawn_op("instant", async { OperationResult::Push });
+        let qt = deferred(&rt, "instant", async { OperationResult::Push });
         rt.wait(qt, None).unwrap();
         assert_eq!(rt.wait(qt, None), Err(DemiError::BadQToken));
     }
@@ -910,13 +959,13 @@ mod tests {
     #[test]
     fn wait_any_resolves_exactly_one() {
         let rt = Runtime::new();
-        let slow = rt.spawn_op("slow", async {
+        let slow = deferred(&rt, "slow", async {
             for _ in 0..10 {
                 yield_once().await;
             }
             OperationResult::Push
         });
-        let fast = rt.spawn_op("fast", async {
+        let fast = deferred(&rt, "fast", async {
             OperationResult::Pop {
                 from: None,
                 sga: Sga::from_slice(b"data"),
@@ -936,13 +985,13 @@ mod tests {
     #[test]
     fn wait_all_returns_in_token_order() {
         let rt = Runtime::new();
-        let a = rt.spawn_op("a", async {
+        let a = deferred(&rt, "a", async {
             for _ in 0..5 {
                 yield_once().await;
             }
             OperationResult::Connect
         });
-        let b = rt.spawn_op("b", async { OperationResult::Push });
+        let b = deferred(&rt, "b", async { OperationResult::Push });
         let results = rt.wait_all(&[a, b], None).unwrap();
         assert!(matches!(results[0], OperationResult::Connect));
         assert!(matches!(results[1], OperationResult::Push));
@@ -952,7 +1001,7 @@ mod tests {
     fn timeout_fires_in_virtual_time() {
         let rt = Runtime::new();
         let timers = rt.timers().clone();
-        let qt = rt.spawn_op("sleepy", async move {
+        let qt = deferred(&rt, "sleepy", async move {
             timers.sleep(SimTime::from_millis(10)).await;
             OperationResult::Push
         });
@@ -971,7 +1020,7 @@ mod tests {
     fn blocked_wait_advances_virtual_time_through_timers() {
         let rt = Runtime::new();
         let timers = rt.timers().clone();
-        let qt = rt.spawn_op("timer", async move {
+        let qt = deferred(&rt, "timer", async move {
             timers.sleep(SimTime::from_micros(500)).await;
             OperationResult::Push
         });
@@ -1002,7 +1051,7 @@ mod tests {
     #[test]
     fn deadlock_is_detected_not_spun_forever() {
         let rt = Runtime::new();
-        let qt = rt.spawn_op("stuck", std::future::pending());
+        let qt = deferred(&rt, "stuck", std::future::pending());
         assert_eq!(rt.wait(qt, None), Err(DemiError::Deadlock));
     }
 
@@ -1015,7 +1064,7 @@ mod tests {
     #[test]
     fn wakeups_are_counted_once_per_completion() {
         let rt = Runtime::new();
-        let qt = rt.spawn_op("op", async {
+        let qt = deferred(&rt, "op", async {
             OperationResult::Pop {
                 from: None,
                 sga: Sga::from_slice(b"x"),
@@ -1033,7 +1082,7 @@ mod tests {
         let fire_at = SimTime::from_micros(42);
         rt.register_deadline_source(move || Some(fire_at));
         let clock = rt.clock().clone();
-        let qt = rt.spawn_op("ext", async move {
+        let qt = deferred(&rt, "ext", async move {
             loop {
                 if clock.now() >= fire_at {
                     return OperationResult::Push;
@@ -1064,13 +1113,11 @@ mod tests {
         let (gate, released) = (Notify::new(), Rc::new(Cell::new(false)));
         let parked = park_herd(&rt, &gate, &released, 50);
         let polls_after_park = rt.scheduler().stats().polls;
-        let live = rt.spawn_op("live", async {
-            yield_once().await;
-            OperationResult::Push
-        });
+        let live = deferred(&rt, "live", async { OperationResult::Push });
         rt.wait(live, None).unwrap();
         let stats = rt.scheduler().stats();
-        // Only the live op was polled; the 50 parked ops stayed parked.
+        // Only the live op (its task and its feeder's) was polled; the 50
+        // parked ops stayed parked.
         assert_eq!(stats.polls, polls_after_park + 2);
         assert_eq!(stats.spurious_polls, 0);
         // Release the parked ops so the world shuts down cleanly.
@@ -1116,11 +1163,11 @@ mod tests {
     fn await_op_parks_until_completion() {
         let rt = Runtime::new();
         let timers = rt.timers().clone();
-        let slow = rt.spawn_op("slow", async move {
+        let slow = deferred(&rt, "slow", async move {
             timers.sleep(SimTime::from_micros(100)).await;
             OperationResult::Push
         });
-        let chained = rt.spawn_op("chained", {
+        let chained = deferred(&rt, "chained", {
             let rt = rt.clone();
             async move {
                 let result = rt.await_op(slow).await;
@@ -1138,19 +1185,17 @@ mod tests {
         let rt = Runtime::new();
         span::set_enabled(true);
         let _ = span::drain();
-        let quiet = rt.spawn_op("quiet", async {
-            yield_once().await;
-            OperationResult::Push
-        });
-        let loud = rt.spawn_op("loud", async {
+        let ready = |_: QDesc, _: u64| Some(OperationResult::Push);
+        let gate = Notify::new();
+        let quiet = rt.park_op("quiet", &gate, Rc::new(ready), QDesc(0), 0);
+        // A check that rings a doorbell, as a device op's poll does.
+        let loud = move |_: QDesc, _: u64| {
             span::note_handoff(7);
-            OperationResult::Push
-        });
-        let inner = rt.spawn_op("inner", async { OperationResult::Push });
-        let outer = rt.spawn_op("outer", {
-            let rt = rt.clone();
-            async move { rt.await_op(inner).await }
-        });
+            Some(OperationResult::Push)
+        };
+        let loud = rt.park_op("loud", &gate, Rc::new(loud), QDesc(0), 0);
+        let inner = rt.park_op("inner", &gate, Rc::new(ready), QDesc(0), 0);
+        let outer = deferred(&rt, "outer", rt.await_op(inner));
         // A doorbell outside every op poll belongs to no op.
         span::note_handoff(3);
         rt.wait_all(&[quiet, loud, outer], None).unwrap();
@@ -1183,7 +1228,7 @@ mod tests {
         let fire_at = SimTime::from_micros(7);
         rt.register_deadline_source(move || Some(fire_at));
         let clock = rt.clock().clone();
-        rt.spawn_op("wakerless", async move {
+        deferred(rt, "wakerless", async move {
             std::future::poll_fn(move |_cx| {
                 if clock.now() >= fire_at {
                     Poll::Ready(())
@@ -1198,7 +1243,7 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "live tasks: [\"wakerless\"]")]
+    #[should_panic(expected = "live tasks: [\"wakerless\", \"wakerless\"]")]
     fn a_wakerless_state_change_panics_naming_its_task_in_debug() {
         let rt = Runtime::new();
         let qt = wakerless_op(&rt);

@@ -140,14 +140,16 @@ pub fn chrome_trace() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::OperationResult;
+    use crate::types::{OperationResult, QDesc};
+    use demi_sched::Notify;
 
     #[test]
     fn summary_covers_recorded_ops() {
         let rt = Runtime::new();
         enable(&rt);
         reset();
-        let qt = rt.spawn_op("test::op", async { OperationResult::Push });
+        let ready = Rc::new(|_, _| Some(OperationResult::Push));
+        let qt = rt.park_op("test::op", &Notify::new(), ready, QDesc(0), 0);
         rt.wait(qt, None).unwrap();
         let text = summary();
         disable();

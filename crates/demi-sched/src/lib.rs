@@ -12,18 +12,19 @@
 //!   the runtime's parked ops, which need no box), each with a real
 //!   [`std::task::Waker`] backed by a shared run queue. A pass drains only
 //!   woken tasks, so thousands of parked connections cost nothing.
-//! * [`TaskHandle`] — typed access to a task's eventual result. Tasks that
-//!   deliver their own result (the runtime's queue operations write into
-//!   their qtoken's slot) spawn detached, with no handle at all.
+//! * [`TaskHandle`] — typed access to a task's eventual result. Tasks
+//!   that deliver their own result (service loops) spawn detached, with no
+//!   handle at all; the runtime's queue operations are keyed tasks whose
+//!   poll re-checks an op kept in the runtime's slab.
 //! * [`TimerService`] — virtual-time sleeps on a deadline heap; the runtime
 //!   advances the clock to [`TimerService::earliest_deadline`] and
 //!   [`fire_due`](TimerService::fire_due) wakes exactly the expired
 //!   sleepers.
 //! * [`Notify`] — the one parking primitive: an edge-triggered event
-//!   counter whose [`Notify::until`] is the check-then-park loop every
-//!   blocked operation runs. A flag, a queue or a condition is plain state
-//!   (`Cell`, `RefCell<VecDeque<_>>`) beside the `Notify` that announces
-//!   its changes. [`yield_once`] self-wakes instead (stay runnable, go to
+//!   counter; a blocked operation snapshots it with [`Notify::notified`],
+//!   checks, and parks until the epoch moves. A flag, a queue or a
+//!   condition is plain state (`Cell`, `RefCell<VecDeque<_>>`) beside the
+//!   `Notify` that announces its changes. [`yield_once`] self-wakes instead (stay runnable, go to
 //!   the back of the queue).
 //!
 //! Everything is single-threaded (`Rc`-based) by design: a Demikernel libOS

@@ -8,9 +8,10 @@
 //! whose state the operation waits on (a socket's readability, a queue's
 //! arrivals, a connection's state) and fired where that state rises.
 //!
-//! The idiomatic wait loop — snapshot, check, park until the epoch moves,
-//! re-check — is written once, as [`Notify::until`]. Parking allocates
-//! nothing: a parked waiter is one `(key, Waker)` entry in the `Notify`.
+//! The wait loop — snapshot, check, park until the epoch moves, re-check —
+//! runs on one [`Notified`], which re-snapshots each time it completes.
+//! Parking allocates nothing: a parked waiter is one `(key, Waker)` entry
+//! in the `Notify`.
 
 use std::cell::RefCell;
 use std::future::Future;
@@ -68,36 +69,6 @@ impl Notify {
             seen_epoch: inner.epoch,
             key: inner.next_key,
             parked: false,
-        }
-    }
-
-    /// Parks the calling coroutine until `check` yields a value: `check`
-    /// runs once now and again after every notification, on one
-    /// [`Notified`]. A notification landing between a check and the park
-    /// is not lost.
-    ///
-    /// ```
-    /// # use demi_sched::{Notify, Scheduler};
-    /// # use std::{cell::RefCell, rc::Rc};
-    /// # let sched = Scheduler::new();
-    /// let (added, items) = (Notify::new(), Rc::new(RefCell::new(Vec::new())));
-    /// let consumer = sched.spawn("consumer", {
-    ///     let (added, items) = (added.clone(), items.clone());
-    ///     async move { added.until(|| items.borrow_mut().pop()).await }
-    /// });
-    /// sched.run_pass(); // nothing there yet: the consumer parks
-    /// items.borrow_mut().push(7);
-    /// added.notify_waiters();
-    /// sched.run_pass();
-    /// assert_eq!(consumer.take_result(), Some(7));
-    /// ```
-    pub async fn until<T>(&self, mut check: impl FnMut() -> Option<T>) -> T {
-        let mut wait = self.notified();
-        loop {
-            if let Some(value) = check() {
-                return value;
-            }
-            (&mut wait).await;
         }
     }
 }
@@ -235,7 +206,7 @@ mod tests {
     }
 
     #[test]
-    fn until_rechecks_per_notification_on_one_registration() {
+    fn one_notified_rechecks_per_notification_on_one_registration() {
         let sched = Scheduler::new();
         let notify = Notify::new();
         let items = Rc::new(RefCell::new(Vec::new()));
@@ -245,7 +216,13 @@ mod tests {
             .map(|_| {
                 let (notify, items) = (notify.clone(), items.clone());
                 sched.spawn("consumer", async move {
-                    notify.until(|| items.borrow_mut().pop()).await
+                    let mut wait = notify.notified();
+                    loop {
+                        if let Some(item) = items.borrow_mut().pop() {
+                            return item;
+                        }
+                        (&mut wait).await;
+                    }
                 })
             })
             .collect();

@@ -30,7 +30,7 @@ impl Future for YieldFuture {
 ///
 /// The yielding task re-enqueues itself (a self-wake), so under the
 /// waker-driven policy a yield loop keeps running — but code that *waits*
-/// for an event should park on a waker source ([`crate::Notify::until`] or
+/// for an event should park on a waker source ([`crate::Notify::notified`] or
 /// a timer) instead of spinning on `yield_once`, which burns a poll per
 /// pass.
 pub fn yield_once() -> YieldFuture {

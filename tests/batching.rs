@@ -23,7 +23,7 @@ use net_stack::types::SocketAddr;
 use net_stack::{NetworkStack, StackConfig, TenancyCfg};
 use proptest::prelude::*;
 use sim_fabric::{Fabric, MacAddress, SimRng, SimTime};
-use support::{host, ip, quiesce, settle, spawn_udp_echo, udp_echo_round, udp_pair};
+use support::{deferred_op, host, ip, quiesce, settle, spawn_udp_echo, udp_echo_round, udp_pair};
 
 /// A host with `config` on a basic port, with its device handle.
 fn host_with(fabric: &Fabric, config: StackConfig) -> (DpdkPort, NetworkStack) {
@@ -220,17 +220,17 @@ fn wait_any_does_not_rescan_tokens_every_pass() {
             rt.park_op("parked", &gate, check, QDesc(0), 0)
         })
         .collect();
-    // Park the herd.
-    rt.pump();
     // One op that completes only after several timer hops, forcing the
-    // wait loop through many pump passes.
+    // wait loop through many pump passes: a slot fed by a sleeping task.
     let timers = rt.timers().clone();
-    let slow = rt.spawn_op("slow", async move {
+    let slow = deferred_op(&rt, "slow", async move {
         for _ in 0..8 {
             timers.sleep(SimTime::from_micros(10)).await;
         }
         OperationResult::Push
     });
+    // Park the herd (and take the slow op's first polls).
+    rt.pump();
     tokens.push(slow);
 
     rt.metrics().reset();

@@ -13,13 +13,13 @@ use std::rc::Rc;
 
 use demi_sched::yield_once;
 use demi_telemetry::span::SpanPoint::Delivered;
-use demikernel::testing::{catmem_world, catnip_pair, AllocMeter};
+use demikernel::testing::{catcorn_pair, catfs_world, catmem_world, catnip_pair, AllocMeter};
 use demikernel::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 use demikernel::{LibOs, Runtime};
 use proptest::prelude::*;
 use sim_fabric::SimTime;
 use support::alloc_sites::{assert_allocs, SiteAlloc};
-use support::udp_pair;
+use support::{deferred_op, tcp_pair, udp_pair};
 
 #[global_allocator]
 static ALLOCATOR: SiteAlloc = SiteAlloc;
@@ -91,7 +91,7 @@ impl World {
     fn submit_deferred(&mut self, yields: u8) {
         let id = self.next_id;
         self.next_id += 1;
-        let qt = self.rt.spawn_op("model::deferred", async move {
+        let qt = deferred_op(&self.rt, "model::deferred", async move {
             for _ in 0..yields {
                 yield_once().await;
             }
@@ -174,7 +174,7 @@ impl World {
     fn await_one(&mut self, pick: u8) {
         for op in self.pick(pick, 1) {
             let inner = self.rt.await_op(op.qt);
-            let qt = self.rt.spawn_op("model::awaiter", inner);
+            let qt = deferred_op(&self.rt, "model::awaiter", inner);
             self.live.push(Op {
                 qt,
                 expect: op.expect,
@@ -186,7 +186,7 @@ impl World {
     /// A timeout consumes nothing: the token stays valid (and times out
     /// again), and the clock stops exactly at the deadline.
     fn timeout_probe(&mut self) {
-        let qt = self.rt.spawn_op("model::stuck", std::future::pending());
+        let qt = deferred_op(&self.rt, "model::stuck", std::future::pending());
         let tick = SimTime::from_micros(3);
         for _ in 0..2 {
             let before = self.rt.now();
@@ -248,7 +248,7 @@ proptest! {
 fn empty_waits_do_not_touch_the_clock() {
     let rt = Runtime::new();
     let timers = rt.timers().clone();
-    let sleeper = rt.spawn_op("sleeper", async move {
+    let sleeper = deferred_op(&rt, "sleeper", async move {
         timers.sleep(SimTime::from_millis(5)).await;
         OperationResult::Push
     });
@@ -269,7 +269,7 @@ fn a_reissued_slot_rejects_every_stale_token() {
     for id in 0..100u32 {
         // One op in flight at a time: the slab has one slot, reissued on
         // every round, alternating deferred and submission-completed.
-        let qt = rt.spawn_op("reissue", async move {
+        let qt = deferred_op(&rt, "reissue", async move {
             if id % 2 == 0 {
                 yield_once().await;
             }
@@ -328,7 +328,7 @@ fn a_push_only_sender_still_transmits() {
     assert_eq!(rt.outstanding(), 0);
 
     // Now let the world run: all of them arrive, in order.
-    let done = rt.spawn_op("drain", {
+    let done = deferred_op(&rt, "drain", {
         let (server, received) = (server.clone(), received.clone());
         async move {
             for i in 0..DATAGRAMS {
@@ -482,7 +482,7 @@ fn a_wait_all_that_times_out_consumes_nothing() {
     libos.blocking_push(qd, &Sga::from_slice(b"kept")).unwrap();
     let fast = libos.pop(qd).unwrap();
     let timers = rt.timers().clone();
-    let slow = rt.spawn_op("sleeper", async move {
+    let slow = deferred_op(&rt, "sleeper", async move {
         timers.sleep(SimTime::from_millis(10)).await;
         OperationResult::Push
     });
@@ -501,7 +501,7 @@ fn a_wait_any_that_times_out_consumes_nothing() {
     let qd = libos.queue().unwrap();
     let pop = libos.pop(qd).unwrap();
     let timers = rt.timers().clone();
-    let slow = rt.spawn_op("sleeper", async move {
+    let slow = deferred_op(&rt, "sleeper", async move {
         timers.sleep(SimTime::from_millis(10)).await;
         OperationResult::Push
     });
@@ -511,4 +511,49 @@ fn a_wait_any_that_times_out_consumes_nothing() {
     let results = rt.wait_all(&[pop, slow], None).unwrap();
     assert_eq!(results[0].clone().expect_pop().1.to_vec(), b"late");
     assert_eq!(results[1], OperationResult::Push);
+}
+
+/// A blocked catfs pop is a parked slot the poller feeds, not a coroutine:
+/// a warmed `blocking_pop` of a 100-byte record allocates exactly 7 times
+/// — the device's two block buffers (header and payload reads), the
+/// record's bytes (header, then payload) and three for the popped `Sga`'s
+/// buffer. With a coroutine per pop it was 8: the task's box.
+#[test]
+fn a_warmed_catfs_pop_allocates_no_task() {
+    const CATFS_POP_ALLOCS: u64 = 7;
+    let (_rt, fs, _device) = catfs_world();
+    let qd = fs.create("pins").unwrap();
+    let record = Sga::from_slice(&[0x5C; 100]);
+    // 64 warm rounds, the measured one and a re-run to report sites.
+    for _ in 0..66 {
+        fs.blocking_push(qd, &record).unwrap();
+    }
+    let pop = || {
+        let (_, sga) = fs.blocking_pop(qd).unwrap().expect_pop();
+        assert_eq!(sga.len(), 100);
+    };
+    (0..64).for_each(|_| pop());
+    assert_allocs(CATFS_POP_ALLOCS, "a warmed catfs blocking_pop", pop);
+}
+
+/// A catcorn push is a parked slot too: its send queues on the connection
+/// and the poller posts it. A warmed 64-byte `blocking_push` allocates
+/// exactly 13 times: the staging vector, and the RDMA model's wire
+/// messages, frames and completion vectors. With a coroutine per push it
+/// was 14: the task's box.
+#[test]
+fn a_warmed_catcorn_push_allocates_no_task() {
+    const CATCORN_PUSH_ALLOCS: u64 = 13;
+    let (_rt, _fabric, client, server) = catcorn_pair(43);
+    let (cqd, sqd) = tcp_pair(&client, &server, 18516);
+    let message = Sga::from_slice(&[0xC0; 64]);
+    let push = || {
+        let pushed = client.blocking_push(cqd, &message).unwrap();
+        assert_eq!(pushed, OperationResult::Push);
+    };
+    for _ in 0..64 {
+        push();
+        server.blocking_pop(sqd).unwrap().expect_pop();
+    }
+    assert_allocs(CATCORN_PUSH_ALLOCS, "a warmed catcorn blocking_push", push);
 }

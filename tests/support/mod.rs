@@ -9,18 +9,20 @@
 
 pub mod alloc_sites;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::future::Future;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use demi_memory::DemiBuffer;
+use demi_sched::Notify;
 use demi_telemetry::hist::Histogram;
 use demikernel::libos::catnip::Catnip;
 use demikernel::libos::SocketKind;
 pub use demikernel::testing::host_ip as ip;
 use demikernel::testing::host_mac;
-use demikernel::types::{OperationResult, QDesc, Sga};
+use demikernel::types::{OperationResult, QDesc, QToken, Sga};
 use demikernel::{LibOs, Runtime};
 use dpdk_sim::{DpdkPort, PortConfig};
 use net_stack::tcp::{ConnId, ListenerId, State, TcpConfig, TcpPeer, TcpSegmentOut};
@@ -376,6 +378,28 @@ pub fn poisson_schedule(seed: u64, start_ns: u64, rate_per_sec: f64, count: usiz
     (0..count).map(|_| arrival()).collect()
 }
 
+/// An op whose result `op` computes, built the way an application builds
+/// one from a future: a slot parked on a test-owned gate, which a
+/// background task fires once it has put `op`'s result where the slot's
+/// check takes it.
+pub fn deferred_op(
+    rt: &Runtime,
+    name: &'static str,
+    op: impl Future<Output = OperationResult> + 'static,
+) -> QToken {
+    let (gate, result) = (Notify::new(), Rc::new(Cell::new(None)));
+    let check = {
+        let result = result.clone();
+        Rc::new(move |_, _| result.take())
+    };
+    let fire = gate.clone();
+    rt.spawn_background(name, async move {
+        result.set(Some(op.await));
+        fire.notify_waiters();
+    });
+    rt.park_op(name, &gate, check, QDesc(0), 0)
+}
+
 /// Runs one echo workload: a server coroutine on host 2 reflecting every
 /// request, and one client coroutine on its own socket per entry of
 /// `plan(start_ns)` — a worker's list of requests, each fired at its
@@ -404,7 +428,7 @@ fn run_load<L: LibOs + Clone + 'static>(
             let qd = client.socket(SocketKind::Udp).unwrap();
             client.bind(qd, SocketAddr::new(ip(1), port)).unwrap();
             let (client, hist) = (client.clone(), hist.clone());
-            rt.spawn_op("support::load_worker", async move {
+            deferred_op(rt, "support::load_worker", async move {
                 let rt = client.runtime().clone();
                 let payload = vec![0xA5u8; size];
                 for at in requests {

@@ -95,14 +95,19 @@ metrics_table! {
         /// Iterations of the runtime's wait loop (each = one pump of the
         /// world). A wait whose token had already completed costs none.
         wait_passes,
-        /// Task polls performed across those passes. The waker-driven
-        /// scheduler polls only *ready* tasks, so this tracks ready work,
-        /// independent of how many operations are parked.
+        /// Coroutine polls and op checks performed across those passes.
+        /// Only *woken* coroutines are polled and only *ready* ops are
+        /// checked, so this tracks ready work, independent of how many
+        /// operations are parked.
         wait_polls,
         /// Op-slab slot probes made by waits: one per token when a
         /// `wait_any`/`wait_all` starts watching, plus one per completion it
         /// consumes — never multiplied by the number of pump passes.
         completion_checks,
+        /// Checks of parked and joined ops, in any pump: one when an op is
+        /// submitted, one each time its gate or part readies it. An op is
+        /// not a scheduler task, so these are not scheduler polls.
+        op_checks,
     }
     buffers: demi_memory::DatapathSnapshot {
         /// `DemiBuffer` allocations (pool or unpooled) on this thread since
@@ -268,6 +273,11 @@ impl Metrics {
     /// Records `checks` completed-token lookups made by a wait loop.
     pub(crate) fn count_completion_checks(&self, checks: u64) {
         self.inner.borrow_mut().snap.completion_checks += checks;
+    }
+
+    /// Records `checks` parked or joined ops checked by one pump.
+    pub(crate) fn count_op_checks(&self, checks: u64) {
+        self.inner.borrow_mut().snap.op_checks += checks;
     }
 
     /// Snapshot: this handle's own counters plus each thread-local

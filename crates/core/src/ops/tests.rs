@@ -91,10 +91,7 @@ fn sort_returns_highest_priority_first() {
     }
     // Run the forwarder to quiescence so all four elements reach the
     // priority buffer before popping.
-    let rt = dk.runtime().clone();
-    while rt.scheduler().has_runnable() {
-        rt.pump();
-    }
+    dk.runtime().settle(sim_fabric::SimTime::ZERO);
     let qt = dk.pop(sorted).unwrap();
     let (_, first) = dk.wait(qt, None).unwrap().expect_pop();
     // At minimum the popped element beats everything still buffered; with

@@ -25,20 +25,22 @@
 //! and exactly one waiter resolves per completion (each qtoken names one
 //! operation).
 //!
-//! Scheduling is waker-driven: a `wait` runs scheduler passes only while
-//! the run queue is non-empty. A parked operation is a *keyed* scheduler
-//! task (its poll is the slot's re-check), so it runs in the one run queue
-//! with the service coroutines, which park on per-qtoken completion wakers
+//! Scheduling is waker-driven. A blocked operation is not a scheduler
+//! task: its key waits on its gate, a fire puts it on the runtime's
+//! [`ReadyList`], and each pump re-runs the check of every op ready when
+//! the pump's scheduler pass began, after that pass. Only the service
+//! coroutines are tasks; they park on per-qtoken completion wakers
 //! ([`Runtime::await_op`]), timer deadlines or the same gates. There is
 //! one readiness path: every gate belongs to the object whose state the
 //! op waits on — a socket in the network stack, a catmem queue, a catfs
 //! log, a catcorn device or connection — and fires where that state
-//! rises, so a frame, a completion or a timer wakes only the ops it made
-//! ready. Deadlock is not a spin-count heuristic: when a pass polls
-//! nothing, nothing external moved, and virtual time cannot advance, the
-//! wait is declared deadlocked at once — sound because every state change
-//! wakes its waiters (§4.4), which debug builds check there by polling
-//! every live task once more and panicking, naming them, if one completes.
+//! rises, so a frame, a completion or a timer readies only the ops it
+//! concerns. Deadlock is not a spin-count heuristic: when a pump polls and
+//! checks nothing, nothing external moved, and virtual time cannot
+//! advance, the wait is declared deadlocked at once — sound because every
+//! state change wakes its waiters (§4.4), which debug builds check there
+//! by polling every live task and every parked check once more and
+//! panicking, naming them, if one completes.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -47,7 +49,7 @@ use std::pin::Pin;
 use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
 
-use demi_sched::{Notified, Notify, Scheduler, TimerService};
+use demi_sched::{Notified, Notify, ReadyList, Scheduler, TimerService};
 use demi_telemetry::span::{self, OpSpan, SpanPoint};
 use sim_fabric::{Fabric, SimClock, SimTime};
 
@@ -60,7 +62,6 @@ use crate::types::{DemiError, OperationResult, QDesc, QToken};
 /// so it must never reach the runtime — it captures cycle-free pieces
 /// only, never a `Runtime`.
 pub(crate) type Check = Rc<dyn Fn(QDesc, u64) -> Option<OperationResult>>;
-type ParkedPoll = Rc<dyn Fn(u64, &mut Context<'_>) -> Poll<()>>;
 
 /// A device-poll hook run on every scheduler pass; returns how many work
 /// items (frames, completions, readiness transitions) it processed, so the
@@ -69,9 +70,9 @@ type Poller = Box<dyn Fn() -> usize>;
 /// A source of timer deadlines consulted when all tasks block.
 type DeadlineSource = Box<dyn Fn() -> Option<SimTime>>;
 
-/// What one pump did: the scheduler's pass counters plus the external work
-/// (frames delivered, poller work items, timers fired) that happened around
-/// it.
+/// What one pump did: the scheduler pass's and the op checks' counters,
+/// plus the external work (frames delivered, poller work items, timers
+/// fired) that happened around them.
 #[derive(Debug, Clone, Copy, Default)]
 struct PumpReport {
     completed: usize,
@@ -110,26 +111,27 @@ struct Parked {
 }
 
 impl Parked {
-    /// The check runs first and after each notification, until it yields.
-    fn poll(&mut self, cx: &mut Context<'_>) -> Poll<OperationResult> {
+    /// The check runs first and after each notification, until it yields;
+    /// in between, op `qt` is parked on the gate, to be put on `ready`.
+    fn poll(&mut self, ready: &ReadyList, qt: QToken) -> Option<OperationResult> {
         let mut checked = self.wait.is_some();
         let wait = self.wait.get_or_insert_with(|| self.gate.notified());
         loop {
-            if checked && Pin::new(&mut *wait).poll(cx).is_pending() {
-                return Poll::Pending;
+            if checked && wait.poll_op(ready, qt.0).is_pending() {
+                return None;
             }
             checked = true;
             if let Some(result) = (self.check)(self.qd, self.seq) {
-                return Poll::Ready(result);
+                return Some(result);
             }
         }
     }
 }
 
 /// Two pushes as one op (a merged queue's push is a push to each input):
-/// it consumes them in order, as [`Runtime::await_op`] does, its task's
-/// waker parked on the one it waits for, and keeps only the first failure
-/// (a part that is not a push fails it `InvalidState`).
+/// it consumes them in order, as [`Runtime::await_op`] does, its own key
+/// parked on the one it waits for, and keeps only the first failure (a
+/// part that is not a push fails it `InvalidState`).
 #[derive(Clone)]
 struct Join {
     parts: [QToken; 2],
@@ -139,10 +141,10 @@ struct Join {
 }
 
 impl Join {
-    fn poll(&mut self, ops: &mut OpSlab, cx: &mut Context<'_>) -> Poll<OperationResult> {
+    fn poll(&mut self, ops: &mut OpSlab, qt: QToken) -> Option<OperationResult> {
         while let Some(&part) = self.parts.get(self.taken) {
-            let failure = match ops.take(part, Some(cx.waker()), None) {
-                Ok(None) => return Poll::Pending,
+            let failure = match ops.take(part, || Some(Awaiter::Op(qt)), None) {
+                Ok(None) => return None,
                 Ok(Some((OperationResult::Push, _))) => None,
                 Ok(Some((OperationResult::Failed(e), _))) | Err(e) => Some(e),
                 Ok(Some(_)) => Some(DemiError::InvalidState),
@@ -150,12 +152,20 @@ impl Join {
             self.taken += 1;
             self.failed = self.failed.take().or(failure);
         }
-        Poll::Ready(
+        Some(
             self.failed
                 .take()
                 .map_or(OperationResult::Push, OperationResult::Failed),
         )
     }
+}
+
+/// Who is parked on an op's slot, readied when the op completes.
+enum Awaiter {
+    /// A coroutine in [`Runtime::await_op`]: its waker.
+    Task(Waker),
+    /// The join whose part this op is: its key goes on the ready list.
+    Op(QToken),
 }
 
 /// Everything the runtime knows about one queue operation.
@@ -170,9 +180,9 @@ struct OpSlot {
     /// The op's span, entered at `started`, if span capture was on then;
     /// it goes to the span ring when the op is consumed.
     span: Option<OpSpan>,
-    /// The task parked on this operation: a coroutine in
+    /// Who is parked on this operation: a coroutine in
     /// [`Runtime::await_op`], or the merged push joined on it.
-    waker: Option<Waker>,
+    awaiter: Option<Awaiter>,
     /// Set by the `wait_any`/`wait_all` call watching this token: that
     /// call's epoch (0 = never watched) and the token's index in its slice.
     wait_epoch: u64,
@@ -206,7 +216,7 @@ impl OpSlab {
                 state: OpState::Free,
                 started,
                 span: None,
-                waker: None,
+                awaiter: None,
                 wait_epoch: 0,
                 wait_index: 0,
             });
@@ -234,19 +244,17 @@ impl OpSlab {
 
     /// Consumes `qt` if complete, yielding its result and submission
     /// instant and recording its span — delivery-stamped on `delivery`,
-    /// the clock of the wait consuming it; until then, parks `waker` (if
-    /// given) on it.
+    /// the clock of the wait consuming it; until then, parks the awaiter
+    /// `park` gives (if any) on it, replacing an earlier one.
     fn take(
         &mut self,
         qt: QToken,
-        waker: Option<&Waker>,
+        park: impl FnOnce() -> Option<Awaiter>,
         delivery: Option<&SimClock>,
     ) -> Result<Option<(OperationResult, SimTime)>, DemiError> {
         let slot = self.slot(qt).ok_or(DemiError::BadQToken)?;
         if !matches!(slot.state, OpState::Complete(_)) {
-            if let Some(waker) = waker {
-                slot.waker = Some(waker.clone());
-            }
+            slot.awaiter = park().or(slot.awaiter.take());
             return Ok(None);
         }
         slot.gen = slot.gen.wrapping_add(1);
@@ -285,17 +293,17 @@ impl OpSlab {
     }
 
     /// Records the result of `qt`'s operation and tells the wait watching
-    /// it, if any; returns the parked awaiter to wake.
-    fn complete(&mut self, qt: QToken, result: OperationResult) -> Option<Waker> {
+    /// it, if any; returns the parked awaiter to ready.
+    fn complete(&mut self, qt: QToken, result: OperationResult) -> Option<Awaiter> {
         let epoch = self.epoch;
         let slot = self.slot(qt)?;
         slot.state = OpState::Complete(result);
-        let waker = slot.waker.take();
+        let awaiter = slot.awaiter.take();
         if slot.wait_epoch == epoch && epoch > 0 {
             let arrival = (slot.wait_index, qt);
             self.arrivals.push_back(arrival);
         }
-        waker
+        awaiter
     }
 }
 
@@ -307,12 +315,13 @@ struct Inner {
     pollers: RefCell<Vec<Poller>>,
     deadline_sources: RefCell<Vec<DeadlineSource>>,
     ops: RefCell<OpSlab>,
+    /// Keys of the parked and joined ops to check: new ones, and those
+    /// their gate or part readied.
+    ready: ReadyList,
     /// An operation completed at submission since the pollers last ran:
     /// what it enqueued (a frame on a TX ring) may still be sitting there.
     unflushed: Cell<bool>,
     metrics: Metrics,
-    /// Every parked operation's task poll ([`poll_parked`]).
-    poll_parked: ParkedPoll,
 }
 
 /// The shared runtime (cheaply cloneable handle).
@@ -341,7 +350,7 @@ impl Runtime {
 
     fn build(clock: SimClock, fabric: Option<Fabric>) -> Self {
         Runtime {
-            inner: Rc::new_cyclic(|runtime: &Weak<Inner>| Inner {
+            inner: Rc::new(Inner {
                 scheduler: Scheduler::new(),
                 timers: TimerService::new(clock.clone()),
                 clock,
@@ -349,12 +358,9 @@ impl Runtime {
                 pollers: RefCell::new(Vec::new()),
                 deadline_sources: RefCell::new(Vec::new()),
                 ops: RefCell::default(),
+                ready: ReadyList::default(),
                 unflushed: Cell::new(false),
                 metrics: Metrics::new(),
-                poll_parked: {
-                    let runtime = runtime.clone();
-                    Rc::new(move |key, cx| poll_parked(&runtime, QToken(key), cx))
-                },
             }),
         }
     }
@@ -412,8 +418,9 @@ impl Runtime {
     /// The one parking path: an operation on `qd` that runs
     /// `check(qd, seq)` when first polled and again each time `gate` is
     /// notified (one that lands between a check and the park is not lost),
-    /// parked at zero polls in between. It lives in its slot and runs as a
-    /// keyed task: once warm, parking allocates nothing.
+    /// parked at zero checks in between. It lives in its slot, and its key
+    /// is queued for the first check in the next pump: once warm, parking
+    /// allocates nothing.
     pub fn park_op(
         &self,
         name: &'static str,
@@ -429,15 +436,15 @@ impl Runtime {
             qd,
             seq,
         };
-        self.keyed_op(name, OpState::Parked(parked))
+        self.blocked_op(name, OpState::Parked(parked))
     }
 
     /// Two pushes, `parts`, as one operation: it completes once both have,
-    /// as a push, or with the first failure. Like a parked op it is a keyed
-    /// task, parked on the parts' slots.
+    /// as a push, or with the first failure. Like a parked op it is checked
+    /// by the runtime, its key parked on the parts' slots.
     pub(crate) fn join_op(&self, name: &'static str, parts: [QToken; 2]) -> QToken {
         let (taken, failed) = (0, None);
-        self.keyed_op(
+        self.blocked_op(
             name,
             OpState::Joined(Join {
                 parts,
@@ -447,11 +454,10 @@ impl Runtime {
         )
     }
 
-    /// A blocked op's slot, polled by a keyed task ([`poll_parked`]).
-    fn keyed_op(&self, name: &'static str, state: OpState) -> QToken {
+    /// A blocked op's slot, queued for its first check ([`Runtime::check_ops`]).
+    fn blocked_op(&self, name: &'static str, state: OpState) -> QToken {
         let qt = self.begin_op(name, state);
-        let poll = self.inner.poll_parked.clone();
-        self.inner.scheduler.spawn_keyed(name, qt.0, poll);
+        self.inner.ready.borrow_mut().push_back(qt.0);
         qt
     }
 
@@ -491,8 +497,9 @@ impl Runtime {
     }
 
     /// One cooperative pass: deliver due frames, run device pollers, fire
-    /// due timers, then one scheduler pass over the *woken* tasks. Returns
-    /// the number of tasks that completed.
+    /// due timers, then one scheduler pass over the *woken* tasks and one
+    /// check of each *ready* op. Returns the number of tasks and ops that
+    /// completed.
     ///
     /// Frame delivery must happen here and not only in the internal advance
     /// because virtual time also moves through *cost charges* (the
@@ -531,17 +538,66 @@ impl Runtime {
         };
         external += self.run_pollers();
         external += self.inner.timers.fire_due();
+        // The ops ready now are this pump's: one readied by the pass below
+        // waits for the next, as a task woken during the pass does.
+        let ready = self.inner.ready.borrow().len();
         // Run a scheduler pass only when there is woken work to run.
         let pass = if self.inner.scheduler.has_runnable() {
             self.inner.scheduler.run_pass()
         } else {
             Default::default()
         };
+        let checked = if ready > 0 { self.check_ops(ready) } else { 0 };
         PumpReport {
-            completed: pass.completed,
-            polled: pass.polled,
+            completed: pass.completed + checked,
+            polled: pass.polled + ready,
             external,
         }
+    }
+
+    /// Checks the first `n` ready ops in place, in their slots — a parked
+    /// op re-runs its check, a joined op takes its parts, which is why a
+    /// check must never reach the runtime — and completes each that
+    /// yields: the only way out of `Parked` and `Joined`. Returns how many
+    /// completed.
+    fn check_ops(&self, n: usize) -> usize {
+        let (inner, mut completed) = (&*self.inner, 0);
+        inner.metrics.count_op_checks(n as u64);
+        for _ in 0..n {
+            let Some(qt) = inner.ready.borrow_mut().pop_front().map(QToken) else {
+                break;
+            };
+            let mut ops = inner.ops.borrow_mut();
+            let start = poll_start(&inner.clock);
+            let result = match ops.slot(qt).map(|slot| &mut slot.state) {
+                Some(OpState::Parked(parked)) => parked.poll(&inner.ready, qt),
+                Some(OpState::Joined(join)) => {
+                    // Checked on a copy: taking a part borrows the slab.
+                    let mut join = join.clone();
+                    let result = join.poll(&mut ops, qt);
+                    if let Some(slot) = ops.slot(qt) {
+                        slot.state = OpState::Joined(join);
+                    }
+                    result
+                }
+                _ => continue,
+            };
+            ops.stamp(qt, start, result.is_some(), &inner.clock);
+            let Some(result) = result else {
+                continue;
+            };
+            completed += 1;
+            // The result goes into the slot; its awaiter is readied once
+            // the slab is released.
+            let awaiter = ops.complete(qt, result);
+            drop(ops);
+            match awaiter {
+                Some(Awaiter::Task(waker)) => waker.wake(),
+                Some(Awaiter::Op(join)) => inner.ready.borrow_mut().push_back(join.0),
+                None => {}
+            }
+        }
+        completed
     }
 
     /// Advances virtual time to the earliest pending event, bounded by
@@ -594,11 +650,13 @@ impl Runtime {
         let live = scheduler.live_task_names();
         let report = scheduler.sweep_pass();
         assert!(
-            report.completed == 0 && !scheduler.has_runnable(),
+            report.completed == 0
+                && !scheduler.has_runnable()
+                && self.inner.ready.borrow().is_empty(),
             "a task changed state without a wake at {:?}; live tasks: {live:?}",
             self.now()
         );
-        // A parked op's task polls its gate before its check, so the sweep
+        // A parked op is checked only once its gate fires, so the sweep
         // cannot see a check its unfired gate hides: run each one here.
         for slot in &self.inner.ops.borrow().slots {
             if let OpState::Parked(parked) = &slot.state {
@@ -621,7 +679,7 @@ impl Runtime {
     fn take(&self, qt: QToken) -> Result<Option<OperationResult>, DemiError> {
         self.inner.metrics.count_completion_checks(1);
         let clock = &self.inner.clock;
-        let taken = self.inner.ops.borrow_mut().take(qt, None, Some(clock))?;
+        let taken = self.inner.ops.borrow_mut().take(qt, || None, Some(clock))?;
         let Some((result, started)) = taken else {
             return Ok(None);
         };
@@ -831,42 +889,6 @@ fn poll_start(clock: &SimClock) -> Option<u64> {
     })
 }
 
-/// A parked or joined operation's task poll: re-runs its check, or takes
-/// its parts, in place, in its slot — which is why a check must never
-/// reach the runtime — and completes the slot once that yields. The task
-/// is the only way out of `Parked` and `Joined`.
-fn poll_parked(runtime: &Weak<Inner>, qt: QToken, cx: &mut Context<'_>) -> Poll<()> {
-    let Some(inner) = runtime.upgrade() else {
-        return Poll::Ready(());
-    };
-    let mut ops = inner.ops.borrow_mut();
-    let start = poll_start(&inner.clock);
-    let polled = match ops.slot(qt).map(|slot| &mut slot.state) {
-        Some(OpState::Parked(parked)) => parked.poll(cx),
-        Some(OpState::Joined(join)) => {
-            // Polled on a copy: taking a part borrows the slab.
-            let mut join = join.clone();
-            let polled = join.poll(&mut ops, cx);
-            if let Some(slot) = ops.slot(qt) {
-                slot.state = OpState::Joined(join);
-            }
-            polled
-        }
-        _ => return Poll::Ready(()),
-    };
-    ops.stamp(qt, start, polled.is_ready(), &inner.clock);
-    let Poll::Ready(result) = polled else {
-        return Poll::Pending;
-    };
-    // The result goes into the slot; its awaiter wakes once it is released.
-    let awaiter = ops.complete(qt, result);
-    drop(ops);
-    if let Some(waker) = awaiter {
-        waker.wake();
-    }
-    Poll::Ready(())
-}
-
 /// Future returned by [`Runtime::await_op`].
 ///
 /// Holds the runtime weakly: this future lives inside a spawned coroutine,
@@ -885,7 +907,10 @@ impl Future for OpFuture {
         let taken = match self.runtime.upgrade() {
             // Consumed inside a composing coroutine, not by a wait: the
             // span is recorded without a delivery stamp.
-            Some(inner) => inner.ops.borrow_mut().take(self.qt, Some(cx.waker()), None),
+            Some(inner) => {
+                let park = || Some(Awaiter::Task(cx.waker().clone()));
+                inner.ops.borrow_mut().take(self.qt, park, None)
+            }
             None => Err(DemiError::BadQToken),
         };
         match taken {
@@ -1102,7 +1127,7 @@ mod tests {
             rt.park_op("parked", gate, check, QDesc(0), 0)
         });
         let herd = herd.collect();
-        // Drain the initial spawn polls.
+        // Run the first checks: each op parks on the gate.
         rt.pump();
         herd
     }
@@ -1113,12 +1138,15 @@ mod tests {
         let (gate, released) = (Notify::new(), Rc::new(Cell::new(false)));
         let parked = park_herd(&rt, &gate, &released, 50);
         let polls_after_park = rt.scheduler().stats().polls;
+        let checks_after_park = rt.metrics().snapshot().op_checks;
         let live = deferred(&rt, "live", async { OperationResult::Push });
         rt.wait(live, None).unwrap();
         let stats = rt.scheduler().stats();
-        // Only the live op (its task and its feeder's) was polled; the 50
-        // parked ops stayed parked.
-        assert_eq!(stats.polls, polls_after_park + 2);
+        // Only the live op's feeder was polled, and only the live op was
+        // checked (once: its feeder ran first in the pump that took it);
+        // the 50 parked ops stayed parked.
+        assert_eq!(stats.polls, polls_after_park + 1);
+        assert_eq!(rt.metrics().snapshot().op_checks, checks_after_park + 1);
         assert_eq!(stats.spurious_polls, 0);
         // Release the parked ops so the world shuts down cleanly.
         released.set(true);
@@ -1243,7 +1271,7 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "live tasks: [\"wakerless\", \"wakerless\"]")]
+    #[should_panic(expected = "live tasks: [\"wakerless\"]")]
     fn a_wakerless_state_change_panics_naming_its_task_in_debug() {
         let rt = Runtime::new();
         let qt = wakerless_op(&rt);

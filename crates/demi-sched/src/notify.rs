@@ -9,22 +9,33 @@
 //! arrivals, a connection's state) and fired where that state rises.
 //!
 //! The wait loop — snapshot, check, park until the epoch moves, re-check —
-//! runs on one [`Notified`], which re-snapshots each time it completes.
-//! Parking allocates nothing: a parked waiter is one `(key, Waker)` entry
-//! in the `Notify`.
+//! runs on one [`Notified`], which re-snapshots each time it completes. A
+//! coroutine awaits it and parks its `Waker`; a runtime op parks its key
+//! ([`Notified::poll_op`]), which a fire pushes onto the runtime's
+//! [`ReadyList`] — no task, no run queue, no lock. Parking allocates
+//! nothing once warm: a waiter is one entry in the `Notify`.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
+
+/// A parked waiter: what a fire does for it.
+enum Waiter {
+    /// A coroutine: woken through the scheduler.
+    Task(Waker),
+    /// A runtime op: its key is pushed onto its runtime's ready list.
+    Op(ReadyList, u64),
+}
 
 #[derive(Default)]
 struct NotifyInner {
     epoch: u64,
     next_key: u64,
     /// Parked waiters in parking order; a notification drains them all.
-    waiters: Vec<(u64, Waker)>,
+    waiters: Vec<(u64, Waiter)>,
 }
 
 /// A cloneable edge-triggered event source.
@@ -33,20 +44,27 @@ pub struct Notify {
     inner: Rc<RefCell<NotifyInner>>,
 }
 
+/// The keys of ops that gate fires made ready, in fire order: one list
+/// per runtime, which checks each op it pops. Single-threaded (`Rc`).
+pub type ReadyList = Rc<RefCell<VecDeque<u64>>>;
+
 impl Notify {
     /// Creates a notifier at epoch zero.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Advances the epoch and wakes every current waiter. Returns how many
-    /// tasks were woken.
+    /// Advances the epoch and wakes every current waiter — a task through
+    /// its waker, an op onto its ready list. Returns how many were woken.
     pub fn notify_waiters(&self) -> usize {
         let mut inner = self.inner.borrow_mut();
         inner.epoch += 1;
         let woken = inner.waiters.len();
-        for (_, waker) in inner.waiters.drain(..) {
-            waker.wake();
+        for (_, waiter) in inner.waiters.drain(..) {
+            match waiter {
+                Waiter::Task(waker) => waker.wake(),
+                Waiter::Op(ready, key) => ready.borrow_mut().push_back(key),
+            }
         }
         woken
     }
@@ -88,26 +106,40 @@ pub struct Notified {
     parked: bool,
 }
 
+impl Notified {
+    /// `Ready` once the epoch moved past the snapshot (re-snapshotting);
+    /// otherwise parks the waiter `waiter` builds, or refreshes the entry
+    /// already parked with it.
+    fn poll_with(&mut self, waiter: impl FnOnce() -> Waiter) -> Poll<()> {
+        let mut inner = self.inner.borrow_mut();
+        if inner.epoch > self.seen_epoch {
+            self.seen_epoch = inner.epoch;
+            self.parked = false;
+            return Poll::Ready(());
+        }
+        let key = self.key;
+        if !self.parked {
+            inner.waiters.push((key, waiter()));
+            self.parked = true;
+        } else if let Some(entry) = inner.waiters.iter_mut().find(|(k, _)| *k == key) {
+            entry.1 = waiter();
+        }
+        Poll::Pending
+    }
+
+    /// The op-waiter form of `poll`: parks op `key`, which the next fire
+    /// pushes onto `ready`. A fire takes the entry, so an op re-armed
+    /// only after each fire is on `ready` at most once.
+    pub fn poll_op(&mut self, ready: &ReadyList, key: u64) -> Poll<()> {
+        self.poll_with(|| Waiter::Op(Rc::clone(ready), key))
+    }
+}
+
 impl Future for Notified {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = &mut *self;
-        let mut inner = this.inner.borrow_mut();
-        if inner.epoch > this.seen_epoch {
-            this.seen_epoch = inner.epoch;
-            this.parked = false;
-            return Poll::Ready(());
-        }
-        let key = this.key;
-        if !this.parked {
-            inner.waiters.push((key, cx.waker().clone()));
-            this.parked = true;
-        } else if let Some((_, waker)) = inner.waiters.iter_mut().find(|(k, _)| *k == key) {
-            // Re-polled while parked: the entry keeps the latest waker.
-            waker.clone_from(cx.waker());
-        }
-        Poll::Pending
+        self.poll_with(|| Waiter::Task(cx.waker().clone()))
     }
 }
 
@@ -254,5 +286,121 @@ mod tests {
         assert_eq!(notify.inner.borrow().waiters.len(), 1);
         drop(parked);
         assert_eq!(notify.notify_waiters(), 0);
+    }
+
+    /// The ready list's keys, in push order, leaving it empty.
+    fn drain(ready: &ReadyList) -> Vec<u64> {
+        ready.borrow_mut().drain(..).collect()
+    }
+
+    #[test]
+    fn a_fire_between_snapshot_and_arming_an_op_is_not_lost() {
+        let (notify, ready) = (Notify::new(), ReadyList::default());
+        let mut wait = notify.notified();
+        notify.notify_waiters();
+        // The op's first arm sees the fire: it checks again, nothing parks.
+        assert!(wait.poll_op(&ready, 7).is_ready());
+        assert!(ready.borrow().is_empty());
+        // Re-snapshotted: the next arm parks until the next fire.
+        assert!(wait.poll_op(&ready, 7).is_pending());
+        assert!(ready.borrow().is_empty());
+        assert_eq!(notify.notify_waiters(), 1);
+        assert_eq!(drain(&ready), [7]);
+    }
+
+    #[test]
+    fn a_gate_wakes_each_task_and_op_waiter_exactly_once() {
+        let (sched, notify, ready) = (Scheduler::new(), Notify::new(), ReadyList::default());
+        let task = sched.spawn("waiter", {
+            let notify = notify.clone();
+            async move { notify.notified().await }
+        });
+        sched.run_pass();
+        let (mut a, mut b) = (notify.notified(), notify.notified());
+        assert!(a.poll_op(&ready, 1).is_pending());
+        assert!(b.poll_op(&ready, 2).is_pending());
+        // Arming a parked op again adds no second entry.
+        assert!(a.poll_op(&ready, 1).is_pending());
+        assert_eq!(notify.notify_waiters(), 3);
+        assert_eq!(
+            notify.notify_waiters(),
+            0,
+            "the first fire took every entry"
+        );
+        assert_eq!(drain(&ready), [1, 2]);
+        assert_eq!(sched.stats().wakeups, 1);
+        assert_eq!(sched.run_pass().completed, 1);
+        assert!(task.is_complete());
+    }
+
+    #[test]
+    fn dropping_a_notified_removes_its_op_entry() {
+        let (notify, ready) = (Notify::new(), ReadyList::default());
+        let (mut kept, mut dropped) = (notify.notified(), notify.notified());
+        assert!(kept.poll_op(&ready, 1).is_pending());
+        assert!(dropped.poll_op(&ready, 2).is_pending());
+        drop(dropped);
+        assert_eq!(notify.inner.borrow().waiters.len(), 1);
+        assert_eq!(notify.notify_waiters(), 1);
+        assert_eq!(drain(&ready), [1]);
+    }
+
+    mod alloc {
+        use super::*;
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+        }
+
+        /// Counts this thread's allocations inside [`allocs_in`].
+        struct Counting;
+
+        // SAFETY: every request is forwarded unchanged to `System`; the only
+        // addition is a thread-local counter bump that cannot allocate or
+        // unwind.
+        unsafe impl GlobalAlloc for Counting {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                let _ = ALLOCS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+                // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+                unsafe { System.dealloc(ptr, layout) }
+            }
+        }
+
+        #[global_allocator]
+        static COUNTING: Counting = Counting;
+
+        fn allocs_in(f: impl FnOnce()) -> u64 {
+            ALLOCS.set(Some(0));
+            f();
+            ALLOCS.replace(None).unwrap_or(0)
+        }
+
+        /// Fire, pop the ready keys, re-arm: the waiter vector and the
+        /// ready list keep their storage, so a warm round of op parking
+        /// allocates nothing.
+        #[test]
+        fn re_arming_an_op_after_a_fire_allocates_nothing_once_warm() {
+            let (notify, ready) = (Notify::new(), ReadyList::default());
+            let mut waits: Vec<_> = (0..4).map(|_| notify.notified()).collect();
+            let mut round = || {
+                for (key, wait) in (0..).zip(&mut waits) {
+                    while wait.poll_op(&ready, key).is_ready() {}
+                }
+                assert_eq!(notify.notify_waiters(), 4);
+                for key in 0..4 {
+                    assert_eq!(ready.borrow_mut().pop_front(), Some(key));
+                }
+            };
+            round();
+            round();
+            assert_eq!(allocs_in(round), 0);
+        }
     }
 }

@@ -21,14 +21,6 @@ use std::task::{Context, Poll, Wake, Waker};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) struct TaskId(u64);
 
-type KeyedPoll = Rc<dyn Fn(u64, &mut Context<'_>) -> Poll<()>>;
-
-/// What a task runs: its own future, or a key its owner's poll resolves.
-enum Body {
-    Future(Pin<Box<dyn Future<Output = ()>>>),
-    Keyed(u64, KeyedPoll),
-}
-
 /// Counters describing scheduler activity, used by the experiments to count
 /// wake-ups and polls precisely.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -157,17 +149,13 @@ struct TaskSlot {
     /// every poll borrows `waker` instead of cloning the `Arc` again.
     state: Arc<SlotWaker>,
     waker: Waker,
-    body: Body,
+    future: Pin<Box<dyn Future<Output = ()>>>,
 }
 
 #[derive(Default)]
 struct Inner {
     tasks: Vec<Option<TaskSlot>>,
     free: Vec<usize>,
-    /// Waker states of finished tasks that nothing else still references,
-    /// kept for the next spawn: a steady-state spawn allocates only the
-    /// task's own future.
-    spare_wakers: Vec<Arc<SlotWaker>>,
     /// The pass's working batch, kept so its buffer and the run queue's
     /// trade places every pass instead of being reallocated.
     batch: VecDeque<(usize, u64, u64)>,
@@ -238,31 +226,27 @@ impl Scheduler {
             done: Cell::new(false),
         });
         let task = shared.clone();
-        let body = Body::Future(Box::pin(async move {
-            *task.result.borrow_mut() = Some(future.await);
-            task.done.set(true);
-        }));
-        let id = self.spawn_body(name, body);
+        let id = self.spawn_boxed(
+            name,
+            Box::pin(async move {
+                *task.result.borrow_mut() = Some(future.await);
+                task.done.set(true);
+            }),
+        );
         TaskHandle { id, name, shared }
     }
 
-    /// Spawns a coroutine that delivers its own result (service loops, and
-    /// the runtime's queue operations, which write into their qtoken's
-    /// slot): no handle, so the task's future is the only allocation.
+    /// Spawns a coroutine that delivers its own result (service loops): no
+    /// handle, so the task's future and its waker state are its only
+    /// allocations.
     pub fn spawn_detached<F>(&self, name: &'static str, future: F)
     where
         F: Future<Output = ()> + 'static,
     {
-        self.spawn_body(name, Body::Future(Box::pin(future)));
+        self.spawn_boxed(name, Box::pin(future));
     }
 
-    /// Spawns a task whose every poll is `poll(key, cx)` on an operation its
-    /// owner keeps: no future, so nothing to allocate once the slab is warm.
-    pub fn spawn_keyed(&self, name: &'static str, key: u64, poll: KeyedPoll) {
-        self.spawn_body(name, Body::Keyed(key, poll));
-    }
-
-    fn spawn_body(&self, name: &'static str, body: Body) -> TaskId {
+    fn spawn_boxed(&self, name: &'static str, future: Pin<Box<dyn Future<Output = ()>>>) -> TaskId {
         let mut inner = self.inner.borrow_mut();
         inner.stats.spawned += 1;
         inner.live += 1;
@@ -272,27 +256,19 @@ impl Scheduler {
         inner.next_gen += 1;
         let index = inner.free.pop().unwrap_or(inner.tasks.len());
         // Born scheduled: the slot is enqueued below, so wakes racing with
-        // the first poll must dedup against that entry. (A recycled state
-        // is already `scheduled` — its last task left it set.)
-        let state = match inner.spare_wakers.pop() {
-            Some(mut spare) => {
-                let waker = Arc::get_mut(&mut spare).expect("spares are unreferenced");
-                (waker.index, waker.gen) = (index, gen);
-                spare
-            }
-            None => Arc::new(SlotWaker {
-                index,
-                gen,
-                scheduled: AtomicBool::new(true),
-                rq: self.rq.clone(),
-            }),
-        };
+        // the first poll must dedup against that entry.
+        let state = Arc::new(SlotWaker {
+            index,
+            gen,
+            scheduled: AtomicBool::new(true),
+            rq: self.rq.clone(),
+        });
         let slot = TaskSlot {
             name,
             gen,
             waker: Waker::from(state.clone()),
             state,
-            body,
+            future,
         };
         if index == inner.tasks.len() {
             inner.tasks.push(Some(slot));
@@ -402,23 +378,13 @@ impl Scheduler {
         // task runs must re-enqueue it (exactly once).
         slot.state.scheduled.store(false, Ordering::Release);
         let mut cx = Context::from_waker(&slot.waker);
-        let polled = match &mut slot.body {
-            Body::Future(future) => future.as_mut().poll(&mut cx),
-            Body::Keyed(key, poll) => poll(*key, &mut cx),
-        };
-        match polled {
+        match slot.future.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
                 // Leave `scheduled` set forever: any straggler wake of this
                 // (now dead) generation becomes an O(1) no-op.
                 slot.state.scheduled.store(true, Ordering::Release);
-                // The task's own references go first (its future may hold
-                // clones of its waker); a state nobody else references
-                // cannot be woken again and serves the next spawn.
-                drop((slot.body, slot.waker));
+                drop(slot);
                 let mut inner = self.inner.borrow_mut();
-                if Arc::get_mut(&mut slot.state).is_some() {
-                    inner.spare_wakers.push(slot.state);
-                }
                 inner.stats.completed += 1;
                 inner.live -= 1;
                 inner.free.push(index);

@@ -205,16 +205,16 @@ fn connect_pair(client: &dyn LibOs, server: &dyn LibOs, port: u16) -> (QDesc, QD
 }
 
 /// An op pending when its queue is closed completes, with `Closed`, woken
-/// by the close itself — which polls that op and nothing else, though the
-/// caller keeps another queue's op parked beside it — and gives its op
-/// slot back.
+/// by the close itself — which checks that op and nothing else, though the
+/// caller keeps another queue's op parked beside it, and polls no task —
+/// and gives its op slot back.
 fn close_fails_the_pending(libos: &dyn LibOs, qd: QDesc, op: impl Fn(QDesc) -> QToken) {
     let rt = libos.runtime();
     let kind = libos.kind().name();
     let before = rt.outstanding();
     let qt = op(qd);
     rt.pump();
-    let stats = rt.scheduler().stats();
+    let (stats, checks) = (rt.scheduler().stats(), rt.metrics().snapshot().op_checks);
     libos.close(qd).unwrap();
     assert_eq!(
         libos.wait(qt, Some(SimTime::from_millis(1))),
@@ -227,10 +227,11 @@ fn close_fails_the_pending(libos: &dyn LibOs, qd: QDesc, op: impl Fn(QDesc) -> Q
         after.spurious_polls, stats.spurious_polls,
         "{kind}: woken by the close"
     );
+    assert_eq!(after.polls, stats.polls, "{kind}: no task polled");
     assert_eq!(
-        after.polls - stats.polls,
+        rt.metrics().snapshot().op_checks - checks,
         1,
-        "{kind}: the close polls its own op alone"
+        "{kind}: the close checks its own op alone"
     );
 }
 

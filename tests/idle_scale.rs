@@ -1,9 +1,11 @@
 //! The idle-scale matrix: which per-request costs still grow with idle
 //! state. Each row holds one kind of idle state beside a warmed echo, at
 //! several sizes; each column is one cost of a warmed round, read from the
-//! counters — scheduler polls and wakeups, the device's O(idle) visits
-//! (offload-engine flow-table walks, RDMA and NVMe queue-pair visits) and
-//! heap allocations. Wall time per round is printed, not asserted.
+//! counters — scheduler polls and wakeups (coroutines only), the runtime's
+//! op checks (parked and joined ops, which are not tasks), the device's
+//! O(idle) visits (offload-engine flow-table walks, RDMA and NVMe
+//! queue-pair visits) and heap allocations. Wall time per round is
+//! printed, not asserted.
 //!
 //! A row whose cost is flat asserts equality across its sizes. A column
 //! that still grows pins today's exact count and names the open item that
@@ -44,6 +46,7 @@ const SIZES: [usize; 4] = [0, 16, 256, 1024];
 struct Cost {
     polls: u64,
     wakeups: u64,
+    op_checks: u64,
     /// Flow-table walks (the NIC-served row) or queue-pair visits (the
     /// RDMA and NVMe rows); 0 where the row's device has none.
     visits: u64,
@@ -60,7 +63,8 @@ fn measure(
     mut round: impl FnMut(),
 ) -> Cost {
     (0..WARM).for_each(|_| round());
-    let (sched, visited) = (rt.scheduler().stats(), visits());
+    let checks = || rt.metrics().snapshot().op_checks;
+    let (sched, checked, visited) = (rt.scheduler().stats(), checks(), visits());
     let start = Instant::now();
     let meter = AllocMeter::arm();
     (0..ROUNDS).for_each(|_| round());
@@ -71,14 +75,16 @@ fn measure(
     let cost = Cost {
         polls: after.polls - sched.polls,
         wakeups: after.wakeups - sched.wakeups,
+        op_checks: checks() - checked,
         visits: visits() - visited,
         allocs,
     };
     let per = |n: u64| n as f64 / ROUNDS as f64;
     println!(
-        "{row:<28} idle {idle:>5}: polls {:>5.1}  wakeups {:>5.1}  visits {:>6.1}  allocs {:>4.1}  wall {wall:>9.1?}/round",
+        "{row:<28} idle {idle:>5}: polls {:>5.1}  wakeups {:>5.1}  op checks {:>5.1}  visits {:>6.1}  allocs {:>4.1}  wall {wall:>9.1?}/round",
         per(cost.polls),
         per(cost.wakeups),
+        per(cost.op_checks),
         per(cost.visits),
         per(cost.allocs),
     );
@@ -143,9 +149,11 @@ fn assert_flat(row: &str, cells: &[(usize, Cost)], expect: Cost) {
 }
 
 /// Parked catnip UDP pops: each waits on its own socket's gate, so an
-/// echo costs 4 polls and 2 wakeups a round however many there are (the
-/// runtime-wide activity gate made it `4 + 2n` and `2 + 2n`), and
-/// allocates nothing.
+/// echo costs 4 op checks a round however many there are — each of its
+/// two pops is checked at submission and once when its gate fires — and
+/// no scheduler poll or wakeup, since an op is not a task (as keyed tasks
+/// they cost 4 polls and 2 wakeups; the runtime-wide activity gate made
+/// that `4 + 2n` and `2 + 2n`), and allocates nothing.
 #[test]
 fn parked_catnip_udp_pops_cost_a_udp_echo_nothing() {
     let pair = || {
@@ -159,8 +167,9 @@ fn parked_catnip_udp_pops_cost_a_udp_echo_nothing() {
     let row = "catnip UDP echo, parked pops";
     let cells: Vec<_> = SIZES.iter().map(|&n| (n, udp_row(row, n, pair))).collect();
     let expect = Cost {
-        polls: 4 * ROUNDS,
-        wakeups: 2 * ROUNDS,
+        polls: 0,
+        wakeups: 0,
+        op_checks: 4 * ROUNDS,
         visits: 0,
         allocs: 0,
     };
@@ -183,8 +192,9 @@ fn parked_catnap_udp_pops_cost_a_udp_echo_nothing() {
     let row = "catnap UDP echo, parked pops";
     let cells: Vec<_> = SIZES.iter().map(|&n| (n, udp_row(row, n, pair))).collect();
     let expect = Cost {
-        polls: 4 * ROUNDS,
-        wakeups: 2 * ROUNDS,
+        polls: 0,
+        wakeups: 0,
+        op_checks: 4 * ROUNDS,
         visits: 0,
         allocs: cells[0].1.allocs,
     };
@@ -229,8 +239,9 @@ fn parked_catnip_tcp_pops_cost_a_tcp_echo_nothing() {
     };
     let cells: Vec<_> = SIZES.iter().map(|&n| cell(n)).collect();
     let expect = Cost {
-        polls: 4 * ROUNDS,
-        wakeups: 2 * ROUNDS,
+        polls: 0,
+        wakeups: 0,
+        op_checks: 4 * ROUNDS,
         visits: 0,
         allocs: 0,
     };
@@ -240,8 +251,9 @@ fn parked_catnip_tcp_pops_cost_a_tcp_echo_nothing() {
 /// NIC-armed echo flows, one request served by the device a round: the
 /// host is sent nothing, and with per-socket gates its 1 000 parked echo
 /// loops stay parked (the activity gate polled every one of them twice a
-/// round). The planner still walks the engine's flow table twice a round,
-/// each walk O(flows), until ROADMAP item 1(b) makes the walk O(changed).
+/// round). The client's pop costs 2 op checks a round and no task poll.
+/// The planner still walks the engine's flow table twice a round, each
+/// walk O(flows), until ROADMAP item 1(b) makes the walk O(changed).
 #[test]
 fn nic_served_flows_cost_a_served_echo_nothing_but_the_walk() {
     let row = "NIC-served echo, armed flows";
@@ -271,8 +283,9 @@ fn nic_served_flows_cost_a_served_echo_nothing_but_the_walk() {
     };
     let cells = [cell(1), cell(1000)];
     let expect = Cost {
-        polls: cells[0].1.polls,
-        wakeups: cells[0].1.wakeups,
+        polls: 0,
+        wakeups: 0,
+        op_checks: 2 * ROUNDS,
         visits: 2 * ROUNDS,
         allocs: 0,
     };
@@ -316,8 +329,8 @@ fn idle_rdma_qps_cost_a_catcorn_echo_a_visit_each_per_poll() {
     let cells = [cell(1), cell(1000)];
     let (one, many) = (cells[0].1, cells[1].1);
     assert_eq!(
-        (one.polls, one.wakeups, one.allocs),
-        (many.polls, many.wakeups, many.allocs),
+        (one.polls, one.wakeups, one.op_checks, one.allocs),
+        (many.polls, many.wakeups, many.op_checks, many.allocs),
         "{row}: only the device's visits may grow"
     );
     assert_eq!(
@@ -357,8 +370,8 @@ fn idle_nvme_qpairs_cost_a_catfs_append_a_visit_each_per_scan() {
     let cells = [cell(1), cell(1000)];
     let (one, many) = (cells[0].1, cells[1].1);
     assert_eq!(
-        (one.polls, one.wakeups, one.allocs),
-        (many.polls, many.wakeups, many.allocs),
+        (one.polls, one.wakeups, one.op_checks, one.allocs),
+        (many.polls, many.wakeups, many.op_checks, many.allocs),
         "{row}: only the device's visits may grow"
     );
     assert_eq!(

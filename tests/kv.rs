@@ -28,7 +28,7 @@ use net_stack::tcp::ConnId;
 use sim_fabric::SimTime;
 use spdk_sim::nvme::{NvmeConfig, NvmeDevice};
 use support::alloc_sites::{assert_allocs, SiteAlloc};
-use support::{tcp_pair, PeerWorld};
+use support::{spawn_kv_server, tcp_pair, PeerWorld};
 
 /// Counts this thread's heap allocations inside an [`AllocMeter`] window,
 /// and says where they came from when a pin fails.
@@ -864,47 +864,6 @@ fn a_durable_burst_allocates_only_its_record_vec() {
 // segment and one pop, and a burst that arrives while the server waits
 // on a group commit is committed once.
 // ---------------------------------------------------------------------
-
-/// The serving loop of `examples/kv_server.rs` as a background coroutine
-/// on `server`'s runtime; ends when the client closes the connection.
-fn spawn_kv_server(
-    server: &Catnip,
-    conn_qd: QDesc,
-    engine: std::rc::Rc<std::cell::RefCell<KvEngine>>,
-    log: Option<(Catfs, QDesc)>,
-) {
-    let libos = server.clone();
-    server
-        .runtime()
-        .spawn_background("test::kv_server", async move {
-            let rt = libos.runtime().clone();
-            let mut conn = KvConn::new();
-            loop {
-                let Ok(qt) = libos.pop_unframed(conn_qd) else {
-                    return;
-                };
-                let OperationResult::Pop { sga, .. } = rt.await_op(qt).await else {
-                    return;
-                };
-                for seg in sga.segments() {
-                    conn.feed(seg.clone());
-                }
-                let r = engine.borrow_mut().drain(&mut conn, rt.now());
-                if !r.immediate.is_empty() {
-                    let qt = libos.push_unframed(conn_qd, &Sga::from_bufs(r.immediate));
-                    let _ = rt.await_op(qt.expect("reply push")).await;
-                }
-                if let (Some(batch), Some((fs, log_qd))) = (r.batch, &log) {
-                    let record = Sga::from_bufs(vec![batch]);
-                    let _ = rt
-                        .await_op(fs.push(*log_qd, &record).expect("log push"))
-                        .await;
-                    let qt = libos.push_unframed(conn_qd, &Sga::from_bufs(r.deferred));
-                    let _ = rt.await_op(qt.expect("ack push")).await;
-                }
-            }
-        });
-}
 
 /// One closed-loop exchange: push `request`, then pop until `expect`
 /// reply bytes arrived. Returns the reply and how many pops it took.

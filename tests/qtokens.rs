@@ -11,6 +11,8 @@ mod support;
 use std::cell::Cell;
 use std::rc::Rc;
 
+use demi_kv::resp::encode_command;
+use demi_kv::{KvEngine, KvEngineConfig};
 use demi_sched::yield_once;
 use demi_telemetry::span::SpanPoint::Delivered;
 use demikernel::testing::{catcorn_pair, catfs_world, catmem_world, catnip_pair, AllocMeter};
@@ -19,7 +21,7 @@ use demikernel::{LibOs, Runtime};
 use proptest::prelude::*;
 use sim_fabric::SimTime;
 use support::alloc_sites::{assert_allocs, SiteAlloc};
-use support::{deferred_op, tcp_pair, udp_pair};
+use support::{deferred_op, spawn_kv_server, spawn_udp_echo, tcp_pair, udp_pair};
 
 #[global_allocator]
 static ALLOCATOR: SiteAlloc = SiteAlloc;
@@ -556,4 +558,84 @@ fn a_warmed_catcorn_push_allocates_no_task() {
         server.blocking_pop(sqd).unwrap().expect_pop();
     }
     assert_allocs(CATCORN_PUSH_ALLOCS, "a warmed catcorn blocking_push", push);
+}
+
+/// A parked op is not a scheduler task. Warmed rounds of a catnip UDP echo
+/// and of a depth-1 TCP GET, each served by a coroutine shaped like the
+/// perf ledger's (pop, await, serve, push, await), spawn no task and
+/// allocate nothing, and each takes exactly one scheduler poll and one
+/// wakeup: the server coroutine's, woken by its pop's completion. With
+/// every parked op a keyed task, a round spawned 2 tasks and took 5 polls
+/// and 3 wakeups.
+#[test]
+fn a_served_round_spawns_no_task_and_polls_its_server_once() {
+    let (rt, _fabric, client, server) = catnip_pair(37);
+    let (cqd, sqd, to) = udp_pair(&client, &server);
+    spawn_udp_echo(&server, sqd);
+    let echo = || {
+        let mut request = client.sgaalloc(64);
+        request.segments_mut()[0].try_mut().unwrap().fill(0xA5);
+        let qt = client.pushto(cqd, &request, to).unwrap();
+        client.wait(qt, None).unwrap();
+        let qt = client.pop(cqd).unwrap();
+        let (_, reply) = client.wait(qt, None).unwrap().expect_pop();
+        assert_eq!(reply.segments()[0].as_slice(), &[0xA5; 64]);
+    };
+    (0..8).for_each(|_| echo());
+    assert_served_rounds(&rt, "a served UDP echo", echo);
+
+    let (rt, _fabric, client, server) = catnip_pair(38);
+    let (cqd, sqd) = tcp_pair(&client, &server, 6379);
+    let config = KvEngineConfig {
+        byte_budget: 1 << 20,
+        durable: false,
+    };
+    let engine = KvEngine::new(config, server.memory().clone(), rt.now());
+    spawn_kv_server(&server, sqd, Rc::new(engine.into()), None);
+    let client = &client;
+    let command = |args: &[&[u8]], reply: usize| {
+        let mut bytes = Vec::new();
+        encode_command(&mut bytes, args);
+        move || {
+            let mut request = client.sgaalloc(bytes.len());
+            request.segments_mut()[0]
+                .try_mut()
+                .unwrap()
+                .copy_from_slice(&bytes);
+            let qt = client.push_unframed(cqd, &request).unwrap();
+            client.wait(qt, None).unwrap();
+            let qt = client.pop_unframed(cqd).unwrap();
+            let (_, got) = client.wait(qt, None).unwrap().expect_pop();
+            assert_eq!(got.len(), reply, "one pop, the whole reply");
+        }
+    };
+    command(&[b"SET", b"key", &[0x5A; 64]], b"+OK\r\n".len())();
+    let get = command(&[b"GET", b"key"], b"$64\r\n\r\n".len() + 64);
+    // Warm the pools, rings and timer-wheel slots of a spaced round, in
+    // steps below the 5 ms idle compaction.
+    for _ in 0..100 {
+        get();
+        rt.settle(SimTime::from_micros(200));
+    }
+    assert_served_rounds(&rt, "a served depth-1 GET", get);
+}
+
+/// Pins [`ROUNDS`] warmed rounds at 0 spawns, 1 scheduler poll and 1
+/// wakeup each, and one round at 0 allocations.
+fn assert_served_rounds(rt: &Runtime, what: &str, round: impl Fn()) {
+    const ROUNDS: u64 = 16;
+    let before = rt.scheduler().stats();
+    (0..ROUNDS).for_each(|_| round());
+    let after = rt.scheduler().stats();
+    let per_round = |n: u64| n as f64 / ROUNDS as f64;
+    assert_eq!(
+        (
+            after.spawned - before.spawned,
+            per_round(after.polls - before.polls),
+            per_round(after.wakeups - before.wakeups),
+        ),
+        (0, 1.0, 1.0),
+        "{what}: spawns, scheduler polls and wakeups a round"
+    );
+    assert_allocs(0, what, round);
 }

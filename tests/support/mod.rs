@@ -15,9 +15,11 @@ use std::future::Future;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
+use demi_kv::{KvConn, KvEngine};
 use demi_memory::DemiBuffer;
 use demi_sched::Notify;
 use demi_telemetry::hist::Histogram;
+use demikernel::libos::catfs::Catfs;
 use demikernel::libos::catnip::Catnip;
 use demikernel::libos::SocketKind;
 pub use demikernel::testing::host_ip as ip;
@@ -261,6 +263,47 @@ pub fn spawn_udp_echo<L: LibOs + Clone + 'static>(server: &L, sqd: QDesc) {
             rt.await_op(push).await;
         }
     });
+}
+
+/// The serving loop of `examples/kv_server.rs` as a background coroutine
+/// on `server`'s runtime; ends when the client closes the connection.
+pub fn spawn_kv_server(
+    server: &Catnip,
+    conn_qd: QDesc,
+    engine: Rc<RefCell<KvEngine>>,
+    log: Option<(Catfs, QDesc)>,
+) {
+    let libos = server.clone();
+    server
+        .runtime()
+        .spawn_background("test::kv_server", async move {
+            let rt = libos.runtime().clone();
+            let mut conn = KvConn::new();
+            loop {
+                let Ok(qt) = libos.pop_unframed(conn_qd) else {
+                    return;
+                };
+                let OperationResult::Pop { sga, .. } = rt.await_op(qt).await else {
+                    return;
+                };
+                for seg in sga.segments() {
+                    conn.feed(seg.clone());
+                }
+                let r = engine.borrow_mut().drain(&mut conn, rt.now());
+                if !r.immediate.is_empty() {
+                    let qt = libos.push_unframed(conn_qd, &Sga::from_bufs(r.immediate));
+                    let _ = rt.await_op(qt.expect("reply push")).await;
+                }
+                if let (Some(batch), Some((fs, log_qd))) = (r.batch, &log) {
+                    let record = Sga::from_bufs(vec![batch]);
+                    let _ = rt
+                        .await_op(fs.push(*log_qd, &record).expect("log push"))
+                        .await;
+                    let qt = libos.push_unframed(conn_qd, &Sga::from_bufs(r.deferred));
+                    let _ = rt.await_op(qt.expect("ack push")).await;
+                }
+            }
+        });
 }
 
 /// One 64 B request from `cqd` to `to` through [`spawn_udp_echo`]: push,
